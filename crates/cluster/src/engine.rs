@@ -161,19 +161,6 @@ pub struct ClusterConfig {
     /// Ignored by the sequential engine (`effective_shards() == 1`),
     /// which has no epochs.
     pub max_epoch_arrivals: u64,
-    /// Admit `WindowExpire` coordinator events into coarsened runs
-    /// alongside arrivals (the PR-10 extension of the run-peeling
-    /// contract). A window expiry is dispatch-shaped — it routes the
-    /// pending window batch through the same `DispatchIndex` path an
-    /// arrival uses — so it may join a run under the same two conflict
-    /// checks (key-order tie win against every other pending
-    /// coordinator event; no shard heap below its `EventKey`), with the
-    /// run cut at the first non-dispatch coordinator event or shard
-    /// conflict. Exactness is proven per member, so both settings are
-    /// bit-identical; `false` restores the PR-8 discipline where every
-    /// expiry is a singleton epoch (the differential arm). Ignored by
-    /// the sequential engine.
-    pub coalesce_window_expiries: bool,
 }
 
 impl ClusterConfig {
@@ -212,7 +199,6 @@ impl ClusterConfig {
             shards: 1,
             shard_threads: 0,
             max_epoch_arrivals: 64,
-            coalesce_window_expiries: true,
         }
     }
 
@@ -300,8 +286,7 @@ pub struct EngineStats {
     pub expiries: u64,
     /// Dispatch-run epochs the sharded coordinator started: each run
     /// covers one or more consecutive dispatch-shaped events (arrivals
-    /// and, with [`ClusterConfig::coalesce_window_expiries`], window
-    /// expiries) whose intermediate phases were proven empty.
+    /// and window expiries) whose intermediate phases were proven empty.
     /// Per-arrival mode (`max_epoch_arrivals <= 1`) records one epoch
     /// per dispatch event; the sequential engine records zero (it has
     /// no epochs).
@@ -313,11 +298,8 @@ pub struct EngineStats {
     /// [`ClusterConfig::audit`] is set.
     pub coalesced_arrivals: u64,
     /// Window expiries absorbed into a running epoch beyond each run's
-    /// first member — the serial synchronizations the PR-10 expiry
-    /// admission eliminated. Zero when
-    /// [`ClusterConfig::coalesce_window_expiries`] is off (every expiry
-    /// is then a singleton epoch). Part of the conservation identity
-    /// above.
+    /// first member — the serial synchronizations expiry admission
+    /// eliminates. Part of the conservation identity above.
     pub coalesced_expiries: u64,
     /// Why each dispatch run ended, by cause. Every run is cut exactly
     /// once, so `run_cutoffs.total() == epochs` (also audited).
@@ -344,10 +326,6 @@ pub struct RunCutoffs {
     /// cut-cause table attributes arrival-bound and expiry-bound
     /// conflicts separately.
     pub expiry_shard_conflict: u64,
-    /// [`ClusterConfig::coalesce_window_expiries`] is off and the run's
-    /// opening member was a window expiry: the PR-8 discipline makes it
-    /// a singleton epoch by fiat, not by any conflict.
-    pub coalescing_off: u64,
     /// The run reached [`ClusterConfig::max_epoch_arrivals`] members
     /// (arrivals and admitted expiries both count toward the cap).
     pub max_arrivals: u64,
@@ -367,7 +345,6 @@ impl RunCutoffs {
         self.serial_event
             + self.shard_conflict
             + self.expiry_shard_conflict
-            + self.coalescing_off
             + self.max_arrivals
             + self.journal_pressure
             + self.trace_end

@@ -1399,11 +1399,7 @@ impl<'a> Coordinator<'a> {
                         // *opens* a run instead of standing alone: the
                         // phase bounded at its key just completed, which
                         // is exactly the admission proof `dispatch_run`
-                        // requires of its first member. With
-                        // `coalesce_window_expiries` off the run is cut
-                        // immediately after this member — the PR-8
-                        // singleton-epoch discipline under the same
-                        // accounting.
+                        // requires of its first member.
                         self.dispatch_run(&mut arrivals);
                     } else {
                         self.now = ck.time;
@@ -1424,13 +1420,12 @@ impl<'a> Coordinator<'a> {
     /// Peels and dispatches one maximal *dispatch run* — the epoch
     /// coarsening at the heart of this engine's scalability on
     /// dispatch-dense traces. A run is a maximal sequence of
-    /// consecutive dispatch-shaped events: gateway arrivals and (with
-    /// [`ClusterConfig::coalesce_window_expiries`]) `WindowExpire`
-    /// batch-window dispatches, which route the pending window batch
-    /// through the same `DispatchIndex` path an arrival uses. The phase
-    /// bounded at the run's first member has just completed, so every
-    /// shard's next pending event (if any) sits at or after that
-    /// member's bound. Each run member is handled exactly as in
+    /// consecutive dispatch-shaped events: gateway arrivals and
+    /// `WindowExpire` batch-window dispatches, which route the pending
+    /// window batch through the same `DispatchIndex` path an arrival
+    /// uses. The phase bounded at the run's first member has just
+    /// completed, so every shard's next pending event (if any) sits at
+    /// or after that member's bound. Each run member is handled exactly as in
     /// per-arrival mode (serial context, live index resolution, full
     /// mutation, per-member audit opportunity); the run then *extends*
     /// to the next dispatch event only when the phase the per-arrival
@@ -1458,15 +1453,13 @@ impl<'a> Coordinator<'a> {
     /// in per-arrival mode (`run_phase` returns 0 before touching the
     /// epoch counter or the barrier, and a 0-event `audit_boundary` is
     /// a no-op), so eliding it is exact — bit-identical by
-    /// construction, for any workload, shard count, cap and knob
-    /// setting. Runs additionally cut at
-    /// [`ClusterConfig::max_epoch_arrivals`] members, under
-    /// journal-capacity pressure, and at the trace end / cutoff; every
-    /// cut is attributed to exactly one cause so the counter triad
-    /// reconciles (see [`Auditor::epoch_conservation`]).
+    /// construction, for any workload, shard count and cap. Runs
+    /// additionally cut at [`ClusterConfig::max_epoch_arrivals`]
+    /// members, under journal-capacity pressure, and at the trace end /
+    /// cutoff; every cut is attributed to exactly one cause so the
+    /// counter triad reconciles (see [`Auditor::epoch_conservation`]).
     fn dispatch_run<I: Iterator<Item = Request>>(&mut self, arrivals: &mut Lookahead<I>) {
         let cap = self.config.max_epoch_arrivals.max(1);
-        let coalesce = self.config.coalesce_window_expiries;
         self.stats.epochs += 1;
         let mut members = 0u64;
         let mut expiry_members = 0u64;
@@ -1505,21 +1498,9 @@ impl<'a> Coordinator<'a> {
             members += 1;
             self.audit_boundary(self.now, 1);
 
-            // With coalescing off, an expiry-opened run is a singleton
-            // epoch by fiat (the PR-8 discipline) — and arrival-opened
-            // runs never admit expiries (below), so `first_is_expiry`
-            // here means this very member was the expiry.
-            if !coalesce && first_is_expiry {
-                self.stats.run_cutoffs.coalescing_off += 1;
-                break;
-            }
             let ta = arrivals.peek_arrival().filter(|&ta| ta <= self.cutoff);
             let next_expiry_key = match self.coord_queue.peek() {
-                Some((ck, CoordEvent::WindowExpire { .. }))
-                    if coalesce && ck.time <= self.cutoff =>
-                {
-                    Some(ck)
-                }
+                Some((ck, CoordEvent::WindowExpire { .. })) if ck.time <= self.cutoff => Some(ck),
                 _ => None,
             };
             if ta.is_none() && next_expiry_key.is_none() {
@@ -1550,8 +1531,8 @@ impl<'a> Coordinator<'a> {
                     break;
                 }
             } else {
-                // A non-dispatch coordinator event (or, with the knob
-                // off, a window expiry) beat the next arrival.
+                // A non-dispatch coordinator event beat the next
+                // arrival.
                 self.stats.run_cutoffs.serial_event += 1;
                 break;
             }
@@ -1622,7 +1603,12 @@ impl<'a> Coordinator<'a> {
                 desired
             };
             if let Some(geometry) = desired {
-                if geometry != *core.workers[l].gpu.geometry() && self.reconfig_slots_free() {
+                // End the `&mut` borrow of this core before
+                // `reconfig_slots_free` reads every core, then re-borrow
+                // for the mutation.
+                let changed = geometry != *core.workers[l].gpu.geometry();
+                if changed && self.reconfig_slots_free() {
+                    let core = self.core_mut(g % self.shards());
                     let _ = core.workers[l].gpu.request_reconfigure(geometry);
                     core.refresh_index(l);
                     self.maybe_begin_reconfigure_on(g);
@@ -2501,26 +2487,7 @@ mod tests {
         assert_eq!(par.stats.run_cutoffs.trace_end, 1);
         assert_eq!(par.stats.run_cutoffs.total(), par.stats.epochs);
 
-        // Knob off: the PR-8 discipline. The first arrival run is cut
-        // by the (now inadmissible) 1.950 s expiry as a plain serial
-        // event; every expiry is then a singleton epoch cut by fiat,
-        // attributed to `coalescing_off`.
-        let mut off = config.clone();
-        off.coalesce_window_expiries = false;
-        let t = Trace::from_parts(requests.clone(), SimDuration::from_secs(3.0));
-        let off_r = crate::engine::run_simulation_on(&off, &AlwaysLargest, t);
-        assert!(off_r.audit.is_clean(), "{:?}", off_r.audit.violations);
-        assert_eq!(off_r.stats.arrivals, 3);
-        assert_eq!(off_r.stats.expiries, 3);
-        assert_eq!(off_r.stats.epochs, 5);
-        assert_eq!(off_r.stats.coalesced_arrivals, 1);
-        assert_eq!(off_r.stats.coalesced_expiries, 0);
-        assert_eq!(off_r.stats.run_cutoffs.serial_event, 1);
-        assert_eq!(off_r.stats.run_cutoffs.coalescing_off, 3);
-        assert_eq!(off_r.stats.run_cutoffs.trace_end, 1);
-        assert_eq!(off_r.stats.run_cutoffs.total(), off_r.stats.epochs);
-
-        // Both arms bit-identical to the sequential engine.
+        // Bit-identical to the sequential engine.
         let seq = crate::engine::run_simulation_on(
             &ClusterConfig {
                 audit: true,
@@ -2531,7 +2498,6 @@ mod tests {
         );
         assert_eq!(seq.stats.expiries, 3);
         assert_equivalent(&seq, &par);
-        assert_equivalent(&seq, &off_r);
     }
 
     #[test]

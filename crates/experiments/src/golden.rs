@@ -108,22 +108,6 @@ pub fn golden_digests_sharded_per_arrival() -> Vec<String> {
     })
 }
 
-/// [`golden_digests_sharded`] with window-expiry coalescing forced off
-/// (`coalesce_window_expiries = false`, the PR-8 discipline where every
-/// batch-window expiry is a singleton epoch). Expiry admission into
-/// coarsened runs is an exact elision of provably-empty phases, so both
-/// knob settings must reproduce the sequential lines; this function is
-/// the differential arm that pins the expiries-as-singletons side.
-pub fn golden_digests_sharded_coalesced_off() -> Vec<String> {
-    golden_digests_with(|config, scheme, trace| {
-        let mut sharded = config.clone();
-        sharded.shards = 4;
-        sharded.shard_threads = 2;
-        sharded.coalesce_window_expiries = false;
-        run_simulation(&sharded, scheme, trace)
-    })
-}
-
 fn golden_digests_with(
     run: fn(&ClusterConfig, &dyn SchemeBuilder, &TraceConfig) -> SimulationResult,
 ) -> Vec<String> {

@@ -19,17 +19,13 @@
 //! 2. the `PROTEAN_THREADS` environment variable, capped at
 //!    [`std::thread::available_parallelism`] — simulation cells are
 //!    CPU-bound, so oversubscribing physical cores only adds context
-//!    switches (the PR-1 `bench_pr1.json` run recorded a < 1× "speedup"
-//!    from exactly this: 8 requested threads on a 1-core container);
+//!    switches (8 requested threads on a 1-core host once measured a
+//!    < 1× "speedup" from exactly this);
 //! 3. [`std::thread::available_parallelism`].
 //!
 //! [`run_grid`] additionally shrinks the pool so each worker gets at
 //! least [`MIN_CELLS_PER_THREAD`] cells, degrading to a plain
 //! sequential loop for small grids where thread startup would dominate.
-//!
-//! [`TimingReport`] / [`write_bench_json`] record wall-clock for the
-//! `harness_timing` binary, which writes `results/bench_pr1.json` so
-//! later PRs have a perf trajectory to regress against.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -167,9 +163,9 @@ impl<'a> GridCell<'a> {
 }
 
 /// Minimum grid cells per worker thread before [`run_grid`] spawns it.
-/// A cell simulates in single-digit milliseconds at the reduced
-/// durations the timing harness uses, so a thread must have a few cells
-/// of work to amortize its spawn cost; small grids run sequentially.
+/// A cell simulates in single-digit milliseconds at reduced durations,
+/// so a thread must have a few cells of work to amortize its spawn
+/// cost; small grids run sequentially.
 pub const MIN_CELLS_PER_THREAD: usize = 4;
 
 /// Threads a single cell's engine occupies while it runs: 1 for a
@@ -228,81 +224,6 @@ pub fn run_grid(cells: &[GridCell<'_>], threads: usize) -> Vec<SchemeRow> {
         }
         row
     })
-}
-
-/// Wall-clock record for one experiment grid, written to
-/// `results/bench_pr1.json` by the `harness_timing` binary.
-#[derive(Debug, Clone)]
-pub struct TimingReport {
-    /// Experiment name (e.g. `"fig05_slo_vision"`).
-    pub experiment: String,
-    /// Cells in the grid.
-    pub cells: usize,
-    /// Worker threads used for the parallel run.
-    pub threads: usize,
-    /// Wall-clock of the sequential (1-thread) run, seconds.
-    pub sequential_secs: f64,
-    /// Wall-clock of the parallel run, seconds.
-    pub parallel_secs: f64,
-}
-
-impl TimingReport {
-    /// Sequential / parallel wall-clock ratio.
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_secs > 0.0 {
-            self.sequential_secs / self.parallel_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Cells completed per second in the parallel run.
-    pub fn cells_per_sec(&self) -> f64 {
-        if self.parallel_secs > 0.0 {
-            self.cells as f64 / self.parallel_secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Serializes timing reports as JSON (hand-rolled — the workspace has
-/// no serde) in the `results/bench_pr1.json` format documented in
-/// DESIGN.md.
-pub fn timing_json(threads: usize, reports: &[TimingReport]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"harness\": \"run_grid\",\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str("  \"experiments\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cells\": {}, \"threads\": {}, \
-             \"sequential_secs\": {:.6}, \"parallel_secs\": {:.6}, \
-             \"speedup\": {:.3}, \"cells_per_sec\": {:.3}}}{}\n",
-            r.experiment,
-            r.cells,
-            r.threads,
-            r.sequential_secs,
-            r.parallel_secs,
-            r.speedup(),
-            r.cells_per_sec(),
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes `timing_json` to `path`, creating parent directories.
-pub fn write_bench_json(
-    path: &std::path::Path,
-    threads: usize,
-    reports: &[TimingReport],
-) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, timing_json(threads, reports))
 }
 
 #[cfg(test)]
@@ -395,24 +316,5 @@ mod tests {
             assert_eq!(p.strict_p99_ms, s.strict_p99_ms);
             assert_eq!(p.cost_usd, s.cost_usd);
         }
-    }
-
-    #[test]
-    fn timing_json_shape() {
-        let reports = vec![TimingReport {
-            experiment: "demo".into(),
-            cells: 8,
-            threads: 4,
-            sequential_secs: 2.0,
-            parallel_secs: 0.5,
-        }];
-        let json = timing_json(4, &reports);
-        assert!(json.contains("\"harness\": \"run_grid\""));
-        assert!(json.contains("\"name\": \"demo\""));
-        assert!(json.contains("\"speedup\": 4.000"));
-        assert!(json.contains("\"cells_per_sec\": 16.000"));
-        // Balanced braces/brackets (cheap well-formedness check).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

@@ -103,25 +103,6 @@ pub fn breakdown_table(rows: &[(String, LatencyBreakdown, f64)]) {
     );
 }
 
-/// JSON fragment (trailing comma included) describing the host's
-/// `std::thread::available_parallelism` and the armed/gated status of
-/// every wall-clock floor a benchmark asserts, so a bench JSON written
-/// on a single-core container is self-describing instead of relying on
-/// prose in PERF.md. Each floor is `(name, armed, gate)`: `armed` is
-/// whether the assertion actually ran on this host, `gate` the
-/// condition that arms it.
-pub fn floors_json(host_parallelism: usize, floors: &[(&str, bool, &str)]) -> String {
-    let mut out = format!("  \"host_parallelism\": {host_parallelism},\n  \"floors\": [\n");
-    for (i, (name, armed, gate)) in floors.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"armed\": {armed}, \"gate\": \"{gate}\"}}{}\n",
-            if i + 1 < floors.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out
-}
-
 /// Prints an `(x, y…)` series as CSV, one line per point, for the
 /// curve-style figures (CDFs, timelines).
 pub fn csv_series(title: &str, headers: &[&str], points: &[Vec<f64>]) {

@@ -53,12 +53,12 @@ BINARIES=(
 # list) must abort the regeneration, not silently skip its artifact.
 require_bin() {
   if [[ ! -x "./target/release/$1" ]]; then
-    echo "FATAL: bench binary '$1' is missing from target/release/ — build failed or the binary was renamed" >&2
+    echo "FATAL: binary '$1' is missing from target/release/ — build failed or the binary was renamed" >&2
     exit 1
   fi
 }
 
-for bin in "${BINARIES[@]}" stats_significance harness_timing bench_pr3 bench_pr5 bench_pr6 bench_pr7 bench_pr8 bench_pr10; do
+for bin in "${BINARIES[@]}" stats_significance; do
   require_bin "$bin"
 done
 
@@ -71,50 +71,14 @@ done
 echo ">>> stats_significance"
 ./target/release/stats_significance 60 10 >"$OUT/stats_significance.txt" 2>/dev/null
 
-# Harness timing: sequential-vs-parallel wall-clock per grid, written
-# to results/bench_pr1.json for the perf trajectory.
-echo ">>> harness_timing"
-./target/release/harness_timing 20 "$SEED" >"$OUT/harness_timing.txt" 2>/dev/null
-
-# Event-scheduler cost accounting (next-completion-only vs all-jobs
-# re-projection), written to results/bench_pr3.json.
-echo ">>> bench_pr3"
-./target/release/bench_pr3 20 "$SEED" >"$OUT/bench_pr3.txt" 2>/dev/null
-
-# Fleet-scale dispatch sweep: linear-vs-indexed wall-clock and scan
-# counters per fleet size, written to results/bench_pr5.json. Uses its
-# own 150 s duration so the 512-worker cell crosses 1M requests.
-echo ">>> bench_pr5"
-./target/release/bench_pr5 150 "$SEED" >"$OUT/bench_pr5.txt" 2>/dev/null
-
-# Descent-dispatch sweep to 8192 workers plus the billion-request
-# streaming soak, written to results/bench_pr6.json. The heavy step:
-# the soak alone streams 1e9 requests (~10 min); the sweep's 8192-cell
-# linear baselines add a few more. Defaults: 30 s cells, fleets
-# 8..8192, 1e9-request soak.
-echo ">>> bench_pr6"
-./target/release/bench_pr6 30 "$SEED" >"$OUT/bench_pr6.txt" 2>/dev/null
-
-# Sharded-engine sweep (sequential vs S ∈ {2,4,8}, digest equality
-# asserted on every cell) plus the sharded streaming soak with
-# allocator accounting, written to results/bench_pr7.json. Wall-clock
-# floors arm only on ≥4-core hosts with real cell durations.
-echo ">>> bench_pr7"
-./target/release/bench_pr7 30 "$SEED" >"$OUT/bench_pr7.txt" 2>/dev/null
-
-# Epoch-coarsening differential (per-arrival vs coarsened arms, digest
-# equality and the epochs-per-arrival floor asserted on every cell),
-# written to results/bench_pr8.json.
-echo ">>> bench_pr8"
-./target/release/bench_pr8 30 "$SEED" >"$OUT/bench_pr8.txt" 2>/dev/null
-
-# Window-expiry coalescing differential (knob off vs on, digest
-# equality, the epochs-per-dispatch-event floor and shard-count
-# invariance asserted on every cell) plus the 100k-worker planetary
-# fleet streamed cell (1e8 requests, digest preflight, flat RSS +
-# live-bytes asserted), written to results/bench_pr10.json.
-echo ">>> bench_pr10"
-./target/release/bench_pr10 30 "$SEED" >"$OUT/bench_pr10.txt" 2>/dev/null
+# Benchmark driver: every named workload's end-to-end metrics (median
+# over fresh child processes, fingerprint checked against the seed-42
+# pin), one text report per workload.
+for w in soak-256 wiki-spot-2048 pulse-2048 planetary-50k; do
+  echo ">>> perf $w"
+  cargo run --release -q --offline --manifest-path perf/Cargo.toml -- \
+    --workload "$w" --seed 42 --seconds 12 --trace 0 >"$OUT/perf_$w.txt"
+done
 
 # Adversarial scenario catalog at full rates: every scenario runs both
 # engine arms (digest equality asserted) and writes a JSON report card

@@ -7,15 +7,18 @@
 //! reference model, and full-simulation tests run the engine twice —
 //! `reference_dispatch` on and off — over spot-faulted fleets and
 //! require bit-identical digests (with the auditor's index-coherence
-//! sweep riding along).
+//! sweep riding along) — on small spot-faulted fleets and on a
+//! fleet-scale language-trace cell that also pins the visit counts.
 
 use proptest::prelude::*;
 use protean::ProteanBuilder;
 use protean_baselines::Baseline;
 use protean_cluster::{
-    run_simulation_with_oracle, ClusterConfig, DispatchIndex, SchemeBuilder, ScriptedMarket,
+    run_simulation, run_simulation_with_oracle, ClusterConfig, DispatchIndex, DispatchPolicy,
+    Scheme, SchemeBuilder, ScriptedMarket,
 };
-use protean_experiments::golden;
+use protean_experiments::setup::LANGUAGE_RPS;
+use protean_experiments::{golden, PaperSetup};
 use protean_models::ModelId;
 use protean_sim::{SimDuration, SimTime};
 use protean_spot::{ProcurementPolicy, SpotAvailability};
@@ -261,4 +264,79 @@ fn consolidate_descent_honors_cap_exactly_at_the_boundary() {
     let mut visits = 0;
     assert_eq!(index.first_fit(cap, &mut visits), Some(0));
     assert_eq!(linear_first_fit(&slots, cap), Some(0));
+}
+
+/// INFless/Llama placement under a 1-batch consolidation cap: the
+/// shallow-packing regime where most of the fleet sits at the cap and
+/// the linear front scan degenerates to a walk over the whole fleet.
+struct TightConsolidate;
+
+impl SchemeBuilder for TightConsolidate {
+    fn build(&self, worker: usize) -> Box<dyn Scheme> {
+        Baseline::InflessLlama.build(worker)
+    }
+
+    fn name(&self) -> &'static str {
+        "INFless/Llama (cap 1)"
+    }
+
+    fn dispatch_policy(&self) -> DispatchPolicy {
+        DispatchPolicy::Consolidate { cap_batches: 1 }
+    }
+}
+
+/// Fleet-scale differential on the paper's language trace (batch size
+/// 4, so dispatch decisions are dense) with per-worker load held at the
+/// paper's operating point. Under every policy the index must route
+/// each batch where the linear scans would and answer in at most two
+/// visits per batch; the load-balance scan it replaces pays at least
+/// one visit per worker.
+#[test]
+fn fleet_scale_dispatch_matches_linear_reference() {
+    const WORKERS: usize = 256;
+    let setup = PaperSetup {
+        duration_secs: 3.0,
+        seed: 42,
+    };
+    let mut config = setup.cluster();
+    config.workers = WORKERS;
+    // Record latencies from the first second so the digest pins them.
+    config.warmup = SimDuration::from_secs(1.0);
+    let mut trace = setup.wiki_trace(ModelId::Albert);
+    trace.shape = TraceShape::wiki(LANGUAGE_RPS * WORKERS as f64 / 8.0);
+    let schemes: [&dyn SchemeBuilder; 3] = [
+        &ProteanBuilder::paper(),
+        &TightConsolidate,
+        &Baseline::InflessLlama,
+    ];
+    for scheme in schemes {
+        let run = |reference: bool| {
+            let mut c = config.clone();
+            c.reference_dispatch = reference;
+            run_simulation(&c, scheme, &trace)
+        };
+        let (linear, indexed) = (run(true), run(false));
+        let name = scheme.name();
+        assert_eq!(
+            golden::digest(&linear),
+            golden::digest(&indexed),
+            "{name}: indexed run diverged from the linear reference"
+        );
+        let batches = indexed.stats.dispatch_batches;
+        assert_eq!(linear.stats.dispatch_batches, batches, "{name}");
+        assert!(batches > 0, "{name}: no dispatches");
+        let per_batch = |visits: u64| visits as f64 / batches as f64;
+        let indexed_visits = per_batch(indexed.stats.dispatch_scan_visits);
+        assert!(
+            indexed_visits <= 2.0,
+            "{name}: indexed visits {indexed_visits:.2}/batch, expected <= 2"
+        );
+        if scheme.dispatch_policy() == DispatchPolicy::LoadBalance {
+            let linear_visits = per_batch(linear.stats.dispatch_scan_visits);
+            assert!(
+                linear_visits >= WORKERS as f64,
+                "{name}: linear scan visited {linear_visits:.1}/batch, expected >= {WORKERS}"
+            );
+        }
+    }
 }

@@ -13,8 +13,8 @@
 //! ```
 
 use protean_experiments::golden::{
-    golden_digests, golden_digests_sharded, golden_digests_sharded_coalesced_off,
-    golden_digests_sharded_per_arrival, golden_digests_streaming,
+    golden_digests, golden_digests_sharded, golden_digests_sharded_per_arrival,
+    golden_digests_streaming,
 };
 
 /// Captured from the sequential engine (per-worker jitter streams):
@@ -144,34 +144,6 @@ fn per_arrival_epochs_reproduce_the_recorded_digests() {
     assert!(
         mismatches.is_empty(),
         "{} of {} per-arrival digests diverged from the recorded behaviour:\n{}",
-        mismatches.len(),
-        EXPECTED.len(),
-        mismatches.join("\n")
-    );
-}
-
-/// The window-expiry coalescing differential arm: the sharded engine
-/// with `coalesce_window_expiries = false` (every batch-window expiry a
-/// singleton epoch, the PR-8 discipline) must also reproduce the
-/// recorded digests on every golden config. Together with
-/// `sharded_engine_reproduces_the_recorded_digests` (knob on, the
-/// default) this pins both sides of the expiry-admission rule: folding
-/// a window expiry into a run elides only provably-empty phases.
-#[test]
-fn expiry_coalescing_off_reproduces_the_recorded_digests() {
-    let actual = golden_digests_sharded_coalesced_off();
-    assert_eq!(actual.len(), EXPECTED.len());
-    let mut mismatches = Vec::new();
-    for (got, want) in actual.iter().zip(EXPECTED) {
-        if got != want {
-            mismatches.push(format!(
-                "  no-expiry-coalescing: {got}\n  recorded:             {want}"
-            ));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} knob-off digests diverged from the recorded behaviour:\n{}",
         mismatches.len(),
         EXPECTED.len(),
         mismatches.join("\n")
