@@ -34,6 +34,14 @@
 //! digests and cross-checked against a retained linear reference by
 //! the audit layer ([`DispatchIndex::verify`]) and the property tests
 //! in `tests/dispatch_index.rs`.
+//!
+//! The sharded engine gives each shard a *partition* index
+//! ([`DispatchIndex::partition`]) with one leaf per worker the shard
+//! owns: leaf `l` of shard `s` among `S` holds global worker
+//! `s + l·S`. Keys still carry the global index, and leaf order is
+//! monotone in it, so root minima and first-fit's leftmost-leaf rule
+//! answer in global terms and [`select_across`] reduces partitions by
+//! a plain `min`.
 
 use crate::worker::Worker;
 
@@ -92,6 +100,10 @@ impl MinTree {
 
 /// Incrementally-maintained index over worker dispatch state. See the
 /// [module docs](self) for the tier structure and maintenance contract.
+///
+/// Slot `l` holds global worker `shard + l * stride`; a fleet-wide index
+/// is the partition with `shard = 0`, `stride = 1`, where slot and
+/// worker index coincide.
 #[derive(Debug)]
 pub struct DispatchIndex {
     /// Routable workers whose GPU is accepting, keyed `(outstanding, idx)`.
@@ -103,28 +115,76 @@ pub struct DispatchIndex {
     routable_count: usize,
     /// Dense snapshot per worker slot; `None` = not routable.
     entries: Vec<Option<Entry>>,
+    /// Global index of slot 0, and the global distance between slots.
+    shard: usize,
+    stride: usize,
     /// Maintenance operations applied (surfaced in `EngineStats`).
     updates: u64,
 }
 
 impl DispatchIndex {
-    /// An index over `n` worker slots, all initially non-routable.
+    /// A fleet-wide index over `n` worker slots, all initially
+    /// non-routable.
     pub fn new(n: usize) -> Self {
+        Self::partition(n, 0, 1)
+    }
+
+    /// The partition of a `workers`-wide fleet that shard `shard` of
+    /// `stride` owns: one slot per worker `g` with `g % stride == shard`,
+    /// `⌈(workers − shard) / stride⌉` slots in all.
+    pub fn partition(workers: usize, shard: usize, stride: usize) -> Self {
+        assert!(shard < stride, "shard {shard} out of {stride}");
+        let n = Self::partition_len(workers, shard, stride);
         DispatchIndex {
             accepting: MinTree::new(n),
             routable: MinTree::new(n),
             accepting_count: 0,
             routable_count: 0,
             entries: vec![None; n],
+            shard,
+            stride,
             updates: 0,
         }
     }
 
-    /// Re-caches one worker's dispatch state. Call after *any* mutation
-    /// of the worker's status, GPU accepting state, or `outstanding`.
+    /// Workers of a `workers`-wide fleet that shard `shard` of `stride`
+    /// owns.
+    fn partition_len(workers: usize, shard: usize, stride: usize) -> usize {
+        workers.saturating_sub(shard).div_ceil(stride)
+    }
+
+    /// Re-caches one worker's dispatch state in a fleet-wide index. Call
+    /// after *any* mutation of the worker's status, GPU accepting state,
+    /// or `outstanding`. Partitions use [`DispatchIndex::refresh_slot`].
     pub fn refresh(&mut self, idx: usize, routable: bool, accepting: bool, outstanding: u64) {
+        self.refresh_slot(idx, idx, routable, accepting, outstanding);
+    }
+
+    /// [`DispatchIndex::refresh`] for global worker `idx`, which lives in
+    /// `slot` (`idx == shard + slot * stride`). The caller already knows
+    /// the slot, so the hot path needs no division.
+    pub fn refresh_slot(
+        &mut self,
+        slot: usize,
+        idx: usize,
+        routable: bool,
+        accepting: bool,
+        outstanding: u64,
+    ) {
+        debug_assert_eq!(
+            idx % self.stride,
+            self.shard,
+            "refresh for worker {idx} misrouted to partition {} of {}",
+            self.shard,
+            self.stride
+        );
+        debug_assert_eq!(
+            self.shard + slot * self.stride,
+            idx,
+            "worker {idx} does not live in slot {slot}"
+        );
         self.updates += 1;
-        let old = self.entries[idx];
+        let old = self.entries[slot];
         let new = routable.then_some(Entry {
             outstanding,
             accepting,
@@ -132,22 +192,28 @@ impl DispatchIndex {
         if old == new {
             return;
         }
-        self.routable.set(idx, new.map(|e| (e.outstanding, idx)));
+        self.routable.set(slot, new.map(|e| (e.outstanding, idx)));
         self.accepting.set(
-            idx,
+            slot,
             new.and_then(|e| e.accepting.then_some((e.outstanding, idx))),
         );
         self.routable_count =
             self.routable_count + usize::from(new.is_some()) - usize::from(old.is_some());
         self.accepting_count = self.accepting_count + usize::from(new.is_some_and(|e| e.accepting))
             - usize::from(old.is_some_and(|e| e.accepting));
-        self.entries[idx] = new;
+        self.entries[slot] = new;
     }
 
     /// [`DispatchIndex::refresh`] from the worker's live state.
     pub fn refresh_worker(&mut self, w: &Worker) {
+        self.refresh_worker_slot(w.idx, w);
+    }
+
+    /// [`DispatchIndex::refresh_slot`] from the live state of `w`, which
+    /// lives in `slot`.
+    pub fn refresh_worker_slot(&mut self, slot: usize, w: &Worker) {
         let (routable, accepting, outstanding) = w.dispatch_state();
-        self.refresh(w.idx, routable, accepting, outstanding);
+        self.refresh_slot(slot, w.idx, routable, accepting, outstanding);
     }
 
     /// The least-loaded routable worker with an accepting GPU — the
@@ -235,64 +301,71 @@ impl DispatchIndex {
     /// — the first-fit descent reads only the accepting tree, so tree
     /// equality covers it).
     pub fn verify(&self, workers: &[Worker]) -> Vec<String> {
-        if self.entries.len() != workers.len() {
-            return vec![format!(
-                "dispatch index covers {} slots but cluster has {}",
-                self.entries.len(),
-                workers.len()
-            )];
-        }
-        self.verify_against(workers.iter())
+        self.verify_partition(workers.len(), workers.iter())
     }
 
-    /// [`DispatchIndex::verify`] for a *partition* of the fleet: the
-    /// index spans all `total_slots` worker slots but only the `owned`
-    /// workers may populate it — every other slot must be absent from
-    /// both tiers. This is the coherence invariant of the sharded
-    /// engine's per-shard trees (each shard's index is fleet-width so
-    /// its keys carry global worker indices, but holds entries only for
-    /// the workers the shard owns); a stray entry in a foreign slot
-    /// shows up as a tree or tier-count mismatch against the live
-    /// rebuild.
+    /// [`DispatchIndex::verify`] for a partition of a `total_workers`
+    /// fleet: the index must have exactly one slot per worker its shard
+    /// owns, and `owned` must yield those workers in slot order. This is
+    /// the coherence invariant of the sharded engine's per-shard trees;
+    /// a partition built for the wrong fleet width or shard count is
+    /// reported as a slot-count mismatch, and an owned worker out of
+    /// place as a slot mismatch.
     pub fn verify_partition<'a>(
         &self,
-        total_slots: usize,
+        total_workers: usize,
         owned: impl Iterator<Item = &'a Worker>,
     ) -> Vec<String> {
-        if self.entries.len() != total_slots {
+        let expect = Self::partition_len(total_workers, self.shard, self.stride);
+        if self.entries.len() != expect {
             return vec![format!(
-                "dispatch index covers {} slots but cluster has {total_slots}",
+                "dispatch index partition {} of {} covers {} slots but owns {expect} of {total_workers} workers",
+                self.shard,
+                self.stride,
                 self.entries.len(),
             )];
         }
-        self.verify_against(owned)
-    }
-
-    fn verify_against<'a>(&self, workers: impl Iterator<Item = &'a Worker>) -> Vec<String> {
         let mut out = Vec::new();
         let mut live_accepting = MinTree::new(self.entries.len());
         let mut live_routable = MinTree::new(self.entries.len());
         let mut live_accepting_count = 0;
         let mut live_routable_count = 0;
-        for w in workers {
+        let mut slots = 0;
+        for (slot, w) in owned.enumerate() {
+            slots += 1;
+            if slot >= self.entries.len() || self.shard + slot * self.stride != w.idx {
+                out.push(format!(
+                    "worker {} is not slot {slot} of dispatch index partition {} of {}",
+                    w.idx, self.shard, self.stride
+                ));
+                continue;
+            }
             let (routable, accepting, outstanding) = w.dispatch_state();
             let expect = routable.then_some(Entry {
                 outstanding,
                 accepting,
             });
-            if self.entries[w.idx] != expect {
+            if self.entries[slot] != expect {
                 out.push(format!(
                     "dispatch index entry for worker {} is {:?}, live state is {:?}",
-                    w.idx, self.entries[w.idx], expect
+                    w.idx, self.entries[slot], expect
                 ));
             }
-            live_routable.set(w.idx, expect.map(|e| (e.outstanding, w.idx)));
+            live_routable.set(slot, expect.map(|e| (e.outstanding, w.idx)));
             live_accepting.set(
-                w.idx,
+                slot,
                 expect.and_then(|e| e.accepting.then_some((e.outstanding, w.idx))),
             );
             live_routable_count += usize::from(expect.is_some());
             live_accepting_count += usize::from(expect.is_some_and(|e| e.accepting));
+        }
+        if slots != self.entries.len() {
+            out.push(format!(
+                "dispatch index partition {} of {} has {} slots but was shown {slots} workers",
+                self.shard,
+                self.stride,
+                self.entries.len()
+            ));
         }
         if live_accepting.tree != self.accepting.tree
             || live_accepting_count != self.accepting_count
@@ -389,12 +462,12 @@ mod tests {
             (true, true, 9),
         ];
         let whole = filled(&states);
-        // Round-robin the same fleet across two fleet-width partitions.
-        let mut even = DispatchIndex::new(states.len());
-        let mut odd = DispatchIndex::new(states.len());
+        // Round-robin the same fleet across two partitions.
+        let mut even = DispatchIndex::partition(states.len(), 0, 2);
+        let mut odd = DispatchIndex::partition(states.len(), 1, 2);
         for (idx, &(routable, accepting, outstanding)) in states.iter().enumerate() {
             let part = if idx % 2 == 0 { &mut even } else { &mut odd };
-            part.refresh(idx, routable, accepting, outstanding);
+            part.refresh_slot(idx / 2, idx, routable, accepting, outstanding);
         }
         for cap in [None, Some(4), Some(2), Some(100)] {
             let mut v_single = 0u64;
@@ -403,6 +476,26 @@ mod tests {
             let parts = select_across([&even, &odd].into_iter(), cap, &mut v_parts);
             assert_eq!(single, parts, "cap {cap:?}");
         }
+    }
+
+    #[test]
+    fn partitions_hold_one_slot_per_owned_worker() {
+        // Seven workers over three shards: 0,3,6 / 1,4 / 2,5.
+        let lens: Vec<usize> = (0..3)
+            .map(|s| DispatchIndex::partition(7, s, 3).entries.len())
+            .collect();
+        assert_eq!(lens, [3, 2, 2]);
+        // A shard beyond the fleet owns nothing.
+        assert_eq!(DispatchIndex::partition(2, 3, 4).entries.len(), 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "misrouted")]
+    fn refresh_for_another_shards_worker_panics() {
+        // Worker 4 lives on shard 0 of 2; shard 1 must not take it.
+        let mut odd = DispatchIndex::partition(6, 1, 2);
+        odd.refresh_slot(2, 4, true, true, 0);
     }
 
     #[test]

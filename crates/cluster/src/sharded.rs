@@ -10,7 +10,7 @@
 //! * a [`KeyedEventQueue`] holding the worker-local event classes
 //!   ([`ShardEvent`]: container boots, job completions, reconfiguration
 //!   completions),
-//! * a fleet-width [`DispatchIndex`] populated only in its own slots,
+//! * a partition [`DispatchIndex`] with one slot per owned worker,
 //! * its slice of every output stream (metrics, journal, timelines,
 //!   engine stats).
 //!
@@ -220,7 +220,6 @@ struct ShardCore {
     shard: usize,
     /// Shard count (the stride of the worker partition).
     stride: usize,
-    /// Fleet width `W` (the dispatch index spans all slots).
     /// Owned workers, locally indexed: local `l` is global
     /// `shard + l * stride`. `Worker::idx` stays global.
     workers: Vec<Worker>,
@@ -229,9 +228,9 @@ struct ShardCore {
     /// to the sequential engine's per-worker streams.
     jitter_rngs: Vec<SimRng>,
     queue: KeyedEventQueue<ShardEvent>,
-    /// Fleet-width index with only this shard's slots populated; keys
-    /// carry global worker indices, so cross-shard reduction is a min
-    /// over the per-shard roots.
+    /// Partition index over the owned workers, slot `l` = local `l`;
+    /// keys carry global worker indices, so cross-shard reduction is a
+    /// min over the per-shard roots.
     index: DispatchIndex,
     metrics: MetricsSet,
     /// `(ctx_key, n, event)` journal entries, merged by key at the end.
@@ -265,8 +264,7 @@ impl ShardCore {
         scheme: &dyn SchemeBuilder,
         factory: &RngFactory,
     ) -> Self {
-        let total_slots = config.workers;
-        let globals: Vec<usize> = (shard..total_slots).step_by(stride).collect();
+        let globals: Vec<usize> = (shard..config.workers).step_by(stride).collect();
         let workers = globals
             .iter()
             .map(|&g| Worker::new(g, scheme.build(g), SimTime::ZERO))
@@ -281,7 +279,7 @@ impl ShardCore {
             workers,
             jitter_rngs,
             queue: KeyedEventQueue::new(),
-            index: DispatchIndex::new(total_slots),
+            index: DispatchIndex::partition(config.workers, shard, stride),
             metrics: if config.aggregate_metrics {
                 MetricsSet::aggregate()
             } else {
@@ -308,7 +306,7 @@ impl ShardCore {
     }
 
     fn refresh_index(&mut self, l: usize) {
-        self.index.refresh_worker(&self.workers[l]);
+        self.index.refresh_worker_slot(l, &self.workers[l]);
     }
 
     fn journal(&mut self, ctx: &mut Ctx<'_>, ev: JournalEvent) {
@@ -1188,9 +1186,10 @@ impl<'a> Coordinator<'a> {
     }
 
     /// Cross-shard reduction of the per-shard dispatch indices. Every
-    /// shard's index is fleet-width with keys carrying global worker
-    /// indices, so [`crate::dispatch::select_across`]'s min-over-roots
-    /// reduction equals the sequential fleet-wide scan: first-fit picks
+    /// shard's index is a partition over its own workers whose keys
+    /// carry global worker indices (leaf order monotone in them), so
+    /// [`crate::dispatch::select_across`]'s min-over-roots reduction
+    /// equals the sequential fleet-wide scan: first-fit picks
     /// the smallest global index any shard can seat (each shard's
     /// descent is leftmost over its own slots), and the least-loaded
     /// tiers pick the min `(outstanding, idx)` root. Decision-only —

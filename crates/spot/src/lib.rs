@@ -35,6 +35,7 @@
 //! assert_eq!(SpotAvailability::Low.revocation_probability(), 0.708);
 //! ```
 
+use std::collections::HashMap;
 use std::fmt;
 
 use protean_sim::{SimDuration, SimRng, SimTime};
@@ -318,6 +319,11 @@ struct LedgerEntry {
 
 /// Integrates dollar cost over VM lifetimes, per tier.
 ///
+/// `open` and `close` are O(1): besides the push-ordered `entries`
+/// (the order `cost_by_tier` sums in), the ledger maps every open VM to
+/// the position of its open entry, so provisioning and closing a fleet
+/// of `W` VMs costs O(W) rather than a scan per call.
+///
 /// # Example
 ///
 /// ```
@@ -335,6 +341,15 @@ pub struct VmLedger {
     pricing: PricingTable,
     provider: Provider,
     entries: Vec<LedgerEntry>,
+    /// `entries` position of the open entry of each allocated id,
+    /// indexed by `VmId.0` (`len() == next_id`).
+    open_dense: Vec<Option<usize>>,
+    /// The same map for ids at or beyond `next_id` that the caller made
+    /// up rather than allocated; `allocate_id` moves an id across when
+    /// it reaches it.
+    open_sparse: HashMap<VmId, usize>,
+    /// Entries in both maps: the open VMs.
+    open_vms: usize,
     next_id: u64,
     misuse_events: u64,
 }
@@ -346,6 +361,9 @@ impl VmLedger {
             pricing,
             provider,
             entries: Vec::new(),
+            open_dense: Vec::new(),
+            open_sparse: HashMap::new(),
+            open_vms: 0,
             next_id: 0,
             misuse_events: 0,
         }
@@ -355,7 +373,29 @@ impl VmLedger {
     pub fn allocate_id(&mut self) -> VmId {
         let id = VmId(self.next_id);
         self.next_id += 1;
+        // An id the caller opened before it was allocated keeps its entry.
+        self.open_dense.push(self.open_sparse.remove(&id));
         id
+    }
+
+    /// `entries` position of `vm`'s open entry, if it has one.
+    fn open_entry(&self, vm: VmId) -> Option<usize> {
+        if vm.0 < self.next_id {
+            self.open_dense[vm.0 as usize]
+        } else {
+            self.open_sparse.get(&vm).copied()
+        }
+    }
+
+    /// Records `vm`'s open entry at `entries[pos]`, or clears it (`None`).
+    fn set_open_entry(&mut self, vm: VmId, pos: Option<usize>) {
+        if vm.0 < self.next_id {
+            self.open_dense[vm.0 as usize] = pos;
+        } else if let Some(pos) = pos {
+            self.open_sparse.insert(vm, pos);
+        } else {
+            self.open_sparse.remove(&vm);
+        }
     }
 
     /// Starts billing `vm` at `now`.
@@ -369,13 +409,15 @@ impl VmLedger {
     ///
     /// Panics in debug builds if `vm` is already open.
     pub fn open(&mut self, vm: VmId, tier: VmTier, now: SimTime) {
-        if self.entries.iter().any(|e| e.vm == vm && e.ended.is_none()) {
+        if self.open_entry(vm).is_some() {
             // Tally before asserting so the count survives a caught
             // debug panic identically to the release no-op.
             self.misuse_events += 1;
             debug_assert!(false, "VM {vm:?} is already open");
             return;
         }
+        self.set_open_entry(vm, Some(self.entries.len()));
+        self.open_vms += 1;
         self.entries.push(LedgerEntry {
             vm,
             tier,
@@ -397,15 +439,15 @@ impl VmLedger {
     /// Panics in debug builds if `vm` has no open entry or `now` precedes
     /// its open time.
     pub fn close(&mut self, vm: VmId, now: SimTime) {
-        let Some(entry) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.vm == vm && e.ended.is_none())
-        else {
+        let Some(pos) = self.open_entry(vm) else {
             self.misuse_events += 1;
             debug_assert!(false, "VM {vm:?} is not open");
             return;
         };
+        self.set_open_entry(vm, None);
+        self.open_vms -= 1;
+        let entry = &mut self.entries[pos];
+        debug_assert_eq!(entry.vm, vm, "open-entry map points at another VM");
         if now < entry.started {
             let started = entry.started;
             entry.ended = Some(started);
@@ -446,7 +488,7 @@ impl VmLedger {
 
     /// Count of currently open VMs.
     pub fn open_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.ended.is_none()).count()
+        self.open_vms
     }
 
     /// Total evicted/closed VM count by tier (for reporting).
@@ -630,7 +672,177 @@ mod tests {
         assert_eq!(l.misuse_events(), 0);
     }
 
+    /// The linear-scan ledger the indexed [`VmLedger`] replaced, kept as
+    /// the differential oracle: `open` scans for a duplicate, `close`
+    /// finds the first open entry from the start.
+    struct LinearLedger {
+        pricing: PricingTable,
+        provider: Provider,
+        entries: Vec<LedgerEntry>,
+        next_id: u64,
+        misuse_events: u64,
+    }
+
+    impl LinearLedger {
+        fn new(pricing: PricingTable, provider: Provider) -> Self {
+            LinearLedger {
+                pricing,
+                provider,
+                entries: Vec::new(),
+                next_id: 0,
+                misuse_events: 0,
+            }
+        }
+
+        fn allocate_id(&mut self) -> VmId {
+            let id = VmId(self.next_id);
+            self.next_id += 1;
+            id
+        }
+
+        fn open(&mut self, vm: VmId, tier: VmTier, now: SimTime) {
+            if self.entries.iter().any(|e| e.vm == vm && e.ended.is_none()) {
+                self.misuse_events += 1;
+                debug_assert!(false, "VM {vm:?} is already open");
+                return;
+            }
+            self.entries.push(LedgerEntry {
+                vm,
+                tier,
+                started: now,
+                ended: None,
+            });
+        }
+
+        fn close(&mut self, vm: VmId, now: SimTime) {
+            let Some(entry) = self
+                .entries
+                .iter_mut()
+                .find(|e| e.vm == vm && e.ended.is_none())
+            else {
+                self.misuse_events += 1;
+                debug_assert!(false, "VM {vm:?} is not open");
+                return;
+            };
+            if now < entry.started {
+                let started = entry.started;
+                entry.ended = Some(started);
+                self.misuse_events += 1;
+                debug_assert!(
+                    false,
+                    "VM {vm:?} closed at {now} before it opened at {started}"
+                );
+                return;
+            }
+            entry.ended = Some(now);
+        }
+
+        fn cost_by_tier(&self, tier: VmTier, now: SimTime) -> f64 {
+            let hourly = self.pricing.worker_price(self.provider, tier);
+            self.entries
+                .iter()
+                .filter(|e| e.tier == tier)
+                .map(|e| {
+                    let end = e.ended.unwrap_or(now).min(now);
+                    end.saturating_since(e.started).as_secs_f64() / 3600.0 * hourly
+                })
+                .sum()
+        }
+
+        fn total_cost(&self, now: SimTime) -> f64 {
+            self.cost_by_tier(VmTier::OnDemand, now) + self.cost_by_tier(VmTier::Spot, now)
+        }
+
+        fn open_count(&self) -> usize {
+            self.entries.iter().filter(|e| e.ended.is_none()).count()
+        }
+
+        fn closed_count(&self, tier: VmTier) -> usize {
+            self.entries
+                .iter()
+                .filter(|e| e.tier == tier && e.ended.is_some())
+                .count()
+        }
+    }
+
+    /// Runs `op` on both ledgers and reports whether each panicked: debug
+    /// builds assert on misuse after tallying it, so a caught panic leaves
+    /// the same state the release no-op does.
+    fn both_panic(
+        indexed: &mut VmLedger,
+        linear: &mut LinearLedger,
+        op_indexed: impl FnOnce(&mut VmLedger),
+        op_linear: impl FnOnce(&mut LinearLedger),
+    ) -> (bool, bool) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let a = catch_unwind(AssertUnwindSafe(|| op_indexed(indexed))).is_err();
+        let b = catch_unwind(AssertUnwindSafe(|| op_linear(linear))).is_err();
+        (a, b)
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The indexed ledger is step-for-step equal to the linear-scan
+        /// one. Ids are drawn from a space of 6 while only some are
+        /// allocated, and `now` is not monotone, so every misuse edge
+        /// occurs: double open, close of an unknown id, double close,
+        /// close before open, reopen after close, and opening a made-up
+        /// id that `allocate_id` later hands out.
+        #[test]
+        fn prop_indexed_ledger_matches_linear_scan(
+            steps in proptest::collection::vec(
+                (0usize..4, 0u64..6, prop::bool::ANY, 0.0f64..20_000.0),
+                1..120,
+            ),
+        ) {
+            let mut indexed = VmLedger::new(PricingTable::paper_table3(), Provider::Azure);
+            let mut linear = LinearLedger::new(PricingTable::paper_table3(), Provider::Azure);
+            for (step, &(op, id, spot, secs)) in steps.iter().enumerate() {
+                let vm = VmId(id);
+                let now = SimTime::from_secs(secs);
+                let tier = if spot { VmTier::Spot } else { VmTier::OnDemand };
+                match op {
+                    0 => prop_assert_eq!(indexed.allocate_id(), linear.allocate_id()),
+                    1 => {
+                        let (a, b) = both_panic(
+                            &mut indexed,
+                            &mut linear,
+                            |l| l.open(vm, tier, now),
+                            |l| l.open(vm, tier, now),
+                        );
+                        prop_assert_eq!(a, b, "open {:?} at step {}", vm, step);
+                    }
+                    2 => {
+                        let (a, b) = both_panic(
+                            &mut indexed,
+                            &mut linear,
+                            |l| l.close(vm, now),
+                            |l| l.close(vm, now),
+                        );
+                        prop_assert_eq!(a, b, "close {:?} at step {}", vm, step);
+                    }
+                    _ => {
+                        for tier in [VmTier::OnDemand, VmTier::Spot] {
+                            prop_assert_eq!(
+                                indexed.cost_by_tier(tier, now).to_bits(),
+                                linear.cost_by_tier(tier, now).to_bits()
+                            );
+                        }
+                        prop_assert_eq!(
+                            indexed.total_cost(now).to_bits(),
+                            linear.total_cost(now).to_bits()
+                        );
+                    }
+                }
+                prop_assert_eq!(indexed.misuse_events(), linear.misuse_events);
+                prop_assert_eq!(indexed.open_count(), linear.open_count());
+                for tier in [VmTier::OnDemand, VmTier::Spot] {
+                    prop_assert_eq!(indexed.closed_count(tier), linear.closed_count(tier));
+                }
+            }
+        }
+
         /// Hybrid policy always produces a replacement; the cost ledger
         /// is additive and non-negative.
         #[test]

@@ -9,16 +9,21 @@
 //! require bit-identical digests (with the auditor's index-coherence
 //! sweep riding along) — on small spot-faulted fleets and on a
 //! fleet-scale language-trace cell that also pins the visit counts.
+//! A third layer checks the sharded engine's per-shard partitions
+//! against one fleet-wide index under the same refreshes.
 
 use proptest::prelude::*;
 use protean::ProteanBuilder;
 use protean_baselines::Baseline;
+use protean_cluster::schemes_for_test::AlwaysLargest;
+use protean_cluster::worker::{Worker, WorkerStatus};
 use protean_cluster::{
-    run_simulation, run_simulation_with_oracle, ClusterConfig, DispatchIndex, DispatchPolicy,
-    Scheme, SchemeBuilder, ScriptedMarket,
+    run_simulation, run_simulation_with_oracle, select_across, ClusterConfig, DispatchIndex,
+    DispatchPolicy, Scheme, SchemeBuilder, ScriptedMarket,
 };
 use protean_experiments::setup::LANGUAGE_RPS;
 use protean_experiments::{golden, PaperSetup};
+use protean_gpu::Geometry;
 use protean_models::ModelId;
 use protean_sim::{SimDuration, SimTime};
 use protean_spot::{ProcurementPolicy, SpotAvailability};
@@ -122,6 +127,109 @@ proptest! {
                     "first-fit diverged at cap {}", cap
                 );
             }
+        }
+    }
+}
+
+/// The workers shard `shard` of `shards` owns, in partition slot order.
+fn owned(fleet: &[Worker], shard: usize, shards: usize) -> impl Iterator<Item = &Worker> {
+    fleet.iter().skip(shard).step_by(shards)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Shard partitions answer every dispatch query exactly as one
+    /// fleet-wide index does. Each refresh goes to the fleet-wide index
+    /// and, at its local slot, to the partition of the owning shard;
+    /// fleets include widths the shard count does not divide.
+    #[test]
+    fn prop_partitions_match_the_fleet_wide_index(
+        workers in 1usize..=300,
+        shards in prop::sample::select(vec![1usize, 2, 3, 4, 8]),
+        ops in prop::collection::vec((0usize..300, 0u32..6, 1u64..40), 1..150),
+        caps in prop::collection::vec(1u64..120, 150),
+    ) {
+        prop_assume!(shards <= workers);
+        let mut fleet: Vec<Worker> = (0..workers)
+            .map(|g| Worker::new(g, AlwaysLargest.build(g), SimTime::ZERO))
+            .collect();
+        let mut whole = DispatchIndex::new(workers);
+        let mut parts: Vec<DispatchIndex> = (0..shards)
+            .map(|s| DispatchIndex::partition(workers, s, shards))
+            .collect();
+        for w in &fleet {
+            whole.refresh_worker(w);
+            parts[w.idx % shards].refresh_worker_slot(w.idx / shards, w);
+        }
+        for (step, (g, kind, amount)) in ops.into_iter().enumerate() {
+            let w = &mut fleet[g % workers];
+            match kind {
+                0 => w.outstanding += amount,
+                1 => w.outstanding = w.outstanding.saturating_sub(amount),
+                2 => w.status = WorkerStatus::Evicting { evict_at: SimTime::ZERO },
+                3 => {
+                    w.status = WorkerStatus::Down;
+                    w.outstanding = 0;
+                }
+                4 => w.status = WorkerStatus::Up,
+                _ => {
+                    if w.gpu.accepting() {
+                        w.gpu.request_reconfigure(Geometry::g3_g3()).expect("active GPU");
+                    } else {
+                        w.gpu.cancel_reconfigure();
+                    }
+                }
+            }
+            let w = &fleet[g % workers];
+            whole.refresh_worker(w);
+            parts[w.idx % shards].refresh_worker_slot(w.idx / shards, w);
+
+            for cap in [None, Some(caps[step])] {
+                let mut v_whole = 0u64;
+                let mut v_parts = 0u64;
+                prop_assert_eq!(
+                    select_across(std::iter::once(&whole), cap, &mut v_whole),
+                    select_across(parts.iter(), cap, &mut v_parts),
+                    "cap {:?} at step {}", cap, step
+                );
+                // The same tiers are consulted; each costs one visit per
+                // partition.
+                prop_assert_eq!(v_parts, shards as u64 * v_whole);
+            }
+            let min_key = |key: fn(&DispatchIndex) -> Option<(u64, usize)>| {
+                parts.iter().filter_map(key).min()
+            };
+            prop_assert_eq!(
+                whole.least_loaded_accepting_key(),
+                min_key(DispatchIndex::least_loaded_accepting_key)
+            );
+            prop_assert_eq!(
+                whole.least_loaded_routable_key(),
+                min_key(DispatchIndex::least_loaded_routable_key)
+            );
+            prop_assert_eq!(
+                whole.routable_len(),
+                parts.iter().map(DispatchIndex::routable_len).sum::<usize>()
+            );
+            prop_assert_eq!(
+                whole.accepting_len(),
+                parts.iter().map(DispatchIndex::accepting_len).sum::<usize>()
+            );
+        }
+        prop_assert!(whole.verify(&fleet).is_empty());
+        for (s, part) in parts.iter().enumerate() {
+            let problems = part.verify_partition(workers, owned(&fleet, s, shards));
+            prop_assert!(problems.is_empty(), "shard {}: {:?}", s, problems);
+            // A partition sized for a wider fleet has one slot too many.
+            let wide = DispatchIndex::partition(workers + shards, s, shards);
+            prop_assert!(!wide.verify_partition(workers, owned(&fleet, s, shards)).is_empty());
+        }
+        if shards > 1 {
+            // A fleet-width index handed to one shard: its slot count is
+            // the fleet's, not the shard's.
+            let fleet_width = DispatchIndex::new(workers);
+            prop_assert!(!fleet_width.verify_partition(workers, owned(&fleet, 0, shards)).is_empty());
         }
     }
 }
