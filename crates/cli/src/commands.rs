@@ -47,14 +47,15 @@ FLAGS (simulate / compare):
   --threads <n>           compare only: worker threads for the scheme
                           grid (default PROTEAN_THREADS, then the
                           machine's available parallelism)
-  --shards <n>            engine shards; 1 = sequential engine
-                          (default 1; results are bit-identical;
-                          0 is rejected — there is no zero-shard run)
+  --shards <n>            fleet shards the engine partitions the
+                          workers across (default 1 = every worker
+                          on one shard; results are bit-identical
+                          for every count; 0 is rejected)
   --shard-threads <n>     OS threads driving the shard phases
                           (default 1 = inline; 0 = auto, the machine's
                           available parallelism)
-  --max-epoch-arrivals <n> arrival-run coarsening cap for the sharded
-                          engine; 0 and 1 both mean one epoch per
+  --max-epoch-arrivals <n> arrival-run coarsening cap (any shard
+                          count); 0 and 1 both mean one epoch per
                           arrival, no coarsening (default 64)
   --availability <a>      high | medium | low (default high)
   --per-model <bool>      simulate only: also print a per-model table
@@ -234,7 +235,7 @@ fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
     config.shards = args.get_or("shards", 1usize)?;
     if config.shards == 0 {
         return Err(ArgError(
-            "--shards must be at least 1 (1 = the sequential engine; there is no zero-shard run)"
+            "--shards must be at least 1 (1 = every worker on one shard; there is no zero-shard run)"
                 .into(),
         ));
     }
@@ -521,7 +522,7 @@ pub fn scenario(action: Option<&str>, args: &Args) -> Result<(), ArgError> {
             let rows: Vec<Vec<String>> = outcomes.iter().map(|o| o.table_row()).collect();
             table(&headers, &rows);
             println!(
-                "\n  {} scenario(s) green: sequential and sharded digests identical, audits clean{}",
+                "\n  {} scenario(s) green: one-shard and sharded digests identical, audits clean{}",
                 outcomes.len(),
                 if smoke { " (smoke rates)" } else { "" }
             );
@@ -707,7 +708,7 @@ mod tests {
         assert_eq!(config.shard_threads, 2);
         assert_eq!(config.max_epoch_arrivals, 16);
 
-        // Defaults: sequential engine, coarsening cap at the paper
+        // Defaults: one shard, coarsening cap at the paper
         // default.
         let none = Args::parse(vec!["simulate".to_string()]).unwrap();
         let (config, _) = build_run(&none).unwrap();

@@ -15,7 +15,9 @@
 //! sweep per event is unaffordable), and records each violation into
 //! [`AuditReport`]. The sweep also cross-checks the incremental
 //! [`crate::dispatch::DispatchIndex`] against the workers' live state —
-//! the index-coherence invariant backing the O(log W) dispatcher. With
+//! the index-coherence invariant backing the O(log W) dispatcher — and
+//! every dispatch selection is checked against the linear-scan
+//! reference [`crate::dispatch::reference_select`]. With
 //! the flag off (the default) every hook returns immediately — the
 //! auditor holds no state and the run's results are bit-identical to an
 //! unaudited run. With the flag *on* results are also bit-identical:
@@ -34,7 +36,7 @@ use protean_sim::SimTime;
 use protean_spot::VmLedger;
 
 use crate::batch::BatchId;
-use crate::dispatch::DispatchIndex;
+use crate::dispatch::reference_select;
 use crate::worker::{Worker, WorkerStatus};
 
 /// Cap on recorded violation messages; beyond it only the count grows.
@@ -191,26 +193,32 @@ impl Auditor {
         }
     }
 
-    /// Sweeps the cluster-wide conservation invariants plus
-    /// dispatch-index coherence. Called after every handled event and
-    /// every dispatched arrival; performs the sweep on every
-    /// `every_n`-th call.
-    pub(crate) fn check_cluster(
+    /// Checks one dispatch selection — `selected`, the index's answer
+    /// for batch `id` under first-fit cap `cap` — against the linear
+    /// scans over the fleet's live state ([`reference_select`]). `fleet`
+    /// yields every worker, in any order. O(W) per dispatch and never
+    /// sampled: `every_n` thins only the full sweeps.
+    pub(crate) fn dispatch_selected<'a>(
         &mut self,
         now: SimTime,
-        workers: &[Worker],
-        ledger: &VmLedger,
-        index: &DispatchIndex,
+        id: BatchId,
+        selected: Option<usize>,
+        cap: Option<u64>,
+        fleet: impl Iterator<Item = &'a Worker> + Clone,
     ) {
-        if !self.sweep_due() {
+        if !self.enabled {
             return;
         }
-        // Index coherence: the incrementally-maintained dispatch index
-        // must agree with the workers' live state at every quiescent
-        // point, or the O(log W) dispatcher could diverge from the
-        // linear-scan reference.
-        let index_problems = index.verify(workers);
-        self.sweep(now, workers.iter(), ledger, index_problems);
+        let reference = reference_select(fleet, cap);
+        if selected != reference {
+            self.violation(
+                now,
+                format!(
+                    "batch {id:?} dispatched to worker {selected:?}, \
+                     linear reference selects {reference:?}"
+                ),
+            );
+        }
     }
 
     /// Counts a sweep opportunity and reports whether this one is
@@ -230,11 +238,13 @@ impl Auditor {
     }
 
     /// The conservation sweep body, over any iteration of the fleet's
-    /// workers. The sharded engine chains its per-shard worker slices
-    /// here (after verifying each shard's partition of the dispatch
-    /// index via [`DispatchIndex::verify_partition`], passing the
-    /// messages as `index_problems`); the sequential engine goes through
-    /// [`Auditor::check_cluster`]. Call only after [`Auditor::sweep_due`]
+    /// workers. The engine chains its per-shard worker slices here, after
+    /// verifying each shard's partition of the dispatch index via
+    /// [`crate::dispatch::DispatchIndex::verify_partition`] and passing
+    /// the messages as `index_problems`: the incrementally-maintained
+    /// index must agree with the workers' live state at every quiescent
+    /// point, or the O(log W) dispatcher could diverge from the
+    /// linear-scan reference. Call only after [`Auditor::sweep_due`]
     /// returned `true`.
     pub(crate) fn sweep<'a>(
         &mut self,
@@ -354,8 +364,8 @@ impl Auditor {
         }
     }
 
-    /// End-of-run reconciliation of the epoch-coarsening counter triad
-    /// (sharded engine only; the sequential engine peels no runs). Every
+    /// End-of-run reconciliation of the epoch-coarsening counter triad.
+    /// Every
     /// dispatch-shaped event — a gateway arrival or a `WindowExpire`
     /// batch-window dispatch — is either the head of a run (one epoch)
     /// or coalesced into one, and every run ends for exactly one
@@ -369,8 +379,8 @@ impl Auditor {
     /// double-attributed) — the accounting bug this check exists to
     /// catch, since the digests it rides next to are insensitive to
     /// stats. Records violations only; it is not a sweep and does not
-    /// touch `checks`, which stays comparable between the sequential
-    /// and sharded engines.
+    /// touch `checks`, which stays comparable across shard counts and
+    /// coarsening caps.
     pub(crate) fn epoch_conservation(&mut self, now: SimTime, stats: &crate::engine::EngineStats) {
         if !self.enabled {
             return;
@@ -417,13 +427,23 @@ impl Auditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::DispatchIndex;
+    use crate::schemes_for_test::AlwaysLargest;
+
+    /// One audit opportunity over `workers`: the sweep the engine runs
+    /// at a phase boundary, with the index verified as one partition.
+    fn check(a: &mut Auditor, workers: &[Worker], ledger: &VmLedger, index: &DispatchIndex) {
+        if a.sweep_due() {
+            a.sweep(SimTime::ZERO, workers.iter(), ledger, index.verify(workers));
+        }
+    }
 
     #[test]
     fn disabled_auditor_is_inert_and_clean() {
         let mut a = Auditor::new(false, 1);
         a.batch_sealed(SimTime::ZERO, BatchId(0));
         a.batch_finished(SimTime::ZERO, BatchId(0), 0); // would violate if on
-        a.check_cluster(SimTime::ZERO, &[], &dummy_ledger(), &DispatchIndex::new(0));
+        check(&mut a, &[], &dummy_ledger(), &DispatchIndex::new(0));
         let r = a.into_report();
         assert!(!r.enabled);
         assert!(r.is_clean());
@@ -435,7 +455,7 @@ mod tests {
         let mut a = Auditor::new(true, 3);
         let index = DispatchIndex::new(0);
         for _ in 0..7 {
-            a.check_cluster(SimTime::ZERO, &[], &dummy_ledger(), &index);
+            check(&mut a, &[], &dummy_ledger(), &index);
         }
         // Opportunities 1, 4 and 7 are swept.
         let r = a.into_report();
@@ -448,7 +468,7 @@ mod tests {
         let mut a = Auditor::new(true, 0);
         let index = DispatchIndex::new(0);
         for _ in 0..5 {
-            a.check_cluster(SimTime::ZERO, &[], &dummy_ledger(), &index);
+            check(&mut a, &[], &dummy_ledger(), &index);
         }
         assert_eq!(a.into_report().checks, 5);
     }
@@ -458,10 +478,38 @@ mod tests {
         let mut a = Auditor::new(true, 1);
         // An index sized for a worker the cluster does not have.
         let index = DispatchIndex::new(1);
-        a.check_cluster(SimTime::ZERO, &[], &dummy_ledger(), &index);
+        check(&mut a, &[], &dummy_ledger(), &index);
         let r = a.into_report();
         assert_eq!(r.violation_count, 1);
         assert!(r.violations[0].contains("dispatch index"));
+    }
+
+    #[test]
+    fn dispatch_disagreeing_with_the_linear_reference_is_a_violation() {
+        let mut fleet: Vec<Worker> = (0..3)
+            .map(|g| Worker::new(g, Box::new(AlwaysLargest), SimTime::ZERO))
+            .collect();
+        for (w, outstanding) in fleet.iter_mut().zip([5, 0, 2]) {
+            w.status = WorkerStatus::Up;
+            w.outstanding = outstanding;
+        }
+        let mut a = Auditor::new(true, 1);
+        // Least-loaded: the reference picks worker 1; so does the index.
+        a.dispatch_selected(SimTime::ZERO, BatchId(0), Some(1), None, fleet.iter());
+        // First-fit under cap 3: worker 0 is full, worker 1 has headroom.
+        a.dispatch_selected(SimTime::ZERO, BatchId(1), Some(1), Some(3), fleet.iter());
+        assert_eq!(a.violation_count, 0);
+        // A selection the scans would not make: worker 2 is neither the
+        // least-loaded nor the leftmost with headroom.
+        a.dispatch_selected(SimTime::ZERO, BatchId(2), Some(2), None, fleet.iter().rev());
+        a.dispatch_selected(SimTime::ZERO, BatchId(3), Some(2), Some(3), fleet.iter());
+        // Sending a batch to the backlog while a worker is routable.
+        a.dispatch_selected(SimTime::ZERO, BatchId(4), None, None, fleet.iter());
+        let r = a.into_report();
+        assert_eq!(r.violation_count, 3);
+        assert!(r.violations[0].contains("linear reference selects Some(1)"));
+        // Dispatch checks are not sweeps.
+        assert_eq!(r.checks, 0);
     }
 
     #[test]
@@ -538,7 +586,7 @@ mod tests {
         a.epoch_conservation(SimTime::ZERO, &stats);
         let r = a.into_report();
         assert!(r.is_clean());
-        // Not a sweep: `checks` stays comparable to the sequential engine.
+        // Not a sweep: `checks` stays comparable across engine arms.
         assert_eq!(r.checks, 0);
     }
 
@@ -584,11 +632,11 @@ mod tests {
         assert_eq!(ledger.misuse_events(), 1);
         let mut a = Auditor::new(true, 1);
         let index = DispatchIndex::new(0);
-        a.check_cluster(SimTime::ZERO, &[], &ledger, &index);
+        check(&mut a, &[], &ledger, &index);
         assert_eq!(a.violation_count, 1);
         assert!(a.violations[0].contains("misuse"));
         // Same tally on the next sweep: no new violation.
-        a.check_cluster(SimTime::ZERO, &[], &ledger, &index);
+        check(&mut a, &[], &ledger, &index);
         assert_eq!(a.violation_count, 1);
     }
 }

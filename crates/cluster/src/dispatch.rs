@@ -31,9 +31,11 @@
 //! (reconfiguration request and completion). Because every query is
 //! answered from the same `(outstanding, idx)` key the scans used, the
 //! index picks the *identical* worker — pinned by the golden-seed
-//! digests and cross-checked against a retained linear reference by
-//! the audit layer ([`DispatchIndex::verify`]) and the property tests
-//! in `tests/dispatch_index.rs`.
+//! digests and checked two ways by the audit layer: the index's
+//! contents against the workers' live state ([`DispatchIndex::verify`]),
+//! and every dispatch selection against the O(W) scans it replaced
+//! ([`reference_select`]). The property tests in
+//! `tests/dispatch_index.rs` cross-check raw queries the same way.
 //!
 //! The sharded engine gives each shard a *partition* index
 //! ([`DispatchIndex::partition`]) with one leaf per worker the shard
@@ -390,9 +392,9 @@ impl DispatchIndex {
 /// then the least-loaded accepting tier, then the least-loaded routable
 /// tier, each reduced by `min` over the partition answers. Every key a
 /// partition exposes embeds the *global* worker index, so the reduction
-/// reproduces the sequential fleet-wide scan's `(outstanding, idx)`
-/// tie-break (and first-fit's leftmost-slot rule) exactly, no matter
-/// how the fleet is partitioned.
+/// reproduces the fleet-wide scan's `(outstanding, idx)` tie-break
+/// (and first-fit's leftmost-slot rule) exactly, no matter how the
+/// fleet is partitioned.
 ///
 /// The function only *reads* the indices — it never mutates a worker or
 /// a tree — which is what lets the sharded coordinator resolve a whole
@@ -400,8 +402,8 @@ impl DispatchIndex {
 /// without ordering hazards: each decision is applied (worker mutated,
 /// index refreshed) before the next one is resolved, and nothing here
 /// caches state across calls. A later tier is only consulted when every
-/// earlier tier is empty across *all* partitions, mirroring the
-/// sequential cascade's short-circuit (and its per-tier `visits`
+/// earlier tier is empty across *all* partitions, mirroring
+/// [`reference_select`]'s short-circuit (and its per-tier `visits`
 /// accounting).
 pub fn select_across<'a, I>(partitions: I, cap: Option<u64>, visits: &mut u64) -> Option<usize>
 where
@@ -437,6 +439,45 @@ where
             }
             best.map(|(_, idx)| idx)
         })
+}
+
+/// The linear-scan reference for [`select_across`]: the O(W) scans the
+/// index replaced, read straight from the workers' live state. Same
+/// cascade — `Consolidate` first-fit when `cap` is set, then the
+/// least-loaded worker whose GPU is accepting (a GPU draining for
+/// reconfiguration gets no new traffic, §4.4), then any routable
+/// worker — and the same `(outstanding, idx)` tie-break.
+///
+/// `fleet` may yield the workers in any order (the auditor chains
+/// per-shard slices): every tier ranks by the global worker index, so
+/// first-fit's "leftmost" is the smallest eligible index. The auditor
+/// checks each dispatch selection against this function when
+/// [`crate::ClusterConfig::audit`] is set.
+pub fn reference_select<'a, I>(fleet: I, cap: Option<u64>) -> Option<usize>
+where
+    I: Iterator<Item = &'a Worker> + Clone,
+{
+    let accepting = |w: &&Worker| w.routable() && w.gpu.accepting();
+    cap.and_then(|cap| {
+        fleet
+            .clone()
+            .filter(|w| accepting(w) && w.outstanding < cap)
+            .map(|w| w.idx)
+            .min()
+    })
+    .or_else(|| {
+        fleet
+            .clone()
+            .filter(accepting)
+            .min_by_key(|w| (w.outstanding, w.idx))
+            .map(|w| w.idx)
+    })
+    .or_else(|| {
+        fleet
+            .filter(|w| w.routable())
+            .min_by_key(|w| (w.outstanding, w.idx))
+            .map(|w| w.idx)
+    })
 }
 
 #[cfg(test)]

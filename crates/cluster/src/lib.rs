@@ -28,11 +28,21 @@
 //!    revocation checks, eviction notices, drain, replacement VMs, and
 //!    the dollar ledger (§4.5).
 //!
+//! One engine drives that path: [`sharded`]'s coordinator runs every
+//! arrival and every event that touches shared state (gateway, spot
+//! market, VM ledger) in serial order, and `S` shard cores
+//! ([`ClusterConfig::shards`], default 1) own the workers and their
+//! worker-local events, advancing in parallel between serial steps.
+//! Results are bit-identical for every `S`; [`engine`] holds the
+//! configuration, the result types and the entry points.
+//!
 //! Two correctness tools ride on top of the engine: the opt-in
 //! invariant [`audit`] layer sweeps cluster-wide conservation laws
-//! after every event, and the [`fault`] module's scripted spot oracle
-//! drives the eviction machinery through exact adversarial
-//! interleavings (see [`engine::run_simulation_with_oracle`]).
+//! after every event and checks every dispatch selection against the
+//! linear scans the dispatch index replaced, and the [`fault`]
+//! module's scripted spot oracle drives the eviction machinery through
+//! exact adversarial interleavings (see
+//! [`engine::run_simulation_with_oracle`]).
 //!
 //! # Example
 //!

@@ -1,5 +1,15 @@
-//! Sharded fleet engine: parallel discrete-event simulation inside a
-//! single run, bit-identical to the sequential [`crate::engine`].
+//! The discrete-event engine: one coordinator plus `S` shard cores
+//! (`ClusterConfig::shards`, default 1), whose results do not depend on
+//! `S` bit for bit.
+//!
+//! # Serial order
+//!
+//! A run's semantics is one total order over its events: by time, ties
+//! broken by push order (FIFO), with a gateway arrival winning every
+//! tie against a queued event at the same instant. The golden digests
+//! pin that order. The engine reifies it in [`EventKey`]s so that it
+//! survives splitting the fleet across shards; at `S = 1` the one shard
+//! core holds every worker and runs inline on the coordinator thread.
 //!
 //! # Partition
 //!
@@ -18,46 +28,45 @@
 //! market and VM ledger, the batch-id allocator, the auditor — lives on
 //! the single [`Coordinator`], which also executes every serial event
 //! class ([`CoordEvent`]: window expiries, monitor ticks, the whole
-//! spot-VM lifecycle) and every arrival, in exactly the sequential
-//! engine's order.
+//! spot-VM lifecycle) and every arrival, in serial order.
 //!
 //! # Phases and the key scheme
 //!
 //! Between two serial steps the coordinator runs a *phase*: every shard
 //! advances its own queue up to an exclusive [`EventKey`] bound, in
-//! parallel. Bit-identity rests on the keys:
+//! parallel. Serial order rests on the keys:
 //!
 //! * Serial-context pushes (coordinator) take `(time, ++gseq, 0)` —
 //!   `gseq` is the global push counter, so their relative order is the
-//!   sequential engine's FIFO insertion order.
+//!   FIFO insertion order.
 //! * Phase pushes by shard `s` take `(time, G, ((s+1) << 48) | ++ctr)`
 //!   where `G` is the `gseq` snapshot at phase start and `ctr` is the
 //!   shard's monotone counter. They sort after everything pushed
 //!   serially before the phase and before everything pushed after it —
-//!   exactly where the sequential engine's internal counter would have
-//!   put them.
+//!   exactly where a single global push counter would have put them.
 //! * An arrival at `ta` bounds the phase at `(ta, 0, 0)`: real event
-//!   keys carry `major ≥ 1`, so events *at* `ta` wait — the sequential
-//!   `ta <= te` arrival-wins rule.
+//!   keys carry `major ≥ 1`, so events *at* `ta` wait — the
+//!   arrival-wins tie rule.
 //!
 //! Two phase events with the *same* time but different shards may pop
-//! in a different relative order than sequentially. That is harmless by
-//! construction: phase handlers touch only their own shard's state and
-//! append to mergeable output buffers, so their effects commute; every
-//! shared-state mutation happens on the coordinator in serial order.
+//! in a different relative order than in serial order. That is harmless
+//! by construction: phase handlers touch only their own shard's state
+//! and append to mergeable output buffers, so their effects commute;
+//! every shared-state mutation happens on the coordinator in serial
+//! order.
 //!
 //! # Merge
 //!
 //! Journal entries, audit hook calls and timeline points are buffered
 //! as `(ctx_key, n, payload)` where `ctx_key` identifies the execution
 //! context (the popped event's key, or `(ta, 0, ++dseq)` for the
-//! `dseq`-th arrival) and `n` counts records within the context. A sort
-//! by `(ctx_key, n)` reconstructs the sequential recording order
+//! `dseq`-th arrival) and `n` counts records within the context. A
+//! merge by `(ctx_key, n)` reconstructs the serial recording order
 //! exactly. Metrics merge by [`MetricsSet::absorb`]; the golden digest
 //! is insensitive to record order (it ranks sorted latencies and exact
 //! counters), which is what makes per-shard record buffers safe.
 //!
-//! # Documented deviations (none digest-visible)
+//! # What depends on `S` (none of it digest-visible)
 //!
 //! * `EngineStats::peak_heap_len` is the *sum* of per-queue peaks (the
 //!   queues peak at different instants).
@@ -96,25 +105,27 @@ const SHUTDOWN: u64 = u64::MAX;
 /// Shard-tag shift for phase-push minors: `minor = ((s+1) << 48) | ctr`.
 const SHARD_TAG_SHIFT: u32 = 48;
 
-/// Worker-local event classes. During a phase a shard only ever pushes
-/// these for its *own* workers; the coordinator deposits them with
-/// serial keys (cold-start and predictive boots, initial provisioning).
+/// Worker-local event classes, addressed by the owning shard's local
+/// worker `slot` (global worker `shard + slot * stride`), so handlers
+/// never divide to find their worker. During a phase a shard only ever
+/// pushes these for its *own* workers; the coordinator deposits them
+/// with serial keys (cold-start and predictive boots).
 #[derive(Debug)]
 enum ShardEvent {
     BootDone {
-        worker: usize,
+        slot: usize,
         model: ModelId,
         vm_epoch: u64,
     },
     JobFinish {
-        worker: usize,
+        slot: usize,
         slice: usize,
         job: JobId,
         generation: u64,
         epoch: u64,
     },
     ReconfigDone {
-        worker: usize,
+        slot: usize,
         epoch: u64,
     },
 }
@@ -218,14 +229,13 @@ fn next_event_key(ctx: &mut Ctx<'_>, shard: usize, ctr: &mut u64, time: SimTime)
 /// does.
 struct ShardCore {
     shard: usize,
-    /// Shard count (the stride of the worker partition).
-    stride: usize,
-    /// Owned workers, locally indexed: local `l` is global
-    /// `shard + l * stride`. `Worker::idx` stays global.
+    /// Owned workers, locally indexed: local `l` of shard `s` among `S`
+    /// is global `s + l * S`. `Worker::idx` stays global.
     workers: Vec<Worker>,
     /// Per-owned-worker execution-jitter streams
-    /// (`indexed_stream("engine.exec_jitter", global_idx)`), identical
-    /// to the sequential engine's per-worker streams.
+    /// (`indexed_stream("engine.exec_jitter", global_idx)`): a worker's
+    /// jitter sequence depends only on its own placement history, so
+    /// shards draw it locally and the results do not depend on `S`.
     jitter_rngs: Vec<SimRng>,
     queue: KeyedEventQueue<ShardEvent>,
     /// Partition index over the owned workers, slot `l` = local `l`;
@@ -237,9 +247,10 @@ struct ShardCore {
     journal_buf: Vec<(EventKey, u64, JournalEvent)>,
     /// Buffered phase-context audit hooks.
     hook_buf: Vec<(EventKey, u64, Hook)>,
-    /// Per-strict-batch latency samples.
+    /// Per-strict-batch latency samples of the current phase, moved to
+    /// the coordinator's timeline at the phase boundary.
     strict_lat_buf: Vec<(EventKey, u64, f64)>,
-    /// Completed MIG geometry changes.
+    /// Completed MIG geometry changes of the current phase, likewise.
     geom_buf: Vec<(EventKey, u64, GeometryChange)>,
     /// Reusable candidate buffer for `try_place`.
     scratch_views: Vec<(BatchId, BatchView)>,
@@ -275,7 +286,6 @@ impl ShardCore {
             .collect();
         ShardCore {
             shard,
-            stride,
             workers,
             jitter_rngs,
             queue: KeyedEventQueue::new(),
@@ -297,12 +307,6 @@ impl ShardCore {
             journal_enabled: config.journal_capacity > 0,
             audit_enabled: config.audit,
         }
-    }
-
-    /// Global worker index → local slot.
-    fn local(&self, g: usize) -> usize {
-        debug_assert_eq!(g % self.stride, self.shard, "worker {g} not on this shard");
-        g / self.stride
     }
 
     fn refresh_index(&mut self, l: usize) {
@@ -361,32 +365,35 @@ impl ShardCore {
             };
             match ev {
                 ShardEvent::BootDone {
-                    worker,
+                    slot,
                     model,
                     vm_epoch,
-                } => self.on_boot_done(&mut ctx, worker, model, vm_epoch),
+                } => self.on_boot_done(&mut ctx, slot, model, vm_epoch),
                 ShardEvent::JobFinish {
-                    worker,
+                    slot,
                     slice,
                     job,
                     generation,
                     epoch,
-                } => self.on_job_finish(&mut ctx, worker, slice, job, generation, epoch),
-                ShardEvent::ReconfigDone { worker, epoch } => {
-                    self.on_reconfig_done(&mut ctx, worker, epoch)
+                } => self.on_job_finish(&mut ctx, slot, slice, job, generation, epoch),
+                ShardEvent::ReconfigDone { slot, epoch } => {
+                    self.on_reconfig_done(&mut ctx, slot, epoch)
                 }
             }
             self.events_handled += 1;
         }
     }
 
-    // ---- handler ports (bit-identical to crate::engine) -------------
+    // ---- worker-local handlers ---------------------------------------
 
-    fn on_boot_done(&mut self, ctx: &mut Ctx<'_>, g: usize, model: ModelId, vm_epoch: u64) {
-        let l = self.local(g);
+    fn on_boot_done(&mut self, ctx: &mut Ctx<'_>, l: usize, model: ModelId, vm_epoch: u64) {
         let now = ctx.now;
         let w = &mut self.workers[l];
         if w.vm_epoch != vm_epoch {
+            // The VM this container was booting on has been replaced;
+            // the boot died with it (the replacement VM's pools started
+            // empty). Crediting it would mint a phantom container — or
+            // underflow the fresh pool's booting count.
             self.stats.stale_boot_events += 1;
             return;
         }
@@ -398,7 +405,7 @@ impl ShardCore {
                 batch.cold_wait_ms = now.saturating_since(batch.sealed_at).as_millis_f64();
                 let mem = ctx.catalog.profile(model).mem_gb;
                 w.sched_queue.push(batch, mem);
-                self.try_place(ctx, g);
+                self.try_place(ctx, l);
             }
             None => pool.boot_done(now, false),
         }
@@ -407,14 +414,14 @@ impl ShardCore {
     fn on_job_finish(
         &mut self,
         ctx: &mut Ctx<'_>,
-        g: usize,
+        l: usize,
         slice: usize,
         job: JobId,
         generation: u64,
         epoch: u64,
     ) {
-        let l = self.local(g);
         let w = &mut self.workers[l];
+        let g = w.idx;
         if !w.finish_event_live(slice, generation, epoch) {
             self.stats.stale_finish_events += 1;
             return;
@@ -423,8 +430,10 @@ impl ShardCore {
         let (finished, next) = match w.gpu.slice_mut(slice).finish(now, job) {
             Ok(ok) => ok,
             Err(_) => {
-                // Stale in a way the generation missed: re-arm the
-                // slice's single live finish event.
+                // Stale in a way the generation missed. The slice's
+                // membership (and generation) did not change, so the
+                // event just consumed was its only live one — re-arm it
+                // or the residents would never finish.
                 self.stats.stale_finish_events += 1;
                 let epoch = w.epoch;
                 if let Some(c) = w.gpu.slice(slice).next_completion(now) {
@@ -433,7 +442,7 @@ impl ShardCore {
                     self.queue.push(
                         k,
                         ShardEvent::JobFinish {
-                            worker: g,
+                            slot: l,
                             slice,
                             job: c.job,
                             generation: c.generation,
@@ -448,6 +457,8 @@ impl ShardCore {
         if !w.running.contains_key(&batch_id) {
             return;
         }
+        // Re-arm the slice's single live finish event for the jobs still
+        // resident (the all-jobs discipline would have re-pushed each).
         let new_epoch = w.epoch;
         self.stats.finish_events_all_jobs += w.gpu.slice(slice).job_count() as u64;
         if let Some(c) = next {
@@ -456,7 +467,7 @@ impl ShardCore {
             self.queue.push(
                 k,
                 ShardEvent::JobFinish {
-                    worker: g,
+                    slot: l,
                     slice,
                     job: c.job,
                     generation: c.generation,
@@ -476,7 +487,7 @@ impl ShardCore {
                 worker: g,
             },
         );
-        self.record_batch_completion(ctx, g, &running);
+        self.record_batch_completion(ctx, l, &running);
         // The container frees: reuse for a batch waiting on a
         // container, otherwise park warm.
         let model = running.batch.model;
@@ -491,12 +502,11 @@ impl ShardCore {
             }
             None => pool.release(now, false),
         }
-        self.maybe_begin_reconfigure(ctx, g);
-        self.try_place(ctx, g);
+        self.maybe_begin_reconfigure(ctx, l);
+        self.try_place(ctx, l);
     }
 
-    fn record_batch_completion(&mut self, ctx: &mut Ctx<'_>, g: usize, running: &RunningBatch) {
-        let l = self.local(g);
+    fn record_batch_completion(&mut self, ctx: &mut Ctx<'_>, l: usize, running: &RunningBatch) {
         let now = ctx.now;
         let exec_ms = now.saturating_since(running.exec_start).as_millis_f64();
         let interference_ms = (exec_ms - running.solo_on_slice_ms).max(0.0);
@@ -529,6 +539,8 @@ impl ShardCore {
             let w = &mut self.workers[l];
             w.outstanding = w.outstanding.saturating_sub(1);
         }
+        // The timeline grows O(#strict batches); aggregate-metrics
+        // runs trade it away for the flat-RSS guarantee.
         if running.batch.strict && !ctx.config.aggregate_metrics {
             let mean_lat_ms = running
                 .batch
@@ -543,11 +555,15 @@ impl ShardCore {
         self.refresh_index(l);
     }
 
-    /// The placement loop, verbatim from the sequential engine except
-    /// that event pushes go through [`next_event_key`] and the journal
-    /// and audit hooks through the context's buffers/sink.
-    fn try_place(&mut self, ctx: &mut Ctx<'_>, g: usize) {
-        let l = self.local(g);
+    /// The placement loop: offers the worker's queued batches (up to
+    /// `scan_depth`) to its scheme until a pass places nothing. Event
+    /// pushes go through [`next_event_key`], the journal and audit hooks
+    /// through the context's buffers/sink.
+    fn try_place(&mut self, ctx: &mut Ctx<'_>, l: usize) {
+        let g = self.workers[l].idx;
+        // Take the scratch buffer so the loop body can borrow `self`
+        // mutably; restored before returning. The loop runs on every
+        // dispatch/boot/finish event, so it must not allocate.
         let mut views = std::mem::take(&mut self.scratch_views);
         loop {
             if !self.workers[l].gpu.accepting() {
@@ -587,6 +603,9 @@ impl ShardCore {
                 }
                 let profile = ctx.catalog.profile(view.model);
                 let slice_profile = self.workers[l].gpu.slice(p.slice).profile();
+                // Inference batch latency is affine in batch size (see
+                // ModelProfile::fill_factor), so partial (window-sealed)
+                // batches run proportionally faster.
                 let fill = f64::from(view.size) / f64::from(profile.batch_size);
                 let fill_factor = profile.fill_factor(fill);
                 let jitter = if ctx.config.exec_jitter_sigma > 0.0 {
@@ -601,6 +620,9 @@ impl ShardCore {
                     .mul_f64(p.solo_scale.max(0.0) * fill_factor * jitter);
                 if self.workers[l].gpu.slice(p.slice).mode() == protean_gpu::SharingMode::TimeShared
                 {
+                    // Context switch between containers on a time-shared
+                    // GPU (weights/context re-activation), scaling with
+                    // the model's working set.
                     solo += protean_sim::SimDuration::from_millis(
                         ctx.config.time_share_overhead_base_ms
                             + ctx.config.time_share_overhead_ms_per_gb * profile.mem_gb,
@@ -630,6 +652,11 @@ impl ShardCore {
                                 solo_7g_ms: profile.solo_7g.as_millis_f64() * fill_factor * jitter,
                             },
                         );
+                        // One live finish event per slice: the admit
+                        // bumped the generation, so whatever event was
+                        // armed before is now stale. The all-jobs
+                        // discipline would have re-pushed every
+                        // resident here.
                         let epoch = w.epoch;
                         let job_count = w.gpu.slice(p.slice).job_count() as u64;
                         self.stats.finish_events_all_jobs += job_count;
@@ -638,7 +665,7 @@ impl ShardCore {
                         self.queue.push(
                             k,
                             ShardEvent::JobFinish {
-                                worker: g,
+                                slot: l,
                                 slice: p.slice,
                                 job: next.job,
                                 generation: next.generation,
@@ -668,22 +695,21 @@ impl ShardCore {
         self.scratch_views = views;
     }
 
-    fn maybe_begin_reconfigure(&mut self, ctx: &mut Ctx<'_>, g: usize) {
-        let l = self.local(g);
+    fn maybe_begin_reconfigure(&mut self, ctx: &mut Ctx<'_>, l: usize) {
         let w = &mut self.workers[l];
         if matches!(w.gpu.state(), protean_gpu::GpuState::Draining { .. }) && w.gpu.is_idle() {
             if let Ok(until) = w.gpu.try_begin_reconfigure(ctx.now) {
                 let epoch = w.epoch;
                 let k = next_event_key(ctx, self.shard, &mut self.ctr, until);
                 self.queue
-                    .push(k, ShardEvent::ReconfigDone { worker: g, epoch });
+                    .push(k, ShardEvent::ReconfigDone { slot: l, epoch });
             }
         }
     }
 
-    fn on_reconfig_done(&mut self, ctx: &mut Ctx<'_>, g: usize, epoch: u64) {
-        let l = self.local(g);
+    fn on_reconfig_done(&mut self, ctx: &mut Ctx<'_>, l: usize, epoch: u64) {
         let w = &mut self.workers[l];
+        let g = w.idx;
         if w.epoch != epoch {
             return; // VM replaced while reconfiguring
         }
@@ -709,7 +735,7 @@ impl ShardCore {
                 },
             ));
             self.refresh_index(l);
-            self.try_place(ctx, g);
+            self.try_place(ctx, l);
         }
     }
 }
@@ -801,6 +827,28 @@ fn shard_worker_loop(
     }
 }
 
+/// Sorts `buf` by `(ctx_key, n)` and empties it into `sink` in that
+/// order. The buffer keeps its capacity for the next phase.
+fn drain_in_key_order<T>(buf: &mut Vec<(EventKey, u64, T)>, mut sink: impl FnMut(EventKey, T)) {
+    if buf.is_empty() {
+        return;
+    }
+    buf.sort_unstable_by_key(|&(key, n, _)| (key, n));
+    for (key, _, payload) in buf.drain(..) {
+        sink(key, payload);
+    }
+}
+
+/// Between-phase shared access to shard `s`'s core. Call only in a
+/// serial section (no phase in flight).
+fn shared_core(cells: &[ShardCell], s: usize) -> &ShardCore {
+    // SAFETY: every caller is in a serial section — phases are
+    // bracketed by `Coordinator::run_phase`, which returns only after
+    // each signalled shard thread published `done` — so no thread
+    // holds `&mut` to any core while this shared borrow lives.
+    unsafe { &*cells[s].0.get() }
+}
+
 /// What a run feeds the coordinator: a materialised request vector or a
 /// pair of lazy streams (arrivals + the prewarm pre-scan).
 enum Source {
@@ -808,9 +856,9 @@ enum Source {
     Streaming(Box<TraceStream>, Box<TraceStream>),
 }
 
-/// The serial half of the sharded engine: owns all shared state and
-/// runs every arrival and [`CoordEvent`] in sequential order, with
-/// shard phases in between.
+/// The serial half of the engine: owns all shared state and runs every
+/// arrival and [`CoordEvent`] in serial order, with shard phases in
+/// between.
 struct Coordinator<'a> {
     config: &'a ClusterConfig,
     catalog: &'a Catalog,
@@ -825,8 +873,8 @@ struct Coordinator<'a> {
     accumulators: HashMap<(ModelId, bool), Accumulator>,
     backlog: VecDeque<Batch>,
     coord_queue: KeyedEventQueue<CoordEvent>,
-    /// Global serial push counter — the sequential engine's event-queue
-    /// insertion counter, reified into the keys.
+    /// Global serial push counter — the FIFO insertion counter of the
+    /// serial order, reified into the keys.
     gseq: u64,
     /// Arrival-context counter for `(ta, 0, dseq)` merge keys.
     dseq: u64,
@@ -835,7 +883,7 @@ struct Coordinator<'a> {
     next_batch_id: u64,
     dispatch_policy: DispatchPolicy,
     /// Censored-request records (pushed after the cutoff, merged last —
-    /// the same position they hold in the sequential record stream).
+    /// their position in the serial record stream).
     censor_metrics: MetricsSet,
     journal_buf: Vec<(EventKey, u64, JournalEvent)>,
     stats: EngineStats,
@@ -844,8 +892,15 @@ struct Coordinator<'a> {
     censored: u64,
     /// Reusable distinct-model buffer for the prewarm pre-pass.
     scratch_models: Vec<ModelId>,
-    /// Reusable hook-merge buffer for phase boundaries.
+    /// Per-strict-batch latency samples `(completion, latency_ms)`,
+    /// in serial order.
+    strict_latency_timeline: TimeSeries,
+    /// Completed MIG geometry changes, in serial order.
+    geometry_timeline: Vec<GeometryChange>,
+    /// Reusable merge buffers for phase boundaries.
     scratch_hooks: Vec<(EventKey, u64, Hook)>,
+    scratch_strict: Vec<(EventKey, u64, f64)>,
+    scratch_geom: Vec<(EventKey, u64, GeometryChange)>,
     /// Reusable participating-shard list for `run_phase`.
     scratch_parts: Vec<usize>,
     /// Current serial context's merge key and record ordinal.
@@ -892,7 +947,11 @@ impl<'a> Coordinator<'a> {
             evictions: 0,
             censored: 0,
             scratch_models: Vec::new(),
+            strict_latency_timeline: TimeSeries::new(),
+            geometry_timeline: Vec::new(),
             scratch_hooks: Vec::new(),
+            scratch_strict: Vec::new(),
+            scratch_geom: Vec::new(),
             scratch_parts: Vec::new(),
             ctx_key: EventKey::new(SimTime::ZERO, 0, 0),
             ctx_n: 0,
@@ -907,11 +966,17 @@ impl<'a> Coordinator<'a> {
         self.config.workers
     }
 
-    /// Between-phase access to a shard core. SAFETY: caller must be in
-    /// a serial section (no phase in flight), which every call site in
-    /// this file is — phases are bracketed by `run_phase`.
+    /// Between-phase access to a shard core.
     fn core(&self, s: usize) -> &'a ShardCore {
-        unsafe { &*self.cells[s].0.get() }
+        shared_core(self.cells, s)
+    }
+
+    /// Every worker of the fleet, shard by shard (so not in global
+    /// order), for between-phase reads. The iterator borrows the cells,
+    /// not `self`, so it can feed a `&mut self.audit` call.
+    fn fleet(&self) -> impl Iterator<Item = &'a Worker> + Clone + 'a {
+        let cells = self.cells;
+        (0..cells.len()).flat_map(move |s| shared_core(cells, s).workers.iter())
     }
 
     /// Mutable between-phase access. The returned borrow is tied to the
@@ -924,8 +989,8 @@ impl<'a> Coordinator<'a> {
         unsafe { &mut *self.cells[s].0.get() }
     }
 
-    /// Allocates a serial event key — the sequential engine's
-    /// `queue.push` counter position.
+    /// Allocates a serial event key — the next FIFO position in serial
+    /// order.
     fn serial_key(&mut self, time: SimTime) -> EventKey {
         self.gseq += 1;
         EventKey::new(time, self.gseq, 0)
@@ -949,14 +1014,15 @@ impl<'a> Coordinator<'a> {
         }
     }
 
+    /// Global worker `g`'s shard core and its local slot there.
+    fn locate(&self, g: usize) -> (&'a mut ShardCore, usize) {
+        let s = self.shards();
+        (self.core_mut(g % s), g / s)
+    }
+
     /// Runs a [`ShardCore`] method in the current serial context:
     /// serial key allocation, direct audit sink, shared record ordinal.
-    fn with_serial_ctx<R>(
-        &mut self,
-        g: usize,
-        f: impl FnOnce(&mut ShardCore, &mut Ctx<'_>, usize) -> R,
-    ) -> R {
-        let core = self.core_mut(g % self.shards());
+    fn with_serial_ctx<R>(&mut self, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
         let mut ctx = Ctx {
             config: self.config,
             catalog: self.catalog,
@@ -968,23 +1034,22 @@ impl<'a> Coordinator<'a> {
             },
             audit: AuditSink::Direct(&mut self.audit),
         };
-        let r = f(core, &mut ctx, g);
+        let r = f(&mut ctx);
         self.ctx_n = ctx.n;
         r
     }
 
-    fn try_place_on(&mut self, g: usize) {
-        self.with_serial_ctx(g, |core, ctx, g| core.try_place(ctx, g));
+    fn serial_try_place(&mut self, core: &mut ShardCore, l: usize) {
+        self.with_serial_ctx(|ctx| core.try_place(ctx, l));
     }
 
-    fn maybe_begin_reconfigure_on(&mut self, g: usize) {
-        self.with_serial_ctx(g, |core, ctx, g| core.maybe_begin_reconfigure(ctx, g));
+    fn serial_maybe_begin_reconfigure(&mut self, core: &mut ShardCore, l: usize) {
+        self.with_serial_ctx(|ctx| core.maybe_begin_reconfigure(ctx, l));
     }
 
     // ---- startup ----------------------------------------------------
 
     fn provision_initial_vms(&mut self) {
-        let s_count = self.shards();
         for g in 0..self.total_workers() {
             let policy = self.config.procurement;
             let tier = match policy {
@@ -995,8 +1060,7 @@ impl<'a> Coordinator<'a> {
                 Some(tier) => {
                     let id = self.ledger.allocate_id();
                     self.ledger.open(id, tier, SimTime::ZERO);
-                    let core = self.core_mut(g % s_count);
-                    let l = core.local(g);
+                    let (core, l) = self.locate(g);
                     let w = &mut core.workers[l];
                     w.vm = Some((id, tier));
                     w.status = WorkerStatus::Up;
@@ -1009,8 +1073,7 @@ impl<'a> Coordinator<'a> {
                     }
                 }
                 None => {
-                    let core = self.core_mut(g % s_count);
-                    let l = core.local(g);
+                    let (core, l) = self.locate(g);
                     core.workers[l].status = WorkerStatus::Down;
                     self.push_coord(
                         SimTime::ZERO + self.config.procurement_retry,
@@ -1020,8 +1083,7 @@ impl<'a> Coordinator<'a> {
             }
         }
         for g in 0..self.total_workers() {
-            let core = self.core_mut(g % s_count);
-            let l = core.local(g);
+            let (core, l) = self.locate(g);
             core.refresh_index(l);
         }
         self.push_coord(
@@ -1079,10 +1141,8 @@ impl<'a> Coordinator<'a> {
     fn prewarm_models(&mut self, models: &[ModelId]) {
         let now = self.now;
         let count = self.config.prewarm_containers;
-        let s_count = self.shards();
         for g in 0..self.total_workers() {
-            let core = self.core_mut(g % s_count);
-            let l = core.local(g);
+            let (core, l) = self.locate(g);
             let w = &mut core.workers[l];
             let satisfied = models.iter().all(|m| {
                 w.pools
@@ -1149,13 +1209,21 @@ impl<'a> Coordinator<'a> {
 
     fn dispatch_batch(&mut self, batch: Batch) {
         self.stats.dispatch_batches += 1;
+        let cap = match self.dispatch_policy {
+            DispatchPolicy::Consolidate { cap_batches } => {
+                Some(cap_batches * u64::from(self.catalog.profile(batch.model).batch_size))
+            }
+            DispatchPolicy::LoadBalance => None,
+        };
         let mut visits = 0u64;
-        let target = self.indexed_target(&batch, &mut visits);
+        let target = self.indexed_target(cap, &mut visits);
         self.stats.dispatch_scan_visits += visits;
+        let fleet = self.fleet();
+        self.audit
+            .dispatch_selected(self.now, batch.id, target, cap, fleet);
         match target {
             Some(g) => {
-                let core = self.core_mut(g % self.shards());
-                let l = core.local(g);
+                let (core, l) = self.locate(g);
                 let routable = core.workers[l].routable();
                 self.audit
                     .batch_dispatched(self.now, batch.id, g, routable, batch.redispatched);
@@ -1179,45 +1247,44 @@ impl<'a> Coordinator<'a> {
                     worker: g,
                     redispatch: batch.redispatched,
                 });
-                self.acquire_container(g, batch);
+                self.acquire_container(core, l, batch);
             }
             None => self.backlog.push_back(batch),
         }
     }
 
-    /// Cross-shard reduction of the per-shard dispatch indices. Every
+    /// Dispatch target selection: `Consolidate` first-fit under `cap`
+    /// when the policy asks, then the least-loaded worker with an
+    /// accepting GPU — a GPU draining for reconfiguration gets no new
+    /// traffic (§4.4 keeps downtime local) — then any live worker if
+    /// every GPU is mid-change.
+    ///
+    /// A cross-shard reduction of the per-shard dispatch indices. Every
     /// shard's index is a partition over its own workers whose keys
     /// carry global worker indices (leaf order monotone in them), so
     /// [`crate::dispatch::select_across`]'s min-over-roots reduction
-    /// equals the sequential fleet-wide scan: first-fit picks
+    /// equals a fleet-wide scan: first-fit picks
     /// the smallest global index any shard can seat (each shard's
     /// descent is leftmost over its own slots), and the least-loaded
     /// tiers pick the min `(outstanding, idx)` root. Decision-only —
     /// mutation (worker state + index refresh) happens strictly after,
     /// which is what makes resolving a whole arrival run's decisions in
     /// serial order between phases hazard-free.
-    fn indexed_target(&self, batch: &Batch, visits: &mut u64) -> Option<usize> {
-        let cap = match self.dispatch_policy {
-            DispatchPolicy::Consolidate { cap_batches } => {
-                Some(cap_batches * u64::from(self.catalog.profile(batch.model).batch_size))
-            }
-            DispatchPolicy::LoadBalance => None,
-        };
+    fn indexed_target(&self, cap: Option<u64>, visits: &mut u64) -> Option<usize> {
         crate::dispatch::select_across((0..self.shards()).map(|s| &self.core(s).index), cap, visits)
     }
 
-    fn acquire_container(&mut self, g: usize, batch: Batch) {
+    fn acquire_container(&mut self, core: &mut ShardCore, l: usize, batch: Batch) {
         let model = batch.model;
         let now = self.now;
-        let core = self.core_mut(g % self.shards());
-        let l = core.local(g);
         let w = &mut core.workers[l];
+        let g = w.idx;
         let pool = w.pools.entry(model).or_default();
         match pool.acquire(now) {
             Acquire::Warm => {
                 let mem = self.catalog.profile(model).mem_gb;
                 w.sched_queue.push(batch, mem);
-                self.try_place_on(g);
+                self.serial_try_place(core, l);
             }
             Acquire::ColdStarted => {
                 let vm_epoch = w.vm_epoch;
@@ -1227,7 +1294,7 @@ impl<'a> Coordinator<'a> {
                 core.queue.push(
                     k,
                     ShardEvent::BootDone {
-                        worker: g,
+                        slot: l,
                         model,
                         vm_epoch,
                     },
@@ -1294,33 +1361,38 @@ impl<'a> Coordinator<'a> {
             }
             total += std::mem::take(&mut self.core_mut(s).events_handled);
         }
-        self.flush_hooks(&parts);
+        self.flush_phase(&parts);
         self.scratch_parts = parts;
         total
     }
 
-    /// Applies the phase's buffered audit hooks in merged `(ctx_key, n)`
-    /// order — the order the sequential engine made the calls in.
-    fn flush_hooks(&mut self, parts: &[usize]) {
-        let mut hooks = std::mem::take(&mut self.scratch_hooks);
-        hooks.clear();
+    /// Moves what the phase's shards buffered — audit hooks, strict
+    /// latency samples, geometry changes — to the coordinator in merged
+    /// `(ctx_key, n)` order, the serial order. Every key a phase handles
+    /// sorts below its bound and every later key above it, so flushing
+    /// phase by phase builds each output in serial order while the shard
+    /// buffers only ever hold one phase's records.
+    fn flush_phase(&mut self, parts: &[usize]) {
         for &s in parts {
-            hooks.append(&mut self.core_mut(s).hook_buf);
+            let core = self.core_mut(s);
+            self.scratch_hooks.append(&mut core.hook_buf);
+            self.scratch_strict.append(&mut core.strict_lat_buf);
+            self.scratch_geom.append(&mut core.geom_buf);
         }
-        if !hooks.is_empty() {
-            hooks.sort_unstable_by_key(|&(key, n, _)| (key, n));
-            for (key, _, hook) in hooks.drain(..) {
-                match hook {
-                    Hook::Placed(id, g) => self.audit.batch_placed(key.time, id, g),
-                    Hook::Finished(id, g) => self.audit.batch_finished(key.time, id, g),
-                }
-            }
-        }
-        self.scratch_hooks = hooks;
+        drain_in_key_order(&mut self.scratch_hooks, |key, hook| match hook {
+            Hook::Placed(id, g) => self.audit.batch_placed(key.time, id, g),
+            Hook::Finished(id, g) => self.audit.batch_finished(key.time, id, g),
+        });
+        drain_in_key_order(&mut self.scratch_strict, |key, latency_ms| {
+            self.strict_latency_timeline.push(key.time, latency_ms)
+        });
+        drain_in_key_order(&mut self.scratch_geom, |_, change| {
+            self.geometry_timeline.push(change)
+        });
     }
 
-    /// Counts `opportunities` audit-sweep opportunities (the sequential
-    /// engine's one-per-handled-event cadence) and, if any came due,
+    /// Counts `opportunities` audit-sweep opportunities (one per handled
+    /// event or arrival, whatever `S` is) and, if any came due,
     /// runs one collapsed fleet sweep at `at`.
     fn audit_boundary(&mut self, at: SimTime, opportunities: u64) {
         if opportunities == 0 {
@@ -1341,14 +1413,8 @@ impl<'a> Coordinator<'a> {
                     .verify_partition(self.total_workers(), core.workers.iter()),
             );
         }
-        let fleet: Vec<&Worker> = (0..self.total_workers())
-            .map(|g| {
-                let core = self.core(g % self.shards());
-                &core.workers[core.local(g)]
-            })
-            .collect();
-        self.audit
-            .sweep(at, fleet.into_iter(), &self.ledger, problems);
+        let fleet = self.fleet();
+        self.audit.sweep(at, fleet, &self.ledger, problems);
     }
 
     // ---- main loop --------------------------------------------------
@@ -1569,20 +1635,18 @@ impl<'a> Coordinator<'a> {
     // ---- monitor ----------------------------------------------------
 
     /// EWMA smoothing factor for the per-(worker, model) batch-arrival
-    /// predictor (must match the sequential engine's).
+    /// predictor behind predictive container pre-provisioning.
     const PREWARM_EWMA_ALPHA: f64 = 0.3;
 
     fn on_monitor_tick(&mut self) {
         let now = self.now;
         for g in 0..self.total_workers() {
             let keep_alive = self.config.keep_alive;
-            let core = self.core_mut(g % self.shards());
-            let l = core.local(g);
+            let (core, l) = self.locate(g);
             for pool in core.workers[l].pools.values_mut() {
                 pool.expire_idle(now, keep_alive);
             }
-            self.predictive_prewarm_tick(g);
-            let core = self.core_mut(g % self.shards());
+            self.predictive_prewarm_tick(core, l);
             if !matches!(core.workers[l].status, WorkerStatus::Up) {
                 continue;
             }
@@ -1607,10 +1671,10 @@ impl<'a> Coordinator<'a> {
                 // for the mutation.
                 let changed = geometry != *core.workers[l].gpu.geometry();
                 if changed && self.reconfig_slots_free() {
-                    let core = self.core_mut(g % self.shards());
+                    let (core, l) = self.locate(g);
                     let _ = core.workers[l].gpu.request_reconfigure(geometry);
                     core.refresh_index(l);
-                    self.maybe_begin_reconfigure_on(g);
+                    self.serial_maybe_begin_reconfigure(core, l);
                 }
             }
         }
@@ -1620,14 +1684,14 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    fn predictive_prewarm_tick(&mut self, g: usize) {
+    fn predictive_prewarm_tick(&mut self, core: &mut ShardCore, l: usize) {
         let now = self.now;
-        let core = self.core_mut(g % self.shards());
-        let l = core.local(g);
         let w = &mut core.workers[l];
-        // Retained map, counts zeroed in place — see the sequential
-        // engine's prewarm tick for the allocation-saving rationale and
-        // the observe-sequence equivalence argument.
+        // The window map is retained (counts zeroed in place) rather
+        // than `mem::take`n: taking it reallocated the BTreeMap nodes
+        // every monitor interval. Zero-count entries are models from
+        // earlier windows; skipping them reproduces the taken map's
+        // observe sequence exactly (same models, same BTreeMap order).
         for (&model, count) in w.window_batches.iter_mut() {
             if *count > 0 {
                 w.predicted_batches
@@ -1646,9 +1710,9 @@ impl<'a> Coordinator<'a> {
             .iter()
             .map(|(m, e)| (*m, e.predict()))
             .collect();
-        // Pool mutations happen in the sequential order; the event
-        // pushes are deferred past the worker borrow but consume `gseq`
-        // in the identical sequence.
+        // Pool mutations happen in serial order; the event pushes are
+        // deferred past the worker borrow but consume `gseq` in the
+        // identical sequence.
         let mut boots: Vec<(ModelId, u32)> = Vec::new();
         for (model, predicted) in predictions {
             let pool = w.pools.entry(model).or_default();
@@ -1667,7 +1731,7 @@ impl<'a> Coordinator<'a> {
                 core.queue.push(
                     k,
                     ShardEvent::BootDone {
-                        worker: g,
+                        slot: l,
                         model,
                         vm_epoch,
                     },
@@ -1692,8 +1756,7 @@ impl<'a> Coordinator<'a> {
     // ---- spot lifecycle ---------------------------------------------
 
     fn on_revocation_check(&mut self, g: usize) {
-        let core = self.core_mut(g % self.shards());
-        let l = core.local(g);
+        let (core, l) = self.locate(g);
         let w = &core.workers[l];
         if !matches!(w.status, WorkerStatus::Up) || !matches!(w.vm, Some((_, VmTier::Spot))) {
             return;
@@ -1736,8 +1799,7 @@ impl<'a> Coordinator<'a> {
     }
 
     fn on_eviction_final(&mut self, g: usize) {
-        let core = self.core_mut(g % self.shards());
-        let l = core.local(g);
+        let (core, l) = self.locate(g);
         if !matches!(core.workers[l].status, WorkerStatus::Evicting { .. }) {
             return;
         }
@@ -1761,8 +1823,7 @@ impl<'a> Coordinator<'a> {
     }
 
     fn on_vm_ready(&mut self, g: usize, tier: VmTier) {
-        let core = self.core_mut(g % self.shards());
-        let l = core.local(g);
+        let (core, l) = self.locate(g);
         match core.workers[l].status {
             WorkerStatus::Evicting { .. } => {
                 let vm = self.ledger.allocate_id();
@@ -1775,15 +1836,16 @@ impl<'a> Coordinator<'a> {
                 self.install_vm(g, vm, tier);
             }
             WorkerStatus::Up => {
-                // Defensive: double procurement should not happen (see
-                // the sequential engine's matching arm).
+                // Defensive: double procurement should not happen. The
+                // grant is declined before any ledger entry is opened —
+                // an open-then-close at the same instant would bill
+                // nothing but pollute the ledger's closed-VM count.
             }
         }
     }
 
     fn install_vm(&mut self, g: usize, vm: VmId, tier: VmTier) {
-        let core = self.core_mut(g % self.shards());
-        let l = core.local(g);
+        let (core, l) = self.locate(g);
         let w = &mut core.workers[l];
         w.running.clear();
         w.reset_runtime(self.now);
@@ -1802,8 +1864,8 @@ impl<'a> Coordinator<'a> {
     }
 
     fn on_procurement_retry(&mut self, g: usize) {
-        let core = self.core(g % self.shards());
-        if matches!(core.workers[core.local(g)].status, WorkerStatus::Down) {
+        let (core, l) = self.locate(g);
+        if matches!(core.workers[l].status, WorkerStatus::Down) {
             self.procure_replacement(g);
         }
     }
@@ -1829,8 +1891,7 @@ impl<'a> Coordinator<'a> {
         let now = self.now;
         let mut leftovers: Vec<(ModelId, bool, Request)> = Vec::new();
         for g in 0..self.total_workers() {
-            let core = self.core_mut(g % self.shards());
-            let l = core.local(g);
+            let (core, l) = self.locate(g);
             for b in core.workers[l].drain_all_batches() {
                 for r in b.requests {
                     leftovers.push((b.model, b.strict, r));
@@ -1905,6 +1966,8 @@ impl<'a> Coordinator<'a> {
             ledger: self.ledger,
             censor_metrics: self.censor_metrics,
             journal_buf: self.journal_buf,
+            strict_latency_timeline: self.strict_latency_timeline,
+            geometry_timeline: self.geometry_timeline,
             stats: self.stats,
             audit: self.audit,
             evictions: self.evictions,
@@ -1920,6 +1983,8 @@ struct CoordOutputs {
     ledger: VmLedger,
     censor_metrics: MetricsSet,
     journal_buf: Vec<(EventKey, u64, JournalEvent)>,
+    strict_latency_timeline: TimeSeries,
+    geometry_timeline: Vec<GeometryChange>,
     stats: EngineStats,
     audit: Auditor,
     evictions: u64,
@@ -1932,7 +1997,7 @@ struct CoordOutputs {
 
 // ---- entry points ---------------------------------------------------
 
-/// [`crate::engine::run_trace_with_oracle`], sharded.
+/// The engine behind [`crate::engine::run_trace_with_oracle`].
 pub(crate) fn run_trace_sharded(
     config: &ClusterConfig,
     scheme: &dyn SchemeBuilder,
@@ -1948,10 +2013,10 @@ pub(crate) fn run_trace_sharded(
     )
 }
 
-/// [`crate::engine::run_stream_with_oracle`], sharded. Labeled RNG
-/// streams are derived statelessly from `(seed, label)`, so the stream
-/// instances built here consume exactly the arrival draws the
-/// sequential engine's instances would.
+/// The engine behind [`crate::engine::run_stream_with_oracle`].
+/// Labeled RNG streams are derived statelessly from `(seed, label)`, so
+/// the two stream instances built here (arrivals and the prewarm
+/// pre-scan) draw exactly the arrivals the materialised trace holds.
 pub(crate) fn run_stream_sharded(
     config: &ClusterConfig,
     scheme: &dyn SchemeBuilder,
@@ -2068,8 +2133,8 @@ fn merge_result(
                 .memory_utilization(now)
         })
         .collect();
-    // Identical float op order to the sequential mean: sum the per-GPU
-    // values in global worker order, then divide once.
+    // Float op order independent of `S`: sum the per-GPU values in
+    // global worker order, then divide once.
     let compute_utilization = per_gpu_compute_utilization.iter().sum::<f64>() / n;
     let memory_utilization = per_gpu_memory_utilization.iter().sum::<f64>() / n;
     let cold_starts: u64 = (0..w_total)
@@ -2080,6 +2145,12 @@ fn merge_result(
         .sum();
     let reconfigs: u64 = cores.iter().map(|c| c.reconfigs).sum();
 
+    debug_assert!(
+        cores
+            .iter()
+            .all(|c| c.strict_lat_buf.is_empty() && c.geom_buf.is_empty()),
+        "every phase flushes its timeline records"
+    );
     let mut stats = out.stats;
     stats.events_pushed = out.coord_pushed;
     stats.events_popped = out.coord_popped;
@@ -2087,8 +2158,7 @@ fn merge_result(
     for c in &cores {
         stats.events_pushed += c.queue.pushed();
         stats.events_popped += c.queue.popped();
-        // Documented deviation: the sum of per-queue peaks, an upper
-        // bound on the sequential single-heap peak.
+        // The sum of per-queue peaks (see `EngineStats::peak_heap_len`).
         peak += c.queue.peak_len();
         stats.index_updates += c.index.updates();
         stats.finish_events_pushed += c.stats.finish_events_pushed;
@@ -2120,21 +2190,6 @@ fn merge_result(
     }
     metrics.absorb(out.censor_metrics);
 
-    let mut strict_points: Vec<(EventKey, u64, f64)> = Vec::new();
-    let mut geom_points: Vec<(EventKey, u64, GeometryChange)> = Vec::new();
-    for c in &mut cores {
-        strict_points.append(&mut c.strict_lat_buf);
-        geom_points.append(&mut c.geom_buf);
-    }
-    strict_points.sort_unstable_by_key(|&(k, n, _)| (k, n));
-    geom_points.sort_unstable_by_key(|g| (g.0, g.1));
-    let mut strict_latency_timeline = TimeSeries::new();
-    for (k, _, v) in strict_points {
-        strict_latency_timeline.push(k.time, v);
-    }
-    let geometry_timeline: Vec<GeometryChange> =
-        geom_points.into_iter().map(|(_, _, g)| g).collect();
-
     let mut journal = Journal::new(config.journal_capacity);
     if config.journal_capacity > 0 {
         let mut entries = out.journal_buf;
@@ -2158,8 +2213,8 @@ fn merge_result(
         cold_starts,
         reconfigs,
         censored: out.censored,
-        geometry_timeline,
-        strict_latency_timeline,
+        geometry_timeline: out.geometry_timeline,
+        strict_latency_timeline: out.strict_latency_timeline,
         journal,
         stats,
         audit: out.audit.into_report(),
@@ -2195,8 +2250,8 @@ mod tests {
     /// strict-latency timeline matches as a (time, value) multiset, and
     /// the journals record the same event population. (The journal's
     /// exact sequence may legally differ: two same-instant events on
-    /// different shards merge in shard-tag order, while the sequential
-    /// engine orders them by push sequence — their effects commute.)
+    /// different shards merge in shard-tag order, while one shard
+    /// orders them by push sequence — their effects commute.)
     fn assert_equivalent(a: &SimulationResult, b: &SimulationResult) {
         assert_eq!(a.metrics.count(Class::All), b.metrics.count(Class::All));
         assert_eq!(
@@ -2273,42 +2328,42 @@ mod tests {
         threads: usize,
         t: &TraceConfig,
     ) -> (SimulationResult, SimulationResult) {
-        let seq = run_simulation(config, &AlwaysLargest, t);
+        let one = run_simulation(config, &AlwaysLargest, t);
         let mut sharded = config.clone();
         sharded.shards = shards;
         sharded.shard_threads = threads;
         let par = run_simulation(&sharded, &AlwaysLargest, t);
-        (seq, par)
+        (one, par)
     }
 
     #[test]
-    fn sharded_inline_matches_sequential() {
+    fn sharded_inline_matches_one_shard() {
         let mut config = ClusterConfig::small_test();
         config.journal_capacity = 4096;
         let t = trace(400.0, 30.0, 0.5);
-        let (seq, par) = run_pair(&config, 2, 1, &t);
-        assert_equivalent(&seq, &par);
+        let (one, par) = run_pair(&config, 2, 1, &t);
+        assert_equivalent(&one, &par);
     }
 
     #[test]
     fn sharded_threaded_matches_inline_sharded() {
         let config = ClusterConfig::small_test();
         let t = trace(400.0, 30.0, 0.5);
-        let (seq, par) = run_pair(&config, 4, 4, &t);
-        assert_equivalent(&seq, &par);
+        let (one, par) = run_pair(&config, 4, 4, &t);
+        assert_equivalent(&one, &par);
     }
 
     #[test]
-    fn sharded_streaming_matches_sequential_materialised() {
+    fn sharded_streaming_matches_one_shard_materialised() {
         let mut config = ClusterConfig::small_test();
         config.aggregate_metrics = true;
         let t = trace(300.0, 20.0, 0.5);
-        let seq = run_simulation(&config, &AlwaysLargest, &t);
+        let one = run_simulation(&config, &AlwaysLargest, &t);
         let mut sharded = config.clone();
         sharded.shards = 2;
         sharded.shard_threads = 2;
         let par = run_simulation_streaming(&sharded, &AlwaysLargest, &t);
-        assert_equivalent(&seq, &par);
+        assert_equivalent(&one, &par);
     }
 
     #[test]
@@ -2330,7 +2385,7 @@ mod tests {
             )
         };
         let mut market = script();
-        let seq = run_simulation_with_oracle(&config, &AlwaysLargest, &t, &mut market);
+        let one = run_simulation_with_oracle(&config, &AlwaysLargest, &t, &mut market);
         let mut sharded = config.clone();
         sharded.shards = 3;
         sharded.shard_threads = 2;
@@ -2339,8 +2394,8 @@ mod tests {
         assert_eq!(par.cost.evictions, 1);
         assert!(par.audit.is_clean(), "{:?}", par.audit.violations);
         assert!(par.audit.checks > 0);
-        assert_eq!(seq.audit.checks, par.audit.checks);
-        assert_equivalent(&seq, &par);
+        assert_eq!(one.audit.checks, par.audit.checks);
+        assert_equivalent(&one, &par);
     }
 
     #[test]
@@ -2348,10 +2403,10 @@ mod tests {
         let mut config = ClusterConfig::small_test();
         config.cold_start = SimDuration::from_secs(2.0);
         let t = trace(100.0, 40.0, 0.5);
-        let (seq, par) = run_pair(&config, 4, 1, &t);
+        let (one, par) = run_pair(&config, 4, 1, &t);
         let catalog = Catalog::new();
         let slo = |m: ModelId| catalog.profile(m).slo();
-        let a = seq.metrics.slo_compliance(&slo);
+        let a = one.metrics.slo_compliance(&slo);
         let b = par.metrics.slo_compliance(&slo);
         assert_eq!(a.to_bits(), b.to_bits());
         assert!(b > 0.9, "compliance {b}");
@@ -2423,8 +2478,8 @@ mod tests {
         assert_eq!(par.stats.run_cutoffs.serial_event, 1);
         assert_eq!(par.stats.run_cutoffs.trace_end, 1);
         assert_eq!(par.stats.run_cutoffs.total(), par.stats.epochs);
-        // Still bit-identical to the sequential engine on the same trace.
-        let seq = crate::engine::run_simulation_on(
+        // Still bit-identical to one shard on the same trace.
+        let one = crate::engine::run_simulation_on(
             &ClusterConfig {
                 audit: true,
                 ..ClusterConfig::small_test()
@@ -2432,7 +2487,7 @@ mod tests {
             &AlwaysLargest,
             Trace::from_parts(requests, SimDuration::from_secs(3.0)),
         );
-        assert_equivalent(&seq, &par);
+        assert_equivalent(&one, &par);
     }
 
     #[test]
@@ -2486,8 +2541,8 @@ mod tests {
         assert_eq!(par.stats.run_cutoffs.trace_end, 1);
         assert_eq!(par.stats.run_cutoffs.total(), par.stats.epochs);
 
-        // Bit-identical to the sequential engine.
-        let seq = crate::engine::run_simulation_on(
+        // Bit-identical to one shard.
+        let one = crate::engine::run_simulation_on(
             &ClusterConfig {
                 audit: true,
                 ..ClusterConfig::small_test()
@@ -2495,8 +2550,8 @@ mod tests {
             &AlwaysLargest,
             Trace::from_parts(requests, SimDuration::from_secs(3.0)),
         );
-        assert_eq!(seq.stats.expiries, 3);
-        assert_equivalent(&seq, &par);
+        assert_eq!(one.stats.expiries, 3);
+        assert_equivalent(&one, &par);
     }
 
     #[test]
@@ -2504,8 +2559,8 @@ mod tests {
         let mut config = ClusterConfig::small_test();
         config.journal_capacity = 512;
         let t = trace(400.0, 30.0, 0.5);
-        let (seq, par) = run_pair(&config, 2, 1, &t);
-        assert_equivalent(&seq, &par);
+        let (one, par) = run_pair(&config, 2, 1, &t);
+        assert_equivalent(&one, &par);
         assert!(
             par.stats.run_cutoffs.journal_pressure > 0,
             "expected journal-pressure cutoffs, got {:?}",

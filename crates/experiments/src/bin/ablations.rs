@@ -1,7 +1,6 @@
-//! Ablation study (quality side): PROTEAN with individual design
-//! choices disabled, compared on SLO compliance, tail latency and
-//! reconfiguration count. The wall-clock side of the same variants is
-//! `cargo bench -p protean-bench --bench ablations`.
+//! Ablation study: PROTEAN with individual design choices disabled,
+//! compared on SLO compliance, tail latency and reconfiguration
+//! count.
 //!
 //! Covered choices (DESIGN.md):
 //! * strict-first request reordering (§4.1)

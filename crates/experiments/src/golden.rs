@@ -80,10 +80,9 @@ pub fn golden_digests_streaming() -> Vec<String> {
     golden_digests_with(run_simulation_streaming)
 }
 
-/// [`golden_digests`] with every run routed through the sharded engine
-/// (`shards = 4`, two shard threads). The sharded engine's contract is
-/// digest equality with the sequential one, so this must return exactly
-/// the same lines.
+/// [`golden_digests`] with every run sharded (`shards = 4`, two shard
+/// threads). The engine's contract is digest equality across shard
+/// counts, so this must return exactly the same lines.
 pub fn golden_digests_sharded() -> Vec<String> {
     golden_digests_with(|config, scheme, trace| {
         let mut sharded = config.clone();
@@ -96,7 +95,7 @@ pub fn golden_digests_sharded() -> Vec<String> {
 /// [`golden_digests_sharded`] with epoch coarsening forced off
 /// (`max_epoch_arrivals = 1`, the per-arrival PR-7 discipline). Arrival
 /// runs are exact elisions of provably-empty phases, so coarsened and
-/// per-arrival digests must both equal the sequential lines; this
+/// per-arrival digests must both equal the one-shard lines; this
 /// function is the differential arm that pins the per-arrival side.
 pub fn golden_digests_sharded_per_arrival() -> Vec<String> {
     golden_digests_with(|config, scheme, trace| {

@@ -6,11 +6,10 @@
 //! user-authored CSV), and a fleet/scheme configuration — and this
 //! module compiles it onto the existing engine types:
 //! [`ScriptedMarket`], [`TraceConfig`] and [`ClusterConfig`]. Every
-//! scenario runs through the audited engine **twice** — sequential and
-//! sharded (`shards = 4`) — and the runner asserts bit-identical
-//! digests between the arms, so the catalog doubles as a standing
-//! differential test of the parallel engine under adversarial
-//! schedules.
+//! scenario runs through the audited engine **twice** — one shard and
+//! four (`shards = 4`) — and the runner asserts bit-identical digests
+//! between the arms, so the catalog doubles as a standing differential
+//! test of the parallel engine under adversarial schedules.
 //!
 //! The parser is a deliberate TOML *subset* (single-line scalars,
 //! `[table]` and `[[array-of-tables]]` headers, `#` comments, no
@@ -1246,7 +1245,7 @@ pub struct ScenarioOutcome {
     pub scheme: String,
     /// Whether request rates were smoke-scaled.
     pub smoke: bool,
-    /// Golden digest (identical across the sequential/sharded arms).
+    /// Golden digest (identical across the one-shard/sharded arms).
     pub digest: String,
     /// Post-warmup requests measured.
     pub requests: usize,
@@ -1377,10 +1376,10 @@ pub fn card_headers() -> Vec<&'static str> {
 
 /// Runs one scenario through both engine arms and condenses the result.
 ///
-/// The sequential arm (`shards = 1`) and the sharded arm (`shards = 4`,
+/// The one-shard arm (`shards = 1`) and the sharded arm (`shards = 4`,
 /// two threads) run the identical compiled scenario; their golden
 /// digests must match bit-for-bit and both audits must be clean, or the
-/// run fails. `[expect]` assertions are enforced on the sequential arm.
+/// run fails. `[expect]` assertions are enforced on the one-shard arm.
 ///
 /// # Errors
 ///
@@ -1417,12 +1416,12 @@ pub fn run(
         }
         arms.push(result);
     }
-    let sequential = &arms[0];
+    let one_shard = &arms[0];
     let sharded = &arms[1];
-    let digest = golden::digest(sequential);
+    let digest = golden::digest(one_shard);
     if digest != golden::digest(sharded) {
         return Err(ScenarioError::Invalid(format!(
-            "scenario '{}': sequential and sharded digests diverge:\n  seq: {}\n  shd: {}",
+            "scenario '{}': one-shard and sharded digests diverge:\n  one: {}\n  shd: {}",
             spec.name,
             digest,
             golden::digest(sharded)
@@ -1430,26 +1429,26 @@ pub fn run(
     }
 
     if let Some(min) = spec.expect.min_evictions {
-        if sequential.cost.evictions < min {
+        if one_shard.cost.evictions < min {
             return Err(ScenarioError::Invalid(format!(
                 "scenario '{}': expected >= {min} evictions, saw {}",
-                spec.name, sequential.cost.evictions
+                spec.name, one_shard.cost.evictions
             )));
         }
     }
     if let Some(min) = spec.expect.min_reconfigs {
-        if sequential.reconfigs < min {
+        if one_shard.reconfigs < min {
             return Err(ScenarioError::Invalid(format!(
                 "scenario '{}': expected >= {min} reconfigs, saw {}",
-                spec.name, sequential.reconfigs
+                spec.name, one_shard.reconfigs
             )));
         }
     }
     if let Some(max) = spec.expect.max_censored {
-        if sequential.censored > max {
+        if one_shard.censored > max {
             return Err(ScenarioError::Invalid(format!(
                 "scenario '{}': expected <= {max} censored requests, saw {}",
-                spec.name, sequential.censored
+                spec.name, one_shard.censored
             )));
         }
     }
@@ -1459,7 +1458,7 @@ pub fn run(
         smoke,
         digest,
         spec.fleet.slo_mult,
-        sequential,
+        one_shard,
     ))
 }
 

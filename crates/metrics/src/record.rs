@@ -216,7 +216,7 @@ impl LatencyHistogram {
 
     /// Bucket-wise sum plus count/sum/min/max fold. Histograms are
     /// order-insensitive, so merging per-shard histograms in any order
-    /// gives the same store a sequential run builds — except `sum_ms`,
+    /// gives the same store a one-shard run builds — except `sum_ms`,
     /// where float addition is associative only in exact arithmetic; the
     /// sharded engine merges shards in ascending shard order to keep the
     /// result deterministic for a fixed shard count.
@@ -275,7 +275,7 @@ impl MetricsSet {
     /// storage mode. In full mode the other set's records are appended
     /// (the sharded engine merges shards in ascending shard order, so
     /// record order is deterministic but generally differs from a
-    /// sequential run's completion order; every digest-visible
+    /// one-shard run's completion order; every digest-visible
     /// aggregation — counts, percentiles, CDFs — is order-insensitive).
     /// In aggregate mode the histograms are summed bucket-wise.
     ///

@@ -146,13 +146,13 @@ impl<E> Default for EventQueue<E> {
 /// queue), which is exactly right when a single loop owns all pushes.
 /// The sharded cluster engine instead has *several* producers pushing
 /// into *several* queues between synchronization points, and needs the
-/// merged pop order across all of them to reproduce the sequential
-/// engine's single-counter FIFO order bit for bit. That only works if
-/// the tie-break is part of the event itself: the coordinator allocates
-/// `major` from the serial push counter and shards derive `minor` from
-/// their phase-local counters, so any two events — regardless of which
-/// queue they sit in — compare the same way the sequential engine's
-/// insertion order would have compared them.
+/// merged pop order across all of them to reproduce one global FIFO
+/// counter's order bit for bit. That only works if the tie-break is
+/// part of the event itself: the coordinator allocates `major` from the
+/// serial push counter and shards derive `minor` from their phase-local
+/// counters, so any two events — regardless of which queue they sit in
+/// — compare the same way a single queue's insertion order would have
+/// compared them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EventKey {
     /// Fire time.

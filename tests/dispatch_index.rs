@@ -4,17 +4,20 @@
 //! replaced. Two layers prove it: a property test drives a raw
 //! [`DispatchIndex`] through randomized eviction/reconfig/boot/load
 //! interleavings and cross-checks every query against a linear-scan
-//! reference model, and full-simulation tests run the engine twice —
-//! `reference_dispatch` on and off — over spot-faulted fleets and
-//! require bit-identical digests (with the auditor's index-coherence
-//! sweep riding along) — on small spot-faulted fleets and on a
-//! fleet-scale language-trace cell that also pins the visit counts.
+//! reference model, and full-simulation tests run the engine audited —
+//! the auditor checks every dispatch selection against the linear
+//! scans (`protean_cluster::dispatch::reference_select`) and sweeps the
+//! index for coherence with live worker state — and require a clean
+//! audit and the unaudited run's digest, on small spot-faulted fleets
+//! and on a fleet-scale language-trace cell that also pins the visit
+//! counts.
 //! A third layer checks the sharded engine's per-shard partitions
 //! against one fleet-wide index under the same refreshes.
 
 use proptest::prelude::*;
 use protean::ProteanBuilder;
 use protean_baselines::Baseline;
+use protean_cluster::dispatch::reference_select;
 use protean_cluster::schemes_for_test::AlwaysLargest;
 use protean_cluster::worker::{Worker, WorkerStatus};
 use protean_cluster::{
@@ -30,7 +33,7 @@ use protean_spot::{ProcurementPolicy, SpotAvailability};
 use protean_trace::{TraceConfig, TraceShape};
 
 /// The linear-scan reference: per-slot dispatch state mirroring what
-/// the engine's retained `reference_target` scans read.
+/// `reference_select`'s scans read from each worker.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     routable: bool,
@@ -140,7 +143,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Shard partitions answer every dispatch query exactly as one
-    /// fleet-wide index does. Each refresh goes to the fleet-wide index
+    /// fleet-wide index and the linear scans over the workers do. Each refresh goes to the fleet-wide index
     /// and, at its local slot, to the partition of the owning shard;
     /// fleets include widths the shard count does not divide.
     #[test]
@@ -196,6 +199,12 @@ proptest! {
                 // The same tiers are consulted; each costs one visit per
                 // partition.
                 prop_assert_eq!(v_parts, shards as u64 * v_whole);
+                // And the linear scans over the live workers agree.
+                prop_assert_eq!(
+                    reference_select(fleet.iter(), cap),
+                    select_across(std::iter::once(&whole), cap, &mut 0),
+                    "reference, cap {:?} at step {}", cap, step
+                );
             }
             let min_key = |key: fn(&DispatchIndex) -> Option<(u64, usize)>| {
                 parts.iter().filter_map(key).min()
@@ -235,7 +244,7 @@ proptest! {
 }
 
 /// A spot-faulted cluster config for the full-run differential.
-fn faulted_config(workers: usize, seed: u64, reference: bool) -> ClusterConfig {
+fn faulted_config(workers: usize, seed: u64, audit: bool) -> ClusterConfig {
     let mut config = ClusterConfig::small_test();
     config.workers = workers;
     config.seed = seed;
@@ -244,8 +253,7 @@ fn faulted_config(workers: usize, seed: u64, reference: bool) -> ClusterConfig {
     config.revocation_check = SimDuration::from_secs(5.0);
     config.vm_startup = SimDuration::from_secs(5.0);
     config.procurement_retry = SimDuration::from_secs(5.0);
-    config.audit = true;
-    config.reference_dispatch = reference;
+    config.audit = audit;
     config
 }
 
@@ -261,37 +269,41 @@ fn faulted_trace() -> TraceConfig {
     }
 }
 
-/// Runs the same scripted-eviction simulation with the linear reference
-/// and with the index, returning both digests (and asserting the
-/// audited runs stayed clean — the index-coherence invariant is part of
-/// the sweep).
+/// Runs the same scripted-eviction simulation audited and unaudited,
+/// returning both digests. The audited run checks every dispatch
+/// selection against the linear scans and sweeps the index for
+/// coherence after every event; it must stay clean. The auditor only
+/// reads state, so the two digests must match.
 fn differential_run(
     scheme: &dyn SchemeBuilder,
     workers: usize,
     seed: u64,
     evictions: &[(usize, f64, f64)],
 ) -> (String, String) {
-    let run = |reference: bool| {
-        let config = faulted_config(workers, seed, reference);
+    let run = |audit: bool| {
+        let config = faulted_config(workers, seed, audit);
         let mut market = ScriptedMarket::new();
         for &(worker, at, lead) in evictions {
             market = market.evict(worker, SimTime::from_secs(at), SimDuration::from_secs(lead));
         }
         let result = run_simulation_with_oracle(&config, &scheme, &faulted_trace(), &mut market);
         assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
+        assert_eq!(result.audit.enabled, audit);
+        assert!(!audit || result.audit.checks > 0);
         golden::digest(&result)
     };
     (run(true), run(false))
 }
 
-/// Load-balance dispatch (PROTEAN): indexed and linear runs must be
-/// bit-identical through evictions, replacements and reconfigurations.
+/// Load-balance dispatch (PROTEAN): every indexed selection must match
+/// the linear scans through evictions, replacements and
+/// reconfigurations.
 #[test]
 fn load_balance_digests_match_linear_reference_under_faults() {
     let evictions = [(0, 6.0, 4.0), (2, 15.0, 8.0), (1, 24.0, 3.0)];
     for seed in [7, 42, 1234] {
-        let (linear, indexed) = differential_run(&ProteanBuilder::paper(), 4, seed, &evictions);
-        assert_eq!(linear, indexed, "seed {seed} diverged");
+        let (audited, plain) = differential_run(&ProteanBuilder::paper(), 4, seed, &evictions);
+        assert_eq!(audited, plain, "seed {seed} diverged");
     }
 }
 
@@ -302,8 +314,8 @@ fn load_balance_digests_match_linear_reference_under_faults() {
 fn consolidate_digests_match_linear_reference_under_faults() {
     let evictions = [(0, 5.0, 5.0), (1, 18.0, 6.0)];
     for seed in [7, 42, 1234] {
-        let (linear, indexed) = differential_run(&Baseline::InflessLlama, 4, seed, &evictions);
-        assert_eq!(linear, indexed, "seed {seed} diverged");
+        let (audited, plain) = differential_run(&Baseline::InflessLlama, 4, seed, &evictions);
+        assert_eq!(audited, plain, "seed {seed} diverged");
     }
 }
 
@@ -311,8 +323,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Randomized fleets: arbitrary eviction schedules over 2–6 workers
-    /// under both dispatch policies must digest identically with the
-    /// index on and off.
+    /// under both dispatch policies must pass the audited linear-scan
+    /// cross-check and digest identically with the auditor on and off.
     #[test]
     fn prop_full_run_digests_match_under_random_faults(
         workers in 2usize..6,
@@ -329,9 +341,9 @@ proptest! {
         } else {
             Box::new(ProteanBuilder::paper())
         };
-        let (linear, indexed) =
+        let (audited, plain) =
             differential_run(&*scheme, workers, seed, &evictions);
-        prop_assert_eq!(linear, indexed);
+        prop_assert_eq!(audited, plain);
     }
 }
 
@@ -396,8 +408,9 @@ impl SchemeBuilder for TightConsolidate {
 /// Fleet-scale differential on the paper's language trace (batch size
 /// 4, so dispatch decisions are dense) with per-worker load held at the
 /// paper's operating point. Under every policy the index must route
-/// each batch where the linear scans would and answer in at most two
-/// visits per batch; the load-balance scan it replaces pays at least
+/// each batch where the linear scans would (the audited run checks
+/// every selection; full sweeps are sampled to keep the run short) and
+/// answer in at most two visits per batch, where the scans pay at least
 /// one visit per worker.
 #[test]
 fn fleet_scale_dispatch_matches_linear_reference() {
@@ -418,33 +431,30 @@ fn fleet_scale_dispatch_matches_linear_reference() {
         &Baseline::InflessLlama,
     ];
     for scheme in schemes {
-        let run = |reference: bool| {
+        let run = |audit: bool| {
             let mut c = config.clone();
-            c.reference_dispatch = reference;
+            c.audit = audit;
+            c.audit_every_n = 1024;
             run_simulation(&c, scheme, &trace)
         };
-        let (linear, indexed) = (run(true), run(false));
+        let (audited, plain) = (run(true), run(false));
         let name = scheme.name();
-        assert_eq!(
-            golden::digest(&linear),
-            golden::digest(&indexed),
-            "{name}: indexed run diverged from the linear reference"
+        assert!(
+            audited.audit.is_clean(),
+            "{name}: {:?}",
+            audited.audit.violations
         );
-        let batches = indexed.stats.dispatch_batches;
-        assert_eq!(linear.stats.dispatch_batches, batches, "{name}");
+        assert_eq!(
+            golden::digest(&audited),
+            golden::digest(&plain),
+            "{name}: the audited run diverged"
+        );
+        let batches = plain.stats.dispatch_batches;
         assert!(batches > 0, "{name}: no dispatches");
-        let per_batch = |visits: u64| visits as f64 / batches as f64;
-        let indexed_visits = per_batch(indexed.stats.dispatch_scan_visits);
+        let indexed_visits = plain.stats.dispatch_scan_visits as f64 / batches as f64;
         assert!(
             indexed_visits <= 2.0,
             "{name}: indexed visits {indexed_visits:.2}/batch, expected <= 2"
         );
-        if scheme.dispatch_policy() == DispatchPolicy::LoadBalance {
-            let linear_visits = per_batch(linear.stats.dispatch_scan_visits);
-            assert!(
-                linear_visits >= WORKERS as f64,
-                "{name}: linear scan visited {linear_visits:.1}/batch, expected >= {WORKERS}"
-            );
-        }
     }
 }

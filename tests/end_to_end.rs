@@ -7,7 +7,7 @@ use protean_cluster::{run_simulation, SchemeBuilder};
 use protean_experiments::{run_scheme, PaperSetup};
 use protean_metrics::record::Class;
 use protean_models::{catalog, ModelId};
-use protean_sim::{RngFactory, SimTime};
+use protean_sim::{RngFactory, SimDuration, SimTime};
 
 fn small_setup() -> PaperSetup {
     PaperSetup {
@@ -46,6 +46,35 @@ fn conservation_of_requests_across_schemes() {
             scheme.name()
         );
     }
+}
+
+/// Next-completion-only finish scheduling: each slice keeps at most one
+/// live `JobFinish` event, so event traffic tracks completions, not
+/// resident-set size. INFless/Llama consolidates batches onto few GPUs,
+/// so its MPS slices hold deep resident sets; the all-jobs
+/// re-projection discipline (counted live in `EngineStats`) would push
+/// at least twice the finish events on the paper's 8-worker Wiki run.
+#[test]
+fn consolidated_run_pushes_at_most_half_the_all_jobs_finish_events() {
+    let setup = PaperSetup {
+        duration_secs: 20.0,
+        seed: 42,
+    };
+    let mut config = setup.cluster();
+    config.warmup = SimDuration::from_secs(5.0);
+    let trace = setup.wiki_trace(ModelId::ResNet50);
+    let result = run_simulation(&config, &Baseline::InflessLlama, &trace);
+    assert!(result.metrics.count(Class::All) > 10_000);
+    let s = result.stats;
+    assert!(s.finish_events_pushed > 0);
+    let reduction = s.finish_events_all_jobs as f64 / s.finish_events_pushed as f64;
+    assert!(
+        reduction >= 2.0,
+        "all-jobs / pushed finish events {reduction:.2}, expected >= 2 \
+         ({} of {})",
+        s.finish_events_pushed,
+        s.finish_events_all_jobs
+    );
 }
 
 /// Identical seeds reproduce identical results, bit for bit, through

@@ -303,18 +303,18 @@ fn simultaneous_evictions_resolve_identically_across_shards() {
         );
         result
     };
-    let sequential = make(1);
+    let one_shard = make(1);
     let sharded = make(4);
-    assert_eq!(sequential.cost.evictions, 2);
+    assert_eq!(one_shard.cost.evictions, 2);
     assert_eq!(
-        golden::digest(&sequential),
+        golden::digest(&one_shard),
         golden::digest(&sharded),
         "simultaneous evictions resolved differently under sharding"
     );
     assert!(
-        sequential.audit.is_clean(),
+        one_shard.audit.is_clean(),
         "{:?}",
-        sequential.audit.violations
+        one_shard.audit.violations
     );
     assert!(sharded.audit.is_clean(), "{:?}", sharded.audit.violations);
 }

@@ -1,7 +1,7 @@
 //! Golden-seed equivalence: the engine's observable results are pinned
 //! bit for bit against recorded digests (re-captured for the per-worker
-//! jitter-stream relabel). Sequential, streaming and sharded runs must
-//! all reproduce these lines exactly — floats are compared as `to_bits()` hex, so a
+//! jitter-stream relabel). One-shard, streaming, sharded and
+//! per-arrival runs must all reproduce these lines exactly — floats are compared as `to_bits()` hex, so a
 //! single ULP of drift anywhere in event ordering, RNG consumption or
 //! arithmetic association fails the test.
 //!
@@ -17,7 +17,8 @@ use protean_experiments::golden::{
     golden_digests_streaming,
 };
 
-/// Captured from the sequential engine (per-worker jitter streams):
+/// Captured from the original single-queue engine (per-worker jitter
+/// streams), which the one-shard coordinator run has since replaced:
 /// every scheme × seeds {42, 7, 1234} on the paper's 8-worker wiki
 /// workload at 20 s, plus two spot-market runs covering eviction, VM
 /// replacement and censoring.
@@ -100,12 +101,12 @@ fn streaming_arrivals_reproduce_the_recorded_digests() {
     );
 }
 
-/// The sharded engine (`shards = 4`, two shard threads) must reproduce
-/// the sequential engine bit for bit on every golden config — all eight
+/// Sharded runs (`shards = 4`, two shard threads) must reproduce the
+/// recorded digests bit for bit on every golden config — all eight
 /// schemes x three seeds plus the two spot-market runs (evictions,
-/// replacement, censoring). Comparing against the same recorded
-/// constants pins the parallel path to the recorded behaviour directly,
-/// not merely to whatever the sequential engine currently does.
+/// replacement, censoring). Comparing against the recorded constants
+/// pins the parallel path to the recorded behaviour directly, not
+/// merely to whatever a one-shard run currently does.
 #[test]
 fn sharded_engine_reproduces_the_recorded_digests() {
     let actual = golden_digests_sharded();
@@ -118,7 +119,7 @@ fn sharded_engine_reproduces_the_recorded_digests() {
     }
     assert!(
         mismatches.is_empty(),
-        "{} of {} sharded digests diverged from the sequential engine:\n{}",
+        "{} of {} sharded digests diverged from the recorded ones:\n{}",
         mismatches.len(),
         EXPECTED.len(),
         mismatches.join("\n")

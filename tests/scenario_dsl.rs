@@ -367,7 +367,7 @@ jitter_seed = 11
 // ---------------------------------------------------------------------------
 
 /// Every shipped scenario runs green in smoke mode: both engine arms,
-/// sequential/sharded digest equality, clean audits, met expectations.
+/// one-shard/sharded digest equality, clean audits, met expectations.
 #[test]
 fn shipped_catalog_runs_green_in_smoke_mode() {
     let dir = catalog_dir();
