@@ -55,6 +55,21 @@
 //! every shared-state mutation happens on the coordinator in serial
 //! order.
 //!
+//! # Ownership
+//!
+//! Each shard core sits behind its own [`Mutex`]. The coordinator holds
+//! every guard between phases (`Cores`), so the borrow checker, not a
+//! protocol, keeps its serial handlers and the shards apart. Shard 0, and
+//! every shard the `shard_threads` budget leaves without a thread, runs
+//! inline and is never unlocked after set-up. A threaded phase writes the bound into each
+//! core, releases the guards of the cores it hands to their threads,
+//! and re-takes each one when its thread reports done.
+//!
+//! A panic fails the run instead of hanging it. A shard thread that
+//! panics poisons its core's lock, and the coordinator stops waiting and
+//! panics too. A coordinator that panics tells every shard thread to
+//! exit as it unwinds, so the thread scope can join them.
+//!
 //! # Merge
 //!
 //! Journal entries, audit hook calls and timeline points are buffered
@@ -79,9 +94,10 @@
 //!   fields (counts, sorted latencies, cost, utilization, cold starts,
 //!   reconfigs, censored, evictions) merge exactly.
 
-use std::cell::UnsafeCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::Thread;
 
 use protean_gpu::{JobId, JobSpec};
 use protean_metrics::{LatencyBreakdown, MetricsSet, RequestRecord};
@@ -224,9 +240,9 @@ fn next_event_key(ctx: &mut Ctx<'_>, shard: usize, ctr: &mut u64, time: SimTime)
     }
 }
 
-/// One shard's exclusively-owned state. During a phase exactly one
-/// thread touches a given core; between phases only the coordinator
-/// does.
+/// One shard's state. It sits behind its own lock, held by the
+/// coordinator between phases and by the shard's thread during a
+/// threaded phase (see [`Cores`]).
 struct ShardCore {
     shard: usize,
     /// Owned workers, locally indexed: local `l` of shard `s` among `S`
@@ -263,6 +279,11 @@ struct ShardCore {
     /// reset, so phase keys stay unique and chronologically ordered
     /// across phases sharing a `major` snapshot.
     ctr: u64,
+    /// Exclusive key bound of the next phase, and the `gseq` snapshot
+    /// its pushes take as `major`; written by the coordinator before it
+    /// hands the core to the phase.
+    bound: EventKey,
+    major: u64,
     journal_enabled: bool,
     audit_enabled: bool,
 }
@@ -304,6 +325,8 @@ impl ShardCore {
             reconfigs: 0,
             events_handled: 0,
             ctr: 0,
+            bound: EventKey::new(SimTime::ZERO, 0, 0),
+            major: 0,
             journal_enabled: config.journal_capacity > 0,
             audit_enabled: config.audit,
         }
@@ -344,15 +367,11 @@ impl ShardCore {
         }
     }
 
-    /// Drains this shard's queue up to (exclusive) `bound`, handling
-    /// each event in key order. `major` is the phase's `gseq` snapshot
-    /// for keys of newly pushed events.
-    fn advance(&mut self, config: &ClusterConfig, catalog: &Catalog, bound: EventKey, major: u64) {
-        loop {
-            match self.queue.peek_key() {
-                Some(k) if k < bound => {}
-                _ => break,
-            }
+    /// Drains this shard's queue up to (exclusive) `self.bound`,
+    /// handling each event in key order; newly pushed events take
+    /// `self.major` as their key's `major`.
+    fn advance(&mut self, config: &ClusterConfig, catalog: &Catalog) {
+        while self.queue.has_event_before(self.bound) {
             let (k, ev) = self.queue.pop().expect("peeked");
             let mut ctx = Ctx {
                 config,
@@ -360,7 +379,7 @@ impl ShardCore {
                 now: k.time,
                 ctx_key: k,
                 n: 0,
-                alloc: KeyAlloc::Phase { major },
+                alloc: KeyAlloc::Phase { major: self.major },
                 audit: AuditSink::Buffered,
             };
             match ev {
@@ -740,57 +759,28 @@ impl ShardCore {
     }
 }
 
-/// Per-shard synchronization block, cache-line padded so one shard's
-/// epoch stores do not false-share with its neighbours'.
+/// One shard thread's half of the phase handshake, cache-line padded so
+/// one shard's epoch stores do not false-share with its neighbours'.
+/// The core itself travels through its lock; the two counters only say
+/// when to take it: the coordinator bumps `epoch` after releasing the
+/// core's guard, and the thread publishes `done = epoch` after running
+/// the phase and releasing the lock again.
 #[repr(align(128))]
+#[derive(Default)]
 struct ShardSync {
     /// Phase epoch the coordinator wants this shard to run
     /// ([`SHUTDOWN`] = exit).
     epoch: AtomicU64,
     /// Last epoch this shard finished.
     done: AtomicU64,
-    bound_time: AtomicU64,
-    bound_major: AtomicU64,
-    bound_minor: AtomicU64,
-    phase_major: AtomicU64,
 }
 
-impl ShardSync {
-    fn new() -> Self {
-        ShardSync {
-            epoch: AtomicU64::new(0),
-            done: AtomicU64::new(0),
-            bound_time: AtomicU64::new(0),
-            bound_major: AtomicU64::new(0),
-            bound_minor: AtomicU64::new(0),
-            phase_major: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A [`ShardCore`] behind an [`UnsafeCell`] so shard worker threads can
-/// take `&mut` access through a shared reference during phases.
-struct ShardCell(UnsafeCell<ShardCore>);
-
-/// SAFETY: access to the inner `ShardCore` is mutually exclusive by
-/// protocol, not by type: between phases only the coordinator touches
-/// any core; during a phase each signalled shard thread touches only
-/// its own core, and the coordinator only touches cores it did not
-/// signal. Hand-off is published by the `ShardSync` epoch/done
-/// acquire/release pairs. The cell additionally asserts that the
-/// contained state is safe to *move* across threads — `ShardCore`
-/// holds `Box<dyn Scheme>` trait objects and `SimRng` streams without
-/// `Send`/`Sync` bounds, which is sound because every scheme in this
-/// workspace is a plain value struct (no `Rc`, no thread-local
-/// handles); `SchemeBuilder: Send + Sync` already commits builders to
-/// that contract.
-unsafe impl Sync for ShardCell {}
-
-/// Shard worker thread body: wait for a phase signal, drain the shard's
-/// queue to the published bound, report done. Parks after a short spin
-/// so idle shards cost nothing between bursts.
+/// Shard thread body: wait for a phase signal, run the phase on the core
+/// under its lock, report done. Parks after a short spin so idle shards
+/// cost nothing between bursts. A panic in the phase poisons the lock,
+/// which is how the coordinator learns that this thread died.
 fn shard_worker_loop(
-    cell: &ShardCell,
+    core: &Mutex<ShardCore>,
     sync: &ShardSync,
     config: &ClusterConfig,
     catalog: &Catalog,
@@ -812,16 +802,9 @@ fn shard_worker_loop(
         if e == SHUTDOWN {
             return;
         }
-        let bound = EventKey::new(
-            SimTime::from_micros(sync.bound_time.load(Ordering::Relaxed)),
-            sync.bound_major.load(Ordering::Relaxed),
-            sync.bound_minor.load(Ordering::Relaxed),
-        );
-        let major = sync.phase_major.load(Ordering::Relaxed);
-        // SAFETY: the coordinator signalled this epoch and will not
-        // touch this core until it observes `done == e`.
-        let core = unsafe { &mut *cell.0.get() };
-        core.advance(config, catalog, bound, major);
+        core.lock()
+            .expect("the coordinator hands over only healthy cores")
+            .advance(config, catalog);
         sync.done.store(e, Ordering::Release);
         seen = e;
     }
@@ -839,14 +822,142 @@ fn drain_in_key_order<T>(buf: &mut Vec<(EventKey, u64, T)>, mut sink: impl FnMut
     }
 }
 
-/// Between-phase shared access to shard `s`'s core. Call only in a
-/// serial section (no phase in flight).
-fn shared_core(cells: &[ShardCell], s: usize) -> &ShardCore {
-    // SAFETY: every caller is in a serial section — phases are
-    // bracketed by `Coordinator::run_phase`, which returns only after
-    // each signalled shard thread published `done` — so no thread
-    // holds `&mut` to any core while this shared borrow lives.
-    unsafe { &*cells[s].0.get() }
+/// The coordinator's hold on the shard cores.
+///
+/// Each core sits behind its own lock. Between phases the coordinator
+/// holds every guard, so the borrow checker proves that nothing else
+/// touches a core. A threaded phase releases the guards of the cores it
+/// hands to their threads and re-takes each one when its thread reports
+/// done; inline shards are never unlocked after set-up.
+///
+/// Dropping the hold — at the end of a run or while unwinding from a
+/// panic — tells every shard thread to exit, so the enclosing thread
+/// scope can always join them.
+struct Cores<'a> {
+    /// Guards of shards `0..held.len()`: every shard between phases, all
+    /// but the handed-off tail during a threaded phase.
+    held: Vec<MutexGuard<'a, ShardCore>>,
+    locks: &'a [Mutex<ShardCore>],
+    syncs: &'a [ShardSync],
+    /// Shards `first_threaded..` run their phases on their own threads;
+    /// `threads[i]` runs shard `first_threaded + i`.
+    first_threaded: usize,
+    threads: Vec<Thread>,
+    epoch: u64,
+}
+
+impl<'a> Cores<'a> {
+    fn new(locks: &'a [Mutex<ShardCore>], syncs: &'a [ShardSync], first_threaded: usize) -> Self {
+        Cores {
+            held: locks
+                .iter()
+                .map(|lock| lock.lock().expect("a fresh lock"))
+                .collect(),
+            locks,
+            syncs,
+            first_threaded,
+            threads: Vec::new(),
+            epoch: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.locks.len()
+    }
+
+    /// Global worker `g`'s shard core and its local slot there.
+    fn locate(&mut self, g: usize) -> (&mut ShardCore, usize) {
+        let s = self.len();
+        (&mut self.held[g % s], g / s)
+    }
+
+    /// Every shard core, in shard order.
+    fn iter(&self) -> impl Iterator<Item = &ShardCore> + Clone {
+        self.held.iter().map(|core| &**core)
+    }
+
+    /// Every worker of the fleet, shard by shard (so not in global
+    /// order).
+    fn fleet(&self) -> impl Iterator<Item = &Worker> + Clone {
+        self.iter().flat_map(|core| core.workers.iter())
+    }
+
+    /// Dispatch target selection: `Consolidate` first-fit under `cap`
+    /// when the policy asks, then the least-loaded worker with an
+    /// accepting GPU — a GPU draining for reconfiguration gets no new
+    /// traffic (§4.4 keeps downtime local) — then any live worker if
+    /// every GPU is mid-change.
+    ///
+    /// A cross-shard reduction of the per-shard dispatch indices. Every
+    /// shard's index is a partition over its own workers whose keys
+    /// carry global worker indices (leaf order monotone in them), so
+    /// [`crate::dispatch::select_across`]'s min-over-roots reduction
+    /// equals a fleet-wide scan: first-fit picks
+    /// the smallest global index any shard can seat (each shard's
+    /// descent is leftmost over its own slots), and the least-loaded
+    /// tiers pick the min `(outstanding, idx)` root. Decision-only —
+    /// mutation (worker state + index refresh) happens strictly after,
+    /// which is what makes resolving a whole arrival run's decisions in
+    /// serial order between phases hazard-free.
+    fn indexed_target(&self, cap: Option<u64>, visits: &mut u64) -> Option<usize> {
+        crate::dispatch::select_across(self.iter().map(|core| &core.index), cap, visits)
+    }
+
+    /// Runs one phase on the shards in `parts` (ascending), whose cores
+    /// already hold the phase's bound and `major`: the threaded ones on
+    /// their threads, the rest inline, in parallel.
+    ///
+    /// Panics, instead of waiting forever, if a shard thread died in the
+    /// phase: its poisoned lock says so.
+    fn advance(&mut self, parts: &[usize], config: &ClusterConfig, catalog: &Catalog) {
+        let (locks, syncs) = (self.locks, self.syncs);
+        let (inline, threaded) =
+            parts.split_at(parts.partition_point(|&s| s < self.first_threaded));
+        if let Some(&first) = threaded.first() {
+            // Release every guard from the first handed-off core on; the
+            // threaded shards that sit this phase out are re-taken at
+            // once below.
+            self.held.truncate(first);
+            self.epoch += 1;
+            for &s in threaded {
+                syncs[s].epoch.store(self.epoch, Ordering::Release);
+                self.threads[s - self.first_threaded].unpark();
+            }
+        }
+        for &s in inline {
+            self.held[s].advance(config, catalog);
+        }
+        for s in self.held.len()..self.len() {
+            // A shard is idle once it finished the last epoch it was
+            // given. Only this thread stores `epoch`, so `Relaxed` reads
+            // back its own store; `done`'s Acquire pairs with the shard
+            // thread's Release.
+            let sync = &syncs[s];
+            let mut spins = 0u32;
+            while sync.done.load(Ordering::Acquire) != sync.epoch.load(Ordering::Relaxed) {
+                assert!(!locks[s].is_poisoned(), "shard {s} panicked on its thread");
+                spins += 1;
+                if spins > 256 {
+                    // Oversubscribed (fewer cores than shards): give the
+                    // shard thread the CPU instead of burning it.
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
+            self.held
+                .push(locks[s].lock().expect("an idle shard's lock is healthy"));
+        }
+    }
+}
+
+impl Drop for Cores<'_> {
+    fn drop(&mut self) {
+        for (sync, thread) in self.syncs[self.first_threaded..].iter().zip(&self.threads) {
+            sync.epoch.store(SHUTDOWN, Ordering::Release);
+            thread.unpark();
+        }
+    }
 }
 
 /// What a run feeds the coordinator: a materialised request vector or a
@@ -856,18 +967,14 @@ enum Source {
     Streaming(Box<TraceStream>, Box<TraceStream>),
 }
 
-/// The serial half of the engine: owns all shared state and runs every
-/// arrival and [`CoordEvent`] in serial order, with shard phases in
-/// between.
-struct Coordinator<'a> {
+/// The coordinator's serial state: the gateway (accumulators, backlog,
+/// batch ids), the spot market and VM ledger, the serial event queue,
+/// the auditor, the journal and the counters. It holds no shard core;
+/// a handler that needs one borrows it from [`Cores`], a disjoint field
+/// of the same [`Coordinator`].
+struct Serial<'a> {
     config: &'a ClusterConfig,
     catalog: &'a Catalog,
-    cells: &'a [ShardCell],
-    syncs: &'a [ShardSync],
-    /// Thread handles for signalling, indexed by shard (`None` = that
-    /// shard always runs inline on the coordinator).
-    threads: Vec<Option<std::thread::Thread>>,
-    epoch: u64,
     market: &'a mut dyn SpotOracle,
     ledger: VmLedger,
     accumulators: HashMap<(ModelId, bool), Accumulator>,
@@ -890,8 +997,6 @@ struct Coordinator<'a> {
     audit: Auditor,
     evictions: u64,
     censored: u64,
-    /// Reusable distinct-model buffer for the prewarm pre-pass.
-    scratch_models: Vec<ModelId>,
     /// Per-strict-batch latency samples `(completion, latency_ms)`,
     /// in serial order.
     strict_latency_timeline: TimeSeries,
@@ -908,23 +1013,17 @@ struct Coordinator<'a> {
     ctx_n: u64,
 }
 
-impl<'a> Coordinator<'a> {
+impl<'a> Serial<'a> {
     fn new(
         config: &'a ClusterConfig,
         catalog: &'a Catalog,
-        cells: &'a [ShardCell],
-        syncs: &'a [ShardSync],
         dispatch_policy: DispatchPolicy,
         market: &'a mut dyn SpotOracle,
     ) -> Self {
         assert!(config.workers > 0, "cluster needs at least one worker");
-        Coordinator {
+        Serial {
             config,
             catalog,
-            cells,
-            syncs,
-            threads: vec![None; cells.len()],
-            epoch: 0,
             market,
             ledger: VmLedger::new(PricingTable::paper_table3(), config.provider),
             accumulators: HashMap::new(),
@@ -946,7 +1045,6 @@ impl<'a> Coordinator<'a> {
             audit: Auditor::new(config.audit, config.audit_every_n),
             evictions: 0,
             censored: 0,
-            scratch_models: Vec::new(),
             strict_latency_timeline: TimeSeries::new(),
             geometry_timeline: Vec::new(),
             scratch_hooks: Vec::new(),
@@ -956,37 +1054,6 @@ impl<'a> Coordinator<'a> {
             ctx_key: EventKey::new(SimTime::ZERO, 0, 0),
             ctx_n: 0,
         }
-    }
-
-    fn shards(&self) -> usize {
-        self.cells.len()
-    }
-
-    fn total_workers(&self) -> usize {
-        self.config.workers
-    }
-
-    /// Between-phase access to a shard core.
-    fn core(&self, s: usize) -> &'a ShardCore {
-        shared_core(self.cells, s)
-    }
-
-    /// Every worker of the fleet, shard by shard (so not in global
-    /// order), for between-phase reads. The iterator borrows the cells,
-    /// not `self`, so it can feed a `&mut self.audit` call.
-    fn fleet(&self) -> impl Iterator<Item = &'a Worker> + Clone + 'a {
-        let cells = self.cells;
-        (0..cells.len()).flat_map(move |s| shared_core(cells, s).workers.iter())
-    }
-
-    /// Mutable between-phase access. The returned borrow is tied to the
-    /// cells' lifetime, not `&self`, so callers can hold it across
-    /// `&mut self` calls — the aliasing discipline (never two live
-    /// borrows of the same core) is maintained manually at each call
-    /// site.
-    #[allow(clippy::mut_from_ref)]
-    fn core_mut(&self, s: usize) -> &'a mut ShardCore {
-        unsafe { &mut *self.cells[s].0.get() }
     }
 
     /// Allocates a serial event key — the next FIFO position in serial
@@ -1014,12 +1081,6 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    /// Global worker `g`'s shard core and its local slot there.
-    fn locate(&self, g: usize) -> (&'a mut ShardCore, usize) {
-        let s = self.shards();
-        (self.core_mut(g % s), g / s)
-    }
-
     /// Runs a [`ShardCore`] method in the current serial context:
     /// serial key allocation, direct audit sink, shared record ordinal.
     fn with_serial_ctx<R>(&mut self, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
@@ -1039,239 +1100,12 @@ impl<'a> Coordinator<'a> {
         r
     }
 
-    fn serial_try_place(&mut self, core: &mut ShardCore, l: usize) {
+    fn try_place(&mut self, core: &mut ShardCore, l: usize) {
         self.with_serial_ctx(|ctx| core.try_place(ctx, l));
     }
 
-    fn serial_maybe_begin_reconfigure(&mut self, core: &mut ShardCore, l: usize) {
+    fn maybe_begin_reconfigure(&mut self, core: &mut ShardCore, l: usize) {
         self.with_serial_ctx(|ctx| core.maybe_begin_reconfigure(ctx, l));
-    }
-
-    // ---- startup ----------------------------------------------------
-
-    fn provision_initial_vms(&mut self) {
-        for g in 0..self.total_workers() {
-            let policy = self.config.procurement;
-            let tier = match policy {
-                ProcurementPolicy::OnDemandOnly => Some(VmTier::OnDemand),
-                _ => policy.replacement_tier(self.market.try_acquire_spot(self.now, g)),
-            };
-            match tier {
-                Some(tier) => {
-                    let id = self.ledger.allocate_id();
-                    self.ledger.open(id, tier, SimTime::ZERO);
-                    let (core, l) = self.locate(g);
-                    let w = &mut core.workers[l];
-                    w.vm = Some((id, tier));
-                    w.status = WorkerStatus::Up;
-                    w.gpu.set_reconfig_delay(self.config.reconfig_delay);
-                    if tier == VmTier::Spot {
-                        self.push_coord(
-                            SimTime::ZERO + self.config.revocation_check,
-                            CoordEvent::RevocationCheck { worker: g },
-                        );
-                    }
-                }
-                None => {
-                    let (core, l) = self.locate(g);
-                    core.workers[l].status = WorkerStatus::Down;
-                    self.push_coord(
-                        SimTime::ZERO + self.config.procurement_retry,
-                        CoordEvent::ProcurementRetry { worker: g },
-                    );
-                }
-            }
-        }
-        for g in 0..self.total_workers() {
-            let (core, l) = self.locate(g);
-            core.refresh_index(l);
-        }
-        self.push_coord(
-            SimTime::ZERO + self.config.monitor_interval,
-            CoordEvent::MonitorTick,
-        );
-    }
-
-    fn prewarm_pools(&mut self, requests: &[Request]) {
-        if self.config.prewarm_containers == 0 {
-            return;
-        }
-        let mut models = std::mem::take(&mut self.scratch_models);
-        models.clear();
-        let mut seen: HashSet<ModelId> = HashSet::new();
-        let mut last: Option<ModelId> = None;
-        for r in requests {
-            if last == Some(r.model) {
-                continue;
-            }
-            last = Some(r.model);
-            if seen.insert(r.model) {
-                models.push(r.model);
-            }
-        }
-        self.prewarm_models(&models);
-        self.scratch_models = models;
-    }
-
-    fn prewarm_pools_streaming(&mut self, stream: TraceStream) {
-        if self.config.prewarm_containers == 0 {
-            return;
-        }
-        let universe = stream.model_universe().len();
-        let mut models = std::mem::take(&mut self.scratch_models);
-        models.clear();
-        let mut seen: HashSet<ModelId> = HashSet::new();
-        let mut last: Option<ModelId> = None;
-        for r in stream {
-            if last == Some(r.model) {
-                continue;
-            }
-            last = Some(r.model);
-            if seen.insert(r.model) {
-                models.push(r.model);
-                if models.len() >= universe {
-                    break;
-                }
-            }
-        }
-        self.prewarm_models(&models);
-        self.scratch_models = models;
-    }
-
-    fn prewarm_models(&mut self, models: &[ModelId]) {
-        let now = self.now;
-        let count = self.config.prewarm_containers;
-        for g in 0..self.total_workers() {
-            let (core, l) = self.locate(g);
-            let w = &mut core.workers[l];
-            let satisfied = models.iter().all(|m| {
-                w.pools
-                    .get(m)
-                    .is_some_and(|p| p.total_containers() as usize >= count)
-            });
-            if satisfied {
-                continue;
-            }
-            for &m in models {
-                w.pools.entry(m).or_default().prewarm(now, count);
-            }
-        }
-    }
-
-    // ---- request path -----------------------------------------------
-
-    fn dispatch(&mut self, request: Request) {
-        self.stats.arrivals += 1;
-        let batch_size = self.catalog.profile(request.model).batch_size;
-        let key = (request.model, request.strict);
-        let acc = self.accumulators.entry(key).or_default();
-        let first = acc.push(request);
-        if acc.len() as u32 >= batch_size {
-            self.seal_batch(key);
-        } else if first {
-            let seq = self.accumulators[&key].seal_seq;
-            self.push_coord(
-                self.now + self.config.batch_window,
-                CoordEvent::WindowExpire {
-                    model: key.0,
-                    strict: key.1,
-                    seq,
-                },
-            );
-        }
-    }
-
-    fn seal_batch(&mut self, key: (ModelId, bool)) {
-        let requests = match self.accumulators.get_mut(&key) {
-            Some(acc) if !acc.is_empty() => acc.seal(),
-            _ => return,
-        };
-        let id = BatchId(self.next_batch_id);
-        self.next_batch_id += 1;
-        let batch = Batch {
-            id,
-            model: key.0,
-            strict: key.1,
-            requests,
-            sealed_at: self.now,
-            cold_wait_ms: 0.0,
-            redispatched: false,
-        };
-        self.audit.batch_sealed(self.now, batch.id);
-        self.cjournal(JournalEvent::BatchSealed {
-            batch: batch.id,
-            model: batch.model,
-            strict: batch.strict,
-            size: batch.size(),
-        });
-        self.dispatch_batch(batch);
-    }
-
-    fn dispatch_batch(&mut self, batch: Batch) {
-        self.stats.dispatch_batches += 1;
-        let cap = match self.dispatch_policy {
-            DispatchPolicy::Consolidate { cap_batches } => {
-                Some(cap_batches * u64::from(self.catalog.profile(batch.model).batch_size))
-            }
-            DispatchPolicy::LoadBalance => None,
-        };
-        let mut visits = 0u64;
-        let target = self.indexed_target(cap, &mut visits);
-        self.stats.dispatch_scan_visits += visits;
-        let fleet = self.fleet();
-        self.audit
-            .dispatch_selected(self.now, batch.id, target, cap, fleet);
-        match target {
-            Some(g) => {
-                let (core, l) = self.locate(g);
-                let routable = core.workers[l].routable();
-                self.audit
-                    .batch_dispatched(self.now, batch.id, g, routable, batch.redispatched);
-                let w = &mut core.workers[l];
-                let n = batch.requests.len() as u64;
-                w.outstanding += n;
-                if !batch.redispatched {
-                    if batch.strict {
-                        w.window_strict += n;
-                    } else {
-                        w.window_be += n;
-                    }
-                }
-                if !batch.strict {
-                    w.last_be_model = Some(batch.model);
-                }
-                *w.window_batches.entry(batch.model).or_insert(0) += 1;
-                core.refresh_index(l);
-                self.cjournal(JournalEvent::BatchDispatched {
-                    batch: batch.id,
-                    worker: g,
-                    redispatch: batch.redispatched,
-                });
-                self.acquire_container(core, l, batch);
-            }
-            None => self.backlog.push_back(batch),
-        }
-    }
-
-    /// Dispatch target selection: `Consolidate` first-fit under `cap`
-    /// when the policy asks, then the least-loaded worker with an
-    /// accepting GPU — a GPU draining for reconfiguration gets no new
-    /// traffic (§4.4 keeps downtime local) — then any live worker if
-    /// every GPU is mid-change.
-    ///
-    /// A cross-shard reduction of the per-shard dispatch indices. Every
-    /// shard's index is a partition over its own workers whose keys
-    /// carry global worker indices (leaf order monotone in them), so
-    /// [`crate::dispatch::select_across`]'s min-over-roots reduction
-    /// equals a fleet-wide scan: first-fit picks
-    /// the smallest global index any shard can seat (each shard's
-    /// descent is leftmost over its own slots), and the least-loaded
-    /// tiers pick the min `(outstanding, idx)` root. Decision-only —
-    /// mutation (worker state + index refresh) happens strictly after,
-    /// which is what makes resolving a whole arrival run's decisions in
-    /// serial order between phases hazard-free.
-    fn indexed_target(&self, cap: Option<u64>, visits: &mut u64) -> Option<usize> {
-        crate::dispatch::select_across((0..self.shards()).map(|s| &self.core(s).index), cap, visits)
     }
 
     fn acquire_container(&mut self, core: &mut ShardCore, l: usize, batch: Batch) {
@@ -1284,7 +1118,7 @@ impl<'a> Coordinator<'a> {
             Acquire::Warm => {
                 let mem = self.catalog.profile(model).mem_gb;
                 w.sched_queue.push(batch, mem);
-                self.serial_try_place(core, l);
+                self.try_place(core, l);
             }
             Acquire::ColdStarted => {
                 let vm_epoch = w.vm_epoch;
@@ -1303,386 +1137,9 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    // ---- phases -----------------------------------------------------
-
-    /// Advances every shard with pending events to the exclusive `bound`
-    /// (clamped at the cutoff), in parallel where threads exist, and
-    /// returns how many events the phase handled.
-    fn run_phase(&mut self, bound: EventKey) -> u64 {
-        let cutoff_bound = EventKey::new(self.cutoff, u64::MAX, u64::MAX);
-        let bound = bound.min(cutoff_bound);
-        let mut parts = std::mem::take(&mut self.scratch_parts);
-        parts.clear();
-        for s in 0..self.shards() {
-            if self.core(s).queue.has_event_before(bound) {
-                parts.push(s);
-            }
-        }
-        if parts.is_empty() {
-            self.scratch_parts = parts;
-            return 0;
-        }
-        let major = self.gseq;
-        self.epoch += 1;
-        let epoch = self.epoch;
-        for &s in &parts {
-            if let Some(thread) = &self.threads[s] {
-                let sync = &self.syncs[s];
-                sync.bound_time
-                    .store(bound.time.as_micros(), Ordering::Relaxed);
-                sync.bound_major.store(bound.major, Ordering::Relaxed);
-                sync.bound_minor.store(bound.minor, Ordering::Relaxed);
-                sync.phase_major.store(major, Ordering::Relaxed);
-                sync.epoch.store(epoch, Ordering::Release);
-                thread.unpark();
-            }
-        }
-        for &s in &parts {
-            if self.threads[s].is_none() {
-                self.core_mut(s)
-                    .advance(self.config, self.catalog, bound, major);
-            }
-        }
-        let mut total = 0;
-        for &s in &parts {
-            if self.threads[s].is_some() {
-                let sync = &self.syncs[s];
-                let mut spins = 0u32;
-                while sync.done.load(Ordering::Acquire) != epoch {
-                    spins += 1;
-                    if spins > 256 {
-                        // Oversubscribed (fewer cores than shards): give
-                        // the shard thread the CPU instead of burning it.
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-            }
-            total += std::mem::take(&mut self.core_mut(s).events_handled);
-        }
-        self.flush_phase(&parts);
-        self.scratch_parts = parts;
-        total
-    }
-
-    /// Moves what the phase's shards buffered — audit hooks, strict
-    /// latency samples, geometry changes — to the coordinator in merged
-    /// `(ctx_key, n)` order, the serial order. Every key a phase handles
-    /// sorts below its bound and every later key above it, so flushing
-    /// phase by phase builds each output in serial order while the shard
-    /// buffers only ever hold one phase's records.
-    fn flush_phase(&mut self, parts: &[usize]) {
-        for &s in parts {
-            let core = self.core_mut(s);
-            self.scratch_hooks.append(&mut core.hook_buf);
-            self.scratch_strict.append(&mut core.strict_lat_buf);
-            self.scratch_geom.append(&mut core.geom_buf);
-        }
-        drain_in_key_order(&mut self.scratch_hooks, |key, hook| match hook {
-            Hook::Placed(id, g) => self.audit.batch_placed(key.time, id, g),
-            Hook::Finished(id, g) => self.audit.batch_finished(key.time, id, g),
-        });
-        drain_in_key_order(&mut self.scratch_strict, |key, latency_ms| {
-            self.strict_latency_timeline.push(key.time, latency_ms)
-        });
-        drain_in_key_order(&mut self.scratch_geom, |_, change| {
-            self.geometry_timeline.push(change)
-        });
-    }
-
-    /// Counts `opportunities` audit-sweep opportunities (one per handled
-    /// event or arrival, whatever `S` is) and, if any came due,
-    /// runs one collapsed fleet sweep at `at`.
-    fn audit_boundary(&mut self, at: SimTime, opportunities: u64) {
-        if opportunities == 0 {
-            return;
-        }
-        let mut due = false;
-        for _ in 0..opportunities {
-            due |= self.audit.sweep_due();
-        }
-        if !due {
-            return;
-        }
-        let mut problems: Vec<String> = Vec::new();
-        for s in 0..self.shards() {
-            let core = self.core(s);
-            problems.extend(
-                core.index
-                    .verify_partition(self.total_workers(), core.workers.iter()),
-            );
-        }
-        let fleet = self.fleet();
-        self.audit.sweep(at, fleet, &self.ledger, problems);
-    }
-
-    // ---- main loop --------------------------------------------------
-
-    fn run_arrivals<I: Iterator<Item = Request>>(
-        &mut self,
-        arrivals: I,
-        duration: protean_sim::SimDuration,
-    ) {
-        enum Step {
-            Arrival,
-            Coord,
-            Done,
-        }
-        self.cutoff = SimTime::ZERO + duration + self.config.drain_grace;
-        let mut arrivals = Lookahead::new(arrivals);
-        loop {
-            let next_arrival = arrivals.peek_arrival();
-            let next_coord = self.coord_queue.peek_key();
-            let (bound, step) = match (next_arrival, next_coord) {
-                (Some(ta), Some(ck)) if ta <= ck.time => (EventKey::new(ta, 0, 0), Step::Arrival),
-                (Some(ta), None) => (EventKey::new(ta, 0, 0), Step::Arrival),
-                (_, Some(ck)) => (ck, Step::Coord),
-                (None, None) => (EventKey::new(SimTime::MAX, u64::MAX, u64::MAX), Step::Done),
-            };
-            let events = self.run_phase(bound);
-            let sweep_at = bound.time.min(self.cutoff);
-            self.audit_boundary(sweep_at, events);
-            match step {
-                Step::Arrival => {
-                    let ta = next_arrival.expect("peeked");
-                    if ta > self.cutoff {
-                        break;
-                    }
-                    self.dispatch_run(&mut arrivals);
-                }
-                Step::Coord => {
-                    let ck = next_coord.expect("peeked");
-                    if ck.time > self.cutoff {
-                        break;
-                    }
-                    if matches!(
-                        self.coord_queue.peek(),
-                        Some((_, CoordEvent::WindowExpire { .. }))
-                    ) {
-                        // A window expiry is dispatch-shaped, so it
-                        // *opens* a run instead of standing alone: the
-                        // phase bounded at its key just completed, which
-                        // is exactly the admission proof `dispatch_run`
-                        // requires of its first member.
-                        self.dispatch_run(&mut arrivals);
-                    } else {
-                        self.now = ck.time;
-                        let (k, ev) = self.coord_queue.pop().expect("peeked");
-                        self.begin_ctx(k);
-                        self.handle_coord(ev);
-                        self.audit_boundary(k.time, 1);
-                    }
-                }
-                Step::Done => break,
-            }
-        }
-        self.now = self.cutoff;
-        self.audit.epoch_conservation(self.now, &self.stats);
-        self.censor_remaining();
-    }
-
-    /// Peels and dispatches one maximal *dispatch run* — the epoch
-    /// coarsening at the heart of this engine's scalability on
-    /// dispatch-dense traces. A run is a maximal sequence of
-    /// consecutive dispatch-shaped events: gateway arrivals and
-    /// `WindowExpire` batch-window dispatches, which route the pending
-    /// window batch through the same `DispatchIndex` path an arrival
-    /// uses. The phase bounded at the run's first member has just
-    /// completed, so every shard's next pending event (if any) sits at
-    /// or after that member's bound. Each run member is handled exactly as in
-    /// per-arrival mode (serial context, live index resolution, full
-    /// mutation, per-member audit opportunity); the run then *extends*
-    /// to the next dispatch event only when the phase the per-arrival
-    /// discipline would insert before it is provably empty:
-    ///
-    /// * the member wins its key-order tie against every other pending
-    ///   serial coordinator event — an arrival's bound `(ta, 0, 0)`
-    ///   orders before every real key at `ta` (real keys have
-    ///   `major >= 1`), so `ta <= te` is the arrival's tie win; a
-    ///   window expiry qualifies only as the coordinator-queue *head*,
-    ///   which (keys being unique) is an automatic strict win — both
-    ///   re-checked each step, since dispatching a run member can
-    ///   schedule a new window expiry, and
-    /// * no shard holds a pending event below the member's key
-    ///   (re-checked each step — a cold start deposits a serially-keyed
-    ///   `BootDone` into a shard heap mid-run). Events pushed *by* run
-    ///   members carry fresh serial majors greater than any admitted
-    ///   member's, so they can never retroactively invalidate an
-    ///   elision already proven.
-    ///
-    /// The run cuts the moment a non-dispatch coordinator event
-    /// (`MonitorTick`, `RevocationCheck`, `EvictionFinal`, `VmReady`,
-    /// `ProcurementRetry`) wins the tie, or a shard conflict
-    /// intervenes. A skipped phase with no participants has *no* effect
-    /// in per-arrival mode (`run_phase` returns 0 before touching the
-    /// epoch counter or the barrier, and a 0-event `audit_boundary` is
-    /// a no-op), so eliding it is exact — bit-identical by
-    /// construction, for any workload, shard count and cap. Runs
-    /// additionally cut at [`ClusterConfig::max_epoch_arrivals`]
-    /// members, under journal-capacity pressure, and at the trace end /
-    /// cutoff; every cut is attributed to exactly one cause so the
-    /// counter triad reconciles (see [`Auditor::epoch_conservation`]).
-    fn dispatch_run<I: Iterator<Item = Request>>(&mut self, arrivals: &mut Lookahead<I>) {
-        let cap = self.config.max_epoch_arrivals.max(1);
-        self.stats.epochs += 1;
-        let mut members = 0u64;
-        let mut expiry_members = 0u64;
-        let mut first_is_expiry = false;
-        loop {
-            // Select the next member by key order over the unfiltered
-            // peeks. Admission was proven by the caller (first member:
-            // its bounding phase just ran) or by the extension check at
-            // the bottom of the previous iteration.
-            let take_arrival = match (arrivals.peek_arrival(), self.coord_queue.peek_key()) {
-                (Some(ta), Some(ck)) => ta <= ck.time,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => unreachable!("admission-checked"),
-            };
-            if take_arrival {
-                let r = arrivals.next().expect("peeked");
-                self.now = r.arrival;
-                self.dseq += 1;
-                self.begin_ctx(EventKey::new(r.arrival, 0, self.dseq));
-                self.dispatch(r);
-            } else {
-                let (k, ev) = self.coord_queue.pop().expect("peeked");
-                debug_assert!(
-                    matches!(ev, CoordEvent::WindowExpire { .. }),
-                    "only window expiries are admitted into dispatch runs"
-                );
-                if members == 0 {
-                    first_is_expiry = true;
-                }
-                expiry_members += 1;
-                self.now = k.time;
-                self.begin_ctx(k);
-                self.handle_coord(ev);
-            }
-            members += 1;
-            self.audit_boundary(self.now, 1);
-
-            let ta = arrivals.peek_arrival().filter(|&ta| ta <= self.cutoff);
-            let next_expiry_key = match self.coord_queue.peek() {
-                Some((ck, CoordEvent::WindowExpire { .. })) if ck.time <= self.cutoff => Some(ck),
-                _ => None,
-            };
-            if ta.is_none() && next_expiry_key.is_none() {
-                self.stats.run_cutoffs.trace_end += 1;
-                break;
-            }
-            if members >= cap {
-                self.stats.run_cutoffs.max_arrivals += 1;
-                break;
-            }
-            if self.config.journal_capacity > 0
-                && self.journal_buf.len() >= self.config.journal_capacity
-            {
-                self.stats.run_cutoffs.journal_pressure += 1;
-                break;
-            }
-            let ck = self.coord_queue.peek_key();
-            let arrival_next = ta.is_some_and(|ta| ck.is_none_or(|ck| ta <= ck.time));
-            if arrival_next {
-                let bound = EventKey::new(ta.expect("checked"), 0, 0);
-                if (0..self.shards()).any(|s| self.core(s).queue.has_event_before(bound)) {
-                    self.stats.run_cutoffs.shard_conflict += 1;
-                    break;
-                }
-            } else if let Some(bound) = next_expiry_key {
-                if (0..self.shards()).any(|s| self.core(s).queue.has_event_before(bound)) {
-                    self.stats.run_cutoffs.expiry_shard_conflict += 1;
-                    break;
-                }
-            } else {
-                // A non-dispatch coordinator event beat the next
-                // arrival.
-                self.stats.run_cutoffs.serial_event += 1;
-                break;
-            }
-        }
-        let arrival_members = members - expiry_members;
-        if first_is_expiry {
-            self.stats.coalesced_arrivals += arrival_members;
-            self.stats.coalesced_expiries += expiry_members - 1;
-        } else {
-            self.stats.coalesced_arrivals += arrival_members - 1;
-            self.stats.coalesced_expiries += expiry_members;
-        }
-    }
-
-    fn handle_coord(&mut self, ev: CoordEvent) {
-        match ev {
-            CoordEvent::WindowExpire { model, strict, seq } => {
-                self.stats.expiries += 1;
-                let stale = self
-                    .accumulators
-                    .get(&(model, strict))
-                    .is_none_or(|acc| acc.seal_seq != seq || acc.is_empty());
-                if !stale {
-                    self.seal_batch((model, strict));
-                }
-            }
-            CoordEvent::MonitorTick => self.on_monitor_tick(),
-            CoordEvent::RevocationCheck { worker } => self.on_revocation_check(worker),
-            CoordEvent::EvictionFinal { worker } => self.on_eviction_final(worker),
-            CoordEvent::VmReady { worker, tier } => self.on_vm_ready(worker, tier),
-            CoordEvent::ProcurementRetry { worker } => self.on_procurement_retry(worker),
-        }
-    }
-
-    // ---- monitor ----------------------------------------------------
-
     /// EWMA smoothing factor for the per-(worker, model) batch-arrival
     /// predictor behind predictive container pre-provisioning.
     const PREWARM_EWMA_ALPHA: f64 = 0.3;
-
-    fn on_monitor_tick(&mut self) {
-        let now = self.now;
-        for g in 0..self.total_workers() {
-            let keep_alive = self.config.keep_alive;
-            let (core, l) = self.locate(g);
-            for pool in core.workers[l].pools.values_mut() {
-                pool.expire_idle(now, keep_alive);
-            }
-            self.predictive_prewarm_tick(core, l);
-            if !matches!(core.workers[l].status, WorkerStatus::Up) {
-                continue;
-            }
-            let desired = {
-                let w = &mut core.workers[l];
-                let ctx = ReconfigCtx {
-                    now,
-                    gpu: &w.gpu,
-                    window_be_requests: w.window_be,
-                    window_strict_requests: w.window_strict,
-                    be_model: w.last_be_model,
-                    catalog: self.catalog,
-                };
-                let desired = w.scheme.reconfigure(&ctx);
-                w.window_be = 0;
-                w.window_strict = 0;
-                desired
-            };
-            if let Some(geometry) = desired {
-                // End the `&mut` borrow of this core before
-                // `reconfig_slots_free` reads every core, then re-borrow
-                // for the mutation.
-                let changed = geometry != *core.workers[l].gpu.geometry();
-                if changed && self.reconfig_slots_free() {
-                    let (core, l) = self.locate(g);
-                    let _ = core.workers[l].gpu.request_reconfigure(geometry);
-                    core.refresh_index(l);
-                    self.serial_maybe_begin_reconfigure(core, l);
-                }
-            }
-        }
-        self.drain_backlog();
-        if now + self.config.monitor_interval <= self.cutoff {
-            self.push_coord(now + self.config.monitor_interval, CoordEvent::MonitorTick);
-        }
-    }
 
     fn predictive_prewarm_tick(&mut self, core: &mut ShardCore, l: usize) {
         let now = self.now;
@@ -1740,46 +1197,6 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    fn reconfig_slots_free(&self) -> bool {
-        let busy: usize = (0..self.shards())
-            .map(|s| {
-                let index = &self.core(s).index;
-                index.routable_len() - index.accepting_len()
-            })
-            .sum();
-        let cap = ((self.config.max_reconfig_fraction * self.total_workers() as f64).ceil()
-            as usize)
-            .max(1);
-        busy < cap
-    }
-
-    // ---- spot lifecycle ---------------------------------------------
-
-    fn on_revocation_check(&mut self, g: usize) {
-        let (core, l) = self.locate(g);
-        let w = &core.workers[l];
-        if !matches!(w.status, WorkerStatus::Up) || !matches!(w.vm, Some((_, VmTier::Spot))) {
-            return;
-        }
-        if let Some(lead) = self.market.roll_revocation(self.now, g) {
-            let evict_at = self.now + lead;
-            core.workers[l].status = WorkerStatus::Evicting { evict_at };
-            core.refresh_index(l);
-            self.cjournal(JournalEvent::EvictionNotice {
-                worker: g,
-                evict_at,
-            });
-            self.evictions += 1;
-            self.push_coord(evict_at, CoordEvent::EvictionFinal { worker: g });
-            self.procure_replacement(g);
-        } else {
-            self.push_coord(
-                self.now + self.config.revocation_check,
-                CoordEvent::RevocationCheck { worker: g },
-            );
-        }
-    }
-
     fn procure_replacement(&mut self, g: usize) {
         let granted = self.market.try_acquire_spot(self.now, g);
         match self.config.procurement.replacement_tier(granted) {
@@ -1794,166 +1211,6 @@ impl<'a> Coordinator<'a> {
                     self.now + self.config.procurement_retry,
                     CoordEvent::ProcurementRetry { worker: g },
                 );
-            }
-        }
-    }
-
-    fn on_eviction_final(&mut self, g: usize) {
-        let (core, l) = self.locate(g);
-        if !matches!(core.workers[l].status, WorkerStatus::Evicting { .. }) {
-            return;
-        }
-        if let Some((vm, _)) = core.workers[l].vm.take() {
-            self.ledger.close(vm, self.now);
-        }
-        self.cjournal(JournalEvent::Evicted { worker: g });
-        let orphans = core.workers[l].drain_all_batches();
-        core.workers[l].epoch += 1;
-        match core.workers[l].pending_vm.take() {
-            Some((vm, tier)) => self.install_vm(g, vm, tier),
-            None => {
-                core.workers[l].status = WorkerStatus::Down;
-                core.refresh_index(l);
-            }
-        }
-        for mut b in orphans {
-            b.redispatched = true;
-            self.dispatch_batch(b);
-        }
-    }
-
-    fn on_vm_ready(&mut self, g: usize, tier: VmTier) {
-        let (core, l) = self.locate(g);
-        match core.workers[l].status {
-            WorkerStatus::Evicting { .. } => {
-                let vm = self.ledger.allocate_id();
-                self.ledger.open(vm, tier, self.now);
-                core.workers[l].pending_vm = Some((vm, tier));
-            }
-            WorkerStatus::Down => {
-                let vm = self.ledger.allocate_id();
-                self.ledger.open(vm, tier, self.now);
-                self.install_vm(g, vm, tier);
-            }
-            WorkerStatus::Up => {
-                // Defensive: double procurement should not happen. The
-                // grant is declined before any ledger entry is opened —
-                // an open-then-close at the same instant would bill
-                // nothing but pollute the ledger's closed-VM count.
-            }
-        }
-    }
-
-    fn install_vm(&mut self, g: usize, vm: VmId, tier: VmTier) {
-        let (core, l) = self.locate(g);
-        let w = &mut core.workers[l];
-        w.running.clear();
-        w.reset_runtime(self.now);
-        w.gpu.set_reconfig_delay(self.config.reconfig_delay);
-        w.vm = Some((vm, tier));
-        w.status = WorkerStatus::Up;
-        core.refresh_index(l);
-        self.cjournal(JournalEvent::VmInstalled { worker: g });
-        if tier == VmTier::Spot {
-            self.push_coord(
-                self.now + self.config.revocation_check,
-                CoordEvent::RevocationCheck { worker: g },
-            );
-        }
-        self.drain_backlog();
-    }
-
-    fn on_procurement_retry(&mut self, g: usize) {
-        let (core, l) = self.locate(g);
-        if matches!(core.workers[l].status, WorkerStatus::Down) {
-            self.procure_replacement(g);
-        }
-    }
-
-    fn drain_backlog(&mut self) {
-        if self.backlog.is_empty() {
-            return;
-        }
-        let routable = (0..self.shards()).any(|s| self.core(s).index.any_routable());
-        if !routable {
-            return;
-        }
-        let pending: Vec<Batch> = self.backlog.drain(..).collect();
-        for b in pending {
-            self.dispatch_batch(b);
-        }
-        self.stats.backlog_requeued += self.backlog.len() as u64;
-    }
-
-    // ---- teardown ---------------------------------------------------
-
-    fn censor_remaining(&mut self) {
-        let now = self.now;
-        let mut leftovers: Vec<(ModelId, bool, Request)> = Vec::new();
-        for g in 0..self.total_workers() {
-            let (core, l) = self.locate(g);
-            for b in core.workers[l].drain_all_batches() {
-                for r in b.requests {
-                    leftovers.push((b.model, b.strict, r));
-                }
-            }
-        }
-        for b in std::mem::take(&mut self.backlog) {
-            for r in b.requests {
-                leftovers.push((b.model, b.strict, r));
-            }
-        }
-        for acc in self.accumulators.values_mut() {
-            for r in acc.drain() {
-                leftovers.push((r.model, r.strict, r));
-            }
-        }
-        let measure_from = SimTime::ZERO + self.config.warmup;
-        for (model, strict, r) in leftovers {
-            if r.arrival < measure_from {
-                continue;
-            }
-            self.censored += 1;
-            let total_ms = now.saturating_since(r.arrival).as_millis_f64();
-            self.censor_metrics.push(RequestRecord {
-                model,
-                strict,
-                arrival: r.arrival,
-                completion: now,
-                breakdown: LatencyBreakdown {
-                    queueing_ms: total_ms,
-                    ..LatencyBreakdown::default()
-                },
-            });
-        }
-    }
-
-    /// Signals every spawned shard thread to exit. Must run before the
-    /// thread scope closes.
-    fn shutdown(&mut self) {
-        for s in 0..self.shards() {
-            if let Some(thread) = &self.threads[s] {
-                self.syncs[s].epoch.store(SHUTDOWN, Ordering::Release);
-                thread.unpark();
-            }
-        }
-    }
-
-    fn drive(&mut self, src: Source) {
-        self.provision_initial_vms();
-        match src {
-            Source::Materialised(requests, duration) => {
-                let per_core = requests.len() / self.shards() + 1;
-                for s in 0..self.shards() {
-                    self.core_mut(s).metrics.reserve(per_core);
-                }
-                self.prewarm_pools(&requests);
-                self.run_arrivals(requests.into_iter(), duration);
-            }
-            Source::Streaming(arrivals, prewarm_scan) => {
-                let duration = arrivals.duration();
-                self.prewarm_pools_streaming(*prewarm_scan);
-                self.run_arrivals(arrivals, duration);
             }
         }
     }
@@ -1973,6 +1230,753 @@ impl<'a> Coordinator<'a> {
             evictions: self.evictions,
             censored: self.censored,
             cutoff: self.cutoff,
+        }
+    }
+}
+
+/// The serial half of the engine: runs every arrival and [`CoordEvent`]
+/// in serial order, with shard phases in between. Its two fields are
+/// disjoint borrows: a handler holds a core from `cores` while it
+/// updates `serial`.
+struct Coordinator<'a> {
+    cores: Cores<'a>,
+    serial: Serial<'a>,
+}
+
+impl Coordinator<'_> {
+    // ---- startup ----------------------------------------------------
+
+    fn provision_initial_vms(&mut self) {
+        let Coordinator { cores, serial } = self;
+        let config = serial.config;
+        for g in 0..config.workers {
+            let tier = match config.procurement {
+                ProcurementPolicy::OnDemandOnly => Some(VmTier::OnDemand),
+                policy => policy.replacement_tier(serial.market.try_acquire_spot(serial.now, g)),
+            };
+            let (core, l) = cores.locate(g);
+            match tier {
+                Some(tier) => {
+                    let id = serial.ledger.allocate_id();
+                    serial.ledger.open(id, tier, SimTime::ZERO);
+                    let w = &mut core.workers[l];
+                    w.vm = Some((id, tier));
+                    w.status = WorkerStatus::Up;
+                    w.gpu.set_reconfig_delay(config.reconfig_delay);
+                    if tier == VmTier::Spot {
+                        serial.push_coord(
+                            SimTime::ZERO + config.revocation_check,
+                            CoordEvent::RevocationCheck { worker: g },
+                        );
+                    }
+                }
+                None => {
+                    core.workers[l].status = WorkerStatus::Down;
+                    serial.push_coord(
+                        SimTime::ZERO + config.procurement_retry,
+                        CoordEvent::ProcurementRetry { worker: g },
+                    );
+                }
+            }
+        }
+        for g in 0..config.workers {
+            let (core, l) = cores.locate(g);
+            core.refresh_index(l);
+        }
+        serial.push_coord(
+            SimTime::ZERO + config.monitor_interval,
+            CoordEvent::MonitorTick,
+        );
+    }
+
+    /// Pre-warms `prewarm_containers` containers on every worker for each
+    /// distinct model of `trace_models` (a trace's per-request models),
+    /// in first-seen order. Stops reading once `universe` distinct models
+    /// were seen.
+    fn prewarm_pools(&mut self, trace_models: impl Iterator<Item = ModelId>, universe: usize) {
+        let count = self.serial.config.prewarm_containers;
+        if count == 0 {
+            return;
+        }
+        let mut models: Vec<ModelId> = Vec::new();
+        let mut seen: HashSet<ModelId> = HashSet::new();
+        let mut last: Option<ModelId> = None;
+        for m in trace_models {
+            if last == Some(m) {
+                continue;
+            }
+            last = Some(m);
+            if seen.insert(m) {
+                models.push(m);
+                if models.len() >= universe {
+                    break;
+                }
+            }
+        }
+        let now = self.serial.now;
+        for g in 0..self.serial.config.workers {
+            let (core, l) = self.cores.locate(g);
+            let w = &mut core.workers[l];
+            let satisfied = models.iter().all(|m| {
+                w.pools
+                    .get(m)
+                    .is_some_and(|p| p.total_containers() as usize >= count)
+            });
+            if satisfied {
+                continue;
+            }
+            for &m in &models {
+                w.pools.entry(m).or_default().prewarm(now, count);
+            }
+        }
+    }
+
+    // ---- request path -----------------------------------------------
+
+    fn dispatch(&mut self, request: Request) {
+        let serial = &mut self.serial;
+        serial.stats.arrivals += 1;
+        let batch_size = serial.catalog.profile(request.model).batch_size;
+        let key = (request.model, request.strict);
+        let acc = serial.accumulators.entry(key).or_default();
+        let first = acc.push(request);
+        if acc.len() as u32 >= batch_size {
+            self.seal_batch(key);
+        } else if first {
+            let seq = acc.seal_seq;
+            serial.push_coord(
+                serial.now + serial.config.batch_window,
+                CoordEvent::WindowExpire {
+                    model: key.0,
+                    strict: key.1,
+                    seq,
+                },
+            );
+        }
+    }
+
+    fn seal_batch(&mut self, key: (ModelId, bool)) {
+        let serial = &mut self.serial;
+        let requests = match serial.accumulators.get_mut(&key) {
+            Some(acc) if !acc.is_empty() => acc.seal(),
+            _ => return,
+        };
+        let id = BatchId(serial.next_batch_id);
+        serial.next_batch_id += 1;
+        let batch = Batch {
+            id,
+            model: key.0,
+            strict: key.1,
+            requests,
+            sealed_at: serial.now,
+            cold_wait_ms: 0.0,
+            redispatched: false,
+        };
+        serial.audit.batch_sealed(serial.now, batch.id);
+        serial.cjournal(JournalEvent::BatchSealed {
+            batch: batch.id,
+            model: batch.model,
+            strict: batch.strict,
+            size: batch.size(),
+        });
+        self.dispatch_batch(batch);
+    }
+
+    fn dispatch_batch(&mut self, batch: Batch) {
+        let Coordinator { cores, serial } = self;
+        serial.stats.dispatch_batches += 1;
+        let cap = match serial.dispatch_policy {
+            DispatchPolicy::Consolidate { cap_batches } => {
+                Some(cap_batches * u64::from(serial.catalog.profile(batch.model).batch_size))
+            }
+            DispatchPolicy::LoadBalance => None,
+        };
+        let mut visits = 0u64;
+        let target = cores.indexed_target(cap, &mut visits);
+        serial.stats.dispatch_scan_visits += visits;
+        serial
+            .audit
+            .dispatch_selected(serial.now, batch.id, target, cap, cores.fleet());
+        match target {
+            Some(g) => {
+                let (core, l) = cores.locate(g);
+                let routable = core.workers[l].routable();
+                serial.audit.batch_dispatched(
+                    serial.now,
+                    batch.id,
+                    g,
+                    routable,
+                    batch.redispatched,
+                );
+                let w = &mut core.workers[l];
+                let n = batch.requests.len() as u64;
+                w.outstanding += n;
+                if !batch.redispatched {
+                    if batch.strict {
+                        w.window_strict += n;
+                    } else {
+                        w.window_be += n;
+                    }
+                }
+                if !batch.strict {
+                    w.last_be_model = Some(batch.model);
+                }
+                *w.window_batches.entry(batch.model).or_insert(0) += 1;
+                core.refresh_index(l);
+                serial.cjournal(JournalEvent::BatchDispatched {
+                    batch: batch.id,
+                    worker: g,
+                    redispatch: batch.redispatched,
+                });
+                serial.acquire_container(core, l, batch);
+            }
+            None => serial.backlog.push_back(batch),
+        }
+    }
+
+    // ---- phases -----------------------------------------------------
+
+    /// Advances every shard with pending events to the exclusive `bound`
+    /// (clamped at the cutoff), in parallel where threads exist, and
+    /// returns how many events the phase handled. The bound and the
+    /// `gseq` snapshot go into each participating core through its
+    /// guard; [`Cores::advance`] then runs the phase.
+    fn run_phase(&mut self, bound: EventKey) -> u64 {
+        let bound = bound.min(EventKey::new(self.serial.cutoff, u64::MAX, u64::MAX));
+        let major = self.serial.gseq;
+        let mut parts = std::mem::take(&mut self.serial.scratch_parts);
+        parts.clear();
+        for (s, core) in self.cores.held.iter_mut().enumerate() {
+            if core.queue.has_event_before(bound) {
+                core.bound = bound;
+                core.major = major;
+                parts.push(s);
+            }
+        }
+        let mut total = 0;
+        if !parts.is_empty() {
+            self.cores
+                .advance(&parts, self.serial.config, self.serial.catalog);
+            for &s in &parts {
+                total += std::mem::take(&mut self.cores.held[s].events_handled);
+            }
+            self.flush_phase(&parts);
+        }
+        self.serial.scratch_parts = parts;
+        total
+    }
+
+    /// Moves what the phase's shards buffered — audit hooks, strict
+    /// latency samples, geometry changes — to the coordinator in merged
+    /// `(ctx_key, n)` order, the serial order. Every key a phase handles
+    /// sorts below its bound and every later key above it, so flushing
+    /// phase by phase builds each output in serial order while the shard
+    /// buffers only ever hold one phase's records.
+    fn flush_phase(&mut self, parts: &[usize]) {
+        let Coordinator { cores, serial } = self;
+        for &s in parts {
+            let core = &mut cores.held[s];
+            serial.scratch_hooks.append(&mut core.hook_buf);
+            serial.scratch_strict.append(&mut core.strict_lat_buf);
+            serial.scratch_geom.append(&mut core.geom_buf);
+        }
+        drain_in_key_order(&mut serial.scratch_hooks, |key, hook| match hook {
+            Hook::Placed(id, g) => serial.audit.batch_placed(key.time, id, g),
+            Hook::Finished(id, g) => serial.audit.batch_finished(key.time, id, g),
+        });
+        drain_in_key_order(&mut serial.scratch_strict, |key, latency_ms| {
+            serial.strict_latency_timeline.push(key.time, latency_ms)
+        });
+        drain_in_key_order(&mut serial.scratch_geom, |_, change| {
+            serial.geometry_timeline.push(change)
+        });
+    }
+
+    /// Counts `opportunities` audit-sweep opportunities (one per handled
+    /// event or arrival, whatever `S` is) and, if any came due,
+    /// runs one collapsed fleet sweep at `at`.
+    fn audit_boundary(&mut self, at: SimTime, opportunities: u64) {
+        let Coordinator { cores, serial } = self;
+        if opportunities == 0 {
+            return;
+        }
+        let mut due = false;
+        for _ in 0..opportunities {
+            due |= serial.audit.sweep_due();
+        }
+        if !due {
+            return;
+        }
+        let mut problems: Vec<String> = Vec::new();
+        for core in cores.iter() {
+            problems.extend(
+                core.index
+                    .verify_partition(serial.config.workers, core.workers.iter()),
+            );
+        }
+        serial
+            .audit
+            .sweep(at, cores.fleet(), &serial.ledger, problems);
+    }
+
+    // ---- main loop --------------------------------------------------
+
+    fn run_arrivals<I: Iterator<Item = Request>>(
+        &mut self,
+        arrivals: I,
+        duration: protean_sim::SimDuration,
+    ) {
+        enum Step {
+            Arrival,
+            Coord,
+            Done,
+        }
+        self.serial.cutoff = SimTime::ZERO + duration + self.serial.config.drain_grace;
+        let mut arrivals = Lookahead::new(arrivals);
+        loop {
+            let next_arrival = arrivals.peek_arrival();
+            let next_coord = self.serial.coord_queue.peek_key();
+            let (bound, step) = match (next_arrival, next_coord) {
+                (Some(ta), Some(ck)) if ta <= ck.time => (EventKey::new(ta, 0, 0), Step::Arrival),
+                (Some(ta), None) => (EventKey::new(ta, 0, 0), Step::Arrival),
+                (_, Some(ck)) => (ck, Step::Coord),
+                (None, None) => (EventKey::new(SimTime::MAX, u64::MAX, u64::MAX), Step::Done),
+            };
+            let events = self.run_phase(bound);
+            let sweep_at = bound.time.min(self.serial.cutoff);
+            self.audit_boundary(sweep_at, events);
+            match step {
+                Step::Arrival => {
+                    let ta = next_arrival.expect("peeked");
+                    if ta > self.serial.cutoff {
+                        break;
+                    }
+                    self.dispatch_run(&mut arrivals);
+                }
+                Step::Coord => {
+                    let ck = next_coord.expect("peeked");
+                    if ck.time > self.serial.cutoff {
+                        break;
+                    }
+                    if matches!(
+                        self.serial.coord_queue.peek(),
+                        Some((_, CoordEvent::WindowExpire { .. }))
+                    ) {
+                        // A window expiry is dispatch-shaped, so it
+                        // *opens* a run instead of standing alone: the
+                        // phase bounded at its key just completed, which
+                        // is exactly the admission proof `dispatch_run`
+                        // requires of its first member.
+                        self.dispatch_run(&mut arrivals);
+                    } else {
+                        self.serial.now = ck.time;
+                        let (k, ev) = self.serial.coord_queue.pop().expect("peeked");
+                        self.serial.begin_ctx(k);
+                        self.handle_coord(ev);
+                        self.audit_boundary(k.time, 1);
+                    }
+                }
+                Step::Done => break,
+            }
+        }
+        self.serial.now = self.serial.cutoff;
+        self.serial
+            .audit
+            .epoch_conservation(self.serial.now, &self.serial.stats);
+        self.censor_remaining();
+    }
+
+    /// Peels and dispatches one maximal *dispatch run* — the epoch
+    /// coarsening at the heart of this engine's scalability on
+    /// dispatch-dense traces. A run is a maximal sequence of
+    /// consecutive dispatch-shaped events: gateway arrivals and
+    /// `WindowExpire` batch-window dispatches, which route the pending
+    /// window batch through the same `DispatchIndex` path an arrival
+    /// uses. The phase bounded at the run's first member has just
+    /// completed, so every shard's next pending event (if any) sits at
+    /// or after that member's bound. Each run member is handled exactly as in
+    /// per-arrival mode (serial context, live index resolution, full
+    /// mutation, per-member audit opportunity); the run then *extends*
+    /// to the next dispatch event only when the phase the per-arrival
+    /// discipline would insert before it is provably empty:
+    ///
+    /// * the member wins its key-order tie against every other pending
+    ///   serial coordinator event — an arrival's bound `(ta, 0, 0)`
+    ///   orders before every real key at `ta` (real keys have
+    ///   `major >= 1`), so `ta <= te` is the arrival's tie win; a
+    ///   window expiry qualifies only as the coordinator-queue *head*,
+    ///   which (keys being unique) is an automatic strict win — both
+    ///   re-checked each step, since dispatching a run member can
+    ///   schedule a new window expiry, and
+    /// * no shard holds a pending event below the member's key
+    ///   (re-checked each step — a cold start deposits a serially-keyed
+    ///   `BootDone` into a shard heap mid-run). Events pushed *by* run
+    ///   members carry fresh serial majors greater than any admitted
+    ///   member's, so they can never retroactively invalidate an
+    ///   elision already proven.
+    ///
+    /// The run cuts the moment a non-dispatch coordinator event
+    /// (`MonitorTick`, `RevocationCheck`, `EvictionFinal`, `VmReady`,
+    /// `ProcurementRetry`) wins the tie, or a shard conflict
+    /// intervenes. A skipped phase with no participants has *no* effect
+    /// in per-arrival mode (`run_phase` returns 0 before touching the
+    /// epoch counter or the barrier, and a 0-event `audit_boundary` is
+    /// a no-op), so eliding it is exact — bit-identical by
+    /// construction, for any workload, shard count and cap. Runs
+    /// additionally cut at [`ClusterConfig::max_epoch_arrivals`]
+    /// members, under journal-capacity pressure, and at the trace end /
+    /// cutoff; every cut is attributed to exactly one cause so the
+    /// counter triad reconciles (see [`Auditor::epoch_conservation`]).
+    fn dispatch_run<I: Iterator<Item = Request>>(&mut self, arrivals: &mut Lookahead<I>) {
+        let cap = self.serial.config.max_epoch_arrivals.max(1);
+        self.serial.stats.epochs += 1;
+        let mut members = 0u64;
+        let mut expiry_members = 0u64;
+        let mut first_is_expiry = false;
+        loop {
+            // Select the next member by key order over the unfiltered
+            // peeks. Admission was proven by the caller (first member:
+            // its bounding phase just ran) or by the extension check at
+            // the bottom of the previous iteration.
+            let take_arrival = match (arrivals.peek_arrival(), self.serial.coord_queue.peek_key()) {
+                (Some(ta), Some(ck)) => ta <= ck.time,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => unreachable!("admission-checked"),
+            };
+            if take_arrival {
+                let r = arrivals.next().expect("peeked");
+                self.serial.now = r.arrival;
+                self.serial.dseq += 1;
+                self.serial
+                    .begin_ctx(EventKey::new(r.arrival, 0, self.serial.dseq));
+                self.dispatch(r);
+            } else {
+                let (k, ev) = self.serial.coord_queue.pop().expect("peeked");
+                debug_assert!(
+                    matches!(ev, CoordEvent::WindowExpire { .. }),
+                    "only window expiries are admitted into dispatch runs"
+                );
+                if members == 0 {
+                    first_is_expiry = true;
+                }
+                expiry_members += 1;
+                self.serial.now = k.time;
+                self.serial.begin_ctx(k);
+                self.handle_coord(ev);
+            }
+            members += 1;
+            self.audit_boundary(self.serial.now, 1);
+
+            let ta = arrivals
+                .peek_arrival()
+                .filter(|&ta| ta <= self.serial.cutoff);
+            let next_expiry_key = match self.serial.coord_queue.peek() {
+                Some((ck, CoordEvent::WindowExpire { .. })) if ck.time <= self.serial.cutoff => {
+                    Some(ck)
+                }
+                _ => None,
+            };
+            if ta.is_none() && next_expiry_key.is_none() {
+                self.serial.stats.run_cutoffs.trace_end += 1;
+                break;
+            }
+            if members >= cap {
+                self.serial.stats.run_cutoffs.max_arrivals += 1;
+                break;
+            }
+            if self.serial.config.journal_capacity > 0
+                && self.serial.journal_buf.len() >= self.serial.config.journal_capacity
+            {
+                self.serial.stats.run_cutoffs.journal_pressure += 1;
+                break;
+            }
+            let ck = self.serial.coord_queue.peek_key();
+            let arrival_next = ta.is_some_and(|ta| ck.is_none_or(|ck| ta <= ck.time));
+            if arrival_next {
+                let bound = EventKey::new(ta.expect("checked"), 0, 0);
+                if self.cores.iter().any(|c| c.queue.has_event_before(bound)) {
+                    self.serial.stats.run_cutoffs.shard_conflict += 1;
+                    break;
+                }
+            } else if let Some(bound) = next_expiry_key {
+                if self.cores.iter().any(|c| c.queue.has_event_before(bound)) {
+                    self.serial.stats.run_cutoffs.expiry_shard_conflict += 1;
+                    break;
+                }
+            } else {
+                // A non-dispatch coordinator event beat the next
+                // arrival.
+                self.serial.stats.run_cutoffs.serial_event += 1;
+                break;
+            }
+        }
+        let arrival_members = members - expiry_members;
+        if first_is_expiry {
+            self.serial.stats.coalesced_arrivals += arrival_members;
+            self.serial.stats.coalesced_expiries += expiry_members - 1;
+        } else {
+            self.serial.stats.coalesced_arrivals += arrival_members - 1;
+            self.serial.stats.coalesced_expiries += expiry_members;
+        }
+    }
+
+    fn handle_coord(&mut self, ev: CoordEvent) {
+        match ev {
+            CoordEvent::WindowExpire { model, strict, seq } => {
+                self.serial.stats.expiries += 1;
+                let stale = self
+                    .serial
+                    .accumulators
+                    .get(&(model, strict))
+                    .is_none_or(|acc| acc.seal_seq != seq || acc.is_empty());
+                if !stale {
+                    self.seal_batch((model, strict));
+                }
+            }
+            CoordEvent::MonitorTick => self.on_monitor_tick(),
+            CoordEvent::RevocationCheck { worker } => self.on_revocation_check(worker),
+            CoordEvent::EvictionFinal { worker } => self.on_eviction_final(worker),
+            CoordEvent::VmReady { worker, tier } => self.on_vm_ready(worker, tier),
+            CoordEvent::ProcurementRetry { worker } => self.on_procurement_retry(worker),
+        }
+    }
+
+    // ---- monitor ----------------------------------------------------
+
+    fn on_monitor_tick(&mut self) {
+        let now = self.serial.now;
+        let config = self.serial.config;
+        for g in 0..config.workers {
+            let (core, l) = self.cores.locate(g);
+            for pool in core.workers[l].pools.values_mut() {
+                pool.expire_idle(now, config.keep_alive);
+            }
+            self.serial.predictive_prewarm_tick(core, l);
+            if !matches!(core.workers[l].status, WorkerStatus::Up) {
+                continue;
+            }
+            let desired = {
+                let w = &mut core.workers[l];
+                let ctx = ReconfigCtx {
+                    now,
+                    gpu: &w.gpu,
+                    window_be_requests: w.window_be,
+                    window_strict_requests: w.window_strict,
+                    be_model: w.last_be_model,
+                    catalog: self.serial.catalog,
+                };
+                let desired = w.scheme.reconfigure(&ctx);
+                w.window_be = 0;
+                w.window_strict = 0;
+                desired
+            };
+            if let Some(geometry) = desired {
+                // End the `&mut` borrow of this core before
+                // `reconfig_slots_free` reads every core, then re-borrow
+                // for the mutation.
+                let changed = geometry != *core.workers[l].gpu.geometry();
+                if changed && self.reconfig_slots_free() {
+                    let (core, l) = self.cores.locate(g);
+                    let _ = core.workers[l].gpu.request_reconfigure(geometry);
+                    core.refresh_index(l);
+                    self.serial.maybe_begin_reconfigure(core, l);
+                }
+            }
+        }
+        self.drain_backlog();
+        if now + config.monitor_interval <= self.serial.cutoff {
+            self.serial
+                .push_coord(now + config.monitor_interval, CoordEvent::MonitorTick);
+        }
+    }
+
+    fn reconfig_slots_free(&self) -> bool {
+        let busy: usize = self
+            .cores
+            .iter()
+            .map(|core| core.index.routable_len() - core.index.accepting_len())
+            .sum();
+        let config = self.serial.config;
+        let cap = ((config.max_reconfig_fraction * config.workers as f64).ceil() as usize).max(1);
+        busy < cap
+    }
+
+    // ---- spot lifecycle ---------------------------------------------
+
+    fn on_revocation_check(&mut self, g: usize) {
+        let Coordinator { cores, serial } = self;
+        let (core, l) = cores.locate(g);
+        let w = &core.workers[l];
+        if !matches!(w.status, WorkerStatus::Up) || !matches!(w.vm, Some((_, VmTier::Spot))) {
+            return;
+        }
+        if let Some(lead) = serial.market.roll_revocation(serial.now, g) {
+            let evict_at = serial.now + lead;
+            core.workers[l].status = WorkerStatus::Evicting { evict_at };
+            core.refresh_index(l);
+            serial.cjournal(JournalEvent::EvictionNotice {
+                worker: g,
+                evict_at,
+            });
+            serial.evictions += 1;
+            serial.push_coord(evict_at, CoordEvent::EvictionFinal { worker: g });
+            serial.procure_replacement(g);
+        } else {
+            serial.push_coord(
+                serial.now + serial.config.revocation_check,
+                CoordEvent::RevocationCheck { worker: g },
+            );
+        }
+    }
+
+    fn on_eviction_final(&mut self, g: usize) {
+        let (core, l) = self.cores.locate(g);
+        if !matches!(core.workers[l].status, WorkerStatus::Evicting { .. }) {
+            return;
+        }
+        if let Some((vm, _)) = core.workers[l].vm.take() {
+            self.serial.ledger.close(vm, self.serial.now);
+        }
+        self.serial.cjournal(JournalEvent::Evicted { worker: g });
+        let orphans = core.workers[l].drain_all_batches();
+        core.workers[l].epoch += 1;
+        match core.workers[l].pending_vm.take() {
+            Some((vm, tier)) => self.install_vm(g, vm, tier),
+            None => {
+                core.workers[l].status = WorkerStatus::Down;
+                core.refresh_index(l);
+            }
+        }
+        for mut b in orphans {
+            b.redispatched = true;
+            self.dispatch_batch(b);
+        }
+    }
+
+    fn on_vm_ready(&mut self, g: usize, tier: VmTier) {
+        let (core, l) = self.cores.locate(g);
+        match core.workers[l].status {
+            WorkerStatus::Evicting { .. } => {
+                let vm = self.serial.ledger.allocate_id();
+                self.serial.ledger.open(vm, tier, self.serial.now);
+                core.workers[l].pending_vm = Some((vm, tier));
+            }
+            WorkerStatus::Down => {
+                let vm = self.serial.ledger.allocate_id();
+                self.serial.ledger.open(vm, tier, self.serial.now);
+                self.install_vm(g, vm, tier);
+            }
+            WorkerStatus::Up => {
+                // Defensive: double procurement should not happen. The
+                // grant is declined before any ledger entry is opened —
+                // an open-then-close at the same instant would bill
+                // nothing but pollute the ledger's closed-VM count.
+            }
+        }
+    }
+
+    fn install_vm(&mut self, g: usize, vm: VmId, tier: VmTier) {
+        let Coordinator { cores, serial } = self;
+        let (core, l) = cores.locate(g);
+        let w = &mut core.workers[l];
+        w.running.clear();
+        w.reset_runtime(serial.now);
+        w.gpu.set_reconfig_delay(serial.config.reconfig_delay);
+        w.vm = Some((vm, tier));
+        w.status = WorkerStatus::Up;
+        core.refresh_index(l);
+        serial.cjournal(JournalEvent::VmInstalled { worker: g });
+        if tier == VmTier::Spot {
+            serial.push_coord(
+                serial.now + serial.config.revocation_check,
+                CoordEvent::RevocationCheck { worker: g },
+            );
+        }
+        self.drain_backlog();
+    }
+
+    fn on_procurement_retry(&mut self, g: usize) {
+        let (core, l) = self.cores.locate(g);
+        if matches!(core.workers[l].status, WorkerStatus::Down) {
+            self.serial.procure_replacement(g);
+        }
+    }
+
+    fn drain_backlog(&mut self) {
+        if self.serial.backlog.is_empty()
+            || !self.cores.iter().any(|core| core.index.any_routable())
+        {
+            return;
+        }
+        let pending: Vec<Batch> = self.serial.backlog.drain(..).collect();
+        for b in pending {
+            self.dispatch_batch(b);
+        }
+        self.serial.stats.backlog_requeued += self.serial.backlog.len() as u64;
+    }
+
+    // ---- teardown ---------------------------------------------------
+
+    fn censor_remaining(&mut self) {
+        let Coordinator { cores, serial } = self;
+        let now = serial.now;
+        let mut leftovers: Vec<(ModelId, bool, Request)> = Vec::new();
+        for g in 0..serial.config.workers {
+            let (core, l) = cores.locate(g);
+            for b in core.workers[l].drain_all_batches() {
+                for r in b.requests {
+                    leftovers.push((b.model, b.strict, r));
+                }
+            }
+        }
+        for b in std::mem::take(&mut serial.backlog) {
+            for r in b.requests {
+                leftovers.push((b.model, b.strict, r));
+            }
+        }
+        for acc in serial.accumulators.values_mut() {
+            for r in acc.drain() {
+                leftovers.push((r.model, r.strict, r));
+            }
+        }
+        let measure_from = SimTime::ZERO + serial.config.warmup;
+        for (model, strict, r) in leftovers {
+            if r.arrival < measure_from {
+                continue;
+            }
+            serial.censored += 1;
+            let total_ms = now.saturating_since(r.arrival).as_millis_f64();
+            serial.censor_metrics.push(RequestRecord {
+                model,
+                strict,
+                arrival: r.arrival,
+                completion: now,
+                breakdown: LatencyBreakdown {
+                    queueing_ms: total_ms,
+                    ..LatencyBreakdown::default()
+                },
+            });
+        }
+    }
+
+    fn drive(&mut self, src: Source) {
+        self.provision_initial_vms();
+        match src {
+            Source::Materialised(requests, duration) => {
+                let per_core = requests.len() / self.cores.len() + 1;
+                for core in &mut self.cores.held {
+                    core.metrics.reserve(per_core);
+                }
+                self.prewarm_pools(requests.iter().map(|r| r.model), usize::MAX);
+                self.run_arrivals(requests.into_iter(), duration);
+            }
+            Source::Streaming(arrivals, prewarm_scan) => {
+                let duration = arrivals.duration();
+                let universe = prewarm_scan.model_universe().len();
+                self.prewarm_pools(prewarm_scan.map(|r| r.model), universe);
+                self.run_arrivals(arrivals, duration);
+            }
         }
     }
 }
@@ -2044,54 +2048,39 @@ fn run_sharded(
     let factory = RngFactory::new(config.seed);
     let catalog = Catalog::new();
     let shards = config.effective_shards();
-    let cells: Vec<ShardCell> = (0..shards)
-        .map(|s| {
-            ShardCell(UnsafeCell::new(ShardCore::new(
-                s, shards, config, scheme, &factory,
-            )))
-        })
+    let locks: Vec<Mutex<ShardCore>> = (0..shards)
+        .map(|s| Mutex::new(ShardCore::new(s, shards, config, scheme, &factory)))
         .collect();
-    let syncs: Vec<ShardSync> = (0..shards).map(|_| ShardSync::new()).collect();
+    let syncs: Vec<ShardSync> = (0..shards).map(|_| ShardSync::default()).collect();
     let budget = if config.shard_threads > 0 {
         config.shard_threads
     } else {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     };
-    // Shard 0 always runs inline on the coordinator; extra shards get
-    // threads while the budget lasts, the rest run inline too.
-    let spawnable = shards.min(budget).saturating_sub(1);
-    let mut outputs = None;
-    {
-        let cells = &cells;
-        let syncs = &syncs;
-        let catalog = &catalog;
-        std::thread::scope(|scope| {
-            let mut co = Coordinator::new(
-                config,
-                catalog,
-                cells,
-                syncs,
-                scheme.dispatch_policy(),
-                oracle,
-            );
-            for s in 1..=spawnable {
-                let cell = &cells[s];
-                let sync = &syncs[s];
-                let handle = scope.spawn(move || shard_worker_loop(cell, sync, config, catalog));
-                co.threads[s] = Some(handle.thread().clone());
-            }
-            co.drive(src);
-            co.shutdown();
-            outputs = Some(co.finish());
-        });
-    }
-    let cores: Vec<ShardCore> = cells.into_iter().map(|c| c.0.into_inner()).collect();
-    merge_result(
-        config,
-        scheme.name().to_string(),
-        outputs.expect("coordinator ran"),
-        cores,
-    )
+    // The last shards get threads while the budget lasts; the rest, shard
+    // 0 always among them, run inline on the coordinator.
+    let first_threaded = shards - shards.min(budget).saturating_sub(1);
+    let outputs = std::thread::scope(|scope| {
+        let mut co = Coordinator {
+            cores: Cores::new(&locks, &syncs, first_threaded),
+            serial: Serial::new(config, &catalog, scheme.dispatch_policy(), oracle),
+        };
+        for s in first_threaded..shards {
+            let (lock, sync, catalog) = (&locks[s], &syncs[s], &catalog);
+            let handle = scope.spawn(move || shard_worker_loop(lock, sync, config, catalog));
+            co.cores.threads.push(handle.thread().clone());
+        }
+        co.drive(src);
+        co.serial.finish()
+    });
+    let cores: Vec<ShardCore> = locks
+        .into_iter()
+        .map(|lock| {
+            lock.into_inner()
+                .expect("a finished run leaves healthy locks")
+        })
+        .collect();
+    merge_result(config, scheme.name().to_string(), outputs, cores)
 }
 
 // ---- merge ----------------------------------------------------------
@@ -2228,6 +2217,7 @@ fn merge_result(
 mod tests {
     use super::*;
     use crate::engine::{run_simulation, run_simulation_streaming, run_simulation_with_oracle};
+    use crate::scheme::{Placement, Scheme};
     use crate::schemes_for_test::AlwaysLargest;
     use protean_metrics::record::Class;
     use protean_sim::SimDuration;
@@ -2571,6 +2561,72 @@ mod tests {
             par.stats.arrivals + par.stats.expiries
         );
         assert_eq!(par.stats.run_cutoffs.total(), par.stats.epochs);
+    }
+
+    /// Places like [`AlwaysLargest`], but panics in `place` when it runs
+    /// on (`on_builder`) or off the thread that built it.
+    struct Tripwire {
+        on_builder: bool,
+    }
+
+    struct TripwireScheme {
+        builder: std::thread::ThreadId,
+        on_builder: bool,
+    }
+
+    impl Scheme for TripwireScheme {
+        fn name(&self) -> &'static str {
+            "tripwire"
+        }
+        fn initial_geometry(&self) -> protean_gpu::Geometry {
+            protean_gpu::Geometry::full()
+        }
+        fn sharing_mode(&self) -> protean_gpu::SharingMode {
+            protean_gpu::SharingMode::Mps
+        }
+        fn place(&mut self, _ctx: &PlacementCtx<'_>, _batch: &BatchView) -> Option<Placement> {
+            let here = std::thread::current().id() == self.builder;
+            assert!(
+                here != self.on_builder,
+                "tripwire: placed on_builder = {here}"
+            );
+            Some(Placement::on_slice(0))
+        }
+    }
+
+    impl SchemeBuilder for Tripwire {
+        fn build(&self, _worker: usize) -> Box<dyn Scheme> {
+            Box::new(TripwireScheme {
+                builder: std::thread::current().id(),
+                on_builder: self.on_builder,
+            })
+        }
+        fn name(&self) -> &'static str {
+            "tripwire"
+        }
+    }
+
+    fn run_threaded_tripwire(on_builder: bool) {
+        let mut config = ClusterConfig::small_test();
+        config.workers = 4;
+        config.shards = 2;
+        config.shard_threads = 2;
+        // Cold pools: container boots complete in shard phases, and each
+        // one places the batch that waited for it.
+        config.prewarm_containers = 0;
+        run_simulation(&config, &Tripwire { on_builder }, &trace(200.0, 10.0, 0.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 1 panicked on its thread")]
+    fn shard_thread_panic_fails_the_run() {
+        run_threaded_tripwire(false);
+    }
+
+    #[test]
+    #[should_panic(expected = "tripwire: placed on_builder = true")]
+    fn coordinator_panic_stops_the_shard_threads() {
+        run_threaded_tripwire(true);
     }
 
     #[test]

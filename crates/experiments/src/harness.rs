@@ -8,9 +8,9 @@
 //! other cell, so cells can run on any thread in any order and the
 //! grid's results are **bit-identical** to a sequential run. The
 //! harness exploits that: [`run_grid`] executes cells on
-//! `std::thread::scope` workers pulling from an atomic work index and
-//! writes each result back into its input slot, so output order always
-//! matches input order regardless of scheduling.
+//! `std::thread::scope` workers pulling from an atomic work index; each
+//! worker hands back its results tagged with their input index, so
+//! output order always matches input order regardless of scheduling.
 //!
 //! Thread count resolution (first match wins):
 //!
@@ -27,7 +27,6 @@
 //! least [`MIN_CELLS_PER_THREAD`] cells, degrading to a plain
 //! sequential loop for small grids where thread startup would dominate.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use protean_cluster::{ClusterConfig, SchemeBuilder};
@@ -64,39 +63,15 @@ pub fn thread_count_or(explicit: Option<usize>) -> usize {
     hw
 }
 
-/// Per-item result slots written lock-free by the worker pool.
-///
-/// The atomic work index hands each item index to exactly one worker,
-/// so the `UnsafeCell` writes are disjoint, and `thread::scope`'s join
-/// happens-before the reads at collection time. A `Mutex` here is not
-/// wrong, just contended: every cell completion serialized on one lock,
-/// which is measurable on grids of millisecond-scale cells.
-struct ResultSlots<R>(Vec<UnsafeCell<Option<R>>>);
-
-// SAFETY: see the struct docs — slot access is partitioned by the work
-// index, never concurrent on the same element.
-unsafe impl<R: Send> Sync for ResultSlots<R> {}
-
-impl<R> ResultSlots<R> {
-    /// Fills slot `i`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the only thread holding index `i` (here:
-    /// guaranteed by the atomic work index).
-    unsafe fn write(&self, i: usize, value: R) {
-        unsafe { *self.0[i].get() = Some(value) };
-    }
-}
-
 /// Runs `f` over `items` on `threads` scoped workers, returning results
 /// in input order. With `threads <= 1` (or one item) it degenerates to
 /// a plain sequential loop on the calling thread.
 ///
-/// Workers claim items through an atomic index and write results back
-/// into the item's own slot, so the output order is deterministic even
-/// though execution order is not. A panic inside `f` propagates once
-/// the scope joins.
+/// Workers claim items through an atomic index and return their
+/// `(index, result)` pairs through their join handles; the caller puts
+/// them back in input order, so the output order is deterministic even
+/// though execution order is not. A panic inside `f` propagates when
+/// its worker is joined.
 pub fn run_parallel<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -108,25 +83,34 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots = ResultSlots((0..items.len()).map(|_| UnsafeCell::new(None)).collect());
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
     std::thread::scope(|scope| {
-        let slots = &slots;
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let result = f(i, &items[i]);
-                // SAFETY: index `i` was claimed by this worker alone.
-                unsafe { slots.write(i, result) };
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            return done;
+                        }
+                        done.push((i, f(i, &items[i])));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            let done = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in done {
+                slots[i] = Some(result);
+            }
         }
     });
     slots
-        .0
         .into_iter()
-        .map(|slot| slot.into_inner().expect("every slot filled by a worker"))
+        .map(|slot| slot.expect("every item claimed by a worker"))
         .collect()
 }
 

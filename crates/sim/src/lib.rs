@@ -5,9 +5,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution simulated
 //!   clock with saturating arithmetic and convenient conversions.
-//! * [`EventQueue`] — a stable priority queue of timestamped events with
-//!   deterministic FIFO tie-breaking for events scheduled at the same
-//!   instant.
+//! * [`KeyedEventQueue`] — a priority queue of events ordered by an
+//!   explicit [`EventKey`] `(time, major, minor)`, so that events at the
+//!   same instant pop in a deterministic, caller-chosen order.
 //! * [`rng`] — seeded, labelled random-number streams so that independent
 //!   stochastic processes (arrivals, evictions, model rotation, …) can be
 //!   re-run bit-for-bit identically and varied independently.
@@ -21,16 +21,16 @@
 //! # Example
 //!
 //! ```
-//! use protean_sim::{EventQueue, SimTime};
+//! use protean_sim::{EventKey, KeyedEventQueue, SimTime};
 //!
 //! #[derive(Debug, PartialEq)]
 //! enum Ev { Tick, Tock }
 //!
-//! let mut q = EventQueue::new();
-//! q.push(SimTime::from_secs(2.0), Ev::Tock);
-//! q.push(SimTime::from_secs(1.0), Ev::Tick);
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!(t, SimTime::from_secs(1.0));
+//! let mut q = KeyedEventQueue::new();
+//! q.push(EventKey::new(SimTime::from_secs(2.0), 1, 0), Ev::Tock);
+//! q.push(EventKey::new(SimTime::from_secs(1.0), 2, 0), Ev::Tick);
+//! let (key, ev) = q.pop().unwrap();
+//! assert_eq!(key.time, SimTime::from_secs(1.0));
 //! assert_eq!(ev, Ev::Tick);
 //! ```
 
@@ -41,7 +41,7 @@ pub mod series;
 pub mod time;
 
 pub use ewma::Ewma;
-pub use queue::{EventKey, EventQueue, KeyedEventQueue};
+pub use queue::{EventKey, KeyedEventQueue};
 pub use rng::{RngFactory, SimRng};
 pub use series::{Accumulator, TimeSeries};
 pub use time::{SimDuration, SimTime};

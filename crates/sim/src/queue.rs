@@ -5,150 +5,15 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// A priority queue of `(SimTime, E)` pairs that pops events in
-/// chronological order, breaking ties by insertion order (FIFO).
-///
-/// Determinism is essential for the simulation: two events scheduled for
-/// the same instant must always be delivered in the order they were
-/// scheduled, independent of heap internals.
-///
-/// # Example
-///
-/// ```
-/// use protean_sim::{EventQueue, SimTime};
-/// let mut q = EventQueue::new();
-/// let t = SimTime::from_secs(1.0);
-/// q.push(t, "first");
-/// q.push(t, "second");
-/// assert_eq!(q.pop(), Some((t, "first")));
-/// assert_eq!(q.pop(), Some((t, "second")));
-/// ```
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-    popped: u64,
-    peak_len: usize,
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest time (and, for
-        // ties, the lowest sequence number) is popped first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            popped: 0,
-            peak_len: 0,
-        }
-    }
-
-    /// Schedules `event` at `time`.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { time, seq, event });
-        self.peak_len = self.peak_len.max(self.heap.len());
-    }
-
-    /// Removes and returns the chronologically next event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.heap.pop().map(|e| (e.time, e.event));
-        if e.is_some() {
-            self.popped += 1;
-        }
-        e
-    }
-
-    /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// The next event (time and payload) without removing it.
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.heap.peek().map(|e| (e.time, &e.event))
-    }
-
-    /// Events pushed over the queue's lifetime.
-    pub fn pushed(&self) -> u64 {
-        self.seq
-    }
-
-    /// Events popped over the queue's lifetime.
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// The largest heap size ever reached — how much event traffic the
-    /// producer forced the queue to buffer.
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Explicit ordering key for [`KeyedEventQueue`]: chronological by
 /// `time`, then lexicographic on `(major, minor)`.
 ///
-/// [`EventQueue`] assigns the tie-break internally (one FIFO counter per
-/// queue), which is exactly right when a single loop owns all pushes.
-/// The sharded cluster engine instead has *several* producers pushing
-/// into *several* queues between synchronization points, and needs the
-/// merged pop order across all of them to reproduce one global FIFO
-/// counter's order bit for bit. That only works if the tie-break is
-/// part of the event itself: the coordinator allocates `major` from the
+/// An internal tie-break (one FIFO counter per queue) is right only when
+/// a single loop owns all pushes. The sharded cluster engine instead has
+/// *several* producers pushing into *several* queues between
+/// synchronization points, and needs the merged pop order across all of
+/// them to reproduce one global FIFO counter's order bit for bit. That
+/// only works if the tie-break is part of the event itself: the coordinator allocates `major` from the
 /// serial push counter and shards derive `minor` from their phase-local
 /// counters, so any two events — regardless of which queue they sit in
 /// — compare the same way a single queue's insertion order would have
@@ -171,9 +36,9 @@ impl EventKey {
 }
 
 /// A priority queue of [`EventKey`]-stamped events that pops in key
-/// order. Unlike [`EventQueue`], ties are broken by the caller-supplied
-/// key, not an internal counter — see the [`EventKey`] docs for why the
-/// sharded engine needs that.
+/// order. Ties are broken by the caller-supplied key, not an internal
+/// counter — see the [`EventKey`] docs for why the sharded engine needs
+/// that.
 #[derive(Debug)]
 pub struct KeyedEventQueue<E> {
     heap: BinaryHeap<KeyedEntry<E>>,
@@ -296,38 +161,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(3.0), 3);
-        q.push(SimTime::from_secs(1.0), 1);
-        q.push(SimTime::from_secs(2.0), 2);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn ties_break_fifo() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1.0);
-        for i in 0..100 {
-            q.push(t, i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1.0), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1.0)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.clear();
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn keyed_queue_pops_in_key_order() {
         let mut q = KeyedEventQueue::new();
         let t = SimTime::from_secs(1.0);
@@ -373,28 +206,6 @@ mod tests {
                     prop_assert!(k >= lk);
                 }
                 last = Some(k);
-            }
-        }
-    }
-
-    proptest! {
-        /// Events always come out in non-decreasing time order, and events
-        /// at equal times come out in insertion order.
-        #[test]
-        fn prop_chronological_fifo(times in proptest::collection::vec(0u64..100, 1..200)) {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.push(SimTime::from_micros(t), i);
-            }
-            let mut last: Option<(SimTime, usize)> = None;
-            while let Some((t, i)) = q.pop() {
-                if let Some((lt, li)) = last {
-                    prop_assert!(t >= lt);
-                    if t == lt {
-                        prop_assert!(i > li, "FIFO violated at equal times");
-                    }
-                }
-                last = Some((t, i));
             }
         }
     }
