@@ -262,7 +262,7 @@ impl Auditor {
             // live population must equal its birth events minus its
             // reclaims — a saturating underflow or phantom container
             // breaks the equality.
-            for (model, pool) in &w.pools {
+            for (model, pool) in w.containers() {
                 let live = u64::from(pool.busy_count())
                     + u64::from(pool.booting_count())
                     + pool.warm_count() as u64;
@@ -289,20 +289,7 @@ impl Auditor {
             // Request accounting: `outstanding` is the dispatcher's load
             // signal and must equal the requests physically held in the
             // worker's pipeline.
-            let held: u64 = w
-                .wait_container
-                .values()
-                .flat_map(|q| q.iter())
-                .map(|b| b.requests.len() as u64)
-                .sum::<u64>()
-                + w.sched_queue
-                    .iter_batches()
-                    .map(|b| b.requests.len() as u64)
-                    .sum::<u64>()
-                + w.running
-                    .values()
-                    .map(|rb| rb.batch.requests.len() as u64)
-                    .sum::<u64>();
+            let held = w.held_requests();
             if held != w.outstanding {
                 self.violation(
                     now,

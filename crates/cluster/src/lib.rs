@@ -67,6 +67,8 @@
 //! assert!(result.metrics.count(protean_metrics::record::Class::All) > 0);
 //! ```
 
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod audit;
 pub mod batch;
 pub mod container;

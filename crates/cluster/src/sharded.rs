@@ -16,7 +16,7 @@
 //! The fleet's `W` workers are strided across `S` shards (worker `g`
 //! lives on shard `g % S`). Each shard owns, exclusively:
 //!
-//! * its workers (GPU, pools, queues, running batches),
+//! * its workers (GPU, containers, queues, running batches),
 //! * a [`KeyedEventQueue`] holding the worker-local event classes
 //!   ([`ShardEvent`]: container boots, job completions, reconfiguration
 //!   completions),
@@ -94,12 +94,12 @@
 //!   fields (counts, sorted latencies, cost, utilization, cold starts,
 //!   reconfigs, censored, evictions) merge exactly.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::thread::Thread;
 
-use protean_gpu::{JobId, JobSpec};
+use protean_gpu::{Completion, JobId, JobSpec};
 use protean_metrics::{LatencyBreakdown, MetricsSet, RequestRecord};
 use protean_models::{Catalog, ModelId};
 use protean_sim::{EventKey, KeyedEventQueue, RngFactory, SimRng, SimTime, TimeSeries};
@@ -112,7 +112,7 @@ use crate::container::Acquire;
 use crate::dispatch::DispatchIndex;
 use crate::engine::{ClusterConfig, CostReport, EngineStats, GeometryChange, SimulationResult};
 use crate::journal::{Journal, JournalEvent};
-use crate::scheme::{BatchView, DispatchPolicy, PlacementCtx, ReconfigCtx, SchemeBuilder};
+use crate::scheme::{BatchView, DispatchPolicy, PlacementCtx, SchemeBuilder};
 use crate::worker::{RunningBatch, Worker, WorkerStatus};
 
 /// Epoch value signalling shard worker threads to exit.
@@ -180,6 +180,15 @@ enum CoordEvent {
 enum Hook {
     Placed(BatchId, usize),
     Finished(BatchId, usize),
+}
+
+impl Hook {
+    fn apply(self, audit: &mut Auditor, now: SimTime) {
+        match self {
+            Hook::Placed(id, g) => audit.batch_placed(now, id, g),
+            Hook::Finished(id, g) => audit.batch_finished(now, id, g),
+        }
+    }
 }
 
 /// How an execution context allocates event keys.
@@ -343,27 +352,14 @@ impl ShardCore {
         }
     }
 
-    fn audit_placed(&mut self, ctx: &mut Ctx<'_>, id: BatchId, g: usize) {
+    fn audit(&mut self, ctx: &mut Ctx<'_>, hook: Hook) {
         match &mut ctx.audit {
-            AuditSink::Direct(a) => a.batch_placed(ctx.now, id, g),
-            AuditSink::Buffered => {
-                if self.audit_enabled {
-                    let n = ctx.next_n();
-                    self.hook_buf.push((ctx.ctx_key, n, Hook::Placed(id, g)));
-                }
+            AuditSink::Direct(a) => hook.apply(a, ctx.now),
+            AuditSink::Buffered if self.audit_enabled => {
+                let n = ctx.next_n();
+                self.hook_buf.push((ctx.ctx_key, n, hook));
             }
-        }
-    }
-
-    fn audit_finished(&mut self, ctx: &mut Ctx<'_>, id: BatchId, g: usize) {
-        match &mut ctx.audit {
-            AuditSink::Direct(a) => a.batch_finished(ctx.now, id, g),
-            AuditSink::Buffered => {
-                if self.audit_enabled {
-                    let n = ctx.next_n();
-                    self.hook_buf.push((ctx.ctx_key, n, Hook::Finished(id, g)));
-                }
-            }
+            AuditSink::Buffered => {}
         }
     }
 
@@ -410,23 +406,14 @@ impl ShardCore {
         let w = &mut self.workers[l];
         if w.vm_epoch != vm_epoch {
             // The VM this container was booting on has been replaced;
-            // the boot died with it (the replacement VM's pools started
-            // empty). Crediting it would mint a phantom container — or
+            // the boot died with it (the replacement VM started with no
+            // containers). Crediting it would mint a phantom container — or
             // underflow the fresh pool's booting count.
             self.stats.stale_boot_events += 1;
             return;
         }
-        let waiting = w.wait_container.get_mut(&model).and_then(|q| q.pop_front());
-        let pool = w.pools.entry(model).or_default();
-        match waiting {
-            Some(mut batch) => {
-                pool.boot_done(now, true);
-                batch.cold_wait_ms = now.saturating_since(batch.sealed_at).as_millis_f64();
-                let mem = ctx.catalog.profile(model).mem_gb;
-                w.sched_queue.push(batch, mem);
-                self.try_place(ctx, l);
-            }
-            None => pool.boot_done(now, false),
+        if w.boot_done(model, now, ctx.catalog) {
+            self.try_place(ctx, l);
         }
     }
 
@@ -454,51 +441,23 @@ impl ShardCore {
                 // event just consumed was its only live one — re-arm it
                 // or the residents would never finish.
                 self.stats.stale_finish_events += 1;
-                let epoch = w.epoch;
                 if let Some(c) = w.gpu.slice(slice).next_completion(now) {
-                    self.stats.finish_events_pushed += 1;
-                    let k = next_event_key(ctx, self.shard, &mut self.ctr, c.at);
-                    self.queue.push(
-                        k,
-                        ShardEvent::JobFinish {
-                            slot: l,
-                            slice,
-                            job: c.job,
-                            generation: c.generation,
-                            epoch,
-                        },
-                    );
+                    self.arm_finish(ctx, l, slice, c);
                 }
                 return;
             }
         };
         let batch_id = BatchId(finished.spec.id.0);
-        if !w.running.contains_key(&batch_id) {
+        let Some(running) = w.finish_running(batch_id, now, ctx.catalog) else {
             return;
-        }
+        };
         // Re-arm the slice's single live finish event for the jobs still
         // resident (the all-jobs discipline would have re-pushed each).
-        let new_epoch = w.epoch;
         self.stats.finish_events_all_jobs += w.gpu.slice(slice).job_count() as u64;
         if let Some(c) = next {
-            self.stats.finish_events_pushed += 1;
-            let k = next_event_key(ctx, self.shard, &mut self.ctr, c.at);
-            self.queue.push(
-                k,
-                ShardEvent::JobFinish {
-                    slot: l,
-                    slice,
-                    job: c.job,
-                    generation: c.generation,
-                    epoch: new_epoch,
-                },
-            );
+            self.arm_finish(ctx, l, slice, c);
         }
-        let running = self.workers[l]
-            .running
-            .remove(&batch_id)
-            .expect("checked above");
-        self.audit_finished(ctx, batch_id, g);
+        self.audit(ctx, Hook::Finished(batch_id, g));
         self.journal(
             ctx,
             JournalEvent::BatchFinished {
@@ -507,22 +466,23 @@ impl ShardCore {
             },
         );
         self.record_batch_completion(ctx, l, &running);
-        // The container frees: reuse for a batch waiting on a
-        // container, otherwise park warm.
-        let model = running.batch.model;
-        let w = &mut self.workers[l];
-        let next = w.wait_container.get_mut(&model).and_then(|q| q.pop_front());
-        let pool = w.pools.entry(model).or_default();
-        match next {
-            Some(batch) => {
-                pool.release(now, true);
-                let mem = ctx.catalog.profile(model).mem_gb;
-                w.sched_queue.push(batch, mem);
-            }
-            None => pool.release(now, false),
-        }
         self.maybe_begin_reconfigure(ctx, l);
         self.try_place(ctx, l);
+    }
+
+    /// Arms the one live `JobFinish` of worker `l`'s `slice`, for its
+    /// next completion `c`.
+    fn arm_finish(&mut self, ctx: &mut Ctx<'_>, l: usize, slice: usize, c: Completion) {
+        self.stats.finish_events_pushed += 1;
+        let k = next_event_key(ctx, self.shard, &mut self.ctr, c.at);
+        let finish = ShardEvent::JobFinish {
+            slot: l,
+            slice,
+            job: c.job,
+            generation: c.generation,
+            epoch: self.workers[l].epoch,
+        };
+        self.queue.push(k, finish);
     }
 
     fn record_batch_completion(&mut self, ctx: &mut Ctx<'_>, l: usize, running: &RunningBatch) {
@@ -534,8 +494,6 @@ impl ShardCore {
         let measure_from = SimTime::ZERO + ctx.config.warmup;
         for req in &running.batch.requests {
             if req.arrival < measure_from {
-                let w = &mut self.workers[l];
-                w.outstanding = w.outstanding.saturating_sub(1);
                 continue;
             }
             let total_ms = now.saturating_since(req.arrival).as_millis_f64();
@@ -555,8 +513,6 @@ impl ShardCore {
                     cold_start_ms: cold_ms,
                 },
             });
-            let w = &mut self.workers[l];
-            w.outstanding = w.outstanding.saturating_sub(1);
         }
         // The timeline grows O(#strict batches); aggregate-metrics
         // runs trade it away for the flat-RSS guarantee.
@@ -661,37 +617,22 @@ impl ShardCore {
                             .sched_queue
                             .remove(batch_id, profile.mem_gb)
                             .expect("placed batch was queued");
-                        w.running.insert(
-                            batch_id,
-                            RunningBatch {
-                                batch,
-                                slice: p.slice,
-                                exec_start: ctx.now,
-                                solo_on_slice_ms: solo.as_millis_f64(),
-                                solo_7g_ms: profile.solo_7g.as_millis_f64() * fill_factor * jitter,
-                            },
-                        );
+                        w.start_running(RunningBatch {
+                            batch,
+                            slice: p.slice,
+                            exec_start: ctx.now,
+                            solo_on_slice_ms: solo.as_millis_f64(),
+                            solo_7g_ms: profile.solo_7g.as_millis_f64() * fill_factor * jitter,
+                        });
                         // One live finish event per slice: the admit
                         // bumped the generation, so whatever event was
                         // armed before is now stale. The all-jobs
                         // discipline would have re-pushed every
                         // resident here.
-                        let epoch = w.epoch;
                         let job_count = w.gpu.slice(p.slice).job_count() as u64;
                         self.stats.finish_events_all_jobs += job_count;
-                        self.stats.finish_events_pushed += 1;
-                        let k = next_event_key(ctx, self.shard, &mut self.ctr, next.at);
-                        self.queue.push(
-                            k,
-                            ShardEvent::JobFinish {
-                                slot: l,
-                                slice: p.slice,
-                                job: next.job,
-                                generation: next.generation,
-                                epoch,
-                            },
-                        );
-                        self.audit_placed(ctx, batch_id, g);
+                        self.arm_finish(ctx, l, p.slice, next);
+                        self.audit(ctx, Hook::Placed(batch_id, g));
                         self.journal(
                             ctx,
                             JournalEvent::BatchPlaced {
@@ -977,7 +918,9 @@ struct Serial<'a> {
     catalog: &'a Catalog,
     market: &'a mut dyn SpotOracle,
     ledger: VmLedger,
-    accumulators: HashMap<(ModelId, bool), Accumulator>,
+    /// Open batches per `(model, strictness)`. Ordered, so teardown
+    /// censors leftover requests in a fixed order.
+    accumulators: BTreeMap<(ModelId, bool), Accumulator>,
     backlog: VecDeque<Batch>,
     coord_queue: KeyedEventQueue<CoordEvent>,
     /// Global serial push counter — the FIFO insertion counter of the
@@ -1026,7 +969,7 @@ impl<'a> Serial<'a> {
             catalog,
             market,
             ledger: VmLedger::new(PricingTable::paper_table3(), config.provider),
-            accumulators: HashMap::new(),
+            accumulators: BTreeMap::new(),
             backlog: VecDeque::new(),
             coord_queue: KeyedEventQueue::new(),
             gseq: 0,
@@ -1113,88 +1056,32 @@ impl<'a> Serial<'a> {
         let now = self.now;
         let w = &mut core.workers[l];
         let g = w.idx;
-        let pool = w.pools.entry(model).or_default();
-        match pool.acquire(now) {
-            Acquire::Warm => {
-                let mem = self.catalog.profile(model).mem_gb;
-                w.sched_queue.push(batch, mem);
-                self.try_place(core, l);
-            }
+        match w.acquire_container(batch, now, self.catalog) {
+            Acquire::Warm => self.try_place(core, l),
             Acquire::ColdStarted => {
                 let vm_epoch = w.vm_epoch;
-                w.wait_container.entry(model).or_default().push_back(batch);
                 self.cjournal(JournalEvent::ColdStart { worker: g, model });
-                let k = self.serial_key(now + self.config.cold_start);
-                core.queue.push(
-                    k,
-                    ShardEvent::BootDone {
-                        slot: l,
-                        model,
-                        vm_epoch,
-                    },
-                );
+                self.arm_boot(&mut core.queue, l, model, vm_epoch);
             }
         }
     }
 
-    /// EWMA smoothing factor for the per-(worker, model) batch-arrival
-    /// predictor behind predictive container pre-provisioning.
-    const PREWARM_EWMA_ALPHA: f64 = 0.3;
-
-    fn predictive_prewarm_tick(&mut self, core: &mut ShardCore, l: usize) {
-        let now = self.now;
-        let w = &mut core.workers[l];
-        // The window map is retained (counts zeroed in place) rather
-        // than `mem::take`n: taking it reallocated the BTreeMap nodes
-        // every monitor interval. Zero-count entries are models from
-        // earlier windows; skipping them reproduces the taken map's
-        // observe sequence exactly (same models, same BTreeMap order).
-        for (&model, count) in w.window_batches.iter_mut() {
-            if *count > 0 {
-                w.predicted_batches
-                    .entry(model)
-                    .or_insert_with(|| protean_sim::Ewma::new(Self::PREWARM_EWMA_ALPHA))
-                    .observe(*count as f64);
-                *count = 0;
-            }
-        }
-        if !self.config.predictive_prewarm || !matches!(w.status, WorkerStatus::Up) {
-            return;
-        }
-        let vm_epoch = w.vm_epoch;
-        let predictions: Vec<(ModelId, f64)> = w
-            .predicted_batches
-            .iter()
-            .map(|(m, e)| (*m, e.predict()))
-            .collect();
-        // Pool mutations happen in serial order; the event pushes are
-        // deferred past the worker borrow but consume `gseq` in the
-        // identical sequence.
-        let mut boots: Vec<(ModelId, u32)> = Vec::new();
-        for (model, predicted) in predictions {
-            let pool = w.pools.entry(model).or_default();
-            let desired = predicted.ceil() as u32;
-            let have = pool.total_containers();
-            for _ in have..desired {
-                pool.boot_proactive();
-            }
-            if desired > have {
-                boots.push((model, desired - have));
-            }
-        }
-        for (model, count) in boots {
-            for _ in 0..count {
-                let k = self.serial_key(now + self.config.cold_start);
-                core.queue.push(
-                    k,
-                    ShardEvent::BootDone {
-                        slot: l,
-                        model,
-                        vm_epoch,
-                    },
-                );
-            }
-        }
+    /// Arms the `BootDone` of a container boot on worker `slot`, one
+    /// cold-start delay from now, in serial order.
+    fn arm_boot(
+        &mut self,
+        queue: &mut KeyedEventQueue<ShardEvent>,
+        slot: usize,
+        model: ModelId,
+        vm_epoch: u64,
+    ) {
+        let k = self.serial_key(self.now + self.config.cold_start);
+        let boot = ShardEvent::BootDone {
+            slot,
+            model,
+            vm_epoch,
+        };
+        queue.push(k, boot);
     }
 
     fn procure_replacement(&mut self, g: usize) {
@@ -1293,41 +1180,26 @@ impl Coordinator<'_> {
     /// distinct model of `trace_models` (a trace's per-request models),
     /// in first-seen order. Stops reading once `universe` distinct models
     /// were seen.
-    fn prewarm_pools(&mut self, trace_models: impl Iterator<Item = ModelId>, universe: usize) {
+    fn prewarm_fleet(&mut self, trace_models: impl Iterator<Item = ModelId>, universe: usize) {
         let count = self.serial.config.prewarm_containers;
         if count == 0 {
             return;
         }
         let mut models: Vec<ModelId> = Vec::new();
-        let mut seen: HashSet<ModelId> = HashSet::new();
-        let mut last: Option<ModelId> = None;
+        let mut last = None;
         for m in trace_models {
-            if last == Some(m) {
-                continue;
-            }
-            last = Some(m);
-            if seen.insert(m) {
+            if last != Some(m) && !models.contains(&m) {
                 models.push(m);
                 if models.len() >= universe {
                     break;
                 }
             }
+            last = Some(m);
         }
         let now = self.serial.now;
         for g in 0..self.serial.config.workers {
             let (core, l) = self.cores.locate(g);
-            let w = &mut core.workers[l];
-            let satisfied = models.iter().all(|m| {
-                w.pools
-                    .get(m)
-                    .is_some_and(|p| p.total_containers() as usize >= count)
-            });
-            if satisfied {
-                continue;
-            }
-            for &m in &models {
-                w.pools.entry(m).or_default().prewarm(now, count);
-            }
+            core.workers[l].prewarm(&models, count, now);
         }
     }
 
@@ -1408,20 +1280,7 @@ impl Coordinator<'_> {
                     routable,
                     batch.redispatched,
                 );
-                let w = &mut core.workers[l];
-                let n = batch.requests.len() as u64;
-                w.outstanding += n;
-                if !batch.redispatched {
-                    if batch.strict {
-                        w.window_strict += n;
-                    } else {
-                        w.window_be += n;
-                    }
-                }
-                if !batch.strict {
-                    w.last_be_model = Some(batch.model);
-                }
-                *w.window_batches.entry(batch.model).or_insert(0) += 1;
+                core.workers[l].accept_dispatch(&batch);
                 core.refresh_index(l);
                 serial.cjournal(JournalEvent::BatchDispatched {
                     batch: batch.id,
@@ -1480,9 +1339,8 @@ impl Coordinator<'_> {
             serial.scratch_strict.append(&mut core.strict_lat_buf);
             serial.scratch_geom.append(&mut core.geom_buf);
         }
-        drain_in_key_order(&mut serial.scratch_hooks, |key, hook| match hook {
-            Hook::Placed(id, g) => serial.audit.batch_placed(key.time, id, g),
-            Hook::Finished(id, g) => serial.audit.batch_finished(key.time, id, g),
+        drain_in_key_order(&mut serial.scratch_hooks, |key, hook| {
+            hook.apply(&mut serial.audit, key.time)
         });
         drain_in_key_order(&mut serial.scratch_strict, |key, latency_ms| {
             serial.strict_latency_timeline.push(key.time, latency_ms)
@@ -1749,28 +1607,11 @@ impl Coordinator<'_> {
         let config = self.serial.config;
         for g in 0..config.workers {
             let (core, l) = self.cores.locate(g);
-            for pool in core.workers[l].pools.values_mut() {
-                pool.expire_idle(now, config.keep_alive);
-            }
-            self.serial.predictive_prewarm_tick(core, l);
-            if !matches!(core.workers[l].status, WorkerStatus::Up) {
-                continue;
-            }
-            let desired = {
-                let w = &mut core.workers[l];
-                let ctx = ReconfigCtx {
-                    now,
-                    gpu: &w.gpu,
-                    window_be_requests: w.window_be,
-                    window_strict_requests: w.window_strict,
-                    be_model: w.last_be_model,
-                    catalog: self.serial.catalog,
-                };
-                let desired = w.scheme.reconfigure(&ctx);
-                w.window_be = 0;
-                w.window_strict = 0;
-                desired
-            };
+            let serial = &mut self.serial;
+            let vm_epoch = core.workers[l].vm_epoch;
+            let desired = core.workers[l].monitor_tick(now, config, serial.catalog, |model| {
+                serial.arm_boot(&mut core.queue, l, model, vm_epoch)
+            });
             if let Some(geometry) = desired {
                 // End the `&mut` borrow of this core before
                 // `reconfig_slots_free` reads every core, then re-borrow
@@ -1880,7 +1721,6 @@ impl Coordinator<'_> {
         let Coordinator { cores, serial } = self;
         let (core, l) = cores.locate(g);
         let w = &mut core.workers[l];
-        w.running.clear();
         w.reset_runtime(serial.now);
         w.gpu.set_reconfig_delay(serial.config.reconfig_delay);
         w.vm = Some((vm, tier));
@@ -1968,13 +1808,13 @@ impl Coordinator<'_> {
                 for core in &mut self.cores.held {
                     core.metrics.reserve(per_core);
                 }
-                self.prewarm_pools(requests.iter().map(|r| r.model), usize::MAX);
+                self.prewarm_fleet(requests.iter().map(|r| r.model), usize::MAX);
                 self.run_arrivals(requests.into_iter(), duration);
             }
             Source::Streaming(arrivals, prewarm_scan) => {
                 let duration = arrivals.duration();
                 let universe = prewarm_scan.model_universe().len();
-                self.prewarm_pools(prewarm_scan.map(|r| r.model), universe);
+                self.prewarm_fleet(prewarm_scan.map(|r| r.model), universe);
                 self.run_arrivals(arrivals, duration);
             }
         }
@@ -2108,30 +1948,18 @@ fn merge_result(
         evictions: out.evictions,
     };
     let n = w_total as f64;
-    let per_gpu_compute_utilization: Vec<f64> = (0..w_total)
-        .map(|g| {
-            cores[g % shards].workers[g / shards]
-                .gpu
-                .compute_utilization(now)
-        })
-        .collect();
-    let per_gpu_memory_utilization: Vec<f64> = (0..w_total)
-        .map(|g| {
-            cores[g % shards].workers[g / shards]
-                .gpu
-                .memory_utilization(now)
-        })
-        .collect();
+    // Per-worker results in global worker order.
+    let fleet = || (0..w_total).map(|g| &cores[g % shards].workers[g / shards]);
+    let per_gpu_compute_utilization: Vec<f64> =
+        fleet().map(|w| w.gpu.compute_utilization(now)).collect();
+    let per_gpu_memory_utilization: Vec<f64> =
+        fleet().map(|w| w.gpu.memory_utilization(now)).collect();
     // Float op order independent of `S`: sum the per-GPU values in
     // global worker order, then divide once.
     let compute_utilization = per_gpu_compute_utilization.iter().sum::<f64>() / n;
     let memory_utilization = per_gpu_memory_utilization.iter().sum::<f64>() / n;
-    let cold_starts: u64 = (0..w_total)
-        .map(|g| cores[g % shards].workers[g / shards].cold_starts())
-        .sum();
-    let proactive_boots: u64 = (0..w_total)
-        .map(|g| cores[g % shards].workers[g / shards].proactive_boots())
-        .sum();
+    let cold_starts: u64 = fleet().map(Worker::cold_starts).sum();
+    let proactive_boots: u64 = fleet().map(Worker::proactive_boots).sum();
     let reconfigs: u64 = cores.iter().map(|c| c.reconfigs).sum();
 
     debug_assert!(
@@ -2157,25 +1985,9 @@ fn merge_result(
     }
     stats.peak_heap_len = peak;
 
-    let mut cores_iter = cores.iter_mut();
-    let first = cores_iter.next().expect("at least one shard");
-    let mut metrics = std::mem::replace(
-        &mut first.metrics,
-        if config.aggregate_metrics {
-            MetricsSet::aggregate()
-        } else {
-            MetricsSet::new()
-        },
-    );
-    for c in cores_iter {
-        metrics.absorb(std::mem::replace(
-            &mut c.metrics,
-            if config.aggregate_metrics {
-                MetricsSet::aggregate()
-            } else {
-                MetricsSet::new()
-            },
-        ));
+    let mut metrics = std::mem::take(&mut cores[0].metrics);
+    for c in &mut cores[1..] {
+        metrics.absorb(std::mem::take(&mut c.metrics));
     }
     metrics.absorb(out.censor_metrics);
 
@@ -2611,7 +2423,7 @@ mod tests {
         config.workers = 4;
         config.shards = 2;
         config.shard_threads = 2;
-        // Cold pools: container boots complete in shard phases, and each
+        // No pre-warm: container boots complete in shard phases, and each
         // one places the batch that waited for it.
         config.prewarm_containers = 0;
         run_simulation(&config, &Tripwire { on_builder }, &trace(200.0, 10.0, 0.5));

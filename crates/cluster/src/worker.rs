@@ -1,16 +1,18 @@
-//! Per-worker-node state: VM binding, GPU, batch accumulators,
-//! container pools and the (optionally strict-priority) scheduler queue.
+//! Per-worker-node state: VM binding, GPU, per-model container pools
+//! and waits, running batches and the (optionally strict-priority)
+//! scheduler queue.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use protean_gpu::Gpu;
+use protean_gpu::{Geometry, Gpu};
 use protean_models::{Catalog, ModelId};
-use protean_sim::SimTime;
+use protean_sim::{Ewma, SimTime};
 use protean_spot::{VmId, VmTier};
 
 use crate::batch::{Batch, BatchId};
-use crate::container::Pool;
-use crate::scheme::Scheme;
+use crate::container::{Acquire, Pool};
+use crate::engine::ClusterConfig;
+use crate::scheme::{ReconfigCtx, Scheme};
 
 /// Availability of a worker slot with respect to its backing VM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,21 +80,13 @@ impl SchedQueue {
         }
     }
 
-    /// The batches a placement pass may inspect, in service order. In
-    /// reordering mode this is up to `depth` strict batches followed by
-    /// up to `depth` best-effort batches — strict priority governs
-    /// *service order*, but a blocked strict head must not prevent
-    /// best-effort batches from using slices strict batches cannot take
-    /// anyway.
-    pub fn candidates(&self, depth: usize) -> Vec<&Batch> {
-        let mut out: Vec<&Batch> = Vec::with_capacity(depth.min(self.len()));
-        self.for_each_candidate(depth, |b| out.push(b));
-        out
-    }
-
-    /// Visits the batches [`SchedQueue::candidates`] would return, in the
-    /// same order, without allocating — the scheduler's placement loop
-    /// calls this on every pass.
+    /// Visits the batches a placement pass may inspect, in service
+    /// order, without allocating — the scheduler's placement loop calls
+    /// this on every pass. In reordering mode this is up to `depth`
+    /// strict batches followed by up to `depth` best-effort batches —
+    /// strict priority governs *service order*, but a blocked strict
+    /// head must not prevent best-effort batches from using slices
+    /// strict batches cannot take anyway.
     pub fn for_each_candidate<'a>(&'a self, depth: usize, mut f: impl FnMut(&'a Batch)) {
         if self.reorders {
             for (_, b) in self.strict.iter().take(depth) {
@@ -183,7 +177,53 @@ impl SchedQueue {
     }
 }
 
+/// Smoothing factor of the batch-arrival EWMA behind predictive
+/// container pre-provisioning.
+const PREWARM_EWMA_ALPHA: f64 = 0.3;
+
+/// A worker's state for one model: its container pool (§4.2), the
+/// batches waiting for a container, and the window demand that drives
+/// predictive pre-provisioning.
+struct ModelState {
+    model: ModelId,
+    pool: Pool,
+    /// Sealed batches waiting for a container, oldest first.
+    waiting: VecDeque<Batch>,
+    /// Batches dispatched here in the current monitor window.
+    window_batches: u64,
+    /// EWMA of per-window batch arrivals.
+    predicted: Ewma,
+}
+
+impl ModelState {
+    /// `model`'s entry in the sorted table, inserted empty if new. The
+    /// table grows one slot at a time: a worker serves few models.
+    fn of(models: &mut Vec<ModelState>, model: ModelId) -> &mut ModelState {
+        let pos = match models.binary_search_by_key(&model, |s| s.model) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                models.reserve_exact(1);
+                models.insert(
+                    pos,
+                    ModelState {
+                        model,
+                        pool: Pool::new(),
+                        waiting: VecDeque::new(),
+                        window_batches: 0,
+                        predicted: Ewma::new(PREWARM_EWMA_ALPHA),
+                    },
+                );
+                pos
+            }
+        };
+        &mut models[pos]
+    }
+}
+
 /// One worker node: a VM slot with one GPU and the serving pipeline.
+///
+/// Per-model state and running batches are private and kept in a fixed
+/// order, so no simulated result depends on hash iteration order.
 pub struct Worker {
     /// Slot index in the cluster.
     pub idx: usize,
@@ -205,33 +245,21 @@ pub struct Worker {
     /// memory) but not a VM replacement, so `BootDone` events validate
     /// against this counter rather than `epoch`.
     pub vm_epoch: u64,
-    /// Sealed batches waiting for a container, per model.
-    pub wait_container: HashMap<ModelId, VecDeque<Batch>>,
-    /// Container pools per model.
-    pub pools: HashMap<ModelId, Pool>,
+    /// Per-model state, sorted by model.
+    models: Vec<ModelState>,
     /// Batches with containers awaiting slice placement.
     pub sched_queue: SchedQueue,
-    /// Batches executing on the GPU.
-    pub running: HashMap<BatchId, RunningBatch>,
+    /// Batches executing on the GPU, in admission order.
+    running: Vec<RunningBatch>,
     /// Requests assigned to this worker and not yet completed (load
     /// metric for the dispatcher).
     pub outstanding: u64,
-    /// Batches dispatched here per model in the current monitor window
-    /// (drives predictive container pre-provisioning). `BTreeMap` so the
-    /// prewarm tick visits models in a deterministic order. The map is
-    /// retained across monitor ticks with counts zeroed in place (never
-    /// `mem::take`n), so its nodes are allocated once per model ever
-    /// routed here rather than once per model per window; entries with
-    /// a zero count are models idle since the last window.
-    pub window_batches: BTreeMap<ModelId, u64>,
-    /// EWMA of per-window batch arrivals per model.
-    pub predicted_batches: BTreeMap<ModelId, protean_sim::Ewma>,
     /// Best-effort requests seen in the current monitor window.
-    pub window_be: u64,
+    window_be: u64,
     /// Strict requests seen in the current monitor window.
-    pub window_strict: u64,
+    window_strict: u64,
     /// Most recent best-effort model routed here.
-    pub last_be_model: Option<ModelId>,
+    last_be_model: Option<ModelId>,
 }
 
 impl std::fmt::Debug for Worker {
@@ -266,13 +294,10 @@ impl Worker {
             gpu,
             epoch: 0,
             vm_epoch: 0,
-            wait_container: HashMap::new(),
-            pools: HashMap::new(),
+            models: Vec::new(),
             sched_queue: SchedQueue::new(reorders),
-            running: HashMap::new(),
+            running: Vec::new(),
             outstanding: 0,
-            window_batches: BTreeMap::new(),
-            predicted_batches: BTreeMap::new(),
             window_be: 0,
             window_strict: 0,
             last_be_model: None,
@@ -302,9 +327,147 @@ impl Worker {
             && self.gpu.slice(slice).generation() == generation
     }
 
-    /// Rebuilds the GPU (VM replacement): fresh geometry, empty pools.
-    /// Bumps both epochs — in-flight `JobFinish` *and* `BootDone` events
-    /// from the old VM are stale after this.
+    /// Counts a batch routed here into the load and the window demand;
+    /// an eviction re-dispatch skips the window's request counts.
+    pub(crate) fn accept_dispatch(&mut self, batch: &Batch) {
+        let n = batch.requests.len() as u64;
+        self.outstanding += n;
+        if !batch.redispatched {
+            if batch.strict {
+                self.window_strict += n;
+            } else {
+                self.window_be += n;
+            }
+        }
+        if !batch.strict {
+            self.last_be_model = Some(batch.model);
+        }
+        ModelState::of(&mut self.models, batch.model).window_batches += 1;
+    }
+
+    /// Gives a batch a container (reactive scale-up, §4.2): a warm one
+    /// queues it for placement, a cold start parks it until `boot_done`.
+    pub(crate) fn acquire_container(
+        &mut self,
+        batch: Batch,
+        now: SimTime,
+        catalog: &Catalog,
+    ) -> Acquire {
+        let mem = catalog.profile(batch.model).mem_gb;
+        let state = ModelState::of(&mut self.models, batch.model);
+        let acquired = state.pool.acquire(now);
+        match acquired {
+            Acquire::Warm => self.sched_queue.push(batch, mem),
+            Acquire::ColdStarted => state.waiting.push_back(batch),
+        }
+        acquired
+    }
+
+    /// A boot for `model` finished: the oldest waiting batch takes the
+    /// container and is queued (`true`), or the container parks warm.
+    pub(crate) fn boot_done(&mut self, model: ModelId, now: SimTime, catalog: &Catalog) -> bool {
+        let state = ModelState::of(&mut self.models, model);
+        let waiting = state.waiting.pop_front();
+        state.pool.boot_done(now, waiting.is_some());
+        let Some(mut batch) = waiting else {
+            return false;
+        };
+        batch.cold_wait_ms = now.saturating_since(batch.sealed_at).as_millis_f64();
+        self.sched_queue.push(batch, catalog.profile(model).mem_gb);
+        true
+    }
+
+    /// Records a placed batch, already removed from the scheduler queue.
+    pub(crate) fn start_running(&mut self, running: RunningBatch) {
+        self.running.push(running);
+    }
+
+    /// Completes running batch `id`, if any: its requests stop being
+    /// outstanding, and its container passes to the oldest waiting batch
+    /// of its model (queued) or parks warm.
+    pub(crate) fn finish_running(
+        &mut self,
+        id: BatchId,
+        now: SimTime,
+        catalog: &Catalog,
+    ) -> Option<RunningBatch> {
+        let pos = self.running.iter().position(|rb| rb.batch.id == id)?;
+        let done = self.running.remove(pos);
+        self.outstanding = self
+            .outstanding
+            .saturating_sub(done.batch.requests.len() as u64);
+        let model = done.batch.model;
+        let state = ModelState::of(&mut self.models, model);
+        let next = state.waiting.pop_front();
+        state.pool.release(now, next.is_some());
+        if let Some(batch) = next {
+            self.sched_queue.push(batch, catalog.profile(model).mem_gb);
+        }
+        Some(done)
+    }
+
+    /// The monitor tick. Over the models, in order: reclaim containers
+    /// idle for `keep_alive`, close the window into the EWMA and, with
+    /// predictive pre-warm on an up worker, boot up to the prediction,
+    /// calling `boot(model)` once per boot. Then an up worker's scheme
+    /// picks its next geometry from the window's traffic (§4.4).
+    pub(crate) fn monitor_tick(
+        &mut self,
+        now: SimTime,
+        config: &ClusterConfig,
+        catalog: &Catalog,
+        mut boot: impl FnMut(ModelId),
+    ) -> Option<Geometry> {
+        let prewarm = config.predictive_prewarm && self.routable();
+        for s in &mut self.models {
+            s.pool.expire_idle(now, config.keep_alive);
+            if s.window_batches > 0 {
+                s.predicted.observe(s.window_batches as f64);
+                s.window_batches = 0;
+            }
+            if prewarm {
+                let desired = s.predicted.predict().ceil() as u32;
+                for _ in s.pool.total_containers()..desired {
+                    s.pool.boot_proactive();
+                    boot(s.model);
+                }
+            }
+        }
+        if !self.routable() {
+            return None;
+        }
+        let ctx = ReconfigCtx {
+            now,
+            gpu: &self.gpu,
+            window_be_requests: self.window_be,
+            window_strict_requests: self.window_strict,
+            be_model: self.last_be_model,
+            catalog,
+        };
+        let desired = self.scheme.reconfigure(&ctx);
+        self.window_be = 0;
+        self.window_strict = 0;
+        desired
+    }
+
+    /// Pre-warms `count` containers per model unless all already hold
+    /// that many.
+    pub(crate) fn prewarm(&mut self, models: &[ModelId], count: usize, now: SimTime) {
+        let satisfied = models.iter().all(|&m| {
+            self.containers()
+                .any(|(pm, p)| pm == m && p.total_containers() as usize >= count)
+        });
+        if satisfied {
+            return;
+        }
+        for &m in models {
+            ModelState::of(&mut self.models, m).pool.prewarm(now, count);
+        }
+    }
+
+    /// Rebuilds the GPU (VM replacement): fresh geometry, empty pools
+    /// (window demand is kept). Bumps both epochs — in-flight `JobFinish`
+    /// *and* `BootDone` events from the old VM are stale after this.
     pub fn reset_runtime(&mut self, now: SimTime) {
         self.gpu = Gpu::new(
             protean_gpu::GpuId(self.idx as u32),
@@ -314,39 +477,53 @@ impl Worker {
         );
         self.epoch += 1;
         self.vm_epoch += 1;
-        self.pools.clear();
-        self.wait_container.clear();
-        debug_assert!(self.running.is_empty(), "reset with running batches");
+        for s in &mut self.models {
+            s.pool = Pool::new();
+            s.waiting.clear();
+        }
+        self.running.clear();
     }
 
-    /// Pulls every batch held anywhere in this worker's pipeline
-    /// (container waits, scheduler queue, running batches) for
-    /// re-dispatch after an eviction.
+    /// Pulls every batch held anywhere in this worker's pipeline for
+    /// re-dispatch after an eviction: container waits (by model), the
+    /// scheduler queue, then running batches (in admission order).
     pub fn drain_all_batches(&mut self) -> Vec<Batch> {
         let mut out = Vec::new();
-        for q in self.wait_container.values_mut() {
-            out.extend(q.drain(..));
+        for s in &mut self.models {
+            out.extend(s.waiting.drain(..));
         }
         out.extend(self.sched_queue.drain_all());
-        out.extend(self.running.drain().map(|(_, rb)| rb.batch));
+        out.extend(self.running.drain(..).map(|rb| rb.batch));
         self.outstanding = 0;
         out
     }
 
-    /// Total cold starts across this worker's pools.
+    /// Each model's container pool, in `ModelId` order.
+    pub(crate) fn containers(&self) -> impl Iterator<Item = (ModelId, &Pool)> {
+        self.models.iter().map(|s| (s.model, &s.pool))
+    }
+
+    /// Requests held in this worker's pipeline (audited against
+    /// `outstanding`).
+    pub(crate) fn held_requests(&self) -> u64 {
+        let waiting = self.models.iter().flat_map(|s| s.waiting.iter());
+        let running = self.running.iter().map(|rb| &rb.batch);
+        waiting
+            .chain(self.sched_queue.iter_batches())
+            .chain(running)
+            .map(|b| b.requests.len() as u64)
+            .sum()
+    }
+
+    /// Total cold starts across this worker's current pools.
     pub fn cold_starts(&self) -> u64 {
-        self.pools.values().map(Pool::cold_starts).sum()
+        self.containers().map(|(_, p)| p.cold_starts()).sum()
     }
 
-    /// Total proactive (predictive) boots across this worker's pools.
+    /// Total proactive (predictive) boots across this worker's current
+    /// pools.
     pub fn proactive_boots(&self) -> u64 {
-        self.pools.values().map(Pool::proactive_boots).sum()
-    }
-
-    /// Sum of best-effort memory waiting in the scheduler queue, for
-    /// Algorithm 1.
-    pub fn queued_be_mem_gb(&self, _catalog: &Catalog) -> f64 {
-        self.sched_queue.be_mem_gb()
+        self.containers().map(|(_, p)| p.proactive_boots()).sum()
     }
 }
 
@@ -374,6 +551,13 @@ mod tests {
         }
     }
 
+    /// The batches `for_each_candidate` visits, in visit order.
+    fn candidates(q: &SchedQueue, depth: usize) -> Vec<&Batch> {
+        let mut out = Vec::new();
+        q.for_each_candidate(depth, |b| out.push(b));
+        out
+    }
+
     #[test]
     fn reordering_queue_serves_strict_first() {
         let mut q = SchedQueue::new(true);
@@ -381,7 +565,7 @@ mod tests {
         q.push(batch(2, true), 0.0);
         q.push(batch(3, false), 4.0);
         q.push(batch(4, true), 0.0);
-        let order: Vec<u64> = q.candidates(10).iter().map(|b| b.id.0).collect();
+        let order: Vec<u64> = candidates(&q, 10).iter().map(|b| b.id.0).collect();
         assert_eq!(order, vec![2, 4, 1, 3]);
         assert_eq!(q.be_mem_gb(), 8.0);
     }
@@ -392,7 +576,7 @@ mod tests {
         q.push(batch(1, false), 4.0);
         q.push(batch(2, true), 0.0);
         q.push(batch(3, false), 4.0);
-        let order: Vec<u64> = q.candidates(10).iter().map(|b| b.id.0).collect();
+        let order: Vec<u64> = candidates(&q, 10).iter().map(|b| b.id.0).collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
 
@@ -416,7 +600,7 @@ mod tests {
         }
         // Reordering mode inspects up to `depth` strict plus up to
         // `depth` best-effort batches, strict first.
-        let c = q.candidates(3);
+        let c = candidates(&q, 3);
         assert_eq!(c.len(), 6);
         assert!(c[..3].iter().all(|b| b.strict));
         assert!(c[3..].iter().all(|b| !b.strict));
@@ -425,7 +609,7 @@ mod tests {
         for i in 0..10 {
             f.push(batch(i, i % 2 == 0), 1.0);
         }
-        assert_eq!(f.candidates(3).len(), 3);
+        assert_eq!(candidates(&f, 3).len(), 3);
     }
 
     #[test]
@@ -438,6 +622,76 @@ mod tests {
         assert_eq!(reqs.len(), 2);
         assert_eq!(w.outstanding, 0);
         assert!(w.sched_queue.is_empty());
+    }
+
+    #[test]
+    fn drain_order_is_waits_by_model_then_queue_then_running() {
+        let catalog = Catalog::new();
+        let mut w = Worker::new(0, Box::new(AlwaysLargest), SimTime::ZERO);
+        let of = |id, model| Batch {
+            model,
+            ..batch(id, false)
+        };
+        // Empty pools: each acquire cold-starts and the batch waits, its
+        // model entering the table out of order.
+        for (id, model) in [
+            (1, ModelId::Vgg19),
+            (2, ModelId::ResNet50),
+            (3, ModelId::Vgg19),
+        ] {
+            let acquired = w.acquire_container(of(id, model), SimTime::ZERO, &catalog);
+            assert_eq!(acquired, Acquire::ColdStarted);
+        }
+        w.sched_queue.push(batch(4, true), 0.0);
+        for id in [6, 5] {
+            w.start_running(RunningBatch {
+                batch: batch(id, true),
+                slice: 0,
+                exec_start: SimTime::ZERO,
+                solo_on_slice_ms: 1.0,
+                solo_7g_ms: 1.0,
+            });
+        }
+        assert_eq!(w.held_requests(), 6);
+        let models: Vec<ModelId> = w.containers().map(|(m, _)| m).collect();
+        assert_eq!(models, vec![ModelId::ResNet50, ModelId::Vgg19]);
+        let order: Vec<u64> = w.drain_all_batches().iter().map(|b| b.id.0).collect();
+        assert_eq!(order, vec![2, 1, 3, 4, 6, 5]);
+        assert_eq!(w.held_requests(), 0);
+    }
+
+    #[test]
+    fn containers_hand_over_to_waiting_batches_in_arrival_order() {
+        let catalog = Catalog::new();
+        let mut w = Worker::new(0, Box::new(AlwaysLargest), SimTime::ZERO);
+        w.acquire_container(batch(1, false), SimTime::ZERO, &catalog);
+        w.acquire_container(batch(2, false), SimTime::ZERO, &catalog);
+        // The first boot serves the oldest waiter and records its wait.
+        assert!(w.boot_done(ModelId::ResNet50, SimTime::from_secs(2.0), &catalog));
+        let queued = candidates(&w.sched_queue, 10);
+        assert_eq!(queued.len(), 1);
+        assert_eq!(queued[0].id, BatchId(1));
+        assert_eq!(queued[0].cold_wait_ms, 2000.0);
+        // A finishing batch hands its container to the next waiter; the
+        // late boot then finds nobody waiting and parks warm.
+        let mem = catalog.profile(ModelId::ResNet50).mem_gb;
+        let running = w.sched_queue.remove(BatchId(1), mem).unwrap();
+        w.start_running(RunningBatch {
+            batch: running,
+            slice: 0,
+            exec_start: SimTime::ZERO,
+            solo_on_slice_ms: 1.0,
+            solo_7g_ms: 1.0,
+        });
+        w.outstanding = 2;
+        let t3 = SimTime::from_secs(3.0);
+        assert!(w.finish_running(BatchId(1), t3, &catalog).is_some());
+        assert!(w.finish_running(BatchId(1), t3, &catalog).is_none());
+        assert_eq!(w.outstanding, 1);
+        assert!(!w.boot_done(ModelId::ResNet50, SimTime::from_secs(4.0), &catalog));
+        let (_, pool) = w.containers().next().unwrap();
+        assert_eq!((pool.busy_count(), pool.warm_count()), (1, 1));
+        assert_eq!(w.cold_starts(), 2);
     }
 
     proptest::proptest! {
@@ -469,7 +723,7 @@ mod tests {
                 proptest::prop_assert!((q.be_mem_gb() - expected_be).abs() < 1e-9,
                     "be mem {} expected {}", q.be_mem_gb(), expected_be);
                 proptest::prop_assert_eq!(q.len(), live.len());
-                proptest::prop_assert_eq!(q.candidates(live.len().max(1)).len(), live.len());
+                proptest::prop_assert_eq!(candidates(&q, live.len().max(1)).len(), live.len());
             }
             // Drain and verify every live batch is still present.
             for (id, _, m) in live {

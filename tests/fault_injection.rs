@@ -350,3 +350,54 @@ fn sampled_audit_is_digest_neutral_and_thins_sweeps() {
         full.audit.checks
     );
 }
+
+/// Regression: eviction re-dispatch must not depend on hash iteration
+/// order. Thirty evictions at a 5 ms lead orphan batches from every
+/// stage of a worker's pipeline (container waits on several rotating
+/// best-effort models, the scheduler queue, running batches) and
+/// re-dispatch them in the order the worker drains them. Repeated runs
+/// in one process, and runs at every shard count, must produce one
+/// digest. When the drain walked `HashMap`s, every repetition in the
+/// same process gave a different digest with a clean audit.
+#[test]
+fn eviction_redispatch_order_is_deterministic() {
+    let run = |shards: usize| {
+        let mut config = spot_config();
+        config.revocation_check = SimDuration::from_secs(1.0);
+        config.vm_startup = SimDuration::from_secs(1.0);
+        config.procurement_retry = SimDuration::from_secs(1.0);
+        config.prewarm_containers = 1;
+        config.shards = shards;
+        config.shard_threads = 1;
+        let t = TraceConfig {
+            be_pool: vec![
+                ModelId::MobileNet,
+                ModelId::Vgg19,
+                ModelId::Albert,
+                ModelId::Bert,
+            ],
+            be_rotation_period: SimDuration::from_secs(2.0),
+            ..trace(300.0, 40.0)
+        };
+        let mut market = ScriptedMarket::new();
+        for k in 0..30 {
+            market = market.evict(
+                k % 3,
+                SimTime::from_secs(2.0 + 1.1 * k as f64),
+                SimDuration::from_millis(5.0),
+            );
+        }
+        let result = run_simulation_with_oracle(&config, &ProteanBuilder::paper(), &t, &mut market);
+        assert!(result.cost.evictions > 0, "no eviction fired");
+        assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
+        golden::digest(&result)
+    };
+    let reference = run(1);
+    for (shards, rep) in [(1, 1), (1, 2), (1, 3), (2, 0), (3, 0)] {
+        assert_eq!(
+            run(shards),
+            reference,
+            "S = {shards} run {rep} diverged from the first S = 1 run"
+        );
+    }
+}
