@@ -193,6 +193,22 @@ impl Auditor {
         }
     }
 
+    /// A re-check of a memoised decline: `Scheme::place` was asked
+    /// again about batch `id` under the slice state it declined it in,
+    /// and did not decline (a breach of the `Scheme::place` contract).
+    pub(crate) fn memo_contradicted(&mut self, now: SimTime, id: BatchId, worker: usize) {
+        if !self.enabled {
+            return;
+        }
+        self.violation(
+            now,
+            format!(
+                "batch {id:?} on worker {worker}: place chose a slice for a view \
+                 it declined under the same slice state"
+            ),
+        );
+    }
+
     /// Checks one dispatch selection — `selected`, the index's answer
     /// for batch `id` under first-fit cap `cap` — against the linear
     /// scans over the fleet's live state ([`reference_select`]). `fleet`

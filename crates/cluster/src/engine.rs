@@ -242,6 +242,17 @@ pub struct EngineStats {
     pub finish_events_all_jobs: u64,
     /// `JobFinish` events discarded as stale at pop time.
     pub stale_finish_events: u64,
+    /// The part of `stale_finish_events` made stale by a later admit or
+    /// finish on the same slice (which re-armed its one live event), as
+    /// opposed to a GPU rebuild (reconfiguration or VM replacement).
+    pub stale_finish_superseded: u64,
+    /// Queued batches offered for placement: each is either asked of
+    /// `Scheme::place` or answered from the worker's decline memo.
+    pub place_offers: u64,
+    /// Offers answered from the decline memo without calling
+    /// `Scheme::place` (a decline already returned for the same batch
+    /// view under the same slice state).
+    pub place_memo_skips: u64,
     /// `BootDone` events discarded because the worker's VM was replaced
     /// while the container boot was in flight.
     pub stale_boot_events: u64,

@@ -110,6 +110,22 @@ pub trait Scheme: Send {
     /// Returning a slice whose admission then fails (e.g. out of memory
     /// due to a race with another placement) is handled by the engine:
     /// the batch simply stays queued.
+    ///
+    /// # Contract
+    ///
+    /// Whether `place` returns `None` may depend only on `ctx.gpu`,
+    /// `ctx.queued_be_mem_gb`, `batch` and scheme state that changes in
+    /// [`Scheme::reconfigure`]; not on `ctx.now` or a call count. A
+    /// `None` must leave the scheme unchanged. The engine relies on
+    /// this: each worker memoises declines and does not re-offer a view
+    /// the scheme declined until the GPU (its
+    /// [`Gpu::version`](protean_gpu::Gpu::version)), the queued
+    /// best-effort memory or the scheme state may have changed. A
+    /// `Some` may update scheme state (e.g. a round-robin cursor). With
+    /// [`ClusterConfig::audit`] on, every skipped offer is made anyway
+    /// and an answer other than `None` is a violation.
+    ///
+    /// [`ClusterConfig::audit`]: crate::ClusterConfig::audit
     fn place(&mut self, ctx: &PlacementCtx<'_>, batch: &BatchView) -> Option<Placement>;
 
     /// Invoked every monitor interval; return `Some(geometry)` to

@@ -112,8 +112,8 @@ use crate::container::Acquire;
 use crate::dispatch::DispatchIndex;
 use crate::engine::{ClusterConfig, CostReport, EngineStats, GeometryChange, SimulationResult};
 use crate::journal::{Journal, JournalEvent};
-use crate::scheme::{BatchView, DispatchPolicy, PlacementCtx, SchemeBuilder};
-use crate::worker::{RunningBatch, Worker, WorkerStatus};
+use crate::scheme::{BatchView, DispatchPolicy, SchemeBuilder};
+use crate::worker::{FinishEvent, Offer, RunningBatch, Worker, WorkerStatus};
 
 /// Epoch value signalling shard worker threads to exit.
 const SHUTDOWN: u64 = u64::MAX;
@@ -180,6 +180,7 @@ enum CoordEvent {
 enum Hook {
     Placed(BatchId, usize),
     Finished(BatchId, usize),
+    MemoContradicted(BatchId, usize),
 }
 
 impl Hook {
@@ -187,6 +188,7 @@ impl Hook {
         match self {
             Hook::Placed(id, g) => audit.batch_placed(now, id, g),
             Hook::Finished(id, g) => audit.batch_finished(now, id, g),
+            Hook::MemoContradicted(id, g) => audit.memo_contradicted(now, id, g),
         }
     }
 }
@@ -428,8 +430,10 @@ impl ShardCore {
     ) {
         let w = &mut self.workers[l];
         let g = w.idx;
-        if !w.finish_event_live(slice, generation, epoch) {
+        let status = w.finish_event(slice, generation, epoch);
+        if status != FinishEvent::Live {
             self.stats.stale_finish_events += 1;
+            self.stats.stale_finish_superseded += u64::from(status == FinishEvent::Superseded);
             return;
         }
         let now = ctx.now;
@@ -531,7 +535,9 @@ impl ShardCore {
     }
 
     /// The placement loop: offers the worker's queued batches (up to
-    /// `scan_depth`) to its scheme until a pass places nothing. Event
+    /// `scan_depth`) to its scheme until a pass places nothing; views
+    /// the scheme already declined under the current slice state are
+    /// skipped ([`Worker::offer`]). Event
     /// pushes go through [`next_event_key`], the journal and audit hooks
     /// through the context's buffers/sink.
     fn try_place(&mut self, ctx: &mut Ctx<'_>, l: usize) {
@@ -562,17 +568,19 @@ impl ShardCore {
             }
             let mut placed_any = false;
             for &(batch_id, view) in &views {
-                let placement = {
-                    let w = &mut self.workers[l];
-                    let pctx = PlacementCtx {
-                        now: ctx.now,
-                        gpu: &w.gpu,
-                        queued_be_mem_gb: w.sched_queue.be_mem_gb(),
-                        catalog: ctx.catalog,
-                    };
-                    w.scheme.place(&pctx, &view)
+                self.stats.place_offers += 1;
+                let offer = self.workers[l].offer(&view, ctx.now, ctx.catalog, self.audit_enabled);
+                let p = match offer {
+                    Offer::Place(p) => p,
+                    Offer::Decline => continue,
+                    Offer::Skip { contradicted } => {
+                        self.stats.place_memo_skips += 1;
+                        if contradicted {
+                            self.audit(ctx, Hook::MemoContradicted(batch_id, g));
+                        }
+                        continue;
+                    }
                 };
-                let Some(p) = placement else { continue };
                 if p.slice >= self.workers[l].gpu.slices().len() {
                     continue;
                 }
@@ -1981,6 +1989,9 @@ fn merge_result(
         stats.finish_events_pushed += c.stats.finish_events_pushed;
         stats.finish_events_all_jobs += c.stats.finish_events_all_jobs;
         stats.stale_finish_events += c.stats.stale_finish_events;
+        stats.stale_finish_superseded += c.stats.stale_finish_superseded;
+        stats.place_offers += c.stats.place_offers;
+        stats.place_memo_skips += c.stats.place_memo_skips;
         stats.stale_boot_events += c.stats.stale_boot_events;
     }
     stats.peak_heap_len = peak;
@@ -2029,7 +2040,7 @@ fn merge_result(
 mod tests {
     use super::*;
     use crate::engine::{run_simulation, run_simulation_streaming, run_simulation_with_oracle};
-    use crate::scheme::{Placement, Scheme};
+    use crate::scheme::{Placement, PlacementCtx, Scheme};
     use crate::schemes_for_test::AlwaysLargest;
     use protean_metrics::record::Class;
     use protean_sim::SimDuration;
@@ -2084,6 +2095,12 @@ mod tests {
         assert_eq!(a.proactive_boots, b.proactive_boots);
         assert_eq!(a.stats.finish_events_pushed, b.stats.finish_events_pushed);
         assert_eq!(a.stats.stale_finish_events, b.stats.stale_finish_events);
+        assert_eq!(
+            a.stats.stale_finish_superseded,
+            b.stats.stale_finish_superseded
+        );
+        assert_eq!(a.stats.place_offers, b.stats.place_offers);
+        assert_eq!(a.stats.place_memo_skips, b.stats.place_memo_skips);
         assert_eq!(a.stats.stale_boot_events, b.stats.stale_boot_events);
         assert_eq!(a.stats.dispatch_batches, b.stats.dispatch_batches);
         assert_eq!(a.stats.events_popped, b.stats.events_popped);

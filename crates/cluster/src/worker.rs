@@ -12,7 +12,7 @@ use protean_spot::{VmId, VmTier};
 use crate::batch::{Batch, BatchId};
 use crate::container::{Acquire, Pool};
 use crate::engine::ClusterConfig;
-use crate::scheme::{ReconfigCtx, Scheme};
+use crate::scheme::{BatchView, Placement, PlacementCtx, ReconfigCtx, Scheme};
 
 /// Availability of a worker slot with respect to its backing VM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,6 +220,39 @@ impl ModelState {
     }
 }
 
+/// The views `Scheme::place` declined under one slice state (see
+/// [`Worker::offer`]).
+struct DeclineMemo {
+    /// `(Gpu::version(), queued best-effort memory bits)` the declines
+    /// were recorded under; a different key makes them void.
+    key: (u64, u64),
+    views: Vec<BatchView>,
+}
+
+/// What [`Worker::offer`] made of a queued batch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Offer {
+    /// The scheme chose a slice.
+    Place(Placement),
+    /// The scheme declined; the decline is now memoised.
+    Decline,
+    /// A memoised decline answered and the scheme was not asked. With
+    /// `recheck`, it was asked anyway: `contradicted` means it did not
+    /// decline, which breaks the [`Scheme::place`] contract.
+    Skip { contradicted: bool },
+}
+
+/// Whether a popped `JobFinish` event is the live one of its slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FinishEvent {
+    /// Armed for the slice's current membership: handle it.
+    Live,
+    /// Same GPU, but a later admit or finish on the slice re-armed it.
+    Superseded,
+    /// The GPU was rebuilt since (reconfiguration or VM replacement).
+    Retired,
+}
+
 /// One worker node: a VM slot with one GPU and the serving pipeline.
 ///
 /// Per-model state and running batches are private and kept in a fixed
@@ -260,6 +293,9 @@ pub struct Worker {
     window_strict: u64,
     /// Most recent best-effort model routed here.
     last_be_model: Option<ModelId>,
+    /// Boxed so that a worker whose scheme never declines pays one
+    /// pointer and allocates nothing.
+    memo: Option<Box<DeclineMemo>>,
 }
 
 impl std::fmt::Debug for Worker {
@@ -301,6 +337,7 @@ impl Worker {
             window_be: 0,
             window_strict: 0,
             last_be_model: None,
+            memo: None,
         }
     }
 
@@ -320,11 +357,69 @@ impl Worker {
     /// not have been rebuilt since the event was armed (`epoch`), the
     /// slice must still exist, and its membership must be unchanged
     /// (`generation`). The engine keeps one live finish event per slice;
-    /// anything failing this check is stale and gets dropped.
-    pub fn finish_event_live(&self, slice: usize, generation: u64, epoch: u64) -> bool {
-        self.epoch == epoch
-            && slice < self.gpu.slices().len()
-            && self.gpu.slice(slice).generation() == generation
+    /// anything not [`FinishEvent::Live`] is stale and gets dropped.
+    pub fn finish_event(&self, slice: usize, generation: u64, epoch: u64) -> FinishEvent {
+        if self.epoch != epoch || slice >= self.gpu.slices().len() {
+            FinishEvent::Retired
+        } else if self.gpu.slice(slice).generation() != generation {
+            FinishEvent::Superseded
+        } else {
+            FinishEvent::Live
+        }
+    }
+
+    /// Offers a queued batch to the scheme, unless the scheme already
+    /// declined the same view under the same slice state and queued
+    /// best-effort memory. By the [`Scheme::place`] contract it would
+    /// decline again, with no side effect, so the call is skipped; with
+    /// `recheck` (the audit) it is made anyway and its answer reported.
+    /// A chosen slice voids every memoised decline: the scheme may have
+    /// moved a cursor, and the engine draws from its jitter stream.
+    pub(crate) fn offer(
+        &mut self,
+        view: &BatchView,
+        now: SimTime,
+        catalog: &Catalog,
+        recheck: bool,
+    ) -> Offer {
+        let queued_be_mem_gb = self.sched_queue.be_mem_gb();
+        let key = (self.gpu.version(), queued_be_mem_gb.to_bits());
+        let ctx = PlacementCtx {
+            now,
+            gpu: &self.gpu,
+            queued_be_mem_gb,
+            catalog,
+        };
+        if let Some(memo) = &self.memo {
+            if memo.key == key && memo.views.contains(view) {
+                let contradicted = recheck && self.scheme.place(&ctx, view).is_some();
+                return Offer::Skip { contradicted };
+            }
+        }
+        if let Some(p) = self.scheme.place(&ctx, view) {
+            self.forget_declines();
+            return Offer::Place(p);
+        }
+        let memo = self.memo.get_or_insert_with(|| {
+            Box::new(DeclineMemo {
+                key,
+                views: Vec::new(),
+            })
+        });
+        if memo.key != key {
+            memo.key = key;
+            memo.views.clear();
+        }
+        memo.views.push(*view);
+        Offer::Decline
+    }
+
+    /// Voids the memoised declines (scheme state or the GPU changed in a
+    /// way the memo key does not see). Keeps the buffer.
+    fn forget_declines(&mut self) {
+        if let Some(memo) = &mut self.memo {
+            memo.views.clear();
+        }
     }
 
     /// Counts a batch routed here into the load and the window demand;
@@ -445,6 +540,8 @@ impl Worker {
             catalog,
         };
         let desired = self.scheme.reconfigure(&ctx);
+        // `reconfigure` is where scheme state may change.
+        self.forget_declines();
         self.window_be = 0;
         self.window_strict = 0;
         desired
@@ -477,6 +574,8 @@ impl Worker {
         );
         self.epoch += 1;
         self.vm_epoch += 1;
+        // The fresh GPU restarts its version count.
+        self.forget_declines();
         for s in &mut self.models {
             s.pool = Pool::new();
             s.waiting.clear();
@@ -533,6 +632,8 @@ mod tests {
     use crate::schemes_for_test::AlwaysLargest;
     use protean_trace::Request;
     use protean_trace::RequestId;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn batch(id: u64, strict: bool) -> Batch {
         Batch {
@@ -741,5 +842,115 @@ mod tests {
         assert_eq!(w.epoch, e0 + 1);
         assert!(w.gpu.is_idle());
         assert!(w.routable());
+    }
+
+    /// Declines strict batches while slice 0 is busy, counting its
+    /// calls.
+    struct StrictAlone(Arc<AtomicU64>);
+
+    impl Scheme for StrictAlone {
+        fn name(&self) -> &'static str {
+            "strict-alone"
+        }
+        fn initial_geometry(&self) -> Geometry {
+            Geometry::full()
+        }
+        fn sharing_mode(&self) -> protean_gpu::SharingMode {
+            protean_gpu::SharingMode::Mps
+        }
+        fn place(&mut self, ctx: &PlacementCtx<'_>, batch: &BatchView) -> Option<Placement> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            (!batch.strict || ctx.gpu.slice(0).is_idle()).then(|| Placement::on_slice(0))
+        }
+    }
+
+    /// A worker whose slice 0 runs one job, and its scheme's call count.
+    fn busy_worker() -> (Worker, Arc<AtomicU64>) {
+        let calls = Arc::default();
+        let scheme = Box::new(StrictAlone(Arc::clone(&calls)));
+        let mut w = Worker::new(0, scheme, SimTime::ZERO);
+        let job = protean_gpu::JobSpec {
+            id: protean_gpu::JobId(1),
+            solo: protean_sim::SimDuration::from_millis(10.0),
+            fbr: 0.1,
+            mem_gb: 1.0,
+        };
+        w.gpu.slice_mut(0).admit(SimTime::ZERO, job).unwrap();
+        (w, calls)
+    }
+
+    fn view(strict: bool, size: u32) -> BatchView {
+        BatchView {
+            model: ModelId::ResNet50,
+            strict,
+            size,
+        }
+    }
+
+    #[test]
+    fn offer_memoises_declines_until_the_slice_state_changes() {
+        let catalog = Catalog::new();
+        let now = SimTime::ZERO;
+        let (mut w, n) = busy_worker();
+        let calls = || n.load(Ordering::Relaxed);
+        let (a, b) = (view(true, 1), view(true, 2));
+        assert_eq!(w.offer(&a, now, &catalog, false), Offer::Decline);
+        assert_eq!(calls(), 1);
+        let skip = Offer::Skip {
+            contradicted: false,
+        };
+        assert_eq!(w.offer(&a, now, &catalog, false), skip);
+        assert_eq!(calls(), 1, "a memoised decline is not re-asked");
+        // Another view is asked; the recheck asks, and agrees.
+        assert_eq!(w.offer(&b, now, &catalog, false), Offer::Decline);
+        assert_eq!(w.offer(&a, now, &catalog, true), skip);
+        assert_eq!(calls(), 3);
+        // Queued best-effort memory is part of the key.
+        w.sched_queue.push(batch(7, false), 2.0);
+        assert_eq!(w.offer(&a, now, &catalog, false), Offer::Decline);
+        assert_eq!(calls(), 4);
+        // So is the GPU's version: the finish frees slice 0.
+        let done = SimTime::from_secs(1.0);
+        w.gpu
+            .slice_mut(0)
+            .finish(done, protean_gpu::JobId(1))
+            .unwrap();
+        let placed = Offer::Place(Placement::on_slice(0));
+        assert_eq!(w.offer(&a, now, &catalog, false), placed);
+        assert_eq!(calls(), 5);
+    }
+
+    #[test]
+    fn a_placement_the_monitor_tick_and_a_reset_forget_declines() {
+        let catalog = Catalog::new();
+        let config = ClusterConfig::small_test();
+        let now = SimTime::ZERO;
+        let (mut w, n) = busy_worker();
+        let strict = view(true, 1);
+        let asked = |w: &mut Worker| {
+            let before = n.load(Ordering::Relaxed);
+            w.offer(&strict, now, &catalog, false);
+            n.load(Ordering::Relaxed) > before
+        };
+        assert!(asked(&mut w));
+        assert!(!asked(&mut w));
+        // A best-effort batch is placed without touching the GPU.
+        let version = w.gpu.version();
+        let be = w.offer(&view(false, 1), now, &catalog, false);
+        assert_eq!(be, Offer::Place(Placement::on_slice(0)));
+        assert_eq!(w.gpu.version(), version);
+        assert!(asked(&mut w), "a placement voids the memo");
+        assert!(!asked(&mut w));
+        w.monitor_tick(now, &config, &catalog, |_| {});
+        assert!(asked(&mut w), "reconfigure may change what place declines");
+        assert!(!asked(&mut w));
+        // The fresh GPU restarts its version count: bring it back to the
+        // memo's key, idle this time.
+        let key = w.gpu.version();
+        w.reset_runtime(now);
+        while w.gpu.version() < key {
+            w.gpu.slice_mut(0);
+        }
+        assert!(asked(&mut w), "a reset voids the memo");
     }
 }

@@ -105,6 +105,8 @@ pub struct Gpu {
     retired_mem_gb_secs: f64,
     /// Time spent reconfiguring (unavailable), seconds.
     downtime_secs: f64,
+    /// Bumped by every method that can change what a placement sees.
+    version: u64,
 }
 
 impl Gpu {
@@ -124,6 +126,7 @@ impl Gpu {
             retired_busy_sevenths_secs: 0.0,
             retired_mem_gb_secs: 0.0,
             downtime_secs: 0.0,
+            version: 0,
         }
     }
 
@@ -157,12 +160,13 @@ impl Gpu {
         &self.slices
     }
 
-    /// Mutable access to a slice by index.
+    /// Mutable access to a slice by index. Bumps [`Gpu::version`].
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
     pub fn slice_mut(&mut self, idx: usize) -> &mut Slice {
+        self.version += 1;
         &mut self.slices[idx]
     }
 
@@ -178,6 +182,15 @@ impl Gpu {
     /// `true` if no slice has a resident job.
     pub fn is_idle(&self) -> bool {
         self.slices.iter().all(Slice::is_idle)
+    }
+
+    /// A counter bumped by every method that can change what a
+    /// placement sees: [`Gpu::slice_mut`] and the four reconfiguration
+    /// lifecycle methods, whether or not the call changes anything. Two
+    /// reads that return the same value bracket no such call, so the
+    /// slices and the lifecycle state are unchanged between them.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// How many reconfigurations have completed.
@@ -200,6 +213,7 @@ impl Gpu {
     /// Returns [`ReconfigError::AlreadyReconfiguring`] if a
     /// reconfiguration has already begun (draining can be retargeted).
     pub fn request_reconfigure(&mut self, target: Geometry) -> Result<bool, ReconfigError> {
+        self.version += 1;
         match &self.state {
             GpuState::Reconfiguring { .. } => Err(ReconfigError::AlreadyReconfiguring),
             GpuState::Active if target == self.geometry => Ok(false),
@@ -213,6 +227,7 @@ impl Gpu {
     /// Cancels a pending (draining) reconfiguration, returning the GPU to
     /// active service. No-op unless draining.
     pub fn cancel_reconfigure(&mut self) {
+        self.version += 1;
         if matches!(self.state, GpuState::Draining { .. }) {
             self.state = GpuState::Active;
         }
@@ -226,6 +241,7 @@ impl Gpu {
     /// * [`ReconfigError::NotReconfiguring`] if no change was requested.
     /// * [`ReconfigError::NotDrained`] if jobs are still running.
     pub fn try_begin_reconfigure(&mut self, now: SimTime) -> Result<SimTime, ReconfigError> {
+        self.version += 1;
         let target = match &self.state {
             GpuState::Draining { target } => target.clone(),
             _ => return Err(ReconfigError::NotReconfiguring),
@@ -252,6 +268,7 @@ impl Gpu {
     /// Returns [`ReconfigError::NotReconfiguring`] if called without a
     /// reconfiguration in progress or before its completion instant.
     pub fn complete_reconfigure(&mut self, now: SimTime) -> Result<(), ReconfigError> {
+        self.version += 1;
         let (until, target) = match &self.state {
             GpuState::Reconfiguring { until, target } => (*until, target.clone()),
             _ => return Err(ReconfigError::NotReconfiguring),
@@ -418,5 +435,30 @@ mod tests {
             .unwrap();
         let util = gpu.compute_utilization(SimTime::from_secs(1.0));
         assert!((util - 3.0 / 7.0).abs() < 1e-9, "util was {util}");
+    }
+
+    #[test]
+    fn every_placement_visible_mutation_bumps_the_version() {
+        let mut gpu = Gpu::new(GpuId(0), Geometry::full(), SharingMode::Mps, SimTime::ZERO);
+        let mut seen = gpu.version();
+        let mut bumped = |gpu: &Gpu, what: &str| {
+            assert!(gpu.version() > seen, "{what} did not bump the version");
+            seen = gpu.version();
+        };
+        gpu.slice_mut(0);
+        bumped(&gpu, "slice_mut");
+        gpu.request_reconfigure(Geometry::g4_g3()).unwrap();
+        bumped(&gpu, "request_reconfigure");
+        gpu.cancel_reconfigure();
+        bumped(&gpu, "cancel_reconfigure");
+        gpu.request_reconfigure(Geometry::g4_g3()).unwrap();
+        bumped(&gpu, "request_reconfigure (again)");
+        let until = gpu.try_begin_reconfigure(SimTime::ZERO).unwrap();
+        bumped(&gpu, "try_begin_reconfigure");
+        gpu.complete_reconfigure(until).unwrap();
+        bumped(&gpu, "complete_reconfigure");
+        // Shared reads leave it alone.
+        let _ = (gpu.slices(), gpu.slice(0), gpu.accepting(), gpu.is_idle());
+        assert_eq!(gpu.version(), seen);
     }
 }
