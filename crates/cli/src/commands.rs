@@ -51,9 +51,6 @@ FLAGS (simulate / compare):
                           workers across (default 1 = every worker
                           on one shard; results are bit-identical
                           for every count; 0 is rejected)
-  --shard-threads <n>     OS threads driving the shard phases
-                          (default 1 = inline; 0 = auto, the machine's
-                          available parallelism)
   --max-epoch-arrivals <n> arrival-run coarsening cap (any shard
                           count); 0 and 1 both mean one epoch per
                           arrival, no coarsening (default 64)
@@ -77,10 +74,9 @@ FLAGS (scenario list / scenario run):
                           into this directory
 ";
 
-/// Flags shared by `simulate` and `compare`.
-const RUN_FLAGS: [&str; 14] = [
+/// Flags [`build_run`] reads, shared by `simulate` and `compare`.
+const RUN_FLAGS: [&str; 12] = [
     "model",
-    "scheme",
     "trace",
     "rps",
     "duration",
@@ -89,29 +85,14 @@ const RUN_FLAGS: [&str; 14] = [
     "seed",
     "slo-mult",
     "procurement",
-    "threads",
-    "shards",
-    "shard-threads",
-    "max-epoch-arrivals",
-];
-const RUN_FLAGS_EXT: [&str; 16] = [
-    "model",
-    "scheme",
-    "trace",
-    "rps",
-    "duration",
-    "strict-frac",
-    "workers",
-    "seed",
-    "slo-mult",
-    "procurement",
-    "threads",
-    "shards",
-    "shard-threads",
-    "max-epoch-arrivals",
     "availability",
-    "per-model",
+    "shards",
+    "max-epoch-arrivals",
 ];
+/// `simulate`'s own flags on top of [`RUN_FLAGS`].
+const SIMULATE_FLAGS: [&str; 2] = ["scheme", "per-model"];
+/// `compare`'s own flags on top of [`RUN_FLAGS`].
+const COMPARE_FLAGS: [&str; 1] = ["threads"];
 
 /// Resolves a model name like `resnet50` or `ResNet 50`.
 pub fn parse_model(name: &str) -> Result<ModelId, ArgError> {
@@ -239,9 +220,6 @@ fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
                 .into(),
         ));
     }
-    // 0 = auto (the machine's available parallelism); any positive value
-    // is an explicit thread budget including the coordinator.
-    config.shard_threads = args.get_or("shard-threads", 1usize)?;
     // 0 and 1 both mean one epoch per arrival (no coarsening); the
     // engine clamps internally, so normalize here to keep the config
     // explicit about the semantics.
@@ -251,7 +229,7 @@ fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
 
 /// `simulate`: one scheme, full report.
 pub fn simulate(args: &Args) -> Result<(), ArgError> {
-    args.reject_unknown(&RUN_FLAGS_EXT)?;
+    args.reject_unknown(&[&RUN_FLAGS[..], &SIMULATE_FLAGS].concat())?;
     let (config, trace) = build_run(args)?;
     let scheme = parse_scheme(args.get("scheme").unwrap_or("protean"))?;
     let row = run_scheme(&config, scheme.as_ref(), &trace);
@@ -293,12 +271,12 @@ pub fn simulate(args: &Args) -> Result<(), ArgError> {
 
 /// `compare`: the primary line-up side by side.
 pub fn compare(args: &Args) -> Result<(), ArgError> {
-    args.reject_unknown(&RUN_FLAGS[..RUN_FLAGS.len()])?;
     if args.get("scheme").is_some() {
         return Err(ArgError(
             "--scheme does not apply to `compare` (it runs all primary schemes)".into(),
         ));
     }
+    args.reject_unknown(&[&RUN_FLAGS[..], &COMPARE_FLAGS].concat())?;
     let (config, trace) = build_run(args)?;
     let threads = thread_count_or(match args.get("threads") {
         None => None,
@@ -697,7 +675,7 @@ mod tests {
     #[test]
     fn sharding_flags_flow_into_the_config_and_validate() {
         let args = Args::parse(
-            "simulate --shards 4 --shard-threads 2 --max-epoch-arrivals 16"
+            "simulate --shards 4 --max-epoch-arrivals 16"
                 .split_whitespace()
                 .map(String::from)
                 .collect::<Vec<_>>(),
@@ -705,7 +683,6 @@ mod tests {
         .unwrap();
         let (config, _) = build_run(&args).unwrap();
         assert_eq!(config.shards, 4);
-        assert_eq!(config.shard_threads, 2);
         assert_eq!(config.max_epoch_arrivals, 16);
 
         // Defaults: one shard, coarsening cap at the paper
@@ -713,7 +690,6 @@ mod tests {
         let none = Args::parse(vec!["simulate".to_string()]).unwrap();
         let (config, _) = build_run(&none).unwrap();
         assert_eq!(config.shards, 1);
-        assert_eq!(config.shard_threads, 1);
         assert_eq!(config.max_epoch_arrivals, 64);
 
         // Window-expiry admission is unconditional, so the retired
@@ -735,8 +711,8 @@ mod tests {
         }
 
         // --shards 0 is nonsense (no zero-shard run) and the message
-        // says so; --shard-threads 0 means auto; --max-epoch-arrivals 0
-        // is normalized to the explicit per-arrival cap of 1.
+        // says so; --max-epoch-arrivals 0 is normalized to the explicit
+        // per-arrival cap of 1.
         let a = Args::parse(
             "simulate --shards 0"
                 .split_whitespace()
@@ -747,15 +723,41 @@ mod tests {
         let err = build_run(&a).unwrap_err();
         assert!(err.0.contains("zero-shard"), "{err}");
         let a = Args::parse(
-            "simulate --shard-threads 0 --max-epoch-arrivals 0"
+            "simulate --max-epoch-arrivals 0"
                 .split_whitespace()
                 .map(String::from)
                 .collect::<Vec<_>>(),
         )
         .unwrap();
         let (config, _) = build_run(&a).unwrap();
-        assert_eq!(config.shard_threads, 0, "0 = auto must be accepted");
         assert_eq!(config.max_epoch_arrivals, 1, "0 normalizes to per-arrival");
+    }
+
+    #[test]
+    fn each_run_command_accepts_exactly_the_flags_it_reads() {
+        let parse = |line: &str| {
+            Args::parse(
+                line.split_whitespace()
+                    .map(String::from)
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap()
+        };
+        // `compare` reads --availability through `build_run`.
+        compare(&parse(
+            "compare --availability low --procurement hybrid --workers 2 --rps 50 --duration 2",
+        ))
+        .unwrap();
+        // `simulate` runs one scheme on one thread: --threads is
+        // compare-only, and there is no shard-thread knob.
+        for flag in ["threads 4", "shard-threads 2"] {
+            let err = simulate(&parse(&format!("simulate --{flag}"))).unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert!(
+                err.0.starts_with(&format!("unknown flag --{name} ")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub struct AuditReport {
     pub checks: u64,
     /// Total invariant violations detected.
     pub violation_count: u64,
-    /// The first [`MAX_RECORDED`] violation messages, in detection
+    /// The first `MAX_RECORDED` (64) violation messages, in detection
     /// order.
     pub violations: Vec<String>,
 }

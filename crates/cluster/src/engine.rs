@@ -119,21 +119,16 @@ pub struct ClusterConfig {
     /// Required for ≥10⁹-request endurance runs, whose record store
     /// would otherwise grow without bound.
     pub aggregate_metrics: bool,
-    /// Fleet shards for intra-run parallelism: the workers are
-    /// partitioned across this many of [`crate::sharded`]'s shard
-    /// cores, which advance their own event heaps in parallel between
-    /// synchronization epochs. `1` (the default) keeps every worker on
-    /// one core, driven inline by the coordinator. Every shard count
+    /// Fleet shards: the workers are partitioned across this many of
+    /// [`crate::sharded`]'s shard cores, each with its own event queue
+    /// and dispatch index, which the coordinator advances one after
+    /// another between serial events, all on the calling thread. `1`
+    /// (the default) keeps every worker on one core. Every shard count
     /// produces a **bit-identical** digest. Clamped to the worker count.
     pub shards: usize,
-    /// OS threads the sharded engine may occupy, *including* the
-    /// coordinator thread (0 = auto: `available_parallelism`, which the
-    /// experiment harness further divides against grid-cell
-    /// parallelism). Shard phases with more participants than the
-    /// budget run inline on the coordinator instead — same digests, no
-    /// oversubscription. Setting `1` forces the sharded logic fully
-    /// inline (useful on single-core hosts and in deterministic tests
-    /// of the partitioned state machine).
+    /// Has no effect: every shard phase runs inline on the calling
+    /// thread. Kept only because the `perf` benchmark driver still
+    /// assigns and prints it.
     pub shard_threads: usize,
     /// Upper bound on how many consecutive arrivals the sharded
     /// coordinator may coalesce into one synchronization epoch
@@ -182,7 +177,7 @@ impl ClusterConfig {
             audit_every_n: 1,
             aggregate_metrics: false,
             shards: 1,
-            shard_threads: 0,
+            shard_threads: 1,
             max_epoch_arrivals: 64,
         }
     }

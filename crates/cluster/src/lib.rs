@@ -32,7 +32,8 @@
 //! arrival and every event that touches shared state (gateway, spot
 //! market, VM ledger) in serial order, and `S` shard cores
 //! ([`ClusterConfig::shards`], default 1) own the workers and their
-//! worker-local events, advancing in parallel between serial steps.
+//! worker-local events, each advancing its own queue between serial
+//! steps.
 //! Results are bit-identical for every `S`; [`engine`] holds the
 //! configuration, the result types and the entry points.
 //!

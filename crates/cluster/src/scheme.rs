@@ -81,13 +81,7 @@ pub struct ReconfigCtx<'a> {
 /// One `Scheme` instance exists per worker node (policies keep per-GPU
 /// state such as EWMA predictors and reconfiguration wait counters), all
 /// built by a [`SchemeBuilder`].
-///
-/// Schemes are `Send` because with [`ClusterConfig::shard_threads`]
-/// above 1 a shard's workers, their schemes included, run the shard's
-/// phases on a thread of their own.
-///
-/// [`ClusterConfig::shard_threads`]: crate::ClusterConfig::shard_threads
-pub trait Scheme: Send {
+pub trait Scheme {
     /// Human-readable scheme name, as used in the figures.
     fn name(&self) -> &'static str;
 

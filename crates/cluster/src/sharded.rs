@@ -9,7 +9,7 @@
 //! tie against a queued event at the same instant. The golden digests
 //! pin that order. The engine reifies it in [`EventKey`]s so that it
 //! survives splitting the fleet across shards; at `S = 1` the one shard
-//! core holds every worker and runs inline on the coordinator thread.
+//! core holds every worker.
 //!
 //! # Partition
 //!
@@ -18,7 +18,7 @@
 //!
 //! * its workers (GPU, containers, queues, running batches),
 //! * a [`KeyedEventQueue`] holding the worker-local event classes
-//!   ([`ShardEvent`]: container boots, job completions, reconfiguration
+//!   (`ShardEvent`: container boots, job completions, reconfiguration
 //!   completions),
 //! * a partition [`DispatchIndex`] with one slot per owned worker,
 //! * its slice of every output stream (metrics, journal, timelines,
@@ -26,15 +26,17 @@
 //!
 //! Everything *shared* — the gateway accumulators and backlog, the spot
 //! market and VM ledger, the batch-id allocator, the auditor — lives on
-//! the single [`Coordinator`], which also executes every serial event
-//! class ([`CoordEvent`]: window expiries, monitor ticks, the whole
+//! the single `Coordinator`, which also executes every serial event
+//! class (`CoordEvent`: window expiries, monitor ticks, the whole
 //! spot-VM lifecycle) and every arrival, in serial order.
 //!
 //! # Phases and the key scheme
 //!
 //! Between two serial steps the coordinator runs a *phase*: every shard
-//! advances its own queue up to an exclusive [`EventKey`] bound, in
-//! parallel. Serial order rests on the keys:
+//! advances its own queue up to an exclusive [`EventKey`] bound. No
+//! shard's phase reads another's state, so the shards could run in any
+//! order; the engine runs them one after another. Serial order rests on
+//! the keys:
 //!
 //! * Serial-context pushes (coordinator) take `(time, ++gseq, 0)` —
 //!   `gseq` is the global push counter, so their relative order is the
@@ -57,18 +59,13 @@
 //!
 //! # Ownership
 //!
-//! Each shard core sits behind its own [`Mutex`]. The coordinator holds
-//! every guard between phases (`Cores`), so the borrow checker, not a
-//! protocol, keeps its serial handlers and the shards apart. Shard 0, and
-//! every shard the `shard_threads` budget leaves without a thread, runs
-//! inline and is never unlocked after set-up. A threaded phase writes the bound into each
-//! core, releases the guards of the cores it hands to their threads,
-//! and re-takes each one when its thread reports done.
-//!
-//! A panic fails the run instead of hanging it. A shard thread that
-//! panics poisons its core's lock, and the coordinator stops waiting and
-//! panics too. A coordinator that panics tells every shard thread to
-//! exit as it unwinds, so the thread scope can join them.
+//! Every phase runs inline on the calling thread: the coordinator walks
+//! the shard cores in shard order and advances each one to the bound.
+//! The cores are a plain `Vec` that the coordinator owns next to its
+//! serial state (`Cores` and `Serial`, two disjoint fields), so the
+//! borrow checker, not a protocol, keeps a serial handler's shard borrow
+//! and its gateway/market updates apart. Nothing is shared across
+//! threads and nothing is locked.
 //!
 //! # Merge
 //!
@@ -95,9 +92,6 @@
 //!   reconfigs, censored, evictions) merge exactly.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
-use std::thread::Thread;
 
 use protean_gpu::{Completion, JobId, JobSpec};
 use protean_metrics::{LatencyBreakdown, MetricsSet, RequestRecord};
@@ -114,9 +108,6 @@ use crate::engine::{ClusterConfig, CostReport, EngineStats, GeometryChange, Simu
 use crate::journal::{Journal, JournalEvent};
 use crate::scheme::{BatchView, DispatchPolicy, SchemeBuilder};
 use crate::worker::{FinishEvent, Offer, RunningBatch, Worker, WorkerStatus};
-
-/// Epoch value signalling shard worker threads to exit.
-const SHUTDOWN: u64 = u64::MAX;
 
 /// Shard-tag shift for phase-push minors: `minor = ((s+1) << 48) | ctr`.
 const SHARD_TAG_SHIFT: u32 = 48;
@@ -251,9 +242,7 @@ fn next_event_key(ctx: &mut Ctx<'_>, shard: usize, ctr: &mut u64, time: SimTime)
     }
 }
 
-/// One shard's state. It sits behind its own lock, held by the
-/// coordinator between phases and by the shard's thread during a
-/// threaded phase (see [`Cores`]).
+/// One shard's state, owned by the coordinator (see [`Cores`]).
 struct ShardCore {
     shard: usize,
     /// Owned workers, locally indexed: local `l` of shard `s` among `S`
@@ -283,18 +272,10 @@ struct ShardCore {
     scratch_views: Vec<(BatchId, BatchView)>,
     stats: EngineStats,
     reconfigs: u64,
-    /// Events handled in the current phase (drained by the coordinator
-    /// at each phase boundary for audit-opportunity accounting).
-    events_handled: u64,
     /// Phase-push minor counter: monotone for the whole run, never
     /// reset, so phase keys stay unique and chronologically ordered
     /// across phases sharing a `major` snapshot.
     ctr: u64,
-    /// Exclusive key bound of the next phase, and the `gseq` snapshot
-    /// its pushes take as `major`; written by the coordinator before it
-    /// hands the core to the phase.
-    bound: EventKey,
-    major: u64,
     journal_enabled: bool,
     audit_enabled: bool,
 }
@@ -334,10 +315,7 @@ impl ShardCore {
             scratch_views: Vec::new(),
             stats: EngineStats::default(),
             reconfigs: 0,
-            events_handled: 0,
             ctr: 0,
-            bound: EventKey::new(SimTime::ZERO, 0, 0),
-            major: 0,
             journal_enabled: config.journal_capacity > 0,
             audit_enabled: config.audit,
         }
@@ -365,11 +343,19 @@ impl ShardCore {
         }
     }
 
-    /// Drains this shard's queue up to (exclusive) `self.bound`,
-    /// handling each event in key order; newly pushed events take
-    /// `self.major` as their key's `major`.
-    fn advance(&mut self, config: &ClusterConfig, catalog: &Catalog) {
-        while self.queue.has_event_before(self.bound) {
+    /// Drains this shard's queue up to (exclusive) `bound`, handling
+    /// each event in key order, and returns how many it handled. Newly
+    /// pushed events take `major` (the coordinator's `gseq` snapshot) as
+    /// their key's `major`.
+    fn advance(
+        &mut self,
+        bound: EventKey,
+        major: u64,
+        config: &ClusterConfig,
+        catalog: &Catalog,
+    ) -> u64 {
+        let mut handled = 0;
+        while self.queue.has_event_before(bound) {
             let (k, ev) = self.queue.pop().expect("peeked");
             let mut ctx = Ctx {
                 config,
@@ -377,7 +363,7 @@ impl ShardCore {
                 now: k.time,
                 ctx_key: k,
                 n: 0,
-                alloc: KeyAlloc::Phase { major: self.major },
+                alloc: KeyAlloc::Phase { major },
                 audit: AuditSink::Buffered,
             };
             match ev {
@@ -397,8 +383,9 @@ impl ShardCore {
                     self.on_reconfig_done(&mut ctx, slot, epoch)
                 }
             }
-            self.events_handled += 1;
+            handled += 1;
         }
+        handled
     }
 
     // ---- worker-local handlers ---------------------------------------
@@ -708,57 +695,6 @@ impl ShardCore {
     }
 }
 
-/// One shard thread's half of the phase handshake, cache-line padded so
-/// one shard's epoch stores do not false-share with its neighbours'.
-/// The core itself travels through its lock; the two counters only say
-/// when to take it: the coordinator bumps `epoch` after releasing the
-/// core's guard, and the thread publishes `done = epoch` after running
-/// the phase and releasing the lock again.
-#[repr(align(128))]
-#[derive(Default)]
-struct ShardSync {
-    /// Phase epoch the coordinator wants this shard to run
-    /// ([`SHUTDOWN`] = exit).
-    epoch: AtomicU64,
-    /// Last epoch this shard finished.
-    done: AtomicU64,
-}
-
-/// Shard thread body: wait for a phase signal, run the phase on the core
-/// under its lock, report done. Parks after a short spin so idle shards
-/// cost nothing between bursts. A panic in the phase poisons the lock,
-/// which is how the coordinator learns that this thread died.
-fn shard_worker_loop(
-    core: &Mutex<ShardCore>,
-    sync: &ShardSync,
-    config: &ClusterConfig,
-    catalog: &Catalog,
-) {
-    let mut seen = 0u64;
-    loop {
-        let mut e = sync.epoch.load(Ordering::Acquire);
-        let mut spins = 0u32;
-        while e == seen {
-            spins += 1;
-            if spins > 4096 {
-                std::thread::park();
-                spins = 0;
-            } else {
-                std::hint::spin_loop();
-            }
-            e = sync.epoch.load(Ordering::Acquire);
-        }
-        if e == SHUTDOWN {
-            return;
-        }
-        core.lock()
-            .expect("the coordinator hands over only healthy cores")
-            .advance(config, catalog);
-        sync.done.store(e, Ordering::Release);
-        seen = e;
-    }
-}
-
 /// Sorts `buf` by `(ctx_key, n)` and empties it into `sink` in that
 /// order. The buffer keeps its capacity for the next phase.
 fn drain_in_key_order<T>(buf: &mut Vec<(EventKey, u64, T)>, mut sink: impl FnMut(EventKey, T)) {
@@ -771,58 +707,23 @@ fn drain_in_key_order<T>(buf: &mut Vec<(EventKey, u64, T)>, mut sink: impl FnMut
     }
 }
 
-/// The coordinator's hold on the shard cores.
-///
-/// Each core sits behind its own lock. Between phases the coordinator
-/// holds every guard, so the borrow checker proves that nothing else
-/// touches a core. A threaded phase releases the guards of the cores it
-/// hands to their threads and re-takes each one when its thread reports
-/// done; inline shards are never unlocked after set-up.
-///
-/// Dropping the hold — at the end of a run or while unwinding from a
-/// panic — tells every shard thread to exit, so the enclosing thread
-/// scope can always join them.
-struct Cores<'a> {
-    /// Guards of shards `0..held.len()`: every shard between phases, all
-    /// but the handed-off tail during a threaded phase.
-    held: Vec<MutexGuard<'a, ShardCore>>,
-    locks: &'a [Mutex<ShardCore>],
-    syncs: &'a [ShardSync],
-    /// Shards `first_threaded..` run their phases on their own threads;
-    /// `threads[i]` runs shard `first_threaded + i`.
-    first_threaded: usize,
-    threads: Vec<Thread>,
-    epoch: u64,
-}
+/// The shard cores, indexed by shard, owned by the coordinator.
+struct Cores(Vec<ShardCore>);
 
-impl<'a> Cores<'a> {
-    fn new(locks: &'a [Mutex<ShardCore>], syncs: &'a [ShardSync], first_threaded: usize) -> Self {
-        Cores {
-            held: locks
-                .iter()
-                .map(|lock| lock.lock().expect("a fresh lock"))
-                .collect(),
-            locks,
-            syncs,
-            first_threaded,
-            threads: Vec::new(),
-            epoch: 0,
-        }
-    }
-
+impl Cores {
     fn len(&self) -> usize {
-        self.locks.len()
+        self.0.len()
     }
 
     /// Global worker `g`'s shard core and its local slot there.
     fn locate(&mut self, g: usize) -> (&mut ShardCore, usize) {
         let s = self.len();
-        (&mut self.held[g % s], g / s)
+        (&mut self.0[g % s], g / s)
     }
 
     /// Every shard core, in shard order.
     fn iter(&self) -> impl Iterator<Item = &ShardCore> + Clone {
-        self.held.iter().map(|core| &**core)
+        self.0.iter()
     }
 
     /// Every worker of the fleet, shard by shard (so not in global
@@ -850,62 +751,6 @@ impl<'a> Cores<'a> {
     /// serial order between phases hazard-free.
     fn indexed_target(&self, cap: Option<u64>, visits: &mut u64) -> Option<usize> {
         crate::dispatch::select_across(self.iter().map(|core| &core.index), cap, visits)
-    }
-
-    /// Runs one phase on the shards in `parts` (ascending), whose cores
-    /// already hold the phase's bound and `major`: the threaded ones on
-    /// their threads, the rest inline, in parallel.
-    ///
-    /// Panics, instead of waiting forever, if a shard thread died in the
-    /// phase: its poisoned lock says so.
-    fn advance(&mut self, parts: &[usize], config: &ClusterConfig, catalog: &Catalog) {
-        let (locks, syncs) = (self.locks, self.syncs);
-        let (inline, threaded) =
-            parts.split_at(parts.partition_point(|&s| s < self.first_threaded));
-        if let Some(&first) = threaded.first() {
-            // Release every guard from the first handed-off core on; the
-            // threaded shards that sit this phase out are re-taken at
-            // once below.
-            self.held.truncate(first);
-            self.epoch += 1;
-            for &s in threaded {
-                syncs[s].epoch.store(self.epoch, Ordering::Release);
-                self.threads[s - self.first_threaded].unpark();
-            }
-        }
-        for &s in inline {
-            self.held[s].advance(config, catalog);
-        }
-        for s in self.held.len()..self.len() {
-            // A shard is idle once it finished the last epoch it was
-            // given. Only this thread stores `epoch`, so `Relaxed` reads
-            // back its own store; `done`'s Acquire pairs with the shard
-            // thread's Release.
-            let sync = &syncs[s];
-            let mut spins = 0u32;
-            while sync.done.load(Ordering::Acquire) != sync.epoch.load(Ordering::Relaxed) {
-                assert!(!locks[s].is_poisoned(), "shard {s} panicked on its thread");
-                spins += 1;
-                if spins > 256 {
-                    // Oversubscribed (fewer cores than shards): give the
-                    // shard thread the CPU instead of burning it.
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-            self.held
-                .push(locks[s].lock().expect("an idle shard's lock is healthy"));
-        }
-    }
-}
-
-impl Drop for Cores<'_> {
-    fn drop(&mut self) {
-        for (sync, thread) in self.syncs[self.first_threaded..].iter().zip(&self.threads) {
-            sync.epoch.store(SHUTDOWN, Ordering::Release);
-            thread.unpark();
-        }
     }
 }
 
@@ -957,8 +802,6 @@ struct Serial<'a> {
     scratch_hooks: Vec<(EventKey, u64, Hook)>,
     scratch_strict: Vec<(EventKey, u64, f64)>,
     scratch_geom: Vec<(EventKey, u64, GeometryChange)>,
-    /// Reusable participating-shard list for `run_phase`.
-    scratch_parts: Vec<usize>,
     /// Current serial context's merge key and record ordinal.
     ctx_key: EventKey,
     ctx_n: u64,
@@ -1001,7 +844,6 @@ impl<'a> Serial<'a> {
             scratch_hooks: Vec::new(),
             scratch_strict: Vec::new(),
             scratch_geom: Vec::new(),
-            scratch_parts: Vec::new(),
             ctx_key: EventKey::new(SimTime::ZERO, 0, 0),
             ctx_n: 0,
         }
@@ -1134,7 +976,7 @@ impl<'a> Serial<'a> {
 /// disjoint borrows: a handler holds a core from `cores` while it
 /// updates `serial`.
 struct Coordinator<'a> {
-    cores: Cores<'a>,
+    cores: Cores,
     serial: Serial<'a>,
 }
 
@@ -1303,46 +1145,27 @@ impl Coordinator<'_> {
 
     // ---- phases -----------------------------------------------------
 
-    /// Advances every shard with pending events to the exclusive `bound`
-    /// (clamped at the cutoff), in parallel where threads exist, and
-    /// returns how many events the phase handled. The bound and the
-    /// `gseq` snapshot go into each participating core through its
-    /// guard; [`Cores::advance`] then runs the phase.
-    fn run_phase(&mut self, bound: EventKey) -> u64 {
-        let bound = bound.min(EventKey::new(self.serial.cutoff, u64::MAX, u64::MAX));
-        let major = self.serial.gseq;
-        let mut parts = std::mem::take(&mut self.serial.scratch_parts);
-        parts.clear();
-        for (s, core) in self.cores.held.iter_mut().enumerate() {
-            if core.queue.has_event_before(bound) {
-                core.bound = bound;
-                core.major = major;
-                parts.push(s);
-            }
-        }
-        let mut total = 0;
-        if !parts.is_empty() {
-            self.cores
-                .advance(&parts, self.serial.config, self.serial.catalog);
-            for &s in &parts {
-                total += std::mem::take(&mut self.cores.held[s].events_handled);
-            }
-            self.flush_phase(&parts);
-        }
-        self.serial.scratch_parts = parts;
-        total
-    }
-
-    /// Moves what the phase's shards buffered — audit hooks, strict
-    /// latency samples, geometry changes — to the coordinator in merged
+    /// Advances every shard that holds an event below the exclusive
+    /// `bound` (clamped at the cutoff) to it, with the current `gseq` as
+    /// the phase's `major`, and returns how many events the phase
+    /// handled.
+    ///
+    /// Then moves what the shards buffered — audit hooks, strict latency
+    /// samples, geometry changes — to the coordinator in merged
     /// `(ctx_key, n)` order, the serial order. Every key a phase handles
     /// sorts below its bound and every later key above it, so flushing
     /// phase by phase builds each output in serial order while the shard
     /// buffers only ever hold one phase's records.
-    fn flush_phase(&mut self, parts: &[usize]) {
+    fn run_phase(&mut self, bound: EventKey) -> u64 {
         let Coordinator { cores, serial } = self;
-        for &s in parts {
-            let core = &mut cores.held[s];
+        let bound = bound.min(EventKey::new(serial.cutoff, u64::MAX, u64::MAX));
+        let major = serial.gseq;
+        let mut total = 0;
+        for core in &mut cores.0 {
+            if !core.queue.has_event_before(bound) {
+                continue;
+            }
+            total += core.advance(bound, major, serial.config, serial.catalog);
             serial.scratch_hooks.append(&mut core.hook_buf);
             serial.scratch_strict.append(&mut core.strict_lat_buf);
             serial.scratch_geom.append(&mut core.geom_buf);
@@ -1356,6 +1179,7 @@ impl Coordinator<'_> {
         drain_in_key_order(&mut serial.scratch_geom, |_, change| {
             serial.geometry_timeline.push(change)
         });
+        total
     }
 
     /// Counts `opportunities` audit-sweep opportunities (one per handled
@@ -1813,7 +1637,7 @@ impl Coordinator<'_> {
         match src {
             Source::Materialised(requests, duration) => {
                 let per_core = requests.len() / self.cores.len() + 1;
-                for core in &mut self.cores.held {
+                for core in &mut self.cores.0 {
                     core.metrics.reserve(per_core);
                 }
                 self.prewarm_fleet(requests.iter().map(|r| r.model), usize::MAX);
@@ -1896,39 +1720,17 @@ fn run_sharded(
     let factory = RngFactory::new(config.seed);
     let catalog = Catalog::new();
     let shards = config.effective_shards();
-    let locks: Vec<Mutex<ShardCore>> = (0..shards)
-        .map(|s| Mutex::new(ShardCore::new(s, shards, config, scheme, &factory)))
-        .collect();
-    let syncs: Vec<ShardSync> = (0..shards).map(|_| ShardSync::default()).collect();
-    let budget = if config.shard_threads > 0 {
-        config.shard_threads
-    } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+    let mut co = Coordinator {
+        cores: Cores(
+            (0..shards)
+                .map(|s| ShardCore::new(s, shards, config, scheme, &factory))
+                .collect(),
+        ),
+        serial: Serial::new(config, &catalog, scheme.dispatch_policy(), oracle),
     };
-    // The last shards get threads while the budget lasts; the rest, shard
-    // 0 always among them, run inline on the coordinator.
-    let first_threaded = shards - shards.min(budget).saturating_sub(1);
-    let outputs = std::thread::scope(|scope| {
-        let mut co = Coordinator {
-            cores: Cores::new(&locks, &syncs, first_threaded),
-            serial: Serial::new(config, &catalog, scheme.dispatch_policy(), oracle),
-        };
-        for s in first_threaded..shards {
-            let (lock, sync, catalog) = (&locks[s], &syncs[s], &catalog);
-            let handle = scope.spawn(move || shard_worker_loop(lock, sync, config, catalog));
-            co.cores.threads.push(handle.thread().clone());
-        }
-        co.drive(src);
-        co.serial.finish()
-    });
-    let cores: Vec<ShardCore> = locks
-        .into_iter()
-        .map(|lock| {
-            lock.into_inner()
-                .expect("a finished run leaves healthy locks")
-        })
-        .collect();
-    merge_result(config, scheme.name().to_string(), outputs, cores)
+    co.drive(src);
+    let Coordinator { cores, serial } = co;
+    merge_result(config, scheme.name().to_string(), serial.finish(), cores.0)
 }
 
 // ---- merge ----------------------------------------------------------
@@ -2040,7 +1842,6 @@ fn merge_result(
 mod tests {
     use super::*;
     use crate::engine::{run_simulation, run_simulation_streaming, run_simulation_with_oracle};
-    use crate::scheme::{Placement, PlacementCtx, Scheme};
     use crate::schemes_for_test::AlwaysLargest;
     use protean_metrics::record::Class;
     use protean_sim::SimDuration;
@@ -2144,13 +1945,11 @@ mod tests {
     fn run_pair(
         config: &ClusterConfig,
         shards: usize,
-        threads: usize,
         t: &TraceConfig,
     ) -> (SimulationResult, SimulationResult) {
         let one = run_simulation(config, &AlwaysLargest, t);
         let mut sharded = config.clone();
         sharded.shards = shards;
-        sharded.shard_threads = threads;
         let par = run_simulation(&sharded, &AlwaysLargest, t);
         (one, par)
     }
@@ -2160,15 +1959,7 @@ mod tests {
         let mut config = ClusterConfig::small_test();
         config.journal_capacity = 4096;
         let t = trace(400.0, 30.0, 0.5);
-        let (one, par) = run_pair(&config, 2, 1, &t);
-        assert_equivalent(&one, &par);
-    }
-
-    #[test]
-    fn sharded_threaded_matches_inline_sharded() {
-        let config = ClusterConfig::small_test();
-        let t = trace(400.0, 30.0, 0.5);
-        let (one, par) = run_pair(&config, 4, 4, &t);
+        let (one, par) = run_pair(&config, 2, &t);
         assert_equivalent(&one, &par);
     }
 
@@ -2180,7 +1971,6 @@ mod tests {
         let one = run_simulation(&config, &AlwaysLargest, &t);
         let mut sharded = config.clone();
         sharded.shards = 2;
-        sharded.shard_threads = 2;
         let par = run_simulation_streaming(&sharded, &AlwaysLargest, &t);
         assert_equivalent(&one, &par);
     }
@@ -2207,7 +1997,6 @@ mod tests {
         let one = run_simulation_with_oracle(&config, &AlwaysLargest, &t, &mut market);
         let mut sharded = config.clone();
         sharded.shards = 3;
-        sharded.shard_threads = 2;
         let mut market = script();
         let par = run_simulation_with_oracle(&sharded, &AlwaysLargest, &t, &mut market);
         assert_eq!(par.cost.evictions, 1);
@@ -2222,7 +2011,7 @@ mod tests {
         let mut config = ClusterConfig::small_test();
         config.cold_start = SimDuration::from_secs(2.0);
         let t = trace(100.0, 40.0, 0.5);
-        let (one, par) = run_pair(&config, 4, 1, &t);
+        let (one, par) = run_pair(&config, 4, &t);
         let catalog = Catalog::new();
         let slo = |m: ModelId| catalog.profile(m).slo();
         let a = one.metrics.slo_compliance(&slo);
@@ -2236,7 +2025,6 @@ mod tests {
         let mut config = ClusterConfig::small_test();
         config.audit = true;
         config.shards = 4;
-        config.shard_threads = 1;
         let t = trace(400.0, 30.0, 0.5);
         let mut per_arrival = config.clone();
         per_arrival.max_epoch_arrivals = 1;
@@ -2285,7 +2073,6 @@ mod tests {
         let mut config = ClusterConfig::small_test();
         config.audit = true;
         config.shards = 2;
-        config.shard_threads = 1;
         let par = crate::engine::run_simulation_on(&config, &AlwaysLargest, t);
         assert!(par.audit.is_clean(), "{:?}", par.audit.violations);
         assert_eq!(par.stats.arrivals, 10);
@@ -2348,7 +2135,6 @@ mod tests {
         let mut config = ClusterConfig::small_test();
         config.audit = true;
         config.shards = 2;
-        config.shard_threads = 1;
         let par = crate::engine::run_simulation_on(&config, &AlwaysLargest, t);
         assert!(par.audit.is_clean(), "{:?}", par.audit.violations);
         assert_eq!(par.stats.arrivals, 3);
@@ -2378,7 +2164,7 @@ mod tests {
         let mut config = ClusterConfig::small_test();
         config.journal_capacity = 512;
         let t = trace(400.0, 30.0, 0.5);
-        let (one, par) = run_pair(&config, 2, 1, &t);
+        let (one, par) = run_pair(&config, 2, &t);
         assert_equivalent(&one, &par);
         assert!(
             par.stats.run_cutoffs.journal_pressure > 0,
@@ -2392,78 +2178,11 @@ mod tests {
         assert_eq!(par.stats.run_cutoffs.total(), par.stats.epochs);
     }
 
-    /// Places like [`AlwaysLargest`], but panics in `place` when it runs
-    /// on (`on_builder`) or off the thread that built it.
-    struct Tripwire {
-        on_builder: bool,
-    }
-
-    struct TripwireScheme {
-        builder: std::thread::ThreadId,
-        on_builder: bool,
-    }
-
-    impl Scheme for TripwireScheme {
-        fn name(&self) -> &'static str {
-            "tripwire"
-        }
-        fn initial_geometry(&self) -> protean_gpu::Geometry {
-            protean_gpu::Geometry::full()
-        }
-        fn sharing_mode(&self) -> protean_gpu::SharingMode {
-            protean_gpu::SharingMode::Mps
-        }
-        fn place(&mut self, _ctx: &PlacementCtx<'_>, _batch: &BatchView) -> Option<Placement> {
-            let here = std::thread::current().id() == self.builder;
-            assert!(
-                here != self.on_builder,
-                "tripwire: placed on_builder = {here}"
-            );
-            Some(Placement::on_slice(0))
-        }
-    }
-
-    impl SchemeBuilder for Tripwire {
-        fn build(&self, _worker: usize) -> Box<dyn Scheme> {
-            Box::new(TripwireScheme {
-                builder: std::thread::current().id(),
-                on_builder: self.on_builder,
-            })
-        }
-        fn name(&self) -> &'static str {
-            "tripwire"
-        }
-    }
-
-    fn run_threaded_tripwire(on_builder: bool) {
-        let mut config = ClusterConfig::small_test();
-        config.workers = 4;
-        config.shards = 2;
-        config.shard_threads = 2;
-        // No pre-warm: container boots complete in shard phases, and each
-        // one places the batch that waited for it.
-        config.prewarm_containers = 0;
-        run_simulation(&config, &Tripwire { on_builder }, &trace(200.0, 10.0, 0.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "shard 1 panicked on its thread")]
-    fn shard_thread_panic_fails_the_run() {
-        run_threaded_tripwire(false);
-    }
-
-    #[test]
-    #[should_panic(expected = "tripwire: placed on_builder = true")]
-    fn coordinator_panic_stops_the_shard_threads() {
-        run_threaded_tripwire(true);
-    }
-
     #[test]
     fn shard_count_never_exceeds_workers() {
         let mut config = ClusterConfig::small_test();
         config.workers = 2;
         config.shards = 64;
-        config.shard_threads = 1;
         let t = trace(100.0, 20.0, 0.5);
         let r = run_simulation(&config, &AlwaysLargest, &t);
         assert!(r.metrics.count(Class::All) > 0);

@@ -80,14 +80,13 @@ pub fn golden_digests_streaming() -> Vec<String> {
     golden_digests_with(run_simulation_streaming)
 }
 
-/// [`golden_digests`] with every run sharded (`shards = 4`, two shard
-/// threads). The engine's contract is digest equality across shard
-/// counts, so this must return exactly the same lines.
+/// [`golden_digests`] with every run sharded (`shards = 4`). The
+/// engine's contract is digest equality across shard counts, so this
+/// must return exactly the same lines.
 pub fn golden_digests_sharded() -> Vec<String> {
     golden_digests_with(|config, scheme, trace| {
         let mut sharded = config.clone();
         sharded.shards = 4;
-        sharded.shard_threads = 2;
         run_simulation(&sharded, scheme, trace)
     })
 }
@@ -101,7 +100,6 @@ pub fn golden_digests_sharded_per_arrival() -> Vec<String> {
     golden_digests_with(|config, scheme, trace| {
         let mut sharded = config.clone();
         sharded.shards = 4;
-        sharded.shard_threads = 2;
         sharded.max_epoch_arrivals = 1;
         run_simulation(&sharded, scheme, trace)
     })

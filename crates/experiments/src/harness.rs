@@ -152,53 +152,16 @@ impl<'a> GridCell<'a> {
 /// cost; small grids run sequentially.
 pub const MIN_CELLS_PER_THREAD: usize = 4;
 
-/// Threads a single cell's engine occupies while it runs: 1 for a
-/// sequential cell, otherwise the sharded engine's thread budget
-/// ([`ClusterConfig::shard_threads`], where 0 means "auto" = the
-/// machine) clamped to its shard count.
-pub fn cell_thread_use(config: &ClusterConfig, hw: usize) -> usize {
-    let shards = config.effective_shards();
-    if shards <= 1 {
-        return 1;
-    }
-    let budget = if config.shard_threads > 0 {
-        config.shard_threads
-    } else {
-        hw
-    };
-    budget.min(shards).max(1)
-}
-
-/// Divides the grid's global thread budget by the widest cell's own
-/// thread use, so grid-level and shard-level parallelism share one pool
-/// instead of multiplying: a 16-thread budget over cells that each run
-/// 4 shard threads gets 4 grid workers, not 16 × 4 live threads
-/// fighting over the cores.
-pub fn grid_thread_budget(threads: usize, widest_cell_threads: usize) -> usize {
-    (threads / widest_cell_threads.max(1)).max(1)
-}
-
 /// Runs every cell on a pool of `threads` workers and returns one
 /// [`SchemeRow`] per cell, in input order. Results are bit-identical
 /// for any `threads` value (each cell owns its seed; see module docs).
 ///
-/// The pool is shrunk twice: divided by the widest cell's own shard
-/// parallelism (see [`grid_thread_budget`] — sharded cells spawn their
-/// own threads), then so every spawned worker has at least
+/// Every cell runs on one thread, sharded or not, so the pool is only
+/// shrunk until every spawned worker has at least
 /// [`MIN_CELLS_PER_THREAD`] cells; grids smaller than that threshold
 /// fall back to a sequential loop on the calling thread.
 pub fn run_grid(cells: &[GridCell<'_>], threads: usize) -> Vec<SchemeRow> {
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let widest = cells
-        .iter()
-        .map(|c| cell_thread_use(&c.config, hw))
-        .max()
-        .unwrap_or(1);
-    let threads = grid_thread_budget(threads, widest)
-        .min(cells.len() / MIN_CELLS_PER_THREAD)
-        .max(1);
+    let threads = threads.min(cells.len() / MIN_CELLS_PER_THREAD).max(1);
     let done = AtomicUsize::new(0);
     run_parallel(cells, threads, |_, cell| {
         let row = run_scheme(&cell.config, cell.scheme, &cell.trace);
@@ -234,34 +197,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(run_parallel(&empty, 8, |_, &x| x).is_empty());
         assert_eq!(run_parallel(&[5u32], 8, |_, &x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn grid_budget_divides_by_widest_cell() {
-        // Sequential cells leave the grid budget alone.
-        let seq = ClusterConfig::small_test();
-        assert_eq!(cell_thread_use(&seq, 16), 1);
-        assert_eq!(grid_thread_budget(16, 1), 16);
-        // A 4-shard cell with an explicit 4-thread budget quarters it.
-        let mut sharded = ClusterConfig::small_test();
-        sharded.workers = 8;
-        sharded.shards = 4;
-        sharded.shard_threads = 4;
-        assert_eq!(cell_thread_use(&sharded, 16), 4);
-        assert_eq!(grid_thread_budget(16, 4), 4);
-        // Auto shard threads (0) claim the machine, capped by shards.
-        sharded.shard_threads = 0;
-        assert_eq!(cell_thread_use(&sharded, 16), 4);
-        assert_eq!(cell_thread_use(&sharded, 2), 2);
-        // Shards never exceed workers, so neither does thread use.
-        let mut narrow = ClusterConfig::small_test();
-        narrow.workers = 2;
-        narrow.shards = 64;
-        narrow.shard_threads = 64;
-        assert_eq!(cell_thread_use(&narrow, 16), 2);
-        // The budget never collapses to zero.
-        assert_eq!(grid_thread_budget(2, 8), 1);
-        assert_eq!(grid_thread_budget(0, 0), 1);
     }
 
     #[test]

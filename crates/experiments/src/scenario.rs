@@ -9,7 +9,7 @@
 //! scenario runs through the audited engine **twice** — one shard and
 //! four (`shards = 4`) — and the runner asserts bit-identical digests
 //! between the arms, so the catalog doubles as a standing differential
-//! test of the parallel engine under adversarial schedules.
+//! test of the sharded engine under adversarial schedules.
 //!
 //! The parser is a deliberate TOML *subset* (single-line scalars,
 //! `[table]` and `[[array-of-tables]]` headers, `#` comments, no
@@ -1376,10 +1376,10 @@ pub fn card_headers() -> Vec<&'static str> {
 
 /// Runs one scenario through both engine arms and condenses the result.
 ///
-/// The one-shard arm (`shards = 1`) and the sharded arm (`shards = 4`,
-/// two threads) run the identical compiled scenario; their golden
-/// digests must match bit-for-bit and both audits must be clean, or the
-/// run fails. `[expect]` assertions are enforced on the one-shard arm.
+/// The one-shard arm (`shards = 1`) and the sharded arm (`shards = 4`)
+/// run the identical compiled scenario; their golden digests must match
+/// bit-for-bit and both audits must be clean, or the run fails.
+/// `[expect]` assertions are enforced on the one-shard arm.
 ///
 /// # Errors
 ///
@@ -1405,7 +1405,6 @@ pub fn run(
     for shards in [1usize, 4] {
         let mut config = compiled.config.clone();
         config.shards = shards;
-        config.shard_threads = if shards > 1 { 2 } else { 0 };
         let mut market = compiled.market.clone();
         let result = run_trace_with_oracle(&config, scheme.as_ref(), trace.clone(), &mut market);
         if !result.audit.is_clean() {

@@ -163,7 +163,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length bounds for [`vec`]: inclusive on both ends.
+    /// Length bounds for [`vec()`]: inclusive on both ends.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

@@ -290,7 +290,6 @@ fn simultaneous_evictions_resolve_identically_across_shards() {
         config.prewarm_containers = 0; // boots in flight at the collision tick
         config.cold_start = SimDuration::from_secs(5.0);
         config.shards = shards;
-        config.shard_threads = 2;
         let mut market = ScriptedMarket::new()
             .evict(1, SimTime::from_secs(10.0), SimDuration::from_secs(5.0))
             .evict(2, SimTime::from_secs(10.0), SimDuration::from_secs(5.0));
@@ -368,7 +367,6 @@ fn eviction_redispatch_order_is_deterministic() {
         config.procurement_retry = SimDuration::from_secs(1.0);
         config.prewarm_containers = 1;
         config.shards = shards;
-        config.shard_threads = 1;
         let t = TraceConfig {
             be_pool: vec![
                 ModelId::MobileNet,

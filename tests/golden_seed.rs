@@ -101,12 +101,12 @@ fn streaming_arrivals_reproduce_the_recorded_digests() {
     );
 }
 
-/// Sharded runs (`shards = 4`, two shard threads) must reproduce the
-/// recorded digests bit for bit on every golden config — all eight
-/// schemes x three seeds plus the two spot-market runs (evictions,
-/// replacement, censoring). Comparing against the recorded constants
-/// pins the parallel path to the recorded behaviour directly, not
-/// merely to whatever a one-shard run currently does.
+/// Sharded runs (`shards = 4`) must reproduce the recorded digests bit
+/// for bit on every golden config — all eight schemes x three seeds
+/// plus the two spot-market runs (evictions, replacement, censoring).
+/// Comparing against the recorded constants pins the sharded path to
+/// the recorded behaviour directly, not merely to whatever a one-shard
+/// run currently does.
 #[test]
 fn sharded_engine_reproduces_the_recorded_digests() {
     let actual = golden_digests_sharded();

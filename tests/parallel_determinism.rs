@@ -90,10 +90,8 @@ fn run_parallel_preserves_input_order() {
     assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
 }
 
-/// Grid-level and shard-level parallelism compose: a grid whose cells
-/// each run the sharded engine (which spawns its own shard threads)
-/// still returns bit-identical rows for any grid thread count, and the
-/// shared thread budget means the composition cannot oversubscribe.
+/// A grid whose cells each run the sharded engine still returns
+/// bit-identical rows for any grid thread count.
 #[test]
 fn sharded_cells_inside_a_parallel_grid_stay_deterministic() {
     let lineup = schemes::primary();
@@ -105,7 +103,6 @@ fn sharded_cells_inside_a_parallel_grid_stay_deterministic() {
         };
         let mut config = setup.cluster();
         config.shards = 4;
-        config.shard_threads = 2;
         cells.push(GridCell::new(
             config,
             scheme.as_ref(),
@@ -139,24 +136,18 @@ fn audit_sweeps_stay_clean_and_counted_across_shard_counts() {
     assert!(baseline.audit.checks > 0);
     assert!(baseline.audit.is_clean(), "{:?}", baseline.audit.violations);
     for shards in [2usize, 4, 8] {
-        for threads in [1usize, 2] {
-            let mut sharded = config.clone();
-            sharded.shards = shards;
-            sharded.shard_threads = threads;
-            let r = run_simulation(&sharded, &scheme, &trace);
-            assert!(
-                r.audit.is_clean(),
-                "shards={shards} threads={threads}: {:?}",
-                r.audit.violations
-            );
-            assert_eq!(
-                baseline.audit.checks, r.audit.checks,
-                "shards={shards} threads={threads}: sweep cadence drifted"
-            );
-            assert_eq!(
-                baseline.censored, r.censored,
-                "shards={shards} threads={threads}"
-            );
-        }
+        let mut sharded = config.clone();
+        sharded.shards = shards;
+        let r = run_simulation(&sharded, &scheme, &trace);
+        assert!(
+            r.audit.is_clean(),
+            "shards={shards}: {:?}",
+            r.audit.violations
+        );
+        assert_eq!(
+            baseline.audit.checks, r.audit.checks,
+            "shards={shards}: sweep cadence drifted"
+        );
+        assert_eq!(baseline.censored, r.censored, "shards={shards}");
     }
 }

@@ -214,7 +214,6 @@ fn hand_built_market_matches_dsl_twin_on_scripted_evictions() {
     config.cold_start = SimDuration::from_secs(8.0);
     config.audit = true;
     config.shards = 1;
-    config.shard_threads = 0;
 
     let trace_config = TraceConfig {
         shape: TraceShape::constant(240.0),
@@ -300,7 +299,6 @@ fn hand_built_market_matches_dsl_twin_on_jittered_storm() {
     config.cold_start = SimDuration::from_secs(8.0);
     config.audit = true;
     config.shards = 1;
-    config.shard_threads = 0;
 
     let mut be_pool = catalog().opposite_pool(ModelId::ResNet50);
     if be_pool.is_empty() {

@@ -1,4 +1,4 @@
-//! Shard-count invariance: sharding is a pure wall-clock optimisation,
+//! Shard-count invariance: sharding only partitions the engine's state,
 //! so for ANY workload, seed, dispatch policy and shard count the
 //! golden digest (counts, sorted-latency percentiles, cost,
 //! utilization, lifecycle counters — floats compared as exact bit
@@ -59,9 +59,11 @@ fn quick_trace(model: ModelId, rps: f64, strict_fraction: f64) -> TraceConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Digest equality for shards ∈ {2, 4, 8} (threaded and inline)
-    /// against one shard, across schemes of both dispatch
-    /// policies, arbitrary seeds, rates and mixes.
+    /// Digest equality for shards ∈ {2, 4, 8} against one shard, across
+    /// schemes of both dispatch policies, arbitrary seeds, rates and
+    /// mixes; and a second run of the same sharded config in the same
+    /// process reproduces the first, so no hash-seeded iteration order
+    /// reaches the digest.
     #[test]
     fn prop_digest_invariant_under_sharding(
         seed in 0u64..1000,
@@ -70,7 +72,6 @@ proptest! {
         strict_fraction in 0.1f64..0.9,
         scheme_idx in 0usize..4,
         shards in prop::sample::select(vec![2usize, 4, 8]),
-        threads in prop::sample::select(vec![1usize, 2, 4]),
     ) {
         let config = quick_config(seed);
         let trace = quick_trace(model, rps, strict_fraction);
@@ -78,9 +79,10 @@ proptest! {
         let one_shard = run_simulation(&config, scheme.as_ref(), &trace);
         let mut sharded = config.clone();
         sharded.shards = shards;
-        sharded.shard_threads = threads;
-        let parallel = run_simulation(&sharded, scheme.as_ref(), &trace);
-        prop_assert_eq!(digest(&one_shard), digest(&parallel));
+        let first = digest(&run_simulation(&sharded, scheme.as_ref(), &trace));
+        let again = digest(&run_simulation(&sharded, scheme.as_ref(), &trace));
+        prop_assert_eq!(&digest(&one_shard), &first);
+        prop_assert_eq!(first, again);
     }
 
     /// Same invariance through the scripted spot market: adversarial
@@ -117,7 +119,6 @@ proptest! {
             run_simulation_with_oracle(&config, &ProteanBuilder::paper(), &trace, &mut market);
         let mut sharded = config.clone();
         sharded.shards = shards;
-        sharded.shard_threads = 2;
         let mut market = script();
         let parallel =
             run_simulation_with_oracle(&sharded, &ProteanBuilder::paper(), &trace, &mut market);
@@ -150,7 +151,6 @@ proptest! {
         let one_shard = run_simulation(&config, scheme.as_ref(), &trace);
         let mut sharded = config.clone();
         sharded.shards = shards;
-        sharded.shard_threads = 2;
         sharded.max_epoch_arrivals = cap;
         let parallel = run_simulation(&sharded, scheme.as_ref(), &trace);
         prop_assert_eq!(digest(&one_shard), digest(&parallel));
@@ -195,7 +195,6 @@ proptest! {
         config.procurement_retry = SimDuration::from_secs(5.0);
         config.audit = true;
         config.shards = shards;
-        config.shard_threads = 2;
         let trace = quick_trace(ModelId::ResNet50, 300.0, 0.5);
         let script = || {
             ScriptedMarket::new().evict(
@@ -229,7 +228,7 @@ proptest! {
 
 /// Fleet-scale sharded differential on the paper's diurnal language
 /// trace with per-worker load at the paper's operating point: every
-/// shard count (inline, one thread) and the streamed sharded path must
+/// shard count and the streamed sharded path must
 /// reproduce the one-shard digest; every arm's counter triad must
 /// reconcile, one shard included; the run partition must not depend on
 /// the shard count; and run peeling must stay effective — few epochs
@@ -253,7 +252,6 @@ fn fleet_scale_sharded_runs_match_one_shard() {
     let sharded = |shards: usize| {
         let mut c = config.clone();
         c.shards = shards;
-        c.shard_threads = 1;
         c
     };
     let partition = |s: &EngineStats| {
