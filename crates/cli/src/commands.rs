@@ -47,13 +47,6 @@ FLAGS (simulate / compare):
   --threads <n>           compare only: worker threads for the scheme
                           grid (default PROTEAN_THREADS, then the
                           machine's available parallelism)
-  --shards <n>            fleet shards the engine partitions the
-                          workers across (default 1 = every worker
-                          on one shard; results are bit-identical
-                          for every count; 0 is rejected)
-  --max-epoch-arrivals <n> arrival-run coarsening cap (any shard
-                          count); 0 and 1 both mean one epoch per
-                          arrival, no coarsening (default 64)
   --availability <a>      high | medium | low (default high)
   --per-model <bool>      simulate only: also print a per-model table
 
@@ -75,7 +68,7 @@ FLAGS (scenario list / scenario run):
 ";
 
 /// Flags [`build_run`] reads, shared by `simulate` and `compare`.
-const RUN_FLAGS: [&str; 12] = [
+const RUN_FLAGS: [&str; 10] = [
     "model",
     "trace",
     "rps",
@@ -86,8 +79,6 @@ const RUN_FLAGS: [&str; 12] = [
     "slo-mult",
     "procurement",
     "availability",
-    "shards",
-    "max-epoch-arrivals",
 ];
 /// `simulate`'s own flags on top of [`RUN_FLAGS`].
 const SIMULATE_FLAGS: [&str; 2] = ["scheme", "per-model"];
@@ -213,17 +204,6 @@ fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
     }
     config.procurement = parse_procurement(args.get("procurement").unwrap_or("ondemand"))?;
     config.availability = parse_availability(args.get("availability").unwrap_or("high"))?;
-    config.shards = args.get_or("shards", 1usize)?;
-    if config.shards == 0 {
-        return Err(ArgError(
-            "--shards must be at least 1 (1 = every worker on one shard; there is no zero-shard run)"
-                .into(),
-        ));
-    }
-    // 0 and 1 both mean one epoch per arrival (no coarsening); the
-    // engine clamps internally, so normalize here to keep the config
-    // explicit about the semantics.
-    config.max_epoch_arrivals = args.get_or("max-epoch-arrivals", 64u64)?.max(1);
     Ok((config, trace))
 }
 
@@ -500,7 +480,7 @@ pub fn scenario(action: Option<&str>, args: &Args) -> Result<(), ArgError> {
             let rows: Vec<Vec<String>> = outcomes.iter().map(|o| o.table_row()).collect();
             table(&headers, &rows);
             println!(
-                "\n  {} scenario(s) green: one-shard and sharded digests identical, audits clean{}",
+                "\n  {} scenario(s) green: audited and unaudited digests identical, audits clean{}",
                 outcomes.len(),
                 if smoke { " (smoke rates)" } else { "" }
             );
@@ -673,67 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn sharding_flags_flow_into_the_config_and_validate() {
-        let args = Args::parse(
-            "simulate --shards 4 --max-epoch-arrivals 16"
-                .split_whitespace()
-                .map(String::from)
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let (config, _) = build_run(&args).unwrap();
-        assert_eq!(config.shards, 4);
-        assert_eq!(config.max_epoch_arrivals, 16);
-
-        // Defaults: one shard, coarsening cap at the paper
-        // default.
-        let none = Args::parse(vec!["simulate".to_string()]).unwrap();
-        let (config, _) = build_run(&none).unwrap();
-        assert_eq!(config.shards, 1);
-        assert_eq!(config.max_epoch_arrivals, 64);
-
-        // Window-expiry admission is unconditional, so the retired
-        // expiry-coalescing knob is an unknown flag on both run commands
-        // (its name is assembled so the source keeps no live mention).
-        let retired = ["coalesce", "expiries"].join("-");
-        let a = Args::parse(vec![
-            "simulate".to_string(),
-            format!("--{retired}"),
-            "false".to_string(),
-        ])
-        .unwrap();
-        for run in [simulate, compare] {
-            let err = run(&a).unwrap_err();
-            assert!(
-                err.0.contains(&format!("unknown flag --{retired}")),
-                "{err}"
-            );
-        }
-
-        // --shards 0 is nonsense (no zero-shard run) and the message
-        // says so; --max-epoch-arrivals 0 is normalized to the explicit
-        // per-arrival cap of 1.
-        let a = Args::parse(
-            "simulate --shards 0"
-                .split_whitespace()
-                .map(String::from)
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let err = build_run(&a).unwrap_err();
-        assert!(err.0.contains("zero-shard"), "{err}");
-        let a = Args::parse(
-            "simulate --max-epoch-arrivals 0"
-                .split_whitespace()
-                .map(String::from)
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let (config, _) = build_run(&a).unwrap();
-        assert_eq!(config.max_epoch_arrivals, 1, "0 normalizes to per-arrival");
-    }
-
-    #[test]
     fn each_run_command_accepts_exactly_the_flags_it_reads() {
         let parse = |line: &str| {
             Args::parse(
@@ -749,9 +668,24 @@ mod tests {
         ))
         .unwrap();
         // `simulate` runs one scheme on one thread: --threads is
-        // compare-only, and there is no shard-thread knob.
-        for flag in ["threads 4", "shard-threads 2"] {
+        // compare-only. The engine is one event loop, so there is no
+        // shard, shard-thread or epoch knob.
+        let unknown = [
+            "threads 4",
+            "shard-threads 2",
+            "shards 4",
+            "max-epoch-arrivals 16",
+        ];
+        for flag in unknown {
             let err = simulate(&parse(&format!("simulate --{flag}"))).unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert!(
+                err.0.starts_with(&format!("unknown flag --{name} ")),
+                "{err}"
+            );
+        }
+        for flag in &unknown[1..] {
+            let err = compare(&parse(&format!("compare --{flag}"))).unwrap_err();
             let name = flag.split(' ').next().unwrap();
             assert!(
                 err.0.starts_with(&format!("unknown flag --{name} ")),

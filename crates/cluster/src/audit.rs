@@ -36,7 +36,7 @@ use protean_sim::SimTime;
 use protean_spot::VmLedger;
 
 use crate::batch::BatchId;
-use crate::dispatch::reference_select;
+use crate::dispatch::{reference_select, DispatchIndex};
 use crate::worker::{Worker, WorkerStatus};
 
 /// Cap on recorded violation messages; beyond it only the count grows.
@@ -237,39 +237,30 @@ impl Auditor {
         }
     }
 
-    /// Counts a sweep opportunity and reports whether this one is
-    /// sampled in (`every_n` thinning). Callers that assemble the fleet
-    /// view from several shards use this to skip the assembly cost on
-    /// thinned-out opportunities.
-    pub(crate) fn sweep_due(&mut self) -> bool {
+    /// One sweep opportunity: counts it and, if `every_n` sampling
+    /// takes it, runs the conservation sweep over `workers` (the whole
+    /// fleet, in worker order). The sweep also verifies `index` against
+    /// the workers' live state
+    /// ([`crate::dispatch::DispatchIndex::verify`]): the
+    /// incrementally-maintained index must agree with it at every
+    /// quiescent point, or the O(log W) dispatcher could diverge from
+    /// the linear-scan reference.
+    pub(crate) fn check(
+        &mut self,
+        now: SimTime,
+        workers: &[Worker],
+        ledger: &VmLedger,
+        index: &DispatchIndex,
+    ) {
         if !self.enabled {
-            return false;
+            return;
         }
         self.opportunities += 1;
         if !(self.opportunities - 1).is_multiple_of(self.every_n) {
-            return false;
+            return;
         }
         self.checks += 1;
-        true
-    }
-
-    /// The conservation sweep body, over any iteration of the fleet's
-    /// workers. The engine chains its per-shard worker slices here, after
-    /// verifying each shard's partition of the dispatch index via
-    /// [`crate::dispatch::DispatchIndex::verify_partition`] and passing
-    /// the messages as `index_problems`: the incrementally-maintained
-    /// index must agree with the workers' live state at every quiescent
-    /// point, or the O(log W) dispatcher could diverge from the
-    /// linear-scan reference. Call only after [`Auditor::sweep_due`]
-    /// returned `true`.
-    pub(crate) fn sweep<'a>(
-        &mut self,
-        now: SimTime,
-        workers: impl Iterator<Item = &'a Worker>,
-        ledger: &VmLedger,
-        index_problems: Vec<String>,
-    ) {
-        for msg in index_problems {
+        for msg in index.verify(workers) {
             self.violation(now, msg);
         }
         let mut bound_vms = 0usize;
@@ -367,56 +358,6 @@ impl Auditor {
         }
     }
 
-    /// End-of-run reconciliation of the epoch-coarsening counter triad.
-    /// Every
-    /// dispatch-shaped event — a gateway arrival or a `WindowExpire`
-    /// batch-window dispatch — is either the head of a run (one epoch)
-    /// or coalesced into one, and every run ends for exactly one
-    /// recorded cause, so:
-    ///
-    /// * `epochs + coalesced_arrivals + coalesced_expiries ==
-    ///   arrivals + expiries`, and
-    /// * `run_cutoffs.total() == epochs`.
-    ///
-    /// A broken triad means a run was cut without attribution (or
-    /// double-attributed) — the accounting bug this check exists to
-    /// catch, since the digests it rides next to are insensitive to
-    /// stats. Records violations only; it is not a sweep and does not
-    /// touch `checks`, which stays comparable across shard counts and
-    /// coarsening caps.
-    pub(crate) fn epoch_conservation(&mut self, now: SimTime, stats: &crate::engine::EngineStats) {
-        if !self.enabled {
-            return;
-        }
-        if stats.epochs + stats.coalesced_arrivals + stats.coalesced_expiries
-            != stats.arrivals + stats.expiries
-        {
-            self.violation(
-                now,
-                format!(
-                    "epoch conservation broken: epochs {} + coalesced arrivals {} \
-                     + coalesced expiries {} != arrivals {} + expiries {}",
-                    stats.epochs,
-                    stats.coalesced_arrivals,
-                    stats.coalesced_expiries,
-                    stats.arrivals,
-                    stats.expiries
-                ),
-            );
-        }
-        if stats.run_cutoffs.total() != stats.epochs {
-            self.violation(
-                now,
-                format!(
-                    "run cutoff attribution broken: cutoffs {:?} total {} != epochs {}",
-                    stats.run_cutoffs,
-                    stats.run_cutoffs.total(),
-                    stats.epochs
-                ),
-            );
-        }
-    }
-
     pub(crate) fn into_report(self) -> AuditReport {
         AuditReport {
             enabled: self.enabled,
@@ -430,23 +371,14 @@ impl Auditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::DispatchIndex;
     use crate::schemes_for_test::AlwaysLargest;
-
-    /// One audit opportunity over `workers`: the sweep the engine runs
-    /// at a phase boundary, with the index verified as one partition.
-    fn check(a: &mut Auditor, workers: &[Worker], ledger: &VmLedger, index: &DispatchIndex) {
-        if a.sweep_due() {
-            a.sweep(SimTime::ZERO, workers.iter(), ledger, index.verify(workers));
-        }
-    }
 
     #[test]
     fn disabled_auditor_is_inert_and_clean() {
         let mut a = Auditor::new(false, 1);
         a.batch_sealed(SimTime::ZERO, BatchId(0));
         a.batch_finished(SimTime::ZERO, BatchId(0), 0); // would violate if on
-        check(&mut a, &[], &dummy_ledger(), &DispatchIndex::new(0));
+        a.check(SimTime::ZERO, &[], &dummy_ledger(), &DispatchIndex::new(0));
         let r = a.into_report();
         assert!(!r.enabled);
         assert!(r.is_clean());
@@ -458,7 +390,7 @@ mod tests {
         let mut a = Auditor::new(true, 3);
         let index = DispatchIndex::new(0);
         for _ in 0..7 {
-            check(&mut a, &[], &dummy_ledger(), &index);
+            a.check(SimTime::ZERO, &[], &dummy_ledger(), &index);
         }
         // Opportunities 1, 4 and 7 are swept.
         let r = a.into_report();
@@ -471,7 +403,7 @@ mod tests {
         let mut a = Auditor::new(true, 0);
         let index = DispatchIndex::new(0);
         for _ in 0..5 {
-            check(&mut a, &[], &dummy_ledger(), &index);
+            a.check(SimTime::ZERO, &[], &dummy_ledger(), &index);
         }
         assert_eq!(a.into_report().checks, 5);
     }
@@ -481,7 +413,7 @@ mod tests {
         let mut a = Auditor::new(true, 1);
         // An index sized for a worker the cluster does not have.
         let index = DispatchIndex::new(1);
-        check(&mut a, &[], &dummy_ledger(), &index);
+        a.check(SimTime::ZERO, &[], &dummy_ledger(), &index);
         let r = a.into_report();
         assert_eq!(r.violation_count, 1);
         assert!(r.violations[0].contains("dispatch index"));
@@ -568,53 +500,6 @@ mod tests {
         assert!(!r.is_clean());
     }
 
-    #[test]
-    fn epoch_conservation_accepts_a_reconciled_triad_without_a_sweep() {
-        let mut a = Auditor::new(true, 1);
-        let stats = crate::engine::EngineStats {
-            arrivals: 10,
-            expiries: 4,
-            epochs: 4,
-            coalesced_arrivals: 7,
-            coalesced_expiries: 3,
-            run_cutoffs: crate::engine::RunCutoffs {
-                serial_event: 1,
-                expiry_shard_conflict: 1,
-                max_arrivals: 1,
-                trace_end: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        a.epoch_conservation(SimTime::ZERO, &stats);
-        let r = a.into_report();
-        assert!(r.is_clean());
-        // Not a sweep: `checks` stays comparable across engine arms.
-        assert_eq!(r.checks, 0);
-    }
-
-    #[test]
-    fn epoch_conservation_flags_both_broken_identities() {
-        let mut a = Auditor::new(true, 1);
-        let stats = crate::engine::EngineStats {
-            arrivals: 10,
-            expiries: 2,
-            epochs: 3,
-            coalesced_arrivals: 5,
-            coalesced_expiries: 1, // 3 + 5 + 1 != 10 + 2
-            run_cutoffs: crate::engine::RunCutoffs {
-                trace_end: 1, // total 1 != 3 epochs
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        a.epoch_conservation(SimTime::ZERO, &stats);
-        let r = a.into_report();
-        assert_eq!(r.violation_count, 2);
-        assert!(r.violations[0].contains("epoch conservation"));
-        assert!(r.violations[1].contains("cutoff attribution"));
-    }
-
     fn dummy_ledger() -> VmLedger {
         VmLedger::new(
             protean_spot::PricingTable::paper_table3(),
@@ -635,11 +520,11 @@ mod tests {
         assert_eq!(ledger.misuse_events(), 1);
         let mut a = Auditor::new(true, 1);
         let index = DispatchIndex::new(0);
-        check(&mut a, &[], &ledger, &index);
+        a.check(SimTime::ZERO, &[], &ledger, &index);
         assert_eq!(a.violation_count, 1);
         assert!(a.violations[0].contains("misuse"));
         // Same tally on the next sweep: no new violation.
-        check(&mut a, &[], &ledger, &index);
+        a.check(SimTime::ZERO, &[], &ledger, &index);
         assert_eq!(a.violation_count, 1);
     }
 }

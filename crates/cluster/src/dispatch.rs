@@ -36,14 +36,6 @@
 //! and every dispatch selection against the O(W) scans it replaced
 //! ([`reference_select`]). The property tests in
 //! `tests/dispatch_index.rs` cross-check raw queries the same way.
-//!
-//! The sharded engine gives each shard a *partition* index
-//! ([`DispatchIndex::partition`]) with one leaf per worker the shard
-//! owns: leaf `l` of shard `s` among `S` holds global worker
-//! `s + l·S`. Keys still carry the global index, and leaf order is
-//! monotone in it, so root minima and first-fit's leftmost-leaf rule
-//! answer in global terms and [`select_across`] reduces partitions by
-//! a plain `min`.
 
 use crate::worker::Worker;
 
@@ -100,12 +92,9 @@ impl MinTree {
     }
 }
 
-/// Incrementally-maintained index over worker dispatch state. See the
-/// [module docs](self) for the tier structure and maintenance contract.
-///
-/// Slot `l` holds global worker `shard + l * stride`; a fleet-wide index
-/// is the partition with `shard = 0`, `stride = 1`, where slot and
-/// worker index coincide.
+/// Incrementally-maintained index over worker dispatch state, one slot
+/// per worker. See the [module docs](self) for the tier structure and
+/// maintenance contract.
 #[derive(Debug)]
 pub struct DispatchIndex {
     /// Routable workers whose GPU is accepting, keyed `(outstanding, idx)`.
@@ -117,76 +106,29 @@ pub struct DispatchIndex {
     routable_count: usize,
     /// Dense snapshot per worker slot; `None` = not routable.
     entries: Vec<Option<Entry>>,
-    /// Global index of slot 0, and the global distance between slots.
-    shard: usize,
-    stride: usize,
     /// Maintenance operations applied (surfaced in `EngineStats`).
     updates: u64,
 }
 
 impl DispatchIndex {
-    /// A fleet-wide index over `n` worker slots, all initially
-    /// non-routable.
+    /// An index over `n` worker slots, all initially non-routable.
     pub fn new(n: usize) -> Self {
-        Self::partition(n, 0, 1)
-    }
-
-    /// The partition of a `workers`-wide fleet that shard `shard` of
-    /// `stride` owns: one slot per worker `g` with `g % stride == shard`,
-    /// `⌈(workers − shard) / stride⌉` slots in all.
-    pub fn partition(workers: usize, shard: usize, stride: usize) -> Self {
-        assert!(shard < stride, "shard {shard} out of {stride}");
-        let n = Self::partition_len(workers, shard, stride);
         DispatchIndex {
             accepting: MinTree::new(n),
             routable: MinTree::new(n),
             accepting_count: 0,
             routable_count: 0,
             entries: vec![None; n],
-            shard,
-            stride,
             updates: 0,
         }
     }
 
-    /// Workers of a `workers`-wide fleet that shard `shard` of `stride`
-    /// owns.
-    fn partition_len(workers: usize, shard: usize, stride: usize) -> usize {
-        workers.saturating_sub(shard).div_ceil(stride)
-    }
-
-    /// Re-caches one worker's dispatch state in a fleet-wide index. Call
-    /// after *any* mutation of the worker's status, GPU accepting state,
-    /// or `outstanding`. Partitions use [`DispatchIndex::refresh_slot`].
+    /// Re-caches worker `idx`'s dispatch state. Call after *any*
+    /// mutation of the worker's status, GPU accepting state, or
+    /// `outstanding`.
     pub fn refresh(&mut self, idx: usize, routable: bool, accepting: bool, outstanding: u64) {
-        self.refresh_slot(idx, idx, routable, accepting, outstanding);
-    }
-
-    /// [`DispatchIndex::refresh`] for global worker `idx`, which lives in
-    /// `slot` (`idx == shard + slot * stride`). The caller already knows
-    /// the slot, so the hot path needs no division.
-    pub fn refresh_slot(
-        &mut self,
-        slot: usize,
-        idx: usize,
-        routable: bool,
-        accepting: bool,
-        outstanding: u64,
-    ) {
-        debug_assert_eq!(
-            idx % self.stride,
-            self.shard,
-            "refresh for worker {idx} misrouted to partition {} of {}",
-            self.shard,
-            self.stride
-        );
-        debug_assert_eq!(
-            self.shard + slot * self.stride,
-            idx,
-            "worker {idx} does not live in slot {slot}"
-        );
         self.updates += 1;
-        let old = self.entries[slot];
+        let old = self.entries[idx];
         let new = routable.then_some(Entry {
             outstanding,
             accepting,
@@ -194,28 +136,22 @@ impl DispatchIndex {
         if old == new {
             return;
         }
-        self.routable.set(slot, new.map(|e| (e.outstanding, idx)));
+        self.routable.set(idx, new.map(|e| (e.outstanding, idx)));
         self.accepting.set(
-            slot,
+            idx,
             new.and_then(|e| e.accepting.then_some((e.outstanding, idx))),
         );
         self.routable_count =
             self.routable_count + usize::from(new.is_some()) - usize::from(old.is_some());
         self.accepting_count = self.accepting_count + usize::from(new.is_some_and(|e| e.accepting))
             - usize::from(old.is_some_and(|e| e.accepting));
-        self.entries[slot] = new;
+        self.entries[idx] = new;
     }
 
     /// [`DispatchIndex::refresh`] from the worker's live state.
     pub fn refresh_worker(&mut self, w: &Worker) {
-        self.refresh_worker_slot(w.idx, w);
-    }
-
-    /// [`DispatchIndex::refresh_slot`] from the live state of `w`, which
-    /// lives in `slot`.
-    pub fn refresh_worker_slot(&mut self, slot: usize, w: &Worker) {
         let (routable, accepting, outstanding) = w.dispatch_state();
-        self.refresh_slot(slot, w.idx, routable, accepting, outstanding);
+        self.refresh(w.idx, routable, accepting, outstanding);
     }
 
     /// The least-loaded routable worker with an accepting GPU — the
@@ -228,24 +164,6 @@ impl DispatchIndex {
     /// The least-loaded routable worker regardless of GPU state.
     pub fn least_loaded_routable(&self) -> Option<usize> {
         self.routable.min_idx()
-    }
-
-    /// The accepting tier's root key `(outstanding, idx)`, if any slot
-    /// is eligible. The sharded engine reduces one global least-loaded
-    /// answer from per-shard trees by taking the minimum of the shard
-    /// roots — the tuple order reproduces the global `min_by_key`
-    /// tie-break exactly because every key embeds the global worker
-    /// index.
-    pub fn least_loaded_accepting_key(&self) -> Option<(u64, usize)> {
-        let root = self.accepting.tree[1];
-        (root != ABSENT).then_some(root)
-    }
-
-    /// The routable tier's root key `(outstanding, idx)`, if any slot
-    /// is eligible.
-    pub fn least_loaded_routable_key(&self) -> Option<(u64, usize)> {
-        let root = self.routable.tree[1];
-        (root != ABSENT).then_some(root)
     }
 
     /// `true` if any worker is routable.
@@ -297,48 +215,49 @@ impl DispatchIndex {
         Some(tree[i].1)
     }
 
-    /// Cross-checks the index against the workers' live state: the
-    /// audited index-coherence invariant. Returns one message per
-    /// discrepancy (tier membership, tree contents, or dense snapshot
-    /// — the first-fit descent reads only the accepting tree, so tree
-    /// equality covers it).
-    pub fn verify(&self, workers: &[Worker]) -> Vec<String> {
-        self.verify_partition(workers.len(), workers.iter())
+    /// Dispatch target selection: `Consolidate` first-fit when `cap` is
+    /// set, then the least-loaded worker whose GPU is accepting — a GPU
+    /// draining for reconfiguration gets no new traffic (§4.4 keeps
+    /// downtime local) — then the least-loaded routable worker if every
+    /// GPU is mid-change. Each tier consulted adds one to `visits`; a
+    /// later tier is consulted only when every earlier one is empty,
+    /// mirroring [`reference_select`]'s short-circuit.
+    pub fn select(&self, cap: Option<u64>, visits: &mut u64) -> Option<usize> {
+        cap.and_then(|cap| self.first_fit(cap, visits))
+            .or_else(|| {
+                *visits += 1;
+                self.least_loaded_accepting()
+            })
+            .or_else(|| {
+                *visits += 1;
+                self.least_loaded_routable()
+            })
     }
 
-    /// [`DispatchIndex::verify`] for a partition of a `total_workers`
-    /// fleet: the index must have exactly one slot per worker its shard
-    /// owns, and `owned` must yield those workers in slot order. This is
-    /// the coherence invariant of the sharded engine's per-shard trees;
-    /// a partition built for the wrong fleet width or shard count is
-    /// reported as a slot-count mismatch, and an owned worker out of
-    /// place as a slot mismatch.
-    pub fn verify_partition<'a>(
-        &self,
-        total_workers: usize,
-        owned: impl Iterator<Item = &'a Worker>,
-    ) -> Vec<String> {
-        let expect = Self::partition_len(total_workers, self.shard, self.stride);
-        if self.entries.len() != expect {
+    /// Cross-checks the index against the workers' live state: the
+    /// audited index-coherence invariant. `workers` must be the whole
+    /// fleet in worker order. Returns one message per discrepancy (slot
+    /// count, tier membership, tree contents, or dense snapshot — the
+    /// first-fit descent reads only the accepting tree, so tree equality
+    /// covers it).
+    pub fn verify(&self, workers: &[Worker]) -> Vec<String> {
+        if self.entries.len() != workers.len() {
             return vec![format!(
-                "dispatch index partition {} of {} covers {} slots but owns {expect} of {total_workers} workers",
-                self.shard,
-                self.stride,
+                "dispatch index covers {} slots but the fleet has {} workers",
                 self.entries.len(),
+                workers.len(),
             )];
         }
         let mut out = Vec::new();
-        let mut live_accepting = MinTree::new(self.entries.len());
-        let mut live_routable = MinTree::new(self.entries.len());
+        let mut live_accepting = MinTree::new(workers.len());
+        let mut live_routable = MinTree::new(workers.len());
         let mut live_accepting_count = 0;
         let mut live_routable_count = 0;
-        let mut slots = 0;
-        for (slot, w) in owned.enumerate() {
-            slots += 1;
-            if slot >= self.entries.len() || self.shard + slot * self.stride != w.idx {
+        for (slot, w) in workers.iter().enumerate() {
+            if w.idx != slot {
                 out.push(format!(
-                    "worker {} is not slot {slot} of dispatch index partition {} of {}",
-                    w.idx, self.shard, self.stride
+                    "worker {} sits in dispatch index slot {slot}",
+                    w.idx
                 ));
                 continue;
             }
@@ -353,21 +272,13 @@ impl DispatchIndex {
                     w.idx, self.entries[slot], expect
                 ));
             }
-            live_routable.set(slot, expect.map(|e| (e.outstanding, w.idx)));
+            live_routable.set(slot, expect.map(|e| (e.outstanding, slot)));
             live_accepting.set(
                 slot,
-                expect.and_then(|e| e.accepting.then_some((e.outstanding, w.idx))),
+                expect.and_then(|e| e.accepting.then_some((e.outstanding, slot))),
             );
             live_routable_count += usize::from(expect.is_some());
             live_accepting_count += usize::from(expect.is_some_and(|e| e.accepting));
-        }
-        if slots != self.entries.len() {
-            out.push(format!(
-                "dispatch index partition {} of {} has {} slots but was shown {slots} workers",
-                self.shard,
-                self.stride,
-                self.entries.len()
-            ));
         }
         if live_accepting.tree != self.accepting.tree
             || live_accepting_count != self.accepting_count
@@ -387,70 +298,16 @@ impl DispatchIndex {
     }
 }
 
-/// Decision-only dispatch resolution over one or more index partitions:
-/// `Consolidate` first-fit (when `cap` is set) over every partition,
-/// then the least-loaded accepting tier, then the least-loaded routable
-/// tier, each reduced by `min` over the partition answers. Every key a
-/// partition exposes embeds the *global* worker index, so the reduction
-/// reproduces the fleet-wide scan's `(outstanding, idx)` tie-break
-/// (and first-fit's leftmost-slot rule) exactly, no matter how the
-/// fleet is partitioned.
-///
-/// The function only *reads* the indices — it never mutates a worker or
-/// a tree — which is what lets the sharded coordinator resolve a whole
-/// run of arrival dispatch decisions in serial order between phases
-/// without ordering hazards: each decision is applied (worker mutated,
-/// index refreshed) before the next one is resolved, and nothing here
-/// caches state across calls. A later tier is only consulted when every
-/// earlier tier is empty across *all* partitions, mirroring
-/// [`reference_select`]'s short-circuit (and its per-tier `visits`
-/// accounting).
-pub fn select_across<'a, I>(partitions: I, cap: Option<u64>, visits: &mut u64) -> Option<usize>
-where
-    I: Iterator<Item = &'a DispatchIndex> + Clone,
-{
-    let consolidated = cap.and_then(|cap| {
-        let mut best: Option<usize> = None;
-        for index in partitions.clone() {
-            if let Some(i) = index.first_fit(cap, visits) {
-                best = Some(best.map_or(i, |b| b.min(i)));
-            }
-        }
-        best
-    });
-    consolidated
-        .or_else(|| {
-            let mut best: Option<(u64, usize)> = None;
-            for index in partitions.clone() {
-                *visits += 1;
-                if let Some(k) = index.least_loaded_accepting_key() {
-                    best = Some(best.map_or(k, |b| b.min(k)));
-                }
-            }
-            best.map(|(_, idx)| idx)
-        })
-        .or_else(|| {
-            let mut best: Option<(u64, usize)> = None;
-            for index in partitions {
-                *visits += 1;
-                if let Some(k) = index.least_loaded_routable_key() {
-                    best = Some(best.map_or(k, |b| b.min(k)));
-                }
-            }
-            best.map(|(_, idx)| idx)
-        })
-}
-
-/// The linear-scan reference for [`select_across`]: the O(W) scans the
+/// The linear-scan reference for [`DispatchIndex::select`]: the O(W) scans the
 /// index replaced, read straight from the workers' live state. Same
 /// cascade — `Consolidate` first-fit when `cap` is set, then the
 /// least-loaded worker whose GPU is accepting (a GPU draining for
 /// reconfiguration gets no new traffic, §4.4), then any routable
 /// worker — and the same `(outstanding, idx)` tie-break.
 ///
-/// `fleet` may yield the workers in any order (the auditor chains
-/// per-shard slices): every tier ranks by the global worker index, so
-/// first-fit's "leftmost" is the smallest eligible index. The auditor
+/// `fleet` may yield the workers in any order: every tier ranks by the
+/// worker index, so first-fit's "leftmost" is the smallest eligible
+/// index. The auditor
 /// checks each dispatch selection against this function when
 /// [`crate::ClusterConfig::audit`] is set.
 pub fn reference_select<'a, I>(fleet: I, cap: Option<u64>) -> Option<usize>
@@ -490,53 +347,6 @@ mod tests {
             index.refresh(idx, routable, accepting, outstanding);
         }
         index
-    }
-
-    #[test]
-    fn select_across_partitions_matches_the_whole_fleet_index() {
-        let states = [
-            (true, true, 5),
-            (true, false, 1),
-            (true, true, 3),
-            (false, false, 0),
-            (true, true, 3),
-            (true, true, 9),
-        ];
-        let whole = filled(&states);
-        // Round-robin the same fleet across two partitions.
-        let mut even = DispatchIndex::partition(states.len(), 0, 2);
-        let mut odd = DispatchIndex::partition(states.len(), 1, 2);
-        for (idx, &(routable, accepting, outstanding)) in states.iter().enumerate() {
-            let part = if idx % 2 == 0 { &mut even } else { &mut odd };
-            part.refresh_slot(idx / 2, idx, routable, accepting, outstanding);
-        }
-        for cap in [None, Some(4), Some(2), Some(100)] {
-            let mut v_single = 0u64;
-            let mut v_parts = 0u64;
-            let single = select_across(std::iter::once(&whole), cap, &mut v_single);
-            let parts = select_across([&even, &odd].into_iter(), cap, &mut v_parts);
-            assert_eq!(single, parts, "cap {cap:?}");
-        }
-    }
-
-    #[test]
-    fn partitions_hold_one_slot_per_owned_worker() {
-        // Seven workers over three shards: 0,3,6 / 1,4 / 2,5.
-        let lens: Vec<usize> = (0..3)
-            .map(|s| DispatchIndex::partition(7, s, 3).entries.len())
-            .collect();
-        assert_eq!(lens, [3, 2, 2]);
-        // A shard beyond the fleet owns nothing.
-        assert_eq!(DispatchIndex::partition(2, 3, 4).entries.len(), 0);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "misrouted")]
-    fn refresh_for_another_shards_worker_panics() {
-        // Worker 4 lives on shard 0 of 2; shard 1 must not take it.
-        let mut odd = DispatchIndex::partition(6, 1, 2);
-        odd.refresh_slot(2, 4, true, true, 0);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Run configuration, run results and the public entry points of a
-//! cluster simulation. The discrete-event engine itself — one
-//! coordinator plus `S` shard cores, `S = 1` by default — lives in
-//! [`crate::sharded`].
+//! cluster simulation. The discrete-event engine itself lives in
+//! [`crate::event_loop`].
 
 use protean_metrics::MetricsSet;
 use protean_models::{Catalog, ModelId};
@@ -119,29 +118,13 @@ pub struct ClusterConfig {
     /// Required for ≥10⁹-request endurance runs, whose record store
     /// would otherwise grow without bound.
     pub aggregate_metrics: bool,
-    /// Fleet shards: the workers are partitioned across this many of
-    /// [`crate::sharded`]'s shard cores, each with its own event queue
-    /// and dispatch index, which the coordinator advances one after
-    /// another between serial events, all on the calling thread. `1`
-    /// (the default) keeps every worker on one core. Every shard count
-    /// produces a **bit-identical** digest. Clamped to the worker count.
+    /// Has no effect: the engine is one event loop over the whole
+    /// fleet. Kept only because the `perf` benchmark driver still
+    /// assigns it.
     pub shards: usize,
-    /// Has no effect: every shard phase runs inline on the calling
-    /// thread. Kept only because the `perf` benchmark driver still
-    /// assigns and prints it.
+    /// Has no effect, like `shards`. Kept only because the `perf`
+    /// benchmark driver still assigns and prints it.
     pub shard_threads: usize,
-    /// Upper bound on how many consecutive arrivals the sharded
-    /// coordinator may coalesce into one synchronization epoch
-    /// (arrival-run coarsening). The coordinator only extends a run
-    /// while doing so is *provably* exact — the next arrival must win
-    /// its tie against every pending serial event and no shard may hold
-    /// an event below the arrival's bound — so any value here yields
-    /// bit-identical results; the cap merely bounds how long the
-    /// coordinator defers its conflict re-checks. Values `<= 1` disable
-    /// coarsening (one epoch per arrival, the PR-7 discipline), which
-    /// is the differential arm the coarsening tests compare against.
-    /// Applies at every shard count, `shards = 1` included.
-    pub max_epoch_arrivals: u64,
 }
 
 impl ClusterConfig {
@@ -178,14 +161,7 @@ impl ClusterConfig {
             aggregate_metrics: false,
             shards: 1,
             shard_threads: 1,
-            max_epoch_arrivals: 64,
         }
-    }
-
-    /// The shard count this configuration actually runs with: clamped
-    /// to the fleet size.
-    pub fn effective_shards(&self) -> usize {
-        self.shards.clamp(1, self.workers.max(1))
     }
 
     /// A 2-worker configuration for fast unit tests.
@@ -225,10 +201,8 @@ pub struct EngineStats {
     pub events_pushed: u64,
     /// Total events popped from the event queue.
     pub events_popped: u64,
-    /// Sum over the run's event queues (the coordinator's and one per
-    /// shard) of each queue's largest size. The queues peak at
-    /// different instants, so this is an upper bound on the largest
-    /// number of events pending at once.
+    /// The largest number of events pending in the event heap at once.
+    /// Container boots wait in a FIFO of their own and are not counted.
     pub peak_heap_len: usize,
     /// `JobFinish` events actually pushed.
     pub finish_events_pushed: u64,
@@ -265,80 +239,31 @@ pub struct EngineStats {
     /// the drain pass that re-dispatched them (re-dispatch churn).
     pub backlog_requeued: u64,
     /// Requests dispatched at the gateway (arrivals at or before the
-    /// cutoff; half of the dispatch-event denominator of
-    /// epochs-per-dispatch-event).
+    /// cutoff).
     pub arrivals: u64,
     /// `WindowExpire` batch-window dispatches handled at or before the
     /// cutoff (live and stale alike — staleness is a property of the
-    /// accumulator, not of the event having fired). The other half of
-    /// the dispatch-event denominator; the same count at every shard
-    /// count.
+    /// accumulator, not of the event having fired).
     pub expiries: u64,
-    /// Dispatch-run epochs the coordinator started: each run covers
-    /// one or more consecutive dispatch-shaped events (arrivals and
-    /// window expiries) whose intermediate phases were proven empty.
-    /// Per-arrival mode (`max_epoch_arrivals <= 1`) records one epoch
-    /// per dispatch event. Runs are peeled the same way at every shard
-    /// count, so the epoch counters do not depend on `shards`.
+    /// Always 0: the engine has no epochs. Kept only because the `perf`
+    /// benchmark driver still reads it.
     pub epochs: u64,
-    /// Arrivals absorbed into a running epoch beyond each run's first
-    /// member (the barrier launches coarsening avoided). Conservation:
-    /// `epochs + coalesced_arrivals + coalesced_expiries ==
-    /// arrivals + expiries`, audited at end of run when
-    /// [`ClusterConfig::audit`] is set.
+    /// Always 0, like `epochs`.
     pub coalesced_arrivals: u64,
-    /// Window expiries absorbed into a running epoch beyond each run's
-    /// first member — the serial synchronizations expiry admission
-    /// eliminates. Part of the conservation identity above.
+    /// Always 0, like `epochs`.
     pub coalesced_expiries: u64,
-    /// Why each dispatch run ended, by cause. Every run is cut exactly
-    /// once, so `run_cutoffs.total() == epochs` (also audited).
+    /// Always all 0, like `epochs`.
     pub run_cutoffs: RunCutoffs,
 }
 
-/// Per-cause accounting of dispatch-run terminations in the sharded
-/// coordinator (see [`EngineStats::run_cutoffs`]). The causes are
-/// mutually exclusive: the first one that fires ends the run.
+/// Always all 0: the engine no longer peels dispatch runs. Kept only
+/// because the `perf` benchmark driver still reads these fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunCutoffs {
-    /// A pending non-dispatch serial coordinator event (monitor tick —
-    /// the reconfiguration trigger —, revocation check, eviction
-    /// finalisation, VM arrival, procurement retry) won the tie against
-    /// the next dispatch-shaped event, so the run must yield to it.
     pub serial_event: u64,
-    /// Some shard held a pending worker-local event below the next
-    /// arrival's bound: the intermediate phase would not be empty, so
-    /// coalescing past it is not provably exact.
     pub shard_conflict: u64,
-    /// Some shard held a pending worker-local event below the next
-    /// window expiry's `EventKey`: admitting the expiry would elide a
-    /// non-empty phase. Tracked apart from `shard_conflict` so the
-    /// cut-cause table attributes arrival-bound and expiry-bound
-    /// conflicts separately.
     pub expiry_shard_conflict: u64,
-    /// The run reached [`ClusterConfig::max_epoch_arrivals`] members
-    /// (arrivals and admitted expiries both count toward the cap).
     pub max_arrivals: u64,
-    /// The coordinator's journal buffer reached
-    /// [`ClusterConfig::journal_capacity`]: the journal can accept no
-    /// further records, so deferring conflict re-checks buys nothing
-    /// and the run is cut to keep the cutoff triad reconcilable.
-    pub journal_pressure: u64,
-    /// The trace ran out of arrivals (or the next arrival lies beyond
-    /// the cutoff).
-    pub trace_end: u64,
-}
-
-impl RunCutoffs {
-    /// Total runs cut, across all causes.
-    pub fn total(&self) -> u64 {
-        self.serial_event
-            + self.shard_conflict
-            + self.expiry_shard_conflict
-            + self.max_arrivals
-            + self.journal_pressure
-            + self.trace_end
-    }
 }
 
 /// A completed MIG geometry change (Fig. 7 timeline).
@@ -464,7 +389,7 @@ pub fn run_trace_with_oracle(
     trace: Trace,
     oracle: &mut dyn SpotOracle,
 ) -> SimulationResult {
-    crate::sharded::run_trace_sharded(config, scheme, trace, oracle)
+    crate::event_loop::run_trace(config, scheme, trace, oracle)
 }
 
 /// [`run_simulation`] with arrivals pulled lazily from
@@ -492,7 +417,7 @@ pub fn run_stream_with_oracle(
     trace_config: &TraceConfig,
     oracle: &mut dyn SpotOracle,
 ) -> SimulationResult {
-    crate::sharded::run_stream_sharded(config, scheme, trace_config, oracle)
+    crate::event_loop::run_stream(config, scheme, trace_config, oracle)
 }
 
 impl SchemeBuilder for &dyn SchemeBuilder {

@@ -28,14 +28,10 @@
 //!    revocation checks, eviction notices, drain, replacement VMs, and
 //!    the dollar ledger (§4.5).
 //!
-//! One engine drives that path: [`sharded`]'s coordinator runs every
-//! arrival and every event that touches shared state (gateway, spot
-//! market, VM ledger) in serial order, and `S` shard cores
-//! ([`ClusterConfig::shards`], default 1) own the workers and their
-//! worker-local events, each advancing its own queue between serial
-//! steps.
-//! Results are bit-identical for every `S`; [`engine`] holds the
-//! configuration, the result types and the entry points.
+//! One engine drives that path: [`event_loop`] handles every event in
+//! `(time, push order)` order on one thread, with each arrival winning
+//! the ties at its instant; [`engine`] holds the configuration, the
+//! result types and the entry points.
 //!
 //! Two correctness tools ride on top of the engine: the opt-in
 //! invariant [`audit`] layer sweeps cluster-wide conservation laws
@@ -75,15 +71,15 @@ pub mod batch;
 pub mod container;
 pub mod dispatch;
 pub mod engine;
+pub mod event_loop;
 pub mod fault;
 pub mod journal;
 pub mod scheme;
-pub mod sharded;
 pub mod worker;
 
 pub use audit::AuditReport;
 pub use batch::{Batch, BatchId};
-pub use dispatch::{select_across, DispatchIndex};
+pub use dispatch::DispatchIndex;
 pub use engine::{
     run_simulation, run_simulation_on, run_simulation_streaming, run_simulation_with_oracle,
     run_stream_with_oracle, run_trace_with_oracle, ClusterConfig, CostReport, EngineStats,

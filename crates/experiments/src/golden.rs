@@ -80,28 +80,18 @@ pub fn golden_digests_streaming() -> Vec<String> {
     golden_digests_with(run_simulation_streaming)
 }
 
-/// [`golden_digests`] with every run sharded (`shards = 4`). The
-/// engine's contract is digest equality across shard counts, so this
-/// must return exactly the same lines.
-pub fn golden_digests_sharded() -> Vec<String> {
+/// [`golden_digests`] with the invariant auditor on for every run. The
+/// auditor only reads engine state, so this must return exactly the
+/// same lines; it panics unless every run audits clean with at least
+/// one sweep.
+pub fn golden_digests_audited() -> Vec<String> {
     golden_digests_with(|config, scheme, trace| {
-        let mut sharded = config.clone();
-        sharded.shards = 4;
-        run_simulation(&sharded, scheme, trace)
-    })
-}
-
-/// [`golden_digests_sharded`] with epoch coarsening forced off
-/// (`max_epoch_arrivals = 1`, the per-arrival PR-7 discipline). Arrival
-/// runs are exact elisions of provably-empty phases, so coarsened and
-/// per-arrival digests must both equal the one-shard lines; this
-/// function is the differential arm that pins the per-arrival side.
-pub fn golden_digests_sharded_per_arrival() -> Vec<String> {
-    golden_digests_with(|config, scheme, trace| {
-        let mut sharded = config.clone();
-        sharded.shards = 4;
-        sharded.max_epoch_arrivals = 1;
-        run_simulation(&sharded, scheme, trace)
+        let mut audited = config.clone();
+        audited.audit = true;
+        let result = run_simulation(&audited, scheme, trace);
+        assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
+        assert!(result.audit.checks > 0, "no audit sweep ran");
+        result
     })
 }
 

@@ -156,7 +156,7 @@ pub const MIN_CELLS_PER_THREAD: usize = 4;
 /// [`SchemeRow`] per cell, in input order. Results are bit-identical
 /// for any `threads` value (each cell owns its seed; see module docs).
 ///
-/// Every cell runs on one thread, sharded or not, so the pool is only
+/// Every cell runs on one thread, so the pool is only
 /// shrunk until every spawned worker has at least
 /// [`MIN_CELLS_PER_THREAD`] cells; grids smaller than that threshold
 /// fall back to a sequential loop on the calling thread.

@@ -6,10 +6,10 @@
 //! user-authored CSV), and a fleet/scheme configuration — and this
 //! module compiles it onto the existing engine types:
 //! [`ScriptedMarket`], [`TraceConfig`] and [`ClusterConfig`]. Every
-//! scenario runs through the audited engine **twice** — one shard and
-//! four (`shards = 4`) — and the runner asserts bit-identical digests
+//! scenario runs through the engine **twice** — audited and unaudited —
+//! and the runner asserts a clean audit and bit-identical digests
 //! between the arms, so the catalog doubles as a standing differential
-//! test of the sharded engine under adversarial schedules.
+//! test of the engine and its auditor under adversarial schedules.
 //!
 //! The parser is a deliberate TOML *subset* (single-line scalars,
 //! `[table]` and `[[array-of-tables]]` headers, `#` comments, no
@@ -1245,7 +1245,7 @@ pub struct ScenarioOutcome {
     pub scheme: String,
     /// Whether request rates were smoke-scaled.
     pub smoke: bool,
-    /// Golden digest (identical across the one-shard/sharded arms).
+    /// Golden digest (identical across the audited and unaudited arms).
     pub digest: String,
     /// Post-warmup requests measured.
     pub requests: usize,
@@ -1376,10 +1376,11 @@ pub fn card_headers() -> Vec<&'static str> {
 
 /// Runs one scenario through both engine arms and condenses the result.
 ///
-/// The one-shard arm (`shards = 1`) and the sharded arm (`shards = 4`)
-/// run the identical compiled scenario; their golden digests must match
-/// bit-for-bit and both audits must be clean, or the run fails.
-/// `[expect]` assertions are enforced on the one-shard arm.
+/// The audited arm (the compiled config, `audit = true`) and an
+/// unaudited arm run the identical compiled scenario; the audit must be
+/// clean and the two golden digests must match bit-for-bit (the auditor
+/// only reads engine state), or the run fails. `[expect]` assertions
+/// are enforced on the audited arm.
 ///
 /// # Errors
 ///
@@ -1401,53 +1402,49 @@ pub fn run(
         }
     };
 
-    let mut arms = Vec::with_capacity(2);
-    for shards in [1usize, 4] {
+    let run_arm = |audit: bool| {
         let mut config = compiled.config.clone();
-        config.shards = shards;
+        config.audit = audit;
         let mut market = compiled.market.clone();
-        let result = run_trace_with_oracle(&config, scheme.as_ref(), trace.clone(), &mut market);
-        if !result.audit.is_clean() {
-            return Err(ScenarioError::Invalid(format!(
-                "scenario '{}' ({} shard(s)): audit violations: {:?}",
-                spec.name, shards, result.audit.violations
-            )));
-        }
-        arms.push(result);
-    }
-    let one_shard = &arms[0];
-    let sharded = &arms[1];
-    let digest = golden::digest(one_shard);
-    if digest != golden::digest(sharded) {
+        run_trace_with_oracle(&config, scheme.as_ref(), trace.clone(), &mut market)
+    };
+    let audited = run_arm(true);
+    if !audited.audit.is_clean() {
         return Err(ScenarioError::Invalid(format!(
-            "scenario '{}': one-shard and sharded digests diverge:\n  one: {}\n  shd: {}",
-            spec.name,
-            digest,
-            golden::digest(sharded)
+            "scenario '{}': audit violations: {:?}",
+            spec.name, audited.audit.violations
+        )));
+    }
+    let digest = golden::digest(&audited);
+    let unaudited = golden::digest(&run_arm(false));
+    if digest != unaudited {
+        return Err(ScenarioError::Invalid(format!(
+            "scenario '{}': audited and unaudited digests diverge:\n  audited:   {}\n  unaudited: {}",
+            spec.name, digest, unaudited
         )));
     }
 
     if let Some(min) = spec.expect.min_evictions {
-        if one_shard.cost.evictions < min {
+        if audited.cost.evictions < min {
             return Err(ScenarioError::Invalid(format!(
                 "scenario '{}': expected >= {min} evictions, saw {}",
-                spec.name, one_shard.cost.evictions
+                spec.name, audited.cost.evictions
             )));
         }
     }
     if let Some(min) = spec.expect.min_reconfigs {
-        if one_shard.reconfigs < min {
+        if audited.reconfigs < min {
             return Err(ScenarioError::Invalid(format!(
                 "scenario '{}': expected >= {min} reconfigs, saw {}",
-                spec.name, one_shard.reconfigs
+                spec.name, audited.reconfigs
             )));
         }
     }
     if let Some(max) = spec.expect.max_censored {
-        if one_shard.censored > max {
+        if audited.censored > max {
             return Err(ScenarioError::Invalid(format!(
                 "scenario '{}': expected <= {max} censored requests, saw {}",
-                spec.name, one_shard.censored
+                spec.name, audited.censored
             )));
         }
     }
@@ -1457,7 +1454,7 @@ pub fn run(
         smoke,
         digest,
         spec.fleet.slo_mult,
-        one_shard,
+        &audited,
     ))
 }
 

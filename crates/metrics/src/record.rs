@@ -215,11 +215,9 @@ impl LatencyHistogram {
     }
 
     /// Bucket-wise sum plus count/sum/min/max fold. Histograms are
-    /// order-insensitive, so merging per-shard histograms in any order
-    /// gives the same store a one-shard run builds — except `sum_ms`,
-    /// where float addition is associative only in exact arithmetic; the
-    /// sharded engine merges shards in ascending shard order to keep the
-    /// result deterministic for a fixed shard count.
+    /// order-insensitive, so merging in any order gives the same
+    /// buckets — except `sum_ms`, where float addition is associative
+    /// only in exact arithmetic, so callers merge in a fixed order.
     fn merge_from(&mut self, other: &LatencyHistogram) {
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += o;
@@ -273,11 +271,9 @@ impl MetricsSet {
 
     /// Merges another set into this one. Both sets must be in the same
     /// storage mode. In full mode the other set's records are appended
-    /// (the sharded engine merges shards in ascending shard order, so
-    /// record order is deterministic but generally differs from a
-    /// one-shard run's completion order; every digest-visible
-    /// aggregation — counts, percentiles, CDFs — is order-insensitive).
-    /// In aggregate mode the histograms are summed bucket-wise.
+    /// (every digest-visible aggregation — counts, percentiles, CDFs —
+    /// is order-insensitive). In aggregate mode the histograms are
+    /// summed bucket-wise.
     ///
     /// # Panics
     ///

@@ -8,23 +8,16 @@ use crate::time::SimTime;
 /// Explicit ordering key for [`KeyedEventQueue`]: chronological by
 /// `time`, then lexicographic on `(major, minor)`.
 ///
-/// An internal tie-break (one FIFO counter per queue) is right only when
-/// a single loop owns all pushes. The sharded cluster engine instead has
-/// *several* producers pushing into *several* queues between
-/// synchronization points, and needs the merged pop order across all of
-/// them to reproduce one global FIFO counter's order bit for bit. That
-/// only works if the tie-break is part of the event itself: the coordinator allocates `major` from the
-/// serial push counter and shards derive `minor` from their phase-local
-/// counters, so any two events — regardless of which queue they sit in
-/// — compare the same way a single queue's insertion order would have
-/// compared them.
+/// The tie-break is the caller's, not the queue's: the cluster engine
+/// takes `major` from its run-wide push counter (and leaves `minor` at
+/// 0), so equal-time events pop in push order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EventKey {
     /// Fire time.
     pub time: SimTime,
-    /// Primary tie-break at equal times (serial push counter).
+    /// Primary tie-break at equal times (the push counter).
     pub major: u64,
-    /// Secondary tie-break (producer-local counter).
+    /// Secondary tie-break.
     pub minor: u64,
 }
 
@@ -37,8 +30,7 @@ impl EventKey {
 
 /// A priority queue of [`EventKey`]-stamped events that pops in key
 /// order. Ties are broken by the caller-supplied key, not an internal
-/// counter — see the [`EventKey`] docs for why the sharded engine needs
-/// that.
+/// counter (see [`EventKey`]).
 #[derive(Debug)]
 pub struct KeyedEventQueue<E> {
     heap: BinaryHeap<KeyedEntry<E>>,
@@ -106,23 +98,6 @@ impl<E> KeyedEventQueue<E> {
         self.heap.peek().map(|e| e.key)
     }
 
-    /// The smallest pending key and a borrow of its event, without
-    /// removing either. The sharded engine's run peeler uses this to
-    /// decide whether the next coordinator event is dispatch-shaped (a
-    /// window expiry it may admit into the run) before committing to a
-    /// pop.
-    pub fn peek(&self) -> Option<(EventKey, &E)> {
-        self.heap.peek().map(|e| (e.key, &e.event))
-    }
-
-    /// `true` if some pending event orders strictly before `bound` —
-    /// the phase-participation / run-conflict test of the sharded
-    /// cluster engine, which must decide in O(1) per shard whether a
-    /// phase bounded at `bound` would have anything to do.
-    pub fn has_event_before(&self, bound: EventKey) -> bool {
-        self.peek_key().is_some_and(|k| k < bound)
-    }
-
     /// Events pushed over the queue's lifetime.
     pub fn pushed(&self) -> u64 {
         self.pushed
@@ -164,32 +139,18 @@ mod tests {
     fn keyed_queue_pops_in_key_order() {
         let mut q = KeyedEventQueue::new();
         let t = SimTime::from_secs(1.0);
-        q.push(EventKey::new(t, 2, 0), "serial-2");
-        q.push(EventKey::new(t, 1, 1 << 48), "phase-1-shard");
-        q.push(EventKey::new(t, 1, 0), "serial-1");
+        q.push(EventKey::new(t, 2, 0), "push-2");
+        q.push(EventKey::new(t, 1, 1), "minor-breaks-major-tie");
+        q.push(EventKey::new(t, 1, 0), "push-1");
         q.push(EventKey::new(SimTime::ZERO, 9, 9), "earlier-time");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(
             order,
-            vec!["earlier-time", "serial-1", "phase-1-shard", "serial-2"]
+            vec!["earlier-time", "push-1", "minor-breaks-major-tie", "push-2"]
         );
         assert_eq!(q.pushed(), 4);
         assert_eq!(q.popped(), 4);
         assert_eq!(q.peak_len(), 4);
-    }
-
-    #[test]
-    fn has_event_before_is_a_strict_bound() {
-        let mut q = KeyedEventQueue::new();
-        let t = SimTime::from_secs(1.0);
-        assert!(!q.has_event_before(EventKey::new(SimTime::MAX, u64::MAX, u64::MAX)));
-        q.push(EventKey::new(t, 3, 5), ());
-        assert!(q.has_event_before(EventKey::new(t, 3, 6)));
-        // The bound is exclusive: an event exactly at the bound does
-        // not participate.
-        assert!(!q.has_event_before(EventKey::new(t, 3, 5)));
-        assert!(!q.has_event_before(EventKey::new(t, 0, 0)));
-        assert!(q.has_event_before(EventKey::new(SimTime::from_secs(2.0), 0, 0)));
     }
 
     proptest! {

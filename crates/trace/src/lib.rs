@@ -92,8 +92,7 @@ pub enum TraceShape {
     /// period, `low_rps` for the rest. An ON level above fleet capacity
     /// builds a backlog whose OFF-phase drain is pure event processing
     /// with no interleaved arrivals — the admission-control stress
-    /// regime, and (because batch arrivals pin engine epochs to arrival
-    /// instants) the regime where drain-side work dominates.
+    /// regime, where drain-side work dominates.
     Pulse {
         /// Requests per second during the ON fraction.
         high_rps: f64,
@@ -459,9 +458,8 @@ impl Iterator for TraceStream {
 /// One-request lookahead over an arrival source, materialised or
 /// streamed.
 ///
-/// The sharded cluster engine's coordinator peels *runs* of consecutive
-/// arrivals and must see the next arrival instant before committing to
-/// admit it into the current epoch — without materialising a streamed
+/// The cluster engine's event loop must see the next arrival instant
+/// to order it against the queued events — without materialising a streamed
 /// trace (a [`TraceStream`] generates arrivals lazily precisely so
 /// fleet-scale runs never hold the request vector). `Lookahead` buffers
 /// exactly one pending request: `peek_arrival` advances the underlying

@@ -1,8 +1,8 @@
 //! The per-worker decline memo under overload. On a pulse at 8x the
 //! paper's operating point queues run deep and most placement offers
 //! meet a full GPU; the memo answers repeats of a decline without
-//! asking `Scheme::place`. Skipping must change nothing: counters and
-//! digests are the same at every shard count, and the audited run, which
+//! asking `Scheme::place`. Skipping must change nothing: a repeat run
+//! reproduces the counters and the digest, and the audited run, which
 //! re-asks every skipped offer, digests identically with a clean audit.
 //! A scheme that breaks the `Scheme::place` contract fails that audit.
 
@@ -49,39 +49,26 @@ fn memo_counters(s: &EngineStats) -> [u64; 4] {
 }
 
 #[test]
-fn overloaded_pulse_skips_declines_identically_at_every_shard_count() {
+fn overloaded_pulse_skips_declines_identically_when_audited() {
     let (config, trace) = pulse(42);
     let scheme = ProteanBuilder::paper();
-    let run = |shards: usize, audit: bool| {
+    let run = |audit: bool| {
         let mut c = config.clone();
-        c.shards = shards;
         c.audit = audit;
         run_simulation(&c, &scheme, &trace)
     };
-    let one = run(1, false);
+    let one = run(false);
     let s = &one.stats;
     assert!(s.place_memo_skips > 0, "no offer was memoised: {s:?}");
     assert!(s.place_memo_skips < s.place_offers);
     assert!(s.stale_finish_superseded <= s.stale_finish_events);
-    for shards in [2, 4] {
-        let sharded = run(shards, false);
-        assert_eq!(
-            memo_counters(&sharded.stats),
-            memo_counters(s),
-            "S = {shards}"
-        );
-        assert_eq!(digest(&sharded), digest(&one), "S = {shards}");
-    }
-    for shards in [1, 2] {
-        let audited = run(shards, true);
-        assert!(
-            audited.audit.is_clean(),
-            "S = {shards}: {:?}",
-            audited.audit.violations
-        );
-        assert_eq!(digest(&audited), digest(&one), "audited S = {shards}");
-        assert_eq!(memo_counters(&audited.stats), memo_counters(s));
-    }
+    let repeat = run(false);
+    assert_eq!(memo_counters(&repeat.stats), memo_counters(s));
+    assert_eq!(digest(&repeat), digest(&one));
+    let audited = run(true);
+    assert!(audited.audit.is_clean(), "{:?}", audited.audit.violations);
+    assert_eq!(digest(&audited), digest(&one));
+    assert_eq!(memo_counters(&audited.stats), memo_counters(s));
 }
 
 /// Breaks the `Scheme::place` contract: declines its first `declines`

@@ -11,8 +11,9 @@
 //! audit and the unaudited run's digest, on small spot-faulted fleets
 //! and on a fleet-scale language-trace cell that also pins the visit
 //! counts.
-//! A third layer checks the sharded engine's per-shard partitions
-//! against one fleet-wide index under the same refreshes.
+//! A third layer checks [`DispatchIndex::select`] and
+//! [`DispatchIndex::verify`] against the live state of a randomly
+//! mutated worker fleet.
 
 use proptest::prelude::*;
 use protean::ProteanBuilder;
@@ -21,8 +22,8 @@ use protean_cluster::dispatch::reference_select;
 use protean_cluster::schemes_for_test::AlwaysLargest;
 use protean_cluster::worker::{Worker, WorkerStatus};
 use protean_cluster::{
-    run_simulation, run_simulation_with_oracle, select_across, ClusterConfig, DispatchIndex,
-    DispatchPolicy, Scheme, SchemeBuilder, ScriptedMarket,
+    run_simulation, run_simulation_with_oracle, ClusterConfig, DispatchIndex, DispatchPolicy,
+    Scheme, SchemeBuilder, ScriptedMarket,
 };
 use protean_experiments::setup::LANGUAGE_RPS;
 use protean_experiments::{golden, PaperSetup};
@@ -134,36 +135,25 @@ proptest! {
     }
 }
 
-/// The workers shard `shard` of `shards` owns, in partition slot order.
-fn owned(fleet: &[Worker], shard: usize, shards: usize) -> impl Iterator<Item = &Worker> {
-    fleet.iter().skip(shard).step_by(shards)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Shard partitions answer every dispatch query exactly as one
-    /// fleet-wide index and the linear scans over the workers do. Each refresh goes to the fleet-wide index
-    /// and, at its local slot, to the partition of the owning shard;
-    /// fleets include widths the shard count does not divide.
+    /// Under random status, load and reconfiguration changes of a real
+    /// worker fleet, each refreshed into the index, `select` answers
+    /// every query exactly as the linear scans over the live workers
+    /// (`reference_select`) do, and `verify` finds the index coherent.
     #[test]
-    fn prop_partitions_match_the_fleet_wide_index(
+    fn prop_select_matches_reference_select(
         workers in 1usize..=300,
-        shards in prop::sample::select(vec![1usize, 2, 3, 4, 8]),
         ops in prop::collection::vec((0usize..300, 0u32..6, 1u64..40), 1..150),
         caps in prop::collection::vec(1u64..120, 150),
     ) {
-        prop_assume!(shards <= workers);
         let mut fleet: Vec<Worker> = (0..workers)
             .map(|g| Worker::new(g, AlwaysLargest.build(g), SimTime::ZERO))
             .collect();
-        let mut whole = DispatchIndex::new(workers);
-        let mut parts: Vec<DispatchIndex> = (0..shards)
-            .map(|s| DispatchIndex::partition(workers, s, shards))
-            .collect();
+        let mut index = DispatchIndex::new(workers);
         for w in &fleet {
-            whole.refresh_worker(w);
-            parts[w.idx % shards].refresh_worker_slot(w.idx / shards, w);
+            index.refresh_worker(w);
         }
         for (step, (g, kind, amount)) in ops.into_iter().enumerate() {
             let w = &mut fleet[g % workers];
@@ -184,62 +174,19 @@ proptest! {
                     }
                 }
             }
-            let w = &fleet[g % workers];
-            whole.refresh_worker(w);
-            parts[w.idx % shards].refresh_worker_slot(w.idx / shards, w);
-
+            index.refresh_worker(&fleet[g % workers]);
             for cap in [None, Some(caps[step])] {
-                let mut v_whole = 0u64;
-                let mut v_parts = 0u64;
                 prop_assert_eq!(
-                    select_across(std::iter::once(&whole), cap, &mut v_whole),
-                    select_across(parts.iter(), cap, &mut v_parts),
+                    index.select(cap, &mut 0),
+                    reference_select(fleet.iter(), cap),
                     "cap {:?} at step {}", cap, step
                 );
-                // The same tiers are consulted; each costs one visit per
-                // partition.
-                prop_assert_eq!(v_parts, shards as u64 * v_whole);
-                // And the linear scans over the live workers agree.
-                prop_assert_eq!(
-                    reference_select(fleet.iter(), cap),
-                    select_across(std::iter::once(&whole), cap, &mut 0),
-                    "reference, cap {:?} at step {}", cap, step
-                );
             }
-            let min_key = |key: fn(&DispatchIndex) -> Option<(u64, usize)>| {
-                parts.iter().filter_map(key).min()
-            };
-            prop_assert_eq!(
-                whole.least_loaded_accepting_key(),
-                min_key(DispatchIndex::least_loaded_accepting_key)
-            );
-            prop_assert_eq!(
-                whole.least_loaded_routable_key(),
-                min_key(DispatchIndex::least_loaded_routable_key)
-            );
-            prop_assert_eq!(
-                whole.routable_len(),
-                parts.iter().map(DispatchIndex::routable_len).sum::<usize>()
-            );
-            prop_assert_eq!(
-                whole.accepting_len(),
-                parts.iter().map(DispatchIndex::accepting_len).sum::<usize>()
-            );
         }
-        prop_assert!(whole.verify(&fleet).is_empty());
-        for (s, part) in parts.iter().enumerate() {
-            let problems = part.verify_partition(workers, owned(&fleet, s, shards));
-            prop_assert!(problems.is_empty(), "shard {}: {:?}", s, problems);
-            // A partition sized for a wider fleet has one slot too many.
-            let wide = DispatchIndex::partition(workers + shards, s, shards);
-            prop_assert!(!wide.verify_partition(workers, owned(&fleet, s, shards)).is_empty());
-        }
-        if shards > 1 {
-            // A fleet-width index handed to one shard: its slot count is
-            // the fleet's, not the shard's.
-            let fleet_width = DispatchIndex::new(workers);
-            prop_assert!(!fleet_width.verify_partition(workers, owned(&fleet, 0, shards)).is_empty());
-        }
+        let problems = index.verify(&fleet);
+        prop_assert!(problems.is_empty(), "{:?}", problems);
+        // An index sized for a wider fleet is incoherent.
+        prop_assert!(!DispatchIndex::new(workers + 1).verify(&fleet).is_empty());
     }
 }
 

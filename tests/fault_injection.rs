@@ -280,16 +280,16 @@ fn audited_golden_spot_run_is_bit_identical_and_clean() {
 /// boot-completion / revocation-check tick (cold_start = vm_startup =
 /// revocation_check = 5 s, notices at the t=10 s checks, leads 5 s ⇒
 /// finals at t=15 s, colliding with boots armed at t=10 s). The run
-/// must resolve in one documented deterministic order: identical
-/// digests across shards ∈ {1, 4}, clean audit, both evictions taken.
+/// must resolve in one deterministic order: the audited run is clean,
+/// takes both evictions, and digests like an unaudited run and a repeat.
 #[test]
-fn simultaneous_evictions_resolve_identically_across_shards() {
-    let make = |shards: usize| {
+fn simultaneous_evictions_resolve_deterministically() {
+    let make = |audit: bool| {
         let mut config = spot_config();
         config.workers = 4;
         config.prewarm_containers = 0; // boots in flight at the collision tick
         config.cold_start = SimDuration::from_secs(5.0);
-        config.shards = shards;
+        config.audit = audit;
         let mut market = ScriptedMarket::new()
             .evict(1, SimTime::from_secs(10.0), SimDuration::from_secs(5.0))
             .evict(2, SimTime::from_secs(10.0), SimDuration::from_secs(5.0));
@@ -302,20 +302,17 @@ fn simultaneous_evictions_resolve_identically_across_shards() {
         );
         result
     };
-    let one_shard = make(1);
-    let sharded = make(4);
-    assert_eq!(one_shard.cost.evictions, 2);
-    assert_eq!(
-        golden::digest(&one_shard),
-        golden::digest(&sharded),
-        "simultaneous evictions resolved differently under sharding"
-    );
-    assert!(
-        one_shard.audit.is_clean(),
-        "{:?}",
-        one_shard.audit.violations
-    );
-    assert!(sharded.audit.is_clean(), "{:?}", sharded.audit.violations);
+    let audited = make(true);
+    assert_eq!(audited.cost.evictions, 2);
+    assert!(audited.audit.is_clean(), "{:?}", audited.audit.violations);
+    let digest = golden::digest(&audited);
+    for rep in 0..2 {
+        assert_eq!(
+            golden::digest(&make(false)),
+            digest,
+            "unaudited run {rep} resolved the simultaneous evictions differently"
+        );
+    }
 }
 
 /// `audit_every_n` sampling must thin the full-state sweeps without
@@ -355,18 +352,17 @@ fn sampled_audit_is_digest_neutral_and_thins_sweeps() {
 /// stage of a worker's pipeline (container waits on several rotating
 /// best-effort models, the scheduler queue, running batches) and
 /// re-dispatch them in the order the worker drains them. Repeated runs
-/// in one process, and runs at every shard count, must produce one
-/// digest. When the drain walked `HashMap`s, every repetition in the
-/// same process gave a different digest with a clean audit.
+/// in one process must produce one digest. When the drain walked
+/// `HashMap`s, every repetition in the same process gave a different
+/// digest with a clean audit.
 #[test]
 fn eviction_redispatch_order_is_deterministic() {
-    let run = |shards: usize| {
+    let run = || {
         let mut config = spot_config();
         config.revocation_check = SimDuration::from_secs(1.0);
         config.vm_startup = SimDuration::from_secs(1.0);
         config.procurement_retry = SimDuration::from_secs(1.0);
         config.prewarm_containers = 1;
-        config.shards = shards;
         let t = TraceConfig {
             be_pool: vec![
                 ModelId::MobileNet,
@@ -390,12 +386,8 @@ fn eviction_redispatch_order_is_deterministic() {
         assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
         golden::digest(&result)
     };
-    let reference = run(1);
-    for (shards, rep) in [(1, 1), (1, 2), (1, 3), (2, 0), (3, 0)] {
-        assert_eq!(
-            run(shards),
-            reference,
-            "S = {shards} run {rep} diverged from the first S = 1 run"
-        );
+    let reference = run();
+    for rep in 1..=3 {
+        assert_eq!(run(), reference, "run {rep} diverged from the first");
     }
 }

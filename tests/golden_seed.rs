@@ -1,7 +1,8 @@
 //! Golden-seed equivalence: the engine's observable results are pinned
 //! bit for bit against recorded digests (re-captured for the per-worker
-//! jitter-stream relabel). One-shard, streaming, sharded and
-//! per-arrival runs must all reproduce these lines exactly — floats are compared as `to_bits()` hex, so a
+//! jitter-stream relabel). Materialised, streamed, audited and
+//! repeated runs must all reproduce these lines exactly — floats are
+//! compared as `to_bits()` hex, so a
 //! single ULP of drift anywhere in event ordering, RNG consumption or
 //! arithmetic association fails the test.
 //!
@@ -13,12 +14,10 @@
 //! ```
 
 use protean_experiments::golden::{
-    golden_digests, golden_digests_sharded, golden_digests_sharded_per_arrival,
-    golden_digests_streaming,
+    golden_digests, golden_digests_audited, golden_digests_streaming,
 };
 
-/// Captured from the original single-queue engine (per-worker jitter
-/// streams), which the one-shard coordinator run has since replaced:
+/// Captured from the single-queue engine (per-worker jitter streams):
 /// every scheme × seeds {42, 7, 1234} on the paper's 8-worker wiki
 /// workload at 20 s, plus two spot-market runs covering eviction, VM
 /// replacement and censoring.
@@ -101,52 +100,36 @@ fn streaming_arrivals_reproduce_the_recorded_digests() {
     );
 }
 
-/// Sharded runs (`shards = 4`) must reproduce the recorded digests bit
-/// for bit on every golden config — all eight schemes x three seeds
-/// plus the two spot-market runs (evictions, replacement, censoring).
-/// Comparing against the recorded constants pins the sharded path to
-/// the recorded behaviour directly, not merely to whatever a one-shard
-/// run currently does.
+/// Audited runs must reproduce the recorded digests bit for bit on
+/// every golden config, with a clean audit: the auditor checks every
+/// dispatch against the linear scans (`dispatch::reference_select`),
+/// re-asks every memoised decline and sweeps the fleet after every
+/// event, yet only reads engine state.
 #[test]
-fn sharded_engine_reproduces_the_recorded_digests() {
-    let actual = golden_digests_sharded();
+fn audited_runs_reproduce_the_recorded_digests() {
+    let actual = golden_digests_audited();
     assert_eq!(actual.len(), EXPECTED.len());
     let mut mismatches = Vec::new();
     for (got, want) in actual.iter().zip(EXPECTED) {
         if got != want {
-            mismatches.push(format!("  sharded:  {got}\n  recorded: {want}"));
+            mismatches.push(format!("  audited:  {got}\n  recorded: {want}"));
         }
     }
     assert!(
         mismatches.is_empty(),
-        "{} of {} sharded digests diverged from the recorded ones:\n{}",
+        "{} of {} audited digests diverged from the recorded ones:\n{}",
         mismatches.len(),
         EXPECTED.len(),
         mismatches.join("\n")
     );
 }
 
-/// The coarsening differential arm: the sharded engine with epoch
-/// coarsening forced off (`max_epoch_arrivals = 1`, one epoch per
-/// arrival) must also reproduce the recorded digests on every golden
-/// config. Together with `sharded_engine_reproduces_the_recorded_digests`
-/// (which runs coarsened, the default) this pins both sides of the
-/// run-peeling contract: eliding a provably-empty phase is exact.
+/// A second pass over the golden grid in the same process reproduces
+/// the first, so no hash-seeded iteration order or leftover global
+/// state reaches the digest.
 #[test]
-fn per_arrival_epochs_reproduce_the_recorded_digests() {
-    let actual = golden_digests_sharded_per_arrival();
-    assert_eq!(actual.len(), EXPECTED.len());
-    let mut mismatches = Vec::new();
-    for (got, want) in actual.iter().zip(EXPECTED) {
-        if got != want {
-            mismatches.push(format!("  per-arrival: {got}\n  recorded:    {want}"));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} per-arrival digests diverged from the recorded behaviour:\n{}",
-        mismatches.len(),
-        EXPECTED.len(),
-        mismatches.join("\n")
-    );
+fn a_same_process_repeat_reproduces_the_digests() {
+    let first = golden_digests();
+    assert_eq!(first, golden_digests());
+    assert_eq!(first, EXPECTED);
 }

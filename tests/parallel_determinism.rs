@@ -90,38 +90,42 @@ fn run_parallel_preserves_input_order() {
     assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
 }
 
-/// A grid whose cells each run the sharded engine still returns
-/// bit-identical rows for any grid thread count.
+/// A grid whose cells each run audited returns bit-identical rows for
+/// any grid thread count, and the same rows as the unaudited grid.
 #[test]
-fn sharded_cells_inside_a_parallel_grid_stay_deterministic() {
+fn audited_cells_inside_a_parallel_grid_stay_deterministic() {
     let lineup = schemes::primary();
     let mut cells = Vec::new();
+    let mut audited_cells = Vec::new();
     for (i, scheme) in lineup.iter().enumerate() {
         let setup = PaperSetup {
             duration_secs: 10.0,
             seed: 300 + i as u64,
         };
+        let trace = setup.wiki_trace(ModelId::ResNet50);
         let mut config = setup.cluster();
-        config.shards = 4;
         cells.push(GridCell::new(
-            config,
+            config.clone(),
             scheme.as_ref(),
-            setup.wiki_trace(ModelId::ResNet50),
+            trace.clone(),
         ));
+        config.audit = true;
+        audited_cells.push(GridCell::new(config, scheme.as_ref(), trace));
     }
-    let sequential = run_grid(&cells, 1);
-    let parallel = run_grid(&cells, 8);
-    for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
+    let unaudited = run_grid(&cells, 1);
+    let sequential = run_grid(&audited_cells, 1);
+    let parallel = run_grid(&audited_cells, 8);
+    for (i, ((u, s), p)) in unaudited.iter().zip(&sequential).zip(&parallel).enumerate() {
+        assert_rows_identical(u, s, i);
         assert_rows_identical(s, p, i);
     }
 }
 
-/// The invariant auditor runs with shards enabled: the per-shard
-/// `DispatchIndex` views are chained through `verify_partition` into
-/// the fleet sweep, and every shard count must report the one-shard
-/// run's sweep count with zero violations.
+/// The invariant auditor sweeps after every event with zero violations,
+/// and a repeat of the audited run in the same process sweeps exactly as
+/// often and censors the same requests.
 #[test]
-fn audit_sweeps_stay_clean_and_counted_across_shard_counts() {
+fn audit_sweeps_stay_clean_and_counted_on_a_repeat() {
     use protean_cluster::run_simulation;
     let setup = PaperSetup {
         duration_secs: 15.0,
@@ -135,19 +139,11 @@ fn audit_sweeps_stay_clean_and_counted_across_shard_counts() {
     assert!(baseline.audit.enabled);
     assert!(baseline.audit.checks > 0);
     assert!(baseline.audit.is_clean(), "{:?}", baseline.audit.violations);
-    for shards in [2usize, 4, 8] {
-        let mut sharded = config.clone();
-        sharded.shards = shards;
-        let r = run_simulation(&sharded, &scheme, &trace);
-        assert!(
-            r.audit.is_clean(),
-            "shards={shards}: {:?}",
-            r.audit.violations
-        );
-        assert_eq!(
-            baseline.audit.checks, r.audit.checks,
-            "shards={shards}: sweep cadence drifted"
-        );
-        assert_eq!(baseline.censored, r.censored, "shards={shards}");
-    }
+    // One sweep per handled event and per dispatched arrival.
+    let s = &baseline.stats;
+    assert_eq!(baseline.audit.checks, s.events_popped + s.arrivals);
+    let repeat = run_simulation(&config, &scheme, &trace);
+    assert!(repeat.audit.is_clean(), "{:?}", repeat.audit.violations);
+    assert_eq!(baseline.audit.checks, repeat.audit.checks);
+    assert_eq!(baseline.censored, repeat.censored);
 }

@@ -213,7 +213,6 @@ fn hand_built_market_matches_dsl_twin_on_scripted_evictions() {
     config.prewarm_containers = 4;
     config.cold_start = SimDuration::from_secs(8.0);
     config.audit = true;
-    config.shards = 1;
 
     let trace_config = TraceConfig {
         shape: TraceShape::constant(240.0),
@@ -298,7 +297,6 @@ fn hand_built_market_matches_dsl_twin_on_jittered_storm() {
     config.prewarm_containers = 2;
     config.cold_start = SimDuration::from_secs(8.0);
     config.audit = true;
-    config.shards = 1;
 
     let mut be_pool = catalog().opposite_pool(ModelId::ResNet50);
     if be_pool.is_empty() {
@@ -365,7 +363,7 @@ jitter_seed = 11
 // ---------------------------------------------------------------------------
 
 /// Every shipped scenario runs green in smoke mode: both engine arms,
-/// one-shard/sharded digest equality, clean audits, met expectations.
+/// audited/unaudited digest equality, clean audits, met expectations.
 #[test]
 fn shipped_catalog_runs_green_in_smoke_mode() {
     let dir = catalog_dir();
