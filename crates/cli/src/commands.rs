@@ -150,6 +150,17 @@ fn parse_availability(name: &str) -> Result<SpotAvailability, ArgError> {
     })
 }
 
+/// The value of `--name` as a finite `f64`, or `default` when absent:
+/// `nan` and `inf` parse as `f64` but name no rate, span or multiplier.
+fn get_finite(args: &Args, name: &str, default: f64) -> Result<f64, ArgError> {
+    let value: f64 = args.get_or(name, default)?;
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(ArgError(format!("--{name} must be finite, got {value}")))
+    }
+}
+
 fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
     let model = parse_model(args.get("model").unwrap_or("resnet50"))?;
     let cat = catalog();
@@ -157,11 +168,11 @@ fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
         protean_models::Domain::Vision => 5000.0,
         protean_models::Domain::Language => 128.0,
     };
-    let rps: f64 = args.get_or("rps", default_rps)?;
+    let rps = get_finite(args, "rps", default_rps)?;
     if rps <= 0.0 {
         return Err(ArgError("--rps must be positive".into()));
     }
-    let duration: f64 = args.get_or("duration", 60.0)?;
+    let duration = get_finite(args, "duration", 60.0)?;
     if duration <= 0.0 {
         return Err(ArgError("--duration must be positive".into()));
     }
@@ -198,7 +209,7 @@ fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
         return Err(ArgError("--workers must be at least 1".into()));
     }
     config.seed = args.get_or("seed", 42u64)?;
-    config.slo_multiplier = args.get_or("slo-mult", 3.0)?;
+    config.slo_multiplier = get_finite(args, "slo-mult", 3.0)?;
     if config.slo_multiplier < 1.0 {
         return Err(ArgError("--slo-mult must be >= 1".into()));
     }
@@ -336,18 +347,18 @@ pub fn replay(args: &Args) -> Result<(), ArgError> {
     let path = args
         .get("trace-file")
         .ok_or_else(|| ArgError("replay requires --trace-file <path>".into()))?;
-    let trace = Trace::read_csv_file(path).map_err(|e| ArgError(e.to_string()))?;
     let mut config = ClusterConfig::paper_default();
     config.workers = args.get_or("workers", 8usize)?;
     if config.workers == 0 {
         return Err(ArgError("--workers must be at least 1".into()));
     }
     config.seed = args.get_or("seed", 42u64)?;
-    config.slo_multiplier = args.get_or("slo-mult", 3.0)?;
+    config.slo_multiplier = get_finite(args, "slo-mult", 3.0)?;
     if config.slo_multiplier < 1.0 {
         return Err(ArgError("--slo-mult must be >= 1.0".into()));
     }
     let scheme = parse_scheme(args.get("scheme").unwrap_or("protean"))?;
+    let trace = Trace::read_csv_file(path).map_err(|e| ArgError(e.to_string()))?;
     println!(
         "  replaying {} requests over {}",
         trace.requests().len(),
@@ -692,6 +703,43 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected_with_a_typed_error() {
+        let parse = |line: &str| {
+            Args::parse(
+                line.split_whitespace()
+                    .map(String::from)
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap()
+        };
+        let rejects = |err: ArgError, flag: &str| {
+            assert!(
+                err.0.starts_with(&format!("--{flag} must be finite")),
+                "{err}"
+            );
+        };
+        // Unchecked, a `nan` rate panics in the trace generator, an `inf`
+        // duration in `SimDuration`, and a `nan` multiplier passes `< 1`.
+        for (flag, value) in [("rps", "nan"), ("duration", "inf"), ("slo-mult", "nan")] {
+            rejects(
+                simulate(&parse(&format!("simulate --{flag} {value}"))).unwrap_err(),
+                flag,
+            );
+            rejects(
+                compare(&parse(&format!("compare --{flag} {value}"))).unwrap_err(),
+                flag,
+            );
+        }
+        rejects(
+            replay(&parse(
+                "replay --trace-file /nonexistent/x.csv --slo-mult nan",
+            ))
+            .unwrap_err(),
+            "slo-mult",
+        );
     }
 
     #[test]

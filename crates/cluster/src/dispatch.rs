@@ -24,6 +24,18 @@
 //!   in O(log W) — the identical slot the linear front scan finds —
 //!   while a fully saturated fleet is rejected in O(1) at the root.
 //!
+//! # Key layout
+//!
+//! A key is one `u64`, `outstanding << 32 | idx`, whose integer order
+//! is the tuple order; first-fit's comparison is `key >> 32 < cap`.
+//! Both halves must fit in 32 bits, and the all-ones value of each is
+//! left to the empty-slot sentinel `u64::MAX`: `pack` asserts it on
+//! every refresh, in release builds too. The leaves are the only
+//! per-slot state — a worker's cached `(routable, accepting,
+//! outstanding)` is read back from its two leaves — so a refresh
+//! touches nothing but the two root paths. At 50,000 workers a tree
+//! pads to 65,536 leaves, 1 MiB, half the size of a `(u64, usize)` tree.
+//!
 //! The engine refreshes a worker's entry at every point its dispatch
 //! state can change: `outstanding` increments (dispatch) and decrements
 //! (completion), worker status changes (eviction notice, final
@@ -39,18 +51,46 @@
 
 use crate::worker::Worker;
 
-/// Cached dispatch-relevant state of one worker slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    outstanding: u64,
-    accepting: bool,
+/// Sentinel key for an ineligible slot: compares above every real
+/// packed key, so `min` ignores it.
+const ABSENT: u64 = u64::MAX;
+
+/// The largest `outstanding` a packed key can hold: its upper half's
+/// all-ones value belongs to [`ABSENT`].
+const MAX_OUTSTANDING: u64 = u32::MAX as u64 - 1;
+
+/// Packs `(outstanding, idx)` into one key with the same order.
+fn pack(outstanding: u64, idx: usize) -> u64 {
+    assert!(
+        outstanding <= MAX_OUTSTANDING && idx < u32::MAX as usize,
+        "dispatch key ({outstanding}, {idx}) does not fit in 32 + 32 bits"
+    );
+    (outstanding << 32) | idx as u64
 }
 
-/// Sentinel key for an ineligible slot: compares above every real
-/// `(outstanding, idx)` key, so `min` ignores it.
-const ABSENT: (u64, usize) = (u64::MAX, usize::MAX);
+/// The slot index a packed key names.
+fn slot_of(key: u64) -> usize {
+    (key & u64::from(u32::MAX)) as usize
+}
 
-/// A flat tournament (min-segment) tree over per-slot
+/// Worker `idx`'s leaves in the routable and the accepting tree: its
+/// packed key where it is eligible, [`ABSENT`] elsewhere.
+fn leaves(idx: usize, routable: bool, accepting: bool, outstanding: u64) -> (u64, u64) {
+    let key = if routable {
+        pack(outstanding, idx)
+    } else {
+        ABSENT
+    };
+    (key, if accepting { key } else { ABSENT })
+}
+
+/// The dispatch state a pair of leaves encodes: `(outstanding,
+/// accepting)` of a routable worker, `None` for a non-routable one.
+fn decode((routable, accepting): (u64, u64)) -> Option<(u64, bool)> {
+    (routable != ABSENT).then_some((routable >> 32, accepting != ABSENT))
+}
+
+/// A flat tournament (min-segment) tree over per-slot packed
 /// `(outstanding, idx)` keys. `set` is O(log W) along a contiguous
 /// array — no per-node allocation, so maintenance stays cache-resident
 /// at thousands of workers where pointer-based ordered sets thrash —
@@ -62,7 +102,7 @@ struct MinTree {
     /// Leaf count padded to a power of two; leaves live at
     /// `cap..cap + n`, internal node `i` covers `2i` and `2i + 1`.
     cap: usize,
-    tree: Vec<(u64, usize)>,
+    tree: Vec<u64>,
 }
 
 impl MinTree {
@@ -74,11 +114,16 @@ impl MinTree {
         }
     }
 
-    /// Sets slot `idx`'s key (`None` = ineligible) and re-folds the
+    /// Slot `idx`'s key ([`ABSENT`] = ineligible).
+    fn leaf(&self, idx: usize) -> u64 {
+        self.tree[self.cap + idx]
+    }
+
+    /// Sets slot `idx`'s key ([`ABSENT`] = ineligible) and re-folds the
     /// path to the root.
-    fn set(&mut self, idx: usize, key: Option<(u64, usize)>) {
+    fn set(&mut self, idx: usize, key: u64) {
         let mut i = self.cap + idx;
-        self.tree[i] = key.unwrap_or(ABSENT);
+        self.tree[i] = key;
         while i > 1 {
             i /= 2;
             self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
@@ -88,13 +133,17 @@ impl MinTree {
     /// The slot holding the minimum key, if any slot is eligible.
     fn min_idx(&self) -> Option<usize> {
         let root = self.tree[1];
-        (root != ABSENT).then_some(root.1)
+        (root != ABSENT).then_some(slot_of(root))
     }
 }
 
 /// Incrementally-maintained index over worker dispatch state, one slot
 /// per worker. See the [module docs](self) for the tier structure and
 /// maintenance contract.
+///
+/// The trees' leaves are the only per-slot state: a worker's cached
+/// `(routable, accepting, outstanding)` is read back from its two
+/// leaves, so a refresh touches no other array.
 #[derive(Debug)]
 pub struct DispatchIndex {
     /// Routable workers whose GPU is accepting, keyed `(outstanding, idx)`.
@@ -104,8 +153,8 @@ pub struct DispatchIndex {
     /// Tier sizes, maintained alongside the trees.
     accepting_count: usize,
     routable_count: usize,
-    /// Dense snapshot per worker slot; `None` = not routable.
-    entries: Vec<Option<Entry>>,
+    /// Worker slots covered.
+    slots: usize,
     /// Maintenance operations applied (surfaced in `EngineStats`).
     updates: u64,
 }
@@ -118,34 +167,34 @@ impl DispatchIndex {
             routable: MinTree::new(n),
             accepting_count: 0,
             routable_count: 0,
-            entries: vec![None; n],
+            slots: n,
             updates: 0,
         }
     }
 
     /// Re-caches worker `idx`'s dispatch state. Call after *any*
     /// mutation of the worker's status, GPU accepting state, or
-    /// `outstanding`.
+    /// `outstanding`. Only a tree whose leaf changes is re-folded.
     pub fn refresh(&mut self, idx: usize, routable: bool, accepting: bool, outstanding: u64) {
-        self.updates += 1;
-        let old = self.entries[idx];
-        let new = routable.then_some(Entry {
-            outstanding,
-            accepting,
-        });
-        if old == new {
-            return;
-        }
-        self.routable.set(idx, new.map(|e| (e.outstanding, idx)));
-        self.accepting.set(
-            idx,
-            new.and_then(|e| e.accepting.then_some((e.outstanding, idx))),
+        assert!(
+            idx < self.slots,
+            "worker {idx} outside a {}-slot index",
+            self.slots
         );
-        self.routable_count =
-            self.routable_count + usize::from(new.is_some()) - usize::from(old.is_some());
-        self.accepting_count = self.accepting_count + usize::from(new.is_some_and(|e| e.accepting))
-            - usize::from(old.is_some_and(|e| e.accepting));
-        self.entries[idx] = new;
+        self.updates += 1;
+        let (r, a) = leaves(idx, routable, accepting, outstanding);
+        let old = self.routable.leaf(idx);
+        if r != old {
+            self.routable.set(idx, r);
+            self.routable_count =
+                self.routable_count + usize::from(r != ABSENT) - usize::from(old != ABSENT);
+        }
+        let old = self.accepting.leaf(idx);
+        if a != old {
+            self.accepting.set(idx, a);
+            self.accepting_count =
+                self.accepting_count + usize::from(a != ABSENT) - usize::from(old != ABSENT);
+        }
     }
 
     /// [`DispatchIndex::refresh`] from the worker's live state.
@@ -189,8 +238,9 @@ impl DispatchIndex {
     /// `Consolidate` first-fit: the lowest-indexed routable, accepting
     /// worker with `outstanding < cap`, answered by root descent over
     /// the accepting tournament tree. An internal node's key is the
-    /// minimum `(outstanding, idx)` of its subtree, so `key.0 < cap`
-    /// holds exactly when the subtree contains a worker with headroom;
+    /// minimum `(outstanding, idx)` of its subtree, so its outstanding
+    /// half (`key >> 32`) is below `cap` exactly when the subtree
+    /// contains a worker with headroom;
     /// preferring the left child whenever it qualifies reaches the
     /// leftmost eligible leaf — the identical slot the linear front
     /// scan returns — in O(log W), and a saturated fleet is rejected
@@ -200,19 +250,23 @@ impl DispatchIndex {
     /// tiers' one-visit-per-query accounting.
     pub fn first_fit(&self, cap: u64, visits: &mut u64) -> Option<usize> {
         *visits += 1;
+        // Every real outstanding half is below `u32::MAX` and the
+        // sentinel's equals it, so the clamp keeps `< cap` exact for
+        // real keys and false for empty subtrees.
+        let cap = cap.min(u64::from(u32::MAX));
         let tree = &self.accepting.tree;
-        if tree[1].0 >= cap {
+        if tree[1] >> 32 >= cap {
             return None;
         }
         let mut i = 1;
         while i < self.accepting.cap {
-            i = if tree[2 * i].0 < cap {
+            i = if tree[2 * i] >> 32 < cap {
                 2 * i
             } else {
                 2 * i + 1
             };
         }
-        Some(tree[i].1)
+        Some(slot_of(tree[i]))
     }
 
     /// Dispatch target selection: `Consolidate` first-fit when `cap` is
@@ -237,14 +291,14 @@ impl DispatchIndex {
     /// Cross-checks the index against the workers' live state: the
     /// audited index-coherence invariant. `workers` must be the whole
     /// fleet in worker order. Returns one message per discrepancy (slot
-    /// count, tier membership, tree contents, or dense snapshot — the
+    /// count, a worker's leaves, tier sizes, or tree contents — the
     /// first-fit descent reads only the accepting tree, so tree equality
     /// covers it).
     pub fn verify(&self, workers: &[Worker]) -> Vec<String> {
-        if self.entries.len() != workers.len() {
+        if self.slots != workers.len() {
             return vec![format!(
                 "dispatch index covers {} slots but the fleet has {} workers",
-                self.entries.len(),
+                self.slots,
                 workers.len(),
             )];
         }
@@ -262,23 +316,20 @@ impl DispatchIndex {
                 continue;
             }
             let (routable, accepting, outstanding) = w.dispatch_state();
-            let expect = routable.then_some(Entry {
-                outstanding,
-                accepting,
-            });
-            if self.entries[slot] != expect {
+            let (r, a) = leaves(slot, routable, accepting, outstanding);
+            let cached = (self.routable.leaf(slot), self.accepting.leaf(slot));
+            if cached != (r, a) {
                 out.push(format!(
                     "dispatch index entry for worker {} is {:?}, live state is {:?}",
-                    w.idx, self.entries[slot], expect
+                    w.idx,
+                    decode(cached),
+                    decode((r, a))
                 ));
             }
-            live_routable.set(slot, expect.map(|e| (e.outstanding, slot)));
-            live_accepting.set(
-                slot,
-                expect.and_then(|e| e.accepting.then_some((e.outstanding, slot))),
-            );
-            live_routable_count += usize::from(expect.is_some());
-            live_accepting_count += usize::from(expect.is_some_and(|e| e.accepting));
+            live_routable.set(slot, r);
+            live_accepting.set(slot, a);
+            live_routable_count += usize::from(r != ABSENT);
+            live_accepting_count += usize::from(a != ABSENT);
         }
         if live_accepting.tree != self.accepting.tree
             || live_accepting_count != self.accepting_count

@@ -202,7 +202,8 @@ pub struct EngineStats {
     /// Total events popped from the event queue.
     pub events_popped: u64,
     /// The largest number of events pending in the event heap at once.
-    /// Container boots wait in a FIFO of their own and are not counted.
+    /// Container boots and batch-window expiries wait in FIFO lanes of
+    /// their own and are not counted.
     pub peak_heap_len: usize,
     /// `JobFinish` events actually pushed.
     pub finish_events_pushed: u64,

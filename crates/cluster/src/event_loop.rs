@@ -6,11 +6,17 @@
 //! broken by push order (FIFO), with a gateway arrival winning every
 //! tie against a queued event at the same instant. The golden digests
 //! pin that order. Every push takes the key `(time, ++seq, 0)` from one
-//! run-wide push counter, and the loop pops the smallest pending key:
-//! from one [`KeyedEventQueue`], or from the FIFO of container boots,
-//! which come due in push order. It handles the next arrival
-//! instead whenever that is due no later than the smallest key
-//! (`ta <= next.time`).
+//! run-wide push counter, and the loop pops the smallest pending key.
+//! It handles the next arrival instead whenever that is due no later
+//! than the smallest key (`ta <= next.time`).
+//!
+//! Pending events wait in three places. Container boots and
+//! batch-window expiries each come due a fixed delay after their push,
+//! so each class waits in a FIFO lane that is already in key order
+//! (asserted on every push, release builds included). Every other event
+//! waits in one [`KeyedEventQueue`] of `u32` handles into a slab of
+//! payloads, so the heap's entries stay 32 bytes. A pop takes the
+//! smallest of the three heads.
 //!
 //! # State
 //!
@@ -90,51 +96,124 @@ enum Event {
 /// The pending events and the push counter, kept apart from the workers
 /// so a handler can push while it holds a worker borrow.
 ///
-/// Container boots wait in a FIFO of their own, every other event in a
-/// heap; a pop takes the smaller head, so the order is the one heap's.
-/// A boot always completes `cold_start` after its push and `now` never
-/// decreases, so boots come due in push order: the FIFO is already in
-/// key order. Under overload hundreds of thousands of boots are pending
-/// at once, and in the heap every pop would pay a sift through them.
+/// Two event classes always come due a fixed delay after their push:
+/// container boots (`cold_start`) and batch-window expiries
+/// (`batch_window`). `now` never decreases, so each class comes due in
+/// push order, and each waits in a FIFO [`Lane`] that is already in key
+/// order. Every other event waits in the heap, which holds only `u32`
+/// handles into a slab of payloads, so a sift moves 32-byte entries. A
+/// pop takes the smallest of the three heads, so the order is the one a
+/// single heap would give.
 struct Agenda {
-    heap: KeyedEventQueue<Event>,
-    boots: VecDeque<(EventKey, Event)>,
+    heap: KeyedEventQueue<u32>,
+    /// Payloads of the heap's events, addressed by handle.
+    slab: Vec<Option<Event>>,
+    /// Vacant slab slots, reused before the slab grows.
+    free: Vec<u32>,
+    boots: Lane,
+    expiries: Lane,
+    /// Events pushed so far; the last push's key `major`.
     seq: u64,
+    popped: u64,
+}
+
+/// A FIFO of events that come due in push order.
+#[derive(Default)]
+struct Lane(VecDeque<(EventKey, Event)>);
+
+impl Lane {
+    fn push(&mut self, key: EventKey, ev: Event) {
+        // One compare per push keeps the lane's premise checked in
+        // release builds too.
+        assert!(
+            self.0.back().is_none_or(|(k, _)| *k < key),
+            "lane out of key order"
+        );
+        self.0.push_back((key, ev));
+    }
+
+    fn peek_key(&self) -> Option<EventKey> {
+        self.0.front().map(|(k, _)| *k)
+    }
+}
+
+/// `true` if `a` is a key that pops before `b` (or `b` is empty).
+fn before(a: Option<EventKey>, b: Option<EventKey>) -> bool {
+    a.is_some_and(|a| b.is_none_or(|b| a < b))
 }
 
 impl Agenda {
+    fn new() -> Self {
+        Agenda {
+            heap: KeyedEventQueue::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            boots: Lane::default(),
+            expiries: Lane::default(),
+            seq: 0,
+            popped: 0,
+        }
+    }
+
     /// Schedules `ev` at `time`, after everything pushed before it.
     fn push(&mut self, time: SimTime, ev: Event) {
         self.seq += 1;
         let key = EventKey::new(time, self.seq, 0);
-        if matches!(ev, Event::BootDone { .. }) {
-            debug_assert!(
-                self.boots.back().is_none_or(|(k, _)| *k < key),
-                "boots out of key order"
-            );
-            self.boots.push_back((key, ev));
-        } else {
-            self.heap.push(key, ev);
+        match ev {
+            Event::BootDone { .. } => self.boots.push(key, ev),
+            Event::WindowExpire { .. } => self.expiries.push(key, ev),
+            _ => {
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.slab[slot as usize] = Some(ev);
+                        slot
+                    }
+                    None => {
+                        let slot = u32::try_from(self.slab.len()).expect("slab handle overflow");
+                        self.slab.push(Some(ev));
+                        slot
+                    }
+                };
+                self.heap.push(key, slot);
+            }
         }
     }
 
     /// The smallest pending key.
     fn peek_key(&self) -> Option<EventKey> {
-        let boot = self.boots.front().map(|(k, _)| *k);
-        match (self.heap.peek_key(), boot) {
-            (Some(h), Some(b)) => Some(h.min(b)),
-            (h, b) => h.or(b),
-        }
+        [
+            self.heap.peek_key(),
+            self.boots.peek_key(),
+            self.expiries.peek_key(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     /// Removes and returns the event with the smallest key.
     fn pop(&mut self) -> Option<(EventKey, Event)> {
-        let boot = self.boots.front().map(|(k, _)| *k);
-        if boot.is_some_and(|b| self.heap.peek_key().is_none_or(|h| b < h)) {
-            self.boots.pop_front()
+        let lane = if before(self.expiries.peek_key(), self.boots.peek_key()) {
+            &mut self.expiries
         } else {
-            self.heap.pop()
-        }
+            &mut self.boots
+        };
+        let next = if before(lane.peek_key(), self.heap.peek_key()) {
+            lane.0.pop_front()
+        } else {
+            self.heap.pop().map(|(key, slot)| {
+                self.free.push(slot);
+                let ev = self.slab[slot as usize].take().expect("live slab slot");
+                (key, ev)
+            })
+        };
+        self.popped += u64::from(next.is_some());
+        next
+    }
+
+    /// Events pushed and not yet popped, in the heap and both lanes.
+    fn pending(&self) -> usize {
+        self.heap.len() + self.boots.0.len() + self.expiries.0.len()
     }
 }
 
@@ -209,11 +288,7 @@ impl<'a> EventLoop<'a> {
             jitter_rngs: (0..config.workers)
                 .map(|g| factory.indexed_stream("engine.exec_jitter", g as u64))
                 .collect(),
-            agenda: Agenda {
-                heap: KeyedEventQueue::new(),
-                boots: VecDeque::new(),
-                seq: 0,
-            },
+            agenda: Agenda::new(),
             index: DispatchIndex::new(config.workers),
             accumulators: BTreeMap::new(),
             backlog: VecDeque::new(),
@@ -1005,7 +1080,12 @@ impl<'a> EventLoop<'a> {
         let mut stats = self.stats;
         let agenda = &self.agenda;
         stats.events_pushed = agenda.seq;
-        stats.events_popped = agenda.seq - (agenda.heap.len() + agenda.boots.len()) as u64;
+        stats.events_popped = agenda.popped;
+        assert_eq!(
+            stats.events_pushed,
+            stats.events_popped + agenda.pending() as u64,
+            "an event left the agenda without being popped"
+        );
         stats.peak_heap_len = agenda.heap.peak_len();
         stats.index_updates = self.index.updates();
         SimulationResult {
@@ -1124,34 +1204,73 @@ mod tests {
 
     #[test]
     fn the_agenda_pops_boots_and_heap_events_in_key_order() {
-        let mut agenda = Agenda {
-            heap: KeyedEventQueue::new(),
-            boots: VecDeque::new(),
-            seq: 0,
+        let mut agenda = Agenda::new();
+        // The payload pushed under each key `major`, to check that a
+        // reused slab slot hands back the event pushed last into it.
+        let mut pushed = vec![String::new()];
+        let mut push = |agenda: &mut Agenda, at_ms: f64, ev: Event| {
+            pushed.push(format!("{ev:?}"));
+            agenda.push(SimTime::from_millis(at_ms), ev);
         };
         let boot = |worker| Event::BootDone {
             worker,
             model: ModelId::ResNet50,
             vm_epoch: 0,
         };
-        let at = SimTime::from_millis;
-        agenda.push(at(8.0), boot(0));
-        agenda.push(at(8.0), Event::MonitorTick);
-        agenda.push(at(3.0), Event::EvictionFinal { worker: 1 });
-        agenda.push(at(8.0), boot(2));
-        agenda.push(at(9.0), Event::EvictionFinal { worker: 3 });
-        let order: Vec<(SimTime, u64)> = std::iter::from_fn(|| agenda.pop())
-            .map(|(k, _)| (k.time, k.major))
-            .collect();
+        let expiry = |seq| Event::WindowExpire {
+            model: ModelId::ResNet50,
+            strict: true,
+            seq,
+        };
+        push(&mut agenda, 8.0, boot(0));
+        push(&mut agenda, 8.0, Event::MonitorTick);
+        push(&mut agenda, 3.0, Event::EvictionFinal { worker: 1 });
+        // A window expiry, a boot and a heap event tie at 8 ms.
+        push(&mut agenda, 8.0, expiry(0));
+        push(&mut agenda, 8.0, boot(2));
+        push(&mut agenda, 9.0, Event::EvictionFinal { worker: 3 });
+        assert_eq!(agenda.slab.len(), 3);
+        let mut popped = Vec::new();
+        let mut pop = |agenda: &mut Agenda| {
+            let (k, ev) = agenda.pop().expect("pending");
+            popped.push((k.time.as_micros() / 1000, k.major, format!("{ev:?}")));
+        };
+        pop(&mut agenda);
+        pop(&mut agenda);
+        // The popped eviction's slot is reused, not appended.
+        push(
+            &mut agenda,
+            8.0,
+            Event::ReconfigDone {
+                worker: 4,
+                epoch: 0,
+            },
+        );
+        push(&mut agenda, 9.0, expiry(1));
+        assert_eq!(agenda.slab.len(), 3);
+        assert_eq!(agenda.seq, agenda.popped + agenda.pending() as u64);
+        assert_eq!((agenda.popped, agenda.pending()), (2, 6));
+        while agenda.pending() > 0 {
+            pop(&mut agenda);
+        }
+        assert!(agenda.pop().is_none());
+        assert_eq!(agenda.seq, agenda.popped);
+        for (_, major, ev) in &popped {
+            assert_eq!(*ev, pushed[*major as usize]);
+        }
         // By time, ties by push order, wherever the event waited.
+        let order: Vec<(u64, u64)> = popped.iter().map(|&(ms, major, _)| (ms, major)).collect();
         assert_eq!(
             order,
             [
-                (at(3.0), 3),
-                (at(8.0), 1),
-                (at(8.0), 2),
-                (at(8.0), 4),
-                (at(9.0), 5)
+                (3, 3),
+                (8, 1),
+                (8, 2),
+                (8, 4),
+                (8, 5),
+                (8, 7),
+                (9, 6),
+                (9, 8)
             ]
         );
     }

@@ -61,19 +61,38 @@ fn linear_first_fit(slots: &[Slot], cap: u64) -> Option<usize> {
         .position(|s| s.routable && s.accepting && s.outstanding < cap)
 }
 
-/// First-fit caps representative of `cap_batches × batch_size` products.
-const CAPS: [u64; 4] = [1, 8, 80, 320];
+/// First-fit caps representative of `cap_batches × batch_size` products,
+/// plus caps around the index's packed 32-bit `outstanding` half.
+const CAPS: [u64; 8] = [
+    1,
+    8,
+    80,
+    320,
+    1 << 31,
+    MAX_OUTSTANDING,
+    MAX_OUTSTANDING + 1,
+    1 << 40,
+];
+
+/// The deepest load the index's packed keys hold: `u32::MAX` is the
+/// empty-slot sentinel's.
+const MAX_OUTSTANDING: u64 = u32::MAX as u64 - 1;
+
+/// Deep loads, at or above 2^31, where the packed keys' high bits
+/// decide the order.
+const DEEP: std::ops::RangeInclusive<u64> = (1 << 31)..=MAX_OUTSTANDING;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random interleavings of the engine's mutation points — dispatch
     /// load, completions, eviction notice, final eviction, VM install,
-    /// reconfig drain/complete — must leave every index query equal to
-    /// the linear reference, including the first-fit root descent.
+    /// reconfig drain/complete, and loads of 2^31 and deeper — must
+    /// leave every index query equal to the linear reference, including
+    /// the first-fit root descent.
     #[test]
     fn prop_index_matches_linear_reference(
-        ops in prop::collection::vec((0usize..8, 0u32..6, 1u64..40), 1..120),
+        ops in prop::collection::vec((0usize..8, 0u32..7, 1u64..40, DEEP), 1..120),
     ) {
         let n = 8;
         let mut slots = vec![
@@ -84,13 +103,19 @@ proptest! {
         for (idx, s) in slots.iter().enumerate() {
             index.refresh(idx, s.routable, s.accepting, s.outstanding);
         }
-        for (w, kind, amount) in ops {
+        for (w, kind, amount, deep) in ops {
             let s = &mut slots[w];
             match kind {
                 // Dispatch: the engine only adds load to routable slots.
                 0 => {
                     if s.routable {
-                        s.outstanding += amount;
+                        s.outstanding = (s.outstanding + amount).min(MAX_OUTSTANDING);
+                    }
+                }
+                // A queue 2^31 requests deep or deeper.
+                6 => {
+                    if s.routable {
+                        s.outstanding = deep;
                     }
                 }
                 // Batch completion.
@@ -145,7 +170,7 @@ proptest! {
     #[test]
     fn prop_select_matches_reference_select(
         workers in 1usize..=300,
-        ops in prop::collection::vec((0usize..300, 0u32..6, 1u64..40), 1..150),
+        ops in prop::collection::vec((0usize..300, 0u32..7, 1u64..40, DEEP), 1..150),
         caps in prop::collection::vec(1u64..120, 150),
     ) {
         let mut fleet: Vec<Worker> = (0..workers)
@@ -155,10 +180,11 @@ proptest! {
         for w in &fleet {
             index.refresh_worker(w);
         }
-        for (step, (g, kind, amount)) in ops.into_iter().enumerate() {
+        for (step, (g, kind, amount, deep)) in ops.into_iter().enumerate() {
             let w = &mut fleet[g % workers];
             match kind {
-                0 => w.outstanding += amount,
+                0 => w.outstanding = (w.outstanding + amount).min(MAX_OUTSTANDING),
+                6 => w.outstanding = deep,
                 1 => w.outstanding = w.outstanding.saturating_sub(amount),
                 2 => w.status = WorkerStatus::Evicting { evict_at: SimTime::ZERO },
                 3 => {
@@ -175,7 +201,7 @@ proptest! {
                 }
             }
             index.refresh_worker(&fleet[g % workers]);
-            for cap in [None, Some(caps[step])] {
+            for cap in [None, Some(caps[step]), Some(CAPS[step % CAPS.len()])] {
                 prop_assert_eq!(
                     index.select(cap, &mut 0),
                     reference_select(fleet.iter(), cap),
