@@ -1,11 +1,9 @@
 //! The CLI subcommands.
 
-use protean::ProteanBuilder;
-use protean_baselines::Baseline;
 use protean_cluster::{run_simulation_on, ClusterConfig, SchemeBuilder};
 use protean_experiments::harness::{run_grid, thread_count_or, GridCell};
 use protean_experiments::report::{scheme_table, table};
-use protean_experiments::run_scheme;
+use protean_experiments::{run_scheme, schemes};
 use protean_gpu::{find_placement, Geometry};
 use protean_metrics::record::Class;
 use protean_models::{catalog, ModelId};
@@ -34,8 +32,8 @@ FLAGS (simulate / compare):
   --model <name>          workload model, e.g. resnet50, vgg19, gpt2
                           (see `catalog`; default resnet50)
   --scheme <name>         simulate only: protean | oracle | molecule |
-                          infless | naive | migonly | mpsmig | smart |
-                          gpulet (default protean)
+                          infless (or llama) | naive | migonly | mpsmig |
+                          smart | gpulet (default protean)
   --trace <kind>          wiki | twitter | constant (default wiki)
   --rps <f64>             arrival rate; default 5000 vision / 128 language
   --duration <secs>       trace length (default 60)
@@ -43,11 +41,13 @@ FLAGS (simulate / compare):
   --workers <n>           cluster size (default 8)
   --seed <u64>            root seed (default 42)
   --slo-mult <f64>        SLO = mult x 7g latency (default 3)
-  --procurement <p>       ondemand | spot | hybrid (default ondemand)
+  --procurement <p>       ondemand | spot | hybrid (default ondemand;
+                          on-demand also accepted)
   --threads <n>           compare only: worker threads for the scheme
                           grid (default PROTEAN_THREADS, then the
                           machine's available parallelism)
-  --availability <a>      high | medium | low (default high)
+  --availability <a>      high | moderate | low (default high; medium
+                          also accepted)
   --per-model <bool>      simulate only: also print a per-model table
 
 FLAGS (replay):
@@ -85,69 +85,33 @@ const SIMULATE_FLAGS: [&str; 2] = ["scheme", "per-model"];
 /// `compare`'s own flags on top of [`RUN_FLAGS`].
 const COMPARE_FLAGS: [&str; 1] = ["threads"];
 
-/// Resolves a model name like `resnet50` or `ResNet 50`.
+/// Resolves a model name like `resnet50` or `ResNet 50`: dropping
+/// everything but ASCII letters and digits and lowercasing turns every
+/// display name into its slug.
 pub fn parse_model(name: &str) -> Result<ModelId, ArgError> {
-    let norm = |s: &str| {
-        s.chars()
-            .filter(|c| c.is_ascii_alphanumeric())
-            .collect::<String>()
-            .to_ascii_lowercase()
-    };
-    let wanted = norm(name);
-    ModelId::ALL
-        .into_iter()
-        .find(|m| norm(m.name()) == wanted)
-        .ok_or_else(|| {
-            ArgError(format!(
-                "unknown model '{name}' (run `protean-cli catalog` for the list)"
-            ))
-        })
+    let slug: String = name
+        .chars()
+        .filter(char::is_ascii_alphanumeric)
+        .collect::<String>()
+        .to_ascii_lowercase();
+    ModelId::from_slug(&slug).ok_or_else(|| {
+        ArgError(format!(
+            "unknown model '{name}' (run `protean-cli catalog` for the list)"
+        ))
+    })
 }
 
 /// Resolves a scheme name.
 pub fn parse_scheme(name: &str) -> Result<Box<dyn SchemeBuilder>, ArgError> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "protean" => Box::new(ProteanBuilder::paper()),
-        "oracle" => Box::new(ProteanBuilder::oracle()),
-        "molecule" => Box::new(Baseline::MoleculeBeta),
-        "infless" | "llama" => Box::new(Baseline::InflessLlama),
-        "naive" => Box::new(Baseline::NaiveSlicing),
-        "migonly" => Box::new(Baseline::MigOnly),
-        "mpsmig" => Box::new(Baseline::MpsMigEven),
-        "smart" => Box::new(Baseline::SmartMpsMig),
-        "gpulet" => Box::new(Baseline::Gpulet),
-        other => {
-            return Err(ArgError(format!(
-                "unknown scheme '{other}' (protean | oracle | molecule | infless | naive | migonly | mpsmig | smart | gpulet)"
-            )))
-        }
-    })
+    schemes::by_name(name).ok_or_else(|| ArgError(schemes::unknown_scheme(name)))
 }
 
 fn parse_procurement(name: &str) -> Result<ProcurementPolicy, ArgError> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "ondemand" | "on-demand" => ProcurementPolicy::OnDemandOnly,
-        "spot" => ProcurementPolicy::SpotOnly,
-        "hybrid" => ProcurementPolicy::Hybrid,
-        other => {
-            return Err(ArgError(format!(
-                "unknown procurement '{other}' (ondemand | spot | hybrid)"
-            )))
-        }
-    })
+    ProcurementPolicy::from_slug(name).map_err(|e| ArgError(e.to_string()))
 }
 
 fn parse_availability(name: &str) -> Result<SpotAvailability, ArgError> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "high" => SpotAvailability::High,
-        "medium" | "moderate" => SpotAvailability::Moderate,
-        "low" => SpotAvailability::Low,
-        other => {
-            return Err(ArgError(format!(
-                "unknown availability '{other}' (high | medium | low)"
-            )))
-        }
-    })
+    SpotAvailability::from_slug(name).map_err(|e| ArgError(e.to_string()))
 }
 
 /// The value of `--name` as a finite `f64`, or `default` when absent:
@@ -213,8 +177,13 @@ fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
     if config.slo_multiplier < 1.0 {
         return Err(ArgError("--slo-mult must be >= 1".into()));
     }
-    config.procurement = parse_procurement(args.get("procurement").unwrap_or("ondemand"))?;
-    config.availability = parse_availability(args.get("availability").unwrap_or("high"))?;
+    // Absent flags keep `paper_default`'s on-demand, high availability.
+    if let Some(name) = args.get("procurement") {
+        config.procurement = parse_procurement(name)?;
+    }
+    if let Some(name) = args.get("availability") {
+        config.availability = parse_availability(name)?;
+    }
     Ok((config, trace))
 }
 
@@ -273,7 +242,7 @@ pub fn compare(args: &Args) -> Result<(), ArgError> {
         None => None,
         Some(_) => Some(args.get_or("threads", 1usize)?),
     });
-    let lineup = protean_experiments::schemes::primary();
+    let lineup = schemes::primary();
     let cells: Vec<GridCell<'_>> = lineup
         .iter()
         .map(|s| GridCell::new(config.clone(), s.as_ref(), trace.clone()))
@@ -507,6 +476,7 @@ pub fn scenario(action: Option<&str>, args: &Args) -> Result<(), ArgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use protean_spot::Provider;
 
     #[test]
     fn model_names_resolve_loosely() {
@@ -515,17 +485,34 @@ mod tests {
         assert_eq!(parse_model("GPT-2").unwrap(), ModelId::Gpt2);
         assert_eq!(parse_model("shufflenetv2").unwrap(), ModelId::ShuffleNetV2);
         assert!(parse_model("resnet5000").is_err());
+        // Normalising a display name yields its slug, for every model.
+        for m in ModelId::ALL {
+            assert_eq!(parse_model(m.name()).unwrap(), m, "{}", m.name());
+            assert_eq!(parse_model(m.slug()).unwrap(), m, "{}", m.slug());
+        }
+    }
+
+    /// A scenario whose `[fleet]` section is `fleet`.
+    fn scenario_fleet(fleet: &str) -> protean_experiments::scenario::ScenarioSpec {
+        protean_experiments::scenario::parse(&format!("name = \"x\"\n[fleet]\n{fleet}\n"))
+            .unwrap_or_else(|e| panic!("{fleet}: {e}"))
     }
 
     #[test]
     fn schemes_resolve() {
-        for s in [
-            "protean", "oracle", "molecule", "infless", "naive", "migonly", "mpsmig", "smart",
-            "gpulet",
-        ] {
-            assert!(parse_scheme(s).is_ok(), "{s}");
+        for name in schemes::names() {
+            for spelled in [name.to_string(), name.to_ascii_uppercase()] {
+                let cli = parse_scheme(&spelled).unwrap().name();
+                let dsl = scenario_fleet(&format!("scheme = \"{spelled}\""));
+                assert_eq!(schemes::by_name(&dsl.fleet.scheme).unwrap().name(), cli);
+            }
         }
-        assert!(parse_scheme("unknown").is_err());
+        assert_eq!(schemes::names().count(), 10);
+        let err = parse_scheme("unknown").err().unwrap();
+        assert_eq!(
+            err.0,
+            "unknown scheme 'unknown' (protean | oracle | molecule | infless | naive | migonly | mpsmig | smart | gpulet)"
+        );
     }
 
     #[test]
@@ -533,6 +520,8 @@ mod tests {
         let args = Args::parse(vec!["simulate".to_string()]).unwrap();
         let (config, trace) = build_run(&args).unwrap();
         assert_eq!(config.workers, 8);
+        assert_eq!(config.procurement, ProcurementPolicy::OnDemandOnly);
+        assert_eq!(config.availability, SpotAvailability::High);
         assert_eq!(trace.strict_model, ModelId::ResNet50);
         assert!(trace.batch_arrivals);
 
@@ -744,15 +733,55 @@ mod tests {
 
     #[test]
     fn procurement_and_availability_parse() {
+        // Every slug and alias, in either case, resolves identically in
+        // the CLI and the scenario DSL, and `to_toml` writes the slug.
+        let procurement = ProcurementPolicy::ALL
+            .map(|p| (p.slug(), p))
+            .into_iter()
+            .chain(ProcurementPolicy::ALIASES);
+        for (name, p) in procurement {
+            for spelled in [name.to_string(), name.to_ascii_uppercase()] {
+                assert_eq!(parse_procurement(&spelled).unwrap(), p);
+                let spec = scenario_fleet(&format!("procurement = \"{spelled}\""));
+                assert_eq!(spec.fleet.procurement, p);
+                let line = format!("procurement = \"{}\"", p.slug());
+                assert!(spec.to_toml().contains(&line), "{line}");
+            }
+        }
+        let availability = SpotAvailability::ALL
+            .map(|a| (a.slug(), a))
+            .into_iter()
+            .chain(SpotAvailability::ALIASES);
+        for (name, a) in availability {
+            for spelled in [name.to_string(), name.to_ascii_uppercase()] {
+                assert_eq!(parse_availability(&spelled).unwrap(), a);
+                let spec = scenario_fleet(&format!("availability = \"{spelled}\""));
+                assert_eq!(spec.fleet.availability, a);
+                let line = format!("availability = \"{}\"", a.slug());
+                assert!(spec.to_toml().contains(&line), "{line}");
+            }
+        }
+        // The provider has no CLI flag; the DSL reads it from the same table.
+        for p in Provider::ALL {
+            let spec = scenario_fleet(&format!("provider = \"{}\"", p.slug().to_ascii_uppercase()));
+            assert_eq!(spec.fleet.provider, p);
+            assert!(spec
+                .to_toml()
+                .contains(&format!("provider = \"{}\"", p.slug())));
+        }
+        let err =
+            protean_experiments::scenario::parse("name = \"x\"\n[fleet]\nprovider = \"ibm\"\n");
         assert_eq!(
-            parse_procurement("hybrid").unwrap(),
-            ProcurementPolicy::Hybrid
+            err.unwrap_err().to_string(),
+            "line 3: unknown provider 'ibm' (aws | azure | gcp)"
         );
-        assert!(parse_procurement("free").is_err());
         assert_eq!(
-            parse_availability("medium").unwrap(),
-            SpotAvailability::Moderate
+            parse_procurement("free").unwrap_err().0,
+            "unknown procurement 'free' (ondemand | spot | hybrid)"
         );
-        assert!(parse_availability("none").is_err());
+        assert_eq!(
+            parse_availability("none").unwrap_err().0,
+            "unknown availability 'none' (high | moderate | low)"
+        );
     }
 }

@@ -17,7 +17,9 @@
 //! workspace takes no serde/toml dependency. It is strict where it
 //! matters: unknown keys and unknown sections fail loudly with the
 //! offending line number — the `deny_unknown_fields` contract — and
-//! every value is type- and range-checked at parse time.
+//! every value is type- and range-checked at parse time. Scheme,
+//! procurement, availability and provider names are matched ignoring
+//! ASCII case, through the same tables the CLI uses.
 //!
 //! # Schema
 //!
@@ -28,16 +30,18 @@
 //! [fleet]                             # all keys optional
 //! workers = 6                         # default 4
 //! seed = 42
-//! scheme = "protean"                  # protean | oracle | molecule | ...
-//! procurement = "hybrid"              # ondemand | spot | hybrid
-//! availability = "low"                # high | moderate | low
+//! scheme = "protean"                  # protean | oracle | molecule | infless
+//!                                     # (alias llama) | naive | migonly |
+//!                                     # mpsmig | smart | gpulet
+//! procurement = "hybrid"              # ondemand (alias on-demand) | spot | hybrid
+//! availability = "low"                # high | moderate (alias medium) | low
 //! provider = "aws"                    # aws | azure | gcp
 //! slo_mult = 3.0
-//! revocation_check_secs = 5.0
-//! vm_startup_secs = 5.0
-//! procurement_retry_secs = 5.0
+//! revocation_check_secs = 5.0         # > 0 (at least one microsecond)
+//! vm_startup_secs = 5.0               # >= 0
+//! procurement_retry_secs = 5.0        # > 0 (at least one microsecond)
 //! prewarm = 4
-//! cold_start_secs = 8.0
+//! cold_start_secs = 8.0               # >= 0
 //!
 //! [trace]
 //! model = "resnet50"
@@ -46,7 +50,7 @@
 //! duration_secs = 60.0
 //! strict_fraction = 0.5
 //! be_pool = ["mobilenet", "dpn92"]    # default: opposite interference pool
-//! be_rotation_secs = 20.0
+//! be_rotation_secs = 20.0             # > 0 (at least one microsecond)
 //! batch_arrivals = false
 //! # csv = "trace.csv"                 # exclusive with every key above
 //!
@@ -482,6 +486,24 @@ impl Table {
         }
     }
 
+    /// A span in seconds: at least one microsecond when `positive`
+    /// (a zero retry or check interval never lets the clock advance),
+    /// else non-negative.
+    fn take_secs(&mut self, key: &str, default: f64, positive: bool) -> Result<f64, ScenarioError> {
+        let line = self.entries.get(key).map_or(0, |(_, line)| *line);
+        let secs = self.take_f64(key, default)?;
+        let (ok, bound) = if positive {
+            (secs >= 1e-6, "at least 0.000001 (one microsecond)")
+        } else {
+            (secs >= 0.0, ">= 0")
+        };
+        if ok {
+            Ok(secs)
+        } else {
+            perr(line, format!("'{key}' must be {bound}, got {secs}"))
+        }
+    }
+
     fn take_unsigned(&mut self, key: &str, default: u64) -> Result<u64, ScenarioError> {
         match self.take(key) {
             None => Ok(default),
@@ -645,52 +667,23 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
             .take_str("scheme")?
             .unwrap_or_else(|| (d.scheme.clone(), 0));
         if schemes::by_name(&scheme).is_none() {
-            return perr(
-                scheme_line,
-                format!("unknown scheme '{scheme}' (protean | oracle | molecule | infless | naive | migonly | mpsmig | smart | gpulet)"),
-            );
+            return perr(scheme_line, schemes::unknown_scheme(&scheme));
         }
         let procurement = match t.take_str("procurement")? {
             None => d.procurement,
-            Some((s, line)) => match s.as_str() {
-                "ondemand" | "on-demand" => ProcurementPolicy::OnDemandOnly,
-                "spot" => ProcurementPolicy::SpotOnly,
-                "hybrid" => ProcurementPolicy::Hybrid,
-                other => {
-                    return perr(
-                        line,
-                        format!("unknown procurement '{other}' (ondemand | spot | hybrid)"),
-                    )
-                }
-            },
+            Some((s, line)) => {
+                ProcurementPolicy::from_slug(&s).or_else(|e| perr(line, e.to_string()))?
+            }
         };
         let availability = match t.take_str("availability")? {
             None => d.availability,
-            Some((s, line)) => match s.as_str() {
-                "high" => SpotAvailability::High,
-                "moderate" | "medium" => SpotAvailability::Moderate,
-                "low" => SpotAvailability::Low,
-                other => {
-                    return perr(
-                        line,
-                        format!("unknown availability '{other}' (high | moderate | low)"),
-                    )
-                }
-            },
+            Some((s, line)) => {
+                SpotAvailability::from_slug(&s).or_else(|e| perr(line, e.to_string()))?
+            }
         };
         let provider = match t.take_str("provider")? {
             None => d.provider,
-            Some((s, line)) => match s.as_str() {
-                "aws" => Provider::Aws,
-                "azure" => Provider::Azure,
-                "gcp" => Provider::Gcp,
-                other => {
-                    return perr(
-                        line,
-                        format!("unknown provider '{other}' (aws | azure | gcp)"),
-                    )
-                }
-            },
+            Some((s, line)) => Provider::from_slug(&s).or_else(|e| perr(line, e.to_string()))?,
         };
         let spec = FleetSpec {
             workers,
@@ -700,12 +693,19 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
             availability,
             provider,
             slo_mult: t.take_f64("slo_mult", d.slo_mult)?,
-            revocation_check_secs: t.take_f64("revocation_check_secs", d.revocation_check_secs)?,
-            vm_startup_secs: t.take_f64("vm_startup_secs", d.vm_startup_secs)?,
-            procurement_retry_secs: t
-                .take_f64("procurement_retry_secs", d.procurement_retry_secs)?,
+            revocation_check_secs: t.take_secs(
+                "revocation_check_secs",
+                d.revocation_check_secs,
+                true,
+            )?,
+            vm_startup_secs: t.take_secs("vm_startup_secs", d.vm_startup_secs, false)?,
+            procurement_retry_secs: t.take_secs(
+                "procurement_retry_secs",
+                d.procurement_retry_secs,
+                true,
+            )?,
             prewarm: t.take_unsigned("prewarm", d.prewarm as u64)? as usize,
-            cold_start_secs: t.take_f64("cold_start_secs", d.cold_start_secs)?,
+            cold_start_secs: t.take_secs("cold_start_secs", d.cold_start_secs, false)?,
         };
         t.finish()?;
         if spec.workers == 0 {
@@ -860,7 +860,7 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
                 duration_secs: t.take_f64("duration_secs", d.duration_secs)?,
                 strict_fraction: t.take_f64("strict_fraction", d.strict_fraction)?,
                 be_pool,
-                be_rotation_secs: t.take_f64("be_rotation_secs", d.be_rotation_secs)?,
+                be_rotation_secs: t.take_secs("be_rotation_secs", d.be_rotation_secs, true)?,
                 batch_arrivals: t.take_bool("batch_arrivals", d.batch_arrivals)?,
                 pulse_low_rps: t.take_f64("pulse_low_rps", d.pulse_low_rps)?,
                 pulse_period_secs: t.take_f64("pulse_period_secs", d.pulse_period_secs)?,
@@ -999,24 +999,9 @@ impl ScenarioSpec {
         writeln!(p, "workers = {}", f.workers).unwrap();
         writeln!(p, "seed = {}", f.seed).unwrap();
         writeln!(p, "scheme = \"{}\"", f.scheme).unwrap();
-        let procurement = match f.procurement {
-            ProcurementPolicy::OnDemandOnly => "ondemand",
-            ProcurementPolicy::SpotOnly => "spot",
-            ProcurementPolicy::Hybrid => "hybrid",
-        };
-        writeln!(p, "procurement = \"{procurement}\"").unwrap();
-        let availability = match f.availability {
-            SpotAvailability::High => "high",
-            SpotAvailability::Moderate => "moderate",
-            SpotAvailability::Low => "low",
-        };
-        writeln!(p, "availability = \"{availability}\"").unwrap();
-        let provider = match f.provider {
-            Provider::Aws => "aws",
-            Provider::Azure => "azure",
-            Provider::Gcp => "gcp",
-        };
-        writeln!(p, "provider = \"{provider}\"").unwrap();
+        writeln!(p, "procurement = \"{}\"", f.procurement.slug()).unwrap();
+        writeln!(p, "availability = \"{}\"", f.availability.slug()).unwrap();
+        writeln!(p, "provider = \"{}\"", f.provider.slug()).unwrap();
         writeln!(p, "slo_mult = {}", f.slo_mult).unwrap();
         writeln!(p, "revocation_check_secs = {}", f.revocation_check_secs).unwrap();
         writeln!(p, "vm_startup_secs = {}", f.vm_startup_secs).unwrap();
@@ -1586,6 +1571,41 @@ min_evictions = 4
         let err = parse("name = \"x\"\n[fleet]\nworkers = 2\n\n[[market.eviction]]\nworker = 5\nat_secs = 1\nlead_secs = 1\n")
             .unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
+        // Spans: a negative one panics in `SimDuration`, a zero check or
+        // retry interval never lets the clock advance, and a zero BE
+        // rotation rolls one schedule entry per microsecond.
+        for (section, case) in [
+            ("fleet", "cold_start_secs = -1"),
+            ("fleet", "vm_startup_secs = -0.5"),
+            ("fleet", "procurement_retry_secs = -2"),
+            ("trace", "be_rotation_secs = -20"),
+            (
+                "fleet",
+                "procurement = \"hybrid\"\navailability = \"low\"\nrevocation_check_secs = 0",
+            ),
+            (
+                "fleet",
+                "procurement = \"spot\"\nprocurement_retry_secs = 0\n[market]\nscript = \"dddd\"\ndeny_rest = true",
+            ),
+            ("trace", "be_rotation_secs = 0"),
+            ("trace", "be_rotation_secs = 0.0000001"),
+        ] {
+            let key = case
+                .lines()
+                .find(|l| l.contains("_secs"))
+                .and_then(|l| l.split(' ').next())
+                .unwrap();
+            let err = parse(&format!("name = \"x\"\n[{section}]\n{case}\n")).unwrap_err();
+            assert!(
+                matches!(&err, ScenarioError::Parse { msg, .. } if msg.starts_with(&format!("'{key}' must be"))),
+                "{case}: {err}"
+            );
+        }
+        // Zero is a valid start-up or cold-start delay.
+        let spec =
+            parse("name = \"x\"\n[fleet]\ncold_start_secs = 0\nvm_startup_secs = 0\n").unwrap();
+        assert_eq!(spec.fleet.cold_start_secs, 0.0);
+        assert_eq!(spec.fleet.vm_startup_secs, 0.0);
     }
 
     #[test]

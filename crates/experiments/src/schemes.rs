@@ -15,23 +15,43 @@ pub fn primary() -> Vec<Box<dyn SchemeBuilder>> {
     ]
 }
 
-/// Resolves a scheme by its CLI/scenario-file name. `None` for an
-/// unknown name — callers own the error message (and should list
-/// `protean | oracle | molecule | infless | naive | migonly | mpsmig |
-/// smart | gpulet` in it).
+/// Builds one scheme.
+type Build = fn() -> Box<dyn SchemeBuilder>;
+
+/// Every scheme the CLI and scenario files name: the names each
+/// answers to (canonical first, then aliases) and its builder.
+const TABLE: [(&[&str], Build); 9] = [
+    (&["protean"], || Box::new(ProteanBuilder::paper())),
+    (&["oracle"], || Box::new(ProteanBuilder::oracle())),
+    (&["molecule"], || Box::new(Baseline::MoleculeBeta)),
+    (&["infless", "llama"], || Box::new(Baseline::InflessLlama)),
+    (&["naive"], || Box::new(Baseline::NaiveSlicing)),
+    (&["migonly"], || Box::new(Baseline::MigOnly)),
+    (&["mpsmig"], || Box::new(Baseline::MpsMigEven)),
+    (&["smart"], || Box::new(Baseline::SmartMpsMig)),
+    (&["gpulet"], || Box::new(Baseline::Gpulet)),
+];
+
+/// Resolves a scheme by its CLI/scenario-file name, ignoring ASCII
+/// case. `None` for an unknown name; [`unknown_scheme`] words the
+/// error.
 pub fn by_name(name: &str) -> Option<Box<dyn SchemeBuilder>> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "protean" => Box::new(ProteanBuilder::paper()),
-        "oracle" => Box::new(ProteanBuilder::oracle()),
-        "molecule" => Box::new(Baseline::MoleculeBeta),
-        "infless" | "llama" => Box::new(Baseline::InflessLlama),
-        "naive" => Box::new(Baseline::NaiveSlicing),
-        "migonly" => Box::new(Baseline::MigOnly),
-        "mpsmig" => Box::new(Baseline::MpsMigEven),
-        "smart" => Box::new(Baseline::SmartMpsMig),
-        "gpulet" => Box::new(Baseline::Gpulet),
-        _ => return None,
-    })
+    TABLE
+        .iter()
+        .find(|(names, _)| names.iter().any(|n| n.eq_ignore_ascii_case(name)))
+        .map(|(_, build)| build())
+}
+
+/// Every name [`by_name`] resolves, aliases included.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    TABLE.iter().flat_map(|(names, _)| names.iter().copied())
+}
+
+/// The error for a name [`by_name`] rejects, listing the canonical
+/// names.
+pub fn unknown_scheme(name: &str) -> String {
+    let canonical: Vec<&str> = TABLE.iter().map(|(names, _)| names[0]).collect();
+    format!("unknown scheme '{name}' ({})", canonical.join(" | "))
 }
 
 /// The §2.2 motivational line-up (Fig. 2): No MPS or MIG, MPS Only,

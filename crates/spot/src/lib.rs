@@ -55,6 +55,20 @@ impl Provider {
     /// All providers in Table 3 order.
     pub const ALL: [Provider; 3] = [Provider::Aws, Provider::Azure, Provider::Gcp];
 
+    /// Stable machine-readable name, as scenario files spell it.
+    pub fn slug(self) -> &'static str {
+        match self {
+            Provider::Aws => "aws",
+            Provider::Azure => "azure",
+            Provider::Gcp => "gcp",
+        }
+    }
+
+    /// Resolves a slug, ignoring ASCII case.
+    pub fn from_slug(name: &str) -> Result<Provider, UnknownSlug> {
+        find_slug("provider", &Provider::ALL, Provider::slug, &[], name)
+    }
+
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -69,6 +83,51 @@ impl fmt::Display for Provider {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
+}
+
+/// A name that none of an enum's slugs or aliases match. It displays as
+/// `unknown procurement 'free' (ondemand | spot | hybrid)`, listing the
+/// enum's own slugs, so the message cannot drift from the parser.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownSlug {
+    what: &'static str,
+    name: String,
+    slugs: Vec<&'static str>,
+}
+
+impl fmt::Display for UnknownSlug {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "unknown {} '{}' ({})",
+            self.what,
+            self.name,
+            self.slugs.join(" | ")
+        )
+    }
+}
+
+impl std::error::Error for UnknownSlug {}
+
+/// The lookup behind every `from_slug`: `name` against each variant's
+/// slug, then against `aliases`, ignoring ASCII case.
+fn find_slug<T: Copy>(
+    what: &'static str,
+    all: &[T],
+    slug: fn(T) -> &'static str,
+    aliases: &[(&str, T)],
+    name: &str,
+) -> Result<T, UnknownSlug> {
+    all.iter()
+        .map(|&v| (slug(v), v))
+        .chain(aliases.iter().copied())
+        .find(|(s, _)| s.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v)
+        .ok_or_else(|| UnknownSlug {
+            what,
+            name: name.to_string(),
+            slugs: all.iter().map(|&v| slug(v)).collect(),
+        })
 }
 
 /// VM reliability tier.
@@ -147,6 +206,39 @@ pub enum SpotAvailability {
 }
 
 impl SpotAvailability {
+    /// All regimes, from most to least available.
+    pub const ALL: [SpotAvailability; 3] = [
+        SpotAvailability::High,
+        SpotAvailability::Moderate,
+        SpotAvailability::Low,
+    ];
+
+    /// Spellings [`SpotAvailability::from_slug`] accepts besides the
+    /// slugs (`medium` is the Fig. 9 label).
+    pub const ALIASES: [(&'static str, SpotAvailability); 1] =
+        [("medium", SpotAvailability::Moderate)];
+
+    /// Stable machine-readable name, as CLI flags and scenario files
+    /// spell it.
+    pub fn slug(self) -> &'static str {
+        match self {
+            SpotAvailability::High => "high",
+            SpotAvailability::Moderate => "moderate",
+            SpotAvailability::Low => "low",
+        }
+    }
+
+    /// Resolves a slug or an alias, ignoring ASCII case.
+    pub fn from_slug(name: &str) -> Result<SpotAvailability, UnknownSlug> {
+        find_slug(
+            "availability",
+            &SpotAvailability::ALL,
+            SpotAvailability::slug,
+            &SpotAvailability::ALIASES,
+            name,
+        )
+    }
+
     /// The revocation probability applied at each check interval.
     pub fn revocation_probability(self) -> f64 {
         match self {
@@ -194,6 +286,39 @@ pub enum ProcurementPolicy {
 }
 
 impl ProcurementPolicy {
+    /// All policies, in Fig. 9 order.
+    pub const ALL: [ProcurementPolicy; 3] = [
+        ProcurementPolicy::OnDemandOnly,
+        ProcurementPolicy::SpotOnly,
+        ProcurementPolicy::Hybrid,
+    ];
+
+    /// Spellings [`ProcurementPolicy::from_slug`] accepts besides the
+    /// slugs.
+    pub const ALIASES: [(&'static str, ProcurementPolicy); 1] =
+        [("on-demand", ProcurementPolicy::OnDemandOnly)];
+
+    /// Stable machine-readable name, as CLI flags and scenario files
+    /// spell it.
+    pub fn slug(self) -> &'static str {
+        match self {
+            ProcurementPolicy::OnDemandOnly => "ondemand",
+            ProcurementPolicy::SpotOnly => "spot",
+            ProcurementPolicy::Hybrid => "hybrid",
+        }
+    }
+
+    /// Resolves a slug or an alias, ignoring ASCII case.
+    pub fn from_slug(name: &str) -> Result<ProcurementPolicy, UnknownSlug> {
+        find_slug(
+            "procurement",
+            &ProcurementPolicy::ALL,
+            ProcurementPolicy::slug,
+            &ProcurementPolicy::ALIASES,
+            name,
+        )
+    }
+
     /// Decides the tier of a replacement VM given whether the spot
     /// market granted the request. `None` means no VM can be acquired
     /// now (Spot-only under scarcity) and the caller should retry later.

@@ -16,6 +16,12 @@
 //! (default 50/50); strict requests target a fixed model while the BE
 //! model is re-rolled from a pool every ~20 s (§5).
 //!
+//! A trace comes in two forms over one arrival generator:
+//! [`TraceConfig::generate`] materialises it (the paper-scale figures),
+//! and [`TraceConfig::stream`] yields the same requests lazily (the
+//! fleet-scale runs). Both draw every arrival instant, class and model
+//! from the same code, so they cannot drift.
+//!
 //! # Example
 //!
 //! ```
@@ -211,65 +217,23 @@ impl TraceConfig {
     /// Panics if `strict_fraction` is outside `[0, 1]`, or if the BE pool
     /// is empty while BE requests can occur.
     pub fn generate(&self, factory: &RngFactory) -> Trace {
-        assert!(
-            (0.0..=1.0).contains(&self.strict_fraction),
-            "strict fraction {} out of range",
-            self.strict_fraction
-        );
-        assert!(
-            self.strict_fraction >= 1.0 || !self.be_pool.is_empty(),
-            "BE pool may not be empty when BE requests can occur"
-        );
-        let mut arrivals_rng = factory.stream("trace.arrivals");
-        let mut class_rng = factory.stream("trace.class");
-        let mut rotation_rng = factory.stream("trace.rotation");
-        let mut shape_rng = factory.stream("trace.shape");
-
-        let batch_size = if self.batch_arrivals {
-            catalog().profile(self.strict_model).batch_size.max(1)
-        } else {
-            1
-        };
-        let rate = RateProfile::new(&self.shape, self.duration, &mut shape_rng);
-        let arrival_times = poisson_arrivals(
-            &rate,
-            self.duration,
-            f64::from(batch_size),
-            &mut arrivals_rng,
-        );
-
-        // Pre-roll the BE model schedule so it is independent of the
-        // arrival count.
-        let rotation_period = self.be_rotation_period;
-        let rotations = (self.duration.as_micros() / rotation_period.as_micros().max(1)) + 1;
-        let be_schedule: Vec<ModelId> = (0..rotations)
-            .map(|_| {
-                if self.be_pool.is_empty() {
-                    self.strict_model
-                } else {
-                    *rotation_rng.choose(&self.be_pool)
-                }
-            })
-            .collect();
-
-        let mut requests = Vec::with_capacity(arrival_times.len() * batch_size as usize);
-        let mut next_id = 0u64;
-        for arrival in arrival_times {
-            let strict = class_rng.chance(self.strict_fraction);
-            let model = if strict {
-                self.strict_model
-            } else {
-                let slot = (arrival.as_micros() / rotation_period.as_micros().max(1)) as usize;
-                be_schedule[slot.min(be_schedule.len() - 1)]
-            };
+        let mut arrivals = Arrivals::new(self, factory);
+        // Timestamps first, so the request vector is sized exactly once.
+        let mut times = Vec::new();
+        while let Some(at) = arrivals.next_time() {
+            times.push(at);
+        }
+        let batch_size = arrivals.batch_size;
+        let mut requests = Vec::with_capacity(times.len() * batch_size as usize);
+        for arrival in times {
+            let (model, strict) = arrivals.classify(arrival);
             for _ in 0..batch_size {
                 requests.push(Request {
-                    id: RequestId(next_id),
+                    id: RequestId(requests.len() as u64),
                     arrival,
                     model,
                     strict,
                 });
-                next_id += 1;
             }
         }
         Trace {
@@ -282,20 +246,60 @@ impl TraceConfig {
     /// yields exactly the `Request` sequence [`TraceConfig::generate`]
     /// materializes — bit-identical ids, arrivals, models and classes —
     /// while holding O(duration / rotation_period) state instead of
-    /// O(requests). See the [`TraceStream`] docs for why the sequences
-    /// cannot drift.
+    /// O(requests).
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`TraceConfig::generate`].
     pub fn stream(&self, factory: &RngFactory) -> TraceStream {
+        TraceStream {
+            arrivals: Arrivals::new(self, factory),
+            duration: self.duration,
+            next_id: 0,
+            batch: None,
+            left_in_batch: 0,
+        }
+    }
+}
+
+/// The one arrival generator behind both [`TraceConfig::generate`] and
+/// [`TraceStream`]: non-homogeneous Poisson arrival instants by
+/// thinning, and the class/model draw for each.
+///
+/// It draws from four independent labelled streams ("trace.arrivals",
+/// "trace.class", "trace.rotation", "trace.shape"), so a caller may
+/// interleave `next_time` and `classify` in any order — `generate`
+/// draws every instant first, the stream alternates — without changing
+/// any stream's per-draw sequence.
+#[derive(Debug, Clone)]
+struct Arrivals {
+    arrivals_rng: SimRng,
+    class_rng: SimRng,
+    rate: RateProfile,
+    /// The BE model per rotation slot, rolled up front so it is
+    /// independent of the arrival count.
+    be_schedule: Vec<ModelId>,
+    strict_model: ModelId,
+    strict_fraction: f64,
+    rotation_period_us: u64,
+    /// Requests each arrival carries (1 unless `batch_arrivals`).
+    batch_size: u32,
+    /// `rate.max_rate / batch_size`: the homogeneous process thinned.
+    lambda_max: f64,
+    horizon_secs: f64,
+    /// Thinning-loop clock, in seconds.
+    t: f64,
+}
+
+impl Arrivals {
+    fn new(cfg: &TraceConfig, factory: &RngFactory) -> Self {
         assert!(
-            (0.0..=1.0).contains(&self.strict_fraction),
+            (0.0..=1.0).contains(&cfg.strict_fraction),
             "strict fraction {} out of range",
-            self.strict_fraction
+            cfg.strict_fraction
         );
         assert!(
-            self.strict_fraction >= 1.0 || !self.be_pool.is_empty(),
+            cfg.strict_fraction >= 1.0 || !cfg.be_pool.is_empty(),
             "BE pool may not be empty when BE requests can occur"
         );
         let arrivals_rng = factory.stream("trace.arrivals");
@@ -303,81 +307,91 @@ impl TraceConfig {
         let mut rotation_rng = factory.stream("trace.rotation");
         let mut shape_rng = factory.stream("trace.shape");
 
-        let batch_size = if self.batch_arrivals {
-            catalog().profile(self.strict_model).batch_size.max(1)
+        let batch_size = if cfg.batch_arrivals {
+            catalog().profile(cfg.strict_model).batch_size.max(1)
         } else {
             1
         };
-        let rate = RateProfile::new(&self.shape, self.duration, &mut shape_rng);
-        let rotation_period_us = self.be_rotation_period.as_micros().max(1);
-        let rotations = (self.duration.as_micros() / rotation_period_us) + 1;
+        let rate = RateProfile::new(&cfg.shape, cfg.duration, &mut shape_rng);
+        let rotation_period_us = cfg.be_rotation_period.as_micros().max(1);
+        let rotations = (cfg.duration.as_micros() / rotation_period_us) + 1;
         let be_schedule: Vec<ModelId> = (0..rotations)
             .map(|_| {
-                if self.be_pool.is_empty() {
-                    self.strict_model
+                if cfg.be_pool.is_empty() {
+                    cfg.strict_model
                 } else {
-                    *rotation_rng.choose(&self.be_pool)
+                    *rotation_rng.choose(&cfg.be_pool)
                 }
             })
             .collect();
-        let per_arrival = f64::from(batch_size);
-        let lambda_max = rate.max_rate / per_arrival;
-        TraceStream {
+        Arrivals {
             arrivals_rng,
             class_rng,
+            lambda_max: rate.max_rate / f64::from(batch_size),
             rate,
             be_schedule,
-            strict_model: self.strict_model,
-            strict_fraction: self.strict_fraction,
+            strict_model: cfg.strict_model,
+            strict_fraction: cfg.strict_fraction,
             rotation_period_us,
             batch_size,
-            per_arrival,
-            lambda_max,
-            horizon_secs: self.duration.as_secs_f64(),
-            duration: self.duration,
+            horizon_secs: cfg.duration.as_secs_f64(),
             t: 0.0,
-            next_id: 0,
-            pending: None,
-            emitted_in_batch: 0,
         }
+    }
+
+    /// The next arrival instant, or `None` past the horizon: thins the
+    /// homogeneous λ_max process down to λ(t) / batch_size.
+    #[inline]
+    fn next_time(&mut self) -> Option<SimTime> {
+        let per_arrival = f64::from(self.batch_size);
+        loop {
+            self.t += self.arrivals_rng.exponential(self.lambda_max);
+            if self.t >= self.horizon_secs {
+                return None;
+            }
+            if self.arrivals_rng.uniform() * self.lambda_max
+                < self.rate.rate_at(self.t) / per_arrival
+            {
+                return Some(SimTime::from_secs(self.t));
+            }
+        }
+    }
+
+    /// The model and class (`true` = strict) of the arrival at `at`.
+    #[inline]
+    fn classify(&mut self, at: SimTime) -> (ModelId, bool) {
+        let strict = self.class_rng.chance(self.strict_fraction);
+        let model = if strict {
+            self.strict_model
+        } else {
+            let slot = (at.as_micros() / self.rotation_period_us) as usize;
+            self.be_schedule[slot.min(self.be_schedule.len() - 1)]
+        };
+        (model, strict)
     }
 }
 
-/// A generator-backed request stream: the streaming twin of
+/// A generator-backed request stream: the lazy form of
 /// [`TraceConfig::generate`].
 ///
-/// The equivalence argument rests on the RNG architecture: generation
-/// draws from four *independent* labeled streams ("trace.arrivals",
-/// "trace.class", "trace.rotation", "trace.shape"), so interleaving
-/// class draws between arrival draws — which the lazy path does and
-/// the materialized path does not — cannot change any stream's
-/// per-draw sequence. The shape profile and the BE rotation schedule
-/// are still built eagerly (they are O(duration / segment) and
-/// O(duration / rotation_period), independent of the request count);
-/// only the Poisson thinning loop, which dominates memory at fleet
-/// scale, runs lazily. The `trace_stream_*` proptests pin
-/// element-for-element equality with `generate`, and the engine-level
-/// golden tests pin digest equality of full simulations.
+/// Both drive the same private arrival generator, so they share the
+/// thinning loop and the class/model draw by construction; they differ
+/// only in how each arrival is expanded into its batch. The shape
+/// profile and the BE rotation schedule are built eagerly (they are
+/// O(duration / segment) and O(duration / rotation_period), independent
+/// of the request count); only the arrivals, which dominate memory at
+/// fleet scale, are drawn lazily. The `trace_stream_*` proptest checks
+/// the two batch expansions against each other element for element,
+/// and the engine-level golden tests pin digest equality of full
+/// simulations.
 #[derive(Debug, Clone)]
 pub struct TraceStream {
-    arrivals_rng: SimRng,
-    class_rng: SimRng,
-    rate: RateProfile,
-    be_schedule: Vec<ModelId>,
-    strict_model: ModelId,
-    strict_fraction: f64,
-    rotation_period_us: u64,
-    batch_size: u32,
-    per_arrival: f64,
-    lambda_max: f64,
-    horizon_secs: f64,
+    arrivals: Arrivals,
     duration: SimDuration,
-    /// Thinning-loop clock, in seconds.
-    t: f64,
     next_id: u64,
     /// The accepted arrival currently being expanded into a batch.
-    pending: Option<(SimTime, ModelId, bool)>,
-    emitted_in_batch: u32,
+    batch: Option<(SimTime, ModelId, bool)>,
+    left_in_batch: u32,
 }
 
 impl TraceStream {
@@ -393,12 +407,13 @@ impl TraceStream {
     /// e.g. the engine's prewarm pass — bound their scan without
     /// walking the whole stream.
     pub fn model_universe(&self) -> Vec<ModelId> {
+        let a = &self.arrivals;
         let mut out = Vec::new();
-        if self.strict_fraction > 0.0 {
-            out.push(self.strict_model);
+        if a.strict_fraction > 0.0 {
+            out.push(a.strict_model);
         }
-        if self.strict_fraction < 1.0 {
-            for &m in &self.be_schedule {
+        if a.strict_fraction < 1.0 {
+            for &m in &a.be_schedule {
                 if !out.contains(&m) {
                     out.push(m);
                 }
@@ -412,46 +427,22 @@ impl Iterator for TraceStream {
     type Item = Request;
 
     fn next(&mut self) -> Option<Request> {
-        loop {
-            // Drain the batch the last accepted arrival carries.
-            if let Some((arrival, model, strict)) = self.pending {
-                if self.emitted_in_batch < self.batch_size {
-                    self.emitted_in_batch += 1;
-                    let id = RequestId(self.next_id);
-                    self.next_id += 1;
-                    return Some(Request {
-                        id,
-                        arrival,
-                        model,
-                        strict,
-                    });
-                }
-                self.pending = None;
-            }
-            // Thin the homogeneous λ_max process down to λ(t) — the
-            // identical draw sequence `poisson_arrivals` consumes.
-            loop {
-                self.t += self.arrivals_rng.exponential(self.lambda_max);
-                if self.t >= self.horizon_secs {
-                    return None;
-                }
-                if self.arrivals_rng.uniform() * self.lambda_max
-                    < self.rate.rate_at(self.t) / self.per_arrival
-                {
-                    break;
-                }
-            }
-            let arrival = SimTime::from_secs(self.t);
-            let strict = self.class_rng.chance(self.strict_fraction);
-            let model = if strict {
-                self.strict_model
-            } else {
-                let slot = (arrival.as_micros() / self.rotation_period_us) as usize;
-                self.be_schedule[slot.min(self.be_schedule.len() - 1)]
-            };
-            self.pending = Some((arrival, model, strict));
-            self.emitted_in_batch = 0;
+        if self.left_in_batch == 0 {
+            let arrival = self.arrivals.next_time()?;
+            let (model, strict) = self.arrivals.classify(arrival);
+            self.batch = Some((arrival, model, strict));
+            self.left_in_batch = self.arrivals.batch_size;
         }
+        let (arrival, model, strict) = self.batch?;
+        self.left_in_batch -= 1;
+        let id = RequestId(self.next_id);
+        self.next_id += 1;
+        Some(Request {
+            id,
+            arrival,
+            model,
+            strict,
+        })
     }
 }
 
@@ -794,31 +785,6 @@ impl RateProfile {
     }
 }
 
-/// Non-homogeneous Poisson arrivals over `[0, duration)` by thinning.
-/// `per_arrival` scales the rate down (batch arrivals carry
-/// `batch_size` requests each).
-fn poisson_arrivals(
-    rate: &RateProfile,
-    duration: SimDuration,
-    per_arrival: f64,
-    rng: &mut SimRng,
-) -> Vec<SimTime> {
-    let mut out = Vec::new();
-    let horizon = duration.as_secs_f64();
-    let lambda_max = rate.max_rate / per_arrival;
-    let mut t = 0.0f64;
-    loop {
-        t += rng.exponential(lambda_max);
-        if t >= horizon {
-            break;
-        }
-        if rng.uniform() * lambda_max < rate.rate_at(t) / per_arrival {
-            out.push(SimTime::from_secs(t));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -874,6 +840,19 @@ mod tests {
         }
         assert!(ahead.next().is_none());
         assert_eq!(seen, materialised);
+    }
+
+    #[test]
+    fn generate_sizes_the_request_vector_exactly_once() {
+        // A growing collect would over-allocate; `generate` counts the
+        // arrivals first and allocates once.
+        for batch_arrivals in [false, true] {
+            let mut cfg = base_config(TraceShape::twitter(900.0), 12.0);
+            cfg.batch_arrivals = batch_arrivals;
+            let requests = cfg.generate(&RngFactory::new(4)).into_requests();
+            assert!(!requests.is_empty());
+            assert_eq!(requests.capacity(), requests.len());
+        }
     }
 
     #[test]
@@ -1106,6 +1085,8 @@ mod tests {
         /// The streamed request sequence equals `generate`'s output
         /// element for element — every id, arrival, model and class —
         /// across shapes, seeds, class mixes and both arrival modes.
+        /// Both share one arrival generator, so this checks the two
+        /// batch expansions against each other.
         #[test]
         fn prop_trace_stream_matches_generate_element_for_element(
             seed in 0u64..1000,
