@@ -125,6 +125,23 @@ fn get_finite(args: &Args, name: &str, default: f64) -> Result<f64, ArgError> {
     }
 }
 
+/// `paper_default` with the `--workers`, `--seed` and `--slo-mult`
+/// flags applied: the fleet flags `simulate`, `compare` and `replay`
+/// share.
+fn fleet_config(args: &Args) -> Result<ClusterConfig, ArgError> {
+    let mut config = ClusterConfig::paper_default();
+    config.workers = args.get_or("workers", 8usize)?;
+    if config.workers == 0 {
+        return Err(ArgError("--workers must be at least 1".into()));
+    }
+    config.seed = args.get_or("seed", 42u64)?;
+    config.slo_multiplier = get_finite(args, "slo-mult", 3.0)?;
+    if config.slo_multiplier < 1.0 {
+        return Err(ArgError("--slo-mult must be >= 1".into()));
+    }
+    Ok(config)
+}
+
 fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
     let model = parse_model(args.get("model").unwrap_or("resnet50"))?;
     let cat = catalog();
@@ -140,6 +157,11 @@ fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
     if duration <= 0.0 {
         return Err(ArgError("--duration must be positive".into()));
     }
+    let Some(duration) = SimDuration::try_from_secs(duration) else {
+        return Err(ArgError(format!(
+            "--duration {duration:e} is beyond the simulated clock (about 1.8e13 s)"
+        )));
+    };
     let strict_fraction: f64 = args.get_or("strict-frac", 0.5)?;
     if !(0.0..=1.0).contains(&strict_fraction) {
         return Err(ArgError("--strict-frac must be in [0, 1]".into()));
@@ -154,29 +176,17 @@ fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
             )))
         }
     };
-    let mut be_pool = cat.opposite_pool(model);
-    if be_pool.is_empty() {
-        be_pool.push(model);
-    }
+    let be_pool = cat.opposite_pool(model);
     let trace = TraceConfig {
         shape,
-        duration: SimDuration::from_secs(duration),
+        duration,
         strict_model: model,
         strict_fraction,
         be_pool,
         be_rotation_period: SimDuration::from_secs(20.0),
         batch_arrivals: true,
     };
-    let mut config = ClusterConfig::paper_default();
-    config.workers = args.get_or("workers", 8usize)?;
-    if config.workers == 0 {
-        return Err(ArgError("--workers must be at least 1".into()));
-    }
-    config.seed = args.get_or("seed", 42u64)?;
-    config.slo_multiplier = get_finite(args, "slo-mult", 3.0)?;
-    if config.slo_multiplier < 1.0 {
-        return Err(ArgError("--slo-mult must be >= 1".into()));
-    }
+    let mut config = fleet_config(args)?;
     // Absent flags keep `paper_default`'s on-demand, high availability.
     if let Some(name) = args.get("procurement") {
         config.procurement = parse_procurement(name)?;
@@ -316,16 +326,7 @@ pub fn replay(args: &Args) -> Result<(), ArgError> {
     let path = args
         .get("trace-file")
         .ok_or_else(|| ArgError("replay requires --trace-file <path>".into()))?;
-    let mut config = ClusterConfig::paper_default();
-    config.workers = args.get_or("workers", 8usize)?;
-    if config.workers == 0 {
-        return Err(ArgError("--workers must be at least 1".into()));
-    }
-    config.seed = args.get_or("seed", 42u64)?;
-    config.slo_multiplier = get_finite(args, "slo-mult", 3.0)?;
-    if config.slo_multiplier < 1.0 {
-        return Err(ArgError("--slo-mult must be >= 1.0".into()));
-    }
+    let config = fleet_config(args)?;
     let scheme = parse_scheme(args.get("scheme").unwrap_or("protean"))?;
     let trace = Trace::read_csv_file(path).map_err(|e| ArgError(e.to_string()))?;
     println!(
@@ -729,6 +730,33 @@ mod tests {
             .unwrap_err(),
             "slo-mult",
         );
+    }
+
+    #[test]
+    fn duration_beyond_the_clock_is_rejected_with_a_typed_error() {
+        // Unchecked, the clock saturates and the trace generator sizes
+        // its BE rotation schedule from the saturated span, aborting on
+        // a multi-terabyte allocation.
+        for cmd in ["simulate", "compare", "gen-trace --out /nonexistent/x.csv"] {
+            let line = format!("{cmd} --duration 1e300");
+            let args = Args::parse(
+                line.split_whitespace()
+                    .map(String::from)
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap();
+            let err = match cmd {
+                "simulate" => simulate(&args),
+                "compare" => compare(&args),
+                _ => gen_trace(&args),
+            }
+            .unwrap_err();
+            assert!(
+                err.0
+                    .starts_with("--duration 1e300 is beyond the simulated clock"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

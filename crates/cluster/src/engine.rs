@@ -12,18 +12,54 @@ use crate::audit::AuditReport;
 use crate::journal::Journal;
 use crate::scheme::{DispatchPolicy, SchemeBuilder};
 
-/// Everything configurable about a simulation run. Scheduling policy is
-/// *not* here — that is the [`crate::SchemeBuilder`].
+/// Monitor interval `W` driving autoscaling and reconfiguration (2 s).
+pub const MONITOR_INTERVAL: SimDuration = SimDuration::from_micros(2_000_000);
+
+/// Maximum time a partial batch waits before sealing (50 ms).
+pub const BATCH_WINDOW: SimDuration = SimDuration::from_micros(50_000);
+
+/// Max fraction of GPUs allowed to reconfigure simultaneously (§4.4:
+/// ~30%). At least one GPU may always reconfigure.
+pub const MAX_RECONFIG_FRACTION: f64 = 0.3;
+
+/// Grace period after the trace ends to drain in-flight work before
+/// censoring (5 s).
+pub const DRAIN_GRACE: SimDuration = SimDuration::from_micros(5_000_000);
+
+/// How many queued batches each placement pass may inspect.
+pub const SCAN_DEPTH: usize = 32;
+
+/// Per-batch overhead of serving on a *time-shared* GPU/slice, in
+/// milliseconds per GB of the model's working set: handing the GPU to a
+/// different container (CUDA context activation, weights touch) costs
+/// time proportional to the model's footprint. This is the §2.2 cost
+/// that makes `Molecule (beta)`-style time sharing queue-prone despite
+/// ~50% utilization (Fig. 10b).
+pub const TIME_SHARE_OVERHEAD_MS_PER_GB: f64 = 8.0;
+
+/// Fixed part of the same context switch (CUDA context activation),
+/// milliseconds, paid per time-shared batch regardless of model size.
+pub const TIME_SHARE_OVERHEAD_BASE_MS: f64 = 18.0;
+
+/// Log-normal execution-time jitter (sigma of ln-space). Real batch
+/// latencies vary run to run; jitter creates the queueing variance a
+/// deterministic model would hide.
+pub const EXEC_JITTER_SIGMA: f64 = 0.15;
+
+/// What a caller varies between simulation runs: deployment (fleet
+/// size, procurement, provider, cold start), the SLO multiplier and
+/// what the run records. Scheduling policy is *not* here — that is the
+/// [`crate::SchemeBuilder`] — and neither are the engine's fixed
+/// control constants ([`MONITOR_INTERVAL`], [`BATCH_WINDOW`],
+/// [`MAX_RECONFIG_FRACTION`], [`DRAIN_GRACE`], [`SCAN_DEPTH`],
+/// [`TIME_SHARE_OVERHEAD_MS_PER_GB`], [`TIME_SHARE_OVERHEAD_BASE_MS`],
+/// [`EXEC_JITTER_SIGMA`]), which the paper does not vary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Worker nodes (one GPU each). Paper: 8.
     pub workers: usize,
     /// Root seed for every random stream in the run.
     pub seed: u64,
-    /// Monitor interval `W` driving autoscaling and reconfiguration.
-    pub monitor_interval: SimDuration,
-    /// Maximum time a partial batch waits before sealing.
-    pub batch_window: SimDuration,
     /// Container cold-start latency (§2.1: up to tens of seconds).
     pub cold_start: SimDuration,
     /// Keep-alive before surplus warm containers are reclaimed (§4.2:
@@ -33,9 +69,6 @@ pub struct ClusterConfig {
     pub slo_multiplier: f64,
     /// MIG reconfiguration latency (§4.4: ~2 s).
     pub reconfig_delay: SimDuration,
-    /// Max fraction of GPUs allowed to reconfigure simultaneously
-    /// (§4.4: ~30%).
-    pub max_reconfig_fraction: f64,
     /// VM procurement policy (Fig. 9 schemes).
     pub procurement: ProcurementPolicy,
     /// Spot-market availability regime.
@@ -46,11 +79,6 @@ pub struct ClusterConfig {
     pub vm_startup: SimDuration,
     /// Retry interval after a failed (spot-only) procurement.
     pub procurement_retry: SimDuration,
-    /// Grace period after the trace ends to drain in-flight work before
-    /// censoring.
-    pub drain_grace: SimDuration,
-    /// How many queued batches each placement pass may inspect.
-    pub scan_depth: usize,
     /// IaaS provider used for pricing.
     pub provider: Provider,
     /// Measurement warmup: requests arriving before this instant are
@@ -64,21 +92,6 @@ pub struct ClusterConfig {
     /// Cold starts still occur when a surge needs more than this many
     /// concurrent batches per model per worker.
     pub prewarm_containers: usize,
-    /// Per-batch overhead of serving on a *time-shared* GPU/slice, in
-    /// milliseconds per GB of the model's working set: handing the GPU
-    /// to a different container (CUDA context activation, weights
-    /// touch) costs time proportional to the model's footprint. This is
-    /// the §2.2 cost that makes `Molecule (beta)`-style time sharing
-    /// queue-prone despite ~50% utilization (Fig. 10b).
-    pub time_share_overhead_ms_per_gb: f64,
-    /// Fixed part of the same context switch (CUDA context activation),
-    /// milliseconds, paid per time-shared batch regardless of model
-    /// size.
-    pub time_share_overhead_base_ms: f64,
-    /// Log-normal execution-time jitter (sigma of ln-space). Real batch
-    /// latencies vary run to run; jitter creates the queueing variance a
-    /// deterministic model would hide.
-    pub exec_jitter_sigma: f64,
     /// Predictive container pre-provisioning: when `true`, each monitor
     /// tick EWMA-forecasts the next window's batch arrivals per
     /// (worker, model) and boots any missing containers *ahead* of
@@ -128,32 +141,24 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// The paper's default setup: 8 workers, 2 s monitor interval, 3×
-    /// SLO, on-demand procurement.
+    /// The paper's default setup: 8 workers, 3× SLO, on-demand
+    /// procurement.
     pub fn paper_default() -> Self {
         ClusterConfig {
             workers: 8,
             seed: 42,
-            monitor_interval: SimDuration::from_secs(2.0),
-            batch_window: SimDuration::from_millis(50.0),
             cold_start: SimDuration::from_secs(8.0),
             keep_alive: SimDuration::from_secs(600.0),
             slo_multiplier: 3.0,
             reconfig_delay: SimDuration::from_secs(2.0),
-            max_reconfig_fraction: 0.3,
             procurement: ProcurementPolicy::OnDemandOnly,
             availability: SpotAvailability::High,
             revocation_check: SimDuration::from_secs(60.0),
             vm_startup: SimDuration::from_secs(30.0),
             procurement_retry: SimDuration::from_secs(60.0),
-            drain_grace: SimDuration::from_secs(5.0),
-            scan_depth: 32,
             provider: Provider::Aws,
             warmup: SimDuration::from_secs(15.0),
             prewarm_containers: 4,
-            time_share_overhead_ms_per_gb: 8.0,
-            time_share_overhead_base_ms: 18.0,
-            exec_jitter_sigma: 0.15,
             predictive_prewarm: false,
             journal_capacity: 0,
             audit: false,
@@ -432,16 +437,6 @@ impl SchemeBuilder for &dyn SchemeBuilder {
         (**self).dispatch_policy()
     }
 }
-
-/// Convenience: run a scheme by reference.
-impl dyn SchemeBuilder + '_ {
-    /// The scheme's name as an owned string.
-    pub fn name_string(&self) -> String {
-        self.name().to_string()
-    }
-}
-
-fn _assert_object_safe(_: &dyn SchemeBuilder) {}
 
 #[cfg(test)]
 mod tests {
@@ -774,7 +769,7 @@ mod tests {
         let t = trace(300.0, 30.0, 0.5);
         let result = run_simulation(&config, &AlwaysLargest, &t);
         // 8 spot workers for the whole run would cost:
-        let full = 8.0 * (t.duration + config.drain_grace).as_secs_f64() / 3600.0
+        let full = 8.0 * (t.duration + DRAIN_GRACE).as_secs_f64() / 3600.0
             * protean_spot::PricingTable::paper_table3().worker_price(Provider::Aws, VmTier::Spot);
         assert!(
             result.cost.total_usd < full * 0.9,
@@ -804,7 +799,7 @@ mod tests {
         assert_eq!(result.metrics.count(Class::All), expected);
         // Censored requests carry the cutoff as completion: none exceeds
         // the horizon.
-        let horizon = t.duration + config.drain_grace;
+        let horizon = t.duration + DRAIN_GRACE;
         for r in result.metrics.records() {
             assert!(r.latency() <= horizon);
         }
@@ -827,7 +822,7 @@ mod tests {
             .latency_percentile_ms(Class::Strict, 0.5)
             .expect("some requests completed");
         assert!(
-            p50 >= config.batch_window.as_millis_f64(),
+            p50 >= BATCH_WINDOW.as_millis_f64(),
             "P50 {p50} ms below the batch window"
         );
     }

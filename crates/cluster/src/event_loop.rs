@@ -11,12 +11,13 @@
 //! than the smallest key (`ta <= next.time`).
 //!
 //! Pending events wait in three places. Container boots and
-//! batch-window expiries each come due a fixed delay after their push,
-//! so each class waits in a FIFO lane that is already in key order
-//! (asserted on every push, release builds included). Every other event
-//! waits in one [`KeyedEventQueue`] of `u32` handles into a slab of
-//! payloads, so the heap's entries stay 32 bytes. A pop takes the
-//! smallest of the three heads.
+//! batch-window expiries each come due a fixed delay after their push
+//! (the run's [`ClusterConfig::cold_start`] and the constant
+//! [`BATCH_WINDOW`]), so each class waits in a FIFO lane that is already
+//! in key order (asserted on every push, release builds included). Every
+//! other event waits in one [`KeyedEventQueue`] of `u32` handles into a
+//! slab of payloads, so the heap's entries stay 32 bytes. A pop takes
+//! the smallest of the three heads.
 //!
 //! # State
 //!
@@ -47,7 +48,11 @@ use crate::audit::Auditor;
 use crate::batch::{Accumulator, Batch, BatchId};
 use crate::container::Acquire;
 use crate::dispatch::DispatchIndex;
-use crate::engine::{ClusterConfig, CostReport, EngineStats, GeometryChange, SimulationResult};
+use crate::engine::{
+    ClusterConfig, CostReport, EngineStats, GeometryChange, SimulationResult, BATCH_WINDOW,
+    DRAIN_GRACE, EXEC_JITTER_SIGMA, MAX_RECONFIG_FRACTION, MONITOR_INTERVAL, SCAN_DEPTH,
+    TIME_SHARE_OVERHEAD_BASE_MS, TIME_SHARE_OVERHEAD_MS_PER_GB,
+};
 use crate::journal::{Journal, JournalEvent};
 use crate::scheme::{BatchView, DispatchPolicy, SchemeBuilder};
 use crate::worker::{FinishEvent, Offer, RunningBatch, Worker, WorkerStatus};
@@ -97,13 +102,13 @@ enum Event {
 /// so a handler can push while it holds a worker borrow.
 ///
 /// Two event classes always come due a fixed delay after their push:
-/// container boots (`cold_start`) and batch-window expiries
-/// (`batch_window`). `now` never decreases, so each class comes due in
-/// push order, and each waits in a FIFO [`Lane`] that is already in key
-/// order. Every other event waits in the heap, which holds only `u32`
-/// handles into a slab of payloads, so a sift moves 32-byte entries. A
-/// pop takes the smallest of the three heads, so the order is the one a
-/// single heap would give.
+/// container boots (the run's `cold_start`) and batch-window expiries
+/// (the constant [`BATCH_WINDOW`]). `now` never decreases, so each class
+/// comes due in push order, and each waits in a FIFO [`Lane`] that is
+/// already in key order. Every other event waits in the heap, which
+/// holds only `u32` handles into a slab of payloads, so a sift moves
+/// 32-byte entries. A pop takes the smallest of the three heads, so the
+/// order is the one a single heap would give.
 struct Agenda {
     heap: KeyedEventQueue<u32>,
     /// Payloads of the heap's events, addressed by handle.
@@ -354,7 +359,7 @@ impl<'a> EventLoop<'a> {
             self.refresh_index(g);
         }
         self.agenda
-            .push(SimTime::ZERO + config.monitor_interval, Event::MonitorTick);
+            .push(SimTime::ZERO + MONITOR_INTERVAL, Event::MonitorTick);
     }
 
     /// Pre-warms `prewarm_containers` containers on every worker for each
@@ -389,7 +394,7 @@ impl<'a> EventLoop<'a> {
         arrivals: I,
         duration: protean_sim::SimDuration,
     ) {
-        self.cutoff = SimTime::ZERO + duration + self.config.drain_grace;
+        self.cutoff = SimTime::ZERO + duration + DRAIN_GRACE;
         let mut arrivals = Lookahead::new(arrivals);
         loop {
             let next_event = self.agenda.peek_key();
@@ -465,7 +470,7 @@ impl<'a> EventLoop<'a> {
         } else if first {
             let seq = acc.seal_seq;
             self.agenda.push(
-                self.now + self.config.batch_window,
+                self.now + BATCH_WINDOW,
                 Event::WindowExpire {
                     model: key.0,
                     strict: key.1,
@@ -668,7 +673,7 @@ impl<'a> EventLoop<'a> {
     }
 
     /// The placement loop: offers the worker's queued batches (up to
-    /// `scan_depth`) to its scheme until a pass places nothing; views
+    /// [`SCAN_DEPTH`]) to its scheme until a pass places nothing; views
     /// the scheme already declined under the current slice state are
     /// skipped ([`Worker::offer`]).
     fn try_place(&mut self, g: usize) {
@@ -686,7 +691,7 @@ impl<'a> EventLoop<'a> {
             views.clear();
             self.workers[g]
                 .sched_queue
-                .for_each_candidate(config.scan_depth, |b| {
+                .for_each_candidate(SCAN_DEPTH, |b| {
                     views.push((
                         b.id,
                         BatchView {
@@ -724,13 +729,9 @@ impl<'a> EventLoop<'a> {
                 // batches run proportionally faster.
                 let fill = f64::from(view.size) / f64::from(profile.batch_size);
                 let fill_factor = profile.fill_factor(fill);
-                let jitter = if config.exec_jitter_sigma > 0.0 {
-                    (self.jitter_rngs[g].standard_normal() * config.exec_jitter_sigma)
-                        .exp()
-                        .clamp(0.6, 1.7)
-                } else {
-                    1.0
-                };
+                let jitter = (self.jitter_rngs[g].standard_normal() * EXEC_JITTER_SIGMA)
+                    .exp()
+                    .clamp(0.6, 1.7);
                 let mut solo = profile
                     .solo_on(slice_profile)
                     .mul_f64(p.solo_scale.max(0.0) * fill_factor * jitter);
@@ -740,8 +741,8 @@ impl<'a> EventLoop<'a> {
                     // GPU (weights/context re-activation), scaling with
                     // the model's working set.
                     solo += protean_sim::SimDuration::from_millis(
-                        config.time_share_overhead_base_ms
-                            + config.time_share_overhead_ms_per_gb * profile.mem_gb,
+                        TIME_SHARE_OVERHEAD_BASE_MS
+                            + TIME_SHARE_OVERHEAD_MS_PER_GB * profile.mem_gb,
                     );
                 }
                 let spec = JobSpec {
@@ -850,16 +851,14 @@ impl<'a> EventLoop<'a> {
             }
         }
         self.drain_backlog();
-        if now + config.monitor_interval <= self.cutoff {
-            self.agenda
-                .push(now + config.monitor_interval, Event::MonitorTick);
+        if now + MONITOR_INTERVAL <= self.cutoff {
+            self.agenda.push(now + MONITOR_INTERVAL, Event::MonitorTick);
         }
     }
 
     fn reconfig_slots_free(&self) -> bool {
         let busy = self.index.routable_len() - self.index.accepting_len();
-        let config = self.config;
-        let cap = ((config.max_reconfig_fraction * config.workers as f64).ceil() as usize).max(1);
+        let cap = ((MAX_RECONFIG_FRACTION * self.config.workers as f64).ceil() as usize).max(1);
         busy < cap
     }
 
@@ -1105,7 +1104,7 @@ impl<'a> EventLoop<'a> {
             stats,
             audit: self.audit.into_report(),
             proactive_boots: self.workers.iter().map(Worker::proactive_boots).sum(),
-            duration: now.saturating_since(SimTime::ZERO) - self.config.drain_grace,
+            duration: now.saturating_since(SimTime::ZERO) - DRAIN_GRACE,
             workers: self.workers.len(),
         }
     }

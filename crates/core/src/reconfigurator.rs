@@ -70,11 +70,6 @@ impl Reconfigurator {
         }
     }
 
-    /// The current BE-request prediction (per monitor window).
-    pub fn predicted_be_requests(&self) -> f64 {
-        self.predictor.predict()
-    }
-
     /// Lines 8–23 of Algorithm 2: the geometry the predictor currently
     /// favours, before the wait-counter hysteresis.
     pub fn desired_geometry(
@@ -277,8 +272,20 @@ mod tests {
         for _ in 0..20 {
             r.desired_geometry(0, 2.0, Some(mobilenet));
         }
-        // One burst window is damped by the EWMA: prediction stays low.
-        r.desired_geometry(10_000, 2.0, Some(mobilenet));
-        assert!(r.predicted_be_requests() < 10_000.0 * 0.5);
+        // One burst window is damped by the EWMA: the prediction stays
+        // low enough to keep the quiet geometry, where an unsmoothed
+        // predictor already wants (4g, 2g, 1g).
+        assert_eq!(
+            r.desired_geometry(4000, 2.0, Some(mobilenet)),
+            Geometry::g4_g3()
+        );
+        let mut unsmoothed = Reconfigurator::new(ReconfiguratorConfig {
+            ewma_alpha: 1.0,
+            ..ReconfiguratorConfig::default()
+        });
+        assert_eq!(
+            unsmoothed.desired_geometry(4000, 2.0, Some(mobilenet)),
+            Geometry::g4_g2_g1()
+        );
     }
 }

@@ -17,9 +17,10 @@
 //! workspace takes no serde/toml dependency. It is strict where it
 //! matters: unknown keys and unknown sections fail loudly with the
 //! offending line number — the `deny_unknown_fields` contract — and
-//! every value is type- and range-checked at parse time. Scheme,
-//! procurement, availability and provider names are matched ignoring
-//! ASCII case, through the same tables the CLI uses.
+//! every value is type- and range-checked at parse time (every
+//! `*_secs` value must fit the simulated clock, below about 1.8e13 s).
+//! Scheme, procurement, availability and provider names are matched
+//! ignoring ASCII case, through the same tables the CLI uses.
 //!
 //! # Schema
 //!
@@ -475,9 +476,22 @@ impl Table {
         self.entries.remove(key)
     }
 
+    /// A number. A `*_secs` key is a span or instant on the simulated
+    /// clock, so a value past the clock's range is rejected here; the
+    /// callers check the lower bounds.
     fn take_f64(&mut self, key: &str, default: f64) -> Result<f64, ScenarioError> {
         match self.take(key) {
             None => Ok(default),
+            Some((Value::Num(n), line))
+                if key.ends_with("_secs") && n > 0.0 && SimDuration::try_from_secs(n).is_none() =>
+            {
+                perr(
+                    line,
+                    format!(
+                        "'{key}' must be within the simulated clock (about 1.8e13 s), got {n:e}"
+                    ),
+                )
+            }
             Some((Value::Num(n), _)) => Ok(n),
             Some((v, line)) => perr(
                 line,
@@ -1158,11 +1172,7 @@ impl ScenarioSpec {
                 )
             };
             let be_pool = if t.be_pool.is_empty() {
-                let mut pool = catalog().opposite_pool(t.model);
-                if pool.is_empty() {
-                    pool.push(t.model);
-                }
-                pool
+                catalog().opposite_pool(t.model)
             } else {
                 t.be_pool.clone()
             };
@@ -1589,6 +1599,13 @@ min_evictions = 4
             ),
             ("trace", "be_rotation_secs = 0"),
             ("trace", "be_rotation_secs = 0.0000001"),
+            // Past the clock's range a span saturates, and the trace
+            // generator sizes its BE rotation schedule from it.
+            ("trace", "duration_secs = 1e300"),
+            (
+                "fleet",
+                "workers = 2\n\n[[market.eviction]]\nworker = 0\nat_secs = 1e300\nlead_secs = 1",
+            ),
         ] {
             let key = case
                 .lines()

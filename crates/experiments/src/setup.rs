@@ -96,12 +96,7 @@ impl PaperSetup {
             WorkloadTrace::Wiki => TraceShape::wiki(rate),
             WorkloadTrace::Twitter => TraceShape::twitter(rate),
         };
-        let mut be_pool = cat.opposite_pool(strict);
-        if be_pool.is_empty() {
-            // Degenerate pools (not expected for catalog models) fall
-            // back to the strict model itself.
-            be_pool.push(strict);
-        }
+        let be_pool = cat.opposite_pool(strict);
         TraceConfig {
             shape,
             duration: SimDuration::from_secs(self.duration_secs),

@@ -97,14 +97,11 @@ pub struct Gpu {
     mode: SharingMode,
     state: GpuState,
     reconfig_delay: SimDuration,
-    reconfig_count: u64,
     started: SimTime,
     /// Busy compute integral (sevenths·seconds) from retired slice sets.
     retired_busy_sevenths_secs: f64,
     /// Memory integral (GB·seconds) from retired slice sets.
     retired_mem_gb_secs: f64,
-    /// Time spent reconfiguring (unavailable), seconds.
-    downtime_secs: f64,
     /// Bumped by every method that can change what a placement sees.
     version: u64,
 }
@@ -121,11 +118,9 @@ impl Gpu {
             mode,
             state: GpuState::Active,
             reconfig_delay: DEFAULT_RECONFIG_DELAY,
-            reconfig_count: 0,
             started: now,
             retired_busy_sevenths_secs: 0.0,
             retired_mem_gb_secs: 0.0,
-            downtime_secs: 0.0,
             version: 0,
         }
     }
@@ -191,16 +186,6 @@ impl Gpu {
     /// slices and the lifecycle state are unchanged between them.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// How many reconfigurations have completed.
-    pub fn reconfig_count(&self) -> u64 {
-        self.reconfig_count
-    }
-
-    /// Total time spent reconfiguring, in seconds.
-    pub fn downtime_secs(&self) -> f64 {
-        self.downtime_secs
     }
 
     /// Requests a geometry change. The GPU stops accepting jobs and the
@@ -276,11 +261,9 @@ impl Gpu {
         if now < until {
             return Err(ReconfigError::NotReconfiguring);
         }
-        self.downtime_secs += self.reconfig_delay.as_secs_f64();
         self.slices = build_slices(&target, self.mode, now);
         self.geometry = target;
         self.state = GpuState::Active;
-        self.reconfig_count += 1;
         Ok(())
     }
 
@@ -350,8 +333,6 @@ mod tests {
         gpu.complete_reconfigure(until).unwrap();
         assert_eq!(gpu.geometry(), &Geometry::g4_g3());
         assert_eq!(gpu.slices().len(), 2);
-        assert_eq!(gpu.reconfig_count(), 1);
-        assert_eq!(gpu.downtime_secs(), 2.0);
         assert!(gpu.accepting());
     }
 

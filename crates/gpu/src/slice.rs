@@ -18,7 +18,6 @@
 //! subtraction would not be), so `fbr_load`/`advance` never re-sum the
 //! resident set.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use protean_sim::{Accumulator, SimDuration, SimTime};
@@ -181,8 +180,6 @@ pub struct Slice {
     generation: u64,
     busy: Accumulator,
     mem: Accumulator,
-    completed_jobs: u64,
-    busy_started: SimTime,
     /// Cached Σ `fbr_share` over resident jobs; equals the left-fold sum
     /// of [`Slice::fbr_share`] in admission order at all times.
     fbr_share_sum: f64,
@@ -201,8 +198,6 @@ impl Slice {
             generation: 0,
             busy: Accumulator::new(now),
             mem: Accumulator::new(now),
-            completed_jobs: 0,
-            busy_started: now,
             fbr_share_sum: 0.0,
             mem_gb_sum: 0.0,
         }
@@ -249,11 +244,6 @@ impl Slice {
         self.running.iter().map(|r| &r.spec)
     }
 
-    /// Jobs completed on this slice so far.
-    pub fn completed_jobs(&self) -> u64 {
-        self.completed_jobs
-    }
-
     /// The Eq. 1 slowdown an *unstarved* job (bandwidth share ≤ 1)
     /// currently experiences on this slice. Jobs whose own demand
     /// exceeds the slice's bandwidth are normalised by their own share
@@ -275,25 +265,6 @@ impl Slice {
     /// co-located jobs: `max(1, total / max(1, share)) + penalty`.
     fn slowdown_of_share(share: f64, total: f64, n: usize) -> f64 {
         (total / share.max(1.0)).max(1.0) + cache_penalty(n)
-    }
-
-    /// The slowdown factor that *would* be in force if `extra` additional
-    /// full-GPU FBR were added — what `choose_strict_slice` consults when
-    /// estimating Eq. 2 before placing a job.
-    pub fn projected_slowdown(&self, extra_fbr: f64) -> f64 {
-        match self.mode {
-            SharingMode::TimeShared => 1.0,
-            SharingMode::Mps => {
-                let extra_share = extra_fbr / self.profile.bandwidth_fraction();
-                let total: f64 = self
-                    .running
-                    .iter()
-                    .map(|r| self.fbr_share(&r.spec))
-                    .sum::<f64>()
-                    + extra_share;
-                Self::slowdown_of_share(extra_share, total, self.running.len() + 1)
-            }
-        }
     }
 
     fn fbr_share(&self, spec: &JobSpec) -> f64 {
@@ -346,9 +317,6 @@ impl Slice {
             });
         }
         self.advance(now);
-        if self.running.is_empty() {
-            self.busy_started = now;
-        }
         self.running.push(Running {
             spec,
             admitted_at: now,
@@ -388,7 +356,6 @@ impl Slice {
             return Err(FinishError::NotDone(job));
         }
         let done = self.running.remove(idx);
-        self.completed_jobs += 1;
         self.recompute_sums();
         self.after_membership_change(now);
         Ok((
@@ -476,11 +443,6 @@ impl Slice {
         best
     }
 
-    /// Fraction of observed time the slice had at least one resident job.
-    pub fn busy_fraction(&self, now: SimTime) -> f64 {
-        self.busy.mean(now)
-    }
-
     /// Total busy time in seconds (`∫ busy dt`) up to `now`.
     pub fn busy_integral_secs(&self, now: SimTime) -> f64 {
         self.busy.integral(now)
@@ -489,61 +451,6 @@ impl Slice {
     /// Total memory occupancy integral in GB·seconds up to `now`.
     pub fn mem_integral_gb_secs(&self, now: SimTime) -> f64 {
         self.mem.integral(now)
-    }
-
-    /// Time-averaged memory occupancy in GB.
-    pub fn mean_mem_gb(&self, now: SimTime) -> f64 {
-        self.mem.mean(now)
-    }
-}
-
-/// A FIFO queue of jobs waiting for a slice, with deterministic ordering.
-/// Provided here because every scheme needs per-slice wait queues; the
-/// queue itself is policy-free (schemes reorder before enqueueing).
-#[derive(Debug, Clone, Default)]
-pub struct WaitQueue {
-    jobs: VecDeque<JobSpec>,
-}
-
-impl WaitQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        WaitQueue::default()
-    }
-
-    /// Appends a job at the back.
-    pub fn push_back(&mut self, spec: JobSpec) {
-        self.jobs.push_back(spec);
-    }
-
-    /// Inserts a job at the front (used by strict-priority reordering).
-    pub fn push_front(&mut self, spec: JobSpec) {
-        self.jobs.push_front(spec);
-    }
-
-    /// Removes and returns the frontmost job.
-    pub fn pop_front(&mut self) -> Option<JobSpec> {
-        self.jobs.pop_front()
-    }
-
-    /// The frontmost job without removing it.
-    pub fn front(&self) -> Option<&JobSpec> {
-        self.jobs.front()
-    }
-
-    /// Number of waiting jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// `true` if no jobs are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// Iterates over waiting jobs front to back.
-    pub fn iter(&self) -> impl Iterator<Item = &JobSpec> {
-        self.jobs.iter()
     }
 }
 
@@ -582,7 +489,6 @@ mod tests {
         assert_eq!(done.spec.id, JobId(1));
         assert_eq!(rest, None);
         assert!(s.is_idle());
-        assert_eq!(s.completed_jobs(), 1);
     }
 
     #[test]
@@ -715,33 +621,9 @@ mod tests {
         let c = s.admit(SimTime::ZERO, spec(1, 100.0, 0.2, 1.0)).unwrap();
         s.finish(c.at, JobId(1)).unwrap();
         // Busy 100ms out of 200ms observed.
-        assert!((s.busy_fraction(SimTime::from_millis(200.0)) - 0.5).abs() < 1e-9);
+        assert!((s.busy_integral_secs(SimTime::from_millis(200.0)) - 0.1).abs() < 1e-9);
         // Memory: 1 GB for half the window.
-        assert!((s.mean_mem_gb(SimTime::from_millis(200.0)) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn projected_slowdown_previews_extra_job() {
-        let mut s = Slice::new(SliceProfile::G3, SharingMode::Mps, SimTime::ZERO);
-        s.admit(SimTime::ZERO, spec(1, 100.0, 0.3, 1.0)).unwrap();
-        // 0.3/0.5 resident + 0.25/0.5 extra = 1.1, plus one co-runner's
-        // cache penalty.
-        assert!((s.projected_slowdown(0.25) - 1.2).abs() < 1e-12);
-        // Preview does not mutate.
-        assert!((s.current_slowdown() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wait_queue_fifo_and_priority_front() {
-        let mut q = WaitQueue::new();
-        q.push_back(spec(1, 1.0, 0.1, 1.0));
-        q.push_back(spec(2, 1.0, 0.1, 1.0));
-        q.push_front(spec(3, 1.0, 0.1, 1.0));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop_front().unwrap().id, JobId(3));
-        assert_eq!(q.front().unwrap().id, JobId(1));
-        assert_eq!(q.iter().count(), 2);
-        assert!(!q.is_empty());
+        assert!((s.mem_integral_gb_secs(SimTime::from_millis(200.0)) - 0.1).abs() < 1e-9);
     }
 
     /// The earliest-completion invariant: [`Slice::next_completion`] is
@@ -793,18 +675,20 @@ mod tests {
             }
             // Drain by always finishing the earliest projection — the
             // one event the engine keeps live per slice.
+            let mut finished = 0;
             while let Some(c) = s.next_completion(clock) {
                 let (done, rearmed) = s.finish(c.at, c.job).unwrap();
                 let held = c.at - admitted_at[&c.job];
                 // Processor sharing can only stretch a job.
                 prop_assert!(held.as_micros() + 1 >= done.spec.solo.as_micros(),
                     "job finished faster than solo: {held:?} < {:?}", done.spec.solo);
+                finished += 1;
                 clock = c.at;
                 prop_assert_eq!(rearmed, s.next_completion(clock));
                 assert_next_completion_invariant(&s, clock);
             }
             prop_assert!(s.is_idle());
-            prop_assert_eq!(s.completed_jobs(), solos.len() as u64);
+            prop_assert_eq!(finished, solos.len());
         }
     }
 }

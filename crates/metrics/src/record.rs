@@ -255,11 +255,6 @@ impl MetricsSet {
         }
     }
 
-    /// `true` when this set keeps histograms instead of records.
-    pub fn is_aggregate(&self) -> bool {
-        self.aggregate.is_some()
-    }
-
     /// Records a completed request.
     pub fn push(&mut self, record: RequestRecord) {
         if let Some(agg) = &mut self.aggregate {
@@ -646,7 +641,6 @@ mod tests {
     #[test]
     fn aggregate_counts_are_exact_and_memory_is_fixed() {
         let mut m = MetricsSet::aggregate();
-        assert!(m.is_aggregate());
         for i in 1..=1000 {
             m.push(rec(i % 2 == 0, i as f64));
         }

@@ -238,13 +238,6 @@ impl ModelProfile {
         BATCH_FIXED_COST_FRACTION + (1.0 - BATCH_FIXED_COST_FRACTION) * fill.clamp(0.0, 1.0)
     }
 
-    /// Solo execution time on `slice` for a batch with `size` requests
-    /// (possibly below the nominal batch size).
-    pub fn solo_on_with_size(&self, slice: SliceProfile, size: u32) -> SimDuration {
-        let fill = f64::from(size) / f64::from(self.batch_size.max(1));
-        self.solo_on(slice).mul_f64(self.fill_factor(fill))
-    }
-
     /// The strict-request SLO deadline at the default 3× multiplier.
     pub fn slo(&self) -> SimDuration {
         self.slo_with_multiplier(DEFAULT_SLO_MULTIPLIER)
@@ -483,7 +476,9 @@ impl Catalog {
 
     /// The pool of models whose class is "opposite" to `class` within
     /// the same domain — the paper rotates BE requests through the
-    /// opposite-class pool of the strict model (§5).
+    /// opposite-class pool of the strict model (§5). Never empty and
+    /// never contains `strict`: the catalog has both LI and HI vision
+    /// models, and every LLM has non-generative peers.
     pub fn opposite_pool(&self, strict: ModelId) -> Vec<ModelId> {
         let p = *self.profile(strict);
         match p.domain {
@@ -625,10 +620,6 @@ mod tests {
         assert!((p.fill_factor(0.5) - 0.65).abs() < 1e-12);
         // Out-of-range fills are clamped.
         assert_eq!(p.fill_factor(2.0), 1.0);
-        let full = p.solo_on_with_size(SliceProfile::G7, p.batch_size);
-        assert_eq!(full, p.solo_7g);
-        let half = p.solo_on_with_size(SliceProfile::G7, p.batch_size / 2);
-        assert!(half < full && half > full.mul_f64(0.5));
     }
 
     #[test]
@@ -671,6 +662,18 @@ mod tests {
         assert_eq!(pool.len(), 8);
         assert!(!pool.contains(&ModelId::Gpt1));
         assert!(!pool.contains(&ModelId::Gpt2));
+    }
+
+    #[test]
+    fn opposite_pool_is_never_empty() {
+        // The trace builders use the pool as the BE rotation without a
+        // fallback, so every model needs at least one BE peer.
+        let c = catalog();
+        for m in ModelId::ALL {
+            let pool = c.opposite_pool(m);
+            assert!(!pool.is_empty(), "{m} has no BE peers");
+            assert!(!pool.contains(&m), "{m} is its own BE peer");
+        }
     }
 
     #[test]

@@ -54,12 +54,6 @@ impl Accumulator {
         self.level = level;
     }
 
-    /// Adjusts the current level by `delta` at time `now`.
-    pub fn add_level(&mut self, now: SimTime, delta: f64) {
-        let level = self.level + delta;
-        self.set_level(now, level);
-    }
-
     /// The current level.
     pub fn level(&self) -> f64 {
         self.level
@@ -186,16 +180,6 @@ mod tests {
         // [0,1): 0, [1,3): 2 -> 4, [3,5): 0.5 -> 1. Total 5 over 5s.
         assert!((acc.integral(SimTime::from_secs(5.0)) - 5.0).abs() < 1e-9);
         assert!((acc.mean(SimTime::from_secs(5.0)) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn accumulator_add_level() {
-        let mut acc = Accumulator::new(SimTime::ZERO);
-        acc.add_level(SimTime::ZERO, 1.0);
-        acc.add_level(SimTime::from_secs(1.0), 1.0);
-        acc.add_level(SimTime::from_secs(2.0), -2.0);
-        assert_eq!(acc.level(), 0.0);
-        assert!((acc.integral(SimTime::from_secs(10.0)) - 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -37,6 +37,16 @@ pub struct SimDuration(u64);
 
 const MICROS_PER_SEC: f64 = 1_000_000.0;
 
+/// 2^64: the first microsecond count the `u64` clock cannot hold.
+const MICROS_LIMIT: f64 = 18_446_744_073_709_551_616.0;
+
+/// `secs` rounded to whole microseconds, or `None` if the clock cannot
+/// hold it: negative, not finite, or 2^64 µs (about 1.8e13 s) or more.
+fn micros_from_secs(secs: f64) -> Option<u64> {
+    let micros = (secs * MICROS_PER_SEC).round();
+    (secs >= 0.0 && micros < MICROS_LIMIT).then_some(micros as u64)
+}
+
 impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0);
@@ -52,17 +62,19 @@ impl SimTime {
     ///
     /// # Panics
     ///
-    /// Panics if `secs` is negative or not finite.
+    /// Panics if `secs` is negative, not finite, or too late for the
+    /// clock (2^64 µs, about 1.8e13 s, or more).
     pub fn from_secs(secs: f64) -> Self {
-        assert!(secs.is_finite() && secs >= 0.0, "invalid time: {secs}");
-        SimTime((secs * MICROS_PER_SEC).round() as u64)
+        let micros = micros_from_secs(secs);
+        SimTime(micros.unwrap_or_else(|| panic!("invalid time: {secs}")))
     }
 
     /// Creates an instant `millis` milliseconds after the origin.
     ///
     /// # Panics
     ///
-    /// Panics if `millis` is negative or not finite.
+    /// Panics if `millis` is negative, not finite, or too late for the
+    /// clock.
     pub fn from_millis(millis: f64) -> Self {
         Self::from_secs(millis / 1_000.0)
     }
@@ -117,17 +129,25 @@ impl SimDuration {
     ///
     /// # Panics
     ///
-    /// Panics if `secs` is negative or not finite.
+    /// Panics if `secs` is negative, not finite, or too long for the
+    /// clock (2^64 µs, about 1.8e13 s, or more); see
+    /// [`SimDuration::try_from_secs`].
     pub fn from_secs(secs: f64) -> Self {
-        assert!(secs.is_finite() && secs >= 0.0, "invalid duration: {secs}");
-        SimDuration((secs * MICROS_PER_SEC).round() as u64)
+        Self::try_from_secs(secs).unwrap_or_else(|| panic!("invalid duration: {secs}"))
+    }
+
+    /// A span of `secs` seconds, or `None` where [`SimDuration::from_secs`]
+    /// would panic. Input checks use it to reject a span with an error.
+    pub fn try_from_secs(secs: f64) -> Option<Self> {
+        micros_from_secs(secs).map(SimDuration)
     }
 
     /// Creates a span of `millis` milliseconds.
     ///
     /// # Panics
     ///
-    /// Panics if `millis` is negative or not finite.
+    /// Panics if `millis` is negative, not finite, or too long for the
+    /// clock.
     pub fn from_millis(millis: f64) -> Self {
         Self::from_secs(millis / 1_000.0)
     }
@@ -339,5 +359,23 @@ mod tests {
     #[should_panic]
     fn negative_seconds_rejected() {
         let _ = SimTime::from_secs(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid duration")]
+    fn seconds_beyond_the_clock_rejected() {
+        let _ = SimDuration::from_secs(1e300);
+    }
+
+    #[test]
+    fn the_clock_holds_up_to_two_to_the_64_micros() {
+        // 2^64 µs is about 1.845e13 s: just below it converts exactly,
+        // just above it (and anything negative or not finite) is refused.
+        let near = SimDuration::try_from_secs(1.8e13).unwrap();
+        assert_eq!(near.as_micros(), 18_000_000_000_000_000_000);
+        for secs in [1.85e13, 1e300, f64::INFINITY, f64::NAN, -1.0] {
+            assert_eq!(SimDuration::try_from_secs(secs), None, "{secs}");
+        }
+        assert_eq!(SimDuration::try_from_secs(-0.0), Some(SimDuration::ZERO));
     }
 }

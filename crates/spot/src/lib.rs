@@ -333,22 +333,7 @@ impl ProcurementPolicy {
             }),
         }
     }
-
-    /// The tier this policy provisions initially (before any eviction).
-    pub fn initial_tier(self) -> VmTier {
-        match self {
-            ProcurementPolicy::OnDemandOnly => VmTier::OnDemand,
-            ProcurementPolicy::SpotOnly | ProcurementPolicy::Hybrid => VmTier::Spot,
-        }
-    }
 }
-
-/// Default interval between revocation checks per spot VM (§5: notices
-/// are generated "at fixed time intervals").
-pub const DEFAULT_REVOCATION_CHECK: SimDuration = SimDuration::from_micros(60_000_000);
-
-/// Default delay between acquiring a VM and it serving traffic.
-pub const DEFAULT_VM_STARTUP: SimDuration = SimDuration::from_micros(30_000_000);
 
 /// The spot market: drives revocation notices and spot-request grants.
 #[derive(Debug, Clone)]
@@ -374,25 +359,6 @@ impl SpotMarket {
     /// The market's availability regime.
     pub fn availability(&self) -> SpotAvailability {
         self.availability
-    }
-
-    /// Rolls one revocation check for a running spot VM. `Some(lead)`
-    /// means an eviction notice fires now and the VM is reclaimed after
-    /// `lead` (uniform in the providers' 30–120 s band).
-    pub fn roll_revocation(&mut self) -> Option<SimDuration> {
-        if self.rng.chance(self.availability.revocation_probability()) {
-            let lead = self
-                .rng
-                .uniform_range(self.notice_min.as_secs_f64(), self.notice_max.as_secs_f64());
-            Some(SimDuration::from_secs(lead))
-        } else {
-            None
-        }
-    }
-
-    /// Rolls one spot acquisition request.
-    pub fn try_acquire_spot(&mut self) -> bool {
-        self.rng.chance(self.availability.acquisition_probability())
     }
 }
 
@@ -421,12 +387,21 @@ pub trait SpotOracle {
 }
 
 impl SpotOracle for SpotMarket {
+    /// Each check revokes with the regime's probability; the notice
+    /// lead is uniform in the providers' 30–120 s band.
     fn roll_revocation(&mut self, _now: SimTime, _worker: usize) -> Option<SimDuration> {
-        SpotMarket::roll_revocation(self)
+        if self.rng.chance(self.availability.revocation_probability()) {
+            let lead = self
+                .rng
+                .uniform_range(self.notice_min.as_secs_f64(), self.notice_max.as_secs_f64());
+            Some(SimDuration::from_secs(lead))
+        } else {
+            None
+        }
     }
 
     fn try_acquire_spot(&mut self, _now: SimTime, _worker: usize) -> bool {
-        SpotMarket::try_acquire_spot(self)
+        self.rng.chance(self.availability.acquisition_probability())
     }
 }
 
@@ -651,8 +626,8 @@ mod tests {
     fn high_availability_never_revokes() {
         let mut m = SpotMarket::new(SpotAvailability::High, RngFactory::new(1).stream("m"));
         for _ in 0..1000 {
-            assert!(m.roll_revocation().is_none());
-            assert!(m.try_acquire_spot());
+            assert!(m.roll_revocation(SimTime::ZERO, 0).is_none());
+            assert!(m.try_acquire_spot(SimTime::ZERO, 0));
         }
     }
 
@@ -663,12 +638,12 @@ mod tests {
         let mut revocations = 0;
         let mut grants = 0;
         for _ in 0..n {
-            if let Some(lead) = m.roll_revocation() {
+            if let Some(lead) = m.roll_revocation(SimTime::ZERO, 0) {
                 revocations += 1;
                 let secs = lead.as_secs_f64();
                 assert!((30.0..=120.0).contains(&secs), "lead {secs}");
             }
-            if m.try_acquire_spot() {
+            if m.try_acquire_spot(SimTime::ZERO, 0) {
                 grants += 1;
             }
         }
@@ -676,25 +651,6 @@ mod tests {
         let grant_rate = grants as f64 / n as f64;
         assert!((rev_rate - 0.708).abs() < 0.02, "rev {rev_rate}");
         assert!((grant_rate - 0.292).abs() < 0.02, "grant {grant_rate}");
-    }
-
-    #[test]
-    fn spot_market_oracle_impl_matches_direct_calls() {
-        // The blanket SpotOracle impl must consume the RNG exactly like
-        // the inherent methods, or swapping the engine to the trait
-        // would shift every digest.
-        let factory = RngFactory::new(9);
-        let mut direct = SpotMarket::new(SpotAvailability::Moderate, factory.stream("m"));
-        let mut via_trait = SpotMarket::new(SpotAvailability::Moderate, factory.stream("m"));
-        let oracle: &mut dyn SpotOracle = &mut via_trait;
-        for i in 0..500 {
-            let now = SimTime::from_secs(i as f64);
-            assert_eq!(direct.roll_revocation(), oracle.roll_revocation(now, i % 3));
-            assert_eq!(
-                direct.try_acquire_spot(),
-                oracle.try_acquire_spot(now, i % 3)
-            );
-        }
     }
 
     #[test]
@@ -706,8 +662,6 @@ mod tests {
         assert_eq!(SpotOnly.replacement_tier(false), None);
         assert_eq!(Hybrid.replacement_tier(true), Some(VmTier::Spot));
         assert_eq!(Hybrid.replacement_tier(false), Some(VmTier::OnDemand));
-        assert_eq!(OnDemandOnly.initial_tier(), VmTier::OnDemand);
-        assert_eq!(Hybrid.initial_tier(), VmTier::Spot);
     }
 
     #[test]

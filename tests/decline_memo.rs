@@ -59,6 +59,10 @@ fn overloaded_pulse_skips_declines_identically_when_audited() {
     };
     let one = run(false);
     let s = &one.stats;
+    // Pinned: no golden digest queues more than `SCAN_DEPTH` batches
+    // on one worker, so these counts are what pins that constant (the
+    // offers each placement pass may make).
+    assert_eq!(memo_counters(s), [236_316, 218_907, 7_417, 7_417]);
     assert!(s.place_memo_skips > 0, "no offer was memoised: {s:?}");
     assert!(s.place_memo_skips < s.place_offers);
     assert!(s.stale_finish_superseded <= s.stale_finish_events);

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use protean::ProteanBuilder;
 use protean_baselines::Baseline;
+use protean_cluster::engine::DRAIN_GRACE;
 use protean_cluster::{run_simulation, ClusterConfig, SchemeBuilder};
 use protean_metrics::record::Class;
 use protean_models::{catalog, ModelId};
@@ -82,7 +83,7 @@ proptest! {
         let trace = quick_trace(model, 800.0, 0.5);
         let scheme = scheme_for(scheme_idx);
         let result = run_simulation(&config, scheme.as_ref(), &trace);
-        let horizon = trace.duration + config.drain_grace;
+        let horizon = trace.duration + DRAIN_GRACE;
         for rec in result.metrics.records() {
             let lat = rec.latency();
             prop_assert!(lat <= horizon);
@@ -104,7 +105,7 @@ proptest! {
         let config = quick_config(seed);
         let trace = quick_trace(model, 500.0, 0.5);
         let result = run_simulation(&config, &ProteanBuilder::paper(), &trace);
-        let hours = (trace.duration + config.drain_grace).as_secs_f64() / 3600.0;
+        let hours = (trace.duration + DRAIN_GRACE).as_secs_f64() / 3600.0;
         let expected = config.workers as f64
             * hours
             * protean_spot::PricingTable::paper_table3()

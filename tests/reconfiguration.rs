@@ -2,6 +2,7 @@
 //! core scheduler and cluster engine.
 
 use protean::ProteanBuilder;
+use protean_cluster::engine::MAX_RECONFIG_FRACTION;
 use protean_cluster::run_simulation;
 use protean_experiments::PaperSetup;
 use protean_models::ModelId;
@@ -43,7 +44,7 @@ fn rotation_to_dpn92_triggers_geometry_change_to_4g_3g() {
         result.geometry_timeline
     );
     // Wait counter: the first change comes at least
-    // wait_limit x monitor_interval after t=0.
+    // wait_limit x MONITOR_INTERVAL after t=0.
     let first = result.geometry_timeline.first().unwrap();
     assert!(
         first.at.as_secs_f64() >= 3.0 * 2.0,
@@ -60,7 +61,7 @@ fn at_most_thirty_percent_of_gpus_reconfigure_simultaneously() {
     };
     let config = setup.cluster();
     let result = run_simulation(&config, &ProteanBuilder::paper(), &rotation_trace(&setup));
-    let cap = ((config.max_reconfig_fraction * config.workers as f64).ceil() as usize).max(1);
+    let cap = ((MAX_RECONFIG_FRACTION * config.workers as f64).ceil() as usize).max(1);
     // Each completed change occupied its GPU for at least the 2 s
     // reconfiguration delay ending at `at`. Count the maximum overlap
     // of those (half-open) windows.
