@@ -9,7 +9,7 @@ use protean_metrics::record::Class;
 use protean_models::{catalog, ModelId};
 use protean_sim::SimDuration;
 use protean_spot::{ProcurementPolicy, SpotAvailability};
-use protean_trace::{Trace, TraceConfig, TraceShape};
+use protean_trace::{check_trace_size, Trace, TraceConfig, TraceShape};
 
 use crate::args::{ArgError, Args};
 
@@ -36,7 +36,8 @@ FLAGS (simulate / compare):
                           smart | gpulet (default protean)
   --trace <kind>          wiki | twitter | constant (default wiki)
   --rps <f64>             arrival rate; default 5000 vision / 128 language
-  --duration <secs>       trace length (default 60)
+  --duration <secs>       trace length (default 60; at most 1e8 s and
+                          1e8 requests at --rps)
   --strict-frac <f64>     strict share of requests (default 0.5)
   --workers <n>           cluster size (default 8)
   --seed <u64>            root seed (default 42)
@@ -153,15 +154,17 @@ fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
     if rps <= 0.0 {
         return Err(ArgError("--rps must be positive".into()));
     }
-    let duration = get_finite(args, "duration", 60.0)?;
-    if duration <= 0.0 {
+    let secs = get_finite(args, "duration", 60.0)?;
+    if secs <= 0.0 {
         return Err(ArgError("--duration must be positive".into()));
     }
-    let Some(duration) = SimDuration::try_from_secs(duration) else {
+    let Some(duration) = SimDuration::try_from_secs(secs) else {
         return Err(ArgError(format!(
-            "--duration {duration:e} is beyond the simulated clock (about 1.8e13 s)"
+            "--duration {secs:e} is beyond the simulated clock (about 1.8e13 s)"
         )));
     };
+    // Every command here materialises its trace.
+    check_trace_size(secs, rps).map_err(|e| ArgError(format!("--duration {e}")))?;
     let strict_fraction: f64 = args.get_or("strict-frac", 0.5)?;
     if !(0.0..=1.0).contains(&strict_fraction) {
         return Err(ArgError("--strict-frac must be in [0, 1]".into()));
@@ -757,6 +760,43 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn durations_past_the_trace_caps_are_rejected_before_allocating() {
+        // Unchecked, 1e9 s aborts on the materialised arrival instants
+        // and 1e12 s on the BE rotation schedule; 1e6 s at the default
+        // 5000 rps is 5e9 requests.
+        for (duration, reason) in [
+            ("1e12", "is 1e12 s, over the cap of 1e8 s"),
+            ("1e9", "is 1e9 s, over the cap of 1e8 s"),
+            ("1e6", "is 1e6 s, which at 5000 rps is about 5e9 requests"),
+        ] {
+            for cmd in [
+                "simulate --workers 8",
+                "compare",
+                "gen-trace --out /nonexistent/x.csv",
+            ] {
+                let line = format!("{cmd} --duration {duration}");
+                let args = Args::parse(
+                    line.split_whitespace()
+                        .map(String::from)
+                        .collect::<Vec<_>>(),
+                )
+                .unwrap();
+                let err = match cmd.split(' ').next() {
+                    Some("simulate") => simulate(&args),
+                    Some("compare") => compare(&args),
+                    _ => gen_trace(&args),
+                }
+                .unwrap_err();
+                assert!(err.0.starts_with(&format!("--duration {reason}")), "{err}");
+            }
+        }
+        // The request cap scales with the rate: 1e6 s at 50 rps fits.
+        let args = Args::parse(["simulate", "--duration", "1e6", "--rps", "50"].map(String::from))
+            .unwrap();
+        assert!(build_run(&args).is_ok());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! reports eliminates up to 98% of cold starts versus immediate
 //! scale-down.
 
-use protean_sim::{SimDuration, SimTime};
+use protean_sim::{SimDuration, SimTime, SlimPush};
 
 /// The container pool for one model on one worker.
 #[derive(Debug, Clone, Default)]
@@ -52,9 +52,9 @@ impl Pool {
     /// best-effort model rotation.
     pub fn prewarm(&mut self, now: SimTime, count: usize) {
         debug_assert!(self.warm.last().is_none_or(|&t| t <= now));
-        for _ in 0..count {
-            self.warm.push(now);
-        }
+        // All `count` at once: one block that fits them exactly.
+        self.warm.reserve_exact(count);
+        self.warm.extend(std::iter::repeat_n(now, count));
         self.prewarmed += count as u64;
     }
 
@@ -100,7 +100,7 @@ impl Pool {
             self.busy += 1;
         } else {
             debug_assert!(self.warm.last().is_none_or(|&t| t <= now));
-            self.warm.push(now);
+            self.warm.slim_push(now);
         }
     }
 
@@ -113,7 +113,7 @@ impl Pool {
             self.busy += 1;
         } else {
             debug_assert!(self.warm.last().is_none_or(|&t| t <= now));
-            self.warm.push(now);
+            self.warm.slim_push(now);
         }
     }
 
@@ -141,6 +141,12 @@ impl Pool {
     /// Idle warm containers.
     pub fn warm_count(&self) -> usize {
         self.warm.len()
+    }
+
+    /// Slots the warm list has allocated (the growth-policy tests).
+    #[cfg(test)]
+    pub(crate) fn warm_capacity(&self) -> usize {
+        self.warm.capacity()
     }
 
     /// Containers executing batches.
@@ -186,6 +192,13 @@ mod tests {
         // Next acquire is warm — no new cold start.
         assert_eq!(p.acquire(SimTime::from_secs(7.0)), Acquire::Warm);
         assert_eq!(p.cold_starts(), 1);
+    }
+
+    #[test]
+    fn prewarm_allocates_exactly_its_count() {
+        let mut p = Pool::new();
+        p.prewarm(SimTime::ZERO, 3);
+        assert_eq!((p.warm_count(), p.warm_capacity()), (3, 3));
     }
 
     #[test]

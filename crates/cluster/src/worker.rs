@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use protean_gpu::{Geometry, Gpu};
 use protean_models::{Catalog, ModelId};
-use protean_sim::{Ewma, SimTime};
+use protean_sim::{Ewma, SimTime, SlimPush};
 use protean_spot::{VmId, VmTier};
 
 use crate::batch::{Batch, BatchId};
@@ -73,10 +73,10 @@ impl SchedQueue {
         let seq = self.seq;
         self.seq += 1;
         if batch.strict {
-            self.strict.push_back((seq, batch));
+            self.strict.slim_push((seq, batch));
         } else {
             self.be_mem_gb += mem_gb;
-            self.best_effort.push_back((seq, batch));
+            self.best_effort.slim_push((seq, batch));
         }
     }
 
@@ -410,7 +410,7 @@ impl Worker {
             memo.key = key;
             memo.views.clear();
         }
-        memo.views.push(*view);
+        memo.views.slim_push(*view);
         Offer::Decline
     }
 
@@ -453,7 +453,7 @@ impl Worker {
         let acquired = state.pool.acquire(now);
         match acquired {
             Acquire::Warm => self.sched_queue.push(batch, mem),
-            Acquire::ColdStarted => state.waiting.push_back(batch),
+            Acquire::ColdStarted => state.waiting.slim_push(batch),
         }
         acquired
     }
@@ -474,7 +474,7 @@ impl Worker {
 
     /// Records a placed batch, already removed from the scheduler queue.
     pub(crate) fn start_running(&mut self, running: RunningBatch) {
-        self.running.push(running);
+        self.running.slim_push(running);
     }
 
     /// Completes running batch `id`, if any: its requests stop being
@@ -832,6 +832,48 @@ mod tests {
             }
             proptest::prop_assert!(q.is_empty());
         }
+    }
+
+    #[test]
+    fn buffers_that_held_one_entry_hold_one_slot() {
+        let catalog = Catalog::new();
+        let mut w = Worker::new(0, Box::new(AlwaysLargest), SimTime::ZERO);
+        let at = SimTime::from_secs;
+        // A strict batch waits for a cold container; a best-effort batch
+        // then takes it warm. Each queues, runs and finishes alone.
+        let cold = w.acquire_container(batch(1, true), at(0.0), &catalog);
+        assert_eq!(cold, Acquire::ColdStarted);
+        assert!(w.boot_done(ModelId::ResNet50, at(1.0), &catalog));
+        for (id, mem) in [(1, 0.0), (2, catalog.profile(ModelId::ResNet50).mem_gb)] {
+            if id == 2 {
+                let warm = w.acquire_container(batch(2, false), at(2.0), &catalog);
+                assert_eq!(warm, Acquire::Warm);
+            }
+            let queued = w.sched_queue.remove(BatchId(id), mem).unwrap();
+            w.start_running(RunningBatch {
+                batch: queued,
+                slice: 0,
+                exec_start: at(2.0),
+                solo_on_slice_ms: 1.0,
+                solo_7g_ms: 1.0,
+            });
+            w.outstanding += 1;
+            assert!(w.finish_running(BatchId(id), at(3.0), &catalog).is_some());
+        }
+        let state = &w.models[0];
+        let slots = [
+            w.sched_queue.strict.capacity(),
+            w.sched_queue.best_effort.capacity(),
+            w.running.capacity(),
+            state.waiting.capacity(),
+            state.pool.warm_capacity(),
+        ];
+        // Queued strict, queued best-effort, running, waiting, warm.
+        assert_eq!(slots, [1; 5]);
+        // The decline memo holds one slot per declined view.
+        let (mut w, _) = busy_worker();
+        w.offer(&view(true, 1), at(0.0), &catalog, false);
+        assert_eq!(w.memo.as_ref().unwrap().views.capacity(), 1);
     }
 
     #[test]

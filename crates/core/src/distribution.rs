@@ -8,18 +8,20 @@
 //! resources, each slice is tagged with the fraction of its memory the
 //! queued best-effort work will occupy.
 
-use protean_gpu::Slice;
+use protean_gpu::{Geometry, Slice};
 use protean_models::ModelProfile;
 
 use crate::slowdown::eta;
 
 /// Indices of `slices` in ascending order of resources (compute share,
-/// then memory). `slices` normally comes from
-/// [`protean_gpu::Gpu::slices`], which is descending, but the order is
-/// recomputed here so callers need not care.
-fn ascending_order(slices: &[Slice]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..slices.len()).collect();
-    idx.sort_by_key(|&i| {
+/// then memory), in the first `slices.len()` entries. `slices`
+/// normally comes from [`protean_gpu::Gpu::slices`], which is
+/// descending, but the order is recomputed here so callers need not
+/// care. Held inline: a GPU has at most [`Geometry::MAX_SLICES`].
+fn ascending_order(slices: &[Slice]) -> [usize; Geometry::MAX_SLICES] {
+    let mut idx = std::array::from_fn(|i| i);
+    // The keys are distinct, so the unstable sort is deterministic.
+    idx[..slices.len()].sort_unstable_by_key(|&i| {
         let p = slices[i].profile();
         (
             p.compute_sevenths(),
@@ -39,8 +41,13 @@ const LARGEST_SLICE_TAG_CAP: f64 = 0.95;
 /// Lines 1–8 of Algorithm 1: assigns each slice a `tag_value` — the
 /// fraction of its available memory that queued best-effort work
 /// (`be_mem_gb` in total) will occupy — walking slices smallest-first.
-/// Returns one tag per input slice, aligned with the input order. The
-/// largest slice's tag is capped just below 1 (`LARGEST_SLICE_TAG_CAP`).
+/// The first `slices.len()` entries are the tags, aligned with the
+/// input order; the rest are zero. The largest slice's tag is capped
+/// just below 1 (`LARGEST_SLICE_TAG_CAP`).
+///
+/// # Panics
+///
+/// Panics if there are more than [`Geometry::MAX_SLICES`] slices.
 ///
 /// # Example
 ///
@@ -56,14 +63,15 @@ const LARGEST_SLICE_TAG_CAP: f64 = 0.95;
 /// ];
 /// // 8 GB of BE work: fills the 1g (5 GB), spills 3 GB onto the 2g.
 /// let tags = tag_slices(&slices, 8.0);
-/// assert_eq!(tags, vec![0.0, 0.3, 1.0]);
+/// assert_eq!(tags[..3], [0.0, 0.3, 1.0]);
 /// ```
-pub fn tag_slices(slices: &[Slice], be_mem_gb: f64) -> Vec<f64> {
-    let mut tags = vec![0.0; slices.len()];
+pub fn tag_slices(slices: &[Slice], be_mem_gb: f64) -> [f64; Geometry::MAX_SLICES] {
+    let mut tags = [0.0; Geometry::MAX_SLICES];
     let mut remaining = be_mem_gb.max(0.0);
     let order = ascending_order(slices);
+    let order = &order[..slices.len()];
     let largest = order.last().copied();
-    for i in order {
+    for &i in order {
         if remaining <= 0.0 {
             break;
         }
@@ -87,8 +95,9 @@ pub fn tag_slices(slices: &[Slice], be_mem_gb: f64) -> Vec<f64> {
 /// packing — the smallest slice whose free memory holds one batch of
 /// `profile`. `None` if nothing fits right now.
 pub fn choose_best_effort_slice(slices: &[Slice], profile: &ModelProfile) -> Option<usize> {
-    ascending_order(slices)
-        .into_iter()
+    ascending_order(slices)[..slices.len()]
+        .iter()
+        .copied()
         .find(|&i| slices[i].mem_available_gb() + 1e-9 >= profile.mem_gb)
 }
 
@@ -159,11 +168,11 @@ mod tests {
     fn tags_fill_smallest_first() {
         let s = slices(&[SliceProfile::G4, SliceProfile::G3, SliceProfile::G1]);
         // 5 GB exactly fills the 1g; larger slices untouched.
-        assert_eq!(tag_slices(&s, 5.0), vec![0.0, 0.0, 1.0]);
+        assert_eq!(tag_slices(&s, 5.0)[..3], [0.0, 0.0, 1.0]);
         // 15 GB: 1g full, 10/20 of the 3g.
-        assert_eq!(tag_slices(&s, 15.0), vec![0.0, 0.5, 1.0]);
+        assert_eq!(tag_slices(&s, 15.0)[..3], [0.0, 0.5, 1.0]);
         // Zero BE memory tags nothing.
-        assert_eq!(tag_slices(&s, 0.0), vec![0.0, 0.0, 0.0]);
+        assert_eq!(tag_slices(&s, 0.0)[..3], [0.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -171,7 +180,7 @@ mod tests {
         let mut s = slices(&[SliceProfile::G2, SliceProfile::G1]);
         occupy(&mut s[1], 1, 0.1, 4.0); // 1 GB free on the 1g
         let tags = tag_slices(&s, 1.0);
-        assert_eq!(tags, vec![0.0, 1.0]);
+        assert_eq!(tags[..2], [0.0, 1.0]);
     }
 
     #[test]
@@ -265,7 +274,8 @@ mod tests {
                 .map(|&p| Slice::new(p, SharingMode::Mps, SimTime::ZERO))
                 .collect();
             let tags = tag_slices(&slices, be_mem);
-            proptest::prop_assert_eq!(tags.len(), slices.len());
+            let (tags, rest) = tags.split_at(slices.len());
+            proptest::prop_assert!(rest.iter().all(|&t| t == 0.0));
             for (i, &t) in tags.iter().enumerate() {
                 proptest::prop_assert!((0.0..=1.0).contains(&t), "tag {t}");
                 // Index 0 is the largest slice (descending order).
@@ -301,7 +311,8 @@ mod tests {
                 .map(|&p| Slice::new(p, SharingMode::Mps, SimTime::ZERO))
                 .collect();
             let tags = tag_slices(&slices, be_mem);
-            if let Some(i) = choose_strict_slice(&slices, &tags, profile, 0.3) {
+            let tags = &tags[..slices.len()];
+            if let Some(i) = choose_strict_slice(&slices, tags, profile, 0.3) {
                 proptest::prop_assert!(tags[i] < 1.0);
                 proptest::prop_assert!(slices[i].mem_available_gb() + 1e-9 >= profile.mem_gb);
             }

@@ -52,20 +52,21 @@ impl Default for ReconfiguratorConfig {
 /// but cannot *feed* them would become a tarpit.
 const BANDWIDTH_FEASIBILITY_CAP: f64 = 0.85;
 
-/// The per-GPU reconfiguration state machine.
+/// The per-GPU reconfiguration state machine: only its state, the
+/// EWMA and the wait counter. The tunables come with each call, so a
+/// fleet's instances share one [`ReconfiguratorConfig`].
 #[derive(Debug, Clone)]
 pub struct Reconfigurator {
-    config: ReconfiguratorConfig,
     predictor: Ewma,
     wait_ctr: u32,
 }
 
 impl Reconfigurator {
-    /// Creates a reconfigurator with the given tunables.
-    pub fn new(config: ReconfiguratorConfig) -> Self {
+    /// Creates a reconfigurator whose predictor smooths with `config`'s
+    /// `ewma_alpha`; later calls must pass the same `config`.
+    pub fn new(config: &ReconfiguratorConfig) -> Self {
         Reconfigurator {
             predictor: Ewma::new(config.ewma_alpha),
-            config,
             wait_ctr: 0,
         }
     }
@@ -74,6 +75,7 @@ impl Reconfigurator {
     /// favours, before the wait-counter hysteresis.
     pub fn desired_geometry(
         &mut self,
+        config: &ReconfiguratorConfig,
         window_be_requests: u64,
         window_secs: f64,
         be_model: Option<&ModelProfile>,
@@ -84,7 +86,7 @@ impl Reconfigurator {
             // No BE workload information: keep the big slices.
             return Geometry::g4_g3();
         };
-        let pred_be_mem = self.predicted_be_mem_gb(pred_be_num, window_secs, be);
+        let pred_be_mem = predicted_be_mem_gb(config, pred_be_num, window_secs, be);
         // small_slice_set = [[1g, 2g], [3g]]
         let candidates: [&[SliceProfile]; 2] =
             [&[SliceProfile::G1, SliceProfile::G2], &[SliceProfile::G3]];
@@ -112,7 +114,7 @@ impl Reconfigurator {
             Some(set) if set.len() == 2 => {
                 let capacity: f64 = set.iter().map(|p| p.mem_gb()).sum();
                 let occupancy = pred_be_mem / capacity;
-                if occupancy < self.config.t_low || occupancy > self.config.t_high {
+                if occupancy < config.t_low || occupancy > config.t_high {
                     Geometry::g4_g3()
                 } else {
                     Geometry::g4_g2_g1()
@@ -124,36 +126,24 @@ impl Reconfigurator {
         }
     }
 
-    /// Little's-law resident footprint: BE batch arrival rate × expected
-    /// residency time × per-batch memory.
-    fn predicted_be_mem_gb(&self, pred_be_num: f64, window_secs: f64, be: &ModelProfile) -> f64 {
-        if pred_be_num <= 0.0 || window_secs <= 0.0 {
-            return 0.0;
-        }
-        let batches_per_sec = pred_be_num / window_secs / f64::from(be.batch_size);
-        let residency_secs =
-            be.solo_on(be.smallest_fitting_slice()).as_secs_f64() * self.config.residency_margin;
-        let resident_batches = (batches_per_sec * residency_secs).max(1.0);
-        resident_batches.ceil() * be.mem_gb
-    }
-
     /// Lines 24–30: one monitor-interval step. Returns `Some(geometry)`
     /// when the desired geometry has mismatched `current` for
     /// `wait_limit` consecutive calls (and resets the counter).
     pub fn step(
         &mut self,
+        config: &ReconfiguratorConfig,
         current: &Geometry,
         window_be_requests: u64,
         window_secs: f64,
         be_model: Option<&ModelProfile>,
     ) -> Option<Geometry> {
-        let desired = self.desired_geometry(window_be_requests, window_secs, be_model);
+        let desired = self.desired_geometry(config, window_be_requests, window_secs, be_model);
         if desired == *current {
             self.wait_ctr = 0;
             return None;
         }
         self.wait_ctr += 1;
-        if self.wait_ctr >= self.config.wait_limit {
+        if self.wait_ctr >= config.wait_limit {
             self.wait_ctr = 0;
             Some(desired)
         } else {
@@ -162,13 +152,61 @@ impl Reconfigurator {
     }
 }
 
+/// Little's-law resident footprint: BE batch arrival rate × expected
+/// residency time × per-batch memory.
+fn predicted_be_mem_gb(
+    config: &ReconfiguratorConfig,
+    pred_be_num: f64,
+    window_secs: f64,
+    be: &ModelProfile,
+) -> f64 {
+    if pred_be_num <= 0.0 || window_secs <= 0.0 {
+        return 0.0;
+    }
+    let batches_per_sec = pred_be_num / window_secs / f64::from(be.batch_size);
+    let residency_secs =
+        be.solo_on(be.smallest_fitting_slice()).as_secs_f64() * config.residency_margin;
+    let resident_batches = (batches_per_sec * residency_secs).max(1.0);
+    resident_batches.ceil() * be.mem_gb
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use protean_models::{catalog, ModelId};
 
-    fn recon() -> Reconfigurator {
-        Reconfigurator::new(ReconfiguratorConfig::default())
+    /// A reconfigurator and the tunables it is called with, paired as
+    /// a `Protean` pairs them.
+    struct Tuned {
+        r: Reconfigurator,
+        config: ReconfiguratorConfig,
+    }
+
+    impl Tuned {
+        fn new(config: ReconfiguratorConfig) -> Self {
+            Tuned {
+                r: Reconfigurator::new(&config),
+                config,
+            }
+        }
+
+        fn desired_geometry(&mut self, be: u64, secs: f64, m: Option<&ModelProfile>) -> Geometry {
+            self.r.desired_geometry(&self.config, be, secs, m)
+        }
+
+        fn step(
+            &mut self,
+            current: &Geometry,
+            be: u64,
+            secs: f64,
+            m: Option<&ModelProfile>,
+        ) -> Option<Geometry> {
+            self.r.step(&self.config, current, be, secs, m)
+        }
+    }
+
+    fn recon() -> Tuned {
+        Tuned::new(ReconfiguratorConfig::default())
     }
 
     #[test]
@@ -252,7 +290,7 @@ mod tests {
     fn wait_limit_zero_fires_immediately() {
         let cat = catalog();
         let mobilenet = cat.profile(ModelId::MobileNet);
-        let mut r = Reconfigurator::new(ReconfiguratorConfig {
+        let mut r = Tuned::new(ReconfiguratorConfig {
             wait_limit: 0,
             ewma_alpha: 1.0,
             ..ReconfiguratorConfig::default()
@@ -279,7 +317,7 @@ mod tests {
             r.desired_geometry(4000, 2.0, Some(mobilenet)),
             Geometry::g4_g3()
         );
-        let mut unsmoothed = Reconfigurator::new(ReconfiguratorConfig {
+        let mut unsmoothed = Tuned::new(ReconfiguratorConfig {
             ewma_alpha: 1.0,
             ..ReconfiguratorConfig::default()
         });

@@ -1,5 +1,7 @@
 //! PROTEAN as a pluggable [`Scheme`] for the cluster substrate.
 
+use std::sync::Arc;
+
 use protean_cluster::{BatchView, Placement, PlacementCtx, ReconfigCtx, Scheme, SchemeBuilder};
 use protean_gpu::{Geometry, SharingMode};
 
@@ -66,11 +68,13 @@ impl ProteanConfig {
 }
 
 /// One worker's PROTEAN scheduler instance.
+///
+/// Every instance a [`ProteanBuilder`] makes shares one configuration;
+/// an instance holds only its own state.
 #[derive(Debug, Clone)]
 pub struct Protean {
-    config: ProteanConfig,
+    shared: Arc<Shared>,
     reconfigurator: Reconfigurator,
-    monitor_window_secs: f64,
     /// FBR of the most recent best-effort model, used to cost
     /// tagged-but-unplaced BE load in η.
     be_fbr_hint: f64,
@@ -79,15 +83,28 @@ pub struct Protean {
     window_strict_share: f64,
 }
 
+/// What every worker's [`Protean`] reads and none writes.
+#[derive(Debug)]
+struct Shared {
+    config: ProteanConfig,
+    monitor_window_secs: f64,
+}
+
 impl Protean {
     /// Creates an instance from `config`. `monitor_window_secs` must
     /// match the cluster's monitor interval (it converts per-window
     /// request counts to rates).
     pub fn new(config: ProteanConfig, monitor_window_secs: f64) -> Self {
-        Protean {
-            reconfigurator: Reconfigurator::new(config.reconfigurator),
+        Protean::sharing(Arc::new(Shared {
             config,
             monitor_window_secs,
+        }))
+    }
+
+    fn sharing(shared: Arc<Shared>) -> Self {
+        Protean {
+            reconfigurator: Reconfigurator::new(&shared.config.reconfigurator),
+            shared,
             be_fbr_hint: 0.0,
             // Assume a strict-bearing mix until told otherwise.
             window_strict_share: 1.0,
@@ -97,11 +114,11 @@ impl Protean {
 
 impl Scheme for Protean {
     fn name(&self) -> &'static str {
-        self.config.name
+        self.shared.config.name
     }
 
     fn initial_geometry(&self) -> Geometry {
-        self.config.initial_geometry.clone()
+        self.shared.config.initial_geometry.clone()
     }
 
     fn sharing_mode(&self) -> SharingMode {
@@ -109,7 +126,7 @@ impl Scheme for Protean {
     }
 
     fn reorders(&self) -> bool {
-        self.config.reorder
+        self.shared.config.reorder
     }
 
     fn place(&mut self, ctx: &PlacementCtx<'_>, batch: &BatchView) -> Option<Placement> {
@@ -117,8 +134,9 @@ impl Scheme for Protean {
         let profile = ctx.catalog.profile(batch.model);
         if batch.strict {
             let tags = tag_slices(slices, ctx.queued_be_mem_gb);
-            let slice = if self.config.eta_placement {
-                choose_strict_slice(slices, &tags, profile, self.be_fbr_hint)?
+            let tags = &tags[..slices.len()];
+            let slice = if self.shared.config.eta_placement {
+                choose_strict_slice(slices, tags, profile, self.be_fbr_hint)?
             } else {
                 // Ablation: largest slice with room, ignoring η.
                 slices
@@ -126,11 +144,11 @@ impl Scheme for Protean {
                     .position(|s| s.mem_available_gb() + 1e-9 >= profile.mem_gb)?
             };
             Some(Placement::on_slice(slice))
-        } else if self.config.be_tail_aware && self.window_strict_share < 0.05 {
+        } else if self.shared.config.be_tail_aware && self.window_strict_share < 0.05 {
             // Future-work mode: no strict traffic to protect, so place
             // BE by minimum η instead of packing it into a corner.
-            let tags = vec![0.0; slices.len()];
-            choose_strict_slice(slices, &tags, profile, 0.0)
+            let untagged = [0.0; Geometry::MAX_SLICES];
+            choose_strict_slice(slices, &untagged[..slices.len()], profile, 0.0)
                 .or_else(|| choose_best_effort_slice(slices, profile))
                 .map(Placement::on_slice)
         } else {
@@ -147,40 +165,38 @@ impl Scheme for Protean {
         if total > 0 {
             self.window_strict_share = ctx.window_strict_requests as f64 / total as f64;
         }
-        if !self.config.dynamic_reconfig {
+        let Shared {
+            config,
+            monitor_window_secs,
+        } = &*self.shared;
+        if !config.dynamic_reconfig {
             return None;
         }
         self.reconfigurator.step(
+            &config.reconfigurator,
             ctx.gpu.geometry(),
             ctx.window_be_requests,
-            self.monitor_window_secs,
+            *monitor_window_secs,
             be_profile.as_ref(),
         )
     }
 }
 
-/// Builds one [`Protean`] per worker.
+/// Builds one [`Protean`] per worker, all sharing one configuration.
 #[derive(Debug, Clone)]
 pub struct ProteanBuilder {
-    config: ProteanConfig,
-    monitor_window_secs: f64,
+    shared: Arc<Shared>,
 }
 
 impl ProteanBuilder {
     /// The paper configuration with the paper's 2 s monitor interval.
     pub fn paper() -> Self {
-        ProteanBuilder {
-            config: ProteanConfig::paper(),
-            monitor_window_secs: 2.0,
-        }
+        ProteanBuilder::with_config(ProteanConfig::paper(), 2.0)
     }
 
     /// The Oracle comparison configuration.
     pub fn oracle() -> Self {
-        ProteanBuilder {
-            config: ProteanConfig::oracle(),
-            monitor_window_secs: 2.0,
-        }
+        ProteanBuilder::with_config(ProteanConfig::oracle(), 2.0)
     }
 
     /// PROTEAN plus the §6.2 future-work extension (tail-aware
@@ -189,28 +205,27 @@ impl ProteanBuilder {
         let mut config = ProteanConfig::paper();
         config.name = "PROTEAN+BE-tail";
         config.be_tail_aware = true;
-        ProteanBuilder {
-            config,
-            monitor_window_secs: 2.0,
-        }
+        ProteanBuilder::with_config(config, 2.0)
     }
 
     /// A builder from a custom configuration.
     pub fn with_config(config: ProteanConfig, monitor_window_secs: f64) -> Self {
         ProteanBuilder {
-            config,
-            monitor_window_secs,
+            shared: Arc::new(Shared {
+                config,
+                monitor_window_secs,
+            }),
         }
     }
 }
 
 impl SchemeBuilder for ProteanBuilder {
     fn build(&self, _worker: usize) -> Box<dyn Scheme> {
-        Box::new(Protean::new(self.config.clone(), self.monitor_window_secs))
+        Box::new(Protean::sharing(Arc::clone(&self.shared)))
     }
 
     fn name(&self) -> &'static str {
-        self.config.name
+        self.shared.config.name
     }
 }
 

@@ -48,7 +48,7 @@
 //! model = "resnet50"
 //! kind = "wiki"                       # constant | wiki | twitter | pulse
 //! rps = 300.0
-//! duration_secs = 60.0
+//! duration_secs = 60.0                # <= 1e8, and rps x duration_secs <= 1e8
 //! strict_fraction = 0.5
 //! be_pool = ["mobilenet", "dpn92"]    # default: opposite interference pool
 //! be_rotation_secs = 20.0             # > 0 (at least one microsecond)
@@ -96,7 +96,7 @@ use protean_metrics::record::Class;
 use protean_models::{catalog, ModelId};
 use protean_sim::{RngFactory, SimDuration, SimTime};
 use protean_spot::{ProcurementPolicy, Provider, SpotAvailability};
-use protean_trace::{BurstWindow, Trace, TraceConfig, TraceShape};
+use protean_trace::{check_trace_size, BurstWindow, Trace, TraceConfig, TraceShape};
 
 use crate::golden;
 use crate::schemes;
@@ -866,6 +866,8 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
                     })
                     .collect::<Result<Vec<_>, _>>()?,
             };
+            let line_of = |key| t.entries.get(key).map(|(_, line)| *line);
+            let size_line = line_of("duration_secs").or(line_of("rps")).unwrap_or(0);
             let spec = TraceSpec {
                 csv: None,
                 model,
@@ -886,6 +888,10 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
                 return Err(ScenarioError::Invalid(
                     "[trace] rps and duration_secs must be positive".into(),
                 ));
+            }
+            // A scenario run materialises its trace.
+            if let Err(e) = check_trace_size(spec.duration_secs, spec.rps) {
+                return perr(size_line, format!("'duration_secs' {e}"));
             }
             if !(0.0..=1.0).contains(&spec.strict_fraction) {
                 return Err(ScenarioError::Invalid(
@@ -1623,6 +1629,36 @@ min_evictions = 4
             parse("name = \"x\"\n[fleet]\ncold_start_secs = 0\nvm_startup_secs = 0\n").unwrap();
         assert_eq!(spec.fleet.cold_start_secs, 0.0);
         assert_eq!(spec.fleet.vm_startup_secs, 0.0);
+    }
+
+    #[test]
+    fn durations_past_the_trace_caps_are_rejected_with_their_line() {
+        // Unchecked, 1e9 s aborts on the materialised arrival instants
+        // and 1e12 s on the BE rotation schedule.
+        for (case, reason) in [
+            ("duration_secs = 1e12", "is 1e12 s, over the cap of 1e8 s"),
+            ("duration_secs = 1e9", "is 1e9 s, over the cap of 1e8 s"),
+            (
+                "rps = 5000\nduration_secs = 1e6",
+                "is 1e6 s, which at 5000 rps is about 5e9 requests",
+            ),
+        ] {
+            let text = format!("name = \"x\"\n[trace]\n{case}\n");
+            let line = text
+                .lines()
+                .position(|l| l.starts_with("duration_secs"))
+                .unwrap()
+                + 1;
+            match parse(&text).unwrap_err() {
+                ScenarioError::Parse { line: at, msg } => {
+                    assert_eq!(at, line, "{case}");
+                    let expected = format!("'duration_secs' {reason}");
+                    assert!(msg.starts_with(&expected), "{case}: {msg}");
+                }
+                other => panic!("{case}: {other}"),
+            }
+        }
+        assert!(parse("name = \"x\"\n[trace]\nrps = 50\nduration_secs = 1e6\n").is_ok());
     }
 
     #[test]

@@ -169,7 +169,8 @@ impl std::error::Error for GeometryError {}
 /// is partitioned into. The paper calls this a *geometry*.
 ///
 /// Slices are stored in descending order of resources, so index 0 is
-/// always the largest slice.
+/// always the largest slice. They are held inline (at most
+/// [`Geometry::MAX_SLICES`]), so a geometry owns no heap block.
 ///
 /// # Example
 ///
@@ -180,12 +181,30 @@ impl std::error::Error for GeometryError {}
 /// assert_eq!(g.to_string(), "(4g, 2g, 1g)");
 /// # Ok::<(), protean_gpu::GeometryError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Geometry {
-    slices: Vec<SliceProfile>,
+    /// The profiles in `slices[..len]`; every later entry is `G1`, so
+    /// the derived comparisons see only the profiles.
+    slices: [SliceProfile; Geometry::MAX_SLICES],
+    len: u8,
 }
 
 impl Geometry {
+    /// The most slices a geometry holds: seven `1g` instances fill the
+    /// GPU's seven compute units.
+    pub const MAX_SLICES: usize = 7;
+
+    /// A geometry of `slices`, already validated and in descending
+    /// order.
+    fn from_sorted(slices: &[SliceProfile]) -> Self {
+        let mut inline = [SliceProfile::G1; Self::MAX_SLICES];
+        inline[..slices.len()].copy_from_slice(slices);
+        Geometry {
+            slices: inline,
+            len: slices.len() as u8,
+        }
+    }
+
     /// Validates and creates a geometry from the given profiles.
     ///
     /// Validation enforces the Table 2 rules — at least one slice,
@@ -219,61 +238,53 @@ impl Geometry {
             return Err(GeometryError::Unplaceable);
         }
         slices.sort_by(|a, b| b.cmp(a));
-        Ok(Geometry { slices })
+        Ok(Geometry::from_sorted(&slices))
     }
 
     /// The whole-GPU geometry `(7g)`.
     pub fn full() -> Self {
-        Geometry {
-            slices: vec![SliceProfile::G7],
-        }
+        Geometry::from_sorted(&[SliceProfile::G7])
     }
 
     /// The `(4g, 3g)` geometry the paper uses as its robust fallback.
     pub fn g4_g3() -> Self {
-        Geometry {
-            slices: vec![SliceProfile::G4, SliceProfile::G3],
-        }
+        Geometry::from_sorted(&[SliceProfile::G4, SliceProfile::G3])
     }
 
     /// The `(4g, 2g, 1g)` geometry PROTEAN starts from (Fig. 7).
     pub fn g4_g2_g1() -> Self {
-        Geometry {
-            slices: vec![SliceProfile::G4, SliceProfile::G2, SliceProfile::G1],
-        }
+        Geometry::from_sorted(&[SliceProfile::G4, SliceProfile::G2, SliceProfile::G1])
     }
 
     /// The `(3g, 3g)` even split.
     pub fn g3_g3() -> Self {
-        Geometry {
-            slices: vec![SliceProfile::G3, SliceProfile::G3],
-        }
+        Geometry::from_sorted(&[SliceProfile::G3, SliceProfile::G3])
     }
 
     /// The slices in descending order of resources.
     pub fn slices(&self) -> &[SliceProfile] {
-        &self.slices
+        &self.slices[..usize::from(self.len)]
     }
 
     /// Number of slices.
     pub fn len(&self) -> usize {
-        self.slices.len()
+        usize::from(self.len)
     }
 
     /// `true` if the geometry has no slices (never true for a validated
     /// geometry; provided for API completeness).
     pub fn is_empty(&self) -> bool {
-        self.slices.is_empty()
+        self.len == 0
     }
 
     /// Total compute share in sevenths.
     pub fn total_compute_sevenths(&self) -> u32 {
-        self.slices.iter().map(|s| s.compute_sevenths()).sum()
+        self.slices().iter().map(|s| s.compute_sevenths()).sum()
     }
 
     /// Total slice memory in GB.
     pub fn total_mem_gb(&self) -> f64 {
-        self.slices.iter().map(|s| s.mem_gb()).sum()
+        self.slices().iter().map(|s| s.mem_gb()).sum()
     }
 
     /// The largest slice.
@@ -314,10 +325,18 @@ impl Geometry {
     }
 }
 
+impl fmt::Debug for Geometry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Geometry")
+            .field("slices", &self.slices())
+            .finish()
+    }
+}
+
 impl fmt::Display for Geometry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, s) in self.slices.iter().enumerate() {
+        for (i, s) in self.slices().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -401,6 +420,16 @@ mod tests {
             &[SliceProfile::G3, SliceProfile::G2, SliceProfile::G1]
         );
         assert_eq!(g.largest(), SliceProfile::G3);
+    }
+
+    #[test]
+    fn geometries_are_inline_and_debug_as_their_slices() {
+        assert_eq!(std::mem::size_of::<Geometry>(), 8);
+        let g = Geometry::new(vec![SliceProfile::G3, SliceProfile::G4]).unwrap();
+        assert_eq!(g, Geometry::g4_g3());
+        assert_eq!(format!("{g:?}"), "Geometry { slices: [G4, G3] }");
+        let seven = Geometry::new(vec![SliceProfile::G1; Geometry::MAX_SLICES]).unwrap();
+        assert_eq!(seven.len(), Geometry::MAX_SLICES);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use protean_sim::{Accumulator, SimDuration, SimTime};
+use protean_sim::{Accumulator, SimDuration, SimTime, SlimPush};
 
 use crate::interference::slowdown_factor_iter;
 use crate::profile::SliceProfile;
@@ -317,7 +317,7 @@ impl Slice {
             });
         }
         self.advance(now);
-        self.running.push(Running {
+        self.running.slim_push(Running {
             spec,
             admitted_at: now,
             remaining_us: spec.solo.as_micros() as f64,
@@ -477,6 +477,28 @@ mod tests {
                 && expected.saturating_since(actual) <= SimDuration::from_micros(2),
             "got {actual:?}, expected ~{expected:?}"
         );
+    }
+
+    #[test]
+    fn slices_that_held_one_job_hold_one_slot() {
+        use crate::{Geometry, Gpu, GpuId};
+        let mut gpu = Gpu::new(
+            GpuId(0),
+            Geometry::g4_g2_g1(),
+            SharingMode::Mps,
+            SimTime::ZERO,
+        );
+        for i in 0..gpu.slices().len() {
+            let id = i as u64;
+            let done = gpu
+                .slice_mut(i)
+                .admit(SimTime::ZERO, spec(id, 10.0, 0.1, 1.0))
+                .unwrap();
+            gpu.slice_mut(i).finish(done.at, done.job).unwrap();
+            let again = spec(id + 10, 10.0, 0.1, 1.0);
+            gpu.slice_mut(i).admit(done.at, again).unwrap();
+        }
+        assert!(gpu.slices().iter().all(|s| s.running.capacity() == 1));
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! * [`TimeSeries`] / [`Accumulator`] — small utilities for integrating
 //!   quantities over simulated time (GPU busy time, memory occupancy,
 //!   dollar cost).
+//! * [`SlimPush`] — the growth policy of per-worker and per-slice
+//!   buffers: one slot on the first push, doubling after that.
 //!
 //! # Example
 //!
@@ -38,10 +40,12 @@ pub mod ewma;
 pub mod queue;
 pub mod rng;
 pub mod series;
+pub mod slim;
 pub mod time;
 
 pub use ewma::Ewma;
 pub use queue::{EventKey, KeyedEventQueue};
 pub use rng::{RngFactory, SimRng};
 pub use series::{Accumulator, TimeSeries};
+pub use slim::SlimPush;
 pub use time::{SimDuration, SimTime};

@@ -182,6 +182,86 @@ impl TraceShape {
     }
 }
 
+/// The longest span a generated trace may cover, in seconds (about
+/// 3.2 years). State sized per time slot stays small up to it: the BE
+/// rotation schedule has one entry per rotation period (5 million at
+/// the paper's 20 s), built on the streamed path too.
+pub const MAX_DURATION_SECS: f64 = 1e8;
+
+/// The most requests a materialised trace may hold, counted as the
+/// shape's nominal rate times the span. [`TraceConfig::generate`] keeps
+/// every request (24 bytes) and every arrival instant, so this bounds
+/// the trace itself at a few GB.
+pub const MAX_MATERIALISED_REQUESTS: f64 = 1e8;
+
+/// Why [`check_trace_size`] rejected a trace length.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TraceSizeError {
+    /// The span exceeds [`MAX_DURATION_SECS`].
+    TooLong {
+        /// The span, seconds.
+        secs: f64,
+    },
+    /// `rps × secs` exceeds [`MAX_MATERIALISED_REQUESTS`].
+    TooManyRequests {
+        /// The span, seconds.
+        secs: f64,
+        /// The nominal rate, requests per second.
+        rps: f64,
+    },
+}
+
+impl std::fmt::Display for TraceSizeError {
+    /// Reads after the flag or key it describes, e.g. "--duration is …".
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            TraceSizeError::TooLong { secs } => write!(
+                f,
+                "is {secs:e} s, over the cap of {MAX_DURATION_SECS:e} s on a trace's span"
+            ),
+            TraceSizeError::TooManyRequests { secs, rps } => write!(
+                f,
+                "is {secs:e} s, which at {rps} rps is about {:e} requests, over the cap of \
+                 {MAX_MATERIALISED_REQUESTS:e} a materialised trace holds \
+                 (at {rps} rps, at most {:e} s)",
+                (rps * secs).round(),
+                (MAX_MATERIALISED_REQUESTS / rps).floor(),
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TraceSizeError {}
+
+/// Checks a materialised trace of `secs` at a nominal `rps` against
+/// [`MAX_DURATION_SECS`] and [`MAX_MATERIALISED_REQUESTS`], before
+/// anything is sized from it: past either cap, building the trace can
+/// exhaust memory and abort the process instead of failing.
+///
+/// # Errors
+///
+/// Returns the first cap the trace exceeds.
+///
+/// # Example
+///
+/// ```
+/// use protean_trace::{check_trace_size, TraceSizeError};
+/// assert!(check_trace_size(3600.0, 5000.0).is_ok());
+/// assert_eq!(
+///     check_trace_size(1e12, 1.0),
+///     Err(TraceSizeError::TooLong { secs: 1e12 })
+/// );
+/// ```
+pub fn check_trace_size(secs: f64, rps: f64) -> Result<(), TraceSizeError> {
+    if secs > MAX_DURATION_SECS {
+        Err(TraceSizeError::TooLong { secs })
+    } else if rps * secs > MAX_MATERIALISED_REQUESTS {
+        Err(TraceSizeError::TooManyRequests { secs, rps })
+    } else {
+        Ok(())
+    }
+}
+
 /// Full description of a trace to generate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
