@@ -8,13 +8,16 @@
 //! `W`; at 512 workers the scan dominates the run. [`DispatchIndex`]
 //! replaces the scans with incrementally-maintained structures:
 //!
-//! * two tournament-tree tiers keyed by `(outstanding, idx)` — workers
-//!   that are routable **and** whose GPU is accepting, and all routable
-//!   workers — so least-loaded selection reads the tree root, whose
-//!   `(outstanding, idx)` ordering reproduces the linear scan's
-//!   `min_by_key` tie-break *exactly*, while updates re-fold one
-//!   O(log W) root path in a flat array (no per-node allocations to
-//!   miss cache on at fleet scale);
+//! * two disjoint tournament-tree tiers keyed by `(outstanding, idx)`:
+//!   the *accepting* tier holds routable workers whose GPU is accepting,
+//!   the *draining* tier routable workers whose GPU is mid-change. A
+//!   routable worker sits in exactly one of them. Least-loaded selection
+//!   reads the accepting root, or the smaller of the two roots when any
+//!   routable worker will do; the `(outstanding, idx)` ordering
+//!   reproduces the linear scan's `min_by_key` tie-break *exactly*.
+//!   An update re-folds one O(log W) root path in a flat array (no
+//!   per-node allocations to miss cache on at fleet scale), and stops at
+//!   the first ancestor whose minimum does not change;
 //! * `Consolidate` first-fit reuses the accepting tier's tree as a
 //!   max-headroom oracle: an internal node's key is the minimum
 //!   `(outstanding, idx)` of its subtree, so "does this subtree hold a
@@ -23,6 +26,12 @@
 //!   lands on the *leftmost* accepting worker with `outstanding < cap`
 //!   in O(log W) — the identical slot the linear front scan finds —
 //!   while a fully saturated fleet is rejected in O(1) at the root.
+//!
+//! Most refreshes change only a worker's `outstanding` while its GPU
+//! keeps accepting. Such a refresh reads and re-folds the accepting tree
+//! alone: a present accepting leaf proves the draining leaf is absent,
+//! so the draining tree stays out of cache until a GPU starts or ends a
+//! change.
 //!
 //! # Key layout
 //!
@@ -33,8 +42,8 @@
 //! every refresh, in release builds too. The leaves are the only
 //! per-slot state — a worker's cached `(routable, accepting,
 //! outstanding)` is read back from its two leaves — so a refresh
-//! touches nothing but the two root paths. At 50,000 workers a tree
-//! pads to 65,536 leaves, 1 MiB, half the size of a `(u64, usize)` tree.
+//! touches nothing but the root paths. At 50,000 workers a tree pads to
+//! 65,536 leaves, 1 MiB, half the size of a `(u64, usize)` tree.
 //!
 //! The engine refreshes a worker's entry at every point its dispatch
 //! state can change: `outstanding` increments (dispatch) and decrements
@@ -73,21 +82,29 @@ fn slot_of(key: u64) -> usize {
     (key & u64::from(u32::MAX)) as usize
 }
 
-/// Worker `idx`'s leaves in the routable and the accepting tree: its
-/// packed key where it is eligible, [`ABSENT`] elsewhere.
+/// Worker `idx`'s leaves in the accepting and the draining tree: its
+/// packed key in the tier it belongs to, [`ABSENT`] in the other. A
+/// non-routable worker is absent from both.
 fn leaves(idx: usize, routable: bool, accepting: bool, outstanding: u64) -> (u64, u64) {
-    let key = if routable {
-        pack(outstanding, idx)
+    if !routable {
+        (ABSENT, ABSENT)
+    } else if accepting {
+        (pack(outstanding, idx), ABSENT)
     } else {
-        ABSENT
-    };
-    (key, if accepting { key } else { ABSENT })
+        (ABSENT, pack(outstanding, idx))
+    }
 }
 
-/// The dispatch state a pair of leaves encodes: `(outstanding,
-/// accepting)` of a routable worker, `None` for a non-routable one.
-fn decode((routable, accepting): (u64, u64)) -> Option<(u64, bool)> {
-    (routable != ABSENT).then_some((routable >> 32, accepting != ABSENT))
+/// The `outstanding` each of a worker's (accepting, draining) leaves
+/// records, `None` where the leaf is absent.
+fn decode(leaves: (u64, u64)) -> (Option<u64>, Option<u64>) {
+    let outstanding = |key: u64| (key != ABSENT).then_some(key >> 32);
+    (outstanding(leaves.0), outstanding(leaves.1))
+}
+
+/// `count` adjusted for one leaf going from `old` to `new`.
+fn recount(count: usize, old: u64, new: u64) -> usize {
+    count + usize::from(new != ABSENT) - usize::from(old != ABSENT)
 }
 
 /// A flat tournament (min-segment) tree over per-slot packed
@@ -120,20 +137,24 @@ impl MinTree {
     }
 
     /// Sets slot `idx`'s key ([`ABSENT`] = ineligible) and re-folds the
-    /// path to the root.
+    /// path toward the root, stopping at the first ancestor whose
+    /// minimum does not change: every ancestor above it is unchanged too.
     fn set(&mut self, idx: usize, key: u64) {
         let mut i = self.cap + idx;
         self.tree[i] = key;
         while i > 1 {
             i /= 2;
-            self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+            let min = self.tree[2 * i].min(self.tree[2 * i + 1]);
+            if self.tree[i] == min {
+                break;
+            }
+            self.tree[i] = min;
         }
     }
 
-    /// The slot holding the minimum key, if any slot is eligible.
-    fn min_idx(&self) -> Option<usize> {
-        let root = self.tree[1];
-        (root != ABSENT).then_some(slot_of(root))
+    /// The minimum key ([`ABSENT`] if no slot is eligible).
+    fn root(&self) -> u64 {
+        self.tree[1]
     }
 }
 
@@ -148,11 +169,12 @@ impl MinTree {
 pub struct DispatchIndex {
     /// Routable workers whose GPU is accepting, keyed `(outstanding, idx)`.
     accepting: MinTree,
-    /// All routable workers, keyed `(outstanding, idx)`.
-    routable: MinTree,
+    /// Routable workers whose GPU is not accepting, keyed the same way;
+    /// disjoint from `accepting`.
+    draining: MinTree,
     /// Tier sizes, maintained alongside the trees.
     accepting_count: usize,
-    routable_count: usize,
+    draining_count: usize,
     /// Worker slots covered.
     slots: usize,
     /// Maintenance operations applied (surfaced in `EngineStats`).
@@ -164,9 +186,9 @@ impl DispatchIndex {
     pub fn new(n: usize) -> Self {
         DispatchIndex {
             accepting: MinTree::new(n),
-            routable: MinTree::new(n),
+            draining: MinTree::new(n),
             accepting_count: 0,
-            routable_count: 0,
+            draining_count: 0,
             slots: n,
             updates: 0,
         }
@@ -174,7 +196,8 @@ impl DispatchIndex {
 
     /// Re-caches worker `idx`'s dispatch state. Call after *any*
     /// mutation of the worker's status, GPU accepting state, or
-    /// `outstanding`. Only a tree whose leaf changes is re-folded.
+    /// `outstanding`. Only a tree whose leaf changes is re-folded, and a
+    /// worker that was and stays accepting never reads the draining tree.
     pub fn refresh(&mut self, idx: usize, routable: bool, accepting: bool, outstanding: u64) {
         assert!(
             idx < self.slots,
@@ -182,18 +205,20 @@ impl DispatchIndex {
             self.slots
         );
         self.updates += 1;
-        let (r, a) = leaves(idx, routable, accepting, outstanding);
-        let old = self.routable.leaf(idx);
-        if r != old {
-            self.routable.set(idx, r);
-            self.routable_count =
-                self.routable_count + usize::from(r != ABSENT) - usize::from(old != ABSENT);
-        }
-        let old = self.accepting.leaf(idx);
-        if a != old {
+        let (a, d) = leaves(idx, routable, accepting, outstanding);
+        let old_a = self.accepting.leaf(idx);
+        if a != old_a {
             self.accepting.set(idx, a);
-            self.accepting_count =
-                self.accepting_count + usize::from(a != ABSENT) - usize::from(old != ABSENT);
+            self.accepting_count = recount(self.accepting_count, old_a, a);
+        }
+        // The tiers are disjoint: a present accepting leaf, before and
+        // after, means the draining leaf is and stays absent.
+        if old_a == ABSENT || a == ABSENT {
+            let old_d = self.draining.leaf(idx);
+            if d != old_d {
+                self.draining.set(idx, d);
+                self.draining_count = recount(self.draining_count, old_d, d);
+            }
         }
     }
 
@@ -207,22 +232,25 @@ impl DispatchIndex {
     /// same `(outstanding, idx)` minimum the linear scan's `min_by_key`
     /// returns.
     pub fn least_loaded_accepting(&self) -> Option<usize> {
-        self.accepting.min_idx()
+        let root = self.accepting.root();
+        (root != ABSENT).then_some(slot_of(root))
     }
 
-    /// The least-loaded routable worker regardless of GPU state.
+    /// The least-loaded routable worker regardless of GPU state: the
+    /// smaller of the accepting and the draining tier's minimum.
     pub fn least_loaded_routable(&self) -> Option<usize> {
-        self.routable.min_idx()
+        let root = self.accepting.root().min(self.draining.root());
+        (root != ABSENT).then_some(slot_of(root))
     }
 
     /// `true` if any worker is routable.
     pub fn any_routable(&self) -> bool {
-        self.routable_count > 0
+        self.routable_len() > 0
     }
 
-    /// Routable workers.
+    /// Routable workers, accepting or draining.
     pub fn routable_len(&self) -> usize {
-        self.routable_count
+        self.accepting_count + self.draining_count
     }
 
     /// Routable workers whose GPU is accepting.
@@ -291,9 +319,9 @@ impl DispatchIndex {
     /// Cross-checks the index against the workers' live state: the
     /// audited index-coherence invariant. `workers` must be the whole
     /// fleet in worker order. Returns one message per discrepancy (slot
-    /// count, a worker's leaves, tier sizes, or tree contents — the
-    /// first-fit descent reads only the accepting tree, so tree equality
-    /// covers it).
+    /// count, a worker's leaves, either tier's size or tree contents —
+    /// the first-fit descent reads only the accepting tree, so tree
+    /// equality covers it).
     pub fn verify(&self, workers: &[Worker]) -> Vec<String> {
         if self.slots != workers.len() {
             return vec![format!(
@@ -304,9 +332,9 @@ impl DispatchIndex {
         }
         let mut out = Vec::new();
         let mut live_accepting = MinTree::new(workers.len());
-        let mut live_routable = MinTree::new(workers.len());
+        let mut live_draining = MinTree::new(workers.len());
         let mut live_accepting_count = 0;
-        let mut live_routable_count = 0;
+        let mut live_draining_count = 0;
         for (slot, w) in workers.iter().enumerate() {
             if w.idx != slot {
                 out.push(format!(
@@ -316,34 +344,43 @@ impl DispatchIndex {
                 continue;
             }
             let (routable, accepting, outstanding) = w.dispatch_state();
-            let (r, a) = leaves(slot, routable, accepting, outstanding);
-            let cached = (self.routable.leaf(slot), self.accepting.leaf(slot));
-            if cached != (r, a) {
+            let (a, d) = leaves(slot, routable, accepting, outstanding);
+            let cached = (self.accepting.leaf(slot), self.draining.leaf(slot));
+            if cached != (a, d) {
                 out.push(format!(
-                    "dispatch index entry for worker {} is {:?}, live state is {:?}",
+                    "dispatch index entry for worker {} is {:?} (outstanding in the \
+                     accepting, draining tier), live state is {:?}",
                     w.idx,
                     decode(cached),
-                    decode((r, a))
+                    decode((a, d))
                 ));
             }
-            live_routable.set(slot, r);
             live_accepting.set(slot, a);
-            live_routable_count += usize::from(r != ABSENT);
+            live_draining.set(slot, d);
             live_accepting_count += usize::from(a != ABSENT);
+            live_draining_count += usize::from(d != ABSENT);
         }
-        if live_accepting.tree != self.accepting.tree
-            || live_accepting_count != self.accepting_count
-        {
-            out.push(format!(
-                "dispatch index accepting tier (count {}) != live (count {})",
-                self.accepting_count, live_accepting_count
-            ));
-        }
-        if live_routable.tree != self.routable.tree || live_routable_count != self.routable_count {
-            out.push(format!(
-                "dispatch index routable tier (count {}) != live (count {})",
-                self.routable_count, live_routable_count
-            ));
+        for (tier, cached, count, live, live_count) in [
+            (
+                "accepting",
+                &self.accepting,
+                self.accepting_count,
+                &live_accepting,
+                live_accepting_count,
+            ),
+            (
+                "draining",
+                &self.draining,
+                self.draining_count,
+                &live_draining,
+                live_draining_count,
+            ),
+        ] {
+            if live.tree != cached.tree || live_count != count {
+                out.push(format!(
+                    "dispatch index {tier} tier (count {count}) != live (count {live_count})"
+                ));
+            }
         }
         out
     }
@@ -411,10 +448,88 @@ mod tests {
         // Ties on outstanding break toward the lower index, exactly as
         // `min_by_key(|w| (w.outstanding, w.idx))` does.
         assert_eq!(index.least_loaded_accepting(), Some(1));
-        // The routable tier sees the draining worker 2 as well.
+        // Routable selection sees the draining tier's worker 2 as well.
         assert_eq!(index.least_loaded_routable(), Some(2));
         assert_eq!(index.routable_len(), 4);
         assert_eq!(index.accepting_len(), 3);
+    }
+
+    #[test]
+    fn a_worker_sits_in_exactly_one_tier_while_routable() {
+        let mut index = filled(&[(true, true, 2), (true, true, 4)]);
+        // Worker 0 starts a reconfiguration: it leaves the accepting tier.
+        index.refresh(0, true, false, 2);
+        assert_eq!(
+            (index.accepting.leaf(0), index.draining.leaf(0)),
+            (ABSENT, pack(2, 0))
+        );
+        assert_eq!((index.accepting_len(), index.routable_len()), (1, 2));
+        assert_eq!(index.least_loaded_accepting(), Some(1));
+        assert_eq!(index.least_loaded_routable(), Some(0));
+        // Its load drains while the change runs; then it accepts again.
+        index.refresh(0, true, false, 0);
+        index.refresh(0, true, true, 0);
+        assert_eq!(
+            (index.accepting.leaf(0), index.draining.leaf(0)),
+            (pack(0, 0), ABSENT)
+        );
+        assert_eq!((index.accepting_len(), index.routable_len()), (2, 2));
+        // An eviction notice mid-change clears the draining leaf.
+        index.refresh(1, true, false, 4);
+        index.refresh(1, false, false, 4);
+        assert_eq!(index.draining.root(), ABSENT);
+        assert_eq!((index.accepting_len(), index.routable_len()), (1, 1));
+    }
+
+    #[test]
+    fn verify_reports_a_corrupted_draining_leaf() {
+        use crate::schemes_for_test::AlwaysLargest;
+        use crate::SchemeBuilder;
+        use protean_gpu::Geometry;
+        use protean_sim::SimTime;
+
+        let mut fleet: Vec<Worker> = (0..3)
+            .map(|g| Worker::new(g, AlwaysLargest.build(g), SimTime::ZERO))
+            .collect();
+        fleet[1].outstanding = 6;
+        fleet[1]
+            .gpu
+            .request_reconfigure(Geometry::g3_g3())
+            .expect("active GPU");
+        let indexed = |fleet: &[Worker]| {
+            let mut index = DispatchIndex::new(fleet.len());
+            for w in fleet {
+                index.refresh_worker(w);
+            }
+            index
+        };
+        let index = indexed(&fleet);
+        assert!(index.verify(&fleet).is_empty());
+        assert_eq!(index.draining.leaf(1), pack(6, 1));
+
+        // A stale outstanding in the draining leaf.
+        let mut stale = indexed(&fleet);
+        stale.draining.set(1, pack(5, 1));
+        let problems = stale.verify(&fleet);
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert!(
+            problems[0].contains("worker 1 is (None, Some(5))"),
+            "{problems:?}"
+        );
+        assert!(problems[0].ends_with("live state is (None, Some(6))"));
+        assert!(problems[1].starts_with("dispatch index draining tier"));
+
+        // A draining leaf beside the accepting worker 2's accepting leaf.
+        let mut doubled = indexed(&fleet);
+        doubled.draining.set(2, pack(0, 2));
+        doubled.draining_count += 1;
+        let problems = doubled.verify(&fleet);
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert!(
+            problems[0].contains("worker 2 is (Some(0), Some(0))"),
+            "{problems:?}"
+        );
+        assert!(problems[1].contains("draining tier (count 2) != live (count 1)"));
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! (the run's [`ClusterConfig::cold_start`] and the constant
 //! [`BATCH_WINDOW`]), so each class waits in a FIFO lane that is already
 //! in key order (asserted on every push, release builds included). Every
-//! other event waits in one [`KeyedEventQueue`] of `u32` handles into a
-//! slab of payloads, so the heap's entries stay 32 bytes. A pop takes
-//! the smallest of the three heads.
+//! other event waits in a private 4-ary min-heap whose entries are
+//! 16-byte packed keys `(time, seq << 24 | slot)`, where `slot` addresses
+//! the event's payload in a slab; at fleet scale the heap then shares
+//! the cache with the dispatch index. A pop takes the smallest of the
+//! three heads.
 //!
 //! # State
 //!
@@ -40,10 +42,11 @@ use std::collections::{BTreeMap, VecDeque};
 use protean_gpu::{Completion, JobId, JobSpec};
 use protean_metrics::{LatencyBreakdown, MetricsSet, RequestRecord};
 use protean_models::{Catalog, ModelId};
-use protean_sim::{EventKey, KeyedEventQueue, RngFactory, SimRng, SimTime, TimeSeries};
+use protean_sim::{EventKey, RngFactory, SimRng, SimTime, TimeSeries};
 use protean_spot::{PricingTable, ProcurementPolicy, SpotOracle, VmId, VmLedger, VmTier};
 use protean_trace::{Lookahead, Request, Trace, TraceConfig, TraceStream};
 
+use crate::agenda_heap::AgendaHeap;
 use crate::audit::Auditor;
 use crate::batch::{Accumulator, Batch, BatchId};
 use crate::container::Acquire;
@@ -85,9 +88,11 @@ enum Event {
         model: ModelId,
         vm_epoch: u64,
     },
+    /// The most numerous pending event. Its worker and slice are
+    /// narrowed so that it, and so every slab slot, is 32 bytes.
     JobFinish {
-        worker: usize,
-        slice: usize,
+        worker: u32,
+        slice: u16,
         job: JobId,
         generation: u64,
         epoch: u64,
@@ -105,12 +110,13 @@ enum Event {
 /// container boots (the run's `cold_start`) and batch-window expiries
 /// (the constant [`BATCH_WINDOW`]). `now` never decreases, so each class
 /// comes due in push order, and each waits in a FIFO [`Lane`] that is
-/// already in key order. Every other event waits in the heap, which
-/// holds only `u32` handles into a slab of payloads, so a sift moves
-/// 32-byte entries. A pop takes the smallest of the three heads, so the
-/// order is the one a single heap would give.
+/// already in key order. Every other event waits in the heap, a 4-ary
+/// [`AgendaHeap`] of 16-byte keys that pack the event's time, its push
+/// number and its slot in a slab of payloads, so a sift moves 16 bytes
+/// per level. A pop takes the smallest of the three heads, so the order
+/// is the one a single heap would give.
 struct Agenda {
-    heap: KeyedEventQueue<u32>,
+    heap: AgendaHeap,
     /// Payloads of the heap's events, addressed by handle.
     slab: Vec<Option<Event>>,
     /// Vacant slab slots, reused before the slab grows.
@@ -150,7 +156,7 @@ fn before(a: Option<EventKey>, b: Option<EventKey>) -> bool {
 impl Agenda {
     fn new() -> Self {
         Agenda {
-            heap: KeyedEventQueue::new(),
+            heap: AgendaHeap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             boots: Lane::default(),
@@ -179,7 +185,7 @@ impl Agenda {
                         slot
                     }
                 };
-                self.heap.push(key, slot);
+                self.heap.push(time, self.seq, slot);
             }
         }
     }
@@ -452,7 +458,7 @@ impl<'a> EventLoop<'a> {
                 job,
                 generation,
                 epoch,
-            } => self.on_job_finish(worker, slice, job, generation, epoch),
+            } => self.on_job_finish(worker as usize, usize::from(slice), job, generation, epoch),
             Event::ReconfigDone { worker, epoch } => self.on_reconfig_done(worker, epoch),
         }
     }
@@ -619,8 +625,8 @@ impl<'a> EventLoop<'a> {
     fn arm_finish(&mut self, g: usize, slice: usize, c: Completion) {
         self.stats.finish_events_pushed += 1;
         let finish = Event::JobFinish {
-            worker: g,
-            slice,
+            worker: u32::try_from(g).expect("worker id fits in 32 bits"),
+            slice: u16::try_from(slice).expect("slice index fits in 16 bits"),
             job: c.job,
             generation: c.generation,
             epoch: self.workers[g].epoch,
@@ -1199,6 +1205,11 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn a_slab_slot_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Event>>(), 32);
     }
 
     #[test]

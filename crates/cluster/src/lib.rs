@@ -66,6 +66,7 @@
 
 #![deny(clippy::iter_over_hash_type)]
 
+mod agenda_heap;
 pub mod audit;
 pub mod batch;
 pub mod container;

@@ -51,7 +51,7 @@
 //! duration_secs = 60.0                # <= 1e8, and rps x duration_secs <= 1e8
 //! strict_fraction = 0.5
 //! be_pool = ["mobilenet", "dpn92"]    # default: opposite interference pool
-//! be_rotation_secs = 20.0             # > 0 (at least one microsecond)
+//! be_rotation_secs = 20.0             # > 0 (at least one microsecond), > duration_secs / 1e7
 //! batch_arrivals = false
 //! # csv = "trace.csv"                 # exclusive with every key above
 //!
@@ -96,7 +96,9 @@ use protean_metrics::record::Class;
 use protean_models::{catalog, ModelId};
 use protean_sim::{RngFactory, SimDuration, SimTime};
 use protean_spot::{ProcurementPolicy, Provider, SpotAvailability};
-use protean_trace::{check_trace_size, BurstWindow, Trace, TraceConfig, TraceShape};
+use protean_trace::{
+    check_rotation_schedule, check_trace_size, BurstWindow, Trace, TraceConfig, TraceShape,
+};
 
 use crate::golden;
 use crate::schemes;
@@ -868,6 +870,7 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
             };
             let line_of = |key| t.entries.get(key).map(|(_, line)| *line);
             let size_line = line_of("duration_secs").or(line_of("rps")).unwrap_or(0);
+            let rotation_line = line_of("be_rotation_secs").unwrap_or(size_line);
             let spec = TraceSpec {
                 csv: None,
                 model,
@@ -892,6 +895,9 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
             // A scenario run materialises its trace.
             if let Err(e) = check_trace_size(spec.duration_secs, spec.rps) {
                 return perr(size_line, format!("'duration_secs' {e}"));
+            }
+            if let Err(e) = check_rotation_schedule(spec.duration_secs, spec.be_rotation_secs) {
+                return perr(rotation_line, format!("'be_rotation_secs' {e}"));
             }
             if !(0.0..=1.0).contains(&spec.strict_fraction) {
                 return Err(ScenarioError::Invalid(
@@ -1623,6 +1629,23 @@ min_evictions = 4
                 matches!(&err, ScenarioError::Parse { msg, .. } if msg.starts_with(&format!("'{key}' must be"))),
                 "{case}: {err}"
             );
+        }
+        // One microsecond is a valid rotation, but over 1e5 s it rolls
+        // 1e11 schedule entries: refused on its own line, not aborted on
+        // the allocation.
+        let text =
+            "name = \"x\"\n[trace]\nrps = 10\nduration_secs = 100000\nbe_rotation_secs = 0.000001\n";
+        match parse(text).unwrap_err() {
+            ScenarioError::Parse { line, msg } => {
+                assert_eq!(line, 5);
+                assert!(
+                    msg.starts_with(
+                        "'be_rotation_secs' is 1e-6 s, which over 1e5 s is about 1e11 BE rotations"
+                    ),
+                    "{msg}"
+                );
+            }
+            other => panic!("{other}"),
         }
         // Zero is a valid start-up or cold-start delay.
         let spec =

@@ -183,10 +183,17 @@ impl TraceShape {
 }
 
 /// The longest span a generated trace may cover, in seconds (about
-/// 3.2 years). State sized per time slot stays small up to it: the BE
-/// rotation schedule has one entry per rotation period (5 million at
-/// the paper's 20 s), built on the streamed path too.
+/// 3.2 years). State sized per time slot stays small up to it at the
+/// paper's 20 s BE rotation: 5 million schedule entries.
 pub const MAX_DURATION_SECS: f64 = 1e8;
+
+/// The most entries a trace's BE rotation schedule may hold: one per
+/// rotation period over the span, plus one. The generator builds the
+/// whole schedule up front, on the streamed path too, so a rotation
+/// period far below `span / 1e7` would size it past what memory holds.
+/// The paper's 20 s rotation stays under the cap for every span up to
+/// [`MAX_DURATION_SECS`].
+pub const MAX_BE_ROTATIONS: f64 = 1e7;
 
 /// The most requests a materialised trace may hold, counted as the
 /// shape's nominal rate times the span. [`TraceConfig::generate`] keeps
@@ -209,6 +216,13 @@ pub enum TraceSizeError {
         /// The nominal rate, requests per second.
         rps: f64,
     },
+    /// `secs / rotation_secs` exceeds [`MAX_BE_ROTATIONS`].
+    TooManyRotations {
+        /// The span, seconds.
+        secs: f64,
+        /// The BE rotation period, seconds.
+        rotation_secs: f64,
+    },
 }
 
 impl std::fmt::Display for TraceSizeError {
@@ -226,6 +240,17 @@ impl std::fmt::Display for TraceSizeError {
                  (at {rps} rps, at most {:e} s)",
                 (rps * secs).round(),
                 (MAX_MATERIALISED_REQUESTS / rps).floor(),
+            ),
+            TraceSizeError::TooManyRotations {
+                secs,
+                rotation_secs,
+            } => write!(
+                f,
+                "is {rotation_secs:e} s, which over {secs:e} s is about {:e} BE rotations, \
+                 over the cap of {MAX_BE_ROTATIONS:e} a rotation schedule holds \
+                 (over {secs:e} s, more than {:e} s)",
+                (secs / rotation_secs).round(),
+                secs / MAX_BE_ROTATIONS,
             ),
         }
     }
@@ -257,6 +282,35 @@ pub fn check_trace_size(secs: f64, rps: f64) -> Result<(), TraceSizeError> {
         Err(TraceSizeError::TooLong { secs })
     } else if rps * secs > MAX_MATERIALISED_REQUESTS {
         Err(TraceSizeError::TooManyRequests { secs, rps })
+    } else {
+        Ok(())
+    }
+}
+
+/// Checks a trace's BE rotation schedule, one entry per `rotation_secs`
+/// over `secs`, against [`MAX_BE_ROTATIONS`] before the generator sizes
+/// it.
+///
+/// # Errors
+///
+/// [`TraceSizeError::TooManyRotations`] past the cap.
+///
+/// # Example
+///
+/// ```
+/// use protean_trace::{check_rotation_schedule, TraceSizeError};
+/// assert!(check_rotation_schedule(1e8, 20.0).is_ok());
+/// assert_eq!(
+///     check_rotation_schedule(1e5, 1e-6),
+///     Err(TraceSizeError::TooManyRotations { secs: 1e5, rotation_secs: 1e-6 })
+/// );
+/// ```
+pub fn check_rotation_schedule(secs: f64, rotation_secs: f64) -> Result<(), TraceSizeError> {
+    if secs / rotation_secs >= MAX_BE_ROTATIONS {
+        Err(TraceSizeError::TooManyRotations {
+            secs,
+            rotation_secs,
+        })
     } else {
         Ok(())
     }

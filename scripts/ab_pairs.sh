@@ -1,36 +1,82 @@
 #!/usr/bin/env bash
-# A/B wall-time comparison of two shell commands in alternating pairs.
+# A/B comparison of two shell commands in alternating pairs.
 #
-#   scripts/ab_pairs.sh [-n PAIRS] 'COMMAND A' 'COMMAND B'
+#   scripts/ab_pairs.sh [-n PAIRS] [-m METRIC[,METRIC...]] 'COMMAND A' 'COMMAND B'
 #
 # Runs A and B PAIRS times each (default 10), alternating which one goes
 # first in each pair so slow drift in host load hits both sides alike.
-# Every run's stdout must equal A's first stdout byte for byte; a
-# difference or a non-zero exit fails the script (exit 1). Prints the
-# wall time of every pair, each side's median and quartiles, how many
-# pairs each side won, and the host's core count (`nproc`).
+# A non-zero exit fails the script (exit 1). Prints every pair's values,
+# each side's median and quartiles, how many pairs each side won, and
+# the host's core count (`nproc`).
 #
-# Uses bash and coreutils only. Times are whole microseconds from
-# `date +%s%N`; quartiles interpolate linearly between order statistics.
+# Without -m, the value is the command's wall time (lower wins), and
+# every run's stdout must equal A's first stdout byte for byte.
+#
+# With -m, both commands are `perf` invocations (see perf/README.md) and
+# each METRIC's value is `metrics.METRIC.value` from the final JSON line
+# of the run's stdout. Every run must report `"correct": true`. Which
+# direction wins is the metric's `better` in BENCHMARK.json at the
+# repository root. For example, the end-to-end rows of one workload:
+#
+#   scripts/ab_pairs.sh -m req_per_s,setup_s,peak_rss_mb \
+#       'old/perf/target/release/perf --workload soak-256 --smoke' \
+#       'perf/target/release/perf --workload soak-256 --smoke'
+#
+# Uses bash, coreutils and awk. Values are held as integers (wall times
+# in whole microseconds from `date +%s%N`, metrics in billionths of their
+# unit); quartiles interpolate linearly between order statistics.
 set -euo pipefail
 
-pairs=10
-if [[ "${1:-}" == "-n" ]]; then
-    pairs="$2"
-    shift 2
-fi
-if [[ $# -ne 2 || ! "$pairs" =~ ^[1-9][0-9]*$ ]]; then
-    echo "usage: $0 [-n PAIRS] 'COMMAND A' 'COMMAND B'" >&2
+usage() {
+    echo "usage: $0 [-n PAIRS] [-m METRIC[,METRIC...]] 'COMMAND A' 'COMMAND B'" >&2
     exit 2
+}
+
+pairs=10
+metric_list=""
+while getopts "n:m:" opt; do
+    case "$opt" in
+    n) pairs="$OPTARG" ;;
+    m) metric_list="$OPTARG" ;;
+    *) usage ;;
+    esac
+done
+shift $((OPTIND - 1))
+if [[ $# -ne 2 || ! "$pairs" =~ ^[1-9][0-9]*$ ]]; then
+    usage
 fi
 cmd_a="$1"
 cmd_b="$2"
 
+# The values each run yields: `wall_s` (time mode) or the named metrics,
+# with the direction in which each one is better.
+declare -A better
+if [[ -z "$metric_list" ]]; then
+    metrics=(wall_s)
+    better[wall_s]=lower
+else
+    IFS=, read -r -a metrics <<<"$metric_list"
+    bench="$(dirname "$0")/../BENCHMARK.json"
+    for m in "${metrics[@]}"; do
+        if [[ ! "$m" =~ ^[a-z0-9_.]+$ ]]; then
+            echo "ab_pairs: bad metric name '$m'" >&2
+            exit 2
+        fi
+        better[$m]="$(sed -nE "s/.*\{\"name\": \"${m//./\\.}\",.*\"better\": \"(higher|lower)\".*/\1/p" "$bench")"
+        if [[ -z "${better[$m]}" ]]; then
+            echo "ab_pairs: metric '$m' is not declared in $bench" >&2
+            exit 2
+        fi
+    done
+fi
+
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# Runs command $1 with stdout to file $2; prints its wall time in µs.
-time_run() {
+# Runs command $1 with stdout to file $2; prints one integer per value
+# in `metrics`: the wall time in µs, or each metric in billionths of its
+# unit.
+run_one() {
     local start end
     start="$(date +%s%N)"
     if ! bash -c "$1" >"$2"; then
@@ -38,11 +84,31 @@ time_run() {
         exit 1
     fi
     end="$(date +%s%N)"
-    echo $(((end - start) / 1000))
+    if [[ -z "$metric_list" ]]; then
+        echo $(((end - start) / 1000))
+        return
+    fi
+    local last value m
+    last="$(tail -n 1 "$2")"
+    if [[ "$last" != *'"correct": true'* ]]; then
+        echo "ab_pairs: run did not report \"correct\": true: $1" >&2
+        echo "$last" >&2
+        exit 1
+    fi
+    for m in "${metrics[@]}"; do
+        value="$(sed -nE "s/.*\"${m//./\\.}\": \{\"value\": ([-+.0-9eE]+).*/\1/p" <<<"$last")"
+        if [[ -z "$value" ]]; then
+            echo "ab_pairs: no numeric metrics.$m.value in the final line of: $1" >&2
+            exit 1
+        fi
+        awk -v v="$value" 'BEGIN { printf "%.0f\n", v * 1e9 }'
+    done
 }
 
-# Fails unless file $1 equals the reference stdout.
+# Fails unless file $1 equals the reference stdout (time mode only: a
+# perf run's stdout carries its own timings).
 check_same() {
+    [[ -z "$metric_list" ]] || return 0
     if ! cmp -s "$tmp/ref" "$1"; then
         echo "ab_pairs: stdout differs from A's first run (pair $2, side $3):" >&2
         diff "$tmp/ref" "$1" | head -20 >&2 || true
@@ -50,12 +116,20 @@ check_same() {
     fi
 }
 
-# Formats µs as seconds with three decimals.
-secs() {
-    printf '%d.%03d' $(($1 / 1000000)) $((($1 / 1000) % 1000))
+# Formats an integer value: µs as seconds with three decimals, a
+# metric's billionths with trailing zeros dropped.
+show() {
+    if [[ -z "$metric_list" ]]; then
+        printf '%d.%03d' $(($1 / 1000000)) $((($1 / 1000) % 1000))
+    else
+        local frac
+        frac="$(printf '%09d' $(($1 % 1000000000)))"
+        frac="${frac%"${frac##*[!0]}"}"
+        printf '%d.%s' $(($1 / 1000000000)) "${frac:-0}"
+    fi
 }
 
-# Prints the k-th quartile (k = 1, 2, 3) of the µs values in $2..,
+# Prints the k-th quartile (k = 1, 2, 3) of the integer values in $2..,
 # which must be sorted ascending.
 quartile() {
     local k="$1"
@@ -73,49 +147,75 @@ quartile() {
 echo "host: nproc=$(nproc)"
 echo "A: $cmd_a"
 echo "B: $cmd_b"
-printf '%-6s %-6s %10s %10s  %s\n' pair first "A s" "B s" faster
-times_a=()
-times_b=()
-wins_a=0
-wins_b=0
+printf '%-6s %-6s %-14s %18s %18s  %s\n' pair first value A B better
+# Per value: each side's values (space-separated) and its wins.
+declare -A values_a values_b wins_a wins_b
+for m in "${metrics[@]}"; do
+    values_a[$m]=""
+    values_b[$m]=""
+    wins_a[$m]=0
+    wins_b[$m]=0
+done
 for ((i = 1; i <= pairs; i++)); do
     if ((i % 2 == 1)); then
         first=A
-        ta="$(time_run "$cmd_a" "$tmp/a")"
-        tb="$(time_run "$cmd_b" "$tmp/b")"
+        mapfile -t va < <(run_one "$cmd_a" "$tmp/a")
+        mapfile -t vb < <(run_one "$cmd_b" "$tmp/b")
     else
         first=B
-        tb="$(time_run "$cmd_b" "$tmp/b")"
-        ta="$(time_run "$cmd_a" "$tmp/a")"
+        mapfile -t vb < <(run_one "$cmd_b" "$tmp/b")
+        mapfile -t va < <(run_one "$cmd_a" "$tmp/a")
+    fi
+    # `mapfile` hides run_one's exit status; a failed run prints fewer
+    # values than asked for.
+    if ((${#va[@]} != ${#metrics[@]} || ${#vb[@]} != ${#metrics[@]})); then
+        exit 1
     fi
     [[ -e "$tmp/ref" ]] || cp "$tmp/a" "$tmp/ref"
     check_same "$tmp/a" "$i" A
     check_same "$tmp/b" "$i" B
-    times_a+=("$ta")
-    times_b+=("$tb")
-    if ((ta < tb)); then
-        faster=A
-        wins_a=$((wins_a + 1))
-    elif ((tb < ta)); then
-        faster=B
-        wins_b=$((wins_b + 1))
-    else
-        faster=tie
-    fi
-    printf '%-6s %-6s %10s %10s  %s\n' "$i" "$first" "$(secs "$ta")" "$(secs "$tb")" "$faster"
+    for j in "${!metrics[@]}"; do
+        m="${metrics[j]}"
+        a="${va[j]}"
+        b="${vb[j]}"
+        values_a[$m]+=" $a"
+        values_b[$m]+=" $b"
+        if [[ "${better[$m]}" == higher ]]; then
+            lead=$((a - b))
+        else
+            lead=$((b - a))
+        fi
+        if ((lead > 0)); then
+            winner=A
+            wins_a[$m]=$((wins_a[$m] + 1))
+        elif ((lead < 0)); then
+            winner=B
+            wins_b[$m]=$((wins_b[$m] + 1))
+        else
+            winner=tie
+        fi
+        printf '%-6s %-6s %-14s %18s %18s  %s\n' "$i" "$first" "$m" "$(show "$a")" "$(show "$b")" "$winner"
+    done
 done
 
+# Prints side $1's median and quartiles of the values in $2.
 summary() {
-    local name="$1"
-    shift
     local sorted
-    mapfile -t sorted < <(printf '%s\n' "$@" | sort -n)
-    printf '%s: median %s s (quartiles %s-%s s)\n' "$name" \
-        "$(secs "$(quartile 2 "${sorted[@]}")")" \
-        "$(secs "$(quartile 1 "${sorted[@]}")")" \
-        "$(secs "$(quartile 3 "${sorted[@]}")")"
+    # shellcheck disable=SC2086 # $2 is a space-separated list of integers
+    mapfile -t sorted < <(printf '%s\n' $2 | sort -n)
+    printf '  %s: median %s (quartiles %s-%s)\n' "$1" \
+        "$(show "$(quartile 2 "${sorted[@]}")")" \
+        "$(show "$(quartile 1 "${sorted[@]}")")" \
+        "$(show "$(quartile 3 "${sorted[@]}")")"
 }
-summary A "${times_a[@]}"
-summary B "${times_b[@]}"
-echo "A faster in $wins_a of $pairs pairs, B faster in $wins_b of $pairs"
-echo "stdout identical on every run"
+for m in "${metrics[@]}"; do
+    echo "$m (${better[$m]} is better):"
+    summary A "${values_a[$m]}"
+    summary B "${values_b[$m]}"
+    echo "  A better in ${wins_a[$m]} of $pairs pairs, B better in ${wins_b[$m]} of $pairs"
+done
+if [[ -z "$metric_list" ]]; then
+    echo "stdout identical on every run"
+else
+    echo "\"correct\": true on every run"
+fi

@@ -13,7 +13,8 @@
 //! counts.
 //! A third layer checks [`DispatchIndex::select`] and
 //! [`DispatchIndex::verify`] against the live state of a randomly
-//! mutated worker fleet.
+//! mutated worker fleet, including GPUs that flip between accepting
+//! and draining, and so between the index's two tiers.
 
 use proptest::prelude::*;
 use protean::ProteanBuilder;
@@ -213,6 +214,78 @@ proptest! {
         prop_assert!(problems.is_empty(), "{:?}", problems);
         // An index sized for a wider fleet is incoherent.
         prop_assert!(!DispatchIndex::new(workers + 1).verify(&fleet).is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Workers whose GPUs flip between accepting and draining while their
+    /// load changes, often within one refresh, move between the index's
+    /// two disjoint tiers. After every refresh `select` must equal
+    /// `reference_select`, and the routable queries must equal scans of
+    /// the live fleet.
+    #[test]
+    fn prop_draining_flips_match_reference_select(
+        workers in 1usize..=64,
+        ops in prop::collection::vec((0usize..64, 0u32..5, 1u64..6), 1..200),
+        caps in prop::collection::vec(1u64..12, 200),
+    ) {
+        let mut fleet: Vec<Worker> = (0..workers)
+            .map(|g| Worker::new(g, AlwaysLargest.build(g), SimTime::ZERO))
+            .collect();
+        let mut index = DispatchIndex::new(workers);
+        for w in &fleet {
+            index.refresh_worker(w);
+        }
+        for (step, (g, kind, amount)) in ops.into_iter().enumerate() {
+            let w = &mut fleet[g % workers];
+            let flip = |w: &mut Worker| {
+                if w.gpu.accepting() {
+                    w.gpu.request_reconfigure(Geometry::g3_g3()).expect("active GPU");
+                } else {
+                    w.gpu.cancel_reconfigure();
+                }
+            };
+            match kind {
+                0 => flip(w),
+                1 => w.outstanding += amount,
+                2 => w.outstanding = w.outstanding.saturating_sub(amount),
+                // A flip and a load change seen by one refresh.
+                3 => {
+                    flip(w);
+                    w.outstanding = (w.outstanding + amount) % 7;
+                }
+                _ => {
+                    w.status = if w.routable() {
+                        WorkerStatus::Evicting { evict_at: SimTime::ZERO }
+                    } else {
+                        WorkerStatus::Up
+                    };
+                }
+            }
+            index.refresh_worker(&fleet[g % workers]);
+            for cap in [None, Some(caps[step])] {
+                prop_assert_eq!(
+                    index.select(cap, &mut 0),
+                    reference_select(fleet.iter(), cap),
+                    "cap {:?} at step {}", cap, step
+                );
+            }
+            let routable = fleet.iter().filter(|w| w.routable());
+            prop_assert_eq!(
+                index.least_loaded_routable(),
+                routable.clone().min_by_key(|w| (w.outstanding, w.idx)).map(|w| w.idx)
+            );
+            prop_assert_eq!(index.routable_len(), routable.clone().count());
+            prop_assert_eq!(index.any_routable(), routable.clone().next().is_some());
+            prop_assert_eq!(
+                index.accepting_len(),
+                routable.filter(|w| w.gpu.accepting()).count()
+            );
+        }
+        let problems = index.verify(&fleet);
+        prop_assert!(problems.is_empty(), "{:?}", problems);
     }
 }
 
