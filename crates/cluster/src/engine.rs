@@ -666,7 +666,6 @@ mod tests {
         let critical_cold = |r: &SimulationResult| {
             r.metrics
                 .records()
-                .iter()
                 .filter(|rec| rec.breakdown.cold_start_ms > 0.0)
                 .count()
         };

@@ -40,7 +40,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use protean_gpu::{Completion, JobId, JobSpec};
-use protean_metrics::{LatencyBreakdown, MetricsSet, RequestRecord};
+use protean_metrics::record::Class;
+use protean_metrics::{BatchRecord, MetricsSet};
 use protean_models::{Catalog, ModelId};
 use protean_sim::{EventKey, RngFactory, SimRng, SimTime, TimeSeries};
 use protean_spot::{PricingTable, ProcurementPolicy, SpotOracle, VmId, VmLedger, VmTier};
@@ -276,6 +277,46 @@ fn new_metrics(config: &ClusterConfig) -> MetricsSet {
         MetricsSet::aggregate()
     } else {
         MetricsSet::new()
+    }
+}
+
+/// The arrivals of `requests` at or after `measure_from`, the ones a
+/// run records.
+fn measured(requests: &[Request], measure_from: SimTime) -> impl Iterator<Item = SimTime> + '_ {
+    requests
+        .iter()
+        .map(|r| r.arrival)
+        .filter(move |&arrival| arrival >= measure_from)
+}
+
+/// Hands out a materialised trace's requests in order and gives their
+/// memory back as it goes: once half the buffer has been read, the
+/// unread tail moves to the front and the buffer shrinks to fit. Each
+/// compaction moves no more requests than were read since the last, so
+/// a request costs amortised O(1).
+struct Draining {
+    buf: Vec<Request>,
+    read: usize,
+}
+
+impl Draining {
+    fn new(buf: Vec<Request>) -> Self {
+        Draining { buf, read: 0 }
+    }
+}
+
+impl Iterator for Draining {
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        let r = *self.buf.get(self.read)?;
+        self.read += 1;
+        if 2 * self.read >= self.buf.len() {
+            self.buf.drain(..self.read);
+            self.buf.shrink_to_fit();
+            self.read = 0;
+        }
+        Some(r)
     }
 }
 
@@ -639,30 +680,19 @@ impl<'a> EventLoop<'a> {
         let exec_ms = now.saturating_since(running.exec_start).as_millis_f64();
         let interference_ms = (exec_ms - running.solo_on_slice_ms).max(0.0);
         let deficiency_ms = (running.solo_on_slice_ms - running.solo_7g_ms).max(0.0);
-        let cold_ms = running.batch.cold_wait_ms;
         let measure_from = SimTime::ZERO + self.config.warmup;
-        for req in &running.batch.requests {
-            if req.arrival < measure_from {
-                continue;
-            }
-            let total_ms = now.saturating_since(req.arrival).as_millis_f64();
-            let queueing_ms =
-                (total_ms - cold_ms - interference_ms - deficiency_ms - running.solo_7g_ms)
-                    .max(0.0);
-            self.metrics.push(RequestRecord {
+        self.metrics.push_batch(
+            BatchRecord {
                 model: running.batch.model,
                 strict: running.batch.strict,
-                arrival: req.arrival,
                 completion: now,
-                breakdown: LatencyBreakdown {
-                    min_exec_ms: running.solo_7g_ms,
-                    deficiency_ms,
-                    interference_ms,
-                    queueing_ms,
-                    cold_start_ms: cold_ms,
-                },
-            });
-        }
+                min_exec_ms: running.solo_7g_ms,
+                deficiency_ms,
+                interference_ms,
+                cold_start_ms: running.batch.cold_wait_ms,
+            },
+            measured(&running.batch.requests, measure_from),
+        );
         // The timeline grows O(#strict batches); aggregate-metrics
         // runs trade it away for the flat-RSS guarantee.
         if running.batch.strict && !self.config.aggregate_metrics {
@@ -990,47 +1020,42 @@ impl<'a> EventLoop<'a> {
 
     // ---- teardown ---------------------------------------------------
 
+    /// Records every request still held at the cutoff as completing at
+    /// it, all of its latency queueing: each held batch is one row with a
+    /// zero shared breakdown, taken from the worker drains, then the
+    /// backlog, then the open accumulators.
     fn censor_remaining(&mut self) {
-        let now = self.now;
-        let mut leftovers: Vec<(ModelId, bool, Request)> = Vec::new();
-        for w in &mut self.workers {
-            for b in w.drain_all_batches() {
-                for r in b.requests {
-                    leftovers.push((b.model, b.strict, r));
-                }
-            }
-        }
-        for b in std::mem::take(&mut self.backlog) {
-            for r in b.requests {
-                leftovers.push((b.model, b.strict, r));
-            }
-        }
-        for acc in self.accumulators.values_mut() {
-            for r in acc.drain() {
-                leftovers.push((r.model, r.strict, r));
-            }
-        }
         // Censored records go into their own set, absorbed last, so an
         // aggregate run's latency sums fold in a fixed order.
         let mut censored = new_metrics(self.config);
+        let now = self.now;
         let measure_from = SimTime::ZERO + self.config.warmup;
-        for (model, strict, r) in leftovers {
-            if r.arrival < measure_from {
-                continue;
-            }
-            self.censored += 1;
-            let total_ms = now.saturating_since(r.arrival).as_millis_f64();
-            censored.push(RequestRecord {
-                model,
-                strict,
-                arrival: r.arrival,
-                completion: now,
-                breakdown: LatencyBreakdown {
-                    queueing_ms: total_ms,
-                    ..LatencyBreakdown::default()
+        let mut censor = |model, strict, requests: &[Request]| {
+            censored.push_batch(
+                BatchRecord {
+                    model,
+                    strict,
+                    completion: now,
+                    min_exec_ms: 0.0,
+                    deficiency_ms: 0.0,
+                    interference_ms: 0.0,
+                    cold_start_ms: 0.0,
                 },
-            });
+                measured(requests, measure_from),
+            );
+        };
+        for w in &mut self.workers {
+            for b in w.drain_all_batches() {
+                censor(b.model, b.strict, &b.requests);
+            }
         }
+        for b in std::mem::take(&mut self.backlog) {
+            censor(b.model, b.strict, &b.requests);
+        }
+        for (&(model, strict), acc) in &mut self.accumulators {
+            censor(model, strict, &acc.drain());
+        }
+        self.censored = censored.count(Class::All) as u64;
         self.metrics.absorb(censored);
     }
 
@@ -1043,7 +1068,7 @@ impl<'a> EventLoop<'a> {
                 // re-growing the record store mid-measurement.
                 self.metrics.reserve(requests.len() + 1);
                 self.prewarm_fleet(requests.iter().map(|r| r.model), usize::MAX);
-                self.run_arrivals(requests.into_iter(), duration);
+                self.run_arrivals(Draining::new(requests), duration);
             }
             Source::Streaming(arrivals, prewarm_scan) => {
                 let duration = arrivals.duration();
@@ -1205,6 +1230,26 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn draining_hands_out_every_request_in_order_and_frees_as_it_reads() {
+        let requests: Vec<Request> = (0..1000).map(|i| strict_resnet(i, i as f64)).collect();
+        let mut draining = Draining::new(requests.clone());
+        let mut out = Vec::new();
+        let mut capacities = vec![draining.buf.capacity()];
+        while let Some(r) = draining.next() {
+            out.push(r);
+            capacities.push(draining.buf.capacity());
+        }
+        assert_eq!(out, requests);
+        assert!(capacities.windows(2).all(|w| w[1] <= w[0]), "capacity grew");
+        // Half read: the buffer holds no more than the unread half.
+        assert!(capacities[500] <= 500, "{}", capacities[500]);
+        assert_eq!(draining.buf.capacity(), 0);
+        // Each compaction halves the buffer: O(log n) reallocations.
+        let compactions = capacities.windows(2).filter(|w| w[1] < w[0]).count();
+        assert!(compactions <= 11, "{compactions} compactions");
     }
 
     #[test]

@@ -31,5 +31,5 @@
 pub mod record;
 pub mod stats;
 
-pub use record::{LatencyBreakdown, MetricsSet, RequestRecord, Summary};
+pub use record::{BatchRecord, LatencyBreakdown, MetricsSet, RequestRecord, Summary};
 pub use stats::{cohens_d, mean_ci95, percentile, welch_t_test, SortedLatencies, TTestResult};

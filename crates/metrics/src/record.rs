@@ -62,15 +62,106 @@ impl RequestRecord {
     }
 }
 
+/// What a completed batch's requests share: every field of their
+/// [`RequestRecord`]s but the arrival and the queueing, which
+/// [`MetricsSet::push_batch`] derives per request.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BatchRecord {
+    /// The model the batch invoked.
+    pub model: ModelId,
+    /// Whether the batch's requests carried a strict SLO.
+    pub strict: bool,
+    /// Completion of the batch.
+    pub completion: SimTime,
+    /// Solo execution on `7g`, ms.
+    pub min_exec_ms: f64,
+    /// Extra solo time from the slice's reduced resources, ms.
+    pub deficiency_ms: f64,
+    /// Extra time from MPS co-location, ms.
+    pub interference_ms: f64,
+    /// Container cold-start on the critical path, ms.
+    pub cold_start_ms: f64,
+}
+
+/// One stored batch in full mode: its [`BatchRecord`] fields plus how
+/// many of the set's [`Entry`]s, in order, are its requests. Flat rather
+/// than wrapping a `BatchRecord`, so the count sits in what would be
+/// padding and a row stays at 48 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    completion: SimTime,
+    min_exec_ms: f64,
+    deficiency_ms: f64,
+    interference_ms: f64,
+    cold_start_ms: f64,
+    requests: u32,
+    model: ModelId,
+    strict: bool,
+}
+
+/// One stored request in full mode: what its batch's [`Row`] does not
+/// hold.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    arrival: SimTime,
+    queueing_ms: f64,
+}
+
+impl Row {
+    fn new(b: BatchRecord, requests: usize) -> Self {
+        Row {
+            completion: b.completion,
+            min_exec_ms: b.min_exec_ms,
+            deficiency_ms: b.deficiency_ms,
+            interference_ms: b.interference_ms,
+            cold_start_ms: b.cold_start_ms,
+            requests: u32::try_from(requests).expect("a batch holds under 2^32 requests"),
+            model: b.model,
+            strict: b.strict,
+        }
+    }
+
+    fn in_class(&self, class: Class) -> bool {
+        match class {
+            Class::Strict => self.strict,
+            Class::BestEffort => !self.strict,
+            Class::All => true,
+        }
+    }
+
+    fn latency(&self, e: &Entry) -> SimDuration {
+        self.completion.saturating_since(e.arrival)
+    }
+
+    fn record(&self, e: &Entry) -> RequestRecord {
+        RequestRecord {
+            model: self.model,
+            strict: self.strict,
+            arrival: e.arrival,
+            completion: self.completion,
+            breakdown: LatencyBreakdown {
+                min_exec_ms: self.min_exec_ms,
+                deficiency_ms: self.deficiency_ms,
+                interference_ms: self.interference_ms,
+                queueing_ms: e.queueing_ms,
+                cold_start_ms: self.cold_start_ms,
+            },
+        }
+    }
+}
+
 /// A growing collection of request records with the aggregations used by
 /// every experiment.
 ///
 /// Two storage modes:
 ///
-/// * **Full** (the default): every [`RequestRecord`] is retained, all
-///   aggregations are exact. Memory is O(requests) — at 48 bytes per
-///   record a billion-request soak would need ~45 GB, so fleet-scale
-///   endurance runs cannot use it.
+/// * **Full** (the default): every record is retained, all
+///   aggregations are exact. A completed batch is stored once, as a
+///   48-byte row of what its requests share, and each request as a
+///   16-byte entry (arrival and queueing), so memory is 16 bytes per
+///   request plus 48 per batch; [`MetricsSet::records`] rebuilds the
+///   [`RequestRecord`]s. A billion-request soak would still need
+///   ~16 GB, so fleet-scale endurance runs cannot use it.
 /// * **Aggregate** ([`MetricsSet::aggregate`]): per-class log-spaced
 ///   latency histograms plus counts/means — O(1) memory regardless of
 ///   request count. Quantiles are approximate to the bucket ratio
@@ -82,7 +173,8 @@ impl RequestRecord {
 ///   which prove flat RSS over ≥10⁹ requests.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSet {
-    records: Vec<RequestRecord>,
+    rows: Vec<Row>,
+    entries: Vec<Entry>,
     aggregate: Option<AggregateStore>,
 }
 
@@ -113,9 +205,8 @@ impl AggregateStore {
         self.be.merge_from(&other.be);
     }
 
-    fn push(&mut self, record: &RequestRecord) {
-        let ms = record.latency().as_millis_f64();
-        if record.strict {
+    fn push(&mut self, strict: bool, ms: f64) {
+        if strict {
             self.strict.push(ms);
         } else {
             self.be.push(ms);
@@ -250,17 +341,66 @@ impl MetricsSet {
     /// See the type docs for what degrades.
     pub fn aggregate() -> Self {
         MetricsSet {
-            records: Vec::new(),
             aggregate: Some(AggregateStore::new()),
+            ..MetricsSet::default()
         }
     }
 
-    /// Records a completed request.
+    /// Records a completed request (in full mode, as a batch of one).
     pub fn push(&mut self, record: RequestRecord) {
         if let Some(agg) = &mut self.aggregate {
-            agg.push(&record);
-        } else {
-            self.records.push(record);
+            agg.push(record.strict, record.latency().as_millis_f64());
+            return;
+        }
+        let b = record.breakdown;
+        self.rows.push(Row::new(
+            BatchRecord {
+                model: record.model,
+                strict: record.strict,
+                completion: record.completion,
+                min_exec_ms: b.min_exec_ms,
+                deficiency_ms: b.deficiency_ms,
+                interference_ms: b.interference_ms,
+                cold_start_ms: b.cold_start_ms,
+            },
+            1,
+        ));
+        self.entries.push(Entry {
+            arrival: record.arrival,
+            queueing_ms: b.queueing_ms,
+        });
+    }
+
+    /// Records a completed batch: one request per arrival, in order, each
+    /// sharing `batch`'s fields. A request's queueing is what its
+    /// latency leaves once the batch's other components are taken out,
+    /// floored at zero. A batch with no arrivals stores nothing; aggregate
+    /// mode pushes each request's latency into its class histogram.
+    pub fn push_batch(&mut self, batch: BatchRecord, arrivals: impl IntoIterator<Item = SimTime>) {
+        if let Some(agg) = &mut self.aggregate {
+            for arrival in arrivals {
+                let ms = batch.completion.saturating_since(arrival).as_millis_f64();
+                agg.push(batch.strict, ms);
+            }
+            return;
+        }
+        let start = self.entries.len();
+        self.entries.extend(arrivals.into_iter().map(|arrival| {
+            let total_ms = batch.completion.saturating_since(arrival).as_millis_f64();
+            let queueing_ms = (total_ms
+                - batch.cold_start_ms
+                - batch.interference_ms
+                - batch.deficiency_ms
+                - batch.min_exec_ms)
+                .max(0.0);
+            Entry {
+                arrival,
+                queueing_ms,
+            }
+        }));
+        let requests = self.entries.len() - start;
+        if requests > 0 {
+            self.rows.push(Row::new(batch, requests));
         }
     }
 
@@ -275,25 +415,40 @@ impl MetricsSet {
     /// Panics if the storage modes differ.
     pub fn absorb(&mut self, other: MetricsSet) {
         match (&mut self.aggregate, &other.aggregate) {
-            (None, None) => self.records.extend(other.records),
+            (None, None) => {
+                self.rows.extend(other.rows);
+                self.entries.extend(other.entries);
+            }
             (Some(mine), Some(theirs)) => mine.merge_from(theirs),
             _ => panic!("cannot absorb a MetricsSet of a different storage mode"),
         }
     }
 
-    /// Pre-sizes the record store for `additional` more requests.
+    /// Pre-sizes the request entries for `additional` more requests.
     /// Million-request fleet benchmarks otherwise spend measurable time
-    /// re-growing (and re-copying) a multi-hundred-megabyte vector.
-    /// No-op in aggregate mode, whose footprint is fixed.
+    /// re-growing (and re-copying) a vector of tens of megabytes. Batch
+    /// rows grow as batches complete. No-op in aggregate mode, whose
+    /// footprint is fixed.
     pub fn reserve(&mut self, additional: usize) {
         if self.aggregate.is_none() {
-            self.records.reserve(additional);
+            self.entries.reserve(additional);
         }
     }
 
-    /// All records in completion order (empty in aggregate mode).
-    pub fn records(&self) -> &[RequestRecord] {
-        &self.records
+    /// Each stored batch with its requests' entries, in push order.
+    fn batches(&self) -> impl Iterator<Item = (&Row, &[Entry])> {
+        self.rows.iter().scan(0, |start: &mut usize, row| {
+            let from = *start;
+            *start += row.requests as usize;
+            Some((row, &self.entries[from..*start]))
+        })
+    }
+
+    /// All records in completion order, rebuilt from the stored batches
+    /// (empty in aggregate mode).
+    pub fn records(&self) -> impl Iterator<Item = RequestRecord> + '_ {
+        self.batches()
+            .flat_map(|(row, entries)| entries.iter().map(move |e| row.record(e)))
     }
 
     /// Number of records in `class` (exact in both modes).
@@ -301,7 +456,11 @@ impl MetricsSet {
         if let Some(agg) = &self.aggregate {
             return agg.count(class) as usize;
         }
-        self.iter_class(class).count()
+        self.rows
+            .iter()
+            .filter(|row| row.in_class(class))
+            .map(|row| row.requests as usize)
+            .sum()
     }
 
     /// Mean latency (ms) for `class`; `None` if empty. Exact in both
@@ -314,18 +473,15 @@ impl MetricsSet {
         (!lats.is_empty()).then(|| lats.iter().sum::<f64>() / lats.len() as f64)
     }
 
-    fn iter_class(&self, class: Class) -> impl Iterator<Item = &RequestRecord> {
-        self.records.iter().filter(move |r| match class {
-            Class::Strict => r.strict,
-            Class::BestEffort => !r.strict,
-            Class::All => true,
-        })
+    /// The stored batches of `class` with their requests' entries.
+    fn batches_of(&self, class: Class) -> impl Iterator<Item = (&Row, &[Entry])> {
+        self.batches().filter(move |(row, _)| row.in_class(class))
     }
 
     /// Latencies in milliseconds for `class`, unsorted.
     pub fn latencies_ms(&self, class: Class) -> Vec<f64> {
-        self.iter_class(class)
-            .map(|r| r.latency().as_millis_f64())
+        self.batches_of(class)
+            .flat_map(|(row, entries)| entries.iter().map(|e| row.latency(e).as_millis_f64()))
             .collect()
     }
 
@@ -335,11 +491,10 @@ impl MetricsSet {
     pub fn slo_compliance(&self, slo: &dyn Fn(ModelId) -> SimDuration) -> f64 {
         let mut total = 0usize;
         let mut met = 0usize;
-        for r in self.iter_class(Class::Strict) {
-            total += 1;
-            if r.latency() <= slo(r.model) {
-                met += 1;
-            }
+        for (row, entries) in self.batches_of(Class::Strict) {
+            let slo = slo(row.model);
+            total += entries.len();
+            met += entries.iter().filter(|e| row.latency(e) <= slo).count();
         }
         if total == 0 {
             1.0
@@ -388,22 +543,25 @@ impl MetricsSet {
         q: f64,
     ) -> Option<LatencyBreakdown> {
         let cut = sorted.percentile(q)?;
-        let tail: Vec<&RequestRecord> = self
-            .iter_class(class)
-            .filter(|r| r.latency().as_millis_f64() >= cut)
-            .collect();
-        if tail.is_empty() {
+        let mut tail = 0usize;
+        let mut b = LatencyBreakdown::default();
+        for (row, entries) in self.batches_of(class) {
+            for e in entries {
+                if row.latency(e).as_millis_f64() < cut {
+                    continue;
+                }
+                tail += 1;
+                b.min_exec_ms += row.min_exec_ms;
+                b.deficiency_ms += row.deficiency_ms;
+                b.interference_ms += row.interference_ms;
+                b.queueing_ms += e.queueing_ms;
+                b.cold_start_ms += row.cold_start_ms;
+            }
+        }
+        if tail == 0 {
             return None;
         }
-        let n = tail.len() as f64;
-        let mut b = LatencyBreakdown::default();
-        for r in tail {
-            b.min_exec_ms += r.breakdown.min_exec_ms;
-            b.deficiency_ms += r.breakdown.deficiency_ms;
-            b.interference_ms += r.breakdown.interference_ms;
-            b.queueing_ms += r.breakdown.queueing_ms;
-            b.cold_start_ms += r.breakdown.cold_start_ms;
-        }
+        let n = tail as f64;
         b.min_exec_ms /= n;
         b.deficiency_ms /= n;
         b.interference_ms /= n;
@@ -474,14 +632,13 @@ impl MetricsSet {
     ) -> Vec<(ModelId, Summary)> {
         let mut out = Vec::new();
         for model in ModelId::ALL {
-            let subset: Vec<&RequestRecord> =
-                self.records.iter().filter(|r| r.model == model).collect();
-            if subset.is_empty() {
-                continue;
-            }
             let mut m = MetricsSet::new();
-            for r in subset {
-                m.push(*r);
+            for (row, entries) in self.batches().filter(|(row, _)| row.model == model) {
+                m.rows.push(*row);
+                m.entries.extend_from_slice(entries);
+            }
+            if m.rows.is_empty() {
+                continue;
             }
             out.push((model, m.summary(slo)));
         }
@@ -511,6 +668,8 @@ pub struct Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use protean_sim::{RngFactory, SimRng};
 
     fn rec(strict: bool, lat_ms: f64) -> RequestRecord {
         RequestRecord {
@@ -648,7 +807,7 @@ mod tests {
         assert_eq!(m.count(Class::Strict), 500);
         assert_eq!(m.count(Class::BestEffort), 500);
         // Per-record views see an empty store.
-        assert!(m.records().is_empty());
+        assert!(m.records().next().is_none());
         assert!(m.latencies_ms(Class::All).is_empty());
     }
 
@@ -745,6 +904,328 @@ mod tests {
     fn absorb_rejects_mode_mismatch() {
         let mut a = MetricsSet::new();
         a.absorb(MetricsSet::aggregate());
+    }
+
+    #[test]
+    fn stored_sizes_are_pinned() {
+        assert_eq!(std::mem::size_of::<Row>(), 48);
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
+        assert_eq!(std::mem::size_of::<RequestRecord>(), 64);
+    }
+
+    /// The per-record implementation `MetricsSet` had before it stored
+    /// batches, kept as the reference its aggregations must equal.
+    struct Reference(Vec<RequestRecord>);
+
+    impl Reference {
+        fn of(&self, class: Class) -> impl Iterator<Item = &RequestRecord> {
+            self.0.iter().filter(move |r| match class {
+                Class::Strict => r.strict,
+                Class::BestEffort => !r.strict,
+                Class::All => true,
+            })
+        }
+
+        fn sorted(&self, class: Class) -> SortedLatencies {
+            SortedLatencies::from_unsorted(
+                self.of(class)
+                    .map(|r| r.latency().as_millis_f64())
+                    .collect(),
+            )
+        }
+
+        fn tail_breakdown(&self, class: Class, q: f64) -> Option<LatencyBreakdown> {
+            let cut = self.sorted(class).percentile(q)?;
+            let tail: Vec<&RequestRecord> = self
+                .of(class)
+                .filter(|r| r.latency().as_millis_f64() >= cut)
+                .collect();
+            if tail.is_empty() {
+                return None;
+            }
+            let n = tail.len() as f64;
+            let mut b = LatencyBreakdown::default();
+            for r in tail {
+                b.min_exec_ms += r.breakdown.min_exec_ms;
+                b.deficiency_ms += r.breakdown.deficiency_ms;
+                b.interference_ms += r.breakdown.interference_ms;
+                b.queueing_ms += r.breakdown.queueing_ms;
+                b.cold_start_ms += r.breakdown.cold_start_ms;
+            }
+            b.min_exec_ms /= n;
+            b.deficiency_ms /= n;
+            b.interference_ms /= n;
+            b.queueing_ms /= n;
+            b.cold_start_ms /= n;
+            Some(b)
+        }
+
+        fn summary(&self, slo: &dyn Fn(ModelId) -> SimDuration) -> Summary {
+            let strict = self.sorted(Class::Strict);
+            let be = self.sorted(Class::BestEffort);
+            let total_strict = self.of(Class::Strict).count();
+            let met = self
+                .of(Class::Strict)
+                .filter(|r| r.latency() <= slo(r.model))
+                .count();
+            Summary {
+                total: self.0.len(),
+                strict: total_strict,
+                slo_compliance: if total_strict == 0 {
+                    1.0
+                } else {
+                    met as f64 / total_strict as f64
+                },
+                strict_p50_ms: strict.p50().unwrap_or(0.0),
+                strict_p99_ms: strict.p99().unwrap_or(0.0),
+                be_p50_ms: be.p50().unwrap_or(0.0),
+                be_p99_ms: be.p99().unwrap_or(0.0),
+            }
+        }
+
+        fn per_model(&self, slo: &dyn Fn(ModelId) -> SimDuration) -> Vec<(ModelId, Summary)> {
+            ModelId::ALL
+                .into_iter()
+                .filter_map(|model| {
+                    let subset: Vec<RequestRecord> = self
+                        .0
+                        .iter()
+                        .filter(|r| r.model == model)
+                        .copied()
+                        .collect();
+                    (!subset.is_empty()).then(|| (model, Reference(subset).summary(slo)))
+                })
+                .collect()
+        }
+    }
+
+    fn bits(r: &RequestRecord) -> [u64; 9] {
+        let b = &r.breakdown;
+        [
+            r.model as u64,
+            u64::from(r.strict),
+            r.arrival.as_micros(),
+            r.completion.as_micros(),
+            b.min_exec_ms.to_bits(),
+            b.deficiency_ms.to_bits(),
+            b.interference_ms.to_bits(),
+            b.queueing_ms.to_bits(),
+            b.cold_start_ms.to_bits(),
+        ]
+    }
+
+    fn summary_bits(s: &Summary) -> [u64; 7] {
+        [
+            s.total as u64,
+            s.strict as u64,
+            s.slo_compliance.to_bits(),
+            s.strict_p50_ms.to_bits(),
+            s.strict_p99_ms.to_bits(),
+            s.be_p50_ms.to_bits(),
+            s.be_p99_ms.to_bits(),
+        ]
+    }
+
+    fn breakdown_bits(b: Option<LatencyBreakdown>) -> Option<[u64; 5]> {
+        b.map(|b| {
+            [
+                b.min_exec_ms.to_bits(),
+                b.deficiency_ms.to_bits(),
+                b.interference_ms.to_bits(),
+                b.queueing_ms.to_bits(),
+                b.cold_start_ms.to_bits(),
+            ]
+        })
+    }
+
+    /// A random single record, model drawn from the first three.
+    fn random_record(rng: &mut SimRng) -> RequestRecord {
+        let arrival = SimTime::from_millis(rng.uniform_range(0.0, 500.0));
+        RequestRecord {
+            model: ModelId::ALL[rng.index(3)],
+            strict: rng.chance(0.5),
+            arrival,
+            completion: arrival + SimDuration::from_millis(rng.uniform_range(0.0, 400.0)),
+            breakdown: LatencyBreakdown {
+                min_exec_ms: rng.uniform_range(0.0, 50.0),
+                deficiency_ms: rng.uniform_range(0.0, 20.0),
+                interference_ms: rng.uniform_range(0.0, 20.0),
+                queueing_ms: rng.uniform_range(0.0, 300.0),
+                cold_start_ms: if rng.chance(0.2) { 80.0 } else { 0.0 },
+            },
+        }
+    }
+
+    /// A random batch of up to six requests: its shared fields, its
+    /// measured arrivals and the records the per-request store built for
+    /// them. Arrivals before 100 ms are pre-warmup and skipped, so some
+    /// batches record nothing.
+    fn random_batch(rng: &mut SimRng) -> (BatchRecord, Vec<SimTime>, Vec<RequestRecord>) {
+        let completion = SimTime::from_millis(rng.uniform_range(100.0, 600.0));
+        let batch = BatchRecord {
+            model: ModelId::ALL[rng.index(3)],
+            strict: rng.chance(0.5),
+            completion,
+            min_exec_ms: rng.uniform_range(0.0, 50.0),
+            deficiency_ms: rng.uniform_range(0.0, 20.0),
+            interference_ms: rng.uniform_range(0.0, 20.0),
+            cold_start_ms: if rng.chance(0.2) { 80.0 } else { 0.0 },
+        };
+        let measure_from = SimTime::from_millis(100.0);
+        let arrivals: Vec<SimTime> = (0..rng.index(7))
+            .map(|_| {
+                SimTime::from_millis(rng.uniform_range(0.0, 1000.0 * completion.as_secs_f64()))
+            })
+            .collect();
+        let measured: Vec<SimTime> = arrivals
+            .into_iter()
+            .filter(|&a| a >= measure_from)
+            .collect();
+        let mut records = Vec::new();
+        for &arrival in &measured {
+            let total_ms = completion.saturating_since(arrival).as_millis_f64();
+            let queueing_ms = (total_ms
+                - batch.cold_start_ms
+                - batch.interference_ms
+                - batch.deficiency_ms
+                - batch.min_exec_ms)
+                .max(0.0);
+            records.push(RequestRecord {
+                model: batch.model,
+                strict: batch.strict,
+                arrival,
+                completion,
+                breakdown: LatencyBreakdown {
+                    min_exec_ms: batch.min_exec_ms,
+                    deficiency_ms: batch.deficiency_ms,
+                    interference_ms: batch.interference_ms,
+                    queueing_ms,
+                    cold_start_ms: batch.cold_start_ms,
+                },
+            });
+        }
+        (batch, measured, records)
+    }
+
+    /// Feeds `ops` random pushes, batches and absorbs into a full set and
+    /// a reference record vector.
+    fn random_set(seed: u64, ops: usize) -> (MetricsSet, Vec<RequestRecord>) {
+        let mut rng = RngFactory::new(seed).stream("metrics.prop");
+        let mut set = MetricsSet::new();
+        let mut reference = Vec::new();
+        for _ in 0..ops {
+            match rng.index(3) {
+                0 => {
+                    let r = random_record(&mut rng);
+                    set.push(r);
+                    reference.push(r);
+                }
+                1 => {
+                    let (batch, arrivals, records) = random_batch(&mut rng);
+                    set.push_batch(batch, arrivals);
+                    reference.extend(records);
+                }
+                _ => {
+                    let mut other = MetricsSet::new();
+                    for _ in 0..rng.index(4) {
+                        if rng.chance(0.5) {
+                            let r = random_record(&mut rng);
+                            other.push(r);
+                            reference.push(r);
+                        } else {
+                            let (batch, arrivals, records) = random_batch(&mut rng);
+                            other.push_batch(batch, arrivals);
+                            reference.extend(records);
+                        }
+                    }
+                    set.absorb(other);
+                }
+            }
+        }
+        (set, reference)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Batch rows rebuild exactly the records a per-request store
+        /// would hold, and every aggregation over them is bit-equal.
+        #[test]
+        fn prop_batch_rows_match_per_request_records(seed in 0u64..1_000_000, ops in 0usize..40) {
+            let (set, reference) = random_set(seed, ops);
+            let got: Vec<[u64; 9]> = set.records().map(|r| bits(&r)).collect();
+            let want: Vec<[u64; 9]> = reference.iter().map(bits).collect();
+            prop_assert_eq!(got, want);
+            let reference = Reference(reference);
+            let slo = |m: ModelId| SimDuration::from_millis(100.0 + 50.0 * m as usize as f64);
+            for class in [Class::Strict, Class::BestEffort, Class::All] {
+                prop_assert_eq!(set.count(class), reference.of(class).count());
+                let want = reference.sorted(class);
+                for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+                    prop_assert_eq!(
+                        set.latency_percentile_ms(class, q).map(f64::to_bits),
+                        want.percentile(q).map(f64::to_bits)
+                    );
+                    prop_assert_eq!(
+                        breakdown_bits(set.tail_breakdown(class, q)),
+                        breakdown_bits(reference.tail_breakdown(class, q))
+                    );
+                }
+                let lats = set.latencies_ms(class);
+                let want_lats: Vec<f64> =
+                    reference.of(class).map(|r| r.latency().as_millis_f64()).collect();
+                prop_assert_eq!(
+                    lats.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    want_lats.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(
+                    set.latency_mean_ms(class).map(f64::to_bits),
+                    (!want_lats.is_empty())
+                        .then(|| (want_lats.iter().sum::<f64>() / want_lats.len() as f64).to_bits())
+                );
+            }
+            prop_assert_eq!(summary_bits(&set.summary(&slo)), summary_bits(&reference.summary(&slo)));
+            let per_model: Vec<(ModelId, [u64; 7])> = set
+                .per_model_summaries(&slo)
+                .iter()
+                .map(|(m, s)| (*m, summary_bits(s)))
+                .collect();
+            let want: Vec<(ModelId, [u64; 7])> = reference
+                .per_model(&slo)
+                .iter()
+                .map(|(m, s)| (*m, summary_bits(s)))
+                .collect();
+            prop_assert_eq!(per_model, want);
+        }
+
+        /// In aggregate mode a batch pushes each request's latency as a
+        /// per-request push would, in the same order.
+        #[test]
+        fn prop_aggregate_batches_match_per_request_pushes(seed in 0u64..1_000_000, ops in 0usize..40) {
+            let mut rng = RngFactory::new(seed).stream("metrics.prop");
+            let mut direct = MetricsSet::aggregate();
+            let mut via_batches = MetricsSet::aggregate();
+            for _ in 0..ops {
+                let (batch, arrivals, records) = random_batch(&mut rng);
+                via_batches.push_batch(batch, arrivals);
+                for r in records {
+                    direct.push(r);
+                }
+            }
+            prop_assert!(via_batches.records().next().is_none());
+            for class in [Class::Strict, Class::BestEffort, Class::All] {
+                prop_assert_eq!(via_batches.count(class), direct.count(class));
+                prop_assert_eq!(
+                    via_batches.latency_mean_ms(class).map(f64::to_bits),
+                    direct.latency_mean_ms(class).map(f64::to_bits)
+                );
+                for q in [0.0, 0.5, 0.99, 1.0] {
+                    prop_assert_eq!(
+                        via_batches.latency_percentile_ms(class, q).map(f64::to_bits),
+                        direct.latency_percentile_ms(class, q).map(f64::to_bits)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::io::{BufRead, Write};
 use protean_models::ModelId;
 use protean_sim::{SimDuration, SimTime};
 
-use crate::{Request, RequestId, Trace};
+use crate::{Request, RequestId, Trace, MAX_DURATION_SECS};
 
 /// Error produced while reading a trace file.
 #[derive(Debug)]
@@ -123,7 +123,9 @@ impl Trace {
     /// # Errors
     ///
     /// Returns [`ReadTraceError`] on I/O failure, a bad header, an
-    /// unknown model slug, a malformed field, or out-of-order arrivals.
+    /// unknown model slug, a malformed field, out-of-order arrivals, or
+    /// an arrival past [`MAX_DURATION_SECS`], the cap `--duration` puts
+    /// on a generated trace's span.
     pub fn read_csv<R: BufRead>(r: R) -> Result<Trace, ReadTraceError> {
         let mut lines = r.lines();
         let header = lines.next().ok_or_else(|| ReadTraceError::Parse {
@@ -155,6 +157,11 @@ impl Trace {
                 .trim()
                 .parse()
                 .map_err(|_| parse("arrival_us is not an integer".into()))?;
+            if arrival_us as f64 > MAX_DURATION_SECS * 1e6 {
+                return Err(parse(format!(
+                    "arrival_us {arrival_us} is past the cap of {MAX_DURATION_SECS:e} s on a trace's span"
+                )));
+            }
             let slug = fields
                 .next()
                 .ok_or_else(|| parse("missing model".into()))?
@@ -261,6 +268,30 @@ mod tests {
         let csv = format!("{CSV_HEADER}\n200,resnet50,1\n100,resnet50,0\n");
         let err = Trace::read_csv(csv.as_bytes()).unwrap_err();
         assert!(matches!(err, ReadTraceError::Parse { line: 3, .. }));
+    }
+
+    #[test]
+    fn arrivals_past_the_span_cap_are_rejected() {
+        // `u64::MAX` µs: past the clock's range, so the inferred duration
+        // would overflow.
+        let csv = format!("{CSV_HEADER}\n18446744073709551615,resnet50,1\n");
+        let err = Trace::read_csv(csv.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, ReadTraceError::Parse { line: 2, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("cap"), "{err}");
+        // 5e8 s: representable, but a span `--duration` rejects.
+        let csv = format!("{CSV_HEADER}\n100,resnet50,1\n500000000000000,mobilenet,0\n");
+        let err = Trace::read_csv(csv.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, ReadTraceError::Parse { line: 3, .. }),
+            "{err}"
+        );
+        // The cap itself is accepted.
+        let csv = format!("{CSV_HEADER}\n100000000000000,resnet50,1\n");
+        let t = Trace::read_csv(csv.as_bytes()).unwrap();
+        assert_eq!(t.duration(), SimDuration::from_secs(MAX_DURATION_SECS));
     }
 
     #[test]
