@@ -1,0 +1,69 @@
+//! `protean-cli scenario run` on scenario files it must refuse: the
+//! process exits with status 2, a rejected file names the offending
+//! line, and a run that misses its `[expect]` says which expectation
+//! failed. None of them may panic.
+
+use std::process::Command;
+
+/// Runs `scenario run --smoke true` over a directory holding one file
+/// with `toml`; returns the exit code and stderr.
+fn scenario_run(name: &str, toml: &str) -> (Option<i32>, String) {
+    let dir = std::env::temp_dir().join(format!(
+        "protean_cli_scenario_{}_{name}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(format!("{name}.toml")), toml).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_protean-cli"))
+        .args(["scenario", "run", "--smoke", "true", "--dir"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn out_of_range_values_are_rejected_with_their_line() {
+    let cases = [
+        // Past `u64::MAX`: read exactly, not rounded through `f64`.
+        (
+            "seed_overflow",
+            "name = \"x\"\n[fleet]\nseed = 18446744073709551616\n",
+            3,
+            "'seed' must be",
+        ),
+        // Rounds to a zero-microsecond pulse period.
+        (
+            "pulse_period",
+            "name = \"x\"\n[trace]\nkind = \"pulse\"\nrps = 10\nduration_secs = 20\npulse_period_secs = 0.0000001\n",
+            6,
+            "'pulse_period_secs' must be",
+        ),
+    ];
+    for (name, toml, line, reason) in cases {
+        let (code, stderr) = scenario_run(name, toml);
+        assert_eq!(code, Some(2), "{name}: {stderr}");
+        assert!(
+            stderr.contains(&format!("line {line}:")),
+            "{name}: {stderr}"
+        );
+        assert!(stderr.contains(reason), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+}
+
+#[test]
+fn an_expectation_of_u64_max_evictions_is_enforced() {
+    let toml = "name = \"x\"\n[fleet]\nworkers = 1\n[trace]\nrps = 20\nduration_secs = 20\n[expect]\nmin_evictions = 18446744073709551615\n";
+    let (code, stderr) = scenario_run("expect_max", toml);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("expected >= 18446744073709551615 evictions, saw 0"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -17,69 +17,77 @@
 //! workspace takes no serde/toml dependency. It is strict where it
 //! matters: unknown keys and unknown sections fail loudly with the
 //! offending line number — the `deny_unknown_fields` contract — and
-//! every value is type- and range-checked at parse time (every
-//! `*_secs` value must fit the simulated clock, below about 1.8e13 s).
-//! Scheme, procurement, availability and provider names are matched
-//! ignoring ASCII case, through the same tables the CLI uses.
+//! every value is type- and range-checked at parse time, failing with
+//! its line and a message that names its key. Integer keys are read
+//! from their literal exactly, not through `f64`. Scheme, procurement,
+//! availability, provider and trace-kind names are matched ignoring
+//! ASCII case, through the same tables the CLI uses.
+//!
+//! Each section has one key table: a row per key gives its name, kind,
+//! range, default (the section's `Default`) or "required", doc text, and
+//! the spec field it fills. Parsing, the range checks, [`ScenarioSpec::to_toml`]
+//! and the schema below are all walks over those rows. A unit test
+//! renders the tables and compares them with this block.
 //!
 //! # Schema
 //!
 //! ```toml
-//! name = "az_eviction_storm"          # required
-//! description = "..."                 # optional
+//! name = "<text>"                     # required
+//! description = ""
 //!
-//! [fleet]                             # all keys optional
-//! workers = 6                         # default 4
-//! seed = 42
-//! scheme = "protean"                  # protean | oracle | molecule | infless
-//!                                     # (alias llama) | naive | migonly |
-//!                                     # mpsmig | smart | gpulet
-//! procurement = "hybrid"              # ondemand (alias on-demand) | spot | hybrid
-//! availability = "low"                # high | moderate (alias medium) | low
+//! [fleet]
+//! workers = 4                         # an integer >= 1
+//! seed = 42                           # an integer >= 0; root seed
+//! scheme = "protean"                  # protean | oracle | molecule | infless | naive | migonly | mpsmig | smart | gpulet
+//! procurement = "ondemand"            # ondemand | spot | hybrid
+//! availability = "high"               # high | moderate | low
 //! provider = "aws"                    # aws | azure | gcp
-//! slo_mult = 3.0
-//! revocation_check_secs = 5.0         # > 0 (at least one microsecond)
-//! vm_startup_secs = 5.0               # >= 0
-//! procurement_retry_secs = 5.0        # > 0 (at least one microsecond)
-//! prewarm = 4
-//! cold_start_secs = 8.0               # >= 0
+//! slo_mult = 3                        # a number >= 1; strict SLO
+//! revocation_check_secs = 5           # a span of at least 0.000001 s
+//! vm_startup_secs = 5                 # a span of at least 0 s; VM grant to serving
+//! procurement_retry_secs = 5          # a span of at least 0.000001 s
+//! prewarm = 4                         # an integer >= 0; per (worker, model)
+//! cold_start_secs = 8                 # a span of at least 0 s
 //!
 //! [trace]
-//! model = "resnet50"
-//! kind = "wiki"                       # constant | wiki | twitter | pulse
-//! rps = 300.0
-//! duration_secs = 60.0                # <= 1e8, and rps x duration_secs <= 1e8
-//! strict_fraction = 0.5
-//! be_pool = ["mobilenet", "dpn92"]    # default: opposite interference pool
-//! be_rotation_secs = 20.0             # > 0 (at least one microsecond), > duration_secs / 1e7
+//! csv = "<text>"                      # exclusive with all other keys and bursts
+//! model = "resnet50"                  # strict model
+//! kind = "constant"                   # constant | wiki | twitter | pulse
+//! rps = 200                           # a number > 0 and <= 100000000
+//! duration_secs = 60                  # a span of at least 0.000001 s; <= 1e8 and <= 1e8 / rps
+//! strict_fraction = 0.5               # a number >= 0 and <= 1
+//! be_pool = ["<model>", ...]          # an array of model slugs; [] is the opposite pool
+//! be_rotation_secs = 20               # a span of at least 0.000001 s; > duration_secs / 1e7
 //! batch_arrivals = false
-//! # csv = "trace.csv"                 # exclusive with every key above
+//! pulse_low_rps = 0                   # a number >= 0 and <= 100000000; <= rps
+//! pulse_period_secs = 10              # a span of at least 0.000001 s
+//! pulse_duty = 0.5                    # a number > 0 and <= 1
 //!
-//! [[trace.burst]]                     # flash crowds, additive over the base
-//! start_secs = 20.0
-//! duration_secs = 10.0
-//! add_rps = 500.0
+//! [[trace.burst]]
+//! start_secs = <secs>                 # required; a span of at least 0 s
+//! duration_secs = <secs>              # required; a span of at least 0.000001 s
+//! add_rps = <number>                  # required; a number > 0 and <= 100000000
 //!
 //! [market]
-//! script = "gdd"                      # per-roll grant/deny prefix
-//! deny_rest = false
+//! script = ""                         # per-roll grant (g) / deny (d)
+//! deny_rest = false                   # deny once the script ends
 //!
-//! [[market.eviction]]                 # one scripted notice
-//! worker = 1
-//! at_secs = 20.0
-//! lead_secs = 30.0
+//! [[market.eviction]]
+//! worker = <integer>                  # required; an integer >= 0
+//! at_secs = <secs>                    # required; a span of at least 0 s; arms at the next check
+//! lead_secs = <secs>                  # required; a span of at least 0 s; notice lead
 //!
-//! [[market.storm]]                    # correlated notices, jittered leads
-//! workers = [0, 1, 2]
-//! at_secs = 20.0
-//! lead_secs = 30.0
-//! lead_jitter_secs = 10.0             # lead ~ U[lead, lead + jitter]
-//! jitter_seed = 7
+//! [[market.storm]]
+//! workers = [<worker>, ...]           # required; a non-empty array of worker indices; in lead-draw order
+//! at_secs = <secs>                    # required; a span of at least 0 s
+//! lead_secs = <secs>                  # required; a span of at least 0 s
+//! lead_jitter_secs = 0                # a span of at least 0 s; lead ~ U[lead, lead + jitter]
+//! jitter_seed = 0                     # an integer >= 0
 //!
-//! [expect]                            # optional post-run assertions
-//! min_evictions = 3
-//! min_reconfigs = 1
-//! max_censored = 100
+//! [expect]
+//! min_evictions = <integer>           # at least this many evictions
+//! min_reconfigs = <integer>           # at least this many reconfigs
+//! max_censored = <integer>            # at most this many censored
 //! ```
 //!
 //! Storm leads are drawn from a dedicated labelled RNG stream
@@ -89,6 +97,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound::{self, Excluded, Included, Unbounded};
+use std::ops::RangeBounds;
 use std::path::{Path, PathBuf};
 
 use protean_cluster::{run_trace_with_oracle, ClusterConfig, ScriptedMarket, SimulationResult};
@@ -98,6 +108,7 @@ use protean_sim::{RngFactory, SimDuration, SimTime};
 use protean_spot::{ProcurementPolicy, Provider, SpotAvailability};
 use protean_trace::{
     check_rotation_schedule, check_trace_size, BurstWindow, Trace, TraceConfig, TraceShape,
+    MAX_MATERIALISED_REQUESTS,
 };
 
 use crate::golden;
@@ -159,13 +170,32 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
-    fn as_str(self) -> &'static str {
+    const ALL: [TraceKind; 4] = [
+        TraceKind::Constant,
+        TraceKind::Wiki,
+        TraceKind::Twitter,
+        TraceKind::Pulse,
+    ];
+
+    /// The name scenario files spell.
+    fn slug(self) -> &'static str {
         match self {
             TraceKind::Constant => "constant",
             TraceKind::Wiki => "wiki",
             TraceKind::Twitter => "twitter",
             TraceKind::Pulse => "pulse",
         }
+    }
+
+    /// Resolves a slug, ignoring ASCII case.
+    fn from_slug(name: &str) -> Result<TraceKind, String> {
+        let all = TraceKind::ALL;
+        all.into_iter()
+            .find(|k| k.slug().eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                let slugs = all.map(TraceKind::slug).join(" | ");
+                format!("unknown trace kind '{name}' ({slugs})")
+            })
     }
 }
 
@@ -356,7 +386,8 @@ pub struct ScenarioSpec {
 #[derive(Debug, Clone, PartialEq)]
 enum Value {
     Str(String),
-    Num(f64),
+    /// A finite number and its literal, which integer keys read exactly.
+    Num(f64, String),
     Bool(bool),
     Arr(Vec<Value>),
 }
@@ -365,7 +396,7 @@ impl Value {
     fn type_name(&self) -> &'static str {
         match self {
             Value::Str(_) => "string",
-            Value::Num(_) => "number",
+            Value::Num(..) => "number",
             Value::Bool(_) => "boolean",
             Value::Arr(_) => "array",
         }
@@ -421,7 +452,7 @@ fn parse_scalar(raw: &str, line: usize) -> Result<Value, ScenarioError> {
         _ => {}
     }
     match raw.parse::<f64>() {
-        Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+        Ok(n) if n.is_finite() => Ok(Value::Num(n, raw.to_string())),
         _ => perr(line, format!("cannot parse value '{raw}'")),
     }
 }
@@ -447,148 +478,515 @@ fn parse_value(raw: &str, line: usize) -> Result<Value, ScenarioError> {
     parse_scalar(raw, line)
 }
 
-/// One table's worth of keys, each remembering its source line.
-/// Consumers `take_*` the keys they know; [`Table::finish`] then
-/// rejects whatever is left — the deny-unknown-fields contract.
+/// One table's keys, each with its source line, and the line of the
+/// table's header.
+#[derive(Default)]
 struct Table {
-    section: String,
+    line: usize,
     entries: BTreeMap<String, (Value, usize)>,
 }
 
-impl Table {
-    fn new(section: &str) -> Self {
-        Table {
-            section: section.to_string(),
-            entries: BTreeMap::new(),
-        }
-    }
+// ---------------------------------------------------------------------------
+// Key tables: each key is declared once, in its section's table, and one
+// walk over the table parses, range-checks and serializes it
+// ---------------------------------------------------------------------------
 
-    fn insert(&mut self, key: &str, value: Value, line: usize) -> Result<(), ScenarioError> {
-        if self
-            .entries
-            .insert(key.to_string(), (value, line))
-            .is_some()
-        {
-            return perr(line, format!("duplicate key '{key}'"));
-        }
-        Ok(())
-    }
+/// The shortest span a key may give where zero is refused: a zero check,
+/// retry or rotation interval never lets the clock advance, and a span
+/// under a microsecond rounds to zero on the clock.
+const MIN_SPAN: f64 = 1e-6;
 
-    fn take(&mut self, key: &str) -> Option<(Value, usize)> {
-        self.entries.remove(key)
-    }
+/// The highest arrival rate: one second of it already holds as many
+/// requests as a materialised trace may.
+const MAX_RPS: f64 = MAX_MATERIALISED_REQUESTS;
 
-    /// A number. A `*_secs` key is a span or instant on the simulated
-    /// clock, so a value past the clock's range is rejected here; the
-    /// callers check the lower bounds.
-    fn take_f64(&mut self, key: &str, default: f64) -> Result<f64, ScenarioError> {
-        match self.take(key) {
-            None => Ok(default),
-            Some((Value::Num(n), line))
-                if key.ends_with("_secs") && n > 0.0 && SimDuration::try_from_secs(n).is_none() =>
-            {
-                perr(
-                    line,
-                    format!(
-                        "'{key}' must be within the simulated clock (about 1.8e13 s), got {n:e}"
-                    ),
-                )
-            }
-            Some((Value::Num(n), _)) => Ok(n),
-            Some((v, line)) => perr(
-                line,
-                format!("'{key}' must be a number, got {}", v.type_name()),
-            ),
-        }
-    }
+/// Reads and writes the spec field a key fills.
+struct Field<S, T> {
+    get: fn(&S) -> T,
+    set: fn(&mut S, T),
+}
 
-    /// A span in seconds: at least one microsecond when `positive`
-    /// (a zero retry or check interval never lets the clock advance),
-    /// else non-negative.
-    fn take_secs(&mut self, key: &str, default: f64, positive: bool) -> Result<f64, ScenarioError> {
-        let line = self.entries.get(key).map_or(0, |(_, line)| *line);
-        let secs = self.take_f64(key, default)?;
-        let (ok, bound) = if positive {
-            (secs >= 1e-6, "at least 0.000001 (one microsecond)")
-        } else {
-            (secs >= 0.0, ">= 0")
-        };
-        if ok {
-            Ok(secs)
-        } else {
-            perr(line, format!("'{key}' must be {bound}, got {secs}"))
-        }
-    }
+/// What a key holds and the range it must lie in.
+enum Kind<S> {
+    /// Seconds on the simulated clock: at least `.0`, and within the
+    /// clock's range (about 1.8e13 s).
+    Secs(f64, Field<S, f64>),
+    /// A number within the bounds.
+    Num((Bound<f64>, Bound<f64>), Field<S, f64>),
+    /// An integer of at least `.0`, read from its literal exactly.
+    Count(u64, Field<S, u64>),
+    /// An integer, or `None` when the key is absent.
+    OptCount(Field<S, Option<u64>>),
+    Bool(Field<S, bool>),
+    /// A string that `.1` resolves (through a slug table, or as written)
+    /// and stores. `.0` is `None` when the field is unset.
+    Text(
+        fn(&S) -> Option<&str>,
+        fn(&mut S, &str) -> Result<(), String>,
+    ),
+    /// A list of model slugs.
+    Models(Field<S, Vec<ModelId>>),
+    /// A non-empty list of worker indices.
+    Workers(Field<S, Vec<usize>>),
+}
 
-    fn take_unsigned(&mut self, key: &str, default: u64) -> Result<u64, ScenarioError> {
-        match self.take(key) {
-            None => Ok(default),
-            Some((Value::Num(n), line)) => {
-                if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-                    perr(line, format!("'{key}' must be a non-negative integer"))
-                } else {
-                    Ok(n as u64)
-                }
-            }
-            Some((v, line)) => perr(
-                line,
-                format!("'{key}' must be an integer, got {}", v.type_name()),
-            ),
-        }
-    }
+/// One key of a section.
+struct Key<S> {
+    name: &'static str,
+    kind: Kind<S>,
+    /// A required key has no default: a table without it is refused.
+    required: bool,
+    /// Rendered into the module doc's schema, which a test compares.
+    #[cfg_attr(not(test), allow(dead_code))]
+    doc: &'static str,
+}
 
-    fn take_bool(&mut self, key: &str, default: bool) -> Result<bool, ScenarioError> {
-        match self.take(key) {
-            None => Ok(default),
-            Some((Value::Bool(b), _)) => Ok(b),
-            Some((v, line)) => perr(
-                line,
-                format!("'{key}' must be a boolean, got {}", v.type_name()),
-            ),
-        }
-    }
+/// A section's key table.
+struct Section<S: 'static> {
+    /// `fleet`, `trace.burst`, …; empty for the top level.
+    name: &'static str,
+    /// The spec before any key is read, holding every default.
+    blank: fn() -> S,
+    /// Why a key given in the file does not apply, given the others.
+    unused: fn(&S, &str) -> Option<String>,
+    keys: &'static [Key<S>],
+}
 
-    fn take_str(&mut self, key: &str) -> Result<Option<(String, usize)>, ScenarioError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some((Value::Str(s), line)) => Ok(Some((s, line))),
-            Some((v, line)) => perr(
-                line,
-                format!("'{key}' must be a string, got {}", v.type_name()),
-            ),
-        }
-    }
+/// The line each key given in a table sits on.
+type Lines = BTreeMap<&'static str, usize>;
 
-    fn take_arr(&mut self, key: &str) -> Result<Option<(Vec<Value>, usize)>, ScenarioError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some((Value::Arr(a), line)) => Ok(Some((a, line))),
-            Some((v, line)) => perr(
-                line,
-                format!("'{key}' must be an array, got {}", v.type_name()),
-            ),
-        }
-    }
+/// Stores a resolved value, or passes on why it did not resolve.
+fn put<T, E: fmt::Display>(slot: &mut T, got: Result<T, E>) -> Result<(), String> {
+    *slot = got.map_err(|e| e.to_string())?;
+    Ok(())
+}
 
-    /// Errors on any key nobody consumed, naming it and its line.
-    fn finish(self) -> Result<(), ScenarioError> {
-        if let Some((key, (_, line))) = self.entries.into_iter().next() {
-            let section = if self.section.is_empty() {
-                "top level".to_string()
-            } else {
-                format!("[{}]", self.section)
-            };
-            return perr(line, format!("unknown key '{key}' in {section}"));
-        }
-        Ok(())
+/// A string kept as written.
+fn text(v: &str) -> Result<String, String> {
+    Ok(v.to_string())
+}
+
+fn scheme(name: &str) -> Result<String, String> {
+    let known = schemes::by_name(name).map(|_| name.to_string());
+    known.ok_or_else(|| schemes::unknown_scheme(name))
+}
+
+fn model(slug: &str) -> Result<ModelId, String> {
+    ModelId::from_slug(slug).ok_or_else(|| format!("unknown model slug '{slug}'"))
+}
+
+fn script(s: &str) -> Result<String, String> {
+    match s.chars().find(|c| *c != 'g' && *c != 'd') {
+        Some(bad) => Err(format!(
+            "market script may contain only 'g' and 'd', found '{bad}'"
+        )),
+        None => Ok(s.to_string()),
     }
 }
 
-fn parse_model(name: &str, line: usize) -> Result<ModelId, ScenarioError> {
-    ModelId::from_slug(name).ok_or_else(|| ScenarioError::Parse {
+/// The integer a number literal spells, exactly. An integral float
+/// below 2^53, such as `6.0`, also counts.
+fn count(x: f64, raw: &str) -> Option<u64> {
+    let integral = x >= 0.0 && x.fract() == 0.0 && x < 9_007_199_254_740_992.0;
+    raw.parse().ok().or(integral.then_some(x as u64))
+}
+
+impl<S> Kind<S> {
+    /// What a value must be, as range errors word it.
+    fn expects(&self) -> String {
+        match self {
+            Kind::Secs(min, _) => format!("a span of at least {min} s"),
+            Kind::Num(range, _) => {
+                let side = |bound, op| match bound {
+                    Included(x) => Some(format!("{op}= {x}")),
+                    Excluded(x) => Some(format!("{op} {x}")),
+                    Unbounded => None,
+                };
+                let sides = [side(range.start_bound(), ">"), side(range.end_bound(), "<")];
+                let sides: Vec<String> = sides.into_iter().flatten().collect();
+                format!("a number {}", sides.join(" and "))
+            }
+            Kind::Count(min, _) => format!("an integer >= {min}"),
+            Kind::OptCount(_) => "an integer >= 0".into(),
+            Kind::Bool(_) => "a boolean".into(),
+            Kind::Text(..) => "a string".into(),
+            Kind::Models(_) => "an array of model slugs".into(),
+            Kind::Workers(_) => "a non-empty array of worker indices".into(),
+        }
+    }
+
+    /// Type- and range-checks `value` as `key`, and stores it in `spec`.
+    fn read(&self, key: &str, value: Value, spec: &mut S) -> Result<(), String> {
+        let refuse = |got: &str| format!("'{key}' must be {}, got {got}", self.expects());
+        match (self, value) {
+            (Kind::Secs(min, f), Value::Num(x, raw)) => {
+                if x > 0.0 && SimDuration::try_from_secs(x).is_none() {
+                    return Err(format!(
+                        "'{key}' must be within the simulated clock (about 1.8e13 s), got {x:e}"
+                    ));
+                }
+                if x < *min {
+                    return Err(refuse(&raw));
+                }
+                (f.set)(spec, x);
+            }
+            (Kind::Num(range, f), Value::Num(x, raw)) => {
+                if !range.contains(&x) {
+                    return Err(refuse(&raw));
+                }
+                (f.set)(spec, x);
+            }
+            (Kind::Count(min, f), Value::Num(x, raw)) => {
+                let n = count(x, &raw).filter(|n| n >= min);
+                (f.set)(spec, n.ok_or_else(|| refuse(&raw))?);
+            }
+            (Kind::OptCount(f), Value::Num(x, raw)) => {
+                let n = count(x, &raw).ok_or_else(|| refuse(&raw))?;
+                (f.set)(spec, Some(n));
+            }
+            (Kind::Bool(f), Value::Bool(b)) => (f.set)(spec, b),
+            (Kind::Text(_, set), Value::Str(s)) => set(spec, &s)?,
+            (Kind::Models(f), Value::Arr(items)) => {
+                let models = items.iter().map(|v| match v {
+                    Value::Str(s) => model(s),
+                    v => Err(refuse(&format!("an entry of type {}", v.type_name()))),
+                });
+                (f.set)(spec, models.collect::<Result<_, _>>()?);
+            }
+            (Kind::Workers(f), Value::Arr(items)) => {
+                if items.is_empty() {
+                    return Err(refuse("[]"));
+                }
+                let workers = items.iter().map(|v| match v {
+                    Value::Num(x, raw) => count(*x, raw)
+                        .map(|n| n as usize)
+                        .ok_or_else(|| refuse(raw)),
+                    v => Err(refuse(&format!("an entry of type {}", v.type_name()))),
+                });
+                (f.set)(spec, workers.collect::<Result<_, _>>()?);
+            }
+            (_, v) => return Err(refuse(v.type_name())),
+        }
+        Ok(())
+    }
+
+    /// The field's value as a TOML literal; `None` when it is unset.
+    fn literal(&self, spec: &S) -> Option<String> {
+        let list = |items: Vec<String>| format!("[{}]", items.join(", "));
+        match self {
+            Kind::Secs(_, f) | Kind::Num(_, f) => Some((f.get)(spec).to_string()),
+            Kind::Count(_, f) => Some((f.get)(spec).to_string()),
+            Kind::OptCount(f) => (f.get)(spec).map(|n| n.to_string()),
+            Kind::Bool(f) => Some((f.get)(spec).to_string()),
+            Kind::Text(get, _) => get(spec).map(|s| format!("\"{s}\"")),
+            Kind::Models(f) => {
+                let pool = (f.get)(spec);
+                let slugs = pool.iter().map(|m| format!("\"{}\"", m.slug()));
+                (!pool.is_empty()).then(|| list(slugs.collect()))
+            }
+            Kind::Workers(f) => Some(list((f.get)(spec).iter().map(usize::to_string).collect())),
+        }
+    }
+}
+
+impl<S> Section<S> {
+    /// `[fleet]`, `[[trace.burst]]`, or `top level`.
+    fn label(&self) -> String {
+        match self.name {
+            "" => "top level".into(),
+            name if ARRAYS.contains(&name) => format!("[[{name}]]"),
+            name => format!("[{name}]"),
+        }
+    }
+
+    /// Reads `table` through the section's keys. A key not in the table
+    /// is unknown; each key given is type- and range-checked and must
+    /// apply; each required key must be given. Returns the spec and the
+    /// line of each key given.
+    fn read(&self, mut table: Table) -> Result<(S, Lines), ScenarioError> {
+        let known = |name: &String| self.keys.iter().any(|k| k.name == name.as_str());
+        if let Some((name, (_, line))) = table.entries.iter().find(|(name, _)| !known(name)) {
+            return perr(*line, format!("unknown key '{name}' in {}", self.label()));
+        }
+        let mut spec = (self.blank)();
+        let mut lines = Lines::new();
+        for key in self.keys {
+            match table.entries.remove(key.name) {
+                Some((value, line)) => {
+                    key.kind
+                        .read(key.name, value, &mut spec)
+                        .or_else(|msg| perr(line, msg))?;
+                    lines.insert(key.name, line);
+                }
+                None if key.required => {
+                    let msg = format!("missing required key '{}' in {}", key.name, self.label());
+                    return perr(table.line, msg);
+                }
+                None => {}
+            }
+        }
+        for (name, line) in &lines {
+            if let Some(msg) = (self.unused)(&spec, name) {
+                return perr(*line, msg);
+            }
+        }
+        Ok((spec, lines))
+    }
+
+    /// Appends the header and every set key that applies; nothing when
+    /// no key is set.
+    fn write(&self, spec: &S, out: &mut String) {
+        let rows: Vec<String> = self
+            .keys
+            .iter()
+            .filter(|k| (self.unused)(spec, k.name).is_none())
+            .filter_map(|k| Some(format!("{} = {}\n", k.name, k.kind.literal(spec)?)))
+            .collect();
+        if !rows.is_empty() && !self.name.is_empty() {
+            out.push_str(&format!("\n{}\n", self.label()));
+        }
+        out.extend(rows);
+    }
+}
+
+/// A key row of a section table, named after the spec field it fills:
+/// `opt!(field, Kind(args), "doc")` with the doc optional. `req!` marks
+/// a required key. `as usize` keeps a count in a `usize` field;
+/// `Str(check)`, `OptStr` and `Slug(from_slug)` are string keys.
+macro_rules! opt {
+    ($($row:tt)*) => {
+        key!(false, $($row)*)
+    };
+}
+
+macro_rules! req {
+    ($($row:tt)*) => {
+        key!(true, $($row)*)
+    };
+}
+
+macro_rules! key {
+    ($req:expr, $f:ident, $kind:ident $(($($arg:expr),*))? $(as $t:ident)? $(, $doc:literal)?) => {
+        Key {
+            name: stringify!($f),
+            kind: kind!($f, $kind $(($($arg),*))? $(as $t)?),
+            required: $req,
+            doc: concat!($($doc)?),
+        }
+    };
+}
+
+macro_rules! kind {
+    ($f:ident, Str($check:expr)) => {
+        Kind::Text(|s| Some(s.$f.as_str()), |s, v| put(&mut s.$f, $check(v)))
+    };
+    ($f:ident, OptStr) => {
+        Kind::Text(|s| s.$f.as_deref(), |s, v| put(&mut s.$f, text(v).map(Some)))
+    };
+    ($f:ident, Slug($parse:expr)) => {
+        Kind::Text(|s| Some(s.$f.slug()), |s, v| put(&mut s.$f, $parse(v)))
+    };
+    ($f:ident, $kind:ident $(($($arg:expr),*))? as usize) => {
+        Kind::$kind($($($arg,)*)? Field {
+            get: |s| s.$f as u64,
+            set: |s, v| s.$f = v as usize,
+        })
+    };
+    ($f:ident, $kind:ident $(($($arg:expr),*))?) => {
+        Kind::$kind($($($arg,)*)? Field {
+            get: |s| s.$f.clone(),
+            set: |s, v| s.$f = v,
+        })
+    };
+}
+
+/// Every key applies.
+fn all_apply<S>(_: &S, _: &str) -> Option<String> {
+    None
+}
+
+const ROOT: Section<ScenarioSpec> = Section {
+    name: "",
+    blank: || ScenarioSpec {
+        name: String::new(),
+        description: String::new(),
+        fleet: FleetSpec::default(),
+        trace: TraceSpec::default(),
+        market: MarketSpec::default(),
+        expect: ExpectSpec::default(),
+    },
+    unused: all_apply,
+    keys: &[req!(name, Str(text)), opt!(description, Str(text))],
+};
+
+const FLEET: Section<FleetSpec> = Section {
+    name: "fleet",
+    blank: FleetSpec::default,
+    unused: all_apply,
+    keys: &[
+        opt!(workers, Count(1) as usize),
+        opt!(seed, Count(0), "root seed"),
+        opt!(scheme, Str(scheme)),
+        opt!(procurement, Slug(ProcurementPolicy::from_slug)),
+        opt!(availability, Slug(SpotAvailability::from_slug)),
+        opt!(provider, Slug(Provider::from_slug)),
+        opt!(slo_mult, Num((Included(1.0), Unbounded)), "strict SLO"),
+        opt!(revocation_check_secs, Secs(MIN_SPAN)),
+        opt!(vm_startup_secs, Secs(0.0), "VM grant to serving"),
+        opt!(procurement_retry_secs, Secs(MIN_SPAN)),
+        opt!(prewarm, Count(0) as usize, "per (worker, model)"),
+        opt!(cold_start_secs, Secs(0.0)),
+    ],
+};
+
+/// Why a `[trace]` key given in the file does not apply: a CSV trace
+/// takes no other key, and the pulse keys need kind = "pulse".
+fn trace_key_unused(t: &TraceSpec, key: &str) -> Option<String> {
+    if t.csv.is_some() && key != "csv" {
+        Some(format!("'{key}' cannot be combined with 'csv'"))
+    } else if key.starts_with("pulse_") && t.kind != TraceKind::Pulse {
+        Some(format!("'{key}' is only valid with kind = \"pulse\""))
+    } else {
+        None
+    }
+}
+
+const TRACE: Section<TraceSpec> = Section {
+    name: "trace",
+    blank: TraceSpec::default,
+    unused: trace_key_unused,
+    keys: &[
+        opt!(csv, OptStr, "exclusive with all other keys and bursts"),
+        opt!(model, Slug(model), "strict model"),
+        opt!(kind, Slug(TraceKind::from_slug)),
+        opt!(rps, Num((Excluded(0.0), Included(MAX_RPS)))),
+        opt!(duration_secs, Secs(MIN_SPAN), "<= 1e8 and <= 1e8 / rps"),
+        opt!(strict_fraction, Num((Included(0.0), Included(1.0)))),
+        opt!(be_pool, Models, "[] is the opposite pool"),
+        opt!(be_rotation_secs, Secs(MIN_SPAN), "> duration_secs / 1e7"),
+        opt!(batch_arrivals, Bool),
+        opt!(
+            pulse_low_rps,
+            Num((Included(0.0), Included(MAX_RPS))),
+            "<= rps"
+        ),
+        opt!(pulse_period_secs, Secs(MIN_SPAN)),
+        opt!(pulse_duty, Num((Excluded(0.0), Included(1.0)))),
+    ],
+};
+
+const BURST: Section<BurstSpec> = Section {
+    name: "trace.burst",
+    blank: || BurstSpec {
+        start_secs: 0.0,
+        duration_secs: 0.0,
+        add_rps: 0.0,
+    },
+    unused: all_apply,
+    keys: &[
+        req!(start_secs, Secs(0.0)),
+        req!(duration_secs, Secs(MIN_SPAN)),
+        req!(add_rps, Num((Excluded(0.0), Included(MAX_RPS)))),
+    ],
+};
+
+const MARKET: Section<MarketSpec> = Section {
+    name: "market",
+    blank: MarketSpec::default,
+    unused: all_apply,
+    keys: &[
+        opt!(script, Str(script), "per-roll grant (g) / deny (d)"),
+        opt!(deny_rest, Bool, "deny once the script ends"),
+    ],
+};
+
+const EVICTION: Section<EvictionSpec> = Section {
+    name: "market.eviction",
+    blank: || EvictionSpec {
+        worker: 0,
+        at_secs: 0.0,
+        lead_secs: 0.0,
+    },
+    unused: all_apply,
+    keys: &[
+        req!(worker, Count(0) as usize),
+        req!(at_secs, Secs(0.0), "arms at the next check"),
+        req!(lead_secs, Secs(0.0), "notice lead"),
+    ],
+};
+
+const STORM: Section<StormSpec> = Section {
+    name: "market.storm",
+    blank: || StormSpec {
+        workers: Vec::new(),
+        at_secs: 0.0,
+        lead_secs: 0.0,
+        lead_jitter_secs: 0.0,
+        jitter_seed: 0,
+    },
+    unused: all_apply,
+    keys: &[
+        req!(workers, Workers, "in lead-draw order"),
+        req!(at_secs, Secs(0.0)),
+        req!(lead_secs, Secs(0.0)),
+        opt!(lead_jitter_secs, Secs(0.0), "lead ~ U[lead, lead + jitter]"),
+        opt!(jitter_seed, Count(0)),
+    ],
+};
+
+const EXPECT: Section<ExpectSpec> = Section {
+    name: "expect",
+    blank: ExpectSpec::default,
+    unused: all_apply,
+    keys: &[
+        opt!(min_evictions, OptCount, "at least this many evictions"),
+        opt!(min_reconfigs, OptCount, "at least this many reconfigs"),
+        opt!(max_censored, OptCount, "at most this many censored"),
+    ],
+};
+
+const SINGLES: [&str; 4] = [FLEET.name, TRACE.name, MARKET.name, EXPECT.name];
+const ARRAYS: [&str; 3] = [BURST.name, EVICTION.name, STORM.name];
+
+/// The `[trace]` checks that read more than one key: a pulse's OFF rate
+/// is at most its ON rate, and the trace fits the caps.
+fn check_trace(t: &TraceSpec, lines: &Lines) -> Result<(), ScenarioError> {
+    if t.csv.is_some() {
+        return Ok(());
+    }
+    let line_of = |key: &str| lines.get(key).copied();
+    if t.pulse_low_rps > t.rps {
+        return perr(
+            line_of("pulse_low_rps").unwrap_or(0),
+            format!(
+                "'pulse_low_rps' must be at most rps ({}), got {}",
+                t.rps, t.pulse_low_rps
+            ),
+        );
+    }
+    // A scenario run materialises its trace.
+    let size_line = line_of("duration_secs").or(line_of("rps")).unwrap_or(0);
+    if let Err(e) = check_trace_size(t.duration_secs, t.rps) {
+        return perr(size_line, format!("'duration_secs' {e}"));
+    }
+    if let Err(e) = check_rotation_schedule(t.duration_secs, t.be_rotation_secs) {
+        let line = line_of("be_rotation_secs").unwrap_or(size_line);
+        return perr(line, format!("'be_rotation_secs' {e}"));
+    }
+    Ok(())
+}
+
+/// A scripted worker index must name a worker of the fleet.
+fn check_worker(key: &str, line: usize, worker: usize, fleet: usize) -> Result<(), ScenarioError> {
+    if worker < fleet {
+        return Ok(());
+    }
+    perr(
         line,
-        msg: format!("unknown model slug '{name}'"),
-    })
+        format!(
+            "'{key}' must index the fleet, but {worker} is out of range for a {fleet}-worker fleet"
+        ),
+    )
 }
 
 /// Parses scenario text. See the module docs for the schema.
@@ -596,15 +994,16 @@ fn parse_model(name: &str, line: usize) -> Result<ModelId, ScenarioError> {
 /// # Errors
 ///
 /// Returns [`ScenarioError::Parse`] with the offending 1-based line for
-/// any syntax error, unknown section, unknown key, type mismatch or
-/// out-of-range value.
+/// any syntax error, unknown section, unknown or missing key, type
+/// mismatch or out-of-range value.
 pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
     // Pass 1: split the file into tables.
-    let mut root = Table::new("");
+    let mut root = Table {
+        line: 1,
+        ..Table::default()
+    };
     let mut singles: BTreeMap<&'static str, Table> = BTreeMap::new();
     let mut arrays: Vec<(&'static str, Table)> = Vec::new();
-    const SINGLE: [&str; 4] = ["fleet", "trace", "market", "expect"];
-    const ARRAY: [&str; 3] = ["trace.burst", "market.eviction", "market.storm"];
     let mut current: &mut Table = &mut root;
     for (i, raw_line) in text.lines().enumerate() {
         let line_no = i + 1;
@@ -612,43 +1011,35 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
         if line.is_empty() {
             continue;
         }
-        if let Some(header) = line.strip_prefix("[[") {
-            let Some(name) = header.strip_suffix("]]") else {
-                return perr(line_no, "malformed [[section]] header");
+        let table = Table {
+            line: line_no,
+            ..Table::default()
+        };
+        if line.starts_with('[') {
+            let array = line.starts_with("[[");
+            let (open, close, known, other) = match array {
+                true => ("[[", "]]", &ARRAYS[..], &SINGLES[..]),
+                false => ("[", "]", &SINGLES[..], &ARRAYS[..]),
+            };
+            let Some(name) = line.strip_prefix(open).and_then(|h| h.strip_suffix(close)) else {
+                return perr(line_no, format!("malformed {open}section{close} header"));
             };
             let name = name.trim();
-            let Some(known) = ARRAY.iter().find(|s| **s == name) else {
-                if SINGLE.contains(&name) {
-                    return perr(
-                        line_no,
-                        format!("[{name}] is a table, not an array — use [{name}]"),
-                    );
+            let Some(&name) = known.iter().find(|s| **s == name) else {
+                if other.contains(&name) {
+                    let (open, close) = if array { ("[", "]") } else { ("[[", "]]") };
+                    return perr(line_no, format!("wrong brackets — use {open}{name}{close}"));
                 }
-                return perr(line_no, format!("unknown section [[{name}]]"));
+                return perr(line_no, format!("unknown section {open}{name}{close}"));
             };
-            arrays.push((known, Table::new(known)));
-            current = &mut arrays.last_mut().expect("just pushed").1;
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('[') {
-            let Some(name) = header.strip_suffix(']') else {
-                return perr(line_no, "malformed [section] header");
-            };
-            let name = name.trim();
-            let Some(known) = SINGLE.iter().find(|s| **s == name) else {
-                if ARRAY.contains(&name) {
-                    return perr(
-                        line_no,
-                        format!("[{name}] is an array of tables — use [[{name}]]"),
-                    );
-                }
-                return perr(line_no, format!("unknown section [{name}]"));
-            };
-            if singles.contains_key(known) {
+            if array {
+                arrays.push((name, table));
+                current = &mut arrays.last_mut().expect("just pushed").1;
+            } else if singles.contains_key(name) {
                 return perr(line_no, format!("duplicate section [{name}]"));
+            } else {
+                current = singles.entry(name).or_insert(table);
             }
-            singles.insert(known, Table::new(known));
-            current = singles.get_mut(known).expect("just inserted");
             continue;
         }
         let Some(eq) = line.find('=') else {
@@ -659,330 +1050,49 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
             return perr(line_no, format!("malformed key '{key}'"));
         }
         let value = parse_value(&line[eq + 1..], line_no)?;
-        current.insert(key, value, line_no)?;
-    }
-
-    // Pass 2: consume tables into the spec, rejecting leftovers.
-    let Some((name, _)) = root.take_str("name")? else {
-        return perr(1, "scenario is missing the required top-level 'name' key");
-    };
-    let description = root
-        .take_str("description")?
-        .map(|(s, _)| s)
-        .unwrap_or_default();
-    root.finish()?;
-
-    let fleet = {
-        let mut t = singles
-            .remove("fleet")
-            .unwrap_or_else(|| Table::new("fleet"));
-        let d = FleetSpec::default();
-        let workers = t.take_unsigned("workers", d.workers as u64)? as usize;
-        let seed = t.take_unsigned("seed", d.seed)?;
-        let (scheme, scheme_line) = t
-            .take_str("scheme")?
-            .unwrap_or_else(|| (d.scheme.clone(), 0));
-        if schemes::by_name(&scheme).is_none() {
-            return perr(scheme_line, schemes::unknown_scheme(&scheme));
-        }
-        let procurement = match t.take_str("procurement")? {
-            None => d.procurement,
-            Some((s, line)) => {
-                ProcurementPolicy::from_slug(&s).or_else(|e| perr(line, e.to_string()))?
-            }
-        };
-        let availability = match t.take_str("availability")? {
-            None => d.availability,
-            Some((s, line)) => {
-                SpotAvailability::from_slug(&s).or_else(|e| perr(line, e.to_string()))?
-            }
-        };
-        let provider = match t.take_str("provider")? {
-            None => d.provider,
-            Some((s, line)) => Provider::from_slug(&s).or_else(|e| perr(line, e.to_string()))?,
-        };
-        let spec = FleetSpec {
-            workers,
-            seed,
-            scheme,
-            procurement,
-            availability,
-            provider,
-            slo_mult: t.take_f64("slo_mult", d.slo_mult)?,
-            revocation_check_secs: t.take_secs(
-                "revocation_check_secs",
-                d.revocation_check_secs,
-                true,
-            )?,
-            vm_startup_secs: t.take_secs("vm_startup_secs", d.vm_startup_secs, false)?,
-            procurement_retry_secs: t.take_secs(
-                "procurement_retry_secs",
-                d.procurement_retry_secs,
-                true,
-            )?,
-            prewarm: t.take_unsigned("prewarm", d.prewarm as u64)? as usize,
-            cold_start_secs: t.take_secs("cold_start_secs", d.cold_start_secs, false)?,
-        };
-        t.finish()?;
-        if spec.workers == 0 {
-            return Err(ScenarioError::Invalid(
-                "[fleet] workers must be at least 1".into(),
-            ));
-        }
-        if spec.slo_mult < 1.0 {
-            return Err(ScenarioError::Invalid(
-                "[fleet] slo_mult must be >= 1".into(),
-            ));
-        }
-        spec
-    };
-
-    let mut bursts = Vec::new();
-    let mut evictions = Vec::new();
-    let mut storms = Vec::new();
-    for (section, mut t) in arrays {
-        match section {
-            "trace.burst" => {
-                let b = BurstSpec {
-                    start_secs: t.take_f64("start_secs", -1.0)?,
-                    duration_secs: t.take_f64("duration_secs", -1.0)?,
-                    add_rps: t.take_f64("add_rps", -1.0)?,
-                };
-                t.finish()?;
-                if b.start_secs < 0.0 || b.duration_secs <= 0.0 || b.add_rps <= 0.0 {
-                    return Err(ScenarioError::Invalid(
-                        "[[trace.burst]] needs start_secs >= 0, duration_secs > 0 and add_rps > 0"
-                            .into(),
-                    ));
-                }
-                bursts.push(b);
-            }
-            "market.eviction" => {
-                let e = EvictionSpec {
-                    worker: t.take_unsigned("worker", u64::MAX)? as usize,
-                    at_secs: t.take_f64("at_secs", -1.0)?,
-                    lead_secs: t.take_f64("lead_secs", -1.0)?,
-                };
-                t.finish()?;
-                if e.worker == u64::MAX as usize || e.at_secs < 0.0 || e.lead_secs < 0.0 {
-                    return Err(ScenarioError::Invalid(
-                        "[[market.eviction]] needs worker, at_secs >= 0 and lead_secs >= 0".into(),
-                    ));
-                }
-                evictions.push(e);
-            }
-            "market.storm" => {
-                let workers = match t.take_arr("workers")? {
-                    None => Vec::new(),
-                    Some((items, line)) => items
-                        .into_iter()
-                        .map(|v| match v {
-                            Value::Num(n) if n >= 0.0 && n.fract() == 0.0 => Ok(n as usize),
-                            _ => perr(line, "storm 'workers' must be non-negative integers"),
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                };
-                let s = StormSpec {
-                    workers,
-                    at_secs: t.take_f64("at_secs", -1.0)?,
-                    lead_secs: t.take_f64("lead_secs", -1.0)?,
-                    lead_jitter_secs: t.take_f64("lead_jitter_secs", 0.0)?,
-                    jitter_seed: t.take_unsigned("jitter_seed", 0)?,
-                };
-                t.finish()?;
-                if s.workers.is_empty()
-                    || s.at_secs < 0.0
-                    || s.lead_secs < 0.0
-                    || s.lead_jitter_secs < 0.0
-                {
-                    return Err(ScenarioError::Invalid(
-                        "[[market.storm]] needs non-empty workers, at_secs >= 0, lead_secs >= 0 and lead_jitter_secs >= 0"
-                            .into(),
-                    ));
-                }
-                storms.push(s);
-            }
-            _ => unreachable!("section filtered in pass 1"),
+        if current
+            .entries
+            .insert(key.into(), (value, line_no))
+            .is_some()
+        {
+            return perr(line_no, format!("duplicate key '{key}'"));
         }
     }
 
-    let trace = {
-        let mut t = singles
-            .remove("trace")
-            .unwrap_or_else(|| Table::new("trace"));
-        let d = TraceSpec::default();
-        let csv = t.take_str("csv")?.map(|(s, _)| s);
-        if csv.is_some() {
-            // Every generated-trace key is meaningless with a CSV; a
-            // leftover is reported as unknown by `finish`, and bursts
-            // cannot overlay a materialised trace.
-            t.finish()?;
-            if !bursts.is_empty() {
-                return Err(ScenarioError::Invalid(
-                    "[[trace.burst]] cannot overlay a csv trace".into(),
-                ));
+    // Pass 2: read each table through its section's keys, then check
+    // what spans keys and sections.
+    let mut single = |name| singles.remove(name).unwrap_or_default();
+    let (mut spec, _) = ROOT.read(root)?;
+    spec.fleet = FLEET.read(single(FLEET.name))?.0;
+    let (trace, lines) = TRACE.read(single(TRACE.name))?;
+    check_trace(&trace, &lines)?;
+    spec.trace = trace;
+    spec.market = MARKET.read(single(MARKET.name))?.0;
+    spec.expect = EXPECT.read(single(EXPECT.name))?.0;
+    let workers = spec.fleet.workers;
+    for (name, table) in arrays {
+        let header = table.line;
+        if name == BURST.name {
+            if spec.trace.csv.is_some() {
+                return perr(header, "[[trace.burst]] cannot overlay a csv trace");
             }
-            TraceSpec { csv, ..d }
+            spec.trace.bursts.push(BURST.read(table)?.0);
+        } else if name == EVICTION.name {
+            let (e, lines) = EVICTION.read(table)?;
+            check_worker("worker", lines["worker"], e.worker, workers)?;
+            spec.market.evictions.push(e);
         } else {
-            let model = match t.take_str("model")? {
-                None => d.model,
-                Some((s, line)) => parse_model(&s, line)?,
-            };
-            let kind = match t.take_str("kind")? {
-                None => d.kind,
-                Some((s, line)) => match s.as_str() {
-                    "constant" => TraceKind::Constant,
-                    "wiki" => TraceKind::Wiki,
-                    "twitter" => TraceKind::Twitter,
-                    "pulse" => TraceKind::Pulse,
-                    other => {
-                        return perr(
-                            line,
-                            format!(
-                                "unknown trace kind '{other}' (constant | wiki | twitter | pulse)"
-                            ),
-                        )
-                    }
-                },
-            };
-            if kind != TraceKind::Pulse {
-                for key in ["pulse_low_rps", "pulse_period_secs", "pulse_duty"] {
-                    if let Some((_, line)) = t.take(key) {
-                        return perr(line, format!("'{key}' is only valid with kind = \"pulse\""));
-                    }
-                }
+            let (s, lines) = STORM.read(table)?;
+            for &w in &s.workers {
+                check_worker("workers", lines["workers"], w, workers)?;
             }
-            let be_pool = match t.take_arr("be_pool")? {
-                None => Vec::new(),
-                Some((items, line)) => items
-                    .into_iter()
-                    .map(|v| match v {
-                        Value::Str(s) => parse_model(&s, line),
-                        other => perr(
-                            line,
-                            format!(
-                                "be_pool entries must be model slugs, got {}",
-                                other.type_name()
-                            ),
-                        ),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
-            let line_of = |key| t.entries.get(key).map(|(_, line)| *line);
-            let size_line = line_of("duration_secs").or(line_of("rps")).unwrap_or(0);
-            let rotation_line = line_of("be_rotation_secs").unwrap_or(size_line);
-            let spec = TraceSpec {
-                csv: None,
-                model,
-                kind,
-                rps: t.take_f64("rps", d.rps)?,
-                duration_secs: t.take_f64("duration_secs", d.duration_secs)?,
-                strict_fraction: t.take_f64("strict_fraction", d.strict_fraction)?,
-                be_pool,
-                be_rotation_secs: t.take_secs("be_rotation_secs", d.be_rotation_secs, true)?,
-                batch_arrivals: t.take_bool("batch_arrivals", d.batch_arrivals)?,
-                pulse_low_rps: t.take_f64("pulse_low_rps", d.pulse_low_rps)?,
-                pulse_period_secs: t.take_f64("pulse_period_secs", d.pulse_period_secs)?,
-                pulse_duty: t.take_f64("pulse_duty", d.pulse_duty)?,
-                bursts,
-            };
-            t.finish()?;
-            if spec.rps <= 0.0 || spec.duration_secs <= 0.0 {
-                return Err(ScenarioError::Invalid(
-                    "[trace] rps and duration_secs must be positive".into(),
-                ));
+            if SimDuration::try_from_secs(s.lead_secs + s.lead_jitter_secs).is_none() {
+                return perr(
+                    lines["lead_secs"],
+                    "'lead_secs' must leave lead_secs + lead_jitter_secs within the simulated clock",
+                );
             }
-            // A scenario run materialises its trace.
-            if let Err(e) = check_trace_size(spec.duration_secs, spec.rps) {
-                return perr(size_line, format!("'duration_secs' {e}"));
-            }
-            if let Err(e) = check_rotation_schedule(spec.duration_secs, spec.be_rotation_secs) {
-                return perr(rotation_line, format!("'be_rotation_secs' {e}"));
-            }
-            if !(0.0..=1.0).contains(&spec.strict_fraction) {
-                return Err(ScenarioError::Invalid(
-                    "[trace] strict_fraction must be in [0, 1]".into(),
-                ));
-            }
-            if spec.kind == TraceKind::Pulse
-                && !(spec.pulse_low_rps >= 0.0
-                    && spec.pulse_period_secs > 0.0
-                    && spec.pulse_duty > 0.0
-                    && spec.pulse_duty <= 1.0)
-            {
-                return Err(ScenarioError::Invalid(
-                    "[trace] pulse needs pulse_low_rps >= 0, pulse_period_secs > 0 and pulse_duty in (0, 1]".into(),
-                ));
-            }
-            spec
-        }
-    };
-
-    let market = {
-        let mut t = singles
-            .remove("market")
-            .unwrap_or_else(|| Table::new("market"));
-        let (script, script_line) = t.take_str("script")?.unwrap_or_default();
-        if let Some(bad) = script.chars().find(|c| *c != 'g' && *c != 'd') {
-            return perr(
-                script_line,
-                format!("market script may contain only 'g' and 'd', found '{bad}'"),
-            );
-        }
-        let spec = MarketSpec {
-            script,
-            deny_rest: t.take_bool("deny_rest", false)?,
-            evictions,
-            storms,
-        };
-        t.finish()?;
-        spec
-    };
-
-    let expect = {
-        let mut t = singles
-            .remove("expect")
-            .unwrap_or_else(|| Table::new("expect"));
-        let take_opt = |t: &mut Table, key: &str| -> Result<Option<u64>, ScenarioError> {
-            match t.take_unsigned(key, u64::MAX)? {
-                u64::MAX => Ok(None),
-                n => Ok(Some(n)),
-            }
-        };
-        let spec = ExpectSpec {
-            min_evictions: take_opt(&mut t, "min_evictions")?,
-            min_reconfigs: take_opt(&mut t, "min_reconfigs")?,
-            max_censored: take_opt(&mut t, "max_censored")?,
-        };
-        t.finish()?;
-        spec
-    };
-
-    let spec = ScenarioSpec {
-        name,
-        description,
-        fleet,
-        trace,
-        market,
-        expect,
-    };
-    // Cross-field validation.
-    for e in &spec.market.evictions {
-        if e.worker >= spec.fleet.workers {
-            return Err(ScenarioError::Invalid(format!(
-                "[[market.eviction]] worker {} is out of range for a {}-worker fleet",
-                e.worker, spec.fleet.workers
-            )));
-        }
-    }
-    for s in &spec.market.storms {
-        for w in &s.workers {
-            if *w >= spec.fleet.workers {
-                return Err(ScenarioError::Invalid(format!(
-                    "[[market.storm]] worker {} is out of range for a {}-worker fleet",
-                    w, spec.fleet.workers
-                )));
-            }
+            spec.market.storms.push(s);
         }
     }
     Ok(spec)
@@ -1006,98 +1116,28 @@ pub fn load_file(path: &Path) -> Result<ScenarioSpec, ScenarioError> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Canonical serialization (round-trip contract: parse(to_toml(s)) == s)
-// ---------------------------------------------------------------------------
-
 impl ScenarioSpec {
-    /// Serializes the spec back to canonical scenario TOML. The output
-    /// reparses to an identical spec (`parse(s.to_toml()) == s`), which
-    /// the proptest round-trip pins.
+    /// Serializes the spec back to canonical scenario TOML, one walk over
+    /// the key tables. The output reparses to an identical spec
+    /// (`parse(s.to_toml()) == s`), which the proptest round-trip pins.
     pub fn to_toml(&self) -> String {
         let mut out = String::new();
-        let p = &mut out;
-        use std::fmt::Write;
-        writeln!(p, "name = \"{}\"", self.name).unwrap();
-        writeln!(p, "description = \"{}\"", self.description).unwrap();
-        let f = &self.fleet;
-        writeln!(p, "\n[fleet]").unwrap();
-        writeln!(p, "workers = {}", f.workers).unwrap();
-        writeln!(p, "seed = {}", f.seed).unwrap();
-        writeln!(p, "scheme = \"{}\"", f.scheme).unwrap();
-        writeln!(p, "procurement = \"{}\"", f.procurement.slug()).unwrap();
-        writeln!(p, "availability = \"{}\"", f.availability.slug()).unwrap();
-        writeln!(p, "provider = \"{}\"", f.provider.slug()).unwrap();
-        writeln!(p, "slo_mult = {}", f.slo_mult).unwrap();
-        writeln!(p, "revocation_check_secs = {}", f.revocation_check_secs).unwrap();
-        writeln!(p, "vm_startup_secs = {}", f.vm_startup_secs).unwrap();
-        writeln!(p, "procurement_retry_secs = {}", f.procurement_retry_secs).unwrap();
-        writeln!(p, "prewarm = {}", f.prewarm).unwrap();
-        writeln!(p, "cold_start_secs = {}", f.cold_start_secs).unwrap();
-        let t = &self.trace;
-        writeln!(p, "\n[trace]").unwrap();
-        if let Some(csv) = &t.csv {
-            writeln!(p, "csv = \"{csv}\"").unwrap();
-        } else {
-            writeln!(p, "model = \"{}\"", t.model.slug()).unwrap();
-            writeln!(p, "kind = \"{}\"", t.kind.as_str()).unwrap();
-            writeln!(p, "rps = {}", t.rps).unwrap();
-            writeln!(p, "duration_secs = {}", t.duration_secs).unwrap();
-            writeln!(p, "strict_fraction = {}", t.strict_fraction).unwrap();
-            if !t.be_pool.is_empty() {
-                let pool: Vec<String> = t
-                    .be_pool
-                    .iter()
-                    .map(|m| format!("\"{}\"", m.slug()))
-                    .collect();
-                writeln!(p, "be_pool = [{}]", pool.join(", ")).unwrap();
-            }
-            writeln!(p, "be_rotation_secs = {}", t.be_rotation_secs).unwrap();
-            writeln!(p, "batch_arrivals = {}", t.batch_arrivals).unwrap();
-            if t.kind == TraceKind::Pulse {
-                writeln!(p, "pulse_low_rps = {}", t.pulse_low_rps).unwrap();
-                writeln!(p, "pulse_period_secs = {}", t.pulse_period_secs).unwrap();
-                writeln!(p, "pulse_duty = {}", t.pulse_duty).unwrap();
-            }
-            for b in &t.bursts {
-                writeln!(p, "\n[[trace.burst]]").unwrap();
-                writeln!(p, "start_secs = {}", b.start_secs).unwrap();
-                writeln!(p, "duration_secs = {}", b.duration_secs).unwrap();
-                writeln!(p, "add_rps = {}", b.add_rps).unwrap();
+        ROOT.write(self, &mut out);
+        FLEET.write(&self.fleet, &mut out);
+        TRACE.write(&self.trace, &mut out);
+        if self.trace.csv.is_none() {
+            for b in &self.trace.bursts {
+                BURST.write(b, &mut out);
             }
         }
-        let m = &self.market;
-        writeln!(p, "\n[market]").unwrap();
-        writeln!(p, "script = \"{}\"", m.script).unwrap();
-        writeln!(p, "deny_rest = {}", m.deny_rest).unwrap();
-        for e in &m.evictions {
-            writeln!(p, "\n[[market.eviction]]").unwrap();
-            writeln!(p, "worker = {}", e.worker).unwrap();
-            writeln!(p, "at_secs = {}", e.at_secs).unwrap();
-            writeln!(p, "lead_secs = {}", e.lead_secs).unwrap();
+        MARKET.write(&self.market, &mut out);
+        for e in &self.market.evictions {
+            EVICTION.write(e, &mut out);
         }
-        for s in &m.storms {
-            writeln!(p, "\n[[market.storm]]").unwrap();
-            let workers: Vec<String> = s.workers.iter().map(|w| w.to_string()).collect();
-            writeln!(p, "workers = [{}]", workers.join(", ")).unwrap();
-            writeln!(p, "at_secs = {}", s.at_secs).unwrap();
-            writeln!(p, "lead_secs = {}", s.lead_secs).unwrap();
-            writeln!(p, "lead_jitter_secs = {}", s.lead_jitter_secs).unwrap();
-            writeln!(p, "jitter_seed = {}", s.jitter_seed).unwrap();
+        for s in &self.market.storms {
+            STORM.write(s, &mut out);
         }
-        let e = &self.expect;
-        if e.min_evictions.is_some() || e.min_reconfigs.is_some() || e.max_censored.is_some() {
-            writeln!(p, "\n[expect]").unwrap();
-            if let Some(n) = e.min_evictions {
-                writeln!(p, "min_evictions = {n}").unwrap();
-            }
-            if let Some(n) = e.min_reconfigs {
-                writeln!(p, "min_reconfigs = {n}").unwrap();
-            }
-            if let Some(n) = e.max_censored {
-                writeln!(p, "max_censored = {n}").unwrap();
-            }
-        }
+        EXPECT.write(&self.expect, &mut out);
         out
     }
 }
@@ -1811,5 +1851,243 @@ jitter_seed = 3
         assert!(json.contains("\"smoke\": true"));
         assert!(outcome.requests > 0);
         assert!(outcome.audit_checks > 0);
+    }
+
+    #[test]
+    fn integer_keys_are_read_exactly() {
+        let text = "name = \"x\"\n[fleet]\nseed = 9007199254740993\n\n[[market.storm]]\nworkers = [0]\nat_secs = 1\nlead_secs = 1\njitter_seed = 18446744073709551615\n\n[expect]\nmin_evictions = 18446744073709551615\n";
+        let spec = parse(text).unwrap();
+        assert_eq!(spec.fleet.seed, 9_007_199_254_740_993);
+        assert_eq!(spec.market.storms[0].jitter_seed, u64::MAX);
+        // `u64::MAX` is an assertion like any other, not "no assertion".
+        assert_eq!(spec.expect.min_evictions, Some(u64::MAX));
+        assert_eq!(parse(&spec.to_toml()).unwrap(), spec);
+        // An integral float literal still counts; past `u64::MAX` fails
+        // on its line.
+        let spec = parse("name = \"x\"\n[fleet]\nworkers = 6.0\n").unwrap();
+        assert_eq!(spec.fleet.workers, 6);
+        match parse("name = \"x\"\n[fleet]\nseed = 18446744073709551616\n").unwrap_err() {
+            ScenarioError::Parse { line, msg } => {
+                assert_eq!(line, 3);
+                assert!(msg.starts_with("'seed' must be an integer"), "{msg}");
+            }
+            other => panic!("{other}"),
+        }
+    }
+
+    #[test]
+    fn missing_required_keys_fail_on_the_header_line() {
+        for (section, body, key) in [
+            (
+                "trace.burst",
+                "start_secs = 1\nadd_rps = 1",
+                "duration_secs",
+            ),
+            ("market.eviction", "worker = 0\nlead_secs = 1", "at_secs"),
+            ("market.storm", "at_secs = 1\nlead_secs = 1", "workers"),
+        ] {
+            let err = parse(&format!("name = \"x\"\n\n[[{section}]]\n{body}\n")).unwrap_err();
+            let msg = format!("missing required key '{key}' in [[{section}]]");
+            assert_eq!(err, ScenarioError::Parse { line: 3, msg });
+        }
+    }
+
+    #[test]
+    fn sub_microsecond_pulse_period_is_rejected_with_its_line() {
+        let text = "name = \"x\"\n[trace]\nkind = \"pulse\"\npulse_period_secs = 0.0000001\n";
+        match parse(text).unwrap_err() {
+            ScenarioError::Parse { line, msg } => {
+                assert_eq!(line, 4);
+                assert!(msg.starts_with("'pulse_period_secs' must be"), "{msg}");
+            }
+            other => panic!("{other}"),
+        }
+    }
+
+    /// The values a boundary walk feeds a numeric key: its bounds, the
+    /// values just past them, `1e300` and `-0.0`. Empty for other kinds.
+    fn boundary_values<S>(kind: &Kind<S>) -> Vec<String> {
+        let floats = |values: Vec<f64>| {
+            let extremes = [1e300, -0.0];
+            values
+                .into_iter()
+                .chain(extremes)
+                .map(|x| x.to_string())
+                .collect()
+        };
+        let counts = |min: u64| {
+            let below = min
+                .checked_sub(1)
+                .map_or("-1".to_string(), |n| n.to_string());
+            let max = u64::MAX.to_string();
+            let values = [min.to_string(), below, max, "18446744073709551616".into()];
+            values.into_iter().chain(floats(Vec::new())).collect()
+        };
+        match kind {
+            Kind::Secs(min, _) => {
+                let mut max = SimDuration::MAX.as_secs_f64();
+                while SimDuration::try_from_secs(max).is_none() {
+                    max = max.next_down();
+                }
+                floats(vec![*min, min.next_down(), max, max.next_up()])
+            }
+            Kind::Num((lo, hi), _) => {
+                let mut values = match *lo {
+                    Included(x) => vec![x, x.next_down()],
+                    Excluded(x) => vec![x.next_up(), x],
+                    Unbounded => Vec::new(),
+                };
+                match *hi {
+                    Included(x) => values.extend([x, x.next_up()]),
+                    Excluded(x) => values.extend([x.next_down(), x]),
+                    Unbounded => values.push(f64::MAX),
+                }
+                floats(values)
+            }
+            Kind::Count(min, _) => counts(*min),
+            Kind::OptCount(_) => counts(0),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Feeds every numeric key of `section` its boundary values, one
+    /// file each. A value is either accepted, compiled and (for a
+    /// generated-trace key) generated without a panic, or refused on
+    /// the key's line by a message that starts with the key.
+    fn walk_boundaries<S>(section: &Section<S>) {
+        let base = match section.name {
+            "trace" => "rps = 1\nduration_secs = 1\nkind = \"pulse\"",
+            "trace.burst" => "start_secs = 0\nduration_secs = 1\nadd_rps = 1",
+            "market.eviction" => "worker = 0\nat_secs = 0\nlead_secs = 0",
+            "market.storm" => "workers = [0]\nat_secs = 0\nlead_secs = 0",
+            _ => "",
+        };
+        for key in section.keys {
+            let others: Vec<&str> = base
+                .lines()
+                .filter(|l| !l.starts_with(&format!("{} =", key.name)))
+                .collect();
+            for value in boundary_values(&key.kind) {
+                let text = format!(
+                    "name = \"b\"\n{}\n{}\n{} = {value}\n",
+                    section.label(),
+                    others.join("\n"),
+                    key.name
+                );
+                let line = text.lines().count();
+                let case = format!("{} = {value}", key.name);
+                match parse(&text) {
+                    Ok(spec) => {
+                        let compiled = spec.compile(Path::new("."), false);
+                        let generated = section.name == "trace"
+                            && !["rps", "duration_secs"].contains(&key.name);
+                        if let (true, TraceSource::Config(tc)) = (generated, compiled.trace) {
+                            tc.generate(&RngFactory::new(1));
+                        }
+                    }
+                    Err(ScenarioError::Parse { line: at, msg }) => {
+                        assert_eq!(at, line, "{case}: {msg}");
+                        // The trace-size cap words its refusal "'duration_secs' is …".
+                        let must = format!("'{}' must", key.name);
+                        let capped = key.name == "duration_secs" && msg.contains(" over the cap ");
+                        assert!(msg.starts_with(&must) || capped, "{case}: {msg}");
+                    }
+                    Err(e) => panic!("{case}: {e}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_numeric_key_is_checked_at_its_bounds() {
+        walk_boundaries(&FLEET);
+        walk_boundaries(&TRACE);
+        walk_boundaries(&BURST);
+        walk_boundaries(&MARKET);
+        walk_boundaries(&EVICTION);
+        walk_boundaries(&STORM);
+        walk_boundaries(&EXPECT);
+    }
+
+    /// A value for a schema line whose key has no default to show.
+    fn placeholder<S>(kind: &Kind<S>) -> &'static str {
+        match kind {
+            Kind::Secs(..) => "<secs>",
+            Kind::Num(..) => "<number>",
+            Kind::Count(..) | Kind::OptCount(_) => "<integer>",
+            Kind::Bool(_) => "<bool>",
+            Kind::Text(..) => "\"<text>\"",
+            Kind::Models(_) => "[\"<model>\", ...]",
+            Kind::Workers(_) => "[<worker>, ...]",
+        }
+    }
+
+    /// Renders `section` as lines of the schema: each key with its
+    /// default, then whether it is required, its range or its slugs,
+    /// and its doc.
+    fn render_schema<S>(section: &Section<S>, out: &mut Vec<String>) {
+        if !section.name.is_empty() {
+            out.extend([String::new(), section.label()]);
+        }
+        let blank = (section.blank)();
+        for key in section.keys {
+            let mut notes = Vec::new();
+            if key.required {
+                notes.push("required".to_string());
+            }
+            match &key.kind {
+                Kind::Bool(_) | Kind::OptCount(_) => {}
+                // A slug table lists its names when refusing one.
+                Kind::Text(_, set) => {
+                    let refusal = set(&mut (section.blank)(), "?").err().unwrap_or_default();
+                    if let Some(slugs) = refusal.rsplit_once(" (") {
+                        notes.push(slugs.1.trim_end_matches(')').to_string());
+                    }
+                }
+                kind => notes.push(kind.expects()),
+            }
+            if !key.doc.is_empty() {
+                notes.push(key.doc.to_string());
+            }
+            let value = match key.kind.literal(&blank) {
+                Some(v) if !key.required => v,
+                _ => placeholder(&key.kind).to_string(),
+            };
+            let line = format!("{} = {value}", key.name);
+            out.push(match notes.is_empty() {
+                true => line,
+                false => format!("{line:<36}# {}", notes.join("; ")),
+            });
+        }
+    }
+
+    #[test]
+    fn module_doc_schema_is_the_rendered_key_tables() {
+        let mut lines = Vec::new();
+        render_schema(&ROOT, &mut lines);
+        render_schema(&FLEET, &mut lines);
+        render_schema(&TRACE, &mut lines);
+        render_schema(&BURST, &mut lines);
+        render_schema(&MARKET, &mut lines);
+        render_schema(&EVICTION, &mut lines);
+        render_schema(&STORM, &mut lines);
+        render_schema(&EXPECT, &mut lines);
+        let rendered = lines.join("\n");
+        let source = include_str!("scenario.rs");
+        let block = source
+            .split_once("//! # Schema\n//!\n//! ```toml\n")
+            .and_then(|(_, rest)| rest.split_once("//! ```\n"))
+            .map(|(block, _)| block)
+            .expect("the module doc has a # Schema toml block");
+        let documented: Vec<&str> = block
+            .lines()
+            .map(|l| l.strip_prefix("//!").unwrap_or(l))
+            .map(|l| l.strip_prefix(' ').unwrap_or(l))
+            .collect();
+        assert_eq!(
+            documented.join("\n"),
+            rendered,
+            "paste the rendered schema into the module doc:\n{rendered}"
+        );
     }
 }
