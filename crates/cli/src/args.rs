@@ -79,12 +79,6 @@ impl Args {
         }
     }
 
-    /// Flags that were provided but not consumed by the command — used
-    /// to report typos.
-    pub fn flag_names(&self) -> impl Iterator<Item = &str> {
-        self.flags.keys().map(String::as_str)
-    }
-
     /// Validates that every provided flag is in `known`, reporting the
     /// first unknown one.
     ///
@@ -92,7 +86,7 @@ impl Args {
     ///
     /// Returns [`ArgError`] naming the unknown flag.
     pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
-        let mut names: Vec<&str> = self.flag_names().collect();
+        let mut names: Vec<&str> = self.flags.keys().map(String::as_str).collect();
         names.sort_unstable();
         for name in names {
             if !known.contains(&name) {

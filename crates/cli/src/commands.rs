@@ -1,15 +1,18 @@
 //! The CLI subcommands.
 
-use protean_cluster::{run_simulation_on, ClusterConfig, SchemeBuilder};
+use std::path::{Path, PathBuf};
+
+use protean_cluster::{run_simulation_on, SchemeBuilder, SimulationResult};
 use protean_experiments::harness::{run_grid, thread_count_or, GridCell};
 use protean_experiments::report::{scheme_table, table};
+use protean_experiments::scenario::{
+    self, CompiledScenario, ScenarioError, ScenarioSpec, TraceSource, RUN_FLAGS,
+};
 use protean_experiments::{run_scheme, schemes};
 use protean_gpu::{find_placement, Geometry};
 use protean_metrics::record::Class;
-use protean_models::{catalog, ModelId};
-use protean_sim::SimDuration;
-use protean_spot::{ProcurementPolicy, SpotAvailability};
-use protean_trace::{check_trace_size, Trace, TraceConfig, TraceShape};
+use protean_models::{catalog, Domain};
+use protean_trace::TraceConfig;
 
 use crate::args::{ArgError, Args};
 
@@ -28,13 +31,12 @@ USAGE:
   protean-cli scenario run       run scenarios with report cards
   protean-cli help               this text
 
-FLAGS (simulate / compare):
+Each run flag sets one scenario key (see README), checked as in a file.
+
+FLAGS (simulate):
   --model <name>          workload model, e.g. resnet50, vgg19, gpt2
                           (see `catalog`; default resnet50)
-  --scheme <name>         simulate only: protean | oracle | molecule |
-                          infless (or llama) | naive | migonly | mpsmig |
-                          smart | gpulet (default protean)
-  --trace <kind>          wiki | twitter | constant (default wiki)
+  --trace <kind>          constant | wiki | twitter | pulse (default wiki)
   --rps <f64>             arrival rate; default 5000 vision / 128 language
   --duration <secs>       trace length (default 60; at most 1e8 s and
                           1e8 requests at --rps)
@@ -44,12 +46,19 @@ FLAGS (simulate / compare):
   --slo-mult <f64>        SLO = mult x 7g latency (default 3)
   --procurement <p>       ondemand | spot | hybrid (default ondemand;
                           on-demand also accepted)
-  --threads <n>           compare only: worker threads for the scheme
-                          grid (default PROTEAN_THREADS, then the
-                          machine's available parallelism)
   --availability <a>      high | moderate | low (default high; medium
                           also accepted)
-  --per-model <bool>      simulate only: also print a per-model table
+  --scheme <name>         protean | oracle | molecule | infless (or
+                          llama) | naive | migonly | mpsmig | smart |
+                          gpulet (default protean)
+  --per-model <bool>      also print a per-model table
+
+FLAGS (compare):
+  --model / --trace / --rps / --duration / --strict-frac / --workers /
+  --seed / --slo-mult / --procurement / --availability as above
+  --threads <n>           worker threads for the scheme grid (default
+                          PROTEAN_THREADS, then the machine's available
+                          parallelism)
 
 FLAGS (replay):
   --trace-file <path>     CSV produced by gen-trace (arrival_us,model,strict)
@@ -68,144 +77,87 @@ FLAGS (scenario list / scenario run):
                           into this directory
 ";
 
-/// Flags [`build_run`] reads, shared by `simulate` and `compare`.
-const RUN_FLAGS: [&str; 10] = [
-    "model",
-    "trace",
-    "rps",
-    "duration",
-    "strict-frac",
-    "workers",
-    "seed",
-    "slo-mult",
-    "procurement",
-    "availability",
-];
-/// `simulate`'s own flags on top of [`RUN_FLAGS`].
-const SIMULATE_FLAGS: [&str; 2] = ["scheme", "per-model"];
-/// `compare`'s own flags on top of [`RUN_FLAGS`].
-const COMPARE_FLAGS: [&str; 1] = ["threads"];
+/// The run flags ([`RUN_FLAGS`]) that describe a generated trace.
+const TRACE: [&str; 5] = ["model", "trace", "rps", "duration", "strict-frac"];
+/// The run flags that describe the fleet.
+const FLEET: [&str; 3] = ["workers", "seed", "slo-mult"];
+/// The run flags that describe the VM market.
+const MARKET: [&str; 2] = ["procurement", "availability"];
 
-/// Resolves a model name like `resnet50` or `ResNet 50`: dropping
-/// everything but ASCII letters and digits and lowercasing turns every
-/// display name into its slug.
-pub fn parse_model(name: &str) -> Result<ModelId, ArgError> {
-    let slug: String = name
-        .chars()
-        .filter(char::is_ascii_alphanumeric)
-        .collect::<String>()
-        .to_ascii_lowercase();
-    ModelId::from_slug(&slug).ok_or_else(|| {
-        ArgError(format!(
-            "unknown model '{name}' (run `protean-cli catalog` for the list)"
-        ))
-    })
-}
-
-/// Resolves a scheme name.
-pub fn parse_scheme(name: &str) -> Result<Box<dyn SchemeBuilder>, ArgError> {
-    schemes::by_name(name).ok_or_else(|| ArgError(schemes::unknown_scheme(name)))
-}
-
-fn parse_procurement(name: &str) -> Result<ProcurementPolicy, ArgError> {
-    ProcurementPolicy::from_slug(name).map_err(|e| ArgError(e.to_string()))
-}
-
-fn parse_availability(name: &str) -> Result<SpotAvailability, ArgError> {
-    SpotAvailability::from_slug(name).map_err(|e| ArgError(e.to_string()))
-}
-
-/// The value of `--name` as a finite `f64`, or `default` when absent:
-/// `nan` and `inf` parse as `f64` but name no rate, span or multiplier.
-fn get_finite(args: &Args, name: &str, default: f64) -> Result<f64, ArgError> {
-    let value: f64 = args.get_or(name, default)?;
-    if value.is_finite() {
-        Ok(value)
-    } else {
-        Err(ArgError(format!("--{name} must be finite, got {value}")))
-    }
-}
-
-/// `paper_default` with the `--workers`, `--seed` and `--slo-mult`
-/// flags applied: the fleet flags `simulate`, `compare` and `replay`
-/// share.
-fn fleet_config(args: &Args) -> Result<ClusterConfig, ArgError> {
-    let mut config = ClusterConfig::paper_default();
-    config.workers = args.get_or("workers", 8usize)?;
-    if config.workers == 0 {
-        return Err(ArgError("--workers must be at least 1".into()));
-    }
-    config.seed = args.get_or("seed", 42u64)?;
-    config.slo_multiplier = get_finite(args, "slo-mult", 3.0)?;
-    if config.slo_multiplier < 1.0 {
-        return Err(ArgError("--slo-mult must be >= 1".into()));
-    }
-    Ok(config)
-}
-
-fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
-    let model = parse_model(args.get("model").unwrap_or("resnet50"))?;
-    let cat = catalog();
-    let default_rps = match cat.profile(model).domain {
-        protean_models::Domain::Vision => 5000.0,
-        protean_models::Domain::Language => 128.0,
+/// The flags `command` accepts: the run flags it reads, then its own.
+fn flags_of(command: &str) -> Vec<&'static str> {
+    let groups: &[&[&str]] = match command {
+        "simulate" => &[&TRACE, &FLEET, &MARKET, &["scheme", "per-model"]],
+        "compare" => &[&TRACE, &FLEET, &MARKET, &["threads"]],
+        "replay" => &[&["trace-file", "scheme"], &FLEET],
+        "gen-trace" => &[&TRACE, &["seed", "out"]],
+        // `scenario list` and `scenario run`.
+        _ => &[&["dir", "name", "smoke", "out"]],
     };
-    let rps = get_finite(args, "rps", default_rps)?;
-    if rps <= 0.0 {
-        return Err(ArgError("--rps must be positive".into()));
+    groups.concat()
+}
+
+/// The scenario every run command starts from: `paper_default`'s fleet
+/// (a test pins it) and a 60 s wiki trace of batched arrivals.
+const BASE: &str = "name = \"cli\"
+[fleet]
+workers = 8
+revocation_check_secs = 60
+vm_startup_secs = 30
+procurement_retry_secs = 60
+[trace]
+kind = \"wiki\"
+batch_arrivals = true
+";
+
+impl From<ScenarioError> for ArgError {
+    fn from(e: ScenarioError) -> Self {
+        ArgError(e.to_string())
     }
-    let secs = get_finite(args, "duration", 60.0)?;
-    if secs <= 0.0 {
-        return Err(ArgError("--duration must be positive".into()));
-    }
-    let Some(duration) = SimDuration::try_from_secs(secs) else {
-        return Err(ArgError(format!(
-            "--duration {secs:e} is beyond the simulated clock (about 1.8e13 s)"
-        )));
-    };
-    // Every command here materialises its trace.
-    check_trace_size(secs, rps).map_err(|e| ArgError(format!("--duration {e}")))?;
-    let strict_fraction: f64 = args.get_or("strict-frac", 0.5)?;
-    if !(0.0..=1.0).contains(&strict_fraction) {
-        return Err(ArgError("--strict-frac must be in [0, 1]".into()));
-    }
-    let shape = match args.get("trace").unwrap_or("wiki") {
-        "wiki" => TraceShape::wiki(rps),
-        "twitter" => TraceShape::twitter(rps),
-        "constant" => TraceShape::constant(rps),
-        other => {
-            return Err(ArgError(format!(
-                "unknown trace '{other}' (wiki | twitter | constant)"
-            )))
+}
+
+/// The run `command`'s `args` describe: [`BASE`] with each run flag
+/// given overriding its key, checked as that key is in a scenario file.
+/// Without `--rps` the rate is 5000 for a vision model, 128 for a
+/// language one.
+fn compile_run(command: &str, args: &Args) -> Result<CompiledScenario, ArgError> {
+    args.reject_unknown(&flags_of(command))?;
+    let mut spec = scenario::parse(BASE)?;
+    let mut given = Vec::new();
+    for (flag, key) in RUN_FLAGS {
+        if let Some(raw) = args.get(flag) {
+            spec.set(key, flag, raw)?;
+            given.push((flag, key));
         }
-    };
-    let be_pool = cat.opposite_pool(model);
-    let trace = TraceConfig {
-        shape,
-        duration,
-        strict_model: model,
-        strict_fraction,
-        be_pool,
-        be_rotation_period: SimDuration::from_secs(20.0),
-        batch_arrivals: true,
-    };
-    let mut config = fleet_config(args)?;
-    // Absent flags keep `paper_default`'s on-demand, high availability.
-    if let Some(name) = args.get("procurement") {
-        config.procurement = parse_procurement(name)?;
     }
-    if let Some(name) = args.get("availability") {
-        config.availability = parse_availability(name)?;
+    if args.get("rps").is_none() {
+        spec.trace.rps = match catalog().profile(spec.trace.model).domain {
+            Domain::Vision => 5000.0,
+            Domain::Language => 128.0,
+        };
     }
-    Ok((config, trace))
+    spec.check_flags(&given)?;
+    // `--trace-file` is a path as given, not one relative to a file.
+    Ok(spec.compile(Path::new(""), false))
+}
+
+/// The scheme a run names; its key's row admits only known names.
+fn scheme_of(run: &CompiledScenario) -> Box<dyn SchemeBuilder> {
+    schemes::by_name(&run.scheme).expect("the scheme key admits only known schemes")
+}
+
+/// The trace a run generates: only `replay` takes `--trace-file`.
+fn generated(run: &CompiledScenario) -> &TraceConfig {
+    let TraceSource::Config(trace) = &run.trace else {
+        unreachable!("only replay takes --trace-file")
+    };
+    trace
 }
 
 /// `simulate`: one scheme, full report.
 pub fn simulate(args: &Args) -> Result<(), ArgError> {
-    args.reject_unknown(&[&RUN_FLAGS[..], &SIMULATE_FLAGS].concat())?;
-    let (config, trace) = build_run(args)?;
-    let scheme = parse_scheme(args.get("scheme").unwrap_or("protean"))?;
-    let row = run_scheme(&config, scheme.as_ref(), &trace);
+    let run = compile_run("simulate", args)?;
+    let row = run_scheme(&run.config, scheme_of(&run).as_ref(), generated(&run));
     scheme_table(std::slice::from_ref(&row));
     println!();
     println!(
@@ -219,8 +171,7 @@ pub fn simulate(args: &Args) -> Result<(), ArgError> {
     );
     if args.get_or("per-model", false)? {
         let cat = catalog();
-        let mult = config.slo_multiplier;
-        let slo = move |m: ModelId| cat.profile(m).slo_with_multiplier(mult);
+        let slo = SimulationResult::slo_fn(&cat, run.config.slo_multiplier);
         let rows: Vec<Vec<String>> = row
             .result
             .metrics
@@ -249,16 +200,13 @@ pub fn compare(args: &Args) -> Result<(), ArgError> {
             "--scheme does not apply to `compare` (it runs all primary schemes)".into(),
         ));
     }
-    args.reject_unknown(&[&RUN_FLAGS[..], &COMPARE_FLAGS].concat())?;
-    let (config, trace) = build_run(args)?;
-    let threads = thread_count_or(match args.get("threads") {
-        None => None,
-        Some(_) => Some(args.get_or("threads", 1usize)?),
-    });
+    let run = compile_run("compare", args)?;
+    let threads = args.get("threads").map(|_| args.get_or("threads", 1usize));
+    let threads = thread_count_or(threads.transpose()?);
     let lineup = schemes::primary();
     let cells: Vec<GridCell<'_>> = lineup
         .iter()
-        .map(|s| GridCell::new(config.clone(), s.as_ref(), trace.clone()))
+        .map(|s| GridCell::new(run.config.clone(), s.as_ref(), generated(&run).clone()))
         .collect();
     let rows = run_grid(&cells, threads);
     scheme_table(&rows);
@@ -325,33 +273,26 @@ pub fn geometries(args: &Args) -> Result<(), ArgError> {
 
 /// `replay`: run a scheme over a CSV trace file.
 pub fn replay(args: &Args) -> Result<(), ArgError> {
-    args.reject_unknown(&["trace-file", "scheme", "workers", "seed", "slo-mult"])?;
-    let path = args
-        .get("trace-file")
-        .ok_or_else(|| ArgError("replay requires --trace-file <path>".into()))?;
-    let config = fleet_config(args)?;
-    let scheme = parse_scheme(args.get("scheme").unwrap_or("protean"))?;
-    let trace = Trace::read_csv_file(path).map_err(|e| ArgError(e.to_string()))?;
+    let run = compile_run("replay", args)?;
+    let TraceSource::Csv(_) = &run.trace else {
+        return Err(ArgError("replay requires --trace-file <path>".into()));
+    };
+    let trace = run.trace.load(run.config.seed)?;
     println!(
         "  replaying {} requests over {}",
         trace.requests().len(),
         trace.duration()
     );
-    let result = run_simulation_on(&config, scheme.as_ref(), trace);
+    let result = run_simulation_on(&run.config, scheme_of(&run).as_ref(), trace);
     let cat = catalog();
-    let slo = protean_cluster::SimulationResult::slo_fn(&cat, config.slo_multiplier);
+    let slo = SimulationResult::slo_fn(&cat, run.config.slo_multiplier);
+    let p99 = |class| result.metrics.latency_percentile_ms(class, 0.99);
     println!(
         "  scheme {} · SLO {:.2}% · strict P99 {:.1} ms · BE P99 {:.1} ms · censored {}",
         result.scheme,
         result.metrics.slo_compliance(&slo) * 100.0,
-        result
-            .metrics
-            .latency_percentile_ms(Class::Strict, 0.99)
-            .unwrap_or(0.0),
-        result
-            .metrics
-            .latency_percentile_ms(Class::BestEffort, 0.99)
-            .unwrap_or(0.0),
+        p99(Class::Strict).unwrap_or(0.0),
+        p99(Class::BestEffort).unwrap_or(0.0),
         result.censored,
     );
     Ok(())
@@ -359,21 +300,11 @@ pub fn replay(args: &Args) -> Result<(), ArgError> {
 
 /// `gen-trace`: write a generated trace to a CSV file.
 pub fn gen_trace(args: &Args) -> Result<(), ArgError> {
-    args.reject_unknown(&[
-        "out",
-        "model",
-        "trace",
-        "rps",
-        "duration",
-        "strict-frac",
-        "seed",
-    ])?;
+    let run = compile_run("gen-trace", args)?;
     let out = args
         .get("out")
         .ok_or_else(|| ArgError("gen-trace requires --out <path>".into()))?;
-    let (_, trace_config) = build_run(args)?;
-    let seed: u64 = args.get_or("seed", 42u64)?;
-    let trace = trace_config.generate(&protean_sim::RngFactory::new(seed));
+    let trace = run.trace.load(run.config.seed)?;
     let file =
         std::fs::File::create(out).map_err(|e| ArgError(format!("cannot create {out}: {e}")))?;
     trace
@@ -390,40 +321,26 @@ pub fn gen_trace(args: &Args) -> Result<(), ArgError> {
 /// `scenario list` / `scenario run`: the declarative adversarial
 /// scenario catalog (see `scenarios/` and the scenario DSL docs).
 pub fn scenario(action: Option<&str>, args: &Args) -> Result<(), ArgError> {
-    args.reject_unknown(&["dir", "name", "smoke", "out"])?;
-    let dir = std::path::PathBuf::from(args.get("dir").unwrap_or("scenarios"));
-    let files =
-        protean_experiments::scenario::catalog_files(&dir).map_err(|e| ArgError(e.to_string()))?;
+    args.reject_unknown(&flags_of("scenario"))?;
+    let dir = PathBuf::from(args.get("dir").unwrap_or("scenarios"));
+    let files = scenario::catalog_files(&dir)?;
     if files.is_empty() {
         return Err(ArgError(format!(
             "no scenario files (*.toml) found in {}",
             dir.display()
         )));
     }
-    let specs: Vec<(
-        std::path::PathBuf,
-        protean_experiments::scenario::ScenarioSpec,
-    )> = files
+    let specs: Vec<(PathBuf, ScenarioSpec)> = files
         .iter()
-        .map(|f| {
-            protean_experiments::scenario::load_file(f)
-                .map(|s| (f.clone(), s))
-                .map_err(|e| ArgError(e.to_string()))
-        })
+        .map(|f| scenario::load_file(f).map(|s| (f.clone(), s)))
         .collect::<Result<_, _>>()?;
     match action {
         Some("list") => {
             let rows: Vec<Vec<String>> = specs
                 .iter()
                 .map(|(f, s)| {
-                    vec![
-                        s.name.clone(),
-                        f.file_name()
-                            .unwrap_or_default()
-                            .to_string_lossy()
-                            .into_owned(),
-                        s.description.clone(),
-                    ]
+                    let file = f.file_name().unwrap_or_default().to_string_lossy();
+                    vec![s.name.clone(), file.into_owned(), s.description.clone()]
                 })
                 .collect();
             table(&["scenario", "file", "description"], &rows);
@@ -432,7 +349,7 @@ pub fn scenario(action: Option<&str>, args: &Args) -> Result<(), ArgError> {
         Some("run") => {
             let smoke: bool = args.get_or("smoke", false)?;
             let only = args.get("name");
-            let out_dir = args.get("out").map(std::path::PathBuf::from);
+            let out_dir = args.get("out").map(PathBuf::from);
             if let Some(d) = &out_dir {
                 std::fs::create_dir_all(d)
                     .map_err(|e| ArgError(format!("cannot create {}: {e}", d.display())))?;
@@ -450,9 +367,8 @@ pub fn scenario(action: Option<&str>, args: &Args) -> Result<(), ArgError> {
             }
             let mut outcomes = Vec::with_capacity(selected.len());
             for (file, spec) in selected {
-                let base = file.parent().unwrap_or(std::path::Path::new("."));
-                let outcome = protean_experiments::scenario::run(spec, base, smoke)
-                    .map_err(|e| ArgError(e.to_string()))?;
+                let base = file.parent().unwrap_or(Path::new("."));
+                let outcome = scenario::run(spec, base, smoke)?;
                 if let Some(d) = &out_dir {
                     let path = d.join(format!("{}.json", spec.name));
                     std::fs::write(&path, outcome.to_json())
@@ -460,7 +376,7 @@ pub fn scenario(action: Option<&str>, args: &Args) -> Result<(), ArgError> {
                 }
                 outcomes.push(outcome);
             }
-            let headers = protean_experiments::scenario::card_headers();
+            let headers = scenario::card_headers();
             let rows: Vec<Vec<String>> = outcomes.iter().map(|o| o.table_row()).collect();
             table(&headers, &rows);
             println!(
@@ -480,25 +396,36 @@ pub fn scenario(action: Option<&str>, args: &Args) -> Result<(), ArgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protean_spot::Provider;
+    use protean_cluster::ClusterConfig;
+    use protean_models::ModelId;
+    use protean_sim::SimDuration;
+    use protean_spot::{ProcurementPolicy, Provider, SpotAvailability};
+    use protean_trace::TraceShape;
+
+    /// `simulate`'s run for the flag tokens `flags`.
+    fn simulate_run(flags: &[&str]) -> Result<CompiledScenario, ArgError> {
+        let tokens = ["simulate"].iter().chain(flags).map(|t| t.to_string());
+        compile_run("simulate", &Args::parse(tokens).unwrap())
+    }
 
     #[test]
     fn model_names_resolve_loosely() {
-        assert_eq!(parse_model("resnet50").unwrap(), ModelId::ResNet50);
-        assert_eq!(parse_model("ResNet 50").unwrap(), ModelId::ResNet50);
-        assert_eq!(parse_model("GPT-2").unwrap(), ModelId::Gpt2);
-        assert_eq!(parse_model("shufflenetv2").unwrap(), ModelId::ShuffleNetV2);
-        assert!(parse_model("resnet5000").is_err());
+        let model = |name| simulate_run(&["--model", name]).map(|r| generated(&r).strict_model);
+        assert_eq!(model("resnet50").unwrap(), ModelId::ResNet50);
+        assert_eq!(model("ResNet 50").unwrap(), ModelId::ResNet50);
+        assert_eq!(model("GPT-2").unwrap(), ModelId::Gpt2);
+        assert_eq!(model("shufflenetv2").unwrap(), ModelId::ShuffleNetV2);
+        assert!(model("resnet5000").is_err());
         // Normalising a display name yields its slug, for every model.
         for m in ModelId::ALL {
-            assert_eq!(parse_model(m.name()).unwrap(), m, "{}", m.name());
-            assert_eq!(parse_model(m.slug()).unwrap(), m, "{}", m.slug());
+            assert_eq!(model(m.name()).unwrap(), m, "{}", m.name());
+            assert_eq!(model(m.slug()).unwrap(), m, "{}", m.slug());
         }
     }
 
     /// A scenario whose `[fleet]` section is `fleet`.
-    fn scenario_fleet(fleet: &str) -> protean_experiments::scenario::ScenarioSpec {
-        protean_experiments::scenario::parse(&format!("name = \"x\"\n[fleet]\n{fleet}\n"))
+    fn scenario_fleet(fleet: &str) -> ScenarioSpec {
+        scenario::parse(&format!("name = \"x\"\n[fleet]\n{fleet}\n"))
             .unwrap_or_else(|e| panic!("{fleet}: {e}"))
     }
 
@@ -506,50 +433,41 @@ mod tests {
     fn schemes_resolve() {
         for name in schemes::names() {
             for spelled in [name.to_string(), name.to_ascii_uppercase()] {
-                let cli = parse_scheme(&spelled).unwrap().name();
+                let cli = scheme_of(&simulate_run(&["--scheme", &spelled]).unwrap()).name();
                 let dsl = scenario_fleet(&format!("scheme = \"{spelled}\""));
                 assert_eq!(schemes::by_name(&dsl.fleet.scheme).unwrap().name(), cli);
             }
         }
         assert_eq!(schemes::names().count(), 10);
-        let err = parse_scheme("unknown").err().unwrap();
+        let err = simulate_run(&["--scheme", "unknown"]).unwrap_err();
         assert_eq!(
             err.0,
-            "unknown scheme 'unknown' (protean | oracle | molecule | infless | naive | migonly | mpsmig | smart | gpulet)"
+            "--scheme: unknown scheme 'unknown' (protean | oracle | molecule | infless | naive | migonly | mpsmig | smart | gpulet)"
         );
     }
 
     #[test]
-    fn build_run_applies_defaults_and_validates() {
-        let args = Args::parse(vec!["simulate".to_string()]).unwrap();
-        let (config, trace) = build_run(&args).unwrap();
-        assert_eq!(config.workers, 8);
-        assert_eq!(config.procurement, ProcurementPolicy::OnDemandOnly);
-        assert_eq!(config.availability, SpotAvailability::High);
-        assert_eq!(trace.strict_model, ModelId::ResNet50);
-        assert!(trace.batch_arrivals);
-
-        let bad = Args::parse(
-            "simulate --strict-frac 1.5"
-                .split_whitespace()
-                .map(String::from)
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        assert!(build_run(&bad).is_err());
+    fn compile_run_applies_defaults_and_validates() {
+        let run = simulate_run(&[]).unwrap();
+        assert_eq!(run.config, ClusterConfig::paper_default());
+        let model = ModelId::ResNet50;
+        let trace = TraceConfig {
+            shape: TraceShape::wiki(5000.0),
+            duration: SimDuration::from_secs(60.0),
+            strict_model: model,
+            strict_fraction: 0.5,
+            be_pool: catalog().opposite_pool(model),
+            be_rotation_period: SimDuration::from_secs(20.0),
+            batch_arrivals: true,
+        };
+        assert_eq!(generated(&run), &trace);
+        assert!(simulate_run(&["--strict-frac", "1.5"]).is_err());
     }
 
     #[test]
     fn language_models_default_to_their_rate() {
-        let args = Args::parse(
-            "simulate --model bert"
-                .split_whitespace()
-                .map(String::from)
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let (_, trace) = build_run(&args).unwrap();
-        match trace.shape {
+        let run = simulate_run(&["--model", "bert"]).unwrap();
+        match generated(&run).shape {
             TraceShape::WikiDiurnal { mean_rps, .. } => assert_eq!(mean_rps, 128.0),
             _ => panic!("expected wiki"),
         }
@@ -570,7 +488,6 @@ mod tests {
         .unwrap();
         assert!(catalog_cmd(&bad).is_err());
     }
-
     #[test]
     fn compare_rejects_scheme_flag_and_replay_requires_file() {
         let a = Args::parse(
@@ -708,30 +625,32 @@ mod tests {
             )
             .unwrap()
         };
-        let rejects = |err: ArgError, flag: &str| {
+        let rejects = |err: ArgError, flag: &str, key: &str, value: &str| {
+            let text = &err.0;
             assert!(
-                err.0.starts_with(&format!("--{flag} must be finite")),
+                text.starts_with(&format!("--{flag}: '{key}' must be ")),
                 "{err}"
             );
+            assert!(text.ends_with(&format!(", got {value}")), "{err}");
         };
         // Unchecked, a `nan` rate panics in the trace generator, an `inf`
         // duration in `SimDuration`, and a `nan` multiplier passes `< 1`.
-        for (flag, value) in [("rps", "nan"), ("duration", "inf"), ("slo-mult", "nan")] {
-            rejects(
-                simulate(&parse(&format!("simulate --{flag} {value}"))).unwrap_err(),
-                flag,
-            );
-            rejects(
-                compare(&parse(&format!("compare --{flag} {value}"))).unwrap_err(),
-                flag,
-            );
+        for (flag, key, value) in [
+            ("rps", "rps", "nan"),
+            ("duration", "duration_secs", "inf"),
+            ("slo-mult", "slo_mult", "nan"),
+        ] {
+            let line = format!("simulate --{flag} {value}");
+            rejects(simulate(&parse(&line)).unwrap_err(), flag, key, value);
+            let line = format!("compare --{flag} {value}");
+            rejects(compare(&parse(&line)).unwrap_err(), flag, key, value);
         }
+        let line = "replay --trace-file /nonexistent/x.csv --slo-mult nan";
         rejects(
-            replay(&parse(
-                "replay --trace-file /nonexistent/x.csv --slo-mult nan",
-            ))
-            .unwrap_err(),
+            replay(&parse(line)).unwrap_err(),
             "slo-mult",
+            "slo_mult",
+            "nan",
         );
     }
 
@@ -755,8 +674,9 @@ mod tests {
             }
             .unwrap_err();
             assert!(
-                err.0
-                    .starts_with("--duration 1e300 is beyond the simulated clock"),
+                err.0.starts_with(
+                    "--duration: 'duration_secs' must be within the simulated clock (about 1.8e13 s), got 1e300"
+                ),
                 "{err}"
             );
         }
@@ -790,13 +710,12 @@ mod tests {
                     _ => gen_trace(&args),
                 }
                 .unwrap_err();
-                assert!(err.0.starts_with(&format!("--duration {reason}")), "{err}");
+                let expected = format!("--duration: 'duration_secs' {reason}");
+                assert!(err.0.starts_with(&expected), "{err}");
             }
         }
         // The request cap scales with the rate: 1e6 s at 50 rps fits.
-        let args = Args::parse(["simulate", "--duration", "1e6", "--rps", "50"].map(String::from))
-            .unwrap();
-        assert!(build_run(&args).is_ok());
+        assert!(simulate_run(&["--duration", "1e6", "--rps", "50"]).is_ok());
     }
 
     #[test]
@@ -809,7 +728,8 @@ mod tests {
             .chain(ProcurementPolicy::ALIASES);
         for (name, p) in procurement {
             for spelled in [name.to_string(), name.to_ascii_uppercase()] {
-                assert_eq!(parse_procurement(&spelled).unwrap(), p);
+                let run = simulate_run(&["--procurement", &spelled]).unwrap();
+                assert_eq!(run.config.procurement, p);
                 let spec = scenario_fleet(&format!("procurement = \"{spelled}\""));
                 assert_eq!(spec.fleet.procurement, p);
                 let line = format!("procurement = \"{}\"", p.slug());
@@ -822,7 +742,8 @@ mod tests {
             .chain(SpotAvailability::ALIASES);
         for (name, a) in availability {
             for spelled in [name.to_string(), name.to_ascii_uppercase()] {
-                assert_eq!(parse_availability(&spelled).unwrap(), a);
+                let run = simulate_run(&["--availability", &spelled]).unwrap();
+                assert_eq!(run.config.availability, a);
                 let spec = scenario_fleet(&format!("availability = \"{spelled}\""));
                 assert_eq!(spec.fleet.availability, a);
                 let line = format!("availability = \"{}\"", a.slug());
@@ -837,19 +758,75 @@ mod tests {
                 .to_toml()
                 .contains(&format!("provider = \"{}\"", p.slug())));
         }
-        let err =
-            protean_experiments::scenario::parse("name = \"x\"\n[fleet]\nprovider = \"ibm\"\n");
+        let err = scenario::parse("name = \"x\"\n[fleet]\nprovider = \"ibm\"\n");
         assert_eq!(
             err.unwrap_err().to_string(),
             "line 3: unknown provider 'ibm' (aws | azure | gcp)"
         );
         assert_eq!(
-            parse_procurement("free").unwrap_err().0,
-            "unknown procurement 'free' (ondemand | spot | hybrid)"
+            simulate_run(&["--procurement", "free"]).unwrap_err().0,
+            "--procurement: unknown procurement 'free' (ondemand | spot | hybrid)"
         );
         assert_eq!(
-            parse_availability("none").unwrap_err().0,
-            "unknown availability 'none' (high | moderate | low)"
+            simulate_run(&["--availability", "none"]).unwrap_err().0,
+            "--availability: unknown availability 'none' (high | moderate | low)"
         );
+    }
+
+    #[test]
+    fn readme_lists_each_run_flag_with_its_key() {
+        let readme = include_str!("../../../README.md");
+        for (flag, key) in RUN_FLAGS {
+            let (section, name) = key.split_once('.').unwrap();
+            let row = format!("| `--{flag}` | `[{section}] {name}` |");
+            assert!(readme.contains(&row), "README lacks {row}");
+        }
+    }
+
+    /// The flags a USAGE line lists first: `--a <x>  doc` lists `a`,
+    /// `--a / --b as above` lists both.
+    fn listed_flags(line: &str) -> Vec<&str> {
+        let tokens = line
+            .split_whitespace()
+            .take_while(|t| t.starts_with("--") || *t == "/");
+        tokens.filter_map(|t| t.strip_prefix("--")).collect()
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_command_accepts() {
+        let mut listed: Vec<(&str, Vec<&str>)> = Vec::new();
+        for block in USAGE.split("\nFLAGS (").skip(1) {
+            let (commands, body) = block.split_once("):\n").unwrap();
+            let flags: Vec<&str> = body.lines().flat_map(listed_flags).collect();
+            listed.extend(commands.split(" / ").map(|c| (c, flags.clone())));
+        }
+        let commands = [
+            "simulate",
+            "compare",
+            "replay",
+            "gen-trace",
+            "scenario list",
+            "scenario run",
+        ];
+        let blocks: Vec<&str> = listed.iter().map(|(c, _)| *c).collect();
+        assert_eq!(blocks, commands);
+        for (command, mut usage) in listed {
+            let mut accepted = flags_of(command.split(' ').next().unwrap());
+            accepted.sort_unstable();
+            usage.sort_unstable();
+            assert_eq!(usage, accepted, "{command}");
+        }
+        // `--trace` lists the `kind` row's slugs, as its refusal does.
+        let refusal = ScenarioSpec::default()
+            .set("trace.kind", "trace", "?")
+            .unwrap_err();
+        let refusal = refusal.to_string();
+        let slugs = refusal.rsplit_once(" (").unwrap().1.trim_end_matches(')');
+        let line = USAGE
+            .lines()
+            .find(|l| l.starts_with("  --trace <kind>"))
+            .unwrap();
+        let documented = line.split_once("<kind>").unwrap().1.trim();
+        assert_eq!(documented, format!("{slugs} (default wiki)"));
     }
 }

@@ -5,10 +5,16 @@
 //!     --duration 60 --trace wiki --strict-frac 0.5 --procurement hybrid \
 //!     --availability low --workers 8 --seed 42 --slo-mult 3
 //! protean-cli compare --model vgg19 --duration 60
+//! protean-cli gen-trace --model resnet50 --duration 10 --out trace.csv
+//! protean-cli replay --trace-file trace.csv --workers 2
+//! protean-cli scenario run --smoke true
 //! protean-cli catalog
 //! protean-cli geometries
 //! protean-cli help
 //! ```
+//!
+//! Each run flag overrides one scenario key (`--rps` is `[trace] rps`)
+//! and is checked as that key is in a scenario file.
 
 mod args;
 mod commands;

@@ -36,6 +36,20 @@ fn out_of_range_values_are_rejected_with_their_line() {
             3,
             "'seed' must be",
         ),
+        // Past the worker cap: unchecked, the fleet allocation panics.
+        (
+            "workers_overflow",
+            "name = \"x\"\n[fleet]\nworkers = 18446744073709551615\n",
+            3,
+            "'workers' must be an integer >= 1 and <= 1000000",
+        ),
+        // Unchecked, the burst's 1e14 requests abort on the allocation.
+        (
+            "burst_overflow",
+            "name = \"x\"\n[trace]\nrps = 1\nduration_secs = 1e6\n\n[[trace.burst]]\nstart_secs = 0\nduration_secs = 1e6\nadd_rps = 1e8\n",
+            9,
+            "'add_rps' must keep the trace within",
+        ),
         // Rounds to a zero-microsecond pulse period.
         (
             "pulse_period",

@@ -21,13 +21,15 @@
 //! its line and a message that names its key. Integer keys are read
 //! from their literal exactly, not through `f64`. Scheme, procurement,
 //! availability, provider and trace-kind names are matched ignoring
-//! ASCII case, through the same tables the CLI uses.
+//! ASCII case; a model may be given by slug or display name.
 //!
 //! Each section has one key table: a row per key gives its name, kind,
 //! range, default (the section's `Default`) or "required", doc text, and
 //! the spec field it fills. Parsing, the range checks, [`ScenarioSpec::to_toml`]
 //! and the schema below are all walks over those rows. A unit test
-//! renders the tables and compares them with this block.
+//! renders the tables and compares them with this block. The CLI's run
+//! flags ([`RUN_FLAGS`]) set the same keys through the same rows and
+//! checks across keys, and a refusal names the flag instead of a line.
 //!
 //! # Schema
 //!
@@ -36,7 +38,7 @@
 //! description = ""
 //!
 //! [fleet]
-//! workers = 4                         # an integer >= 1
+//! workers = 4                         # an integer >= 1 and <= 1000000
 //! seed = 42                           # an integer >= 0; root seed
 //! scheme = "protean"                  # protean | oracle | molecule | infless | naive | migonly | mpsmig | smart | gpulet
 //! procurement = "ondemand"            # ondemand | spot | hybrid
@@ -46,7 +48,7 @@
 //! revocation_check_secs = 5           # a span of at least 0.000001 s
 //! vm_startup_secs = 5                 # a span of at least 0 s; VM grant to serving
 //! procurement_retry_secs = 5          # a span of at least 0.000001 s
-//! prewarm = 4                         # an integer >= 0; per (worker, model)
+//! prewarm = 4                         # an integer >= 0 and <= 10000; per (worker, model)
 //! cold_start_secs = 8                 # a span of at least 0 s
 //!
 //! [trace]
@@ -98,7 +100,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Bound::{self, Excluded, Included, Unbounded};
-use std::ops::RangeBounds;
+use std::ops::{RangeBounds, RangeInclusive};
 use std::path::{Path, PathBuf};
 
 use protean_cluster::{run_trace_with_oracle, ClusterConfig, ScriptedMarket, SimulationResult};
@@ -129,6 +131,14 @@ pub enum ScenarioError {
         /// What was wrong.
         msg: String,
     },
+    /// A command-line flag's value that a key's row refused, or that
+    /// failed a check across keys (see [`ScenarioSpec::set`]).
+    Flag {
+        /// The flag, without its dashes.
+        flag: String,
+        /// What was wrong.
+        msg: String,
+    },
     /// A semantically invalid scenario or a failed run-time assertion
     /// (digest divergence, audit violation, unmet expectation).
     Invalid(String),
@@ -138,6 +148,7 @@ impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScenarioError::Parse { line, msg } => write!(f, "line {line}: {msg}"),
+            ScenarioError::Flag { flag, msg } => write!(f, "--{flag}: {msg}"),
             ScenarioError::Invalid(msg) => write!(f, "{msg}"),
         }
     }
@@ -170,21 +181,11 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
-    const ALL: [TraceKind; 4] = [
-        TraceKind::Constant,
-        TraceKind::Wiki,
-        TraceKind::Twitter,
-        TraceKind::Pulse,
-    ];
+    const ALL: [TraceKind; 4] = [Self::Constant, Self::Wiki, Self::Twitter, Self::Pulse];
 
-    /// The name scenario files spell.
+    /// The name scenario files spell, in declaration order.
     fn slug(self) -> &'static str {
-        match self {
-            TraceKind::Constant => "constant",
-            TraceKind::Wiki => "wiki",
-            TraceKind::Twitter => "twitter",
-            TraceKind::Pulse => "pulse",
-        }
+        ["constant", "wiki", "twitter", "pulse"][self as usize]
     }
 
     /// Resolves a slug, ignoring ASCII case.
@@ -248,7 +249,7 @@ impl Default for FleetSpec {
 }
 
 /// `[[trace.burst]]` entry: a flash crowd added on top of the base.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BurstSpec {
     /// Window start, seconds.
     pub start_secs: f64,
@@ -312,7 +313,7 @@ impl Default for TraceSpec {
 }
 
 /// `[[market.eviction]]` entry.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EvictionSpec {
     /// Target worker index.
     pub worker: usize,
@@ -323,7 +324,7 @@ pub struct EvictionSpec {
 }
 
 /// `[[market.storm]]` entry: correlated evictions with jittered leads.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StormSpec {
     /// Workers hit by the storm, in lead-draw order.
     pub workers: Vec<usize>,
@@ -362,8 +363,8 @@ pub struct ExpectSpec {
     pub max_censored: Option<u64>,
 }
 
-/// A parsed scenario file.
-#[derive(Debug, Clone, PartialEq)]
+/// A parsed scenario file; `Default` has every key's default.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioSpec {
     /// Scenario name (required; used for report cards and `--name`).
     pub name: String,
@@ -500,6 +501,18 @@ const MIN_SPAN: f64 = 1e-6;
 /// requests as a materialised trace may.
 const MAX_RPS: f64 = MAX_MATERIALISED_REQUESTS;
 
+/// The most workers a fleet may have: five times a 200,000-worker
+/// set-up check. A worker's state is about 1 KB at the default prewarm.
+const MAX_WORKERS: u64 = 1_000_000;
+
+/// The most warm containers a pool may pre-provision.
+const MAX_PREWARM: u64 = 10_000;
+
+/// The most containers a fleet may pre-provision: `workers × prewarm`
+/// for each model its trace invokes, counted as all 22 of the catalog.
+/// Each is an 8-byte idle stamp, so the cap bounds them at 800 MB.
+const MAX_PREWARMED_CONTAINERS: u64 = 100_000_000;
+
 /// Reads and writes the spec field a key fills.
 struct Field<S, T> {
     get: fn(&S) -> T,
@@ -513,8 +526,8 @@ enum Kind<S> {
     Secs(f64, Field<S, f64>),
     /// A number within the bounds.
     Num((Bound<f64>, Bound<f64>), Field<S, f64>),
-    /// An integer of at least `.0`, read from its literal exactly.
-    Count(u64, Field<S, u64>),
+    /// An integer within the range, read from its literal exactly.
+    Count(RangeInclusive<u64>, Field<S, u64>),
     /// An integer, or `None` when the key is absent.
     OptCount(Field<S, Option<u64>>),
     Bool(Field<S, bool>),
@@ -542,18 +555,29 @@ struct Key<S> {
 }
 
 /// A section's key table.
-struct Section<S: 'static> {
+struct Section<S: Default + 'static> {
     /// `fleet`, `trace.burst`, …; empty for the top level.
     name: &'static str,
-    /// The spec before any key is read, holding every default.
-    blank: fn() -> S,
     /// Why a key given in the file does not apply, given the others.
     unused: fn(&S, &str) -> Option<String>,
     keys: &'static [Key<S>],
 }
 
-/// The line each key given in a table sits on.
-type Lines = BTreeMap<&'static str, usize>;
+/// The line each key given sits on, by `section.key` and entry (its
+/// index among an array's tables; 0 in a single section). Flags are
+/// numbered as lines: see [`ScenarioSpec::check_flags`].
+type Lines = BTreeMap<(String, usize), usize>;
+
+/// The line the first given of `keys` of `entry` sits on; 0 for none.
+fn line_of(at: &Lines, entry: usize, keys: &[&str]) -> usize {
+    let line = keys.iter().find_map(|k| at.get(&(k.to_string(), entry)));
+    line.copied().unwrap_or(0)
+}
+
+/// `"trace.rps"` as `("trace", "rps")`; a top-level key has section `""`.
+fn split_key(key: &str) -> (&str, &str) {
+    key.rsplit_once('.').unwrap_or(("", key))
+}
 
 /// Stores a resolved value, or passes on why it did not resolve.
 fn put<T, E: fmt::Display>(slot: &mut T, got: Result<T, E>) -> Result<(), String> {
@@ -571,8 +595,12 @@ fn scheme(name: &str) -> Result<String, String> {
     known.ok_or_else(|| schemes::unknown_scheme(name))
 }
 
-fn model(slug: &str) -> Result<ModelId, String> {
-    ModelId::from_slug(slug).ok_or_else(|| format!("unknown model slug '{slug}'"))
+/// A model by slug or display name: lowercasing `ResNet 50` and
+/// dropping all but ASCII letters and digits gives its slug.
+fn model(name: &str) -> Result<ModelId, String> {
+    let slug: String = name.chars().filter(char::is_ascii_alphanumeric).collect();
+    ModelId::from_slug(&slug.to_ascii_lowercase())
+        .ok_or_else(|| format!("unknown model '{name}', not in `protean-cli catalog`"))
 }
 
 fn script(s: &str) -> Result<String, String> {
@@ -606,7 +634,10 @@ impl<S> Kind<S> {
                 let sides: Vec<String> = sides.into_iter().flatten().collect();
                 format!("a number {}", sides.join(" and "))
             }
-            Kind::Count(min, _) => format!("an integer >= {min}"),
+            Kind::Count(range, _) => match *range.end() {
+                u64::MAX => format!("an integer >= {}", range.start()),
+                max => format!("an integer >= {} and <= {max}", range.start()),
+            },
             Kind::OptCount(_) => "an integer >= 0".into(),
             Kind::Bool(_) => "a boolean".into(),
             Kind::Text(..) => "a string".into(),
@@ -615,9 +646,14 @@ impl<S> Kind<S> {
         }
     }
 
+    /// Why `key` refuses the value written `got`.
+    fn refusal(&self, key: &str, got: &str) -> String {
+        format!("'{key}' must be {}, got {got}", self.expects())
+    }
+
     /// Type- and range-checks `value` as `key`, and stores it in `spec`.
     fn read(&self, key: &str, value: Value, spec: &mut S) -> Result<(), String> {
-        let refuse = |got: &str| format!("'{key}' must be {}, got {got}", self.expects());
+        let refuse = |got: &str| self.refusal(key, got);
         match (self, value) {
             (Kind::Secs(min, f), Value::Num(x, raw)) => {
                 if x > 0.0 && SimDuration::try_from_secs(x).is_none() {
@@ -636,8 +672,8 @@ impl<S> Kind<S> {
                 }
                 (f.set)(spec, x);
             }
-            (Kind::Count(min, f), Value::Num(x, raw)) => {
-                let n = count(x, &raw).filter(|n| n >= min);
+            (Kind::Count(range, f), Value::Num(x, raw)) => {
+                let n = count(x, &raw).filter(|n| range.contains(n));
                 (f.set)(spec, n.ok_or_else(|| refuse(&raw))?);
             }
             (Kind::OptCount(f), Value::Num(x, raw)) => {
@@ -689,7 +725,7 @@ impl<S> Kind<S> {
     }
 }
 
-impl<S> Section<S> {
+impl<S: Default> Section<S> {
     /// `[fleet]`, `[[trace.burst]]`, or `top level`.
     fn label(&self) -> String {
         match self.name {
@@ -699,24 +735,22 @@ impl<S> Section<S> {
         }
     }
 
-    /// Reads `table` through the section's keys. A key not in the table
-    /// is unknown; each key given is type- and range-checked and must
-    /// apply; each required key must be given. Returns the spec and the
-    /// line of each key given.
-    fn read(&self, mut table: Table) -> Result<(S, Lines), ScenarioError> {
+    /// Reads `table`, the section's `entry`, through its keys. A key not
+    /// in the table is unknown; each key given is type- and range-checked
+    /// and its line recorded in `at`; each required key must be given.
+    fn read(&self, mut table: Table, entry: usize, at: &mut Lines) -> Result<S, ScenarioError> {
         let known = |name: &String| self.keys.iter().any(|k| k.name == name.as_str());
         if let Some((name, (_, line))) = table.entries.iter().find(|(name, _)| !known(name)) {
             return perr(*line, format!("unknown key '{name}' in {}", self.label()));
         }
-        let mut spec = (self.blank)();
-        let mut lines = Lines::new();
+        let mut spec = S::default();
         for key in self.keys {
             match table.entries.remove(key.name) {
                 Some((value, line)) => {
                     key.kind
                         .read(key.name, value, &mut spec)
                         .or_else(|msg| perr(line, msg))?;
-                    lines.insert(key.name, line);
+                    at.insert((format!("{}.{}", self.name, key.name), entry), line);
                 }
                 None if key.required => {
                     let msg = format!("missing required key '{}' in {}", key.name, self.label());
@@ -725,12 +759,20 @@ impl<S> Section<S> {
                 None => {}
             }
         }
-        for (name, line) in &lines {
-            if let Some(msg) = (self.unused)(&spec, name) {
-                return perr(*line, msg);
-            }
-        }
-        Ok((spec, lines))
+        Ok(spec)
+    }
+
+    /// Sets key `name` of `spec` from the text of a flag, through the
+    /// same type and range check as a file's value.
+    fn set(&self, spec: &mut S, name: &str, raw: &str) -> Result<(), String> {
+        let Some(key) = self.keys.iter().find(|k| k.name == name) else {
+            return Err(format!("unknown key '{name}' in {}", self.label()));
+        };
+        let value = match key.kind {
+            Kind::Text(..) => Ok(Value::Str(raw.into())),
+            _ => parse_value(raw, 0).map_err(|_| key.kind.refusal(name, raw)),
+        };
+        key.kind.read(name, value?, spec)
     }
 
     /// Appends the header and every set key that applies; nothing when
@@ -807,25 +849,16 @@ fn all_apply<S>(_: &S, _: &str) -> Option<String> {
 
 const ROOT: Section<ScenarioSpec> = Section {
     name: "",
-    blank: || ScenarioSpec {
-        name: String::new(),
-        description: String::new(),
-        fleet: FleetSpec::default(),
-        trace: TraceSpec::default(),
-        market: MarketSpec::default(),
-        expect: ExpectSpec::default(),
-    },
     unused: all_apply,
     keys: &[req!(name, Str(text)), opt!(description, Str(text))],
 };
 
 const FLEET: Section<FleetSpec> = Section {
     name: "fleet",
-    blank: FleetSpec::default,
     unused: all_apply,
     keys: &[
-        opt!(workers, Count(1) as usize),
-        opt!(seed, Count(0), "root seed"),
+        opt!(workers, Count(1..=MAX_WORKERS) as usize),
+        opt!(seed, Count(0..=u64::MAX), "root seed"),
         opt!(scheme, Str(scheme)),
         opt!(procurement, Slug(ProcurementPolicy::from_slug)),
         opt!(availability, Slug(SpotAvailability::from_slug)),
@@ -834,7 +867,11 @@ const FLEET: Section<FleetSpec> = Section {
         opt!(revocation_check_secs, Secs(MIN_SPAN)),
         opt!(vm_startup_secs, Secs(0.0), "VM grant to serving"),
         opt!(procurement_retry_secs, Secs(MIN_SPAN)),
-        opt!(prewarm, Count(0) as usize, "per (worker, model)"),
+        opt!(
+            prewarm,
+            Count(0..=MAX_PREWARM) as usize,
+            "per (worker, model)"
+        ),
         opt!(cold_start_secs, Secs(0.0)),
     ],
 };
@@ -853,7 +890,6 @@ fn trace_key_unused(t: &TraceSpec, key: &str) -> Option<String> {
 
 const TRACE: Section<TraceSpec> = Section {
     name: "trace",
-    blank: TraceSpec::default,
     unused: trace_key_unused,
     keys: &[
         opt!(csv, OptStr, "exclusive with all other keys and bursts"),
@@ -877,11 +913,6 @@ const TRACE: Section<TraceSpec> = Section {
 
 const BURST: Section<BurstSpec> = Section {
     name: "trace.burst",
-    blank: || BurstSpec {
-        start_secs: 0.0,
-        duration_secs: 0.0,
-        add_rps: 0.0,
-    },
     unused: all_apply,
     keys: &[
         req!(start_secs, Secs(0.0)),
@@ -892,7 +923,6 @@ const BURST: Section<BurstSpec> = Section {
 
 const MARKET: Section<MarketSpec> = Section {
     name: "market",
-    blank: MarketSpec::default,
     unused: all_apply,
     keys: &[
         opt!(script, Str(script), "per-roll grant (g) / deny (d)"),
@@ -902,14 +932,9 @@ const MARKET: Section<MarketSpec> = Section {
 
 const EVICTION: Section<EvictionSpec> = Section {
     name: "market.eviction",
-    blank: || EvictionSpec {
-        worker: 0,
-        at_secs: 0.0,
-        lead_secs: 0.0,
-    },
     unused: all_apply,
     keys: &[
-        req!(worker, Count(0) as usize),
+        req!(worker, Count(0..=u64::MAX) as usize),
         req!(at_secs, Secs(0.0), "arms at the next check"),
         req!(lead_secs, Secs(0.0), "notice lead"),
     ],
@@ -917,26 +942,18 @@ const EVICTION: Section<EvictionSpec> = Section {
 
 const STORM: Section<StormSpec> = Section {
     name: "market.storm",
-    blank: || StormSpec {
-        workers: Vec::new(),
-        at_secs: 0.0,
-        lead_secs: 0.0,
-        lead_jitter_secs: 0.0,
-        jitter_seed: 0,
-    },
     unused: all_apply,
     keys: &[
         req!(workers, Workers, "in lead-draw order"),
         req!(at_secs, Secs(0.0)),
         req!(lead_secs, Secs(0.0)),
         opt!(lead_jitter_secs, Secs(0.0), "lead ~ U[lead, lead + jitter]"),
-        opt!(jitter_seed, Count(0)),
+        opt!(jitter_seed, Count(0..=u64::MAX)),
     ],
 };
 
 const EXPECT: Section<ExpectSpec> = Section {
     name: "expect",
-    blank: ExpectSpec::default,
     unused: all_apply,
     keys: &[
         opt!(min_evictions, OptCount, "at least this many evictions"),
@@ -948,45 +965,87 @@ const EXPECT: Section<ExpectSpec> = Section {
 const SINGLES: [&str; 4] = [FLEET.name, TRACE.name, MARKET.name, EXPECT.name];
 const ARRAYS: [&str; 3] = [BURST.name, EVICTION.name, STORM.name];
 
-/// The `[trace]` checks that read more than one key: a pulse's OFF rate
-/// is at most its ON rate, and the trace fits the caps.
-fn check_trace(t: &TraceSpec, lines: &Lines) -> Result<(), ScenarioError> {
-    if t.csv.is_some() {
-        return Ok(());
+/// The checks that read more than one key, run once every key is set;
+/// `at` locates a failure.
+fn check(spec: &ScenarioSpec, at: &Lines) -> Result<(), ScenarioError> {
+    // Each key given applies: only `[trace]` keys exclude one another.
+    for ((path, _), &line) in at {
+        if let ("trace", key) = split_key(path) {
+            trace_key_unused(&spec.trace, key).map_or(Ok(()), |msg| perr(line, msg))?;
+        }
     }
-    let line_of = |key: &str| lines.get(key).copied();
-    if t.pulse_low_rps > t.rps {
-        return perr(
-            line_of("pulse_low_rps").unwrap_or(0),
-            format!(
-                "'pulse_low_rps' must be at most rps ({}), got {}",
-                t.rps, t.pulse_low_rps
-            ),
+    let (f, m) = (&spec.fleet, &spec.market);
+    let models = ModelId::ALL.len() as u64;
+    let counts = [f.workers as u64, f.prewarm as u64, models];
+    let containers = counts.into_iter().fold(1, u64::saturating_mul);
+    if containers > MAX_PREWARMED_CONTAINERS {
+        let msg = format!(
+            "'workers' x 'prewarm' x {models} models is {containers:e} containers to pre-provision, \
+             over the cap of {MAX_PREWARMED_CONTAINERS:e}"
         );
+        return perr(line_of(at, 0, &["fleet.prewarm", "fleet.workers"]), msg);
     }
-    // A scenario run materialises its trace.
-    let size_line = line_of("duration_secs").or(line_of("rps")).unwrap_or(0);
-    if let Err(e) = check_trace_size(t.duration_secs, t.rps) {
-        return perr(size_line, format!("'duration_secs' {e}"));
+    if spec.trace.csv.is_none() {
+        check_trace(&spec.trace, at)?;
     }
-    if let Err(e) = check_rotation_schedule(t.duration_secs, t.be_rotation_secs) {
-        let line = line_of("be_rotation_secs").unwrap_or(size_line);
-        return perr(line, format!("'be_rotation_secs' {e}"));
+    for (i, e) in m.evictions.iter().enumerate() {
+        check_worker(at, "market.eviction.worker", i, e.worker, f.workers)?;
+    }
+    for (i, s) in m.storms.iter().enumerate() {
+        for &w in &s.workers {
+            check_worker(at, "market.storm.workers", i, w, f.workers)?;
+        }
+        if SimDuration::try_from_secs(s.lead_secs + s.lead_jitter_secs).is_none() {
+            let msg =
+                "'lead_secs' must leave lead_secs + lead_jitter_secs within the simulated clock";
+            return perr(line_of(at, i, &["market.storm.lead_secs"]), msg);
+        }
     }
     Ok(())
 }
 
-/// A scripted worker index must name a worker of the fleet.
-fn check_worker(key: &str, line: usize, worker: usize, fleet: usize) -> Result<(), ScenarioError> {
-    if worker < fleet {
+/// A scripted worker index `w` must name one of the fleet's `n` workers.
+fn check_worker(at: &Lines, key: &str, i: usize, w: usize, n: usize) -> Result<(), ScenarioError> {
+    if w < n {
         return Ok(());
     }
-    perr(
-        line,
-        format!(
-            "'{key}' must index the fleet, but {worker} is out of range for a {fleet}-worker fleet"
-        ),
-    )
+    let name = split_key(key).1;
+    let msg =
+        format!("'{name}' must index the fleet, but {w} is out of range for a {n}-worker fleet");
+    perr(line_of(at, i, &[key]), msg)
+}
+
+/// A pulse's OFF rate is at most its ON rate, and the trace, bursts
+/// included, fits the caps: a run materialises its trace.
+fn check_trace(t: &TraceSpec, at: &Lines) -> Result<(), ScenarioError> {
+    let line = |keys: &[&str]| line_of(at, 0, keys);
+    if t.pulse_low_rps > t.rps {
+        let (rps, low) = (t.rps, t.pulse_low_rps);
+        let msg = format!("'pulse_low_rps' must be at most rps ({rps}), got {low}");
+        return perr(line(&["trace.pulse_low_rps"]), msg);
+    }
+    let size = ["trace.duration_secs", "trace.rps"];
+    if let Err(e) = check_trace_size(t.duration_secs, t.rps) {
+        return perr(line(&size), format!("'duration_secs' {e}"));
+    }
+    let mut requests = t.rps * t.duration_secs;
+    for (i, b) in t.bursts.iter().enumerate() {
+        let inside = (b.start_secs + b.duration_secs).min(t.duration_secs) - b.start_secs;
+        requests += b.add_rps * inside.max(0.0);
+        if requests > MAX_MATERIALISED_REQUESTS {
+            let msg = format!(
+                "'add_rps' must keep the trace within the {MAX_MATERIALISED_REQUESTS:e} requests \
+                 a materialised trace holds, but this burst brings it to about {:e}",
+                requests.round()
+            );
+            return perr(line_of(at, i, &["trace.burst.add_rps"]), msg);
+        }
+    }
+    if let Err(e) = check_rotation_schedule(t.duration_secs, t.be_rotation_secs) {
+        let line = line(&["trace.be_rotation_secs", size[0], size[1]]);
+        return perr(line, format!("'be_rotation_secs' {e}"));
+    }
+    Ok(())
 }
 
 /// Parses scenario text. See the module docs for the schema.
@@ -1061,40 +1120,32 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
 
     // Pass 2: read each table through its section's keys, then check
     // what spans keys and sections.
+    let mut at = Lines::new();
     let mut single = |name| singles.remove(name).unwrap_or_default();
-    let (mut spec, _) = ROOT.read(root)?;
-    spec.fleet = FLEET.read(single(FLEET.name))?.0;
-    let (trace, lines) = TRACE.read(single(TRACE.name))?;
-    check_trace(&trace, &lines)?;
-    spec.trace = trace;
-    spec.market = MARKET.read(single(MARKET.name))?.0;
-    spec.expect = EXPECT.read(single(EXPECT.name))?.0;
-    let workers = spec.fleet.workers;
+    let mut spec = ROOT.read(root, 0, &mut at)?;
+    spec.fleet = FLEET.read(single(FLEET.name), 0, &mut at)?;
+    spec.trace = TRACE.read(single(TRACE.name), 0, &mut at)?;
+    spec.market = MARKET.read(single(MARKET.name), 0, &mut at)?;
+    spec.expect = EXPECT.read(single(EXPECT.name), 0, &mut at)?;
     for (name, table) in arrays {
-        let header = table.line;
+        let (trace, market) = (&mut spec.trace, &mut spec.market);
         if name == BURST.name {
-            if spec.trace.csv.is_some() {
-                return perr(header, "[[trace.burst]] cannot overlay a csv trace");
+            if trace.csv.is_some() {
+                return perr(table.line, "[[trace.burst]] cannot overlay a csv trace");
             }
-            spec.trace.bursts.push(BURST.read(table)?.0);
+            trace
+                .bursts
+                .push(BURST.read(table, trace.bursts.len(), &mut at)?);
         } else if name == EVICTION.name {
-            let (e, lines) = EVICTION.read(table)?;
-            check_worker("worker", lines["worker"], e.worker, workers)?;
-            spec.market.evictions.push(e);
+            let entry = market.evictions.len();
+            market.evictions.push(EVICTION.read(table, entry, &mut at)?);
         } else {
-            let (s, lines) = STORM.read(table)?;
-            for &w in &s.workers {
-                check_worker("workers", lines["workers"], w, workers)?;
-            }
-            if SimDuration::try_from_secs(s.lead_secs + s.lead_jitter_secs).is_none() {
-                return perr(
-                    lines["lead_secs"],
-                    "'lead_secs' must leave lead_secs + lead_jitter_secs within the simulated clock",
-                );
-            }
-            spec.market.storms.push(s);
+            market
+                .storms
+                .push(STORM.read(table, market.storms.len(), &mut at)?);
         }
     }
+    check(&spec, &at)?;
     Ok(spec)
 }
 
@@ -1105,18 +1156,74 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
 /// Returns [`ScenarioError::Invalid`] for I/O failures and a
 /// path-prefixed variant of whatever [`parse`] reports.
 pub fn load_file(path: &Path) -> Result<ScenarioSpec, ScenarioError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| ScenarioError::Invalid(format!("{}: {e}", path.display())))?;
+    let at = |msg: &dyn fmt::Display| format!("{}: {msg}", path.display());
+    let text = std::fs::read_to_string(path).map_err(|e| ScenarioError::Invalid(at(&e)))?;
     parse(&text).map_err(|e| match e {
         ScenarioError::Parse { line, msg } => ScenarioError::Parse {
             line,
-            msg: format!("{}: {msg}", path.display()),
+            msg: at(&msg),
         },
-        ScenarioError::Invalid(msg) => ScenarioError::Invalid(format!("{}: {msg}", path.display())),
+        ScenarioError::Invalid(msg) => ScenarioError::Invalid(at(&msg)),
+        flag => flag,
     })
 }
 
+/// `protean-cli`'s run flags, each with the key it sets: a run command
+/// [`ScenarioSpec::set`]s each flag given on a base spec, then runs
+/// [`ScenarioSpec::check_flags`].
+pub const RUN_FLAGS: [(&str, &str); 12] = [
+    ("model", "trace.model"),
+    ("trace", "trace.kind"),
+    ("rps", "trace.rps"),
+    ("duration", "trace.duration_secs"),
+    ("strict-frac", "trace.strict_fraction"),
+    ("trace-file", "trace.csv"),
+    ("workers", "fleet.workers"),
+    ("seed", "fleet.seed"),
+    ("slo-mult", "fleet.slo_mult"),
+    ("scheme", "fleet.scheme"),
+    ("procurement", "fleet.procurement"),
+    ("availability", "fleet.availability"),
+];
+
 impl ScenarioSpec {
+    /// Sets `key` of `[fleet]` or `[trace]` (`"trace.rps"`) to `raw`, the
+    /// text of flag `--flag`, through the key's row, as a file's value is.
+    /// Once every flag is set, run [`ScenarioSpec::check_flags`].
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Flag`] naming `flag` when the row refuses `raw`.
+    pub fn set(&mut self, key: &str, flag: &str, raw: &str) -> Result<(), ScenarioError> {
+        let set = match split_key(key) {
+            ("fleet", name) => FLEET.set(&mut self.fleet, name, raw),
+            ("trace", name) => TRACE.set(&mut self.trace, name, raw),
+            _ => Err(format!("no flag sets '{key}'")),
+        };
+        let flag = flag.into();
+        set.map_err(|msg| ScenarioError::Flag { flag, msg })
+    }
+
+    /// Runs [`parse`]'s checks across keys on a spec whose keys the
+    /// `(flag, key)` pairs of `flags` set.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Flag`] naming the flag whose key a check failed.
+    pub fn check_flags(&self, flags: &[(&str, &str)]) -> Result<(), ScenarioError> {
+        // Flag `i` stands on "line" `i + 1`; line 0 is no flag.
+        let at = flags.iter().enumerate();
+        let at = at.map(|(i, &(_, key))| ((key.to_string(), 0), i + 1));
+        check(self, &at.collect()).map_err(|e| match e {
+            ScenarioError::Parse { line: 0, msg } => ScenarioError::Invalid(msg),
+            ScenarioError::Parse { line, msg } => {
+                let flag = flags[line - 1].0.into();
+                ScenarioError::Flag { flag, msg }
+            }
+            e => e,
+        })
+    }
+
     /// Serializes the spec back to canonical scenario TOML, one walk over
     /// the key tables. The output reparses to an identical spec
     /// (`parse(s.to_toml()) == s`), which the proptest round-trip pins.
@@ -1156,10 +1263,27 @@ pub enum TraceSource {
     Csv(PathBuf),
 }
 
+impl TraceSource {
+    /// The requests: generated from `seed`, or read from the file.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Invalid`] naming the file and line of a bad CSV.
+    pub fn load(&self, seed: u64) -> Result<Trace, ScenarioError> {
+        match self {
+            TraceSource::Config(tc) => Ok(tc.generate(&RngFactory::new(seed))),
+            TraceSource::Csv(path) => {
+                Trace::read_csv_file(path).map_err(|e| ScenarioError::Invalid(e.to_string()))
+            }
+        }
+    }
+}
+
 /// A scenario lowered onto the engine's own types.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledScenario {
-    /// Cluster configuration (auditing is always enabled).
+    /// Cluster configuration, unaudited ([`run`] audits one of its two
+    /// arms).
     pub config: ClusterConfig,
     /// Request source.
     pub trace: TraceSource,
@@ -1176,6 +1300,7 @@ impl ScenarioSpec {
     /// `smoke` scales request rates by [`SMOKE_RPS_FACTOR`] (never
     /// durations — scripted evictions fire at absolute times).
     pub fn compile(&self, base_dir: &Path, smoke: bool) -> CompiledScenario {
+        let (secs, at) = (SimDuration::from_secs, SimTime::from_secs);
         let f = &self.fleet;
         let mut config = ClusterConfig::paper_default();
         config.workers = f.workers;
@@ -1184,12 +1309,11 @@ impl ScenarioSpec {
         config.procurement = f.procurement;
         config.availability = f.availability;
         config.provider = f.provider;
-        config.revocation_check = SimDuration::from_secs(f.revocation_check_secs);
-        config.vm_startup = SimDuration::from_secs(f.vm_startup_secs);
-        config.procurement_retry = SimDuration::from_secs(f.procurement_retry_secs);
+        config.revocation_check = secs(f.revocation_check_secs);
+        config.vm_startup = secs(f.vm_startup_secs);
+        config.procurement_retry = secs(f.procurement_retry_secs);
         config.prewarm_containers = f.prewarm;
-        config.cold_start = SimDuration::from_secs(f.cold_start_secs);
-        config.audit = true;
+        config.cold_start = secs(f.cold_start_secs);
 
         let rps_factor = if smoke { SMOKE_RPS_FACTOR } else { 1.0 };
         let trace = if let Some(csv) = &self.trace.csv {
@@ -1204,24 +1328,18 @@ impl ScenarioSpec {
                 TraceKind::Pulse => TraceShape::Pulse {
                     high_rps: rps,
                     low_rps: t.pulse_low_rps * rps_factor,
-                    period: SimDuration::from_secs(t.pulse_period_secs),
+                    period: secs(t.pulse_period_secs),
                     duty: t.pulse_duty,
                 },
             };
-            let shape = if t.bursts.is_empty() {
-                base
-            } else {
-                TraceShape::overlay(
-                    base,
-                    t.bursts
-                        .iter()
-                        .map(|b| BurstWindow {
-                            start: SimTime::from_secs(b.start_secs),
-                            duration: SimDuration::from_secs(b.duration_secs),
-                            add_rps: b.add_rps * rps_factor,
-                        })
-                        .collect(),
-                )
+            let bursts = t.bursts.iter().map(|b| BurstWindow {
+                start: at(b.start_secs),
+                duration: secs(b.duration_secs),
+                add_rps: b.add_rps * rps_factor,
+            });
+            let shape = match t.bursts.is_empty() {
+                true => base,
+                false => TraceShape::overlay(base, bursts.collect()),
             };
             let be_pool = if t.be_pool.is_empty() {
                 catalog().opposite_pool(t.model)
@@ -1230,40 +1348,31 @@ impl ScenarioSpec {
             };
             TraceSource::Config(TraceConfig {
                 shape,
-                duration: SimDuration::from_secs(t.duration_secs),
+                duration: secs(t.duration_secs),
                 strict_model: t.model,
                 strict_fraction: t.strict_fraction,
                 be_pool,
-                be_rotation_period: SimDuration::from_secs(t.be_rotation_secs),
+                be_rotation_period: secs(t.be_rotation_secs),
                 batch_arrivals: t.batch_arrivals,
             })
         };
 
         let mut market = ScriptedMarket::new();
         for e in &self.market.evictions {
-            market = market.evict(
-                e.worker,
-                SimTime::from_secs(e.at_secs),
-                SimDuration::from_secs(e.lead_secs),
-            );
+            market = market.evict(e.worker, at(e.at_secs), secs(e.lead_secs));
         }
         for (i, s) in self.market.storms.iter().enumerate() {
             let mut rng =
                 RngFactory::new(s.jitter_seed).indexed_stream("scenario.storm.lead", i as u64);
             for w in &s.workers {
                 let lead = s.lead_secs + rng.uniform() * s.lead_jitter_secs;
-                market = market.evict(
-                    *w,
-                    SimTime::from_secs(s.at_secs),
-                    SimDuration::from_secs(lead),
-                );
+                market = market.evict(*w, at(s.at_secs), secs(lead));
             }
         }
         for c in self.market.script.chars() {
-            market = if c == 'g' {
-                market.grant_next(1)
-            } else {
-                market.deny_next(1)
+            market = match c {
+                'g' => market.grant_next(1),
+                _ => market.deny_next(1),
             };
         }
         if self.market.deny_rest {
@@ -1322,10 +1431,6 @@ pub struct ScenarioOutcome {
     pub audit_checks: u64,
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 impl ScenarioOutcome {
     fn from_result(
         name: &str,
@@ -1336,6 +1441,7 @@ impl ScenarioOutcome {
     ) -> Self {
         let cat = catalog();
         let slo = SimulationResult::slo_fn(&cat, slo_mult);
+        let ms = |class, q| r.metrics.latency_percentile_ms(class, q).unwrap_or(0.0);
         ScenarioOutcome {
             name: name.to_string(),
             scheme: r.scheme.clone(),
@@ -1343,18 +1449,9 @@ impl ScenarioOutcome {
             digest,
             requests: r.metrics.count(Class::All),
             slo_pct: r.metrics.slo_compliance(&slo) * 100.0,
-            strict_p50_ms: r
-                .metrics
-                .latency_percentile_ms(Class::Strict, 0.5)
-                .unwrap_or(0.0),
-            strict_p99_ms: r
-                .metrics
-                .latency_percentile_ms(Class::Strict, 0.99)
-                .unwrap_or(0.0),
-            be_p99_ms: r
-                .metrics
-                .latency_percentile_ms(Class::BestEffort, 0.99)
-                .unwrap_or(0.0),
+            strict_p50_ms: ms(Class::Strict, 0.5),
+            strict_p99_ms: ms(Class::Strict, 0.99),
+            be_p99_ms: ms(Class::BestEffort, 0.99),
             cost_usd: r.cost.total_usd,
             spot_usd: r.cost.spot_usd,
             on_demand_usd: r.cost.on_demand_usd,
@@ -1368,33 +1465,30 @@ impl ScenarioOutcome {
 
     /// Renders the report card as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"scenario\": \"{}\", \"scheme\": \"{}\", \"smoke\": {}, \"digest\": \"{}\", ",
-                "\"requests\": {}, \"slo_pct\": {:.4}, \"strict_p50_ms\": {:.4}, ",
-                "\"strict_p99_ms\": {:.4}, \"be_p99_ms\": {:.4}, \"cost_usd\": {:.6}, ",
-                "\"spot_usd\": {:.6}, \"on_demand_usd\": {:.6}, \"evictions\": {}, ",
-                "\"reconfigs\": {}, \"cold_starts\": {}, \"censored\": {}, \"audit_checks\": {}}}"
-            ),
-            json_escape(&self.name),
-            json_escape(&self.scheme),
-            self.smoke,
-            json_escape(&self.digest),
-            self.requests,
-            self.slo_pct,
-            self.strict_p50_ms,
-            self.strict_p99_ms,
-            self.be_p99_ms,
-            // `+ 0.0` normalizes IEEE negative zero out of the JSON.
-            self.cost_usd + 0.0,
-            self.spot_usd + 0.0,
-            self.on_demand_usd + 0.0,
-            self.evictions,
-            self.reconfigs,
-            self.cold_starts,
-            self.censored,
-            self.audit_checks,
-        )
+        let text = |s: &str| format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
+        // `+ 0.0` normalizes IEEE negative zero out of the JSON.
+        let usd = |x: f64| format!("{:.6}", x + 0.0);
+        let fields = [
+            ("scenario", text(&self.name)),
+            ("scheme", text(&self.scheme)),
+            ("smoke", self.smoke.to_string()),
+            ("digest", text(&self.digest)),
+            ("requests", self.requests.to_string()),
+            ("slo_pct", format!("{:.4}", self.slo_pct)),
+            ("strict_p50_ms", format!("{:.4}", self.strict_p50_ms)),
+            ("strict_p99_ms", format!("{:.4}", self.strict_p99_ms)),
+            ("be_p99_ms", format!("{:.4}", self.be_p99_ms)),
+            ("cost_usd", usd(self.cost_usd)),
+            ("spot_usd", usd(self.spot_usd)),
+            ("on_demand_usd", usd(self.on_demand_usd)),
+            ("evictions", self.evictions.to_string()),
+            ("reconfigs", self.reconfigs.to_string()),
+            ("cold_starts", self.cold_starts.to_string()),
+            ("censored", self.censored.to_string()),
+            ("audit_checks", self.audit_checks.to_string()),
+        ];
+        let fields = fields.map(|(key, value)| format!("\"{key}\": {value}"));
+        format!("{{{}}}", fields.join(", "))
     }
 
     /// One row for the rendered report-card table; pair with
@@ -1423,10 +1517,9 @@ pub fn card_headers() -> Vec<&'static str> {
 
 /// Runs one scenario through both engine arms and condenses the result.
 ///
-/// The audited arm (the compiled config, `audit = true`) and an
-/// unaudited arm run the identical compiled scenario; the audit must be
-/// clean and the two golden digests must match bit-for-bit (the auditor
-/// only reads engine state), or the run fails. `[expect]` assertions
+/// An audited and an unaudited arm run the identical compiled scenario;
+/// the audit must be clean and the two golden digests must match
+/// bit-for-bit (the auditor only reads engine state), or the run fails. `[expect]` assertions
 /// are enforced on the audited arm.
 ///
 /// # Errors
@@ -1442,12 +1535,7 @@ pub fn run(
     let compiled = spec.compile(base_dir, smoke);
     let scheme = schemes::by_name(&compiled.scheme)
         .ok_or_else(|| ScenarioError::Invalid(format!("unknown scheme '{}'", compiled.scheme)))?;
-    let trace = match &compiled.trace {
-        TraceSource::Config(tc) => tc.generate(&RngFactory::new(compiled.config.seed)),
-        TraceSource::Csv(path) => {
-            Trace::read_csv_file(path).map_err(|e| ScenarioError::Invalid(e.to_string()))?
-        }
-    };
+    let trace = compiled.trace.load(compiled.config.seed)?;
 
     let run_arm = |audit: bool| {
         let mut config = compiled.config.clone();
@@ -1471,27 +1559,18 @@ pub fn run(
         )));
     }
 
-    if let Some(min) = spec.expect.min_evictions {
-        if audited.cost.evictions < min {
+    let e = &spec.expect;
+    let expectations = [
+        (e.min_evictions, ">=", audited.cost.evictions, "evictions"),
+        (e.min_reconfigs, ">=", audited.reconfigs, "reconfigs"),
+        (e.max_censored, "<=", audited.censored, "censored requests"),
+    ];
+    for (bound, op, saw, what) in expectations {
+        let Some(bound) = bound else { continue };
+        if (op == ">=" && saw < bound) || (op == "<=" && saw > bound) {
             return Err(ScenarioError::Invalid(format!(
-                "scenario '{}': expected >= {min} evictions, saw {}",
-                spec.name, audited.cost.evictions
-            )));
-        }
-    }
-    if let Some(min) = spec.expect.min_reconfigs {
-        if audited.reconfigs < min {
-            return Err(ScenarioError::Invalid(format!(
-                "scenario '{}': expected >= {min} reconfigs, saw {}",
-                spec.name, audited.reconfigs
-            )));
-        }
-    }
-    if let Some(max) = spec.expect.max_censored {
-        if audited.censored > max {
-            return Err(ScenarioError::Invalid(format!(
-                "scenario '{}': expected <= {max} censored requests, saw {}",
-                spec.name, audited.censored
+                "scenario '{}': expected {op} {bound} {what}, saw {saw}",
+                spec.name
             )));
         }
     }
@@ -1725,6 +1804,72 @@ min_evictions = 4
     }
 
     #[test]
+    fn bursts_count_toward_the_trace_size_cap() {
+        // Unchecked, 1e8 extra rps over 1e6 s aborts on the allocation.
+        let text = "name = \"x\"\n[trace]\nrps = 1\nduration_secs = 1e6\n\n[[trace.burst]]\nstart_secs = 0\nduration_secs = 1e6\nadd_rps = 1e8\n";
+        match parse(text).unwrap_err() {
+            ScenarioError::Parse { line, msg } => {
+                assert_eq!(line, 9);
+                assert!(
+                    msg.starts_with("'add_rps' must keep the trace within the 1e8 requests"),
+                    "{msg}"
+                );
+                assert!(msg.ends_with("brings it to about 1.00000001e14"), "{msg}");
+            }
+            other => panic!("{other}"),
+        }
+        // Only the part of a burst inside the span counts.
+        let past_the_end = "name = \"x\"\n[trace]\nrps = 1\nduration_secs = 10\n\n[[trace.burst]]\nstart_secs = 20\nduration_secs = 1e6\nadd_rps = 1e8\n";
+        assert!(parse(past_the_end).is_ok());
+    }
+
+    #[test]
+    fn fleets_are_capped_in_workers_and_prewarmed_containers() {
+        // Unchecked, `u64::MAX` workers panics on the fleet allocation.
+        let err = parse("name = \"x\"\n[fleet]\nworkers = 18446744073709551615\n").unwrap_err();
+        let msg = "'workers' must be an integer >= 1 and <= 1000000, got 18446744073709551615";
+        assert_eq!(
+            err,
+            ScenarioError::Parse {
+                line: 3,
+                msg: msg.into()
+            }
+        );
+        // Each key fits its row, but together they pre-provision
+        // 1.1e8 containers.
+        let err = parse("name = \"x\"\n[fleet]\nprewarm = 5\nworkers = 1000000\n").unwrap_err();
+        let msg = "'workers' x 'prewarm' x 22 models is 1.1e8 containers to pre-provision, over the cap of 1e8";
+        assert_eq!(
+            err,
+            ScenarioError::Parse {
+                line: 3,
+                msg: msg.into()
+            }
+        );
+        // The same checks refuse a flag, naming it.
+        let mut spec = ScenarioSpec::default();
+        let err = spec
+            .set("fleet.workers", "workers", "100000000000")
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "--workers: 'workers' must be an integer >= 1 and <= 1000000, got 100000000000"
+        );
+        spec.fleet.prewarm = 5;
+        spec.set("fleet.workers", "workers", "1000000").unwrap();
+        let err = spec
+            .check_flags(&[("workers", "fleet.workers")])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::Flag {
+                flag: "workers".into(),
+                msg: msg.into()
+            }
+        );
+    }
+
+    #[test]
     fn csv_traces_exclude_generated_keys_and_bursts() {
         let spec = parse("name = \"x\"\n[trace]\ncsv = \"t.csv\"\n").unwrap();
         assert_eq!(spec.trace.csv.as_deref(), Some("t.csv"));
@@ -1769,7 +1914,8 @@ jitter_seed = 3
         assert_eq!(compiled.config.procurement, ProcurementPolicy::SpotOnly);
         assert_eq!(compiled.config.availability, SpotAvailability::Moderate);
         assert_eq!(compiled.config.provider, Provider::Azure);
-        assert!(compiled.config.audit);
+        // `run` audits one of its two arms; the compiled config does not.
+        assert!(!compiled.config.audit);
         // 1 scripted + 2 storm members armed.
         assert_eq!(compiled.market.pending_evictions(), 3);
         // Zero jitter: storm leads are exactly lead_secs.
@@ -1915,13 +2061,17 @@ jitter_seed = 3
                 .map(|x| x.to_string())
                 .collect()
         };
-        let counts = |min: u64| {
-            let below = min
-                .checked_sub(1)
-                .map_or("-1".to_string(), |n| n.to_string());
-            let max = u64::MAX.to_string();
-            let values = [min.to_string(), below, max, "18446744073709551616".into()];
-            values.into_iter().chain(floats(Vec::new())).collect()
+        let counts = |range: &RangeInclusive<u64>| {
+            let (min, max) = (*range.start(), *range.end());
+            let past_u64 = "18446744073709551616".to_string();
+            let below = min.checked_sub(1).map_or("-1".into(), |n| n.to_string());
+            let above = max
+                .checked_add(1)
+                .map_or(past_u64.clone(), |n| n.to_string());
+            let values = [min.to_string(), below, max.to_string(), above];
+            let extremes = [u64::MAX.to_string(), past_u64];
+            let values = values.into_iter().chain(extremes);
+            values.chain(floats(Vec::new())).collect()
         };
         match kind {
             Kind::Secs(min, _) => {
@@ -1944,8 +2094,8 @@ jitter_seed = 3
                 }
                 floats(values)
             }
-            Kind::Count(min, _) => counts(*min),
-            Kind::OptCount(_) => counts(0),
+            Kind::Count(range, _) => counts(range),
+            Kind::OptCount(_) => counts(&(0..=u64::MAX)),
             _ => Vec::new(),
         }
     }
@@ -1954,7 +2104,7 @@ jitter_seed = 3
     /// file each. A value is either accepted, compiled and (for a
     /// generated-trace key) generated without a panic, or refused on
     /// the key's line by a message that starts with the key.
-    fn walk_boundaries<S>(section: &Section<S>) {
+    fn walk_boundaries<S: Default>(section: &Section<S>) {
         let base = match section.name {
             "trace" => "rps = 1\nduration_secs = 1\nkind = \"pulse\"",
             "trace.burst" => "start_secs = 0\nduration_secs = 1\nadd_rps = 1",
@@ -1998,6 +2148,50 @@ jitter_seed = 3
         }
     }
 
+    /// Feeds `--flag`, which sets key `name` of `section`, its row's
+    /// boundary values and, for a numeric row, text no file can hold. A
+    /// value is either accepted, compiled and (for a generated-trace key)
+    /// generated without a panic, or refused by an error naming the flag.
+    /// A value a file can hold gets the same spec, or the same refusal,
+    /// from a file that sets the key to it.
+    fn walk_flag<S: Default>(section: &Section<S>, name: &str, flag: &str) {
+        let key = section.keys.iter().find(|k| k.name == name).unwrap();
+        let mut values = boundary_values(&key.kind);
+        let in_files = values.len();
+        if in_files > 0 {
+            values.extend(["nan", "inf", "-inf", "1e999", "", "x"].map(String::from));
+        }
+        let full = format!("{}.{name}", section.name);
+        for (i, value) in values.iter().enumerate() {
+            let mut spec = ScenarioSpec::default();
+            let set = spec.set(&full, flag, value);
+            let by_flag = set.and_then(|()| spec.check_flags(&[(flag, &full)]));
+            let text = format!("name = \"\"\n{}\n{name} = {value}\n", section.label());
+            match (by_flag, parse(&text)) {
+                (Ok(()), Ok(twin)) if i < in_files => {
+                    assert_eq!(spec, twin, "--{flag} {value}");
+                    let compiled = spec.compile(Path::new("."), false);
+                    let generated =
+                        section.name == "trace" && !["rps", "duration_secs"].contains(&name);
+                    if let (true, TraceSource::Config(tc)) = (generated, compiled.trace) {
+                        tc.generate(&RngFactory::new(1));
+                    }
+                }
+                (Err(ScenarioError::Flag { flag: named, msg }), file) => {
+                    assert_eq!(named, flag, "--{flag} {value}: {msg}");
+                    if let (true, Err(ScenarioError::Parse { msg: twin, .. })) =
+                        (i < in_files, file)
+                    {
+                        assert_eq!(msg, twin, "--{flag} {value}");
+                    } else {
+                        assert!(i >= in_files, "--{flag} {value}: a file accepts it");
+                    }
+                }
+                (flag_path, file) => panic!("--{flag} {value}: {flag_path:?} but {file:?}"),
+            }
+        }
+    }
+
     #[test]
     fn every_numeric_key_is_checked_at_its_bounds() {
         walk_boundaries(&FLEET);
@@ -2007,6 +2201,15 @@ jitter_seed = 3
         walk_boundaries(&EVICTION);
         walk_boundaries(&STORM);
         walk_boundaries(&EXPECT);
+        // The flag path: every run flag, through the setter and the
+        // checks across keys.
+        for (flag, key) in RUN_FLAGS {
+            match split_key(key) {
+                ("fleet", name) => walk_flag(&FLEET, name, flag),
+                ("trace", name) => walk_flag(&TRACE, name, flag),
+                _ => panic!("--{flag} sets {key}, outside [fleet] and [trace]"),
+            }
+        }
     }
 
     /// A value for a schema line whose key has no default to show.
@@ -2025,11 +2228,11 @@ jitter_seed = 3
     /// Renders `section` as lines of the schema: each key with its
     /// default, then whether it is required, its range or its slugs,
     /// and its doc.
-    fn render_schema<S>(section: &Section<S>, out: &mut Vec<String>) {
+    fn render_schema<S: Default>(section: &Section<S>, out: &mut Vec<String>) {
         if !section.name.is_empty() {
             out.extend([String::new(), section.label()]);
         }
-        let blank = (section.blank)();
+        let blank = S::default();
         for key in section.keys {
             let mut notes = Vec::new();
             if key.required {
@@ -2039,7 +2242,7 @@ jitter_seed = 3
                 Kind::Bool(_) | Kind::OptCount(_) => {}
                 // A slug table lists its names when refusing one.
                 Kind::Text(_, set) => {
-                    let refusal = set(&mut (section.blank)(), "?").err().unwrap_or_default();
+                    let refusal = set(&mut S::default(), "?").err().unwrap_or_default();
                     if let Some(slugs) = refusal.rsplit_once(" (") {
                         notes.push(slugs.1.trim_end_matches(')').to_string());
                     }
