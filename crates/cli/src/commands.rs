@@ -1,14 +1,18 @@
-//! The CLI subcommands.
+//! The CLI subcommands. Each writes its report to an output the caller
+//! flushes.
 
+use std::fmt;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use protean_cluster::{run_simulation_on, SchemeBuilder, SimulationResult};
-use protean_experiments::harness::{run_grid, thread_count_or, GridCell};
+use protean_experiments::harness::{run_grid, thread_count, thread_count_or, GridCell};
+use protean_experiments::paper::{self, EXPERIMENTS};
 use protean_experiments::report::{scheme_table, table};
 use protean_experiments::scenario::{
     self, CompiledScenario, ScenarioError, ScenarioSpec, TraceSource, RUN_FLAGS,
 };
-use protean_experiments::{run_scheme, schemes};
+use protean_experiments::{run_scheme, schemes, PaperSetup};
 use protean_gpu::{find_placement, Geometry};
 use protean_metrics::record::Class;
 use protean_models::{catalog, Domain};
@@ -25,6 +29,7 @@ USAGE:
   protean-cli compare   [flags]  run all primary schemes side by side
   protean-cli replay    [flags]  replay a CSV trace file (--trace-file)
   protean-cli gen-trace [flags]  write a generated trace to --out
+  protean-cli reproduce [flags]  the paper's tables and figures
   protean-cli catalog            list the 22 workload models
   protean-cli geometries         list valid MIG geometries + placements
   protean-cli scenario list      list the scenario catalog (--dir)
@@ -68,6 +73,15 @@ FLAGS (gen-trace):
   --out <path>            output CSV path
   --model / --trace / --rps / --duration / --strict-frac / --seed as above
 
+FLAGS (reproduce):
+  --only <id>             one experiment, e.g. fig05_slo_vision (default
+                          every one, in the paper's order)
+  --duration <secs>       trace length per run (default 120; the load
+                          sweep and the §7 seeds cap it at 60)
+  --seed <u64>            root seed (default 42; the §7 runs use seeds
+                          1000-1009)
+  --out <dir>             write one <id>.txt per experiment into <dir>
+
 FLAGS (scenario list / scenario run):
   --dir <path>            scenario catalog directory (default scenarios)
   --name <scenario>       run only the scenario with this name
@@ -91,6 +105,7 @@ fn flags_of(command: &str) -> Vec<&'static str> {
         "compare" => &[&TRACE, &FLEET, &MARKET, &["threads"]],
         "replay" => &[&["trace-file", "scheme"], &FLEET],
         "gen-trace" => &[&TRACE, &["seed", "out"]],
+        "reproduce" => &[&["only", "duration", "seed", "out"]],
         // `scenario list` and `scenario run`.
         _ => &[&["dir", "name", "smoke", "out"]],
     };
@@ -116,11 +131,53 @@ impl From<ScenarioError> for ArgError {
     }
 }
 
+/// Why a command stopped.
+#[derive(Debug)]
+pub enum Failure {
+    /// Its input was refused.
+    Input(ArgError),
+    /// Writing its output failed.
+    Output(io::Error),
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Input(e) => e.fmt(f),
+            Failure::Output(e) => write!(f, "cannot write output: {e}"),
+        }
+    }
+}
+
+impl From<ArgError> for Failure {
+    fn from(e: ArgError) -> Self {
+        Failure::Input(e)
+    }
+}
+
+impl From<ScenarioError> for Failure {
+    fn from(e: ScenarioError) -> Self {
+        Failure::Input(e.into())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Output(e)
+    }
+}
+
 /// The run `command`'s `args` describe: [`BASE`] with each run flag
 /// given overriding its key, checked as that key is in a scenario file.
 /// Without `--rps` the rate is 5000 for a vision model, 128 for a
 /// language one.
 fn compile_run(command: &str, args: &Args) -> Result<CompiledScenario, ArgError> {
+    // `--trace-file` is a path as given, not one relative to a file.
+    Ok(run_spec(command, args)?.compile(Path::new(""), false))
+}
+
+/// [`compile_run`]'s scenario, before it is compiled.
+fn run_spec(command: &str, args: &Args) -> Result<ScenarioSpec, ArgError> {
     args.reject_unknown(&flags_of(command))?;
     let mut spec = scenario::parse(BASE)?;
     let mut given = Vec::new();
@@ -137,8 +194,7 @@ fn compile_run(command: &str, args: &Args) -> Result<CompiledScenario, ArgError>
         };
     }
     spec.check_flags(&given)?;
-    // `--trace-file` is a path as given, not one relative to a file.
-    Ok(spec.compile(Path::new(""), false))
+    Ok(spec)
 }
 
 /// The scheme a run names; its key's row admits only known names.
@@ -155,12 +211,13 @@ fn generated(run: &CompiledScenario) -> &TraceConfig {
 }
 
 /// `simulate`: one scheme, full report.
-pub fn simulate(args: &Args) -> Result<(), ArgError> {
+pub fn simulate(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let run = compile_run("simulate", args)?;
     let row = run_scheme(&run.config, scheme_of(&run).as_ref(), generated(&run));
-    scheme_table(std::slice::from_ref(&row));
-    println!();
-    println!(
+    scheme_table(out, std::slice::from_ref(&row))?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "  cost ${:.2} ({} evictions) · GPU util {:.1}% · mem util {:.1}% · {} reconfigs · {} cold starts",
         row.cost_usd,
         row.evictions,
@@ -168,7 +225,7 @@ pub fn simulate(args: &Args) -> Result<(), ArgError> {
         row.mem_util_pct,
         row.reconfigs,
         row.result.cold_starts,
-    );
+    )?;
     if args.get_or("per-model", false)? {
         let cat = catalog();
         let slo = SimulationResult::slo_fn(&cat, run.config.slo_multiplier);
@@ -187,18 +244,21 @@ pub fn simulate(args: &Args) -> Result<(), ArgError> {
                 ]
             })
             .collect();
-        println!();
-        table(&["model", "requests", "strict", "SLO%", "P99 ms"], &rows);
+        writeln!(out)?;
+        table(
+            out,
+            &["model", "requests", "strict", "SLO%", "P99 ms"],
+            &rows,
+        )?;
     }
     Ok(())
 }
 
 /// `compare`: the primary line-up side by side.
-pub fn compare(args: &Args) -> Result<(), ArgError> {
+pub fn compare(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     if args.get("scheme").is_some() {
-        return Err(ArgError(
-            "--scheme does not apply to `compare` (it runs all primary schemes)".into(),
-        ));
+        let msg = "--scheme does not apply to `compare` (it runs all primary schemes)";
+        return Err(ArgError(msg.into()).into());
     }
     let run = compile_run("compare", args)?;
     let threads = args.get("threads").map(|_| args.get_or("threads", 1usize));
@@ -209,12 +269,11 @@ pub fn compare(args: &Args) -> Result<(), ArgError> {
         .map(|s| GridCell::new(run.config.clone(), s.as_ref(), generated(&run).clone()))
         .collect();
     let rows = run_grid(&cells, threads);
-    scheme_table(&rows);
-    Ok(())
+    Ok(scheme_table(out, &rows)?)
 }
 
 /// `catalog`: the 22 workload models.
-pub fn catalog_cmd(args: &Args) -> Result<(), ArgError> {
+pub fn catalog_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     args.reject_unknown(&[])?;
     let cat = catalog();
     let rows: Vec<Vec<String>> = cat
@@ -232,17 +291,14 @@ pub fn catalog_cmd(args: &Args) -> Result<(), ArgError> {
             ]
         })
         .collect();
-    table(
-        &[
-            "model", "domain", "class", "batch", "mem GB", "7g ms", "FBR",
-        ],
-        &rows,
-    );
-    Ok(())
+    let headers = [
+        "model", "domain", "class", "batch", "mem GB", "7g ms", "FBR",
+    ];
+    Ok(table(out, &headers, &rows)?)
 }
 
 /// `geometries`: every valid MIG geometry with a physical placement.
-pub fn geometries(args: &Args) -> Result<(), ArgError> {
+pub fn geometries(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     args.reject_unknown(&[])?;
     let mut all = Geometry::enumerate_all();
     all.sort_by_key(|g| (std::cmp::Reverse(g.total_compute_sevenths()), g.len()));
@@ -263,72 +319,111 @@ pub fn geometries(args: &Args) -> Result<(), ArgError> {
             ]
         })
         .collect();
-    table(
-        &["geometry", "compute", "memory", "placement (slice@start)"],
-        &rows,
-    );
-    println!("\n  {} valid geometries", all.len());
-    Ok(())
+    let headers = ["geometry", "compute", "memory", "placement (slice@start)"];
+    table(out, &headers, &rows)?;
+    Ok(writeln!(out, "\n  {} valid geometries", all.len())?)
 }
 
 /// `replay`: run a scheme over a CSV trace file.
-pub fn replay(args: &Args) -> Result<(), ArgError> {
+pub fn replay(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let run = compile_run("replay", args)?;
     let TraceSource::Csv(_) = &run.trace else {
-        return Err(ArgError("replay requires --trace-file <path>".into()));
+        return Err(ArgError("replay requires --trace-file <path>".into()).into());
     };
     let trace = run.trace.load(run.config.seed)?;
-    println!(
+    writeln!(
+        out,
         "  replaying {} requests over {}",
         trace.requests().len(),
         trace.duration()
-    );
+    )?;
     let result = run_simulation_on(&run.config, scheme_of(&run).as_ref(), trace);
     let cat = catalog();
     let slo = SimulationResult::slo_fn(&cat, run.config.slo_multiplier);
     let p99 = |class| result.metrics.latency_percentile_ms(class, 0.99);
-    println!(
+    writeln!(
+        out,
         "  scheme {} · SLO {:.2}% · strict P99 {:.1} ms · BE P99 {:.1} ms · censored {}",
         result.scheme,
         result.metrics.slo_compliance(&slo) * 100.0,
         p99(Class::Strict).unwrap_or(0.0),
         p99(Class::BestEffort).unwrap_or(0.0),
         result.censored,
-    );
+    )?;
     Ok(())
 }
 
 /// `gen-trace`: write a generated trace to a CSV file.
-pub fn gen_trace(args: &Args) -> Result<(), ArgError> {
+pub fn gen_trace(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let run = compile_run("gen-trace", args)?;
-    let out = args
+    let path = args
         .get("out")
         .ok_or_else(|| ArgError("gen-trace requires --out <path>".into()))?;
     let trace = run.trace.load(run.config.seed)?;
     let file =
-        std::fs::File::create(out).map_err(|e| ArgError(format!("cannot create {out}: {e}")))?;
+        std::fs::File::create(path).map_err(|e| ArgError(format!("cannot create {path}: {e}")))?;
     trace
         .write_csv(std::io::BufWriter::new(file))
         .map_err(|e| ArgError(format!("write failed: {e}")))?;
-    println!(
-        "  wrote {} requests ({} strict) to {out}",
+    writeln!(
+        out,
+        "  wrote {} requests ({} strict) to {path}",
         trace.stats().total,
         trace.stats().strict
-    );
+    )?;
+    Ok(())
+}
+
+/// `reproduce`: the paper's tables and figures, one row of
+/// [`EXPERIMENTS`] each, to `out` or to one `<id>.txt` per row.
+pub fn reproduce(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
+    // `--duration` and `--seed` set the keys `simulate`'s do, checked on
+    // its 5000 rps wiki run, so the trace caps hold here too.
+    let spec = run_spec("reproduce", args)?;
+    let mut setup = PaperSetup::default();
+    if args.get("duration").is_some() {
+        setup.duration_secs = spec.trace.duration_secs;
+    }
+    if args.get("seed").is_some() {
+        setup.seed = spec.fleet.seed;
+    }
+    let rows = match args.get("only") {
+        None => EXPERIMENTS.iter().collect(),
+        Some(id) => vec![paper::find(id).ok_or_else(|| {
+            let ids: Vec<&str> = EXPERIMENTS.iter().map(|x| x.id).collect();
+            ArgError(format!(
+                "--only: unknown experiment '{id}' ({})",
+                ids.join(" | ")
+            ))
+        })?],
+    };
+    let threads = thread_count();
+    let Some(dir) = args.get("out").map(Path::new) else {
+        return Ok(rows.iter().try_for_each(|x| x.run(&setup, threads, out))?);
+    };
+    std::fs::create_dir_all(dir)
+        .map_err(|e| ArgError(format!("cannot create {}: {e}", dir.display())))?;
+    for x in rows {
+        let path = dir.join(format!("{}.txt", x.id));
+        let cannot = |e| ArgError(format!("cannot write {}: {e}", path.display()));
+        let mut file = io::BufWriter::new(std::fs::File::create(&path).map_err(cannot)?);
+        x.run(&setup, threads, &mut file)
+            .and_then(|()| file.flush())
+            .map_err(cannot)?;
+        writeln!(out, "  wrote {}", path.display())?;
+    }
     Ok(())
 }
 
 /// `scenario list` / `scenario run`: the declarative adversarial
 /// scenario catalog (see `scenarios/` and the scenario DSL docs).
-pub fn scenario(action: Option<&str>, args: &Args) -> Result<(), ArgError> {
+pub fn scenario(action: Option<&str>, args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     args.reject_unknown(&flags_of("scenario"))?;
     let dir = PathBuf::from(args.get("dir").unwrap_or("scenarios"));
     let files = scenario::catalog_files(&dir)?;
     if files.is_empty() {
-        return Err(ArgError(format!(
-            "no scenario files (*.toml) found in {}",
-            dir.display()
-        )));
+        let msg = format!("no scenario files (*.toml) found in {}", dir.display());
+        return Err(ArgError(msg).into());
     }
     let specs: Vec<(PathBuf, ScenarioSpec)> = files
         .iter()
@@ -343,8 +438,7 @@ pub fn scenario(action: Option<&str>, args: &Args) -> Result<(), ArgError> {
                     vec![s.name.clone(), file.into_owned(), s.description.clone()]
                 })
                 .collect();
-            table(&["scenario", "file", "description"], &rows);
-            Ok(())
+            Ok(table(out, &["scenario", "file", "description"], &rows)?)
         }
         Some("run") => {
             let smoke: bool = args.get_or("smoke", false)?;
@@ -363,7 +457,8 @@ pub fn scenario(action: Option<&str>, args: &Args) -> Result<(), ArgError> {
                     "no scenario named '{}' in {} (run `scenario list`)",
                     only.unwrap_or_default(),
                     dir.display()
-                )));
+                ))
+                .into());
             }
             let mut outcomes = Vec::with_capacity(selected.len());
             for (file, spec) in selected {
@@ -378,18 +473,19 @@ pub fn scenario(action: Option<&str>, args: &Args) -> Result<(), ArgError> {
             }
             let headers = scenario::card_headers();
             let rows: Vec<Vec<String>> = outcomes.iter().map(|o| o.table_row()).collect();
-            table(&headers, &rows);
-            println!(
+            table(out, &headers, &rows)?;
+            writeln!(
+                out,
                 "\n  {} scenario(s) green: audited and unaudited digests identical, audits clean{}",
                 outcomes.len(),
                 if smoke { " (smoke rates)" } else { "" }
-            );
+            )?;
             Ok(())
         }
-        Some(other) => Err(ArgError(format!(
-            "unknown scenario action '{other}' (list | run)"
-        ))),
-        None => Err(ArgError("scenario requires an action: list | run".into())),
+        Some(other) => {
+            Err(ArgError(format!("unknown scenario action '{other}' (list | run)")).into())
+        }
+        None => Err(ArgError("scenario requires an action: list | run".into()).into()),
     }
 }
 
@@ -476,8 +572,8 @@ mod tests {
     #[test]
     fn catalog_and_geometries_commands_run() {
         let none = Args::parse(Vec::new()).unwrap();
-        catalog_cmd(&none).unwrap();
-        geometries(&none).unwrap();
+        catalog_cmd(&none, &mut io::sink()).unwrap();
+        geometries(&none, &mut io::sink()).unwrap();
         // Unknown flags are rejected.
         let bad = Args::parse(
             "catalog --oops 1"
@@ -486,7 +582,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        assert!(catalog_cmd(&bad).is_err());
+        assert!(catalog_cmd(&bad, &mut io::sink()).is_err());
     }
     #[test]
     fn compare_rejects_scheme_flag_and_replay_requires_file() {
@@ -497,9 +593,9 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        assert!(compare(&a).is_err());
+        assert!(compare(&a, &mut io::sink()).is_err());
         let r = Args::parse(vec!["replay".to_string()]).unwrap();
-        assert!(replay(&r).is_err());
+        assert!(replay(&r, &mut io::sink()).is_err());
         let missing = Args::parse(
             "replay --trace-file /nonexistent/x.csv"
                 .split_whitespace()
@@ -507,9 +603,12 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        assert!(replay(&missing).is_err());
+        assert!(replay(&missing, &mut io::sink()).is_err());
         let g = Args::parse(vec!["gen-trace".to_string()]).unwrap();
-        assert!(gen_trace(&g).is_err(), "gen-trace without --out must fail");
+        assert!(
+            gen_trace(&g, &mut io::sink()).is_err(),
+            "gen-trace without --out must fail"
+        );
     }
 
     #[test]
@@ -527,7 +626,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        gen_trace(&a).unwrap();
+        gen_trace(&a, &mut io::sink()).unwrap();
         let toks = format!("replay --trace-file {} --workers 2", path.display());
         let a = Args::parse(
             toks.split_whitespace()
@@ -535,7 +634,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        replay(&a).unwrap();
+        replay(&a, &mut io::sink()).unwrap();
 
         // A malformed trace comes back as an ArgError naming the file and
         // line — not a panic deep inside the reader.
@@ -548,9 +647,9 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        let err = replay(&a).unwrap_err();
-        assert!(err.0.contains("bad.csv"), "no path in '{}'", err.0);
-        assert!(err.0.contains("line 2"), "no line in '{}'", err.0);
+        let err = replay(&a, &mut io::sink()).unwrap_err();
+        assert!(err.to_string().contains("bad.csv"), "no path in '{err}'");
+        assert!(err.to_string().contains("line 2"), "no line in '{err}'");
 
         // Nonsensical replay flags are rejected up front.
         let toks = format!("replay --trace-file {} --workers 0", path.display());
@@ -560,7 +659,10 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        assert!(replay(&a).unwrap_err().0.contains("--workers"));
+        assert!(replay(&a, &mut io::sink())
+            .unwrap_err()
+            .to_string()
+            .contains("--workers"));
         let toks = format!("replay --trace-file {} --slo-mult 0.5", path.display());
         let a = Args::parse(
             toks.split_whitespace()
@@ -568,7 +670,10 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        assert!(replay(&a).unwrap_err().0.contains("--slo-mult"));
+        assert!(replay(&a, &mut io::sink())
+            .unwrap_err()
+            .to_string()
+            .contains("--slo-mult"));
         std::fs::remove_file(path).ok();
         std::fs::remove_file(bad).ok();
     }
@@ -584,9 +689,12 @@ mod tests {
             .unwrap()
         };
         // `compare` reads --availability through `build_run`.
-        compare(&parse(
-            "compare --availability low --procurement hybrid --workers 2 --rps 50 --duration 2",
-        ))
+        compare(
+            &parse(
+                "compare --availability low --procurement hybrid --workers 2 --rps 50 --duration 2",
+            ),
+            &mut io::sink(),
+        )
         .unwrap();
         // `simulate` runs one scheme on one thread: --threads is
         // compare-only. The engine is one event loop, so there is no
@@ -598,18 +706,20 @@ mod tests {
             "max-epoch-arrivals 16",
         ];
         for flag in unknown {
-            let err = simulate(&parse(&format!("simulate --{flag}"))).unwrap_err();
+            let err = simulate(&parse(&format!("simulate --{flag}")), &mut io::sink()).unwrap_err();
             let name = flag.split(' ').next().unwrap();
             assert!(
-                err.0.starts_with(&format!("unknown flag --{name} ")),
+                err.to_string()
+                    .starts_with(&format!("unknown flag --{name} ")),
                 "{err}"
             );
         }
         for flag in &unknown[1..] {
-            let err = compare(&parse(&format!("compare --{flag}"))).unwrap_err();
+            let err = compare(&parse(&format!("compare --{flag}")), &mut io::sink()).unwrap_err();
             let name = flag.split(' ').next().unwrap();
             assert!(
-                err.0.starts_with(&format!("unknown flag --{name} ")),
+                err.to_string()
+                    .starts_with(&format!("unknown flag --{name} ")),
                 "{err}"
             );
         }
@@ -625,8 +735,8 @@ mod tests {
             )
             .unwrap()
         };
-        let rejects = |err: ArgError, flag: &str, key: &str, value: &str| {
-            let text = &err.0;
+        let rejects = |err: Failure, flag: &str, key: &str, value: &str| {
+            let text = &err.to_string();
             assert!(
                 text.starts_with(&format!("--{flag}: '{key}' must be ")),
                 "{err}"
@@ -641,13 +751,23 @@ mod tests {
             ("slo-mult", "slo_mult", "nan"),
         ] {
             let line = format!("simulate --{flag} {value}");
-            rejects(simulate(&parse(&line)).unwrap_err(), flag, key, value);
+            rejects(
+                simulate(&parse(&line), &mut io::sink()).unwrap_err(),
+                flag,
+                key,
+                value,
+            );
             let line = format!("compare --{flag} {value}");
-            rejects(compare(&parse(&line)).unwrap_err(), flag, key, value);
+            rejects(
+                compare(&parse(&line), &mut io::sink()).unwrap_err(),
+                flag,
+                key,
+                value,
+            );
         }
         let line = "replay --trace-file /nonexistent/x.csv --slo-mult nan";
         rejects(
-            replay(&parse(line)).unwrap_err(),
+            replay(&parse(line), &mut io::sink()).unwrap_err(),
             "slo-mult",
             "slo_mult",
             "nan",
@@ -668,13 +788,13 @@ mod tests {
             )
             .unwrap();
             let err = match cmd {
-                "simulate" => simulate(&args),
-                "compare" => compare(&args),
-                _ => gen_trace(&args),
+                "simulate" => simulate(&args, &mut io::sink()),
+                "compare" => compare(&args, &mut io::sink()),
+                _ => gen_trace(&args, &mut io::sink()),
             }
             .unwrap_err();
             assert!(
-                err.0.starts_with(
+                err.to_string().starts_with(
                     "--duration: 'duration_secs' must be within the simulated clock (about 1.8e13 s), got 1e300"
                 ),
                 "{err}"
@@ -705,13 +825,13 @@ mod tests {
                 )
                 .unwrap();
                 let err = match cmd.split(' ').next() {
-                    Some("simulate") => simulate(&args),
-                    Some("compare") => compare(&args),
-                    _ => gen_trace(&args),
+                    Some("simulate") => simulate(&args, &mut io::sink()),
+                    Some("compare") => compare(&args, &mut io::sink()),
+                    _ => gen_trace(&args, &mut io::sink()),
                 }
                 .unwrap_err();
                 let expected = format!("--duration: 'duration_secs' {reason}");
-                assert!(err.0.starts_with(&expected), "{err}");
+                assert!(err.to_string().starts_with(&expected), "{err}");
             }
         }
         // The request cap scales with the rate: 1e6 s at 50 rps fits.
@@ -805,6 +925,7 @@ mod tests {
             "compare",
             "replay",
             "gen-trace",
+            "reproduce",
             "scenario list",
             "scenario run",
         ];

@@ -34,3 +34,36 @@ fn fleets_past_the_worker_cap_are_refused_naming_the_flag() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn reproduce_refuses_bad_durations_seeds_and_ids_naming_the_flag() {
+    // Unchecked, `nan`, `-5` and `1e300` panic in the clock, `abc` ran the
+    // default, and 1e6 s at the 5000 rps the check assumes is 5e9
+    // requests.
+    for (flag, value) in [
+        ("duration", "nan"),
+        ("duration", "-5"),
+        ("duration", "1e300"),
+        ("duration", "abc"),
+        ("duration", "1e6"),
+        ("seed", "abc"),
+        ("seed", "-1"),
+    ] {
+        let (code, stderr) = cli(&["reproduce", &format!("--{flag}"), value]);
+        assert_eq!(code, Some(2), "--{flag} {value}: {stderr}");
+        let named = format!(
+            "error: --{flag}: '{}' ",
+            flag.replace("duration", "duration_secs")
+        );
+        assert!(stderr.starts_with(&named), "--{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--{flag} {value}: {stderr}");
+    }
+    let (code, stderr) = cli(&["reproduce", "--only", "fig01"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    let ids = "(fig02_motivation | fig03_fbr_catalog | fig04_architecture | table2_mig_profiles";
+    assert!(
+        stderr.starts_with(&format!("error: --only: unknown experiment 'fig01' {ids}")),
+        "{stderr}"
+    );
+    assert!(stderr.ends_with(" | stats_significance)\n"), "{stderr}");
+}

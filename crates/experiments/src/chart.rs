@@ -1,6 +1,8 @@
-//! Terminal chart rendering for the figure binaries: horizontal bar
-//! charts, stacked breakdown bars and line plots, so each `fig*`
-//! binary produces an actual figure alongside its numeric table.
+//! Terminal chart rendering for the experiment table: horizontal bar
+//! charts, stacked breakdown bars and line plots, so a figure's row
+//! prints an actual figure alongside its numeric table.
+
+use std::io::{self, Write};
 
 use protean_metrics::LatencyBreakdown;
 
@@ -14,10 +16,16 @@ const BAR_WIDTH: usize = 50;
 ///
 /// ```
 /// use protean_experiments::chart::bar_chart;
-/// bar_chart("SLO %", &[("PROTEAN".into(), 99.9), ("INFless".into(), 33.7)], 100.0);
+/// let entries = [("PROTEAN".into(), 99.9), ("INFless".into(), 33.7)];
+/// bar_chart(&mut std::io::stdout(), "SLO %", &entries, 100.0).unwrap();
 /// ```
-pub fn bar_chart(title: &str, entries: &[(String, f64)], scale_max: f64) {
-    println!("  {title}");
+pub fn bar_chart(
+    out: &mut dyn Write,
+    title: &str,
+    entries: &[(String, f64)],
+    scale_max: f64,
+) -> io::Result<()> {
+    writeln!(out, "  {title}")?;
     let label_width = entries.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
     let max = entries
         .iter()
@@ -26,26 +34,34 @@ pub fn bar_chart(title: &str, entries: &[(String, f64)], scale_max: f64) {
         .max(1e-9);
     for (label, value) in entries {
         let filled = ((value / max) * BAR_WIDTH as f64).round().max(0.0) as usize;
-        println!(
+        writeln!(
+            out,
             "  {:<label_width$} |{}{} {:.2}",
             label,
             "#".repeat(filled.min(BAR_WIDTH)),
             " ".repeat(BAR_WIDTH.saturating_sub(filled)),
             value,
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Renders the Figs. 2/6/11 stacked P99 breakdown as proportional bars
 /// with a component legend (q = queueing, c = cold start,
 /// i = interference, d = deficiency, m = minimum execution).
-pub fn stacked_breakdown_chart(entries: &[(String, LatencyBreakdown)]) {
+pub fn stacked_breakdown_chart(
+    out: &mut dyn Write,
+    entries: &[(String, LatencyBreakdown)],
+) -> io::Result<()> {
     let label_width = entries.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
     let max_total = entries
         .iter()
         .map(|(_, b)| b.total_ms())
         .fold(1e-9, f64::max);
-    println!("  P99 composition  [q]ueueing [c]old [i]nterference [d]eficiency [m]in-exec");
+    writeln!(
+        out,
+        "  P99 composition  [q]ueueing [c]old [i]nterference [d]eficiency [m]in-exec"
+    )?;
     for (label, b) in entries {
         let mut bar = String::new();
         let mut emitted = 0usize;
@@ -68,32 +84,34 @@ pub fn stacked_breakdown_chart(entries: &[(String, LatencyBreakdown)]) {
         if emitted < total_width {
             bar.extend(std::iter::repeat_n('m', total_width - emitted));
         }
-        println!(
+        writeln!(
+            out,
             "  {:<label_width$} |{:<BAR_WIDTH$} {:.1} ms",
             label,
             bar,
             b.total_ms(),
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Renders `(x, y)` series as a fixed-size scatter/line plot with a
 /// shared y-axis; each series gets its own glyph. Used for the Fig. 8
 /// CDFs and the Fig. 7 timeline.
 pub fn line_plot(
+    out: &mut dyn Write,
     title: &str,
     x_label: &str,
     y_label: &str,
     series: &[(char, &[(f64, f64)])],
     height: usize,
-) {
+) -> io::Result<()> {
     let all: Vec<(f64, f64)> = series
         .iter()
         .flat_map(|(_, pts)| pts.iter().copied())
         .collect();
     if all.is_empty() || height == 0 {
-        println!("  {title}: (no data)");
-        return;
+        return writeln!(out, "  {title}: (no data)");
     }
     let (mut x_min, mut x_max) = (f64::INFINITY, f64::NEG_INFINITY);
     let (mut y_min, mut y_max) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -119,14 +137,14 @@ pub fn line_plot(
             grid[r][col.min(width - 1)] = *glyph;
         }
     }
-    println!("  {title}");
-    println!("  {y_label} {y_max:.1}");
+    writeln!(out, "  {title}")?;
+    writeln!(out, "  {y_label} {y_max:.1}")?;
     for row in grid {
         let line: String = row.into_iter().collect();
-        println!("  |{line}");
+        writeln!(out, "  |{line}")?;
     }
-    println!("  {y_min:.1} +{}", "-".repeat(width));
-    println!("   {x_label}: {x_min:.1} .. {x_max:.1}");
+    writeln!(out, "  {y_min:.1} +{}", "-".repeat(width))?;
+    writeln!(out, "   {x_label}: {x_min:.1} .. {x_max:.1}")
 }
 
 #[cfg(test)]
@@ -143,26 +161,29 @@ mod tests {
 
     #[test]
     fn bar_chart_handles_plain_and_zero_values() {
-        bar_chart("t", &[("a".into(), 50.0), ("b".into(), 0.0)], 100.0);
-        bar_chart("empty", &[], 100.0);
+        let out = &mut io::sink();
+        bar_chart(out, "t", &[("a".into(), 50.0), ("b".into(), 0.0)], 100.0).unwrap();
+        bar_chart(out, "empty", &[], 100.0).unwrap();
         // Values above the scale max must not overflow the bar area.
-        bar_chart("over", &[("x".into(), 250.0)], 100.0);
+        bar_chart(out, "over", &[("x".into(), 250.0)], 100.0).unwrap();
     }
 
     #[test]
     fn stacked_chart_is_proportional() {
-        stacked_breakdown_chart(&[
+        let entries = [
             ("heavy queue".into(), breakdown(90.0, 10.0)),
             ("pure exec".into(), breakdown(0.0, 100.0)),
             ("empty".into(), breakdown(0.0, 0.0)),
-        ]);
+        ];
+        stacked_breakdown_chart(&mut io::sink(), &entries).unwrap();
     }
 
     #[test]
     fn line_plot_handles_degenerate_inputs() {
-        line_plot("empty", "x", "y", &[], 5);
-        line_plot("point", "x", "y", &[('*', &[(1.0, 1.0)])], 5);
+        let out = &mut io::sink();
+        line_plot(out, "empty", "x", "y", &[], 5).unwrap();
+        line_plot(out, "point", "x", "y", &[('*', &[(1.0, 1.0)])], 5).unwrap();
         let pts: Vec<(f64, f64)> = (0..100).map(|i| (i as f64, (i * i) as f64)).collect();
-        line_plot("quadratic", "x", "y", &[('*', &pts)], 10);
+        line_plot(out, "quadratic", "x", "y", &[('*', &pts)], 10).unwrap();
     }
 }

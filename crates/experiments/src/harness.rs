@@ -1,7 +1,8 @@
 //! Parallel experiment harness: fans independent simulation cells out
 //! over a scoped worker pool.
 //!
-//! Every figure/table in the reproduction is a grid of independent
+//! Every figure/table in the reproduction (a row of
+//! [`crate::paper::EXPERIMENTS`]) is a grid of independent
 //! `(scheme, seed, trace)` simulations. Each cell derives all of its
 //! randomness from its own `ClusterConfig::seed` via
 //! `protean_sim::RngFactory`, and shares no mutable state with any
@@ -14,8 +15,8 @@
 //!
 //! Thread count resolution (first match wins):
 //!
-//! 1. an explicit `--threads` CLI override, where the binary passes one
-//!    (see [`thread_count_or`]) — taken verbatim;
+//! 1. an explicit `--threads` CLI override, where the command takes one
+//!    (`protean-cli compare`, see [`thread_count_or`]) — taken verbatim;
 //! 2. the `PROTEAN_THREADS` environment variable, capped at
 //!    [`std::thread::available_parallelism`] — simulation cells are
 //!    CPU-bound, so oversubscribing physical cores only adds context
@@ -123,26 +124,16 @@ pub struct GridCell<'a> {
     pub scheme: &'a dyn SchemeBuilder,
     /// The workload.
     pub trace: TraceConfig,
-    /// Progress label (e.g. `"ResNet50/PROTEAN"`); when non-empty the
-    /// grid prints `[done/total] label` to stderr as cells finish.
-    pub label: String,
 }
 
 impl<'a> GridCell<'a> {
-    /// A cell with no progress label.
+    /// `scheme` over `trace` under `config`.
     pub fn new(config: ClusterConfig, scheme: &'a dyn SchemeBuilder, trace: TraceConfig) -> Self {
         GridCell {
             config,
             scheme,
             trace,
-            label: String::new(),
         }
-    }
-
-    /// Attaches a progress label.
-    pub fn labeled(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
     }
 }
 
@@ -162,14 +153,8 @@ pub const MIN_CELLS_PER_THREAD: usize = 4;
 /// fall back to a sequential loop on the calling thread.
 pub fn run_grid(cells: &[GridCell<'_>], threads: usize) -> Vec<SchemeRow> {
     let threads = threads.min(cells.len() / MIN_CELLS_PER_THREAD).max(1);
-    let done = AtomicUsize::new(0);
     run_parallel(cells, threads, |_, cell| {
-        let row = run_scheme(&cell.config, cell.scheme, &cell.trace);
-        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-        if !cell.label.is_empty() {
-            eprintln!("  [{finished}/{}] {}", cells.len(), cell.label);
-        }
-        row
+        run_scheme(&cell.config, cell.scheme, &cell.trace)
     })
 }
 

@@ -1,10 +1,10 @@
 //! Experiment harness: regenerates every table and figure of the
-//! paper's evaluation (§6).
+//! paper's evaluation (§5–§7).
 //!
-//! Each `fig*`/`table*` binary in `src/bin/` wires the paper's workload
-//! (models, traces, strictness mix) to the scheme(s) under test and
-//! prints the same rows/series the paper reports. The shared pieces
-//! live here:
+//! The evaluation is data: [`paper::EXPERIMENTS`] holds one row per
+//! table or figure (the paper's workload, the schemes under test, the
+//! axis the figure varies and the columns it prints), and
+//! `protean-cli reproduce` runs the rows. The shared pieces live here:
 //!
 //! * [`setup`] — the paper's experimental setup as constructors: the
 //!   Wiki trace scaled to ~5000 rps mean for vision (128 rps for
@@ -17,23 +17,21 @@
 //!   `std::thread::scope` worker pool ([`harness::run_grid`]) with
 //!   bit-identical results to a sequential run; thread count comes
 //!   from `--threads` / `PROTEAN_THREADS` / available parallelism.
-//! * [`report`] — fixed-width table and CSV-series printers so every
-//!   binary's output is regular enough to diff across runs.
+//! * [`report`] and [`chart`] — fixed-width tables, CSV series and
+//!   terminal charts, written to any [`std::io::Write`], so every
+//!   row's output is regular enough to diff across runs.
 //!
 //! Run e.g.:
 //!
 //! ```text
-//! cargo run --release -p protean-experiments --bin fig05_slo_vision
+//! protean-cli reproduce --only fig05_slo_vision
+//! protean-cli reproduce --duration 20 --seed 7 --out results
 //! ```
-//!
-//! Every binary accepts an optional first argument overriding the
-//! simulated trace length in seconds (default 120) and a second
-//! argument overriding the seed (default 42), so quick smoke runs and
-//! full regenerations use the same code path.
 
 pub mod chart;
 pub mod golden;
 pub mod harness;
+pub mod paper;
 pub mod report;
 pub mod runner;
 pub mod scenario;

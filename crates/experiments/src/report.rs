@@ -1,13 +1,14 @@
-//! Fixed-width table and CSV-series printers for the figure binaries.
+//! Fixed-width table and CSV-series printers for the experiment table
+//! and the CLI. Each writes to `out` and returns its write error.
 
-use protean_metrics::LatencyBreakdown;
+use std::io::{self, Write};
 
 use crate::runner::SchemeRow;
 
 /// Prints a figure/table header banner.
-pub fn banner(id: &str, caption: &str) {
-    println!();
-    println!("=== {id}: {caption} ===");
+pub fn banner(out: &mut dyn Write, id: &str, caption: &str) -> io::Result<()> {
+    writeln!(out)?;
+    writeln!(out, "=== {id}: {caption} ===")
 }
 
 /// Renders a fixed-width table. `headers` and each row must have equal
@@ -16,7 +17,7 @@ pub fn banner(id: &str, caption: &str) {
 /// # Panics
 ///
 /// Panics if a row's length differs from the header's.
-pub fn table(headers: &[&str], rows: &[Vec<String>]) {
+pub fn table(out: &mut dyn Write, headers: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
     for row in rows {
         assert_eq!(row.len(), headers.len(), "ragged table row");
     }
@@ -26,25 +27,28 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) {
             widths[i] = widths[i].max(cell.len());
         }
     }
-    let print_row = |cells: &[String]| {
+    let mut print_row = |cells: &[String]| {
         let line: Vec<String> = cells
             .iter()
             .enumerate()
             .map(|(i, c)| format!("{:<width$}", c, width = widths[i]))
             .collect();
-        println!("  {}", line.join("  "));
+        writeln!(out, "  {}", line.join("  "))
     };
-    print_row(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
+    print_row(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>())?;
     let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-    print_row(&rule);
+    print_row(&rule)?;
     for row in rows {
-        print_row(row);
+        print_row(row)?;
     }
+    Ok(())
 }
 
-/// The standard per-scheme comparison table used by most figures.
-pub fn scheme_table(rows: &[SchemeRow]) {
+/// The standard per-scheme comparison table of `simulate`, `compare`
+/// and the examples.
+pub fn scheme_table(out: &mut dyn Write, rows: &[SchemeRow]) -> io::Result<()> {
     table(
+        out,
         &[
             "scheme",
             "SLO%",
@@ -68,50 +72,24 @@ pub fn scheme_table(rows: &[SchemeRow]) {
                 ]
             })
             .collect::<Vec<_>>(),
-    );
-}
-
-/// The stacked-bar breakdown table of Figs. 2/6/11 (components of the
-/// strict P99 tail, ms).
-pub fn breakdown_table(rows: &[(String, LatencyBreakdown, f64)]) {
-    table(
-        &[
-            "scheme",
-            "queueing",
-            "cold",
-            "interf.",
-            "defic.",
-            "min exec",
-            "P99 total",
-            "SLO%",
-        ],
-        &rows
-            .iter()
-            .map(|(name, b, slo)| {
-                vec![
-                    name.clone(),
-                    format!("{:.1}", b.queueing_ms),
-                    format!("{:.1}", b.cold_start_ms),
-                    format!("{:.1}", b.interference_ms),
-                    format!("{:.1}", b.deficiency_ms),
-                    format!("{:.1}", b.min_exec_ms),
-                    format!("{:.1}", b.total_ms()),
-                    format!("{:.2}", slo),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
+    )
 }
 
 /// Prints an `(x, y…)` series as CSV, one line per point, for the
 /// curve-style figures (CDFs, timelines).
-pub fn csv_series(title: &str, headers: &[&str], points: &[Vec<f64>]) {
-    println!("-- {title} (CSV) --");
-    println!("{}", headers.join(","));
+pub fn csv_series(
+    out: &mut dyn Write,
+    title: &str,
+    headers: &[&str],
+    points: &[Vec<f64>],
+) -> io::Result<()> {
+    writeln!(out, "-- {title} (CSV) --")?;
+    writeln!(out, "{}", headers.join(","))?;
     for p in points {
         let line: Vec<String> = p.iter().map(|v| format!("{v:.4}")).collect();
-        println!("{}", line.join(","));
+        writeln!(out, "{}", line.join(","))?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -120,15 +98,20 @@ mod tests {
 
     #[test]
     fn table_accepts_regular_rows() {
+        let mut out = Vec::new();
         table(
+            &mut out,
             &["a", "bb"],
             &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
-        );
+        )
+        .unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text, "  a    bb\n  ---  --\n  1    2 \n  333  4 \n");
     }
 
     #[test]
     #[should_panic]
     fn table_rejects_ragged_rows() {
-        table(&["a"], &[vec!["1".into(), "2".into()]]);
+        table(&mut io::sink(), &["a"], &[vec!["1".into(), "2".into()]]).unwrap();
     }
 }

@@ -4,19 +4,32 @@ use protean::ProteanBuilder;
 use protean_baselines::Baseline;
 use protean_cluster::SchemeBuilder;
 
+/// Builds one scheme.
+pub type Build = fn() -> Box<dyn SchemeBuilder>;
+
 /// The primary comparison of Figs. 5–15: Molecule (beta),
 /// INFless/Llama, Naïve Slicing and PROTEAN.
-pub fn primary() -> Vec<Box<dyn SchemeBuilder>> {
-    vec![
-        Box::new(Baseline::MoleculeBeta),
-        Box::new(Baseline::InflessLlama),
-        Box::new(Baseline::NaiveSlicing),
-        Box::new(ProteanBuilder::paper()),
-    ]
-}
+pub const PRIMARY: [Build; 4] = [
+    || Box::new(Baseline::MoleculeBeta),
+    || Box::new(Baseline::InflessLlama),
+    || Box::new(Baseline::NaiveSlicing),
+    || Box::new(ProteanBuilder::paper()),
+];
 
-/// Builds one scheme.
-type Build = fn() -> Box<dyn SchemeBuilder>;
+/// The §2.2 motivational line-up (Fig. 2): No MPS or MIG, MPS Only,
+/// MIG Only, MPS+MIG, and the 'Smart' MPS+MIG straw man.
+pub const MOTIVATIONAL: [Build; 5] = [
+    || Box::new(Baseline::MoleculeBeta), // "No MPS or MIG"
+    || Box::new(Baseline::InflessLlama), // "MPS Only"
+    || Box::new(Baseline::MigOnly),
+    || Box::new(Baseline::MpsMigEven),
+    || Box::new(Baseline::SmartMpsMig),
+];
+
+/// The [`PRIMARY`] schemes, built.
+pub fn primary() -> Vec<Box<dyn SchemeBuilder>> {
+    PRIMARY.iter().map(|build| build()).collect()
+}
 
 /// Every scheme the CLI and scenario files name: the names each
 /// answers to (canonical first, then aliases) and its builder.
@@ -54,18 +67,6 @@ pub fn unknown_scheme(name: &str) -> String {
     format!("unknown scheme '{name}' ({})", canonical.join(" | "))
 }
 
-/// The §2.2 motivational line-up (Fig. 2): No MPS or MIG, MPS Only,
-/// MIG Only, MPS+MIG, and the 'Smart' MPS+MIG straw man.
-pub fn motivational() -> Vec<Box<dyn SchemeBuilder>> {
-    vec![
-        Box::new(Baseline::MoleculeBeta), // "No MPS or MIG"
-        Box::new(Baseline::InflessLlama), // "MPS Only"
-        Box::new(Baseline::MigOnly),
-        Box::new(Baseline::MpsMigEven),
-        Box::new(Baseline::SmartMpsMig),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,6 +83,6 @@ mod tests {
                 "PROTEAN"
             ]
         );
-        assert_eq!(motivational().len(), 5);
+        assert_eq!(MOTIVATIONAL.len(), 5);
     }
 }

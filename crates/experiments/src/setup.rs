@@ -10,11 +10,12 @@ pub const VISION_RPS: f64 = 5000.0;
 /// Request rate for the language models (§5: 128 rps).
 pub const LANGUAGE_RPS: f64 = 128.0;
 
-/// Parameters shared by every experiment: trace length and seed. The
-/// paper runs hour-scale traces on real hardware; the simulated default
-/// is 120 s (plus the cluster's 15 s measurement warmup), which is long
-/// enough for tens of thousands of batches per scheme while keeping a
-/// full figure regeneration under a few minutes.
+/// Parameters shared by every experiment: trace length and seed
+/// (`protean-cli reproduce --duration S --seed N`). The paper runs
+/// hour-scale traces on real hardware; the simulated default is 120 s
+/// (plus the cluster's 15 s measurement warmup), which is long enough
+/// for tens of thousands of batches per scheme while keeping a full
+/// `reproduce` under a minute.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperSetup {
     /// Simulated trace length, seconds.
@@ -33,20 +34,6 @@ impl Default for PaperSetup {
 }
 
 impl PaperSetup {
-    /// Builds a setup from a binary's command-line arguments: the first
-    /// overrides the duration (seconds), the second the seed.
-    pub fn from_args() -> Self {
-        let mut setup = PaperSetup::default();
-        let mut args = std::env::args().skip(1);
-        if let Some(d) = args.next().and_then(|a| a.parse().ok()) {
-            setup.duration_secs = d;
-        }
-        if let Some(s) = args.next().and_then(|a| a.parse().ok()) {
-            setup.seed = s;
-        }
-        setup
-    }
-
     /// The 8-worker cluster of the paper, on-demand VMs, 3× SLO.
     pub fn cluster(&self) -> ClusterConfig {
         ClusterConfig {

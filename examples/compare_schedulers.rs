@@ -9,11 +9,14 @@
 //!
 //! `model` is an optional catalog index (0–21); default is VGG 19.
 
+use std::io::Write;
+
 use protean_experiments::report::{banner, scheme_table};
 use protean_experiments::{run_scheme, schemes, PaperSetup};
 use protean_models::{catalog, ModelId};
 
-fn main() {
+fn main() -> std::io::Result<()> {
+    let out = &mut std::io::stdout();
     let model = std::env::args()
         .nth(1)
         .and_then(|a| a.parse::<usize>().ok())
@@ -27,18 +30,19 @@ fn main() {
     let trace = setup.wiki_trace(model);
     let profile = *catalog().profile(model);
     banner(
+        out,
         "bake-off",
         &format!(
             "{model} (batch {}, SLO {:.0} ms), Wiki trace, 8 GPUs",
             profile.batch_size,
             profile.slo().as_millis_f64()
         ),
-    );
+    )?;
     let rows: Vec<_> = schemes::primary()
         .iter()
         .map(|s| run_scheme(&config, s.as_ref(), &trace))
         .collect();
-    scheme_table(&rows);
+    scheme_table(out, &rows)?;
     let best = rows
         .iter()
         .max_by(|a, b| {
@@ -47,8 +51,9 @@ fn main() {
                 .expect("compliance is finite")
         })
         .expect("at least one scheme ran");
-    println!(
+    writeln!(
+        out,
         "\n  -> deploy {}: {:.2}% SLO compliance, {:.0} ms strict P99",
         best.scheme, best.slo_compliance_pct, best.strict_p99_ms
-    );
+    )
 }

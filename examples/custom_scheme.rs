@@ -55,7 +55,8 @@ impl SchemeBuilder for BiggestSliceFirstBuilder {
     }
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
+    let out = &mut std::io::stdout();
     let setup = PaperSetup {
         duration_secs: 60.0,
         seed: 3,
@@ -63,12 +64,13 @@ fn main() {
     let config = setup.cluster();
     let trace = setup.wiki_trace(ModelId::ResNet50);
     banner(
+        out,
         "custom scheme",
         "biggest-slice-first vs PROTEAN (ResNet 50)",
-    );
+    )?;
     let rows = vec![
         run_scheme(&config, &BiggestSliceFirstBuilder, &trace),
         run_scheme(&config, &ProteanBuilder::paper(), &trace),
     ];
-    scheme_table(&rows);
+    scheme_table(out, &rows)
 }

@@ -6,6 +6,8 @@
 //! cargo run --release -p protean-experiments --example spot_capacity_planning
 //! ```
 
+use std::io::Write;
+
 use protean::ProteanBuilder;
 use protean_experiments::report::{banner, table};
 use protean_experiments::{run_scheme, PaperSetup};
@@ -13,21 +15,23 @@ use protean_models::ModelId;
 use protean_sim::SimDuration;
 use protean_spot::{PricingTable, ProcurementPolicy, Provider, SpotAvailability, VmTier};
 
-fn main() {
+fn main() -> std::io::Result<()> {
+    let out = &mut std::io::stdout();
     let pricing = PricingTable::paper_table3();
-    println!(
+    writeln!(
+        out,
         "worker VM (1/8 of an 8xA100 {} instance): on-demand ${:.2}/h, spot ${:.2}/h",
         Provider::Aws,
         pricing.worker_price(Provider::Aws, VmTier::OnDemand),
         pricing.worker_price(Provider::Aws, VmTier::Spot),
-    );
+    )?;
 
     let setup = PaperSetup {
         duration_secs: 120.0,
         seed: 11,
     };
     let trace = setup.wiki_trace(ModelId::DenseNet121);
-    banner("capacity plan", "DenseNet 121, Wiki trace, 8 workers");
+    banner(out, "capacity plan", "DenseNet 121, Wiki trace, 8 workers")?;
     let mut rows = Vec::new();
     for availability in [
         SpotAvailability::High,
@@ -56,8 +60,12 @@ fn main() {
         }
     }
     table(
+        out,
         &["spot availability", "policy", "cost", "SLO%", "evictions"],
         &rows,
-    );
-    println!("\n  -> Hybrid keeps SLO compliance while cutting cost whenever spot is available.");
+    )?;
+    writeln!(
+        out,
+        "\n  -> Hybrid keeps SLO compliance while cutting cost whenever spot is available."
+    )
 }
