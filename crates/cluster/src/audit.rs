@@ -37,6 +37,7 @@ use protean_spot::VmLedger;
 
 use crate::batch::BatchId;
 use crate::dispatch::{reference_select, DispatchIndex};
+use crate::journal::JournalEvent;
 use crate::worker::{Worker, WorkerStatus};
 
 /// Cap on recorded violation messages; beyond it only the count grows.
@@ -81,7 +82,7 @@ enum Stage {
 pub(crate) struct Auditor {
     enabled: bool,
     /// Run the full sweep on every `every_n`-th opportunity (≥ 1). The
-    /// O(1) batch-lifecycle hooks are never sampled.
+    /// O(1) batch life-cycle check is never sampled.
     every_n: u64,
     /// Sweep opportunities seen (sampled or not).
     opportunities: u64,
@@ -113,82 +114,44 @@ impl Auditor {
         }
     }
 
-    /// A batch was sealed at the gateway.
-    pub(crate) fn batch_sealed(&mut self, now: SimTime, id: BatchId) {
-        if !self.enabled {
-            return;
-        }
-        if self.stages.insert(id, Stage::Sealed).is_some() {
-            self.violation(now, format!("batch {id:?} sealed twice"));
+    /// Folds one emitted event into the batch life-cycle check: a batch
+    /// walks `Sealed → Dispatched → Placed → Finished`, and the one
+    /// legal regression is an eviction orphan re-dispatched from
+    /// `Dispatched` or `Placed`. Other events pass through. Inlined, so
+    /// that an unaudited run pays one branch per event.
+    #[inline]
+    pub(crate) fn observe(&mut self, now: SimTime, ev: &JournalEvent) {
+        if self.enabled {
+            self.observe_stage(now, ev);
         }
     }
 
-    /// A batch was dispatched to `worker`. `routable` is the target's
-    /// routability at dispatch time; `redispatch` marks an eviction
-    /// orphan re-entering the dispatcher.
-    pub(crate) fn batch_dispatched(
-        &mut self,
-        now: SimTime,
-        id: BatchId,
-        worker: usize,
-        routable: bool,
-        redispatch: bool,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        if !routable {
-            self.violation(
-                now,
-                format!("batch {id:?} dispatched to non-routable worker {worker}"),
-            );
-        }
-        let ok = match self.stages.get(&id) {
-            Some(Stage::Sealed) => true,
-            // Eviction orphans legitimately regress from Dispatched
-            // (waiting for container/slice) or Placed (running when the
-            // VM died) back to Dispatched.
-            Some(Stage::Dispatched) | Some(Stage::Placed) => redispatch,
-            None => false,
+    fn observe_stage(&mut self, now: SimTime, ev: &JournalEvent) {
+        let (id, to, redispatch) = match *ev {
+            JournalEvent::BatchSealed { batch, .. } => (batch, Some(Stage::Sealed), false),
+            JournalEvent::BatchDispatched {
+                batch, redispatch, ..
+            } => (batch, Some(Stage::Dispatched), redispatch),
+            JournalEvent::BatchPlaced { batch, .. } => (batch, Some(Stage::Placed), false),
+            JournalEvent::BatchFinished { batch, .. } => (batch, None, false),
+            _ => return,
+        };
+        let from = match to {
+            Some(stage) => self.stages.insert(id, stage),
+            None => self.stages.remove(&id),
+        };
+        let ok = match (from, to) {
+            (None, Some(Stage::Sealed))
+            | (Some(Stage::Sealed), Some(Stage::Dispatched))
+            | (Some(Stage::Dispatched), Some(Stage::Placed))
+            | (Some(Stage::Placed), None) => true,
+            (Some(Stage::Dispatched | Stage::Placed), Some(Stage::Dispatched)) => redispatch,
+            _ => false,
         };
         if !ok {
             self.violation(
                 now,
-                format!(
-                    "batch {id:?} dispatched out of order (stage {:?}, redispatch {redispatch})",
-                    self.stages.get(&id)
-                ),
-            );
-        }
-        self.stages.insert(id, Stage::Dispatched);
-    }
-
-    /// A batch began executing on a slice.
-    pub(crate) fn batch_placed(&mut self, now: SimTime, id: BatchId, worker: usize) {
-        if !self.enabled {
-            return;
-        }
-        if self.stages.get(&id) != Some(&Stage::Dispatched) {
-            self.violation(
-                now,
-                format!(
-                    "batch {id:?} placed on worker {worker} out of order (stage {:?})",
-                    self.stages.get(&id)
-                ),
-            );
-        }
-        self.stages.insert(id, Stage::Placed);
-    }
-
-    /// A batch finished executing.
-    pub(crate) fn batch_finished(&mut self, now: SimTime, id: BatchId, worker: usize) {
-        if !self.enabled {
-            return;
-        }
-        if self.stages.remove(&id) != Some(Stage::Placed) {
-            self.violation(
-                now,
-                format!("batch {id:?} finished on worker {worker} without being placed"),
+                format!("batch {id:?} out of order: {from:?} then {ev:?}"),
             );
         }
     }
@@ -211,9 +174,10 @@ impl Auditor {
 
     /// Checks one dispatch selection — `selected`, the index's answer
     /// for batch `id` under first-fit cap `cap` — against the linear
-    /// scans over the fleet's live state ([`reference_select`]). `fleet`
-    /// yields every worker, in any order. O(W) per dispatch and never
-    /// sampled: `every_n` thins only the full sweeps.
+    /// scans over the fleet's live state ([`reference_select`]), and
+    /// that the selected worker is routable. `fleet` yields every
+    /// worker, in any order. O(W) per dispatch and never sampled:
+    /// `every_n` thins only the full sweeps.
     pub(crate) fn dispatch_selected<'a>(
         &mut self,
         now: SimTime,
@@ -224,6 +188,14 @@ impl Auditor {
     ) {
         if !self.enabled {
             return;
+        }
+        if let Some(g) = selected {
+            if !fleet.clone().any(|w| w.idx == g && w.routable()) {
+                self.violation(
+                    now,
+                    format!("batch {id:?} dispatched to non-routable worker {g}"),
+                );
+            }
         }
         let reference = reference_select(fleet, cap);
         if selected != reference {
@@ -372,12 +344,68 @@ impl Auditor {
 mod tests {
     use super::*;
     use crate::schemes_for_test::AlwaysLargest;
+    use protean_models::ModelId;
+
+    fn sealed(id: u64) -> JournalEvent {
+        JournalEvent::BatchSealed {
+            batch: BatchId(id),
+            model: ModelId::ResNet50,
+            strict: true,
+            size: 1,
+        }
+    }
+
+    fn dispatched(id: u64, worker: usize, redispatch: bool) -> JournalEvent {
+        JournalEvent::BatchDispatched {
+            batch: BatchId(id),
+            worker,
+            redispatch,
+        }
+    }
+
+    fn placed(id: u64, worker: usize) -> JournalEvent {
+        JournalEvent::BatchPlaced {
+            batch: BatchId(id),
+            worker,
+            slice: 0,
+        }
+    }
+
+    fn finished(id: u64, worker: usize) -> JournalEvent {
+        JournalEvent::BatchFinished {
+            batch: BatchId(id),
+            worker,
+        }
+    }
+
+    /// Feeds `events` to `a`, all at time zero.
+    fn observe_all(a: &mut Auditor, events: &[JournalEvent]) {
+        for ev in events {
+            a.observe(SimTime::ZERO, ev);
+        }
+    }
+
+    /// A three-worker fleet, all up, with the given loads.
+    fn fleet(outstanding: [u64; 3]) -> Vec<Worker> {
+        let mut fleet: Vec<Worker> = (0..3)
+            .map(|g| Worker::new(g, Box::new(AlwaysLargest), SimTime::ZERO))
+            .collect();
+        for (w, outstanding) in fleet.iter_mut().zip(outstanding) {
+            w.status = WorkerStatus::Up;
+            w.outstanding = outstanding;
+        }
+        fleet
+    }
 
     #[test]
     fn disabled_auditor_is_inert_and_clean() {
         let mut a = Auditor::new(false, 1);
-        a.batch_sealed(SimTime::ZERO, BatchId(0));
-        a.batch_finished(SimTime::ZERO, BatchId(0), 0); // would violate if on
+        // Each would violate if on.
+        observe_all(&mut a, &[sealed(0), finished(0, 0)]);
+        let mut down = fleet([0; 3]);
+        down[1].status = WorkerStatus::Down;
+        a.dispatch_selected(SimTime::ZERO, BatchId(0), Some(1), None, down.iter());
+        a.memo_contradicted(SimTime::ZERO, BatchId(0), 0);
         a.check(SimTime::ZERO, &[], &dummy_ledger(), &DispatchIndex::new(0));
         let r = a.into_report();
         assert!(!r.enabled);
@@ -421,13 +449,7 @@ mod tests {
 
     #[test]
     fn dispatch_disagreeing_with_the_linear_reference_is_a_violation() {
-        let mut fleet: Vec<Worker> = (0..3)
-            .map(|g| Worker::new(g, Box::new(AlwaysLargest), SimTime::ZERO))
-            .collect();
-        for (w, outstanding) in fleet.iter_mut().zip([5, 0, 2]) {
-            w.status = WorkerStatus::Up;
-            w.outstanding = outstanding;
-        }
+        let fleet = fleet([5, 0, 2]);
         let mut a = Auditor::new(true, 1);
         // Least-loaded: the reference picks worker 1; so does the index.
         a.dispatch_selected(SimTime::ZERO, BatchId(0), Some(1), None, fleet.iter());
@@ -450,41 +472,57 @@ mod tests {
     #[test]
     fn lifecycle_ordering_is_enforced() {
         let mut a = Auditor::new(true, 1);
-        let id = BatchId(7);
-        a.batch_sealed(SimTime::ZERO, id);
-        a.batch_dispatched(SimTime::ZERO, id, 0, true, false);
-        a.batch_placed(SimTime::ZERO, id, 0);
-        a.batch_finished(SimTime::ZERO, id, 0);
+        observe_all(
+            &mut a,
+            &[
+                sealed(7),
+                dispatched(7, 0, false),
+                placed(7, 0),
+                finished(7, 0),
+            ],
+        );
+        // Events that are not batch transitions pass through.
+        a.observe(SimTime::ZERO, &JournalEvent::Evicted { worker: 0 });
         assert_eq!(a.violation_count, 0);
         // Finishing again (never re-sealed) violates.
-        a.batch_finished(SimTime::ZERO, id, 0);
+        a.observe(SimTime::ZERO, &finished(7, 0));
         assert_eq!(a.violation_count, 1);
+        // So do a second seal, and a placement that skips dispatch.
+        observe_all(&mut a, &[sealed(8), sealed(8), sealed(9), placed(9, 0)]);
+        assert_eq!(a.violation_count, 3);
+        assert!(a.violations[0].contains("BatchId(7) out of order"));
     }
 
     #[test]
     fn redispatch_regression_is_allowed_only_when_flagged() {
         let mut a = Auditor::new(true, 1);
-        let id = BatchId(3);
-        a.batch_sealed(SimTime::ZERO, id);
-        a.batch_dispatched(SimTime::ZERO, id, 0, true, false);
-        a.batch_placed(SimTime::ZERO, id, 0);
-        // Eviction orphan: allowed with the flag...
-        a.batch_dispatched(SimTime::ZERO, id, 1, true, true);
+        observe_all(
+            &mut a,
+            &[
+                sealed(3),
+                dispatched(3, 0, false),
+                placed(3, 0),
+                // Eviction orphan: allowed with the flag...
+                dispatched(3, 1, true),
+            ],
+        );
         assert_eq!(a.violation_count, 0);
-        a.batch_placed(SimTime::ZERO, id, 1);
+        a.observe(SimTime::ZERO, &placed(3, 1));
         // ...but a plain double dispatch is a violation.
-        a.batch_dispatched(SimTime::ZERO, id, 1, true, false);
+        a.observe(SimTime::ZERO, &dispatched(3, 1, false));
         assert_eq!(a.violation_count, 1);
     }
 
     #[test]
     fn non_routable_dispatch_is_a_violation() {
+        let mut fleet = fleet([0; 3]);
+        fleet[2].status = WorkerStatus::Down;
         let mut a = Auditor::new(true, 1);
-        let id = BatchId(1);
-        a.batch_sealed(SimTime::ZERO, id);
-        a.batch_dispatched(SimTime::ZERO, id, 2, false, false);
-        assert_eq!(a.violation_count, 1);
-        assert!(a.violations[0].contains("non-routable"));
+        a.dispatch_selected(SimTime::ZERO, BatchId(1), Some(2), None, fleet.iter());
+        // The linear reference, which never picks a non-routable worker,
+        // disagrees too.
+        assert_eq!(a.violation_count, 2);
+        assert!(a.violations[0].contains("non-routable worker 2"));
     }
 
     #[test]
@@ -492,7 +530,7 @@ mod tests {
         let mut a = Auditor::new(true, 1);
         for i in 0..(MAX_RECORDED as u64 + 40) {
             // Finished without ever being sealed: one violation each.
-            a.batch_finished(SimTime::ZERO, BatchId(i), 0);
+            a.observe(SimTime::ZERO, &finished(i, 0));
         }
         let r = a.into_report();
         assert_eq!(r.violation_count, MAX_RECORDED as u64 + 40);

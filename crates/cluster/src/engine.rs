@@ -303,11 +303,8 @@ pub struct SimulationResult {
     pub per_gpu_compute_utilization: Vec<f64>,
     /// Per-worker GPU memory utilization.
     pub per_gpu_memory_utilization: Vec<f64>,
-    /// Cold starts counted by the container pools alive at the end of
-    /// the run. A VM replacement starts the worker's pools afresh, so
-    /// cold starts on a replaced VM are missing from this count; it is
-    /// exact only for runs without VM replacement. The journal's
-    /// `ColdStart` events count every one.
+    /// Container cold starts, one per `ColdStart` event, on every VM a
+    /// worker ran.
     pub cold_starts: u64,
     /// Completed MIG reconfigurations.
     pub reconfigs: u64,
@@ -328,8 +325,8 @@ pub struct SimulationResult {
     /// was set).
     pub audit: AuditReport,
     /// Containers booted ahead of demand by predictive pre-provisioning
-    /// (zero unless [`ClusterConfig::predictive_prewarm`] was set),
-    /// counted like `cold_starts`: boots on a replaced VM are missing.
+    /// (zero unless [`ClusterConfig::predictive_prewarm`] was set), one
+    /// per `ProactiveBoot` event.
     pub proactive_boots: u64,
     /// Trace duration (excluding drain grace).
     pub duration: SimDuration,

@@ -26,10 +26,12 @@
 //! The `EventLoop` owns the whole cluster: the gateway (accumulators,
 //! backlog, batch ids), the workers (indexed by global worker id) with
 //! their execution-jitter streams, one [`DispatchIndex`], the spot
-//! market and VM ledger, the auditor and every output stream (metrics,
-//! journal, timelines, engine stats). Handlers record journal entries,
-//! audit hooks and timeline points directly, in handling order, so
-//! nothing is buffered or sorted.
+//! market and VM ledger, and every output stream. A handler reports
+//! each transition once, with `emit`, in handling order, so nothing is
+//! buffered or sorted. A fixed set of observers folds every emitted
+//! [`JournalEvent`]: the bounded [`Journal`], the auditor's batch
+//! life-cycle check and the run tally (`cold_starts`, `proactive_boots`,
+//! `reconfigs`, `geometry_timeline`, `cost.evictions`).
 //!
 //! # Audit cadence
 //!
@@ -229,6 +231,49 @@ impl Agenda {
     }
 }
 
+/// Everything an emitted event reaches, kept apart from the workers and
+/// the agenda so a handler can emit while it holds a worker borrow. The
+/// set is fixed and statically dispatched; an observer that is off
+/// costs one branch.
+struct Observers {
+    journal: Journal,
+    /// Folds the batch life-cycle check; the loop calls the rest.
+    audit: Auditor,
+    tally: Tally,
+}
+
+/// The run counters, each folded from the events that report it.
+#[derive(Default)]
+struct Tally {
+    cold_starts: u64,
+    proactive_boots: u64,
+    evictions: u64,
+    /// One entry per `Reconfigured`.
+    geometry_timeline: Vec<GeometryChange>,
+}
+
+impl Observers {
+    #[inline]
+    fn emit(&mut self, now: SimTime, ev: JournalEvent) {
+        self.audit.observe(now, &ev);
+        let tally = &mut self.tally;
+        match &ev {
+            JournalEvent::ColdStart { .. } => tally.cold_starts += 1,
+            JournalEvent::ProactiveBoot { .. } => tally.proactive_boots += 1,
+            JournalEvent::EvictionNotice { .. } => tally.evictions += 1,
+            JournalEvent::Reconfigured { worker, geometry } => {
+                tally.geometry_timeline.push(GeometryChange {
+                    at: now,
+                    worker: *worker,
+                    geometry: geometry.clone(),
+                })
+            }
+            _ => {}
+        }
+        self.journal.record(now, ev);
+    }
+}
+
 /// What a run feeds the loop: a materialised request vector or a pair
 /// of lazy streams (arrivals + the prewarm pre-scan).
 enum Source {
@@ -258,16 +303,11 @@ struct EventLoop<'a> {
     next_batch_id: u64,
     dispatch_policy: DispatchPolicy,
     metrics: MetricsSet,
-    journal: Journal,
     stats: EngineStats,
-    audit: Auditor,
-    evictions: u64,
+    observers: Observers,
     censored: u64,
-    reconfigs: u64,
     /// Per-strict-batch latency samples `(completion, latency_ms)`.
     strict_latency_timeline: TimeSeries,
-    /// Completed MIG geometry changes.
-    geometry_timeline: Vec<GeometryChange>,
     /// Reusable candidate buffer for `try_place`.
     scratch_views: Vec<(BatchId, BatchView)>,
 }
@@ -349,14 +389,14 @@ impl<'a> EventLoop<'a> {
             next_batch_id: 0,
             dispatch_policy: scheme.dispatch_policy(),
             metrics: new_metrics(config),
-            journal: Journal::new(config.journal_capacity),
             stats: EngineStats::default(),
-            audit: Auditor::new(config.audit, config.audit_every_n),
-            evictions: 0,
+            observers: Observers {
+                journal: Journal::new(config.journal_capacity),
+                audit: Auditor::new(config.audit, config.audit_every_n),
+                tally: Tally::default(),
+            },
             censored: 0,
-            reconfigs: 0,
             strict_latency_timeline: TimeSeries::new(),
-            geometry_timeline: Vec::new(),
             scratch_views: Vec::new(),
         }
     }
@@ -365,8 +405,9 @@ impl<'a> EventLoop<'a> {
         self.index.refresh_worker(&self.workers[g]);
     }
 
-    fn journal(&mut self, ev: JournalEvent) {
-        self.journal.record(self.now, ev);
+    /// Reports one transition to every observer.
+    fn emit(&mut self, ev: JournalEvent) {
+        self.observers.emit(self.now, ev);
     }
 
     // ---- startup ----------------------------------------------------
@@ -464,8 +505,8 @@ impl<'a> EventLoop<'a> {
                     _ => break,
                 },
             }
-            self.audit
-                .check(self.now, &self.workers, &self.ledger, &self.index);
+            let audit = &mut self.observers.audit;
+            audit.check(self.now, &self.workers, &self.ledger, &self.index);
         }
         self.now = self.cutoff;
         self.censor_remaining();
@@ -543,8 +584,7 @@ impl<'a> EventLoop<'a> {
             cold_wait_ms: 0.0,
             redispatched: false,
         };
-        self.audit.batch_sealed(self.now, batch.id);
-        self.journal(JournalEvent::BatchSealed {
+        self.emit(JournalEvent::BatchSealed {
             batch: batch.id,
             model: batch.model,
             strict: batch.strict,
@@ -566,18 +606,15 @@ impl<'a> EventLoop<'a> {
         let mut visits = 0u64;
         let target = self.index.select(cap, &mut visits);
         self.stats.dispatch_scan_visits += visits;
-        self.audit
-            .dispatch_selected(self.now, batch.id, target, cap, self.workers.iter());
+        let audit = &mut self.observers.audit;
+        audit.dispatch_selected(self.now, batch.id, target, cap, self.workers.iter());
         let Some(g) = target else {
             self.backlog.push_back(batch);
             return;
         };
-        let routable = self.workers[g].routable();
-        self.audit
-            .batch_dispatched(self.now, batch.id, g, routable, batch.redispatched);
         self.workers[g].accept_dispatch(&batch);
         self.refresh_index(g);
-        self.journal(JournalEvent::BatchDispatched {
+        self.emit(JournalEvent::BatchDispatched {
             batch: batch.id,
             worker: g,
             redispatch: batch.redispatched,
@@ -588,7 +625,7 @@ impl<'a> EventLoop<'a> {
             Acquire::Warm => self.try_place(g),
             Acquire::ColdStarted => {
                 let vm_epoch = w.vm_epoch;
-                self.journal(JournalEvent::ColdStart { worker: g, model });
+                self.emit(JournalEvent::ColdStart { worker: g, model });
                 self.agenda.push(
                     self.now + self.config.cold_start,
                     Event::BootDone {
@@ -651,8 +688,7 @@ impl<'a> EventLoop<'a> {
         if let Some(c) = next {
             self.arm_finish(g, slice, c);
         }
-        self.audit.batch_finished(now, batch_id, g);
-        self.journal(JournalEvent::BatchFinished {
+        self.emit(JournalEvent::BatchFinished {
             batch: batch_id,
             worker: g,
         });
@@ -750,7 +786,7 @@ impl<'a> EventLoop<'a> {
                     Offer::Skip { contradicted } => {
                         self.stats.place_memo_skips += 1;
                         if contradicted {
-                            self.audit.memo_contradicted(now, batch_id, g);
+                            self.observers.audit.memo_contradicted(now, batch_id, g);
                         }
                         continue;
                     }
@@ -809,8 +845,7 @@ impl<'a> EventLoop<'a> {
                 // every resident here.
                 self.stats.finish_events_all_jobs += w.gpu.slice(p.slice).job_count() as u64;
                 self.arm_finish(g, p.slice, next);
-                self.audit.batch_placed(now, batch_id, g);
-                self.journal(JournalEvent::BatchPlaced {
+                self.emit(JournalEvent::BatchPlaced {
                     batch: batch_id,
                     worker: g,
                     slice: p.slice,
@@ -842,14 +877,8 @@ impl<'a> EventLoop<'a> {
         }
         if w.gpu.complete_reconfigure(self.now).is_ok() {
             w.epoch += 1;
-            self.reconfigs += 1;
             let geometry = w.gpu.geometry().to_string();
-            self.journal(JournalEvent::Reconfigured {
-                worker: g,
-                geometry: geometry.clone(),
-            });
-            self.geometry_timeline.push(GeometryChange {
-                at: self.now,
+            self.emit(JournalEvent::Reconfigured {
                 worker: g,
                 geometry,
             });
@@ -866,8 +895,10 @@ impl<'a> EventLoop<'a> {
         for g in 0..config.workers {
             let w = &mut self.workers[g];
             let agenda = &mut self.agenda;
+            let observers = &mut self.observers;
             let vm_epoch = w.vm_epoch;
             let desired = w.monitor_tick(now, config, self.catalog, |model| {
+                observers.emit(now, JournalEvent::ProactiveBoot { worker: g, model });
                 agenda.push(
                     now + config.cold_start,
                     Event::BootDone {
@@ -909,11 +940,10 @@ impl<'a> EventLoop<'a> {
             let evict_at = self.now + lead;
             self.workers[g].status = WorkerStatus::Evicting { evict_at };
             self.refresh_index(g);
-            self.journal(JournalEvent::EvictionNotice {
+            self.emit(JournalEvent::EvictionNotice {
                 worker: g,
                 evict_at,
             });
-            self.evictions += 1;
             self.agenda
                 .push(evict_at, Event::EvictionFinal { worker: g });
             self.procure_replacement(g);
@@ -946,7 +976,7 @@ impl<'a> EventLoop<'a> {
         if let Some((vm, _)) = self.workers[g].vm.take() {
             self.ledger.close(vm, self.now);
         }
-        self.journal(JournalEvent::Evicted { worker: g });
+        self.emit(JournalEvent::Evicted { worker: g });
         let w = &mut self.workers[g];
         let orphans = w.drain_all_batches();
         w.epoch += 1;
@@ -991,7 +1021,7 @@ impl<'a> EventLoop<'a> {
         w.vm = Some((vm, tier));
         w.status = WorkerStatus::Up;
         self.refresh_index(g);
-        self.journal(JournalEvent::VmInstalled { worker: g });
+        self.emit(JournalEvent::VmInstalled { worker: g });
         if tier == VmTier::Spot {
             self.agenda.push(
                 self.now + self.config.revocation_check,
@@ -1092,7 +1122,7 @@ impl<'a> EventLoop<'a> {
             total_usd: self.ledger.total_cost(now),
             spot_usd: self.ledger.cost_by_tier(VmTier::Spot, now),
             on_demand_usd: self.ledger.cost_by_tier(VmTier::OnDemand, now),
-            evictions: self.evictions,
+            evictions: self.observers.tally.evictions,
         };
         let n = self.workers.len() as f64;
         let per_gpu_compute_utilization: Vec<f64> = self
@@ -1126,15 +1156,15 @@ impl<'a> EventLoop<'a> {
             memory_utilization,
             per_gpu_compute_utilization,
             per_gpu_memory_utilization,
-            cold_starts: self.workers.iter().map(Worker::cold_starts).sum(),
-            reconfigs: self.reconfigs,
+            cold_starts: self.observers.tally.cold_starts,
+            reconfigs: self.observers.tally.geometry_timeline.len() as u64,
             censored: self.censored,
-            geometry_timeline: self.geometry_timeline,
+            geometry_timeline: self.observers.tally.geometry_timeline,
             strict_latency_timeline: self.strict_latency_timeline,
-            journal: self.journal,
+            journal: self.observers.journal,
             stats,
-            audit: self.audit.into_report(),
-            proactive_boots: self.workers.iter().map(Worker::proactive_boots).sum(),
+            audit: self.observers.audit.into_report(),
+            proactive_boots: self.observers.tally.proactive_boots,
             duration: now.saturating_since(SimTime::ZERO) - DRAIN_GRACE,
             workers: self.workers.len(),
         }

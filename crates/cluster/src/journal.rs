@@ -1,12 +1,16 @@
-//! Observability: an optional journal of cluster-level events.
+//! Observability: the engine's event stream and its bounded journal.
 //!
-//! When enabled (see [`crate::ClusterConfig`]'s `journal_capacity`
-//! field), the engine records the
-//! interesting state transitions — batch lifecycle, reconfigurations,
-//! spot-market events — so a run can be audited or debugged after the
-//! fact without re-instrumenting the engine. The journal is bounded:
-//! once `capacity` entries are recorded, further events are counted but
-//! dropped.
+//! The engine emits each state transition it reports — batch
+//! lifecycle, container boots, reconfigurations, spot-market events —
+//! once, as a [`JournalEvent`], to a fixed set of observers: this
+//! journal, the auditor's batch life-cycle check and the run tally
+//! behind [`crate::SimulationResult`]'s `cold_starts`,
+//! `proactive_boots`, `reconfigs`, `geometry_timeline` and
+//! `cost.evictions`. When enabled (see [`crate::ClusterConfig`]'s
+//! `journal_capacity` field) the journal records them, so a run can be
+//! audited after the fact without re-instrumenting the engine. It is
+//! bounded: once `capacity` entries are recorded, further events are
+//! counted but dropped. No run counter reads it.
 
 use protean_models::ModelId;
 use protean_sim::SimTime;
@@ -60,6 +64,13 @@ pub enum JournalEvent {
         /// The model whose pool is booting a container.
         model: ModelId,
     },
+    /// Predictive pre-provisioning booted a container ahead of demand.
+    ProactiveBoot {
+        /// The worker.
+        worker: usize,
+        /// The model whose pool is booting a container.
+        model: ModelId,
+    },
     /// A GPU completed a MIG reconfiguration.
     Reconfigured {
         /// The worker.
@@ -105,12 +116,8 @@ impl Journal {
         }
     }
 
-    /// `true` if the journal records events.
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Records `event` at `now` (drops it once full).
+    #[inline]
     pub fn record(&mut self, now: SimTime, event: JournalEvent) {
         if self.capacity == 0 {
             return;
@@ -148,7 +155,6 @@ mod tests {
     #[test]
     fn disabled_journal_records_nothing() {
         let mut j = Journal::new(0);
-        assert!(!j.enabled());
         j.record(SimTime::ZERO, JournalEvent::Evicted { worker: 0 });
         assert!(j.entries().is_empty());
         assert_eq!(j.dropped(), 0);

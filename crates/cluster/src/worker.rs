@@ -613,17 +613,6 @@ impl Worker {
             .map(|b| b.requests.len() as u64)
             .sum()
     }
-
-    /// Total cold starts across this worker's current pools.
-    pub fn cold_starts(&self) -> u64 {
-        self.containers().map(|(_, p)| p.cold_starts()).sum()
-    }
-
-    /// Total proactive (predictive) boots across this worker's current
-    /// pools.
-    pub fn proactive_boots(&self) -> u64 {
-        self.containers().map(|(_, p)| p.proactive_boots()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -792,7 +781,7 @@ mod tests {
         assert!(!w.boot_done(ModelId::ResNet50, SimTime::from_secs(4.0), &catalog));
         let (_, pool) = w.containers().next().unwrap();
         assert_eq!((pool.busy_count(), pool.warm_count()), (1, 1));
-        assert_eq!(w.cold_starts(), 2);
+        assert_eq!(pool.cold_starts(), 2);
     }
 
     proptest::proptest! {

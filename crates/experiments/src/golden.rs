@@ -80,17 +80,19 @@ pub fn golden_digests_streaming() -> Vec<String> {
     golden_digests_with(run_simulation_streaming)
 }
 
-/// [`golden_digests`] with the invariant auditor on for every run. The
-/// auditor only reads engine state, so this must return exactly the
-/// same lines; it panics unless every run audits clean with at least
-/// one sweep.
+/// [`golden_digests`] with the invariant auditor and the journal on for
+/// every run. Both only observe the run, so this must return exactly
+/// the same lines; it panics unless every run audits clean with at
+/// least one sweep and journals every event.
 pub fn golden_digests_audited() -> Vec<String> {
     golden_digests_with(|config, scheme, trace| {
         let mut audited = config.clone();
         audited.audit = true;
+        audited.journal_capacity = 1 << 20;
         let result = run_simulation(&audited, scheme, trace);
         assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
         assert!(result.audit.checks > 0, "no audit sweep ran");
+        assert_eq!(result.journal.dropped(), 0, "the journal overflowed");
         result
     })
 }

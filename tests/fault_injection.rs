@@ -12,6 +12,7 @@ use proptest::prelude::*;
 use protean::ProteanBuilder;
 use protean_cluster::{
     run_simulation, run_simulation_with_oracle, ClusterConfig, JournalEvent, ScriptedMarket,
+    SimulationResult,
 };
 use protean_experiments::{golden, PaperSetup};
 use protean_metrics::record::Class;
@@ -347,40 +348,46 @@ fn sampled_audit_is_digest_neutral_and_thins_sweeps() {
     );
 }
 
+/// Thirty evictions at a 5 ms lead, one every 1.1 s round the three
+/// workers, under a best-effort rotation through four models every 2 s:
+/// orphans come from every stage of a worker's pipeline, and every VM is
+/// replaced several times.
+fn eviction_storm() -> (ClusterConfig, TraceConfig, ScriptedMarket) {
+    let mut config = spot_config();
+    config.revocation_check = SimDuration::from_secs(1.0);
+    config.vm_startup = SimDuration::from_secs(1.0);
+    config.procurement_retry = SimDuration::from_secs(1.0);
+    config.prewarm_containers = 1;
+    let t = TraceConfig {
+        be_pool: vec![
+            ModelId::MobileNet,
+            ModelId::Vgg19,
+            ModelId::Albert,
+            ModelId::Bert,
+        ],
+        be_rotation_period: SimDuration::from_secs(2.0),
+        ..trace(300.0, 40.0)
+    };
+    let mut market = ScriptedMarket::new();
+    for k in 0..30 {
+        market = market.evict(
+            k % 3,
+            SimTime::from_secs(2.0 + 1.1 * k as f64),
+            SimDuration::from_millis(5.0),
+        );
+    }
+    (config, t, market)
+}
+
 /// Regression: eviction re-dispatch must not depend on hash iteration
-/// order. Thirty evictions at a 5 ms lead orphan batches from every
-/// stage of a worker's pipeline (container waits on several rotating
-/// best-effort models, the scheduler queue, running batches) and
-/// re-dispatch them in the order the worker drains them. Repeated runs
-/// in one process must produce one digest. When the drain walked
-/// `HashMap`s, every repetition in the same process gave a different
-/// digest with a clean audit.
+/// order. The [`eviction_storm`] re-dispatches orphans in the order the
+/// worker drains them. Repeated runs in one process must produce one
+/// digest. When the drain walked `HashMap`s, every repetition in the
+/// same process gave a different digest with a clean audit.
 #[test]
 fn eviction_redispatch_order_is_deterministic() {
     let run = || {
-        let mut config = spot_config();
-        config.revocation_check = SimDuration::from_secs(1.0);
-        config.vm_startup = SimDuration::from_secs(1.0);
-        config.procurement_retry = SimDuration::from_secs(1.0);
-        config.prewarm_containers = 1;
-        let t = TraceConfig {
-            be_pool: vec![
-                ModelId::MobileNet,
-                ModelId::Vgg19,
-                ModelId::Albert,
-                ModelId::Bert,
-            ],
-            be_rotation_period: SimDuration::from_secs(2.0),
-            ..trace(300.0, 40.0)
-        };
-        let mut market = ScriptedMarket::new();
-        for k in 0..30 {
-            market = market.evict(
-                k % 3,
-                SimTime::from_secs(2.0 + 1.1 * k as f64),
-                SimDuration::from_millis(5.0),
-            );
-        }
+        let (config, t, mut market) = eviction_storm();
         let result = run_simulation_with_oracle(&config, &ProteanBuilder::paper(), &t, &mut market);
         assert!(result.cost.evictions > 0, "no eviction fired");
         assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
@@ -389,5 +396,96 @@ fn eviction_redispatch_order_is_deterministic() {
     let reference = run();
     for rep in 1..=3 {
         assert_eq!(run(), reference, "run {rep} diverged from the first");
+    }
+}
+
+/// The run counters of `r`, and its geometry timeline.
+type Counters = (u64, u64, u64, u64, Vec<(SimTime, usize, String)>);
+
+fn counters(r: &SimulationResult) -> Counters {
+    let timeline = r.geometry_timeline.iter();
+    (
+        r.cold_starts,
+        r.proactive_boots,
+        r.reconfigs,
+        r.cost.evictions,
+        timeline
+            .map(|c| (c.at, c.worker, c.geometry.clone()))
+            .collect(),
+    )
+}
+
+/// Regression: the run counters count every event, on every VM a worker
+/// ran, and none of them reads the bounded journal. They used to be
+/// summed from the container pools alive at the end of the run, so the
+/// [`eviction_storm`] reported 1,747 of its 12,434 cold starts.
+#[test]
+fn run_counters_count_every_event_across_vm_replacements() {
+    for predictive_prewarm in [false, true] {
+        let run = |journal_capacity| {
+            let (mut config, t, mut market) = eviction_storm();
+            config.predictive_prewarm = predictive_prewarm;
+            config.journal_capacity = journal_capacity;
+            run_simulation_with_oracle(&config, &ProteanBuilder::paper(), &t, &mut market)
+        };
+        let full = run(1 << 20);
+        assert_eq!(full.journal.dropped(), 0);
+        assert!(full.audit.is_clean(), "{:?}", full.audit.violations);
+        let count = |pred: fn(&JournalEvent) -> bool| full.journal.filter(pred).count() as u64;
+        assert_eq!(
+            full.cold_starts,
+            count(|e| matches!(e, JournalEvent::ColdStart { .. }))
+        );
+        assert_eq!(
+            full.proactive_boots,
+            count(|e| matches!(e, JournalEvent::ProactiveBoot { .. }))
+        );
+        assert_eq!(
+            full.cost.evictions,
+            count(|e| matches!(e, JournalEvent::EvictionNotice { .. }))
+        );
+        let reconfigured: Vec<(SimTime, usize, String)> = full
+            .journal
+            .entries()
+            .iter()
+            .filter_map(|(at, e)| match e {
+                JournalEvent::Reconfigured { worker, geometry } => {
+                    Some((*at, *worker, geometry.clone()))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(full.reconfigs, reconfigured.len() as u64);
+        assert_eq!(counters(&full).4, reconfigured);
+        // Not vacuous: a boot of each kind precedes a VM replacement on
+        // its worker, so a count of the pools alive at the end misses it.
+        let lost_to_replacement = |boot: fn(&JournalEvent) -> Option<usize>| {
+            let mut booted = [false; 3];
+            full.journal.entries().iter().any(|(_, e)| match e {
+                JournalEvent::VmInstalled { worker } => booted[*worker],
+                e => {
+                    if let Some(w) = boot(e) {
+                        booted[w] = true;
+                    }
+                    false
+                }
+            })
+        };
+        assert!(lost_to_replacement(|e| match e {
+            JournalEvent::ColdStart { worker, .. } => Some(*worker),
+            _ => None,
+        }));
+        assert_eq!(
+            lost_to_replacement(|e| match e {
+                JournalEvent::ProactiveBoot { worker, .. } => Some(*worker),
+                _ => None,
+            }),
+            predictive_prewarm
+        );
+        // A journal that is off, or that overflows, changes no count.
+        let overflowed = run(10);
+        assert!(overflowed.journal.dropped() > 0);
+        assert_eq!(counters(&overflowed), counters(&full));
+        assert_eq!(counters(&run(0)), counters(&full));
     }
 }

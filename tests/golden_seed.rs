@@ -104,7 +104,8 @@ fn streaming_arrivals_reproduce_the_recorded_digests() {
 /// every golden config, with a clean audit: the auditor checks every
 /// dispatch against the linear scans (`dispatch::reference_select`),
 /// re-asks every memoised decline and sweeps the fleet after every
-/// event, yet only reads engine state.
+/// event, yet only reads engine state. The same runs journal every
+/// event (none dropped), so the journal changes no digest either.
 #[test]
 fn audited_runs_reproduce_the_recorded_digests() {
     let actual = golden_digests_audited();
