@@ -172,6 +172,29 @@ impl Auditor {
         );
     }
 
+    /// `Scheme::place` chose slice `slice` for batch `id` on a worker
+    /// whose GPU has only `slices` slices (a breach of the
+    /// `Scheme::place` contract); the batch stays queued.
+    pub(crate) fn slice_out_of_range(
+        &mut self,
+        now: SimTime,
+        id: BatchId,
+        worker: usize,
+        slice: usize,
+        slices: usize,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        self.violation(
+            now,
+            format!(
+                "batch {id:?} on worker {worker}: place chose slice {slice} \
+                 of a geometry with {slices} slices"
+            ),
+        );
+    }
+
     /// Checks one dispatch selection — `selected`, the index's answer
     /// for batch `id` under first-fit cap `cap` — against the linear
     /// scans over the fleet's live state ([`reference_select`]), and
@@ -406,6 +429,7 @@ mod tests {
         down[1].status = WorkerStatus::Down;
         a.dispatch_selected(SimTime::ZERO, BatchId(0), Some(1), None, down.iter());
         a.memo_contradicted(SimTime::ZERO, BatchId(0), 0);
+        a.slice_out_of_range(SimTime::ZERO, BatchId(0), 0, 99, 1);
         a.check(SimTime::ZERO, &[], &dummy_ledger(), &DispatchIndex::new(0));
         let r = a.into_report();
         assert!(!r.enabled);

@@ -15,11 +15,10 @@
 //! (the run's [`ClusterConfig::cold_start`] and the constant
 //! [`BATCH_WINDOW`]), so each class waits in a FIFO lane that is already
 //! in key order (asserted on every push, release builds included). Every
-//! other event waits in a private 4-ary min-heap whose entries are
-//! 16-byte packed keys `(time, seq << 24 | slot)`, where `slot` addresses
-//! the event's payload in a slab; at fleet scale the heap then shares
-//! the cache with the dispatch index. A pop takes the smallest of the
-//! three heads.
+//! other event waits in a [`KeyedEventQueue`], a 4-ary min-heap of
+//! 16-byte packed keys over a slab of payloads; at fleet scale the heap
+//! then shares the cache with the dispatch index. A pop takes the
+//! smallest of the three heads.
 //!
 //! # State
 //!
@@ -45,11 +44,10 @@ use protean_gpu::{Completion, JobId, JobSpec};
 use protean_metrics::record::Class;
 use protean_metrics::{BatchRecord, MetricsSet};
 use protean_models::{Catalog, ModelId};
-use protean_sim::{EventKey, RngFactory, SimRng, SimTime, TimeSeries};
+use protean_sim::{EventKey, KeyedEventQueue, RngFactory, SimRng, SimTime, TimeSeries};
 use protean_spot::{PricingTable, ProcurementPolicy, SpotOracle, VmId, VmLedger, VmTier};
 use protean_trace::{Lookahead, Request, Trace, TraceConfig, TraceStream};
 
-use crate::agenda_heap::AgendaHeap;
 use crate::audit::Auditor;
 use crate::batch::{Accumulator, Batch, BatchId};
 use crate::container::Acquire;
@@ -113,17 +111,11 @@ enum Event {
 /// container boots (the run's `cold_start`) and batch-window expiries
 /// (the constant [`BATCH_WINDOW`]). `now` never decreases, so each class
 /// comes due in push order, and each waits in a FIFO [`Lane`] that is
-/// already in key order. Every other event waits in the heap, a 4-ary
-/// [`AgendaHeap`] of 16-byte keys that pack the event's time, its push
-/// number and its slot in a slab of payloads, so a sift moves 16 bytes
-/// per level. A pop takes the smallest of the three heads, so the order
-/// is the one a single heap would give.
+/// already in key order. Every other event waits in the heap, a
+/// [`KeyedEventQueue`]. A pop takes the smallest of the three heads, so
+/// the order is the one a single heap would give.
 struct Agenda {
-    heap: AgendaHeap,
-    /// Payloads of the heap's events, addressed by handle.
-    slab: Vec<Option<Event>>,
-    /// Vacant slab slots, reused before the slab grows.
-    free: Vec<u32>,
+    heap: KeyedEventQueue<Event>,
     boots: Lane,
     expiries: Lane,
     /// Events pushed so far; the last push's key `major`.
@@ -159,9 +151,7 @@ fn before(a: Option<EventKey>, b: Option<EventKey>) -> bool {
 impl Agenda {
     fn new() -> Self {
         Agenda {
-            heap: AgendaHeap::default(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            heap: KeyedEventQueue::new(),
             boots: Lane::default(),
             expiries: Lane::default(),
             seq: 0,
@@ -176,20 +166,7 @@ impl Agenda {
         match ev {
             Event::BootDone { .. } => self.boots.push(key, ev),
             Event::WindowExpire { .. } => self.expiries.push(key, ev),
-            _ => {
-                let slot = match self.free.pop() {
-                    Some(slot) => {
-                        self.slab[slot as usize] = Some(ev);
-                        slot
-                    }
-                    None => {
-                        let slot = u32::try_from(self.slab.len()).expect("slab handle overflow");
-                        self.slab.push(Some(ev));
-                        slot
-                    }
-                };
-                self.heap.push(time, self.seq, slot);
-            }
+            _ => self.heap.push(key, ev),
         }
     }
 
@@ -215,11 +192,7 @@ impl Agenda {
         let next = if before(lane.peek_key(), self.heap.peek_key()) {
             lane.0.pop_front()
         } else {
-            self.heap.pop().map(|(key, slot)| {
-                self.free.push(slot);
-                let ev = self.slab[slot as usize].take().expect("live slab slot");
-                (key, ev)
-            })
+            self.heap.pop()
         };
         self.popped += u64::from(next.is_some());
         next
@@ -791,7 +764,11 @@ impl<'a> EventLoop<'a> {
                         continue;
                     }
                 };
-                if p.slice >= self.workers[g].gpu.slices().len() {
+                let slices = self.workers[g].gpu.slices().len();
+                if p.slice >= slices {
+                    self.observers
+                        .audit
+                        .slice_out_of_range(now, batch_id, g, p.slice, slices);
                     continue;
                 }
                 let profile = catalog.profile(view.model);
@@ -1227,7 +1204,9 @@ fn run(
 mod tests {
     use super::*;
     use crate::engine::run_simulation_on;
+    use crate::scheme::{Placement, PlacementCtx, Scheme};
     use crate::schemes_for_test::AlwaysLargest;
+    use protean_gpu::{Geometry, SharingMode};
     use protean_sim::SimDuration;
     use protean_trace::RequestId;
 
@@ -1282,6 +1261,56 @@ mod tests {
         assert!(compactions <= 11, "{compactions} compactions");
     }
 
+    /// Places every batch on slice 99, past every geometry.
+    struct PastTheGeometry;
+
+    impl Scheme for PastTheGeometry {
+        fn name(&self) -> &'static str {
+            "past-the-geometry"
+        }
+        fn initial_geometry(&self) -> Geometry {
+            Geometry::full()
+        }
+        fn sharing_mode(&self) -> SharingMode {
+            SharingMode::Mps
+        }
+        fn place(&mut self, _: &PlacementCtx<'_>, _: &BatchView) -> Option<Placement> {
+            Some(Placement::on_slice(99))
+        }
+    }
+
+    impl SchemeBuilder for PastTheGeometry {
+        fn build(&self, _worker: usize) -> Box<dyn Scheme> {
+            Box::new(PastTheGeometry)
+        }
+        fn name(&self) -> &'static str {
+            "past-the-geometry"
+        }
+    }
+
+    #[test]
+    fn a_placement_past_the_geometry_fails_the_audit() {
+        let run = |audit: bool| {
+            let mut config = ClusterConfig::small_test();
+            config.audit = audit;
+            let requests = (0..4).map(|i| strict_resnet(i, 10.0 * i as f64)).collect();
+            let trace = Trace::from_parts(requests, SimDuration::from_secs(3.0));
+            run_simulation_on(&config, &PastTheGeometry, trace)
+        };
+        let (quiet, audited) = (run(false), run(true));
+        assert!(quiet.audit.is_clean());
+        assert!(
+            audited.audit.violations[0]
+                .contains("place chose slice 99 of a geometry with 1 slices"),
+            "{:?}",
+            audited.audit.violations
+        );
+        // The batches stay queued, audited or not.
+        assert_eq!(quiet.stats, audited.stats);
+        assert_eq!(quiet.metrics.count(Class::All), 0);
+        assert_eq!(audited.metrics.count(Class::All), 0);
+    }
+
     #[test]
     fn a_slab_slot_is_32_bytes() {
         assert_eq!(std::mem::size_of::<Option<Event>>(), 32);
@@ -1290,8 +1319,8 @@ mod tests {
     #[test]
     fn the_agenda_pops_boots_and_heap_events_in_key_order() {
         let mut agenda = Agenda::new();
-        // The payload pushed under each key `major`, to check that a
-        // reused slab slot hands back the event pushed last into it.
+        // The payload pushed under each key `major`, to check that each
+        // pop hands back the event pushed under its key.
         let mut pushed = vec![String::new()];
         let mut push = |agenda: &mut Agenda, at_ms: f64, ev: Event| {
             pushed.push(format!("{ev:?}"));
@@ -1314,7 +1343,6 @@ mod tests {
         push(&mut agenda, 8.0, expiry(0));
         push(&mut agenda, 8.0, boot(2));
         push(&mut agenda, 9.0, Event::EvictionFinal { worker: 3 });
-        assert_eq!(agenda.slab.len(), 3);
         let mut popped = Vec::new();
         let mut pop = |agenda: &mut Agenda| {
             let (k, ev) = agenda.pop().expect("pending");
@@ -1322,7 +1350,6 @@ mod tests {
         };
         pop(&mut agenda);
         pop(&mut agenda);
-        // The popped eviction's slot is reused, not appended.
         push(
             &mut agenda,
             8.0,
@@ -1332,7 +1359,6 @@ mod tests {
             },
         );
         push(&mut agenda, 9.0, expiry(1));
-        assert_eq!(agenda.slab.len(), 3);
         assert_eq!(agenda.seq, agenda.popped + agenda.pending() as u64);
         assert_eq!((agenda.popped, agenda.pending()), (2, 6));
         while agenda.pending() > 0 {

@@ -66,7 +66,6 @@
 
 #![deny(clippy::iter_over_hash_type)]
 
-mod agenda_heap;
 pub mod audit;
 pub mod batch;
 pub mod container;

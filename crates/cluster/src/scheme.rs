@@ -119,6 +119,12 @@ pub trait Scheme {
     /// [`ClusterConfig::audit`] on, every skipped offer is made anyway
     /// and an answer other than `None` is a violation.
     ///
+    /// A `Some` must name a slice of the current geometry
+    /// (`slice < ctx.gpu.slices().len()`). The engine leaves a batch
+    /// placed past it queued, having already voided the worker's
+    /// memoised declines; with [`ClusterConfig::audit`] on, such a
+    /// placement is a violation.
+    ///
     /// [`ClusterConfig::audit`]: crate::ClusterConfig::audit
     fn place(&mut self, ctx: &PlacementCtx<'_>, batch: &BatchView) -> Option<Placement>;
 

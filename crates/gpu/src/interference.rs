@@ -41,45 +41,6 @@ pub fn slowdown_factor_iter(fbr_shares: impl IntoIterator<Item = f64>) -> f64 {
     total.max(1.0)
 }
 
-/// The slowdown that would be in force if the job at `excluded` left —
-/// the "what does removing this job buy" sensitivity query. Iterates
-/// with the index skipped instead of cloning a shares vector with the
-/// element removed; the result is bit-identical to the cloning
-/// evaluation (same summation order).
-///
-/// # Panics
-///
-/// Panics if `excluded` is out of bounds.
-pub fn slowdown_factor_excluding(fbr_shares: &[f64], excluded: usize) -> f64 {
-    assert!(excluded < fbr_shares.len(), "excluded index out of bounds");
-    slowdown_factor_iter(
-        fbr_shares
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != excluded)
-            .map(|(_, &s)| s),
-    )
-}
-
-/// The slowdown that would be in force if the job at `idx` had FBR
-/// `substitute` instead — the "what if this job's demand changed"
-/// sensitivity query. Iterates with the index substituted instead of
-/// cloning and patching a shares vector; bit-identical to the cloning
-/// evaluation (same summation order).
-///
-/// # Panics
-///
-/// Panics if `idx` is out of bounds.
-pub fn slowdown_factor_substituting(fbr_shares: &[f64], idx: usize, substitute: f64) -> f64 {
-    assert!(idx < fbr_shares.len(), "substituted index out of bounds");
-    slowdown_factor_iter(
-        fbr_shares
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| if i == idx { substitute } else { s }),
-    )
-}
-
 /// Eq. 1: execution time of a job with solo time `solo` under the given
 /// slowdown factor.
 ///
@@ -121,31 +82,6 @@ mod tests {
         assert_eq!(execution_time(solo, 2.5), SimDuration::from_millis(200.0));
     }
 
-    /// The index-based sensitivity queries must pin the exact outputs of
-    /// the clone-based evaluation they replaced.
-    #[test]
-    fn sensitivity_matches_cloned_evaluation() {
-        let shares = [0.37, 1.2, 0.05, 0.9, 0.61];
-        for i in 0..shares.len() {
-            let mut without = shares.to_vec();
-            without.remove(i);
-            assert_eq!(
-                slowdown_factor_excluding(&shares, i).to_bits(),
-                slowdown_factor(&without).to_bits(),
-                "exclusion mismatch at {i}"
-            );
-            for sub in [0.0, 0.33, 1.8] {
-                let mut patched = shares.to_vec();
-                patched[i] = sub;
-                assert_eq!(
-                    slowdown_factor_substituting(&shares, i, sub).to_bits(),
-                    slowdown_factor(&patched).to_bits(),
-                    "substitution mismatch at {i} with {sub}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn iter_variant_matches_slice_variant() {
         let shares = [0.8, 0.7, 0.1];
@@ -157,29 +93,6 @@ mod tests {
     }
 
     proptest! {
-        /// The no-clone sensitivity queries agree with clone-and-patch on
-        /// arbitrary share vectors.
-        #[test]
-        fn prop_sensitivity_pins_cloned(
-            shares in proptest::collection::vec(0.0f64..2.0, 1..8),
-            idx in 0usize..8,
-            sub in 0.0f64..2.0,
-        ) {
-            let idx = idx % shares.len();
-            let mut without = shares.clone();
-            without.remove(idx);
-            prop_assert_eq!(
-                slowdown_factor_excluding(&shares, idx).to_bits(),
-                slowdown_factor(&without).to_bits()
-            );
-            let mut patched = shares.clone();
-            patched[idx] = sub;
-            prop_assert_eq!(
-                slowdown_factor_substituting(&shares, idx, sub).to_bits(),
-                slowdown_factor(&patched).to_bits()
-            );
-        }
-
         /// Slowdown is monotone in each job's FBR and never below 1.
         #[test]
         fn prop_slowdown_monotone(shares in proptest::collection::vec(0.0f64..2.0, 0..8), extra in 0.0f64..2.0) {

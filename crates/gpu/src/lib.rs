@@ -55,10 +55,7 @@ pub mod profile;
 pub mod slice;
 
 pub use device::{Gpu, GpuId, GpuState, ReconfigError};
-pub use interference::{
-    execution_time, slowdown_factor, slowdown_factor_excluding, slowdown_factor_iter,
-    slowdown_factor_substituting,
-};
+pub use interference::{execution_time, slowdown_factor, slowdown_factor_iter};
 pub use placement::{find_placement, is_placeable, MEMORY_SLICES};
 pub use profile::{Geometry, GeometryError, SliceProfile};
 pub use slice::{AdmitError, Completion, JobId, JobSpec, SharingMode, Slice};

@@ -5,9 +5,11 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution simulated
 //!   clock with saturating arithmetic and convenient conversions.
-//! * [`KeyedEventQueue`] — a priority queue of events ordered by an
-//!   explicit [`EventKey`] `(time, major, minor)`, so that events at the
-//!   same instant pop in a deterministic, caller-chosen order.
+//! * [`KeyedEventQueue`] — the workspace's one event queue, the one the
+//!   cluster engine runs: a 4-ary min-heap of 16-byte packed keys over a
+//!   slab of payloads, ordered by an explicit [`EventKey`]
+//!   `(time, major)`, so that events at the same instant pop in a
+//!   deterministic, caller-chosen order.
 //! * [`rng`] — seeded, labelled random-number streams so that independent
 //!   stochastic processes (arrivals, evictions, model rotation, …) can be
 //!   re-run bit-for-bit identically and varied independently.
