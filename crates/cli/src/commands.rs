@@ -334,7 +334,7 @@ pub fn replay(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     writeln!(
         out,
         "  replaying {} requests over {}",
-        trace.requests().len(),
+        trace.len(),
         trace.duration()
     )?;
     let result = run_simulation_on(&run.config, scheme_of(&run).as_ref(), trace);

@@ -18,8 +18,7 @@ pub struct Batch {
     pub model: ModelId,
     /// Strictness class of the batch.
     pub strict: bool,
-    /// The member requests (id and arrival time are all that is needed
-    /// for metrics).
+    /// The member requests (their arrivals are all that metrics need).
     pub requests: Vec<Request>,
     /// When the batch was sealed.
     pub sealed_at: SimTime,
@@ -55,11 +54,17 @@ impl Accumulator {
         Accumulator::default()
     }
 
-    /// Adds a request; returns `true` if this was the first pending
-    /// request (so the caller should arm a window-expiry timer).
-    pub fn push(&mut self, request: Request) -> bool {
+    /// Adds a request to a batch of at most `batch_size`; returns `true`
+    /// if this was the first pending request (so the caller should arm a
+    /// window-expiry timer). The first request sizes the batch for
+    /// `batch_size`, so filling it never regrows it.
+    pub fn push(&mut self, request: Request, batch_size: u32) -> bool {
+        let first = self.pending.is_empty();
+        if first {
+            self.pending.reserve_exact(batch_size as usize);
+        }
         self.pending.push(request);
-        self.pending.len() == 1
+        first
     }
 
     /// Number of pending requests.
@@ -90,12 +95,10 @@ impl Accumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protean_trace::RequestId;
 
-    fn req(id: u64) -> Request {
+    fn req(at_ms: u64) -> Request {
         Request {
-            id: RequestId(id),
-            arrival: SimTime::from_millis(id as f64),
+            arrival: SimTime::from_millis(at_ms as f64),
             model: ModelId::ResNet50,
             strict: true,
         }
@@ -104,16 +107,28 @@ mod tests {
     #[test]
     fn first_push_signals_timer() {
         let mut a = Accumulator::new();
-        assert!(a.push(req(0)));
-        assert!(!a.push(req(1)));
+        assert!(a.push(req(0), 4));
+        assert!(!a.push(req(1), 4));
         assert_eq!(a.len(), 2);
+    }
+
+    #[test]
+    fn a_batch_is_sized_once_on_its_first_push() {
+        let mut a = Accumulator::new();
+        for round in 0..2 {
+            for i in 0..128 {
+                a.push(req(i), 128);
+                assert_eq!(a.pending.capacity(), 128, "round {round}, push {i}");
+            }
+            assert_eq!(a.seal().capacity(), 128);
+        }
     }
 
     #[test]
     fn seal_empties_and_bumps_seq() {
         let mut a = Accumulator::new();
-        a.push(req(0));
-        a.push(req(1));
+        a.push(req(0), 4);
+        a.push(req(1), 4);
         let s0 = a.seal_seq;
         let sealed = a.seal();
         assert_eq!(sealed.len(), 2);

@@ -464,7 +464,6 @@ mod tests {
         let factory = RngFactory::new(config.seed);
         let measured = t
             .generate(&factory)
-            .requests()
             .iter()
             .filter(|r| r.arrival >= SimTime::ZERO + config.warmup)
             .count();
@@ -628,7 +627,6 @@ mod tests {
         // re-pays the cold start on the critical path at the return;
         // the predictive extension's per-model EWMA persists through
         // the absence and re-boots the containers ahead of it.
-        use protean_trace::RequestId;
         let mk = |predictive: bool| {
             let mut config = ClusterConfig::small_test();
             config.prewarm_containers = 0;
@@ -641,14 +639,12 @@ mod tests {
                 let at = SimTime::from_millis(i as f64 * step_ms);
                 let secs = at.as_secs_f64();
                 requests.push(Request {
-                    id: RequestId(2 * i),
                     arrival: at,
                     model: ModelId::ResNet50,
                     strict: true,
                 });
                 if !(20.0..40.0).contains(&secs) {
                     requests.push(Request {
-                        id: RequestId(2 * i + 1),
                         arrival: at,
                         model: ModelId::MobileNet,
                         strict: false,
@@ -745,7 +741,6 @@ mod tests {
         let factory = RngFactory::new(config.seed);
         let expected = t
             .generate(&factory)
-            .requests()
             .iter()
             .filter(|r| r.arrival >= SimTime::ZERO + config.warmup)
             .count();
@@ -788,7 +783,6 @@ mod tests {
         let factory = RngFactory::new(config.seed);
         let expected = t
             .generate(&factory)
-            .requests()
             .iter()
             .filter(|r| r.arrival >= SimTime::ZERO + config.warmup)
             .count();

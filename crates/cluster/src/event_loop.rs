@@ -46,7 +46,7 @@ use protean_metrics::{BatchRecord, MetricsSet};
 use protean_models::{Catalog, ModelId};
 use protean_sim::{EventKey, KeyedEventQueue, RngFactory, SimRng, SimTime, TimeSeries};
 use protean_spot::{PricingTable, ProcurementPolicy, SpotOracle, VmId, VmLedger, VmTier};
-use protean_trace::{Lookahead, Request, Trace, TraceConfig, TraceStream};
+use protean_trace::{Lookahead, Request, Run, Trace, TraceConfig, TraceStream};
 
 use crate::audit::Auditor;
 use crate::batch::{Accumulator, Batch, BatchId};
@@ -247,10 +247,10 @@ impl Observers {
     }
 }
 
-/// What a run feeds the loop: a materialised request vector or a pair
-/// of lazy streams (arrivals + the prewarm pre-scan).
+/// What a run feeds the loop: a materialised trace's runs or a pair of
+/// lazy streams (arrivals + the prewarm pre-scan).
 enum Source {
-    Materialised(Vec<Request>, protean_sim::SimDuration),
+    Materialised(Vec<Run>, protean_sim::SimDuration),
     Streaming(Box<TraceStream>, Box<TraceStream>),
 }
 
@@ -302,19 +302,26 @@ fn measured(requests: &[Request], measure_from: SimTime) -> impl Iterator<Item =
         .filter(move |&arrival| arrival >= measure_from)
 }
 
-/// Hands out a materialised trace's requests in order and gives their
-/// memory back as it goes: once half the buffer has been read, the
-/// unread tail moves to the front and the buffer shrinks to fit. Each
-/// compaction moves no more requests than were read since the last, so
-/// a request costs amortised O(1).
+/// Hands out a materialised trace's requests in order, run by run, and
+/// gives the runs' memory back as it goes: once half the buffer has been
+/// read, the unread tail moves to the front and the buffer shrinks to
+/// fit. Each compaction moves no more runs than were read since the
+/// last, so a run costs amortised O(1).
 struct Draining {
-    buf: Vec<Request>,
+    buf: Vec<Run>,
+    /// Index of the run being handed out.
     read: usize,
+    /// Requests of `buf[read]` already handed out.
+    taken: u32,
 }
 
 impl Draining {
-    fn new(buf: Vec<Request>) -> Self {
-        Draining { buf, read: 0 }
+    fn new(buf: Vec<Run>) -> Self {
+        Draining {
+            buf,
+            read: 0,
+            taken: 0,
+        }
     }
 }
 
@@ -322,12 +329,17 @@ impl Iterator for Draining {
     type Item = Request;
 
     fn next(&mut self) -> Option<Request> {
-        let r = *self.buf.get(self.read)?;
-        self.read += 1;
-        if 2 * self.read >= self.buf.len() {
-            self.buf.drain(..self.read);
-            self.buf.shrink_to_fit();
-            self.read = 0;
+        let run = self.buf.get(self.read)?;
+        let r = run.request();
+        self.taken += 1;
+        if self.taken == run.len {
+            self.taken = 0;
+            self.read += 1;
+            if 2 * self.read >= self.buf.len() {
+                self.buf.drain(..self.read);
+                self.buf.shrink_to_fit();
+                self.read = 0;
+            }
         }
         Some(r)
     }
@@ -424,9 +436,9 @@ impl<'a> EventLoop<'a> {
     }
 
     /// Pre-warms `prewarm_containers` containers on every worker for each
-    /// distinct model of `trace_models` (a trace's per-request models),
-    /// in first-seen order. Stops reading once `universe` distinct models
-    /// were seen.
+    /// distinct model of `trace_models` (a trace's models, per request or
+    /// per run), in first-seen order. Stops reading once `universe`
+    /// distinct models were seen.
     fn prewarm_fleet(&mut self, trace_models: impl Iterator<Item = ModelId>, universe: usize) {
         let count = self.config.prewarm_containers;
         if count == 0 {
@@ -525,7 +537,7 @@ impl<'a> EventLoop<'a> {
         let batch_size = self.catalog.profile(request.model).batch_size;
         let key = (request.model, request.strict);
         let acc = self.accumulators.entry(key).or_default();
-        let first = acc.push(request);
+        let first = acc.push(request, batch_size);
         if acc.len() as u32 >= batch_size {
             self.seal_batch(key);
         } else if first {
@@ -1066,16 +1078,33 @@ impl<'a> EventLoop<'a> {
         self.metrics.absorb(censored);
     }
 
+    /// The batch rows and record entries `runs` will store, to reserve
+    /// them: a run of `len` requests past the warm-up fills at least
+    /// `len / batch_size` batches, and takes `ceil(len / batch_size)`
+    /// entries unless a batch boundary splits it. Both are exact for a
+    /// trace of whole-batch arrivals.
+    fn records_of(&self, runs: &[Run]) -> (usize, usize) {
+        let measure_from = SimTime::ZERO + self.config.warmup;
+        let (mut batches, mut entries) = (0, 0);
+        for r in runs.iter().filter(|r| r.arrival >= measure_from) {
+            let batch_size = self.catalog.profile(r.model).batch_size.max(1);
+            batches += (r.len / batch_size) as usize;
+            entries += r.len.div_ceil(batch_size) as usize;
+        }
+        (batches, entries)
+    }
+
     fn drive(&mut self, src: Source) {
         self.provision_initial_vms();
         match src {
-            Source::Materialised(requests, duration) => {
-                // Every arrived request produces exactly one record;
-                // reserving up front keeps million-request runs from
+            Source::Materialised(runs, duration) => {
+                // Reserving up front keeps million-request runs from
                 // re-growing the record store mid-measurement.
-                self.metrics.reserve(requests.len() + 1);
-                self.prewarm_fleet(requests.iter().map(|r| r.model), usize::MAX);
-                self.run_arrivals(Draining::new(requests), duration);
+                let (batches, entries) = self.records_of(&runs);
+                self.metrics.reserve_batches(batches);
+                self.metrics.reserve(entries);
+                self.prewarm_fleet(runs.iter().map(|r| r.model), usize::MAX);
+                self.run_arrivals(Draining::new(runs), duration);
             }
             Source::Streaming(arrivals, prewarm_scan) => {
                 let duration = arrivals.duration();
@@ -1161,7 +1190,7 @@ pub(crate) fn run_trace(
     run(
         config,
         scheme,
-        Source::Materialised(trace.into_requests(), duration),
+        Source::Materialised(trace.into_runs(), duration),
         oracle,
     )
 }
@@ -1208,11 +1237,9 @@ mod tests {
     use crate::schemes_for_test::AlwaysLargest;
     use protean_gpu::{Geometry, SharingMode};
     use protean_sim::SimDuration;
-    use protean_trace::RequestId;
 
-    fn strict_resnet(id: u64, at_ms: f64) -> Request {
+    fn strict_resnet(at_ms: f64) -> Request {
         Request {
-            id: RequestId(id),
             arrival: SimTime::from_millis(at_ms),
             model: ModelId::ResNet50,
             strict: true,
@@ -1243,17 +1270,24 @@ mod tests {
 
     #[test]
     fn draining_hands_out_every_request_in_order_and_frees_as_it_reads() {
-        let requests: Vec<Request> = (0..1000).map(|i| strict_resnet(i, i as f64)).collect();
-        let mut draining = Draining::new(requests.clone());
+        // 1000 runs of one to three requests each.
+        let requests: Vec<Request> = (0..1000)
+            .flat_map(|i| std::iter::repeat_n(strict_resnet(i as f64), 1 + i % 3))
+            .collect();
+        let runs = Trace::from_parts(requests.clone(), SimDuration::from_secs(1.0)).into_runs();
+        assert_eq!(runs.len(), 1000);
+        let mut draining = Draining::new(runs);
         let mut out = Vec::new();
         let mut capacities = vec![draining.buf.capacity()];
         while let Some(r) = draining.next() {
             out.push(r);
-            capacities.push(draining.buf.capacity());
+            if draining.taken == 0 {
+                capacities.push(draining.buf.capacity());
+            }
         }
         assert_eq!(out, requests);
         assert!(capacities.windows(2).all(|w| w[1] <= w[0]), "capacity grew");
-        // Half read: the buffer holds no more than the unread half.
+        // Half the runs read: the buffer holds no more than the unread half.
         assert!(capacities[500] <= 500, "{}", capacities[500]);
         assert_eq!(draining.buf.capacity(), 0);
         // Each compaction halves the buffer: O(log n) reallocations.
@@ -1293,7 +1327,7 @@ mod tests {
         let run = |audit: bool| {
             let mut config = ClusterConfig::small_test();
             config.audit = audit;
-            let requests = (0..4).map(|i| strict_resnet(i, 10.0 * i as f64)).collect();
+            let requests = (0..4).map(|i| strict_resnet(10.0 * i as f64)).collect();
             let trace = Trace::from_parts(requests, SimDuration::from_secs(3.0));
             run_simulation_on(&config, &PastTheGeometry, trace)
         };
@@ -1391,10 +1425,10 @@ mod tests {
         // The first arrival's 50 ms batch window expires at exactly
         // 1.000 s, when the second request arrives: the arrival joins the
         // open batch before the expiry seals it.
-        let tied = journal(vec![strict_resnet(0, 950.0), strict_resnet(1, 1000.0)]);
+        let tied = journal(vec![strict_resnet(950.0), strict_resnet(1000.0)]);
         assert_eq!(sealed_sizes(&tied), [(SimTime::from_millis(1000.0), 2)]);
         // A millisecond later the window has already sealed alone.
-        let late = journal(vec![strict_resnet(0, 950.0), strict_resnet(1, 1001.0)]);
+        let late = journal(vec![strict_resnet(950.0), strict_resnet(1001.0)]);
         assert_eq!(
             sealed_sizes(&late),
             [
@@ -1406,7 +1440,7 @@ mod tests {
 
     #[test]
     fn the_journal_is_recorded_in_time_order() {
-        let requests = (0..400).map(|i| strict_resnet(i, 5.0 * i as f64)).collect();
+        let requests = (0..400).map(|i| strict_resnet(5.0 * i as f64)).collect();
         let journal = journal(requests);
         assert!(journal.entries().len() > 100);
         assert!(journal.entries().windows(2).all(|w| w[0].0 <= w[1].0));

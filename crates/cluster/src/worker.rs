@@ -620,7 +620,6 @@ mod tests {
     use super::*;
     use crate::schemes_for_test::AlwaysLargest;
     use protean_trace::Request;
-    use protean_trace::RequestId;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -630,7 +629,6 @@ mod tests {
             model: ModelId::ResNet50,
             strict,
             requests: vec![Request {
-                id: RequestId(id),
                 arrival: SimTime::ZERO,
                 model: ModelId::ResNet50,
                 strict,

@@ -84,9 +84,9 @@ pub struct BatchRecord {
 }
 
 /// One stored batch in full mode: its [`BatchRecord`] fields plus how
-/// many of the set's [`Entry`]s, in order, are its requests. Flat rather
-/// than wrapping a `BatchRecord`, so the count sits in what would be
-/// padding and a row stays at 48 bytes.
+/// many requests it holds and how many of the set's [`Entry`]s, in
+/// order, are theirs. Flat rather than wrapping a `BatchRecord`, so the
+/// counts sit in what would be padding and a row stays at 48 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Row {
     completion: SimTime,
@@ -95,27 +95,32 @@ struct Row {
     interference_ms: f64,
     cold_start_ms: f64,
     requests: u32,
+    entries: u16,
     model: ModelId,
     strict: bool,
 }
 
-/// One stored request in full mode: what its batch's [`Row`] does not
-/// hold.
+/// `n` stored requests of one batch in full mode that arrived at one
+/// instant: what their [`Row`] does not hold. Equal arrivals in one
+/// batch have equal queueing, so they share an entry.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     arrival: SimTime,
     queueing_ms: f64,
+    n: u32,
 }
 
 impl Row {
-    fn new(b: BatchRecord, requests: usize) -> Self {
+    /// An empty row of `b`'s fields.
+    fn new(b: BatchRecord) -> Self {
         Row {
             completion: b.completion,
             min_exec_ms: b.min_exec_ms,
             deficiency_ms: b.deficiency_ms,
             interference_ms: b.interference_ms,
             cold_start_ms: b.cold_start_ms,
-            requests: u32::try_from(requests).expect("a batch holds under 2^32 requests"),
+            requests: 0,
+            entries: 0,
             model: b.model,
             strict: b.strict,
         }
@@ -157,11 +162,13 @@ impl Row {
 ///
 /// * **Full** (the default): every record is retained, all
 ///   aggregations are exact. A completed batch is stored once, as a
-///   48-byte row of what its requests share, and each request as a
-///   16-byte entry (arrival and queueing), so memory is 16 bytes per
-///   request plus 48 per batch; [`MetricsSet::records`] rebuilds the
-///   [`RequestRecord`]s. A billion-request soak would still need
-///   ~16 GB, so fleet-scale endurance runs cannot use it.
+///   48-byte row of what its requests share, and the requests that
+///   arrived at one instant as one 24-byte entry (arrival, queueing and
+///   count): 48 bytes per batch plus 24 per request at worst, or per
+///   batch arrival when each fills a batch. [`MetricsSet::records`]
+///   rebuilds the [`RequestRecord`]s.
+///   A billion single-arrival requests would still need ~24 GB, so
+///   fleet-scale endurance runs cannot use it.
 /// * **Aggregate** ([`MetricsSet::aggregate`]): per-class log-spaced
 ///   latency histograms plus counts/means — O(1) memory regardless of
 ///   request count. Quantiles are approximate to the bucket ratio
@@ -353,8 +360,10 @@ impl MetricsSet {
             return;
         }
         let b = record.breakdown;
-        self.rows.push(Row::new(
-            BatchRecord {
+        self.rows.push(Row {
+            requests: 1,
+            entries: 1,
+            ..Row::new(BatchRecord {
                 model: record.model,
                 strict: record.strict,
                 completion: record.completion,
@@ -362,20 +371,26 @@ impl MetricsSet {
                 deficiency_ms: b.deficiency_ms,
                 interference_ms: b.interference_ms,
                 cold_start_ms: b.cold_start_ms,
-            },
-            1,
-        ));
+            })
+        });
         self.entries.push(Entry {
             arrival: record.arrival,
             queueing_ms: b.queueing_ms,
+            n: 1,
         });
     }
 
     /// Records a completed batch: one request per arrival, in order, each
     /// sharing `batch`'s fields. A request's queueing is what its
     /// latency leaves once the batch's other components are taken out,
-    /// floored at zero. A batch with no arrivals stores nothing; aggregate
-    /// mode pushes each request's latency into its class histogram.
+    /// floored at zero. Adjacent equal arrivals share one entry. A batch
+    /// with no arrivals stores nothing; aggregate mode pushes each
+    /// request's latency into its class histogram.
+    ///
+    /// # Panics
+    ///
+    /// Panics if 2^32 requests or more fall in one stored row (a row
+    /// holds up to 2^16 - 1 distinct arrivals).
     pub fn push_batch(&mut self, batch: BatchRecord, arrivals: impl IntoIterator<Item = SimTime>) {
         if let Some(agg) = &mut self.aggregate {
             for arrival in arrivals {
@@ -384,23 +399,43 @@ impl MetricsSet {
             }
             return;
         }
-        let start = self.entries.len();
-        self.entries.extend(arrivals.into_iter().map(|arrival| {
-            let total_ms = batch.completion.saturating_since(arrival).as_millis_f64();
-            let queueing_ms = (total_ms
-                - batch.cold_start_ms
-                - batch.interference_ms
-                - batch.deficiency_ms
-                - batch.min_exec_ms)
-                .max(0.0);
-            Entry {
-                arrival,
-                queueing_ms,
+        let mut row = Row::new(batch);
+        for arrival in arrivals {
+            row.requests = row
+                .requests
+                .checked_add(1)
+                .expect("a batch row holds under 2^32 requests");
+            match self.entries.last_mut() {
+                Some(e) if row.entries > 0 && e.arrival == arrival => e.n += 1,
+                _ => {
+                    if row.entries == u16::MAX {
+                        // A row indexes at most 2^16 - 1 entries; the
+                        // batch goes on in a second row.
+                        self.rows.push(Row {
+                            requests: row.requests - 1,
+                            ..row
+                        });
+                        row.requests = 1;
+                        row.entries = 0;
+                    }
+                    let total_ms = batch.completion.saturating_since(arrival).as_millis_f64();
+                    let queueing_ms = (total_ms
+                        - batch.cold_start_ms
+                        - batch.interference_ms
+                        - batch.deficiency_ms
+                        - batch.min_exec_ms)
+                        .max(0.0);
+                    self.entries.push(Entry {
+                        arrival,
+                        queueing_ms,
+                        n: 1,
+                    });
+                    row.entries += 1;
+                }
             }
-        }));
-        let requests = self.entries.len() - start;
-        if requests > 0 {
-            self.rows.push(Row::new(batch, requests));
+        }
+        if row.entries > 0 {
+            self.rows.push(row);
         }
     }
 
@@ -424,22 +459,41 @@ impl MetricsSet {
         }
     }
 
-    /// Pre-sizes the request entries for `additional` more requests.
-    /// Million-request fleet benchmarks otherwise spend measurable time
-    /// re-growing (and re-copying) a vector of tens of megabytes. Batch
-    /// rows grow as batches complete. No-op in aggregate mode, whose
-    /// footprint is fixed.
+    /// Pre-sizes the record entries for `additional` more entries (one
+    /// per request, or one per batch arrival whose requests share a
+    /// batch). Million-request fleet benchmarks otherwise spend
+    /// measurable time re-growing (and re-copying) a vector of tens of
+    /// megabytes. No-op in aggregate mode, whose footprint is fixed.
     pub fn reserve(&mut self, additional: usize) {
         if self.aggregate.is_none() {
             self.entries.reserve(additional);
         }
     }
 
+    /// Pre-sizes the batch rows for `additional` more batches, as
+    /// [`MetricsSet::reserve`] does the entries.
+    pub fn reserve_batches(&mut self, additional: usize) {
+        if self.aggregate.is_none() {
+            self.rows.reserve(additional);
+        }
+    }
+
+    /// Bytes the set holds on the heap: the capacity of its batch rows
+    /// and record entries, or of its histograms in aggregate mode.
+    pub fn heap_bytes(&self) -> usize {
+        let histograms = self.aggregate.as_ref().map_or(0, |a| {
+            (a.strict.buckets.capacity() + a.be.buckets.capacity()) * std::mem::size_of::<u64>()
+        });
+        self.rows.capacity() * std::mem::size_of::<Row>()
+            + self.entries.capacity() * std::mem::size_of::<Entry>()
+            + histograms
+    }
+
     /// Each stored batch with its requests' entries, in push order.
     fn batches(&self) -> impl Iterator<Item = (&Row, &[Entry])> {
         self.rows.iter().scan(0, |start: &mut usize, row| {
             let from = *start;
-            *start += row.requests as usize;
+            *start += usize::from(row.entries);
             Some((row, &self.entries[from..*start]))
         })
     }
@@ -447,8 +501,11 @@ impl MetricsSet {
     /// All records in completion order, rebuilt from the stored batches
     /// (empty in aggregate mode).
     pub fn records(&self) -> impl Iterator<Item = RequestRecord> + '_ {
-        self.batches()
-            .flat_map(|(row, entries)| entries.iter().map(move |e| row.record(e)))
+        self.batches().flat_map(|(row, entries)| {
+            entries
+                .iter()
+                .flat_map(move |e| std::iter::repeat_n(row.record(e), e.n as usize))
+        })
     }
 
     /// Number of records in `class` (exact in both modes).
@@ -480,9 +537,14 @@ impl MetricsSet {
 
     /// Latencies in milliseconds for `class`, unsorted.
     pub fn latencies_ms(&self, class: Class) -> Vec<f64> {
-        self.batches_of(class)
-            .flat_map(|(row, entries)| entries.iter().map(|e| row.latency(e).as_millis_f64()))
-            .collect()
+        let mut out = Vec::with_capacity(self.count(class));
+        for (row, entries) in self.batches_of(class) {
+            for e in entries {
+                let ms = row.latency(e).as_millis_f64();
+                out.extend(std::iter::repeat_n(ms, e.n as usize));
+            }
+        }
+        out
     }
 
     /// Fraction of **strict** requests whose latency met their
@@ -493,8 +555,12 @@ impl MetricsSet {
         let mut met = 0usize;
         for (row, entries) in self.batches_of(Class::Strict) {
             let slo = slo(row.model);
-            total += entries.len();
-            met += entries.iter().filter(|e| row.latency(e) <= slo).count();
+            total += row.requests as usize;
+            met += entries
+                .iter()
+                .filter(|e| row.latency(e) <= slo)
+                .map(|e| e.n as usize)
+                .sum::<usize>();
         }
         if total == 0 {
             1.0
@@ -550,12 +616,16 @@ impl MetricsSet {
                 if row.latency(e).as_millis_f64() < cut {
                     continue;
                 }
-                tail += 1;
-                b.min_exec_ms += row.min_exec_ms;
-                b.deficiency_ms += row.deficiency_ms;
-                b.interference_ms += row.interference_ms;
-                b.queueing_ms += e.queueing_ms;
-                b.cold_start_ms += row.cold_start_ms;
+                tail += e.n as usize;
+                // Once per request, so every sum rounds as it would over
+                // per-request records.
+                for _ in 0..e.n {
+                    b.min_exec_ms += row.min_exec_ms;
+                    b.deficiency_ms += row.deficiency_ms;
+                    b.interference_ms += row.interference_ms;
+                    b.queueing_ms += e.queueing_ms;
+                    b.cold_start_ms += row.cold_start_ms;
+                }
             }
         }
         if tail == 0 {
@@ -909,7 +979,7 @@ mod tests {
     #[test]
     fn stored_sizes_are_pinned() {
         assert_eq!(std::mem::size_of::<Row>(), 48);
-        assert_eq!(std::mem::size_of::<Entry>(), 16);
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
         assert_eq!(std::mem::size_of::<RequestRecord>(), 64);
     }
 
@@ -1056,10 +1126,12 @@ mod tests {
         }
     }
 
-    /// A random batch of up to six requests: its shared fields, its
+    /// A random batch of up to eight requests: its shared fields, its
     /// measured arrivals and the records the per-request store built for
-    /// them. Arrivals before 100 ms are pre-warmup and skipped, so some
-    /// batches record nothing.
+    /// them. The arrivals are drawn from up to three instants, so equal
+    /// ones repeat, adjacent or not (`a, a, b, a`). Arrivals before
+    /// 100 ms are pre-warmup and skipped, so some batches record nothing
+    /// and some lose an instant between two kept ones.
     fn random_batch(rng: &mut SimRng) -> (BatchRecord, Vec<SimTime>, Vec<RequestRecord>) {
         let completion = SimTime::from_millis(rng.uniform_range(100.0, 600.0));
         let batch = BatchRecord {
@@ -1072,10 +1144,13 @@ mod tests {
             cold_start_ms: if rng.chance(0.2) { 80.0 } else { 0.0 },
         };
         let measure_from = SimTime::from_millis(100.0);
-        let arrivals: Vec<SimTime> = (0..rng.index(7))
+        let instants: Vec<SimTime> = (0..1 + rng.index(3))
             .map(|_| {
                 SimTime::from_millis(rng.uniform_range(0.0, 1000.0 * completion.as_secs_f64()))
             })
+            .collect();
+        let arrivals: Vec<SimTime> = (0..rng.index(9))
+            .map(|_| instants[rng.index(instants.len())])
             .collect();
         let measured: Vec<SimTime> = arrivals
             .into_iter()
@@ -1226,6 +1301,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn language_batch(completion_ms: f64) -> BatchRecord {
+        BatchRecord {
+            model: ModelId::Bert,
+            strict: true,
+            completion: SimTime::from_millis(completion_ms),
+            min_exec_ms: 10.0,
+            deficiency_ms: 1.0,
+            interference_ms: 2.0,
+            cold_start_ms: 0.0,
+        }
+    }
+
+    #[test]
+    fn only_adjacent_equal_arrivals_share_an_entry() {
+        let (a, b) = (SimTime::from_millis(5.0), SimTime::from_millis(7.0));
+        let mut set = MetricsSet::new();
+        set.push_batch(language_batch(100.0), [a, a, b, a]);
+        assert_eq!(set.rows.len(), 1);
+        assert_eq!(set.entries.len(), 3);
+        assert_eq!(
+            set.entries.iter().map(|e| e.n).collect::<Vec<_>>(),
+            [2, 1, 1]
+        );
+        assert_eq!(set.count(Class::All), 4);
+        let arrivals: Vec<SimTime> = set.records().map(|r| r.arrival).collect();
+        assert_eq!(arrivals, [a, a, b, a]);
+        // Equal arrivals in two batches never share an entry.
+        set.push_batch(language_batch(200.0), [a, a]);
+        assert_eq!(set.entries.len(), 4);
+        assert_eq!(set.count(Class::Strict), 6);
+    }
+
+    #[test]
+    fn a_batch_past_the_row_entry_cap_goes_on_in_a_second_row() {
+        let batch = language_batch(100_000.0);
+        // 70,000 distinct instants, the last one twice.
+        let arrivals: Vec<SimTime> = (0..70_000u64)
+            .chain([69_999])
+            .map(SimTime::from_micros)
+            .collect();
+        let mut set = MetricsSet::new();
+        set.push_batch(batch, arrivals.iter().copied());
+        assert_eq!(set.rows.len(), 2);
+        assert_eq!(usize::from(set.rows[0].entries), usize::from(u16::MAX));
+        assert_eq!(set.rows[0].requests, u32::from(u16::MAX));
+        assert_eq!(set.rows[1].requests, 70_001 - u32::from(u16::MAX));
+        assert_eq!(set.entries.len(), 70_000);
+        assert_eq!(set.count(Class::All), 70_001);
+        let got: Vec<SimTime> = set.records().map(|r| r.arrival).collect();
+        assert_eq!(got, arrivals);
+    }
+
+    #[test]
+    fn heap_bytes_count_rows_and_entries_by_capacity() {
+        let mut set = MetricsSet::new();
+        assert_eq!(set.heap_bytes(), 0);
+        set.reserve(10);
+        let a = SimTime::from_millis(5.0);
+        set.push_batch(language_batch(100.0), [a; 4]);
+        assert_eq!(
+            set.heap_bytes(),
+            set.rows.capacity() * 48 + set.entries.capacity() * 24
+        );
+        assert!(set.entries.capacity() >= 10);
+        let agg = MetricsSet::aggregate();
+        assert_eq!(agg.heap_bytes(), 2 * BUCKETS * 8);
     }
 
     #[test]

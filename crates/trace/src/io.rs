@@ -3,7 +3,7 @@
 //! simulator, and generated traces can be inspected offline.
 //!
 //! Format: a header line `arrival_us,model,strict` followed by one row
-//! per request. Request ids are assigned by row order on import.
+//! per request.
 
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -11,7 +11,7 @@ use std::io::{BufRead, Write};
 use protean_models::ModelId;
 use protean_sim::{SimDuration, SimTime};
 
-use crate::{Request, RequestId, Trace, MAX_DURATION_SECS};
+use crate::{push_requests, Request, Trace, MAX_DURATION_SECS};
 
 /// Error produced while reading a trace file.
 #[derive(Debug)]
@@ -102,7 +102,7 @@ impl Trace {
     /// Propagates I/O errors from `w`.
     pub fn write_csv<W: Write>(&self, mut w: W) -> std::io::Result<()> {
         writeln!(w, "{CSV_HEADER}")?;
-        for r in self.requests() {
+        for r in self.iter() {
             writeln!(
                 w,
                 "{},{},{}",
@@ -138,7 +138,7 @@ impl Trace {
                 reason: format!("expected header '{CSV_HEADER}', got '{header}'"),
             });
         }
-        let mut requests = Vec::new();
+        let mut runs = Vec::new();
         let mut last = SimTime::ZERO;
         for (i, line) in lines.enumerate() {
             let line_no = i + 2;
@@ -185,15 +185,15 @@ impl Trace {
                 return Err(parse("arrivals are not sorted by time".into()));
             }
             last = arrival;
-            requests.push(Request {
-                id: RequestId(requests.len() as u64),
+            let r = Request {
                 arrival,
                 model,
                 strict,
-            });
+            };
+            push_requests(&mut runs, r, 1);
         }
         let duration = SimDuration::from_secs(last.as_secs_f64().ceil().max(1.0));
-        Ok(Trace::from_parts(requests, duration))
+        Ok(Trace { runs, duration })
     }
 
     /// Opens `path` and reads it with [`Trace::read_csv`], annotating
@@ -238,7 +238,7 @@ mod tests {
         let mut buf = Vec::new();
         trace.write_csv(&mut buf).unwrap();
         let back = Trace::read_csv(buf.as_slice()).unwrap();
-        assert_eq!(back.requests(), trace.requests());
+        assert!(back.iter().eq(trace.iter()));
     }
 
     #[test]
@@ -323,7 +323,7 @@ mod tests {
         trace.write_csv(&mut buf).unwrap();
         std::fs::write(&ok, &buf).unwrap();
         let back = Trace::read_csv_file(&ok).unwrap();
-        assert_eq!(back.requests(), trace.requests());
+        assert!(back.iter().eq(trace.iter()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -343,9 +343,9 @@ mod tests {
     fn blank_lines_are_skipped_and_duration_inferred() {
         let csv = format!("{CSV_HEADER}\n100,resnet50,1\n\n2500000,mobilenet,0\n");
         let t = Trace::read_csv(csv.as_bytes()).unwrap();
-        assert_eq!(t.requests().len(), 2);
+        assert_eq!(t.len(), 2);
         assert_eq!(t.duration(), SimDuration::from_secs(3.0));
-        assert_eq!(t.requests()[1].model, ModelId::MobileNet);
+        assert_eq!(t.iter().nth(1).map(|r| r.model), Some(ModelId::MobileNet));
     }
 
     proptest! {
@@ -366,7 +366,7 @@ mod tests {
             let mut buf = Vec::new();
             trace.write_csv(&mut buf).unwrap();
             let back = Trace::read_csv(buf.as_slice()).unwrap();
-            prop_assert_eq!(back.requests(), trace.requests());
+            prop_assert_eq!(back.iter().collect::<Vec<_>>(), trace.iter().collect::<Vec<_>>());
         }
     }
 }

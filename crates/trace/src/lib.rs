@@ -39,7 +39,7 @@
 //!     batch_arrivals: false,
 //! };
 //! let trace = cfg.generate(&RngFactory::new(1));
-//! assert!(!trace.requests().is_empty());
+//! assert!(!trace.is_empty());
 //! let stats = trace.stats();
 //! assert!((stats.mean_rps - 100.0).abs() < 15.0);
 //! ```
@@ -49,15 +49,9 @@ pub mod io;
 use protean_models::{catalog, ModelId};
 use protean_sim::{RngFactory, SimDuration, SimRng, SimTime};
 
-/// Identifier of a single user request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RequestId(pub u64);
-
 /// One user request as it arrives at the gateway.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
-    /// Unique id, increasing with arrival order.
-    pub id: RequestId,
     /// Arrival instant at the gateway.
     pub arrival: SimTime,
     /// The inference model this request invokes.
@@ -65,6 +59,52 @@ pub struct Request {
     /// `true` for strict-SLO requests; `false` for best-effort (§5:
     /// strictness is user-annotated).
     pub strict: bool,
+}
+
+/// `len` adjacent requests of a [`Trace`] that share an arrival
+/// instant, a model and a class, stored once. A pre-formed batch
+/// arrival (`TraceConfig::batch_arrivals`) is one run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Run {
+    /// Arrival instant of every request in the run.
+    pub arrival: SimTime,
+    /// The model every request in the run invokes.
+    pub model: ModelId,
+    /// The class of every request in the run.
+    pub strict: bool,
+    /// Requests in the run, at least 1.
+    pub len: u32,
+}
+
+impl Run {
+    /// The request the run repeats.
+    #[inline]
+    pub fn request(&self) -> Request {
+        Request {
+            arrival: self.arrival,
+            model: self.model,
+            strict: self.strict,
+        }
+    }
+
+    /// The run's requests, in order.
+    fn requests(&self) -> std::iter::RepeatN<Request> {
+        std::iter::repeat_n(self.request(), self.len as usize)
+    }
+}
+
+/// Appends `n` requests like `r` to `runs`, extending the last run when
+/// it holds the same request and has room.
+fn push_requests(runs: &mut Vec<Run>, r: Request, n: u32) {
+    match runs.last_mut() {
+        Some(last) if last.request() == r && last.len <= u32::MAX - n => last.len += n,
+        _ => runs.push(Run {
+            arrival: r.arrival,
+            model: r.model,
+            strict: r.strict,
+            len: n,
+        }),
+    }
 }
 
 /// The arrival-rate profile of a trace.
@@ -197,8 +237,8 @@ pub const MAX_BE_ROTATIONS: f64 = 1e7;
 
 /// The most requests a materialised trace may hold, counted as the
 /// shape's nominal rate times the span. [`TraceConfig::generate`] keeps
-/// every request (24 bytes) and every arrival instant, so this bounds
-/// the trace itself at a few GB.
+/// every arrival instant and a 16-byte [`Run`] per arrival, so this
+/// bounds the trace itself at a few GB.
 pub const MAX_MATERIALISED_REQUESTS: f64 = 1e8;
 
 /// Why [`check_trace_size`] rejected a trace length.
@@ -358,27 +398,27 @@ impl TraceConfig {
             times.push(at);
         }
         let batch_size = arrivals.batch_size;
-        let mut requests = Vec::with_capacity(times.len() * batch_size as usize);
+        let mut runs = Vec::with_capacity(times.len());
         for arrival in times {
             let (model, strict) = arrivals.classify(arrival);
-            for _ in 0..batch_size {
-                requests.push(Request {
-                    id: RequestId(requests.len() as u64),
-                    arrival,
-                    model,
-                    strict,
-                });
-            }
+            let r = Request {
+                arrival,
+                model,
+                strict,
+            };
+            push_requests(&mut runs, r, batch_size);
         }
+        // Arrivals that fold into their predecessor leave slack.
+        runs.shrink_to_fit();
         Trace {
-            requests,
+            runs,
             duration: self.duration,
         }
     }
 
     /// A lazily-generated view of the same trace: [`TraceStream`]
     /// yields exactly the `Request` sequence [`TraceConfig::generate`]
-    /// materializes — bit-identical ids, arrivals, models and classes —
+    /// materializes — bit-identical arrivals, models and classes —
     /// while holding O(duration / rotation_period) state instead of
     /// O(requests).
     ///
@@ -389,7 +429,6 @@ impl TraceConfig {
         TraceStream {
             arrivals: Arrivals::new(self, factory),
             duration: self.duration,
-            next_id: 0,
             batch: None,
             left_in_batch: 0,
         }
@@ -522,7 +561,6 @@ impl Arrivals {
 pub struct TraceStream {
     arrivals: Arrivals,
     duration: SimDuration,
-    next_id: u64,
     /// The accepted arrival currently being expanded into a batch.
     batch: Option<(SimTime, ModelId, bool)>,
     left_in_batch: u32,
@@ -569,10 +607,7 @@ impl Iterator for TraceStream {
         }
         let (arrival, model, strict) = self.batch?;
         self.left_in_batch -= 1;
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
         Some(Request {
-            id,
             arrival,
             model,
             strict,
@@ -628,10 +663,12 @@ impl<I: Iterator<Item = Request>> Iterator for Lookahead<I> {
     }
 }
 
-/// A generated trace: requests sorted by arrival time.
+/// A generated trace: requests sorted by arrival time, stored as
+/// [`Run`]s of adjacent requests that share an arrival, a model and a
+/// class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
-    requests: Vec<Request>,
+    runs: Vec<Run>,
     duration: SimDuration,
 }
 
@@ -647,17 +684,36 @@ impl Trace {
             requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
             "requests must be sorted by arrival"
         );
-        Trace { requests, duration }
+        let mut runs = Vec::new();
+        for r in requests {
+            push_requests(&mut runs, r, 1);
+        }
+        Trace { runs, duration }
     }
 
     /// The requests in arrival order.
-    pub fn requests(&self) -> &[Request] {
-        &self.requests
+    pub fn iter(&self) -> impl Iterator<Item = Request> + '_ {
+        self.runs.iter().flat_map(Run::requests)
     }
 
-    /// Consumes the trace, returning the request vector.
-    pub fn into_requests(self) -> Vec<Request> {
-        self.requests
+    /// Number of requests.
+    pub fn len(&self) -> usize {
+        self.runs.iter().map(|r| r.len as usize).sum()
+    }
+
+    /// `true` if the trace holds no request.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// Consumes the trace, returning its runs in arrival order.
+    pub fn into_runs(self) -> Vec<Run> {
+        self.runs
+    }
+
+    /// Bytes the trace holds on the heap: its run vector's capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.runs.capacity() * std::mem::size_of::<Run>()
     }
 
     /// The configured trace length.
@@ -669,14 +725,17 @@ impl Trace {
     pub fn stats(&self) -> TraceStats {
         let secs = self.duration.as_secs_f64().ceil().max(1.0) as usize;
         let mut buckets = vec![0u64; secs];
-        for r in &self.requests {
+        let (mut total, mut strict) = (0, 0);
+        for r in &self.runs {
             let idx = (r.arrival.as_secs_f64().floor() as usize).min(secs - 1);
-            buckets[idx] += 1;
+            buckets[idx] += u64::from(r.len);
+            total += u64::from(r.len);
+            if r.strict {
+                strict += u64::from(r.len);
+            }
         }
-        let total = self.requests.len() as u64;
         let mean_rps = total as f64 / self.duration.as_secs_f64().max(1e-9);
         let peak_rps = buckets.iter().copied().max().unwrap_or(0) as f64;
-        let strict = self.requests.iter().filter(|r| r.strict).count() as u64;
         TraceStats {
             total,
             strict,
@@ -951,7 +1010,7 @@ mod tests {
     fn arrivals_sorted_and_in_horizon() {
         let trace = base_config(TraceShape::constant(200.0), 30.0).generate(&RngFactory::new(3));
         let mut last = SimTime::ZERO;
-        for r in trace.requests() {
+        for r in trace.iter() {
             assert!(r.arrival >= last);
             assert!(r.arrival < SimTime::from_secs(30.0));
             last = r.arrival;
@@ -961,7 +1020,7 @@ mod tests {
     #[test]
     fn lookahead_peek_is_transparent_over_a_stream() {
         let cfg = base_config(TraceShape::wiki(300.0), 10.0);
-        let materialised = cfg.generate(&RngFactory::new(9)).into_requests();
+        let materialised: Vec<Request> = cfg.generate(&RngFactory::new(9)).iter().collect();
         let mut ahead = Lookahead::new(cfg.stream(&RngFactory::new(9)));
         let mut seen = Vec::new();
         // Interleave peeks with consumption: peeking must never skip,
@@ -977,15 +1036,15 @@ mod tests {
     }
 
     #[test]
-    fn generate_sizes_the_request_vector_exactly_once() {
+    fn generate_sizes_the_run_vector_exactly_once() {
         // A growing collect would over-allocate; `generate` counts the
         // arrivals first and allocates once.
         for batch_arrivals in [false, true] {
             let mut cfg = base_config(TraceShape::twitter(900.0), 12.0);
             cfg.batch_arrivals = batch_arrivals;
-            let requests = cfg.generate(&RngFactory::new(4)).into_requests();
-            assert!(!requests.is_empty());
-            assert_eq!(requests.capacity(), requests.len());
+            let trace = cfg.generate(&RngFactory::new(4));
+            assert!(!trace.is_empty());
+            assert_eq!(trace.heap_bytes(), trace.runs.len() * 16);
         }
     }
 
@@ -1059,7 +1118,7 @@ mod tests {
             stats.peak_rps
         );
         // The OFF half of each period is silent.
-        for r in trace.requests() {
+        for r in trace.iter() {
             assert!(
                 r.arrival.as_secs_f64().rem_euclid(10.0) < 5.0,
                 "arrival {} fell in an OFF window",
@@ -1082,8 +1141,8 @@ mod tests {
         );
         let trace = base_config(shape, 60.0).generate(&RngFactory::new(17));
         let in_burst = |r: &Request| (20.0..40.0).contains(&r.arrival.as_secs_f64());
-        let burst = trace.requests().iter().filter(|r| in_burst(r)).count() as f64;
-        let outside = trace.requests().iter().filter(|r| !in_burst(r)).count() as f64;
+        let burst = trace.iter().filter(|r| in_burst(r)).count() as f64;
+        let outside = trace.iter().filter(|r| !in_burst(r)).count() as f64;
         let burst_rps = burst / 20.0;
         let outside_rps = outside / 40.0;
         assert!(
@@ -1117,7 +1176,6 @@ mod tests {
         );
         let trace = base_config(shape, 30.0).generate(&RngFactory::new(23));
         let overlap = trace
-            .requests()
             .iter()
             .filter(|r| (10.0..15.0).contains(&r.arrival.as_secs_f64()))
             .count() as f64
@@ -1147,7 +1205,7 @@ mod tests {
         let stats = trace.stats();
         let frac = stats.strict as f64 / stats.total as f64;
         assert!((frac - 0.75).abs() < 0.02, "strict fraction {frac}");
-        for r in trace.requests() {
+        for r in trace.iter() {
             if r.strict {
                 assert_eq!(r.model, ModelId::ResNet50);
             } else {
@@ -1162,7 +1220,7 @@ mod tests {
         cfg.strict_fraction = 1.0;
         cfg.be_pool.clear();
         let trace = cfg.generate(&RngFactory::new(2));
-        assert!(trace.requests().iter().all(|r| r.strict));
+        assert!(trace.iter().all(|r| r.strict));
     }
 
     #[test]
@@ -1184,15 +1242,14 @@ mod tests {
             ModelId::SeNet18,
         ];
         let trace = cfg.generate(&RngFactory::new(21));
-        let models: std::collections::HashSet<ModelId> =
-            trace.requests().iter().map(|r| r.model).collect();
+        let models: std::collections::HashSet<ModelId> = trace.iter().map(|r| r.model).collect();
         assert!(models.len() > 1, "BE model never rotated");
         // Within one rotation slot the BE model is constant; checking
         // the first slot is sufficient and cheap.
-        if let Some(r) = trace.requests().first() {
+        let first = trace.iter().next();
+        if let Some(r) = first {
             let slot = r.arrival.as_secs_f64() as u64 / 20;
             let slot_models: std::collections::HashSet<ModelId> = trace
-                .requests()
                 .iter()
                 .filter(|q| q.arrival.as_secs_f64() as u64 / 20 == slot)
                 .map(|q| q.model)
@@ -1202,22 +1259,9 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-        /// Request ids are dense and arrival-ordered for any shape/seed.
-        #[test]
-        fn prop_ids_dense_and_ordered(seed in 0u64..500, rps in 50.0f64..400.0) {
-            let trace = base_config(TraceShape::constant(rps), 5.0)
-                .generate(&RngFactory::new(seed));
-            for (i, r) in trace.requests().iter().enumerate() {
-                prop_assert_eq!(r.id, RequestId(i as u64));
-            }
-        }
-    }
-
-    proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         /// The streamed request sequence equals `generate`'s output
-        /// element for element — every id, arrival, model and class —
+        /// element for element — every arrival, model and class —
         /// across shapes, seeds, class mixes and both arrival modes.
         /// Both share one arrival generator, so this checks the two
         /// batch expansions against each other.
@@ -1253,13 +1297,74 @@ mod tests {
             cfg.strict_fraction = [0.0, 0.25, 0.5, 0.75, 1.0][strict_pct];
             cfg.batch_arrivals = batch_arrivals;
             let factory = RngFactory::new(seed);
-            let materialized = cfg.generate(&factory).into_requests();
+            let materialized: Vec<Request> = cfg.generate(&factory).iter().collect();
             let streamed: Vec<Request> = cfg.stream(&factory).collect();
             prop_assert_eq!(streamed.len(), materialized.len());
             for (i, (s, m)) in streamed.iter().zip(&materialized).enumerate() {
                 prop_assert_eq!(s, m, "request {} diverged", i);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Runs are only a storage form: `from_parts(v).iter()` yields
+        /// `v` exactly, and so does a CSV round trip, across repeated
+        /// instants and adjacent equal-arrival requests that differ in
+        /// model or class (which must not fold).
+        #[test]
+        fn prop_runs_yield_the_requests_they_were_built_from(
+            steps in proptest::collection::vec((0u64..3, 0usize..3, proptest::bool::ANY, 1usize..4), 0..120),
+        ) {
+            let models = [ModelId::ResNet50, ModelId::MobileNet, ModelId::Bert];
+            let mut at = 0;
+            let mut v = Vec::new();
+            for (dt, m, strict, repeat) in steps {
+                at += dt;
+                let r = Request { arrival: SimTime::from_micros(at), model: models[m], strict };
+                v.extend(std::iter::repeat_n(r, repeat));
+            }
+            let trace = Trace::from_parts(v.clone(), SimDuration::from_secs(1.0));
+            prop_assert_eq!(trace.iter().collect::<Vec<_>>(), v.clone());
+            prop_assert_eq!(trace.len(), v.len());
+            prop_assert_eq!(trace.is_empty(), v.is_empty());
+            // Runs are maximal: no two adjacent runs hold the same request.
+            prop_assert!(trace.runs.windows(2).all(|w| w[0].request() != w[1].request()));
+            let mut buf = Vec::new();
+            trace.write_csv(&mut buf).unwrap();
+            let back = Trace::read_csv(buf.as_slice()).unwrap();
+            prop_assert_eq!(back.iter().collect::<Vec<_>>(), v);
+            prop_assert_eq!(back.runs, trace.runs);
+        }
+    }
+
+    #[test]
+    fn a_batch_arrival_trace_holds_one_run_per_arrival() {
+        // The paper's rates: 128 rps of language batches (4 per arrival),
+        // 5000 rps of vision batches (128 per arrival).
+        for (strict_model, rps) in [(ModelId::Bert, 128.0), (ModelId::ResNet50, 5000.0)] {
+            let mut cfg = base_config(TraceShape::wiki(rps), 60.0);
+            cfg.strict_model = strict_model;
+            cfg.batch_arrivals = true;
+            let trace = cfg.generate(&RngFactory::new(3));
+            let batch = catalog().profile(strict_model).batch_size as usize;
+            assert!(trace.len() > 1000 * batch);
+            assert_eq!(trace.runs.len(), trace.len() / batch);
+        }
+        // Two arrivals at one instant of one model and class fold into a
+        // run of two batches, so every run holds whole batches.
+        let mut cfg = base_config(TraceShape::wiki(2000.0), 20.0);
+        cfg.strict_model = ModelId::Bert;
+        cfg.batch_arrivals = true;
+        let trace = cfg.generate(&RngFactory::new(3));
+        assert!(trace.runs.len() < trace.len() / 4);
+        assert!(trace.runs.iter().all(|r| r.len % 4 == 0));
+    }
+
+    #[test]
+    fn stored_sizes_are_pinned() {
+        assert_eq!(std::mem::size_of::<Run>(), 16);
+        assert_eq!(std::mem::size_of::<Request>(), 16);
     }
 
     #[test]
@@ -1274,7 +1379,7 @@ mod tests {
         for seed in [1, 5, 21] {
             let factory = RngFactory::new(seed);
             let universe = cfg.stream(&factory).model_universe();
-            for r in cfg.generate(&factory).requests() {
+            for r in cfg.generate(&factory).iter() {
                 assert!(
                     universe.contains(&r.model),
                     "model {:?} not in universe {universe:?}",

@@ -26,7 +26,6 @@ fn conservation_of_requests_across_schemes() {
     let factory = RngFactory::new(config.seed);
     let expected = trace
         .generate(&factory)
-        .requests()
         .iter()
         .filter(|r| r.arrival >= SimTime::ZERO + config.warmup)
         .count();
@@ -177,4 +176,31 @@ fn utilization_is_sane() {
         assert!(row.mem_util_pct > 0.1);
         assert!(row.mem_util_pct <= 100.0);
     }
+}
+
+/// The memory layer rows of a full-record run, from the stores
+/// themselves: on a language Wiki run, whose requests arrive as batches
+/// of 4, the materialised trace holds one 16-byte run per arrival
+/// (≤ 4 bytes per request) and the record store one 48-byte row per
+/// batch plus one 24-byte entry per arrival (≤ 18 bytes per request).
+#[test]
+fn full_records_and_the_trace_cost_a_quarter_entry_per_request() {
+    let setup = PaperSetup {
+        duration_secs: 60.0,
+        seed: 7,
+    };
+    let config = setup.cluster();
+    let trace = setup
+        .wiki_trace(ModelId::Bert)
+        .generate(&RngFactory::new(config.seed));
+    let requests = trace.len();
+    assert!(requests > 5000, "{requests} requests");
+    let trace_bytes = trace.heap_bytes() as f64 / requests as f64;
+    let result = protean_cluster::run_simulation_on(&config, &ProteanBuilder::paper(), trace);
+    let recorded = result.metrics.count(Class::All);
+    assert!(recorded > 4000, "{recorded} records");
+    let record_bytes = result.metrics.heap_bytes() as f64 / recorded as f64;
+    eprintln!("trace {trace_bytes:.2} B/request, records {record_bytes:.2} B/request");
+    assert!(trace_bytes <= 4.0, "trace {trace_bytes} B/request");
+    assert!(record_bytes <= 18.0, "records {record_bytes} B/request");
 }

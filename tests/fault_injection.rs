@@ -53,7 +53,6 @@ fn trace(rps: f64, secs: f64) -> TraceConfig {
 fn expected_requests(config: &ClusterConfig, t: &TraceConfig) -> usize {
     let factory = RngFactory::new(config.seed);
     t.generate(&factory)
-        .requests()
         .iter()
         .filter(|r| r.arrival >= SimTime::ZERO + config.warmup)
         .count()

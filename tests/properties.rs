@@ -64,7 +64,6 @@ proptest! {
         let factory = RngFactory::new(config.seed);
         let expected = trace
             .generate(&factory)
-            .requests()
             .iter()
             .filter(|r| r.arrival >= SimTime::ZERO + config.warmup)
             .count();

@@ -115,7 +115,6 @@ fn reconfiguration_downtime_does_not_lose_requests() {
     let factory = RngFactory::new(config.seed);
     let expected = trace
         .generate(&factory)
-        .requests()
         .iter()
         .filter(|r| r.arrival >= SimTime::ZERO + config.warmup)
         .count();

@@ -66,9 +66,10 @@ fn twitter_burstiness_is_stable_across_seeds() {
 fn batched_arrivals_come_in_whole_batches() {
     let batch = catalog().profile(ModelId::ResNet50).batch_size as usize;
     let t = config(TraceShape::constant(2000.0), 20.0, 0.5, true).generate(&RngFactory::new(3));
-    assert_eq!(t.requests().len() % batch, 0, "partial batch generated");
+    assert_eq!(t.len() % batch, 0, "partial batch generated");
     // Each batch's members share arrival, model and class.
-    for chunk in t.requests().chunks(batch) {
+    let requests: Vec<_> = t.iter().collect();
+    for chunk in requests.chunks(batch) {
         let first = chunk[0];
         for r in chunk {
             assert_eq!(r.arrival, first.arrival);
@@ -106,7 +107,7 @@ fn request_level_and_batched_rates_agree() {
 fn be_rotation_only_draws_from_the_pool() {
     let t = config(TraceShape::constant(2000.0), 60.0, 0.5, true).generate(&RngFactory::new(9));
     let pool = [ModelId::MobileNet, ModelId::ShuffleNetV2, ModelId::ResNet18];
-    for r in t.requests() {
+    for r in t.iter() {
         if r.strict {
             assert_eq!(r.model, ModelId::ResNet50);
         } else {
@@ -123,7 +124,7 @@ fn language_batches_are_size_four() {
         ..config(TraceShape::wiki(128.0), 30.0, 0.5, true)
     }
     .generate(&RngFactory::new(21));
-    assert_eq!(t.requests().len() % 4, 0);
+    assert_eq!(t.len() % 4, 0);
     let stats = t.stats();
     assert!(
         (stats.mean_rps - 128.0).abs() < 30.0,
