@@ -568,9 +568,13 @@ impl VmLedger {
         self.misuse_events
     }
 
-    /// Dollar cost accrued by `tier` VMs up to `now`.
+    /// Dollar cost accrued by `tier` VMs up to `now`; `0.0` for a tier
+    /// with no VM.
     pub fn cost_by_tier(&self, tier: VmTier, now: SimTime) -> f64 {
         let hourly = self.pricing.worker_price(self.provider, tier);
+        // From +0.0: an empty f64 `sum()` is -0.0, which prints as
+        // "-0.00". Every cost is >= +0.0, so a non-empty fold has the
+        // same bits as `sum()`.
         self.entries
             .iter()
             .filter(|e| e.tier == tier)
@@ -578,7 +582,7 @@ impl VmLedger {
                 let end = e.ended.unwrap_or(now).min(now);
                 end.saturating_since(e.started).as_secs_f64() / 3600.0 * hourly
             })
-            .sum()
+            .fold(0.0, |total, cost| total + cost)
     }
 
     /// Total dollar cost up to `now`.
@@ -751,6 +755,19 @@ mod tests {
         assert_eq!(l.misuse_events(), 0);
     }
 
+    /// A tier with no VM costs +0.0, not the -0.0 of an empty `sum()`,
+    /// which a report prints as "-0.00".
+    #[test]
+    fn a_tier_without_vms_costs_positive_zero() {
+        let mut l = VmLedger::new(PricingTable::paper_table3(), Provider::Aws);
+        let now = SimTime::from_secs(60.0);
+        assert_eq!(l.cost_by_tier(VmTier::Spot, now).to_bits(), 0);
+        l.open(VmId(0), VmTier::OnDemand, SimTime::ZERO);
+        assert_eq!(l.cost_by_tier(VmTier::Spot, now).to_bits(), 0);
+        assert_eq!(format!("{:.2}", l.cost_by_tier(VmTier::Spot, now)), "0.00");
+        assert!(l.cost_by_tier(VmTier::OnDemand, now) > 0.0);
+    }
+
     /// The linear-scan ledger the indexed [`VmLedger`] replaced, kept as
     /// the differential oracle: `open` scans for a duplicate, `close`
     /// finds the first open entry from the start.
@@ -825,7 +842,7 @@ mod tests {
                     let end = e.ended.unwrap_or(now).min(now);
                     end.saturating_since(e.started).as_secs_f64() / 3600.0 * hourly
                 })
-                .sum()
+                .fold(0.0, |total, cost| total + cost)
         }
 
         fn total_cost(&self, now: SimTime) -> f64 {

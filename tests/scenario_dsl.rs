@@ -110,6 +110,8 @@ proptest! {
                 procurement_retry_secs: timing_c,
                 prewarm,
                 cold_start_secs: timing_d,
+                keep_alive_secs: timing_a * 30.0,
+                reconfig_delay_secs: timing_b / 4.0,
             },
             trace: TraceSpec {
                 csv: None,
