@@ -6,11 +6,13 @@
 //! axis the figure varies and the columns it prints), and
 //! `protean-cli reproduce` runs the rows. The shared pieces live here:
 //!
-//! * [`setup`] — the paper's experimental setup as constructors: the
-//!   Wiki trace scaled to ~5000 rps mean for vision (128 rps for
-//!   language), the Twitter trace scaled to ~5000 rps peak, the 50/50
+//! * [`scenario`] — the scenario DSL, and [`scenario::paper`], the
+//!   paper's experimental setup as one spec that every row, golden run
+//!   and CLI run sets keys of: the 8-worker cluster and the Wiki trace
+//!   at ~5000 rps mean for vision (128 rps for language), the 50/50
 //!   strict/BE mix with the BE model rotating through the opposite
-//!   interference class every ~20 s, and the 8-worker cluster.
+//!   interference class every ~20 s. [`setup`] holds the two rates and
+//!   compiles the spec to engine types for `PaperSetup`'s callers.
 //! * [`runner`] — runs one scheme over one workload and condenses the
 //!   result into a [`runner::SchemeRow`].
 //! * [`harness`] — fans a grid of independent cells out over a
