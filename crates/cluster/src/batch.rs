@@ -2,7 +2,7 @@
 
 use protean_models::ModelId;
 use protean_sim::SimTime;
-use protean_trace::Request;
+use protean_trace::Run;
 
 /// Identifier of a batch; doubles as the GPU-level `JobId` payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -18,8 +18,10 @@ pub struct Batch {
     pub model: ModelId,
     /// Strictness class of the batch.
     pub strict: bool,
-    /// The member requests (their arrivals are all that metrics need).
-    pub requests: Vec<Request>,
+    /// The member requests as arrival runs, in order (their arrivals are
+    /// all that metrics need). A batch filled by one batch arrival holds
+    /// one run.
+    pub runs: Vec<Run>,
     /// When the batch was sealed.
     pub sealed_at: SimTime,
     /// Cold-start wait on this batch's critical path, ms (set when the
@@ -34,15 +36,17 @@ pub struct Batch {
 impl Batch {
     /// Number of member requests.
     pub fn size(&self) -> u32 {
-        self.requests.len() as u32
+        self.runs.iter().map(|r| r.len).sum()
     }
 }
 
-/// Accumulates requests for one `(model, strict)` key until the batch is
-/// full or its window expires.
+/// Accumulates arrival runs for one `(model, strict)` key until the
+/// batch is full or its window expires.
 #[derive(Debug, Clone, Default)]
 pub struct Accumulator {
-    pending: Vec<Request>,
+    pending: Vec<Run>,
+    /// Requests in `pending`.
+    len: u32,
     /// Bumped every time a batch is sealed; stale window-expiry events
     /// carry the old value and are ignored.
     pub seal_seq: u64,
@@ -54,22 +58,23 @@ impl Accumulator {
         Accumulator::default()
     }
 
-    /// Adds a request to a batch of at most `batch_size`; returns `true`
-    /// if this was the first pending request (so the caller should arm a
-    /// window-expiry timer). The first request sizes the batch for
-    /// `batch_size`, so filling it never regrows it.
-    pub fn push(&mut self, request: Request, batch_size: u32) -> bool {
+    /// Adds a run of requests; returns `true` if it is the first pending
+    /// run (so the caller should arm a window-expiry timer). The first
+    /// run sizes the batch for one run, which is all a batch filled by
+    /// one batch arrival needs.
+    pub fn push(&mut self, run: Run) -> bool {
         let first = self.pending.is_empty();
         if first {
-            self.pending.reserve_exact(batch_size as usize);
+            self.pending.reserve_exact(1);
         }
-        self.pending.push(request);
+        self.pending.push(run);
+        self.len += run.len;
         first
     }
 
     /// Number of pending requests.
-    pub fn len(&self) -> usize {
-        self.pending.len()
+    pub fn len(&self) -> u32 {
+        self.len
     }
 
     /// `true` if nothing is pending.
@@ -77,17 +82,11 @@ impl Accumulator {
         self.pending.is_empty()
     }
 
-    /// Seals and returns the pending requests (empties the accumulator
-    /// and bumps `seal_seq`).
-    pub fn seal(&mut self) -> Vec<Request> {
+    /// Seals and returns the pending runs (empties the accumulator and
+    /// bumps `seal_seq`).
+    pub fn seal(&mut self) -> Vec<Run> {
         self.seal_seq += 1;
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Drains pending requests without sealing semantics (used when a
-    /// worker is evicted and its requests are re-dispatched).
-    pub fn drain(&mut self) -> Vec<Request> {
-        self.seal_seq += 1;
+        self.len = 0;
         std::mem::take(&mut self.pending)
     }
 }
@@ -96,43 +95,43 @@ impl Accumulator {
 mod tests {
     use super::*;
 
-    fn req(at_ms: u64) -> Request {
-        Request {
+    fn run(at_ms: u64, len: u32) -> Run {
+        Run {
             arrival: SimTime::from_millis(at_ms as f64),
             model: ModelId::ResNet50,
             strict: true,
+            len,
         }
     }
 
     #[test]
     fn first_push_signals_timer() {
         let mut a = Accumulator::new();
-        assert!(a.push(req(0), 4));
-        assert!(!a.push(req(1), 4));
-        assert_eq!(a.len(), 2);
+        assert!(a.push(run(0, 1)));
+        assert!(!a.push(run(1, 3)));
+        assert_eq!(a.len(), 4);
     }
 
     #[test]
     fn a_batch_is_sized_once_on_its_first_push() {
         let mut a = Accumulator::new();
         for round in 0..2 {
-            for i in 0..128 {
-                a.push(req(i), 128);
-                assert_eq!(a.pending.capacity(), 128, "round {round}, push {i}");
-            }
-            assert_eq!(a.seal().capacity(), 128);
+            a.push(run(round, 128));
+            assert_eq!(a.pending.capacity(), 1, "round {round}");
+            assert_eq!(a.seal().capacity(), 1);
         }
     }
 
     #[test]
     fn seal_empties_and_bumps_seq() {
         let mut a = Accumulator::new();
-        a.push(req(0), 4);
-        a.push(req(1), 4);
+        a.push(run(0, 2));
+        a.push(run(1, 1));
         let s0 = a.seal_seq;
         let sealed = a.seal();
         assert_eq!(sealed.len(), 2);
         assert!(a.is_empty());
+        assert_eq!(a.len(), 0);
         assert_eq!(a.seal_seq, s0 + 1);
         // Second seal returns empty but still bumps.
         assert!(a.seal().is_empty());
@@ -145,7 +144,7 @@ mod tests {
             id: BatchId(1),
             model: ModelId::MobileNet,
             strict: false,
-            requests: vec![req(0), req(1), req(2)],
+            runs: vec![run(0, 1), run(1, 2)],
             sealed_at: SimTime::ZERO,
             cold_wait_ms: 0.0,
             redispatched: false,

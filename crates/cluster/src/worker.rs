@@ -425,7 +425,7 @@ impl Worker {
     /// Counts a batch routed here into the load and the window demand;
     /// an eviction re-dispatch skips the window's request counts.
     pub(crate) fn accept_dispatch(&mut self, batch: &Batch) {
-        let n = batch.requests.len() as u64;
+        let n = u64::from(batch.size());
         self.outstanding += n;
         if !batch.redispatched {
             if batch.strict {
@@ -490,7 +490,7 @@ impl Worker {
         let done = self.running.remove(pos);
         self.outstanding = self
             .outstanding
-            .saturating_sub(done.batch.requests.len() as u64);
+            .saturating_sub(u64::from(done.batch.size()));
         let model = done.batch.model;
         let state = ModelState::of(&mut self.models, model);
         let next = state.waiting.pop_front();
@@ -610,7 +610,7 @@ impl Worker {
         waiting
             .chain(self.sched_queue.iter_batches())
             .chain(running)
-            .map(|b| b.requests.len() as u64)
+            .map(|b| u64::from(b.size()))
             .sum()
     }
 }
@@ -619,7 +619,7 @@ impl Worker {
 mod tests {
     use super::*;
     use crate::schemes_for_test::AlwaysLargest;
-    use protean_trace::Request;
+    use protean_trace::Run;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -628,10 +628,11 @@ mod tests {
             id: BatchId(id),
             model: ModelId::ResNet50,
             strict,
-            requests: vec![Request {
+            runs: vec![Run {
                 arrival: SimTime::ZERO,
                 model: ModelId::ResNet50,
                 strict,
+                len: 1,
             }],
             sealed_at: SimTime::ZERO,
             cold_wait_ms: 0.0,

@@ -212,11 +212,11 @@ impl AggregateStore {
         self.be.merge_from(&other.be);
     }
 
-    fn push(&mut self, strict: bool, ms: f64) {
+    fn record_n(&mut self, strict: bool, ms: f64, n: u32) {
         if strict {
-            self.strict.push(ms);
+            self.strict.record_n(ms, n);
         } else {
-            self.be.push(ms);
+            self.be.record_n(ms, n);
         }
     }
 
@@ -304,10 +304,14 @@ impl LatencyHistogram {
         MIN_MS * 10f64.powf((i as f64 + 0.5) / BUCKETS_PER_DECADE)
     }
 
-    fn push(&mut self, ms: f64) {
-        self.buckets[Self::bucket_of(ms)] += 1;
-        self.count += 1;
-        self.sum_ms += ms;
+    /// Records `n` requests of latency `ms`. The sum adds `ms` once per
+    /// request, so it rounds as `n` single pushes would.
+    fn record_n(&mut self, ms: f64, n: u32) {
+        self.buckets[Self::bucket_of(ms)] += u64::from(n);
+        self.count += u64::from(n);
+        for _ in 0..n {
+            self.sum_ms += ms;
+        }
         self.min_ms = self.min_ms.min(ms);
         self.max_ms = self.max_ms.max(ms);
     }
@@ -356,7 +360,7 @@ impl MetricsSet {
     /// Records a completed request (in full mode, as a batch of one).
     pub fn push(&mut self, record: RequestRecord) {
         if let Some(agg) = &mut self.aggregate {
-            agg.push(record.strict, record.latency().as_millis_f64());
+            agg.record_n(record.strict, record.latency().as_millis_f64(), 1);
             return;
         }
         let b = record.breakdown;
@@ -380,42 +384,39 @@ impl MetricsSet {
         });
     }
 
-    /// Records a completed batch: one request per arrival, in order, each
-    /// sharing `batch`'s fields. A request's queueing is what its
-    /// latency leaves once the batch's other components are taken out,
-    /// floored at zero. Adjacent equal arrivals share one entry. A batch
-    /// with no arrivals stores nothing; aggregate mode pushes each
-    /// request's latency into its class histogram.
+    /// Records a completed batch: `n` requests per `(arrival, n)`, in
+    /// order, each sharing `batch`'s fields (`n` at least 1). A request's queueing is what
+    /// its latency leaves once the batch's other components are taken
+    /// out, floored at zero. Adjacent equal arrivals share one entry. A
+    /// batch with no requests stores nothing; aggregate mode records each
+    /// arrival's latency `n` times into its class histogram.
     ///
     /// # Panics
     ///
     /// Panics if 2^32 requests or more fall in one stored row (a row
     /// holds up to 2^16 - 1 distinct arrivals).
-    pub fn push_batch(&mut self, batch: BatchRecord, arrivals: impl IntoIterator<Item = SimTime>) {
+    pub fn push_batch(
+        &mut self,
+        batch: BatchRecord,
+        arrivals: impl IntoIterator<Item = (SimTime, u32)>,
+    ) {
         if let Some(agg) = &mut self.aggregate {
-            for arrival in arrivals {
+            for (arrival, n) in arrivals {
                 let ms = batch.completion.saturating_since(arrival).as_millis_f64();
-                agg.push(batch.strict, ms);
+                agg.record_n(batch.strict, ms, n);
             }
             return;
         }
         let mut row = Row::new(batch);
-        for arrival in arrivals {
-            row.requests = row
-                .requests
-                .checked_add(1)
-                .expect("a batch row holds under 2^32 requests");
+        for (arrival, n) in arrivals {
             match self.entries.last_mut() {
-                Some(e) if row.entries > 0 && e.arrival == arrival => e.n += 1,
+                Some(e) if row.entries > 0 && e.arrival == arrival => e.n += n,
                 _ => {
                     if row.entries == u16::MAX {
                         // A row indexes at most 2^16 - 1 entries; the
                         // batch goes on in a second row.
-                        self.rows.push(Row {
-                            requests: row.requests - 1,
-                            ..row
-                        });
-                        row.requests = 1;
+                        self.rows.push(row);
+                        row.requests = 0;
                         row.entries = 0;
                     }
                     let total_ms = batch.completion.saturating_since(arrival).as_millis_f64();
@@ -428,11 +429,15 @@ impl MetricsSet {
                     self.entries.push(Entry {
                         arrival,
                         queueing_ms,
-                        n: 1,
+                        n,
                     });
                     row.entries += 1;
                 }
             }
+            row.requests = row
+                .requests
+                .checked_add(n)
+                .expect("a batch row holds under 2^32 requests");
         }
         if row.entries > 0 {
             self.rows.push(row);
@@ -1126,13 +1131,14 @@ mod tests {
         }
     }
 
-    /// A random batch of up to eight requests: its shared fields, its
-    /// measured arrivals and the records the per-request store built for
-    /// them. The arrivals are drawn from up to three instants, so equal
-    /// ones repeat, adjacent or not (`a, a, b, a`). Arrivals before
-    /// 100 ms are pre-warmup and skipped, so some batches record nothing
-    /// and some lose an instant between two kept ones.
-    fn random_batch(rng: &mut SimRng) -> (BatchRecord, Vec<SimTime>, Vec<RequestRecord>) {
+    /// A random batch of up to eight runs of one to four requests: its
+    /// shared fields, its measured `(arrival, n)` runs and the records the
+    /// per-request store built for them. The arrivals are drawn from up to
+    /// three instants, so equal ones repeat, adjacent or not (`a, a, b,
+    /// a`). Arrivals before 100 ms are pre-warmup and skipped, so some
+    /// batches record nothing and some lose an instant between two kept
+    /// ones.
+    fn random_batch(rng: &mut SimRng) -> (BatchRecord, Vec<(SimTime, u32)>, Vec<RequestRecord>) {
         let completion = SimTime::from_millis(rng.uniform_range(100.0, 600.0));
         let batch = BatchRecord {
             model: ModelId::ALL[rng.index(3)],
@@ -1149,15 +1155,15 @@ mod tests {
                 SimTime::from_millis(rng.uniform_range(0.0, 1000.0 * completion.as_secs_f64()))
             })
             .collect();
-        let arrivals: Vec<SimTime> = (0..rng.index(9))
-            .map(|_| instants[rng.index(instants.len())])
+        let runs: Vec<(SimTime, u32)> = (0..rng.index(9))
+            .map(|_| (instants[rng.index(instants.len())], 1 + rng.index(4) as u32))
             .collect();
-        let measured: Vec<SimTime> = arrivals
+        let measured: Vec<(SimTime, u32)> = runs
             .into_iter()
-            .filter(|&a| a >= measure_from)
+            .filter(|&(a, _)| a >= measure_from)
             .collect();
         let mut records = Vec::new();
-        for &arrival in &measured {
+        for &(arrival, n) in &measured {
             let total_ms = completion.saturating_since(arrival).as_millis_f64();
             let queueing_ms = (total_ms
                 - batch.cold_start_ms
@@ -1165,7 +1171,7 @@ mod tests {
                 - batch.deficiency_ms
                 - batch.min_exec_ms)
                 .max(0.0);
-            records.push(RequestRecord {
+            let record = RequestRecord {
                 model: batch.model,
                 strict: batch.strict,
                 arrival,
@@ -1177,7 +1183,8 @@ mod tests {
                     queueing_ms,
                     cold_start_ms: batch.cold_start_ms,
                 },
-            });
+            };
+            records.extend(std::iter::repeat_n(record, n as usize));
         }
         (batch, measured, records)
     }
@@ -1272,8 +1279,9 @@ mod tests {
             prop_assert_eq!(per_model, want);
         }
 
-        /// In aggregate mode a batch pushes each request's latency as a
-        /// per-request push would, in the same order.
+        /// In aggregate mode a batch of runs records each request's
+        /// latency as a per-request push would, in the same order: the
+        /// histograms' sums match bit for bit.
         #[test]
         fn prop_aggregate_batches_match_per_request_pushes(seed in 0u64..1_000_000, ops in 0usize..40) {
             let mut rng = RngFactory::new(seed).stream("metrics.prop");
@@ -1287,6 +1295,11 @@ mod tests {
                 }
             }
             prop_assert!(via_batches.records().next().is_none());
+            let (a, b) = (via_batches.aggregate.as_ref().unwrap(), direct.aggregate.as_ref().unwrap());
+            for (a, b) in [(&a.strict, &b.strict), (&a.be, &b.be)] {
+                prop_assert_eq!(a.sum_ms.to_bits(), b.sum_ms.to_bits());
+                prop_assert_eq!(&a.buckets, &b.buckets);
+            }
             for class in [Class::Strict, Class::BestEffort, Class::All] {
                 prop_assert_eq!(via_batches.count(class), direct.count(class));
                 prop_assert_eq!(
@@ -1319,7 +1332,7 @@ mod tests {
     fn only_adjacent_equal_arrivals_share_an_entry() {
         let (a, b) = (SimTime::from_millis(5.0), SimTime::from_millis(7.0));
         let mut set = MetricsSet::new();
-        set.push_batch(language_batch(100.0), [a, a, b, a]);
+        set.push_batch(language_batch(100.0), [(a, 1), (a, 1), (b, 1), (a, 1)]);
         assert_eq!(set.rows.len(), 1);
         assert_eq!(set.entries.len(), 3);
         assert_eq!(
@@ -1330,7 +1343,7 @@ mod tests {
         let arrivals: Vec<SimTime> = set.records().map(|r| r.arrival).collect();
         assert_eq!(arrivals, [a, a, b, a]);
         // Equal arrivals in two batches never share an entry.
-        set.push_batch(language_batch(200.0), [a, a]);
+        set.push_batch(language_batch(200.0), [(a, 2)]);
         assert_eq!(set.entries.len(), 4);
         assert_eq!(set.count(Class::Strict), 6);
     }
@@ -1344,7 +1357,7 @@ mod tests {
             .map(SimTime::from_micros)
             .collect();
         let mut set = MetricsSet::new();
-        set.push_batch(batch, arrivals.iter().copied());
+        set.push_batch(batch, arrivals.iter().map(|&a| (a, 1)));
         assert_eq!(set.rows.len(), 2);
         assert_eq!(usize::from(set.rows[0].entries), usize::from(u16::MAX));
         assert_eq!(set.rows[0].requests, u32::from(u16::MAX));
@@ -1361,7 +1374,7 @@ mod tests {
         assert_eq!(set.heap_bytes(), 0);
         set.reserve(10);
         let a = SimTime::from_millis(5.0);
-        set.push_batch(language_batch(100.0), [a; 4]);
+        set.push_batch(language_batch(100.0), [(a, 4)]);
         assert_eq!(
             set.heap_bytes(),
             set.rows.capacity() * 48 + set.entries.capacity() * 24

@@ -11,7 +11,7 @@ use std::io::{BufRead, Write};
 use protean_models::ModelId;
 use protean_sim::{SimDuration, SimTime};
 
-use crate::{push_requests, Request, Trace, MAX_DURATION_SECS};
+use crate::{push_request, Request, Trace, MAX_DURATION_SECS};
 
 /// Error produced while reading a trace file.
 #[derive(Debug)]
@@ -190,7 +190,7 @@ impl Trace {
                 model,
                 strict,
             };
-            push_requests(&mut runs, r, 1);
+            push_request(&mut runs, r);
         }
         let duration = SimDuration::from_secs(last.as_secs_f64().ceil().max(1.0));
         Ok(Trace { runs, duration })

@@ -16,11 +16,10 @@
 //! (default 50/50); strict requests target a fixed model while the BE
 //! model is re-rolled from a pool every ~20 s (§5).
 //!
-//! A trace comes in two forms over one arrival generator:
-//! [`TraceConfig::generate`] materialises it (the paper-scale figures),
-//! and [`TraceConfig::stream`] yields the same requests lazily (the
-//! fleet-scale runs). Both draw every arrival instant, class and model
-//! from the same code, so they cannot drift.
+//! A trace is a sequence of [`Run`]s, one per batch arrival, from one
+//! arrival generator: [`TraceConfig::runs`] yields them lazily (the
+//! fleet-scale runs) and [`TraceConfig::generate`] collects them (the
+//! paper-scale figures), so the two cannot drift.
 //!
 //! # Example
 //!
@@ -91,19 +90,29 @@ impl Run {
     fn requests(&self) -> std::iter::RepeatN<Request> {
         std::iter::repeat_n(self.request(), self.len as usize)
     }
+
+    /// Folds `next` into this run if it repeats the same request and the
+    /// sum fits; `false` leaves both as they are.
+    fn extend(&mut self, next: &Run) -> bool {
+        let fits = self.request() == next.request() && self.len <= u32::MAX - next.len;
+        if fits {
+            self.len += next.len;
+        }
+        fits
+    }
 }
 
-/// Appends `n` requests like `r` to `runs`, extending the last run when
-/// it holds the same request and has room.
-fn push_requests(runs: &mut Vec<Run>, r: Request, n: u32) {
-    match runs.last_mut() {
-        Some(last) if last.request() == r && last.len <= u32::MAX - n => last.len += n,
-        _ => runs.push(Run {
-            arrival: r.arrival,
-            model: r.model,
-            strict: r.strict,
-            len: n,
-        }),
+/// Appends `r` to `runs`, extending the last run when it holds the same
+/// request and has room.
+fn push_request(runs: &mut Vec<Run>, r: Request) {
+    let run = Run {
+        arrival: r.arrival,
+        model: r.model,
+        strict: r.strict,
+        len: 1,
+    };
+    if !runs.last_mut().is_some_and(|last| last.extend(&run)) {
+        runs.push(run);
     }
 }
 
@@ -384,31 +393,15 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
-    /// Generates the trace deterministically from `factory`.
+    /// Generates the trace deterministically from `factory`: the runs of
+    /// [`TraceConfig::runs`], collected.
     ///
     /// # Panics
     ///
     /// Panics if `strict_fraction` is outside `[0, 1]`, or if the BE pool
     /// is empty while BE requests can occur.
     pub fn generate(&self, factory: &RngFactory) -> Trace {
-        let mut arrivals = Arrivals::new(self, factory);
-        // Timestamps first, so the request vector is sized exactly once.
-        let mut times = Vec::new();
-        while let Some(at) = arrivals.next_time() {
-            times.push(at);
-        }
-        let batch_size = arrivals.batch_size;
-        let mut runs = Vec::with_capacity(times.len());
-        for arrival in times {
-            let (model, strict) = arrivals.classify(arrival);
-            let r = Request {
-                arrival,
-                model,
-                strict,
-            };
-            push_requests(&mut runs, r, batch_size);
-        }
-        // Arrivals that fold into their predecessor leave slack.
+        let mut runs: Vec<Run> = self.runs(factory).collect();
         runs.shrink_to_fit();
         Trace {
             runs,
@@ -416,34 +409,40 @@ impl TraceConfig {
         }
     }
 
-    /// A lazily-generated view of the same trace: [`TraceStream`]
-    /// yields exactly the `Request` sequence [`TraceConfig::generate`]
-    /// materializes — bit-identical arrivals, models and classes —
-    /// while holding O(duration / rotation_period) state instead of
-    /// O(requests).
+    /// The trace's maximal runs, drawn lazily: one per batch arrival, or
+    /// one per group of adjacent equal arrivals. Bit-identical to
+    /// `generate(factory).into_runs()` while holding
+    /// O(duration / rotation_period) state instead of O(requests).
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`TraceConfig::generate`].
-    pub fn stream(&self, factory: &RngFactory) -> TraceStream {
-        TraceStream {
+    pub fn runs(&self, factory: &RngFactory) -> TraceRuns {
+        TraceRuns {
             arrivals: Arrivals::new(self, factory),
-            duration: self.duration,
-            batch: None,
-            left_in_batch: 0,
+            next: None,
         }
+    }
+
+    /// The trace's requests, drawn lazily: [`TraceConfig::runs`], each
+    /// run expanded.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`TraceConfig::generate`].
+    pub fn stream(&self, factory: &RngFactory) -> impl Iterator<Item = Request> {
+        self.runs(factory).flat_map(|r| r.requests())
     }
 }
 
-/// The one arrival generator behind both [`TraceConfig::generate`] and
-/// [`TraceStream`]: non-homogeneous Poisson arrival instants by
-/// thinning, and the class/model draw for each.
+/// The one arrival generator behind [`TraceRuns`]: non-homogeneous
+/// Poisson arrival instants by thinning, and the class/model draw for
+/// each.
 ///
 /// It draws from four independent labelled streams ("trace.arrivals",
-/// "trace.class", "trace.rotation", "trace.shape"), so a caller may
-/// interleave `next_time` and `classify` in any order — `generate`
-/// draws every instant first, the stream alternates — without changing
-/// any stream's per-draw sequence.
+/// "trace.class", "trace.rotation", "trace.shape"), so the order in which
+/// `next_time` and `classify` interleave changes no stream's per-draw
+/// sequence.
 #[derive(Debug, Clone)]
 struct Arrivals {
     arrivals_rng: SimRng,
@@ -542,36 +541,38 @@ impl Arrivals {
         };
         (model, strict)
     }
-}
 
-/// A generator-backed request stream: the lazy form of
-/// [`TraceConfig::generate`].
-///
-/// Both drive the same private arrival generator, so they share the
-/// thinning loop and the class/model draw by construction; they differ
-/// only in how each arrival is expanded into its batch. The shape
-/// profile and the BE rotation schedule are built eagerly (they are
-/// O(duration / segment) and O(duration / rotation_period), independent
-/// of the request count); only the arrivals, which dominate memory at
-/// fleet scale, are drawn lazily. The `trace_stream_*` proptest checks
-/// the two batch expansions against each other element for element,
-/// and the engine-level golden tests pin digest equality of full
-/// simulations.
-#[derive(Debug, Clone)]
-pub struct TraceStream {
-    arrivals: Arrivals,
-    duration: SimDuration,
-    /// The accepted arrival currently being expanded into a batch.
-    batch: Option<(SimTime, ModelId, bool)>,
-    left_in_batch: u32,
-}
-
-impl TraceStream {
-    /// The configured trace length.
-    pub fn duration(&self) -> SimDuration {
-        self.duration
+    /// The next arrival as a run of its batch, or `None` past the horizon.
+    #[inline]
+    fn next_run(&mut self) -> Option<Run> {
+        let arrival = self.next_time()?;
+        let (model, strict) = self.classify(arrival);
+        Some(Run {
+            arrival,
+            model,
+            strict,
+            len: self.batch_size,
+        })
     }
+}
 
+/// A generator-backed run stream: the lazy form of
+/// [`TraceConfig::generate`], returned by [`TraceConfig::runs`].
+///
+/// The shape profile and the BE rotation schedule are built eagerly (they
+/// are O(duration / segment) and O(duration / rotation_period),
+/// independent of the request count); only the arrivals, which dominate
+/// memory at fleet scale, are drawn lazily. A run is maximal, so the
+/// stream draws one arrival past each run it yields and holds it until
+/// the next call.
+#[derive(Debug, Clone)]
+pub struct TraceRuns {
+    arrivals: Arrivals,
+    /// The arrival drawn past the last yielded run.
+    next: Option<Run>,
+}
+
+impl TraceRuns {
     /// Every model that can appear in this stream: the strict model
     /// (when strict requests can occur) plus every model the BE
     /// rotation schedule actually rolled (when BE requests can occur),
@@ -595,71 +596,18 @@ impl TraceStream {
     }
 }
 
-impl Iterator for TraceStream {
-    type Item = Request;
+impl Iterator for TraceRuns {
+    type Item = Run;
 
-    fn next(&mut self) -> Option<Request> {
-        if self.left_in_batch == 0 {
-            let arrival = self.arrivals.next_time()?;
-            let (model, strict) = self.arrivals.classify(arrival);
-            self.batch = Some((arrival, model, strict));
-            self.left_in_batch = self.arrivals.batch_size;
+    fn next(&mut self) -> Option<Run> {
+        let mut run = self.next.take().or_else(|| self.arrivals.next_run())?;
+        loop {
+            self.next = self.arrivals.next_run();
+            match &self.next {
+                Some(next) if run.extend(next) => {}
+                _ => return Some(run),
+            }
         }
-        let (arrival, model, strict) = self.batch?;
-        self.left_in_batch -= 1;
-        Some(Request {
-            arrival,
-            model,
-            strict,
-        })
-    }
-}
-
-/// One-request lookahead over an arrival source, materialised or
-/// streamed.
-///
-/// The cluster engine's event loop must see the next arrival instant
-/// to order it against the queued events — without materialising a streamed
-/// trace (a [`TraceStream`] generates arrivals lazily precisely so
-/// fleet-scale runs never hold the request vector). `Lookahead` buffers
-/// exactly one pending request: `peek_arrival` advances the underlying
-/// source at most one element ahead of `next`, so iteration order, RNG
-/// consumption and memory footprint are identical to driving the source
-/// directly.
-#[derive(Debug)]
-pub struct Lookahead<I: Iterator<Item = Request>> {
-    inner: I,
-    buffered: Option<Request>,
-}
-
-impl<I: Iterator<Item = Request>> Lookahead<I> {
-    /// Wraps an arrival source.
-    pub fn new(inner: I) -> Self {
-        Lookahead {
-            inner,
-            buffered: None,
-        }
-    }
-
-    /// The next request without consuming it.
-    pub fn peek(&mut self) -> Option<&Request> {
-        if self.buffered.is_none() {
-            self.buffered = self.inner.next();
-        }
-        self.buffered.as_ref()
-    }
-
-    /// The next request's arrival instant without consuming it.
-    pub fn peek_arrival(&mut self) -> Option<SimTime> {
-        self.peek().map(|r| r.arrival)
-    }
-}
-
-impl<I: Iterator<Item = Request>> Iterator for Lookahead<I> {
-    type Item = Request;
-
-    fn next(&mut self) -> Option<Request> {
-        self.buffered.take().or_else(|| self.inner.next())
     }
 }
 
@@ -686,7 +634,7 @@ impl Trace {
         );
         let mut runs = Vec::new();
         for r in requests {
-            push_requests(&mut runs, r, 1);
+            push_request(&mut runs, r);
         }
         Trace { runs, duration }
     }
@@ -1018,27 +966,8 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_peek_is_transparent_over_a_stream() {
-        let cfg = base_config(TraceShape::wiki(300.0), 10.0);
-        let materialised: Vec<Request> = cfg.generate(&RngFactory::new(9)).iter().collect();
-        let mut ahead = Lookahead::new(cfg.stream(&RngFactory::new(9)));
-        let mut seen = Vec::new();
-        // Interleave peeks with consumption: peeking must never skip,
-        // duplicate or reorder an element.
-        while let Some(ta) = ahead.peek_arrival() {
-            let r = ahead.next().expect("peeked");
-            assert_eq!(r.arrival, ta);
-            assert_eq!(ahead.peek().copied(), ahead.peek().copied());
-            seen.push(r);
-        }
-        assert!(ahead.next().is_none());
-        assert_eq!(seen, materialised);
-    }
-
-    #[test]
     fn generate_sizes_the_run_vector_exactly_once() {
-        // A growing collect would over-allocate; `generate` counts the
-        // arrivals first and allocates once.
+        // `generate` collects the runs and gives back the growth slack.
         for batch_arrivals in [false, true] {
             let mut cfg = base_config(TraceShape::twitter(900.0), 12.0);
             cfg.batch_arrivals = batch_arrivals;
@@ -1260,11 +1189,11 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
-        /// The streamed request sequence equals `generate`'s output
-        /// element for element — every arrival, model and class —
-        /// across shapes, seeds, class mixes and both arrival modes.
-        /// Both share one arrival generator, so this checks the two
-        /// batch expansions against each other.
+        /// The streamed runs equal `generate`'s runs and a two-pass
+        /// reference's (every instant drawn before any class), and the
+        /// streamed requests `generate`'s requests, element for element —
+        /// every arrival, model and class — across shapes, seeds, class
+        /// mixes and both arrival modes.
         #[test]
         fn prop_trace_stream_matches_generate_element_for_element(
             seed in 0u64..1000,
@@ -1297,6 +1226,19 @@ mod tests {
             cfg.strict_fraction = [0.0, 0.25, 0.5, 0.75, 1.0][strict_pct];
             cfg.batch_arrivals = batch_arrivals;
             let factory = RngFactory::new(seed);
+            let runs: Vec<Run> = cfg.runs(&factory).collect();
+            prop_assert_eq!(&runs, &cfg.generate(&factory).into_runs());
+            let mut arrivals = Arrivals::new(&cfg, &factory);
+            let times: Vec<SimTime> = std::iter::from_fn(|| arrivals.next_time()).collect();
+            let mut reference: Vec<Run> = Vec::new();
+            for arrival in times {
+                let (model, strict) = arrivals.classify(arrival);
+                let run = Run { arrival, model, strict, len: arrivals.batch_size };
+                if !reference.last_mut().is_some_and(|last| last.extend(&run)) {
+                    reference.push(run);
+                }
+            }
+            prop_assert_eq!(&runs, &reference);
             let materialized: Vec<Request> = cfg.generate(&factory).iter().collect();
             let streamed: Vec<Request> = cfg.stream(&factory).collect();
             prop_assert_eq!(streamed.len(), materialized.len());
@@ -1378,7 +1320,7 @@ mod tests {
         ];
         for seed in [1, 5, 21] {
             let factory = RngFactory::new(seed);
-            let universe = cfg.stream(&factory).model_universe();
+            let universe = cfg.runs(&factory).model_universe();
             for r in cfg.generate(&factory).iter() {
                 assert!(
                     universe.contains(&r.model),

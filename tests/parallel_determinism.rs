@@ -139,9 +139,11 @@ fn audit_sweeps_stay_clean_and_counted_on_a_repeat() {
     assert!(baseline.audit.enabled);
     assert!(baseline.audit.checks > 0);
     assert!(baseline.audit.is_clean(), "{:?}", baseline.audit.violations);
-    // One sweep per handled event and per dispatched arrival.
-    let s = &baseline.stats;
-    assert_eq!(baseline.audit.checks, s.events_popped + s.arrivals);
+    // One sweep per handled event and per dispatched arrival run.
+    let factory = protean_sim::RngFactory::new(config.seed);
+    let runs = trace.generate(&factory).into_runs().len() as u64;
+    assert!(runs < baseline.stats.arrivals);
+    assert_eq!(baseline.audit.checks, baseline.stats.events_popped + runs);
     let repeat = run_simulation(&config, &scheme, &trace);
     assert!(repeat.audit.is_clean(), "{:?}", repeat.audit.violations);
     assert_eq!(baseline.audit.checks, repeat.audit.checks);
