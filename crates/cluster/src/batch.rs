@@ -59,9 +59,10 @@ impl Accumulator {
     }
 
     /// Adds a run of requests; returns `true` if it is the first pending
-    /// run (so the caller should arm a window-expiry timer). The first
-    /// run sizes the batch for one run, which is all a batch filled by
-    /// one batch arrival needs.
+    /// run, which opens the batch (the caller arms its window-expiry
+    /// timer unless the run also filled it). The first run sizes the
+    /// batch for one run, which is all a batch filled by one batch
+    /// arrival needs.
     pub fn push(&mut self, run: Run) -> bool {
         let first = self.pending.is_empty();
         if first {

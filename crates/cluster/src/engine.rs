@@ -206,9 +206,9 @@ pub struct EngineStats {
     pub events_pushed: u64,
     /// Total events popped from the event queue.
     pub events_popped: u64,
-    /// The largest number of events pending in the event heap at once.
-    /// Container boots and batch-window expiries wait in FIFO lanes of
-    /// their own and are not counted.
+    /// The largest number of events pending in the event heap at once,
+    /// batch-window expiries included. Container boots wait in a FIFO
+    /// lane of their own and are not counted.
     pub peak_heap_len: usize,
     /// `JobFinish` events actually pushed.
     pub finish_events_pushed: u64,
@@ -248,8 +248,9 @@ pub struct EngineStats {
     /// cutoff).
     pub arrivals: u64,
     /// `WindowExpire` batch-window dispatches handled at or before the
-    /// cutoff (live and stale alike — staleness is a property of the
-    /// accumulator, not of the event having fired).
+    /// cutoff, live and stale alike. A window is armed only by an arrival
+    /// that opens a batch and leaves it open (so a whole-batch arrival
+    /// arms none); it pops stale when the batch filled first.
     pub expiries: u64,
     /// Always 0: the engine has no epochs. Kept only because the `perf`
     /// benchmark driver still reads it.

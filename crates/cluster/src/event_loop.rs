@@ -10,15 +10,13 @@
 //! It handles the next arrival instead whenever that is due no later
 //! than the smallest key (`ta <= next.time`).
 //!
-//! Pending events wait in three places. Container boots and
-//! batch-window expiries each come due a fixed delay after their push
-//! (the run's [`ClusterConfig::cold_start`] and the constant
-//! [`BATCH_WINDOW`]), so each class waits in a FIFO lane that is already
-//! in key order (asserted on every push, release builds included). Every
-//! other event waits in a [`KeyedEventQueue`], a 4-ary min-heap of
-//! 16-byte packed keys over a slab of payloads; at fleet scale the heap
-//! then shares the cache with the dispatch index. A pop takes the
-//! smallest of the three heads.
+//! Pending events wait in two places. Container boots come due a fixed
+//! delay after their push (the run's [`ClusterConfig::cold_start`]), so
+//! they wait in a FIFO lane that is already in key order (asserted on
+//! every push, release builds included). Every other event waits in a
+//! [`KeyedEventQueue`], a 4-ary min-heap of 16-byte packed keys over a
+//! slab of payloads; at fleet scale the heap then shares the cache with
+//! the dispatch index. A pop takes the smaller of the two heads.
 //!
 //! # State
 //!
@@ -109,17 +107,14 @@ enum Event {
 /// The pending events and the push counter, kept apart from the workers
 /// so a handler can push while it holds a worker borrow.
 ///
-/// Two event classes always come due a fixed delay after their push:
-/// container boots (the run's `cold_start`) and batch-window expiries
-/// (the constant [`BATCH_WINDOW`]). `now` never decreases, so each class
-/// comes due in push order, and each waits in a FIFO [`Lane`] that is
-/// already in key order. Every other event waits in the heap, a
-/// [`KeyedEventQueue`]. A pop takes the smallest of the three heads, so
-/// the order is the one a single heap would give.
+/// Container boots always come due the run's `cold_start` after their
+/// push. `now` never decreases, so they come due in push order and wait
+/// in a FIFO [`Lane`] that is already in key order. Every other event
+/// waits in the heap, a [`KeyedEventQueue`]. A pop takes the smaller of
+/// the two heads, so the order is the one a single heap would give.
 struct Agenda {
     heap: KeyedEventQueue<Event>,
     boots: Lane,
-    expiries: Lane,
     /// Events pushed so far; the last push's key `major`.
     seq: u64,
     popped: u64,
@@ -155,7 +150,6 @@ impl Agenda {
         Agenda {
             heap: KeyedEventQueue::new(),
             boots: Lane::default(),
-            expiries: Lane::default(),
             seq: 0,
             popped: 0,
         }
@@ -167,32 +161,24 @@ impl Agenda {
         let key = EventKey::new(time, self.seq, 0);
         match ev {
             Event::BootDone { .. } => self.boots.push(key, ev),
-            Event::WindowExpire { .. } => self.expiries.push(key, ev),
             _ => self.heap.push(key, ev),
         }
     }
 
     /// The smallest pending key.
     fn peek_key(&self) -> Option<EventKey> {
-        [
-            self.heap.peek_key(),
-            self.boots.peek_key(),
-            self.expiries.peek_key(),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+        let (heap, boots) = (self.heap.peek_key(), self.boots.peek_key());
+        if before(boots, heap) {
+            boots
+        } else {
+            heap
+        }
     }
 
     /// Removes and returns the event with the smallest key.
     fn pop(&mut self) -> Option<(EventKey, Event)> {
-        let lane = if before(self.expiries.peek_key(), self.boots.peek_key()) {
-            &mut self.expiries
-        } else {
-            &mut self.boots
-        };
-        let next = if before(lane.peek_key(), self.heap.peek_key()) {
-            lane.0.pop_front()
+        let next = if before(self.boots.peek_key(), self.heap.peek_key()) {
+            self.boots.0.pop_front()
         } else {
             self.heap.pop()
         };
@@ -200,9 +186,9 @@ impl Agenda {
         next
     }
 
-    /// Events pushed and not yet popped, in the heap and both lanes.
+    /// Events pushed and not yet popped, in the heap and the lane.
     fn pending(&self) -> usize {
-        self.heap.len() + self.boots.0.len() + self.expiries.0.len()
+        self.heap.len() + self.boots.0.len()
     }
 }
 
@@ -468,10 +454,11 @@ impl<'a> EventLoop<'a> {
         match ev {
             Event::WindowExpire { model, strict, seq } => {
                 self.stats.expiries += 1;
+                // Stale when the batch filled before its window ended.
                 let stale = self
                     .accumulators
                     .get(&(model, strict))
-                    .is_none_or(|acc| acc.seal_seq != seq || acc.is_empty());
+                    .is_none_or(|acc| acc.seal_seq != seq);
                 if !stale {
                     self.seal_batch((model, strict));
                 }
@@ -500,8 +487,8 @@ impl<'a> EventLoop<'a> {
     // ---- request path -----------------------------------------------
 
     /// Adds `run` to its accumulator in chunks of up to the batch size,
-    /// sealing each batch it fills. A chunk that opens a batch arms its
-    /// window, even when it also fills it: the expiry then pops stale.
+    /// sealing each batch it fills. Only a chunk that opens a batch and
+    /// leaves it open arms its window, so a whole-batch arrival arms none.
     fn dispatch(&mut self, run: Run) {
         self.stats.arrivals += u64::from(run.len);
         let batch_size = self.catalog.profile(run.model).batch_size;
@@ -511,7 +498,10 @@ impl<'a> EventLoop<'a> {
             let acc = self.accumulators.entry(key).or_default();
             let len = left.min(batch_size - acc.len());
             left -= len;
-            if acc.push(Run { len, ..run }) && batch_size > 1 {
+            let opened = acc.push(Run { len, ..run });
+            if acc.len() >= batch_size {
+                self.seal_batch(key);
+            } else if opened {
                 let seq = acc.seal_seq;
                 self.agenda.push(
                     self.now + BATCH_WINDOW,
@@ -521,9 +511,6 @@ impl<'a> EventLoop<'a> {
                         seq,
                     },
                 );
-            }
-            if acc.len() >= batch_size {
-                self.seal_batch(key);
             }
         }
     }
@@ -1344,7 +1331,7 @@ mod tests {
         push(&mut agenda, 8.0, boot(0));
         push(&mut agenda, 8.0, Event::MonitorTick);
         push(&mut agenda, 3.0, Event::EvictionFinal { worker: 1 });
-        // A window expiry, a boot and a heap event tie at 8 ms.
+        // A boot and two heap events, one a window expiry, tie at 8 ms.
         push(&mut agenda, 8.0, expiry(0));
         push(&mut agenda, 8.0, boot(2));
         push(&mut agenda, 9.0, Event::EvictionFinal { worker: 3 });
@@ -1410,7 +1397,7 @@ mod tests {
     }
 
     #[test]
-    fn a_run_fills_batches_in_chunks_and_each_chunk_that_opens_one_arms_its_window() {
+    fn a_run_fills_batches_in_chunks_and_only_an_open_batch_arms_a_window() {
         let bert = |at_ms: f64, n: usize| {
             std::iter::repeat_n(
                 Request {
@@ -1438,9 +1425,10 @@ mod tests {
             [(ms(10.0), 4), (ms(10.0), 4), (ms(60.0), 1)]
         );
         assert_eq!(r.stats.arrivals, 9);
-        // The three chunks that opened a batch each armed a window; the
-        // two whose batch filled pop stale.
-        assert_eq!((r.stats.expiries, r.stats.dispatch_batches), (3, 3));
+        // The window opened at 0 ms pops stale, the chunk that opens and
+        // fills the second batch arms none, and the leftover's window
+        // seals it at 60 ms.
+        assert_eq!((r.stats.expiries, r.stats.dispatch_batches), (2, 3));
     }
 
     #[test]

@@ -204,3 +204,34 @@ fn full_records_and_the_trace_cost_a_quarter_entry_per_request() {
     assert!(trace_bytes <= 4.0, "trace {trace_bytes} B/request");
     assert!(record_bytes <= 18.0, "records {record_bytes} B/request");
 }
+
+/// Only an arrival that opens a batch and leaves it open arms a batch
+/// window. On the paper's §5 set-up every arrival is a whole batch
+/// (vision at 128, LLMs at 4), so no run arms one; best-effort runs of
+/// 4 into batch-128 accumulators still do.
+#[test]
+fn whole_batch_arrivals_arm_no_window_and_partial_ones_still_do() {
+    let expiries = |keys: &[(&str, &str)]| {
+        let spec = protean_experiments::scenario::paper()
+            .with(&[("trace.duration_secs", "20")])
+            .with(keys);
+        let (config, trace) = spec.generated();
+        let scheme = protean_experiments::schemes::by_name(&spec.fleet.scheme).expect("a scheme");
+        let r = run_simulation(&config, scheme.as_ref(), &trace);
+        assert!(r.stats.dispatch_batches > 0);
+        r.stats.expiries
+    };
+    // ResNet 50 strict, vision best-effort models, all at batch 128.
+    assert_eq!(expiries(&[]), 0);
+    // Albert strict, BERT best-effort, both at batch 4.
+    let llm = [("trace.model", "albert"), ("trace.be_pool", "[\"bert\"]")];
+    assert_eq!(expiries(&llm), 0);
+    // Albert runs of 4 at 128 rps; ResNet 50 best-effort runs of 4 feed
+    // batch-128 accumulators, which their windows seal.
+    let partial = [
+        ("trace.model", "albert"),
+        ("trace.rps", "128"),
+        ("trace.be_pool", "[\"resnet50\"]"),
+    ];
+    assert!(expiries(&partial) > 0);
+}

@@ -61,32 +61,32 @@ const EXPECTED: &[&str] = &[
 
 /// Both prints of every golden run, in the order of [`EXPECTED`].
 const FINGERPRINTS: &[&str] = &[
-    "seed=42 Molecule (beta) behaviour=d24b667510ced116 engine=9fd7ac38459112d3",
-    "seed=42 INFless/Llama behaviour=73c8a4c4a11635ec engine=33c4f2c90b1a581a",
-    "seed=42 Naive Slicing behaviour=4f74da2ad08bf3a4 engine=e534332f73de668b",
-    "seed=42 MIG Only behaviour=3fa969bcb01f9a67 engine=fd8ee935a09734f0",
-    "seed=42 MPS+MIG behaviour=d5ec95325ca7cf35 engine=f7c757df6380f538",
-    "seed=42 'Smart' MPS+MIG behaviour=b62ea770da832524 engine=b07da86649724106",
-    "seed=42 GPUlet behaviour=2e635533d088e6e9 engine=d0eb8ae03edf18a3",
-    "seed=42 PROTEAN behaviour=3773442f9eb36362 engine=ce8dfb93abf74a65",
-    "seed=7 Molecule (beta) behaviour=1123f541ad21e466 engine=ba512306930e81e7",
-    "seed=7 INFless/Llama behaviour=af1821d89d5781ac engine=5fb66e0c88d6a3da",
-    "seed=7 Naive Slicing behaviour=ccaf00ad8e72f548 engine=3044c414e48ce33a",
-    "seed=7 MIG Only behaviour=3d0d7aca2d9725e4 engine=81bbcd9827671e4a",
-    "seed=7 MPS+MIG behaviour=8fd875681142040b engine=8e6361e4645364cf",
-    "seed=7 'Smart' MPS+MIG behaviour=22cca4c2320f19bf engine=9284368fd73dbf15",
-    "seed=7 GPUlet behaviour=68bc61b603f84de4 engine=e6dcb969d51c064a",
-    "seed=7 PROTEAN behaviour=925e732a4f4133dd engine=1d13dbb993a859ef",
-    "seed=1234 Molecule (beta) behaviour=c9de179399649bb1 engine=0e1f16ee96993c6a",
-    "seed=1234 INFless/Llama behaviour=ac829a010e8cf70f engine=6b715e032399bf59",
-    "seed=1234 Naive Slicing behaviour=69bd130991887917 engine=138976a1e8f1e1f5",
-    "seed=1234 MIG Only behaviour=5cf4446523aa23f9 engine=03871cb2df63c121",
-    "seed=1234 MPS+MIG behaviour=cd9d18519b931e88 engine=9059ec5cc35df7fb",
-    "seed=1234 'Smart' MPS+MIG behaviour=ffcb35e16a4dfbac engine=0832fc1232566985",
-    "seed=1234 GPUlet behaviour=36c0ad546bcf847a engine=d82f5fe581e12b3d",
-    "seed=1234 PROTEAN behaviour=3ab75689a6bc3d2c engine=f8c65e6a7775d7d0",
-    "spot seed=3 PROTEAN behaviour=e9105063c4bacc6c engine=f65ffc29499d10c9",
-    "spot seed=11 PROTEAN behaviour=b1cde831b7c37bc3 engine=f9a90d3cd6e7b6d1",
+    "seed=42 Molecule (beta) behaviour=d24b667510ced116 engine=33348e9e9daed73e",
+    "seed=42 INFless/Llama behaviour=73c8a4c4a11635ec engine=78e59ec8e43984bb",
+    "seed=42 Naive Slicing behaviour=4f74da2ad08bf3a4 engine=0f5a907ca257bfc6",
+    "seed=42 MIG Only behaviour=3fa969bcb01f9a67 engine=89057c9ce8619ba5",
+    "seed=42 MPS+MIG behaviour=d5ec95325ca7cf35 engine=15bdf75c761ebe9d",
+    "seed=42 'Smart' MPS+MIG behaviour=b62ea770da832524 engine=35520e43f4418453",
+    "seed=42 GPUlet behaviour=2e635533d088e6e9 engine=82a94d0d677b9d5a",
+    "seed=42 PROTEAN behaviour=3773442f9eb36362 engine=72fe28f65bb3afb4",
+    "seed=7 Molecule (beta) behaviour=1123f541ad21e466 engine=fdc6cb8889ba94d7",
+    "seed=7 INFless/Llama behaviour=af1821d89d5781ac engine=e13a9f45558190ce",
+    "seed=7 Naive Slicing behaviour=ccaf00ad8e72f548 engine=2b50fedfc75a00be",
+    "seed=7 MIG Only behaviour=3d0d7aca2d9725e4 engine=c0e0dbefcd63250e",
+    "seed=7 MPS+MIG behaviour=8fd875681142040b engine=6d37aeeb494df61f",
+    "seed=7 'Smart' MPS+MIG behaviour=22cca4c2320f19bf engine=120e83a12b2a7a05",
+    "seed=7 GPUlet behaviour=68bc61b603f84de4 engine=6ad97d24c83f28a6",
+    "seed=7 PROTEAN behaviour=925e732a4f4133dd engine=040b63a978b93077",
+    "seed=1234 Molecule (beta) behaviour=c9de179399649bb1 engine=87a8181bd60c5c5d",
+    "seed=1234 INFless/Llama behaviour=ac829a010e8cf70f engine=8dc2d73df9bf1372",
+    "seed=1234 Naive Slicing behaviour=69bd130991887917 engine=4f45e24310fb9842",
+    "seed=1234 MIG Only behaviour=5cf4446523aa23f9 engine=fc5b08cbe9758e0e",
+    "seed=1234 MPS+MIG behaviour=cd9d18519b931e88 engine=16b487ac601c1f3c",
+    "seed=1234 'Smart' MPS+MIG behaviour=ffcb35e16a4dfbac engine=01cf9f92801fa3fe",
+    "seed=1234 GPUlet behaviour=36c0ad546bcf847a engine=ee74186da9b69fee",
+    "seed=1234 PROTEAN behaviour=3ab75689a6bc3d2c engine=0273600077d5946b",
+    "spot seed=3 PROTEAN behaviour=e9105063c4bacc6c engine=61983dd3bdf6797d",
+    "spot seed=11 PROTEAN behaviour=b1cde831b7c37bc3 engine=fafb0f5de4544068",
 ];
 
 #[test]
