@@ -133,7 +133,7 @@ impl Scheme for BaselineScheme {
 
     fn place(&mut self, ctx: &PlacementCtx<'_>, batch: &BatchView) -> Option<Placement> {
         let slices = ctx.gpu.slices();
-        let mem = ctx.catalog.profile(batch.model).mem_gb;
+        let mem = batch.model.profile().mem_gb;
         match self.kind {
             Baseline::MoleculeBeta => {
                 // One batch at a time on the whole GPU.
@@ -208,7 +208,7 @@ impl Scheme for BaselineScheme {
                 } else {
                     1.0 - GPULET_STRICT_SM_CAP
                 };
-                let beta = ctx.catalog.profile(batch.model).deficiency_beta;
+                let beta = batch.model.profile().deficiency_beta;
                 let solo_scale = 1.0 / (1.0 - beta * (1.0 - cap));
                 Some(Placement {
                     slice: 0,
@@ -263,15 +263,14 @@ impl SchemeBuilder for Baseline {
 mod tests {
     use super::*;
     use protean_gpu::{Gpu, GpuId, JobId, JobSpec};
-    use protean_models::{Catalog, ModelId};
+    use protean_models::ModelId;
     use protean_sim::{SimDuration, SimTime};
 
-    fn ctx_for<'a>(gpu: &'a Gpu, catalog: &'a Catalog) -> PlacementCtx<'a> {
+    fn ctx_for(gpu: &Gpu) -> PlacementCtx<'_> {
         PlacementCtx {
             now: SimTime::ZERO,
             gpu,
             queued_be_mem_gb: 0.0,
-            catalog,
         }
     }
 
@@ -309,69 +308,65 @@ mod tests {
 
     #[test]
     fn molecule_runs_one_batch_at_a_time() {
-        let catalog = Catalog::new();
         let mut gpu = gpu_for(Baseline::MoleculeBeta);
         let mut s = Baseline::MoleculeBeta.build(0);
-        let ctx = ctx_for(&gpu, &catalog);
+        let ctx = ctx_for(&gpu);
         assert_eq!(
             s.place(&ctx, &view(ModelId::ResNet50, true))
                 .map(|p| p.slice),
             Some(0)
         );
         occupy(&mut gpu, 0, 1, 6.0);
-        let ctx = ctx_for(&gpu, &catalog);
+        let ctx = ctx_for(&gpu);
         assert!(s.place(&ctx, &view(ModelId::ResNet50, true)).is_none());
     }
 
     #[test]
     fn infless_consolidates_until_memory_runs_out() {
-        let catalog = Catalog::new();
         let mut gpu = gpu_for(Baseline::InflessLlama);
         let mut s = Baseline::InflessLlama.build(0);
         // 6 ResNet batches (6 GB each) fit in 40 GB; the 7th does not.
         for i in 0..6 {
-            let ctx = ctx_for(&gpu, &catalog);
+            let ctx = ctx_for(&gpu);
             assert!(s
                 .place(&ctx, &view(ModelId::ResNet50, i % 2 == 0))
                 .is_some());
             occupy(&mut gpu, 0, i, 6.0);
         }
-        let ctx = ctx_for(&gpu, &catalog);
+        let ctx = ctx_for(&gpu);
         assert!(s.place(&ctx, &view(ModelId::ResNet50, true)).is_none());
     }
 
     #[test]
     fn mig_only_requires_idle_slice() {
-        let catalog = Catalog::new();
         let mut gpu = gpu_for(Baseline::MigOnly);
         let mut s = Baseline::MigOnly.build(0);
         let first = s
-            .place(&ctx_for(&gpu, &catalog), &view(ModelId::MobileNet, true))
+            .place(&ctx_for(&gpu), &view(ModelId::MobileNet, true))
             .unwrap()
             .slice;
         occupy(&mut gpu, first, 1, 2.0);
         let second = s
-            .place(&ctx_for(&gpu, &catalog), &view(ModelId::MobileNet, true))
+            .place(&ctx_for(&gpu), &view(ModelId::MobileNet, true))
             .unwrap()
             .slice;
         assert_ne!(first, second, "round-robin should move to the idle slice");
         occupy(&mut gpu, second, 2, 2.0);
         assert!(s
-            .place(&ctx_for(&gpu, &catalog), &view(ModelId::MobileNet, true))
+            .place(&ctx_for(&gpu), &view(ModelId::MobileNet, true))
             .is_none());
     }
 
     #[test]
     fn mps_mig_even_round_robins() {
-        let catalog = Catalog::new();
         let gpu = gpu_for(Baseline::MpsMigEven);
         let mut s = Baseline::MpsMigEven.build(0);
         let a = s
-            .place(&ctx_for(&gpu, &catalog), &view(ModelId::MobileNet, true))
+            .place(&ctx_for(&gpu), &view(ModelId::MobileNet, true))
             .unwrap()
             .slice;
         let b = s
-            .place(&ctx_for(&gpu, &catalog), &view(ModelId::MobileNet, false))
+            .place(&ctx_for(&gpu), &view(ModelId::MobileNet, false))
             .unwrap()
             .slice;
         assert_ne!(a, b);
@@ -379,15 +374,14 @@ mod tests {
 
     #[test]
     fn smart_straw_man_isolates_classes() {
-        let catalog = Catalog::new();
         let gpu = gpu_for(Baseline::SmartMpsMig);
         let mut s = Baseline::SmartMpsMig.build(0);
         let strict = s
-            .place(&ctx_for(&gpu, &catalog), &view(ModelId::ResNet50, true))
+            .place(&ctx_for(&gpu), &view(ModelId::ResNet50, true))
             .unwrap()
             .slice;
         let be = s
-            .place(&ctx_for(&gpu, &catalog), &view(ModelId::MobileNet, false))
+            .place(&ctx_for(&gpu), &view(ModelId::MobileNet, false))
             .unwrap()
             .slice;
         assert_eq!(strict, 0, "strict takes the 4g");
@@ -396,37 +390,35 @@ mod tests {
 
     #[test]
     fn naive_slicing_balances_by_memory_ratio() {
-        let catalog = Catalog::new();
         let mut gpu = gpu_for(Baseline::NaiveSlicing);
         let mut s = Baseline::NaiveSlicing.build(0);
         // Occupy the 4g to 50%: next ShuffleNet (2.5 GB) should go to an
         // emptier slice.
         occupy(&mut gpu, 0, 1, 10.0);
         let p = s
-            .place(&ctx_for(&gpu, &catalog), &view(ModelId::ShuffleNetV2, true))
+            .place(&ctx_for(&gpu), &view(ModelId::ShuffleNetV2, true))
             .unwrap()
             .slice;
         assert_ne!(p, 0);
         // DPN 92 (13.7 GB) no longer fits anywhere: 4g has 10 GB free.
         assert!(s
-            .place(&ctx_for(&gpu, &catalog), &view(ModelId::Dpn92, true))
+            .place(&ctx_for(&gpu), &view(ModelId::Dpn92, true))
             .is_none());
     }
 
     #[test]
     fn gpulet_caps_scale_fbr_and_solo() {
-        let catalog = Catalog::new();
         let gpu = gpu_for(Baseline::Gpulet);
         let mut s = Baseline::Gpulet.build(0);
         let strict = s
-            .place(&ctx_for(&gpu, &catalog), &view(ModelId::ResNet50, true))
+            .place(&ctx_for(&gpu), &view(ModelId::ResNet50, true))
             .unwrap();
         assert!(strict.solo_scale > 1.0, "capped SMs must slow the job");
         // Bandwidth rate drops only by the compute stretch (bandwidth
         // itself is not partitioned by SM caps).
         assert!((strict.fbr_scale - 1.0 / strict.solo_scale).abs() < 1e-12);
         let be = s
-            .place(&ctx_for(&gpu, &catalog), &view(ModelId::MobileNet, false))
+            .place(&ctx_for(&gpu), &view(ModelId::MobileNet, false))
             .unwrap();
         // The BE cap (37.5% of SMs) stretches BE jobs more than the
         // strict cap stretches strict jobs of the same sensitivity.

@@ -13,7 +13,7 @@ use protean_experiments::scenario::{self, ScenarioError, ScenarioSpec, TraceSour
 use protean_experiments::{run_scheme, schemes};
 use protean_gpu::{find_placement, Geometry};
 use protean_metrics::record::Class;
-use protean_models::catalog;
+use protean_models::PROFILES;
 
 use crate::args::{ArgError, Args};
 
@@ -200,8 +200,7 @@ pub fn simulate(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
         row.result.cold_starts,
     )?;
     if args.get_or("per-model", false)? {
-        let cat = catalog();
-        let slo = SimulationResult::slo_fn(&cat, config.slo_multiplier);
+        let slo = SimulationResult::slo_fn(config.slo_multiplier);
         let rows: Vec<Vec<String>> = row
             .result
             .metrics
@@ -248,9 +247,7 @@ pub fn compare(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
 /// `catalog`: the 22 workload models.
 pub fn catalog_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     args.reject_unknown(&[])?;
-    let cat = catalog();
-    let rows: Vec<Vec<String>> = cat
-        .profiles()
+    let rows: Vec<Vec<String>> = PROFILES
         .iter()
         .map(|p| {
             vec![
@@ -313,8 +310,7 @@ pub fn replay(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
         trace.duration()
     )?;
     let result = run_simulation_on(&run.config, scheme_of(&spec).as_ref(), trace);
-    let cat = catalog();
-    let slo = SimulationResult::slo_fn(&cat, run.config.slo_multiplier);
+    let slo = SimulationResult::slo_fn(run.config.slo_multiplier);
     let p99 = |class| result.metrics.latency_percentile_ms(class, 0.99);
     writeln!(
         out,
@@ -520,7 +516,7 @@ mod tests {
             duration: SimDuration::from_secs(60.0),
             strict_model: model,
             strict_fraction: 0.5,
-            be_pool: catalog().opposite_pool(model),
+            be_pool: model.opposite_pool(),
             be_rotation_period: SimDuration::from_secs(20.0),
             batch_arrivals: true,
         };
@@ -564,6 +560,21 @@ mod tests {
         .unwrap();
         assert!(catalog_cmd(&bad, &mut io::sink()).is_err());
     }
+
+    #[test]
+    fn catalog_and_geometries_text_is_pinned() {
+        // The catalog's batch size, memory and 7g time columns reach no
+        // other pinned output (Fig. 3's row prints only the FBRs).
+        use protean_experiments::golden::fnv1a;
+        let none = Args::parse(Vec::new()).unwrap();
+        let mut text = Vec::new();
+        catalog_cmd(&none, &mut text).unwrap();
+        assert_eq!(fnv1a(&text), 981571471990131221, "catalog");
+        text.clear();
+        geometries(&none, &mut text).unwrap();
+        assert_eq!(fnv1a(&text), 14489009130334285726, "geometries");
+    }
+
     #[test]
     fn compare_rejects_scheme_flag_and_replay_requires_file() {
         let a = Args::parse(

@@ -563,10 +563,7 @@ mod tests {
     }
 
     fn dummy_ledger() -> VmLedger {
-        VmLedger::new(
-            protean_spot::PricingTable::paper_table3(),
-            protean_spot::Provider::Aws,
-        )
+        VmLedger::new(protean_spot::Provider::Aws)
     }
 
     /// A ledger that absorbed a misuse edge (here: close of a VM that was

@@ -58,9 +58,9 @@ impl Pool {
         self.prewarmed += count as u64;
     }
 
-    /// Requests a container for a sealed batch at `now` (reactive
-    /// scale-up: one container per batch).
-    pub fn acquire(&mut self, _now: SimTime) -> Acquire {
+    /// Requests a container for a sealed batch (reactive scale-up: one
+    /// container per batch).
+    pub fn acquire(&mut self) -> Acquire {
         if self.warm.pop().is_some() {
             self.busy += 1;
             Acquire::Warm
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn cold_start_then_warm_reuse() {
         let mut p = Pool::new();
-        assert_eq!(p.acquire(SimTime::ZERO), Acquire::ColdStarted);
+        assert_eq!(p.acquire(), Acquire::ColdStarted);
         assert_eq!(p.cold_starts(), 1);
         p.boot_done(SimTime::from_secs(5.0), true);
         assert_eq!(p.busy_count(), 1);
@@ -190,7 +190,7 @@ mod tests {
         p.release(SimTime::from_secs(6.0), false);
         assert_eq!(p.warm_count(), 1);
         // Next acquire is warm — no new cold start.
-        assert_eq!(p.acquire(SimTime::from_secs(7.0)), Acquire::Warm);
+        assert_eq!(p.acquire(), Acquire::Warm);
         assert_eq!(p.cold_starts(), 1);
     }
 
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn boot_done_without_waiter_parks_warm() {
         let mut p = Pool::new();
-        p.acquire(SimTime::ZERO);
+        p.acquire();
         p.boot_done(SimTime::from_secs(5.0), false);
         assert_eq!(p.warm_count(), 1);
         assert_eq!(p.busy_count(), 0);
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn release_with_reuse_keeps_busy() {
         let mut p = Pool::new();
-        p.acquire(SimTime::ZERO);
+        p.acquire();
         p.boot_done(SimTime::from_secs(1.0), true);
         p.release(SimTime::from_secs(2.0), true);
         assert_eq!(p.busy_count(), 1);
@@ -231,15 +231,15 @@ mod tests {
         p.boot_done(SimTime::from_secs(5.0), false);
         assert_eq!(p.warm_count(), 1);
         // The pre-booted container serves the next batch warm.
-        assert_eq!(p.acquire(SimTime::from_secs(6.0)), Acquire::Warm);
+        assert_eq!(p.acquire(), Acquire::Warm);
         assert_eq!(p.cold_starts(), 0);
     }
 
     #[test]
     fn delayed_termination_reclaims_only_stale() {
         let mut p = Pool::new();
-        p.acquire(SimTime::ZERO);
-        p.acquire(SimTime::ZERO);
+        p.acquire();
+        p.acquire();
         p.boot_done(SimTime::from_secs(1.0), false); // warm since t=1
         p.boot_done(SimTime::from_secs(105.0), false); // warm since t=105
         let keep = SimDuration::from_secs(600.0);

@@ -3,7 +3,7 @@
 //! [`crate::event_loop`].
 
 use protean_metrics::MetricsSet;
-use protean_models::{Catalog, ModelId};
+use protean_models::ModelId;
 use protean_sim::{RngFactory, SimDuration, SimTime, TimeSeries};
 use protean_spot::{ProcurementPolicy, Provider, SpotAvailability, SpotMarket, SpotOracle};
 use protean_trace::{Trace, TraceConfig};
@@ -337,8 +337,8 @@ pub struct SimulationResult {
 
 impl SimulationResult {
     /// The per-model SLO deadline function for this run's multiplier.
-    pub fn slo_fn(catalog: &Catalog, multiplier: f64) -> impl Fn(ModelId) -> SimDuration + '_ {
-        move |m| catalog.profile(m).slo_with_multiplier(multiplier)
+    pub fn slo_fn(multiplier: f64) -> impl Fn(ModelId) -> SimDuration {
+        move |m| m.profile().slo_with_multiplier(multiplier)
     }
 }
 
@@ -480,8 +480,7 @@ mod tests {
         config.cold_start = SimDuration::from_secs(2.0);
         let t = trace(100.0, 40.0, 0.5);
         let result = run_simulation(&config, &AlwaysLargest, &t);
-        let catalog = Catalog::new();
-        let slo = |m: ModelId| catalog.profile(m).slo();
+        let slo = |m: ModelId| m.profile().slo();
         let compliance = result.metrics.slo_compliance(&slo);
         assert!(compliance > 0.9, "compliance {compliance}");
         assert_eq!(result.cost.evictions, 0);
@@ -762,7 +761,7 @@ mod tests {
         let result = run_simulation(&config, &AlwaysLargest, &t);
         // 8 spot workers for the whole run would cost:
         let full = 8.0 * (t.duration + DRAIN_GRACE).as_secs_f64() / 3600.0
-            * protean_spot::PricingTable::paper_table3().worker_price(Provider::Aws, VmTier::Spot);
+            * Provider::Aws.worker_price(VmTier::Spot);
         assert!(
             result.cost.total_usd < full * 0.9,
             "cost {} vs full {}",

@@ -43,9 +43,9 @@ use std::collections::{BTreeMap, VecDeque};
 use protean_gpu::{Completion, JobId, JobSpec};
 use protean_metrics::record::Class;
 use protean_metrics::{BatchRecord, MetricsSet};
-use protean_models::{Catalog, ModelId};
+use protean_models::ModelId;
 use protean_sim::{EventKey, KeyedEventQueue, RngFactory, SimRng, SimTime, TimeSeries};
-use protean_spot::{PricingTable, ProcurementPolicy, SpotOracle, VmId, VmLedger, VmTier};
+use protean_spot::{ProcurementPolicy, SpotOracle, VmId, VmLedger, VmTier};
 use protean_trace::{Run, Trace, TraceConfig};
 
 use crate::audit::Auditor;
@@ -238,7 +238,6 @@ impl Observers {
 /// The engine: the whole cluster's state plus the event queue.
 struct EventLoop<'a> {
     config: &'a ClusterConfig,
-    catalog: &'a Catalog,
     market: &'a mut dyn SpotOracle,
     ledger: VmLedger,
     /// The fleet, indexed by global worker id.
@@ -303,7 +302,6 @@ impl Iterator for Draining {
 impl<'a> EventLoop<'a> {
     fn new(
         config: &'a ClusterConfig,
-        catalog: &'a Catalog,
         scheme: &dyn SchemeBuilder,
         market: &'a mut dyn SpotOracle,
     ) -> Self {
@@ -311,9 +309,8 @@ impl<'a> EventLoop<'a> {
         let factory = RngFactory::new(config.seed);
         EventLoop {
             config,
-            catalog,
             market,
-            ledger: VmLedger::new(PricingTable::paper_table3(), config.provider),
+            ledger: VmLedger::new(config.provider),
             workers: (0..config.workers)
                 .map(|g| Worker::new(g, scheme.build(g), SimTime::ZERO))
                 .collect(),
@@ -491,7 +488,7 @@ impl<'a> EventLoop<'a> {
     /// leaves it open arms its window, so a whole-batch arrival arms none.
     fn dispatch(&mut self, run: Run) {
         self.stats.arrivals += u64::from(run.len);
-        let batch_size = self.catalog.profile(run.model).batch_size;
+        let batch_size = run.model.profile().batch_size;
         let key = (run.model, run.strict);
         let mut left = run.len;
         while left > 0 {
@@ -546,7 +543,7 @@ impl<'a> EventLoop<'a> {
         self.stats.dispatch_batches += 1;
         let cap = match self.dispatch_policy {
             DispatchPolicy::Consolidate { cap_batches } => {
-                Some(cap_batches * u64::from(self.catalog.profile(batch.model).batch_size))
+                Some(cap_batches * u64::from(batch.model.profile().batch_size))
             }
             DispatchPolicy::LoadBalance => None,
         };
@@ -568,7 +565,7 @@ impl<'a> EventLoop<'a> {
         });
         let model = batch.model;
         let w = &mut self.workers[g];
-        match w.acquire_container(batch, self.now, self.catalog) {
+        match w.acquire_container(batch) {
             Acquire::Warm => self.try_place(g),
             Acquire::ColdStarted => {
                 let vm_epoch = w.vm_epoch;
@@ -597,7 +594,7 @@ impl<'a> EventLoop<'a> {
             self.stats.stale_boot_events += 1;
             return;
         }
-        if w.boot_done(model, self.now, self.catalog) {
+        if w.boot_done(model, self.now) {
             self.try_place(g);
         }
     }
@@ -626,7 +623,7 @@ impl<'a> EventLoop<'a> {
             }
         };
         let batch_id = BatchId(finished.spec.id.0);
-        let Some(running) = w.finish_running(batch_id, now, self.catalog) else {
+        let Some(running) = w.finish_running(batch_id, now) else {
             return;
         };
         // Re-arm the slice's single live finish event for the jobs still
@@ -706,7 +703,6 @@ impl<'a> EventLoop<'a> {
     /// skipped ([`Worker::offer`]).
     fn try_place(&mut self, g: usize) {
         let config = self.config;
-        let catalog = self.catalog;
         let now = self.now;
         // Take the scratch buffer so the loop body can borrow `self`
         // mutably; restored before returning. The loop runs on every
@@ -735,7 +731,7 @@ impl<'a> EventLoop<'a> {
             let mut placed_any = false;
             for &(batch_id, view) in &views {
                 self.stats.place_offers += 1;
-                let offer = self.workers[g].offer(&view, now, catalog, config.audit);
+                let offer = self.workers[g].offer(&view, now, config.audit);
                 let p = match offer {
                     Offer::Place(p) => p,
                     Offer::Decline => continue,
@@ -754,7 +750,7 @@ impl<'a> EventLoop<'a> {
                         .slice_out_of_range(now, batch_id, g, p.slice, slices);
                     continue;
                 }
-                let profile = catalog.profile(view.model);
+                let profile = view.model.profile();
                 let slice_profile = self.workers[g].gpu.slice(p.slice).profile();
                 // Inference batch latency is affine in batch size (see
                 // ModelProfile::fill_factor), so partial (window-sealed)
@@ -790,7 +786,7 @@ impl<'a> EventLoop<'a> {
                 };
                 let batch = w
                     .sched_queue
-                    .remove(batch_id, profile.mem_gb)
+                    .remove(batch_id)
                     .expect("placed batch was queued");
                 w.start_running(RunningBatch {
                     batch,
@@ -857,7 +853,7 @@ impl<'a> EventLoop<'a> {
             let agenda = &mut self.agenda;
             let observers = &mut self.observers;
             let vm_epoch = w.vm_epoch;
-            let desired = w.monitor_tick(now, config, self.catalog, |model| {
+            let desired = w.monitor_tick(now, config, |model| {
                 observers.emit(now, JournalEvent::ProactiveBoot { worker: g, model });
                 agenda.push(
                     now + config.cold_start,
@@ -1060,7 +1056,7 @@ impl<'a> EventLoop<'a> {
         let measure_from = SimTime::ZERO + self.config.warmup;
         let (mut batches, mut entries) = (0, 0);
         for r in runs.iter().filter(|r| r.arrival >= measure_from) {
-            let batch_size = self.catalog.profile(r.model).batch_size.max(1);
+            let batch_size = r.model.profile().batch_size.max(1);
             batches += (r.len / batch_size) as usize;
             entries += r.len.div_ceil(batch_size) as usize;
         }
@@ -1178,8 +1174,7 @@ fn run(
     oracle: &mut dyn SpotOracle,
     drive: impl FnOnce(&mut EventLoop<'_>),
 ) -> SimulationResult {
-    let catalog = Catalog::new();
-    let mut engine = EventLoop::new(config, &catalog, scheme, oracle);
+    let mut engine = EventLoop::new(config, scheme, oracle);
     engine.provision_initial_vms();
     drive(&mut engine);
     engine.finish(scheme.name().to_string())

@@ -1,7 +1,7 @@
 //! The scheduling-policy abstraction every evaluated scheme implements.
 
 use protean_gpu::{Geometry, Gpu, SharingMode};
-use protean_models::{Catalog, ModelId};
+use protean_models::ModelId;
 use protean_sim::SimTime;
 
 /// What a scheme sees of a batch when placing it.
@@ -43,7 +43,9 @@ impl Placement {
     }
 }
 
-/// Context handed to [`Scheme::place`].
+/// Context handed to [`Scheme::place`]. A batch's profiled quantities
+/// (memory, solo time, FBR, RDF) are `batch.model.profile()`
+/// ([`ModelId::profile`]).
 #[derive(Debug)]
 pub struct PlacementCtx<'a> {
     /// Current simulated time.
@@ -54,11 +56,10 @@ pub struct PlacementCtx<'a> {
     /// this worker's scheduler queue — the `BE_mem` input of
     /// Algorithm 1.
     pub queued_be_mem_gb: f64,
-    /// The workload catalog.
-    pub catalog: &'a Catalog,
 }
 
 /// Context handed to [`Scheme::reconfigure`] every monitor interval.
+/// The best-effort model's profile is `be_model.map(ModelId::profile)`.
 #[derive(Debug)]
 pub struct ReconfigCtx<'a> {
     /// Current simulated time.
@@ -72,8 +73,6 @@ pub struct ReconfigCtx<'a> {
     pub window_strict_requests: u64,
     /// The most recent best-effort model seen at this worker.
     pub be_model: Option<ModelId>,
-    /// The workload catalog.
-    pub catalog: &'a Catalog,
 }
 
 /// A request-serving policy under evaluation (PROTEAN or a baseline).
@@ -212,14 +211,12 @@ mod tests {
             SharingMode::Mps,
             SimTime::ZERO,
         );
-        let catalog = Catalog::new();
         let ctx = ReconfigCtx {
             now: SimTime::ZERO,
             gpu: &gpu,
             window_be_requests: 0,
             window_strict_requests: 0,
             be_model: None,
-            catalog: &catalog,
         };
         assert!(s.reconfigure(&ctx).is_none());
     }

@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 
 use protean_gpu::{Geometry, Gpu};
-use protean_models::{Catalog, ModelId};
+use protean_models::ModelId;
 use protean_sim::{Ewma, SimTime, SlimPush};
 use protean_spot::{VmId, VmTier};
 
@@ -68,14 +68,15 @@ impl SchedQueue {
         }
     }
 
-    /// Enqueues a batch; `mem_gb` is its per-batch memory footprint.
-    pub fn push(&mut self, batch: Batch, mem_gb: f64) {
+    /// Enqueues a batch; a best-effort one adds its model's per-batch
+    /// memory footprint to the queued total.
+    pub fn push(&mut self, batch: Batch) {
         let seq = self.seq;
         self.seq += 1;
         if batch.strict {
             self.strict.slim_push((seq, batch));
         } else {
-            self.be_mem_gb += mem_gb;
+            self.be_mem_gb += batch.model.profile().mem_gb;
             self.best_effort.slim_push((seq, batch));
         }
     }
@@ -126,20 +127,15 @@ impl SchedQueue {
         }
     }
 
-    /// Removes the batch with `id`; `mem_gb` must match the value given
-    /// at push time. Returns the batch if present.
-    pub fn remove(&mut self, id: BatchId, mem_gb: f64) -> Option<Batch> {
+    /// Removes the batch with `id`, if present, and returns it.
+    pub fn remove(&mut self, id: BatchId) -> Option<Batch> {
         if let Some(pos) = self.strict.iter().position(|(_, b)| b.id == id) {
             return self.strict.remove(pos).map(|(_, b)| b);
         }
-        if let Some(pos) = self.best_effort.iter().position(|(_, b)| b.id == id) {
-            let removed = self.best_effort.remove(pos).map(|(_, b)| b);
-            if removed.is_some() {
-                self.be_mem_gb = (self.be_mem_gb - mem_gb).max(0.0);
-            }
-            return removed;
-        }
-        None
+        let pos = self.best_effort.iter().position(|(_, b)| b.id == id)?;
+        let (_, removed) = self.best_effort.remove(pos)?;
+        self.be_mem_gb = (self.be_mem_gb - removed.model.profile().mem_gb).max(0.0);
+        Some(removed)
     }
 
     /// Total queued batches.
@@ -375,20 +371,13 @@ impl Worker {
     /// `recheck` (the audit) it is made anyway and its answer reported.
     /// A chosen slice voids every memoised decline: the scheme may have
     /// moved a cursor, and the engine draws from its jitter stream.
-    pub(crate) fn offer(
-        &mut self,
-        view: &BatchView,
-        now: SimTime,
-        catalog: &Catalog,
-        recheck: bool,
-    ) -> Offer {
+    pub(crate) fn offer(&mut self, view: &BatchView, now: SimTime, recheck: bool) -> Offer {
         let queued_be_mem_gb = self.sched_queue.be_mem_gb();
         let key = (self.gpu.version(), queued_be_mem_gb.to_bits());
         let ctx = PlacementCtx {
             now,
             gpu: &self.gpu,
             queued_be_mem_gb,
-            catalog,
         };
         if let Some(memo) = &self.memo {
             if memo.key == key && memo.views.contains(view) {
@@ -442,17 +431,11 @@ impl Worker {
 
     /// Gives a batch a container (reactive scale-up, §4.2): a warm one
     /// queues it for placement, a cold start parks it until `boot_done`.
-    pub(crate) fn acquire_container(
-        &mut self,
-        batch: Batch,
-        now: SimTime,
-        catalog: &Catalog,
-    ) -> Acquire {
-        let mem = catalog.profile(batch.model).mem_gb;
+    pub(crate) fn acquire_container(&mut self, batch: Batch) -> Acquire {
         let state = ModelState::of(&mut self.models, batch.model);
-        let acquired = state.pool.acquire(now);
+        let acquired = state.pool.acquire();
         match acquired {
-            Acquire::Warm => self.sched_queue.push(batch, mem),
+            Acquire::Warm => self.sched_queue.push(batch),
             Acquire::ColdStarted => state.waiting.slim_push(batch),
         }
         acquired
@@ -460,7 +443,7 @@ impl Worker {
 
     /// A boot for `model` finished: the oldest waiting batch takes the
     /// container and is queued (`true`), or the container parks warm.
-    pub(crate) fn boot_done(&mut self, model: ModelId, now: SimTime, catalog: &Catalog) -> bool {
+    pub(crate) fn boot_done(&mut self, model: ModelId, now: SimTime) -> bool {
         let state = ModelState::of(&mut self.models, model);
         let waiting = state.waiting.pop_front();
         state.pool.boot_done(now, waiting.is_some());
@@ -468,7 +451,7 @@ impl Worker {
             return false;
         };
         batch.cold_wait_ms = now.saturating_since(batch.sealed_at).as_millis_f64();
-        self.sched_queue.push(batch, catalog.profile(model).mem_gb);
+        self.sched_queue.push(batch);
         true
     }
 
@@ -480,23 +463,17 @@ impl Worker {
     /// Completes running batch `id`, if any: its requests stop being
     /// outstanding, and its container passes to the oldest waiting batch
     /// of its model (queued) or parks warm.
-    pub(crate) fn finish_running(
-        &mut self,
-        id: BatchId,
-        now: SimTime,
-        catalog: &Catalog,
-    ) -> Option<RunningBatch> {
+    pub(crate) fn finish_running(&mut self, id: BatchId, now: SimTime) -> Option<RunningBatch> {
         let pos = self.running.iter().position(|rb| rb.batch.id == id)?;
         let done = self.running.remove(pos);
         self.outstanding = self
             .outstanding
             .saturating_sub(u64::from(done.batch.size()));
-        let model = done.batch.model;
-        let state = ModelState::of(&mut self.models, model);
+        let state = ModelState::of(&mut self.models, done.batch.model);
         let next = state.waiting.pop_front();
         state.pool.release(now, next.is_some());
         if let Some(batch) = next {
-            self.sched_queue.push(batch, catalog.profile(model).mem_gb);
+            self.sched_queue.push(batch);
         }
         Some(done)
     }
@@ -510,7 +487,6 @@ impl Worker {
         &mut self,
         now: SimTime,
         config: &ClusterConfig,
-        catalog: &Catalog,
         mut boot: impl FnMut(ModelId),
     ) -> Option<Geometry> {
         let prewarm = config.predictive_prewarm && self.routable();
@@ -537,7 +513,6 @@ impl Worker {
             window_be_requests: self.window_be,
             window_strict_requests: self.window_strict,
             be_model: self.last_be_model,
-            catalog,
         };
         let desired = self.scheme.reconfigure(&ctx);
         // `reconfigure` is where scheme state may change.
@@ -650,21 +625,22 @@ mod tests {
     #[test]
     fn reordering_queue_serves_strict_first() {
         let mut q = SchedQueue::new(true);
-        q.push(batch(1, false), 4.0);
-        q.push(batch(2, true), 0.0);
-        q.push(batch(3, false), 4.0);
-        q.push(batch(4, true), 0.0);
+        q.push(batch(1, false));
+        q.push(batch(2, true));
+        q.push(batch(3, false));
+        q.push(batch(4, true));
         let order: Vec<u64> = candidates(&q, 10).iter().map(|b| b.id.0).collect();
         assert_eq!(order, vec![2, 4, 1, 3]);
-        assert_eq!(q.be_mem_gb(), 8.0);
+        // Two best-effort ResNet 50 batches at 6 GB each.
+        assert_eq!(q.be_mem_gb(), 12.0);
     }
 
     #[test]
     fn fifo_queue_preserves_arrival_order() {
         let mut q = SchedQueue::new(false);
-        q.push(batch(1, false), 4.0);
-        q.push(batch(2, true), 0.0);
-        q.push(batch(3, false), 4.0);
+        q.push(batch(1, false));
+        q.push(batch(2, true));
+        q.push(batch(3, false));
         let order: Vec<u64> = candidates(&q, 10).iter().map(|b| b.id.0).collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
@@ -672,11 +648,11 @@ mod tests {
     #[test]
     fn remove_updates_be_memory() {
         let mut q = SchedQueue::new(true);
-        q.push(batch(1, false), 4.0);
-        q.push(batch(2, true), 0.0);
-        assert!(q.remove(BatchId(1), 4.0).is_some());
+        q.push(batch(1, false));
+        q.push(batch(2, true));
+        assert!(q.remove(BatchId(1)).is_some());
         assert_eq!(q.be_mem_gb(), 0.0);
-        assert!(q.remove(BatchId(99), 4.0).is_none());
+        assert!(q.remove(BatchId(99)).is_none());
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
     }
@@ -685,7 +661,7 @@ mod tests {
     fn candidates_respects_depth_per_class() {
         let mut q = SchedQueue::new(true);
         for i in 0..10 {
-            q.push(batch(i, i % 2 == 0), 1.0);
+            q.push(batch(i, i % 2 == 0));
         }
         // Reordering mode inspects up to `depth` strict plus up to
         // `depth` best-effort batches, strict first.
@@ -696,7 +672,7 @@ mod tests {
         // FIFO mode respects the depth strictly.
         let mut f = SchedQueue::new(false);
         for i in 0..10 {
-            f.push(batch(i, i % 2 == 0), 1.0);
+            f.push(batch(i, i % 2 == 0));
         }
         assert_eq!(candidates(&f, 3).len(), 3);
     }
@@ -704,8 +680,8 @@ mod tests {
     #[test]
     fn drain_all_batches_empties_worker() {
         let mut w = Worker::new(0, Box::new(AlwaysLargest), SimTime::ZERO);
-        w.sched_queue.push(batch(1, true), 0.0);
-        w.sched_queue.push(batch(2, false), 4.0);
+        w.sched_queue.push(batch(1, true));
+        w.sched_queue.push(batch(2, false));
         w.outstanding = 2;
         let reqs = w.drain_all_batches();
         assert_eq!(reqs.len(), 2);
@@ -715,7 +691,6 @@ mod tests {
 
     #[test]
     fn drain_order_is_waits_by_model_then_queue_then_running() {
-        let catalog = Catalog::new();
         let mut w = Worker::new(0, Box::new(AlwaysLargest), SimTime::ZERO);
         let of = |id, model| Batch {
             model,
@@ -728,10 +703,10 @@ mod tests {
             (2, ModelId::ResNet50),
             (3, ModelId::Vgg19),
         ] {
-            let acquired = w.acquire_container(of(id, model), SimTime::ZERO, &catalog);
+            let acquired = w.acquire_container(of(id, model));
             assert_eq!(acquired, Acquire::ColdStarted);
         }
-        w.sched_queue.push(batch(4, true), 0.0);
+        w.sched_queue.push(batch(4, true));
         for id in [6, 5] {
             w.start_running(RunningBatch {
                 batch: batch(id, true),
@@ -751,20 +726,18 @@ mod tests {
 
     #[test]
     fn containers_hand_over_to_waiting_batches_in_arrival_order() {
-        let catalog = Catalog::new();
         let mut w = Worker::new(0, Box::new(AlwaysLargest), SimTime::ZERO);
-        w.acquire_container(batch(1, false), SimTime::ZERO, &catalog);
-        w.acquire_container(batch(2, false), SimTime::ZERO, &catalog);
+        w.acquire_container(batch(1, false));
+        w.acquire_container(batch(2, false));
         // The first boot serves the oldest waiter and records its wait.
-        assert!(w.boot_done(ModelId::ResNet50, SimTime::from_secs(2.0), &catalog));
+        assert!(w.boot_done(ModelId::ResNet50, SimTime::from_secs(2.0)));
         let queued = candidates(&w.sched_queue, 10);
         assert_eq!(queued.len(), 1);
         assert_eq!(queued[0].id, BatchId(1));
         assert_eq!(queued[0].cold_wait_ms, 2000.0);
         // A finishing batch hands its container to the next waiter; the
         // late boot then finds nobody waiting and parks warm.
-        let mem = catalog.profile(ModelId::ResNet50).mem_gb;
-        let running = w.sched_queue.remove(BatchId(1), mem).unwrap();
+        let running = w.sched_queue.remove(BatchId(1)).unwrap();
         w.start_running(RunningBatch {
             batch: running,
             slice: 0,
@@ -774,10 +747,10 @@ mod tests {
         });
         w.outstanding = 2;
         let t3 = SimTime::from_secs(3.0);
-        assert!(w.finish_running(BatchId(1), t3, &catalog).is_some());
-        assert!(w.finish_running(BatchId(1), t3, &catalog).is_none());
+        assert!(w.finish_running(BatchId(1), t3).is_some());
+        assert!(w.finish_running(BatchId(1), t3).is_none());
         assert_eq!(w.outstanding, 1);
-        assert!(!w.boot_done(ModelId::ResNet50, SimTime::from_secs(4.0), &catalog));
+        assert!(!w.boot_done(ModelId::ResNet50, SimTime::from_secs(4.0)));
         let (_, pool) = w.containers().next().unwrap();
         assert_eq!((pool.busy_count(), pool.warm_count()), (1, 1));
         assert_eq!(pool.cold_starts(), 2);
@@ -789,20 +762,23 @@ mod tests {
         /// batches and `candidates` covers the whole queue at full depth.
         #[test]
         fn prop_queue_conserves_batches_and_memory(
-            ops in proptest::collection::vec((proptest::bool::ANY, 0.5f64..8.0), 1..60),
+            ops in proptest::collection::vec(
+                (proptest::bool::ANY, proptest::sample::select(ModelId::ALL.to_vec())),
+                1..60,
+            ),
             reorders in proptest::bool::ANY,
         ) {
             let mut q = SchedQueue::new(reorders);
             let mut live: Vec<(u64, bool, f64)> = Vec::new();
-            for (next_id, (strict, mem)) in ops.into_iter().enumerate() {
+            for (next_id, (strict, model)) in ops.into_iter().enumerate() {
                 let next_id = next_id as u64;
                 // Alternate pushes with occasional removals.
                 if next_id % 3 == 2 && !live.is_empty() {
-                    let (id, _, m) = live.remove(0);
-                    proptest::prop_assert!(q.remove(BatchId(id), m).is_some());
+                    let (id, _, _) = live.remove(0);
+                    proptest::prop_assert!(q.remove(BatchId(id)).is_some());
                 } else {
-                    q.push(batch(next_id, strict), mem);
-                    live.push((next_id, strict, mem));
+                    q.push(Batch { model, ..batch(next_id, strict) });
+                    live.push((next_id, strict, model.profile().mem_gb));
                 }
                 let expected_be: f64 = live
                     .iter()
@@ -815,8 +791,8 @@ mod tests {
                 proptest::prop_assert_eq!(candidates(&q, live.len().max(1)).len(), live.len());
             }
             // Drain and verify every live batch is still present.
-            for (id, _, m) in live {
-                proptest::prop_assert!(q.remove(BatchId(id), m).is_some());
+            for (id, _, _) in live {
+                proptest::prop_assert!(q.remove(BatchId(id)).is_some());
             }
             proptest::prop_assert!(q.is_empty());
         }
@@ -824,20 +800,19 @@ mod tests {
 
     #[test]
     fn buffers_that_held_one_entry_hold_one_slot() {
-        let catalog = Catalog::new();
         let mut w = Worker::new(0, Box::new(AlwaysLargest), SimTime::ZERO);
         let at = SimTime::from_secs;
         // A strict batch waits for a cold container; a best-effort batch
         // then takes it warm. Each queues, runs and finishes alone.
-        let cold = w.acquire_container(batch(1, true), at(0.0), &catalog);
+        let cold = w.acquire_container(batch(1, true));
         assert_eq!(cold, Acquire::ColdStarted);
-        assert!(w.boot_done(ModelId::ResNet50, at(1.0), &catalog));
-        for (id, mem) in [(1, 0.0), (2, catalog.profile(ModelId::ResNet50).mem_gb)] {
+        assert!(w.boot_done(ModelId::ResNet50, at(1.0)));
+        for id in [1, 2] {
             if id == 2 {
-                let warm = w.acquire_container(batch(2, false), at(2.0), &catalog);
+                let warm = w.acquire_container(batch(2, false));
                 assert_eq!(warm, Acquire::Warm);
             }
-            let queued = w.sched_queue.remove(BatchId(id), mem).unwrap();
+            let queued = w.sched_queue.remove(BatchId(id)).unwrap();
             w.start_running(RunningBatch {
                 batch: queued,
                 slice: 0,
@@ -846,7 +821,7 @@ mod tests {
                 solo_7g_ms: 1.0,
             });
             w.outstanding += 1;
-            assert!(w.finish_running(BatchId(id), at(3.0), &catalog).is_some());
+            assert!(w.finish_running(BatchId(id), at(3.0)).is_some());
         }
         let state = &w.models[0];
         let slots = [
@@ -860,7 +835,7 @@ mod tests {
         assert_eq!(slots, [1; 5]);
         // The decline memo holds one slot per declined view.
         let (mut w, _) = busy_worker();
-        w.offer(&view(true, 1), at(0.0), &catalog, false);
+        w.offer(&view(true, 1), at(0.0), false);
         assert_eq!(w.memo.as_ref().unwrap().views.capacity(), 1);
     }
 
@@ -919,25 +894,24 @@ mod tests {
 
     #[test]
     fn offer_memoises_declines_until_the_slice_state_changes() {
-        let catalog = Catalog::new();
         let now = SimTime::ZERO;
         let (mut w, n) = busy_worker();
         let calls = || n.load(Ordering::Relaxed);
         let (a, b) = (view(true, 1), view(true, 2));
-        assert_eq!(w.offer(&a, now, &catalog, false), Offer::Decline);
+        assert_eq!(w.offer(&a, now, false), Offer::Decline);
         assert_eq!(calls(), 1);
         let skip = Offer::Skip {
             contradicted: false,
         };
-        assert_eq!(w.offer(&a, now, &catalog, false), skip);
+        assert_eq!(w.offer(&a, now, false), skip);
         assert_eq!(calls(), 1, "a memoised decline is not re-asked");
         // Another view is asked; the recheck asks, and agrees.
-        assert_eq!(w.offer(&b, now, &catalog, false), Offer::Decline);
-        assert_eq!(w.offer(&a, now, &catalog, true), skip);
+        assert_eq!(w.offer(&b, now, false), Offer::Decline);
+        assert_eq!(w.offer(&a, now, true), skip);
         assert_eq!(calls(), 3);
         // Queued best-effort memory is part of the key.
-        w.sched_queue.push(batch(7, false), 2.0);
-        assert_eq!(w.offer(&a, now, &catalog, false), Offer::Decline);
+        w.sched_queue.push(batch(7, false));
+        assert_eq!(w.offer(&a, now, false), Offer::Decline);
         assert_eq!(calls(), 4);
         // So is the GPU's version: the finish frees slice 0.
         let done = SimTime::from_secs(1.0);
@@ -946,32 +920,31 @@ mod tests {
             .finish(done, protean_gpu::JobId(1))
             .unwrap();
         let placed = Offer::Place(Placement::on_slice(0));
-        assert_eq!(w.offer(&a, now, &catalog, false), placed);
+        assert_eq!(w.offer(&a, now, false), placed);
         assert_eq!(calls(), 5);
     }
 
     #[test]
     fn a_placement_the_monitor_tick_and_a_reset_forget_declines() {
-        let catalog = Catalog::new();
         let config = ClusterConfig::small_test();
         let now = SimTime::ZERO;
         let (mut w, n) = busy_worker();
         let strict = view(true, 1);
         let asked = |w: &mut Worker| {
             let before = n.load(Ordering::Relaxed);
-            w.offer(&strict, now, &catalog, false);
+            w.offer(&strict, now, false);
             n.load(Ordering::Relaxed) > before
         };
         assert!(asked(&mut w));
         assert!(!asked(&mut w));
         // A best-effort batch is placed without touching the GPU.
         let version = w.gpu.version();
-        let be = w.offer(&view(false, 1), now, &catalog, false);
+        let be = w.offer(&view(false, 1), now, false);
         assert_eq!(be, Offer::Place(Placement::on_slice(0)));
         assert_eq!(w.gpu.version(), version);
         assert!(asked(&mut w), "a placement voids the memo");
         assert!(!asked(&mut w));
-        w.monitor_tick(now, &config, &catalog, |_| {});
+        w.monitor_tick(now, &config, |_| {});
         assert!(asked(&mut w), "reconfigure may change what place declines");
         assert!(!asked(&mut w));
         // The fresh GPU restarts its version count: bring it back to the

@@ -140,7 +140,7 @@ pub fn choose_strict_slice(
 mod tests {
     use super::*;
     use protean_gpu::{JobId, JobSpec, SharingMode, SliceProfile};
-    use protean_models::{catalog, ModelId};
+    use protean_models::ModelId;
     use protean_sim::{SimDuration, SimTime};
 
     fn slices(profiles: &[SliceProfile]) -> Vec<Slice> {
@@ -186,15 +186,14 @@ mod tests {
     #[test]
     fn be_packing_is_first_fit_ascending() {
         let s = slices(&[SliceProfile::G4, SliceProfile::G2, SliceProfile::G1]);
-        let cat = catalog();
         // MobileNet (2 GB) goes to the 1g.
         assert_eq!(
-            choose_best_effort_slice(&s, cat.profile(ModelId::MobileNet)),
+            choose_best_effort_slice(&s, ModelId::MobileNet.profile()),
             Some(2)
         );
         // DPN 92 (13.7 GB) only fits the 4g.
         assert_eq!(
-            choose_best_effort_slice(&s, cat.profile(ModelId::Dpn92)),
+            choose_best_effort_slice(&s, ModelId::Dpn92.profile()),
             Some(0)
         );
     }
@@ -203,14 +202,13 @@ mod tests {
     fn be_packing_spills_when_small_slice_full() {
         let mut s = slices(&[SliceProfile::G4, SliceProfile::G1]);
         occupy(&mut s[1], 1, 0.1, 4.0);
-        let cat = catalog();
         assert_eq!(
-            choose_best_effort_slice(&s, cat.profile(ModelId::MobileNet)),
+            choose_best_effort_slice(&s, ModelId::MobileNet.profile()),
             Some(0)
         );
         occupy(&mut s[0], 2, 0.1, 19.0);
         assert_eq!(
-            choose_best_effort_slice(&s, cat.profile(ModelId::MobileNet)),
+            choose_best_effort_slice(&s, ModelId::MobileNet.profile()),
             None
         );
     }
@@ -218,8 +216,7 @@ mod tests {
     #[test]
     fn strict_avoids_fully_tagged_slices() {
         let s = slices(&[SliceProfile::G4, SliceProfile::G3]);
-        let cat = catalog();
-        let resnet = cat.profile(ModelId::ResNet50);
+        let resnet = ModelId::ResNet50.profile();
         // 3g fully earmarked for BE: strict must take the 4g even if the
         // 3g looks idle.
         let picked = choose_strict_slice(&s, &[0.0, 1.0], resnet, 0.3).unwrap();
@@ -231,8 +228,7 @@ mod tests {
     #[test]
     fn strict_prefers_largest_when_idle() {
         let s = slices(&[SliceProfile::G4, SliceProfile::G3, SliceProfile::G2]);
-        let cat = catalog();
-        let shuffle = cat.profile(ModelId::ShuffleNetV2);
+        let shuffle = ModelId::ShuffleNetV2.profile();
         // All idle and far below saturation: η ties at RDF; the largest
         // slice (lowest RDF) wins.
         let picked = choose_strict_slice(&s, &[0.0, 0.0, 0.0], shuffle, 0.0).unwrap();
@@ -246,8 +242,7 @@ mod tests {
         for i in 0..3 {
             occupy(&mut s[0], i, 0.5, 4.0);
         }
-        let cat = catalog();
-        let resnet = cat.profile(ModelId::ResNet50);
+        let resnet = ModelId::ResNet50.profile();
         let picked = choose_strict_slice(&s, &[0.0, 0.0], resnet, 0.0).unwrap();
         assert_eq!(picked, 1, "interference on the 4g should push to the 3g");
     }
@@ -303,8 +298,7 @@ mod tests {
             be_mem in 0.0f64..40.0,
             model_idx in 0usize..12,
         ) {
-            let cat = catalog();
-            let profile = cat.vision().nth(model_idx).expect("12 vision models");
+            let profile = protean_models::vision().nth(model_idx).expect("12 vision models");
             let slices: Vec<Slice> = protean_gpu::Geometry::g4_g2_g1()
                 .slices()
                 .iter()
@@ -334,10 +328,9 @@ mod tests {
     #[test]
     fn strict_respects_memory() {
         let s = slices(&[SliceProfile::G2, SliceProfile::G1]);
-        let cat = catalog();
         // DPN 92 (13.7 GB) fits neither slice.
         assert_eq!(
-            choose_strict_slice(&s, &[0.0, 0.0], cat.profile(ModelId::Dpn92), 0.0),
+            choose_strict_slice(&s, &[0.0, 0.0], ModelId::Dpn92.profile(), 0.0),
             None
         );
     }

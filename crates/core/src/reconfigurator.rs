@@ -173,7 +173,7 @@ fn predicted_be_mem_gb(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protean_models::{catalog, ModelId};
+    use protean_models::ModelId;
 
     /// A reconfigurator and the tunables it is called with, paired as
     /// a `Protean` pairs them.
@@ -211,8 +211,7 @@ mod tests {
 
     #[test]
     fn small_be_footprint_keeps_small_slices() {
-        let cat = catalog();
-        let mobilenet = cat.profile(ModelId::MobileNet);
+        let mobilenet = ModelId::MobileNet.profile();
         let mut r = recon();
         // A steady moderate BE stream that fits (2g, 1g).
         let mut g = Geometry::g4_g3();
@@ -224,8 +223,7 @@ mod tests {
 
     #[test]
     fn huge_be_model_forces_4g_3g() {
-        let cat = catalog();
-        let dpn = cat.profile(ModelId::Dpn92);
+        let dpn = ModelId::Dpn92.profile();
         let mut r = recon();
         // DPN 92 batches (13.7 GB) cannot fit 1g or 2g at all.
         let g = r.desired_geometry(8000, 2.0, Some(dpn));
@@ -234,8 +232,7 @@ mod tests {
 
     #[test]
     fn tiny_be_load_consolidates_on_4g_3g() {
-        let cat = catalog();
-        let mobilenet = cat.profile(ModelId::MobileNet);
+        let mobilenet = ModelId::MobileNet.profile();
         let mut r = recon();
         let g = r.desired_geometry(0, 2.0, Some(mobilenet));
         assert_eq!(g, Geometry::g4_g3());
@@ -249,8 +246,7 @@ mod tests {
 
     #[test]
     fn wait_counter_delays_reconfiguration() {
-        let cat = catalog();
-        let mobilenet = cat.profile(ModelId::MobileNet);
+        let mobilenet = ModelId::MobileNet.profile();
         let mut r = recon();
         let current = Geometry::g4_g3();
         // Sustained load that wants (4g, 2g, 1g): the first two steps
@@ -267,8 +263,7 @@ mod tests {
 
     #[test]
     fn matching_geometry_resets_counter() {
-        let cat = catalog();
-        let mobilenet = cat.profile(ModelId::MobileNet);
+        let mobilenet = ModelId::MobileNet.profile();
         let mut r = recon();
         let mismatch = Geometry::g4_g3();
         let matching = Geometry::g4_g2_g1();
@@ -288,8 +283,7 @@ mod tests {
 
     #[test]
     fn wait_limit_zero_fires_immediately() {
-        let cat = catalog();
-        let mobilenet = cat.profile(ModelId::MobileNet);
+        let mobilenet = ModelId::MobileNet.profile();
         let mut r = Tuned::new(ReconfiguratorConfig {
             wait_limit: 0,
             ewma_alpha: 1.0,
@@ -303,8 +297,7 @@ mod tests {
 
     #[test]
     fn ewma_smooths_bursts() {
-        let cat = catalog();
-        let mobilenet = cat.profile(ModelId::MobileNet);
+        let mobilenet = ModelId::MobileNet.profile();
         let mut r = recon();
         // Long quiet phase.
         for _ in 0..20 {

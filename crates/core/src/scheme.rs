@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use protean_cluster::{BatchView, Placement, PlacementCtx, ReconfigCtx, Scheme, SchemeBuilder};
 use protean_gpu::{Geometry, SharingMode};
+use protean_models::ModelId;
 
 use crate::distribution::{choose_best_effort_slice, choose_strict_slice, tag_slices};
 use crate::reconfigurator::{Reconfigurator, ReconfiguratorConfig};
@@ -131,7 +132,7 @@ impl Scheme for Protean {
 
     fn place(&mut self, ctx: &PlacementCtx<'_>, batch: &BatchView) -> Option<Placement> {
         let slices = ctx.gpu.slices();
-        let profile = ctx.catalog.profile(batch.model);
+        let profile = batch.model.profile();
         if batch.strict {
             let tags = tag_slices(slices, ctx.queued_be_mem_gb);
             let tags = &tags[..slices.len()];
@@ -157,8 +158,8 @@ impl Scheme for Protean {
     }
 
     fn reconfigure(&mut self, ctx: &ReconfigCtx<'_>) -> Option<Geometry> {
-        let be_profile = ctx.be_model.map(|m| *ctx.catalog.profile(m));
-        if let Some(p) = &be_profile {
+        let be_profile = ctx.be_model.map(ModelId::profile);
+        if let Some(p) = be_profile {
             self.be_fbr_hint = p.fbr;
         }
         let total = ctx.window_strict_requests + ctx.window_be_requests;
@@ -177,7 +178,7 @@ impl Scheme for Protean {
             ctx.gpu.geometry(),
             ctx.window_be_requests,
             *monitor_window_secs,
-            be_profile.as_ref(),
+            be_profile,
         )
     }
 }
@@ -234,7 +235,7 @@ mod tests {
     use super::*;
     use protean_cluster::{run_simulation, ClusterConfig};
     use protean_metrics::record::Class;
-    use protean_models::{Catalog, ModelId};
+    use protean_models::ModelId;
     use protean_sim::SimDuration;
     use protean_trace::{TraceConfig, TraceShape};
 
@@ -254,8 +255,7 @@ mod tests {
     fn protean_serves_mixed_load_compliantly() {
         let config = ClusterConfig::small_test();
         let result = run_simulation(&config, &ProteanBuilder::paper(), &trace(600.0, 45.0));
-        let catalog = Catalog::new();
-        let slo = |m: ModelId| catalog.profile(m).slo();
+        let slo = |m: ModelId| m.profile().slo();
         let compliance = result.metrics.slo_compliance(&slo);
         assert!(compliance > 0.95, "compliance {compliance}");
         assert_eq!(result.scheme, "PROTEAN");
@@ -269,7 +269,6 @@ mod tests {
         // and with the 4g free it should pick the 4g.
         use protean_gpu::{Gpu, GpuId, SharingMode};
         use protean_sim::SimTime;
-        let catalog = Catalog::new();
         let gpu = Gpu::new(
             GpuId(0),
             Geometry::g4_g2_g1(),
@@ -281,7 +280,6 @@ mod tests {
             now: SimTime::ZERO,
             gpu: &gpu,
             queued_be_mem_gb: 4.0,
-            catalog: &catalog,
         };
         let placement = scheme
             .place(

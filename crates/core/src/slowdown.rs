@@ -22,11 +22,10 @@ use protean_models::ModelProfile;
 /// ```
 /// use protean::eta;
 /// use protean_gpu::{Slice, SliceProfile, SharingMode};
-/// use protean_models::{catalog, ModelId};
+/// use protean_models::ModelId;
 /// use protean_sim::SimTime;
 ///
-/// let cat = catalog();
-/// let resnet = cat.profile(ModelId::ResNet50);
+/// let resnet = ModelId::ResNet50.profile();
 /// let empty_4g = Slice::new(SliceProfile::G4, SharingMode::Mps, SimTime::ZERO);
 /// let empty_1g = Slice::new(SliceProfile::G1, SharingMode::Mps, SimTime::ZERO);
 /// // The 1g slice is worse for ResNet 50: heavy resource deficiency
@@ -51,7 +50,7 @@ pub fn eta(profile: &ModelProfile, slice: &Slice, tag_value: f64, be_fbr_hint: f
 mod tests {
     use super::*;
     use protean_gpu::{JobId, JobSpec, SharingMode, SliceProfile};
-    use protean_models::{catalog, ModelId};
+    use protean_models::ModelId;
     use protean_sim::{SimDuration, SimTime};
 
     fn mps(profile: SliceProfile) -> Slice {
@@ -60,8 +59,7 @@ mod tests {
 
     #[test]
     fn empty_large_slice_has_eta_one_for_li_model() {
-        let cat = catalog();
-        let shuffle = cat.profile(ModelId::ShuffleNetV2);
+        let shuffle = ModelId::ShuffleNetV2.profile();
         let s = mps(SliceProfile::G7);
         let e = eta(shuffle, &s, 0.0, 0.0);
         assert!((e - 1.0).abs() < 1e-9, "eta {e}");
@@ -69,8 +67,7 @@ mod tests {
 
     #[test]
     fn resident_jobs_raise_eta() {
-        let cat = catalog();
-        let resnet = cat.profile(ModelId::ResNet50);
+        let resnet = ModelId::ResNet50.profile();
         let mut s = mps(SliceProfile::G4);
         let base = eta(resnet, &s, 0.0, 0.0);
         s.admit(
@@ -89,8 +86,7 @@ mod tests {
 
     #[test]
     fn tag_value_penalises_be_destined_slices() {
-        let cat = catalog();
-        let resnet = cat.profile(ModelId::ResNet50);
+        let resnet = ModelId::ResNet50.profile();
         let s = mps(SliceProfile::G3);
         let untagged = eta(resnet, &s, 0.0, 0.5);
         let tagged = eta(resnet, &s, 1.0, 0.5);
@@ -104,8 +100,7 @@ mod tests {
         // A busy 4g vs an empty 3g: once the 4g is loaded enough, the
         // empty 3g (higher RDF, no interference) should win — the
         // essence of Guideline 2.
-        let cat = catalog();
-        let resnet = cat.profile(ModelId::ResNet50);
+        let resnet = ModelId::ResNet50.profile();
         let mut busy_4g = mps(SliceProfile::G4);
         for i in 0..3 {
             busy_4g

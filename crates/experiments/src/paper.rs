@@ -22,10 +22,13 @@ use protean_gpu::{Geometry, SliceProfile};
 use protean_metrics::record::Class;
 use protean_metrics::{cohens_d, mean_ci95, welch_t_test};
 use protean_models::ModelId::{self, *};
-use protean_models::{catalog, estimate_fbr_from_pairs, CoLocationMeasurement, InterferenceClass};
+use protean_models::{
+    estimate_fbr_from_pairs, in_class, vhi_non_generative, vision, CoLocationMeasurement,
+    InterferenceClass, PROFILES,
+};
 use protean_sim::series::BucketAgg;
 use protean_sim::SimDuration;
-use protean_spot::{PricingTable, ProcurementPolicy, Provider, SpotAvailability, VmTier};
+use protean_spot::{ProcurementPolicy, Provider, SpotAvailability, VmTier};
 
 use crate::chart::{bar_chart, line_plot, stacked_breakdown_chart};
 use crate::harness::{run_grid, GridCell};
@@ -183,11 +186,8 @@ impl Axis {
             Axis::Schemes(builds) => builds.iter().map(|&b| Point::Scheme(b, &[])).collect(),
             Axis::Models(models) => models.iter().map(|&m| Point::Model(m)).collect(),
             Axis::Loads(loads) => loads.iter().map(|&rps| Point::Load(rps)).collect(),
-            Axis::Vision => catalog().vision().map(|p| Point::Model(p.id)).collect(),
-            Axis::Vhi => catalog()
-                .vhi_non_generative()
-                .map(|p| Point::Model(p.id))
-                .collect(),
+            Axis::Vision => vision().map(|p| Point::Model(p.id)).collect(),
+            Axis::Vhi => vhi_non_generative().map(|p| Point::Model(p.id)).collect(),
         }
     }
 }
@@ -428,7 +428,7 @@ pub const EXPERIMENTS: [Experiment; 24] = [
             // Every scheme serves the same arrivals; they differ in batch
             // size over mean strict latency.
             Column::Runs("service rate (req/s per batch slot)", |r| {
-                let batch = f64::from(catalog().profile(DenseNet121).batch_size);
+                let batch = f64::from(DenseNet121.profile().batch_size);
                 let lats = r[0].result.metrics.latencies_ms(Class::Strict);
                 let mean_ms = lats.iter().sum::<f64>() / lats.len().max(1) as f64;
                 fixed(batch / (mean_ms / 1000.0), 0)
@@ -852,11 +852,9 @@ fn legend_plot(
 /// procedure: the HI vision FBRs recovered from synthetic pairwise
 /// co-location slowdowns (Eq. 1).
 fn fbr_catalog(banner: Banner, _: &ScenarioSpec, _: usize, out: &mut dyn Write) -> io::Result<()> {
-    let cat = catalog();
-    let max_fbr = cat.profiles().iter().map(|p| p.fbr).fold(0.0, f64::max);
+    let max_fbr = PROFILES.iter().map(|p| p.fbr).fold(0.0, f64::max);
     banner.print(out, "")?;
-    let rows: Vec<Vec<String>> = cat
-        .profiles()
+    let rows: Vec<Vec<String>> = PROFILES
         .iter()
         .map(|p| {
             vec![
@@ -879,7 +877,7 @@ fn fbr_catalog(banner: Banner, _: &ScenarioSpec, _: usize, out: &mut dyn Write) 
         "FBRs recovered from co-location measurements",
     );
     profiling.print(out, "")?;
-    let hi: Vec<_> = cat.in_class(InterferenceClass::Hi).collect();
+    let hi: Vec<_> = in_class(InterferenceClass::Hi).collect();
     let mut measurements = Vec::new();
     for (i, a) in hi.iter().enumerate() {
         for b in &hi[i + 1..] {
@@ -928,7 +926,7 @@ fn mig_profiles(banner: Banner, _: &ScenarioSpec, _: usize, out: &mut dyn Write)
                 p.full_name().to_string(),
                 format!("{}/7", p.compute_sevenths()),
                 format!("{} GB", p.mem_gb()),
-                format!("{}/8", p.cache_eighths()),
+                format!("{}/8", p.memory_slices()),
                 p.max_count().to_string(),
             ]
         })
@@ -948,15 +946,14 @@ fn mig_profiles(banner: Banner, _: &ScenarioSpec, _: usize, out: &mut dyn Write)
 /// Table 3: on-demand vs spot hourly pricing of an 8×A100 instance.
 fn spot_pricing(banner: Banner, _: &ScenarioSpec, _: usize, out: &mut dyn Write) -> io::Result<()> {
     banner.print(out, "")?;
-    let t = PricingTable::paper_table3();
     let rows: Vec<Vec<String>> = Provider::ALL
         .iter()
         .map(|&p| {
             vec![
                 p.to_string(),
-                format!("{:.4}", t.price(p, VmTier::OnDemand)),
-                format!("{:.4}", t.price(p, VmTier::Spot)),
-                format!("{:.2}%", t.savings(p) * 100.0),
+                format!("{:.4}", p.price(VmTier::OnDemand)),
+                format!("{:.4}", p.price(VmTier::Spot)),
+                format!("{:.2}%", p.savings() * 100.0),
             ]
         })
         .collect();
@@ -1031,7 +1028,7 @@ fn latency_cdf(
     out: &mut dyn Write,
 ) -> io::Result<()> {
     let model = SeNet18;
-    let slo_ms = catalog().profile(model).slo().as_millis_f64();
+    let slo_ms = model.profile().slo().as_millis_f64();
     banner.print(out, &format!("{model} (SLO {slo_ms:.0} ms)"))?;
     let lineup = schemes::primary();
     let spec = spec.clone().at_paper_rate(model);

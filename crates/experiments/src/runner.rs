@@ -3,7 +3,6 @@
 use protean_cluster::{run_simulation, ClusterConfig, SchemeBuilder, SimulationResult};
 use protean_metrics::record::Class;
 use protean_metrics::LatencyBreakdown;
-use protean_models::{Catalog, ModelId};
 use protean_sim::SimDuration;
 use protean_trace::TraceConfig;
 
@@ -54,9 +53,7 @@ pub fn run_scheme(
     trace: &TraceConfig,
 ) -> SchemeRow {
     let result = run_simulation(config, scheme, trace);
-    let catalog = Catalog::new();
-    let multiplier = config.slo_multiplier;
-    let slo = move |m: ModelId| catalog.profile(m).slo_with_multiplier(multiplier);
+    let slo = SimulationResult::slo_fn(config.slo_multiplier);
     let measured = duration_after_warmup(config, trace);
     let m = &result.metrics;
     // One sort per class serves every percentile and the tail cut.

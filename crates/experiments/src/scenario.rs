@@ -107,7 +107,7 @@ use std::path::{Path, PathBuf};
 
 use protean_cluster::{run_trace_with_oracle, ClusterConfig, ScriptedMarket, SimulationResult};
 use protean_metrics::record::Class;
-use protean_models::{catalog, Domain, ModelId};
+use protean_models::{Domain, ModelId};
 use protean_sim::{RngFactory, SimDuration, SimTime};
 use protean_spot::{ProcurementPolicy, Provider, SpotAvailability};
 use protean_trace::{
@@ -1200,7 +1200,7 @@ pub const RUN_FLAGS: [(&str, &str); 12] = [
 /// The §5 arrival rate of `model`'s domain: [`VISION_RPS`] or
 /// [`LANGUAGE_RPS`].
 pub fn paper_rps(model: ModelId) -> f64 {
-    match catalog().profile(model).domain {
+    match model.profile().domain {
         Domain::Vision => VISION_RPS,
         Domain::Language => LANGUAGE_RPS,
     }
@@ -1427,7 +1427,7 @@ impl ScenarioSpec {
                 false => TraceShape::overlay(base, bursts.collect()),
             };
             let be_pool = if t.be_pool.is_empty() {
-                catalog().opposite_pool(t.model)
+                t.model.opposite_pool()
             } else {
                 t.be_pool.clone()
             };
@@ -1524,8 +1524,7 @@ impl ScenarioOutcome {
         slo_mult: f64,
         r: &SimulationResult,
     ) -> Self {
-        let cat = catalog();
-        let slo = SimulationResult::slo_fn(&cat, slo_mult);
+        let slo = SimulationResult::slo_fn(slo_mult);
         let ms = |class, q| r.metrics.latency_percentile_ms(class, q).unwrap_or(0.0);
         ScenarioOutcome {
             name: name.to_string(),

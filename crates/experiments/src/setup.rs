@@ -46,7 +46,7 @@ impl PaperSetup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protean_models::{catalog, InterferenceClass};
+    use protean_models::InterferenceClass;
     use protean_trace::TraceShape;
 
     /// The paper's own trace length and seed.
@@ -73,10 +73,9 @@ mod tests {
     #[test]
     fn be_pool_is_opposite_class() {
         let s = PAPER;
-        let cat = catalog();
         let t = s.wiki_trace(ModelId::ResNet50); // HI strict
         for m in &t.be_pool {
-            assert_eq!(cat.profile(*m).class, InterferenceClass::Li);
+            assert_eq!(m.profile().class, InterferenceClass::Li);
         }
     }
 

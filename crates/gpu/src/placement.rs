@@ -26,17 +26,6 @@ use crate::profile::SliceProfile;
 pub const MEMORY_SLICES: usize = 8;
 
 impl SliceProfile {
-    /// Memory slices one instance of this profile occupies.
-    pub const fn memory_slices(self) -> usize {
-        match self {
-            SliceProfile::G1 => 1,
-            SliceProfile::G2 => 2,
-            SliceProfile::G3 => 4,
-            SliceProfile::G4 => 4,
-            SliceProfile::G7 => 8,
-        }
-    }
-
     /// The slice indices an instance may start at (NVIDIA placement
     /// table).
     pub const fn allowed_starts(self) -> &'static [usize] {
@@ -179,14 +168,6 @@ mod tests {
                 assert!(!*slot, "overlap at slice {s}");
                 *slot = true;
             }
-        }
-    }
-
-    #[test]
-    fn memory_slice_widths_are_consistent_with_capacity() {
-        // 5 GB per memory slice on the A100-40GB.
-        for p in SliceProfile::ALL {
-            assert_eq!(p.mem_gb(), 5.0 * p.memory_slices() as f64, "{p}");
         }
     }
 

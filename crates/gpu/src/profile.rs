@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::placement::MEMORY_SLICES;
+
 /// A MIG instance profile on an A100-40GB, as listed in Table 2 of the
 /// paper.
 ///
@@ -47,19 +49,10 @@ impl SliceProfile {
         f64::from(self.compute_sevenths()) / 7.0
     }
 
-    /// Dedicated memory capacity in GB (Table 2).
-    pub const fn mem_gb(self) -> f64 {
-        match self {
-            SliceProfile::G1 => 5.0,
-            SliceProfile::G2 => 10.0,
-            SliceProfile::G3 => 20.0,
-            SliceProfile::G4 => 20.0,
-            SliceProfile::G7 => 40.0,
-        }
-    }
-
-    /// Cache (and, on MIG, memory-bandwidth) share in eighths (Table 2).
-    pub const fn cache_eighths(self) -> u32 {
+    /// Memory slices one instance of this profile occupies, of the
+    /// A100's [`MEMORY_SLICES`]. Table 2's memory and cache columns both
+    /// follow from it: 5 GB and one eighth of the cache per slice.
+    pub const fn memory_slices(self) -> usize {
         match self {
             SliceProfile::G1 => 1,
             SliceProfile::G2 => 2,
@@ -69,11 +62,16 @@ impl SliceProfile {
         }
     }
 
+    /// Dedicated memory capacity in GB (Table 2): 5 GB per memory slice.
+    pub const fn mem_gb(self) -> f64 {
+        5.0 * self.memory_slices() as f64
+    }
+
     /// Memory-bandwidth share as a fraction of the whole GPU. MIG
     /// isolates bandwidth per slice in proportion to the memory/cache
     /// partition.
     pub fn bandwidth_fraction(self) -> f64 {
-        f64::from(self.cache_eighths()) / 8.0
+        self.memory_slices() as f64 / MEMORY_SLICES as f64
     }
 
     /// Maximum number of instances of this profile on one GPU (Table 2).

@@ -1,4 +1,4 @@
-//! The calibrated 22-model catalog.
+//! The calibrated 22-model table.
 
 use std::fmt;
 
@@ -112,41 +112,15 @@ impl ModelId {
         ModelId::Gpt2,
     ];
 
-    /// Stable dense index for array-backed lookup tables.
-    pub fn index(self) -> usize {
-        ModelId::ALL
-            .iter()
-            .position(|&m| m == self)
-            .expect("every ModelId is in ALL")
+    /// The model's profiled quantities: its row of [`PROFILES`].
+    pub fn profile(self) -> &'static ModelProfile {
+        &PROFILES[self as usize]
     }
 
     /// A stable machine-readable slug (lowercase alphanumeric), used by
     /// trace files and the CLI.
     pub fn slug(self) -> &'static str {
-        match self {
-            ModelId::ResNet50 => "resnet50",
-            ModelId::GoogleNet => "googlenet",
-            ModelId::DenseNet121 => "densenet121",
-            ModelId::Dpn92 => "dpn92",
-            ModelId::Vgg19 => "vgg19",
-            ModelId::ResNet18 => "resnet18",
-            ModelId::MobileNet => "mobilenet",
-            ModelId::MobileNetV2 => "mobilenetv2",
-            ModelId::SeNet18 => "senet18",
-            ModelId::ShuffleNetV2 => "shufflenetv2",
-            ModelId::EfficientNetB0 => "efficientnetb0",
-            ModelId::SimplifiedDla => "simplifieddla",
-            ModelId::Albert => "albert",
-            ModelId::Bert => "bert",
-            ModelId::DeBerta => "deberta",
-            ModelId::DistilBert => "distilbert",
-            ModelId::FlauBert => "flaubert",
-            ModelId::FunnelTransformer => "funneltransformer",
-            ModelId::RoBerta => "roberta",
-            ModelId::SqueezeBert => "squeezebert",
-            ModelId::Gpt1 => "gpt1",
-            ModelId::Gpt2 => "gpt2",
-        }
+        self.profile().slug
     }
 
     /// Resolves a slug produced by [`ModelId::slug`].
@@ -156,29 +130,34 @@ impl ModelId {
 
     /// The model's display name as used in the paper's figures.
     pub fn name(self) -> &'static str {
-        match self {
-            ModelId::ResNet50 => "ResNet 50",
-            ModelId::GoogleNet => "GoogleNet",
-            ModelId::DenseNet121 => "DenseNet 121",
-            ModelId::Dpn92 => "DPN 92",
-            ModelId::Vgg19 => "VGG 19",
-            ModelId::ResNet18 => "ResNet 18",
-            ModelId::MobileNet => "MobileNet",
-            ModelId::MobileNetV2 => "MobileNet V2",
-            ModelId::SeNet18 => "SENet 18",
-            ModelId::ShuffleNetV2 => "ShuffleNet V2",
-            ModelId::EfficientNetB0 => "EfficientNet-B0",
-            ModelId::SimplifiedDla => "Simplified DLA",
-            ModelId::Albert => "ALBERT",
-            ModelId::Bert => "BERT",
-            ModelId::DeBerta => "DeBERTa",
-            ModelId::DistilBert => "DistilBERT",
-            ModelId::FlauBert => "FlauBERT",
-            ModelId::FunnelTransformer => "Funnel-Transformer",
-            ModelId::RoBerta => "RoBERTa",
-            ModelId::SqueezeBert => "SqueezeBERT",
-            ModelId::Gpt1 => "GPT-1",
-            ModelId::Gpt2 => "GPT-2",
+        self.profile().name
+    }
+
+    /// The pool of models whose class is "opposite" to this one's within
+    /// the same domain — the paper rotates BE requests through the
+    /// opposite-class pool of the strict model (§5). Never empty and
+    /// never contains `self`: the table has both LI and HI vision
+    /// models, and every LLM has non-generative peers.
+    pub fn opposite_pool(self) -> Vec<ModelId> {
+        let p = self.profile();
+        match p.domain {
+            Domain::Vision => {
+                let target = match p.class {
+                    InterferenceClass::Li => InterferenceClass::Hi,
+                    _ => InterferenceClass::Li,
+                };
+                vision()
+                    .filter(|m| m.class == target)
+                    .map(|m| m.id)
+                    .collect()
+            }
+            // All language models are VHI; the BE pool is the other
+            // non-generative LLMs (Fig. 13 rotates BE through the
+            // "previously-seen LLMs").
+            Domain::Language => vhi_non_generative()
+                .filter(|m| m.id != self)
+                .map(|m| m.id)
+                .collect(),
         }
     }
 }
@@ -194,6 +173,10 @@ impl fmt::Display for ModelId {
 pub struct ModelProfile {
     /// Which model this is.
     pub id: ModelId,
+    /// Machine-readable slug ([`ModelId::slug`]).
+    pub slug: &'static str,
+    /// Display name as in the paper's figures ([`ModelId::name`]).
+    pub name: &'static str,
     /// Application domain (fixes the batch size and dataset).
     pub domain: Domain,
     /// `true` for the generative GPT models of Fig. 13.
@@ -268,246 +251,99 @@ impl ModelProfile {
     }
 }
 
-/// The full 22-model catalog. Obtain via [`catalog`].
-#[derive(Debug, Clone)]
-pub struct Catalog {
-    profiles: Vec<ModelProfile>,
-}
-
-/// Returns the calibrated catalog of all 22 paper workloads.
-pub fn catalog() -> Catalog {
-    Catalog::new()
-}
-
 const VISION_BATCH: u32 = 128;
 const LANGUAGE_BATCH: u32 = 4;
 
-impl Catalog {
-    /// Builds the catalog (cheap; the data is `const`-like).
-    pub fn new() -> Self {
-        use Domain::{Language, Vision};
-        use InterferenceClass::{Hi, Li, Vhi};
-        let mk = |id, domain, class, generative, solo_ms: f64, mem, fbr, beta| ModelProfile {
-            id,
-            domain,
-            generative,
-            class,
-            batch_size: match domain {
-                Vision => VISION_BATCH,
-                Language => LANGUAGE_BATCH,
-            },
-            mem_gb: mem,
-            solo_7g: SimDuration::from_millis(solo_ms),
-            fbr,
-            deficiency_beta: beta,
-        };
-        let profiles = vec![
-            mk(ModelId::ResNet50, Vision, Hi, false, 95.0, 6.0, 0.52, 0.55),
-            mk(ModelId::GoogleNet, Vision, Li, false, 70.0, 4.0, 0.26, 0.30),
-            mk(
-                ModelId::DenseNet121,
-                Vision,
-                Hi,
-                false,
-                120.0,
-                7.0,
-                0.56,
-                0.60,
-            ),
-            mk(ModelId::Dpn92, Vision, Hi, false, 160.0, 13.7, 0.66, 0.72),
-            mk(ModelId::Vgg19, Vision, Hi, false, 140.0, 8.5, 0.62, 0.70),
-            mk(ModelId::ResNet18, Vision, Li, false, 58.0, 3.5, 0.22, 0.25),
-            mk(ModelId::MobileNet, Vision, Li, false, 52.0, 2.0, 0.14, 0.10),
-            mk(
-                ModelId::MobileNetV2,
-                Vision,
-                Li,
-                false,
-                55.0,
-                2.2,
-                0.15,
-                0.12,
-            ),
-            mk(ModelId::SeNet18, Vision, Li, false, 65.0, 3.6, 0.24, 0.28),
-            mk(
-                ModelId::ShuffleNetV2,
-                Vision,
-                Li,
-                false,
-                50.0,
-                2.5,
-                0.12,
-                0.03,
-            ),
-            mk(
-                ModelId::EfficientNetB0,
-                Vision,
-                Li,
-                false,
-                75.0,
-                3.2,
-                0.20,
-                0.20,
-            ),
-            mk(
-                ModelId::SimplifiedDla,
-                Vision,
-                Li,
-                false,
-                60.0,
-                3.0,
-                0.16,
-                0.30,
-            ),
-            mk(
-                ModelId::Albert,
-                Language,
-                Vhi,
-                false,
-                110.0,
-                3.0,
-                0.50,
-                0.936,
-            ),
-            mk(ModelId::Bert, Language, Vhi, false, 90.0, 3.4, 0.46, 0.80),
-            mk(
-                ModelId::DeBerta,
-                Language,
-                Vhi,
-                false,
-                150.0,
-                4.5,
-                0.52,
-                0.85,
-            ),
-            mk(
-                ModelId::DistilBert,
-                Language,
-                Vhi,
-                false,
-                60.0,
-                2.2,
-                0.40,
-                0.70,
-            ),
-            mk(
-                ModelId::FlauBert,
-                Language,
-                Vhi,
-                false,
-                185.0,
-                4.0,
-                0.48,
-                0.82,
-            ),
-            mk(
-                ModelId::FunnelTransformer,
-                Language,
-                Vhi,
-                false,
-                130.0,
-                3.8,
-                0.50,
-                0.84,
-            ),
-            mk(
-                ModelId::RoBerta,
-                Language,
-                Vhi,
-                false,
-                95.0,
-                3.5,
-                0.47,
-                0.80,
-            ),
-            mk(
-                ModelId::SqueezeBert,
-                Language,
-                Vhi,
-                false,
-                80.0,
-                2.6,
-                0.42,
-                0.72,
-            ),
-            mk(ModelId::Gpt1, Language, Vhi, true, 120.0, 4.2, 0.62, 0.86),
-            mk(ModelId::Gpt2, Language, Vhi, true, 190.0, 5.5, 0.67, 0.88),
-        ];
-        debug_assert_eq!(profiles.len(), ModelId::ALL.len());
-        Catalog { profiles }
-    }
-
-    /// The profile for `id`.
-    pub fn profile(&self, id: ModelId) -> &ModelProfile {
-        &self.profiles[id.index()]
-    }
-
-    /// All profiles, in [`ModelId::ALL`] order.
-    pub fn profiles(&self) -> &[ModelProfile] {
-        &self.profiles
-    }
-
-    /// The 12 vision models.
-    pub fn vision(&self) -> impl Iterator<Item = &ModelProfile> {
-        self.profiles.iter().filter(|p| p.domain == Domain::Vision)
-    }
-
-    /// The 10 language models.
-    pub fn language(&self) -> impl Iterator<Item = &ModelProfile> {
-        self.profiles
-            .iter()
-            .filter(|p| p.domain == Domain::Language)
-    }
-
-    /// The non-generative language models (the Fig. 12 VHI set).
-    pub fn vhi_non_generative(&self) -> impl Iterator<Item = &ModelProfile> {
-        self.language().filter(|p| !p.generative)
-    }
-
-    /// The generative GPT models (Fig. 13).
-    pub fn generative(&self) -> impl Iterator<Item = &ModelProfile> {
-        self.profiles.iter().filter(|p| p.generative)
-    }
-
-    /// Models in the given interference class.
-    pub fn in_class(&self, class: InterferenceClass) -> impl Iterator<Item = &ModelProfile> {
-        self.profiles.iter().filter(move |p| p.class == class)
-    }
-
-    /// The pool of models whose class is "opposite" to `class` within
-    /// the same domain — the paper rotates BE requests through the
-    /// opposite-class pool of the strict model (§5). Never empty and
-    /// never contains `strict`: the catalog has both LI and HI vision
-    /// models, and every LLM has non-generative peers.
-    pub fn opposite_pool(&self, strict: ModelId) -> Vec<ModelId> {
-        let p = *self.profile(strict);
-        match p.domain {
-            Domain::Vision => {
-                let target = match p.class {
-                    InterferenceClass::Li => InterferenceClass::Hi,
-                    _ => InterferenceClass::Li,
-                };
-                self.vision()
-                    .filter(|m| m.class == target)
-                    .map(|m| m.id)
-                    .collect()
-            }
-            // All language models are VHI; the BE pool is the other
-            // non-generative LLMs (Fig. 13 rotates BE through the
-            // "previously-seen LLMs").
-            Domain::Language => self
-                .vhi_non_generative()
-                .filter(|m| m.id != strict)
-                .map(|m| m.id)
-                .collect(),
-        }
+/// One row of [`PROFILES`]; the 7g solo time is in whole milliseconds.
+#[allow(clippy::too_many_arguments)]
+const fn row(
+    id: ModelId,
+    slug: &'static str,
+    name: &'static str,
+    domain: Domain,
+    class: InterferenceClass,
+    generative: bool,
+    solo_ms: u64,
+    mem_gb: f64,
+    fbr: f64,
+    deficiency_beta: f64,
+) -> ModelProfile {
+    let batch_size = match domain {
+        Domain::Vision => VISION_BATCH,
+        Domain::Language => LANGUAGE_BATCH,
+    };
+    ModelProfile {
+        id,
+        slug,
+        name,
+        domain,
+        generative,
+        class,
+        batch_size,
+        mem_gb,
+        solo_7g: SimDuration::from_micros(solo_ms * 1_000),
+        fbr,
+        deficiency_beta,
     }
 }
 
-impl Default for Catalog {
-    fn default() -> Self {
-        Catalog::new()
-    }
+/// The calibrated profiles of all 22 paper workloads, in
+/// [`ModelId::ALL`] order ([`ModelId::profile`] indexes it).
+#[rustfmt::skip]
+pub static PROFILES: [ModelProfile; 22] = {
+    use Domain::{Language, Vision};
+    use InterferenceClass::{Hi, Li, Vhi};
+    use ModelId::*;
+    [
+        // id, slug, name, domain, class, generative, 7g ms, GB, FBR, β
+        row(ResNet50, "resnet50", "ResNet 50", Vision, Hi, false, 95, 6.0, 0.52, 0.55),
+        row(GoogleNet, "googlenet", "GoogleNet", Vision, Li, false, 70, 4.0, 0.26, 0.30),
+        row(DenseNet121, "densenet121", "DenseNet 121", Vision, Hi, false, 120, 7.0, 0.56, 0.60),
+        row(Dpn92, "dpn92", "DPN 92", Vision, Hi, false, 160, 13.7, 0.66, 0.72),
+        row(Vgg19, "vgg19", "VGG 19", Vision, Hi, false, 140, 8.5, 0.62, 0.70),
+        row(ResNet18, "resnet18", "ResNet 18", Vision, Li, false, 58, 3.5, 0.22, 0.25),
+        row(MobileNet, "mobilenet", "MobileNet", Vision, Li, false, 52, 2.0, 0.14, 0.10),
+        row(MobileNetV2, "mobilenetv2", "MobileNet V2", Vision, Li, false, 55, 2.2, 0.15, 0.12),
+        row(SeNet18, "senet18", "SENet 18", Vision, Li, false, 65, 3.6, 0.24, 0.28),
+        row(ShuffleNetV2, "shufflenetv2", "ShuffleNet V2", Vision, Li, false, 50, 2.5, 0.12, 0.03),
+        row(EfficientNetB0, "efficientnetb0", "EfficientNet-B0", Vision, Li, false, 75, 3.2, 0.20, 0.20),
+        row(SimplifiedDla, "simplifieddla", "Simplified DLA", Vision, Li, false, 60, 3.0, 0.16, 0.30),
+        row(Albert, "albert", "ALBERT", Language, Vhi, false, 110, 3.0, 0.50, 0.936),
+        row(Bert, "bert", "BERT", Language, Vhi, false, 90, 3.4, 0.46, 0.80),
+        row(DeBerta, "deberta", "DeBERTa", Language, Vhi, false, 150, 4.5, 0.52, 0.85),
+        row(DistilBert, "distilbert", "DistilBERT", Language, Vhi, false, 60, 2.2, 0.40, 0.70),
+        row(FlauBert, "flaubert", "FlauBERT", Language, Vhi, false, 185, 4.0, 0.48, 0.82),
+        row(FunnelTransformer, "funneltransformer", "Funnel-Transformer", Language, Vhi, false, 130, 3.8, 0.50, 0.84),
+        row(RoBerta, "roberta", "RoBERTa", Language, Vhi, false, 95, 3.5, 0.47, 0.80),
+        row(SqueezeBert, "squeezebert", "SqueezeBERT", Language, Vhi, false, 80, 2.6, 0.42, 0.72),
+        row(Gpt1, "gpt1", "GPT-1", Language, Vhi, true, 120, 4.2, 0.62, 0.86),
+        row(Gpt2, "gpt2", "GPT-2", Language, Vhi, true, 190, 5.5, 0.67, 0.88),
+    ]
+};
+
+/// The 12 vision models.
+pub fn vision() -> impl Iterator<Item = &'static ModelProfile> {
+    PROFILES.iter().filter(|p| p.domain == Domain::Vision)
+}
+
+/// The 10 language models.
+pub fn language() -> impl Iterator<Item = &'static ModelProfile> {
+    PROFILES.iter().filter(|p| p.domain == Domain::Language)
+}
+
+/// The non-generative language models (the Fig. 12 VHI set).
+pub fn vhi_non_generative() -> impl Iterator<Item = &'static ModelProfile> {
+    language().filter(|p| !p.generative)
+}
+
+/// The generative GPT models (Fig. 13).
+pub fn generative() -> impl Iterator<Item = &'static ModelProfile> {
+    PROFILES.iter().filter(|p| p.generative)
+}
+
+/// Models in the given interference class.
+pub fn in_class(class: InterferenceClass) -> impl Iterator<Item = &'static ModelProfile> {
+    PROFILES.iter().filter(move |p| p.class == class)
 }
 
 #[cfg(test)]
@@ -517,15 +353,14 @@ mod tests {
 
     #[test]
     fn catalog_has_22_models_with_paper_batches() {
-        let c = catalog();
-        assert_eq!(c.profiles().len(), 22);
-        assert_eq!(c.vision().count(), 12);
-        assert_eq!(c.language().count(), 10);
-        assert_eq!(c.generative().count(), 2);
-        for p in c.vision() {
+        assert_eq!(PROFILES.len(), 22);
+        assert_eq!(vision().count(), 12);
+        assert_eq!(language().count(), 10);
+        assert_eq!(generative().count(), 2);
+        for p in vision() {
             assert_eq!(p.batch_size, 128);
         }
-        for p in c.language() {
+        for p in language() {
             assert_eq!(p.batch_size, 4);
             assert_eq!(p.class, InterferenceClass::Vhi);
         }
@@ -534,7 +369,7 @@ mod tests {
     #[test]
     fn solo_times_in_paper_band() {
         // §5: batch sizes selected so 7g latency is ~50-200 ms.
-        for p in catalog().profiles() {
+        for p in &PROFILES {
             let ms = p.solo_7g.as_millis_f64();
             assert!((50.0..=200.0).contains(&ms), "{}: {ms} ms", p.id);
         }
@@ -543,7 +378,7 @@ mod tests {
     #[test]
     fn memory_footprints_in_paper_band() {
         // §5: ~2 to 14 GB per batch.
-        for p in catalog().profiles() {
+        for p in &PROFILES {
             assert!(
                 (2.0..=14.0).contains(&p.mem_gb),
                 "{}: {} GB",
@@ -556,26 +391,24 @@ mod tests {
     #[test]
     fn dpn92_footprint_dominates() {
         // Fig. 7: DPN 92's footprint is up to 2.74× the other BE models'.
-        let c = catalog();
-        let dpn = c.profile(ModelId::Dpn92).mem_gb;
-        let shuffle = c.profile(ModelId::ShuffleNetV2).mem_gb;
+        let dpn = ModelId::Dpn92.profile().mem_gb;
+        let shuffle = ModelId::ShuffleNetV2.profile().mem_gb;
         assert!(dpn / shuffle > 2.7, "ratio {}", dpn / shuffle);
-        for p in c.vision() {
+        for p in vision() {
             assert!(p.mem_gb <= dpn);
         }
     }
 
     #[test]
     fn llm_fbrs_exceed_vision_by_published_margin() {
-        let c = catalog();
-        let vis_mean: f64 = c.vision().map(|p| p.fbr).sum::<f64>() / 12.0;
-        let llm_mean: f64 = c.vhi_non_generative().map(|p| p.fbr).sum::<f64>()
-            / c.vhi_non_generative().count() as f64;
+        let vis_mean: f64 = vision().map(|p| p.fbr).sum::<f64>() / 12.0;
+        let llm_mean: f64 =
+            vhi_non_generative().map(|p| p.fbr).sum::<f64>() / vhi_non_generative().count() as f64;
         let uplift = llm_mean / vis_mean - 1.0;
         // §6.2: "59% higher on average".
         assert!((0.45..=0.75).contains(&uplift), "uplift {uplift}");
         // Fig. 13: GPT FBRs up to 42% above the other LLMs.
-        let gpt_max = c.generative().map(|p| p.fbr).fold(0.0, f64::max);
+        let gpt_max = generative().map(|p| p.fbr).fold(0.0, f64::max);
         assert!(
             (gpt_max / llm_mean - 1.0) > 0.3,
             "gpt uplift {}",
@@ -586,21 +419,21 @@ mod tests {
     #[test]
     fn albert_rdf_matches_paper() {
         // §2.2: ALBERT's batch execution grows 2.15× on a 3g slice.
-        let rdf = catalog().profile(ModelId::Albert).rdf(SliceProfile::G3);
+        let rdf = ModelId::Albert.profile().rdf(SliceProfile::G3);
         assert!((rdf - 2.15).abs() < 0.05, "rdf {rdf}");
     }
 
     #[test]
     fn shufflenet_barely_deficiency_sensitive() {
         // §6.2: ShuffleNet V2 is <2% affected on the scheduling slices.
-        let p = *catalog().profile(ModelId::ShuffleNetV2);
+        let p = ModelId::ShuffleNetV2.profile();
         assert!(p.rdf(SliceProfile::G3) < 1.02);
         assert!(p.rdf(SliceProfile::G4) < 1.02);
     }
 
     #[test]
     fn rdf_monotone_in_slice_size() {
-        for p in catalog().profiles() {
+        for p in &PROFILES {
             let mut last = f64::INFINITY;
             for s in SliceProfile::ALL {
                 let rdf = p.rdf(s);
@@ -614,7 +447,7 @@ mod tests {
 
     #[test]
     fn fill_factor_is_affine_and_bounded() {
-        let p = *catalog().profile(ModelId::ResNet50);
+        let p = ModelId::ResNet50.profile();
         assert_eq!(p.fill_factor(1.0), 1.0);
         assert!((p.fill_factor(0.0) - BATCH_FIXED_COST_FRACTION).abs() < 1e-12);
         assert!((p.fill_factor(0.5) - 0.65).abs() < 1e-12);
@@ -624,41 +457,31 @@ mod tests {
 
     #[test]
     fn slo_is_three_times_solo() {
-        let p = *catalog().profile(ModelId::ResNet50);
+        let p = ModelId::ResNet50.profile();
         assert_eq!(p.slo(), p.solo_7g.mul_f64(3.0));
         assert_eq!(p.slo_with_multiplier(2.0), p.solo_7g.mul_f64(2.0));
     }
 
     #[test]
     fn smallest_fitting_slice_respects_memory() {
-        let c = catalog();
-        assert_eq!(
-            c.profile(ModelId::Dpn92).smallest_fitting_slice(),
-            SliceProfile::G3
-        );
-        assert_eq!(
-            c.profile(ModelId::MobileNet).smallest_fitting_slice(),
-            SliceProfile::G1
-        );
-        assert_eq!(
-            c.profile(ModelId::Gpt2).smallest_fitting_slice(),
-            SliceProfile::G2
-        );
+        let smallest = |m: ModelId| m.profile().smallest_fitting_slice();
+        assert_eq!(smallest(ModelId::Dpn92), SliceProfile::G3);
+        assert_eq!(smallest(ModelId::MobileNet), SliceProfile::G1);
+        assert_eq!(smallest(ModelId::Gpt2), SliceProfile::G2);
     }
 
     #[test]
     fn opposite_pool_swaps_classes() {
-        let c = catalog();
         // Strict HI vision model -> BE pool is LI vision.
-        for id in c.opposite_pool(ModelId::ResNet50) {
-            assert_eq!(c.profile(id).class, InterferenceClass::Li);
+        for id in ModelId::ResNet50.opposite_pool() {
+            assert_eq!(id.profile().class, InterferenceClass::Li);
         }
         // Strict LI vision model -> BE pool is HI vision.
-        for id in c.opposite_pool(ModelId::ShuffleNetV2) {
-            assert_eq!(c.profile(id).class, InterferenceClass::Hi);
+        for id in ModelId::ShuffleNetV2.opposite_pool() {
+            assert_eq!(id.profile().class, InterferenceClass::Hi);
         }
         // Strict GPT -> BE pool is the other non-generative LLMs.
-        let pool = c.opposite_pool(ModelId::Gpt1);
+        let pool = ModelId::Gpt1.opposite_pool();
         assert_eq!(pool.len(), 8);
         assert!(!pool.contains(&ModelId::Gpt1));
         assert!(!pool.contains(&ModelId::Gpt2));
@@ -668,11 +491,20 @@ mod tests {
     fn opposite_pool_is_never_empty() {
         // The trace builders use the pool as the BE rotation without a
         // fallback, so every model needs at least one BE peer.
-        let c = catalog();
         for m in ModelId::ALL {
-            let pool = c.opposite_pool(m);
+            let pool = m.opposite_pool();
             assert!(!pool.is_empty(), "{m} has no BE peers");
             assert!(!pool.contains(&m), "{m} is its own BE peer");
+        }
+    }
+
+    #[test]
+    fn profiles_are_in_model_order() {
+        // `profile` indexes by discriminant, and the BE rotation draws
+        // from `opposite_pool` by index, so the table keeps `ALL` order.
+        for (i, m) in ModelId::ALL.into_iter().enumerate() {
+            assert_eq!(m as usize, i, "{m}");
+            assert_eq!(m.profile().id, m);
         }
     }
 
@@ -700,7 +532,7 @@ mod tests {
         /// sensitivity in range.
         #[test]
         fn prop_rdf_law_monotone(beta in 0.0f64..0.95) {
-            let mut p = *catalog().profile(ModelId::ResNet50);
+            let mut p = *ModelId::ResNet50.profile();
             p.deficiency_beta = beta;
             let mut last = f64::INFINITY;
             for s in SliceProfile::ALL {

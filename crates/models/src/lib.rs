@@ -1,13 +1,14 @@
-//! The paper's 22 ML-inference workloads as a calibrated catalog.
+//! The paper's 22 ML-inference workloads as one calibrated table.
 //!
 //! PROTEAN's policies never touch model weights — they consume four
 //! profiled quantities per model: the per-batch **memory footprint**, the
 //! **solo execution time** on a full GPU (`7g`), the **Fractional
 //! Bandwidth Requirement** (FBR, Fig. 3), and the **Resource Deficiency
-//! Factor** (RDF) on each MIG slice. This crate provides those numbers
-//! for the paper's 12 vision models (batch 128, ImageNet) and 10 language
-//! models (batch 4, Large Movie Review), calibrated to the published
-//! characteristics:
+//! Factor** (RDF) on each MIG slice. This crate holds those numbers for
+//! the paper's 12 vision models (batch 128, ImageNet) and 10 language
+//! models (batch 4, Large Movie Review) in one static table,
+//! [`PROFILES`], which [`ModelId::profile`] indexes directly. They are
+//! calibrated to the published characteristics:
 //!
 //! * vision batch latencies on `7g` fall in the paper's 50–200 ms band;
 //! * per-batch memory footprints span ~2–14 GB, with *DPN 92* up to
@@ -27,11 +28,10 @@
 //! # Example
 //!
 //! ```
-//! use protean_models::{catalog, ModelId, InterferenceClass};
+//! use protean_models::{ModelId, InterferenceClass};
 //! use protean_gpu::SliceProfile;
 //!
-//! let cat = catalog();
-//! let albert = cat.profile(ModelId::Albert);
+//! let albert = ModelId::Albert.profile();
 //! assert_eq!(albert.class, InterferenceClass::Vhi);
 //! let rdf = albert.rdf(SliceProfile::G3);
 //! assert!((rdf - 2.15).abs() < 0.1, "ALBERT on 3g should be ~2.15x");
@@ -41,7 +41,7 @@ pub mod catalog;
 pub mod profiling;
 
 pub use catalog::{
-    catalog, Catalog, Domain, InterferenceClass, ModelId, ModelProfile, BATCH_FIXED_COST_FRACTION,
-    DEFAULT_SLO_MULTIPLIER,
+    generative, in_class, language, vhi_non_generative, vision, Domain, InterferenceClass, ModelId,
+    ModelProfile, BATCH_FIXED_COST_FRACTION, DEFAULT_SLO_MULTIPLIER, PROFILES,
 };
 pub use profiling::{estimate_fbr_from_pairs, CoLocationMeasurement};

@@ -100,7 +100,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{catalog, ModelId};
+    use crate::catalog::ModelId;
     use proptest::prelude::*;
 
     /// Generate synthetic pairwise measurements from ground-truth FBRs
@@ -129,7 +129,6 @@ mod tests {
     fn recovers_catalog_hi_fbrs() {
         // The HI vision models all pairwise saturate (fbr sums > 1), so
         // their FBRs are exactly identifiable.
-        let c = catalog();
         let truth: Vec<(ModelId, f64)> = [
             ModelId::ResNet50,
             ModelId::DenseNet121,
@@ -137,7 +136,7 @@ mod tests {
             ModelId::Dpn92,
         ]
         .iter()
-        .map(|&id| (id, c.profile(id).fbr))
+        .map(|&id| (id, id.profile().fbr))
         .collect();
         let est = estimate_fbr_from_pairs(&measurements_from_truth(&truth), 300);
         for (id, fbr) in truth {

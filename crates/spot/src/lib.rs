@@ -14,7 +14,7 @@
 //! so in-flight work drains comfortably inside the notice window while a
 //! replacement VM (spot if available, otherwise on-demand) spins up.
 //!
-//! This crate reproduces that emulation: [`PricingTable`] carries the
+//! This crate reproduces that emulation: [`Provider::price`] reads the
 //! paper's Table 3 prices, [`SpotMarket`] drives revocations and spot
 //! acquisition, [`ProcurementPolicy`] captures the three strategies
 //! compared in Fig. 9, and [`VmLedger`] integrates dollar cost. The
@@ -26,12 +26,11 @@
 //! # Example
 //!
 //! ```
-//! use protean_spot::{PricingTable, Provider, SpotAvailability, VmTier};
+//! use protean_spot::{Provider, SpotAvailability, VmTier};
 //!
-//! let table = PricingTable::paper_table3();
-//! let aws = table.price(Provider::Aws, VmTier::Spot);
+//! let aws = Provider::Aws.price(VmTier::Spot);
 //! assert!((aws - 9.8318).abs() < 1e-4);
-//! assert!(table.savings(Provider::Gcp) > 0.70);
+//! assert!(Provider::Gcp.savings() > 0.70);
 //! assert_eq!(SpotAvailability::Low.revocation_probability(), 0.708);
 //! ```
 
@@ -76,6 +75,32 @@ impl Provider {
             Provider::Azure => "Microsoft Azure",
             Provider::Gcp => "Google Cloud",
         }
+    }
+
+    /// Hourly price (USD) of a full 8×A100 instance: the paper's Table 3,
+    /// averaged across US-east/west.
+    pub fn price(self, tier: VmTier) -> f64 {
+        let (on_demand, spot) = match self {
+            Provider::Aws => (32.7726, 9.8318),
+            Provider::Azure => (32.7700, 18.0235),
+            Provider::Gcp => (30.0846, 8.8147),
+        };
+        match tier {
+            VmTier::OnDemand => on_demand,
+            VmTier::Spot => spot,
+        }
+    }
+
+    /// Hourly price of one single-GPU worker VM (the paper's cluster has
+    /// one A100 per worker node; we apportion the 8×A100 instance price).
+    pub fn worker_price(self, tier: VmTier) -> f64 {
+        self.price(tier) / 8.0
+    }
+
+    /// Fractional saving of spot over on-demand (Table 3's "Cost
+    /// Savings" column).
+    pub fn savings(self) -> f64 {
+        1.0 - self.price(VmTier::Spot) / self.price(VmTier::OnDemand)
     }
 }
 
@@ -145,51 +170,6 @@ impl fmt::Display for VmTier {
             VmTier::OnDemand => "on-demand",
             VmTier::Spot => "spot",
         })
-    }
-}
-
-/// Hourly prices (USD) for an 8×A100 instance, per provider and tier —
-/// the paper's Table 3 (averaged across US-east/west).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PricingTable {
-    rows: [(Provider, f64, f64); 3],
-}
-
-impl PricingTable {
-    /// The exact Table 3 numbers.
-    pub fn paper_table3() -> Self {
-        PricingTable {
-            rows: [
-                (Provider::Aws, 32.7726, 9.8318),
-                (Provider::Azure, 32.7700, 18.0235),
-                (Provider::Gcp, 30.0846, 8.8147),
-            ],
-        }
-    }
-
-    /// Hourly price of a full 8×A100 instance.
-    pub fn price(&self, provider: Provider, tier: VmTier) -> f64 {
-        let row = self
-            .rows
-            .iter()
-            .find(|(p, _, _)| *p == provider)
-            .expect("all providers present");
-        match tier {
-            VmTier::OnDemand => row.1,
-            VmTier::Spot => row.2,
-        }
-    }
-
-    /// Hourly price of one single-GPU worker VM (the paper's cluster has
-    /// one A100 per worker node; we apportion the 8×A100 instance price).
-    pub fn worker_price(&self, provider: Provider, tier: VmTier) -> f64 {
-        self.price(provider, tier) / 8.0
-    }
-
-    /// Fractional saving of spot over on-demand for `provider`
-    /// (Table 3's "Cost Savings" column).
-    pub fn savings(&self, provider: Provider) -> f64 {
-        1.0 - self.price(provider, VmTier::Spot) / self.price(provider, VmTier::OnDemand)
     }
 }
 
@@ -427,10 +407,10 @@ struct LedgerEntry {
 /// # Example
 ///
 /// ```
-/// use protean_spot::{PricingTable, Provider, VmLedger, VmId, VmTier};
+/// use protean_spot::{Provider, VmLedger, VmId, VmTier};
 /// use protean_sim::SimTime;
 ///
-/// let mut ledger = VmLedger::new(PricingTable::paper_table3(), Provider::Aws);
+/// let mut ledger = VmLedger::new(Provider::Aws);
 /// ledger.open(VmId(0), VmTier::Spot, SimTime::ZERO);
 /// ledger.close(VmId(0), SimTime::from_secs(3600.0));
 /// let cost = ledger.total_cost(SimTime::from_secs(3600.0));
@@ -438,7 +418,6 @@ struct LedgerEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct VmLedger {
-    pricing: PricingTable,
     provider: Provider,
     entries: Vec<LedgerEntry>,
     /// `entries` position of the open entry of each allocated id,
@@ -456,9 +435,8 @@ pub struct VmLedger {
 
 impl VmLedger {
     /// Creates an empty ledger billing at `provider`'s prices.
-    pub fn new(pricing: PricingTable, provider: Provider) -> Self {
+    pub fn new(provider: Provider) -> Self {
         VmLedger {
-            pricing,
             provider,
             entries: Vec::new(),
             open_dense: Vec::new(),
@@ -571,7 +549,7 @@ impl VmLedger {
     /// Dollar cost accrued by `tier` VMs up to `now`; `0.0` for a tier
     /// with no VM.
     pub fn cost_by_tier(&self, tier: VmTier, now: SimTime) -> f64 {
-        let hourly = self.pricing.worker_price(self.provider, tier);
+        let hourly = self.provider.worker_price(tier);
         // From +0.0: an empty f64 `sum()` is -0.0, which prints as
         // "-0.00". Every cost is >= +0.0, so a non-empty fold has the
         // same bits as `sum()`.
@@ -612,10 +590,9 @@ mod tests {
 
     #[test]
     fn table3_savings_match_paper() {
-        let t = PricingTable::paper_table3();
-        assert!((t.savings(Provider::Aws) - 0.6999).abs() < 1e-3);
-        assert!((t.savings(Provider::Azure) - 0.4501).abs() < 1e-3);
-        assert!((t.savings(Provider::Gcp) - 0.7070).abs() < 1e-3);
+        assert!((Provider::Aws.savings() - 0.6999).abs() < 1e-3);
+        assert!((Provider::Azure.savings() - 0.4501).abs() < 1e-3);
+        assert!((Provider::Gcp.savings() - 0.7070).abs() < 1e-3);
     }
 
     #[test]
@@ -670,7 +647,7 @@ mod tests {
 
     #[test]
     fn ledger_bills_open_and_closed_vms() {
-        let mut l = VmLedger::new(PricingTable::paper_table3(), Provider::Aws);
+        let mut l = VmLedger::new(Provider::Aws);
         let a = l.allocate_id();
         let b = l.allocate_id();
         assert_ne!(a, b);
@@ -691,7 +668,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn double_open_panics() {
-        let mut l = VmLedger::new(PricingTable::paper_table3(), Provider::Aws);
+        let mut l = VmLedger::new(Provider::Aws);
         l.open(VmId(0), VmTier::Spot, SimTime::ZERO);
         l.open(VmId(0), VmTier::Spot, SimTime::ZERO);
     }
@@ -700,7 +677,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn close_unopened_panics() {
-        let mut l = VmLedger::new(PricingTable::paper_table3(), Provider::Aws);
+        let mut l = VmLedger::new(Provider::Aws);
         l.close(VmId(3), SimTime::ZERO);
     }
 
@@ -708,7 +685,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn close_before_open_panics() {
-        let mut l = VmLedger::new(PricingTable::paper_table3(), Provider::Aws);
+        let mut l = VmLedger::new(Provider::Aws);
         l.open(VmId(0), VmTier::Spot, SimTime::from_secs(100.0));
         l.close(VmId(0), SimTime::from_secs(50.0));
     }
@@ -720,7 +697,7 @@ mod tests {
     #[cfg(not(debug_assertions))]
     #[test]
     fn misuse_saturates_and_is_counted_in_release() {
-        let mut l = VmLedger::new(PricingTable::paper_table3(), Provider::Aws);
+        let mut l = VmLedger::new(Provider::Aws);
         l.open(VmId(0), VmTier::Spot, SimTime::ZERO);
         l.open(VmId(0), VmTier::OnDemand, SimTime::from_secs(10.0)); // double open
         assert_eq!(l.misuse_events(), 1);
@@ -744,7 +721,7 @@ mod tests {
     /// to zero, never bill a negative interval — in every build.
     #[test]
     fn cost_query_before_open_saturates() {
-        let mut l = VmLedger::new(PricingTable::paper_table3(), Provider::Aws);
+        let mut l = VmLedger::new(Provider::Aws);
         l.open(VmId(0), VmTier::Spot, SimTime::from_secs(100.0));
         assert_eq!(l.total_cost(SimTime::from_secs(50.0)), 0.0);
         l.close(VmId(0), SimTime::from_secs(3700.0));
@@ -759,7 +736,7 @@ mod tests {
     /// which a report prints as "-0.00".
     #[test]
     fn a_tier_without_vms_costs_positive_zero() {
-        let mut l = VmLedger::new(PricingTable::paper_table3(), Provider::Aws);
+        let mut l = VmLedger::new(Provider::Aws);
         let now = SimTime::from_secs(60.0);
         assert_eq!(l.cost_by_tier(VmTier::Spot, now).to_bits(), 0);
         l.open(VmId(0), VmTier::OnDemand, SimTime::ZERO);
@@ -772,7 +749,6 @@ mod tests {
     /// the differential oracle: `open` scans for a duplicate, `close`
     /// finds the first open entry from the start.
     struct LinearLedger {
-        pricing: PricingTable,
         provider: Provider,
         entries: Vec<LedgerEntry>,
         next_id: u64,
@@ -780,9 +756,8 @@ mod tests {
     }
 
     impl LinearLedger {
-        fn new(pricing: PricingTable, provider: Provider) -> Self {
+        fn new(provider: Provider) -> Self {
             LinearLedger {
-                pricing,
                 provider,
                 entries: Vec::new(),
                 next_id: 0,
@@ -834,7 +809,7 @@ mod tests {
         }
 
         fn cost_by_tier(&self, tier: VmTier, now: SimTime) -> f64 {
-            let hourly = self.pricing.worker_price(self.provider, tier);
+            let hourly = self.provider.worker_price(tier);
             self.entries
                 .iter()
                 .filter(|e| e.tier == tier)
@@ -892,8 +867,8 @@ mod tests {
                 1..120,
             ),
         ) {
-            let mut indexed = VmLedger::new(PricingTable::paper_table3(), Provider::Azure);
-            let mut linear = LinearLedger::new(PricingTable::paper_table3(), Provider::Azure);
+            let mut indexed = VmLedger::new(Provider::Azure);
+            let mut linear = LinearLedger::new(Provider::Azure);
             for (step, &(op, id, spot, secs)) in steps.iter().enumerate() {
                 let vm = VmId(id);
                 let now = SimTime::from_secs(secs);
@@ -943,7 +918,7 @@ mod tests {
         /// is additive and non-negative.
         #[test]
         fn prop_ledger_monotone(hours in proptest::collection::vec(0.0f64..10.0, 1..20)) {
-            let mut l = VmLedger::new(PricingTable::paper_table3(), Provider::Gcp);
+            let mut l = VmLedger::new(Provider::Gcp);
             let mut t = SimTime::ZERO;
             for (i, h) in hours.iter().enumerate() {
                 let id = l.allocate_id();

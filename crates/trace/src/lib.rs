@@ -45,7 +45,7 @@
 
 pub mod io;
 
-use protean_models::{catalog, ModelId};
+use protean_models::ModelId;
 use protean_sim::{RngFactory, SimDuration, SimRng, SimTime};
 
 /// One user request as it arrives at the gateway.
@@ -480,7 +480,7 @@ impl Arrivals {
         let mut shape_rng = factory.stream("trace.shape");
 
         let batch_size = if cfg.batch_arrivals {
-            catalog().profile(cfg.strict_model).batch_size.max(1)
+            cfg.strict_model.profile().batch_size.max(1)
         } else {
             1
         };
@@ -1289,7 +1289,7 @@ mod tests {
             cfg.strict_model = strict_model;
             cfg.batch_arrivals = true;
             let trace = cfg.generate(&RngFactory::new(3));
-            let batch = catalog().profile(strict_model).batch_size as usize;
+            let batch = strict_model.profile().batch_size as usize;
             assert!(trace.len() > 1000 * batch);
             assert_eq!(trace.runs.len(), trace.len() / batch);
         }

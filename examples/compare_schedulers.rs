@@ -13,7 +13,7 @@ use std::io::Write;
 
 use protean_experiments::report::{banner, scheme_table};
 use protean_experiments::{run_scheme, schemes, PaperSetup};
-use protean_models::{catalog, ModelId};
+use protean_models::ModelId;
 
 fn main() -> std::io::Result<()> {
     let out = &mut std::io::stdout();
@@ -28,7 +28,7 @@ fn main() -> std::io::Result<()> {
     };
     let config = setup.cluster();
     let trace = setup.wiki_trace(model);
-    let profile = *catalog().profile(model);
+    let profile = model.profile();
     banner(
         out,
         "bake-off",

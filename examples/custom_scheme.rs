@@ -34,7 +34,9 @@ impl Scheme for BiggestSliceFirst {
     }
 
     fn place(&mut self, ctx: &PlacementCtx<'_>, batch: &BatchView) -> Option<Placement> {
-        let mem = ctx.catalog.profile(batch.model).mem_gb;
+        // A model's profiled quantities (memory, solo time, FBR, RDF)
+        // are static: read them from the batch's model.
+        let mem = batch.model.profile().mem_gb;
         // Slices are ordered largest-first; take the first with room.
         ctx.gpu
             .slices()

@@ -9,7 +9,7 @@
 use protean::ProteanBuilder;
 use protean_cluster::{run_simulation, ClusterConfig};
 use protean_metrics::record::Class;
-use protean_models::{catalog, ModelId};
+use protean_models::ModelId;
 use protean_sim::SimDuration;
 use protean_trace::{TraceConfig, TraceShape};
 
@@ -17,13 +17,12 @@ fn main() {
     // 1. Describe the workload: ResNet 50 strict requests under a
     //    Wiki-shaped diurnal trace at 5000 rps, with best-effort
     //    requests rotating through low-interference vision models.
-    let cat = catalog();
     let trace = TraceConfig {
         shape: TraceShape::wiki(5000.0),
         duration: SimDuration::from_secs(60.0),
         strict_model: ModelId::ResNet50,
         strict_fraction: 0.5,
-        be_pool: cat.opposite_pool(ModelId::ResNet50),
+        be_pool: ModelId::ResNet50.opposite_pool(),
         be_rotation_period: SimDuration::from_secs(20.0),
         batch_arrivals: true,
     };
@@ -33,7 +32,7 @@ fn main() {
 
     // 3. Run PROTEAN and inspect the result.
     let result = run_simulation(&config, &ProteanBuilder::paper(), &trace);
-    let slo = |m: ModelId| cat.profile(m).slo();
+    let slo = |m: ModelId| m.profile().slo();
     println!("scheme:            {}", result.scheme);
     println!(
         "requests served:   {} ({} strict)",

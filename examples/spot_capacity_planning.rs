@@ -13,17 +13,16 @@ use protean_experiments::report::{banner, table};
 use protean_experiments::{run_scheme, PaperSetup};
 use protean_models::ModelId;
 use protean_sim::SimDuration;
-use protean_spot::{PricingTable, ProcurementPolicy, Provider, SpotAvailability, VmTier};
+use protean_spot::{ProcurementPolicy, Provider, SpotAvailability, VmTier};
 
 fn main() -> std::io::Result<()> {
     let out = &mut std::io::stdout();
-    let pricing = PricingTable::paper_table3();
     writeln!(
         out,
         "worker VM (1/8 of an 8xA100 {} instance): on-demand ${:.2}/h, spot ${:.2}/h",
         Provider::Aws,
-        pricing.worker_price(Provider::Aws, VmTier::OnDemand),
-        pricing.worker_price(Provider::Aws, VmTier::Spot),
+        Provider::Aws.worker_price(VmTier::OnDemand),
+        Provider::Aws.worker_price(VmTier::Spot),
     )?;
 
     let setup = PaperSetup {

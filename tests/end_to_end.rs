@@ -6,7 +6,7 @@ use protean_baselines::Baseline;
 use protean_cluster::{run_simulation, SchemeBuilder};
 use protean_experiments::{run_scheme, PaperSetup};
 use protean_metrics::record::Class;
-use protean_models::{catalog, ModelId};
+use protean_models::{ModelId, PROFILES};
 use protean_sim::{RngFactory, SimDuration, SimTime};
 
 fn small_setup() -> PaperSetup {
@@ -131,8 +131,7 @@ fn breakdown_components_sum_to_latency() {
 /// The SLO function used in metrics matches the catalog contract.
 #[test]
 fn slo_deadlines_match_catalog() {
-    let cat = catalog();
-    for p in cat.profiles() {
+    for p in &PROFILES {
         assert_eq!(p.slo(), p.slo_with_multiplier(3.0));
         assert!(p.slo() > p.solo_7g);
     }

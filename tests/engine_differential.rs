@@ -18,13 +18,13 @@ use protean_cluster::{
 use protean_experiments::golden::digest;
 use protean_experiments::setup::LANGUAGE_RPS;
 use protean_experiments::PaperSetup;
-use protean_models::{catalog, ModelId};
+use protean_models::ModelId;
 use protean_sim::{SimDuration, SimTime};
 use protean_spot::{ProcurementPolicy, SpotAvailability};
 use protean_trace::{TraceConfig, TraceShape};
 
 fn any_vision_model() -> impl Strategy<Value = ModelId> {
-    prop::sample::select(catalog().vision().map(|p| p.id).collect::<Vec<_>>())
+    prop::sample::select(protean_models::vision().map(|p| p.id).collect::<Vec<_>>())
 }
 
 /// Covers both dispatch policies: Molecule/PROTEAN are load-balancing,
@@ -52,7 +52,7 @@ fn quick_trace(model: ModelId, rps: f64, strict_fraction: f64) -> TraceConfig {
         duration: SimDuration::from_secs(15.0),
         strict_model: model,
         strict_fraction,
-        be_pool: catalog().opposite_pool(model),
+        be_pool: model.opposite_pool(),
         be_rotation_period: SimDuration::from_secs(10.0),
         batch_arrivals: true,
     }

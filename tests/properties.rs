@@ -7,12 +7,12 @@ use protean_baselines::Baseline;
 use protean_cluster::engine::DRAIN_GRACE;
 use protean_cluster::{run_simulation, ClusterConfig, SchemeBuilder};
 use protean_metrics::record::Class;
-use protean_models::{catalog, ModelId};
+use protean_models::ModelId;
 use protean_sim::{RngFactory, SimDuration, SimTime};
 use protean_trace::{TraceConfig, TraceShape};
 
 fn any_vision_model() -> impl Strategy<Value = ModelId> {
-    prop::sample::select(catalog().vision().map(|p| p.id).collect::<Vec<_>>())
+    prop::sample::select(protean_models::vision().map(|p| p.id).collect::<Vec<_>>())
 }
 
 fn scheme_for(idx: usize) -> Box<dyn SchemeBuilder> {
@@ -38,7 +38,7 @@ fn quick_trace(model: ModelId, rps: f64, strict_fraction: f64) -> TraceConfig {
         duration: SimDuration::from_secs(15.0),
         strict_model: model,
         strict_fraction,
-        be_pool: catalog().opposite_pool(model),
+        be_pool: model.opposite_pool(),
         be_rotation_period: SimDuration::from_secs(10.0),
         batch_arrivals: true,
     }
@@ -107,8 +107,7 @@ proptest! {
         let hours = (trace.duration + DRAIN_GRACE).as_secs_f64() / 3600.0;
         let expected = config.workers as f64
             * hours
-            * protean_spot::PricingTable::paper_table3()
-                .worker_price(protean_spot::Provider::Aws, protean_spot::VmTier::OnDemand);
+            * protean_spot::Provider::Aws.worker_price(protean_spot::VmTier::OnDemand);
         prop_assert!((result.cost.total_usd - expected).abs() < 1e-6,
             "cost {} expected {}", result.cost.total_usd, expected);
     }

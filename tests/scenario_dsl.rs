@@ -23,7 +23,7 @@ use protean_experiments::scenario::{
     self, BurstSpec, EvictionSpec, ExpectSpec, FleetSpec, MarketSpec, ScenarioError, ScenarioSpec,
     StormSpec, TraceKind, TraceSpec,
 };
-use protean_models::{catalog, ModelId};
+use protean_models::ModelId;
 use protean_sim::{RngFactory, SimDuration, SimTime};
 use protean_spot::{ProcurementPolicy, Provider, SpotAvailability};
 use protean_trace::{TraceConfig, TraceShape};
@@ -300,7 +300,7 @@ fn hand_built_market_matches_dsl_twin_on_jittered_storm() {
     config.cold_start = SimDuration::from_secs(8.0);
     config.audit = true;
 
-    let mut be_pool = catalog().opposite_pool(ModelId::ResNet50);
+    let mut be_pool = ModelId::ResNet50.opposite_pool();
     if be_pool.is_empty() {
         be_pool.push(ModelId::ResNet50);
     }

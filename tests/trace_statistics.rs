@@ -2,7 +2,7 @@
 //! published shape parameters must be realised by the synthetic traces
 //! across seeds.
 
-use protean_models::{catalog, ModelId};
+use protean_models::ModelId;
 use protean_sim::{RngFactory, SimDuration};
 use protean_trace::{TraceConfig, TraceShape};
 
@@ -64,7 +64,7 @@ fn twitter_burstiness_is_stable_across_seeds() {
 
 #[test]
 fn batched_arrivals_come_in_whole_batches() {
-    let batch = catalog().profile(ModelId::ResNet50).batch_size as usize;
+    let batch = ModelId::ResNet50.profile().batch_size as usize;
     let t = config(TraceShape::constant(2000.0), 20.0, 0.5, true).generate(&RngFactory::new(3));
     assert_eq!(t.len() % batch, 0, "partial batch generated");
     // Each batch's members share arrival, model and class.
