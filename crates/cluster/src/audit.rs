@@ -172,6 +172,18 @@ impl Auditor {
         );
     }
 
+    /// A slice finished job `id` on `worker`, but no batch `id` runs
+    /// there (the engine lost track of a placed batch).
+    pub(crate) fn not_running(&mut self, now: SimTime, id: BatchId, worker: usize) {
+        if !self.enabled {
+            return;
+        }
+        self.violation(
+            now,
+            format!("batch {id:?} finished on worker {worker}, where it was not running"),
+        );
+    }
+
     /// `Scheme::place` chose slice `slice` for batch `id` on a worker
     /// whose GPU has only `slices` slices (a breach of the
     /// `Scheme::place` contract); the batch stays queued.
@@ -410,8 +422,9 @@ mod tests {
 
     /// A three-worker fleet, all up, with the given loads.
     fn fleet(outstanding: [u64; 3]) -> Vec<Worker> {
+        let rng = protean_sim::RngFactory::new(0);
         let mut fleet: Vec<Worker> = (0..3)
-            .map(|g| Worker::new(g, Box::new(AlwaysLargest), SimTime::ZERO))
+            .map(|g| Worker::new(g, Box::new(AlwaysLargest), &rng, SimTime::ZERO))
             .collect();
         for (w, outstanding) in fleet.iter_mut().zip(outstanding) {
             w.status = WorkerStatus::Up;

@@ -1,5 +1,7 @@
 //! Request batches and the per-`(model, strictness)` batch accumulators.
 
+use std::ops::Deref;
+
 use protean_models::ModelId;
 use protean_sim::SimTime;
 use protean_trace::Run;
@@ -20,8 +22,8 @@ pub struct Batch {
     pub strict: bool,
     /// The member requests as arrival runs, in order (their arrivals are
     /// all that metrics need). A batch filled by one batch arrival holds
-    /// one run.
-    pub runs: Vec<Run>,
+    /// one run, inline.
+    pub runs: Runs,
     /// When the batch was sealed.
     pub sealed_at: SimTime,
     /// Cold-start wait on this batch's critical path, ms (set when the
@@ -37,6 +39,28 @@ impl Batch {
     /// Number of member requests.
     pub fn size(&self) -> u32 {
         self.runs.iter().map(|r| r.len).sum()
+    }
+}
+
+/// A batch's arrival runs: one run inline, so that a batch filled by one
+/// batch arrival owns no heap block, or several in a vector. Reads as a
+/// slice of runs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Runs {
+    /// Exactly one run.
+    One(Run),
+    /// Any other number of runs (an empty batch holds none).
+    Many(Vec<Run>),
+}
+
+impl Deref for Runs {
+    type Target = [Run];
+
+    fn deref(&self) -> &[Run] {
+        match self {
+            Runs::One(run) => std::slice::from_ref(run),
+            Runs::Many(runs) => runs,
+        }
     }
 }
 
@@ -60,12 +84,11 @@ impl Accumulator {
 
     /// Adds a run of requests; returns `true` if it is the first pending
     /// run, which opens the batch (the caller arms its window-expiry
-    /// timer unless the run also filled it). The first run sizes the
-    /// batch for one run, which is all a batch filled by one batch
-    /// arrival needs.
+    /// timer unless the run also filled it). The buffer starts at one
+    /// slot, which is all a batch filled by one batch arrival needs.
     pub fn push(&mut self, run: Run) -> bool {
         let first = self.pending.is_empty();
-        if first {
+        if self.pending.capacity() == 0 {
             self.pending.reserve_exact(1);
         }
         self.pending.push(run);
@@ -84,11 +107,17 @@ impl Accumulator {
     }
 
     /// Seals and returns the pending runs (empties the accumulator and
-    /// bumps `seal_seq`).
-    pub fn seal(&mut self) -> Vec<Run> {
+    /// bumps `seal_seq`). The buffer stays for the next batch: one run
+    /// leaves inline, several leave in a vector of their own.
+    pub fn seal(&mut self) -> Runs {
         self.seal_seq += 1;
         self.len = 0;
-        std::mem::take(&mut self.pending)
+        let runs = match self.pending[..] {
+            [run] => Runs::One(run),
+            _ => Runs::Many(self.pending.to_vec()),
+        };
+        self.pending.clear();
+        runs
     }
 }
 
@@ -119,7 +148,64 @@ mod tests {
         for round in 0..2 {
             a.push(run(round, 128));
             assert_eq!(a.pending.capacity(), 1, "round {round}");
-            assert_eq!(a.seal().capacity(), 1);
+            assert_eq!(a.seal().len(), 1);
+        }
+    }
+
+    #[test]
+    fn a_batch_sealed_from_one_run_owns_no_heap_block() {
+        let mut a = Accumulator::new();
+        a.push(run(0, 8));
+        assert_eq!(a.seal(), Runs::One(run(0, 8)));
+        // Two runs leave in a vector that fits them exactly.
+        a.push(run(1, 3));
+        a.push(run(2, 5));
+        match a.seal() {
+            Runs::Many(runs) => assert_eq!((runs.len(), runs.capacity()), (2, 2)),
+            one => panic!("two runs sealed as {one:?}"),
+        }
+    }
+
+    #[test]
+    fn the_accumulator_keeps_one_slot_across_seals() {
+        let mut a = Accumulator::new();
+        a.push(run(0, 8));
+        let slot = a.pending.as_ptr();
+        for round in 1..4 {
+            a.seal();
+            a.push(run(round, 8));
+            assert_eq!(a.pending.as_ptr(), slot, "round {round}");
+            assert_eq!(a.pending.capacity(), 1);
+        }
+    }
+
+    #[test]
+    fn a_batch_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<Runs>(), 24);
+        assert_eq!(std::mem::size_of::<Batch>(), 56);
+    }
+
+    proptest::proptest! {
+        /// Sealing k pushed runs returns exactly those runs, in order,
+        /// and counts their requests.
+        #[test]
+        fn prop_seal_returns_the_pushed_runs_in_order(
+            lens in proptest::collection::vec(1u32..64, 1..=8),
+        ) {
+            let mut a = Accumulator::new();
+            let pushed: Vec<Run> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| run(i as u64, len))
+                .collect();
+            for &r in &pushed {
+                a.push(r);
+            }
+            proptest::prop_assert_eq!(a.len(), lens.iter().sum::<u32>());
+            let sealed = a.seal();
+            proptest::prop_assert_eq!(&sealed[..], &pushed[..]);
+            proptest::prop_assert_eq!(matches!(sealed, Runs::One(_)), pushed.len() == 1);
+            proptest::prop_assert!(a.is_empty());
         }
     }
 
@@ -145,7 +231,7 @@ mod tests {
             id: BatchId(1),
             model: ModelId::MobileNet,
             strict: false,
-            runs: vec![run(0, 1), run(1, 2)],
+            runs: Runs::Many(vec![run(0, 1), run(1, 2)]),
             sealed_at: SimTime::ZERO,
             cold_wait_ms: 0.0,
             redispatched: false,

@@ -10,7 +10,11 @@
 use protean_sim::{SimDuration, SimTime, SlimPush};
 
 /// The container pool for one model on one worker.
+///
+/// In declaration order (`repr(C)`), the metric counters, read only by
+/// the audit, trail.
 #[derive(Debug, Clone, Default)]
+#[repr(C)]
 pub struct Pool {
     /// Idle warm containers, tagged with when they became idle.
     warm: Vec<SimTime>,

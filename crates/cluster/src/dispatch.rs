@@ -222,10 +222,10 @@ impl DispatchIndex {
         }
     }
 
-    /// [`DispatchIndex::refresh`] from the worker's live state.
-    pub fn refresh_worker(&mut self, w: &Worker) {
+    /// [`DispatchIndex::refresh`] from the live state of worker `g`.
+    pub fn refresh_worker(&mut self, g: usize, w: &Worker) {
         let (routable, accepting, outstanding) = w.dispatch_state();
-        self.refresh(w.idx, routable, accepting, outstanding);
+        self.refresh(g, routable, accepting, outstanding);
     }
 
     /// The least-loaded routable worker with an accepting GPU — the
@@ -486,10 +486,11 @@ mod tests {
         use crate::schemes_for_test::AlwaysLargest;
         use crate::SchemeBuilder;
         use protean_gpu::Geometry;
-        use protean_sim::SimTime;
+        use protean_sim::{RngFactory, SimTime};
 
+        let rng = RngFactory::new(0);
         let mut fleet: Vec<Worker> = (0..3)
-            .map(|g| Worker::new(g, AlwaysLargest.build(g), SimTime::ZERO))
+            .map(|g| Worker::new(g, AlwaysLargest.build(g), &rng, SimTime::ZERO))
             .collect();
         fleet[1].outstanding = 6;
         fleet[1]
@@ -498,8 +499,8 @@ mod tests {
             .expect("active GPU");
         let indexed = |fleet: &[Worker]| {
             let mut index = DispatchIndex::new(fleet.len());
-            for w in fleet {
-                index.refresh_worker(w);
+            for (g, w) in fleet.iter().enumerate() {
+                index.refresh_worker(g, w);
             }
             index
         };

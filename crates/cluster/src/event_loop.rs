@@ -21,14 +21,14 @@
 //! # State
 //!
 //! The `EventLoop` owns the whole cluster: the gateway (accumulators,
-//! backlog, batch ids), the workers (indexed by global worker id) with
-//! their execution-jitter streams, one [`DispatchIndex`], the spot
-//! market and VM ledger, and every output stream. A handler reports
-//! each transition once, with `emit`, in handling order, so nothing is
-//! buffered or sorted. A fixed set of observers folds every emitted
-//! [`JournalEvent`]: the bounded [`Journal`], the auditor's batch
-//! life-cycle check and the run tally (`cold_starts`, `proactive_boots`,
-//! `reconfigs`, `geometry_timeline`, `cost.evictions`).
+//! backlog, batch ids), the workers (indexed by global worker id), one
+//! [`DispatchIndex`], the spot market and VM ledger, and every output
+//! stream. A handler reports each transition once, with `emit`, in
+//! handling order, so nothing is buffered or sorted. A fixed set of
+//! observers folds every emitted [`JournalEvent`]: the bounded
+//! [`Journal`], the auditor's batch life-cycle check and the run tally
+//! (`cold_starts`, `proactive_boots`, `reconfigs`, `geometry_timeline`,
+//! `cost.evictions`).
 //!
 //! # Audit cadence
 //!
@@ -44,7 +44,7 @@ use protean_gpu::{Completion, JobId, JobSpec};
 use protean_metrics::record::Class;
 use protean_metrics::{BatchRecord, MetricsSet};
 use protean_models::ModelId;
-use protean_sim::{EventKey, KeyedEventQueue, RngFactory, SimRng, SimTime, TimeSeries};
+use protean_sim::{EventKey, KeyedEventQueue, RngFactory, SimTime, TimeSeries};
 use protean_spot::{ProcurementPolicy, SpotOracle, VmId, VmLedger, VmTier};
 use protean_trace::{Run, Trace, TraceConfig};
 
@@ -54,8 +54,8 @@ use crate::container::Acquire;
 use crate::dispatch::DispatchIndex;
 use crate::engine::{
     ClusterConfig, CostReport, EngineStats, GeometryChange, SimulationResult, BATCH_WINDOW,
-    DRAIN_GRACE, EXEC_JITTER_SIGMA, MAX_RECONFIG_FRACTION, MONITOR_INTERVAL, SCAN_DEPTH,
-    TIME_SHARE_OVERHEAD_BASE_MS, TIME_SHARE_OVERHEAD_MS_PER_GB,
+    DRAIN_GRACE, MAX_RECONFIG_FRACTION, MONITOR_INTERVAL, SCAN_DEPTH, TIME_SHARE_OVERHEAD_BASE_MS,
+    TIME_SHARE_OVERHEAD_MS_PER_GB,
 };
 use crate::journal::{Journal, JournalEvent};
 use crate::scheme::{BatchView, DispatchPolicy, SchemeBuilder};
@@ -242,9 +242,6 @@ struct EventLoop<'a> {
     ledger: VmLedger,
     /// The fleet, indexed by global worker id.
     workers: Vec<Worker>,
-    /// Per-worker execution-jitter streams
-    /// (`indexed_stream("engine.exec_jitter", worker)`).
-    jitter_rngs: Vec<SimRng>,
     agenda: Agenda,
     index: DispatchIndex,
     /// Open batches per `(model, strictness)`. Ordered, so teardown
@@ -300,22 +297,31 @@ impl Iterator for Draining {
 }
 
 impl<'a> EventLoop<'a> {
+    /// A fleet whose every worker holds `prewarm_containers` warm
+    /// containers of each of `prewarm` models.
     fn new(
         config: &'a ClusterConfig,
         scheme: &dyn SchemeBuilder,
         market: &'a mut dyn SpotOracle,
+        prewarm: &[ModelId],
     ) -> Self {
         assert!(config.workers > 0, "cluster needs at least one worker");
         let factory = RngFactory::new(config.seed);
+        let count = config.prewarm_containers;
         EventLoop {
             config,
             market,
             ledger: VmLedger::new(config.provider),
+            // Each worker's pools are built with it, so that one worker's
+            // blocks sit together in memory.
             workers: (0..config.workers)
-                .map(|g| Worker::new(g, scheme.build(g), SimTime::ZERO))
-                .collect(),
-            jitter_rngs: (0..config.workers)
-                .map(|g| factory.indexed_stream("engine.exec_jitter", g as u64))
+                .map(|g| {
+                    let mut w = Worker::new(g, scheme.build(g), &factory, SimTime::ZERO);
+                    if count > 0 {
+                        w.prewarm(prewarm, count, SimTime::ZERO);
+                    }
+                    w
+                })
                 .collect(),
             agenda: Agenda::new(),
             index: DispatchIndex::new(config.workers),
@@ -339,7 +345,7 @@ impl<'a> EventLoop<'a> {
     }
 
     fn refresh_index(&mut self, g: usize) {
-        self.index.refresh_worker(&self.workers[g]);
+        self.index.refresh_worker(g, &self.workers[g]);
     }
 
     /// Reports one transition to every observer.
@@ -385,29 +391,6 @@ impl<'a> EventLoop<'a> {
         }
         self.agenda
             .push(SimTime::ZERO + MONITOR_INTERVAL, Event::MonitorTick);
-    }
-
-    /// Pre-warms `prewarm_containers` containers on every worker for each
-    /// distinct model of `trace_models` (a trace's models, one per run),
-    /// in first-seen order. Stops reading once `universe` distinct models
-    /// were seen.
-    fn prewarm_fleet(&mut self, trace_models: impl Iterator<Item = ModelId>, universe: usize) {
-        let count = self.config.prewarm_containers;
-        if count == 0 {
-            return;
-        }
-        let mut models: Vec<ModelId> = Vec::new();
-        for m in trace_models {
-            if !models.contains(&m) {
-                models.push(m);
-                if models.len() >= universe {
-                    break;
-                }
-            }
-        }
-        for w in &mut self.workers {
-            w.prewarm(&models, count, self.now);
-        }
     }
 
     // ---- main loop --------------------------------------------------
@@ -622,16 +605,18 @@ impl<'a> EventLoop<'a> {
                 return;
             }
         };
-        let batch_id = BatchId(finished.spec.id.0);
-        let Some(running) = w.finish_running(batch_id, now) else {
-            return;
-        };
         // Re-arm the slice's single live finish event for the jobs still
-        // resident (the all-jobs discipline would have re-pushed each).
+        // resident (the all-jobs discipline would have re-pushed each),
+        // whatever becomes of the finished one.
         self.stats.finish_events_all_jobs += w.gpu.slice(slice).job_count() as u64;
         if let Some(c) = next {
             self.arm_finish(g, slice, c);
         }
+        let batch_id = BatchId(finished.spec.id.0);
+        let Some(running) = self.workers[g].finish_running(batch_id, now) else {
+            self.observers.audit.not_running(now, batch_id, g);
+            return;
+        };
         self.emit(JournalEvent::BatchFinished {
             batch: batch_id,
             worker: g,
@@ -757,9 +742,7 @@ impl<'a> EventLoop<'a> {
                 // batches run proportionally faster.
                 let fill = f64::from(view.size) / f64::from(profile.batch_size);
                 let fill_factor = profile.fill_factor(fill);
-                let jitter = (self.jitter_rngs[g].standard_normal() * EXEC_JITTER_SIGMA)
-                    .exp()
-                    .clamp(0.6, 1.7);
+                let jitter = self.workers[g].draw_jitter();
                 let mut solo = profile
                     .solo_on(slice_profile)
                     .mul_f64(p.solo_scale.max(0.0) * fill_factor * jitter);
@@ -1033,6 +1016,12 @@ impl<'a> EventLoop<'a> {
             );
         };
         for w in &mut self.workers {
+            // A worker with no outstanding request holds no batch
+            // (audited, and checked here in debug builds).
+            if w.outstanding == 0 {
+                debug_assert_eq!(w.held_requests(), 0, "worker {}", w.idx);
+                continue;
+            }
             for b in w.drain_all_batches() {
                 censor(b.model, b.strict, &b.runs);
             }
@@ -1134,15 +1123,15 @@ pub(crate) fn run_trace(
     trace: Trace,
     oracle: &mut dyn SpotOracle,
 ) -> SimulationResult {
-    run(config, scheme, oracle, |engine| {
-        let duration = trace.duration();
-        let runs = trace.into_runs();
+    let duration = trace.duration();
+    let runs = trace.into_runs();
+    let prewarm = distinct_models(runs.iter().map(|r| r.model), usize::MAX);
+    run(config, scheme, oracle, &prewarm, |engine| {
         // Reserving up front keeps million-request runs from re-growing
         // the record store mid-measurement.
         let (batches, entries) = engine.records_of(&runs);
         engine.metrics.reserve_batches(batches);
         engine.metrics.reserve(entries);
-        engine.prewarm_fleet(runs.iter().map(|r| r.model), usize::MAX);
         engine.run_arrivals(Draining { buf: runs, read: 0 }, duration);
     })
 }
@@ -1158,23 +1147,40 @@ pub(crate) fn run_stream(
     oracle: &mut dyn SpotOracle,
 ) -> SimulationResult {
     let factory = RngFactory::new(config.seed);
-    run(config, scheme, oracle, |engine| {
-        let prewarm_scan = trace_config.runs(&factory);
-        let universe = prewarm_scan.model_universe().len();
-        engine.prewarm_fleet(prewarm_scan.map(|r| r.model), universe);
+    let prewarm_scan = trace_config.runs(&factory);
+    let universe = prewarm_scan.model_universe().len();
+    let prewarm = distinct_models(prewarm_scan.map(|r| r.model), universe);
+    run(config, scheme, oracle, &prewarm, |engine| {
         engine.run_arrivals(trace_config.runs(&factory), trace_config.duration);
     })
 }
 
-/// Provisions the fleet, lets `drive` feed it the trace, and folds the
-/// run into its result.
+/// The distinct models of `trace_models` (a trace's models, one per
+/// run), in first-seen order: the models every worker pre-warms. Stops
+/// reading once `universe` distinct models were seen.
+fn distinct_models(trace_models: impl Iterator<Item = ModelId>, universe: usize) -> Vec<ModelId> {
+    let mut models: Vec<ModelId> = Vec::new();
+    for m in trace_models {
+        if !models.contains(&m) {
+            models.push(m);
+            if models.len() >= universe {
+                break;
+            }
+        }
+    }
+    models
+}
+
+/// Provisions the fleet, pre-warmed with `prewarm`, lets `drive` feed it
+/// the trace, and folds the run into its result.
 fn run(
     config: &ClusterConfig,
     scheme: &dyn SchemeBuilder,
     oracle: &mut dyn SpotOracle,
+    prewarm: &[ModelId],
     drive: impl FnOnce(&mut EventLoop<'_>),
 ) -> SimulationResult {
-    let mut engine = EventLoop::new(config, scheme, oracle);
+    let mut engine = EventLoop::new(config, scheme, oracle, prewarm);
     engine.provision_initial_vms();
     drive(&mut engine);
     engine.finish(scheme.name().to_string())
@@ -1183,6 +1189,7 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Runs;
     use crate::engine::run_simulation_on;
     use crate::scheme::{Placement, PlacementCtx, Scheme};
     use crate::schemes_for_test::AlwaysLargest;
@@ -1296,6 +1303,79 @@ mod tests {
         assert_eq!(quiet.stats, audited.stats);
         assert_eq!(quiet.metrics.count(Class::All), 0);
         assert_eq!(audited.metrics.count(Class::All), 0);
+    }
+
+    #[test]
+    fn a_finish_whose_batch_is_not_running_is_reported_and_its_slice_runs_on() {
+        let mut config = ClusterConfig::small_test();
+        config.audit = true;
+        let rng = RngFactory::new(config.seed);
+        let mut market =
+            protean_spot::SpotMarket::new(config.availability, rng.stream("spot.market"));
+        let mut engine = EventLoop::new(&config, &AlwaysLargest, &mut market, &[ModelId::ResNet50]);
+        engine.provision_initial_vms();
+        // Jobs 1 and 2 share worker 0's slice; only job 2 is a running
+        // batch, and job 1 finishes first.
+        let job = |id, ms| JobSpec {
+            id: JobId(id),
+            solo: SimDuration::from_millis(ms),
+            fbr: 0.1,
+            mem_gb: 1.0,
+        };
+        let run = Run {
+            arrival: SimTime::ZERO,
+            model: ModelId::ResNet50,
+            strict: true,
+            len: 1,
+        };
+        let batch = Batch {
+            id: BatchId(2),
+            model: run.model,
+            strict: run.strict,
+            runs: Runs::One(run),
+            sealed_at: SimTime::ZERO,
+            cold_wait_ms: 0.0,
+            redispatched: false,
+        };
+        let w = &mut engine.workers[0];
+        assert_eq!(w.acquire_container(batch), Acquire::Warm);
+        let batch = w.sched_queue.remove(BatchId(2)).unwrap();
+        w.gpu
+            .slice_mut(0)
+            .admit(SimTime::ZERO, job(1, 10.0))
+            .unwrap();
+        let first = w
+            .gpu
+            .slice_mut(0)
+            .admit(SimTime::ZERO, job(2, 20.0))
+            .unwrap();
+        w.start_running(RunningBatch {
+            batch,
+            slice: 0,
+            exec_start: SimTime::ZERO,
+            solo_on_slice_ms: 20.0,
+            solo_7g_ms: 20.0,
+        });
+        w.outstanding = 1;
+        engine.arm_finish(0, 0, first);
+        let mut finishes = 0;
+        while let Some((k, ev)) = engine.agenda.pop() {
+            if let Event::JobFinish { .. } = ev {
+                finishes += 1;
+                engine.now = k.time;
+                engine.handle(ev);
+            }
+        }
+        // Job 1's finish armed job 2's, which completed its batch.
+        assert_eq!(finishes, 2);
+        assert_eq!(engine.workers[0].held_requests(), 0);
+        assert!(engine.workers[0].gpu.slice(0).is_idle());
+        let violations = engine.observers.audit.into_report().violations;
+        let lost = "BatchId(1) finished on worker 0, where it was not running";
+        assert!(
+            violations.iter().any(|v| v.contains(lost)),
+            "{violations:?}"
+        );
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub mod scheme;
 pub mod worker;
 
 pub use audit::AuditReport;
-pub use batch::{Batch, BatchId};
+pub use batch::{Batch, BatchId, Runs};
 pub use dispatch::DispatchIndex;
 pub use engine::{
     run_simulation, run_simulation_on, run_simulation_streaming, run_simulation_with_oracle,

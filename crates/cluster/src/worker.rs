@@ -6,12 +6,12 @@ use std::collections::VecDeque;
 
 use protean_gpu::{Geometry, Gpu};
 use protean_models::ModelId;
-use protean_sim::{Ewma, SimTime, SlimPush};
+use protean_sim::{Ewma, RngFactory, SimRng, SimTime, SlimPush};
 use protean_spot::{VmId, VmTier};
 
 use crate::batch::{Batch, BatchId};
 use crate::container::{Acquire, Pool};
-use crate::engine::ClusterConfig;
+use crate::engine::{ClusterConfig, EXEC_JITTER_SIGMA};
 use crate::scheme::{BatchView, Placement, PlacementCtx, ReconfigCtx, Scheme};
 
 /// Availability of a worker slot with respect to its backing VM.
@@ -180,13 +180,19 @@ const PREWARM_EWMA_ALPHA: f64 = 0.3;
 /// A worker's state for one model: its container pool (§4.2), the
 /// batches waiting for a container, and the window demand that drives
 /// predictive pre-provisioning.
+///
+/// In declaration order (`repr(C)`): the first 80 bytes are what every
+/// dispatch and finish reads (the model, the window count, the waits and
+/// the pool's warm list and busy/booting counts); the pool's metric
+/// counters and the EWMA, read by the monitor tick and the audit, trail.
+#[repr(C)]
 struct ModelState {
     model: ModelId,
-    pool: Pool,
-    /// Sealed batches waiting for a container, oldest first.
-    waiting: VecDeque<Batch>,
     /// Batches dispatched here in the current monitor window.
     window_batches: u64,
+    /// Sealed batches waiting for a container, oldest first.
+    waiting: VecDeque<Batch>,
+    pool: Pool,
     /// EWMA of per-window batch arrivals.
     predicted: Ewma,
 }
@@ -203,9 +209,9 @@ impl ModelState {
                     pos,
                     ModelState {
                         model,
-                        pool: Pool::new(),
-                        waiting: VecDeque::new(),
                         window_batches: 0,
+                        waiting: VecDeque::new(),
+                        pool: Pool::new(),
                         predicted: Ewma::new(PREWARM_EWMA_ALPHA),
                     },
                 );
@@ -253,45 +259,55 @@ pub enum FinishEvent {
 ///
 /// Per-model state and running batches are private and kept in a fixed
 /// order, so no simulated result depends on hash iteration order.
+///
+/// The fields are laid out by temperature, in declaration order
+/// (`repr(C)`). A fleet of 50,000 workers is far beyond cache, so every
+/// dispatch and finish starts on a cold record. What they read comes
+/// first, then the GPU, whose own hot fields lead and whose cold ones
+/// border the VM lifecycle fields, which trail.
+#[repr(C)]
 pub struct Worker {
-    /// Slot index in the cluster.
-    pub idx: usize,
-    /// The scheme instance making this worker's scheduling decisions.
-    pub scheme: Box<dyn Scheme>,
-    /// VM lifecycle status.
-    pub status: WorkerStatus,
-    /// Backing VM (id, tier) when up or evicting.
-    pub vm: Option<(VmId, VmTier)>,
-    /// Replacement VM that became ready while the old one drains.
-    pub pending_vm: Option<(VmId, VmTier)>,
-    /// The worker's GPU.
-    pub gpu: Gpu,
     /// Bumped on every GPU rebuild (reconfiguration or VM replacement);
     /// stale completion events carry an older epoch.
     pub epoch: u64,
+    /// Requests assigned to this worker and not yet completed (load
+    /// metric for the dispatcher).
+    pub outstanding: u64,
+    /// VM lifecycle status.
+    pub status: WorkerStatus,
+    /// Per-model state, sorted by model.
+    models: Vec<ModelState>,
+    /// Most recent best-effort model routed here.
+    last_be_model: Option<ModelId>,
+    /// Best-effort requests seen in the current monitor window.
+    window_be: u64,
+    /// Strict requests seen in the current monitor window.
+    window_strict: u64,
+    /// Batches executing on the GPU, in admission order.
+    running: Vec<RunningBatch>,
+    /// Batches with containers awaiting slice placement.
+    pub sched_queue: SchedQueue,
+    /// Boxed so that a worker whose scheme never declines pays one
+    /// pointer and allocates nothing.
+    memo: Option<Box<DeclineMemo>>,
+    /// The scheme instance making this worker's scheduling decisions.
+    pub scheme: Box<dyn Scheme>,
+    /// The worker's execution-jitter stream
+    /// (`indexed_stream("engine.exec_jitter", idx)`).
+    jitter: SimRng,
+    /// The worker's GPU.
+    pub gpu: Gpu,
     /// Bumped only on VM replacement, never on reconfiguration.
     /// Container boots survive a MIG reconfig (containers live in host
     /// memory) but not a VM replacement, so `BootDone` events validate
     /// against this counter rather than `epoch`.
     pub vm_epoch: u64,
-    /// Per-model state, sorted by model.
-    models: Vec<ModelState>,
-    /// Batches with containers awaiting slice placement.
-    pub sched_queue: SchedQueue,
-    /// Batches executing on the GPU, in admission order.
-    running: Vec<RunningBatch>,
-    /// Requests assigned to this worker and not yet completed (load
-    /// metric for the dispatcher).
-    pub outstanding: u64,
-    /// Best-effort requests seen in the current monitor window.
-    window_be: u64,
-    /// Strict requests seen in the current monitor window.
-    window_strict: u64,
-    /// Most recent best-effort model routed here.
-    last_be_model: Option<ModelId>,
-    /// Boxed so that a worker whose scheme never declines pays one
-    /// pointer and allocates nothing.
-    memo: Option<Box<DeclineMemo>>,
+    /// Backing VM (id, tier) when up or evicting.
+    pub vm: Option<(VmId, VmTier)>,
+    /// Replacement VM that became ready while the old one drains.
+    pub pending_vm: Option<(VmId, VmTier)>,
+    /// Slot index in the cluster.
+    pub idx: usize,
 }
 
 impl std::fmt::Debug for Worker {
@@ -308,8 +324,8 @@ impl std::fmt::Debug for Worker {
 
 impl Worker {
     /// Creates an up worker with a fresh GPU in the scheme's initial
-    /// geometry.
-    pub fn new(idx: usize, scheme: Box<dyn Scheme>, now: SimTime) -> Self {
+    /// geometry, drawing execution jitter from its own stream of `rng`.
+    pub fn new(idx: usize, scheme: Box<dyn Scheme>, rng: &RngFactory, now: SimTime) -> Self {
         let gpu = Gpu::new(
             protean_gpu::GpuId(idx as u32),
             scheme.initial_geometry(),
@@ -318,22 +334,23 @@ impl Worker {
         );
         let reorders = scheme.reorders();
         Worker {
-            idx,
-            scheme,
-            status: WorkerStatus::Up,
-            vm: None,
-            pending_vm: None,
-            gpu,
             epoch: 0,
-            vm_epoch: 0,
-            models: Vec::new(),
-            sched_queue: SchedQueue::new(reorders),
-            running: Vec::new(),
             outstanding: 0,
+            status: WorkerStatus::Up,
+            models: Vec::new(),
+            last_be_model: None,
             window_be: 0,
             window_strict: 0,
-            last_be_model: None,
+            running: Vec::new(),
+            sched_queue: SchedQueue::new(reorders),
             memo: None,
+            scheme,
+            jitter: rng.indexed_stream("engine.exec_jitter", idx as u64),
+            gpu,
+            vm_epoch: 0,
+            vm: None,
+            pending_vm: None,
+            idx,
         }
     }
 
@@ -409,6 +426,14 @@ impl Worker {
         if let Some(memo) = &mut self.memo {
             memo.views.clear();
         }
+    }
+
+    /// The next execution-time jitter factor: log-normal with
+    /// [`EXEC_JITTER_SIGMA`], clamped to `[0.6, 1.7]`.
+    pub(crate) fn draw_jitter(&mut self) -> f64 {
+        (self.jitter.standard_normal() * EXEC_JITTER_SIGMA)
+            .exp()
+            .clamp(0.6, 1.7)
     }
 
     /// Counts a batch routed here into the load and the window demand;
@@ -522,16 +547,10 @@ impl Worker {
         desired
     }
 
-    /// Pre-warms `count` containers per model unless all already hold
-    /// that many.
+    /// Pre-warms `count` containers of each of `models` (distinct) on a
+    /// fresh worker, in one table block sized to them.
     pub(crate) fn prewarm(&mut self, models: &[ModelId], count: usize, now: SimTime) {
-        let satisfied = models.iter().all(|&m| {
-            self.containers()
-                .any(|(pm, p)| pm == m && p.total_containers() as usize >= count)
-        });
-        if satisfied {
-            return;
-        }
+        self.models.reserve_exact(models.len());
         for &m in models {
             ModelState::of(&mut self.models, m).pool.prewarm(now, count);
         }
@@ -593,6 +612,7 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Runs;
     use crate::schemes_for_test::AlwaysLargest;
     use protean_trace::Run;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -603,16 +623,21 @@ mod tests {
             id: BatchId(id),
             model: ModelId::ResNet50,
             strict,
-            runs: vec![Run {
+            runs: Runs::One(Run {
                 arrival: SimTime::ZERO,
                 model: ModelId::ResNet50,
                 strict,
                 len: 1,
-            }],
+            }),
             sealed_at: SimTime::ZERO,
             cold_wait_ms: 0.0,
             redispatched: false,
         }
+    }
+
+    fn idle_worker() -> Worker {
+        let rng = RngFactory::new(0);
+        Worker::new(0, Box::new(AlwaysLargest), &rng, SimTime::ZERO)
     }
 
     /// The batches `for_each_candidate` visits, in visit order.
@@ -679,7 +704,7 @@ mod tests {
 
     #[test]
     fn drain_all_batches_empties_worker() {
-        let mut w = Worker::new(0, Box::new(AlwaysLargest), SimTime::ZERO);
+        let mut w = idle_worker();
         w.sched_queue.push(batch(1, true));
         w.sched_queue.push(batch(2, false));
         w.outstanding = 2;
@@ -691,7 +716,7 @@ mod tests {
 
     #[test]
     fn drain_order_is_waits_by_model_then_queue_then_running() {
-        let mut w = Worker::new(0, Box::new(AlwaysLargest), SimTime::ZERO);
+        let mut w = idle_worker();
         let of = |id, model| Batch {
             model,
             ..batch(id, false)
@@ -726,7 +751,7 @@ mod tests {
 
     #[test]
     fn containers_hand_over_to_waiting_batches_in_arrival_order() {
-        let mut w = Worker::new(0, Box::new(AlwaysLargest), SimTime::ZERO);
+        let mut w = idle_worker();
         w.acquire_container(batch(1, false));
         w.acquire_container(batch(2, false));
         // The first boot serves the oldest waiter and records its wait.
@@ -800,7 +825,7 @@ mod tests {
 
     #[test]
     fn buffers_that_held_one_entry_hold_one_slot() {
-        let mut w = Worker::new(0, Box::new(AlwaysLargest), SimTime::ZERO);
+        let mut w = idle_worker();
         let at = SimTime::from_secs;
         // A strict batch waits for a cold container; a best-effort batch
         // then takes it warm. Each queues, runs and finishes alone.
@@ -840,8 +865,16 @@ mod tests {
     }
 
     #[test]
+    fn the_per_worker_records_keep_their_sizes() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<RunningBatch>(), 88);
+        assert_eq!(size_of::<ModelState>(), 136);
+        assert_eq!(size_of::<Worker>(), 392);
+    }
+
+    #[test]
     fn reset_runtime_bumps_epoch_and_rebuilds_gpu() {
-        let mut w = Worker::new(0, Box::new(AlwaysLargest), SimTime::ZERO);
+        let mut w = idle_worker();
         let e0 = w.epoch;
         w.reset_runtime(SimTime::from_secs(1.0));
         assert_eq!(w.epoch, e0 + 1);
@@ -873,7 +906,7 @@ mod tests {
     fn busy_worker() -> (Worker, Arc<AtomicU64>) {
         let calls = Arc::default();
         let scheme = Box::new(StrictAlone(Arc::clone(&calls)));
-        let mut w = Worker::new(0, scheme, SimTime::ZERO);
+        let mut w = Worker::new(0, scheme, &RngFactory::new(0), SimTime::ZERO);
         let job = protean_gpu::JobSpec {
             id: protean_gpu::JobId(1),
             solo: protean_sim::SimDuration::from_millis(10.0),

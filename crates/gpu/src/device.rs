@@ -75,6 +75,9 @@ pub const DEFAULT_RECONFIG_DELAY: SimDuration = SimDuration::from_micros(2_000_0
 
 /// One simulated A100 GPU.
 ///
+/// In declaration order (`repr(C)`), what every placement and finish
+/// reads (the slices, the state and the version) leads.
+///
 /// # Example
 ///
 /// ```
@@ -90,20 +93,21 @@ pub const DEFAULT_RECONFIG_DELAY: SimDuration = SimDuration::from_micros(2_000_0
 /// assert_eq!(gpu.geometry(), &Geometry::g4_g2_g1());
 /// ```
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct Gpu {
+    slices: Vec<Slice>,
+    state: GpuState,
+    /// Bumped by every method that can change what a placement sees.
+    version: u64,
+    mode: SharingMode,
     id: GpuId,
     geometry: Geometry,
-    slices: Vec<Slice>,
-    mode: SharingMode,
-    state: GpuState,
     reconfig_delay: SimDuration,
     started: SimTime,
     /// Busy compute integral (sevenths·seconds) from retired slice sets.
     retired_busy_sevenths_secs: f64,
     /// Memory integral (GB·seconds) from retired slice sets.
     retired_mem_gb_secs: f64,
-    /// Bumped by every method that can change what a placement sees.
-    version: u64,
 }
 
 impl Gpu {

@@ -9,14 +9,26 @@
 # each side's median and quartiles, how many pairs each side won, and
 # the host's core count (`nproc`).
 #
-# Without -m, the value is the command's wall time (lower wins), and
-# every run's stdout must equal A's first stdout byte for byte.
+# Each value's summary ends with a verdict line:
+#
+#   verdict: B better   at least 10 pairs ran, B won at least 9 in 10
+#                       of them, and its median beats A's by more
+#                       than A's quartile distance;
+#   verdict: B worse    B's median is worse than A's by more than the
+#                       metric's `bound` in BENCHMARK.json (a fraction
+#                       of A's median);
+#   verdict: unresolved otherwise.
+#
+# Without -m, the value is the command's wall time (lower wins; no
+# bound, so never `B worse`), and every run's stdout must equal A's
+# first stdout byte for byte.
 #
 # With -m, both commands are `perf` invocations (see perf/README.md) and
 # each METRIC's value is `metrics.METRIC.value` from the final JSON line
 # of the run's stdout. Every run must report `"correct": true`. Which
-# direction wins is the metric's `better` in BENCHMARK.json at the
-# repository root. For example, the end-to-end rows of one workload:
+# direction wins is the metric's `better`, and its `bound`, in
+# BENCHMARK.json at the repository root. For example, the end-to-end
+# rows of one workload:
 #
 #   scripts/ab_pairs.sh -m req_per_s,setup_s,peak_rss_mb \
 #       'old/perf/target/release/perf --workload soak-256 --smoke' \
@@ -50,10 +62,11 @@ cmd_b="$2"
 
 # The values each run yields: `wall_s` (time mode) or the named metrics,
 # with the direction in which each one is better.
-declare -A better
+declare -A better bound
 if [[ -z "$metric_list" ]]; then
     metrics=(wall_s)
     better[wall_s]=lower
+    bound[wall_s]=""
 else
     IFS=, read -r -a metrics <<<"$metric_list"
     bench="$(dirname "$0")/../BENCHMARK.json"
@@ -67,6 +80,7 @@ else
             echo "ab_pairs: metric '$m' is not declared in $bench" >&2
             exit 2
         fi
+        bound[$m]="$(sed -nE "s/.*\{\"name\": \"${m//./\\.}\",.*\"bound\": ([0-9.]+).*/\1/p" "$bench")"
     done
 fi
 
@@ -198,21 +212,46 @@ for ((i = 1; i <= pairs; i++)); do
     done
 done
 
-# Prints side $1's median and quartiles of the values in $2.
-summary() {
+# Sets `median`, `q1` and `q3` to the quartiles of the integer values
+# in $1 (space-separated).
+quartiles() {
     local sorted
-    # shellcheck disable=SC2086 # $2 is a space-separated list of integers
-    mapfile -t sorted < <(printf '%s\n' $2 | sort -n)
-    printf '  %s: median %s (quartiles %s-%s)\n' "$1" \
-        "$(show "$(quartile 2 "${sorted[@]}")")" \
-        "$(show "$(quartile 1 "${sorted[@]}")")" \
-        "$(show "$(quartile 3 "${sorted[@]}")")"
+    # shellcheck disable=SC2086 # $1 is a space-separated list of integers
+    mapfile -t sorted < <(printf '%s\n' $1 | sort -n)
+    q1="$(quartile 1 "${sorted[@]}")"
+    median="$(quartile 2 "${sorted[@]}")"
+    q3="$(quartile 3 "${sorted[@]}")"
 }
+
+# Prints the verdict on metric $1 from A's median $2 and quartiles $3-$4,
+# B's median $5 and B's wins $6.
+verdict() {
+    local m="$1" a_med="$2" a_q1="$3" a_q3="$4" b_med="$5" b_wins="$6" lead
+    if [[ "${better[$m]}" == higher ]]; then
+        lead=$((b_med - a_med))
+    else
+        lead=$((a_med - b_med))
+    fi
+    if ((pairs >= 10 && b_wins * 10 >= pairs * 9 && lead > a_q3 - a_q1)); then
+        echo "  verdict: B better"
+    elif [[ -n "${bound[$m]}" ]] &&
+        awk -v lead="$lead" -v a="$a_med" -v b="${bound[$m]}" \
+            'BEGIN { exit !(-lead > b * (a < 0 ? -a : a)) }'; then
+        echo "  verdict: B worse"
+    else
+        echo "  verdict: unresolved"
+    fi
+}
+
 for m in "${metrics[@]}"; do
-    echo "$m (${better[$m]} is better):"
-    summary A "${values_a[$m]}"
-    summary B "${values_b[$m]}"
+    echo "$m (${better[$m]} is better${bound[$m]:+, bound ${bound[$m]}}):"
+    quartiles "${values_a[$m]}"
+    a_med="$median" a_q1="$q1" a_q3="$q3"
+    printf '  A: median %s (quartiles %s-%s)\n' "$(show "$a_med")" "$(show "$a_q1")" "$(show "$a_q3")"
+    quartiles "${values_b[$m]}"
+    printf '  B: median %s (quartiles %s-%s)\n' "$(show "$median")" "$(show "$q1")" "$(show "$q3")"
     echo "  A better in ${wins_a[$m]} of $pairs pairs, B better in ${wins_b[$m]} of $pairs"
+    verdict "$m" "$a_med" "$a_q1" "$a_q3" "$median" "${wins_b[$m]}"
 done
 if [[ -z "$metric_list" ]]; then
     echo "stdout identical on every run"

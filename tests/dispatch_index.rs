@@ -30,7 +30,7 @@ use protean_experiments::setup::LANGUAGE_RPS;
 use protean_experiments::{golden, PaperSetup};
 use protean_gpu::Geometry;
 use protean_models::ModelId;
-use protean_sim::{SimDuration, SimTime};
+use protean_sim::{RngFactory, SimDuration, SimTime};
 use protean_spot::{ProcurementPolicy, SpotAvailability};
 use protean_trace::{TraceConfig, TraceShape};
 
@@ -174,12 +174,13 @@ proptest! {
         ops in prop::collection::vec((0usize..300, 0u32..7, 1u64..40, DEEP), 1..150),
         caps in prop::collection::vec(1u64..120, 150),
     ) {
+        let rng = RngFactory::new(0);
         let mut fleet: Vec<Worker> = (0..workers)
-            .map(|g| Worker::new(g, AlwaysLargest.build(g), SimTime::ZERO))
+            .map(|g| Worker::new(g, AlwaysLargest.build(g), &rng, SimTime::ZERO))
             .collect();
         let mut index = DispatchIndex::new(workers);
-        for w in &fleet {
-            index.refresh_worker(w);
+        for (g, w) in fleet.iter().enumerate() {
+            index.refresh_worker(g, w);
         }
         for (step, (g, kind, amount, deep)) in ops.into_iter().enumerate() {
             let w = &mut fleet[g % workers];
@@ -201,7 +202,7 @@ proptest! {
                     }
                 }
             }
-            index.refresh_worker(&fleet[g % workers]);
+            index.refresh_worker(g % workers, &fleet[g % workers]);
             for cap in [None, Some(caps[step]), Some(CAPS[step % CAPS.len()])] {
                 prop_assert_eq!(
                     index.select(cap, &mut 0),
@@ -231,12 +232,13 @@ proptest! {
         ops in prop::collection::vec((0usize..64, 0u32..5, 1u64..6), 1..200),
         caps in prop::collection::vec(1u64..12, 200),
     ) {
+        let rng = RngFactory::new(0);
         let mut fleet: Vec<Worker> = (0..workers)
-            .map(|g| Worker::new(g, AlwaysLargest.build(g), SimTime::ZERO))
+            .map(|g| Worker::new(g, AlwaysLargest.build(g), &rng, SimTime::ZERO))
             .collect();
         let mut index = DispatchIndex::new(workers);
-        for w in &fleet {
-            index.refresh_worker(w);
+        for (g, w) in fleet.iter().enumerate() {
+            index.refresh_worker(g, w);
         }
         for (step, (g, kind, amount)) in ops.into_iter().enumerate() {
             let w = &mut fleet[g % workers];
@@ -264,7 +266,7 @@ proptest! {
                     };
                 }
             }
-            index.refresh_worker(&fleet[g % workers]);
+            index.refresh_worker(g % workers, &fleet[g % workers]);
             for cap in [None, Some(caps[step])] {
                 prop_assert_eq!(
                     index.select(cap, &mut 0),
