@@ -2,15 +2,17 @@
 //! table or figure of §5–§7, plus the load sweep, the ablations and the
 //! §6.2 future-work run, in the order `protean-cli reproduce` runs them.
 //!
-//! Every run is [`scenario::paper`] with keys set, as `protean-cli` sets
-//! its flags. Most rows are grids: that spec under the row's keys at
-//! each point of its axes of schemes, models, strictness ratios, loads
-//! or SLO multipliers, printed as a table (a line per point of one axis,
-//! its runs at the points of another) with an optional chart. What is
-//! not a grid keeps a function: Figs. 3/4, Tables 2/3, the Fig. 7
-//! timeline, the Fig. 8 CDF, Fig. 9's cost normalisation and the §7
-//! statistics. Every simulation runs through [`run_grid`], so a row
-//! prints the same text at any thread count.
+//! Every row is cells plus a view. Its cells are [`scenario::paper`] with
+//! keys set, as `protean-cli` sets its flags, at each point of its axes
+//! of schemes, models, strictness ratios, loads, seeds, spot regimes or
+//! SLO multipliers; [`Experiment::cells`] lists them, and
+//! [`Experiment::run`] runs exactly those through [`run_grid`], so a row
+//! prints the same text at any thread count. Its view prints what the
+//! runs give: a table (a line per point of one axis, its runs at the
+//! points of another) with an optional chart, the Fig. 7 timeline, the
+//! Fig. 8 CDFs, Fig. 9's normalised costs or the §7 statistics. Figs.
+//! 3/4 and Tables 2/3 have no cells: their views print the paper's
+//! tables alone.
 
 use std::io::{self, Write};
 use std::iter::once;
@@ -28,33 +30,33 @@ use protean_models::{
 };
 use protean_sim::series::BucketAgg;
 use protean_sim::SimDuration;
-use protean_spot::{ProcurementPolicy, Provider, SpotAvailability, VmTier};
+use protean_spot::{Provider, VmTier};
 
 use crate::chart::{bar_chart, line_plot, stacked_breakdown_chart};
 use crate::harness::{run_grid, GridCell};
 use crate::report::{banner, csv_series, table};
 use crate::runner::SchemeRow;
 use crate::scenario::{self, ScenarioSpec};
-use crate::schemes::{self, Build, MOTIVATIONAL, PRIMARY};
+use crate::schemes::{Build, MOTIVATIONAL, PRIMARY};
 
 /// The per-run duration cap of the rows that run many cells (the load
 /// sweep and the §7 seeds).
 const CAPPED_SECS: f64 = 60.0;
 
-/// The number of §7 seeds, counted from 1000.
-const SEEDS: u64 = 10;
-
 /// Scenario keys and their values, set in order.
 type Keys = &'static [(&'static str, &'static str)];
 
-/// One table or figure: the paper's setup run at each point of its axes,
-/// printed under its banner.
+/// One simulation of a row: a scenario and the scheme it runs.
+pub type Cell = (ScenarioSpec, Box<dyn SchemeBuilder>);
+
+/// One table or figure: its cells, the paper's setup at each point of
+/// its axes, and the view that prints their results under its banner.
 pub struct Experiment {
     /// The id `protean-cli reproduce --only` takes, e.g.
     /// `fig05_slo_vision`.
     pub id: &'static str,
     banner: Banner,
-    /// A banner and table per point, labelled with it.
+    /// A banner and view per point, labelled with it.
     blocks: Axis,
     /// A line per point of these axes' product.
     lines: &'static [Axis],
@@ -62,18 +64,13 @@ pub struct Experiment {
     runs: Axis,
     /// Keys set on each run, after its points'.
     keys: Keys,
-    columns: &'static [Column],
-    chart: Chart,
-    /// Whether each run is capped at [`CAPPED_SECS`].
-    capped: bool,
-    /// A table printed next, under its own banner.
+    /// What each block prints.
+    view: View,
+    /// The longest trace a run takes, s.
+    cap_secs: f64,
+    /// A row printed next, under its own banner.
     then: Option<&'static Experiment>,
-    own: Option<Own>,
 }
-
-/// A row that is not a grid: prints itself from its banner, the spec
-/// and the thread count of its simulations.
-type Own = fn(Banner, &ScenarioSpec, usize, &mut dyn Write) -> io::Result<()>;
 
 /// `=== <figure>: <caption> ===`, a label filling the caption's `{}`.
 #[derive(Clone, Copy)]
@@ -85,6 +82,36 @@ impl Banner {
     }
 }
 
+/// What a block prints of its lines, under its banner. No view builds
+/// or runs a simulation.
+enum View {
+    /// A table of these columns, a line per point.
+    Table(&'static [Column]),
+    /// A table, then per run point its mean SLO compliance over the
+    /// lines, under this title.
+    MeanBar(&'static [Column], &'static str),
+    /// A table, then per run point its SLO compliance against the line
+    /// loads.
+    Load(&'static [Column]),
+    /// A table, then the strict-tail composition of each line's run
+    /// (Figs. 2/6/11).
+    Stacked(&'static [Column]),
+    /// A table, then a note.
+    Note(&'static [Column], &'static str),
+    /// Text from the paper's tables alone, for a row with no runs.
+    Text(fn(&mut dyn Write) -> io::Result<()>),
+    /// Fig. 7: the one run's geometry changes and strict P99 over time.
+    Timeline,
+    /// Fig. 8: each line's strict-latency CDF on the block's model.
+    Cdfs,
+    /// Fig. 9: each run's cost, normalised to its line's first run, and
+    /// SLO compliance.
+    Cost,
+    /// §7: each run point's SLO compliance over the lines, its 95% CI,
+    /// then the last one's Welch t and Cohen's d against each other.
+    Significance,
+}
+
 enum Column {
     /// The label of the line's first point.
     Point(&'static str),
@@ -93,18 +120,6 @@ enum Column {
     /// A column per run, headed by its point's label (and this header,
     /// if any).
     EachRun(&'static str, fn(&SchemeRow) -> String),
-}
-
-/// What follows a table.
-enum Chart {
-    None,
-    /// Per run point, its mean SLO compliance over the lines.
-    MeanBar(&'static str),
-    /// Per run point, its SLO compliance against the line loads.
-    Load,
-    /// The strict-tail composition of each line's run (Figs. 2/6/11).
-    Stacked,
-    Note(&'static str),
 }
 
 /// A value of an axis, and what it changes in a run.
@@ -120,8 +135,8 @@ enum Point {
     Model(ModelId),
     /// A caption, and the keys it sets.
     Set(&'static str, Keys),
-    /// The wiki trace's mean rate.
-    Load(f64),
+    /// A key's value, which labels it.
+    Value(&'static str, &'static str),
 }
 
 impl Point {
@@ -145,7 +160,7 @@ impl Point {
             Point::Variant(name, ..) => name.to_string(),
             Point::Model(m) => m.to_string(),
             Point::Set(caption, _) => caption.to_string(),
-            Point::Load(rps) => format!("{rps:.0}"),
+            Point::Value(_, value) => value.to_string(),
         }
     }
 
@@ -155,7 +170,7 @@ impl Point {
                 spec.with(keys)
             }
             Point::Model(m) => spec.at_paper_rate(m),
-            Point::Load(rps) => spec.with(&[("trace.rps", &rps.to_string())]),
+            Point::Value(key, value) => spec.with(&[(key, value)]),
             Point::Base => spec,
         }
     }
@@ -166,7 +181,8 @@ enum Axis {
     Of(&'static [Point]),
     Schemes(&'static [Build]),
     Models(&'static [ModelId]),
-    Loads(&'static [f64]),
+    /// Values of a key.
+    Values(&'static str, &'static [&'static str]),
     /// The 12 vision models (Fig. 5).
     Vision,
     /// The VHI language models that are not generative (Fig. 12).
@@ -185,7 +201,7 @@ impl Axis {
             Axis::Of(points) => points.to_vec(),
             Axis::Schemes(builds) => builds.iter().map(|&b| Point::Scheme(b, &[])).collect(),
             Axis::Models(models) => models.iter().map(|&m| Point::Model(m)).collect(),
-            Axis::Loads(loads) => loads.iter().map(|&rps| Point::Load(rps)).collect(),
+            Axis::Values(key, values) => values.iter().map(|&v| Point::Value(key, v)).collect(),
             Axis::Vision => vision().map(|p| Point::Model(p.id)).collect(),
             Axis::Vhi => vhi_non_generative().map(|p| Point::Model(p.id)).collect(),
         }
@@ -210,8 +226,8 @@ const PIVOT: &[Column] = &[
     Column::EachRun("", |r| fixed(r.slo_compliance_pct, 2)),
 ];
 
-/// The strict P99 tail's composition, ms (Figs. 2/6/11).
-const BREAKDOWN: &[Column] = &[
+/// The strict P99 tail's composition, ms, and its chart (Figs. 2/6/11).
+const BREAKDOWN: View = View::Stacked(&[
     SCHEME,
     Column::Runs("queueing", |r| fixed(r[0].tail_breakdown.queueing_ms, 1)),
     Column::Runs("cold", |r| fixed(r[0].tail_breakdown.cold_start_ms, 1)),
@@ -220,7 +236,7 @@ const BREAKDOWN: &[Column] = &[
     Column::Runs("min exec", |r| fixed(r[0].tail_breakdown.min_exec_ms, 1)),
     Column::Runs("P99 total", |r| fixed(r[0].tail_breakdown.total_ms(), 1)),
     SLO,
-];
+]);
 
 /// §5's setup on the wiki trace of ResNet 50 (the model wherever no
 /// point names one): a line per primary scheme.
@@ -231,11 +247,17 @@ const PAPER: Experiment = Experiment {
     lines: &[LINEUP],
     runs: ONE,
     keys: &[],
-    columns: &[SCHEME, SLO],
-    chart: Chart::None,
-    capped: false,
+    view: View::Table(&[SCHEME, SLO]),
+    cap_secs: f64::INFINITY,
     then: None,
-    own: None,
+};
+
+/// A row with no runs, and so no cells: its view reads the paper's
+/// tables alone.
+const TEXT: Experiment = Experiment {
+    lines: &[],
+    runs: Axis::Of(&[]),
+    ..PAPER
 };
 
 /// The HI vision models.
@@ -345,27 +367,34 @@ pub const EXPERIMENTS: [Experiment; 24] = [
         lines: &[Axis::Schemes(&MOTIVATIONAL)],
         // One A100, as in §2.2.
         keys: &[("fleet.workers", "1"), ("trace.kind", "constant")],
-        columns: BREAKDOWN,
-        chart: Chart::Stacked,
+        view: BREAKDOWN,
         ..PAPER
     },
     Experiment {
         id: "fig03_fbr_catalog",
         banner: Banner("Fig. 3", "normalized FBRs of the 22 inference workloads"),
-        own: Some(fbr_catalog),
-        ..PAPER
+        view: View::Text(fbr_catalog),
+        then: Some(&Experiment {
+            banner: Banner(
+                "Fig. 3 (profiling)",
+                "FBRs recovered from co-location measurements",
+            ),
+            view: View::Text(fbr_profiling),
+            ..TEXT
+        }),
+        ..TEXT
     },
     Experiment {
         id: "fig04_architecture",
         banner: Banner("Fig. 4", "PROTEAN design (component -> implementation)"),
-        own: Some(architecture),
-        ..PAPER
+        view: View::Text(|out| writeln!(out, "{SCHEMATIC}")),
+        ..TEXT
     },
     Experiment {
         id: "table2_mig_profiles",
         banner: Banner("Table 2", "MIG instance profiles on an A100-40GB"),
-        own: Some(mig_profiles),
-        ..PAPER
+        view: View::Text(mig_profiles),
+        ..TEXT
     },
     Experiment {
         id: "table3_spot_pricing",
@@ -373,24 +402,22 @@ pub const EXPERIMENTS: [Experiment; 24] = [
             "Table 3",
             "8xA100 hourly pricing (USD), averaged US-east/west",
         ),
-        own: Some(spot_pricing),
-        ..PAPER
+        view: View::Text(spot_pricing),
+        ..TEXT
     },
     Experiment {
         id: "fig05_slo_vision",
         banner: Banner("Fig. 5", "SLO compliance (%) per vision model and scheme"),
         lines: &[Axis::Vision],
         runs: LINEUP,
-        columns: PIVOT,
-        chart: Chart::MeanBar("mean SLO compliance over the 12 vision models (%)"),
+        view: View::MeanBar(PIVOT, "mean SLO compliance over the 12 vision models (%)"),
         ..PAPER
     },
     Experiment {
         id: "fig06_latency_breakdown",
         banner: Banner("Fig. 6", "P99 tail breakdown (ms), {}"),
         blocks: SUBSET,
-        columns: BREAKDOWN,
-        chart: Chart::Stacked,
+        view: BREAKDOWN,
         ..PAPER
     },
     Experiment {
@@ -399,13 +426,24 @@ pub const EXPERIMENTS: [Experiment; 24] = [
             "Fig. 7",
             "PROTEAN geometry timeline under BE-model rotation",
         ),
-        own: Some(reconfig_timeline),
+        // Strict ShuffleNet V2 while the BE model rotates every 20 s
+        // through HI models including the 13.7 GB DPN 92, which fits no
+        // small slice: latency rises until Algorithm 2's wait limit
+        // passes and the GPUs move from `(4g, 2g, 1g)` to `(4g, 3g)`.
+        blocks: Axis::Models(&[ShuffleNetV2]),
+        lines: &[Axis::Schemes(&[protean])],
+        keys: &[(
+            "trace.be_pool",
+            r#"["mobilenet", "dpn92", "resnet50", "dpn92"]"#,
+        )],
+        view: View::Timeline,
         ..PAPER
     },
     Experiment {
         id: "fig08_latency_cdf",
         banner: Banner("Fig. 8", "latency CDF, {}"),
-        own: Some(latency_cdf),
+        blocks: Axis::Models(&[SeNet18]),
+        view: View::Cdfs,
         ..PAPER
     },
     Experiment {
@@ -414,32 +452,56 @@ pub const EXPERIMENTS: [Experiment; 24] = [
             "Fig. 9",
             "normalized cost vs SLO compliance under spot availability regimes (ResNet 50)",
         ),
-        own: Some(cost_slo),
+        // PROTEAN per spot availability and procurement policy, each cost
+        // normalised to the on-demand-only run at the same availability
+        // (what the comparison schemes pay).
+        blocks: Axis::Schemes(&[protean]),
+        lines: &[Axis::Values(
+            "fleet.availability",
+            &["high", "medium", "low"],
+        )],
+        runs: Axis::Of(&[
+            Point::Set(
+                "Other schemes (on-demand)",
+                &[("fleet.procurement", "ondemand")],
+            ),
+            Point::Set("Spot Only", &[("fleet.procurement", "spot")]),
+            Point::Set("PROTEAN (hybrid)", &[("fleet.procurement", "hybrid")]),
+        ]),
+        // Short runs need a denser revocation and procurement cadence
+        // than the defaults to resolve the spot dynamics (the paper's
+        // runs are hour-scale).
+        keys: &[
+            ("fleet.revocation_check_secs", "20"),
+            ("fleet.vm_startup_secs", "20"),
+            ("fleet.procurement_retry_secs", "20"),
+        ],
+        view: View::Cost,
         ..PAPER
     },
     Experiment {
         id: "fig10_throughput_util",
         banner: Banner("Fig. 10a", "throughput ({})"),
         blocks: Axis::Models(&[DenseNet121]),
-        columns: &[
+        view: View::Table(&[
             SCHEME,
             Column::Runs("served strict/GPU/s", |r| fixed(r[0].strict_throughput, 1)),
             Column::Runs("served total/GPU/s", |r| fixed(r[0].total_throughput, 1)),
-            // Every scheme serves the same arrivals; they differ in batch
-            // size over mean strict latency.
+            // Every scheme serves the same arrivals; they differ in
+            // batch size over mean strict latency.
             Column::Runs("service rate (req/s per batch slot)", |r| {
                 let batch = f64::from(DenseNet121.profile().batch_size);
                 let lats = r[0].result.metrics.latencies_ms(Class::Strict);
                 let mean_ms = lats.iter().sum::<f64>() / lats.len().max(1) as f64;
                 fixed(batch / (mean_ms / 1000.0), 0)
             }),
-        ],
+        ]),
         // Consolidating schemes load their busiest GPU while the cluster
         // mean stays low.
         then: Some(&Experiment {
             banner: Banner("Fig. 10b", "GPU utilization ({}), percent"),
             blocks: Axis::Models(&[EfficientNetB0]),
-            columns: &[
+            view: View::Table(&[
                 SCHEME,
                 Column::Runs("GPU util % (mean)", |r| fixed(r[0].gpu_util_pct, 1)),
                 Column::Runs("GPU util % (busiest)", |r| {
@@ -449,7 +511,7 @@ pub const EXPERIMENTS: [Experiment; 24] = [
                 Column::Runs("mem util % (busiest)", |r| {
                     busiest(&r[0].result.per_gpu_memory_utilization)
                 }),
-            ],
+            ]),
             ..PAPER
         }),
         ..PAPER
@@ -459,8 +521,7 @@ pub const EXPERIMENTS: [Experiment; 24] = [
         banner: Banner("Fig. 11", "Twitter trace, {}: P99 breakdown and SLO%"),
         blocks: Axis::Models(&[MobileNet]),
         keys: &[("trace.kind", "twitter")],
-        columns: BREAKDOWN,
-        chart: Chart::Stacked,
+        view: BREAKDOWN,
         ..PAPER
     },
     Experiment {
@@ -468,7 +529,7 @@ pub const EXPERIMENTS: [Experiment; 24] = [
         banner: Banner("Fig. 12", "SLO compliance (%) per VHI language model"),
         lines: &[Axis::Vhi],
         runs: LINEUP,
-        columns: PIVOT,
+        view: View::Table(PIVOT),
         ..PAPER
     },
     Experiment {
@@ -476,7 +537,7 @@ pub const EXPERIMENTS: [Experiment; 24] = [
         banner: Banner("Fig. 13", "SLO compliance (%) for GPT-1 and GPT-2"),
         lines: &[Axis::Models(&[Gpt1, Gpt2])],
         runs: LINEUP,
-        columns: PIVOT,
+        view: View::Table(PIVOT),
         ..PAPER
     },
     Experiment {
@@ -491,7 +552,7 @@ pub const EXPERIMENTS: [Experiment; 24] = [
         ]),
         lines: &[Axis::Models(&[ShuffleNetV2, Dpn92])],
         runs: LINEUP,
-        columns: PIVOT,
+        view: View::Table(PIVOT),
         ..PAPER
     },
     Experiment {
@@ -508,11 +569,11 @@ pub const EXPERIMENTS: [Experiment; 24] = [
             "(P50, P99) latency in ms, 100% best-effort HI models",
         ),
         keys: ALL_BEST_EFFORT,
-        columns: &[
+        view: View::Table(&[
             SCHEME,
             Column::Runs("P50 ms", |r| fixed(r[0].be_p50_ms, 0)),
             Column::Runs("P99 ms", |r| fixed(r[0].be_p99_ms, 0)),
-        ],
+        ]),
         ..PAPER
     },
     Experiment {
@@ -526,7 +587,7 @@ pub const EXPERIMENTS: [Experiment; 24] = [
             Point::Set("", &[("fleet.slo_mult", "2")]),
             Point::Set("", &[("fleet.slo_mult", "3")]),
         ]),
-        columns: &[
+        view: View::Table(&[
             Column::Point("model"),
             SCHEME,
             Column::Runs("SLO% @2x", |r| fixed(r[0].slo_compliance_pct, 2)),
@@ -534,7 +595,7 @@ pub const EXPERIMENTS: [Experiment; 24] = [
             Column::Runs("degradation", |r| {
                 fixed(r[1].slo_compliance_pct - r[0].slo_compliance_pct, 2)
             }),
-        ],
+        ]),
         ..PAPER
     },
     Experiment {
@@ -554,7 +615,7 @@ pub const EXPERIMENTS: [Experiment; 24] = [
             ShuffleNetV2,
         ])],
         runs: Axis::Schemes(&[|| Box::new(Baseline::Gpulet), protean]),
-        columns: PIVOT,
+        view: View::Table(PIVOT),
         ..PAPER
     },
     Experiment {
@@ -573,11 +634,11 @@ pub const EXPERIMENTS: [Experiment; 24] = [
                 ],
             ),
         ]),
-        columns: &[
+        view: View::Table(&[
             Column::Point("model"),
             Column::EachRun("SLO%", |r| fixed(r.slo_compliance_pct, 2)),
             Column::EachRun("P99", |r| fixed(r.strict_p99_ms, 1)),
-        ],
+        ]),
         ..PAPER
     },
     Experiment {
@@ -593,14 +654,14 @@ pub const EXPERIMENTS: [Experiment; 24] = [
             "trace.be_pool",
             r#"["googlenet", "resnet18", "mobilenet", "mobilenetv2", "senet18", "shufflenetv2", "efficientnetb0", "simplifieddla", "dpn92"]"#,
         )],
-        columns: &[
+        view: View::Table(&[
             VARIANT,
             SLO,
             P99,
             BE_P99,
             Column::Runs("reconfigs", |r| r[0].reconfigs.to_string()),
             Column::Runs("cold starts", |r| r[0].result.cold_starts.to_string()),
-        ],
+        ]),
         // Reordering binds only when strict and BE batches contend for the
         // same slices (§4.1): an oversized HI model against itself on a
         // smaller cluster.
@@ -612,7 +673,7 @@ pub const EXPERIMENTS: [Experiment; 24] = [
             blocks: Axis::Models(&[Dpn92]),
             lines: &[Axis::Of(ABLATIONS.split_at(2).0)],
             keys: &[("fleet.workers", "6"), ("trace.be_pool", r#"["dpn92"]"#)],
-            columns: &[VARIANT, SLO, P99, BE_P99],
+            view: View::Table(&[VARIANT, SLO, P99, BE_P99]),
             ..PAPER
         }),
         ..PAPER
@@ -623,16 +684,16 @@ pub const EXPERIMENTS: [Experiment; 24] = [
             "load sweep",
             "strict SLO compliance vs offered load (ResNet 50, Wiki)",
         ),
-        lines: &[Axis::Loads(&[
-            2000.0, 4000.0, 6000.0, 8000.0, 10000.0, 12000.0,
-        ])],
+        lines: &[Axis::Values(
+            "trace.rps",
+            &["2000", "4000", "6000", "8000", "10000", "12000"],
+        )],
         runs: LINEUP,
-        columns: &[
+        view: View::Load(&[
             Column::Point("offered rps"),
             Column::EachRun("", |r| fixed(r.slo_compliance_pct, 2)),
-        ],
-        chart: Chart::Load,
-        capped: true,
+        ]),
+        cap_secs: CAPPED_SECS,
         ..PAPER
     },
     Experiment {
@@ -645,12 +706,12 @@ pub const EXPERIMENTS: [Experiment; 24] = [
             Box::new(ProteanBuilder::tail_aware())
         }])],
         keys: ALL_BEST_EFFORT,
-        columns: &[
-            VARIANT,
-            Column::Runs("BE P50 ms", |r| fixed(r[0].be_p50_ms, 0)),
-            Column::Runs("BE P99 ms", |r| fixed(r[0].be_p99_ms, 0)),
-        ],
-        chart: Chart::Note(
+        view: View::Note(
+            &[
+                VARIANT,
+                Column::Runs("BE P50 ms", |r| fixed(r[0].be_p50_ms, 0)),
+                Column::Runs("BE P99 ms", |r| fixed(r[0].be_p99_ms, 0)),
+            ],
             "(The tail-aware variant behaves identically whenever strict traffic is present.)",
         ),
         ..PAPER
@@ -658,8 +719,21 @@ pub const EXPERIMENTS: [Experiment; 24] = [
     Experiment {
         id: "stats_significance",
         banner: Banner("§7 significance", "{}"),
-        own: Some(significance),
-        capped: true,
+        // The primary comparison over ten seeds from 1000, with 95%
+        // confidence intervals on each scheme's SLO compliance (paper:
+        // half-widths < 0.1%), and Welch p-values (paper: ~0.0) and
+        // Cohen's *d* (paper: 7.80–304.37) for PROTEAN against each
+        // baseline.
+        blocks: Axis::Models(&[ResNet50, Bert]),
+        lines: &[Axis::Values(
+            "fleet.seed",
+            &[
+                "1000", "1001", "1002", "1003", "1004", "1005", "1006", "1007", "1008", "1009",
+            ],
+        )],
+        runs: LINEUP,
+        view: View::Significance,
+        cap_secs: CAPPED_SECS,
         ..PAPER
     },
 ];
@@ -670,159 +744,195 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
 }
 
 impl Experiment {
-    /// Runs the row's simulations on `threads` workers and prints its
-    /// tables and charts to `out`; the text depends on `spec` alone,
+    /// Every simulation the row runs, in the order [`Experiment::run`]
+    /// reads them: per block, per line, per run point, then its `then`
+    /// row's. Each is `spec`, [`scenario::paper`] with its trace length
+    /// and seed set, under the keys of the cell's points and the row's;
+    /// its scheme is the first one a point names.
+    ///
+    /// # Panics
+    ///
+    /// If a row with runs names no scheme.
+    pub fn cells(&self, spec: &ScenarioSpec) -> Vec<Cell> {
+        let mut spec = spec.clone();
+        spec.trace.duration_secs = spec.trace.duration_secs.min(self.cap_secs);
+        let mut cells = Vec::new();
+        for block in self.blocks.points() {
+            for line in self.lines() {
+                for at in self.runs.points() {
+                    let points: Vec<Point> = once(block).chain(line.clone()).chain([at]).collect();
+                    let cell = (points.iter())
+                        .fold(spec.clone(), |cell, p| p.apply(cell))
+                        .with(self.keys);
+                    // Each cell is a scenario file: debug builds, such as
+                    // the row tests', check that it reparses to itself.
+                    debug_assert_eq!(scenario::parse(&cell.to_toml()).as_ref(), Ok(&cell));
+                    let scheme = points.iter().find_map(|&p| p.scheme());
+                    cells.push((cell, scheme.expect("a grid has a scheme axis")));
+                }
+            }
+        }
+        cells.extend(self.then.map(|next| next.cells(&spec)).unwrap_or_default());
+        cells
+    }
+
+    /// Runs the row's [`Experiment::cells`] on `threads` workers and
+    /// prints its views to `out`; the text depends on `spec` alone,
     /// [`scenario::paper`] with its trace length and seed set.
     ///
     /// # Errors
     ///
     /// The first error writing to `out`.
     pub fn run(&self, spec: &ScenarioSpec, threads: usize, out: &mut dyn Write) -> io::Result<()> {
-        let mut spec = spec.clone();
-        if self.capped {
-            spec.trace.duration_secs = spec.trace.duration_secs.min(CAPPED_SECS);
-        }
-        if let Some(run) = self.own {
-            return run(self.banner, &spec, threads, out);
-        }
-        let (blocks, runs) = (self.blocks.points(), self.runs.points());
-        // A line per point of the product of the line axes.
-        let mut lines: Vec<Vec<Point>> = vec![vec![]];
+        let cells = self.cells(spec);
+        let grid: Vec<GridCell<'_>> = (cells.iter())
+            .map(|(cell, scheme)| {
+                let (config, trace) = cell.generated();
+                GridCell::new(config, scheme.as_ref(), trace)
+            })
+            .collect();
+        let secs = spec.trace.duration_secs;
+        self.print(secs, &mut &run_grid(&grid, threads)[..], out)
+    }
+
+    /// A line per point of the product of the line axes.
+    fn lines(&self) -> Vec<Vec<Point>> {
+        let mut lines = vec![vec![]];
         for axis in self.lines {
-            let points = axis.points();
             let extend = |line: &Vec<Point>| {
-                points
-                    .iter()
-                    .map(|&p| [&line[..], &[p]].concat())
+                axis.points()
+                    .into_iter()
+                    .map(|p| [&line[..], &[p]].concat())
                     .collect::<Vec<_>>()
             };
             lines = lines.iter().flat_map(extend).collect();
         }
-        let (mut schemes, mut specs) = (Vec::new(), Vec::new());
-        for &block in &blocks {
-            for line in &lines {
-                for &at in &runs {
-                    let points: Vec<Point> = once(block).chain(line.clone()).chain([at]).collect();
-                    let cell = points.iter().fold(spec.clone(), |cell, p| p.apply(cell));
-                    let scheme = points.iter().find_map(|&p| p.scheme());
-                    schemes.push(scheme.expect("a grid has a scheme axis"));
-                    specs.push(cell.with(self.keys));
-                }
-            }
-        }
-        let cells = specs.into_iter().zip(schemes.iter().map(AsRef::as_ref));
-        let results = run_specs(cells, threads);
-        let mut results = results.chunks(runs.len());
-        let names: Vec<String> = runs.iter().map(|p| p.label()).collect();
-        for block in blocks {
-            self.banner.print(out, &block.label())?;
-            let lines: Vec<Line<'_>> = (lines.iter())
-                .map(|line| {
-                    (
-                        line.first().copied().unwrap_or(Point::Base),
-                        results.next().expect("runs per line"),
-                    )
-                })
-                .collect();
-            self.print(out, &lines, &names)?;
-        }
-        self.then
-            .map_or(Ok(()), |next| next.run(&spec, threads, out))
+        lines
     }
 
-    /// One block's table, a line per point, then its chart.
-    fn print(&self, out: &mut dyn Write, lines: &[Line<'_>], names: &[String]) -> io::Result<()> {
-        let mut headers = Vec::new();
-        for column in self.columns {
-            match column {
-                Column::Point(header) | Column::Runs(header, _) => headers.push(header.to_string()),
-                Column::EachRun("", _) => headers.extend(names.iter().cloned()),
-                Column::EachRun(header, _) => {
-                    headers.extend(names.iter().map(|n| format!("{n} {header}")))
+    /// Prints each block's banner and view, then the `then` row's, from
+    /// `rows`, the results of the cells of a `secs` trace in order,
+    /// taking what it reads.
+    fn print(&self, secs: f64, rows: &mut &[SchemeRow], out: &mut dyn Write) -> io::Result<()> {
+        let secs = secs.min(self.cap_secs);
+        let (lines, runs) = (self.lines(), self.runs.points());
+        let names: Vec<String> = runs.iter().map(|p| p.label()).collect();
+        for block in self.blocks.points() {
+            let lines: Vec<Line<'_>> = (lines.iter())
+                .map(|line| {
+                    let (these, rest) = rows.split_at(runs.len());
+                    *rows = rest;
+                    (line.first().copied().unwrap_or(Point::Base), these)
+                })
+                .collect();
+            let (label, n) = (block.label(), lines.len());
+            let label = match self.view {
+                View::Cdfs => format!("{label} (SLO {:.0} ms)", slo_ms(block)),
+                View::Significance => format!("{label}: {n} seeds x {secs} s per scheme"),
+                _ => label,
+            };
+            self.banner.print(out, &label)?;
+            if let View::Table(columns)
+            | View::MeanBar(columns, _)
+            | View::Load(columns)
+            | View::Stacked(columns)
+            | View::Note(columns, _) = self.view
+            {
+                table_view(out, columns, &lines, &names)?;
+            }
+            match self.view {
+                View::Table(_) => Ok(()),
+                View::MeanBar(_, title) => {
+                    let mean = |i| slo(&lines, i).sum::<f64>() / lines.len() as f64;
+                    writeln!(out)?;
+                    bar_chart(out, title, &per_name(&names, mean), 100.0)
                 }
-            }
+                View::Load(_) => load_plot(out, &lines, &names),
+                View::Stacked(_) => {
+                    let tail =
+                        |(_, runs): &Line<'_>| (runs[0].scheme.clone(), runs[0].tail_breakdown);
+                    stacked_breakdown_chart(out, &lines.iter().map(tail).collect::<Vec<_>>())
+                }
+                View::Note(_, note) => writeln!(out, "\n  {note}"),
+                View::Text(text) => text(out),
+                View::Timeline => timeline(out, &lines[0].1[0]),
+                View::Cdfs => cdfs(out, slo_ms(block), &lines),
+                View::Cost => cost(out, &lines, &names),
+                View::Significance => significance(out, &lines, &names),
+            }?;
         }
-        let line = |&(point, runs): &Line<'_>| {
-            let cells = self.columns.iter().flat_map(|column| match column {
-                Column::Point(_) => vec![point.label()],
-                Column::Runs(_, text) => vec![text(runs)],
-                Column::EachRun(_, text) => runs.iter().map(text).collect(),
-            });
-            cells.collect()
-        };
-        let body: Vec<Vec<String>> = lines.iter().map(line).collect();
-        table(
-            out,
-            &headers.iter().map(String::as_str).collect::<Vec<_>>(),
-            &body,
-        )?;
-        // Per run point, its SLO compliance on each line.
-        let slo = |i: usize| {
-            lines
-                .iter()
-                .map(move |(_, runs)| runs[i].slo_compliance_pct)
-        };
-        match self.chart {
-            Chart::None => Ok(()),
-            Chart::MeanBar(title) => {
-                let mean = |i| slo(i).sum::<f64>() / lines.len() as f64;
-                let bars: Vec<_> = names
-                    .iter()
-                    .enumerate()
-                    .map(|(i, n)| (n.clone(), mean(i)))
-                    .collect();
-                writeln!(out)?;
-                bar_chart(out, title, &bars, 100.0)
-            }
-            Chart::Load => {
-                let loads = lines.iter().map(|(point, _)| match point {
-                    Point::Load(rps) => *rps,
-                    _ => unreachable!("a load chart's lines are loads"),
-                });
-                let curve = |i| loads.clone().zip(slo(i)).collect();
-                let curves: Vec<_> = names
-                    .iter()
-                    .enumerate()
-                    .map(|(i, n)| (n.clone(), curve(i)))
-                    .collect();
-                legend_plot(
-                    out,
-                    "SLO compliance vs offered load",
-                    "rps",
-                    "SLO %",
-                    14,
-                    &curves,
-                )
-            }
-            Chart::Stacked => {
-                let tail = |(_, runs): &Line<'_>| (runs[0].scheme.clone(), runs[0].tail_breakdown);
-                stacked_breakdown_chart(out, &lines.iter().map(tail).collect::<Vec<_>>())
-            }
-            Chart::Note(note) => writeln!(out, "\n  {note}"),
-        }
+        self.then.map_or(Ok(()), |next| next.print(secs, rows, out))
     }
 }
 
-/// Runs each spec under its scheme on `threads` workers.
-fn run_specs<'a>(
-    cells: impl IntoIterator<Item = (ScenarioSpec, &'a dyn SchemeBuilder)>,
-    threads: usize,
-) -> Vec<SchemeRow> {
-    let cells: Vec<GridCell<'a>> = (cells.into_iter())
-        .map(|(spec, scheme)| {
-            // Each cell is a scenario file: debug builds, such as the row
-            // test's, check that it reparses to itself.
-            debug_assert_eq!(scenario::parse(&spec.to_toml()).as_ref(), Ok(&spec));
-            let (config, trace) = spec.generated();
-            GridCell::new(config, scheme, trace)
-        })
-        .collect();
-    run_grid(&cells, threads)
+/// Per run point `i`, its SLO compliance on each line.
+fn slo<'a>(lines: &'a [Line<'_>], i: usize) -> impl Iterator<Item = f64> + Clone + 'a {
+    lines
+        .iter()
+        .map(move |(_, runs)| runs[i].slo_compliance_pct)
+}
+
+/// Each name with `f` of its index.
+fn per_name<T>(names: &[String], f: impl Fn(usize) -> T) -> Vec<(String, T)> {
+    names
+        .iter()
+        .enumerate()
+        .map(|(i, n)| (n.clone(), f(i)))
+        .collect()
+}
+
+/// A table of `columns`, a line per point.
+fn table_view(
+    out: &mut dyn Write,
+    columns: &[Column],
+    lines: &[Line<'_>],
+    names: &[String],
+) -> io::Result<()> {
+    let mut headers = Vec::new();
+    for column in columns {
+        match column {
+            Column::Point(header) | Column::Runs(header, _) => headers.push(header.to_string()),
+            Column::EachRun("", _) => headers.extend(names.iter().cloned()),
+            Column::EachRun(header, _) => {
+                headers.extend(names.iter().map(|n| format!("{n} {header}")))
+            }
+        }
+    }
+    let line = |&(point, runs): &Line<'_>| {
+        let cells = columns.iter().flat_map(|column| match column {
+            Column::Point(_) => vec![point.label()],
+            Column::Runs(_, text) => vec![text(runs)],
+            Column::EachRun(_, text) => runs.iter().map(text).collect(),
+        });
+        cells.collect()
+    };
+    let body: Vec<Vec<String>> = lines.iter().map(line).collect();
+    let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
+    table(out, &headers, &body)
+}
+
+/// Per run point, its SLO compliance against the line loads.
+fn load_plot(out: &mut dyn Write, lines: &[Line<'_>], names: &[String]) -> io::Result<()> {
+    let loads = lines.iter().map(|(point, _)| match point {
+        Point::Value(_, rps) => rps.parse().expect("a load is a number"),
+        _ => unreachable!("a load chart's lines are loads"),
+    });
+    let curves = per_name(names, |i| loads.clone().zip(slo(lines, i)).collect());
+    let title = "SLO compliance vs offered load";
+    legend_plot(out, title, "rps", "SLO %", 14, &curves)
 }
 
 /// The largest of per-GPU utilisation fractions, as a percent.
 fn busiest(per_gpu: &[f64]) -> String {
     fixed(per_gpu.iter().copied().fold(0.0, f64::max) * 100.0, 1)
+}
+
+/// The strict SLO of a model point at the paper's 3x multiplier, ms.
+fn slo_ms(model: Point) -> f64 {
+    let Point::Model(m) = model else {
+        unreachable!("only a model has an SLO")
+    };
+    m.profile().slo().as_millis_f64()
 }
 
 /// A blank line, a legend, then a curve per named series (Fig. 8 and
@@ -835,25 +945,21 @@ fn legend_plot(
     height: usize,
     curves: &[(String, Vec<(f64, f64)>)],
 ) -> io::Result<()> {
-    const GLYPHS: [char; 4] = ['M', 'I', 'N', 'P'];
+    let glyphs = || ['M', 'I', 'N', 'P'].into_iter().cycle();
     writeln!(out)?;
-    for (i, (name, _)) in curves.iter().enumerate() {
-        writeln!(out, "  [{}] {name}", GLYPHS[i % GLYPHS.len()])?;
+    for (glyph, (name, _)) in glyphs().zip(curves) {
+        writeln!(out, "  [{glyph}] {name}")?;
     }
-    let series: Vec<(char, &[(f64, f64)])> = curves
-        .iter()
-        .enumerate()
-        .map(|(i, (_, points))| (GLYPHS[i % GLYPHS.len()], points.as_slice()))
+    let series: Vec<(char, &[(f64, f64)])> = glyphs()
+        .zip(curves)
+        .map(|(g, (_, c))| (g, &c[..]))
         .collect();
     line_plot(out, title, x, y, &series, height)
 }
 
-/// Fig. 3: the catalog's normalised FBRs, then the §3 profiling
-/// procedure: the HI vision FBRs recovered from synthetic pairwise
-/// co-location slowdowns (Eq. 1).
-fn fbr_catalog(banner: Banner, _: &ScenarioSpec, _: usize, out: &mut dyn Write) -> io::Result<()> {
+/// Fig. 3: the catalog's normalised FBRs.
+fn fbr_catalog(out: &mut dyn Write) -> io::Result<()> {
     let max_fbr = PROFILES.iter().map(|p| p.fbr).fold(0.0, f64::max);
-    banner.print(out, "")?;
     let rows: Vec<Vec<String>> = PROFILES
         .iter()
         .map(|p| {
@@ -866,29 +972,24 @@ fn fbr_catalog(banner: Banner, _: &ScenarioSpec, _: usize, out: &mut dyn Write) 
             ]
         })
         .collect();
-    table(
-        out,
-        &["model", "domain", "class", "FBR (norm.)", "FBR"],
-        &rows,
-    )?;
+    let headers = ["model", "domain", "class", "FBR (norm.)", "FBR"];
+    table(out, &headers, &rows)
+}
 
-    let profiling = Banner(
-        "Fig. 3 (profiling)",
-        "FBRs recovered from co-location measurements",
-    );
-    profiling.print(out, "")?;
+/// Fig. 3's §3 profiling procedure: the HI vision FBRs recovered from
+/// synthetic pairwise co-location slowdowns (Eq. 1).
+fn fbr_profiling(out: &mut dyn Write) -> io::Result<()> {
     let hi: Vec<_> = in_class(InterferenceClass::Hi).collect();
     let mut measurements = Vec::new();
     for (i, a) in hi.iter().enumerate() {
         for b in &hi[i + 1..] {
             let slowdown = (a.fbr + b.fbr).max(1.0);
             for (job, partner) in [(a.id, b.id), (b.id, a.id)] {
-                let measurement = CoLocationMeasurement {
+                measurements.push(CoLocationMeasurement {
                     job,
                     partner,
                     slowdown,
-                };
-                measurements.push(measurement);
+                });
             }
         }
     }
@@ -907,17 +1008,9 @@ fn fbr_catalog(banner: Banner, _: &ScenarioSpec, _: usize, out: &mut dyn Write) 
     table(out, &["model", "catalog FBR", "recovered FBR"], &rows)
 }
 
-/// Fig. 4: the design schematic, each numbered component mapped to its
-/// implementation.
-fn architecture(banner: Banner, _: &ScenarioSpec, _: usize, out: &mut dyn Write) -> io::Result<()> {
-    banner.print(out, "")?;
-    writeln!(out, "{SCHEMATIC}")
-}
-
 /// Table 2: the A100's MIG instance profiles, and the geometry count the
 /// Oracle's exhaustive sweep enumerates.
-fn mig_profiles(banner: Banner, _: &ScenarioSpec, _: usize, out: &mut dyn Write) -> io::Result<()> {
-    banner.print(out, "")?;
+fn mig_profiles(out: &mut dyn Write) -> io::Result<()> {
     let rows: Vec<Vec<String>> = SliceProfile::ALL
         .iter()
         .rev()
@@ -944,8 +1037,7 @@ fn mig_profiles(banner: Banner, _: &ScenarioSpec, _: usize, out: &mut dyn Write)
 }
 
 /// Table 3: on-demand vs spot hourly pricing of an 8×A100 instance.
-fn spot_pricing(banner: Banner, _: &ScenarioSpec, _: usize, out: &mut dyn Write) -> io::Result<()> {
-    banner.print(out, "")?;
+fn spot_pricing(out: &mut dyn Write) -> io::Result<()> {
     let rows: Vec<Vec<String>> = Provider::ALL
         .iter()
         .map(|&p| {
@@ -961,25 +1053,8 @@ fn spot_pricing(banner: Banner, _: &ScenarioSpec, _: usize, out: &mut dyn Write)
     table(out, &headers, &rows)
 }
 
-/// Fig. 7: PROTEAN's geometry changes for strict ShuffleNet V2 while
-/// the BE model rotates every 20 s through HI models including the
-/// 13.7 GB DPN 92, which fits no small slice: latency rises until
-/// Algorithm 2's wait limit passes and the GPUs move from
-/// `(4g, 2g, 1g)` to `(4g, 3g)`.
-fn reconfig_timeline(
-    banner: Banner,
-    spec: &ScenarioSpec,
-    threads: usize,
-    out: &mut dyn Write,
-) -> io::Result<()> {
-    let pool = r#"["mobilenet", "dpn92", "resnet50", "dpn92"]"#;
-    let spec = spec
-        .clone()
-        .with(&[("trace.be_pool", pool)])
-        .at_paper_rate(ShuffleNetV2);
-    banner.print(out, "")?;
-    let protean = ProteanBuilder::paper();
-    let row = &run_specs([(spec, &protean as &dyn SchemeBuilder)], threads)[0];
+/// Fig. 7: `row`'s geometry changes, then its strict P99 over time.
+fn timeline(out: &mut dyn Write, row: &SchemeRow) -> io::Result<()> {
     writeln!(
         out,
         "  reconfigurations: {}   SLO compliance: {:.2}%   strict P99: {:.1} ms",
@@ -995,21 +1070,11 @@ fn reconfig_timeline(
             gc.geometry
         )?;
     }
-    let buckets = row
-        .result
-        .strict_latency_timeline
-        .bucketed(SimDuration::from_secs(2.0), BucketAgg::P99);
-    let points: Vec<Vec<f64>> = buckets
-        .iter()
-        .map(|(t, v)| vec![t.as_secs_f64(), *v])
-        .collect();
-    csv_series(
-        out,
-        "strict P99 latency over time",
-        &["time_s", "p99_ms"],
-        &points,
-    )?;
+    let timeline = &row.result.strict_latency_timeline;
+    let buckets = timeline.bucketed(SimDuration::from_secs(2.0), BucketAgg::P99);
     let curve: Vec<(f64, f64)> = buckets.iter().map(|(t, v)| (t.as_secs_f64(), *v)).collect();
+    let title = "strict P99 latency over time";
+    csv_series(out, title, ["time_s", "p99_ms"], &curve)?;
     line_plot(
         out,
         "strict P99 (2 s buckets) — spike at the DPN 92 rotation, recovery after reconfig",
@@ -1020,80 +1085,31 @@ fn reconfig_timeline(
     )
 }
 
-/// Fig. 8: the strict-latency CDF of each primary scheme on SENet 18.
-fn latency_cdf(
-    banner: Banner,
-    spec: &ScenarioSpec,
-    threads: usize,
-    out: &mut dyn Write,
-) -> io::Result<()> {
-    let model = SeNet18;
-    let slo_ms = model.profile().slo().as_millis_f64();
-    banner.print(out, &format!("{model} (SLO {slo_ms:.0} ms)"))?;
-    let lineup = schemes::primary();
-    let spec = spec.clone().at_paper_rate(model);
-    let cells = lineup.iter().map(|s| (spec.clone(), s.as_ref()));
+/// Fig. 8: each line's strict-latency CDF against an `slo_ms` SLO, as a
+/// CSV series and a curve.
+fn cdfs(out: &mut dyn Write, slo_ms: f64, lines: &[Line<'_>]) -> io::Result<()> {
     let mut curves = Vec::new();
-    for row in run_specs(cells, threads) {
-        let cdf = row.result.metrics.latency_cdf(Class::Strict, 50);
-        let points: Vec<Vec<f64>> = cdf.iter().map(|(l, f)| vec![*l, *f]).collect();
-        csv_series(
-            out,
-            &format!("{} (SLO {slo_ms:.0} ms)", row.scheme),
-            &["latency_ms", "cumulative_fraction"],
-            &points,
-        )?;
-        curves.push((row.scheme, cdf));
+    for (_, runs) in lines {
+        let cdf = runs[0].result.metrics.latency_cdf(Class::Strict, 50);
+        let title = format!("{} (SLO {slo_ms:.0} ms)", runs[0].scheme);
+        csv_series(out, &title, ["latency_ms", "cumulative_fraction"], &cdf)?;
+        curves.push((runs[0].scheme.clone(), cdf));
     }
     let title = format!("latency CDF (SLO at {slo_ms:.0} ms)");
     legend_plot(out, &title, "latency ms", "fraction", 16, &curves)
 }
 
-/// Fig. 9: PROTEAN's cost and SLO compliance per spot availability and
-/// procurement policy, each cost normalised to the on-demand-only run
-/// at the same availability (what the comparison schemes pay).
-fn cost_slo(
-    banner: Banner,
-    spec: &ScenarioSpec,
-    threads: usize,
-    out: &mut dyn Write,
-) -> io::Result<()> {
-    const POLICIES: [(&str, ProcurementPolicy); 3] = [
-        ("Other schemes (on-demand)", ProcurementPolicy::OnDemandOnly),
-        ("Spot Only", ProcurementPolicy::SpotOnly),
-        ("PROTEAN (hybrid)", ProcurementPolicy::Hybrid),
-    ];
-    // Short runs need a denser revocation and procurement cadence than
-    // the defaults to resolve the spot dynamics (the paper's runs are
-    // hour-scale).
-    let cadence = [
-        ("fleet.revocation_check_secs", "20"),
-        ("fleet.vm_startup_secs", "20"),
-        ("fleet.procurement_retry_secs", "20"),
-    ];
-    let spec = spec.clone().with(&cadence);
-    banner.print(out, "")?;
-    let scheme = ProteanBuilder::paper();
-    let cells = SpotAvailability::ALL
-        .iter()
-        .flat_map(|&a| POLICIES.iter().map(move |&(_, policy)| (a, policy)))
-        .map(|(availability, procurement)| {
-            let mut cell = spec.clone();
-            (cell.fleet.availability, cell.fleet.procurement) = (availability, procurement);
-            (cell, &scheme as &dyn SchemeBuilder)
-        });
-    let results = run_specs(cells, threads);
+/// Fig. 9: per line and run, the run's cost normalised to the line's
+/// first run, its SLO compliance, evictions and censored requests.
+fn cost(out: &mut dyn Write, lines: &[Line<'_>], names: &[String]) -> io::Result<()> {
     let mut rows = Vec::new();
-    for (availability, runs) in SpotAvailability::ALL
-        .iter()
-        .zip(results.chunks(POLICIES.len()))
-    {
-        let on_demand_cost = runs[0].cost_usd;
-        for ((label, _), row) in POLICIES.iter().zip(runs) {
+    for (point, runs) in lines {
+        let first_cost = runs[0].cost_usd;
+        for (name, row) in names.iter().zip(*runs) {
             rows.push(vec![
-                availability.to_string(),
-                label.to_string(),
-                format!("{:.3}", row.cost_usd / on_demand_cost),
+                point.label(),
+                name.clone(),
+                format!("{:.3}", row.cost_usd / first_cost),
                 format!("{:.2}", row.slo_compliance_pct),
                 row.evictions.to_string(),
                 row.censored.to_string(),
@@ -1111,72 +1127,44 @@ fn cost_slo(
     table(out, &headers, &rows)
 }
 
-/// §7 statistical significance: the primary comparison over [`SEEDS`]
-/// seeds from 1000, with 95% confidence intervals on each scheme's SLO
-/// compliance (paper: half-widths < 0.1%), and Welch p-values (paper:
-/// ~0.0) and Cohen's *d* (paper: 7.80–304.37) for PROTEAN against each
-/// baseline.
-fn significance(
-    banner: Banner,
-    spec: &ScenarioSpec,
-    threads: usize,
-    out: &mut dyn Write,
-) -> io::Result<()> {
-    for model in [ResNet50, Bert] {
-        let secs = spec.trace.duration_secs;
-        let label = format!("{model}: {SEEDS} seeds x {secs} s per scheme");
-        banner.print(out, &label)?;
-        let lineup = schemes::primary();
-        let cells = (1000..1000 + SEEDS).flat_map(|seed| {
-            let mut run = spec.clone().at_paper_rate(model);
-            run.fleet.seed = seed;
-            lineup.iter().map(move |s| (run.clone(), s.as_ref()))
-        });
-        // compliance[i][k] = scheme i's SLO compliance (%) under seed k.
-        let mut compliance: Vec<Vec<f64>> = vec![Vec::new(); lineup.len()];
-        for (c, row) in run_specs(cells, threads).iter().enumerate() {
-            compliance[c % lineup.len()].push(row.slo_compliance_pct);
-        }
-        let rows: Vec<Vec<String>> = lineup
-            .iter()
-            .zip(&compliance)
-            .map(|(s, xs)| {
-                let (mean, hw) = mean_ci95(xs);
-                vec![
-                    s.name().to_string(),
-                    format!("{mean:.3}"),
-                    format!("±{hw:.3}"),
-                ]
-            })
-            .collect();
-        table(out, &["scheme", "mean SLO%", "95% CI"], &rows)?;
+/// §7: each run point's mean SLO compliance over the lines with its 95%
+/// CI, then Welch's t-test and Cohen's d of the last run point against
+/// each other one.
+fn significance(out: &mut dyn Write, lines: &[Line<'_>], names: &[String]) -> io::Result<()> {
+    let compliance: Vec<Vec<f64>> = (0..names.len()).map(|i| slo(lines, i).collect()).collect();
+    let rows: Vec<Vec<String>> = names
+        .iter()
+        .zip(&compliance)
+        .map(|(name, xs)| {
+            let (mean, hw) = mean_ci95(xs);
+            vec![name.clone(), format!("{mean:.3}"), format!("±{hw:.3}")]
+        })
+        .collect();
+    table(out, &["scheme", "mean SLO%", "95% CI"], &rows)?;
 
-        // PROTEAN is last in the line-up.
-        let protean = compliance.last().expect("lineup non-empty");
-        let rows: Vec<Vec<String>> = lineup
-            .iter()
-            .zip(&compliance)
-            .take(lineup.len() - 1)
-            .map(|(s, xs)| {
-                let t = welch_t_test(protean, xs);
-                let d = cohens_d(protean, xs);
-                vec![
-                    format!("PROTEAN vs {}", s.name()),
-                    format!("{:.2}", t.t),
-                    format!("{:.1}", t.df),
-                    format!("{:.2e}", t.p_value),
-                    format!("{d:.2}"),
-                ]
-            })
-            .collect();
-        table(out, &["pair", "t", "df", "p-value", "Cohen's d"], &rows)?;
-    }
-    Ok(())
+    let (last, others) = compliance.split_last().expect("a run point");
+    let rows: Vec<Vec<String>> = names
+        .iter()
+        .zip(others)
+        .map(|(name, xs)| {
+            let t = welch_t_test(last, xs);
+            let d = cohens_d(last, xs);
+            vec![
+                format!("{} vs {name}", names[others.len()]),
+                format!("{:.2}", t.t),
+                format!("{:.1}", t.df),
+                format!("{:.2e}", t.p_value),
+                format!("{d:.2}"),
+            ]
+        })
+        .collect();
+    table(out, &["pair", "t", "df", "p-value", "Cohen's d"], &rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_scheme;
 
     /// FNV-1a of each row's text at a 2 s trace and seed 42, so a
     /// refactor that changes any printed byte fails here.
@@ -1235,6 +1223,91 @@ mod tests {
             lines.collect::<Vec<_>>().join("\n")
         };
         assert_eq!(listed(&hashes), listed(&TEXT_HASHES), "row text moved");
+    }
+
+    /// Each row's cells at the paper's setup, listed without running a
+    /// simulation: a count per row, and every cell a scenario file that
+    /// reparses from its `to_toml` to itself (release builds too; debug
+    /// builds also check it where the cells are built).
+    #[test]
+    fn every_rows_cells_are_listed_without_running_them() {
+        const COUNTS: [(&str, usize); 24] = [
+            ("fig02_motivation", 10),
+            ("fig03_fbr_catalog", 0),
+            ("fig04_architecture", 0),
+            ("table2_mig_profiles", 0),
+            ("table3_spot_pricing", 0),
+            ("fig05_slo_vision", 48),
+            ("fig06_latency_breakdown", 12),
+            ("fig07_reconfig_timeline", 1),
+            ("fig08_latency_cdf", 4),
+            ("fig09_cost_slo", 9),
+            ("fig10_throughput_util", 8),
+            ("fig11_twitter", 4),
+            ("fig12_vhi_llm", 32),
+            ("fig13_gpt", 8),
+            ("fig14_skewed_ratios", 16),
+            ("table4_all_strict", 4),
+            ("table5_all_be", 4),
+            ("fig15_tight_slo", 24),
+            ("fig16_gpulet", 20),
+            ("fig17_oracle", 6),
+            ("ablations", 9),
+            ("sweep_load", 24),
+            ("future_be_tail", 2),
+            ("stats_significance", 80),
+        ];
+        let spec = scenario::paper();
+        let mut counts = Vec::new();
+        for x in &EXPERIMENTS {
+            let cells = x.cells(&spec);
+            for (cell, _) in &cells {
+                let reparsed = scenario::parse(&cell.to_toml());
+                assert_eq!(reparsed.as_ref(), Ok(cell), "{}", x.id);
+            }
+            counts.push((x.id, cells.len()));
+        }
+        assert_eq!(counts, COUNTS);
+    }
+
+    /// The engine never reads the SLO multiplier: Fig. 15's runs of one
+    /// model and scheme at 2x and at 3x differ only in how their
+    /// latencies are scored, so both halves of their fingerprints agree,
+    /// and the looser 3x SLO is met at least as often. The trace is 20 s
+    /// so that requests land after the 15 s warm-up and the scores are
+    /// not all 100%.
+    #[test]
+    fn fig15_runs_at_2x_and_3x_differ_only_in_their_score() {
+        let spec = scenario::paper().with(&[("trace.duration_secs", "20")]);
+        let cells = find("fig15_tight_slo").unwrap().cells(&spec);
+        let mut moved = 0;
+        for pair in cells.chunks(2) {
+            let [(tight, scheme), (default, _)] = pair else {
+                panic!("a 2x and a 3x run per model and scheme")
+            };
+            assert_eq!((tight.fleet.slo_mult, default.fleet.slo_mult), (2.0, 3.0));
+            let mut same = default.clone();
+            same.fleet.slo_mult = 2.0;
+            assert_eq!(&same, tight, "the pair differs only in its multiplier");
+            let name = format!("{} {}", tight.trace.model, scheme.name());
+            let [tight, default] = [tight, default].map(|cell| {
+                let (config, trace) = cell.generated();
+                run_scheme(&config, scheme.as_ref(), &trace)
+            });
+            let print = |row: &SchemeRow| crate::golden::fingerprint(&row.result);
+            assert_eq!(print(&tight), print(&default), "{name}");
+            assert!(
+                default.slo_compliance_pct >= tight.slo_compliance_pct,
+                "{name}: {} at 3x < {} at 2x",
+                default.slo_compliance_pct,
+                tight.slo_compliance_pct
+            );
+            moved += usize::from(default.slo_compliance_pct > tight.slo_compliance_pct);
+        }
+        assert!(
+            moved > 0,
+            "no pair's compliance moved: the relation went untested"
+        );
     }
 
     #[test]

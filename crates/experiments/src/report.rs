@@ -75,19 +75,17 @@ pub fn scheme_table(out: &mut dyn Write, rows: &[SchemeRow]) -> io::Result<()> {
     )
 }
 
-/// Prints an `(x, y…)` series as CSV, one line per point, for the
+/// Prints an `(x, y)` series as CSV, one line per point, for the
 /// curve-style figures (CDFs, timelines).
 pub fn csv_series(
     out: &mut dyn Write,
     title: &str,
-    headers: &[&str],
-    points: &[Vec<f64>],
+    [x, y]: [&str; 2],
+    points: &[(f64, f64)],
 ) -> io::Result<()> {
-    writeln!(out, "-- {title} (CSV) --")?;
-    writeln!(out, "{}", headers.join(","))?;
-    for p in points {
-        let line: Vec<String> = p.iter().map(|v| format!("{v:.4}")).collect();
-        writeln!(out, "{}", line.join(","))?;
+    writeln!(out, "-- {title} (CSV) --\n{x},{y}")?;
+    for (x, y) in points {
+        writeln!(out, "{x:.4},{y:.4}")?;
     }
     Ok(())
 }
