@@ -301,9 +301,10 @@ const SCHEMATIC: &str = r#"
                   |
                   v
    +-------------------------------+
-   | (1) Gateway                   |  protean_cluster::engine (request ingest,
-   |     batching + (3) reordering |  gateway accumulators, strict-first queue:
-   |                               |  protean_cluster::worker::SchedQueue)
+   | (1) Gateway                   |  protean_cluster::event_loop (request
+   |     batching + (3) reordering |  ingest), protean_cluster::batch::Accumulator
+   |                               |  (gateway accumulators), strict-first queue:
+   |                               |  protean_cluster::worker::SchedQueue
    +-------------------------------+
                   |
                   v
@@ -325,7 +326,7 @@ const SCHEMATIC: &str = r#"
    |     (7) choose_strict_slice   |  Eq. 2 eta / choose_best_effort_slice
    |     (8) choose_BE_slice       |  first-fit packing)
    | (6) GPU Reconfigurator        |  protean::reconfigurator (Algorithm 2:
-   |     EWMA + T_low/T_high +     |  protean::ewma, wait counter, <=30%%
+   |     EWMA + T_low/T_high +     |  protean::Ewma, wait counter, <=30%
    |     wait counter              |  concurrent reconfigs in the engine)
    |                               |
    |   GPU (MIG slices + MPS)      |  protean_gpu::{Gpu, Slice, Geometry,
@@ -1171,7 +1172,7 @@ mod tests {
     const TEXT_HASHES: [(&str, u64); 24] = [
         ("fig02_motivation", 0x626bd3150e418175),
         ("fig03_fbr_catalog", 0xf3de99906653bcac),
-        ("fig04_architecture", 0xd617f7f4e023a0cd),
+        ("fig04_architecture", 0x10d8b05d1ede87f2),
         ("table2_mig_profiles", 0x14b9e743483e7d97),
         ("table3_spot_pricing", 0x7b9d8604763b673f),
         ("fig05_slo_vision", 0xb66314a9b5ac0992),
