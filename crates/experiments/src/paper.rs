@@ -125,7 +125,6 @@ enum Column {
 /// A value of an axis, and what it changes in a run.
 #[derive(Clone, Copy)]
 enum Point {
-    Base,
     /// A scheme, and the keys it sets.
     Scheme(Build, Keys),
     /// PROTEAN with one design choice changed, named for the ablations,
@@ -155,7 +154,6 @@ impl Point {
 
     fn label(self) -> String {
         match self {
-            Point::Base => String::new(),
             Point::Scheme(build, _) => build().name().to_string(),
             Point::Variant(name, ..) => name.to_string(),
             Point::Model(m) => m.to_string(),
@@ -171,7 +169,6 @@ impl Point {
             }
             Point::Model(m) => spec.at_paper_rate(m),
             Point::Value(key, value) => spec.with(&[(key, value)]),
-            Point::Base => spec,
         }
     }
 }
@@ -189,7 +186,9 @@ enum Axis {
     Vhi,
 }
 
-const ONE: Axis = Axis::Of(&[Point::Base]);
+/// A point that changes nothing.
+const BASE: Point = Point::Set("", &[]);
+const ONE: Axis = Axis::Of(&[BASE]);
 /// The primary schemes.
 const LINEUP: Axis = Axis::Schemes(&PRIMARY);
 /// The vision subset of Figs. 6, 15 and 17.
@@ -823,7 +822,7 @@ impl Experiment {
                 .map(|line| {
                     let (these, rest) = rows.split_at(runs.len());
                     *rows = rest;
-                    (line.first().copied().unwrap_or(Point::Base), these)
+                    (line.first().copied().unwrap_or(BASE), these)
                 })
                 .collect();
             let (label, n) = (block.label(), lines.len());
@@ -1196,9 +1195,9 @@ mod tests {
         ("stats_significance", 0x5cbc4c79fe3ac61c),
     ];
 
-    /// In a debug build this also checks that every cell of every row,
-    /// Own rows included, reparses from its `to_toml` to itself and
-    /// passes the scenario file checks (see `run_specs`).
+    /// In a debug build this also checks that every cell of every row
+    /// reparses from its `to_toml` to itself and passes the scenario
+    /// file checks (see `Experiment::cells`).
     #[test]
     fn every_row_prints_its_banner_and_the_same_text_at_any_thread_count() {
         let spec = scenario::paper().with(&[("trace.duration_secs", "2")]);
