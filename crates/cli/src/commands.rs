@@ -5,14 +5,13 @@ use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use protean_cluster::{run_simulation_on, SchemeBuilder, SimulationResult};
+use protean_cluster::{run_simulation_on, SchemeBuilder};
 use protean_experiments::harness::{run_grid, thread_count, thread_count_or, GridCell};
 use protean_experiments::paper::{self, EXPERIMENTS};
 use protean_experiments::report::{scheme_table, table};
 use protean_experiments::scenario::{self, ScenarioError, ScenarioSpec, TraceSource, RUN_FLAGS};
-use protean_experiments::{run_scheme, schemes};
+use protean_experiments::{run_scheme, schemes, SchemeRow};
 use protean_gpu::{find_placement, Geometry};
-use protean_metrics::record::Class;
 use protean_models::PROFILES;
 
 use crate::args::{ArgError, Args};
@@ -186,7 +185,8 @@ fn scheme_of(spec: &ScenarioSpec) -> Box<dyn SchemeBuilder> {
 pub fn simulate(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let spec = run_spec("simulate", args)?;
     let (config, trace) = spec.generated();
-    let row = run_scheme(&config, scheme_of(&spec).as_ref(), &trace);
+    let scheme = scheme_of(&spec);
+    let row = run_scheme(&config, scheme.as_ref(), &trace, spec.fleet.slo_mult);
     scheme_table(out, std::slice::from_ref(&row))?;
     writeln!(out)?;
     writeln!(
@@ -200,11 +200,8 @@ pub fn simulate(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
         row.result.cold_starts,
     )?;
     if args.get_or("per-model", false)? {
-        let slo = SimulationResult::slo_fn(config.slo_multiplier);
         let rows: Vec<Vec<String>> = row
-            .result
-            .metrics
-            .per_model_summaries(&slo)
+            .per_model()
             .into_iter()
             .map(|(model, s)| {
                 vec![
@@ -232,13 +229,13 @@ pub fn compare(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
         let msg = "--scheme does not apply to `compare` (it runs all primary schemes)";
         return Err(ArgError(msg.into()).into());
     }
-    let (config, trace) = run_spec("compare", args)?.generated();
+    let spec = run_spec("compare", args)?;
     let threads = args.get("threads").map(|_| args.get_or("threads", 1usize));
     let threads = thread_count_or(threads.transpose()?);
     let lineup = schemes::primary();
     let cells: Vec<GridCell<'_>> = lineup
         .iter()
-        .map(|s| GridCell::new(config.clone(), s.as_ref(), trace.clone()))
+        .map(|s| GridCell::of(&spec, s.as_ref()))
         .collect();
     let rows = run_grid(&cells, threads);
     Ok(scheme_table(out, &rows)?)
@@ -310,16 +307,11 @@ pub fn replay(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
         trace.duration()
     )?;
     let result = run_simulation_on(&run.config, scheme_of(&spec).as_ref(), trace);
-    let slo = SimulationResult::slo_fn(run.config.slo_multiplier);
-    let p99 = |class| result.metrics.latency_percentile_ms(class, 0.99);
+    let row = SchemeRow::new(result, run.config.warmup, spec.fleet.slo_mult);
     writeln!(
         out,
         "  scheme {} · SLO {:.2}% · strict P99 {:.1} ms · BE P99 {:.1} ms · censored {}",
-        result.scheme,
-        result.metrics.slo_compliance(&slo) * 100.0,
-        p99(Class::Strict).unwrap_or(0.0),
-        p99(Class::BestEffort).unwrap_or(0.0),
-        result.censored,
+        row.scheme, row.slo_compliance_pct, row.strict_p99_ms, row.be_p99_ms, row.censored,
     )?;
     Ok(())
 }
@@ -384,15 +376,11 @@ pub fn reproduce(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
 pub fn scenario(action: Option<&str>, args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     args.reject_unknown(&flags_of("scenario"))?;
     let dir = PathBuf::from(args.get("dir").unwrap_or("scenarios"));
-    let files = scenario::catalog_files(&dir)?;
-    if files.is_empty() {
+    let specs = scenario::load_catalog(&dir)?;
+    if specs.is_empty() {
         let msg = format!("no scenario files (*.toml) found in {}", dir.display());
         return Err(ArgError(msg).into());
     }
-    let specs: Vec<(PathBuf, ScenarioSpec)> = files
-        .iter()
-        .map(|f| scenario::load_file(f).map(|s| (f.clone(), s)))
-        .collect::<Result<_, _>>()?;
     match action {
         Some("list") => {
             let rows: Vec<Vec<String>> = specs

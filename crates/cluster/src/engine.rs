@@ -47,9 +47,10 @@ pub const TIME_SHARE_OVERHEAD_BASE_MS: f64 = 18.0;
 pub const EXEC_JITTER_SIGMA: f64 = 0.15;
 
 /// What a caller varies between simulation runs: deployment (fleet
-/// size, procurement, provider, cold start), the SLO multiplier and
-/// what the run records. Scheduling policy is *not* here — that is the
-/// [`crate::SchemeBuilder`] — and neither are the engine's fixed
+/// size, procurement, provider, cold start) and what the run records.
+/// Scheduling policy is *not* here — that is the
+/// [`crate::SchemeBuilder`] — nor is the SLO, which only scores a
+/// finished run ([`SimulationResult::slo_fn`]), nor are the engine's fixed
 /// control constants ([`MONITOR_INTERVAL`], [`BATCH_WINDOW`],
 /// [`MAX_RECONFIG_FRACTION`], [`DRAIN_GRACE`], [`SCAN_DEPTH`],
 /// [`TIME_SHARE_OVERHEAD_MS_PER_GB`], [`TIME_SHARE_OVERHEAD_BASE_MS`],
@@ -65,8 +66,6 @@ pub struct ClusterConfig {
     /// Keep-alive before surplus warm containers are reclaimed (§4.2:
     /// ~10 minutes).
     pub keep_alive: SimDuration,
-    /// Strict SLO = `slo_multiplier ×` solo 7g latency (paper: 3×).
-    pub slo_multiplier: f64,
     /// MIG reconfiguration latency (§4.4: ~2 s).
     pub reconfig_delay: SimDuration,
     /// VM procurement policy (Fig. 9 schemes).
@@ -141,15 +140,13 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// The paper's default setup: 8 workers, 3× SLO, on-demand
-    /// procurement.
+    /// The paper's default setup: 8 workers, on-demand procurement.
     pub fn paper_default() -> Self {
         ClusterConfig {
             workers: 8,
             seed: 42,
             cold_start: SimDuration::from_secs(8.0),
             keep_alive: SimDuration::from_secs(600.0),
-            slo_multiplier: 3.0,
             reconfig_delay: SimDuration::from_secs(2.0),
             procurement: ProcurementPolicy::OnDemandOnly,
             availability: SpotAvailability::High,
@@ -336,7 +333,8 @@ pub struct SimulationResult {
 }
 
 impl SimulationResult {
-    /// The per-model SLO deadline function for this run's multiplier.
+    /// The per-model strict SLO deadline: `multiplier ×` the model's
+    /// solo 7g latency (paper: 3×, `protean_models::DEFAULT_SLO_MULTIPLIER`).
     pub fn slo_fn(multiplier: f64) -> impl Fn(ModelId) -> SimDuration {
         move |m| m.profile().slo_with_multiplier(multiplier)
     }

@@ -15,22 +15,14 @@ use protean_models::ModelProfile;
 
 use protean_sim::Ewma;
 
-/// Tunables of Algorithm 2.
+/// The tunables of Algorithm 2 that callers vary: the Oracle and the
+/// `ablations` row of `protean_experiments::paper` change them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconfiguratorConfig {
     /// EWMA smoothing factor for the BE request predictor.
     pub ewma_alpha: f64,
     /// Consecutive mismatches required before reconfiguring (paper: 3).
     pub wait_limit: u32,
-    /// BE occupancy of the small-slice set below which consolidating on
-    /// `(4g, 3g)` is preferred (line 19's `T_low` check).
-    pub t_low: f64,
-    /// BE occupancy above which `(2g, 1g)` would be overwhelmed and
-    /// `(4g, 3g)` is preferred (line 19's `T_high` check).
-    pub t_high: f64,
-    /// Interference margin on the expected BE batch residency time used
-    /// in the Little's-law footprint estimate.
-    pub residency_margin: f64,
 }
 
 impl Default for ReconfiguratorConfig {
@@ -38,12 +30,21 @@ impl Default for ReconfiguratorConfig {
         ReconfiguratorConfig {
             ewma_alpha: 0.3,
             wait_limit: 3,
-            t_low: 0.25,
-            t_high: 0.85,
-            residency_margin: 2.0,
         }
     }
 }
+
+/// BE occupancy of the small-slice set below which consolidating on
+/// `(4g, 3g)` is preferred (line 19's `T_low` check).
+pub const T_LOW: f64 = 0.25;
+
+/// BE occupancy above which `(2g, 1g)` would be overwhelmed and
+/// `(4g, 3g)` is preferred (line 19's `T_high` check).
+pub const T_HIGH: f64 = 0.85;
+
+/// Interference margin on the expected BE batch residency time used in
+/// the Little's-law footprint estimate.
+pub const RESIDENCY_MARGIN: f64 = 2.0;
 
 /// Maximum fraction of a candidate slice-set's memory *bandwidth* the
 /// predicted best-effort stream may demand before the set is rejected
@@ -53,8 +54,9 @@ impl Default for ReconfiguratorConfig {
 const BANDWIDTH_FEASIBILITY_CAP: f64 = 0.85;
 
 /// The per-GPU reconfiguration state machine: only its state, the
-/// EWMA and the wait counter. The tunables come with each call, so a
-/// fleet's instances share one [`ReconfiguratorConfig`].
+/// EWMA and the wait counter. The wait limit comes with each
+/// [`Reconfigurator::step`], so a fleet's instances share one
+/// [`ReconfiguratorConfig`].
 #[derive(Debug, Clone)]
 pub struct Reconfigurator {
     predictor: Ewma,
@@ -75,7 +77,6 @@ impl Reconfigurator {
     /// favours, before the wait-counter hysteresis.
     pub fn desired_geometry(
         &mut self,
-        config: &ReconfiguratorConfig,
         window_be_requests: u64,
         window_secs: f64,
         be_model: Option<&ModelProfile>,
@@ -86,7 +87,7 @@ impl Reconfigurator {
             // No BE workload information: keep the big slices.
             return Geometry::g4_g3();
         };
-        let pred_be_mem = predicted_be_mem_gb(config, pred_be_num, window_secs, be);
+        let pred_be_mem = predicted_be_mem_gb(pred_be_num, window_secs, be);
         // small_slice_set = [[1g, 2g], [3g]]
         let candidates: [&[SliceProfile]; 2] =
             [&[SliceProfile::G1, SliceProfile::G2], &[SliceProfile::G3]];
@@ -114,10 +115,10 @@ impl Reconfigurator {
             Some(set) if set.len() == 2 => {
                 let capacity: f64 = set.iter().map(|p| p.mem_gb()).sum();
                 let occupancy = pred_be_mem / capacity;
-                if occupancy < config.t_low || occupancy > config.t_high {
-                    Geometry::g4_g3()
-                } else {
+                if (T_LOW..=T_HIGH).contains(&occupancy) {
                     Geometry::g4_g2_g1()
+                } else {
+                    Geometry::g4_g3()
                 }
             }
             // Either the `[3g]` set (geometry (4g, 3g)) or nothing fits
@@ -137,7 +138,7 @@ impl Reconfigurator {
         window_secs: f64,
         be_model: Option<&ModelProfile>,
     ) -> Option<Geometry> {
-        let desired = self.desired_geometry(config, window_be_requests, window_secs, be_model);
+        let desired = self.desired_geometry(window_be_requests, window_secs, be_model);
         if desired == *current {
             self.wait_ctr = 0;
             return None;
@@ -154,18 +155,12 @@ impl Reconfigurator {
 
 /// Little's-law resident footprint: BE batch arrival rate × expected
 /// residency time × per-batch memory.
-fn predicted_be_mem_gb(
-    config: &ReconfiguratorConfig,
-    pred_be_num: f64,
-    window_secs: f64,
-    be: &ModelProfile,
-) -> f64 {
+fn predicted_be_mem_gb(pred_be_num: f64, window_secs: f64, be: &ModelProfile) -> f64 {
     if pred_be_num <= 0.0 || window_secs <= 0.0 {
         return 0.0;
     }
     let batches_per_sec = pred_be_num / window_secs / f64::from(be.batch_size);
-    let residency_secs =
-        be.solo_on(be.smallest_fitting_slice()).as_secs_f64() * config.residency_margin;
+    let residency_secs = be.solo_on(be.smallest_fitting_slice()).as_secs_f64() * RESIDENCY_MARGIN;
     let resident_batches = (batches_per_sec * residency_secs).max(1.0);
     resident_batches.ceil() * be.mem_gb
 }
@@ -191,7 +186,7 @@ mod tests {
         }
 
         fn desired_geometry(&mut self, be: u64, secs: f64, m: Option<&ModelProfile>) -> Geometry {
-            self.r.desired_geometry(&self.config, be, secs, m)
+            self.r.desired_geometry(be, secs, m)
         }
 
         fn step(
@@ -287,7 +282,6 @@ mod tests {
         let mut r = Tuned::new(ReconfiguratorConfig {
             wait_limit: 0,
             ewma_alpha: 1.0,
-            ..ReconfiguratorConfig::default()
         });
         assert_eq!(
             r.step(&Geometry::g4_g3(), 8000, 2.0, Some(mobilenet)),

@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use protean_cluster::engine::MONITOR_INTERVAL;
 use protean_cluster::{BatchView, Placement, PlacementCtx, ReconfigCtx, Scheme, SchemeBuilder};
 use protean_gpu::{Geometry, SharingMode};
 use protean_models::ModelId;
@@ -10,7 +11,8 @@ use crate::distribution::{choose_best_effort_slice, choose_strict_slice, tag_sli
 use crate::reconfigurator::{Reconfigurator, ReconfiguratorConfig};
 
 /// Configuration of the PROTEAN scheme, including the switches the
-/// ablation benches flip.
+/// `ablations` row of `protean_experiments::paper` flips. Every
+/// instance starts on the paper's `(4g, 2g, 1g)` geometry (Fig. 7).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProteanConfig {
     /// Display name ("PROTEAN", "Oracle", ablation labels).
@@ -26,8 +28,6 @@ pub struct ProteanConfig {
     /// Use the Eq. 2 η to pick strict slices. Ablation: set `false` to
     /// always take the largest slice with room.
     pub eta_placement: bool,
-    /// Initial MIG geometry (paper: `(4g, 2g, 1g)`, Fig. 7).
-    pub initial_geometry: Geometry,
     /// §6.2 future-work extension: when the workload is (almost)
     /// entirely best-effort, stop packing BE batches onto the smallest
     /// slices (whose point is to protect strict requests that are not
@@ -46,7 +46,6 @@ impl ProteanConfig {
             reorder: true,
             dynamic_reconfig: true,
             eta_placement: true,
-            initial_geometry: Geometry::g4_g2_g1(),
             be_tail_aware: false,
         }
     }
@@ -61,7 +60,6 @@ impl ProteanConfig {
             reconfigurator: ReconfiguratorConfig {
                 ewma_alpha: 1.0,
                 wait_limit: 0,
-                ..ReconfiguratorConfig::default()
             },
             ..ProteanConfig::paper()
         }
@@ -74,7 +72,7 @@ impl ProteanConfig {
 /// an instance holds only its own state.
 #[derive(Debug, Clone)]
 pub struct Protean {
-    shared: Arc<Shared>,
+    config: Arc<ProteanConfig>,
     reconfigurator: Reconfigurator,
     /// FBR of the most recent best-effort model, used to cost
     /// tagged-but-unplaced BE load in η.
@@ -84,28 +82,16 @@ pub struct Protean {
     window_strict_share: f64,
 }
 
-/// What every worker's [`Protean`] reads and none writes.
-#[derive(Debug)]
-struct Shared {
-    config: ProteanConfig,
-    monitor_window_secs: f64,
-}
-
 impl Protean {
-    /// Creates an instance from `config`. `monitor_window_secs` must
-    /// match the cluster's monitor interval (it converts per-window
-    /// request counts to rates).
-    pub fn new(config: ProteanConfig, monitor_window_secs: f64) -> Self {
-        Protean::sharing(Arc::new(Shared {
-            config,
-            monitor_window_secs,
-        }))
+    /// Creates an instance from `config`.
+    pub fn new(config: ProteanConfig) -> Self {
+        Protean::sharing(Arc::new(config))
     }
 
-    fn sharing(shared: Arc<Shared>) -> Self {
+    fn sharing(config: Arc<ProteanConfig>) -> Self {
         Protean {
-            reconfigurator: Reconfigurator::new(&shared.config.reconfigurator),
-            shared,
+            reconfigurator: Reconfigurator::new(&config.reconfigurator),
+            config,
             be_fbr_hint: 0.0,
             // Assume a strict-bearing mix until told otherwise.
             window_strict_share: 1.0,
@@ -115,11 +101,11 @@ impl Protean {
 
 impl Scheme for Protean {
     fn name(&self) -> &'static str {
-        self.shared.config.name
+        self.config.name
     }
 
     fn initial_geometry(&self) -> Geometry {
-        self.shared.config.initial_geometry.clone()
+        Geometry::g4_g2_g1()
     }
 
     fn sharing_mode(&self) -> SharingMode {
@@ -127,7 +113,7 @@ impl Scheme for Protean {
     }
 
     fn reorders(&self) -> bool {
-        self.shared.config.reorder
+        self.config.reorder
     }
 
     fn place(&mut self, ctx: &PlacementCtx<'_>, batch: &BatchView) -> Option<Placement> {
@@ -136,7 +122,7 @@ impl Scheme for Protean {
         if batch.strict {
             let tags = tag_slices(slices, ctx.queued_be_mem_gb);
             let tags = &tags[..slices.len()];
-            let slice = if self.shared.config.eta_placement {
+            let slice = if self.config.eta_placement {
                 choose_strict_slice(slices, tags, profile, self.be_fbr_hint)?
             } else {
                 // Ablation: largest slice with room, ignoring η.
@@ -145,7 +131,7 @@ impl Scheme for Protean {
                     .position(|s| s.mem_available_gb() + 1e-9 >= profile.mem_gb)?
             };
             Some(Placement::on_slice(slice))
-        } else if self.shared.config.be_tail_aware && self.window_strict_share < 0.05 {
+        } else if self.config.be_tail_aware && self.window_strict_share < 0.05 {
             // Future-work mode: no strict traffic to protect, so place
             // BE by minimum η instead of packing it into a corner.
             let untagged = [0.0; Geometry::MAX_SLICES];
@@ -166,18 +152,16 @@ impl Scheme for Protean {
         if total > 0 {
             self.window_strict_share = ctx.window_strict_requests as f64 / total as f64;
         }
-        let Shared {
-            config,
-            monitor_window_secs,
-        } = &*self.shared;
-        if !config.dynamic_reconfig {
+        if !self.config.dynamic_reconfig {
             return None;
         }
+        // The engine calls this once per monitor interval, which turns
+        // the window's request count into a rate.
         self.reconfigurator.step(
-            &config.reconfigurator,
+            &self.config.reconfigurator,
             ctx.gpu.geometry(),
             ctx.window_be_requests,
-            *monitor_window_secs,
+            MONITOR_INTERVAL.as_secs_f64(),
             be_profile,
         )
     }
@@ -186,18 +170,18 @@ impl Scheme for Protean {
 /// Builds one [`Protean`] per worker, all sharing one configuration.
 #[derive(Debug, Clone)]
 pub struct ProteanBuilder {
-    shared: Arc<Shared>,
+    config: Arc<ProteanConfig>,
 }
 
 impl ProteanBuilder {
-    /// The paper configuration with the paper's 2 s monitor interval.
+    /// The paper configuration.
     pub fn paper() -> Self {
-        ProteanBuilder::with_config(ProteanConfig::paper(), 2.0)
+        ProteanBuilder::with_config(ProteanConfig::paper())
     }
 
     /// The Oracle comparison configuration.
     pub fn oracle() -> Self {
-        ProteanBuilder::with_config(ProteanConfig::oracle(), 2.0)
+        ProteanBuilder::with_config(ProteanConfig::oracle())
     }
 
     /// PROTEAN plus the §6.2 future-work extension (tail-aware
@@ -206,27 +190,24 @@ impl ProteanBuilder {
         let mut config = ProteanConfig::paper();
         config.name = "PROTEAN+BE-tail";
         config.be_tail_aware = true;
-        ProteanBuilder::with_config(config, 2.0)
+        ProteanBuilder::with_config(config)
     }
 
     /// A builder from a custom configuration.
-    pub fn with_config(config: ProteanConfig, monitor_window_secs: f64) -> Self {
+    pub fn with_config(config: ProteanConfig) -> Self {
         ProteanBuilder {
-            shared: Arc::new(Shared {
-                config,
-                monitor_window_secs,
-            }),
+            config: Arc::new(config),
         }
     }
 }
 
 impl SchemeBuilder for ProteanBuilder {
     fn build(&self, _worker: usize) -> Box<dyn Scheme> {
-        Box::new(Protean::sharing(Arc::clone(&self.shared)))
+        Box::new(Protean::sharing(Arc::clone(&self.config)))
     }
 
     fn name(&self) -> &'static str {
-        self.shared.config.name
+        self.config.name
     }
 }
 
@@ -275,7 +256,7 @@ mod tests {
             SharingMode::Mps,
             SimTime::ZERO,
         );
-        let mut scheme = Protean::new(ProteanConfig::paper(), 2.0);
+        let mut scheme = Protean::new(ProteanConfig::paper());
         let ctx = PlacementCtx {
             now: SimTime::ZERO,
             gpu: &gpu,

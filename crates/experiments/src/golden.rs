@@ -26,6 +26,7 @@ use protean_cluster::{
     run_simulation, run_simulation_streaming, ClusterConfig, SchemeBuilder, SimulationResult,
 };
 use protean_metrics::record::{Class, LatencyBreakdown};
+use protean_models::DEFAULT_SLO_MULTIPLIER;
 use protean_trace::TraceConfig;
 
 use crate::scenario::{self, ScenarioSpec};
@@ -123,7 +124,7 @@ pub struct Fingerprint {
 /// the audit report only observe a run and are left out.
 pub fn fingerprint_fields(result: &SimulationResult) -> Vec<(&'static str, Print, u64)> {
     let m = &result.metrics;
-    let slo = SimulationResult::slo_fn(3.0);
+    let slo = SimulationResult::slo_fn(DEFAULT_SLO_MULTIPLIER);
     let classes = [Class::All, Class::Strict, Class::BestEffort];
     let mut fields = Vec::new();
     let mut field = |name, print, fill: &mut dyn FnMut(&mut Fnv)| {

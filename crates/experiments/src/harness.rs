@@ -34,6 +34,7 @@ use protean_cluster::{ClusterConfig, SchemeBuilder};
 use protean_trace::TraceConfig;
 
 use crate::runner::{run_scheme, SchemeRow};
+use crate::scenario::ScenarioSpec;
 
 /// Resolves the worker-pool size from `PROTEAN_THREADS` or the
 /// machine's available parallelism.
@@ -116,7 +117,8 @@ where
 }
 
 /// One independent simulation of a grid: a scheme over a trace under a
-/// cluster config (which carries the cell's seed).
+/// cluster config (which carries the cell's seed), and the SLO its run
+/// is scored at.
 pub struct GridCell<'a> {
     /// Cluster configuration, including the cell's root seed.
     pub config: ClusterConfig,
@@ -124,15 +126,24 @@ pub struct GridCell<'a> {
     pub scheme: &'a dyn SchemeBuilder,
     /// The workload.
     pub trace: TraceConfig,
+    /// The strict SLO multiplier the run is scored at.
+    pub slo_mult: f64,
 }
 
 impl<'a> GridCell<'a> {
-    /// `scheme` over `trace` under `config`.
-    pub fn new(config: ClusterConfig, scheme: &'a dyn SchemeBuilder, trace: TraceConfig) -> Self {
+    /// `scheme` on the cluster and generated trace `spec` describes,
+    /// scored at its `[fleet] slo_mult`.
+    ///
+    /// # Panics
+    ///
+    /// If the spec scripts its market or reads a CSV trace.
+    pub fn of(spec: &ScenarioSpec, scheme: &'a dyn SchemeBuilder) -> Self {
+        let (config, trace) = spec.generated();
         GridCell {
             config,
             scheme,
             trace,
+            slo_mult: spec.fleet.slo_mult,
         }
     }
 }
@@ -154,7 +165,7 @@ pub const MIN_CELLS_PER_THREAD: usize = 4;
 pub fn run_grid(cells: &[GridCell<'_>], threads: usize) -> Vec<SchemeRow> {
     let threads = threads.min(cells.len() / MIN_CELLS_PER_THREAD).max(1);
     run_parallel(cells, threads, |_, cell| {
-        run_scheme(&cell.config, cell.scheme, &cell.trace)
+        run_scheme(&cell.config, cell.scheme, &cell.trace, cell.slo_mult)
     })
 }
 
@@ -200,13 +211,10 @@ mod tests {
             ("fleet.seed", "11"),
             ("fleet.workers", "2"),
         ];
-        let (config, trace) = scenario::paper().with(&keys).generated();
+        let spec = scenario::paper().with(&keys);
         let schemes: [&dyn protean_cluster::SchemeBuilder; 2] =
             [&Baseline::MoleculeBeta, &Baseline::NaiveSlicing];
-        let cells: Vec<GridCell<'_>> = schemes
-            .iter()
-            .map(|s| GridCell::new(config.clone(), *s, trace.clone()))
-            .collect();
+        let cells: Vec<GridCell<'_>> = schemes.iter().map(|s| GridCell::of(&spec, *s)).collect();
         let parallel = run_grid(&cells, 2);
         let sequential = run_grid(&cells, 1);
         assert_eq!(parallel.len(), 2);

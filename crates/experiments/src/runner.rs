@@ -1,8 +1,10 @@
-//! Runs schemes over workloads and condenses results into table rows.
+//! Runs schemes over workloads and condenses each result into one
+//! [`SchemeRow`], the one place a run is scored.
 
 use protean_cluster::{run_simulation, ClusterConfig, SchemeBuilder, SimulationResult};
 use protean_metrics::record::Class;
-use protean_metrics::LatencyBreakdown;
+use protean_metrics::{LatencyBreakdown, Summary};
+use protean_models::ModelId;
 use protean_sim::SimDuration;
 use protean_trace::TraceConfig;
 
@@ -12,7 +14,9 @@ use protean_trace::TraceConfig;
 pub struct SchemeRow {
     /// Scheme label.
     pub scheme: String,
-    /// Strict SLO compliance, percent.
+    /// The strict SLO multiplier the row is scored at.
+    pub slo_mult: f64,
+    /// Strict SLO compliance at `slo_mult`, percent.
     pub slo_compliance_pct: f64,
     /// Strict P50 latency, ms.
     pub strict_p50_ms: f64,
@@ -46,47 +50,66 @@ pub struct SchemeRow {
     pub result: SimulationResult,
 }
 
-/// Runs `scheme` over `trace` under `config` and condenses the result.
+/// Runs `scheme` over `trace` under `config`, scored at `slo_mult`.
 pub fn run_scheme(
     config: &ClusterConfig,
     scheme: &dyn SchemeBuilder,
     trace: &TraceConfig,
+    slo_mult: f64,
 ) -> SchemeRow {
     let result = run_simulation(config, scheme, trace);
-    let slo = SimulationResult::slo_fn(config.slo_multiplier);
-    let measured = duration_after_warmup(config, trace);
-    let m = &result.metrics;
-    // One sort per class serves every percentile and the tail cut.
-    let strict = m.sorted_latencies(Class::Strict);
-    let be = m.sorted_latencies(Class::BestEffort);
-    SchemeRow {
-        scheme: result.scheme.clone(),
-        slo_compliance_pct: m.slo_compliance(&slo) * 100.0,
-        strict_p50_ms: strict.p50().unwrap_or(0.0),
-        strict_p99_ms: strict.p99().unwrap_or(0.0),
-        be_p50_ms: be.p50().unwrap_or(0.0),
-        be_p99_ms: be.p99().unwrap_or(0.0),
-        tail_breakdown: m
-            .tail_breakdown_with(Class::Strict, &strict, 0.99)
-            .unwrap_or_default(),
-        strict_throughput: m.throughput_per_gpu(Class::Strict, measured, result.workers),
-        total_throughput: m.throughput_per_gpu(Class::All, measured, result.workers),
-        gpu_util_pct: result.compute_utilization * 100.0,
-        mem_util_pct: result.memory_utilization * 100.0,
-        cost_usd: result.cost.total_usd,
-        evictions: result.cost.evictions,
-        censored: result.censored,
-        reconfigs: result.reconfigs,
-        result,
-    }
+    SchemeRow::new(result, config.warmup, slo_mult)
 }
 
-fn duration_after_warmup(config: &ClusterConfig, trace: &TraceConfig) -> SimDuration {
-    let total = trace.duration;
-    if total > config.warmup {
-        total - config.warmup
-    } else {
-        total
+impl SchemeRow {
+    /// Condenses `result`, a run whose first `warmup` went unmeasured,
+    /// scored at a strict SLO of `slo_mult ×` solo 7g latency.
+    pub fn new(result: SimulationResult, warmup: SimDuration, slo_mult: f64) -> Self {
+        let measured = if result.duration > warmup {
+            result.duration - warmup
+        } else {
+            result.duration
+        };
+        let m = &result.metrics;
+        // One sort per class serves every percentile and the tail cut.
+        let strict = m.sorted_latencies(Class::Strict);
+        let be = m.sorted_latencies(Class::BestEffort);
+        let mut row = SchemeRow {
+            scheme: result.scheme.clone(),
+            slo_mult,
+            // Set below, through the one scorer of compliance.
+            slo_compliance_pct: 0.0,
+            strict_p50_ms: strict.p50().unwrap_or(0.0),
+            strict_p99_ms: strict.p99().unwrap_or(0.0),
+            be_p50_ms: be.p50().unwrap_or(0.0),
+            be_p99_ms: be.p99().unwrap_or(0.0),
+            tail_breakdown: m
+                .tail_breakdown_with(Class::Strict, &strict, 0.99)
+                .unwrap_or_default(),
+            strict_throughput: m.throughput_per_gpu(Class::Strict, measured, result.workers),
+            total_throughput: m.throughput_per_gpu(Class::All, measured, result.workers),
+            gpu_util_pct: result.compute_utilization * 100.0,
+            mem_util_pct: result.memory_utilization * 100.0,
+            cost_usd: result.cost.total_usd,
+            evictions: result.cost.evictions,
+            censored: result.censored,
+            reconfigs: result.reconfigs,
+            result,
+        };
+        row.slo_compliance_pct = row.slo_compliance_at(slo_mult);
+        row
+    }
+
+    /// Strict SLO compliance, percent, at SLO multiplier `slo_mult`.
+    pub fn slo_compliance_at(&self, slo_mult: f64) -> f64 {
+        let slo = SimulationResult::slo_fn(slo_mult);
+        self.result.metrics.slo_compliance(&slo) * 100.0
+    }
+
+    /// Each model's counts, compliance and latencies at `slo_mult`.
+    pub fn per_model(&self) -> Vec<(ModelId, Summary)> {
+        let slo = SimulationResult::slo_fn(self.slo_mult);
+        self.result.metrics.per_model_summaries(&slo)
     }
 }
 
@@ -95,6 +118,7 @@ mod tests {
     use super::*;
     use crate::scenario;
     use protean_baselines::Baseline;
+    use protean_models::DEFAULT_SLO_MULTIPLIER;
 
     #[test]
     fn row_is_populated_and_consistent() {
@@ -106,7 +130,12 @@ mod tests {
             ("fleet.workers", "2"),
         ];
         let (config, trace) = scenario::paper().with(&keys).generated();
-        let row = run_scheme(&config, &Baseline::InflessLlama, &trace);
+        let row = run_scheme(
+            &config,
+            &Baseline::InflessLlama,
+            &trace,
+            DEFAULT_SLO_MULTIPLIER,
+        );
         assert_eq!(row.scheme, "INFless/Llama");
         assert!((0.0..=100.0).contains(&row.slo_compliance_pct));
         assert!(row.strict_p99_ms >= row.strict_p50_ms);

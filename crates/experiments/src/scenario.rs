@@ -34,7 +34,7 @@
 //! # Schema
 //!
 //! ```toml
-//! name = "<text>"                     # required
+//! name = "<text>"                     # required; ASCII letters, digits, _ and -
 //! description = ""
 //!
 //! [fleet]
@@ -105,9 +105,9 @@ use std::ops::Bound::{self, Excluded, Included, Unbounded};
 use std::ops::{RangeBounds, RangeInclusive};
 use std::path::{Path, PathBuf};
 
-use protean_cluster::{run_trace_with_oracle, ClusterConfig, ScriptedMarket, SimulationResult};
+use protean_cluster::{run_trace_with_oracle, ClusterConfig, ScriptedMarket};
 use protean_metrics::record::Class;
-use protean_models::{Domain, ModelId};
+use protean_models::{Domain, ModelId, DEFAULT_SLO_MULTIPLIER};
 use protean_sim::{RngFactory, SimDuration, SimTime};
 use protean_spot::{ProcurementPolicy, Provider, SpotAvailability};
 use protean_trace::{
@@ -116,6 +116,7 @@ use protean_trace::{
 };
 
 use crate::golden;
+use crate::runner::SchemeRow;
 use crate::schemes;
 use crate::setup::{LANGUAGE_RPS, VISION_RPS};
 
@@ -218,7 +219,8 @@ pub struct FleetSpec {
     pub availability: SpotAvailability,
     /// Pricing provider.
     pub provider: Provider,
-    /// Strict SLO multiplier.
+    /// Strict SLO multiplier. It only scores a run: the engine never
+    /// sees it.
     pub slo_mult: f64,
     /// Revocation check interval, seconds.
     pub revocation_check_secs: f64,
@@ -245,7 +247,7 @@ impl Default for FleetSpec {
             procurement: ProcurementPolicy::OnDemandOnly,
             availability: SpotAvailability::High,
             provider: Provider::Aws,
-            slo_mult: 3.0,
+            slo_mult: DEFAULT_SLO_MULTIPLIER,
             revocation_check_secs: 5.0,
             vm_startup_secs: 5.0,
             procurement_retry_secs: 5.0,
@@ -375,7 +377,8 @@ pub struct ExpectSpec {
 /// A parsed scenario file; `Default` has every key's default.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioSpec {
-    /// Scenario name (required; used for report cards and `--name`).
+    /// Scenario name (required; used for report cards and `--name`): a
+    /// plain file stem, as its card is `<name>.json`.
     pub name: String,
     /// Free-text description.
     pub description: String,
@@ -597,6 +600,19 @@ fn put<T, E: fmt::Display>(slot: &mut T, got: Result<T, E>) -> Result<(), String
 /// A string kept as written.
 fn text(v: &str) -> Result<String, String> {
     Ok(v.to_string())
+}
+
+/// A scenario name: a plain file stem, so that `<name>.json` lands in
+/// the directory it is written to.
+fn stem(name: &str) -> Result<String, String> {
+    let plain = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+    if !name.is_empty() && name.chars().all(plain) {
+        Ok(name.to_string())
+    } else {
+        Err(format!(
+            "'name' must be ASCII letters, digits, '_' and '-' only, got {name:?}"
+        ))
+    }
 }
 
 fn scheme(name: &str) -> Result<String, String> {
@@ -859,7 +875,10 @@ fn all_apply<S>(_: &S, _: &str) -> Option<String> {
 const ROOT: Section<ScenarioSpec> = Section {
     name: "",
     unused: all_apply,
-    keys: &[req!(name, Str(text)), opt!(description, Str(text))],
+    keys: &[
+        req!(name, Str(stem), "ASCII letters, digits, _ and -"),
+        opt!(description, Str(text)),
+    ],
 };
 
 const FLEET: Section<FleetSpec> = Section {
@@ -1388,7 +1407,6 @@ impl ScenarioSpec {
         let mut config = ClusterConfig::paper_default();
         config.workers = f.workers;
         config.seed = f.seed;
-        config.slo_multiplier = f.slo_mult;
         config.procurement = f.procurement;
         config.availability = f.availability;
         config.provider = f.provider;
@@ -1477,98 +1495,43 @@ impl ScenarioSpec {
 // Runner + report cards
 // ---------------------------------------------------------------------------
 
-/// Condensed SLO/cost report card for one scenario run.
+/// The report card of one scenario run.
 #[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
     /// Scenario name.
     pub name: String,
-    /// Scheme label as the engine reports it.
-    pub scheme: String,
     /// Whether request rates were smoke-scaled.
     pub smoke: bool,
     /// Golden digest (identical across the audited and unaudited arms).
     pub digest: String,
-    /// Post-warmup requests measured.
-    pub requests: usize,
-    /// Strict SLO compliance, percent.
-    pub slo_pct: f64,
-    /// Strict P50 latency, ms.
-    pub strict_p50_ms: f64,
-    /// Strict P99 latency, ms.
-    pub strict_p99_ms: f64,
-    /// Best-effort P99 latency, ms.
-    pub be_p99_ms: f64,
-    /// Total dollar cost.
-    pub cost_usd: f64,
-    /// Spot share of the cost.
-    pub spot_usd: f64,
-    /// On-demand share of the cost.
-    pub on_demand_usd: f64,
-    /// Spot evictions suffered.
-    pub evictions: u64,
-    /// Completed MIG reconfigurations.
-    pub reconfigs: u64,
-    /// Cold starts triggered.
-    pub cold_starts: u64,
-    /// Requests censored at cutoff.
-    pub censored: u64,
-    /// Invariant sweeps performed (both arms were clean).
-    pub audit_checks: u64,
+    /// The audited arm, scored at the scenario's `[fleet] slo_mult`.
+    pub row: SchemeRow,
 }
 
 impl ScenarioOutcome {
-    fn from_result(
-        name: &str,
-        smoke: bool,
-        digest: String,
-        slo_mult: f64,
-        r: &SimulationResult,
-    ) -> Self {
-        let slo = SimulationResult::slo_fn(slo_mult);
-        let ms = |class, q| r.metrics.latency_percentile_ms(class, q).unwrap_or(0.0);
-        ScenarioOutcome {
-            name: name.to_string(),
-            scheme: r.scheme.clone(),
-            smoke,
-            digest,
-            requests: r.metrics.count(Class::All),
-            slo_pct: r.metrics.slo_compliance(&slo) * 100.0,
-            strict_p50_ms: ms(Class::Strict, 0.5),
-            strict_p99_ms: ms(Class::Strict, 0.99),
-            be_p99_ms: ms(Class::BestEffort, 0.99),
-            cost_usd: r.cost.total_usd,
-            spot_usd: r.cost.spot_usd,
-            on_demand_usd: r.cost.on_demand_usd,
-            evictions: r.cost.evictions,
-            reconfigs: r.reconfigs,
-            cold_starts: r.cold_starts,
-            censored: r.censored,
-            audit_checks: r.audit.checks,
-        }
-    }
-
     /// Renders the report card as a JSON object.
     pub fn to_json(&self) -> String {
         let text = |s: &str| format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
         let usd = |x: f64| format!("{x:.6}");
+        let (row, r) = (&self.row, &self.row.result);
         let fields = [
             ("scenario", text(&self.name)),
-            ("scheme", text(&self.scheme)),
+            ("scheme", text(&row.scheme)),
             ("smoke", self.smoke.to_string()),
             ("digest", text(&self.digest)),
-            ("requests", self.requests.to_string()),
-            ("slo_pct", format!("{:.4}", self.slo_pct)),
-            ("strict_p50_ms", format!("{:.4}", self.strict_p50_ms)),
-            ("strict_p99_ms", format!("{:.4}", self.strict_p99_ms)),
-            ("be_p99_ms", format!("{:.4}", self.be_p99_ms)),
-            ("cost_usd", usd(self.cost_usd)),
-            ("spot_usd", usd(self.spot_usd)),
-            ("on_demand_usd", usd(self.on_demand_usd)),
-            ("evictions", self.evictions.to_string()),
-            ("reconfigs", self.reconfigs.to_string()),
-            ("cold_starts", self.cold_starts.to_string()),
-            ("censored", self.censored.to_string()),
-            ("audit_checks", self.audit_checks.to_string()),
+            ("requests", r.metrics.count(Class::All).to_string()),
+            ("slo_pct", format!("{:.4}", row.slo_compliance_pct)),
+            ("strict_p50_ms", format!("{:.4}", row.strict_p50_ms)),
+            ("strict_p99_ms", format!("{:.4}", row.strict_p99_ms)),
+            ("be_p99_ms", format!("{:.4}", row.be_p99_ms)),
+            ("cost_usd", usd(row.cost_usd)),
+            ("spot_usd", usd(r.cost.spot_usd)),
+            ("on_demand_usd", usd(r.cost.on_demand_usd)),
+            ("evictions", row.evictions.to_string()),
+            ("reconfigs", row.reconfigs.to_string()),
+            ("cold_starts", r.cold_starts.to_string()),
+            ("censored", row.censored.to_string()),
+            ("audit_checks", r.audit.checks.to_string()),
         ];
         let fields = fields.map(|(key, value)| format!("\"{key}\": {value}"));
         format!("{{{}}}", fields.join(", "))
@@ -1577,16 +1540,17 @@ impl ScenarioOutcome {
     /// One row for the rendered report-card table; pair with
     /// [`card_headers`].
     pub fn table_row(&self) -> Vec<String> {
+        let row = &self.row;
         vec![
             self.name.clone(),
-            self.scheme.clone(),
-            format!("{}", self.requests),
-            format!("{:.2}", self.slo_pct),
-            format!("{:.1}", self.strict_p99_ms),
-            format!("{:.4}", self.cost_usd),
-            format!("{}", self.evictions),
-            format!("{}", self.reconfigs),
-            format!("{}", self.censored),
+            row.scheme.clone(),
+            format!("{}", row.result.metrics.count(Class::All)),
+            format!("{:.2}", row.slo_compliance_pct),
+            format!("{:.1}", row.strict_p99_ms),
+            format!("{:.4}", row.cost_usd),
+            format!("{}", row.evictions),
+            format!("{}", row.reconfigs),
+            format!("{}", row.censored),
         ]
     }
 }
@@ -1658,28 +1622,40 @@ pub fn run(
         }
     }
 
-    Ok(ScenarioOutcome::from_result(
-        &spec.name,
+    Ok(ScenarioOutcome {
+        name: spec.name.clone(),
         smoke,
         digest,
-        spec.fleet.slo_mult,
-        &audited,
-    ))
+        row: SchemeRow::new(audited, compiled.config.warmup, spec.fleet.slo_mult),
+    })
 }
 
-/// Lists `*.toml` scenario files under `dir`, sorted by file name.
+/// Loads every `*.toml` scenario file under `dir`, sorted by file
+/// name, each with its spec.
 ///
 /// # Errors
 ///
-/// Returns [`ScenarioError::Invalid`] if the directory is unreadable.
-pub fn catalog_files(dir: &Path) -> Result<Vec<PathBuf>, ScenarioError> {
+/// [`ScenarioError::Invalid`] if the directory is unreadable or two
+/// files share a name (their report cards would overwrite each other),
+/// naming both files; else what [`load_file`] reports.
+pub fn load_catalog(dir: &Path) -> Result<Vec<(PathBuf, ScenarioSpec)>, ScenarioError> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| ScenarioError::Invalid(format!("{}: {e}", dir.display())))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
         .collect();
     files.sort();
-    Ok(files)
+    let mut specs: Vec<(PathBuf, ScenarioSpec)> = Vec::new();
+    for file in files {
+        let spec = load_file(&file)?;
+        if let Some((first, _)) = specs.iter().find(|(_, s)| s.name == spec.name) {
+            let (first, file) = (first.display(), file.display());
+            let msg = format!("{first} and {file} both name scenario '{}'", spec.name);
+            return Err(ScenarioError::Invalid(msg));
+        }
+        specs.push((file, spec));
+    }
+    Ok(specs)
 }
 
 #[cfg(test)]
@@ -2074,12 +2050,18 @@ jitter_seed = 3
             parse("name = \"tiny\"\n[fleet]\nworkers = 2\n[trace]\nrps = 80\nduration_secs = 25\n")
                 .unwrap();
         let outcome = run(&spec, Path::new("."), true).unwrap();
-        let json = outcome.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"scenario\": \"tiny\""));
-        assert!(json.contains("\"smoke\": true"));
-        assert!(outcome.requests > 0);
-        assert!(outcome.audit_checks > 0);
+        // The whole card, so a field that moves or drifts fails here.
+        let card = concat!(
+            r#"{"scenario": "tiny", "scheme": "PROTEAN", "smoke": true, "#,
+            r#""digest": "PROTEAN n=206 sp50=40556ccccccccccd sp99=4059271a9fbe76c9 "#,
+            r#"be99=405400f5c28f5c29 cost=3fb17a8d64d7f0ed util=3fb4d502bed8738c "#,
+            r#"cold=0 rc=2 cens=0 ev=0", "requests": 206, "slo_pct": 100.0000, "#,
+            r#""strict_p50_ms": 85.7000, "strict_p99_ms": 100.6110, "be_p99_ms": 80.0150, "#,
+            r#""cost_usd": 0.068276, "spot_usd": 0.000000, "on_demand_usd": 0.068276, "#,
+            r#""evictions": 0, "reconfigs": 2, "cold_starts": 0, "censored": 0, "#,
+            r#""audit_checks": 1191}"#,
+        );
+        assert_eq!(outcome.to_json(), card);
     }
 
     #[test]
@@ -2246,10 +2228,13 @@ jitter_seed = 3
         }
         let full = format!("{}.{name}", section.name);
         for (i, value) in values.iter().enumerate() {
-            let mut spec = ScenarioSpec::default();
+            let mut spec = ScenarioSpec {
+                name: "b".into(),
+                ..ScenarioSpec::default()
+            };
             let set = spec.set(&full, flag, value);
             let by_flag = set.and_then(|()| spec.check_flags(&[(flag, &full)]));
-            let text = format!("name = \"\"\n{}\n{name} = {value}\n", section.label());
+            let text = format!("name = \"b\"\n{}\n{name} = {value}\n", section.label());
             match (by_flag, parse(&text)) {
                 (Ok(()), Ok(twin)) if i < in_files => {
                     assert_eq!(spec, twin, "--{flag} {value}");

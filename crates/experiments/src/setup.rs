@@ -23,7 +23,7 @@ pub struct PaperSetup {
 }
 
 impl PaperSetup {
-    /// The 8-worker cluster of the paper, on-demand VMs, 3× SLO.
+    /// The 8-worker cluster of the paper, on-demand VMs.
     pub fn cluster(&self) -> ClusterConfig {
         self.spec(ModelId::ResNet50).generated().0
     }
@@ -94,7 +94,6 @@ mod tests {
         let s = PAPER;
         let c = s.cluster();
         assert_eq!(c.workers, 8);
-        assert_eq!(c.slo_multiplier, 3.0);
         assert_eq!(c, ClusterConfig::paper_default());
     }
 }

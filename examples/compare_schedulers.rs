@@ -13,7 +13,7 @@ use std::io::Write;
 
 use protean_experiments::report::{banner, scheme_table};
 use protean_experiments::{run_scheme, schemes, PaperSetup};
-use protean_models::ModelId;
+use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER};
 
 fn main() -> std::io::Result<()> {
     let out = &mut std::io::stdout();
@@ -40,7 +40,7 @@ fn main() -> std::io::Result<()> {
     )?;
     let rows: Vec<_> = schemes::primary()
         .iter()
-        .map(|s| run_scheme(&config, s.as_ref(), &trace))
+        .map(|s| run_scheme(&config, s.as_ref(), &trace, DEFAULT_SLO_MULTIPLIER))
         .collect();
     scheme_table(out, &rows)?;
     let best = rows

@@ -15,7 +15,7 @@ use protean_cluster::{BatchView, Placement, PlacementCtx, Scheme, SchemeBuilder}
 use protean_experiments::report::{banner, scheme_table};
 use protean_experiments::{run_scheme, PaperSetup};
 use protean_gpu::{Geometry, SharingMode};
-use protean_models::ModelId;
+use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER};
 
 /// Always place on the largest slice with free memory.
 struct BiggestSliceFirst;
@@ -71,8 +71,18 @@ fn main() -> std::io::Result<()> {
         "biggest-slice-first vs PROTEAN (ResNet 50)",
     )?;
     let rows = vec![
-        run_scheme(&config, &BiggestSliceFirstBuilder, &trace),
-        run_scheme(&config, &ProteanBuilder::paper(), &trace),
+        run_scheme(
+            &config,
+            &BiggestSliceFirstBuilder,
+            &trace,
+            DEFAULT_SLO_MULTIPLIER,
+        ),
+        run_scheme(
+            &config,
+            &ProteanBuilder::paper(),
+            &trace,
+            DEFAULT_SLO_MULTIPLIER,
+        ),
     ];
     scheme_table(out, &rows)
 }

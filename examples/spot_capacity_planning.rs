@@ -11,7 +11,7 @@ use std::io::Write;
 use protean::ProteanBuilder;
 use protean_experiments::report::{banner, table};
 use protean_experiments::{run_scheme, PaperSetup};
-use protean_models::ModelId;
+use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER};
 use protean_sim::SimDuration;
 use protean_spot::{ProcurementPolicy, Provider, SpotAvailability, VmTier};
 
@@ -48,7 +48,12 @@ fn main() -> std::io::Result<()> {
             config.revocation_check = SimDuration::from_secs(20.0);
             config.vm_startup = SimDuration::from_secs(20.0);
             config.procurement_retry = SimDuration::from_secs(20.0);
-            let row = run_scheme(&config, &ProteanBuilder::paper(), &trace);
+            let row = run_scheme(
+                &config,
+                &ProteanBuilder::paper(),
+                &trace,
+                DEFAULT_SLO_MULTIPLIER,
+            );
             rows.push(vec![
                 availability.to_string(),
                 format!("{policy:?}"),

@@ -3,11 +3,17 @@
 
 use protean::ProteanBuilder;
 use protean_baselines::Baseline;
-use protean_cluster::{run_simulation, SchemeBuilder};
-use protean_experiments::{run_scheme, PaperSetup};
+use protean_cluster::{run_simulation, ClusterConfig, SchemeBuilder};
+use protean_experiments::{run_scheme, PaperSetup, SchemeRow};
 use protean_metrics::record::Class;
-use protean_models::{ModelId, PROFILES};
+use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER, PROFILES};
 use protean_sim::{RngFactory, SimDuration, SimTime};
+use protean_trace::TraceConfig;
+
+/// `scheme` over `trace` under `config`, scored at the paper's 3x SLO.
+fn scored(config: &ClusterConfig, scheme: &dyn SchemeBuilder, trace: &TraceConfig) -> SchemeRow {
+    run_scheme(config, scheme, trace, DEFAULT_SLO_MULTIPLIER)
+}
 
 fn small_setup() -> PaperSetup {
     PaperSetup {
@@ -83,8 +89,8 @@ fn full_pipeline_is_deterministic() {
     let setup = small_setup();
     let config = setup.cluster();
     let trace = setup.wiki_trace(ModelId::Vgg19);
-    let a = run_scheme(&config, &ProteanBuilder::paper(), &trace);
-    let b = run_scheme(&config, &ProteanBuilder::paper(), &trace);
+    let a = scored(&config, &ProteanBuilder::paper(), &trace);
+    let b = scored(&config, &ProteanBuilder::paper(), &trace);
     assert_eq!(a.slo_compliance_pct, b.slo_compliance_pct);
     assert_eq!(a.strict_p99_ms, b.strict_p99_ms);
     assert_eq!(a.cost_usd, b.cost_usd);
@@ -105,7 +111,7 @@ fn different_seed_still_conserves() {
     };
     let config = setup.cluster();
     let trace = setup.wiki_trace(ModelId::MobileNet);
-    let row = run_scheme(&config, &ProteanBuilder::paper(), &trace);
+    let row = scored(&config, &ProteanBuilder::paper(), &trace);
     assert!(row.result.metrics.count(Class::All) > 10_000);
     assert!(row.slo_compliance_pct > 50.0);
 }
@@ -117,7 +123,7 @@ fn breakdown_components_sum_to_latency() {
     let setup = small_setup();
     let config = setup.cluster();
     let trace = setup.wiki_trace(ModelId::DenseNet121);
-    let row = run_scheme(&config, &ProteanBuilder::paper(), &trace);
+    let row = scored(&config, &ProteanBuilder::paper(), &trace);
     for rec in row.result.metrics.records() {
         let latency_ms = rec.latency().as_millis_f64();
         let total = rec.breakdown.total_ms();
@@ -144,7 +150,7 @@ fn timeline_and_metrics_agree_on_volume() {
     let setup = small_setup();
     let config = setup.cluster();
     let trace = setup.wiki_trace(ModelId::SeNet18);
-    let row = run_scheme(&config, &ProteanBuilder::paper(), &trace);
+    let row = scored(&config, &ProteanBuilder::paper(), &trace);
     // One timeline sample per strict batch; strict requests / batch size
     // bounds the sample count from below (partial batches only add).
     let strict = row.result.metrics.count(Class::Strict);
@@ -164,7 +170,7 @@ fn utilization_is_sane() {
         Box::new(Baseline::InflessLlama) as Box<dyn SchemeBuilder>,
         Box::new(ProteanBuilder::paper()),
     ] {
-        let row = run_scheme(&config, scheme.as_ref(), &trace);
+        let row = scored(&config, scheme.as_ref(), &trace);
         assert!(
             row.gpu_util_pct > 1.0,
             "{}: {}",

@@ -5,7 +5,7 @@
 //! thread interleaving.
 
 use protean_experiments::harness::{run_grid, run_parallel, GridCell};
-use protean_experiments::{schemes, PaperSetup, SchemeRow};
+use protean_experiments::{scenario, schemes, PaperSetup, SchemeRow};
 use protean_models::ModelId;
 
 /// Compares every metric the figures and tables read, bitwise for the
@@ -50,17 +50,15 @@ fn one_thread_and_many_threads_agree_on_every_cell() {
     // A grid that varies model AND seed, so cells genuinely differ and
     // an index mix-up between input and output order cannot cancel out.
     let mut cells = Vec::new();
-    for (i, &model) in [ModelId::ResNet50, ModelId::MobileNet].iter().enumerate() {
-        let setup = PaperSetup {
-            duration_secs: 10.0,
-            seed: 100 + i as u64,
-        };
+    for (seed, model) in [("100", "resnet50"), ("101", "mobilenet")] {
+        let keys = [
+            ("trace.duration_secs", "10"),
+            ("trace.model", model),
+            ("fleet.seed", seed),
+        ];
+        let spec = scenario::paper().with(&keys);
         for scheme in &lineup {
-            cells.push(GridCell::new(
-                setup.cluster(),
-                scheme.as_ref(),
-                setup.wiki_trace(model),
-            ));
+            cells.push(GridCell::of(&spec, scheme.as_ref()));
         }
     }
 
@@ -98,19 +96,13 @@ fn audited_cells_inside_a_parallel_grid_stay_deterministic() {
     let mut cells = Vec::new();
     let mut audited_cells = Vec::new();
     for (i, scheme) in lineup.iter().enumerate() {
-        let setup = PaperSetup {
-            duration_secs: 10.0,
-            seed: 300 + i as u64,
-        };
-        let trace = setup.wiki_trace(ModelId::ResNet50);
-        let mut config = setup.cluster();
-        cells.push(GridCell::new(
-            config.clone(),
-            scheme.as_ref(),
-            trace.clone(),
-        ));
-        config.audit = true;
-        audited_cells.push(GridCell::new(config, scheme.as_ref(), trace));
+        let seed = (300 + i).to_string();
+        let keys = [("trace.duration_secs", "10"), ("fleet.seed", &seed)];
+        let spec = scenario::paper().with(&keys);
+        cells.push(GridCell::of(&spec, scheme.as_ref()));
+        let mut audited = GridCell::of(&spec, scheme.as_ref());
+        audited.config.audit = true;
+        audited_cells.push(audited);
     }
     let unaudited = run_grid(&cells, 1);
     let sequential = run_grid(&audited_cells, 1);

@@ -95,7 +95,7 @@ fn static_variant_never_reconfigures() {
     let mut config = ProteanConfig::paper();
     config.name = "static";
     config.dynamic_reconfig = false;
-    let builder = PB::with_config(config, 2.0);
+    let builder = PB::with_config(config);
     let result = run_simulation(&setup.cluster(), &builder, &rotation_trace(&setup));
     assert_eq!(result.reconfigs, 0);
     assert!(result.geometry_timeline.is_empty());

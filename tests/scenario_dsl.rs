@@ -178,15 +178,13 @@ proptest! {
 /// parse → to_toml → parse is identity (comments are the only loss).
 #[test]
 fn catalog_files_round_trip_through_canonical_toml() {
-    let files = scenario::catalog_files(&catalog_dir()).expect("scenarios/ must be readable");
+    let specs = scenario::load_catalog(&catalog_dir()).unwrap_or_else(|e| panic!("{e}"));
     assert!(
-        files.len() >= 8,
+        specs.len() >= 8,
         "catalog must hold at least 8 scenarios, found {}",
-        files.len()
+        specs.len()
     );
-    for file in files {
-        let spec = scenario::load_file(&file)
-            .unwrap_or_else(|e| panic!("{} failed to parse: {e}", file.display()));
+    for (file, spec) in specs {
         let reparsed = scenario::parse(&spec.to_toml())
             .unwrap_or_else(|e| panic!("{} canonical form failed to reparse: {e}", file.display()));
         assert_eq!(reparsed, spec, "{} round-trip mismatch", file.display());
@@ -205,7 +203,6 @@ fn hand_built_market_matches_dsl_twin_on_scripted_evictions() {
     let mut config = ClusterConfig::paper_default();
     config.workers = 3;
     config.seed = 42;
-    config.slo_multiplier = 3.0;
     config.procurement = ProcurementPolicy::Hybrid;
     config.availability = SpotAvailability::Low;
     config.provider = Provider::Aws;
@@ -289,7 +286,6 @@ fn hand_built_market_matches_dsl_twin_on_jittered_storm() {
     let mut config = ClusterConfig::paper_default();
     config.workers = 4;
     config.seed = 7;
-    config.slo_multiplier = 3.0;
     config.procurement = ProcurementPolicy::Hybrid;
     config.availability = SpotAvailability::Low;
     config.provider = Provider::Aws;
@@ -369,17 +365,10 @@ jitter_seed = 11
 #[test]
 fn shipped_catalog_runs_green_in_smoke_mode() {
     let dir = catalog_dir();
-    let files = scenario::catalog_files(&dir).expect("scenarios/ must be readable");
-    assert!(files.len() >= 8, "catalog shrank below 8 scenarios");
-    let mut names = std::collections::BTreeSet::new();
-    for file in files {
-        let spec = scenario::load_file(&file)
-            .unwrap_or_else(|e| panic!("{} failed to parse: {e}", file.display()));
-        assert!(
-            names.insert(spec.name.clone()),
-            "duplicate scenario name '{}'",
-            spec.name
-        );
+    // Refuses a file that fails to parse and two files of one name.
+    let specs = scenario::load_catalog(&dir).unwrap_or_else(|e| panic!("{e}"));
+    assert!(specs.len() >= 8, "catalog shrank below 8 scenarios");
+    for (file, spec) in specs {
         scenario::run(&spec, &dir, true)
             .unwrap_or_else(|e| panic!("{} failed in smoke mode: {e}", file.display()));
     }

@@ -5,8 +5,15 @@
 
 use protean::ProteanBuilder;
 use protean_baselines::Baseline;
-use protean_experiments::{run_scheme, scenario, PaperSetup};
-use protean_models::ModelId;
+use protean_cluster::{ClusterConfig, SchemeBuilder};
+use protean_experiments::{run_scheme, scenario, PaperSetup, SchemeRow};
+use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER};
+use protean_trace::TraceConfig;
+
+/// `scheme` over `trace` under `config`, scored at the paper's 3x SLO.
+fn scored(config: &ClusterConfig, scheme: &dyn SchemeBuilder, trace: &TraceConfig) -> SchemeRow {
+    run_scheme(config, scheme, trace, DEFAULT_SLO_MULTIPLIER)
+}
 
 fn setup() -> PaperSetup {
     PaperSetup {
@@ -22,10 +29,10 @@ fn protean_beats_baselines_on_hi_vision() {
     let setup = setup();
     let config = setup.cluster();
     let trace = setup.wiki_trace(ModelId::ResNet50);
-    let protean = run_scheme(&config, &ProteanBuilder::paper(), &trace);
-    let infless = run_scheme(&config, &Baseline::InflessLlama, &trace);
-    let molecule = run_scheme(&config, &Baseline::MoleculeBeta, &trace);
-    let naive = run_scheme(&config, &Baseline::NaiveSlicing, &trace);
+    let protean = scored(&config, &ProteanBuilder::paper(), &trace);
+    let infless = scored(&config, &Baseline::InflessLlama, &trace);
+    let molecule = scored(&config, &Baseline::MoleculeBeta, &trace);
+    let naive = scored(&config, &Baseline::NaiveSlicing, &trace);
     assert!(
         protean.slo_compliance_pct > 95.0,
         "{}",
@@ -62,8 +69,8 @@ fn infless_collapses_on_vhi_llm() {
     let setup = setup();
     let config = setup.cluster();
     let trace = setup.wiki_trace(ModelId::Bert);
-    let protean = run_scheme(&config, &ProteanBuilder::paper(), &trace);
-    let infless = run_scheme(&config, &Baseline::InflessLlama, &trace);
+    let protean = scored(&config, &ProteanBuilder::paper(), &trace);
+    let infless = scored(&config, &Baseline::InflessLlama, &trace);
     assert!(
         protean.slo_compliance_pct > 85.0,
         "{}",
@@ -83,8 +90,8 @@ fn gpt_is_worst_case_for_mps_only() {
     let setup = setup();
     let config = setup.cluster();
     let trace = setup.wiki_trace(ModelId::Gpt1);
-    let protean = run_scheme(&config, &ProteanBuilder::paper(), &trace);
-    let infless = run_scheme(&config, &Baseline::InflessLlama, &trace);
+    let protean = scored(&config, &ProteanBuilder::paper(), &trace);
+    let infless = scored(&config, &Baseline::InflessLlama, &trace);
     assert!(
         protean.slo_compliance_pct > 80.0,
         "{}",
@@ -107,8 +114,8 @@ fn all_strict_case_matches_table4_shape() {
         ("trace.strict_fraction", "1"),
     ];
     let (config, trace) = scenario::paper().with(&keys).generated();
-    let protean = run_scheme(&config, &ProteanBuilder::paper(), &trace);
-    let infless = run_scheme(&config, &Baseline::InflessLlama, &trace);
+    let protean = scored(&config, &ProteanBuilder::paper(), &trace);
+    let infless = scored(&config, &Baseline::InflessLlama, &trace);
     assert!(
         protean.slo_compliance_pct > 90.0,
         "{}",
@@ -127,17 +134,11 @@ fn all_strict_case_matches_table4_shape() {
 fn tight_slo_degrades_protean_gracefully() {
     let setup = setup();
     let trace = setup.wiki_trace(ModelId::ShuffleNetV2);
-    let loose = run_scheme(&setup.cluster(), &ProteanBuilder::paper(), &trace);
-    let mut tight_cfg = setup.cluster();
-    tight_cfg.slo_multiplier = 2.0;
-    let tight = run_scheme(&tight_cfg, &ProteanBuilder::paper(), &trace);
-    let degradation = loose.slo_compliance_pct - tight.slo_compliance_pct;
+    let row = scored(&setup.cluster(), &ProteanBuilder::paper(), &trace);
+    let tight = row.slo_compliance_at(2.0);
+    let degradation = row.slo_compliance_pct - tight;
     assert!(degradation < 8.0, "degradation {degradation}");
-    assert!(
-        tight.slo_compliance_pct > 90.0,
-        "{}",
-        tight.slo_compliance_pct
-    );
+    assert!(tight > 90.0, "{tight}");
 }
 
 /// Fig. 17 shape: the Oracle beats PROTEAN by at most a whisker.
@@ -145,11 +146,11 @@ fn tight_slo_degrades_protean_gracefully() {
 fn oracle_gap_is_small() {
     let setup = setup();
     let trace = setup.wiki_trace(ModelId::ResNet50);
-    let protean = run_scheme(&setup.cluster(), &ProteanBuilder::paper(), &trace);
+    let protean = scored(&setup.cluster(), &ProteanBuilder::paper(), &trace);
     let mut oracle_cfg = setup.cluster();
     oracle_cfg.reconfig_delay = protean_sim::SimDuration::ZERO;
     oracle_cfg.cold_start = protean_sim::SimDuration::ZERO;
-    let oracle = run_scheme(&oracle_cfg, &ProteanBuilder::oracle(), &trace);
+    let oracle = scored(&oracle_cfg, &ProteanBuilder::oracle(), &trace);
     let gap = oracle.slo_compliance_pct - protean.slo_compliance_pct;
     assert!(gap.abs() < 3.0, "oracle gap {gap}");
 }
@@ -161,8 +162,8 @@ fn protean_at_least_matches_gpulet() {
     let setup = setup();
     let config = setup.cluster();
     let trace = setup.wiki_trace(ModelId::Vgg19);
-    let protean = run_scheme(&config, &ProteanBuilder::paper(), &trace);
-    let gpulet = run_scheme(&config, &Baseline::Gpulet, &trace);
+    let protean = scored(&config, &ProteanBuilder::paper(), &trace);
+    let gpulet = scored(&config, &Baseline::Gpulet, &trace);
     assert!(
         protean.slo_compliance_pct >= gpulet.slo_compliance_pct - 1.0,
         "PROTEAN {} vs GPUlet {}",

@@ -2,11 +2,17 @@
 //! the spot market, procurement and cluster crates.
 
 use protean::ProteanBuilder;
-use protean_cluster::ClusterConfig;
-use protean_experiments::{run_scheme, PaperSetup};
-use protean_models::ModelId;
+use protean_cluster::{ClusterConfig, SchemeBuilder};
+use protean_experiments::{run_scheme, PaperSetup, SchemeRow};
+use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER};
 use protean_sim::SimDuration;
 use protean_spot::{ProcurementPolicy, SpotAvailability};
+use protean_trace::TraceConfig;
+
+/// `scheme` over `trace` under `config`, scored at the paper's 3x SLO.
+fn scored(config: &ClusterConfig, scheme: &dyn SchemeBuilder, trace: &TraceConfig) -> SchemeRow {
+    run_scheme(config, scheme, trace, DEFAULT_SLO_MULTIPLIER)
+}
 
 fn setup() -> PaperSetup {
     PaperSetup {
@@ -35,7 +41,7 @@ fn config_with(
 fn hybrid_saves_seventy_percent_at_high_availability() {
     let setup = setup();
     let trace = setup.wiki_trace(ModelId::ResNet50);
-    let od = run_scheme(
+    let od = scored(
         &config_with(
             &setup,
             SpotAvailability::High,
@@ -44,7 +50,7 @@ fn hybrid_saves_seventy_percent_at_high_availability() {
         &ProteanBuilder::paper(),
         &trace,
     );
-    let hybrid = run_scheme(
+    let hybrid = scored(
         &config_with(&setup, SpotAvailability::High, ProcurementPolicy::Hybrid),
         &ProteanBuilder::paper(),
         &trace,
@@ -62,12 +68,12 @@ fn hybrid_saves_seventy_percent_at_high_availability() {
 fn spot_only_collapses_hybrid_survives_at_low_availability() {
     let setup = setup();
     let trace = setup.wiki_trace(ModelId::ResNet50);
-    let spot_only = run_scheme(
+    let spot_only = scored(
         &config_with(&setup, SpotAvailability::Low, ProcurementPolicy::SpotOnly),
         &ProteanBuilder::paper(),
         &trace,
     );
-    let hybrid = run_scheme(
+    let hybrid = scored(
         &config_with(&setup, SpotAvailability::Low, ProcurementPolicy::Hybrid),
         &ProteanBuilder::paper(),
         &trace,
@@ -93,7 +99,7 @@ fn spot_only_collapses_hybrid_survives_at_low_availability() {
 fn hybrid_cost_is_between_extremes_at_moderate_availability() {
     let setup = setup();
     let trace = setup.wiki_trace(ModelId::ResNet50);
-    let od = run_scheme(
+    let od = scored(
         &config_with(
             &setup,
             SpotAvailability::Moderate,
@@ -102,7 +108,7 @@ fn hybrid_cost_is_between_extremes_at_moderate_availability() {
         &ProteanBuilder::paper(),
         &trace,
     );
-    let hybrid = run_scheme(
+    let hybrid = scored(
         &config_with(
             &setup,
             SpotAvailability::Moderate,
@@ -111,7 +117,7 @@ fn hybrid_cost_is_between_extremes_at_moderate_availability() {
         &ProteanBuilder::paper(),
         &trace,
     );
-    let spot_only = run_scheme(
+    let spot_only = scored(
         &config_with(
             &setup,
             SpotAvailability::Moderate,
@@ -140,7 +146,7 @@ fn hybrid_cost_is_between_extremes_at_moderate_availability() {
 fn on_demand_never_evicted() {
     let setup = setup();
     let trace = setup.wiki_trace(ModelId::MobileNet);
-    let od = run_scheme(
+    let od = scored(
         &config_with(
             &setup,
             SpotAvailability::Low,
