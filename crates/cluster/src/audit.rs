@@ -313,6 +313,10 @@ impl Auditor {
                     ),
                 );
             }
+            // The runs a placement pass trusts to skip declined repeats.
+            if let Some(msg) = w.sched_queue.run_encoding_error() {
+                self.violation(now, format!("worker {} scheduler queue: {msg}", w.idx));
+            }
             // VM binding coherence with the lifecycle status.
             let vm_ok = match w.status {
                 WorkerStatus::Up | WorkerStatus::Evicting { .. } => w.vm.is_some(),

@@ -40,6 +40,15 @@ impl Batch {
     pub fn size(&self) -> u32 {
         self.runs.iter().map(|r| r.len).sum()
     }
+
+    /// What `Scheme::place` sees of the batch.
+    pub fn view(&self) -> crate::BatchView {
+        crate::BatchView {
+            model: self.model,
+            strict: self.strict,
+            size: self.size(),
+        }
+    }
 }
 
 /// A batch's arrival runs: one run inline, so that a batch filled by one

@@ -26,7 +26,7 @@ pub const MAX_RECONFIG_FRACTION: f64 = 0.3;
 /// censoring (5 s).
 pub const DRAIN_GRACE: SimDuration = SimDuration::from_micros(5_000_000);
 
-/// How many queued batches each placement pass may inspect.
+/// How many queued batches per scheduler-queue lane a pass may offer.
 pub const SCAN_DEPTH: usize = 32;
 
 /// Per-batch overhead of serving on a *time-shared* GPU/slice, in
@@ -225,6 +225,9 @@ pub struct EngineStats {
     /// `Scheme::place` (a decline already returned for the same batch
     /// view under the same slice state).
     pub place_memo_skips: u64,
+    /// The offers a placement pass looks up at its cursor; the rest of a
+    /// declined view's run is answered without (audit rechecks aside).
+    pub place_lookups: u64,
     /// `BootDone` events discarded because the worker's VM was replaced
     /// while the container boot was in flight.
     pub stale_boot_events: u64,

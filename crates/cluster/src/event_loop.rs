@@ -58,7 +58,7 @@ use crate::engine::{
     TIME_SHARE_OVERHEAD_MS_PER_GB,
 };
 use crate::journal::{Journal, JournalEvent};
-use crate::scheme::{BatchView, DispatchPolicy, SchemeBuilder};
+use crate::scheme::{DispatchPolicy, Placement, SchemeBuilder};
 use crate::worker::{FinishEvent, Offer, RunningBatch, Worker, WorkerStatus};
 
 /// Every event class, addressed by global worker id where it concerns
@@ -258,8 +258,6 @@ struct EventLoop<'a> {
     censored: u64,
     /// Per-strict-batch latency samples `(completion, latency_ms)`.
     strict_latency_timeline: TimeSeries,
-    /// Reusable candidate buffer for `try_place`.
-    scratch_views: Vec<(BatchId, BatchView)>,
 }
 
 fn new_metrics(config: &ClusterConfig) -> MetricsSet {
@@ -340,7 +338,6 @@ impl<'a> EventLoop<'a> {
             },
             censored: 0,
             strict_latency_timeline: TimeSeries::new(),
-            scratch_views: Vec::new(),
         }
     }
 
@@ -683,119 +680,127 @@ impl<'a> EventLoop<'a> {
     }
 
     /// The placement loop: offers the worker's queued batches (up to
-    /// [`SCAN_DEPTH`]) to its scheme until a pass places nothing; views
-    /// the scheme already declined under the current slice state are
-    /// skipped ([`Worker::offer`]).
+    /// [`SCAN_DEPTH`] per lane) to its scheme until a pass places
+    /// nothing.
     fn try_place(&mut self, g: usize) {
-        let config = self.config;
-        let now = self.now;
-        // Take the scratch buffer so the loop body can borrow `self`
-        // mutably; restored before returning. The loop runs on every
-        // dispatch/boot/finish event, so it must not allocate.
-        let mut views = std::mem::take(&mut self.scratch_views);
-        loop {
-            if !self.workers[g].gpu.accepting() {
-                break;
-            }
-            views.clear();
-            self.workers[g]
-                .sched_queue
-                .for_each_candidate(SCAN_DEPTH, |b| {
-                    views.push((
-                        b.id,
-                        BatchView {
-                            model: b.model,
-                            strict: b.strict,
-                            size: b.size(),
-                        },
-                    ));
-                });
-            if views.is_empty() {
-                break;
-            }
-            let mut placed_any = false;
-            for &(batch_id, view) in &views {
-                self.stats.place_offers += 1;
-                let offer = self.workers[g].offer(&view, now, config.audit);
-                let p = match offer {
-                    Offer::Place(p) => p,
-                    Offer::Decline => continue,
-                    Offer::Skip { contradicted } => {
-                        self.stats.place_memo_skips += 1;
-                        if contradicted {
-                            self.observers.audit.memo_contradicted(now, batch_id, g);
-                        }
-                        continue;
-                    }
-                };
-                let slices = self.workers[g].gpu.slices().len();
-                if p.slice >= slices {
-                    self.observers
-                        .audit
-                        .slice_out_of_range(now, batch_id, g, p.slice, slices);
-                    continue;
-                }
-                let profile = view.model.profile();
-                let slice_profile = self.workers[g].gpu.slice(p.slice).profile();
-                // Inference batch latency is affine in batch size (see
-                // ModelProfile::fill_factor), so partial (window-sealed)
-                // batches run proportionally faster.
-                let fill = f64::from(view.size) / f64::from(profile.batch_size);
-                let fill_factor = profile.fill_factor(fill);
-                let jitter = self.workers[g].draw_jitter();
-                let mut solo = profile
-                    .solo_on(slice_profile)
-                    .mul_f64(p.solo_scale.max(0.0) * fill_factor * jitter);
-                if self.workers[g].gpu.slice(p.slice).mode() == protean_gpu::SharingMode::TimeShared
-                {
-                    // Context switch between containers on a time-shared
-                    // GPU (weights/context re-activation), scaling with
-                    // the model's working set.
-                    solo += protean_sim::SimDuration::from_millis(
-                        TIME_SHARE_OVERHEAD_BASE_MS
-                            + TIME_SHARE_OVERHEAD_MS_PER_GB * profile.mem_gb,
-                    );
-                }
-                let spec = JobSpec {
-                    id: JobId(batch_id.0),
-                    solo,
-                    fbr: profile.fbr * p.fbr_scale.max(0.0),
-                    mem_gb: profile.mem_gb,
-                };
-                let w = &mut self.workers[g];
-                // No room right now: the batch stays queued.
-                let Ok(next) = w.gpu.slice_mut(p.slice).admit(now, spec) else {
-                    continue;
-                };
-                let batch = w
-                    .sched_queue
-                    .remove(batch_id)
-                    .expect("placed batch was queued");
-                w.start_running(RunningBatch {
-                    batch,
-                    slice: p.slice,
-                    exec_start: now,
-                    solo_on_slice_ms: solo.as_millis_f64(),
-                    solo_7g_ms: profile.solo_7g.as_millis_f64() * fill_factor * jitter,
-                });
-                // One live finish event per slice: the admit bumped the
-                // generation, so whatever event was armed before is now
-                // stale. The all-jobs discipline would have re-pushed
-                // every resident here.
-                self.stats.finish_events_all_jobs += w.gpu.slice(p.slice).job_count() as u64;
-                self.arm_finish(g, p.slice, next);
-                self.emit(JournalEvent::BatchPlaced {
-                    batch: batch_id,
-                    worker: g,
-                    slice: p.slice,
-                });
-                placed_any = true;
-            }
-            if !placed_any {
+        while self.workers[g].gpu.accepting() {
+            let placed = [0, 1].map(|lane| self.place_pass(g, lane));
+            if placed == [false; 2] {
                 break;
             }
         }
-        self.scratch_views = views;
+    }
+
+    /// One pass over `lane`'s runs of equal views; whether it placed a
+    /// batch. Once the scheme or its memo declines the view at the cursor
+    /// ([`Worker::offer`]), the memo answers the rest of the run within
+    /// the budget in one step (the audit still asks about each). A placed
+    /// batch leaves the lane, and the next slides into the cursor.
+    fn place_pass(&mut self, g: usize, lane: usize) -> bool {
+        let (now, audit) = (self.now, self.config.audit);
+        let mut left = self.workers[g].sched_queue.lane(lane).len().min(SCAN_DEPTH);
+        // The cursor, and the end of the run it is in.
+        let (mut pos, mut run_end, mut placed) = (0, 0, false);
+        while left > 0 {
+            let w = &mut self.workers[g];
+            let (head_len, batch) = &w.sched_queue.lane(lane)[pos];
+            if pos == run_end {
+                run_end = pos + *head_len as usize;
+            }
+            let view = batch.view();
+            self.stats.place_offers += 1;
+            self.stats.place_lookups += 1;
+            left -= 1;
+            let offer = w.offer(&view, now, false);
+            let Offer::Place(p) = offer else {
+                let end = run_end.min(pos + 1 + left);
+                // The members the memo answers, each rechecked by the audit.
+                let first = pos + usize::from(offer == Offer::Decline);
+                self.stats.place_offers += (end - pos - 1) as u64;
+                self.stats.place_memo_skips += (end - first) as u64;
+                for i in (first..end).filter(|_| audit) {
+                    if w.offer(&view, now, true) == (Offer::Skip { contradicted: true }) {
+                        let id = w.sched_queue.lane(lane)[i].1.id;
+                        self.observers.audit.memo_contradicted(now, id, g);
+                    }
+                }
+                left -= end - pos - 1;
+                pos = end;
+                continue;
+            };
+            if self.admit(g, lane, pos, p) {
+                (run_end, placed) = (run_end - 1, true);
+            } else {
+                pos += 1;
+            }
+        }
+        placed
+    }
+
+    /// Starts the batch at `pos` of worker `g`'s `lane` on the slice `p`
+    /// the scheme chose; `false` if the slice is out of range or has no
+    /// room, and the batch stays queued.
+    fn admit(&mut self, g: usize, lane: usize, pos: usize, p: Placement) -> bool {
+        let now = self.now;
+        let batch = &self.workers[g].sched_queue.lane(lane)[pos].1;
+        let (id, view) = (batch.id, batch.view());
+        let slices = self.workers[g].gpu.slices().len();
+        if p.slice >= slices {
+            self.observers
+                .audit
+                .slice_out_of_range(now, id, g, p.slice, slices);
+            return false;
+        }
+        let profile = view.model.profile();
+        let slice_profile = self.workers[g].gpu.slice(p.slice).profile();
+        // Inference batch latency is affine in batch size (see
+        // ModelProfile::fill_factor), so partial (window-sealed)
+        // batches run proportionally faster.
+        let fill = f64::from(view.size) / f64::from(profile.batch_size);
+        let fill_factor = profile.fill_factor(fill);
+        let jitter = self.workers[g].draw_jitter();
+        let mut solo = profile
+            .solo_on(slice_profile)
+            .mul_f64(p.solo_scale.max(0.0) * fill_factor * jitter);
+        if self.workers[g].gpu.slice(p.slice).mode() == protean_gpu::SharingMode::TimeShared {
+            // Context switch between containers on a time-shared
+            // GPU (weights/context re-activation), scaling with
+            // the model's working set.
+            solo += protean_sim::SimDuration::from_millis(
+                TIME_SHARE_OVERHEAD_BASE_MS + TIME_SHARE_OVERHEAD_MS_PER_GB * profile.mem_gb,
+            );
+        }
+        let spec = JobSpec {
+            id: JobId(id.0),
+            solo,
+            fbr: profile.fbr * p.fbr_scale.max(0.0),
+            mem_gb: profile.mem_gb,
+        };
+        let w = &mut self.workers[g];
+        // No room right now: the batch stays queued.
+        let Ok(next) = w.gpu.slice_mut(p.slice).admit(now, spec) else {
+            return false;
+        };
+        let batch = w.sched_queue.remove_at(lane, pos);
+        w.start_running(RunningBatch {
+            batch,
+            slice: p.slice,
+            exec_start: now,
+            solo_on_slice_ms: solo.as_millis_f64(),
+            solo_7g_ms: profile.solo_7g.as_millis_f64() * fill_factor * jitter,
+        });
+        // One live finish event per slice: the admit bumped the
+        // generation, so whatever event was armed before is now
+        // stale. The all-jobs discipline would have re-pushed
+        // every resident here.
+        self.stats.finish_events_all_jobs += w.gpu.slice(p.slice).job_count() as u64;
+        self.arm_finish(g, p.slice, next);
+        self.emit(JournalEvent::BatchPlaced {
+            batch: id,
+            worker: g,
+            slice: p.slice,
+        });
+        true
     }
 
     fn maybe_begin_reconfigure(&mut self, g: usize) {
@@ -1191,11 +1196,13 @@ mod tests {
     use super::*;
     use crate::batch::Runs;
     use crate::engine::run_simulation_on;
-    use crate::scheme::{Placement, PlacementCtx, Scheme};
+    use crate::scheme::{BatchView, PlacementCtx, Scheme};
     use crate::schemes_for_test::AlwaysLargest;
     use protean_gpu::{Geometry, SharingMode};
     use protean_sim::SimDuration;
     use protean_trace::Request;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn strict_resnet(at_ms: f64) -> Request {
         Request {
@@ -1303,6 +1310,100 @@ mod tests {
         assert_eq!(quiet.stats, audited.stats);
         assert_eq!(quiet.metrics.count(Class::All), 0);
         assert_eq!(audited.metrics.count(Class::All), 0);
+    }
+
+    /// Places a batch on slice 0 only while slice 0 is idle, counting
+    /// its calls.
+    struct WhileIdle(Arc<AtomicU64>);
+
+    impl Scheme for WhileIdle {
+        fn name(&self) -> &'static str {
+            "while-idle"
+        }
+        fn initial_geometry(&self) -> Geometry {
+            Geometry::full()
+        }
+        fn sharing_mode(&self) -> SharingMode {
+            SharingMode::Mps
+        }
+        fn place(&mut self, ctx: &PlacementCtx<'_>, _: &BatchView) -> Option<Placement> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            ctx.gpu.slice(0).is_idle().then(|| Placement::on_slice(0))
+        }
+    }
+
+    impl SchemeBuilder for WhileIdle {
+        fn build(&self, _worker: usize) -> Box<dyn Scheme> {
+            Box::new(WhileIdle(Arc::clone(&self.0)))
+        }
+        fn name(&self) -> &'static str {
+            "while-idle"
+        }
+    }
+
+    /// One placement loop on worker 0 over `n` queued strict ResNet 50
+    /// batches of one request (one run of equal views), with slice 0
+    /// busy first if `busy`: the `(offers, memo skips, lookups)` it
+    /// counts, the scheme's calls and the batches left queued.
+    fn place_equal_views(n: u64, busy: bool, audit: bool) -> ([u64; 3], u64, usize) {
+        let mut config = ClusterConfig::small_test();
+        config.audit = audit;
+        let rng = RngFactory::new(config.seed);
+        let mut market =
+            protean_spot::SpotMarket::new(config.availability, rng.stream("spot.market"));
+        let scheme = WhileIdle(Arc::default());
+        let mut engine = EventLoop::new(&config, &scheme, &mut market, &[]);
+        engine.provision_initial_vms();
+        let w = &mut engine.workers[0];
+        if busy {
+            let job = JobSpec {
+                id: JobId(u64::MAX),
+                solo: SimDuration::from_millis(10.0),
+                fbr: 0.1,
+                mem_gb: 1.0,
+            };
+            w.gpu.slice_mut(0).admit(SimTime::ZERO, job).unwrap();
+        }
+        let run = Run {
+            arrival: SimTime::ZERO,
+            model: ModelId::ResNet50,
+            strict: true,
+            len: 1,
+        };
+        for id in 0..n {
+            w.sched_queue.push(Batch {
+                id: BatchId(id),
+                model: run.model,
+                strict: true,
+                runs: Runs::One(run),
+                sealed_at: SimTime::ZERO,
+                cold_wait_ms: 0.0,
+                redispatched: false,
+            });
+        }
+        engine.try_place(0);
+        let s = &engine.stats;
+        let counts = [s.place_offers, s.place_memo_skips, s.place_lookups];
+        let calls = scheme.0.load(Ordering::Relaxed);
+        (counts, calls, engine.workers[0].sched_queue.len())
+    }
+
+    #[test]
+    fn a_declined_run_of_equal_views_is_one_lookup() {
+        // The scheme declines the first; the memo answers the other four.
+        assert_eq!(place_equal_views(5, true, false), ([5, 4, 1], 1, 5));
+        // The audit asks the scheme about each of the four as well, and
+        // counts the same.
+        assert_eq!(place_equal_views(5, true, true), ([5, 4, 1], 5, 5));
+    }
+
+    #[test]
+    fn a_placement_splits_a_run_and_the_memo_answers_the_rest() {
+        // Pass 1: the first batch is placed and leaves; the second slides
+        // into the cursor and is declined (slice 0 is busy now), and the
+        // memo answers the third. Pass 2 looks the second up, and the memo
+        // answers both. Offers 3 + 2, skips 1 + 2, lookups 2 + 1.
+        assert_eq!(place_equal_views(3, false, false), ([5, 3, 3], 2, 2));
     }
 
     #[test]

@@ -46,16 +46,24 @@ pub struct RunningBatch {
 }
 
 /// Scheduler queue holding batches that have a container and await a
-/// slice. When `reorders` is set, strict batches are always served
-/// before best-effort ones (§4.1); within a class, order is FIFO.
+/// slice, in two lanes. When `reorders` is set, strict batches (lane 0)
+/// are always served before best-effort ones (lane 1, §4.1); otherwise
+/// lane 0 holds both classes in push order. Each lane is FIFO.
+///
+/// A lane is cut into runs of consecutive batches with equal
+/// [`BatchView`]s: a run's head entry holds the run's length, every other
+/// entry 0, so that a placement pass can answer a declined view's repeats
+/// at once. Runs need not be maximal: a removal may leave two adjacent
+/// equal runs.
 #[derive(Debug, Default)]
 pub struct SchedQueue {
+    lanes: [VecDeque<(u32, Batch)>; 2],
+    /// Length of each lane's last run; 0 for an empty lane.
+    last_run: [u32; 2],
+    be_count: u32,
     reorders: bool,
-    strict: VecDeque<(u64, Batch)>,
-    best_effort: VecDeque<(u64, Batch)>,
-    seq: u64,
     /// Running total of queued best-effort batch memory, GB
-    /// (Algorithm 1's `BE_mem` input).
+    /// (Algorithm 1's `BE_mem` input); exactly 0.0 with none queued.
     be_mem_gb: f64,
 }
 
@@ -68,84 +76,63 @@ impl SchedQueue {
         }
     }
 
-    /// Enqueues a batch; a best-effort one adds its model's per-batch
+    /// Enqueues a batch at the back of its lane, in the lane's last run
+    /// if its view is equal; a best-effort one adds its model's per-batch
     /// memory footprint to the queued total.
     pub fn push(&mut self, batch: Batch) {
-        let seq = self.seq;
-        self.seq += 1;
-        if batch.strict {
-            self.strict.slim_push((seq, batch));
-        } else {
+        let lane = usize::from(self.reorders && !batch.strict);
+        if !batch.strict {
+            self.be_count += 1;
             self.be_mem_gb += batch.model.profile().mem_gb;
-            self.best_effort.slim_push((seq, batch));
         }
+        let (q, run) = (&mut self.lanes[lane], &mut self.last_run[lane]);
+        let extends = q.back().is_some_and(|(_, b)| b.view() == batch.view());
+        if extends {
+            let head = q.len() - *run as usize;
+            q[head].0 += 1;
+        }
+        *run = if extends { *run + 1 } else { 1 };
+        q.slim_push((u32::from(!extends), batch));
     }
 
-    /// Visits the batches a placement pass may inspect, in service
-    /// order, without allocating — the scheduler's placement loop calls
-    /// this on every pass. In reordering mode this is up to `depth`
-    /// strict batches followed by up to `depth` best-effort batches —
-    /// strict priority governs *service order*, but a blocked strict
-    /// head must not prevent best-effort batches from using slices
-    /// strict batches cannot take anyway.
-    pub fn for_each_candidate<'a>(&'a self, depth: usize, mut f: impl FnMut(&'a Batch)) {
-        if self.reorders {
-            for (_, b) in self.strict.iter().take(depth) {
-                f(b);
-            }
-            for (_, b) in self.best_effort.iter().take(depth) {
-                f(b);
-            }
-        } else {
-            // FIFO across both classes: merge by sequence number.
-            let mut visited = 0;
-            let mut si = self.strict.iter().peekable();
-            let mut bi = self.best_effort.iter().peekable();
-            while visited < depth {
-                match (si.peek(), bi.peek()) {
-                    (Some((ss, sb)), Some((bs, bb))) => {
-                        if ss < bs {
-                            f(sb);
-                            si.next();
-                        } else {
-                            f(bb);
-                            bi.next();
-                        }
-                    }
-                    (Some((_, sb)), None) => {
-                        f(sb);
-                        si.next();
-                    }
-                    (None, Some((_, bb))) => {
-                        f(bb);
-                        bi.next();
-                    }
-                    (None, None) => break,
-                }
-                visited += 1;
-            }
-        }
+    /// Lane `lane` in service order, each batch with its run length (0
+    /// off a run's head).
+    pub(crate) fn lane(&self, lane: usize) -> &VecDeque<(u32, Batch)> {
+        &self.lanes[lane]
     }
 
-    /// Removes the batch with `id`, if present, and returns it.
-    pub fn remove(&mut self, id: BatchId) -> Option<Batch> {
-        if let Some(pos) = self.strict.iter().position(|(_, b)| b.id == id) {
-            return self.strict.remove(pos).map(|(_, b)| b);
+    /// Removes and returns the batch at `pos` of `lane`, whose run
+    /// shrinks by one.
+    pub(crate) fn remove_at(&mut self, lane: usize, pos: usize) -> Batch {
+        let q = &mut self.lanes[lane];
+        let head = |q: &VecDeque<(u32, Batch)>, pos| (0..=pos).rev().find(|&i| q[i].0 > 0);
+        let h = head(q, pos).expect("a lane opens with a run head");
+        let len = q[h].0;
+        let (_, batch) = q.remove(pos).expect("position in the lane");
+        if h < pos || len > 1 {
+            q[h].0 = len - 1;
         }
-        let pos = self.best_effort.iter().position(|(_, b)| b.id == id)?;
-        let (_, removed) = self.best_effort.remove(pos)?;
-        self.be_mem_gb = (self.be_mem_gb - removed.model.profile().mem_gb).max(0.0);
-        Some(removed)
+        if h + len as usize == q.len() + 1 {
+            // The last run shrank; if it vanished, the run before is last.
+            let before = (len == 1 && pos > 0).then(|| head(q, pos - 1).map_or(0, |h| q[h].0));
+            self.last_run[lane] = before.unwrap_or(len - 1);
+        }
+        if !batch.strict {
+            self.be_count -= 1;
+            let rest = self.be_mem_gb - batch.model.profile().mem_gb;
+            self.be_mem_gb = if self.be_count > 0 { rest } else { 0.0 };
+        }
+        batch
     }
 
     /// Total queued batches.
     pub fn len(&self) -> usize {
-        self.strict.len() + self.best_effort.len()
+        self.lanes[0].len() + self.lanes[1].len()
     }
 
     /// `true` if no batches are queued.
     pub fn is_empty(&self) -> bool {
-        self.strict.is_empty() && self.best_effort.is_empty()
+        self.len() == 0
     }
 
     /// Memory of queued best-effort batches, GB.
@@ -153,23 +140,44 @@ impl SchedQueue {
         self.be_mem_gb
     }
 
-    /// Drains every queued batch (eviction path).
+    /// Drains every queued batch (eviction path): strict, then
+    /// best-effort, FIFO within each class.
     pub fn drain_all(&mut self) -> Vec<Batch> {
-        self.be_mem_gb = 0.0;
-        self.strict
-            .drain(..)
-            .chain(self.best_effort.drain(..))
-            .map(|(_, b)| b)
-            .collect()
+        let lanes = self.lanes.iter_mut().flat_map(|q| q.drain(..));
+        let mut out: Vec<Batch> = lanes.map(|(_, b)| b).collect();
+        out.sort_by_key(|b| !b.strict);
+        (self.last_run, self.be_count, self.be_mem_gb) = ([0; 2], 0, 0.0);
+        out
     }
 
     /// Iterates every queued batch (both classes, no particular order);
     /// used by the audit layer's request-conservation sweep.
     pub fn iter_batches(&self) -> impl Iterator<Item = &Batch> {
-        self.strict
-            .iter()
-            .chain(self.best_effort.iter())
-            .map(|(_, b)| b)
+        self.lanes.iter().flatten().map(|(_, b)| b)
+    }
+
+    /// How the run encoding is broken, if it is: head lengths that do
+    /// not tile a lane, a member whose view differs from its head's, or
+    /// a wrong last-run length.
+    pub(crate) fn run_encoding_error(&self) -> Option<String> {
+        for (lane, q) in self.lanes.iter().enumerate() {
+            let (mut left, mut last, mut view) = (0, 0, None);
+            for (pos, (len, b)) in q.iter().enumerate() {
+                if left == 0 && *len > 0 {
+                    (left, last, view) = (*len, *len, Some(b.view()));
+                } else if left == 0 || *len > 0 || view != Some(b.view()) {
+                    return Some(format!("lane {lane} entry {pos} breaks its run"));
+                }
+                left -= 1;
+            }
+            let kept = self.last_run[lane];
+            if left > 0 || last != kept {
+                return Some(format!(
+                    "lane {lane} overhung by {left}, last run {last} kept as {kept}"
+                ));
+            }
+        }
+        None
     }
 }
 
@@ -610,6 +618,19 @@ impl Worker {
 }
 
 #[cfg(test)]
+impl SchedQueue {
+    /// Removes the batch with `id`, if queued (placement removes by
+    /// position instead).
+    pub(crate) fn remove(&mut self, id: BatchId) -> Option<Batch> {
+        let (lane, pos) = (0..2).find_map(|lane| {
+            let pos = self.lanes[lane].iter().position(|(_, b)| b.id == id)?;
+            Some((lane, pos))
+        })?;
+        Some(self.remove_at(lane, pos))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::Runs;
@@ -618,16 +639,17 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    fn batch(id: u64, strict: bool) -> Batch {
+    /// A batch of `len` requests for `model`.
+    fn queued(id: u64, strict: bool, model: ModelId, len: u32) -> Batch {
         Batch {
             id: BatchId(id),
-            model: ModelId::ResNet50,
+            model,
             strict,
             runs: Runs::One(Run {
                 arrival: SimTime::ZERO,
-                model: ModelId::ResNet50,
+                model,
                 strict,
-                len: 1,
+                len,
             }),
             sealed_at: SimTime::ZERO,
             cold_wait_ms: 0.0,
@@ -635,16 +657,27 @@ mod tests {
         }
     }
 
+    fn batch(id: u64, strict: bool) -> Batch {
+        queued(id, strict, ModelId::ResNet50, 1)
+    }
+
     fn idle_worker() -> Worker {
         let rng = RngFactory::new(0);
         Worker::new(0, Box::new(AlwaysLargest), &rng, SimTime::ZERO)
     }
 
-    /// The batches `for_each_candidate` visits, in visit order.
+    /// The batches a placement pass at `depth` may offer, in offer
+    /// order: up to `depth` of each lane.
     fn candidates(q: &SchedQueue, depth: usize) -> Vec<&Batch> {
-        let mut out = Vec::new();
-        q.for_each_candidate(depth, |b| out.push(b));
-        out
+        let lanes = q.lanes.iter();
+        lanes
+            .flat_map(|l| l.iter().take(depth).map(|(_, b)| b))
+            .collect()
+    }
+
+    /// Each lane's run-length field, entry by entry.
+    fn heads(q: &SchedQueue) -> [Vec<u32>; 2] {
+        q.lanes.each_ref().map(|l| l.iter().map(|e| e.0).collect())
     }
 
     #[test]
@@ -680,6 +713,74 @@ mod tests {
         assert!(q.remove(BatchId(99)).is_none());
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+    }
+
+    #[test]
+    fn an_emptied_best_effort_queue_holds_exactly_zero_memory() {
+        for reorders in [true, false] {
+            let mut q = SchedQueue::new(reorders);
+            let be = |id, model| Batch {
+                model,
+                ..batch(id, false)
+            };
+            q.push(be(1, ModelId::MobileNet));
+            q.push(be(2, ModelId::MobileNet));
+            q.push(batch(3, true));
+            q.push(be(4, ModelId::Bert));
+            // 2.0 + 2.0 + 3.4 GB, less the same in push order, leaves a
+            // 4.4e-16 residue in floating point.
+            for id in [1, 2, 4] {
+                assert!(q.remove(BatchId(id)).is_some());
+            }
+            assert_eq!(q.be_mem_gb().to_bits(), 0.0f64.to_bits());
+            assert_eq!(q.len(), 1);
+        }
+    }
+
+    #[test]
+    fn equal_views_queue_as_one_run_and_removals_shrink_it() {
+        let mut q = SchedQueue::new(true);
+        let sized = |id, len| queued(id, true, ModelId::ResNet50, len);
+        // Strict 1, 1, 1, 2, 2 and a best-effort batch: two strict runs.
+        for (id, len) in [(1, 1), (2, 1), (3, 1), (4, 2), (5, 2)] {
+            q.push(sized(id, len));
+        }
+        q.push(batch(6, false));
+        assert_eq!(heads(&q), [vec![3, 0, 0, 2, 0], vec![1]]);
+        assert_eq!(q.last_run, [2, 1]);
+        // A removed head hands its length on; a removed member shrinks
+        // its head; an emptied last run leaves the one before it last.
+        assert_eq!(q.remove_at(0, 0).id, BatchId(1));
+        assert_eq!(q.remove_at(0, 1).id, BatchId(3));
+        assert_eq!(heads(&q)[0], [1, 2, 0]);
+        q.remove(BatchId(5));
+        q.remove(BatchId(4));
+        assert_eq!((heads(&q)[0].clone(), q.last_run[0]), (vec![1], 1));
+        // The next equal push extends that run.
+        q.push(batch(7, true));
+        assert_eq!((heads(&q)[0].clone(), q.last_run[0]), (vec![2, 0], 2));
+        assert_eq!(q.run_encoding_error(), None);
+    }
+
+    #[test]
+    fn the_audit_names_the_worker_of_a_broken_run_encoding() {
+        let mut fleet = vec![idle_worker()];
+        fleet[0].idx = 3;
+        let q = &mut fleet[0].sched_queue;
+        q.push(batch(1, true));
+        q.push(batch(2, true));
+        q.lanes[0][0].0 = 3;
+        let mut audit = crate::audit::Auditor::new(true, 1);
+        let ledger = protean_spot::VmLedger::new(protean_spot::Provider::Aws);
+        let index = crate::dispatch::DispatchIndex::new(1);
+        audit.check(SimTime::ZERO, &fleet, &ledger, &index);
+        let report = audit.into_report();
+        let broken = "worker 3 scheduler queue: lane 0 overhung by 1";
+        assert!(
+            report.violations.iter().any(|v| v.contains(broken)),
+            "{:?}",
+            report.violations
+        );
     }
 
     #[test]
@@ -810,6 +911,9 @@ mod tests {
                     .filter(|(_, s, _)| !s)
                     .map(|(_, _, m)| m)
                     .sum();
+                if live.iter().all(|(_, s, _)| *s) {
+                    proptest::prop_assert_eq!(q.be_mem_gb().to_bits(), 0.0f64.to_bits());
+                }
                 proptest::prop_assert!((q.be_mem_gb() - expected_be).abs() < 1e-9,
                     "be mem {} expected {}", q.be_mem_gb(), expected_be);
                 proptest::prop_assert_eq!(q.len(), live.len());
@@ -820,6 +924,59 @@ mod tests {
                 proptest::prop_assert!(q.remove(BatchId(id)).is_some());
             }
             proptest::prop_assert!(q.is_empty());
+            proptest::prop_assert_eq!(q.be_mem_gb().to_bits(), 0.0f64.to_bits());
+        }
+
+        /// The queue against a plain `Vec<Batch>` in push order, under
+        /// random pushes, position removals and drains, in both modes:
+        /// the candidates at any depth, the run encoding and the queued
+        /// best-effort memory agree. Two models and two sizes make
+        /// equal views recur.
+        #[test]
+        fn prop_queue_matches_a_vec_model(
+            ops in proptest::collection::vec((0u32..8, proptest::bool::ANY, 0usize..64), 1..80),
+            reorders in proptest::bool::ANY,
+        ) {
+            let mut q = SchedQueue::new(reorders);
+            let mut model: Vec<Batch> = Vec::new();
+            let lane_of = |b: &Batch| usize::from(reorders && !b.strict);
+            for (id, (op, strict, pick)) in ops.into_iter().enumerate() {
+                match op {
+                    0..=4 => {
+                        let m = [ModelId::ResNet50, ModelId::Bert][pick % 2];
+                        let b = queued(id as u64, strict, m, 1 + (pick / 2 % 2) as u32);
+                        q.push(b.clone());
+                        model.push(b);
+                    }
+                    5 | 6 if !model.is_empty() => {
+                        let i = pick % model.len();
+                        let lane = lane_of(&model[i]);
+                        let pos = model[..i].iter().filter(|b| lane_of(b) == lane).count();
+                        proptest::prop_assert_eq!(q.remove_at(lane, pos), model.remove(i));
+                    }
+                    7 => {
+                        let (mut served, be): (Vec<Batch>, Vec<Batch>) =
+                            model.drain(..).partition(|b| b.strict);
+                        served.extend(be);
+                        proptest::prop_assert_eq!(q.drain_all(), served);
+                    }
+                    _ => {}
+                }
+                proptest::prop_assert_eq!(q.run_encoding_error(), None);
+                let depth = pick % (model.len() + 2);
+                let expected: Vec<&Batch> = (0..2)
+                    .flat_map(|lane| model.iter().filter(move |b| lane_of(b) == lane).take(depth))
+                    .collect();
+                proptest::prop_assert_eq!(candidates(&q, depth), expected);
+                proptest::prop_assert_eq!(q.len(), model.len());
+                let be = model.iter().filter(|b| !b.strict).map(|b| b.model.profile().mem_gb);
+                let be: Vec<f64> = be.collect();
+                if be.is_empty() {
+                    proptest::prop_assert_eq!(q.be_mem_gb().to_bits(), 0.0f64.to_bits());
+                }
+                let sum: f64 = be.iter().sum();
+                proptest::prop_assert!((q.be_mem_gb() - sum).abs() < 1e-9);
+            }
         }
     }
 
@@ -850,14 +1007,14 @@ mod tests {
         }
         let state = &w.models[0];
         let slots = [
-            w.sched_queue.strict.capacity(),
-            w.sched_queue.best_effort.capacity(),
+            w.sched_queue.lanes[0].capacity(),
             w.running.capacity(),
             state.waiting.capacity(),
             state.pool.warm_capacity(),
         ];
-        // Queued strict, queued best-effort, running, waiting, warm.
-        assert_eq!(slots, [1; 5]);
+        // The FIFO queue's one lane, running, waiting, warm.
+        assert_eq!(slots, [1; 4]);
+        assert_eq!(w.sched_queue.lanes[1].capacity(), 0);
         // The decline memo holds one slot per declined view.
         let (mut w, _) = busy_worker();
         w.offer(&view(true, 1), at(0.0), false);
@@ -870,6 +1027,7 @@ mod tests {
         assert_eq!(size_of::<RunningBatch>(), 88);
         assert_eq!(size_of::<ModelState>(), 136);
         assert_eq!(size_of::<Worker>(), 392);
+        assert_eq!(size_of::<(u32, Batch)>(), 64);
     }
 
     #[test]

@@ -230,6 +230,7 @@ pub fn fingerprint_fields(result: &SimulationResult) -> Vec<(&'static str, Print
         ("stale_finish_superseded", s.stale_finish_superseded),
         ("place_offers", s.place_offers),
         ("place_memo_skips", s.place_memo_skips),
+        ("place_lookups", s.place_lookups),
         ("stale_boot_events", s.stale_boot_events),
         ("dispatch_batches", s.dispatch_batches),
         ("dispatch_scan_visits", s.dispatch_scan_visits),

@@ -34,6 +34,16 @@
 #       'old/perf/target/release/perf --workload soak-256 --smoke' \
 #       'perf/target/release/perf --workload soak-256 --smoke'
 #
+# A `perf --child rep` report works too: one run, its metrics bare
+# numbers under `metrics`, and no `"correct"` field. Then every run's
+# `fingerprint` must equal A's first run's instead. A ten-pair screen
+# of child reps takes seconds where full invocations take minutes;
+# claims still come from full invocations:
+#
+#   scripts/ab_pairs.sh -m req_per_s,peak_rss_mb \
+#       'old/perf/target/release/perf --workload pulse-2048 --child rep' \
+#       'perf/target/release/perf --workload pulse-2048 --child rep'
+#
 # Uses bash, coreutils and awk. Values are held as integers (wall times
 # in whole microseconds from `date +%s%N`, metrics in billionths of their
 # unit); quartiles interpolate linearly between order statistics.
@@ -102,17 +112,28 @@ run_one() {
         echo $(((end - start) / 1000))
         return
     fi
-    local last value m
+    local last value m fp
     last="$(tail -n 1 "$2")"
-    if [[ "$last" != *'"correct": true'* ]]; then
-        echo "ab_pairs: run did not report \"correct\": true: $1" >&2
-        echo "$last" >&2
-        exit 1
+    if [[ "$last" == *'"correct": '* ]]; then
+        if [[ "$last" != *'"correct": true'* ]]; then
+            echo "ab_pairs: run did not report \"correct\": true: $1" >&2
+            echo "$last" >&2
+            exit 1
+        fi
+    else
+        # A child report: its fingerprint must equal A's first run's.
+        fp="$(sed -nE 's/.*"fingerprint": "([^"]*)".*/\1/p' <<<"$last")"
+        [[ -e "$tmp/fp" ]] || printf '%s\n' "$fp" >"$tmp/fp"
+        if [[ -z "$fp" || "$fp" != "$(cat "$tmp/fp")" ]]; then
+            echo "ab_pairs: run reported no \"correct\" field and a fingerprint unlike A's first run's: $1" >&2
+            echo "$last" >&2
+            exit 1
+        fi
     fi
     for m in "${metrics[@]}"; do
-        value="$(sed -nE "s/.*\"${m//./\\.}\": \{\"value\": ([-+.0-9eE]+).*/\1/p" <<<"$last")"
+        value="$(sed -nE "s/.*\"${m//./\\.}\": (\{\"value\": )?([-+.0-9eE]+).*/\2/p" <<<"$last")"
         if [[ -z "$value" ]]; then
-            echo "ab_pairs: no numeric metrics.$m.value in the final line of: $1" >&2
+            echo "ab_pairs: no numeric metrics.$m in the final line of: $1" >&2
             exit 1
         fi
         awk -v v="$value" 'BEGIN { printf "%.0f\n", v * 1e9 }'
@@ -255,6 +276,8 @@ for m in "${metrics[@]}"; do
 done
 if [[ -z "$metric_list" ]]; then
     echo "stdout identical on every run"
+elif [[ -e "$tmp/fp" ]]; then
+    echo "fingerprint equal to A's first run's on every run"
 else
     echo "\"correct\": true on every run"
 fi

@@ -3,7 +3,8 @@
 //! meet a full GPU; the memo answers repeats of a decline without
 //! asking `Scheme::place`. Skipping must change nothing: a repeat run
 //! reproduces the counters and the digest, and the audited run, which
-//! re-asks every skipped offer, digests identically with a clean audit.
+//! re-asks every skipped offer, digests identically with a clean audit
+//! and the same counters.
 //! A scheme that breaks the `Scheme::place` contract fails that audit.
 
 use protean::ProteanBuilder;
@@ -63,6 +64,11 @@ fn overloaded_pulse_skips_declines_identically_when_audited() {
     // on one worker, so these counts are what pins that constant (the
     // offers each placement pass may make).
     assert_eq!(memo_counters(s), [236_316, 218_907, 7_417, 7_417]);
+    // Pinned: a pass looks up the offer at its cursor, and the memo
+    // answers the rest of a declined run of equal views without a
+    // lookup. Every call of `Scheme::place` is made at a lookup.
+    assert_eq!(s.place_lookups, 26_441);
+    assert!(s.place_offers - s.place_memo_skips <= s.place_lookups);
     assert!(s.place_memo_skips > 0, "no offer was memoised: {s:?}");
     assert!(s.place_memo_skips < s.place_offers);
     assert!(s.stale_finish_superseded <= s.stale_finish_events);
@@ -73,6 +79,7 @@ fn overloaded_pulse_skips_declines_identically_when_audited() {
     assert!(audited.audit.is_clean(), "{:?}", audited.audit.violations);
     assert_eq!(digest(&audited), digest(&one));
     assert_eq!(memo_counters(&audited.stats), memo_counters(s));
+    assert_eq!(audited.stats.place_lookups, s.place_lookups);
 }
 
 /// Breaks the `Scheme::place` contract: declines its first `declines`
