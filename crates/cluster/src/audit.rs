@@ -32,7 +32,7 @@
 
 use std::collections::HashMap;
 
-use protean_sim::SimTime;
+use protean_sim::{EventHandle, SimTime};
 use protean_spot::VmLedger;
 
 use crate::batch::BatchId;
@@ -156,55 +156,12 @@ impl Auditor {
         }
     }
 
-    /// A re-check of a memoised decline: `Scheme::place` was asked
-    /// again about batch `id` under the slice state it declined it in,
-    /// and did not decline (a breach of the `Scheme::place` contract).
-    pub(crate) fn memo_contradicted(&mut self, now: SimTime, id: BatchId, worker: usize) {
-        if !self.enabled {
-            return;
+    /// Records the violation `msg` describes, formatted only if the
+    /// auditor is on.
+    pub(crate) fn report(&mut self, now: SimTime, msg: impl FnOnce() -> String) {
+        if self.enabled {
+            self.violation(now, msg());
         }
-        self.violation(
-            now,
-            format!(
-                "batch {id:?} on worker {worker}: place chose a slice for a view \
-                 it declined under the same slice state"
-            ),
-        );
-    }
-
-    /// A slice finished job `id` on `worker`, but no batch `id` runs
-    /// there (the engine lost track of a placed batch).
-    pub(crate) fn not_running(&mut self, now: SimTime, id: BatchId, worker: usize) {
-        if !self.enabled {
-            return;
-        }
-        self.violation(
-            now,
-            format!("batch {id:?} finished on worker {worker}, where it was not running"),
-        );
-    }
-
-    /// `Scheme::place` chose slice `slice` for batch `id` on a worker
-    /// whose GPU has only `slices` slices (a breach of the
-    /// `Scheme::place` contract); the batch stays queued.
-    pub(crate) fn slice_out_of_range(
-        &mut self,
-        now: SimTime,
-        id: BatchId,
-        worker: usize,
-        slice: usize,
-        slices: usize,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.violation(
-            now,
-            format!(
-                "batch {id:?} on worker {worker}: place chose slice {slice} \
-                 of a geometry with {slices} slices"
-            ),
-        );
     }
 
     /// Checks one dispatch selection — `selected`, the index's answer
@@ -251,13 +208,15 @@ impl Auditor {
     /// ([`crate::dispatch::DispatchIndex::verify`]): the
     /// incrementally-maintained index must agree with it at every
     /// quiescent point, or the O(log W) dispatcher could diverge from
-    /// the linear-scan reference.
+    /// the linear-scan reference. `finish_of` names the `(worker, slice)`
+    /// of the pending `JobFinish` a handle names, if it names one.
     pub(crate) fn check(
         &mut self,
         now: SimTime,
         workers: &[Worker],
         ledger: &VmLedger,
         index: &DispatchIndex,
+        finish_of: impl Fn(EventHandle) -> Option<(usize, usize)>,
     ) {
         if !self.enabled {
             return;
@@ -330,6 +289,21 @@ impl Auditor {
                         w.idx, w.status, w.vm
                     ),
                 );
+            }
+            // One armed finish per busy slice, none on an idle one. A
+            // worker without a VM keeps its evicted GPU, whose events
+            // were cancelled, until a new VM rebuilds it.
+            for (i, slice) in w.gpu.slices().iter().enumerate().filter(|_| w.vm.is_some()) {
+                let names = slice.armed.map(&finish_of);
+                if names != (!slice.is_idle()).then_some(Some((w.idx, i))) {
+                    let (idx, jobs, armed) = (w.idx, slice.job_count(), slice.armed);
+                    let names = names.flatten();
+                    let msg = format!(
+                        "worker {idx} slice {i} with {jobs} jobs holds armed handle {armed:?}, \
+                         which names the finish of {names:?}"
+                    );
+                    self.violation(now, msg);
+                }
             }
             if w.pending_vm.is_some() && !matches!(w.status, WorkerStatus::Evicting { .. }) {
                 self.violation(
@@ -445,9 +419,16 @@ mod tests {
         let mut down = fleet([0; 3]);
         down[1].status = WorkerStatus::Down;
         a.dispatch_selected(SimTime::ZERO, BatchId(0), Some(1), None, down.iter());
-        a.memo_contradicted(SimTime::ZERO, BatchId(0), 0);
-        a.slice_out_of_range(SimTime::ZERO, BatchId(0), 0, 99, 1);
-        a.check(SimTime::ZERO, &[], &dummy_ledger(), &DispatchIndex::new(0));
+        a.report(SimTime::ZERO, || {
+            unreachable!("a disabled auditor formats nothing")
+        });
+        a.check(
+            SimTime::ZERO,
+            &[],
+            &dummy_ledger(),
+            &DispatchIndex::new(0),
+            |_| None,
+        );
         let r = a.into_report();
         assert!(!r.enabled);
         assert!(r.is_clean());
@@ -459,7 +440,7 @@ mod tests {
         let mut a = Auditor::new(true, 3);
         let index = DispatchIndex::new(0);
         for _ in 0..7 {
-            a.check(SimTime::ZERO, &[], &dummy_ledger(), &index);
+            a.check(SimTime::ZERO, &[], &dummy_ledger(), &index, |_| None);
         }
         // Opportunities 1, 4 and 7 are swept.
         let r = a.into_report();
@@ -472,7 +453,7 @@ mod tests {
         let mut a = Auditor::new(true, 0);
         let index = DispatchIndex::new(0);
         for _ in 0..5 {
-            a.check(SimTime::ZERO, &[], &dummy_ledger(), &index);
+            a.check(SimTime::ZERO, &[], &dummy_ledger(), &index, |_| None);
         }
         assert_eq!(a.into_report().checks, 5);
     }
@@ -482,7 +463,7 @@ mod tests {
         let mut a = Auditor::new(true, 1);
         // An index sized for a worker the cluster does not have.
         let index = DispatchIndex::new(1);
-        a.check(SimTime::ZERO, &[], &dummy_ledger(), &index);
+        a.check(SimTime::ZERO, &[], &dummy_ledger(), &index, |_| None);
         let r = a.into_report();
         assert_eq!(r.violation_count, 1);
         assert!(r.violations[0].contains("dispatch index"));
@@ -596,11 +577,11 @@ mod tests {
         assert_eq!(ledger.misuse_events(), 1);
         let mut a = Auditor::new(true, 1);
         let index = DispatchIndex::new(0);
-        a.check(SimTime::ZERO, &[], &ledger, &index);
+        a.check(SimTime::ZERO, &[], &ledger, &index, |_| None);
         assert_eq!(a.violation_count, 1);
         assert!(a.violations[0].contains("misuse"));
         // Same tally on the next sweep: no new violation.
-        a.check(SimTime::ZERO, &[], &ledger, &index);
+        a.check(SimTime::ZERO, &[], &ledger, &index, |_| None);
         assert_eq!(a.violation_count, 1);
     }
 }

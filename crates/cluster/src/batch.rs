@@ -3,7 +3,7 @@
 use std::ops::Deref;
 
 use protean_models::ModelId;
-use protean_sim::SimTime;
+use protean_sim::{EventHandle, SimTime};
 use protean_trace::Run;
 
 /// Identifier of a batch; doubles as the GPU-level `JobId` payload.
@@ -80,17 +80,11 @@ pub struct Accumulator {
     pending: Vec<Run>,
     /// Requests in `pending`.
     len: u32,
-    /// Bumped every time a batch is sealed; stale window-expiry events
-    /// carry the old value and are ignored.
-    pub seal_seq: u64,
+    /// The open batch's armed window expiry, cancelled if it fills first.
+    pub(crate) window: Option<EventHandle>,
 }
 
 impl Accumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Accumulator::default()
-    }
-
     /// Adds a run of requests; returns `true` if it is the first pending
     /// run, which opens the batch (the caller arms its window-expiry
     /// timer unless the run also filled it). The buffer starts at one
@@ -115,11 +109,10 @@ impl Accumulator {
         self.pending.is_empty()
     }
 
-    /// Seals and returns the pending runs (empties the accumulator and
-    /// bumps `seal_seq`). The buffer stays for the next batch: one run
-    /// leaves inline, several leave in a vector of their own.
+    /// Seals and returns the pending runs (empties the accumulator). The
+    /// buffer stays for the next batch: one run leaves inline, several
+    /// leave in a vector of their own.
     pub fn seal(&mut self) -> Runs {
-        self.seal_seq += 1;
         self.len = 0;
         let runs = match self.pending[..] {
             [run] => Runs::One(run),
@@ -145,7 +138,7 @@ mod tests {
 
     #[test]
     fn first_push_signals_timer() {
-        let mut a = Accumulator::new();
+        let mut a = Accumulator::default();
         assert!(a.push(run(0, 1)));
         assert!(!a.push(run(1, 3)));
         assert_eq!(a.len(), 4);
@@ -153,7 +146,7 @@ mod tests {
 
     #[test]
     fn a_batch_is_sized_once_on_its_first_push() {
-        let mut a = Accumulator::new();
+        let mut a = Accumulator::default();
         for round in 0..2 {
             a.push(run(round, 128));
             assert_eq!(a.pending.capacity(), 1, "round {round}");
@@ -163,7 +156,7 @@ mod tests {
 
     #[test]
     fn a_batch_sealed_from_one_run_owns_no_heap_block() {
-        let mut a = Accumulator::new();
+        let mut a = Accumulator::default();
         a.push(run(0, 8));
         assert_eq!(a.seal(), Runs::One(run(0, 8)));
         // Two runs leave in a vector that fits them exactly.
@@ -177,7 +170,7 @@ mod tests {
 
     #[test]
     fn the_accumulator_keeps_one_slot_across_seals() {
-        let mut a = Accumulator::new();
+        let mut a = Accumulator::default();
         a.push(run(0, 8));
         let slot = a.pending.as_ptr();
         for round in 1..4 {
@@ -201,7 +194,7 @@ mod tests {
         fn prop_seal_returns_the_pushed_runs_in_order(
             lens in proptest::collection::vec(1u32..64, 1..=8),
         ) {
-            let mut a = Accumulator::new();
+            let mut a = Accumulator::default();
             let pushed: Vec<Run> = lens
                 .iter()
                 .enumerate()
@@ -219,19 +212,16 @@ mod tests {
     }
 
     #[test]
-    fn seal_empties_and_bumps_seq() {
-        let mut a = Accumulator::new();
+    fn seal_empties_the_accumulator() {
+        let mut a = Accumulator::default();
         a.push(run(0, 2));
         a.push(run(1, 1));
-        let s0 = a.seal_seq;
         let sealed = a.seal();
         assert_eq!(sealed.len(), 2);
         assert!(a.is_empty());
         assert_eq!(a.len(), 0);
-        assert_eq!(a.seal_seq, s0 + 1);
-        // Second seal returns empty but still bumps.
+        // A second seal returns nothing.
         assert!(a.seal().is_empty());
-        assert_eq!(a.seal_seq, s0 + 2);
     }
 
     #[test]

@@ -201,23 +201,20 @@ pub struct CostReport {
 pub struct EngineStats {
     /// Total events pushed onto the event queue (all types).
     pub events_pushed: u64,
-    /// Total events popped from the event queue.
+    /// Total events popped from the event queue (a cancelled one never pops).
     pub events_popped: u64,
-    /// The largest number of events pending in the event heap at once,
-    /// batch-window expiries included. Container boots wait in a FIFO
-    /// lane of their own and are not counted.
+    /// The most entries the event heap held at once, cancelled ones
+    /// included until they leave it. Container boots wait in a FIFO lane
+    /// of their own and are not counted.
     pub peak_heap_len: usize,
     /// `JobFinish` events actually pushed.
     pub finish_events_pushed: u64,
     /// `JobFinish` events the all-jobs re-projection discipline would
     /// have pushed (the pre-optimisation baseline, counted live).
     pub finish_events_all_jobs: u64,
-    /// `JobFinish` events discarded as stale at pop time.
+    /// `JobFinish` events cancelled (superseded by a later admit on the
+    /// same slice, or dropped with an evicted GPU), after the cutoff too.
     pub stale_finish_events: u64,
-    /// The part of `stale_finish_events` made stale by a later admit or
-    /// finish on the same slice (which re-armed its one live event), as
-    /// opposed to a GPU rebuild (reconfiguration or VM replacement).
-    pub stale_finish_superseded: u64,
     /// Queued batches offered for placement: each is either asked of
     /// `Scheme::place` or answered from the worker's decline memo.
     pub place_offers: u64,
@@ -248,9 +245,9 @@ pub struct EngineStats {
     /// cutoff).
     pub arrivals: u64,
     /// `WindowExpire` batch-window dispatches handled at or before the
-    /// cutoff, live and stale alike. A window is armed only by an arrival
-    /// that opens a batch and leaves it open (so a whole-batch arrival
-    /// arms none); it pops stale when the batch filled first.
+    /// cutoff. A window is armed only by an arrival that opens a batch
+    /// and leaves it open (so a whole-batch arrival arms none); it is
+    /// cancelled, and never counted, when the batch fills first.
     pub expiries: u64,
     /// Always 0: the engine has no epochs. Kept only because the `perf`
     /// benchmark driver still reads it.

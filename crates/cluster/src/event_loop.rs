@@ -18,6 +18,10 @@
 //! slab of payloads; at fleet scale the heap then shares the cache with
 //! the dispatch index. A pop takes the smaller of the two heads.
 //!
+//! A superseded heap event is cancelled through the [`EventHandle`] its
+//! owner keeps (a slice its `JobFinish`, a worker its `ReconfigDone`, an
+//! accumulator its window), so none pops stale; a boot checks `vm_epoch`.
+//!
 //! # State
 //!
 //! The `EventLoop` owns the whole cluster: the gateway (accumulators,
@@ -44,7 +48,7 @@ use protean_gpu::{Completion, JobId, JobSpec};
 use protean_metrics::record::Class;
 use protean_metrics::{BatchRecord, MetricsSet};
 use protean_models::ModelId;
-use protean_sim::{EventKey, KeyedEventQueue, RngFactory, SimTime, TimeSeries};
+use protean_sim::{EventHandle, EventKey, KeyedEventQueue, RngFactory, SimTime, TimeSeries};
 use protean_spot::{ProcurementPolicy, SpotOracle, VmId, VmLedger, VmTier};
 use protean_trace::{Run, Trace, TraceConfig};
 
@@ -59,16 +63,16 @@ use crate::engine::{
 };
 use crate::journal::{Journal, JournalEvent};
 use crate::scheme::{DispatchPolicy, Placement, SchemeBuilder};
-use crate::worker::{FinishEvent, Offer, RunningBatch, Worker, WorkerStatus};
+use crate::worker::{Offer, RunningBatch, Worker, WorkerStatus};
 
 /// Every event class, addressed by global worker id where it concerns
-/// one worker.
-#[derive(Debug)]
+/// one worker. `JobFinish`, the most numerous, and `BootDone` narrow it
+/// to `u32`, so every event, and so every slab slot, is 16 bytes.
+#[derive(Debug, PartialEq)]
 enum Event {
     WindowExpire {
         model: ModelId,
         strict: bool,
-        seq: u64,
     },
     MonitorTick,
     RevocationCheck {
@@ -85,23 +89,28 @@ enum Event {
         worker: usize,
     },
     BootDone {
-        worker: usize,
+        worker: u32,
         model: ModelId,
         vm_epoch: u64,
     },
-    /// The most numerous pending event. Its worker and slice are
-    /// narrowed so that it, and so every slab slot, is 32 bytes.
     JobFinish {
         worker: u32,
         slice: u16,
         job: JobId,
-        generation: u64,
-        epoch: u64,
     },
     ReconfigDone {
         worker: usize,
-        epoch: u64,
     },
+}
+
+impl Event {
+    /// The `(worker, slice)` a `JobFinish` is armed for.
+    fn finish_of(&self) -> Option<(usize, usize)> {
+        match *self {
+            Event::JobFinish { worker, slice, .. } => Some((worker as usize, usize::from(slice))),
+            _ => None,
+        }
+    }
 }
 
 /// The pending events and the push counter, kept apart from the workers
@@ -118,6 +127,7 @@ struct Agenda {
     /// Events pushed so far; the last push's key `major`.
     seq: u64,
     popped: u64,
+    cancelled: u64,
 }
 
 /// A FIFO of events that come due in push order.
@@ -140,6 +150,11 @@ impl Lane {
     }
 }
 
+/// A worker id as an event carries it.
+fn narrow(g: usize) -> u32 {
+    u32::try_from(g).expect("worker id fits in 32 bits")
+}
+
 /// `true` if `a` is a key that pops before `b` (or `b` is empty).
 fn before(a: Option<EventKey>, b: Option<EventKey>) -> bool {
     a.is_some_and(|a| b.is_none_or(|b| a < b))
@@ -152,21 +167,32 @@ impl Agenda {
             boots: Lane::default(),
             seq: 0,
             popped: 0,
+            cancelled: 0,
         }
     }
 
-    /// Schedules `ev` at `time`, after everything pushed before it.
-    fn push(&mut self, time: SimTime, ev: Event) {
+    /// Schedules `ev` at `time`, after everything pushed before it, and
+    /// returns its handle; a boot, in the lane, has none.
+    fn push(&mut self, time: SimTime, ev: Event) -> Option<EventHandle> {
         self.seq += 1;
         let key = EventKey::new(time, self.seq, 0);
         match ev {
             Event::BootDone { .. } => self.boots.push(key, ev),
-            _ => self.heap.push(key, ev),
+            _ => return Some(self.heap.push(key, ev)),
         }
+        None
+    }
+
+    /// Cancels the pending event `handle` names, which `kept_for` must
+    /// accept (checked in release builds too: a stale handle names a stranger).
+    fn cancel(&mut self, handle: EventHandle, kept_for: impl FnOnce(&Event) -> bool) {
+        let ev = self.heap.cancel(handle);
+        assert!(kept_for(&ev), "{handle:?} now names {ev:?}");
+        self.cancelled += 1;
     }
 
     /// The smallest pending key.
-    fn peek_key(&self) -> Option<EventKey> {
+    fn peek_key(&mut self) -> Option<EventKey> {
         let (heap, boots) = (self.heap.peek_key(), self.boots.peek_key());
         if before(boots, heap) {
             boots
@@ -186,7 +212,7 @@ impl Agenda {
         next
     }
 
-    /// Events pushed and not yet popped, in the heap and the lane.
+    /// Events pending in the heap and the lane.
     fn pending(&self) -> usize {
         self.heap.len() + self.boots.0.len()
     }
@@ -420,25 +446,26 @@ impl<'a> EventLoop<'a> {
                     _ => break,
                 },
             }
-            let audit = &mut self.observers.audit;
-            audit.check(self.now, &self.workers, &self.ledger, &self.index);
+            self.audit_sweep();
         }
         self.now = self.cutoff;
         self.censor_remaining();
     }
 
+    /// One audit sweep opportunity ([`Auditor::check`]).
+    fn audit_sweep(&mut self) {
+        let (now, audit, heap) = (self.now, &mut self.observers.audit, &self.agenda.heap);
+        let finish_of = |h| heap.get(h).and_then(Event::finish_of);
+        audit.check(now, &self.workers, &self.ledger, &self.index, finish_of);
+    }
+
     fn handle(&mut self, ev: Event) {
         match ev {
-            Event::WindowExpire { model, strict, seq } => {
+            Event::WindowExpire { model, strict } => {
                 self.stats.expiries += 1;
-                // Stale when the batch filled before its window ended.
-                let stale = self
-                    .accumulators
-                    .get(&(model, strict))
-                    .is_none_or(|acc| acc.seal_seq != seq);
-                if !stale {
-                    self.seal_batch((model, strict));
-                }
+                let acc = self.accumulators.get_mut(&(model, strict));
+                acc.expect("an armed window has its batch").window = None;
+                self.seal_batch((model, strict));
             }
             Event::MonitorTick => self.on_monitor_tick(),
             Event::RevocationCheck { worker } => self.on_revocation_check(worker),
@@ -449,15 +476,11 @@ impl<'a> EventLoop<'a> {
                 worker,
                 model,
                 vm_epoch,
-            } => self.on_boot_done(worker, model, vm_epoch),
-            Event::JobFinish {
-                worker,
-                slice,
-                job,
-                generation,
-                epoch,
-            } => self.on_job_finish(worker as usize, usize::from(slice), job, generation, epoch),
-            Event::ReconfigDone { worker, epoch } => self.on_reconfig_done(worker, epoch),
+            } => self.on_boot_done(worker as usize, model, vm_epoch),
+            Event::JobFinish { worker, slice, job } => {
+                self.on_job_finish(worker as usize, usize::from(slice), job)
+            }
+            Event::ReconfigDone { worker } => self.on_reconfig_done(worker),
         }
     }
 
@@ -465,7 +488,8 @@ impl<'a> EventLoop<'a> {
 
     /// Adds `run` to its accumulator in chunks of up to the batch size,
     /// sealing each batch it fills. Only a chunk that opens a batch and
-    /// leaves it open arms its window, so a whole-batch arrival arms none.
+    /// leaves it open arms its window, so a whole-batch arrival arms none;
+    /// a later chunk that fills the batch cancels it.
     fn dispatch(&mut self, run: Run) {
         self.stats.arrivals += u64::from(run.len);
         let batch_size = run.model.profile().batch_size;
@@ -479,24 +503,22 @@ impl<'a> EventLoop<'a> {
             if acc.len() >= batch_size {
                 self.seal_batch(key);
             } else if opened {
-                let seq = acc.seal_seq;
-                self.agenda.push(
-                    self.now + BATCH_WINDOW,
-                    Event::WindowExpire {
-                        model: key.0,
-                        strict: key.1,
-                        seq,
-                    },
-                );
+                let (model, strict) = key;
+                let expire = Event::WindowExpire { model, strict };
+                acc.window = self.agenda.push(self.now + BATCH_WINDOW, expire);
             }
         }
     }
 
+    /// Seals the open batch of `key`, cancelling its window if armed.
     fn seal_batch(&mut self, key: (ModelId, bool)) {
-        let runs = match self.accumulators.get_mut(&key) {
-            Some(acc) if !acc.is_empty() => acc.seal(),
-            _ => return,
-        };
+        let acc = self.accumulators.get_mut(&key).expect("an open batch");
+        if let Some(h) = acc.window.take() {
+            let (model, strict) = key;
+            self.agenda
+                .cancel(h, |e| *e == Event::WindowExpire { model, strict });
+        }
+        let runs = acc.seal();
         let id = BatchId(self.next_batch_id);
         self.next_batch_id += 1;
         let batch = Batch {
@@ -553,7 +575,7 @@ impl<'a> EventLoop<'a> {
                 self.agenda.push(
                     self.now + self.config.cold_start,
                     Event::BootDone {
-                        worker: g,
+                        worker: narrow(g),
                         model,
                         vm_epoch,
                     },
@@ -579,30 +601,25 @@ impl<'a> EventLoop<'a> {
         }
     }
 
-    fn on_job_finish(&mut self, g: usize, slice: usize, job: JobId, generation: u64, epoch: u64) {
-        let w = &mut self.workers[g];
-        let status = w.finish_event(slice, generation, epoch);
-        if status != FinishEvent::Live {
-            self.stats.stale_finish_events += 1;
-            self.stats.stale_finish_superseded += u64::from(status == FinishEvent::Superseded);
-            return;
-        }
+    fn on_job_finish(&mut self, g: usize, slice: usize, job: JobId) {
         let now = self.now;
-        let (finished, next) = match w.gpu.slice_mut(slice).finish(now, job) {
+        let w = &mut self.workers[g];
+        let s = w.gpu.slice_mut(slice);
+        // The event just popped was the slice's armed one.
+        s.armed = None;
+        let (finished, next) = match s.finish(now, job) {
             Ok(ok) => ok,
-            Err(_) => {
-                // Stale in a way the generation missed. The slice's
-                // membership (and generation) did not change, so the
-                // event just consumed was its only live one — re-arm it
-                // or the residents would never finish.
-                self.stats.stale_finish_events += 1;
+            Err(e) => {
+                let msg = || format!("worker {g} slice {slice}: its armed finish failed: {e}");
+                self.observers.audit.report(now, msg);
+                // Membership did not change: re-arm, or no resident finishes.
                 if let Some(c) = w.gpu.slice(slice).next_completion(now) {
                     self.arm_finish(g, slice, c);
                 }
                 return;
             }
         };
-        // Re-arm the slice's single live finish event for the jobs still
+        // Re-arm the slice's single finish event for the jobs still
         // resident (the all-jobs discipline would have re-pushed each),
         // whatever becomes of the finished one.
         self.stats.finish_events_all_jobs += w.gpu.slice(slice).job_count() as u64;
@@ -611,7 +628,9 @@ impl<'a> EventLoop<'a> {
         }
         let batch_id = BatchId(finished.spec.id.0);
         let Some(running) = self.workers[g].finish_running(batch_id, now) else {
-            self.observers.audit.not_running(now, batch_id, g);
+            let msg =
+                || format!("batch {batch_id:?} finished on worker {g}, where it was not running");
+            self.observers.audit.report(now, msg);
             return;
         };
         self.emit(JournalEvent::BatchFinished {
@@ -623,18 +642,25 @@ impl<'a> EventLoop<'a> {
         self.try_place(g);
     }
 
-    /// Arms the one live `JobFinish` of worker `g`'s `slice`, for its
-    /// next completion `c`.
+    /// Arms the one `JobFinish` of worker `g`'s `slice`, for its next
+    /// completion `c`, in place of the one it supersedes.
     fn arm_finish(&mut self, g: usize, slice: usize, c: Completion) {
+        self.disarm(g, slice);
         self.stats.finish_events_pushed += 1;
         let finish = Event::JobFinish {
-            worker: u32::try_from(g).expect("worker id fits in 32 bits"),
+            worker: narrow(g),
             slice: u16::try_from(slice).expect("slice index fits in 16 bits"),
             job: c.job,
-            generation: c.generation,
-            epoch: self.workers[g].epoch,
         };
-        self.agenda.push(c.at, finish);
+        self.workers[g].gpu.slice_mut(slice).armed = self.agenda.push(c.at, finish);
+    }
+
+    /// Cancels the armed `JobFinish` of worker `g`'s `slice`, if any.
+    fn disarm(&mut self, g: usize, slice: usize) {
+        if let Some(h) = self.workers[g].gpu.slice_mut(slice).armed.take() {
+            self.stats.stale_finish_events += 1;
+            self.agenda.cancel(h, |e| e.finish_of() == Some((g, slice)));
+        }
     }
 
     fn record_batch_completion(&mut self, g: usize, running: &RunningBatch) {
@@ -721,7 +747,12 @@ impl<'a> EventLoop<'a> {
                 for i in (first..end).filter(|_| audit) {
                     if w.offer(&view, now, true) == (Offer::Skip { contradicted: true }) {
                         let id = w.sched_queue.lane(lane)[i].1.id;
-                        self.observers.audit.memo_contradicted(now, id, g);
+                        self.observers.audit.report(now, || {
+                            format!(
+                                "batch {id:?} on worker {g}: place chose a slice for a view \
+                                 it declined under the same slice state"
+                            )
+                        });
                     }
                 }
                 left -= end - pos - 1;
@@ -746,9 +777,13 @@ impl<'a> EventLoop<'a> {
         let (id, view) = (batch.id, batch.view());
         let slices = self.workers[g].gpu.slices().len();
         if p.slice >= slices {
-            self.observers
-                .audit
-                .slice_out_of_range(now, id, g, p.slice, slices);
+            self.observers.audit.report(now, || {
+                format!(
+                    "batch {id:?} on worker {g}: place chose slice {} \
+                     of a geometry with {slices} slices",
+                    p.slice
+                )
+            });
             return false;
         }
         let profile = view.model.profile();
@@ -789,10 +824,8 @@ impl<'a> EventLoop<'a> {
             solo_on_slice_ms: solo.as_millis_f64(),
             solo_7g_ms: profile.solo_7g.as_millis_f64() * fill_factor * jitter,
         });
-        // One live finish event per slice: the admit bumped the
-        // generation, so whatever event was armed before is now
-        // stale. The all-jobs discipline would have re-pushed
-        // every resident here.
+        // The admit moved every resident's completion, so the slice's
+        // finish is re-armed; the all-jobs discipline re-pushed each.
         self.stats.finish_events_all_jobs += w.gpu.slice(p.slice).job_count() as u64;
         self.arm_finish(g, p.slice, next);
         self.emit(JournalEvent::BatchPlaced {
@@ -807,28 +840,23 @@ impl<'a> EventLoop<'a> {
         let w = &mut self.workers[g];
         if matches!(w.gpu.state(), protean_gpu::GpuState::Draining { .. }) && w.gpu.is_idle() {
             if let Ok(until) = w.gpu.try_begin_reconfigure(self.now) {
-                let epoch = w.epoch;
-                self.agenda
-                    .push(until, Event::ReconfigDone { worker: g, epoch });
+                w.reconfig = self.agenda.push(until, Event::ReconfigDone { worker: g });
             }
         }
     }
 
-    fn on_reconfig_done(&mut self, g: usize, epoch: u64) {
+    fn on_reconfig_done(&mut self, g: usize) {
         let w = &mut self.workers[g];
-        if w.epoch != epoch {
-            return; // VM replaced while reconfiguring
-        }
-        if w.gpu.complete_reconfigure(self.now).is_ok() {
-            w.epoch += 1;
-            let geometry = w.gpu.geometry().to_string();
-            self.emit(JournalEvent::Reconfigured {
-                worker: g,
-                geometry,
-            });
-            self.refresh_index(g);
-            self.try_place(g);
-        }
+        w.reconfig = None;
+        let done = w.gpu.complete_reconfigure(self.now);
+        done.expect("a pending reconfiguration completes at its event");
+        let geometry = w.gpu.geometry().to_string();
+        self.emit(JournalEvent::Reconfigured {
+            worker: g,
+            geometry,
+        });
+        self.refresh_index(g);
+        self.try_place(g);
     }
 
     // ---- monitor ----------------------------------------------------
@@ -846,11 +874,11 @@ impl<'a> EventLoop<'a> {
                 agenda.push(
                     now + config.cold_start,
                     Event::BootDone {
-                        worker: g,
+                        worker: narrow(g),
                         model,
                         vm_epoch,
                     },
-                )
+                );
             });
             if let Some(geometry) = desired {
                 let changed = geometry != *self.workers[g].gpu.geometry();
@@ -901,16 +929,14 @@ impl<'a> EventLoop<'a> {
 
     fn procure_replacement(&mut self, g: usize) {
         let granted = self.market.try_acquire_spot(self.now, g);
-        match self.config.procurement.replacement_tier(granted) {
-            Some(tier) => self.agenda.push(
-                self.now + self.config.vm_startup,
-                Event::VmReady { worker: g, tier },
-            ),
-            None => self.agenda.push(
-                self.now + self.config.procurement_retry,
+        let (delay, ev) = match self.config.procurement.replacement_tier(granted) {
+            Some(tier) => (self.config.vm_startup, Event::VmReady { worker: g, tier }),
+            None => (
+                self.config.procurement_retry,
                 Event::ProcurementRetry { worker: g },
             ),
-        }
+        };
+        self.agenda.push(self.now + delay, ev);
     }
 
     fn on_eviction_final(&mut self, g: usize) {
@@ -921,9 +947,16 @@ impl<'a> EventLoop<'a> {
             self.ledger.close(vm, self.now);
         }
         self.emit(JournalEvent::Evicted { worker: g });
+        // The old GPU's pending events die with it.
+        for slice in 0..self.workers[g].gpu.slices().len() {
+            self.disarm(g, slice);
+        }
         let w = &mut self.workers[g];
         let orphans = w.drain_all_batches();
-        w.epoch += 1;
+        if let Some(h) = w.reconfig.take() {
+            let done = Event::ReconfigDone { worker: g };
+            self.agenda.cancel(h, |e| *e == done);
+        }
         match w.pending_vm.take() {
             Some((vm, tier)) => self.install_vm(g, vm, tier),
             None => {
@@ -1091,8 +1124,8 @@ impl<'a> EventLoop<'a> {
         stats.events_popped = agenda.popped;
         assert_eq!(
             stats.events_pushed,
-            stats.events_popped + agenda.pending() as u64,
-            "an event left the agenda without being popped"
+            stats.events_popped + agenda.cancelled + agenda.pending() as u64,
+            "an event left the agenda without being popped or cancelled"
         );
         stats.peak_heap_len = agenda.heap.peak_len();
         stats.index_updates = self.index.updates();
@@ -1479,9 +1512,76 @@ mod tests {
         );
     }
 
+    /// An audited two-worker engine whose workers each run one job on
+    /// slice 0, each with its finish armed.
+    fn two_armed_slices<'a>(
+        config: &'a ClusterConfig,
+        market: &'a mut protean_spot::SpotMarket,
+    ) -> EventLoop<'a> {
+        let mut engine = EventLoop::new(config, &AlwaysLargest, market, &[]);
+        engine.provision_initial_vms();
+        for g in 0..2 {
+            let job = JobSpec {
+                id: JobId(g as u64),
+                solo: SimDuration::from_millis(10.0),
+                fbr: 0.1,
+                mem_gb: 1.0,
+            };
+            let c = engine.workers[g].gpu.slice_mut(0).admit(SimTime::ZERO, job);
+            engine.arm_finish(g, 0, c.unwrap());
+        }
+        engine
+    }
+
+    fn audited() -> (ClusterConfig, protean_spot::SpotMarket) {
+        let mut config = ClusterConfig::small_test();
+        config.audit = true;
+        let rng = RngFactory::new(config.seed);
+        let market = protean_spot::SpotMarket::new(config.availability, rng.stream("spot.market"));
+        (config, market)
+    }
+
     #[test]
-    fn a_slab_slot_is_32_bytes() {
-        assert_eq!(std::mem::size_of::<Option<Event>>(), 32);
+    fn a_corrupt_finish_handle_fails_the_sweep() {
+        let (config, mut market) = audited();
+        let mut engine = two_armed_slices(&config, &mut market);
+        engine.audit_sweep();
+        // Worker 0 keeps worker 1's handle, and worker 1 keeps none.
+        let h = engine.workers[1].gpu.slice_mut(0).armed.take();
+        engine.workers[0].gpu.slice_mut(0).armed = h;
+        engine.audit_sweep();
+        let report = engine.observers.audit.into_report();
+        assert_eq!((report.checks, report.violation_count), (2, 2));
+        assert!(
+            report.violations[0].contains("worker 0 slice 0 with 1 jobs holds armed handle Some")
+                && report.violations[0].ends_with("which names the finish of Some((1, 0))"),
+            "{:?}",
+            report.violations
+        );
+        assert!(
+            report.violations[1].contains("worker 1 slice 0 with 1 jobs holds armed handle None"),
+            "{:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "now names JobFinish { worker: 1")]
+    fn a_re_arm_through_a_corrupt_handle_panics() {
+        let (config, mut market) = audited();
+        let mut engine = two_armed_slices(&config, &mut market);
+        engine.workers[0].gpu.slice_mut(0).armed = engine.workers[1].gpu.slice(0).armed;
+        // Re-arming worker 0's slice cancels the event its handle names.
+        let c = engine.workers[0]
+            .gpu
+            .slice(0)
+            .next_completion(SimTime::ZERO);
+        engine.arm_finish(0, 0, c.unwrap());
+    }
+
+    #[test]
+    fn a_slab_slot_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Event>>(), 16);
     }
 
     #[test]
@@ -1499,16 +1599,15 @@ mod tests {
             model: ModelId::ResNet50,
             vm_epoch: 0,
         };
-        let expiry = |seq| Event::WindowExpire {
+        let expiry = |strict| Event::WindowExpire {
             model: ModelId::ResNet50,
-            strict: true,
-            seq,
+            strict,
         };
         push(&mut agenda, 8.0, boot(0));
         push(&mut agenda, 8.0, Event::MonitorTick);
         push(&mut agenda, 3.0, Event::EvictionFinal { worker: 1 });
         // A boot and two heap events, one a window expiry, tie at 8 ms.
-        push(&mut agenda, 8.0, expiry(0));
+        push(&mut agenda, 8.0, expiry(true));
         push(&mut agenda, 8.0, boot(2));
         push(&mut agenda, 9.0, Event::EvictionFinal { worker: 3 });
         let mut popped = Vec::new();
@@ -1518,22 +1617,29 @@ mod tests {
         };
         pop(&mut agenda);
         pop(&mut agenda);
-        push(
-            &mut agenda,
-            8.0,
-            Event::ReconfigDone {
-                worker: 4,
-                epoch: 0,
-            },
+        push(&mut agenda, 8.0, Event::ReconfigDone { worker: 4 });
+        push(&mut agenda, 9.0, expiry(false));
+        // A cancelled event never pops.
+        let h = agenda.push(
+            SimTime::from_millis(8.5),
+            Event::EvictionFinal { worker: 5 },
         );
-        push(&mut agenda, 9.0, expiry(1));
-        assert_eq!(agenda.seq, agenda.popped + agenda.pending() as u64);
-        assert_eq!((agenda.popped, agenda.pending()), (2, 6));
+        agenda.cancel(h.unwrap(), |e| {
+            matches!(e, Event::EvictionFinal { worker: 5 })
+        });
+        assert_eq!(
+            agenda.seq,
+            agenda.popped + agenda.cancelled + agenda.pending() as u64
+        );
+        assert_eq!(
+            (agenda.popped, agenda.cancelled, agenda.pending()),
+            (2, 1, 6)
+        );
         while agenda.pending() > 0 {
             pop(&mut agenda);
         }
         assert!(agenda.pop().is_none());
-        assert_eq!(agenda.seq, agenda.popped);
+        assert_eq!(agenda.seq, agenda.popped + 1);
         for (_, major, ev) in &popped {
             assert_eq!(*ev, pushed[*major as usize]);
         }
@@ -1601,10 +1707,10 @@ mod tests {
             [(ms(10.0), 4), (ms(10.0), 4), (ms(60.0), 1)]
         );
         assert_eq!(r.stats.arrivals, 9);
-        // The window opened at 0 ms pops stale, the chunk that opens and
-        // fills the second batch arms none, and the leftover's window
-        // seals it at 60 ms.
-        assert_eq!((r.stats.expiries, r.stats.dispatch_batches), (2, 3));
+        // The window opened at 0 ms is cancelled when the batch fills,
+        // the chunk that opens and fills the second batch arms none, and
+        // the leftover's window seals it at 60 ms.
+        assert_eq!((r.stats.expiries, r.stats.dispatch_batches), (1, 3));
     }
 
     #[test]

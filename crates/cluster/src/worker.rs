@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use protean_gpu::{Geometry, Gpu};
 use protean_models::ModelId;
-use protean_sim::{Ewma, RngFactory, SimRng, SimTime, SlimPush};
+use protean_sim::{EventHandle, Ewma, RngFactory, SimRng, SimTime, SlimPush};
 use protean_spot::{VmId, VmTier};
 
 use crate::batch::{Batch, BatchId};
@@ -252,17 +252,6 @@ pub(crate) enum Offer {
     Skip { contradicted: bool },
 }
 
-/// Whether a popped `JobFinish` event is the live one of its slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FinishEvent {
-    /// Armed for the slice's current membership: handle it.
-    Live,
-    /// Same GPU, but a later admit or finish on the slice re-armed it.
-    Superseded,
-    /// The GPU was rebuilt since (reconfiguration or VM replacement).
-    Retired,
-}
-
 /// One worker node: a VM slot with one GPU and the serving pipeline.
 ///
 /// Per-model state and running batches are private and kept in a fixed
@@ -275,9 +264,8 @@ pub enum FinishEvent {
 /// border the VM lifecycle fields, which trail.
 #[repr(C)]
 pub struct Worker {
-    /// Bumped on every GPU rebuild (reconfiguration or VM replacement);
-    /// stale completion events carry an older epoch.
-    pub epoch: u64,
+    /// The pending `ReconfigDone` of a reconfiguration that has begun.
+    pub(crate) reconfig: Option<EventHandle>,
     /// Requests assigned to this worker and not yet completed (load
     /// metric for the dispatcher).
     pub outstanding: u64,
@@ -307,8 +295,8 @@ pub struct Worker {
     pub gpu: Gpu,
     /// Bumped only on VM replacement, never on reconfiguration.
     /// Container boots survive a MIG reconfig (containers live in host
-    /// memory) but not a VM replacement, so `BootDone` events validate
-    /// against this counter rather than `epoch`.
+    /// memory) but not a VM replacement, so a `BootDone` event, which
+    /// waits in a lane that cannot cancel, checks this counter.
     pub vm_epoch: u64,
     /// Backing VM (id, tier) when up or evicting.
     pub vm: Option<(VmId, VmTier)>,
@@ -342,7 +330,7 @@ impl Worker {
         );
         let reorders = scheme.reorders();
         Worker {
-            epoch: 0,
+            reconfig: None,
             outstanding: 0,
             status: WorkerStatus::Up,
             models: Vec::new(),
@@ -372,21 +360,6 @@ impl Worker {
     /// state cached by [`crate::dispatch::DispatchIndex`].
     pub fn dispatch_state(&self) -> (bool, bool, u64) {
         (self.routable(), self.gpu.accepting(), self.outstanding)
-    }
-
-    /// Re-validates a popped `JobFinish` event: the worker's GPU must
-    /// not have been rebuilt since the event was armed (`epoch`), the
-    /// slice must still exist, and its membership must be unchanged
-    /// (`generation`). The engine keeps one live finish event per slice;
-    /// anything not [`FinishEvent::Live`] is stale and gets dropped.
-    pub fn finish_event(&self, slice: usize, generation: u64, epoch: u64) -> FinishEvent {
-        if self.epoch != epoch || slice >= self.gpu.slices().len() {
-            FinishEvent::Retired
-        } else if self.gpu.slice(slice).generation() != generation {
-            FinishEvent::Superseded
-        } else {
-            FinishEvent::Live
-        }
     }
 
     /// Offers a queued batch to the scheme, unless the scheme already
@@ -565,8 +538,8 @@ impl Worker {
     }
 
     /// Rebuilds the GPU (VM replacement): fresh geometry, empty pools
-    /// (window demand is kept). Bumps both epochs — in-flight `JobFinish`
-    /// *and* `BootDone` events from the old VM are stale after this.
+    /// (window demand is kept). Bumps `vm_epoch`: in-flight `BootDone`
+    /// events from the old VM are stale after this.
     pub fn reset_runtime(&mut self, now: SimTime) {
         self.gpu = Gpu::new(
             protean_gpu::GpuId(self.idx as u32),
@@ -574,7 +547,6 @@ impl Worker {
             self.scheme.sharing_mode(),
             now,
         );
-        self.epoch += 1;
         self.vm_epoch += 1;
         // The fresh GPU restarts its version count.
         self.forget_declines();
@@ -773,7 +745,7 @@ mod tests {
         let mut audit = crate::audit::Auditor::new(true, 1);
         let ledger = protean_spot::VmLedger::new(protean_spot::Provider::Aws);
         let index = crate::dispatch::DispatchIndex::new(1);
-        audit.check(SimTime::ZERO, &fleet, &ledger, &index);
+        audit.check(SimTime::ZERO, &fleet, &ledger, &index, |_| None);
         let report = audit.into_report();
         let broken = "worker 3 scheduler queue: lane 0 overhung by 1";
         assert!(
@@ -1033,9 +1005,9 @@ mod tests {
     #[test]
     fn reset_runtime_bumps_epoch_and_rebuilds_gpu() {
         let mut w = idle_worker();
-        let e0 = w.epoch;
+        let e0 = w.vm_epoch;
         w.reset_runtime(SimTime::from_secs(1.0));
-        assert_eq!(w.epoch, e0 + 1);
+        assert_eq!(w.vm_epoch, e0 + 1);
         assert!(w.gpu.is_idle());
         assert!(w.routable());
     }

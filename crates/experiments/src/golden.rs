@@ -227,7 +227,6 @@ pub fn fingerprint_fields(result: &SimulationResult) -> Vec<(&'static str, Print
         ("finish_events_pushed", s.finish_events_pushed),
         ("finish_events_all_jobs", s.finish_events_all_jobs),
         ("stale_finish_events", s.stale_finish_events),
-        ("stale_finish_superseded", s.stale_finish_superseded),
         ("place_offers", s.place_offers),
         ("place_memo_skips", s.place_memo_skips),
         ("place_lookups", s.place_lookups),

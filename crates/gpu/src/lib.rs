@@ -21,9 +21,9 @@
 //! rate: whenever slice membership changes, every resident job's progress
 //! is advanced at the old slowdown factor and the slice hands back its
 //! *earliest* re-projected completion ([`Slice::next_completion`]) — the
-//! caller arms a single completion event per slice and replaces it on
-//! the next membership change. Events carry a generation counter so
-//! stale completions can be discarded.
+//! caller arms a single completion event per slice, keeps its handle in
+//! the slice ([`Slice::armed`]), and cancels and replaces it on the next
+//! membership change, so no completion event it handles is stale.
 //!
 //! # Example
 //!

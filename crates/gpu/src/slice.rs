@@ -5,10 +5,10 @@
 //! factor (Eq. 1): all resident jobs progress at rate `1 / slowdown`,
 //! and the slowdown changes whenever slice membership changes. On each
 //! membership change the slice hands back its **earliest** projected
-//! completion ([`Slice::next_completion`]), tagged with a generation
-//! counter so stale events can be discarded: the caller keeps at most
-//! one live completion event per slice and re-arms it whenever
-//! membership changes, instead of re-projecting every resident job.
+//! completion ([`Slice::next_completion`]): the caller keeps at most one
+//! armed completion event per slice, keeps its handle in
+//! [`Slice::armed`], and cancels and re-arms it whenever membership
+//! changes, instead of re-projecting every resident job.
 //! [`Slice::project_completions`] still exposes the full projection set
 //! for diagnostics and tests.
 //!
@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use protean_sim::{Accumulator, SimDuration, SimTime, SlimPush};
+use protean_sim::{Accumulator, EventHandle, SimDuration, SimTime, SlimPush};
 
 use crate::interference::slowdown_factor_iter;
 use crate::profile::SliceProfile;
@@ -64,17 +64,14 @@ pub enum SharingMode {
     TimeShared,
 }
 
-/// A projected job completion, tagged with the slice generation at which
-/// the projection was made. A completion is only valid while the slice's
-/// [`Slice::generation`] still equals `generation`.
+/// A projected job completion. It holds until the slice's membership
+/// next changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// The job that will complete.
     pub job: JobId,
     /// Projected completion instant.
     pub at: SimTime,
-    /// Slice generation the projection belongs to.
-    pub generation: u64,
 }
 
 /// Error returned by [`Slice::admit`].
@@ -116,8 +113,8 @@ impl std::error::Error for AdmitError {}
 pub enum FinishError {
     /// No resident job has the given id.
     UnknownJob(JobId),
-    /// The job exists but still has work remaining (the completion event
-    /// that triggered this call was stale).
+    /// The job exists but still has work remaining (the completion it
+    /// was called for was not the slice's current projection).
     NotDone(JobId),
 }
 
@@ -177,7 +174,8 @@ pub struct Slice {
     mode: SharingMode,
     running: Vec<Running>,
     last_advance: SimTime,
-    generation: u64,
+    /// The caller's armed completion event, if any; the slice never reads it.
+    pub armed: Option<EventHandle>,
     busy: Accumulator,
     mem: Accumulator,
     /// Cached Σ `fbr_share` over resident jobs; equals the left-fold sum
@@ -195,7 +193,7 @@ impl Slice {
             mode,
             running: Vec::new(),
             last_advance: now,
-            generation: 0,
+            armed: None,
             busy: Accumulator::new(now),
             mem: Accumulator::new(now),
             fbr_share_sum: 0.0,
@@ -211,12 +209,6 @@ impl Slice {
     /// The slice's sharing mode.
     pub fn mode(&self) -> SharingMode {
         self.mode
-    }
-
-    /// The current generation; completions from earlier generations are
-    /// stale.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Memory currently occupied by resident jobs, in GB.
@@ -293,8 +285,8 @@ impl Slice {
     }
 
     /// Admits a job at `now` and returns the slice's **earliest**
-    /// projected completion (previous projections become stale — the
-    /// caller replaces its single live completion event for this slice).
+    /// projected completion (previous projections no longer hold — the
+    /// caller replaces its single armed completion event for this slice).
     ///
     /// # Errors
     ///
@@ -330,7 +322,7 @@ impl Slice {
             .expect("slice just admitted a job"))
     }
 
-    /// Completes `job` at `now` (which must match a live completion
+    /// Completes `job` at `now` (which must match the slice's current
     /// projection) and returns the finished job plus the earliest
     /// projection among the jobs still resident (`None` if the slice is
     /// now idle).
@@ -338,9 +330,7 @@ impl Slice {
     /// # Errors
     ///
     /// * [`FinishError::UnknownJob`] if the job is not resident.
-    /// * [`FinishError::NotDone`] if the job still has work remaining —
-    ///   the triggering event was stale and should have been discarded
-    ///   via [`Slice::generation`].
+    /// * [`FinishError::NotDone`] if the job still has work remaining.
     pub fn finish(
         &mut self,
         now: SimTime,
@@ -393,7 +383,6 @@ impl Slice {
     }
 
     fn after_membership_change(&mut self, now: SimTime) {
-        self.generation += 1;
         self.busy
             .set_level(now, if self.running.is_empty() { 0.0 } else { 1.0 });
         self.mem.set_level(now, self.mem_used_gb());
@@ -413,7 +402,6 @@ impl Slice {
                 Completion {
                     job: r.spec.id,
                     at: now + SimDuration::from_micros((r.remaining_us * sd).ceil() as u64),
-                    generation: self.generation,
                 }
             })
             .collect()
@@ -433,11 +421,7 @@ impl Slice {
             let sd = self.job_slowdown(&r.spec, total, n);
             let at = now + SimDuration::from_micros((r.remaining_us * sd).ceil() as u64);
             if best.is_none_or(|b| at < b.at) {
-                best = Some(Completion {
-                    job: r.spec.id,
-                    at,
-                    generation: self.generation,
-                });
+                best = Some(Completion { job: r.spec.id, at });
             }
         }
         best
@@ -625,16 +609,6 @@ mod tests {
             s.finish(SimTime::from_millis(10.0), JobId(2)),
             Err(FinishError::UnknownJob(JobId(2)))
         );
-    }
-
-    #[test]
-    fn generation_increments_on_membership_changes() {
-        let mut s = Slice::new(SliceProfile::G7, SharingMode::Mps, SimTime::ZERO);
-        let g0 = s.generation();
-        let c = s.admit(SimTime::ZERO, spec(1, 100.0, 0.2, 1.0)).unwrap();
-        assert_eq!(c.generation, g0 + 1);
-        s.finish(c.at, JobId(1)).unwrap();
-        assert_eq!(s.generation(), g0 + 2);
     }
 
     #[test]

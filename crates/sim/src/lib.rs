@@ -9,7 +9,8 @@
 //!   cluster engine runs: a 4-ary min-heap of 16-byte packed keys over a
 //!   slab of payloads, ordered by an explicit [`EventKey`]
 //!   `(time, major)`, so that events at the same instant pop in a
-//!   deterministic, caller-chosen order.
+//!   deterministic, caller-chosen order. A push returns an
+//!   [`EventHandle`] that cancels the event while it is pending.
 //! * [`rng`] — seeded, labelled random-number streams so that independent
 //!   stochastic processes (arrivals, evictions, model rotation, …) can be
 //!   re-run bit-for-bit identically and varied independently.
@@ -46,7 +47,7 @@ pub mod slim;
 pub mod time;
 
 pub use ewma::Ewma;
-pub use queue::{EventKey, KeyedEventQueue};
+pub use queue::{EventHandle, EventKey, KeyedEventQueue};
 pub use rng::{RngFactory, SimRng};
 pub use series::{Accumulator, TimeSeries};
 pub use slim::SlimPush;

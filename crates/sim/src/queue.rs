@@ -16,6 +16,11 @@
 //! more slots than the queue's peak length. At 51,745 pending events
 //! (the 50,000-worker fleet's peak) the heap is 0.8 MB, small enough to
 //! share the cache with the cluster engine's dispatch index.
+//!
+//! A push returns the event's [`EventHandle`], its slab slot, which
+//! [`KeyedEventQueue::cancel`] empties. The entry leaves the heap when it
+//! reaches the root, and only then is the slot reused, so a handle names
+//! one event for as long as that event is pending.
 
 use crate::time::SimTime;
 
@@ -56,17 +61,25 @@ const MAJOR_BITS: u32 = 64 - SLOT_BITS;
 /// Children per heap node.
 const ARITY: usize = 4;
 
+/// A pending event's slab slot, returned by [`KeyedEventQueue::push`]
+/// and taken by [`KeyedEventQueue::cancel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventHandle(u32);
+
 /// A priority queue of [`EventKey`]-stamped events that pops in
 /// `(time, major)` order; see the [module docs](self).
 #[derive(Debug)]
 pub struct KeyedEventQueue<E> {
-    /// Packed entries in heap order.
+    /// Packed entries in heap order, cancelled ones included.
     keys: Vec<u128>,
-    /// Payloads, addressed by the slot in each entry's low bits.
+    /// Payloads, addressed by the slot in each entry's low bits; `None`
+    /// for a vacant slot or a cancelled event.
     slab: Vec<Option<E>>,
     /// Vacant slab slots, reused before the slab grows.
     free: Vec<u32>,
-    /// The largest length ever reached.
+    /// Cancelled entries still in the heap.
+    cancelled: usize,
+    /// The most entries the heap ever held.
     peak_len: usize,
 }
 
@@ -160,18 +173,19 @@ impl<E> KeyedEventQueue<E> {
             keys: Vec::new(),
             slab: Vec::new(),
             free: Vec::new(),
+            cancelled: 0,
             peak_len: 0,
         }
     }
 
-    /// Schedules `event` under `key`.
+    /// Schedules `event` under `key` and returns its handle.
     ///
     /// # Panics
     ///
     /// If `key.minor` is not 0, `key.major` is `2^40` or more, or the
-    /// queue already holds `2^24` events.
+    /// heap already holds `2^24` entries.
     #[inline]
-    pub fn push(&mut self, key: EventKey, event: E) {
+    pub fn push(&mut self, key: EventKey, event: E) -> EventHandle {
         let slot = self.free.pop().map_or(self.slab.len(), |s| s as usize);
         let entry = pack(key, slot);
         if slot < self.slab.len() {
@@ -181,11 +195,26 @@ impl<E> KeyedEventQueue<E> {
         }
         sift_up(&mut self.keys, entry);
         self.peak_len = self.peak_len.max(self.keys.len());
+        EventHandle(slot as u32)
     }
 
-    /// Removes and returns the event with the smallest key.
+    /// Unschedules the pending event `handle` names and returns it; its
+    /// entry leaves the heap at the root. Panics if it is not pending.
     #[inline]
-    pub fn pop(&mut self) -> Option<(EventKey, E)> {
+    pub fn cancel(&mut self, handle: EventHandle) -> E {
+        self.cancelled += 1;
+        let event = self.slab[handle.0 as usize].take();
+        event.expect("cancel of an event that is not pending")
+    }
+
+    /// The event `handle` names, if it is pending.
+    pub fn get(&self, handle: EventHandle) -> Option<&E> {
+        self.slab.get(handle.0 as usize)?.as_ref()
+    }
+
+    /// Removes the root entry and frees its slot.
+    #[inline]
+    fn remove_root(&mut self) -> Option<u128> {
         let last = self.keys.pop()?;
         let top = match self.keys.first() {
             Some(&top) => {
@@ -194,31 +223,45 @@ impl<E> KeyedEventQueue<E> {
             }
             None => last,
         };
-        let slot = slot_of(top);
-        self.free.push(slot);
-        let event = self.slab[slot as usize].take().expect("live slab slot");
-        Some((key_of(top), event))
+        self.free.push(slot_of(top));
+        Some(top)
     }
 
-    /// The smallest pending key without removing its event.
+    /// Removes and returns the pending event with the smallest key.
     #[inline]
-    pub fn peek_key(&self) -> Option<EventKey> {
-        self.keys.first().map(|&e| key_of(e))
+    pub fn pop(&mut self) -> Option<(EventKey, E)> {
+        let key = self.peek_key()?;
+        let slot = slot_of(self.remove_root()?);
+        Some((key, self.slab[slot as usize].take().expect("pending root")))
     }
 
-    /// The largest number of pending events ever reached.
+    /// The smallest pending key without removing its event. Cancelled
+    /// entries that lead the heap leave it here.
+    #[inline]
+    pub fn peek_key(&mut self) -> Option<EventKey> {
+        while let Some(&top) = self.keys.first() {
+            if self.slab[slot_of(top) as usize].is_some() {
+                return Some(key_of(top));
+            }
+            self.remove_root();
+            self.cancelled -= 1;
+        }
+        None
+    }
+
+    /// The most entries the heap ever held, cancelled ones included.
     pub fn peak_len(&self) -> usize {
         self.peak_len
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.keys.len() - self.cancelled
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len() == 0
     }
 }
 
@@ -275,6 +318,43 @@ mod tests {
         KeyedEventQueue::new().push(EventKey::new(SimTime::ZERO, 1, 1), ());
     }
 
+    #[test]
+    fn a_cancelled_event_never_surfaces_and_keeps_its_slot_until_its_entry_leaves() {
+        let mut q = KeyedEventQueue::new();
+        let key = |at, major| EventKey::new(SimTime::from_micros(at), major, 0);
+        let first = q.push(key(1, 1), "first");
+        let second = q.push(key(2, 2), "second");
+        q.push(key(3, 3), "third");
+        assert_eq!(q.cancel(first), "first");
+        assert_eq!((q.get(first), q.get(second)), (None, Some(&"second")));
+        assert_eq!(q.len(), 2);
+        // The cancelled entry still holds its slot, so a push takes a
+        // fresh one.
+        let fourth = q.push(key(0, 4), "fourth");
+        assert_eq!((fourth, q.slab.len()), (EventHandle(3), 4));
+        assert_eq!(q.peek_key(), Some(key(0, 4)));
+        assert_eq!(q.pop(), Some((key(0, 4), "fourth")));
+        // The cancelled entry leads now: the peek drops it and frees its
+        // slot, which the next push reuses.
+        assert_eq!(q.peek_key(), Some(key(2, 2)));
+        assert_eq!(q.push(key(5, 5), "fifth"), first);
+        assert_eq!(q.cancel(second), "second");
+        assert_eq!(q.peek_key(), Some(key(3, 3)));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["third", "fifth"]);
+        assert!(q.is_empty());
+        assert_eq!(q.peak_len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "cancel of an event that is not pending")]
+    fn a_popped_event_cannot_be_cancelled() {
+        let mut q = KeyedEventQueue::new();
+        let handle = q.push(EventKey::new(SimTime::ZERO, 1, 0), ());
+        q.pop();
+        q.cancel(handle);
+    }
+
     proptest! {
         /// Keyed pops are a total order on `(time, major)`.
         #[test]
@@ -292,49 +372,61 @@ mod tests {
             }
         }
 
-        /// Pushes, pops and holds (pop one, push one later, as `perf`'s
-        /// probe does) at a handful of distinct times hand back exactly
-        /// the payloads of a sorted reference, in its `(time, major)`
-        /// order, and the slab never outgrows the queue's peak length.
+        /// Pushes, pops, holds (pop one, push one later, as `perf`'s
+        /// probe does) and cancels at a handful of distinct times hand
+        /// back exactly the payloads of a sorted reference that drops
+        /// each cancelled key, in its `(time, major)` order, and the slab
+        /// never outgrows the heap's peak length.
         #[test]
         fn prop_pops_follow_time_then_push_order(
-            ops in proptest::collection::vec((0u64..6, 0u32..4), 1..400),
+            ops in proptest::collection::vec((0u64..6, 0u32..6), 1..400),
         ) {
             let mut q = KeyedEventQueue::new();
-            let mut model: BTreeMap<(u64, u64), String> = BTreeMap::new();
+            let mut model: BTreeMap<(u64, u64), (String, EventHandle)> = BTreeMap::new();
             let mut major = 0;
             let mut peak = 0;
+            let pop = |q: &mut KeyedEventQueue<String>| {
+                q.pop().map(|(k, e)| ((k.time.as_micros(), k.major), e))
+            };
             for (time, op) in ops {
-                // Two pushes to every pop or hold, so the heap grows
-                // several levels.
-                let at = if op < 2 {
-                    Some(time)
-                } else {
-                    let want = model.pop_first();
-                    prop_assert_eq!(
-                        q.peek_key(),
-                        want.as_ref().map(|&((t, m), _)| EventKey::new(SimTime::from_micros(t), m, 0))
-                    );
-                    let got = q.pop().map(|(k, e)| ((k.time.as_micros(), k.major), e));
-                    prop_assert_eq!(&got, &want);
-                    // A hold pushes one event `time` after the one it popped.
-                    want.filter(|_| op == 3).map(|((t, _), _)| t + time)
+                // Three pushes to every pop, hold or cancel, so the heap
+                // grows several levels.
+                let at = match op {
+                    0..3 => Some(time),
+                    5 => {
+                        // Cancel the pending event `time` picks.
+                        let nth = model.keys().nth(time as usize % model.len().max(1)).copied();
+                        if let Some((_, (name, handle))) = nth.and_then(|k| model.remove_entry(&k)) {
+                            prop_assert_eq!(q.cancel(handle), name);
+                        }
+                        None
+                    }
+                    _ => {
+                        let want = model.pop_first().map(|(k, (name, _))| (k, name));
+                        prop_assert_eq!(
+                            q.peek_key(),
+                            want.as_ref().map(|&((t, m), _)| EventKey::new(SimTime::from_micros(t), m, 0))
+                        );
+                        prop_assert_eq!(&pop(&mut q), &want);
+                        // A hold pushes one event `time` after the one it popped.
+                        want.filter(|_| op == 4).map(|((t, _), _)| t + time)
+                    }
                 };
                 if let Some(t) = at {
                     major += 1;
-                    q.push(EventKey::new(SimTime::from_micros(t), major, 0), format!("ev{major}"));
-                    model.insert((t, major), format!("ev{major}"));
+                    let handle = q.push(EventKey::new(SimTime::from_micros(t), major, 0), format!("ev{major}"));
+                    model.insert((t, major), (format!("ev{major}"), handle));
                 }
                 peak = peak.max(model.len());
                 prop_assert_eq!(q.len(), model.len());
-                prop_assert_eq!(q.slab.len(), peak);
+                prop_assert_eq!(q.slab.len(), q.peak_len());
+                prop_assert!(q.peak_len() >= peak);
             }
-            while let Some(want) = model.pop_first() {
-                let got = q.pop().map(|(k, e)| ((k.time.as_micros(), k.major), e));
-                prop_assert_eq!(got, Some(want));
+            while let Some((k, (name, _))) = model.pop_first() {
+                prop_assert_eq!(pop(&mut q), Some((k, name)));
             }
             prop_assert_eq!(q.pop(), None);
-            prop_assert_eq!(q.peak_len(), peak);
+            prop_assert!(q.is_empty());
         }
     }
 }

@@ -40,13 +40,8 @@ fn pulse(seed: u64) -> (ClusterConfig, TraceConfig) {
     (config, trace)
 }
 
-fn memo_counters(s: &EngineStats) -> [u64; 4] {
-    [
-        s.place_offers,
-        s.place_memo_skips,
-        s.stale_finish_events,
-        s.stale_finish_superseded,
-    ]
+fn memo_counters(s: &EngineStats) -> [u64; 3] {
+    [s.place_offers, s.place_memo_skips, s.stale_finish_events]
 }
 
 #[test]
@@ -62,8 +57,9 @@ fn overloaded_pulse_skips_declines_identically_when_audited() {
     let s = &one.stats;
     // Pinned: no golden digest queues more than `SCAN_DEPTH` batches
     // on one worker, so these counts are what pins that constant (the
-    // offers each placement pass may make).
-    assert_eq!(memo_counters(s), [236_316, 218_907, 7_417, 7_417]);
+    // offers each placement pass may make). The last count is the
+    // finishes a later admit cancelled, past the cutoff included.
+    assert_eq!(memo_counters(s), [236_316, 218_907, 7_620]);
     // Pinned: a pass looks up the offer at its cursor, and the memo
     // answers the rest of a declined run of equal views without a
     // lookup. Every call of `Scheme::place` is made at a lookup.
@@ -71,7 +67,6 @@ fn overloaded_pulse_skips_declines_identically_when_audited() {
     assert!(s.place_offers - s.place_memo_skips <= s.place_lookups);
     assert!(s.place_memo_skips > 0, "no offer was memoised: {s:?}");
     assert!(s.place_memo_skips < s.place_offers);
-    assert!(s.stale_finish_superseded <= s.stale_finish_events);
     let repeat = run(false);
     assert_eq!(memo_counters(&repeat.stats), memo_counters(s));
     assert_eq!(digest(&repeat), digest(&one));

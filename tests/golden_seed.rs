@@ -61,32 +61,32 @@ const EXPECTED: &[&str] = &[
 
 /// Both prints of every golden run, in the order of [`EXPECTED`].
 const FINGERPRINTS: &[&str] = &[
-    "seed=42 Molecule (beta) behaviour=d24b667510ced116 engine=b97c11ab8b58828a",
-    "seed=42 INFless/Llama behaviour=73c8a4c4a11635ec engine=a2bc0258aa0bcca4",
-    "seed=42 Naive Slicing behaviour=4f74da2ad08bf3a4 engine=70de4f6ca879b342",
-    "seed=42 MIG Only behaviour=3fa969bcb01f9a67 engine=6a7f687093ecfd21",
-    "seed=42 MPS+MIG behaviour=d5ec95325ca7cf35 engine=754662d848c342c9",
-    "seed=42 'Smart' MPS+MIG behaviour=b62ea770da832524 engine=025cc6dafbaaf233",
-    "seed=42 GPUlet behaviour=2e635533d088e6e9 engine=2cee18c85b70c9f6",
-    "seed=42 PROTEAN behaviour=3773442f9eb36362 engine=57ab98e2b959b880",
-    "seed=7 Molecule (beta) behaviour=1123f541ad21e466 engine=eab5360830ab54ac",
-    "seed=7 INFless/Llama behaviour=af1821d89d5781ac engine=9c5023801b18816f",
-    "seed=7 Naive Slicing behaviour=ccaf00ad8e72f548 engine=0085a966b3626ac7",
-    "seed=7 MIG Only behaviour=3d0d7aca2d9725e4 engine=682ae12e75a66497",
-    "seed=7 MPS+MIG behaviour=8fd875681142040b engine=53c6548cd8f0c126",
-    "seed=7 'Smart' MPS+MIG behaviour=22cca4c2320f19bf engine=0ef84b7099a48048",
-    "seed=7 GPUlet behaviour=68bc61b603f84de4 engine=fe9fac4e3c844b8f",
-    "seed=7 PROTEAN behaviour=925e732a4f4133dd engine=38a24eb3f59722b2",
-    "seed=1234 Molecule (beta) behaviour=c9de179399649bb1 engine=1585dc4f1ebff91a",
-    "seed=1234 INFless/Llama behaviour=ac829a010e8cf70f engine=3abff9c18458c211",
-    "seed=1234 Naive Slicing behaviour=69bd130991887917 engine=47ea3aae054eb304",
-    "seed=1234 MIG Only behaviour=5cf4446523aa23f9 engine=5da54eee84842669",
-    "seed=1234 MPS+MIG behaviour=cd9d18519b931e88 engine=7b9cd97d9b52cf46",
-    "seed=1234 'Smart' MPS+MIG behaviour=ffcb35e16a4dfbac engine=ec4180d3cb7d6e80",
-    "seed=1234 GPUlet behaviour=36c0ad546bcf847a engine=f10f991648760230",
-    "seed=1234 PROTEAN behaviour=3ab75689a6bc3d2c engine=93054bec5ac5998d",
-    "spot seed=3 PROTEAN behaviour=e9105063c4bacc6c engine=c31b257f9228acd3",
-    "spot seed=11 PROTEAN behaviour=b1cde831b7c37bc3 engine=b3fed2d0b139c3c1",
+    "seed=42 Molecule (beta) behaviour=d24b667510ced116 engine=450b6d615e46332f",
+    "seed=42 INFless/Llama behaviour=73c8a4c4a11635ec engine=3ededeaf5f6fbd4a",
+    "seed=42 Naive Slicing behaviour=4f74da2ad08bf3a4 engine=b51deb89b4dbe78f",
+    "seed=42 MIG Only behaviour=3fa969bcb01f9a67 engine=d842c3a6b444027c",
+    "seed=42 MPS+MIG behaviour=d5ec95325ca7cf35 engine=d7ed8791ac0736b4",
+    "seed=42 'Smart' MPS+MIG behaviour=b62ea770da832524 engine=5afcb09c8aefceb5",
+    "seed=42 GPUlet behaviour=2e635533d088e6e9 engine=47f3de60177271f1",
+    "seed=42 PROTEAN behaviour=3773442f9eb36362 engine=cfbe28d1553d4a72",
+    "seed=7 Molecule (beta) behaviour=1123f541ad21e466 engine=53ddc51b82bde359",
+    "seed=7 INFless/Llama behaviour=af1821d89d5781ac engine=fa6e7caba3f02551",
+    "seed=7 Naive Slicing behaviour=ccaf00ad8e72f548 engine=fa4a182f49fbbfca",
+    "seed=7 MIG Only behaviour=3d0d7aca2d9725e4 engine=579902fe960c1dda",
+    "seed=7 MPS+MIG behaviour=8fd875681142040b engine=4390e0136fc4de5f",
+    "seed=7 'Smart' MPS+MIG behaviour=22cca4c2320f19bf engine=80d49ce01fe82c93",
+    "seed=7 GPUlet behaviour=68bc61b603f84de4 engine=05fa5de25db77006",
+    "seed=7 PROTEAN behaviour=925e732a4f4133dd engine=d593b2945d25c8ad",
+    "seed=1234 Molecule (beta) behaviour=c9de179399649bb1 engine=76171d9a0a54706f",
+    "seed=1234 INFless/Llama behaviour=ac829a010e8cf70f engine=2f94c4cd614e4771",
+    "seed=1234 Naive Slicing behaviour=69bd130991887917 engine=e9a28f6d54524f35",
+    "seed=1234 MIG Only behaviour=5cf4446523aa23f9 engine=e4ea838788eb82a4",
+    "seed=1234 MPS+MIG behaviour=cd9d18519b931e88 engine=c6eb8b8f245a84c3",
+    "seed=1234 'Smart' MPS+MIG behaviour=ffcb35e16a4dfbac engine=3e450a127a81af70",
+    "seed=1234 GPUlet behaviour=36c0ad546bcf847a engine=0d6776cb5e0c9e14",
+    "seed=1234 PROTEAN behaviour=3ab75689a6bc3d2c engine=549a809e8ca2bca9",
+    "spot seed=3 PROTEAN behaviour=e9105063c4bacc6c engine=8cba973e79d8b843",
+    "spot seed=11 PROTEAN behaviour=b1cde831b7c37bc3 engine=1a3fe902a324fdcf",
 ];
 
 #[test]

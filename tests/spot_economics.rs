@@ -2,11 +2,12 @@
 //! the spot market, procurement and cluster crates.
 
 use protean::ProteanBuilder;
-use protean_cluster::{ClusterConfig, SchemeBuilder};
-use protean_experiments::{run_scheme, PaperSetup, SchemeRow};
+use protean_cluster::{run_simulation, ClusterConfig, SchemeBuilder, SimulationResult};
+use protean_experiments::golden::{fingerprint_fields, golden_specs};
+use protean_experiments::{run_scheme, schemes, PaperSetup, SchemeRow};
 use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER};
 use protean_sim::SimDuration;
-use protean_spot::{ProcurementPolicy, SpotAvailability};
+use protean_spot::{ProcurementPolicy, Provider, SpotAvailability, VmTier};
 use protean_trace::TraceConfig;
 
 /// `scheme` over `trace` under `config`, scored at the paper's 3x SLO.
@@ -157,4 +158,59 @@ fn on_demand_never_evicted() {
     );
     assert_eq!(od.evictions, 0);
     assert_eq!(od.censored, 0);
+}
+
+/// Only the VM ledger reads the provider. On the golden spot specs, under
+/// on-demand, spot-only and hybrid procurement, a run on Azure or GCP
+/// matches the AWS run in every fingerprint field but the three costs,
+/// and each tier's cost scales by the ratio of the providers' worker
+/// prices.
+#[test]
+fn a_provider_moves_only_the_price_of_each_tier() {
+    let costs = ["total_usd", "spot_usd", "on_demand_usd"];
+    let masked = |r: &SimulationResult| {
+        let fields = fingerprint_fields(r).into_iter();
+        fields
+            .filter(|(name, ..)| !costs.contains(name))
+            .collect::<Vec<_>>()
+    };
+    let cost = |r: &SimulationResult, tier| match tier {
+        VmTier::OnDemand => r.cost.on_demand_usd,
+        VmTier::Spot => r.cost.spot_usd,
+    };
+    // Whether some run billed each tier, so the relation is not vacuous.
+    let mut billed = [false; 2];
+    let spot_specs = golden_specs()
+        .into_iter()
+        .filter(|(label, _)| label.starts_with("spot"));
+    for (label, spec) in spot_specs {
+        let scheme = schemes::by_name(&spec.fleet.scheme).expect("a known scheme");
+        let (base, trace) = spec.generated();
+        for policy in ProcurementPolicy::ALL {
+            let run = |provider| {
+                let mut config = base.clone();
+                (config.procurement, config.provider) = (policy, provider);
+                run_simulation(&config, scheme.as_ref(), &trace)
+            };
+            let aws = run(Provider::Aws);
+            for provider in [Provider::Azure, Provider::Gcp] {
+                let other = run(provider);
+                let case = format!("{label} {policy:?} on {provider:?}");
+                assert!(
+                    masked(&other) == masked(&aws),
+                    "{case}: a field besides cost moved"
+                );
+                for (i, tier) in [VmTier::OnDemand, VmTier::Spot].into_iter().enumerate() {
+                    let ratio = provider.worker_price(tier) / Provider::Aws.worker_price(tier);
+                    let (want, got) = (cost(&aws, tier) * ratio, cost(&other, tier));
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want.abs(),
+                        "{case}: {tier:?} cost {got}, expected {want}"
+                    );
+                    billed[i] |= got > 0.0;
+                }
+            }
+        }
+    }
+    assert_eq!(billed, [true; 2]);
 }
