@@ -5,7 +5,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use protean_cluster::{run_simulation_on, SchemeBuilder};
+use protean_cluster::{Arrivals, Observe, SchemeBuilder};
 use protean_experiments::harness::{run_grid, thread_count, thread_count_or, GridCell};
 use protean_experiments::paper::{self, EXPERIMENTS};
 use protean_experiments::report::{scheme_table, table};
@@ -306,7 +306,9 @@ pub fn replay(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
         trace.len(),
         trace.duration()
     )?;
-    let result = run_simulation_on(&run.config, scheme_of(&spec).as_ref(), trace);
+    let (scheme, arrivals) = (scheme_of(&spec), Arrivals::Trace(trace));
+    let observe = Observe::default();
+    let result = protean_cluster::simulate(&run.config, &*scheme, arrivals, None, observe);
     let row = SchemeRow::new(result, run.config.warmup, spec.fleet.slo_mult);
     writeln!(
         out,

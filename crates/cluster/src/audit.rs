@@ -9,18 +9,17 @@
 //! `Sealed → Dispatched → Placed → Finished` lifecycle in order, with
 //! the only allowed regression being an eviction re-dispatch.
 //!
-//! When [`crate::ClusterConfig`]'s `audit` flag is set, the engine
-//! sweeps these invariants after **every** handled event and arrival
-//! (or every `audit_every_n`-th one, for fleet-scale runs where a full
-//! sweep per event is unaffordable), and records each violation into
-//! [`AuditReport`]. The sweep also cross-checks the incremental
+//! When a run's [`crate::Observe::audit`] is `Some(n)`, the engine
+//! sweeps these invariants after every `n`-th handled event or arrival
+//! run (`n = 1`: after **every** one; fleet-scale runs sample), and
+//! records each violation into [`AuditReport`]. The sweep also cross-checks the incremental
 //! [`crate::dispatch::DispatchIndex`] against the workers' live state —
 //! the index-coherence invariant backing the O(log W) dispatcher — and
 //! every dispatch selection is checked against the linear-scan
-//! reference [`crate::dispatch::reference_select`]. With
-//! the flag off (the default) every hook returns immediately — the
-//! auditor holds no state and the run's results are bit-identical to an
-//! unaudited run. With the flag *on* results are also bit-identical:
+//! reference [`crate::dispatch::reference_select`]. With auditing off
+//! (`None`, the default) every hook returns immediately — the auditor
+//! holds no state and the run's results are bit-identical to an
+//! unaudited run. With it *on* results are also bit-identical:
 //! the auditor only reads engine state, so it can ride along in any
 //! test or experiment.
 //!
@@ -50,8 +49,8 @@ pub struct AuditReport {
     /// Whether the auditor was enabled for the run.
     pub enabled: bool,
     /// Full-state invariant sweeps performed (one per handled event or
-    /// dispatched arrival, thinned by
-    /// [`crate::ClusterConfig::audit_every_n`] sampling).
+    /// dispatched arrival run, thinned by the sampling of
+    /// [`crate::Observe::audit`]).
     pub checks: u64,
     /// Total invariant violations detected.
     pub violation_count: u64,
@@ -80,7 +79,7 @@ enum Stage {
 /// constructed enabled.
 #[derive(Debug, Default)]
 pub(crate) struct Auditor {
-    enabled: bool,
+    pub(crate) enabled: bool,
     /// Run the full sweep on every `every_n`-th opportunity (≥ 1). The
     /// O(1) batch life-cycle check is never sampled.
     every_n: u64,
@@ -98,10 +97,12 @@ pub(crate) struct Auditor {
 }
 
 impl Auditor {
-    pub(crate) fn new(enabled: bool, every_n: u64) -> Self {
+    /// An auditor sweeping on every `n`-th opportunity of `audit`
+    /// ([`crate::Observe::audit`]); `None` builds it disabled.
+    pub(crate) fn new(audit: Option<std::num::NonZeroU64>) -> Self {
         Auditor {
-            enabled,
-            every_n: every_n.max(1),
+            enabled: audit.is_some(),
+            every_n: audit.map_or(1, |n| n.get()),
             ..Auditor::default()
         }
     }
@@ -358,6 +359,7 @@ mod tests {
     use super::*;
     use crate::schemes_for_test::AlwaysLargest;
     use protean_models::ModelId;
+    use std::num::NonZeroU64;
 
     fn sealed(id: u64) -> JournalEvent {
         JournalEvent::BatchSealed {
@@ -413,7 +415,7 @@ mod tests {
 
     #[test]
     fn disabled_auditor_is_inert_and_clean() {
-        let mut a = Auditor::new(false, 1);
+        let mut a = Auditor::new(None);
         // Each would violate if on.
         observe_all(&mut a, &[sealed(0), finished(0, 0)]);
         let mut down = fleet([0; 3]);
@@ -437,7 +439,7 @@ mod tests {
 
     #[test]
     fn sampling_thins_sweeps_but_first_opportunity_is_checked() {
-        let mut a = Auditor::new(true, 3);
+        let mut a = Auditor::new(NonZeroU64::new(3));
         let index = DispatchIndex::new(0);
         for _ in 0..7 {
             a.check(SimTime::ZERO, &[], &dummy_ledger(), &index, |_| None);
@@ -449,18 +451,8 @@ mod tests {
     }
 
     #[test]
-    fn every_n_zero_is_treated_as_one() {
-        let mut a = Auditor::new(true, 0);
-        let index = DispatchIndex::new(0);
-        for _ in 0..5 {
-            a.check(SimTime::ZERO, &[], &dummy_ledger(), &index, |_| None);
-        }
-        assert_eq!(a.into_report().checks, 5);
-    }
-
-    #[test]
     fn incoherent_dispatch_index_is_a_violation() {
-        let mut a = Auditor::new(true, 1);
+        let mut a = Auditor::new(Some(NonZeroU64::MIN));
         // An index sized for a worker the cluster does not have.
         let index = DispatchIndex::new(1);
         a.check(SimTime::ZERO, &[], &dummy_ledger(), &index, |_| None);
@@ -472,7 +464,7 @@ mod tests {
     #[test]
     fn dispatch_disagreeing_with_the_linear_reference_is_a_violation() {
         let fleet = fleet([5, 0, 2]);
-        let mut a = Auditor::new(true, 1);
+        let mut a = Auditor::new(Some(NonZeroU64::MIN));
         // Least-loaded: the reference picks worker 1; so does the index.
         a.dispatch_selected(SimTime::ZERO, BatchId(0), Some(1), None, fleet.iter());
         // First-fit under cap 3: worker 0 is full, worker 1 has headroom.
@@ -493,7 +485,7 @@ mod tests {
 
     #[test]
     fn lifecycle_ordering_is_enforced() {
-        let mut a = Auditor::new(true, 1);
+        let mut a = Auditor::new(Some(NonZeroU64::MIN));
         observe_all(
             &mut a,
             &[
@@ -517,7 +509,7 @@ mod tests {
 
     #[test]
     fn redispatch_regression_is_allowed_only_when_flagged() {
-        let mut a = Auditor::new(true, 1);
+        let mut a = Auditor::new(Some(NonZeroU64::MIN));
         observe_all(
             &mut a,
             &[
@@ -539,7 +531,7 @@ mod tests {
     fn non_routable_dispatch_is_a_violation() {
         let mut fleet = fleet([0; 3]);
         fleet[2].status = WorkerStatus::Down;
-        let mut a = Auditor::new(true, 1);
+        let mut a = Auditor::new(Some(NonZeroU64::MIN));
         a.dispatch_selected(SimTime::ZERO, BatchId(1), Some(2), None, fleet.iter());
         // The linear reference, which never picks a non-routable worker,
         // disagrees too.
@@ -549,7 +541,7 @@ mod tests {
 
     #[test]
     fn violation_messages_are_capped_but_counted() {
-        let mut a = Auditor::new(true, 1);
+        let mut a = Auditor::new(Some(NonZeroU64::MIN));
         for i in 0..(MAX_RECORDED as u64 + 40) {
             // Finished without ever being sealed: one violation each.
             a.observe(SimTime::ZERO, &finished(i, 0));
@@ -575,7 +567,7 @@ mod tests {
             ledger.close(protean_spot::VmId(99), SimTime::ZERO);
         }));
         assert_eq!(ledger.misuse_events(), 1);
-        let mut a = Auditor::new(true, 1);
+        let mut a = Auditor::new(Some(NonZeroU64::MIN));
         let index = DispatchIndex::new(0);
         a.check(SimTime::ZERO, &[], &ledger, &index, |_| None);
         assert_eq!(a.violation_count, 1);

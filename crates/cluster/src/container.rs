@@ -121,7 +121,7 @@ impl Pool {
         }
     }
 
-    /// Delayed termination: reclaims warm containers idle longer than
+    /// Delayed termination: reclaims warm containers idle for at least
     /// `keep_alive`. Returns how many were reclaimed.
     ///
     /// `warm` is pushed at nondecreasing sim times (the engine's clock
@@ -251,5 +251,12 @@ mod tests {
         assert_eq!(p.expire_idle(SimTime::from_secs(650.0), keep), 1);
         assert_eq!(p.warm_count(), 1);
         assert_eq!(p.reclaimed(), 1);
+        // Idle for `keep_alive` less 1 µs, the t=105 container is kept;
+        // idle for exactly `keep_alive`, it is reclaimed.
+        let idle_since = SimTime::from_secs(105.0);
+        let just_before = idle_since + keep - SimDuration::from_micros(1);
+        assert_eq!(p.expire_idle(just_before, keep), 0);
+        assert_eq!(p.expire_idle(idle_since + keep, keep), 1);
+        assert_eq!(p.warm_count(), 0);
     }
 }

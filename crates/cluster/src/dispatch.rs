@@ -397,7 +397,7 @@ impl DispatchIndex {
 /// worker index, so first-fit's "leftmost" is the smallest eligible
 /// index. The auditor
 /// checks each dispatch selection against this function when
-/// [`crate::ClusterConfig::audit`] is set.
+/// [`crate::Observe::audit`] is set.
 pub fn reference_select<'a, I>(fleet: I, cap: Option<u64>) -> Option<usize>
 where
     I: Iterator<Item = &'a Worker> + Clone,

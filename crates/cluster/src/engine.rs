@@ -2,6 +2,8 @@
 //! cluster simulation. The discrete-event engine itself lives in
 //! [`crate::event_loop`].
 
+use std::num::NonZeroU64;
+
 use protean_metrics::MetricsSet;
 use protean_models::ModelId;
 use protean_sim::{RngFactory, SimDuration, SimTime, TimeSeries};
@@ -98,29 +100,6 @@ pub struct ClusterConfig {
     /// extension beyond the paper's reactive scale-up (§4.2); off by
     /// default.
     pub predictive_prewarm: bool,
-    /// Journal capacity: when non-zero, the engine records up to this
-    /// many cluster events (batch lifecycle, reconfigurations, spot
-    /// events) into [`SimulationResult::journal`] for post-hoc
-    /// debugging. Zero (the default) disables recording.
-    pub journal_capacity: usize,
-    /// Invariant auditing: when `true`, the engine cross-checks the
-    /// cluster-state conservation laws (container accounting, request
-    /// accounting, ledger/VM-binding coherence, batch-lifecycle
-    /// causality) after every handled event, and checks every dispatch
-    /// selection against the linear scans of
-    /// [`crate::dispatch::reference_select`], reporting violations in
-    /// [`SimulationResult::audit`]. The auditor only reads state, so
-    /// results are bit-identical with it on or off; it is off by
-    /// default because the sweep is O(cluster state) per event.
-    pub audit: bool,
-    /// Invariant-sweep sampling: run the full cluster-state audit on
-    /// every `audit_every_n`-th opportunity (1 = every event, the
-    /// default; 0 is treated as 1). The auditor is a pure observer, so
-    /// sampling is digest-neutral; it exists so fleet-scale benchmark
-    /// runs can keep auditing on without paying an O(cluster state)
-    /// sweep per event. The O(1) batch-lifecycle checks and the O(W)
-    /// per-dispatch check stay unsampled.
-    pub audit_every_n: u64,
     /// O(1)-memory metrics: store per-class latency histograms instead
     /// of per-request records, and skip the per-strict-batch latency
     /// timeline. Dispatch decisions, event ordering and RNG consumption
@@ -157,9 +136,6 @@ impl ClusterConfig {
             warmup: SimDuration::from_secs(15.0),
             prewarm_containers: 4,
             predictive_prewarm: false,
-            journal_capacity: 0,
-            audit: false,
-            audit_every_n: 1,
             aggregate_metrics: false,
             shards: 1,
             shard_threads: 1,
@@ -315,12 +291,12 @@ pub struct SimulationResult {
     /// Per-strict-batch latency samples `(completion, latency_ms)`.
     pub strict_latency_timeline: TimeSeries,
     /// The recorded event journal (empty unless
-    /// [`ClusterConfig::journal_capacity`] was set).
+    /// [`Observe::journal_capacity`] was set).
     pub journal: Journal,
     /// Event-loop health counters (heap traffic, stale events).
     pub stats: EngineStats,
-    /// Invariant-audit outcome (inert unless [`ClusterConfig::audit`]
-    /// was set).
+    /// Invariant-audit outcome (inert unless [`Observe::audit`] was
+    /// set).
     pub audit: AuditReport,
     /// Containers booted ahead of demand by predictive pre-provisioning
     /// (zero unless [`ClusterConfig::predictive_prewarm`] was set), one
@@ -340,86 +316,91 @@ impl SimulationResult {
     }
 }
 
-/// Runs one full simulation: generates the trace from `trace_config`
-/// (seeded by `config.seed`), drives it through the cluster under
-/// `scheme`, and returns metrics, cost and timelines.
-pub fn run_simulation(
-    config: &ClusterConfig,
-    scheme: &dyn SchemeBuilder,
-    trace_config: &TraceConfig,
-) -> SimulationResult {
-    let factory = RngFactory::new(config.seed);
-    let trace = trace_config.generate(&factory);
-    run_simulation_on(config, scheme, trace)
+/// Where a run's requests come from.
+#[derive(Debug)]
+pub enum Arrivals<'a> {
+    /// A materialised trace, e.g. one read from a CSV file.
+    Trace(Trace),
+    /// A trace materialised from this config, seeded by `config.seed`.
+    Generate(&'a TraceConfig),
+    /// [`Arrivals::Generate`]'s arrivals, bit for bit, drawn lazily: O(1)
+    /// arrival memory (with [`ClusterConfig::aggregate_metrics`], O(1)
+    /// output too).
+    Stream(&'a TraceConfig),
 }
 
-/// Runs a simulation over an already-materialised [`Trace`] — e.g. one
-/// imported from a CSV file (`protean_trace::io`) or produced by an
-/// external tool. Everything except the arrivals is still seeded by
-/// `config.seed`.
-pub fn run_simulation_on(
-    config: &ClusterConfig,
-    scheme: &dyn SchemeBuilder,
-    trace: Trace,
-) -> SimulationResult {
-    let factory = RngFactory::new(config.seed);
-    let mut market = SpotMarket::new(config.availability, factory.stream("spot.market"));
-    run_trace_with_oracle(config, scheme, trace, &mut market)
+/// What a run records about itself beyond its result. Each observer
+/// only reads engine state, so a run's results are bit-identical with
+/// any of them on or off. [`Observe::default`] turns every one off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Observe {
+    /// Invariant auditing ([`crate::audit`]): `None` is off; `Some(n)`
+    /// runs the O(cluster state) sweep on every `n`-th opportunity (each
+    /// handled event and dispatched arrival run). The per-event and
+    /// per-dispatch checks are never sampled.
+    pub audit: Option<NonZeroU64>,
+    /// Events recorded into [`SimulationResult::journal`]; 0 records none.
+    pub journal_capacity: usize,
 }
 
-/// Runs a simulation with the spot market replaced by an arbitrary
-/// [`SpotOracle`] — in practice a
-/// [`crate::fault::ScriptedMarket`], so tests can drive the eviction
-/// and procurement machinery through exact adversarial interleavings
-/// instead of scanning seeds for them. The oracle is borrowed, not
-/// consumed, so its counters remain inspectable after the run.
-pub fn run_simulation_with_oracle(
-    config: &ClusterConfig,
-    scheme: &dyn SchemeBuilder,
-    trace_config: &TraceConfig,
-    oracle: &mut dyn SpotOracle,
-) -> SimulationResult {
-    let factory = RngFactory::new(config.seed);
-    let trace = trace_config.generate(&factory);
-    run_trace_with_oracle(config, scheme, trace, oracle)
+impl Observe {
+    /// A full audit sweep after every event, and no journal.
+    pub fn audited() -> Self {
+        Observe {
+            audit: Some(NonZeroU64::MIN),
+            journal_capacity: 0,
+        }
+    }
 }
 
-/// [`run_simulation_with_oracle`] over an already-materialised trace.
+/// Runs one simulation of `arrivals` under `scheme` on the cluster
+/// `config` describes; everything but a given [`Arrivals::Trace`] is
+/// seeded by `config.seed`. `oracle` replaces the spot market (`None`
+/// builds the [`SpotMarket`] of `config.availability`), e.g. with a
+/// [`crate::fault::ScriptedMarket`] whose counters stay inspectable
+/// after the run. `observe` names what the run records about itself.
+pub fn simulate(
+    config: &ClusterConfig,
+    scheme: &dyn SchemeBuilder,
+    arrivals: Arrivals<'_>,
+    oracle: Option<&mut dyn SpotOracle>,
+    observe: Observe,
+) -> SimulationResult {
+    let mut market;
+    let oracle: &mut dyn SpotOracle = match oracle {
+        Some(oracle) => oracle,
+        None => {
+            let stream = RngFactory::new(config.seed).stream("spot.market");
+            market = SpotMarket::new(config.availability, stream);
+            &mut market
+        }
+    };
+    crate::event_loop::run(config, scheme, arrivals, oracle, observe)
+}
+
+/// [`simulate`] over a materialised trace with an oracle and no
+/// observer. Kept only because the `perf` benchmark driver still calls
+/// it.
 pub fn run_trace_with_oracle(
     config: &ClusterConfig,
     scheme: &dyn SchemeBuilder,
     trace: Trace,
     oracle: &mut dyn SpotOracle,
 ) -> SimulationResult {
-    crate::event_loop::run_trace(config, scheme, trace, oracle)
+    let arrivals = Arrivals::Trace(trace);
+    simulate(config, scheme, arrivals, Some(oracle), Observe::default())
 }
 
-/// [`run_simulation`] with arrivals pulled lazily from
-/// [`TraceConfig::stream`] instead of a materialised request vector:
-/// bit-identical results (same seeded RNG streams, same event
-/// interleaving), O(1) arrival memory. Combine with
-/// [`ClusterConfig::aggregate_metrics`] for runs whose *output* must
-/// also stay O(1) — that is the flat-RSS contract the billion-request
-/// soak benchmarks pin.
-pub fn run_simulation_streaming(
-    config: &ClusterConfig,
-    scheme: &dyn SchemeBuilder,
-    trace_config: &TraceConfig,
-) -> SimulationResult {
-    let factory = RngFactory::new(config.seed);
-    let mut market = SpotMarket::new(config.availability, factory.stream("spot.market"));
-    run_stream_with_oracle(config, scheme, trace_config, &mut market)
-}
-
-/// [`run_simulation_streaming`] with the spot market replaced by an
-/// arbitrary [`SpotOracle`] (see [`run_simulation_with_oracle`]).
+/// [`simulate`] over streamed arrivals with an oracle and no observer.
+/// Kept only because the `perf` benchmark driver still calls it.
 pub fn run_stream_with_oracle(
     config: &ClusterConfig,
     scheme: &dyn SchemeBuilder,
     trace_config: &TraceConfig,
     oracle: &mut dyn SpotOracle,
 ) -> SimulationResult {
-    crate::event_loop::run_stream(config, scheme, trace_config, oracle)
+    let arrivals = Arrivals::Stream(trace_config);
+    simulate(config, scheme, arrivals, Some(oracle), Observe::default())
 }
 
 impl SchemeBuilder for &dyn SchemeBuilder {
@@ -442,6 +423,36 @@ mod tests {
     use protean_spot::VmTier;
     use protean_trace::{Request, TraceShape};
 
+    /// An unobserved run of `t` on the config's spot market.
+    fn run(config: &ClusterConfig, t: &TraceConfig) -> SimulationResult {
+        simulate(
+            config,
+            &AlwaysLargest,
+            Arrivals::Generate(t),
+            None,
+            Observe::default(),
+        )
+    }
+
+    /// A run of `t` on `market`, audited and journaling `journal_capacity` events.
+    fn run_on(
+        market: &mut crate::fault::ScriptedMarket,
+        t: &TraceConfig,
+        journal_capacity: usize,
+    ) -> SimulationResult {
+        let observe = Observe {
+            journal_capacity,
+            ..Observe::audited()
+        };
+        simulate(
+            &spot_config(),
+            &AlwaysLargest,
+            Arrivals::Generate(t),
+            Some(market),
+            observe,
+        )
+    }
+
     fn trace(rps: f64, secs: f64, strict_fraction: f64) -> TraceConfig {
         TraceConfig {
             shape: TraceShape::constant(rps),
@@ -458,7 +469,7 @@ mod tests {
     fn all_measured_requests_accounted_for() {
         let config = ClusterConfig::small_test();
         let t = trace(400.0, 30.0, 0.5);
-        let result = run_simulation(&config, &AlwaysLargest, &t);
+        let result = run(&config, &t);
         // Completed + censored must equal the post-warmup trace total.
         let factory = RngFactory::new(config.seed);
         let measured = t
@@ -477,7 +488,7 @@ mod tests {
         // measurement window opens.
         config.cold_start = SimDuration::from_secs(2.0);
         let t = trace(100.0, 40.0, 0.5);
-        let result = run_simulation(&config, &AlwaysLargest, &t);
+        let result = run(&config, &t);
         let slo = |m: ModelId| m.profile().slo();
         let compliance = result.metrics.slo_compliance(&slo);
         assert!(compliance > 0.9, "compliance {compliance}");
@@ -489,8 +500,8 @@ mod tests {
     fn deterministic_given_seed() {
         let config = ClusterConfig::small_test();
         let t = trace(300.0, 5.0, 0.5);
-        let a = run_simulation(&config, &AlwaysLargest, &t);
-        let b = run_simulation(&config, &AlwaysLargest, &t);
+        let a = run(&config, &t);
+        let b = run(&config, &t);
         assert_eq!(a.metrics.count(Class::All), b.metrics.count(Class::All));
         let la = a.metrics.latency_percentile_ms(Class::All, 0.99);
         let lb = b.metrics.latency_percentile_ms(Class::All, 0.99);
@@ -506,8 +517,8 @@ mod tests {
         // Long run: the initial ramp cold-starts, after which the
         // delayed-termination keep-alive serves everything warm.
         let t = trace(400.0, 60.0, 0.5);
-        let short = run_simulation(&config, &AlwaysLargest, &trace(400.0, 20.0, 0.5));
-        let long = run_simulation(&config, &AlwaysLargest, &t);
+        let short = run(&config, &trace(400.0, 20.0, 0.5));
+        let long = run(&config, &t);
         assert!(long.cold_starts > 0);
         // Tripling the trace length adds almost no cold starts.
         assert!(
@@ -522,14 +533,13 @@ mod tests {
     fn utilization_is_positive_under_load() {
         let config = ClusterConfig::small_test();
         let t = trace(600.0, 10.0, 0.5);
-        let result = run_simulation(&config, &AlwaysLargest, &t);
+        let result = run(&config, &t);
         assert!(result.compute_utilization > 0.01);
         assert!(result.memory_utilization > 0.001);
     }
 
     /// Config for the scripted-eviction tests: a 3-worker hybrid spot
-    /// cluster with tight check/startup intervals and the invariant
-    /// auditor enabled.
+    /// cluster with tight check/startup intervals.
     fn spot_config() -> ClusterConfig {
         let mut config = ClusterConfig::small_test();
         config.workers = 3;
@@ -538,7 +548,6 @@ mod tests {
         config.revocation_check = SimDuration::from_secs(5.0);
         config.vm_startup = SimDuration::from_secs(5.0);
         config.procurement_retry = SimDuration::from_secs(5.0);
-        config.audit = true;
         config
     }
 
@@ -546,14 +555,13 @@ mod tests {
     fn scripted_eviction_drives_the_spot_path_deterministically() {
         // No seed scanning: the scripted oracle evicts worker 0 at its
         // t=10 s revocation check with a 20 s notice lead, every run.
-        let config = spot_config();
         let mut market = crate::fault::ScriptedMarket::new().evict(
             0,
             SimTime::from_secs(10.0),
             SimDuration::from_secs(20.0),
         );
         let t = trace(200.0, 60.0, 0.5);
-        let result = run_simulation_with_oracle(&config, &AlwaysLargest, &t, &mut market);
+        let result = run_on(&mut market, &t, 0);
         assert_eq!(result.cost.evictions, 1);
         assert_eq!(
             market.pending_evictions(),
@@ -571,10 +579,10 @@ mod tests {
         let t = trace(200.0, 30.0, 0.5);
         let mut od = ClusterConfig::small_test();
         od.procurement = ProcurementPolicy::OnDemandOnly;
-        let od_result = run_simulation(&od, &AlwaysLargest, &t);
+        let od_result = run(&od, &t);
         let mut hybrid = ClusterConfig::small_test();
         hybrid.procurement = ProcurementPolicy::Hybrid;
-        let hy_result = run_simulation(&hybrid, &AlwaysLargest, &t);
+        let hy_result = run(&hybrid, &t);
         assert!(
             hy_result.cost.total_usd < od_result.cost.total_usd * 0.5,
             "hybrid {} vs od {}",
@@ -587,13 +595,11 @@ mod tests {
     fn evicting_workers_receive_no_new_batches() {
         // Journal the run and check no batch is dispatched to a worker
         // between its eviction notice and its VM replacement.
-        let mut config = spot_config();
-        config.journal_capacity = 500_000;
         let mut market = crate::fault::ScriptedMarket::new()
             .evict(1, SimTime::from_secs(10.0), SimDuration::from_secs(15.0))
             .evict(2, SimTime::from_secs(20.0), SimDuration::from_secs(10.0));
         let t = trace(300.0, 40.0, 0.5);
-        let result = run_simulation_with_oracle(&config, &AlwaysLargest, &t, &mut market);
+        let result = run_on(&mut market, &t, 500_000);
         use crate::journal::JournalEvent as E;
         // Build per-worker "unavailable" intervals [notice, installed).
         let mut down_since: std::collections::HashMap<usize, SimTime> = Default::default();
@@ -650,7 +656,8 @@ mod tests {
                 }
             }
             let trace = Trace::from_parts(requests, SimDuration::from_secs(60.0));
-            run_simulation_on(&config, &AlwaysLargest, trace)
+            let arrivals = Arrivals::Trace(trace);
+            simulate(&config, &AlwaysLargest, arrivals, None, Observe::default())
         };
         let reactive = mk(false);
         let predictive = mk(true);
@@ -679,10 +686,19 @@ mod tests {
 
     #[test]
     fn journal_records_the_batch_lifecycle() {
-        let mut config = ClusterConfig::small_test();
-        config.journal_capacity = 200_000;
+        let config = ClusterConfig::small_test();
         let t = trace(300.0, 25.0, 0.5);
-        let result = run_simulation(&config, &AlwaysLargest, &t);
+        let observe = Observe {
+            journal_capacity: 200_000,
+            ..Observe::default()
+        };
+        let result = simulate(
+            &config,
+            &AlwaysLargest,
+            Arrivals::Generate(&t),
+            None,
+            observe,
+        );
         use crate::journal::JournalEvent as E;
         let sealed = result
             .journal
@@ -720,7 +736,7 @@ mod tests {
     fn journal_disabled_by_default() {
         let config = ClusterConfig::small_test();
         let t = trace(200.0, 10.0, 0.5);
-        let result = run_simulation(&config, &AlwaysLargest, &t);
+        let result = run(&config, &t);
         assert!(result.journal.entries().is_empty());
     }
 
@@ -734,7 +750,7 @@ mod tests {
             .evict(0, SimTime::from_secs(18.0), SimDuration::from_secs(6.0))
             .evict(2, SimTime::from_secs(25.0), SimDuration::from_secs(6.0));
         let t = trace(300.0, 45.0, 0.5);
-        let result = run_simulation_with_oracle(&config, &AlwaysLargest, &t, &mut market);
+        let result = run_on(&mut market, &t, 0);
         assert_eq!(result.cost.evictions, 2);
         let factory = RngFactory::new(config.seed);
         let expected = t
@@ -756,7 +772,7 @@ mod tests {
         config.procurement = ProcurementPolicy::SpotOnly;
         config.availability = SpotAvailability::Low;
         let t = trace(300.0, 30.0, 0.5);
-        let result = run_simulation(&config, &AlwaysLargest, &t);
+        let result = run(&config, &t);
         // 8 spot workers for the whole run would cost:
         let full = 8.0 * (t.duration + DRAIN_GRACE).as_secs_f64() / 3600.0
             * Provider::Aws.worker_price(VmTier::Spot);
@@ -776,7 +792,7 @@ mod tests {
         config.workers = 1;
         config.warmup = SimDuration::from_secs(2.0);
         let t = trace(8000.0, 15.0, 0.5);
-        let result = run_simulation(&config, &AlwaysLargest, &t);
+        let result = run(&config, &t);
         assert!(result.censored > 0, "expected censoring under overload");
         let factory = RngFactory::new(config.seed);
         let expected = t
@@ -802,7 +818,7 @@ mod tests {
         let t = trace(10.0, 20.0, 1.0); // strict-only trickle
         let mut t = t;
         t.be_pool.clear();
-        let result = run_simulation(&config, &AlwaysLargest, &t);
+        let result = run(&config, &t);
         // At 10 rps nearly every batch is a singleton, so the typical
         // request waits out the full batch window before sealing.
         let p50 = result
@@ -819,7 +835,7 @@ mod tests {
     fn warmup_excludes_early_arrivals_only() {
         let config = ClusterConfig::small_test();
         let t = trace(200.0, 30.0, 0.5);
-        let result = run_simulation(&config, &AlwaysLargest, &t);
+        let result = run(&config, &t);
         let measure_from = SimTime::ZERO + config.warmup;
         for r in result.metrics.records() {
             assert!(r.arrival >= measure_from, "pre-warmup request measured");

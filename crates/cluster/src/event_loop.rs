@@ -36,11 +36,10 @@
 //!
 //! # Audit cadence
 //!
-//! With [`ClusterConfig::audit`] on, every handled event and every
+//! With [`Observe::audit`] set, every handled event and every
 //! dispatched arrival run is one sweep opportunity (a run's requests
 //! share an instant, so nothing happens between them), and every
-//! opportunity [`ClusterConfig::audit_every_n`] samples in runs one sweep
-//! at once.
+//! opportunity its `n` samples in runs one sweep at once.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -48,18 +47,20 @@ use protean_gpu::{Completion, JobId, JobSpec};
 use protean_metrics::record::Class;
 use protean_metrics::{BatchRecord, MetricsSet};
 use protean_models::ModelId;
-use protean_sim::{EventHandle, EventKey, KeyedEventQueue, RngFactory, SimTime, TimeSeries};
+use protean_sim::{
+    EventHandle, EventKey, KeyedEventQueue, RngFactory, SimDuration, SimTime, TimeSeries,
+};
 use protean_spot::{ProcurementPolicy, SpotOracle, VmId, VmLedger, VmTier};
-use protean_trace::{Run, Trace, TraceConfig};
+use protean_trace::Run;
 
 use crate::audit::Auditor;
 use crate::batch::{Accumulator, Batch, BatchId};
 use crate::container::Acquire;
 use crate::dispatch::DispatchIndex;
 use crate::engine::{
-    ClusterConfig, CostReport, EngineStats, GeometryChange, SimulationResult, BATCH_WINDOW,
-    DRAIN_GRACE, MAX_RECONFIG_FRACTION, MONITOR_INTERVAL, SCAN_DEPTH, TIME_SHARE_OVERHEAD_BASE_MS,
-    TIME_SHARE_OVERHEAD_MS_PER_GB,
+    Arrivals, ClusterConfig, CostReport, EngineStats, GeometryChange, Observe, SimulationResult,
+    BATCH_WINDOW, DRAIN_GRACE, MAX_RECONFIG_FRACTION, MONITOR_INTERVAL, SCAN_DEPTH,
+    TIME_SHARE_OVERHEAD_BASE_MS, TIME_SHARE_OVERHEAD_MS_PER_GB,
 };
 use crate::journal::{Journal, JournalEvent};
 use crate::scheme::{DispatchPolicy, Placement, SchemeBuilder};
@@ -277,6 +278,7 @@ struct EventLoop<'a> {
     now: SimTime,
     cutoff: SimTime,
     next_batch_id: u64,
+    scheme: &'static str,
     dispatch_policy: DispatchPolicy,
     metrics: MetricsSet,
     stats: EngineStats,
@@ -325,6 +327,7 @@ impl<'a> EventLoop<'a> {
     /// containers of each of `prewarm` models.
     fn new(
         config: &'a ClusterConfig,
+        observe: Observe,
         scheme: &dyn SchemeBuilder,
         market: &'a mut dyn SpotOracle,
         prewarm: &[ModelId],
@@ -354,12 +357,13 @@ impl<'a> EventLoop<'a> {
             now: SimTime::ZERO,
             cutoff: SimTime::MAX,
             next_batch_id: 0,
+            scheme: scheme.name(),
             dispatch_policy: scheme.dispatch_policy(),
             metrics: new_metrics(config),
             stats: EngineStats::default(),
             observers: Observers {
-                journal: Journal::new(config.journal_capacity),
-                audit: Auditor::new(config.audit, config.audit_every_n),
+                journal: Journal::new(observe.journal_capacity),
+                audit: Auditor::new(observe.audit),
                 tally: Tally::default(),
             },
             censored: 0,
@@ -418,11 +422,18 @@ impl<'a> EventLoop<'a> {
 
     // ---- main loop --------------------------------------------------
 
-    fn run_arrivals(
-        &mut self,
+    /// Provisions the fleet, reserves `(batches, entries)` records, feeds
+    /// it `runs` over a trace of `duration`, and folds the run into its
+    /// result.
+    fn drive(
+        mut self,
         runs: impl Iterator<Item = Run>,
-        duration: protean_sim::SimDuration,
-    ) {
+        duration: SimDuration,
+        (batches, entries): (usize, usize),
+    ) -> SimulationResult {
+        self.provision_initial_vms();
+        self.metrics.reserve_batches(batches);
+        self.metrics.reserve(entries);
         self.cutoff = SimTime::ZERO + duration + DRAIN_GRACE;
         let mut runs = runs.peekable();
         loop {
@@ -450,6 +461,7 @@ impl<'a> EventLoop<'a> {
         }
         self.now = self.cutoff;
         self.censor_remaining();
+        self.finish()
     }
 
     /// One audit sweep opportunity ([`Auditor::check`]).
@@ -723,7 +735,7 @@ impl<'a> EventLoop<'a> {
     /// the budget in one step (the audit still asks about each). A placed
     /// batch leaves the lane, and the next slides into the cursor.
     fn place_pass(&mut self, g: usize, lane: usize) -> bool {
-        let (now, audit) = (self.now, self.config.audit);
+        let (now, audit) = (self.now, self.observers.audit.enabled);
         let mut left = self.workers[g].sched_queue.lane(lane).len().min(SCAN_DEPTH);
         // The cursor, and the end of the run it is in.
         let (mut pos, mut run_end, mut placed) = (0, 0, false);
@@ -1074,25 +1086,9 @@ impl<'a> EventLoop<'a> {
         self.metrics.absorb(censored);
     }
 
-    /// The batch rows and record entries `runs` will store, to reserve
-    /// them: a run of `len` requests past the warm-up fills at least
-    /// `len / batch_size` batches, and takes `ceil(len / batch_size)`
-    /// entries unless a batch boundary splits it. Both are exact for a
-    /// trace of whole-batch arrivals.
-    fn records_of(&self, runs: &[Run]) -> (usize, usize) {
-        let measure_from = SimTime::ZERO + self.config.warmup;
-        let (mut batches, mut entries) = (0, 0);
-        for r in runs.iter().filter(|r| r.arrival >= measure_from) {
-            let batch_size = r.model.profile().batch_size.max(1);
-            batches += (r.len / batch_size) as usize;
-            entries += r.len.div_ceil(batch_size) as usize;
-        }
-        (batches, entries)
-    }
-
     /// Closes the still-open VMs for final billing and folds the run
     /// into its result.
-    fn finish(mut self, scheme: String) -> SimulationResult {
+    fn finish(mut self) -> SimulationResult {
         let now = self.cutoff;
         for w in &mut self.workers {
             if let Some((id, _)) = w.vm.take() {
@@ -1130,7 +1126,7 @@ impl<'a> EventLoop<'a> {
         stats.peak_heap_len = agenda.heap.peak_len();
         stats.index_updates = self.index.updates();
         SimulationResult {
-            scheme,
+            scheme: self.scheme.to_string(),
             metrics: self.metrics,
             cost,
             compute_utilization,
@@ -1152,45 +1148,57 @@ impl<'a> EventLoop<'a> {
     }
 }
 
-// ---- entry points ---------------------------------------------------
+// ---- entry point ----------------------------------------------------
 
-/// The engine behind [`crate::engine::run_trace_with_oracle`].
-pub(crate) fn run_trace(
+/// The engine behind [`crate::engine::simulate`]: lowers `arrivals` to
+/// runs, the models every worker pre-warms and the record reservation,
+/// then drives them.
+pub(crate) fn run(
     config: &ClusterConfig,
     scheme: &dyn SchemeBuilder,
-    trace: Trace,
+    arrivals: Arrivals<'_>,
     oracle: &mut dyn SpotOracle,
+    observe: Observe,
 ) -> SimulationResult {
+    let factory = RngFactory::new(config.seed);
+    let trace = match arrivals {
+        Arrivals::Trace(trace) => trace,
+        Arrivals::Generate(trace_config) => trace_config.generate(&factory),
+        Arrivals::Stream(trace_config) => {
+            // Labeled RNG streams are derived statelessly from
+            // `(seed, label)`, so the pre-scan and the arrivals draw
+            // exactly the runs the materialised trace holds.
+            let scan = trace_config.runs(&factory);
+            let universe = scan.model_universe().len();
+            let prewarm = distinct_models(scan.map(|r| r.model), universe);
+            let engine = EventLoop::new(config, observe, scheme, oracle, &prewarm);
+            return engine.drive(trace_config.runs(&factory), trace_config.duration, (0, 0));
+        }
+    };
     let duration = trace.duration();
     let runs = trace.into_runs();
     let prewarm = distinct_models(runs.iter().map(|r| r.model), usize::MAX);
-    run(config, scheme, oracle, &prewarm, |engine| {
-        // Reserving up front keeps million-request runs from re-growing
-        // the record store mid-measurement.
-        let (batches, entries) = engine.records_of(&runs);
-        engine.metrics.reserve_batches(batches);
-        engine.metrics.reserve(entries);
-        engine.run_arrivals(Draining { buf: runs, read: 0 }, duration);
-    })
+    // Reserving up front keeps million-request runs from re-growing the
+    // record store mid-measurement.
+    let reserve = records_of(config.warmup, &runs);
+    let engine = EventLoop::new(config, observe, scheme, oracle, &prewarm);
+    engine.drive(Draining { buf: runs, read: 0 }, duration, reserve)
 }
 
-/// The engine behind [`crate::engine::run_stream_with_oracle`].
-/// Labeled RNG streams are derived statelessly from `(seed, label)`, so
-/// the two run streams built here (arrivals and the prewarm pre-scan)
-/// draw exactly the runs the materialised trace holds.
-pub(crate) fn run_stream(
-    config: &ClusterConfig,
-    scheme: &dyn SchemeBuilder,
-    trace_config: &TraceConfig,
-    oracle: &mut dyn SpotOracle,
-) -> SimulationResult {
-    let factory = RngFactory::new(config.seed);
-    let prewarm_scan = trace_config.runs(&factory);
-    let universe = prewarm_scan.model_universe().len();
-    let prewarm = distinct_models(prewarm_scan.map(|r| r.model), universe);
-    run(config, scheme, oracle, &prewarm, |engine| {
-        engine.run_arrivals(trace_config.runs(&factory), trace_config.duration);
-    })
+/// The batch rows and record entries `runs` will store, to reserve
+/// them: a run of `len` requests past the `warmup` fills at least
+/// `len / batch_size` batches, and takes `ceil(len / batch_size)`
+/// entries unless a batch boundary splits it. Both are exact for a
+/// trace of whole-batch arrivals.
+fn records_of(warmup: SimDuration, runs: &[Run]) -> (usize, usize) {
+    let measure_from = SimTime::ZERO + warmup;
+    let (mut batches, mut entries) = (0, 0);
+    for r in runs.iter().filter(|r| r.arrival >= measure_from) {
+        let batch_size = r.model.profile().batch_size.max(1);
+        batches += (r.len / batch_size) as usize;
+        entries += r.len.div_ceil(batch_size) as usize;
+    }
+    (batches, entries)
 }
 
 /// The distinct models of `trace_models` (a trace's models, one per
@@ -1209,31 +1217,16 @@ fn distinct_models(trace_models: impl Iterator<Item = ModelId>, universe: usize)
     models
 }
 
-/// Provisions the fleet, pre-warmed with `prewarm`, lets `drive` feed it
-/// the trace, and folds the run into its result.
-fn run(
-    config: &ClusterConfig,
-    scheme: &dyn SchemeBuilder,
-    oracle: &mut dyn SpotOracle,
-    prewarm: &[ModelId],
-    drive: impl FnOnce(&mut EventLoop<'_>),
-) -> SimulationResult {
-    let mut engine = EventLoop::new(config, scheme, oracle, prewarm);
-    engine.provision_initial_vms();
-    drive(&mut engine);
-    engine.finish(scheme.name().to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::Runs;
-    use crate::engine::run_simulation_on;
+    use crate::engine::simulate;
     use crate::scheme::{BatchView, PlacementCtx, Scheme};
     use crate::schemes_for_test::AlwaysLargest;
     use protean_gpu::{Geometry, SharingMode};
-    use protean_sim::SimDuration;
-    use protean_trace::Request;
+    use protean_trace::{Request, Trace};
+    use std::num::NonZeroU64;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -1247,11 +1240,13 @@ mod tests {
 
     /// The journal of a small run over `requests`.
     fn journal(requests: Vec<Request>) -> Journal {
-        let mut config = ClusterConfig::small_test();
-        config.journal_capacity = 4096;
-        config.audit = true;
-        let trace = Trace::from_parts(requests, SimDuration::from_secs(3.0));
-        let r = run_simulation_on(&config, &AlwaysLargest, trace);
+        let config = ClusterConfig::small_test();
+        let trace = Arrivals::Trace(Trace::from_parts(requests, SimDuration::from_secs(3.0)));
+        let observe = Observe {
+            journal_capacity: 4096,
+            ..Observe::audited()
+        };
+        let r = simulate(&config, &AlwaysLargest, trace, None, observe);
         assert!(r.audit.is_clean(), "{:?}", r.audit.violations);
         r.journal
     }
@@ -1325,11 +1320,14 @@ mod tests {
     #[test]
     fn a_placement_past_the_geometry_fails_the_audit() {
         let run = |audit: bool| {
-            let mut config = ClusterConfig::small_test();
-            config.audit = audit;
+            let config = ClusterConfig::small_test();
             let requests = (0..4).map(|i| strict_resnet(10.0 * i as f64)).collect();
-            let trace = Trace::from_parts(requests, SimDuration::from_secs(3.0));
-            run_simulation_on(&config, &PastTheGeometry, trace)
+            let trace = Arrivals::Trace(Trace::from_parts(requests, SimDuration::from_secs(3.0)));
+            let observe = Observe {
+                audit: audit.then_some(NonZeroU64::MIN),
+                ..Observe::default()
+            };
+            simulate(&config, &PastTheGeometry, trace, None, observe)
         };
         let (quiet, audited) = (run(false), run(true));
         assert!(quiet.audit.is_clean());
@@ -1379,13 +1377,13 @@ mod tests {
     /// busy first if `busy`: the `(offers, memo skips, lookups)` it
     /// counts, the scheme's calls and the batches left queued.
     fn place_equal_views(n: u64, busy: bool, audit: bool) -> ([u64; 3], u64, usize) {
-        let mut config = ClusterConfig::small_test();
-        config.audit = audit;
-        let rng = RngFactory::new(config.seed);
-        let mut market =
-            protean_spot::SpotMarket::new(config.availability, rng.stream("spot.market"));
+        let (config, mut market) = small_test();
+        let observe = Observe {
+            audit: audit.then_some(NonZeroU64::MIN),
+            ..Observe::default()
+        };
         let scheme = WhileIdle(Arc::default());
-        let mut engine = EventLoop::new(&config, &scheme, &mut market, &[]);
+        let mut engine = EventLoop::new(&config, observe, &scheme, &mut market, &[]);
         engine.provision_initial_vms();
         let w = &mut engine.workers[0];
         if busy {
@@ -1441,12 +1439,10 @@ mod tests {
 
     #[test]
     fn a_finish_whose_batch_is_not_running_is_reported_and_its_slice_runs_on() {
-        let mut config = ClusterConfig::small_test();
-        config.audit = true;
-        let rng = RngFactory::new(config.seed);
-        let mut market =
-            protean_spot::SpotMarket::new(config.availability, rng.stream("spot.market"));
-        let mut engine = EventLoop::new(&config, &AlwaysLargest, &mut market, &[ModelId::ResNet50]);
+        let (config, mut market) = small_test();
+        let prewarm = [ModelId::ResNet50];
+        let observe = Observe::audited();
+        let mut engine = EventLoop::new(&config, observe, &AlwaysLargest, &mut market, &prewarm);
         engine.provision_initial_vms();
         // Jobs 1 and 2 share worker 0's slice; only job 2 is a running
         // batch, and job 1 finishes first.
@@ -1518,7 +1514,7 @@ mod tests {
         config: &'a ClusterConfig,
         market: &'a mut protean_spot::SpotMarket,
     ) -> EventLoop<'a> {
-        let mut engine = EventLoop::new(config, &AlwaysLargest, market, &[]);
+        let mut engine = EventLoop::new(config, Observe::audited(), &AlwaysLargest, market, &[]);
         engine.provision_initial_vms();
         for g in 0..2 {
             let job = JobSpec {
@@ -1533,9 +1529,8 @@ mod tests {
         engine
     }
 
-    fn audited() -> (ClusterConfig, protean_spot::SpotMarket) {
-        let mut config = ClusterConfig::small_test();
-        config.audit = true;
+    fn small_test() -> (ClusterConfig, protean_spot::SpotMarket) {
+        let config = ClusterConfig::small_test();
         let rng = RngFactory::new(config.seed);
         let market = protean_spot::SpotMarket::new(config.availability, rng.stream("spot.market"));
         (config, market)
@@ -1543,7 +1538,7 @@ mod tests {
 
     #[test]
     fn a_corrupt_finish_handle_fails_the_sweep() {
-        let (config, mut market) = audited();
+        let (config, mut market) = small_test();
         let mut engine = two_armed_slices(&config, &mut market);
         engine.audit_sweep();
         // Worker 0 keeps worker 1's handle, and worker 1 keeps none.
@@ -1568,7 +1563,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "now names JobFinish { worker: 1")]
     fn a_re_arm_through_a_corrupt_handle_panics() {
-        let (config, mut market) = audited();
+        let (config, mut market) = small_test();
         let mut engine = two_armed_slices(&config, &mut market);
         engine.workers[0].gpu.slice_mut(0).armed = engine.workers[1].gpu.slice(0).armed;
         // Re-arming worker 0's slice cancels the event its handle names.
@@ -1692,14 +1687,22 @@ mod tests {
         };
         // Batch 4: two requests open a batch; a run of seven fills it,
         // fills a second at once and leaves one, sealed by its window.
-        let mut config = ClusterConfig::small_test();
-        config.journal_capacity = 4096;
-        config.audit = true;
         let trace = Trace::from_parts(
             bert(0.0, 2).chain(bert(10.0, 7)).collect(),
             SimDuration::from_secs(3.0),
         );
-        let r = run_simulation_on(&config, &AlwaysLargest, trace);
+        let observe = Observe {
+            journal_capacity: 4096,
+            ..Observe::audited()
+        };
+        let config = ClusterConfig::small_test();
+        let r = simulate(
+            &config,
+            &AlwaysLargest,
+            Arrivals::Trace(trace),
+            None,
+            observe,
+        );
         assert!(r.audit.is_clean(), "{:?}", r.audit.violations);
         let ms = SimTime::from_millis;
         assert_eq!(

@@ -6,11 +6,11 @@
 //! journal, the auditor's batch life-cycle check and the run tally
 //! behind [`crate::SimulationResult`]'s `cold_starts`,
 //! `proactive_boots`, `reconfigs`, `geometry_timeline` and
-//! `cost.evictions`. When enabled (see [`crate::ClusterConfig`]'s
-//! `journal_capacity` field) the journal records them, so a run can be
-//! audited after the fact without re-instrumenting the engine. It is
-//! bounded: once `capacity` entries are recorded, further events are
-//! counted but dropped. No run counter reads it.
+//! `cost.evictions`. When a run's [`crate::Observe::journal_capacity`]
+//! is non-zero the journal records them, so a run can be audited after
+//! the fact without re-instrumenting the engine. It is bounded: once
+//! `capacity` entries are recorded, further events are counted but
+//! dropped. No run counter reads it.
 
 use protean_models::ModelId;
 use protean_sim::SimTime;

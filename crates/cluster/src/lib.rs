@@ -31,20 +31,21 @@
 //! One engine drives that path: [`event_loop`] handles every event in
 //! `(time, push order)` order on one thread, with each arrival winning
 //! the ties at its instant; [`engine`] holds the configuration, the
-//! result types and the entry points.
+//! result types and the entry point, [`simulate`], which takes a run's
+//! [`Arrivals`], an optional spot oracle and an [`Observe`] value.
 //!
 //! Two correctness tools ride on top of the engine: the opt-in
 //! invariant [`audit`] layer sweeps cluster-wide conservation laws
 //! after every event and checks every dispatch selection against the
 //! linear scans the dispatch index replaced, and the [`fault`]
 //! module's scripted spot oracle drives the eviction machinery through
-//! exact adversarial interleavings (see
-//! [`engine::run_simulation_with_oracle`]).
+//! exact adversarial interleavings.
 //!
 //! # Example
 //!
 //! ```
-//! use protean_cluster::{ClusterConfig, run_simulation, schemes_for_test::AlwaysLargest};
+//! use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe};
+//! use protean_cluster::schemes_for_test::AlwaysLargest;
 //! use protean_trace::{TraceConfig, TraceShape};
 //! use protean_models::ModelId;
 //! use protean_sim::SimDuration;
@@ -60,7 +61,8 @@
 //! };
 //! let mut config = ClusterConfig::small_test();
 //! config.warmup = SimDuration::from_secs(0.0); // measure from t=0
-//! let result = run_simulation(&config, &AlwaysLargest, &trace);
+//! let arrivals = Arrivals::Generate(&trace);
+//! let result = simulate(&config, &AlwaysLargest, arrivals, None, Observe::default());
 //! assert!(result.metrics.count(protean_metrics::record::Class::All) > 0);
 //! ```
 
@@ -81,9 +83,8 @@ pub use audit::AuditReport;
 pub use batch::{Batch, BatchId, Runs};
 pub use dispatch::DispatchIndex;
 pub use engine::{
-    run_simulation, run_simulation_on, run_simulation_streaming, run_simulation_with_oracle,
-    run_stream_with_oracle, run_trace_with_oracle, ClusterConfig, CostReport, EngineStats,
-    RunCutoffs, SimulationResult,
+    run_stream_with_oracle, run_trace_with_oracle, simulate, Arrivals, ClusterConfig, CostReport,
+    EngineStats, Observe, RunCutoffs, SimulationResult,
 };
 pub use fault::{ScriptedMarket, SpotOracle};
 pub use journal::{Journal, JournalEvent};

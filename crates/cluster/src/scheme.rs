@@ -115,16 +115,16 @@ pub trait Scheme {
     /// [`Gpu::version`](protean_gpu::Gpu::version)), the queued
     /// best-effort memory or the scheme state may have changed. A
     /// `Some` may update scheme state (e.g. a round-robin cursor). With
-    /// [`ClusterConfig::audit`] on, every skipped offer is made anyway
+    /// [`Observe::audit`] on, every skipped offer is made anyway
     /// and an answer other than `None` is a violation.
     ///
     /// A `Some` must name a slice of the current geometry
     /// (`slice < ctx.gpu.slices().len()`). The engine leaves a batch
     /// placed past it queued, having already voided the worker's
-    /// memoised declines; with [`ClusterConfig::audit`] on, such a
+    /// memoised declines; with [`Observe::audit`] on, such a
     /// placement is a violation.
     ///
-    /// [`ClusterConfig::audit`]: crate::ClusterConfig::audit
+    /// [`Observe::audit`]: crate::Observe::audit
     fn place(&mut self, ctx: &PlacementCtx<'_>, batch: &BatchView) -> Option<Placement>;
 
     /// Invoked every monitor interval; return `Some(geometry)` to

@@ -742,7 +742,7 @@ mod tests {
         q.push(batch(1, true));
         q.push(batch(2, true));
         q.lanes[0][0].0 = 3;
-        let mut audit = crate::audit::Auditor::new(true, 1);
+        let mut audit = crate::audit::Auditor::new(Some(std::num::NonZeroU64::MIN));
         let ledger = protean_spot::VmLedger::new(protean_spot::Provider::Aws);
         let index = crate::dispatch::DispatchIndex::new(1);
         audit.check(SimTime::ZERO, &fleet, &ledger, &index, |_| None);

@@ -33,7 +33,7 @@
 //!
 //! ```
 //! use protean::ProteanBuilder;
-//! use protean_cluster::{ClusterConfig, run_simulation};
+//! use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe};
 //! use protean_trace::{TraceConfig, TraceShape};
 //! use protean_models::ModelId;
 //! use protean_sim::SimDuration;
@@ -49,7 +49,8 @@
 //! };
 //! let mut config = ClusterConfig::small_test();
 //! config.warmup = SimDuration::from_secs(10.0);
-//! let result = run_simulation(&config, &ProteanBuilder::paper(), &trace);
+//! let arrivals = Arrivals::Generate(&trace);
+//! let result = simulate(&config, &ProteanBuilder::paper(), arrivals, None, Observe::default());
 //! assert_eq!(result.scheme, "PROTEAN");
 //! ```
 

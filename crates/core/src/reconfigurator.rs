@@ -217,6 +217,27 @@ mod tests {
     }
 
     #[test]
+    fn occupancy_exactly_on_either_band_edge_keeps_small_slices() {
+        // The (1g, 2g) set holds 15 GB. One resident MobileNet batch of
+        // 3.75 GB fills exactly `T_LOW` of it; two of 6.375 GB fill
+        // exactly `T_HIGH` (3,400 requests over 2 s keep about 1.5
+        // batches resident, rounded up to 2).
+        let set_gb = SliceProfile::G1.mem_gb() + SliceProfile::G2.mem_gb();
+        for (mem_gb, requests, edge) in [(3.75, 1, T_LOW), (6.375, 3_400, T_HIGH)] {
+            let be = ModelProfile {
+                mem_gb,
+                ..*ModelId::MobileNet.profile()
+            };
+            assert_eq!(
+                predicted_be_mem_gb(requests as f64, 2.0, &be) / set_gb,
+                edge
+            );
+            let g = recon().desired_geometry(requests, 2.0, Some(&be));
+            assert_eq!(g, Geometry::g4_g2_g1(), "occupancy {edge}");
+        }
+    }
+
+    #[test]
     fn huge_be_model_forces_4g_3g() {
         let dpn = ModelId::Dpn92.profile();
         let mut r = recon();

@@ -214,7 +214,7 @@ impl SchemeBuilder for ProteanBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protean_cluster::{run_simulation, ClusterConfig};
+    use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe};
     use protean_metrics::record::Class;
     use protean_models::ModelId;
     use protean_sim::SimDuration;
@@ -235,7 +235,13 @@ mod tests {
     #[test]
     fn protean_serves_mixed_load_compliantly() {
         let config = ClusterConfig::small_test();
-        let result = run_simulation(&config, &ProteanBuilder::paper(), &trace(600.0, 45.0));
+        let result = simulate(
+            &config,
+            &ProteanBuilder::paper(),
+            Arrivals::Generate(&trace(600.0, 45.0)),
+            None,
+            Observe::default(),
+        );
         let slo = |m: ModelId| m.profile().slo();
         let compliance = result.metrics.slo_compliance(&slo);
         assert!(compliance > 0.95, "compliance {compliance}");
@@ -302,7 +308,13 @@ mod tests {
             be_rotation_period: SimDuration::from_secs(10.0),
             batch_arrivals: true,
         };
-        let result = run_simulation(&config, &ProteanBuilder::paper(), &t);
+        let result = simulate(
+            &config,
+            &ProteanBuilder::paper(),
+            Arrivals::Generate(&t),
+            None,
+            Observe::default(),
+        );
         assert!(
             result.reconfigs > 0,
             "expected at least one reconfiguration"

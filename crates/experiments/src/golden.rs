@@ -22,9 +22,7 @@
 //! regenerating, and `golden_digest --fields` prints each field's hash
 //! so a re-pin names the field it moves.
 
-use protean_cluster::{
-    run_simulation, run_simulation_streaming, ClusterConfig, SchemeBuilder, SimulationResult,
-};
+use protean_cluster::{simulate, Arrivals, Observe, SimulationResult};
 use protean_metrics::record::{Class, LatencyBreakdown};
 use protean_models::DEFAULT_SLO_MULTIPLIER;
 use protean_trace::TraceConfig;
@@ -313,7 +311,7 @@ pub fn golden_specs() -> Vec<(String, ScenarioSpec)> {
 /// The golden grid ([`golden_specs`]), a line per run: its label and
 /// its [`digest`].
 pub fn golden_digests() -> Vec<String> {
-    golden_runs(run_simulation, digest_line)
+    golden_runs(generate, Observe::default(), digest_line)
 }
 
 fn digest_line(label: &str, result: &SimulationResult) -> String {
@@ -323,7 +321,7 @@ fn digest_line(label: &str, result: &SimulationResult) -> String {
 /// The golden grid's two prints per run: its label, its scheme, then
 /// `behaviour=` and `engine=` hex (see [`fingerprint`]).
 pub fn golden_fingerprints() -> Vec<String> {
-    golden_runs(run_simulation, |label, r| {
+    golden_runs(generate, Observe::default(), |label, r| {
         let f = fingerprint(r);
         format!(
             "{label} {} behaviour={:016x} engine={:016x}",
@@ -335,7 +333,7 @@ pub fn golden_fingerprints() -> Vec<String> {
 /// Every field's hash of every golden run, a line each: the run's label
 /// and scheme, then `field=hash`.
 pub fn golden_field_hashes() -> Vec<String> {
-    let runs = golden_runs(run_simulation, |label, r| {
+    let runs = golden_runs(generate, Observe::default(), |label, r| {
         let fields = fingerprint_fields(r).into_iter();
         let line = |(name, _, hash)| format!("{label} {} {name}={hash:016x}", r.scheme);
         fields.map(line).collect::<Vec<_>>()
@@ -344,41 +342,46 @@ pub fn golden_field_hashes() -> Vec<String> {
 }
 
 /// [`golden_digests`] with every run driven through the streaming
-/// arrival path ([`run_simulation_streaming`]). The streaming engine's
+/// arrival path ([`Arrivals::Stream`]). The streaming engine's
 /// contract is digest equality with the materialised one, so this must
 /// return exactly the same lines.
 pub fn golden_digests_streaming() -> Vec<String> {
-    golden_runs(run_simulation_streaming, digest_line)
+    golden_runs(|t| Arrivals::Stream(t), Observe::default(), digest_line)
 }
 
-/// [`golden_digests`] with the invariant auditor and the journal on for
-/// every run. Both only observe the run, so this must return exactly
-/// the same lines; it panics unless every run audits clean with at
-/// least one sweep and journals every event.
+/// [`golden_digests`] with the invariant auditor sweeping after every
+/// event and the journal on for every run. Both only observe the run,
+/// so this must return exactly the same lines.
 pub fn golden_digests_audited() -> Vec<String> {
-    let run = |config: &ClusterConfig, scheme: &dyn SchemeBuilder, trace: &TraceConfig| {
-        let mut audited = config.clone();
-        audited.audit = true;
-        audited.journal_capacity = 1 << 20;
-        let result = run_simulation(&audited, scheme, trace);
-        assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
-        assert!(result.audit.checks > 0, "no audit sweep ran");
-        assert_eq!(result.journal.dropped(), 0, "the journal overflowed");
-        result
+    let observe = Observe {
+        journal_capacity: 1 << 20,
+        ..Observe::audited()
     };
-    golden_runs(run, digest_line)
+    golden_runs(generate, observe, digest_line)
 }
 
-/// Runs every golden spec through `run` and reads each result with
-/// `each(label, result)`.
+/// The golden runs' usual arrivals: materialised from the spec's trace.
+fn generate(trace: &TraceConfig) -> Arrivals<'_> {
+    Arrivals::Generate(trace)
+}
+
+/// Runs every golden spec with its arrivals built by `arrivals`, under
+/// `observe`, and reads each result with `each(label, result)`. Panics
+/// if an audit finds a violation or never swept, or the journal drops an
+/// event.
 fn golden_runs<T>(
-    run: fn(&ClusterConfig, &dyn SchemeBuilder, &TraceConfig) -> SimulationResult,
+    arrivals: impl Fn(&TraceConfig) -> Arrivals<'_>,
+    observe: Observe,
     each: impl Fn(&str, &SimulationResult) -> T,
 ) -> Vec<T> {
     let runs = golden_specs().into_iter().map(|(label, spec)| {
         let (config, trace) = spec.generated();
         let scheme = schemes::by_name(&spec.fleet.scheme).expect("a known scheme");
-        each(&label, &run(&config, scheme.as_ref(), &trace))
+        let result = simulate(&config, scheme.as_ref(), arrivals(&trace), None, observe);
+        assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
+        assert_eq!(result.audit.checks > 0, observe.audit.is_some(), "{label}");
+        assert_eq!(result.journal.dropped(), 0, "{label}: journal overflow");
+        each(&label, &result)
     });
     runs.collect()
 }

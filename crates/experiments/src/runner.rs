@@ -1,7 +1,8 @@
 //! Runs schemes over workloads and condenses each result into one
 //! [`SchemeRow`], the one place a run is scored.
 
-use protean_cluster::{run_simulation, ClusterConfig, SchemeBuilder, SimulationResult};
+use protean_cluster::SimulationResult;
+use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe, SchemeBuilder};
 use protean_metrics::record::Class;
 use protean_metrics::{LatencyBreakdown, Summary};
 use protean_models::ModelId;
@@ -57,7 +58,8 @@ pub fn run_scheme(
     trace: &TraceConfig,
     slo_mult: f64,
 ) -> SchemeRow {
-    let result = run_simulation(config, scheme, trace);
+    let arrivals = Arrivals::Generate(trace);
+    let result = simulate(config, scheme, arrivals, None, Observe::default());
     SchemeRow::new(result, config.warmup, slo_mult)
 }
 

@@ -105,7 +105,7 @@ use std::ops::Bound::{self, Excluded, Included, Unbounded};
 use std::ops::{RangeBounds, RangeInclusive};
 use std::path::{Path, PathBuf};
 
-use protean_cluster::{run_trace_with_oracle, ClusterConfig, ScriptedMarket};
+use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe, ScriptedMarket};
 use protean_metrics::record::Class;
 use protean_models::{Domain, ModelId, DEFAULT_SLO_MULTIPLIER};
 use protean_sim::{RngFactory, SimDuration, SimTime};
@@ -1384,8 +1384,7 @@ impl TraceSource {
 /// A scenario lowered onto the engine's own types.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledScenario {
-    /// Cluster configuration, unaudited ([`run`] audits one of its two
-    /// arms).
+    /// Cluster configuration ([`run`] audits one of its two arms).
     pub config: ClusterConfig,
     /// Request source.
     pub trace: TraceSource,
@@ -1584,13 +1583,12 @@ pub fn run(
         .ok_or_else(|| ScenarioError::Invalid(format!("unknown scheme '{}'", compiled.scheme)))?;
     let trace = compiled.trace.load(compiled.config.seed)?;
 
-    let run_arm = |audit: bool| {
-        let mut config = compiled.config.clone();
-        config.audit = audit;
-        let mut market = compiled.market.clone();
-        run_trace_with_oracle(&config, scheme.as_ref(), trace.clone(), &mut market)
+    let (config, scheme) = (&compiled.config, scheme.as_ref());
+    let run_arm = |observe| {
+        let (mut market, arrivals) = (compiled.market.clone(), Arrivals::Trace(trace.clone()));
+        simulate(config, scheme, arrivals, Some(&mut market), observe)
     };
-    let audited = run_arm(true);
+    let audited = run_arm(Observe::audited());
     if !audited.audit.is_clean() {
         return Err(ScenarioError::Invalid(format!(
             "scenario '{}': audit violations: {:?}",
@@ -1598,7 +1596,7 @@ pub fn run(
         )));
     }
     let digest = golden::digest(&audited);
-    let unaudited = golden::digest(&run_arm(false));
+    let unaudited = golden::digest(&run_arm(Observe::default()));
     if digest != unaudited {
         return Err(ScenarioError::Invalid(format!(
             "scenario '{}': audited and unaudited digests diverge:\n  audited:   {}\n  unaudited: {}",
@@ -1973,8 +1971,6 @@ jitter_seed = 3
         assert_eq!(compiled.config.procurement, ProcurementPolicy::SpotOnly);
         assert_eq!(compiled.config.availability, SpotAvailability::Moderate);
         assert_eq!(compiled.config.provider, Provider::Azure);
-        // `run` audits one of its two arms; the compiled config does not.
-        assert!(!compiled.config.audit);
         // 1 scripted + 2 storm members armed.
         assert_eq!(compiled.market.pending_evictions(), 3);
         // Zero jitter: storm leads are exactly lead_secs.

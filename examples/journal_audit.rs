@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use protean::ProteanBuilder;
-use protean_cluster::{run_simulation, BatchId, JournalEvent};
+use protean_cluster::{simulate, Arrivals, BatchId, JournalEvent, Observe};
 use protean_experiments::PaperSetup;
 use protean_models::ModelId;
 use protean_sim::{SimDuration, SimTime};
@@ -22,7 +22,6 @@ fn main() {
         seed: 9,
     };
     let mut config = setup.cluster();
-    config.journal_capacity = 2_000_000;
     config.procurement = ProcurementPolicy::Hybrid;
     config.availability = SpotAvailability::Moderate;
     config.revocation_check = SimDuration::from_secs(20.0);
@@ -30,7 +29,13 @@ fn main() {
         be_pool: vec![ModelId::MobileNet, ModelId::Dpn92],
         ..setup.wiki_trace(ModelId::ShuffleNetV2)
     };
-    let result = run_simulation(&config, &ProteanBuilder::paper(), &trace);
+    // The journal is an observer of the run, not part of the cluster.
+    let observe = Observe {
+        journal_capacity: 2_000_000,
+        ..Observe::default()
+    };
+    let scheme = ProteanBuilder::paper();
+    let result = simulate(&config, &scheme, Arrivals::Generate(&trace), None, observe);
 
     println!(
         "journal: {} events ({} dropped)",

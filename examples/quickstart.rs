@@ -7,7 +7,7 @@
 //! ```
 
 use protean::ProteanBuilder;
-use protean_cluster::{run_simulation, ClusterConfig};
+use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe};
 use protean_metrics::record::Class;
 use protean_models::ModelId;
 use protean_sim::SimDuration;
@@ -30,8 +30,12 @@ fn main() {
     // 2. The paper's cluster: 8 workers, one A100 each, 3x SLOs.
     let config = ClusterConfig::paper_default();
 
-    // 3. Run PROTEAN and inspect the result.
-    let result = run_simulation(&config, &ProteanBuilder::paper(), &trace);
+    // 3. Run PROTEAN over arrivals generated from the trace, on the
+    //    config's spot market (no oracle) and with no observer, and
+    //    inspect the result.
+    let scheme = ProteanBuilder::paper();
+    let arrivals = Arrivals::Generate(&trace);
+    let result = simulate(&config, &scheme, arrivals, None, Observe::default());
     let slo = |m: ModelId| m.profile().slo();
     println!("scheme:            {}", result.scheme);
     println!(

@@ -7,10 +7,12 @@
 //! and the same counters.
 //! A scheme that breaks the `Scheme::place` contract fails that audit.
 
+use std::num::NonZeroU64;
+
 use protean::ProteanBuilder;
 use protean_cluster::{
-    run_simulation, BatchView, ClusterConfig, EngineStats, Placement, PlacementCtx, Scheme,
-    SchemeBuilder,
+    simulate, Arrivals, BatchView, ClusterConfig, EngineStats, Observe, Placement, PlacementCtx,
+    Scheme, SchemeBuilder,
 };
 use protean_experiments::golden::digest;
 use protean_experiments::setup::LANGUAGE_RPS;
@@ -22,6 +24,13 @@ use protean_trace::{TraceConfig, TraceShape};
 
 const WORKERS: usize = 64;
 
+/// An audit with its full sweeps sampled 1 in 1024; every skipped
+/// offer is still re-asked.
+const AUDITED: Observe = Observe {
+    audit: NonZeroU64::new(1024),
+    journal_capacity: 0,
+};
+
 /// `perf`'s `pulse-2048` workload at 64 workers: 10 simulated seconds,
 /// the first 5 at 8x the language operating point, the rest silent.
 fn pulse(seed: u64) -> (ClusterConfig, TraceConfig) {
@@ -32,7 +41,6 @@ fn pulse(seed: u64) -> (ClusterConfig, TraceConfig) {
     let mut config = setup.cluster();
     config.workers = WORKERS;
     config.warmup = SimDuration::from_secs(2.5);
-    config.audit_every_n = 1024;
     let mut trace = setup.wiki_trace(ModelId::Albert);
     let mean = LANGUAGE_RPS * WORKERS as f64 / 8.0;
     trace.shape = TraceShape::pulse(8.0 * mean, SimDuration::from_secs(10.0));
@@ -48,12 +56,8 @@ fn memo_counters(s: &EngineStats) -> [u64; 3] {
 fn overloaded_pulse_skips_declines_identically_when_audited() {
     let (config, trace) = pulse(42);
     let scheme = ProteanBuilder::paper();
-    let run = |audit: bool| {
-        let mut c = config.clone();
-        c.audit = audit;
-        run_simulation(&c, &scheme, &trace)
-    };
-    let one = run(false);
+    let run = |observe| simulate(&config, &scheme, Arrivals::Generate(&trace), None, observe);
+    let one = run(Observe::default());
     let s = &one.stats;
     // Pinned: no golden digest queues more than `SCAN_DEPTH` batches
     // on one worker, so these counts are what pins that constant (the
@@ -67,10 +71,10 @@ fn overloaded_pulse_skips_declines_identically_when_audited() {
     assert!(s.place_offers - s.place_memo_skips <= s.place_lookups);
     assert!(s.place_memo_skips > 0, "no offer was memoised: {s:?}");
     assert!(s.place_memo_skips < s.place_offers);
-    let repeat = run(false);
+    let repeat = run(Observe::default());
     assert_eq!(memo_counters(&repeat.stats), memo_counters(s));
     assert_eq!(digest(&repeat), digest(&one));
-    let audited = run(true);
+    let audited = run(AUDITED);
     assert!(audited.audit.is_clean(), "{:?}", audited.audit.violations);
     assert_eq!(digest(&audited), digest(&one));
     assert_eq!(memo_counters(&audited.stats), memo_counters(s));
@@ -115,9 +119,9 @@ impl SchemeBuilder for DeclinesFirst {
 
 #[test]
 fn an_impure_decline_fails_the_audit() {
-    let (mut config, trace) = pulse(7);
-    config.audit = true;
-    let result = run_simulation(&config, &DeclinesFirst { declines: 3 }, &trace);
+    let (config, trace) = pulse(7);
+    let scheme = DeclinesFirst { declines: 3 };
+    let result = simulate(&config, &scheme, Arrivals::Generate(&trace), None, AUDITED);
     assert!(result.stats.place_memo_skips > 0);
     assert!(!result.audit.is_clean());
     assert!(

@@ -16,6 +16,8 @@
 //! mutated worker fleet, including GPUs that flip between accepting
 //! and draining, and so between the index's two tiers.
 
+use std::num::NonZeroU64;
+
 use proptest::prelude::*;
 use protean::ProteanBuilder;
 use protean_baselines::Baseline;
@@ -23,8 +25,8 @@ use protean_cluster::dispatch::reference_select;
 use protean_cluster::schemes_for_test::AlwaysLargest;
 use protean_cluster::worker::{Worker, WorkerStatus};
 use protean_cluster::{
-    run_simulation, run_simulation_with_oracle, ClusterConfig, DispatchIndex, DispatchPolicy,
-    Scheme, SchemeBuilder, ScriptedMarket,
+    simulate, Arrivals, ClusterConfig, DispatchIndex, DispatchPolicy, Observe, Scheme,
+    SchemeBuilder, ScriptedMarket,
 };
 use protean_experiments::setup::LANGUAGE_RPS;
 use protean_experiments::{golden, PaperSetup};
@@ -292,7 +294,7 @@ proptest! {
 }
 
 /// A spot-faulted cluster config for the full-run differential.
-fn faulted_config(workers: usize, seed: u64, audit: bool) -> ClusterConfig {
+fn faulted_config(workers: usize, seed: u64) -> ClusterConfig {
     let mut config = ClusterConfig::small_test();
     config.workers = workers;
     config.seed = seed;
@@ -301,7 +303,6 @@ fn faulted_config(workers: usize, seed: u64, audit: bool) -> ClusterConfig {
     config.revocation_check = SimDuration::from_secs(5.0);
     config.vm_startup = SimDuration::from_secs(5.0);
     config.procurement_retry = SimDuration::from_secs(5.0);
-    config.audit = audit;
     config
 }
 
@@ -329,12 +330,18 @@ fn differential_run(
     evictions: &[(usize, f64, f64)],
 ) -> (String, String) {
     let run = |audit: bool| {
-        let config = faulted_config(workers, seed, audit);
+        let config = faulted_config(workers, seed);
         let mut market = ScriptedMarket::new();
         for &(worker, at, lead) in evictions {
             market = market.evict(worker, SimTime::from_secs(at), SimDuration::from_secs(lead));
         }
-        let result = run_simulation_with_oracle(&config, &scheme, &faulted_trace(), &mut market);
+        let observe = Observe {
+            audit: audit.then_some(NonZeroU64::MIN),
+            journal_capacity: 0,
+        };
+        let trace = faulted_trace();
+        let arrivals = Arrivals::Generate(&trace);
+        let result = simulate(&config, &scheme, arrivals, Some(&mut market), observe);
         assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
         assert_eq!(result.audit.enabled, audit);
         assert!(!audit || result.audit.checks > 0);
@@ -479,13 +486,14 @@ fn fleet_scale_dispatch_matches_linear_reference() {
         &Baseline::InflessLlama,
     ];
     for scheme in schemes {
-        let run = |audit: bool| {
-            let mut c = config.clone();
-            c.audit = audit;
-            c.audit_every_n = 1024;
-            run_simulation(&c, scheme, &trace)
+        let run = |audit| {
+            let observe = Observe {
+                audit,
+                journal_capacity: 0,
+            };
+            simulate(&config, scheme, Arrivals::Generate(&trace), None, observe)
         };
-        let (audited, plain) = (run(true), run(false));
+        let (audited, plain) = (run(NonZeroU64::new(1024)), run(None));
         let name = scheme.name();
         assert!(
             audited.audit.is_clean(),

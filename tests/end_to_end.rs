@@ -3,7 +3,7 @@
 
 use protean::ProteanBuilder;
 use protean_baselines::Baseline;
-use protean_cluster::{run_simulation, ClusterConfig, SchemeBuilder};
+use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe, SchemeBuilder};
 use protean_experiments::{run_scheme, PaperSetup, SchemeRow};
 use protean_metrics::record::Class;
 use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER, PROFILES};
@@ -43,7 +43,13 @@ fn conservation_of_requests_across_schemes() {
         Box::new(ProteanBuilder::paper()),
     ];
     for scheme in lineup {
-        let result = run_simulation(&config, scheme.as_ref(), &trace);
+        let result = simulate(
+            &config,
+            scheme.as_ref(),
+            Arrivals::Generate(&trace),
+            None,
+            Observe::default(),
+        );
         assert_eq!(
             result.metrics.count(Class::All),
             expected,
@@ -68,7 +74,13 @@ fn consolidated_run_pushes_at_most_half_the_all_jobs_finish_events() {
     let mut config = setup.cluster();
     config.warmup = SimDuration::from_secs(5.0);
     let trace = setup.wiki_trace(ModelId::ResNet50);
-    let result = run_simulation(&config, &Baseline::InflessLlama, &trace);
+    let result = simulate(
+        &config,
+        &Baseline::InflessLlama,
+        Arrivals::Generate(&trace),
+        None,
+        Observe::default(),
+    );
     assert!(result.metrics.count(Class::All) > 10_000);
     let s = result.stats;
     assert!(s.finish_events_pushed > 0);
@@ -201,7 +213,13 @@ fn full_records_and_the_trace_cost_a_quarter_entry_per_request() {
     let requests = trace.len();
     assert!(requests > 5000, "{requests} requests");
     let trace_bytes = trace.heap_bytes() as f64 / requests as f64;
-    let result = protean_cluster::run_simulation_on(&config, &ProteanBuilder::paper(), trace);
+    let result = simulate(
+        &config,
+        &ProteanBuilder::paper(),
+        Arrivals::Trace(trace),
+        None,
+        Observe::default(),
+    );
     let recorded = result.metrics.count(Class::All);
     assert!(recorded > 4000, "{recorded} records");
     let record_bytes = result.metrics.heap_bytes() as f64 / recorded as f64;
@@ -222,7 +240,13 @@ fn whole_batch_arrivals_arm_no_window_and_partial_ones_still_do() {
             .with(keys);
         let (config, trace) = spec.generated();
         let scheme = protean_experiments::schemes::by_name(&spec.fleet.scheme).expect("a scheme");
-        let r = run_simulation(&config, scheme.as_ref(), &trace);
+        let r = simulate(
+            &config,
+            scheme.as_ref(),
+            Arrivals::Generate(&trace),
+            None,
+            Observe::default(),
+        );
         assert!(r.stats.dispatch_batches > 0);
         r.stats.expiries
     };

@@ -7,14 +7,13 @@
 //! unaudited one, a streamed run like a materialised one, and a second
 //! run in the same process like the first.
 
+use std::num::NonZeroU64;
+
 use proptest::prelude::*;
 use protean::ProteanBuilder;
 use protean_baselines::Baseline;
 use protean_cluster::fault::ScriptedMarket;
-use protean_cluster::{
-    run_simulation, run_simulation_streaming, run_simulation_with_oracle, ClusterConfig,
-    SchemeBuilder,
-};
+use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe, SchemeBuilder};
 use protean_experiments::golden::digest;
 use protean_experiments::setup::LANGUAGE_RPS;
 use protean_experiments::PaperSetup;
@@ -76,14 +75,15 @@ proptest! {
         let config = quick_config(seed);
         let trace = quick_trace(model, rps, strict_fraction);
         let scheme = scheme_for(scheme_idx);
-        let first = digest(&run_simulation(&config, scheme.as_ref(), &trace));
-        let mut audited_config = config.clone();
-        audited_config.audit = true;
-        let audited = run_simulation(&audited_config, scheme.as_ref(), &trace);
+        let run = |observe| {
+            simulate(&config, scheme.as_ref(), Arrivals::Generate(&trace), None, observe)
+        };
+        let first = digest(&run(Observe::default()));
+        let audited = run(Observe::audited());
         prop_assert!(audited.audit.is_clean(), "{:?}", audited.audit.violations);
         prop_assert!(audited.audit.checks > 0);
         prop_assert_eq!(&digest(&audited), &first);
-        prop_assert_eq!(digest(&run_simulation(&config, scheme.as_ref(), &trace)), first);
+        prop_assert_eq!(digest(&run(Observe::default())), first);
     }
 
     /// The same differential through the scripted spot market:
@@ -105,22 +105,21 @@ proptest! {
         config.vm_startup = SimDuration::from_secs(5.0);
         config.procurement_retry = SimDuration::from_secs(5.0);
         let trace = quick_trace(ModelId::ResNet50, 300.0, 0.5);
-        let run = |audit: bool| {
-            let mut c = config.clone();
-            c.audit = audit;
+        let run = |observe| {
             let mut market = ScriptedMarket::new().evict(
                 evict_worker,
                 SimTime::from_secs(evict_at_secs),
                 SimDuration::from_secs(lead_secs),
             );
-            run_simulation_with_oracle(&c, &ProteanBuilder::paper(), &trace, &mut market)
+            let arrivals = Arrivals::Generate(&trace);
+            simulate(&config, &ProteanBuilder::paper(), arrivals, Some(&mut market), observe)
         };
-        let first = digest(&run(false));
-        let audited = run(true);
+        let first = digest(&run(Observe::default()));
+        let audited = run(Observe::audited());
         prop_assert!(audited.audit.is_clean(), "{:?}", audited.audit.violations);
         prop_assert!(audited.audit.checks > 0);
         prop_assert_eq!(&digest(&audited), &first);
-        prop_assert_eq!(digest(&run(false)), first);
+        prop_assert_eq!(digest(&run(Observe::default())), first);
     }
 }
 
@@ -144,13 +143,15 @@ fn fleet_scale_streamed_and_audited_runs_match() {
     trace.shape = TraceShape::wiki(LANGUAGE_RPS * WORKERS as f64 / 8.0);
     let scheme = ProteanBuilder::paper();
 
-    let materialised = digest(&run_simulation(&config, &scheme, &trace));
-    let streamed = run_simulation_streaming(&config, &scheme, &trace);
+    let run = |arrivals, observe| simulate(&config, &scheme, arrivals, None, observe);
+    let materialised = digest(&run(Arrivals::Generate(&trace), Observe::default()));
+    let streamed = run(Arrivals::Stream(&trace), Observe::default());
     assert_eq!(digest(&streamed), materialised, "streamed run diverged");
-    let mut audited_config = config.clone();
-    audited_config.audit = true;
-    audited_config.audit_every_n = 64;
-    let audited = run_simulation(&audited_config, &scheme, &trace);
+    let sampled = Observe {
+        audit: NonZeroU64::new(64),
+        journal_capacity: 0,
+    };
+    let audited = run(Arrivals::Generate(&trace), sampled);
     assert!(audited.audit.is_clean(), "{:?}", audited.audit.violations);
     assert!(audited.audit.checks > 0);
     assert_eq!(digest(&audited), materialised, "audited run diverged");

@@ -8,11 +8,12 @@
 //! final test pins the auditor's zero-observability guarantee: a golden
 //! spot run produces a bit-identical digest with auditing on.
 
+use std::num::NonZeroU64;
+
 use proptest::prelude::*;
 use protean::ProteanBuilder;
 use protean_cluster::{
-    run_simulation, run_simulation_with_oracle, ClusterConfig, JournalEvent, ScriptedMarket,
-    SimulationResult,
+    simulate, Arrivals, ClusterConfig, JournalEvent, Observe, ScriptedMarket, SimulationResult,
 };
 use protean_experiments::{golden, PaperSetup};
 use protean_metrics::record::Class;
@@ -21,8 +22,7 @@ use protean_sim::{RngFactory, SimDuration, SimTime};
 use protean_spot::{ProcurementPolicy, SpotAvailability};
 use protean_trace::{TraceConfig, TraceShape};
 
-/// A 3-worker hybrid-procurement cluster with fast spot timings and the
-/// invariant auditor on.
+/// A 3-worker hybrid-procurement cluster with fast spot timings.
 fn spot_config() -> ClusterConfig {
     let mut config = ClusterConfig::small_test();
     config.workers = 3;
@@ -31,8 +31,27 @@ fn spot_config() -> ClusterConfig {
     config.revocation_check = SimDuration::from_secs(5.0);
     config.vm_startup = SimDuration::from_secs(5.0);
     config.procurement_retry = SimDuration::from_secs(5.0);
-    config.audit = true;
     config
+}
+
+/// PROTEAN over `t` on `market`, observed by `observe`.
+fn run_on(
+    config: &ClusterConfig,
+    t: &TraceConfig,
+    market: &mut ScriptedMarket,
+    observe: Observe,
+) -> SimulationResult {
+    let (scheme, arrivals) = (ProteanBuilder::paper(), Arrivals::Generate(t));
+    simulate(config, &scheme, arrivals, Some(market), observe)
+}
+
+/// An audit after every event, and a journal of up to
+/// `journal_capacity` events.
+fn audited(journal_capacity: usize) -> Observe {
+    Observe {
+        journal_capacity,
+        ..Observe::audited()
+    }
 }
 
 fn trace(rps: f64, secs: f64) -> TraceConfig {
@@ -76,7 +95,7 @@ fn boots_in_flight_across_vm_replacement_are_discarded_as_stale() {
     let mut market =
         ScriptedMarket::new().evict(0, SimTime::from_secs(5.0), SimDuration::from_secs(3.0));
     let t = trace(200.0, 30.0);
-    let result = run_simulation_with_oracle(&config, &ProteanBuilder::paper(), &t, &mut market);
+    let result = run_on(&config, &t, &mut market, Observe::audited());
     assert_eq!(result.cost.evictions, 1);
     assert!(
         result.stats.stale_boot_events > 0,
@@ -94,14 +113,12 @@ fn boots_in_flight_across_vm_replacement_are_discarded_as_stale() {
 /// reclaimed, not the moment it is ready.
 #[test]
 fn replacement_ready_before_drain_waits_for_eviction_final() {
-    let mut config = spot_config();
-    config.journal_capacity = 500_000;
     // Notice at t=10 s with a 20 s lead: reclaim at t=30 s. The
     // replacement is ready at t=15 s, mid-drain.
     let mut market =
         ScriptedMarket::new().evict(0, SimTime::from_secs(10.0), SimDuration::from_secs(20.0));
     let t = trace(200.0, 60.0);
-    let result = run_simulation_with_oracle(&config, &ProteanBuilder::paper(), &t, &mut market);
+    let result = run_on(&spot_config(), &t, &mut market, audited(500_000));
     assert_eq!(result.cost.evictions, 1);
     assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
     let notice = result
@@ -136,7 +153,6 @@ fn reconfig_storm_under_eviction_keeps_invariants() {
     config.revocation_check = SimDuration::from_secs(5.0);
     config.vm_startup = SimDuration::from_secs(5.0);
     config.procurement_retry = SimDuration::from_secs(5.0);
-    config.audit = true;
     // The Fig. 7 rotation through the oversized DPN 92 forces geometry
     // changes; the two evictions straddle the rotation boundaries.
     let t = TraceConfig {
@@ -152,7 +168,7 @@ fn reconfig_storm_under_eviction_keeps_invariants() {
     let mut market = ScriptedMarket::new()
         .evict(1, SimTime::from_secs(22.0), SimDuration::from_secs(10.0))
         .evict(4, SimTime::from_secs(38.0), SimDuration::from_secs(10.0));
-    let result = run_simulation_with_oracle(&config, &ProteanBuilder::paper(), &t, &mut market);
+    let result = run_on(&config, &t, &mut market, Observe::audited());
     assert_eq!(result.cost.evictions, 2);
     assert!(result.reconfigs > 0, "the storm never reconfigured");
     assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
@@ -170,7 +186,6 @@ fn procurement_denial_burst_leaves_the_slot_down_without_losing_requests() {
     let mut config = spot_config();
     config.workers = 2;
     config.procurement = ProcurementPolicy::SpotOnly;
-    config.journal_capacity = 500_000;
     // Initial provisioning consumes the two grants (one roll per worker
     // at t=0); every roll after that — the replacement attempt at the
     // notice and all retries — is denied.
@@ -179,7 +194,7 @@ fn procurement_denial_burst_leaves_the_slot_down_without_losing_requests() {
         .evict(0, SimTime::from_secs(5.0), SimDuration::from_secs(5.0))
         .deny_rest();
     let t = trace(200.0, 30.0);
-    let result = run_simulation_with_oracle(&config, &ProteanBuilder::paper(), &t, &mut market);
+    let result = run_on(&config, &t, &mut market, audited(500_000));
     assert_eq!(result.cost.evictions, 1);
     assert!(
         market.acquisition_rolls() >= 3,
@@ -232,7 +247,7 @@ proptest! {
         }
         let t = trace(200.0, 40.0);
         let result =
-            run_simulation_with_oracle(&config, &ProteanBuilder::paper(), &t, &mut market);
+            run_on(&config, &t, &mut market, Observe::audited());
         prop_assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
         prop_assert_eq!(
             result.metrics.count(Class::All),
@@ -257,9 +272,12 @@ fn audited_golden_spot_run_is_bit_identical_and_clean() {
     config.revocation_check = SimDuration::from_secs(5.0);
     config.vm_startup = SimDuration::from_secs(5.0);
     let t = setup.wiki_trace(ModelId::ResNet50);
-    let plain = run_simulation(&config, &ProteanBuilder::paper(), &t);
-    config.audit = true;
-    let audited = run_simulation(&config, &ProteanBuilder::paper(), &t);
+    let run = |observe| {
+        let arrivals = Arrivals::Generate(&t);
+        simulate(&config, &ProteanBuilder::paper(), arrivals, None, observe)
+    };
+    let plain = run(Observe::default());
+    let audited = run(Observe::audited());
     assert!(
         plain.cost.evictions > 0,
         "seed 3 must exercise the spot path"
@@ -284,17 +302,16 @@ fn audited_golden_spot_run_is_bit_identical_and_clean() {
 /// takes both evictions, and digests like an unaudited run and a repeat.
 #[test]
 fn simultaneous_evictions_resolve_deterministically() {
-    let make = |audit: bool| {
+    let make = |observe| {
         let mut config = spot_config();
         config.workers = 4;
         config.prewarm_containers = 0; // boots in flight at the collision tick
         config.cold_start = SimDuration::from_secs(5.0);
-        config.audit = audit;
         let mut market = ScriptedMarket::new()
             .evict(1, SimTime::from_secs(10.0), SimDuration::from_secs(5.0))
             .evict(2, SimTime::from_secs(10.0), SimDuration::from_secs(5.0));
         let t = trace(300.0, 40.0);
-        let result = run_simulation_with_oracle(&config, &ProteanBuilder::paper(), &t, &mut market);
+        let result = run_on(&config, &t, &mut market, observe);
         assert_eq!(
             market.pending_evictions(),
             0,
@@ -302,33 +319,35 @@ fn simultaneous_evictions_resolve_deterministically() {
         );
         result
     };
-    let audited = make(true);
+    let audited = make(Observe::audited());
     assert_eq!(audited.cost.evictions, 2);
     assert!(audited.audit.is_clean(), "{:?}", audited.audit.violations);
     let digest = golden::digest(&audited);
     for rep in 0..2 {
         assert_eq!(
-            golden::digest(&make(false)),
+            golden::digest(&make(Observe::default())),
             digest,
             "unaudited run {rep} resolved the simultaneous evictions differently"
         );
     }
 }
 
-/// `audit_every_n` sampling must thin the full-state sweeps without
+/// Audit sampling must thin the full-state sweeps without
 /// changing anything observable: a sampled run digests bit-identically
 /// to the every-event run, stays clean, and performs roughly 1/n of the
 /// sweeps. Fleet-scale benchmarks rely on this to keep the auditor on.
 #[test]
 fn sampled_audit_is_digest_neutral_and_thins_sweeps() {
-    let make = |every_n: u64| {
-        let mut config = spot_config();
-        config.audit_every_n = every_n;
+    let make = |every_n| {
         let mut market = ScriptedMarket::new()
             .evict(0, SimTime::from_secs(5.0), SimDuration::from_secs(5.0))
             .evict(2, SimTime::from_secs(12.0), SimDuration::from_secs(3.0));
         let t = trace(200.0, 30.0);
-        run_simulation_with_oracle(&config, &ProteanBuilder::paper(), &t, &mut market)
+        let observe = Observe {
+            audit: NonZeroU64::new(every_n),
+            journal_capacity: 0,
+        };
+        run_on(&spot_config(), &t, &mut market, observe)
     };
     let full = make(1);
     let sampled = make(7);
@@ -387,7 +406,7 @@ fn eviction_storm() -> (ClusterConfig, TraceConfig, ScriptedMarket) {
 fn eviction_redispatch_order_is_deterministic() {
     let run = || {
         let (config, t, mut market) = eviction_storm();
-        let result = run_simulation_with_oracle(&config, &ProteanBuilder::paper(), &t, &mut market);
+        let result = run_on(&config, &t, &mut market, Observe::audited());
         assert!(result.cost.evictions > 0, "no eviction fired");
         assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
         golden::digest(&result)
@@ -424,8 +443,7 @@ fn run_counters_count_every_event_across_vm_replacements() {
         let run = |journal_capacity| {
             let (mut config, t, mut market) = eviction_storm();
             config.predictive_prewarm = predictive_prewarm;
-            config.journal_capacity = journal_capacity;
-            run_simulation_with_oracle(&config, &ProteanBuilder::paper(), &t, &mut market)
+            run_on(&config, &t, &mut market, audited(journal_capacity))
         };
         let full = run(1 << 20);
         assert_eq!(full.journal.dropped(), 0);

@@ -20,11 +20,13 @@
 //! cargo run --release -p protean-experiments --bin golden_digest -- --fields
 //! ```
 
+use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe, SimulationResult};
 use protean_experiments::golden::{
     golden_digests, golden_digests_audited, golden_digests_streaming, golden_fingerprints,
     golden_specs,
 };
-use protean_experiments::scenario;
+use protean_experiments::{scenario, schemes};
+use protean_metrics::record::Class;
 
 /// Captured from the single-queue engine (per-worker jitter streams):
 /// every scheme × seeds {42, 7, 1234} on the paper's 8-worker wiki
@@ -114,7 +116,7 @@ fn results_are_bit_identical_to_recorded_digests() {
     );
 }
 
-/// The streaming arrival path (`run_simulation_streaming`) must
+/// The streaming arrival path (`Arrivals::Stream`) must
 /// reproduce the materialised engine bit for bit on every golden
 /// config — all eight schemes × three seeds plus the two spot-market
 /// runs. Comparing against the same recorded constants (not just
@@ -200,5 +202,52 @@ fn whole_results_match_the_recorded_fingerprints() {
 fn every_golden_spec_round_trips_through_its_toml() {
     for (label, spec) in golden_specs() {
         assert_eq!(scenario::parse(&spec.to_toml()), Ok(spec), "{label}");
+    }
+}
+
+/// Output-mode relation: `aggregate_metrics` changes only what a run
+/// records. On every golden spec the aggregate run has the full run's
+/// engine stats, cost, lifecycle counters, per-class request counts and
+/// geometry timeline. It records no strict latency timeline, the one
+/// masked field, and its p50 and p99 lie within one histogram bucket
+/// ratio (128 buckets per decade) of the exact ones.
+#[test]
+fn aggregate_metrics_change_only_what_a_run_records() {
+    let bucket_ratio = 10f64.powf(1.0 / 128.0);
+    for (label, spec) in golden_specs() {
+        let (config, trace) = spec.generated();
+        let scheme = schemes::by_name(&spec.fleet.scheme).expect("a known scheme");
+        let run = |aggregate_metrics| {
+            let config = ClusterConfig {
+                aggregate_metrics,
+                ..config.clone()
+            };
+            let arrivals = Arrivals::Generate(&trace);
+            simulate(&config, scheme.as_ref(), arrivals, None, Observe::default())
+        };
+        let (full, agg) = (run(false), run(true));
+        assert_eq!(agg.stats, full.stats, "{label}");
+        assert_eq!(agg.cost, full.cost, "{label}");
+        let counters =
+            |r: &SimulationResult| [r.cold_starts, r.reconfigs, r.censored, r.proactive_boots];
+        assert_eq!(counters(&agg), counters(&full), "{label}");
+        assert_eq!(agg.geometry_timeline, full.geometry_timeline, "{label}");
+        assert!(!full.strict_latency_timeline.is_empty(), "{label}");
+        assert!(agg.strict_latency_timeline.is_empty(), "{label}");
+        for class in [Class::All, Class::Strict, Class::BestEffort] {
+            let count = |r: &SimulationResult| r.metrics.count(class);
+            assert_eq!(count(&agg), count(&full), "{label} {class:?}");
+            for q in [0.5, 0.99] {
+                let quantile = |r: &SimulationResult| r.metrics.latency_percentile_ms(class, q);
+                let (Some(exact), Some(approx)) = (quantile(&full), quantile(&agg)) else {
+                    panic!("{label} {class:?} p{q}: a mode recorded no latency");
+                };
+                let ratio = (approx / exact).max(exact / approx);
+                assert!(
+                    ratio <= bucket_ratio,
+                    "{label} {class:?} p{q}: aggregate {approx} ms vs exact {exact} ms"
+                );
+            }
+        }
     }
 }

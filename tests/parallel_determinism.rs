@@ -4,6 +4,7 @@
 //! streams via `ClusterConfig::seed`, so no result may depend on
 //! thread interleaving.
 
+use protean_cluster::{simulate, Arrivals, Observe};
 use protean_experiments::harness::{run_grid, run_parallel, GridCell};
 use protean_experiments::{scenario, schemes, PaperSetup, SchemeRow};
 use protean_models::ModelId;
@@ -89,24 +90,32 @@ fn run_parallel_preserves_input_order() {
 }
 
 /// A grid whose cells each run audited returns bit-identical rows for
-/// any grid thread count, and the same rows as the unaudited grid.
+/// any pool thread count, and the same rows as the unaudited grid.
 #[test]
 fn audited_cells_inside_a_parallel_grid_stay_deterministic() {
     let lineup = schemes::primary();
     let mut cells = Vec::new();
-    let mut audited_cells = Vec::new();
     for (i, scheme) in lineup.iter().enumerate() {
         let seed = (300 + i).to_string();
         let keys = [("trace.duration_secs", "10"), ("fleet.seed", &seed)];
-        let spec = scenario::paper().with(&keys);
-        cells.push(GridCell::of(&spec, scheme.as_ref()));
-        let mut audited = GridCell::of(&spec, scheme.as_ref());
-        audited.config.audit = true;
-        audited_cells.push(audited);
+        cells.push(GridCell::of(
+            &scenario::paper().with(&keys),
+            scheme.as_ref(),
+        ));
     }
+    // `run_grid`'s cells, each run audited on the same pool.
+    let audited_grid = |threads| {
+        run_parallel(&cells, threads, |_, cell| {
+            let arrivals = Arrivals::Generate(&cell.trace);
+            let observe = Observe::audited();
+            let result = simulate(&cell.config, cell.scheme, arrivals, None, observe);
+            assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
+            SchemeRow::new(result, cell.config.warmup, cell.slo_mult)
+        })
+    };
     let unaudited = run_grid(&cells, 1);
-    let sequential = run_grid(&audited_cells, 1);
-    let parallel = run_grid(&audited_cells, 8);
+    let sequential = audited_grid(1);
+    let parallel = audited_grid(8);
     for (i, ((u, s), p)) in unaudited.iter().zip(&sequential).zip(&parallel).enumerate() {
         assert_rows_identical(u, s, i);
         assert_rows_identical(s, p, i);
@@ -118,16 +127,23 @@ fn audited_cells_inside_a_parallel_grid_stay_deterministic() {
 /// often and censors the same requests.
 #[test]
 fn audit_sweeps_stay_clean_and_counted_on_a_repeat() {
-    use protean_cluster::run_simulation;
     let setup = PaperSetup {
         duration_secs: 15.0,
         seed: 9,
     };
-    let mut config = setup.cluster();
-    config.audit = true;
+    let config = setup.cluster();
     let trace = setup.wiki_trace(ModelId::ResNet50);
     let scheme = protean::ProteanBuilder::paper();
-    let baseline = run_simulation(&config, &scheme, &trace);
+    let run = || {
+        simulate(
+            &config,
+            &scheme,
+            Arrivals::Generate(&trace),
+            None,
+            Observe::audited(),
+        )
+    };
+    let baseline = run();
     assert!(baseline.audit.enabled);
     assert!(baseline.audit.checks > 0);
     assert!(baseline.audit.is_clean(), "{:?}", baseline.audit.violations);
@@ -136,7 +152,7 @@ fn audit_sweeps_stay_clean_and_counted_on_a_repeat() {
     let runs = trace.generate(&factory).into_runs().len() as u64;
     assert!(runs < baseline.stats.arrivals);
     assert_eq!(baseline.audit.checks, baseline.stats.events_popped + runs);
-    let repeat = run_simulation(&config, &scheme, &trace);
+    let repeat = run();
     assert!(repeat.audit.is_clean(), "{:?}", repeat.audit.violations);
     assert_eq!(baseline.audit.checks, repeat.audit.checks);
     assert_eq!(baseline.censored, repeat.censored);

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use protean::ProteanBuilder;
 use protean_baselines::Baseline;
 use protean_cluster::engine::DRAIN_GRACE;
-use protean_cluster::{run_simulation, ClusterConfig, SchemeBuilder};
+use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe, SchemeBuilder};
 use protean_metrics::record::Class;
 use protean_models::ModelId;
 use protean_sim::{RngFactory, SimDuration, SimTime};
@@ -60,7 +60,8 @@ proptest! {
         let config = quick_config(seed);
         let trace = quick_trace(model, rps, strict_fraction);
         let scheme = scheme_for(scheme_idx);
-        let result = run_simulation(&config, scheme.as_ref(), &trace);
+        let arrivals = Arrivals::Generate(&trace);
+        let result = simulate(&config, scheme.as_ref(), arrivals, None, Observe::default());
         let factory = RngFactory::new(config.seed);
         let expected = trace
             .generate(&factory)
@@ -81,7 +82,8 @@ proptest! {
         let config = quick_config(seed);
         let trace = quick_trace(model, 800.0, 0.5);
         let scheme = scheme_for(scheme_idx);
-        let result = run_simulation(&config, scheme.as_ref(), &trace);
+        let arrivals = Arrivals::Generate(&trace);
+        let result = simulate(&config, scheme.as_ref(), arrivals, None, Observe::default());
         let horizon = trace.duration + DRAIN_GRACE;
         for rec in result.metrics.records() {
             let lat = rec.latency();
@@ -103,7 +105,8 @@ proptest! {
     ) {
         let config = quick_config(seed);
         let trace = quick_trace(model, 500.0, 0.5);
-        let result = run_simulation(&config, &ProteanBuilder::paper(), &trace);
+        let (scheme, arrivals) = (ProteanBuilder::paper(), Arrivals::Generate(&trace));
+        let result = simulate(&config, &scheme, arrivals, None, Observe::default());
         let hours = (trace.duration + DRAIN_GRACE).as_secs_f64() / 3600.0;
         let expected = config.workers as f64
             * hours
@@ -119,10 +122,12 @@ proptest! {
         let config = quick_config(seed);
         let mut all_strict = quick_trace(model, 500.0, 1.0);
         all_strict.be_pool.clear();
-        let result = run_simulation(&config, &ProteanBuilder::paper(), &all_strict);
+        let scheme = ProteanBuilder::paper();
+        let run = |t| simulate(&config, &scheme, Arrivals::Generate(t), None, Observe::default());
+        let result = run(&all_strict);
         prop_assert_eq!(result.metrics.count(Class::BestEffort), 0);
         let all_be = quick_trace(model, 500.0, 0.0);
-        let result = run_simulation(&config, &ProteanBuilder::paper(), &all_be);
+        let result = run(&all_be);
         prop_assert_eq!(result.metrics.count(Class::Strict), 0);
     }
 }

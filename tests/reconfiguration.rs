@@ -3,7 +3,7 @@
 
 use protean::ProteanBuilder;
 use protean_cluster::engine::MAX_RECONFIG_FRACTION;
-use protean_cluster::run_simulation;
+use protean_cluster::{simulate, Arrivals, Observe};
 use protean_experiments::PaperSetup;
 use protean_models::ModelId;
 use protean_sim::SimDuration;
@@ -29,10 +29,12 @@ fn rotation_to_dpn92_triggers_geometry_change_to_4g_3g() {
         duration_secs: 80.0,
         seed: 42,
     };
-    let result = run_simulation(
+    let result = simulate(
         &setup.cluster(),
         &ProteanBuilder::paper(),
-        &rotation_trace(&setup),
+        Arrivals::Generate(&rotation_trace(&setup)),
+        None,
+        Observe::default(),
     );
     assert!(result.reconfigs > 0, "no reconfigurations happened");
     assert!(
@@ -60,7 +62,13 @@ fn at_most_thirty_percent_of_gpus_reconfigure_simultaneously() {
         seed: 42,
     };
     let config = setup.cluster();
-    let result = run_simulation(&config, &ProteanBuilder::paper(), &rotation_trace(&setup));
+    let result = simulate(
+        &config,
+        &ProteanBuilder::paper(),
+        Arrivals::Generate(&rotation_trace(&setup)),
+        None,
+        Observe::default(),
+    );
     let cap = ((MAX_RECONFIG_FRACTION * config.workers as f64).ceil() as usize).max(1);
     // Each completed change occupied its GPU for at least the 2 s
     // reconfiguration delay ending at `at`. Count the maximum overlap
@@ -96,7 +104,13 @@ fn static_variant_never_reconfigures() {
     config.name = "static";
     config.dynamic_reconfig = false;
     let builder = PB::with_config(config);
-    let result = run_simulation(&setup.cluster(), &builder, &rotation_trace(&setup));
+    let result = simulate(
+        &setup.cluster(),
+        &builder,
+        Arrivals::Generate(&rotation_trace(&setup)),
+        None,
+        Observe::default(),
+    );
     assert_eq!(result.reconfigs, 0);
     assert!(result.geometry_timeline.is_empty());
 }
@@ -111,7 +125,13 @@ fn reconfiguration_downtime_does_not_lose_requests() {
     };
     let config = setup.cluster();
     let trace = rotation_trace(&setup);
-    let result = run_simulation(&config, &ProteanBuilder::paper(), &trace);
+    let result = simulate(
+        &config,
+        &ProteanBuilder::paper(),
+        Arrivals::Generate(&trace),
+        None,
+        Observe::default(),
+    );
     let factory = RngFactory::new(config.seed);
     let expected = trace
         .generate(&factory)

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use protean::ProteanBuilder;
-use protean_cluster::{run_trace_with_oracle, ClusterConfig, ScriptedMarket};
+use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe, ScriptedMarket};
 use protean_experiments::golden;
 use protean_experiments::scenario::{
     self, BurstSpec, EvictionSpec, ExpectSpec, FleetSpec, MarketSpec, ScenarioError, ScenarioSpec,
@@ -211,7 +211,6 @@ fn hand_built_market_matches_dsl_twin_on_scripted_evictions() {
     config.procurement_retry = SimDuration::from_secs(5.0);
     config.prewarm_containers = 4;
     config.cold_start = SimDuration::from_secs(8.0);
-    config.audit = true;
 
     let trace_config = TraceConfig {
         shape: TraceShape::constant(240.0),
@@ -231,7 +230,14 @@ fn hand_built_market_matches_dsl_twin_on_scripted_evictions() {
         .deny_next(1);
 
     let scheme = ProteanBuilder::paper();
-    let result = run_trace_with_oracle(&config, &scheme, trace, &mut market);
+    let arrivals = Arrivals::Trace(trace);
+    let result = simulate(
+        &config,
+        &scheme,
+        arrivals,
+        Some(&mut market),
+        Observe::audited(),
+    );
     let hand_digest = golden::digest(&result);
 
     let twin = "\
@@ -294,7 +300,6 @@ fn hand_built_market_matches_dsl_twin_on_jittered_storm() {
     config.procurement_retry = SimDuration::from_secs(5.0);
     config.prewarm_containers = 2;
     config.cold_start = SimDuration::from_secs(8.0);
-    config.audit = true;
 
     let mut be_pool = ModelId::ResNet50.opposite_pool();
     if be_pool.is_empty() {
@@ -319,7 +324,14 @@ fn hand_built_market_matches_dsl_twin_on_jittered_storm() {
         .evict(2, SimTime::from_secs(20.0), SimDuration::from_secs(lead2));
 
     let scheme = ProteanBuilder::paper();
-    let result = run_trace_with_oracle(&config, &scheme, trace, &mut market);
+    let arrivals = Arrivals::Trace(trace);
+    let result = simulate(
+        &config,
+        &scheme,
+        arrivals,
+        Some(&mut market),
+        Observe::audited(),
+    );
     let hand_digest = golden::digest(&result);
 
     let twin = "\

@@ -2,7 +2,9 @@
 //! the spot market, procurement and cluster crates.
 
 use protean::ProteanBuilder;
-use protean_cluster::{run_simulation, ClusterConfig, SchemeBuilder, SimulationResult};
+use protean_cluster::{
+    simulate, Arrivals, ClusterConfig, Observe, SchemeBuilder, SimulationResult,
+};
 use protean_experiments::golden::{fingerprint_fields, golden_specs};
 use protean_experiments::{run_scheme, schemes, PaperSetup, SchemeRow};
 use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER};
@@ -190,7 +192,13 @@ fn a_provider_moves_only_the_price_of_each_tier() {
             let run = |provider| {
                 let mut config = base.clone();
                 (config.procurement, config.provider) = (policy, provider);
-                run_simulation(&config, scheme.as_ref(), &trace)
+                simulate(
+                    &config,
+                    scheme.as_ref(),
+                    Arrivals::Generate(&trace),
+                    None,
+                    Observe::default(),
+                )
             };
             let aws = run(Provider::Aws);
             for provider in [Provider::Azure, Provider::Gcp] {
