@@ -220,21 +220,6 @@ impl Scheme for BaselineScheme {
     }
 }
 
-impl Scheme for Baseline {
-    fn name(&self) -> &'static str {
-        self.label()
-    }
-    fn initial_geometry(&self) -> Geometry {
-        BaselineScheme { kind: *self, rr: 0 }.initial_geometry()
-    }
-    fn sharing_mode(&self) -> SharingMode {
-        BaselineScheme { kind: *self, rr: 0 }.sharing_mode()
-    }
-    fn place(&mut self, ctx: &PlacementCtx<'_>, batch: &BatchView) -> Option<Placement> {
-        BaselineScheme { kind: *self, rr: 0 }.place(ctx, batch)
-    }
-}
-
 impl SchemeBuilder for Baseline {
     fn build(&self, _worker: usize) -> Box<dyn Scheme> {
         Box::new(BaselineScheme { kind: *self, rr: 0 })

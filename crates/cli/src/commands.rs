@@ -5,12 +5,12 @@ use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use protean_cluster::{Arrivals, Observe, SchemeBuilder};
-use protean_experiments::harness::{run_grid, thread_count, thread_count_or, GridCell};
+use protean_cluster::SchemeBuilder;
+use protean_experiments::harness::{run_grid, thread_count, thread_count_or, Cell};
 use protean_experiments::paper::{self, EXPERIMENTS};
 use protean_experiments::report::{scheme_table, table};
-use protean_experiments::scenario::{self, ScenarioError, ScenarioSpec, TraceSource, RUN_FLAGS};
-use protean_experiments::{run_scheme, schemes, SchemeRow};
+use protean_experiments::scenario::{self, ScenarioError, ScenarioSpec, RUN_FLAGS};
+use protean_experiments::{run_cell, schemes};
 use protean_gpu::{find_placement, Geometry};
 use protean_models::PROFILES;
 
@@ -184,9 +184,7 @@ fn scheme_of(spec: &ScenarioSpec) -> Box<dyn SchemeBuilder> {
 /// `simulate`: one scheme, full report.
 pub fn simulate(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let spec = run_spec("simulate", args)?;
-    let (config, trace) = spec.generated();
-    let scheme = scheme_of(&spec);
-    let row = run_scheme(&config, scheme.as_ref(), &trace, spec.fleet.slo_mult);
+    let row = run_cell(&spec, scheme_of(&spec).as_ref())?;
     scheme_table(out, std::slice::from_ref(&row))?;
     writeln!(out)?;
     writeln!(
@@ -232,12 +230,9 @@ pub fn compare(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let spec = run_spec("compare", args)?;
     let threads = args.get("threads").map(|_| args.get_or("threads", 1usize));
     let threads = thread_count_or(threads.transpose()?);
-    let lineup = schemes::primary();
-    let cells: Vec<GridCell<'_>> = lineup
-        .iter()
-        .map(|s| GridCell::of(&spec, s.as_ref()))
-        .collect();
-    let rows = run_grid(&cells, threads);
+    let lineup = schemes::primary().into_iter();
+    let cells: Vec<Cell> = lineup.map(|s| (spec.clone(), s)).collect();
+    let rows = run_grid(&cells, threads)?;
     Ok(scheme_table(out, &rows)?)
 }
 
@@ -294,22 +289,15 @@ pub fn geometries(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
 /// `replay`: run a scheme over a CSV trace file.
 pub fn replay(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let spec = run_spec("replay", args)?;
-    // `--trace-file` is a path as given, not one relative to a file.
-    let run = spec.compile(Path::new(""), false);
-    let TraceSource::Csv(_) = &run.trace else {
+    if spec.trace.csv.is_none() {
         return Err(ArgError("replay requires --trace-file <path>".into()).into());
-    };
-    let trace = run.trace.load(run.config.seed)?;
-    writeln!(
-        out,
-        "  replaying {} requests over {}",
-        trace.len(),
-        trace.duration()
-    )?;
-    let (scheme, arrivals) = (scheme_of(&spec), Arrivals::Trace(trace));
-    let observe = Observe::default();
-    let result = protean_cluster::simulate(&run.config, &*scheme, arrivals, None, observe);
-    let row = SchemeRow::new(result, run.config.warmup, spec.fleet.slo_mult);
+    }
+    // `--trace-file` is a path as given: `run_cell` reads it from the
+    // working directory. A CSV trace's duration covers its last
+    // arrival, so the run dispatches every request it holds.
+    let row = run_cell(&spec, scheme_of(&spec).as_ref())?;
+    let (requests, over) = (row.result.stats.arrivals, row.result.duration);
+    writeln!(out, "  replaying {requests} requests over {over}")?;
     writeln!(
         out,
         "  scheme {} · SLO {:.2}% · strict P99 {:.1} ms · BE P99 {:.1} ms · censored {}",
@@ -447,6 +435,7 @@ pub fn scenario(action: Option<&str>, args: &Args, out: &mut dyn Write) -> Resul
 mod tests {
     use super::*;
     use protean_cluster::ClusterConfig;
+    use protean_experiments::scenario::TraceSource;
     use protean_models::ModelId;
     use protean_sim::SimDuration;
     use protean_spot::{ProcurementPolicy, Provider, SpotAvailability};
@@ -460,7 +449,7 @@ mod tests {
 
     #[test]
     fn model_names_resolve_loosely() {
-        let model = |name| simulate_run(&["--model", name]).map(|r| r.generated().1.strict_model);
+        let model = |name| simulate_run(&["--model", name]).map(|r| r.trace.model);
         assert_eq!(model("resnet50").unwrap(), ModelId::ResNet50);
         assert_eq!(model("ResNet 50").unwrap(), ModelId::ResNet50);
         assert_eq!(model("GPT-2").unwrap(), ModelId::Gpt2);
@@ -498,8 +487,9 @@ mod tests {
 
     #[test]
     fn compile_run_applies_defaults_and_validates() {
-        let (config, generated) = simulate_run(&[]).unwrap().generated();
-        assert_eq!(config, ClusterConfig::paper_default());
+        let compiled = simulate_run(&[]).unwrap().compile(Path::new(""), false);
+        assert_eq!(compiled.config, ClusterConfig::paper_default());
+        assert_eq!(compiled.market, None);
         let model = ModelId::ResNet50;
         let trace = TraceConfig {
             shape: TraceShape::wiki(5000.0),
@@ -510,17 +500,14 @@ mod tests {
             be_rotation_period: SimDuration::from_secs(20.0),
             batch_arrivals: true,
         };
-        assert_eq!(generated, trace);
+        assert_eq!(compiled.trace, TraceSource::Config(trace));
         assert!(simulate_run(&["--strict-frac", "1.5"]).is_err());
     }
 
     #[test]
     fn language_models_default_to_their_rate() {
         let run = simulate_run(&["--model", "bert"]).unwrap();
-        match run.generated().1.shape {
-            TraceShape::WikiDiurnal { mean_rps, .. } => assert_eq!(mean_rps, 128.0),
-            _ => panic!("expected wiki"),
-        }
+        assert_eq!(run.trace.rps, 128.0);
     }
 
     #[test]
@@ -830,7 +817,7 @@ mod tests {
         for (name, p) in procurement {
             for spelled in [name.to_string(), name.to_ascii_uppercase()] {
                 let run = simulate_run(&["--procurement", &spelled]).unwrap();
-                assert_eq!(run.generated().0.procurement, p);
+                assert_eq!(run.fleet.procurement, p);
                 let spec = scenario_fleet(&format!("procurement = \"{spelled}\""));
                 assert_eq!(spec.fleet.procurement, p);
                 let line = format!("procurement = \"{}\"", p.slug());
@@ -844,7 +831,7 @@ mod tests {
         for (name, a) in availability {
             for spelled in [name.to_string(), name.to_ascii_uppercase()] {
                 let run = simulate_run(&["--availability", &spelled]).unwrap();
-                assert_eq!(run.generated().0.availability, a);
+                assert_eq!(run.fleet.availability, a);
                 let spec = scenario_fleet(&format!("availability = \"{spelled}\""));
                 assert_eq!(spec.fleet.availability, a);
                 let line = format!("availability = \"{}\"", a.slug());

@@ -402,7 +402,12 @@ pub fn reference_select<'a, I>(fleet: I, cap: Option<u64>) -> Option<usize>
 where
     I: Iterator<Item = &'a Worker> + Clone,
 {
-    let accepting = |w: &&Worker| w.routable() && w.gpu.accepting();
+    let accepting = |w: &Worker| w.routable() && w.gpu.accepting();
+    let least_loaded = |eligible: fn(&Worker) -> bool| {
+        let key = |w: &&Worker| (w.outstanding, w.idx);
+        let eligible = fleet.clone().filter(|w| eligible(w));
+        eligible.min_by_key(key).map(|w| w.idx)
+    };
     cap.and_then(|cap| {
         fleet
             .clone()
@@ -410,19 +415,8 @@ where
             .map(|w| w.idx)
             .min()
     })
-    .or_else(|| {
-        fleet
-            .clone()
-            .filter(accepting)
-            .min_by_key(|w| (w.outstanding, w.idx))
-            .map(|w| w.idx)
-    })
-    .or_else(|| {
-        fleet
-            .filter(|w| w.routable())
-            .min_by_key(|w| (w.outstanding, w.idx))
-            .map(|w| w.idx)
-    })
+    .or_else(|| least_loaded(accepting))
+    .or_else(|| least_loaded(Worker::routable))
 }
 
 #[cfg(test)]

@@ -22,12 +22,13 @@
 //! regenerating, and `golden_digest --fields` prints each field's hash
 //! so a re-pin names the field it moves.
 
+use std::path::Path;
+
 use protean_cluster::{simulate, Arrivals, Observe, SimulationResult};
 use protean_metrics::record::{Class, LatencyBreakdown};
 use protean_models::DEFAULT_SLO_MULTIPLIER;
-use protean_trace::TraceConfig;
 
-use crate::scenario::{self, ScenarioSpec};
+use crate::scenario::{self, ScenarioSpec, TraceSource};
 use crate::schemes;
 
 /// One result folded into a reproducible line. Floats are printed as
@@ -311,7 +312,7 @@ pub fn golden_specs() -> Vec<(String, ScenarioSpec)> {
 /// The golden grid ([`golden_specs`]), a line per run: its label and
 /// its [`digest`].
 pub fn golden_digests() -> Vec<String> {
-    golden_runs(generate, Observe::default(), digest_line)
+    golden_runs(false, Observe::default(), digest_line)
 }
 
 fn digest_line(label: &str, result: &SimulationResult) -> String {
@@ -321,7 +322,7 @@ fn digest_line(label: &str, result: &SimulationResult) -> String {
 /// The golden grid's two prints per run: its label, its scheme, then
 /// `behaviour=` and `engine=` hex (see [`fingerprint`]).
 pub fn golden_fingerprints() -> Vec<String> {
-    golden_runs(generate, Observe::default(), |label, r| {
+    golden_runs(false, Observe::default(), |label, r| {
         let f = fingerprint(r);
         format!(
             "{label} {} behaviour={:016x} engine={:016x}",
@@ -333,7 +334,7 @@ pub fn golden_fingerprints() -> Vec<String> {
 /// Every field's hash of every golden run, a line each: the run's label
 /// and scheme, then `field=hash`.
 pub fn golden_field_hashes() -> Vec<String> {
-    let runs = golden_runs(generate, Observe::default(), |label, r| {
+    let runs = golden_runs(false, Observe::default(), |label, r| {
         let fields = fingerprint_fields(r).into_iter();
         let line = |(name, _, hash)| format!("{label} {} {name}={hash:016x}", r.scheme);
         fields.map(line).collect::<Vec<_>>()
@@ -346,7 +347,7 @@ pub fn golden_field_hashes() -> Vec<String> {
 /// contract is digest equality with the materialised one, so this must
 /// return exactly the same lines.
 pub fn golden_digests_streaming() -> Vec<String> {
-    golden_runs(|t| Arrivals::Stream(t), Observe::default(), digest_line)
+    golden_runs(true, Observe::default(), digest_line)
 }
 
 /// [`golden_digests`] with the invariant auditor sweeping after every
@@ -357,27 +358,32 @@ pub fn golden_digests_audited() -> Vec<String> {
         journal_capacity: 1 << 20,
         ..Observe::audited()
     };
-    golden_runs(generate, observe, digest_line)
+    golden_runs(false, observe, digest_line)
 }
 
-/// The golden runs' usual arrivals: materialised from the spec's trace.
-fn generate(trace: &TraceConfig) -> Arrivals<'_> {
-    Arrivals::Generate(trace)
-}
-
-/// Runs every golden spec with its arrivals built by `arrivals`, under
-/// `observe`, and reads each result with `each(label, result)`. Panics
-/// if an audit finds a violation or never swept, or the journal drops an
-/// event.
+/// Runs every golden spec under `observe` through
+/// [`CompiledScenario::simulate`](crate::scenario::CompiledScenario::simulate),
+/// or with `streamed` on [`Arrivals::Stream`] of its compiled trace, and
+/// reads each result with `each(label, result)`. Panics if an audit
+/// finds a violation or never swept, or the journal drops an event.
 fn golden_runs<T>(
-    arrivals: impl Fn(&TraceConfig) -> Arrivals<'_>,
+    streamed: bool,
     observe: Observe,
     each: impl Fn(&str, &SimulationResult) -> T,
 ) -> Vec<T> {
     let runs = golden_specs().into_iter().map(|(label, spec)| {
-        let (config, trace) = spec.generated();
-        let scheme = schemes::by_name(&spec.fleet.scheme).expect("a known scheme");
-        let result = simulate(&config, scheme.as_ref(), arrivals(&trace), None, observe);
+        let compiled = spec.compile(Path::new(""), false);
+        let scheme = schemes::by_name(&compiled.scheme).expect("a known scheme");
+        let result = match &compiled.trace {
+            // The golden specs script no market.
+            TraceSource::Config(trace) if streamed => {
+                let arrivals = Arrivals::Stream(trace);
+                simulate(&compiled.config, scheme.as_ref(), arrivals, None, observe)
+            }
+            _ => compiled
+                .simulate(scheme.as_ref(), observe)
+                .expect("a generated trace"),
+        };
         assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
         assert_eq!(result.audit.checks > 0, observe.audit.is_some(), "{label}");
         assert_eq!(result.journal.dropped(), 0, "{label}: journal overflow");

@@ -3,7 +3,7 @@
 //!
 //! Every figure/table in the reproduction (a row of
 //! [`crate::paper::EXPERIMENTS`]) is a grid of independent
-//! `(scheme, seed, trace)` simulations. Each cell derives all of its
+//! `(spec, scheme)` simulations. Each cell derives all of its
 //! randomness from its own `ClusterConfig::seed` via
 //! `protean_sim::RngFactory`, and shares no mutable state with any
 //! other cell, so cells can run on any thread in any order and the
@@ -30,11 +30,10 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use protean_cluster::{ClusterConfig, SchemeBuilder};
-use protean_trace::TraceConfig;
+use protean_cluster::SchemeBuilder;
 
-use crate::runner::{run_scheme, SchemeRow};
-use crate::scenario::ScenarioSpec;
+use crate::runner::{run_cell, SchemeRow};
+use crate::scenario::{ScenarioError, ScenarioSpec};
 
 /// Resolves the worker-pool size from `PROTEAN_THREADS` or the
 /// machine's available parallelism.
@@ -116,37 +115,9 @@ where
         .collect()
 }
 
-/// One independent simulation of a grid: a scheme over a trace under a
-/// cluster config (which carries the cell's seed), and the SLO its run
-/// is scored at.
-pub struct GridCell<'a> {
-    /// Cluster configuration, including the cell's root seed.
-    pub config: ClusterConfig,
-    /// The scheme under test.
-    pub scheme: &'a dyn SchemeBuilder,
-    /// The workload.
-    pub trace: TraceConfig,
-    /// The strict SLO multiplier the run is scored at.
-    pub slo_mult: f64,
-}
-
-impl<'a> GridCell<'a> {
-    /// `scheme` on the cluster and generated trace `spec` describes,
-    /// scored at its `[fleet] slo_mult`.
-    ///
-    /// # Panics
-    ///
-    /// If the spec scripts its market or reads a CSV trace.
-    pub fn of(spec: &ScenarioSpec, scheme: &'a dyn SchemeBuilder) -> Self {
-        let (config, trace) = spec.generated();
-        GridCell {
-            config,
-            scheme,
-            trace,
-            slo_mult: spec.fleet.slo_mult,
-        }
-    }
-}
+/// One independent simulation of a grid: a scenario and the scheme it
+/// runs (the spec carries the cell's seed and SLO multiplier).
+pub type Cell = (ScenarioSpec, Box<dyn SchemeBuilder>);
 
 /// Minimum grid cells per worker thread before [`run_grid`] spawns it.
 /// A cell simulates in single-digit milliseconds at reduced durations,
@@ -154,19 +125,25 @@ impl<'a> GridCell<'a> {
 /// cost; small grids run sequentially.
 pub const MIN_CELLS_PER_THREAD: usize = 4;
 
-/// Runs every cell on a pool of `threads` workers and returns one
-/// [`SchemeRow`] per cell, in input order. Results are bit-identical
-/// for any `threads` value (each cell owns its seed; see module docs).
+/// Runs every cell through [`run_cell`] on a pool of `threads` workers
+/// and returns one [`SchemeRow`] per cell, in input order. Results are
+/// bit-identical for any `threads` value (each cell owns its seed; see
+/// module docs).
 ///
 /// Every cell runs on one thread, so the pool is only
 /// shrunk until every spawned worker has at least
 /// [`MIN_CELLS_PER_THREAD`] cells; grids smaller than that threshold
 /// fall back to a sequential loop on the calling thread.
-pub fn run_grid(cells: &[GridCell<'_>], threads: usize) -> Vec<SchemeRow> {
+///
+/// # Errors
+///
+/// The first cell's error in input order, as [`run_cell`] reports it.
+pub fn run_grid(cells: &[Cell], threads: usize) -> Result<Vec<SchemeRow>, ScenarioError> {
     let threads = threads.min(cells.len() / MIN_CELLS_PER_THREAD).max(1);
-    run_parallel(cells, threads, |_, cell| {
-        run_scheme(&cell.config, cell.scheme, &cell.trace, cell.slo_mult)
-    })
+    let rows = run_parallel(cells, threads, |_, (spec, scheme)| {
+        run_cell(spec, scheme.as_ref())
+    });
+    rows.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -202,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn grid_rows_match_sequential_run_scheme() {
+    fn grid_rows_match_sequential_run_cell() {
         let keys = [
             ("trace.duration_secs", "10"),
             ("trace.model", "mobilenet"),
@@ -212,11 +189,15 @@ mod tests {
             ("fleet.workers", "2"),
         ];
         let spec = scenario::paper().with(&keys);
-        let schemes: [&dyn protean_cluster::SchemeBuilder; 2] =
-            [&Baseline::MoleculeBeta, &Baseline::NaiveSlicing];
-        let cells: Vec<GridCell<'_>> = schemes.iter().map(|s| GridCell::of(&spec, *s)).collect();
-        let parallel = run_grid(&cells, 2);
-        let sequential = run_grid(&cells, 1);
+        let schemes: [Box<dyn SchemeBuilder>; 2] = [
+            Box::new(Baseline::MoleculeBeta),
+            Box::new(Baseline::NaiveSlicing),
+        ];
+        let cells: Vec<Cell> = schemes.into_iter().map(|s| (spec.clone(), s)).collect();
+        let parallel = run_grid(&cells, 2).unwrap();
+        let sequential: Vec<SchemeRow> = (cells.iter())
+            .map(|(spec, scheme)| run_cell(spec, scheme.as_ref()).unwrap())
+            .collect();
         assert_eq!(parallel.len(), 2);
         for (p, s) in parallel.iter().zip(&sequential) {
             assert_eq!(p.scheme, s.scheme);

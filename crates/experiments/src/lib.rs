@@ -11,11 +11,13 @@
 //!   and CLI run sets keys of: the 8-worker cluster and the Wiki trace
 //!   at ~5000 rps mean for vision (128 rps for language), the 50/50
 //!   strict/BE mix with the BE model rotating through the opposite
-//!   interference class every ~20 s. [`setup`] holds the two rates and
-//!   compiles the spec to engine types for `PaperSetup`'s callers.
-//! * [`runner`] — runs one scheme over one workload and condenses the
-//!   result into a [`runner::SchemeRow`].
-//! * [`harness`] — fans a grid of independent cells out over a
+//!   interference class every ~20 s. [`scenario::ScenarioSpec::compile`]
+//!   lowers a spec onto engine types and
+//!   [`scenario::CompiledScenario::simulate`] runs it. [`setup`] holds
+//!   the two rates.
+//! * [`runner`] — [`runner::run_cell`] runs one scheme on one spec and
+//!   condenses the result into a [`runner::SchemeRow`].
+//! * [`harness`] — fans a grid of independent `(spec, scheme)` cells out over a
 //!   `std::thread::scope` worker pool ([`harness::run_grid`]) with
 //!   bit-identical results to a sequential run; thread count comes
 //!   from `--threads` / `PROTEAN_THREADS` / available parallelism.
@@ -40,6 +42,6 @@ pub mod scenario;
 pub mod schemes;
 pub mod setup;
 
-pub use harness::{run_grid, run_parallel, thread_count, thread_count_or, GridCell};
-pub use runner::{run_scheme, SchemeRow};
+pub use harness::{run_grid, run_parallel, thread_count, thread_count_or};
+pub use runner::{run_cell, SchemeRow};
 pub use setup::PaperSetup;

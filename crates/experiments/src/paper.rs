@@ -33,7 +33,7 @@ use protean_sim::SimDuration;
 use protean_spot::{Provider, VmTier};
 
 use crate::chart::{bar_chart, line_plot, stacked_breakdown_chart};
-use crate::harness::{run_grid, GridCell};
+use crate::harness::{run_grid, Cell};
 use crate::report::{banner, csv_series, table};
 use crate::runner::SchemeRow;
 use crate::scenario::{self, ScenarioSpec};
@@ -45,9 +45,6 @@ const CAPPED_SECS: f64 = 60.0;
 
 /// Scenario keys and their values, set in order.
 type Keys = &'static [(&'static str, &'static str)];
-
-/// One simulation of a row: a scenario and the scheme it runs.
-pub type Cell = (ScenarioSpec, Box<dyn SchemeBuilder>);
 
 /// One table or figure: its cells, the paper's setup at each point of
 /// its axes, and the view that prints their results under its banner.
@@ -779,14 +776,11 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// The first error writing to `out`.
+    /// The first error writing to `out`, or [`run_grid`]'s error for a
+    /// `spec` whose CSV trace cannot be read.
     pub fn run(&self, spec: &ScenarioSpec, threads: usize, out: &mut dyn Write) -> io::Result<()> {
-        let cells = self.cells(spec);
-        let grid: Vec<GridCell<'_>> = (cells.iter())
-            .map(|(cell, scheme)| GridCell::of(cell, scheme.as_ref()))
-            .collect();
-        let secs = spec.trace.duration_secs;
-        self.print(secs, &mut &run_grid(&grid, threads)[..], out)
+        let rows = run_grid(&self.cells(spec), threads).map_err(io::Error::other)?;
+        self.print(spec.trace.duration_secs, &mut &rows[..], out)
     }
 
     /// A line per point of the product of the line axes.
@@ -1158,7 +1152,7 @@ fn significance(out: &mut dyn Write, lines: &[Line<'_>], names: &[String]) -> io
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_scheme;
+    use crate::runner::run_cell;
 
     /// FNV-1a of each row's text at a 2 s trace and seed 42, so a
     /// refactor that changes any printed byte fails here.
@@ -1276,8 +1270,7 @@ mod tests {
         let mut moved = 0;
         for (cell, scheme) in &cells {
             let name = format!("{} {}", cell.trace.model, scheme.name());
-            let (config, trace) = cell.generated();
-            let row = run_scheme(&config, scheme.as_ref(), &trace, cell.fleet.slo_mult);
+            let row = run_cell(cell, scheme.as_ref()).unwrap();
             let [tight, default] = [2.0, 3.0].map(|mult| row.slo_compliance_at(mult));
             assert_eq!(default, row.slo_compliance_pct, "{name}: scored at 3x");
             assert!(default >= tight, "{name}: {default} at 3x < {tight} at 2x");

@@ -1,13 +1,15 @@
-//! Runs schemes over workloads and condenses each result into one
+//! Runs a scheme on a scenario spec and condenses the result into one
 //! [`SchemeRow`], the one place a run is scored.
 
-use protean_cluster::SimulationResult;
-use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe, SchemeBuilder};
+use std::path::Path;
+
+use protean_cluster::{Observe, SchemeBuilder, SimulationResult};
 use protean_metrics::record::Class;
 use protean_metrics::{LatencyBreakdown, Summary};
 use protean_models::ModelId;
 use protean_sim::SimDuration;
-use protean_trace::TraceConfig;
+
+use crate::scenario::{ScenarioError, ScenarioSpec};
 
 /// One scheme's condensed results for one workload — the numbers the
 /// paper's figures plot.
@@ -51,16 +53,22 @@ pub struct SchemeRow {
     pub result: SimulationResult,
 }
 
-/// Runs `scheme` over `trace` under `config`, scored at `slo_mult`.
-pub fn run_scheme(
-    config: &ClusterConfig,
+/// Runs `scheme` on `spec` ([`ScenarioSpec::compile`], then
+/// [`CompiledScenario::simulate`](crate::scenario::CompiledScenario::simulate)),
+/// scored at its `[fleet] slo_mult`. A relative CSV path is read from
+/// the working directory.
+///
+/// # Errors
+///
+/// [`ScenarioError::Invalid`] naming the file and line of a bad CSV.
+pub fn run_cell(
+    spec: &ScenarioSpec,
     scheme: &dyn SchemeBuilder,
-    trace: &TraceConfig,
-    slo_mult: f64,
-) -> SchemeRow {
-    let arrivals = Arrivals::Generate(trace);
-    let result = simulate(config, scheme, arrivals, None, Observe::default());
-    SchemeRow::new(result, config.warmup, slo_mult)
+) -> Result<SchemeRow, ScenarioError> {
+    let compiled = spec.compile(Path::new(""), false);
+    let result = compiled.simulate(scheme, Observe::default())?;
+    let (warmup, slo_mult) = (compiled.config.warmup, spec.fleet.slo_mult);
+    Ok(SchemeRow::new(result, warmup, slo_mult))
 }
 
 impl SchemeRow {
@@ -120,7 +128,6 @@ mod tests {
     use super::*;
     use crate::scenario;
     use protean_baselines::Baseline;
-    use protean_models::DEFAULT_SLO_MULTIPLIER;
 
     #[test]
     fn row_is_populated_and_consistent() {
@@ -131,13 +138,7 @@ mod tests {
             ("fleet.seed", "1"),
             ("fleet.workers", "2"),
         ];
-        let (config, trace) = scenario::paper().with(&keys).generated();
-        let row = run_scheme(
-            &config,
-            &Baseline::InflessLlama,
-            &trace,
-            DEFAULT_SLO_MULTIPLIER,
-        );
+        let row = run_cell(&scenario::paper().with(&keys), &Baseline::InflessLlama).unwrap();
         assert_eq!(row.scheme, "INFless/Llama");
         assert!((0.0..=100.0).contains(&row.slo_compliance_pct));
         assert!(row.strict_p99_ms >= row.strict_p50_ms);

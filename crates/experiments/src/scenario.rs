@@ -11,6 +11,14 @@
 //! between the arms, so the catalog doubles as a standing differential
 //! test of the engine and its auditor under adversarial schedules.
 //!
+//! [`ScenarioSpec::compile`] is the one lowering of a spec and
+//! [`CompiledScenario::simulate`] the one way to run it: the CLI, every
+//! paper row, the goldens and the catalog all go through them. The
+//! spot market is `[fleet] availability`'s, rolled by the engine,
+//! unless `[market]` scripts something (a script, `deny_rest`,
+//! evictions or storms); then the run uses that script alone, which
+//! grants every roll past its end unless `deny_rest` is set.
+//!
 //! The parser is a deliberate TOML *subset* (single-line scalars,
 //! `[table]` and `[[array-of-tables]]` headers, `#` comments, no
 //! nesting beyond one dotted level) implemented by hand because the
@@ -105,7 +113,10 @@ use std::ops::Bound::{self, Excluded, Included, Unbounded};
 use std::ops::{RangeBounds, RangeInclusive};
 use std::path::{Path, PathBuf};
 
-use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe, ScriptedMarket};
+use protean_cluster::{
+    simulate, Arrivals, ClusterConfig, Observe, SchemeBuilder, ScriptedMarket, SimulationResult,
+    SpotOracle,
+};
 use protean_metrics::record::Class;
 use protean_models::{Domain, ModelId, DEFAULT_SLO_MULTIPLIER};
 use protean_sim::{RngFactory, SimDuration, SimTime};
@@ -215,7 +226,9 @@ pub struct FleetSpec {
     pub scheme: String,
     /// VM procurement policy.
     pub procurement: ProcurementPolicy,
-    /// Spot availability regime (only used by unscripted rolls).
+    /// Spot availability regime. It drives the spot market unless
+    /// `[market]` scripts one; a scripted market grants every roll past
+    /// its script unless `deny_rest` is set.
     pub availability: SpotAvailability,
     /// Pricing provider.
     pub provider: Provider,
@@ -1268,25 +1281,10 @@ impl ScenarioSpec {
     }
 
     /// The spec with `model` strict at its domain's §5 rate.
-    pub(crate) fn at_paper_rate(mut self, model: ModelId) -> Self {
+    pub fn at_paper_rate(mut self, model: ModelId) -> Self {
         self.trace.model = model;
         self.trace.rps = paper_rps(model);
         self
-    }
-
-    /// The cluster and the generated trace the spec describes, for a run
-    /// on the unscripted spot market.
-    ///
-    /// # Panics
-    ///
-    /// If the spec scripts its market or reads a CSV trace.
-    pub fn generated(&self) -> (ClusterConfig, TraceConfig) {
-        let run = self.compile(Path::new(""), false);
-        let unscripted = self.market == MarketSpec::default();
-        match run.trace {
-            TraceSource::Config(trace) if unscripted => (run.config, trace),
-            _ => panic!("'{}' scripts its market or reads a CSV trace", self.name),
-        }
     }
 
     /// Sets `key` of `[fleet]` or `[trace]` (`"trace.rps"`) to `raw`, the
@@ -1388,18 +1386,45 @@ pub struct CompiledScenario {
     pub config: ClusterConfig,
     /// Request source.
     pub trace: TraceSource,
-    /// Fully-armed scripted market (evictions, storms with drawn
-    /// jitter, grant/deny script).
-    pub market: ScriptedMarket,
+    /// The fully-armed scripted market (evictions, storms with drawn
+    /// jitter, grant/deny script) when `[market]` scripts anything;
+    /// `None` runs the engine's spot market of `[fleet] availability`.
+    pub market: Option<ScriptedMarket>,
     /// Scheme name (resolve with [`schemes::by_name`]).
     pub scheme: String,
 }
 
+impl CompiledScenario {
+    /// Runs `scheme` on the compiled cluster, requests and market under
+    /// `observe`. A generated trace is drawn from the run seed; a CSV
+    /// trace is read here. Each call runs on a fresh copy of the
+    /// scripted market, so a repeat is a replica.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Invalid`] naming the file and line of a bad CSV.
+    pub fn simulate(
+        &self,
+        scheme: &dyn SchemeBuilder,
+        observe: Observe,
+    ) -> Result<SimulationResult, ScenarioError> {
+        let arrivals = match &self.trace {
+            TraceSource::Config(trace) => Arrivals::Generate(trace),
+            TraceSource::Csv(_) => Arrivals::Trace(self.trace.load(self.config.seed)?),
+        };
+        let mut market = self.market.clone();
+        let oracle = market.as_mut().map(|m| m as &mut dyn SpotOracle);
+        Ok(simulate(&self.config, scheme, arrivals, oracle, observe))
+    }
+}
+
 impl ScenarioSpec {
     /// Lowers the spec onto [`ClusterConfig`] / [`TraceConfig`] /
-    /// [`ScriptedMarket`]. `base_dir` anchors relative CSV paths;
-    /// `smoke` scales request rates by [`SMOKE_RPS_FACTOR`] (never
-    /// durations — scripted evictions fire at absolute times).
+    /// [`ScriptedMarket`], the one lowering every run of a spec takes.
+    /// `base_dir` anchors relative CSV paths; `smoke` scales request
+    /// rates by [`SMOKE_RPS_FACTOR`] (never durations — scripted
+    /// evictions fire at absolute times). The market is scripted only
+    /// when `[market]` differs from its default.
     pub fn compile(&self, base_dir: &Path, smoke: bool) -> CompiledScenario {
         let (secs, at) = (SimDuration::from_secs, SimTime::from_secs);
         let f = &self.fleet;
@@ -1459,11 +1484,25 @@ impl ScenarioSpec {
             })
         };
 
+        CompiledScenario {
+            config,
+            trace,
+            market: (self.market != MarketSpec::default()).then(|| self.market.compile()),
+            scheme: self.fleet.scheme.clone(),
+        }
+    }
+}
+
+impl MarketSpec {
+    /// The scripted market: evictions, then storms with their leads
+    /// drawn, then the grant/deny script.
+    fn compile(&self) -> ScriptedMarket {
+        let (secs, at) = (SimDuration::from_secs, SimTime::from_secs);
         let mut market = ScriptedMarket::new();
-        for e in &self.market.evictions {
+        for e in &self.evictions {
             market = market.evict(e.worker, at(e.at_secs), secs(e.lead_secs));
         }
-        for (i, s) in self.market.storms.iter().enumerate() {
+        for (i, s) in self.storms.iter().enumerate() {
             let mut rng =
                 RngFactory::new(s.jitter_seed).indexed_stream("scenario.storm.lead", i as u64);
             for w in &s.workers {
@@ -1471,22 +1510,16 @@ impl ScenarioSpec {
                 market = market.evict(*w, at(s.at_secs), secs(lead));
             }
         }
-        for c in self.market.script.chars() {
+        for c in self.script.chars() {
             market = match c {
                 'g' => market.grant_next(1),
                 _ => market.deny_next(1),
             };
         }
-        if self.market.deny_rest {
+        if self.deny_rest {
             market = market.deny_rest();
         }
-
-        CompiledScenario {
-            config,
-            trace,
-            market,
-            scheme: self.fleet.scheme.clone(),
-        }
+        market
     }
 }
 
@@ -1563,10 +1596,11 @@ pub fn card_headers() -> Vec<&'static str> {
 
 /// Runs one scenario through both engine arms and condenses the result.
 ///
-/// An audited and an unaudited arm run the identical compiled scenario;
-/// the audit must be clean and the two golden digests must match
-/// bit-for-bit (the auditor only reads engine state), or the run fails. `[expect]` assertions
-/// are enforced on the audited arm.
+/// An audited and an unaudited arm each run the compiled scenario
+/// through [`CompiledScenario::simulate`]; the audit must be clean and
+/// the two golden digests must match bit-for-bit (the auditor only
+/// reads engine state), or the run fails. `[expect]` assertions are
+/// enforced on the audited arm.
 ///
 /// # Errors
 ///
@@ -1581,14 +1615,7 @@ pub fn run(
     let compiled = spec.compile(base_dir, smoke);
     let scheme = schemes::by_name(&compiled.scheme)
         .ok_or_else(|| ScenarioError::Invalid(format!("unknown scheme '{}'", compiled.scheme)))?;
-    let trace = compiled.trace.load(compiled.config.seed)?;
-
-    let (config, scheme) = (&compiled.config, scheme.as_ref());
-    let run_arm = |observe| {
-        let (mut market, arrivals) = (compiled.market.clone(), Arrivals::Trace(trace.clone()));
-        simulate(config, scheme, arrivals, Some(&mut market), observe)
-    };
-    let audited = run_arm(Observe::audited());
+    let audited = compiled.simulate(scheme.as_ref(), Observe::audited())?;
     if !audited.audit.is_clean() {
         return Err(ScenarioError::Invalid(format!(
             "scenario '{}': audit violations: {:?}",
@@ -1596,7 +1623,7 @@ pub fn run(
         )));
     }
     let digest = golden::digest(&audited);
-    let unaudited = golden::digest(&run_arm(Observe::default()));
+    let unaudited = golden::digest(&compiled.simulate(scheme.as_ref(), Observe::default())?);
     if digest != unaudited {
         return Err(ScenarioError::Invalid(format!(
             "scenario '{}': audited and unaudited digests diverge:\n  audited:   {}\n  unaudited: {}",
@@ -1972,15 +1999,18 @@ jitter_seed = 3
         assert_eq!(compiled.config.availability, SpotAvailability::Moderate);
         assert_eq!(compiled.config.provider, Provider::Azure);
         // 1 scripted + 2 storm members armed.
-        assert_eq!(compiled.market.pending_evictions(), 3);
+        let mut m = compiled.market.clone().expect("[market] scripts evictions");
+        assert_eq!(m.pending_evictions(), 3);
         // Zero jitter: storm leads are exactly lead_secs.
-        let mut m = compiled.market.clone();
         assert_eq!(
             m.roll_revocation(SimTime::from_secs(20.0), 0),
             Some(SimDuration::from_secs(10.0))
         );
         // Compilation is deterministic.
         assert_eq!(compiled, spec.compile(Path::new("."), false));
+        // An unscripted `[market]` leaves the market to `availability`.
+        let unscripted = parse("name = \"u\"\n[fleet]\nprocurement = \"spot\"\n").unwrap();
+        assert_eq!(unscripted.compile(Path::new("."), false).market, None);
     }
 
     #[test]
@@ -1990,7 +2020,7 @@ jitter_seed = 3
         let a = spec.compile(Path::new("."), false);
         let b = spec.compile(Path::new("."), false);
         assert_eq!(a.market, b.market);
-        let mut m = a.market.clone();
+        let mut m = a.market.expect("[market] scripts a storm");
         let mut leads = Vec::new();
         for w in 0..4 {
             let lead = m.roll_revocation(SimTime::from_secs(10.0), w).unwrap();

@@ -1,19 +1,23 @@
-//! The paper's experimental setup (§5): its two rates, and its cluster
-//! and trace as engine types, compiled from [`scenario::paper`].
+//! The paper's experimental setup (§5): its two rates, and
+//! [`PaperSetup`], its cluster and trace as engine types.
+
+use std::path::Path;
 
 use protean_cluster::ClusterConfig;
 use protean_models::ModelId;
 use protean_trace::TraceConfig;
 
-use crate::scenario::{self, ScenarioSpec};
+use crate::scenario::{self, CompiledScenario, TraceSource};
 
 /// Mean request rate for the vision models (§5: ~5000 rps).
 pub const VISION_RPS: f64 = 5000.0;
 /// Request rate for the language models (§5: 128 rps).
 pub const LANGUAGE_RPS: f64 = 128.0;
 
-/// A trace length and a seed on [`scenario::paper`], for the callers
-/// that take its cluster and trace as engine types.
+/// A trace length and a seed on [`scenario::paper`], compiled to engine
+/// types. It exists only because the `perf` benchmark driver builds its
+/// workloads from it; every other run sets keys on [`scenario::paper`]
+/// and runs it through [`scenario::CompiledScenario::simulate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperSetup {
     /// Simulated trace length, seconds.
@@ -25,21 +29,24 @@ pub struct PaperSetup {
 impl PaperSetup {
     /// The 8-worker cluster of the paper, on-demand VMs.
     pub fn cluster(&self) -> ClusterConfig {
-        self.spec(ModelId::ResNet50).generated().0
+        self.compile(ModelId::ResNet50).config
     }
 
     /// The Wiki trace for `strict` at its domain's rate with the paper's
     /// 50/50 strictness mix and ~20 s BE-model rotation through the
     /// opposite interference class.
     pub fn wiki_trace(&self, strict: ModelId) -> TraceConfig {
-        self.spec(strict).generated().1
+        match self.compile(strict).trace {
+            TraceSource::Config(trace) => trace,
+            TraceSource::Csv(_) => unreachable!("the paper's trace is generated"),
+        }
     }
 
-    fn spec(&self, model: ModelId) -> ScenarioSpec {
+    fn compile(&self, model: ModelId) -> CompiledScenario {
         let mut spec = scenario::paper().at_paper_rate(model);
         spec.fleet.seed = self.seed;
         spec.trace.duration_secs = self.duration_secs;
-        spec
+        spec.compile(Path::new(""), false)
     }
 }
 
@@ -82,9 +89,12 @@ mod tests {
     #[test]
     fn twitter_trace_targets_peak() {
         let keys = [("trace.model", "mobilenet"), ("trace.kind", "twitter")];
-        let t = scenario::paper().with(&keys).generated().1;
-        match t.shape {
-            TraceShape::TwitterBursty { peak_rps, .. } => assert_eq!(peak_rps, 5000.0),
+        let compiled = scenario::paper().with(&keys).compile(Path::new(""), false);
+        match compiled.trace {
+            TraceSource::Config(TraceConfig {
+                shape: TraceShape::TwitterBursty { peak_rps, .. },
+                ..
+            }) => assert_eq!(peak_rps, 5000.0),
             _ => panic!("expected twitter shape"),
         }
     }

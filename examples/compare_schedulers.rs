@@ -12,8 +12,8 @@
 use std::io::Write;
 
 use protean_experiments::report::{banner, scheme_table};
-use protean_experiments::{run_scheme, schemes, PaperSetup};
-use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER};
+use protean_experiments::{run_cell, scenario, schemes};
+use protean_models::ModelId;
 
 fn main() -> std::io::Result<()> {
     let out = &mut std::io::stdout();
@@ -22,12 +22,8 @@ fn main() -> std::io::Result<()> {
         .and_then(|a| a.parse::<usize>().ok())
         .and_then(|i| ModelId::ALL.get(i).copied())
         .unwrap_or(ModelId::Vgg19);
-    let setup = PaperSetup {
-        duration_secs: 60.0,
-        seed: 7,
-    };
-    let config = setup.cluster();
-    let trace = setup.wiki_trace(model);
+    let keys = [("trace.duration_secs", "60"), ("fleet.seed", "7")];
+    let spec = scenario::paper().at_paper_rate(model).with(&keys);
     let profile = model.profile();
     banner(
         out,
@@ -38,10 +34,11 @@ fn main() -> std::io::Result<()> {
             profile.slo().as_millis_f64()
         ),
     )?;
-    let rows: Vec<_> = schemes::primary()
+    let rows = schemes::primary()
         .iter()
-        .map(|s| run_scheme(&config, s.as_ref(), &trace, DEFAULT_SLO_MULTIPLIER))
-        .collect();
+        .map(|s| run_cell(&spec, s.as_ref()))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(std::io::Error::other)?;
     scheme_table(out, &rows)?;
     let best = rows
         .iter()

@@ -13,9 +13,8 @@
 use protean::ProteanBuilder;
 use protean_cluster::{BatchView, Placement, PlacementCtx, Scheme, SchemeBuilder};
 use protean_experiments::report::{banner, scheme_table};
-use protean_experiments::{run_scheme, PaperSetup};
+use protean_experiments::{run_cell, scenario};
 use protean_gpu::{Geometry, SharingMode};
-use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER};
 
 /// Always place on the largest slice with free memory.
 struct BiggestSliceFirst;
@@ -59,30 +58,18 @@ impl SchemeBuilder for BiggestSliceFirstBuilder {
 
 fn main() -> std::io::Result<()> {
     let out = &mut std::io::stdout();
-    let setup = PaperSetup {
-        duration_secs: 60.0,
-        seed: 3,
-    };
-    let config = setup.cluster();
-    let trace = setup.wiki_trace(ModelId::ResNet50);
+    let keys = [("trace.duration_secs", "60"), ("fleet.seed", "3")];
+    let spec = scenario::paper().with(&keys);
     banner(
         out,
         "custom scheme",
         "biggest-slice-first vs PROTEAN (ResNet 50)",
     )?;
-    let rows = vec![
-        run_scheme(
-            &config,
-            &BiggestSliceFirstBuilder,
-            &trace,
-            DEFAULT_SLO_MULTIPLIER,
-        ),
-        run_scheme(
-            &config,
-            &ProteanBuilder::paper(),
-            &trace,
-            DEFAULT_SLO_MULTIPLIER,
-        ),
-    ];
+    let schemes: [&dyn SchemeBuilder; 2] = [&BiggestSliceFirstBuilder, &ProteanBuilder::paper()];
+    let rows = schemes
+        .map(|scheme| run_cell(&spec, scheme))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(std::io::Error::other)?;
     scheme_table(out, &rows)
 }

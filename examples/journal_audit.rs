@@ -8,34 +8,35 @@
 
 use std::collections::HashMap;
 
+use std::path::Path;
+
 use protean::ProteanBuilder;
-use protean_cluster::{simulate, Arrivals, BatchId, JournalEvent, Observe};
-use protean_experiments::PaperSetup;
+use protean_cluster::{BatchId, JournalEvent, Observe};
+use protean_experiments::scenario;
 use protean_models::ModelId;
-use protean_sim::{SimDuration, SimTime};
-use protean_spot::{ProcurementPolicy, SpotAvailability};
-use protean_trace::TraceConfig;
+use protean_sim::SimTime;
 
 fn main() {
-    let setup = PaperSetup {
-        duration_secs: 60.0,
-        seed: 9,
-    };
-    let mut config = setup.cluster();
-    config.procurement = ProcurementPolicy::Hybrid;
-    config.availability = SpotAvailability::Moderate;
-    config.revocation_check = SimDuration::from_secs(20.0);
-    let trace = TraceConfig {
-        be_pool: vec![ModelId::MobileNet, ModelId::Dpn92],
-        ..setup.wiki_trace(ModelId::ShuffleNetV2)
-    };
+    let keys = [
+        ("trace.duration_secs", "60"),
+        ("trace.be_pool", "[\"mobilenet\", \"dpn92\"]"),
+        ("fleet.seed", "9"),
+        ("fleet.procurement", "hybrid"),
+        ("fleet.availability", "moderate"),
+        ("fleet.revocation_check_secs", "20"),
+    ];
+    let spec = scenario::paper()
+        .at_paper_rate(ModelId::ShuffleNetV2)
+        .with(&keys);
     // The journal is an observer of the run, not part of the cluster.
     let observe = Observe {
         journal_capacity: 2_000_000,
         ..Observe::default()
     };
-    let scheme = ProteanBuilder::paper();
-    let result = simulate(&config, &scheme, Arrivals::Generate(&trace), None, observe);
+    let compiled = spec.compile(Path::new(""), false);
+    let result = compiled
+        .simulate(&ProteanBuilder::paper(), observe)
+        .expect("the paper's trace is generated");
 
     println!(
         "journal: {} events ({} dropped)",

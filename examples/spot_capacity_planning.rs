@@ -10,9 +10,8 @@ use std::io::Write;
 
 use protean::ProteanBuilder;
 use protean_experiments::report::{banner, table};
-use protean_experiments::{run_scheme, PaperSetup};
-use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER};
-use protean_sim::SimDuration;
+use protean_experiments::{run_cell, scenario};
+use protean_models::ModelId;
 use protean_spot::{ProcurementPolicy, Provider, SpotAvailability, VmTier};
 
 fn main() -> std::io::Result<()> {
@@ -25,11 +24,16 @@ fn main() -> std::io::Result<()> {
         Provider::Aws.worker_price(VmTier::Spot),
     )?;
 
-    let setup = PaperSetup {
-        duration_secs: 120.0,
-        seed: 11,
-    };
-    let trace = setup.wiki_trace(ModelId::DenseNet121);
+    let keys = [
+        ("trace.duration_secs", "120"),
+        ("fleet.seed", "11"),
+        ("fleet.revocation_check_secs", "20"),
+        ("fleet.vm_startup_secs", "20"),
+        ("fleet.procurement_retry_secs", "20"),
+    ];
+    let spec = scenario::paper()
+        .at_paper_rate(ModelId::DenseNet121)
+        .with(&keys);
     banner(out, "capacity plan", "DenseNet 121, Wiki trace, 8 workers")?;
     let mut rows = Vec::new();
     for availability in [
@@ -42,18 +46,12 @@ fn main() -> std::io::Result<()> {
             ProcurementPolicy::Hybrid,
             ProcurementPolicy::SpotOnly,
         ] {
-            let mut config = setup.cluster();
-            config.availability = availability;
-            config.procurement = policy;
-            config.revocation_check = SimDuration::from_secs(20.0);
-            config.vm_startup = SimDuration::from_secs(20.0);
-            config.procurement_retry = SimDuration::from_secs(20.0);
-            let row = run_scheme(
-                &config,
-                &ProteanBuilder::paper(),
-                &trace,
-                DEFAULT_SLO_MULTIPLIER,
-            );
+            let market = [
+                ("fleet.availability", availability.slug()),
+                ("fleet.procurement", policy.slug()),
+            ];
+            let row = run_cell(&spec.clone().with(&market), &ProteanBuilder::paper())
+                .map_err(std::io::Error::other)?;
             rows.push(vec![
                 availability.to_string(),
                 format!("{policy:?}"),

@@ -11,8 +11,9 @@
 #   cards/  `scenario run --smoke true --out` over that side's own
 #           scenarios/ catalog, one <name>.json per scenario;
 #   cli/    CI's round trip: `gen-trace` (its stdout and CSV), `replay`
-#           of that CSV, `simulate --per-model true`, and the table of
-#           `scenario run`.
+#           of that CSV, `simulate --per-model true`, `compare`, and the
+#           table of `scenario run`; and the stdout of each example
+#           (example-<name>.txt, `cargo run --release --example <name>`).
 # Prints `identical` when every file matches. Otherwise it prints each
 # file that moved, appeared or went away, each with a unified diff (at
 # most 200 lines), and exits 1.
@@ -44,7 +45,14 @@ outputs() {
         "$cli" gen-trace --model resnet50 --duration 2 --out cli-trace.csv > gen-trace.txt
         "$cli" replay --trace-file cli-trace.csv --workers 2 > replay.txt
         "$cli" simulate --per-model true --workers 2 --duration 2 > simulate.txt
+        "$cli" compare --workers 2 --duration 2 > compare.txt
     )
+    local example
+    for example in "$1"/examples/*.rs; do
+        example=$(basename "$example" .rs)
+        CARGO_TARGET_DIR="$2" cargo run --release -q --manifest-path "$1/Cargo.toml" \
+            --example "$example" > "$3/cli/example-$example.txt"
+    done
 }
 outputs "$tmp/src" "$tmp/target" "$tmp/before"
 outputs . "${CARGO_TARGET_DIR:-target}" "$tmp/after"

@@ -8,19 +8,18 @@
 //! A scheme that breaks the `Scheme::place` contract fails that audit.
 
 use std::num::NonZeroU64;
+use std::path::Path;
 
 use protean::ProteanBuilder;
 use protean_cluster::{
-    simulate, Arrivals, BatchView, ClusterConfig, EngineStats, Observe, Placement, PlacementCtx,
-    Scheme, SchemeBuilder,
+    BatchView, EngineStats, Observe, Placement, PlacementCtx, Scheme, SchemeBuilder,
 };
 use protean_experiments::golden::digest;
+use protean_experiments::scenario::{self, CompiledScenario};
 use protean_experiments::setup::LANGUAGE_RPS;
-use protean_experiments::PaperSetup;
 use protean_gpu::{Geometry, SharingMode};
 use protean_models::ModelId;
 use protean_sim::SimDuration;
-use protean_trace::{TraceConfig, TraceShape};
 
 const WORKERS: usize = 64;
 
@@ -33,19 +32,22 @@ const AUDITED: Observe = Observe {
 
 /// `perf`'s `pulse-2048` workload at 64 workers: 10 simulated seconds,
 /// the first 5 at 8x the language operating point, the rest silent.
-fn pulse(seed: u64) -> (ClusterConfig, TraceConfig) {
-    let setup = PaperSetup {
-        duration_secs: 10.0,
-        seed,
-    };
-    let mut config = setup.cluster();
-    config.workers = WORKERS;
-    config.warmup = SimDuration::from_secs(2.5);
-    let mut trace = setup.wiki_trace(ModelId::Albert);
+fn pulse(seed: u64) -> CompiledScenario {
     let mean = LANGUAGE_RPS * WORKERS as f64 / 8.0;
-    trace.shape = TraceShape::pulse(8.0 * mean, SimDuration::from_secs(10.0));
-    trace.be_pool.truncate(1);
-    (config, trace)
+    let be = format!("[\"{}\"]", ModelId::Albert.opposite_pool()[0].slug());
+    let keys = [
+        ("trace.duration_secs", "10"),
+        ("fleet.seed", &seed.to_string()),
+        ("fleet.workers", &WORKERS.to_string()),
+        ("trace.model", "albert"),
+        ("trace.kind", "pulse"),
+        ("trace.rps", &(8.0 * mean).to_string()),
+        ("trace.pulse_period_secs", "10"),
+        ("trace.be_pool", &be),
+    ];
+    let mut compiled = scenario::paper().with(&keys).compile(Path::new(""), false);
+    compiled.config.warmup = SimDuration::from_secs(2.5);
+    compiled
 }
 
 fn memo_counters(s: &EngineStats) -> [u64; 3] {
@@ -54,9 +56,9 @@ fn memo_counters(s: &EngineStats) -> [u64; 3] {
 
 #[test]
 fn overloaded_pulse_skips_declines_identically_when_audited() {
-    let (config, trace) = pulse(42);
+    let compiled = pulse(42);
     let scheme = ProteanBuilder::paper();
-    let run = |observe| simulate(&config, &scheme, Arrivals::Generate(&trace), None, observe);
+    let run = |observe| compiled.simulate(&scheme, observe).unwrap();
     let one = run(Observe::default());
     let s = &one.stats;
     // Pinned: no golden digest queues more than `SCAN_DEPTH` batches
@@ -119,9 +121,8 @@ impl SchemeBuilder for DeclinesFirst {
 
 #[test]
 fn an_impure_decline_fails_the_audit() {
-    let (config, trace) = pulse(7);
     let scheme = DeclinesFirst { declines: 3 };
-    let result = simulate(&config, &scheme, Arrivals::Generate(&trace), None, AUDITED);
+    let result = pulse(7).simulate(&scheme, AUDITED).unwrap();
     assert!(result.stats.place_memo_skips > 0);
     assert!(!result.audit.is_clean());
     assert!(

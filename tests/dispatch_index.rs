@@ -17,6 +17,7 @@
 //! and draining, and so between the index's two tiers.
 
 use std::num::NonZeroU64;
+use std::path::Path;
 
 use proptest::prelude::*;
 use protean::ProteanBuilder;
@@ -29,7 +30,7 @@ use protean_cluster::{
     SchemeBuilder, ScriptedMarket,
 };
 use protean_experiments::setup::LANGUAGE_RPS;
-use protean_experiments::{golden, PaperSetup};
+use protean_experiments::{golden, scenario};
 use protean_gpu::Geometry;
 use protean_models::ModelId;
 use protean_sim::{RngFactory, SimDuration, SimTime};
@@ -470,16 +471,16 @@ impl SchemeBuilder for TightConsolidate {
 #[test]
 fn fleet_scale_dispatch_matches_linear_reference() {
     const WORKERS: usize = 256;
-    let setup = PaperSetup {
-        duration_secs: 3.0,
-        seed: 42,
-    };
-    let mut config = setup.cluster();
-    config.workers = WORKERS;
+    let rps = (LANGUAGE_RPS * WORKERS as f64 / 8.0).to_string();
+    let keys = [
+        ("trace.duration_secs", "3"),
+        ("fleet.workers", &WORKERS.to_string()),
+        ("trace.model", "albert"),
+        ("trace.rps", &rps),
+    ];
+    let mut compiled = scenario::paper().with(&keys).compile(Path::new(""), false);
     // Record latencies from the first second so the digest pins them.
-    config.warmup = SimDuration::from_secs(1.0);
-    let mut trace = setup.wiki_trace(ModelId::Albert);
-    trace.shape = TraceShape::wiki(LANGUAGE_RPS * WORKERS as f64 / 8.0);
+    compiled.config.warmup = SimDuration::from_secs(1.0);
     let schemes: [&dyn SchemeBuilder; 3] = [
         &ProteanBuilder::paper(),
         &TightConsolidate,
@@ -491,7 +492,7 @@ fn fleet_scale_dispatch_matches_linear_reference() {
                 audit,
                 journal_capacity: 0,
             };
-            simulate(&config, scheme, Arrivals::Generate(&trace), None, observe)
+            compiled.simulate(scheme, observe).unwrap()
         };
         let (audited, plain) = (run(NonZeroU64::new(1024)), run(None));
         let name = scheme.name();

@@ -1,24 +1,36 @@
 //! End-to-end integration tests spanning every crate: trace → cluster
 //! → scheme → metrics, with accounting and determinism invariants.
 
+use std::path::Path;
+
 use protean::ProteanBuilder;
 use protean_baselines::Baseline;
-use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe, SchemeBuilder};
-use protean_experiments::{run_scheme, PaperSetup, SchemeRow};
+use protean_cluster::{simulate, Arrivals, Observe, SchemeBuilder};
+use protean_experiments::scenario::{self, CompiledScenario, ScenarioSpec, TraceSource};
+use protean_experiments::{run_cell, SchemeRow};
 use protean_metrics::record::Class;
-use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER, PROFILES};
+use protean_models::{ModelId, PROFILES};
 use protean_sim::{RngFactory, SimDuration, SimTime};
 use protean_trace::TraceConfig;
 
-/// `scheme` over `trace` under `config`, scored at the paper's 3x SLO.
-fn scored(config: &ClusterConfig, scheme: &dyn SchemeBuilder, trace: &TraceConfig) -> SchemeRow {
-    run_scheme(config, scheme, trace, DEFAULT_SLO_MULTIPLIER)
+/// The paper's set-up with `model` strict at its domain's rate, a
+/// `secs`-second trace and root seed `seed`.
+fn paper(model: ModelId, secs: &str, seed: &str) -> ScenarioSpec {
+    let keys = [("trace.duration_secs", secs), ("fleet.seed", seed)];
+    scenario::paper().at_paper_rate(model).with(&keys)
 }
 
-fn small_setup() -> PaperSetup {
-    PaperSetup {
-        duration_secs: 40.0,
-        seed: 123,
+/// `scheme` on the paper's set-up for `model` at 40 s and seed 123,
+/// scored at the paper's 3x SLO.
+fn scored(model: ModelId, scheme: &dyn SchemeBuilder) -> SchemeRow {
+    run_cell(&paper(model, "40", "123"), scheme).unwrap()
+}
+
+/// The generated trace a compiled paper spec runs on.
+fn trace_config(compiled: &CompiledScenario) -> &TraceConfig {
+    match &compiled.trace {
+        TraceSource::Config(trace) => trace,
+        TraceSource::Csv(_) => unreachable!("the paper's trace is generated"),
     }
 }
 
@@ -26,11 +38,10 @@ fn small_setup() -> PaperSetup {
 /// once — completed or censored — under every scheme.
 #[test]
 fn conservation_of_requests_across_schemes() {
-    let setup = small_setup();
-    let config = setup.cluster();
-    let trace = setup.wiki_trace(ModelId::ResNet50);
+    let compiled = paper(ModelId::ResNet50, "40", "123").compile(Path::new(""), false);
+    let config = &compiled.config;
     let factory = RngFactory::new(config.seed);
-    let expected = trace
+    let expected = trace_config(&compiled)
         .generate(&factory)
         .iter()
         .filter(|r| r.arrival >= SimTime::ZERO + config.warmup)
@@ -43,13 +54,9 @@ fn conservation_of_requests_across_schemes() {
         Box::new(ProteanBuilder::paper()),
     ];
     for scheme in lineup {
-        let result = simulate(
-            &config,
-            scheme.as_ref(),
-            Arrivals::Generate(&trace),
-            None,
-            Observe::default(),
-        );
+        let result = compiled
+            .simulate(scheme.as_ref(), Observe::default())
+            .unwrap();
         assert_eq!(
             result.metrics.count(Class::All),
             expected,
@@ -67,20 +74,11 @@ fn conservation_of_requests_across_schemes() {
 /// at least twice the finish events on the paper's 8-worker Wiki run.
 #[test]
 fn consolidated_run_pushes_at_most_half_the_all_jobs_finish_events() {
-    let setup = PaperSetup {
-        duration_secs: 20.0,
-        seed: 42,
-    };
-    let mut config = setup.cluster();
-    config.warmup = SimDuration::from_secs(5.0);
-    let trace = setup.wiki_trace(ModelId::ResNet50);
-    let result = simulate(
-        &config,
-        &Baseline::InflessLlama,
-        Arrivals::Generate(&trace),
-        None,
-        Observe::default(),
-    );
+    let mut compiled = paper(ModelId::ResNet50, "20", "42").compile(Path::new(""), false);
+    compiled.config.warmup = SimDuration::from_secs(5.0);
+    let result = compiled
+        .simulate(&Baseline::InflessLlama, Observe::default())
+        .unwrap();
     assert!(result.metrics.count(Class::All) > 10_000);
     let s = result.stats;
     assert!(s.finish_events_pushed > 0);
@@ -98,11 +96,8 @@ fn consolidated_run_pushes_at_most_half_the_all_jobs_finish_events() {
 /// the whole pipeline.
 #[test]
 fn full_pipeline_is_deterministic() {
-    let setup = small_setup();
-    let config = setup.cluster();
-    let trace = setup.wiki_trace(ModelId::Vgg19);
-    let a = scored(&config, &ProteanBuilder::paper(), &trace);
-    let b = scored(&config, &ProteanBuilder::paper(), &trace);
+    let a = scored(ModelId::Vgg19, &ProteanBuilder::paper());
+    let b = scored(ModelId::Vgg19, &ProteanBuilder::paper());
     assert_eq!(a.slo_compliance_pct, b.slo_compliance_pct);
     assert_eq!(a.strict_p99_ms, b.strict_p99_ms);
     assert_eq!(a.cost_usd, b.cost_usd);
@@ -117,13 +112,8 @@ fn full_pipeline_is_deterministic() {
 /// invariants.
 #[test]
 fn different_seed_still_conserves() {
-    let setup = PaperSetup {
-        duration_secs: 40.0,
-        seed: 999,
-    };
-    let config = setup.cluster();
-    let trace = setup.wiki_trace(ModelId::MobileNet);
-    let row = scored(&config, &ProteanBuilder::paper(), &trace);
+    let spec = paper(ModelId::MobileNet, "40", "999");
+    let row = run_cell(&spec, &ProteanBuilder::paper()).unwrap();
     assert!(row.result.metrics.count(Class::All) > 10_000);
     assert!(row.slo_compliance_pct > 50.0);
 }
@@ -132,10 +122,7 @@ fn different_seed_still_conserves() {
 /// components equals completion − arrival for every request.
 #[test]
 fn breakdown_components_sum_to_latency() {
-    let setup = small_setup();
-    let config = setup.cluster();
-    let trace = setup.wiki_trace(ModelId::DenseNet121);
-    let row = scored(&config, &ProteanBuilder::paper(), &trace);
+    let row = scored(ModelId::DenseNet121, &ProteanBuilder::paper());
     for rec in row.result.metrics.records() {
         let latency_ms = rec.latency().as_millis_f64();
         let total = rec.breakdown.total_ms();
@@ -159,10 +146,7 @@ fn slo_deadlines_match_catalog() {
 /// set (both observe the same completions).
 #[test]
 fn timeline_and_metrics_agree_on_volume() {
-    let setup = small_setup();
-    let config = setup.cluster();
-    let trace = setup.wiki_trace(ModelId::SeNet18);
-    let row = scored(&config, &ProteanBuilder::paper(), &trace);
+    let row = scored(ModelId::SeNet18, &ProteanBuilder::paper());
     // One timeline sample per strict batch; strict requests / batch size
     // bounds the sample count from below (partial batches only add).
     let strict = row.result.metrics.count(Class::Strict);
@@ -175,14 +159,11 @@ fn timeline_and_metrics_agree_on_volume() {
 /// load and below 100%.
 #[test]
 fn utilization_is_sane() {
-    let setup = small_setup();
-    let config = setup.cluster();
-    let trace = setup.wiki_trace(ModelId::EfficientNetB0);
     for scheme in [
         Box::new(Baseline::InflessLlama) as Box<dyn SchemeBuilder>,
         Box::new(ProteanBuilder::paper()),
     ] {
-        let row = scored(&config, scheme.as_ref(), &trace);
+        let row = scored(ModelId::EfficientNetB0, scheme.as_ref());
         assert!(
             row.gpu_util_pct > 1.0,
             "{}: {}",
@@ -202,19 +183,14 @@ fn utilization_is_sane() {
 /// batch plus one 24-byte entry per arrival (≤ 18 bytes per request).
 #[test]
 fn full_records_and_the_trace_cost_a_quarter_entry_per_request() {
-    let setup = PaperSetup {
-        duration_secs: 60.0,
-        seed: 7,
-    };
-    let config = setup.cluster();
-    let trace = setup
-        .wiki_trace(ModelId::Bert)
-        .generate(&RngFactory::new(config.seed));
+    let compiled = paper(ModelId::Bert, "60", "7").compile(Path::new(""), false);
+    let config = &compiled.config;
+    let trace = trace_config(&compiled).generate(&RngFactory::new(config.seed));
     let requests = trace.len();
     assert!(requests > 5000, "{requests} requests");
     let trace_bytes = trace.heap_bytes() as f64 / requests as f64;
     let result = simulate(
-        &config,
+        config,
         &ProteanBuilder::paper(),
         Arrivals::Trace(trace),
         None,
@@ -235,18 +211,11 @@ fn full_records_and_the_trace_cost_a_quarter_entry_per_request() {
 #[test]
 fn whole_batch_arrivals_arm_no_window_and_partial_ones_still_do() {
     let expiries = |keys: &[(&str, &str)]| {
-        let spec = protean_experiments::scenario::paper()
+        let spec = scenario::paper()
             .with(&[("trace.duration_secs", "20")])
             .with(keys);
-        let (config, trace) = spec.generated();
         let scheme = protean_experiments::schemes::by_name(&spec.fleet.scheme).expect("a scheme");
-        let r = simulate(
-            &config,
-            scheme.as_ref(),
-            Arrivals::Generate(&trace),
-            None,
-            Observe::default(),
-        );
+        let r = run_cell(&spec, scheme.as_ref()).unwrap().result;
         assert!(r.stats.dispatch_batches > 0);
         r.stats.expiries
     };

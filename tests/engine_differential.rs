@@ -8,6 +8,7 @@
 //! run in the same process like the first.
 
 use std::num::NonZeroU64;
+use std::path::Path;
 
 use proptest::prelude::*;
 use protean::ProteanBuilder;
@@ -15,8 +16,8 @@ use protean_baselines::Baseline;
 use protean_cluster::fault::ScriptedMarket;
 use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe, SchemeBuilder};
 use protean_experiments::golden::digest;
+use protean_experiments::scenario::{self, TraceSource};
 use protean_experiments::setup::LANGUAGE_RPS;
-use protean_experiments::PaperSetup;
 use protean_models::ModelId;
 use protean_sim::{SimDuration, SimTime};
 use protean_spot::{ProcurementPolicy, SpotAvailability};
@@ -131,27 +132,38 @@ proptest! {
 #[test]
 fn fleet_scale_streamed_and_audited_runs_match() {
     const WORKERS: usize = 512;
-    let setup = PaperSetup {
-        duration_secs: 10.0,
-        seed: 42,
-    };
-    let mut config = setup.cluster();
-    config.workers = WORKERS;
+    let rps = (LANGUAGE_RPS * WORKERS as f64 / 8.0).to_string();
+    let keys = [
+        ("trace.duration_secs", "10"),
+        ("fleet.workers", &WORKERS.to_string()),
+        ("trace.model", "albert"),
+        ("trace.rps", &rps),
+    ];
+    let mut compiled = scenario::paper().with(&keys).compile(Path::new(""), false);
     // Record latencies from the first second so the digest pins them.
-    config.warmup = SimDuration::from_secs(1.0);
-    let mut trace = setup.wiki_trace(ModelId::Albert);
-    trace.shape = TraceShape::wiki(LANGUAGE_RPS * WORKERS as f64 / 8.0);
+    compiled.config.warmup = SimDuration::from_secs(1.0);
     let scheme = ProteanBuilder::paper();
 
-    let run = |arrivals, observe| simulate(&config, &scheme, arrivals, None, observe);
-    let materialised = digest(&run(Arrivals::Generate(&trace), Observe::default()));
-    let streamed = run(Arrivals::Stream(&trace), Observe::default());
+    let run = |observe| compiled.simulate(&scheme, observe).unwrap();
+    let materialised = digest(&run(Observe::default()));
+    // The streamed arm is the one run that picks its own arrival path.
+    let TraceSource::Config(trace) = &compiled.trace else {
+        unreachable!("the paper's trace is generated")
+    };
+    let arrivals = Arrivals::Stream(trace);
+    let streamed = simulate(
+        &compiled.config,
+        &scheme,
+        arrivals,
+        None,
+        Observe::default(),
+    );
     assert_eq!(digest(&streamed), materialised, "streamed run diverged");
     let sampled = Observe {
         audit: NonZeroU64::new(64),
         journal_capacity: 0,
     };
-    let audited = run(Arrivals::Generate(&trace), sampled);
+    let audited = run(sampled);
     assert!(audited.audit.is_clean(), "{:?}", audited.audit.violations);
     assert!(audited.audit.checks > 0);
     assert_eq!(digest(&audited), materialised, "audited run diverged");

@@ -9,13 +9,15 @@
 //! spot run produces a bit-identical digest with auditing on.
 
 use std::num::NonZeroU64;
+use std::path::Path;
 
 use proptest::prelude::*;
 use protean::ProteanBuilder;
 use protean_cluster::{
     simulate, Arrivals, ClusterConfig, JournalEvent, Observe, ScriptedMarket, SimulationResult,
 };
-use protean_experiments::{golden, PaperSetup};
+use protean_experiments::golden;
+use protean_experiments::scenario::{self, EvictionSpec, TraceSource};
 use protean_metrics::record::Class;
 use protean_models::ModelId;
 use protean_sim::{RngFactory, SimDuration, SimTime};
@@ -144,37 +146,43 @@ fn replacement_ready_before_drain_waits_for_eviction_final() {
 /// conservation law must hold through the overlap.
 #[test]
 fn reconfig_storm_under_eviction_keeps_invariants() {
-    let setup = PaperSetup {
-        duration_secs: 80.0,
-        seed: 42,
-    };
-    let mut config = setup.cluster();
-    config.procurement = ProcurementPolicy::Hybrid;
-    config.revocation_check = SimDuration::from_secs(5.0);
-    config.vm_startup = SimDuration::from_secs(5.0);
-    config.procurement_retry = SimDuration::from_secs(5.0);
     // The Fig. 7 rotation through the oversized DPN 92 forces geometry
     // changes; the two evictions straddle the rotation boundaries.
-    let t = TraceConfig {
-        be_pool: vec![
-            ModelId::MobileNet,
-            ModelId::Dpn92,
-            ModelId::ResNet50,
-            ModelId::Dpn92,
-        ],
-        be_rotation_period: SimDuration::from_secs(20.0),
-        ..setup.wiki_trace(ModelId::ShuffleNetV2)
-    };
-    let mut market = ScriptedMarket::new()
-        .evict(1, SimTime::from_secs(22.0), SimDuration::from_secs(10.0))
-        .evict(4, SimTime::from_secs(38.0), SimDuration::from_secs(10.0));
-    let result = run_on(&config, &t, &mut market, Observe::audited());
+    let keys = [
+        ("trace.duration_secs", "80"),
+        (
+            "trace.be_pool",
+            "[\"mobilenet\", \"dpn92\", \"resnet50\", \"dpn92\"]",
+        ),
+        ("trace.be_rotation_secs", "20"),
+        ("fleet.procurement", "hybrid"),
+        ("fleet.revocation_check_secs", "5"),
+        ("fleet.vm_startup_secs", "5"),
+        ("fleet.procurement_retry_secs", "5"),
+    ];
+    let mut spec = scenario::paper()
+        .at_paper_rate(ModelId::ShuffleNetV2)
+        .with(&keys);
+    spec.market.evictions = [(1, 22.0), (4, 38.0)]
+        .map(|(worker, at_secs)| EvictionSpec {
+            worker,
+            at_secs,
+            lead_secs: 10.0,
+        })
+        .to_vec();
+    let compiled = spec.compile(Path::new(""), false);
+    let result = compiled
+        .simulate(&ProteanBuilder::paper(), Observe::audited())
+        .unwrap();
     assert_eq!(result.cost.evictions, 2);
     assert!(result.reconfigs > 0, "the storm never reconfigured");
     assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
+    let TraceSource::Config(t) = &compiled.trace else {
+        unreachable!("the paper's trace is generated")
+    };
     assert_eq!(
         result.metrics.count(Class::All),
-        expected_requests(&config, &t)
+        expected_requests(&compiled.config, t)
     );
 }
 
@@ -261,20 +269,20 @@ proptest! {
 /// bit-identically with auditing on, and the audited run is clean.
 #[test]
 fn audited_golden_spot_run_is_bit_identical_and_clean() {
-    let setup = PaperSetup {
-        duration_secs: 30.0,
-        seed: 3,
-    };
-    let mut config = setup.cluster();
-    config.workers = 3;
-    config.procurement = ProcurementPolicy::Hybrid;
-    config.availability = SpotAvailability::Low;
-    config.revocation_check = SimDuration::from_secs(5.0);
-    config.vm_startup = SimDuration::from_secs(5.0);
-    let t = setup.wiki_trace(ModelId::ResNet50);
+    let keys = [
+        ("trace.duration_secs", "30"),
+        ("fleet.seed", "3"),
+        ("fleet.workers", "3"),
+        ("fleet.procurement", "hybrid"),
+        ("fleet.availability", "low"),
+        ("fleet.revocation_check_secs", "5"),
+        ("fleet.vm_startup_secs", "5"),
+    ];
+    let compiled = scenario::paper().with(&keys).compile(Path::new(""), false);
     let run = |observe| {
-        let arrivals = Arrivals::Generate(&t);
-        simulate(&config, &ProteanBuilder::paper(), arrivals, None, observe)
+        compiled
+            .simulate(&ProteanBuilder::paper(), observe)
+            .unwrap()
     };
     let plain = run(Observe::default());
     let audited = run(Observe::audited());

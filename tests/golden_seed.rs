@@ -20,7 +20,9 @@
 //! cargo run --release -p protean-experiments --bin golden_digest -- --fields
 //! ```
 
-use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe, SimulationResult};
+use std::path::Path;
+
+use protean_cluster::{Observe, SimulationResult};
 use protean_experiments::golden::{
     golden_digests, golden_digests_audited, golden_digests_streaming, golden_fingerprints,
     golden_specs,
@@ -215,15 +217,13 @@ fn every_golden_spec_round_trips_through_its_toml() {
 fn aggregate_metrics_change_only_what_a_run_records() {
     let bucket_ratio = 10f64.powf(1.0 / 128.0);
     for (label, spec) in golden_specs() {
-        let (config, trace) = spec.generated();
+        let mut compiled = spec.compile(Path::new(""), false);
         let scheme = schemes::by_name(&spec.fleet.scheme).expect("a known scheme");
-        let run = |aggregate_metrics| {
-            let config = ClusterConfig {
-                aggregate_metrics,
-                ..config.clone()
-            };
-            let arrivals = Arrivals::Generate(&trace);
-            simulate(&config, scheme.as_ref(), arrivals, None, Observe::default())
+        let mut run = |aggregate_metrics| {
+            compiled.config.aggregate_metrics = aggregate_metrics;
+            compiled
+                .simulate(scheme.as_ref(), Observe::default())
+                .unwrap()
         };
         let (full, agg) = (run(false), run(true));
         assert_eq!(agg.stats, full.stats, "{label}");

@@ -4,10 +4,12 @@
 //! streams via `ClusterConfig::seed`, so no result may depend on
 //! thread interleaving.
 
-use protean_cluster::{simulate, Arrivals, Observe};
-use protean_experiments::harness::{run_grid, run_parallel, GridCell};
-use protean_experiments::{scenario, schemes, PaperSetup, SchemeRow};
-use protean_models::ModelId;
+use std::path::Path;
+
+use protean_cluster::Observe;
+use protean_experiments::harness::{run_grid, run_parallel, Cell};
+use protean_experiments::scenario::{self, TraceSource};
+use protean_experiments::{schemes, SchemeRow};
 
 /// Compares every metric the figures and tables read, bitwise for the
 /// floats so "close enough" can never mask a nondeterminism bug.
@@ -47,7 +49,6 @@ fn assert_rows_identical(a: &SchemeRow, b: &SchemeRow, cell: usize) {
 
 #[test]
 fn one_thread_and_many_threads_agree_on_every_cell() {
-    let lineup = schemes::primary();
     // A grid that varies model AND seed, so cells genuinely differ and
     // an index mix-up between input and output order cannot cancel out.
     let mut cells = Vec::new();
@@ -58,13 +59,13 @@ fn one_thread_and_many_threads_agree_on_every_cell() {
             ("fleet.seed", seed),
         ];
         let spec = scenario::paper().with(&keys);
-        for scheme in &lineup {
-            cells.push(GridCell::of(&spec, scheme.as_ref()));
+        for scheme in schemes::primary() {
+            cells.push((spec.clone(), scheme));
         }
     }
 
-    let sequential = run_grid(&cells, 1);
-    let parallel = run_grid(&cells, 4);
+    let sequential = run_grid(&cells, 1).unwrap();
+    let parallel = run_grid(&cells, 4).unwrap();
     assert_eq!(sequential.len(), cells.len());
     assert_eq!(parallel.len(), cells.len());
     for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
@@ -93,27 +94,24 @@ fn run_parallel_preserves_input_order() {
 /// any pool thread count, and the same rows as the unaudited grid.
 #[test]
 fn audited_cells_inside_a_parallel_grid_stay_deterministic() {
-    let lineup = schemes::primary();
-    let mut cells = Vec::new();
-    for (i, scheme) in lineup.iter().enumerate() {
+    let mut cells: Vec<Cell> = Vec::new();
+    for (i, scheme) in schemes::primary().into_iter().enumerate() {
         let seed = (300 + i).to_string();
         let keys = [("trace.duration_secs", "10"), ("fleet.seed", &seed)];
-        cells.push(GridCell::of(
-            &scenario::paper().with(&keys),
-            scheme.as_ref(),
-        ));
+        cells.push((scenario::paper().with(&keys), scheme));
     }
     // `run_grid`'s cells, each run audited on the same pool.
     let audited_grid = |threads| {
-        run_parallel(&cells, threads, |_, cell| {
-            let arrivals = Arrivals::Generate(&cell.trace);
-            let observe = Observe::audited();
-            let result = simulate(&cell.config, cell.scheme, arrivals, None, observe);
+        run_parallel(&cells, threads, |_, (spec, scheme)| {
+            let compiled = spec.compile(Path::new(""), false);
+            let result = compiled
+                .simulate(scheme.as_ref(), Observe::audited())
+                .unwrap();
             assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
-            SchemeRow::new(result, cell.config.warmup, cell.slo_mult)
+            SchemeRow::new(result, compiled.config.warmup, spec.fleet.slo_mult)
         })
     };
-    let unaudited = run_grid(&cells, 1);
+    let unaudited = run_grid(&cells, 1).unwrap();
     let sequential = audited_grid(1);
     let parallel = audited_grid(8);
     for (i, ((u, s), p)) in unaudited.iter().zip(&sequential).zip(&parallel).enumerate() {
@@ -127,28 +125,19 @@ fn audited_cells_inside_a_parallel_grid_stay_deterministic() {
 /// often and censors the same requests.
 #[test]
 fn audit_sweeps_stay_clean_and_counted_on_a_repeat() {
-    let setup = PaperSetup {
-        duration_secs: 15.0,
-        seed: 9,
-    };
-    let config = setup.cluster();
-    let trace = setup.wiki_trace(ModelId::ResNet50);
+    let keys = [("trace.duration_secs", "15"), ("fleet.seed", "9")];
+    let compiled = scenario::paper().with(&keys).compile(Path::new(""), false);
     let scheme = protean::ProteanBuilder::paper();
-    let run = || {
-        simulate(
-            &config,
-            &scheme,
-            Arrivals::Generate(&trace),
-            None,
-            Observe::audited(),
-        )
-    };
+    let run = || compiled.simulate(&scheme, Observe::audited()).unwrap();
     let baseline = run();
     assert!(baseline.audit.enabled);
     assert!(baseline.audit.checks > 0);
     assert!(baseline.audit.is_clean(), "{:?}", baseline.audit.violations);
     // One sweep per handled event and per dispatched arrival run.
-    let factory = protean_sim::RngFactory::new(config.seed);
+    let factory = protean_sim::RngFactory::new(compiled.config.seed);
+    let TraceSource::Config(trace) = &compiled.trace else {
+        unreachable!("the paper's trace is generated")
+    };
     let runs = trace.generate(&factory).into_runs().len() as u64;
     assert!(runs < baseline.stats.arrivals);
     assert_eq!(baseline.audit.checks, baseline.stats.events_popped + runs);

@@ -1,41 +1,35 @@
 //! Integration tests of the §4.4 reconfiguration machinery across the
 //! core scheduler and cluster engine.
 
+use std::path::Path;
+
 use protean::ProteanBuilder;
 use protean_cluster::engine::MAX_RECONFIG_FRACTION;
-use protean_cluster::{simulate, Arrivals, Observe};
-use protean_experiments::PaperSetup;
+use protean_cluster::Observe;
+use protean_experiments::scenario::{self, CompiledScenario, TraceSource};
 use protean_models::ModelId;
-use protean_sim::SimDuration;
-use protean_trace::TraceConfig;
 
-/// The Fig. 7 scenario: BE rotation through the oversized DPN 92.
-fn rotation_trace(setup: &PaperSetup) -> TraceConfig {
-    TraceConfig {
-        be_pool: vec![
-            ModelId::MobileNet,
-            ModelId::Dpn92,
-            ModelId::ResNet50,
-            ModelId::Dpn92,
-        ],
-        be_rotation_period: SimDuration::from_secs(20.0),
-        ..setup.wiki_trace(ModelId::ShuffleNetV2)
-    }
+/// The Fig. 7 scenario over `secs` seconds at `seed`: ShuffleNet V2 at
+/// its domain's rate, the BE rotation through the oversized DPN 92.
+fn rotation(secs: &str, seed: &str) -> CompiledScenario {
+    let keys = [
+        ("trace.duration_secs", secs),
+        ("fleet.seed", seed),
+        (
+            "trace.be_pool",
+            "[\"mobilenet\", \"dpn92\", \"resnet50\", \"dpn92\"]",
+        ),
+        ("trace.be_rotation_secs", "20"),
+    ];
+    let spec = scenario::paper().at_paper_rate(ModelId::ShuffleNetV2);
+    spec.with(&keys).compile(Path::new(""), false)
 }
 
 #[test]
 fn rotation_to_dpn92_triggers_geometry_change_to_4g_3g() {
-    let setup = PaperSetup {
-        duration_secs: 80.0,
-        seed: 42,
-    };
-    let result = simulate(
-        &setup.cluster(),
-        &ProteanBuilder::paper(),
-        Arrivals::Generate(&rotation_trace(&setup)),
-        None,
-        Observe::default(),
-    );
+    let result = rotation("80", "42")
+        .simulate(&ProteanBuilder::paper(), Observe::default())
+        .unwrap();
     assert!(result.reconfigs > 0, "no reconfigurations happened");
     assert!(
         result
@@ -57,18 +51,9 @@ fn rotation_to_dpn92_triggers_geometry_change_to_4g_3g() {
 
 #[test]
 fn at_most_thirty_percent_of_gpus_reconfigure_simultaneously() {
-    let setup = PaperSetup {
-        duration_secs: 80.0,
-        seed: 42,
-    };
-    let config = setup.cluster();
-    let result = simulate(
-        &config,
-        &ProteanBuilder::paper(),
-        Arrivals::Generate(&rotation_trace(&setup)),
-        None,
-        Observe::default(),
-    );
+    let compiled = rotation("80", "42");
+    let result = compiled.simulate(&ProteanBuilder::paper(), Observe::default());
+    let (result, config) = (result.unwrap(), &compiled.config);
     let cap = ((MAX_RECONFIG_FRACTION * config.workers as f64).ceil() as usize).max(1);
     // Each completed change occupied its GPU for at least the 2 s
     // reconfiguration delay ending at `at`. Count the maximum overlap
@@ -96,21 +81,13 @@ fn at_most_thirty_percent_of_gpus_reconfigure_simultaneously() {
 #[test]
 fn static_variant_never_reconfigures() {
     use protean::{ProteanBuilder as PB, ProteanConfig};
-    let setup = PaperSetup {
-        duration_secs: 60.0,
-        seed: 42,
-    };
     let mut config = ProteanConfig::paper();
     config.name = "static";
     config.dynamic_reconfig = false;
     let builder = PB::with_config(config);
-    let result = simulate(
-        &setup.cluster(),
-        &builder,
-        Arrivals::Generate(&rotation_trace(&setup)),
-        None,
-        Observe::default(),
-    );
+    let result = rotation("60", "42")
+        .simulate(&builder, Observe::default())
+        .unwrap();
     assert_eq!(result.reconfigs, 0);
     assert!(result.geometry_timeline.is_empty());
 }
@@ -119,19 +96,12 @@ fn static_variant_never_reconfigures() {
 fn reconfiguration_downtime_does_not_lose_requests() {
     use protean_metrics::record::Class;
     use protean_sim::{RngFactory, SimTime};
-    let setup = PaperSetup {
-        duration_secs: 60.0,
-        seed: 7,
+    let compiled = rotation("60", "7");
+    let result = compiled.simulate(&ProteanBuilder::paper(), Observe::default());
+    let (result, config) = (result.unwrap(), &compiled.config);
+    let TraceSource::Config(trace) = &compiled.trace else {
+        unreachable!("the paper's trace is generated")
     };
-    let config = setup.cluster();
-    let trace = rotation_trace(&setup);
-    let result = simulate(
-        &config,
-        &ProteanBuilder::paper(),
-        Arrivals::Generate(&trace),
-        None,
-        Observe::default(),
-    );
     let factory = RngFactory::new(config.seed);
     let expected = trace
         .generate(&factory)

@@ -12,17 +12,22 @@
 //!    configs (scripted evictions, and a jittered storm).
 //! 3. **Catalog**: every shipped scenario runs green in smoke mode
 //!    (both engine arms, digest equality, clean audits, expectations).
+//! 4. **One spec, one run**: a spec digests identically through every
+//!    runner that takes one.
 
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use protean::ProteanBuilder;
 use protean_cluster::{simulate, Arrivals, ClusterConfig, Observe, ScriptedMarket};
-use protean_experiments::golden;
+use protean_experiments::golden::{self, golden_specs};
+use protean_experiments::harness::{run_grid, Cell};
 use protean_experiments::scenario::{
     self, BurstSpec, EvictionSpec, ExpectSpec, FleetSpec, MarketSpec, ScenarioError, ScenarioSpec,
-    StormSpec, TraceKind, TraceSpec,
+    StormSpec, TraceKind, TraceSource, TraceSpec,
 };
+use protean_experiments::{run_cell, schemes};
+use protean_metrics::record::Class;
 use protean_models::ModelId;
 use protean_sim::{RngFactory, SimDuration, SimTime};
 use protean_spot::{ProcurementPolicy, Provider, SpotAvailability};
@@ -418,4 +423,80 @@ fn load_file_errors_carry_path_and_line() {
         "I/O error must carry the path: {err}"
     );
     std::fs::remove_file(&path).ok();
+}
+
+// ---------------------------------------------------------------------------
+// 4. One spec, one run
+// ---------------------------------------------------------------------------
+
+/// A spec is one run whichever runner takes it: every golden spec, a
+/// spot-only fleet under low availability with no `[market]` script,
+/// and a `[trace] csv` spec digest identically through `run_cell`,
+/// `run_grid` on two threads and `scenario::run`'s card. The spot fleet
+/// runs on the market `availability` rolls, which evicts it and
+/// censors every request (the Fig. 9 Spot-Only collapse), not on a
+/// script that grants every roll.
+#[test]
+fn one_spec_gives_one_run_through_every_runner() {
+    let dir = std::env::temp_dir().join(format!("protean_one_spec_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("trace.csv");
+    let source = scenario::paper().with(&[
+        ("trace.model", "mobilenet"),
+        ("trace.kind", "constant"),
+        ("trace.rps", "400"),
+        ("trace.duration_secs", "20"),
+    ]);
+    let TraceSource::Config(trace) = source.compile(Path::new(""), false).trace else {
+        unreachable!("the paper's trace is generated")
+    };
+    let file = std::fs::File::create(&csv).unwrap();
+    let requests = trace.generate(&RngFactory::new(5));
+    requests.write_csv(std::io::BufWriter::new(file)).unwrap();
+
+    let spot = scenario::paper().with(&[
+        ("fleet.workers", "3"),
+        ("fleet.procurement", "spot"),
+        ("fleet.availability", "low"),
+        ("fleet.revocation_check_secs", "5"),
+        ("fleet.seed", "3"),
+        ("trace.duration_secs", "20"),
+    ]);
+    let replay = ScenarioSpec {
+        name: "replay".into(),
+        fleet: FleetSpec {
+            workers: 2,
+            ..FleetSpec::default()
+        },
+        trace: TraceSpec {
+            csv: Some(csv.display().to_string()),
+            ..TraceSpec::default()
+        },
+        ..ScenarioSpec::default()
+    };
+    let specs: Vec<ScenarioSpec> = (golden_specs().into_iter().map(|(_, spec)| spec))
+        .chain([spot, replay])
+        .collect();
+    let scheme = |spec: &ScenarioSpec| schemes::by_name(&spec.fleet.scheme).expect("a scheme");
+    let cells: Vec<Cell> = specs.iter().map(|s| (s.clone(), scheme(s))).collect();
+    let grid = run_grid(&cells, 2).unwrap();
+    for ((spec, scheme), from_grid) in cells.iter().zip(&grid) {
+        let row = run_cell(spec, scheme.as_ref()).unwrap();
+        let card = scenario::run(spec, Path::new(""), false).unwrap();
+        let digest = golden::digest(&row.result);
+        assert_eq!(
+            golden::digest(&from_grid.result),
+            digest,
+            "{}",
+            spec.to_toml()
+        );
+        assert_eq!(card.digest, digest, "{}", spec.to_toml());
+    }
+    let spot = &grid[grid.len() - 2].result;
+    assert!(spot.cost.evictions > 0, "the spot fleet was never evicted");
+    assert_eq!(spot.censored, spot.metrics.count(Class::All) as u64);
+    assert!(spot.censored > 0);
+    let replayed = &grid[grid.len() - 1].result;
+    assert_eq!(replayed.stats.arrivals, requests.len() as u64);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,34 +5,32 @@
 
 use protean::ProteanBuilder;
 use protean_baselines::Baseline;
-use protean_cluster::{ClusterConfig, SchemeBuilder};
-use protean_experiments::{run_scheme, scenario, PaperSetup, SchemeRow};
-use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER};
-use protean_trace::TraceConfig;
+use protean_cluster::SchemeBuilder;
+use protean_experiments::scenario::{self, ScenarioSpec};
+use protean_experiments::{run_cell, SchemeRow};
+use protean_models::ModelId;
 
-/// `scheme` over `trace` under `config`, scored at the paper's 3x SLO.
-fn scored(config: &ClusterConfig, scheme: &dyn SchemeBuilder, trace: &TraceConfig) -> SchemeRow {
-    run_scheme(config, scheme, trace, DEFAULT_SLO_MULTIPLIER)
+/// The paper's set-up at a 60 s trace with `model` strict at its
+/// domain's rate.
+fn setup(model: ModelId) -> ScenarioSpec {
+    let keys = [("trace.duration_secs", "60")];
+    scenario::paper().at_paper_rate(model).with(&keys)
 }
 
-fn setup() -> PaperSetup {
-    PaperSetup {
-        duration_secs: 60.0,
-        seed: 42,
-    }
+/// `scheme` on `spec`, scored at the paper's 3x SLO.
+fn scored(spec: &ScenarioSpec, scheme: &dyn SchemeBuilder) -> SchemeRow {
+    run_cell(spec, scheme).unwrap()
 }
 
 /// Fig. 5 shape: PROTEAN dominates every primary baseline on an HI
 /// vision model, and INFless/Llama suffers the most interference.
 #[test]
 fn protean_beats_baselines_on_hi_vision() {
-    let setup = setup();
-    let config = setup.cluster();
-    let trace = setup.wiki_trace(ModelId::ResNet50);
-    let protean = scored(&config, &ProteanBuilder::paper(), &trace);
-    let infless = scored(&config, &Baseline::InflessLlama, &trace);
-    let molecule = scored(&config, &Baseline::MoleculeBeta, &trace);
-    let naive = scored(&config, &Baseline::NaiveSlicing, &trace);
+    let spec = setup(ModelId::ResNet50);
+    let protean = scored(&spec, &ProteanBuilder::paper());
+    let infless = scored(&spec, &Baseline::InflessLlama);
+    let molecule = scored(&spec, &Baseline::MoleculeBeta);
+    let naive = scored(&spec, &Baseline::NaiveSlicing);
     assert!(
         protean.slo_compliance_pct > 95.0,
         "{}",
@@ -66,11 +64,9 @@ fn protean_beats_baselines_on_hi_vision() {
 /// Fig. 12 shape: the VHI language models sink MPS consolidation.
 #[test]
 fn infless_collapses_on_vhi_llm() {
-    let setup = setup();
-    let config = setup.cluster();
-    let trace = setup.wiki_trace(ModelId::Bert);
-    let protean = scored(&config, &ProteanBuilder::paper(), &trace);
-    let infless = scored(&config, &Baseline::InflessLlama, &trace);
+    let spec = setup(ModelId::Bert);
+    let protean = scored(&spec, &ProteanBuilder::paper());
+    let infless = scored(&spec, &Baseline::InflessLlama);
     assert!(
         protean.slo_compliance_pct > 85.0,
         "{}",
@@ -87,11 +83,9 @@ fn infless_collapses_on_vhi_llm() {
 /// consolidation; PROTEAN stays serviceable.
 #[test]
 fn gpt_is_worst_case_for_mps_only() {
-    let setup = setup();
-    let config = setup.cluster();
-    let trace = setup.wiki_trace(ModelId::Gpt1);
-    let protean = scored(&config, &ProteanBuilder::paper(), &trace);
-    let infless = scored(&config, &Baseline::InflessLlama, &trace);
+    let spec = setup(ModelId::Gpt1);
+    let protean = scored(&spec, &ProteanBuilder::paper());
+    let infless = scored(&spec, &Baseline::InflessLlama);
     assert!(
         protean.slo_compliance_pct > 80.0,
         "{}",
@@ -113,9 +107,9 @@ fn all_strict_case_matches_table4_shape() {
         ("trace.duration_secs", "60"),
         ("trace.strict_fraction", "1"),
     ];
-    let (config, trace) = scenario::paper().with(&keys).generated();
-    let protean = scored(&config, &ProteanBuilder::paper(), &trace);
-    let infless = scored(&config, &Baseline::InflessLlama, &trace);
+    let spec = scenario::paper().with(&keys);
+    let protean = scored(&spec, &ProteanBuilder::paper());
+    let infless = scored(&spec, &Baseline::InflessLlama);
     assert!(
         protean.slo_compliance_pct > 90.0,
         "{}",
@@ -132,9 +126,7 @@ fn all_strict_case_matches_table4_shape() {
 /// mildly (paper: ≤ ~5%).
 #[test]
 fn tight_slo_degrades_protean_gracefully() {
-    let setup = setup();
-    let trace = setup.wiki_trace(ModelId::ShuffleNetV2);
-    let row = scored(&setup.cluster(), &ProteanBuilder::paper(), &trace);
+    let row = scored(&setup(ModelId::ShuffleNetV2), &ProteanBuilder::paper());
     let tight = row.slo_compliance_at(2.0);
     let degradation = row.slo_compliance_pct - tight;
     assert!(degradation < 8.0, "degradation {degradation}");
@@ -144,13 +136,13 @@ fn tight_slo_degrades_protean_gracefully() {
 /// Fig. 17 shape: the Oracle beats PROTEAN by at most a whisker.
 #[test]
 fn oracle_gap_is_small() {
-    let setup = setup();
-    let trace = setup.wiki_trace(ModelId::ResNet50);
-    let protean = scored(&setup.cluster(), &ProteanBuilder::paper(), &trace);
-    let mut oracle_cfg = setup.cluster();
-    oracle_cfg.reconfig_delay = protean_sim::SimDuration::ZERO;
-    oracle_cfg.cold_start = protean_sim::SimDuration::ZERO;
-    let oracle = scored(&oracle_cfg, &ProteanBuilder::oracle(), &trace);
+    let spec = setup(ModelId::ResNet50);
+    let protean = scored(&spec, &ProteanBuilder::paper());
+    let instant = [
+        ("fleet.reconfig_delay_secs", "0"),
+        ("fleet.cold_start_secs", "0"),
+    ];
+    let oracle = scored(&spec.with(&instant), &ProteanBuilder::oracle());
     let gap = oracle.slo_compliance_pct - protean.slo_compliance_pct;
     assert!(gap.abs() < 3.0, "oracle gap {gap}");
 }
@@ -159,11 +151,9 @@ fn oracle_gap_is_small() {
 /// still costs it against PROTEAN's MIG isolation.
 #[test]
 fn protean_at_least_matches_gpulet() {
-    let setup = setup();
-    let config = setup.cluster();
-    let trace = setup.wiki_trace(ModelId::Vgg19);
-    let protean = scored(&config, &ProteanBuilder::paper(), &trace);
-    let gpulet = scored(&config, &Baseline::Gpulet, &trace);
+    let spec = setup(ModelId::Vgg19);
+    let protean = scored(&spec, &ProteanBuilder::paper());
+    let gpulet = scored(&spec, &Baseline::Gpulet);
     assert!(
         protean.slo_compliance_pct >= gpulet.slo_compliance_pct - 1.0,
         "PROTEAN {} vs GPUlet {}",

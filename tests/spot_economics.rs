@@ -2,62 +2,34 @@
 //! the spot market, procurement and cluster crates.
 
 use protean::ProteanBuilder;
-use protean_cluster::{
-    simulate, Arrivals, ClusterConfig, Observe, SchemeBuilder, SimulationResult,
-};
+use protean_cluster::SimulationResult;
 use protean_experiments::golden::{fingerprint_fields, golden_specs};
-use protean_experiments::{run_scheme, schemes, PaperSetup, SchemeRow};
-use protean_models::{ModelId, DEFAULT_SLO_MULTIPLIER};
-use protean_sim::SimDuration;
-use protean_spot::{ProcurementPolicy, Provider, SpotAvailability, VmTier};
-use protean_trace::TraceConfig;
+use protean_experiments::{run_cell, scenario, schemes, SchemeRow};
+use protean_models::ModelId;
+use protean_spot::{ProcurementPolicy, Provider, VmTier};
 
-/// `scheme` over `trace` under `config`, scored at the paper's 3x SLO.
-fn scored(config: &ClusterConfig, scheme: &dyn SchemeBuilder, trace: &TraceConfig) -> SchemeRow {
-    run_scheme(config, scheme, trace, DEFAULT_SLO_MULTIPLIER)
-}
-
-fn setup() -> PaperSetup {
-    PaperSetup {
-        duration_secs: 90.0,
-        seed: 42,
-    }
-}
-
-fn config_with(
-    setup: &PaperSetup,
-    availability: SpotAvailability,
-    policy: ProcurementPolicy,
-) -> ClusterConfig {
-    let mut config = setup.cluster();
-    config.availability = availability;
-    config.procurement = policy;
-    config.revocation_check = SimDuration::from_secs(20.0);
-    config.vm_startup = SimDuration::from_secs(20.0);
-    config.procurement_retry = SimDuration::from_secs(20.0);
-    config
+/// PROTEAN on the paper's set-up at a 90 s trace and seed 42, with
+/// `model` strict at its domain's rate, under spot `availability` and
+/// `procurement` at a 20 s spot cadence, scored at the paper's 3x SLO.
+fn scored(model: ModelId, availability: &str, procurement: &str) -> SchemeRow {
+    let keys = [
+        ("trace.duration_secs", "90"),
+        ("fleet.availability", availability),
+        ("fleet.procurement", procurement),
+        ("fleet.revocation_check_secs", "20"),
+        ("fleet.vm_startup_secs", "20"),
+        ("fleet.procurement_retry_secs", "20"),
+    ];
+    let spec = scenario::paper().at_paper_rate(model).with(&keys);
+    run_cell(&spec, &ProteanBuilder::paper()).unwrap()
 }
 
 /// Under high availability, the hybrid runs entirely on spot: ~70%
 /// cheaper than on-demand (the Table 3 AWS discount) at equal SLO.
 #[test]
 fn hybrid_saves_seventy_percent_at_high_availability() {
-    let setup = setup();
-    let trace = setup.wiki_trace(ModelId::ResNet50);
-    let od = scored(
-        &config_with(
-            &setup,
-            SpotAvailability::High,
-            ProcurementPolicy::OnDemandOnly,
-        ),
-        &ProteanBuilder::paper(),
-        &trace,
-    );
-    let hybrid = scored(
-        &config_with(&setup, SpotAvailability::High, ProcurementPolicy::Hybrid),
-        &ProteanBuilder::paper(),
-        &trace,
-    );
+    let od = scored(ModelId::ResNet50, "high", "ondemand");
+    let hybrid = scored(ModelId::ResNet50, "high", "hybrid");
     let ratio = hybrid.cost_usd / od.cost_usd;
     assert!((ratio - 0.30).abs() < 0.02, "cost ratio {ratio}");
     assert!(hybrid.slo_compliance_pct > 99.0);
@@ -69,18 +41,8 @@ fn hybrid_saves_seventy_percent_at_high_availability() {
 /// on-demand and keeps serving.
 #[test]
 fn spot_only_collapses_hybrid_survives_at_low_availability() {
-    let setup = setup();
-    let trace = setup.wiki_trace(ModelId::ResNet50);
-    let spot_only = scored(
-        &config_with(&setup, SpotAvailability::Low, ProcurementPolicy::SpotOnly),
-        &ProteanBuilder::paper(),
-        &trace,
-    );
-    let hybrid = scored(
-        &config_with(&setup, SpotAvailability::Low, ProcurementPolicy::Hybrid),
-        &ProteanBuilder::paper(),
-        &trace,
-    );
+    let spot_only = scored(ModelId::ResNet50, "low", "spot");
+    let hybrid = scored(ModelId::ResNet50, "low", "hybrid");
     assert!(
         spot_only.slo_compliance_pct < 60.0,
         "spot-only {}",
@@ -100,35 +62,9 @@ fn spot_only_collapses_hybrid_survives_at_low_availability() {
 /// moderate availability (it pays for some on-demand fallback).
 #[test]
 fn hybrid_cost_is_between_extremes_at_moderate_availability() {
-    let setup = setup();
-    let trace = setup.wiki_trace(ModelId::ResNet50);
-    let od = scored(
-        &config_with(
-            &setup,
-            SpotAvailability::Moderate,
-            ProcurementPolicy::OnDemandOnly,
-        ),
-        &ProteanBuilder::paper(),
-        &trace,
-    );
-    let hybrid = scored(
-        &config_with(
-            &setup,
-            SpotAvailability::Moderate,
-            ProcurementPolicy::Hybrid,
-        ),
-        &ProteanBuilder::paper(),
-        &trace,
-    );
-    let spot_only = scored(
-        &config_with(
-            &setup,
-            SpotAvailability::Moderate,
-            ProcurementPolicy::SpotOnly,
-        ),
-        &ProteanBuilder::paper(),
-        &trace,
-    );
+    let od = scored(ModelId::ResNet50, "moderate", "ondemand");
+    let hybrid = scored(ModelId::ResNet50, "moderate", "hybrid");
+    let spot_only = scored(ModelId::ResNet50, "moderate", "spot");
     assert!(
         spot_only.cost_usd < hybrid.cost_usd,
         "spot {} hybrid {}",
@@ -147,17 +83,7 @@ fn hybrid_cost_is_between_extremes_at_moderate_availability() {
 /// On-demand VMs are never revoked regardless of the regime.
 #[test]
 fn on_demand_never_evicted() {
-    let setup = setup();
-    let trace = setup.wiki_trace(ModelId::MobileNet);
-    let od = scored(
-        &config_with(
-            &setup,
-            SpotAvailability::Low,
-            ProcurementPolicy::OnDemandOnly,
-        ),
-        &ProteanBuilder::paper(),
-        &trace,
-    );
+    let od = scored(ModelId::MobileNet, "low", "ondemand");
     assert_eq!(od.evictions, 0);
     assert_eq!(od.censored, 0);
 }
@@ -187,18 +113,15 @@ fn a_provider_moves_only_the_price_of_each_tier() {
         .filter(|(label, _)| label.starts_with("spot"));
     for (label, spec) in spot_specs {
         let scheme = schemes::by_name(&spec.fleet.scheme).expect("a known scheme");
-        let (base, trace) = spec.generated();
         for policy in ProcurementPolicy::ALL {
-            let run = |provider| {
-                let mut config = base.clone();
-                (config.procurement, config.provider) = (policy, provider);
-                simulate(
-                    &config,
-                    scheme.as_ref(),
-                    Arrivals::Generate(&trace),
-                    None,
-                    Observe::default(),
-                )
+            let run = |provider: Provider| {
+                let keys = [
+                    ("fleet.procurement", policy.slug()),
+                    ("fleet.provider", provider.slug()),
+                ];
+                run_cell(&spec.clone().with(&keys), scheme.as_ref())
+                    .unwrap()
+                    .result
             };
             let aws = run(Provider::Aws);
             for provider in [Provider::Azure, Provider::Gcp] {
