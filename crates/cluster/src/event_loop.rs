@@ -422,18 +422,17 @@ impl<'a> EventLoop<'a> {
 
     // ---- main loop --------------------------------------------------
 
-    /// Provisions the fleet, reserves `(batches, entries)` records, feeds
-    /// it `runs` over a trace of `duration`, and folds the run into its
+    /// Provisions the fleet, reserves `rows` record rows, feeds it
+    /// `runs` over a trace of `duration`, and folds the run into its
     /// result.
     fn drive(
         mut self,
         runs: impl Iterator<Item = Run>,
         duration: SimDuration,
-        (batches, entries): (usize, usize),
+        rows: usize,
     ) -> SimulationResult {
         self.provision_initial_vms();
-        self.metrics.reserve_batches(batches);
-        self.metrics.reserve(entries);
+        self.metrics.reserve(rows);
         self.cutoff = SimTime::ZERO + duration + DRAIN_GRACE;
         let mut runs = runs.peekable();
         loop {
@@ -1172,7 +1171,7 @@ pub(crate) fn run(
             let universe = scan.model_universe().len();
             let prewarm = distinct_models(scan.map(|r| r.model), universe);
             let engine = EventLoop::new(config, observe, scheme, oracle, &prewarm);
-            return engine.drive(trace_config.runs(&factory), trace_config.duration, (0, 0));
+            return engine.drive(trace_config.runs(&factory), trace_config.duration, 0);
         }
     };
     let duration = trace.duration();
@@ -1185,20 +1184,17 @@ pub(crate) fn run(
     engine.drive(Draining { buf: runs, read: 0 }, duration, reserve)
 }
 
-/// The batch rows and record entries `runs` will store, to reserve
-/// them: a run of `len` requests past the `warmup` fills at least
-/// `len / batch_size` batches, and takes `ceil(len / batch_size)`
-/// entries unless a batch boundary splits it. Both are exact for a
-/// trace of whole-batch arrivals.
-fn records_of(warmup: SimDuration, runs: &[Run]) -> (usize, usize) {
+/// The record rows `runs` will store, to reserve them: a run of `len`
+/// requests past the `warmup` fills at least `len / batch_size`
+/// batches, a row each. Exact for a trace of whole-batch arrivals,
+/// whose batches hold one arrival each and so store no further entry.
+fn records_of(warmup: SimDuration, runs: &[Run]) -> usize {
     let measure_from = SimTime::ZERO + warmup;
-    let (mut batches, mut entries) = (0, 0);
+    let mut rows = 0;
     for r in runs.iter().filter(|r| r.arrival >= measure_from) {
-        let batch_size = r.model.profile().batch_size.max(1);
-        batches += (r.len / batch_size) as usize;
-        entries += r.len.div_ceil(batch_size) as usize;
+        rows += (r.len / r.model.profile().batch_size.max(1)) as usize;
     }
-    (batches, entries)
+    rows
 }
 
 /// The distinct models of `trace_models` (a trace's models, one per

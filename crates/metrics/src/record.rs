@@ -83,10 +83,11 @@ pub struct BatchRecord {
     pub cold_start_ms: f64,
 }
 
-/// One stored batch in full mode: its [`BatchRecord`] fields plus how
-/// many requests it holds and how many of the set's [`Entry`]s, in
-/// order, are theirs. Flat rather than wrapping a `BatchRecord`, so the
-/// counts sit in what would be padding and a row stays at 48 bytes.
+/// One stored batch in full mode: its [`BatchRecord`] fields, its first
+/// arrival with that arrival's request count, and how many of the set's
+/// [`Entry`]s, in order, hold its further arrivals. Flat rather than
+/// wrapping a `BatchRecord`, so the counts sit in what would be padding
+/// and a row stays at 56 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Row {
     completion: SimTime,
@@ -94,32 +95,34 @@ struct Row {
     deficiency_ms: f64,
     interference_ms: f64,
     cold_start_ms: f64,
-    requests: u32,
+    arrival: SimTime,
+    n: u32,
     entries: u16,
     model: ModelId,
     strict: bool,
 }
 
 /// `n` stored requests of one batch in full mode that arrived at one
-/// instant: what their [`Row`] does not hold. Equal arrivals in one
-/// batch have equal queueing, so they share an entry.
+/// instant, past the batch's first arrival. Equal arrivals in one batch
+/// have equal records, so adjacent ones share an entry.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     arrival: SimTime,
-    queueing_ms: f64,
     n: u32,
 }
 
 impl Row {
-    /// An empty row of `b`'s fields.
-    fn new(b: BatchRecord) -> Self {
+    /// A row of `b`'s fields whose first arrival is `n` requests at
+    /// `arrival`.
+    fn new(b: BatchRecord, arrival: SimTime, n: u32) -> Self {
         Row {
             completion: b.completion,
             min_exec_ms: b.min_exec_ms,
             deficiency_ms: b.deficiency_ms,
             interference_ms: b.interference_ms,
             cold_start_ms: b.cold_start_ms,
-            requests: 0,
+            arrival,
+            n,
             entries: 0,
             model: b.model,
             strict: b.strict,
@@ -138,6 +141,18 @@ impl Row {
         self.completion.saturating_since(e.arrival)
     }
 
+    /// What `e`'s latency leaves once the batch's other components are
+    /// taken out, floored at zero.
+    fn queueing_ms(&self, e: &Entry) -> f64 {
+        let total_ms = self.latency(e).as_millis_f64();
+        let rest_ms = total_ms
+            - self.cold_start_ms
+            - self.interference_ms
+            - self.deficiency_ms
+            - self.min_exec_ms;
+        rest_ms.max(0.0)
+    }
+
     fn record(&self, e: &Entry) -> RequestRecord {
         RequestRecord {
             model: self.model,
@@ -148,7 +163,7 @@ impl Row {
                 min_exec_ms: self.min_exec_ms,
                 deficiency_ms: self.deficiency_ms,
                 interference_ms: self.interference_ms,
-                queueing_ms: e.queueing_ms,
+                queueing_ms: self.queueing_ms(e),
                 cold_start_ms: self.cold_start_ms,
             },
         }
@@ -162,12 +177,14 @@ impl Row {
 ///
 /// * **Full** (the default): every record is retained, all
 ///   aggregations are exact. A completed batch is stored once, as a
-///   48-byte row of what its requests share, and the requests that
-///   arrived at one instant as one 24-byte entry (arrival, queueing and
-///   count): 48 bytes per batch plus 24 per request at worst, or per
-///   batch arrival when each fills a batch. [`MetricsSet::records`]
-///   rebuilds the [`RequestRecord`]s.
-///   A billion single-arrival requests would still need ~24 GB, so
+///   56-byte row of what its requests share plus its first arrival and
+///   that arrival's count; each further arrival instant of the batch
+///   takes one 16-byte entry (arrival and count). A request's queueing
+///   is derived on read from its latency and the row's other
+///   components. That is 56 bytes per batch when each arrival fills a
+///   batch, and 16 more per request at worst.
+///   [`MetricsSet::records`] rebuilds the [`RequestRecord`]s.
+///   A billion single-arrival requests would still need ~16 GB, so
 ///   fleet-scale endurance runs cannot use it.
 /// * **Aggregate** ([`MetricsSet::aggregate`]): per-class log-spaced
 ///   latency histograms plus counts/means — O(1) memory regardless of
@@ -357,44 +374,37 @@ impl MetricsSet {
         }
     }
 
-    /// Records a completed request (in full mode, as a batch of one).
+    /// Records a completed request as a batch of one arrival. Its
+    /// queueing is derived as [`MetricsSet::push_batch`] derives every
+    /// request's; the caller's `breakdown.queueing_ms` is not kept.
     pub fn push(&mut self, record: RequestRecord) {
-        if let Some(agg) = &mut self.aggregate {
-            agg.record_n(record.strict, record.latency().as_millis_f64(), 1);
-            return;
-        }
         let b = record.breakdown;
-        self.rows.push(Row {
-            requests: 1,
-            entries: 1,
-            ..Row::new(BatchRecord {
-                model: record.model,
-                strict: record.strict,
-                completion: record.completion,
-                min_exec_ms: b.min_exec_ms,
-                deficiency_ms: b.deficiency_ms,
-                interference_ms: b.interference_ms,
-                cold_start_ms: b.cold_start_ms,
-            })
-        });
-        self.entries.push(Entry {
-            arrival: record.arrival,
-            queueing_ms: b.queueing_ms,
-            n: 1,
-        });
+        let batch = BatchRecord {
+            model: record.model,
+            strict: record.strict,
+            completion: record.completion,
+            min_exec_ms: b.min_exec_ms,
+            deficiency_ms: b.deficiency_ms,
+            interference_ms: b.interference_ms,
+            cold_start_ms: b.cold_start_ms,
+        };
+        self.push_batch(batch, [(record.arrival, 1)]);
     }
 
     /// Records a completed batch: `n` requests per `(arrival, n)`, in
-    /// order, each sharing `batch`'s fields (`n` at least 1). A request's queueing is what
-    /// its latency leaves once the batch's other components are taken
-    /// out, floored at zero. Adjacent equal arrivals share one entry. A
-    /// batch with no requests stores nothing; aggregate mode records each
-    /// arrival's latency `n` times into its class histogram.
+    /// order, each sharing `batch`'s fields (`n` at least 1). A
+    /// request's queueing is what its latency leaves once the batch's
+    /// other components are taken out, floored at zero; it is derived
+    /// on read, not stored. The first arrival sits in the batch's row,
+    /// and adjacent equal arrivals share one count. A batch with no
+    /// requests stores nothing; aggregate mode records each arrival's
+    /// latency `n` times into its class histogram.
     ///
     /// # Panics
     ///
-    /// Panics if 2^32 requests or more fall in one stored row (a row
-    /// holds up to 2^16 - 1 distinct arrivals).
+    /// Panics if 2^32 requests or more arrive at one instant of a
+    /// batch (a row holds up to 2^16 distinct arrivals; the batch goes
+    /// on in a further row).
     pub fn push_batch(
         &mut self,
         batch: BatchRecord,
@@ -407,41 +417,31 @@ impl MetricsSet {
             }
             return;
         }
-        let mut row = Row::new(batch);
+        let mut open: Option<Row> = None;
         for (arrival, n) in arrivals {
-            match self.entries.last_mut() {
-                Some(e) if row.entries > 0 && e.arrival == arrival => e.n += n,
-                _ => {
-                    if row.entries == u16::MAX {
-                        // A row indexes at most 2^16 - 1 entries; the
-                        // batch goes on in a second row.
-                        self.rows.push(row);
-                        row.requests = 0;
-                        row.entries = 0;
-                    }
-                    let total_ms = batch.completion.saturating_since(arrival).as_millis_f64();
-                    let queueing_ms = (total_ms
-                        - batch.cold_start_ms
-                        - batch.interference_ms
-                        - batch.deficiency_ms
-                        - batch.min_exec_ms)
-                        .max(0.0);
-                    self.entries.push(Entry {
-                        arrival,
-                        queueing_ms,
-                        n,
-                    });
-                    row.entries += 1;
-                }
+            let Some(row) = &mut open else {
+                open = Some(Row::new(batch, arrival, n));
+                continue;
+            };
+            let (last, count) = match self.entries.last_mut() {
+                Some(e) if row.entries > 0 => (e.arrival, &mut e.n),
+                _ => (row.arrival, &mut row.n),
+            };
+            if last == arrival {
+                *count = count
+                    .checked_add(n)
+                    .expect("an instant holds under 2^32 requests");
+            } else if row.entries == u16::MAX {
+                // A row indexes at most 2^16 - 1 entries; the batch goes
+                // on in a second row.
+                self.rows.push(*row);
+                *row = Row::new(batch, arrival, n);
+            } else {
+                self.entries.push(Entry { arrival, n });
+                row.entries += 1;
             }
-            row.requests = row
-                .requests
-                .checked_add(n)
-                .expect("a batch row holds under 2^32 requests");
         }
-        if row.entries > 0 {
-            self.rows.push(row);
-        }
+        self.rows.extend(open);
     }
 
     /// Merges another set into this one. Both sets must be in the same
@@ -464,27 +464,20 @@ impl MetricsSet {
         }
     }
 
-    /// Pre-sizes the record entries for `additional` more entries (one
-    /// per request, or one per batch arrival whose requests share a
-    /// batch). Million-request fleet benchmarks otherwise spend
-    /// measurable time re-growing (and re-copying) a vector of tens of
-    /// megabytes. No-op in aggregate mode, whose footprint is fixed.
+    /// Pre-sizes the store for `additional` more rows: one per batch,
+    /// or one per request pushed alone. Million-request fleet
+    /// benchmarks otherwise spend measurable time re-growing (and
+    /// re-copying) a vector of tens of megabytes. No-op in aggregate
+    /// mode, whose footprint is fixed.
     pub fn reserve(&mut self, additional: usize) {
-        if self.aggregate.is_none() {
-            self.entries.reserve(additional);
-        }
-    }
-
-    /// Pre-sizes the batch rows for `additional` more batches, as
-    /// [`MetricsSet::reserve`] does the entries.
-    pub fn reserve_batches(&mut self, additional: usize) {
         if self.aggregate.is_none() {
             self.rows.reserve(additional);
         }
     }
 
     /// Bytes the set holds on the heap: the capacity of its batch rows
-    /// and record entries, or of its histograms in aggregate mode.
+    /// and further-arrival entries, or of its histograms in aggregate
+    /// mode.
     pub fn heap_bytes(&self) -> usize {
         let histograms = self.aggregate.as_ref().map_or(0, |a| {
             (a.strict.buckets.capacity() + a.be.buckets.capacity()) * std::mem::size_of::<u64>()
@@ -494,22 +487,26 @@ impl MetricsSet {
             + histograms
     }
 
-    /// Each stored batch with its requests' entries, in push order.
-    fn batches(&self) -> impl Iterator<Item = (&Row, &[Entry])> {
+    /// Each stored row with its arrivals, the inline first one then its
+    /// entries, in push order.
+    fn batches(&self) -> impl Iterator<Item = (&Row, impl Iterator<Item = Entry> + '_)> {
         self.rows.iter().scan(0, |start: &mut usize, row| {
             let from = *start;
             *start += usize::from(row.entries);
-            Some((row, &self.entries[from..*start]))
+            let first = Entry {
+                arrival: row.arrival,
+                n: row.n,
+            };
+            let rest = self.entries[from..*start].iter().copied();
+            Some((row, std::iter::once(first).chain(rest)))
         })
     }
 
     /// All records in completion order, rebuilt from the stored batches
     /// (empty in aggregate mode).
     pub fn records(&self) -> impl Iterator<Item = RequestRecord> + '_ {
-        self.batches().flat_map(|(row, entries)| {
-            entries
-                .iter()
-                .flat_map(move |e| std::iter::repeat_n(row.record(e), e.n as usize))
+        self.batches().flat_map(|(row, arrivals)| {
+            arrivals.flat_map(move |e| std::iter::repeat_n(row.record(&e), e.n as usize))
         })
     }
 
@@ -518,10 +515,9 @@ impl MetricsSet {
         if let Some(agg) = &self.aggregate {
             return agg.count(class) as usize;
         }
-        self.rows
-            .iter()
-            .filter(|row| row.in_class(class))
-            .map(|row| row.requests as usize)
+        self.batches_of(class)
+            .flat_map(|(_, arrivals)| arrivals)
+            .map(|e| e.n as usize)
             .sum()
     }
 
@@ -535,17 +531,20 @@ impl MetricsSet {
         (!lats.is_empty()).then(|| lats.iter().sum::<f64>() / lats.len() as f64)
     }
 
-    /// The stored batches of `class` with their requests' entries.
-    fn batches_of(&self, class: Class) -> impl Iterator<Item = (&Row, &[Entry])> {
+    /// The stored rows of `class` with their arrivals.
+    fn batches_of(
+        &self,
+        class: Class,
+    ) -> impl Iterator<Item = (&Row, impl Iterator<Item = Entry> + '_)> {
         self.batches().filter(move |(row, _)| row.in_class(class))
     }
 
     /// Latencies in milliseconds for `class`, unsorted.
     pub fn latencies_ms(&self, class: Class) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.count(class));
-        for (row, entries) in self.batches_of(class) {
-            for e in entries {
-                let ms = row.latency(e).as_millis_f64();
+        for (row, arrivals) in self.batches_of(class) {
+            for e in arrivals {
+                let ms = row.latency(&e).as_millis_f64();
                 out.extend(std::iter::repeat_n(ms, e.n as usize));
             }
         }
@@ -556,13 +555,11 @@ impl MetricsSet {
     /// per-model SLO (the paper's headline "SLO compliance"). Returns 1.0
     /// for an empty strict set.
     pub fn slo_compliance(&self, slo: &dyn Fn(ModelId) -> SimDuration) -> f64 {
-        let mut total = 0usize;
+        let total = self.count(Class::Strict);
         let mut met = 0usize;
-        for (row, entries) in self.batches_of(Class::Strict) {
+        for (row, arrivals) in self.batches_of(Class::Strict) {
             let slo = slo(row.model);
-            total += row.requests as usize;
-            met += entries
-                .iter()
+            met += arrivals
                 .filter(|e| row.latency(e) <= slo)
                 .map(|e| e.n as usize)
                 .sum::<usize>();
@@ -616,11 +613,12 @@ impl MetricsSet {
         let cut = sorted.percentile(q)?;
         let mut tail = 0usize;
         let mut b = LatencyBreakdown::default();
-        for (row, entries) in self.batches_of(class) {
-            for e in entries {
-                if row.latency(e).as_millis_f64() < cut {
+        for (row, arrivals) in self.batches_of(class) {
+            for e in arrivals {
+                if row.latency(&e).as_millis_f64() < cut {
                     continue;
                 }
+                let queueing_ms = row.queueing_ms(&e);
                 tail += e.n as usize;
                 // Once per request, so every sum rounds as it would over
                 // per-request records.
@@ -628,7 +626,7 @@ impl MetricsSet {
                     b.min_exec_ms += row.min_exec_ms;
                     b.deficiency_ms += row.deficiency_ms;
                     b.interference_ms += row.interference_ms;
-                    b.queueing_ms += e.queueing_ms;
+                    b.queueing_ms += queueing_ms;
                     b.cold_start_ms += row.cold_start_ms;
                 }
             }
@@ -696,9 +694,7 @@ impl MetricsSet {
             be_p99_ms: be.p99().unwrap_or(0.0),
         }
     }
-}
 
-impl MetricsSet {
     /// Per-model summaries, in `ModelId::ALL` order, covering only the
     /// models with at least one record. Used by multi-model reports.
     pub fn per_model_summaries(
@@ -708,9 +704,10 @@ impl MetricsSet {
         let mut out = Vec::new();
         for model in ModelId::ALL {
             let mut m = MetricsSet::new();
-            for (row, entries) in self.batches().filter(|(row, _)| row.model == model) {
+            for (row, arrivals) in self.batches().filter(|(row, _)| row.model == model) {
                 m.rows.push(*row);
-                m.entries.extend_from_slice(entries);
+                // The first arrival is the row's own.
+                m.entries.extend(arrivals.skip(1));
             }
             if m.rows.is_empty() {
                 continue;
@@ -983,8 +980,8 @@ mod tests {
 
     #[test]
     fn stored_sizes_are_pinned() {
-        assert_eq!(std::mem::size_of::<Row>(), 48);
-        assert_eq!(std::mem::size_of::<Entry>(), 24);
+        assert_eq!(std::mem::size_of::<Row>(), 56);
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
         assert_eq!(std::mem::size_of::<RequestRecord>(), 64);
     }
 
@@ -1113,22 +1110,50 @@ mod tests {
         })
     }
 
-    /// A random single record, model drawn from the first three.
-    fn random_record(rng: &mut SimRng) -> RequestRecord {
+    /// The queueing a per-request store keeps for a request of
+    /// `latency_ms` whose other components are `b`'s: what the latency
+    /// leaves, floored at zero.
+    fn derived_queueing(latency_ms: f64, b: &LatencyBreakdown) -> f64 {
+        let rest = latency_ms - b.cold_start_ms - b.interference_ms - b.deficiency_ms;
+        f64::max(rest - b.min_exec_ms, 0.0)
+    }
+
+    /// A random single record, model drawn from the first three, as a
+    /// caller pushes it (with a queueing of its own) and as the
+    /// reference keeps it (with the derived queueing). One in four
+    /// arrives after its completion (latency 0), one in four has
+    /// components above its latency, one in four is cold-started.
+    fn random_record(rng: &mut SimRng) -> (RequestRecord, RequestRecord) {
         let arrival = SimTime::from_millis(rng.uniform_range(0.0, 500.0));
-        RequestRecord {
+        let case = rng.index(4);
+        let completion = match case {
+            0 => SimTime::from_millis(rng.uniform_range(0.0, 1000.0 * arrival.as_secs_f64())),
+            2 => arrival + SimDuration::from_millis(rng.uniform_range(80.0, 480.0)),
+            _ => arrival + SimDuration::from_millis(rng.uniform_range(0.0, 400.0)),
+        };
+        let latency_ms = completion.saturating_since(arrival).as_millis_f64();
+        let mut breakdown = LatencyBreakdown {
+            min_exec_ms: rng.uniform_range(0.0, 50.0),
+            deficiency_ms: rng.uniform_range(0.0, 20.0),
+            interference_ms: rng.uniform_range(0.0, 20.0),
+            queueing_ms: rng.uniform_range(0.0, 300.0),
+            cold_start_ms: 0.0,
+        };
+        match case {
+            1 => breakdown.min_exec_ms += latency_ms,
+            2 => breakdown.cold_start_ms = 80.0,
+            _ => {}
+        }
+        let pushed = RequestRecord {
             model: ModelId::ALL[rng.index(3)],
             strict: rng.chance(0.5),
             arrival,
-            completion: arrival + SimDuration::from_millis(rng.uniform_range(0.0, 400.0)),
-            breakdown: LatencyBreakdown {
-                min_exec_ms: rng.uniform_range(0.0, 50.0),
-                deficiency_ms: rng.uniform_range(0.0, 20.0),
-                interference_ms: rng.uniform_range(0.0, 20.0),
-                queueing_ms: rng.uniform_range(0.0, 300.0),
-                cold_start_ms: if rng.chance(0.2) { 80.0 } else { 0.0 },
-            },
-        }
+            completion,
+            breakdown,
+        };
+        let mut kept = pushed;
+        kept.breakdown.queueing_ms = derived_queueing(latency_ms, &breakdown);
+        (pushed, kept)
     }
 
     /// A random batch of up to eight runs of one to four requests: its
@@ -1164,25 +1189,21 @@ mod tests {
             .collect();
         let mut records = Vec::new();
         for &(arrival, n) in &measured {
-            let total_ms = completion.saturating_since(arrival).as_millis_f64();
-            let queueing_ms = (total_ms
-                - batch.cold_start_ms
-                - batch.interference_ms
-                - batch.deficiency_ms
-                - batch.min_exec_ms)
-                .max(0.0);
+            let mut breakdown = LatencyBreakdown {
+                min_exec_ms: batch.min_exec_ms,
+                deficiency_ms: batch.deficiency_ms,
+                interference_ms: batch.interference_ms,
+                queueing_ms: 0.0,
+                cold_start_ms: batch.cold_start_ms,
+            };
+            let latency_ms = completion.saturating_since(arrival).as_millis_f64();
+            breakdown.queueing_ms = derived_queueing(latency_ms, &breakdown);
             let record = RequestRecord {
                 model: batch.model,
                 strict: batch.strict,
                 arrival,
                 completion,
-                breakdown: LatencyBreakdown {
-                    min_exec_ms: batch.min_exec_ms,
-                    deficiency_ms: batch.deficiency_ms,
-                    interference_ms: batch.interference_ms,
-                    queueing_ms,
-                    cold_start_ms: batch.cold_start_ms,
-                },
+                breakdown,
             };
             records.extend(std::iter::repeat_n(record, n as usize));
         }
@@ -1198,9 +1219,9 @@ mod tests {
         for _ in 0..ops {
             match rng.index(3) {
                 0 => {
-                    let r = random_record(&mut rng);
-                    set.push(r);
-                    reference.push(r);
+                    let (pushed, kept) = random_record(&mut rng);
+                    set.push(pushed);
+                    reference.push(kept);
                 }
                 1 => {
                     let (batch, arrivals, records) = random_batch(&mut rng);
@@ -1211,9 +1232,9 @@ mod tests {
                     let mut other = MetricsSet::new();
                     for _ in 0..rng.index(4) {
                         if rng.chance(0.5) {
-                            let r = random_record(&mut rng);
-                            other.push(r);
-                            reference.push(r);
+                            let (pushed, kept) = random_record(&mut rng);
+                            other.push(pushed);
+                            reference.push(kept);
                         } else {
                             let (batch, arrivals, records) = random_batch(&mut rng);
                             other.push_batch(batch, arrivals);
@@ -1333,18 +1354,24 @@ mod tests {
         let (a, b) = (SimTime::from_millis(5.0), SimTime::from_millis(7.0));
         let mut set = MetricsSet::new();
         set.push_batch(language_batch(100.0), [(a, 1), (a, 1), (b, 1), (a, 1)]);
+        // The first arrival and its repeat sit in the row.
         assert_eq!(set.rows.len(), 1);
-        assert_eq!(set.entries.len(), 3);
-        assert_eq!(
-            set.entries.iter().map(|e| e.n).collect::<Vec<_>>(),
-            [2, 1, 1]
-        );
+        assert_eq!((set.rows[0].arrival, set.rows[0].n), (a, 2));
+        assert_eq!(set.rows[0].entries, 2);
+        let side: Vec<(SimTime, u32)> = set.entries.iter().map(|e| (e.arrival, e.n)).collect();
+        assert_eq!(side, [(b, 1), (a, 1)]);
         assert_eq!(set.count(Class::All), 4);
         let arrivals: Vec<SimTime> = set.records().map(|r| r.arrival).collect();
         assert_eq!(arrivals, [a, a, b, a]);
-        // Equal arrivals in two batches never share an entry.
+        // Equal arrivals in two batches never share a count: the second
+        // batch's sits in its own row and adds no entry.
         set.push_batch(language_batch(200.0), [(a, 2)]);
-        assert_eq!(set.entries.len(), 4);
+        assert_eq!(set.rows.len(), 2);
+        assert_eq!(
+            (set.rows[1].arrival, set.rows[1].n, set.rows[1].entries),
+            (a, 2, 0)
+        );
+        assert_eq!(set.entries.len(), 2);
         assert_eq!(set.count(Class::Strict), 6);
     }
 
@@ -1358,11 +1385,14 @@ mod tests {
             .collect();
         let mut set = MetricsSet::new();
         set.push_batch(batch, arrivals.iter().map(|&a| (a, 1)));
+        // A row holds its first arrival and u16::MAX entries, 2^16
+        // instants; the second row starts at the next instant.
         assert_eq!(set.rows.len(), 2);
-        assert_eq!(usize::from(set.rows[0].entries), usize::from(u16::MAX));
-        assert_eq!(set.rows[0].requests, u32::from(u16::MAX));
-        assert_eq!(set.rows[1].requests, 70_001 - u32::from(u16::MAX));
-        assert_eq!(set.entries.len(), 70_000);
+        assert_eq!(set.rows[0].entries, u16::MAX);
+        assert_eq!(set.rows[1].arrival, SimTime::from_micros(1 << 16));
+        let per_row: Vec<u32> = set.batches().map(|(_, a)| a.map(|e| e.n).sum()).collect();
+        assert_eq!(per_row, [1 << 16, 70_001 - (1 << 16)]);
+        assert_eq!(set.entries.len(), 70_000 - 2);
         assert_eq!(set.count(Class::All), 70_001);
         let got: Vec<SimTime> = set.records().map(|r| r.arrival).collect();
         assert_eq!(got, arrivals);
@@ -1373,13 +1403,18 @@ mod tests {
         let mut set = MetricsSet::new();
         assert_eq!(set.heap_bytes(), 0);
         set.reserve(10);
-        let a = SimTime::from_millis(5.0);
+        let (a, b) = (SimTime::from_millis(5.0), SimTime::from_millis(7.0));
+        // One arrival per batch takes a row and no entry.
         set.push_batch(language_batch(100.0), [(a, 4)]);
+        assert!(set.rows.capacity() >= 10);
+        assert_eq!(set.entries.capacity(), 0);
+        assert_eq!(set.heap_bytes(), set.rows.capacity() * 56);
+        set.push_batch(language_batch(100.0), [(a, 2), (b, 2)]);
+        assert!(set.entries.capacity() >= 1);
         assert_eq!(
             set.heap_bytes(),
-            set.rows.capacity() * 48 + set.entries.capacity() * 24
+            set.rows.capacity() * 56 + set.entries.capacity() * 16
         );
-        assert!(set.entries.capacity() >= 10);
         let agg = MetricsSet::aggregate();
         assert_eq!(agg.heap_bytes(), 2 * BUCKETS * 8);
     }

@@ -24,11 +24,14 @@ use std::path::Path;
 
 use protean_cluster::{Observe, SimulationResult};
 use protean_experiments::golden::{
-    golden_digests, golden_digests_audited, golden_digests_streaming, golden_fingerprints,
-    golden_specs,
+    digest, fingerprint, golden_digests, golden_digests_audited, golden_digests_streaming,
+    golden_fingerprints, golden_specs, Fingerprint,
 };
 use protean_experiments::{scenario, schemes};
 use protean_metrics::record::Class;
+use protean_metrics::RequestRecord;
+use protean_models::ModelId;
+use protean_sim::{SimDuration, SimTime};
 
 /// Captured from the single-queue engine (per-worker jitter streams):
 /// every scheme × seeds {42, 7, 1234} on the paper's 8-worker wiki
@@ -250,4 +253,83 @@ fn aggregate_metrics_change_only_what_a_run_records() {
             }
         }
     }
+}
+
+/// A whole-batch golden run stores one 56-byte row per batch and
+/// nothing else: every batch holds one arrival, so no further-arrival
+/// entry is stored or reserved, and the engine reserves exactly the
+/// rows the run fills, so none re-grows mid-run.
+#[test]
+fn a_whole_batch_run_stores_one_56_byte_row_per_batch() {
+    let (label, spec) = &golden_specs()[0];
+    let scheme = schemes::by_name(&spec.fleet.scheme).expect("a known scheme");
+    let compiled = spec.compile(Path::new(""), false);
+    let result = compiled
+        .simulate(scheme.as_ref(), Observe::default())
+        .unwrap();
+    let m = &result.metrics;
+    let rows: usize = (ModelId::ALL.iter())
+        .map(|&model| {
+            let n = m.records().filter(|r| r.model == model).count();
+            let batch = model.profile().batch_size as usize;
+            assert_eq!(n % batch, 0, "{label} {model:?}: whole batches");
+            n / batch
+        })
+        .sum();
+    assert_eq!(m.heap_bytes(), 56 * rows, "{label}");
+    assert_eq!(m.heap_bytes(), 11_592, "{label}: 207 rows");
+}
+
+/// Requests that arrive one at a time fill each batch from many
+/// instants, and partial batches seal on their window: the two paths
+/// no paper or golden run takes, since those arrive in whole batches.
+/// Each record's breakdown sums to its latency, and the warm-up only
+/// chooses which records are kept: a later warm-up keeps, in order,
+/// the earlier one's records that arrive at or after it, and the
+/// engine does the same work.
+#[test]
+fn single_request_arrivals_fill_batches_from_many_instants() {
+    let spec = scenario::paper().with(&[
+        ("trace.duration_secs", "4"),
+        ("trace.batch_arrivals", "false"),
+    ]);
+    let scheme = schemes::by_name(&spec.fleet.scheme).expect("a known scheme");
+    let run = |warmup_secs| {
+        let mut compiled = spec.compile(Path::new(""), false);
+        compiled.config.warmup = SimDuration::from_secs(warmup_secs);
+        compiled
+            .simulate(scheme.as_ref(), Observe::default())
+            .unwrap()
+    };
+    let (early, late) = (run(1.0), run(2.0));
+    assert_eq!(
+        digest(&early),
+        "PROTEAN n=15058 sp50=4062cbced916872b sp99=4069aee147ae147b be99=406130b439581062 \
+         cost=3fb4f9767903211c util=3fb811c60de0e88c cold=0 rc=3 cens=0 ev=0"
+    );
+    let print = Fingerprint {
+        behaviour: 0xf8b36bb80448d4c3,
+        engine: 0x7e8cdbe36a8e670d,
+    };
+    assert_eq!(fingerprint(&early), print);
+    assert!(early.stats.expiries > 0, "no batch sealed on its window");
+    let records: Vec<RequestRecord> = early.metrics.records().collect();
+    let shared =
+        |w: &[RequestRecord]| w[0].completion == w[1].completion && w[0].arrival != w[1].arrival;
+    assert!(
+        records.windows(2).any(shared),
+        "no batch holds two arrival instants"
+    );
+    for r in &records {
+        let gap_ms = (r.breakdown.total_ms() - r.latency().as_millis_f64()).abs();
+        assert!(
+            gap_ms <= 0.5e-3,
+            "{r:?}: breakdown off its latency by {gap_ms} ms"
+        );
+    }
+    let from = SimTime::ZERO + SimDuration::from_secs(2.0);
+    let tail: Vec<RequestRecord> = records.into_iter().filter(|r| r.arrival >= from).collect();
+    assert!(tail.len() < early.metrics.count(Class::All));
+    assert!(late.metrics.records().eq(tail));
+    assert_eq!(late.stats, early.stats);
 }
