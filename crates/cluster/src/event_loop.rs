@@ -13,7 +13,9 @@
 //! Pending events wait in two places. Container boots come due a fixed
 //! delay after their push (the run's [`ClusterConfig::cold_start`]), so
 //! they wait in a FIFO lane that is already in key order (asserted on
-//! every push, release builds included). Every other event waits in a
+//! every push, release builds included), each packed with its key into
+//! 24 bytes; a lane a burst of cold starts filled shrinks as it drains
+//! ([`SlimPop`]). Every other event waits in a
 //! [`KeyedEventQueue`], a 4-ary min-heap of 16-byte packed keys over a
 //! slab of payloads; at fleet scale the heap then shares the cache with
 //! the dispatch index. A pop takes the smaller of the two heads.
@@ -48,7 +50,7 @@ use protean_metrics::record::Class;
 use protean_metrics::{BatchRecord, MetricsSet};
 use protean_models::ModelId;
 use protean_sim::{
-    EventHandle, EventKey, KeyedEventQueue, RngFactory, SimDuration, SimTime, TimeSeries,
+    EventHandle, EventKey, KeyedEventQueue, RngFactory, SimDuration, SimTime, SlimPop, TimeSeries,
 };
 use protean_spot::{ProcurementPolicy, SpotOracle, VmId, VmLedger, VmTier};
 use protean_trace::Run;
@@ -68,7 +70,9 @@ use crate::worker::{Offer, RunningBatch, Worker, WorkerStatus};
 
 /// Every event class, addressed by global worker id where it concerns
 /// one worker. `JobFinish`, the most numerous, and `BootDone` narrow it
-/// to `u32`, so every event, and so every slab slot, is 16 bytes.
+/// to `u32`, so every event, and so every slab slot, is 16 bytes. A
+/// `BootDone` never enters the slab: the boot lane packs it with its
+/// key into a 24-byte [`LaneEntry`], its `vm_epoch` narrowed to `u32`.
 #[derive(Debug, PartialEq)]
 enum Event {
     WindowExpire {
@@ -131,23 +135,80 @@ struct Agenda {
     cancelled: u64,
 }
 
-/// A FIFO of events that come due in push order.
+/// A FIFO of boots that come due in push order.
 #[derive(Default)]
-struct Lane(VecDeque<(EventKey, Event)>);
+struct Lane(VecDeque<LaneEntry>);
+
+/// Bits of [`LaneEntry::major_model`] that hold the model.
+const MODEL_BITS: u32 = 8;
+
+/// A pending `BootDone` and its key, packed into 24 bytes (the pair
+/// `(EventKey, Event)` takes 40): the key's `major` above the model's
+/// index in one word, so entries compare in key order on
+/// `(time, major_model)`, and the epoch narrowed like the worker id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct LaneEntry {
+    time: SimTime,
+    major_model: u64,
+    worker: u32,
+    vm_epoch: u32,
+}
+
+impl LaneEntry {
+    /// Packs a `BootDone`'s key and fields.
+    ///
+    /// # Panics
+    ///
+    /// If `key.major` does not fit beside the model or the epoch needs
+    /// more than 32 bits (release builds too).
+    fn pack(key: EventKey, worker: u32, model: ModelId, vm_epoch: u64) -> Self {
+        assert!(
+            key.major < 1 << (64 - MODEL_BITS),
+            "boot key major {} does not fit beside its model",
+            key.major
+        );
+        LaneEntry {
+            time: key.time,
+            major_model: key.major << MODEL_BITS | model as u64,
+            worker,
+            vm_epoch: u32::try_from(vm_epoch).expect("VM epoch fits in 32 bits"),
+        }
+    }
+
+    fn key(&self) -> EventKey {
+        EventKey::new(self.time, self.major_model >> MODEL_BITS, 0)
+    }
+
+    fn unpack(self) -> (EventKey, Event) {
+        let model = ModelId::ALL[(self.major_model & ((1 << MODEL_BITS) - 1)) as usize];
+        let ev = Event::BootDone {
+            worker: self.worker,
+            model,
+            vm_epoch: u64::from(self.vm_epoch),
+        };
+        (self.key(), ev)
+    }
+}
 
 impl Lane {
-    fn push(&mut self, key: EventKey, ev: Event) {
+    fn push(&mut self, entry: LaneEntry) {
         // One compare per push keeps the lane's premise checked in
         // release builds too.
         assert!(
-            self.0.back().is_none_or(|(k, _)| *k < key),
+            self.0.back().is_none_or(|back| *back < entry),
             "lane out of key order"
         );
-        self.0.push_back((key, ev));
+        self.0.push_back(entry);
     }
 
     fn peek_key(&self) -> Option<EventKey> {
-        self.0.front().map(|(k, _)| *k)
+        self.0.front().map(LaneEntry::key)
+    }
+
+    /// Takes the front boot; a lane a burst filled gives its slots back
+    /// as it drains.
+    fn pop(&mut self) -> Option<(EventKey, Event)> {
+        self.0.slim_pop_front().map(LaneEntry::unpack)
     }
 }
 
@@ -178,7 +239,13 @@ impl Agenda {
         self.seq += 1;
         let key = EventKey::new(time, self.seq, 0);
         match ev {
-            Event::BootDone { .. } => self.boots.push(key, ev),
+            Event::BootDone {
+                worker,
+                model,
+                vm_epoch,
+            } => self
+                .boots
+                .push(LaneEntry::pack(key, worker, model, vm_epoch)),
             _ => return Some(self.heap.push(key, ev)),
         }
         None
@@ -205,7 +272,7 @@ impl Agenda {
     /// Removes and returns the event with the smallest key.
     fn pop(&mut self) -> Option<(EventKey, Event)> {
         let next = if before(self.boots.peek_key(), self.heap.peek_key()) {
-            self.boots.0.pop_front()
+            self.boots.pop()
         } else {
             self.heap.pop()
         };
@@ -1576,6 +1643,50 @@ mod tests {
     }
 
     #[test]
+    fn a_boot_lane_entry_is_24_bytes_and_round_trips_every_model() {
+        assert_eq!(std::mem::size_of::<LaneEntry>(), 24);
+        for (i, model) in ModelId::ALL.into_iter().enumerate() {
+            let key = EventKey::new(SimTime::from_secs(8.0), (1 << 40) - 1 - i as u64, 0);
+            let (worker, vm_epoch) = (u32::MAX - i as u32, i as u64);
+            let (k, ev) = LaneEntry::pack(key, worker, model, vm_epoch).unpack();
+            let expected = Event::BootDone {
+                worker,
+                model,
+                vm_epoch,
+            };
+            assert_eq!((k, ev), (key, expected));
+        }
+    }
+
+    #[test]
+    fn a_drained_boot_lane_gives_its_slots_back() {
+        let mut agenda = Agenda::new();
+        for worker in 0..10_000 {
+            let boot = Event::BootDone {
+                worker,
+                model: ModelId::ResNet50,
+                vm_epoch: 0,
+            };
+            agenda.push(SimTime::from_secs(8.0), boot);
+        }
+        assert!(agenda.boots.0.capacity() >= 10_000);
+        while agenda.pop().is_some() {}
+        assert_eq!(agenda.popped, 10_000);
+        assert!(agenda.boots.0.capacity() <= protean_sim::slim::KEEP);
+    }
+
+    #[test]
+    #[should_panic(expected = "VM epoch fits in 32 bits")]
+    fn a_boot_past_the_32_bit_epoch_is_refused_not_wrapped() {
+        let boot = Event::BootDone {
+            worker: 0,
+            model: ModelId::ResNet50,
+            vm_epoch: u64::from(u32::MAX) + 1,
+        };
+        Agenda::new().push(SimTime::ZERO, boot);
+    }
+
+    #[test]
     fn the_agenda_pops_boots_and_heap_events_in_key_order() {
         let mut agenda = Agenda::new();
         // The payload pushed under each key `major`, to check that each
@@ -1585,21 +1696,27 @@ mod tests {
             pushed.push(format!("{ev:?}"));
             agenda.push(SimTime::from_millis(at_ms), ev);
         };
-        let boot = |worker| Event::BootDone {
+        // Boots with the last model and the widest epoch the lane takes
+        // check each packed entry's round trip.
+        let boot = |worker, model, vm_epoch| Event::BootDone {
             worker,
-            model: ModelId::ResNet50,
-            vm_epoch: 0,
+            model,
+            vm_epoch,
         };
         let expiry = |strict| Event::WindowExpire {
             model: ModelId::ResNet50,
             strict,
         };
-        push(&mut agenda, 8.0, boot(0));
+        push(
+            &mut agenda,
+            8.0,
+            boot(0, ModelId::Gpt2, u64::from(u32::MAX)),
+        );
         push(&mut agenda, 8.0, Event::MonitorTick);
         push(&mut agenda, 3.0, Event::EvictionFinal { worker: 1 });
         // A boot and two heap events, one a window expiry, tie at 8 ms.
         push(&mut agenda, 8.0, expiry(true));
-        push(&mut agenda, 8.0, boot(2));
+        push(&mut agenda, 8.0, boot(2, ModelId::Bert, 7));
         push(&mut agenda, 9.0, Event::EvictionFinal { worker: 3 });
         let mut popped = Vec::new();
         let mut pop = |agenda: &mut Agenda| {

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use protean_gpu::{Geometry, Gpu};
 use protean_models::ModelId;
-use protean_sim::{EventHandle, Ewma, RngFactory, SimRng, SimTime, SlimPush};
+use protean_sim::{EventHandle, Ewma, RngFactory, SimRng, SimTime, SlimPop, SlimPush};
 use protean_spot::{VmId, VmTier};
 
 use crate::batch::{Batch, BatchId};
@@ -296,7 +296,10 @@ pub struct Worker {
     /// Bumped only on VM replacement, never on reconfiguration.
     /// Container boots survive a MIG reconfig (containers live in host
     /// memory) but not a VM replacement, so a `BootDone` event, which
-    /// waits in a lane that cannot cancel, checks this counter.
+    /// waits in a lane that cannot cancel, checks this counter. The lane
+    /// stores it in 32 bits and refuses a boot pushed past `u32::MAX`
+    /// replacements (release builds too), so it never wraps into a
+    /// stale boot that passes the check.
     pub vm_epoch: u64,
     /// Backing VM (id, tier) when up or evicting.
     pub vm: Option<(VmId, VmTier)>,
@@ -451,7 +454,7 @@ impl Worker {
     /// container and is queued (`true`), or the container parks warm.
     pub(crate) fn boot_done(&mut self, model: ModelId, now: SimTime) -> bool {
         let state = ModelState::of(&mut self.models, model);
-        let waiting = state.waiting.pop_front();
+        let waiting = state.waiting.slim_pop_front();
         state.pool.boot_done(now, waiting.is_some());
         let Some(mut batch) = waiting else {
             return false;
@@ -476,7 +479,7 @@ impl Worker {
             .outstanding
             .saturating_sub(u64::from(done.batch.size()));
         let state = ModelState::of(&mut self.models, done.batch.model);
-        let next = state.waiting.pop_front();
+        let next = state.waiting.slim_pop_front();
         state.pool.release(now, next.is_some());
         if let Some(batch) = next {
             self.sched_queue.push(batch);
@@ -539,7 +542,8 @@ impl Worker {
 
     /// Rebuilds the GPU (VM replacement): fresh geometry, empty pools
     /// (window demand is kept). Bumps `vm_epoch`: in-flight `BootDone`
-    /// events from the old VM are stale after this.
+    /// events from the old VM are stale after this. The waiting queues
+    /// give their blocks back.
     pub fn reset_runtime(&mut self, now: SimTime) {
         self.gpu = Gpu::new(
             protean_gpu::GpuId(self.idx as u32),
@@ -552,18 +556,19 @@ impl Worker {
         self.forget_declines();
         for s in &mut self.models {
             s.pool = Pool::new();
-            s.waiting.clear();
+            s.waiting = VecDeque::new();
         }
         self.running.clear();
     }
 
     /// Pulls every batch held anywhere in this worker's pipeline for
     /// re-dispatch after an eviction: container waits (by model), the
-    /// scheduler queue, then running batches (in admission order).
+    /// scheduler queue, then running batches (in admission order). The
+    /// waiting queues give their blocks back.
     pub fn drain_all_batches(&mut self) -> Vec<Batch> {
         let mut out = Vec::new();
         for s in &mut self.models {
-            out.extend(s.waiting.drain(..));
+            out.extend(std::mem::take(&mut s.waiting));
         }
         out.extend(self.sched_queue.drain_all());
         out.extend(self.running.drain(..).map(|rb| rb.batch));
@@ -852,6 +857,31 @@ mod tests {
         let (_, pool) = w.containers().next().unwrap();
         assert_eq!((pool.busy_count(), pool.warm_count()), (1, 1));
         assert_eq!(pool.cold_starts(), 2);
+    }
+
+    #[test]
+    fn drained_waiting_queues_give_their_slots_back() {
+        let waiting_slots = |w: &Worker| w.models[0].waiting.capacity();
+        let burst = |w: &mut Worker| {
+            for id in 0..1000 {
+                w.acquire_container(batch(id, false));
+            }
+            assert!(waiting_slots(w) >= 1000);
+        };
+        // The boots serve the burst, and the queue shrinks as it drains.
+        let mut w = idle_worker();
+        burst(&mut w);
+        for _ in 0..1000 {
+            assert!(w.boot_done(ModelId::ResNet50, SimTime::from_secs(8.0)));
+        }
+        assert!(waiting_slots(&w) <= protean_sim::slim::KEEP);
+        // An eviction releases the queue outright, by either path.
+        burst(&mut w);
+        assert_eq!(w.drain_all_batches().len(), 2000);
+        assert_eq!(waiting_slots(&w), 0);
+        burst(&mut w);
+        w.reset_runtime(SimTime::from_secs(9.0));
+        assert_eq!(waiting_slots(&w), 0);
     }
 
     proptest::proptest! {

@@ -20,8 +20,9 @@
 //! * [`TimeSeries`] / [`Accumulator`] — small utilities for integrating
 //!   quantities over simulated time (GPU busy time, memory occupancy,
 //!   dollar cost).
-//! * [`SlimPush`] — the growth policy of per-worker and per-slice
-//!   buffers: one slot on the first push, doubling after that.
+//! * [`SlimPush`] / [`SlimPop`] — the size policy of per-worker and
+//!   per-slice buffers: one slot on the first push, doubling after
+//!   that, and halving once a pop leaves a quarter in use.
 //!
 //! # Example
 //!
@@ -50,5 +51,5 @@ pub use ewma::Ewma;
 pub use queue::{EventHandle, EventKey, KeyedEventQueue};
 pub use rng::{RngFactory, SimRng};
 pub use series::{Accumulator, TimeSeries};
-pub use slim::SlimPush;
+pub use slim::{SlimPop, SlimPush};
 pub use time::{SimDuration, SimTime};
